@@ -250,39 +250,11 @@ impl CostModel {
         }
     }
 
-    /// Code bit-width used when a segment has no usable selectivity signal:
-    /// the full `u8` grid (256 levels) — tightest brackets, widest LUT.
+    /// Code bit-width of the companion the quantized filter sweeps: the
+    /// full `u8` grid (256 levels) — tightest brackets. Codes occupy a byte
+    /// at any width, so a narrower grid saves no traffic and only widens
+    /// the brackets the exact refine has to resolve.
     pub const DEFAULT_CODE_BITS: u8 = 8;
-    /// Code bit-width for observably tight segments: 16 levels fit the
-    /// 16-entry LUT register path of the AVX2 sweep, trading bracket width
-    /// for sweep speed where the filter prunes almost everything anyway.
-    pub const FAST_CODE_BITS: u8 = 4;
-    /// Observed filter selectivity (refined rows / swept rows) at or below
-    /// which a segment's codes drop to [`CostModel::FAST_CODE_BITS`]: when
-    /// at most one row in ten survives the 8-bit sweep, the coarser grid's
-    /// wider brackets cannot cost much refine work, and the sweep itself —
-    /// now the dominant phase — gets the fast path.
-    pub const ADAPTIVE_BITS_SELECTIVITY: f64 = 0.1;
-
-    /// The code bit-width this segment should be swept with, derived from
-    /// its accumulated feedback: [`CostModel::FAST_CODE_BITS`] once the
-    /// segment is warm *and* its observed filter selectivity is at most
-    /// [`CostModel::ADAPTIVE_BITS_SELECTIVITY`];
-    /// [`CostModel::DEFAULT_CODE_BITS`] otherwise (cold segments, segments
-    /// never filtered, loose segments). Bit-width only moves the
-    /// pessimistic/optimistic brackets — survivors are always re-scored
-    /// exactly — so this choice affects work, never answers.
-    pub fn adaptive_code_bits(&self, feedback: Option<&SegmentFeedbackSnapshot>) -> u8 {
-        let tight = feedback
-            .filter(|f| f.is_warm(self.min_warm_searches))
-            .and_then(SegmentFeedbackSnapshot::filter_selectivity)
-            .is_some_and(|s| s <= Self::ADAPTIVE_BITS_SELECTIVITY);
-        if tight {
-            Self::FAST_CODE_BITS
-        } else {
-            Self::DEFAULT_CODE_BITS
-        }
-    }
 
     /// Estimated cost (in exact-cell equivalents) of one search of this
     /// segment when the quantized first-pass filter runs: the full
@@ -553,31 +525,6 @@ mod tests {
             model.segment_cost_quantized_split_with_kernel(&stats, None, 10, true, Kernel::Avx2);
         assert!(simd.0 < scalar.0, "sweep phase gets cheaper under SIMD");
         assert_eq!(simd.1, scalar.1, "refine phase is exact work either way");
-    }
-
-    #[test]
-    fn adaptive_bits_need_warm_and_tight_feedback() {
-        let model = CostModel::default();
-        // cold: no feedback at all
-        assert_eq!(model.adaptive_code_bits(None), CostModel::DEFAULT_CODE_BITS);
-        // warm but never filtered: no selectivity signal
-        let unfiltered = warm_feedback(4, 0, 40);
-        assert_eq!(model.adaptive_code_bits(Some(&unfiltered)), CostModel::DEFAULT_CODE_BITS);
-        // warm and tight: 5 % of swept rows survive → fast bits
-        let mut tight = warm_feedback(4, 0, 40);
-        tight.filter_rows = 4000;
-        tight.refine_rows = 200;
-        assert_eq!(model.adaptive_code_bits(Some(&tight)), CostModel::FAST_CODE_BITS);
-        // warm but loose: half survive → default bits
-        let mut loose = warm_feedback(4, 0, 40);
-        loose.filter_rows = 4000;
-        loose.refine_rows = 2000;
-        assert_eq!(model.adaptive_code_bits(Some(&loose)), CostModel::DEFAULT_CODE_BITS);
-        // tight but cold: selectivity alone is not enough
-        let mut cold = warm_feedback(4, 0, model.min_warm_searches - 1);
-        cold.filter_rows = 4000;
-        cold.refine_rows = 200;
-        assert_eq!(model.adaptive_code_bits(Some(&cold)), CostModel::DEFAULT_CODE_BITS);
     }
 
     #[test]

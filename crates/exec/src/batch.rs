@@ -15,7 +15,7 @@
 
 use crate::planner::PlannerKind;
 use crate::rules::RuleKind;
-use bond::{BondError, FeatureMetricKind, PruneTrace, Result, SegmentPlan};
+use bond::{BondError, CostModel, FeatureMetricKind, PruneTrace, Result, SegmentPlan};
 use bond_metrics::{FuzzyMax, FuzzyMin, ScoreAggregate, WeightedAverage};
 use std::ops::Range;
 use std::sync::Arc;
@@ -94,12 +94,13 @@ impl ScanMode {
         matches!(self, ScanMode::ApproximateQuantized { .. })
     }
 
-    /// The code width this mode scans (8 for the filter mode, the chosen
-    /// width for the approximate mode, 8 — unused — for exact scans).
+    /// The code width this mode scans ([`CostModel::DEFAULT_CODE_BITS`] for
+    /// the filter mode, the chosen width for the approximate mode, the
+    /// default — unused — for exact scans).
     pub fn bits(self) -> u8 {
         match self {
             ScanMode::ApproximateQuantized { bits } => bits,
-            _ => 8,
+            _ => CostModel::DEFAULT_CODE_BITS,
         }
     }
 

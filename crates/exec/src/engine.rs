@@ -136,6 +136,9 @@ pub(crate) struct EngineMetrics {
     /// `engine.kernel.<label>.sweeps` — quantized code sweeps dispatched to
     /// each scan-kernel flavour (one tick per swept segment).
     kernel_sweeps: [(&'static str, Counter); 3],
+    /// `engine.codes.builds` — code companions encoded from the table; a
+    /// tick after set-up means a build ran on the query path.
+    codes_builds: Counter,
 }
 
 impl EngineMetrics {
@@ -168,6 +171,7 @@ impl EngineMetrics {
             filter_segments_empty: registry.counter(names::ENGINE_FILTER_SEGMENTS_EMPTY),
             multifeature_searches: registry.counter(names::ENGINE_MULTIFEATURE_SEARCHES),
             kernel_sweeps,
+            codes_builds: registry.counter(names::ENGINE_CODES_BUILDS),
             registry,
         }
     }
@@ -438,19 +442,13 @@ impl EngineBuilder {
         }
         // Seed the code cache from the store footer when the persisted
         // codes still describe this engine's partitioning (they do unless
-        // the builder re-partitioned, which clears them anyway).
+        // the builder re-partitioned, which clears them anyway). A
+        // mixed-width footer (written by engines that sized codes per
+        // segment) is discarded: the uniform companion is built on first use.
         let mut codes_cache: BTreeMap<u8, Arc<StoreCodes>> = BTreeMap::new();
-        let mut adaptive_cache: Option<Arc<StoreCodes>> = None;
         if let Some(codes) = self.preloaded_codes {
-            if codes.matches_specs(&specs) {
-                match codes.uniform_bits() {
-                    Some(bits) => {
-                        codes_cache.insert(bits, Arc::new(codes));
-                    }
-                    // a store persisted by an adaptive engine carries mixed
-                    // widths: seed the adaptive slot, not the uniform cache
-                    None => adaptive_cache = Some(Arc::new(codes)),
-                }
+            if let Some(bits) = codes.uniform_bits().filter(|_| codes.matches_specs(&specs)) {
+                codes_cache.insert(bits, Arc::new(codes));
             }
         }
         Ok(Engine {
@@ -469,7 +467,6 @@ impl EngineBuilder {
                 feedback,
                 row_sums: OnceLock::new(),
                 codes: Mutex::new(codes_cache),
-                adaptive_codes: Mutex::new(adaptive_cache),
                 metrics,
             }),
         })
@@ -510,12 +507,6 @@ struct EngineInner {
     /// first scan that needs them (or seeded from a store footer) and
     /// shared by every later query at that width.
     codes: Mutex<BTreeMap<u8, Arc<StoreCodes>>>,
-    /// The adaptively mixed code companion, when the bit-width policy has
-    /// produced one: the per-segment widths the feedback store most
-    /// recently justified. Rebuilt (and replaced) whenever the policy's
-    /// pick changes; `None` until the first mixed pick (all-default picks
-    /// live in the uniform `codes` cache instead).
-    adaptive_codes: Mutex<Option<Arc<StoreCodes>>>,
     /// Pre-registered metric handles; every hot-path emission is a relaxed
     /// atomic bump on one of these.
     metrics: EngineMetrics,
@@ -625,10 +616,7 @@ impl Engine {
     pub fn persist(&self, path: impl AsRef<Path>) -> Result<()> {
         let span = Span::begin(names::SPAN_STORE_PERSIST);
         let learned = self.inner.feedback.snapshot().to_bytes();
-        // Persist the adaptively bit-sized companion: a cold engine's picks
-        // are uniformly 8 bits (the pre-adaptive bytes, identically); a
-        // warmed engine's mixed widths round-trip via the footer sentinel.
-        let codes = self.ensure_adaptive_codes().ok();
+        let codes = self.ensure_codes(CostModel::DEFAULT_CODE_BITS).ok();
         let report = save_store_with_codes(
             &self.inner.table,
             &self.inner.specs,
@@ -661,11 +649,15 @@ impl Engine {
                 "scan-mode code bits must be in 1..=8, got {bits}"
             )));
         }
-        let mut cache = self.inner.codes.lock().expect("code cache lock");
+        // a poisoned cache still holds only fully built companions (an
+        // entry is inserted after its build succeeds), so recovering the
+        // guard is safe
+        let mut cache = self.inner.codes.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if let Some(codes) = cache.get(&bits) {
             return Ok(Arc::clone(codes));
         }
         let span = Span::begin(names::SPAN_ENGINE_CODES_BUILD).detail(bits as u64);
+        self.inner.metrics.codes_builds.inc();
         let codes =
             StoreCodes::build(&self.inner.table, &self.inner.specs, &self.inner.stats, bits)
                 .map_err(BondError::Storage)?;
@@ -675,60 +667,14 @@ impl Engine {
         Ok(codes)
     }
 
-    /// The per-segment code bit-widths the adaptive policy currently
-    /// justifies: [`CostModel::FAST_CODE_BITS`] for segments whose warmed
-    /// feedback shows a filter selectivity at or below
-    /// [`CostModel::ADAPTIVE_BITS_SELECTIVITY`],
-    /// [`CostModel::DEFAULT_CODE_BITS`] everywhere else. This is the pick
-    /// [`ScanMode::QuantizedFilter`] queries sweep with and what
-    /// [`Engine::explain`] renders per segment.
-    pub fn adaptive_code_bits(&self) -> Vec<u8> {
-        (0..self.inner.specs.len())
-            .map(|si| {
-                let snapshot = self.inner.feedback.segment(si).scalar_snapshot();
-                self.inner.cost.adaptive_code_bits(Some(&snapshot))
-            })
-            .collect()
-    }
-
-    /// The code companion quantized *filter* scans sweep: per-segment bit
-    /// widths picked by [`Engine::adaptive_code_bits`], rebuilt lazily
-    /// whenever the policy's pick drifts from the cached build. While every
-    /// segment still picks the default width this delegates to the uniform
-    /// [`Engine::ensure_codes`] cache — cold engines never pay for a mixed
-    /// build. Bit-width only changes bracket tightness, never answers:
-    /// survivors are re-scored exactly regardless of the sweep's width.
+    /// The code companion [`ScanMode::QuantizedFilter`] sweeps:
+    /// [`Engine::ensure_codes`] at [`CostModel::DEFAULT_CODE_BITS`].
     ///
     /// # Errors
     ///
-    /// [`BondError::Storage`] when the table cannot be quantized
-    /// (non-finite values).
+    /// As [`Engine::ensure_codes`].
     pub fn ensure_adaptive_codes(&self) -> Result<Arc<StoreCodes>> {
-        let want = self.adaptive_code_bits();
-        if want.iter().all(|&b| b == CostModel::DEFAULT_CODE_BITS) {
-            return self.ensure_codes(CostModel::DEFAULT_CODE_BITS);
-        }
-        // a poisoned cache still holds either `None` or a fully-built
-        // companion (the slot is only assigned after a successful build),
-        // so recovering the guard is safe
-        let mut cache = match self.inner.adaptive_codes.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(codes) = cache.as_ref() {
-            if codes.segment_bits() == want.as_slice() {
-                return Ok(Arc::clone(codes));
-            }
-        }
-        let span = Span::begin(names::SPAN_ENGINE_CODES_BUILD)
-            .detail(*want.iter().min().unwrap_or(&0) as u64);
-        let codes =
-            StoreCodes::build_mixed(&self.inner.table, &self.inner.specs, &self.inner.stats, &want)
-                .map_err(BondError::Storage)?;
-        drop(span);
-        let codes = Arc::new(codes);
-        *cache = Some(Arc::clone(&codes));
-        Ok(codes)
+        self.ensure_codes(CostModel::DEFAULT_CODE_BITS)
     }
 
     /// The engine's [`MetricsRegistry`]: every executed batch, scan,
@@ -1389,15 +1335,8 @@ impl Engine {
                 let scan = spec.scan_mode_override().unwrap_or(inner.scan);
                 // Quantized scans resolve (and, on the cache's first miss,
                 // build) their code companions up front — workers only read.
-                // Filter scans take the adaptively bit-sized companion (the
-                // feedback store may have dropped tight segments to 4 bits);
-                // approximate scans answer *from* the codes, so they keep
-                // the exact uniform width the caller asked for.
-                let codes = match scan {
-                    ScanMode::QuantizedFilter => Some(self.ensure_adaptive_codes()?),
-                    _ if scan.uses_codes() => Some(self.ensure_codes(scan.bits())?),
-                    _ => None,
-                };
+                let codes =
+                    if scan.uses_codes() { Some(self.ensure_codes(scan.bits())?) } else { None };
                 let metric = rule.make_metric();
                 let objective = rule.objective();
                 // The uniform plan is segment-independent; derive it once

@@ -98,8 +98,8 @@ pub struct SegmentExplain {
     /// this process dispatches to); `None` for exact scans.
     pub filter_cost: Option<f64>,
     /// The code bit-width the quantized sweep of this segment would use:
-    /// the adaptive policy's pick for filter scans, the requested uniform
-    /// width for approximate scans, `None` for exact scans.
+    /// [`bond::CostModel::DEFAULT_CODE_BITS`] for filter scans, the
+    /// requested width for approximate scans, `None` for exact scans.
     pub code_bits: Option<u8>,
     /// The exact refine phase's share of `estimated_cells`: the cells the
     /// cost model expects the filter's survivors to need. `Some(0.0)` for
@@ -427,11 +427,8 @@ impl Engine {
         let feedback = self.feedback_snapshot();
         let min_warm = self.cost_model().min_warm_searches;
         let stats = self.segment_stats();
-        // Filter scans sweep the adaptively bit-sized companion; rendering
-        // the policy's current pick here is what EXPLAIN promises — the
-        // width `execute` would sweep with right now.
-        let adaptive_bits =
-            matches!(scan, ScanMode::QuantizedFilter).then(|| self.adaptive_code_bits());
+        // the width of the companion `execute` resolves for this scan mode
+        let code_bits = scan.uses_codes().then(|| scan.bits());
         let segments = self
             .segment_specs()
             .iter()
@@ -472,10 +469,6 @@ impl Engine {
                     filter_cost = filter_cost.map(|c| c * ratio);
                     refine_cost = refine_cost.map(|c| c * ratio);
                 }
-                let code_bits = match &adaptive_bits {
-                    Some(bits) => Some(bits[si]),
-                    None => scan.uses_codes().then(|| scan.bits()),
-                };
                 SegmentExplain {
                     segment: si,
                     rows: seg_spec.range(),

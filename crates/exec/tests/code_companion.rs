@@ -1,0 +1,192 @@
+//! The quantized-filter code companion is built once and never on the
+//! query path: an engine serving quantized-filter traffic on clustered
+//! data — warm feedback, tight per-segment selectivity, the regime that
+//! used to re-encode the store at 4 bits — keeps sweeping the one 8-bit
+//! companion, says so in EXPLAIN/ANALYZE, persists the uniform footer, and
+//! reopens stores that still carry a mixed-width one.
+
+use bond::CostModel;
+use bond_datagen::{sample_queries, ClusteredConfig};
+use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
+use bond_obs::names;
+use std::path::PathBuf;
+use std::sync::Arc;
+use vdstore::persist::save_store_with_codes;
+use vdstore::{StorageBackend, StoreCodes};
+
+const ROWS: usize = 2_000;
+const DIMS: usize = 8;
+const PARTITIONS: usize = 8;
+
+fn temp_store(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("bond_exec_code_companion_{tag}_{}", std::process::id()))
+}
+
+fn filter_spec(q: Vec<f64>) -> QuerySpec {
+    QuerySpec::new(q, 10).scan_mode(ScanMode::QuantizedFilter)
+}
+
+/// An engine on cluster-major clustered data: each partition holds few
+/// clusters, so the code filter is extremely selective there.
+fn cold_engine(threads: usize) -> Engine {
+    let table = ClusteredConfig { clusters: 16, ..ClusteredConfig::small(ROWS, DIMS, 0.0) }
+        .with_cluster_major(true)
+        .generate();
+    Engine::builder(table)
+        .partitions(PARTITIONS)
+        .threads(threads)
+        .planner(PlannerKind::Feedback)
+        .rule(RuleKind::EuclideanEv)
+        .build()
+        .unwrap()
+}
+
+/// [`cold_engine`] after two rounds of quantized-filter traffic: every
+/// segment is past `CostModel::min_warm_searches` with an observed filter
+/// selectivity of at most 10 %.
+fn warmed_engine(threads: usize) -> Engine {
+    let engine = cold_engine(threads);
+    let queries = sample_queries(engine.table(), 12, 97);
+    for _ in 0..2 {
+        let warming = queries.iter().cloned().map(filter_spec).collect();
+        engine.execute(&RequestBatch::from_specs(warming)).unwrap();
+    }
+    let min_warm = engine.cost_model().min_warm_searches;
+    for seg in &engine.feedback_snapshot().segments {
+        assert!(seg.is_warm(min_warm), "precondition: warm feedback");
+        assert!(seg.filter_selectivity().is_some_and(|s| s <= 0.1), "precondition: tight filter");
+    }
+    engine
+}
+
+#[test]
+fn the_companion_is_built_once_and_survives_traffic_and_persist() {
+    let engine = warmed_engine(2);
+    let before = engine.ensure_adaptive_codes().unwrap();
+    assert_eq!(before.uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS));
+    for q in sample_queries(engine.table(), 200, 31) {
+        engine.search_spec(&filter_spec(q)).unwrap();
+    }
+    assert!(Arc::ptr_eq(&before, &engine.ensure_adaptive_codes().unwrap()));
+    let path = temp_store("persist");
+    engine.persist(&path).unwrap();
+    assert!(Arc::ptr_eq(&before, &engine.ensure_adaptive_codes().unwrap()));
+    assert_eq!(engine.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
+
+    // what was written is the uniform companion, and it seeds the reopened
+    // engine's cache: no build there at all
+    let reopened = EngineBuilder::open_with(&path, StorageBackend::Heap).unwrap().build().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let seeded = reopened.ensure_adaptive_codes().unwrap();
+    assert_eq!(seeded.segment_bits(), before.segment_bits());
+    assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(0));
+}
+
+#[test]
+fn warmed_filter_answers_stay_bit_identical_to_exact() {
+    let engine = warmed_engine(2);
+    for q in sample_queries(engine.table(), 6, 4242) {
+        let exact = engine.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
+        let filtered = engine.search_spec(&filter_spec(q)).unwrap();
+        assert_eq!(filtered.hits, exact.hits);
+        assert!(filtered.quant_filter_cells() > 0);
+    }
+}
+
+#[test]
+fn explain_width_is_the_width_analyze_saw_swept() {
+    let engine = warmed_engine(2);
+    let spec = filter_spec(engine.table().row(42).unwrap());
+
+    let explain = engine.explain(&spec).unwrap();
+    assert!(explain.segments.iter().all(|s| s.code_bits == Some(CostModel::DEFAULT_CODE_BITS)));
+    let rendered = explain.to_string();
+    assert!(rendered.contains("kernel="), "{rendered}");
+    assert!(rendered.contains(" bits=8"), "{rendered}");
+
+    let analysis = engine.search_spec(&spec).unwrap().analyze(&explain);
+    let swept: Vec<_> = analysis.segments.iter().filter(|s| s.filter_cells > 0).collect();
+    assert!(!swept.is_empty());
+    for seg in swept {
+        assert_eq!(Some(seg.filter_bits), explain.segments[seg.segment].code_bits);
+        assert!(seg.kernel.is_some());
+    }
+    let shown = analysis.to_string();
+    assert!(shown.contains("bits="), "{shown}");
+    assert!(shown.contains("kernel="), "{shown}");
+
+    // exact plans carry no width column
+    let exact = engine.explain(&QuerySpec::new(engine.table().row(0).unwrap(), 10)).unwrap();
+    assert!(exact.segments.iter().all(|s| s.code_bits.is_none()));
+}
+
+#[test]
+fn feedback_does_not_change_filter_work() {
+    // one worker: with two, which segment publishes κ first is a race and
+    // survivor counts would not repeat even on one engine
+    let warm = warmed_engine(1);
+    let cold = cold_engine(1);
+    for q in sample_queries(warm.table(), 6, 555) {
+        let on_warm = warm.search_spec(&filter_spec(q.clone())).unwrap();
+        let on_cold = cold.search_spec(&filter_spec(q)).unwrap();
+        assert!(on_warm.quant_refine_rows() > 0);
+        assert_eq!(on_warm.quant_refine_rows(), on_cold.quant_refine_rows());
+        assert_eq!(on_warm.quant_filter_cells(), on_cold.quant_filter_cells());
+    }
+}
+
+#[test]
+fn mixed_width_footers_reopen_as_no_codes() {
+    // the store a warmed engine used to persist: per-segment widths behind
+    // the footer's `0` sentinel, learned feedback beside them
+    let engine = warmed_engine(2);
+    let widths: Vec<u8> = (0..PARTITIONS).map(|si| if si % 2 == 0 { 4 } else { 8 }).collect();
+    let mixed = StoreCodes::build_mixed(
+        engine.table(),
+        engine.segment_specs(),
+        engine.segment_stats(),
+        &widths,
+    )
+    .unwrap();
+    let path = temp_store("mixed");
+    save_store_with_codes(
+        engine.table(),
+        engine.segment_specs(),
+        engine.segment_stats(),
+        Some(&engine.feedback_snapshot().to_bytes()),
+        Some(&mixed),
+        &path,
+    )
+    .unwrap();
+
+    let queries = sample_queries(engine.table(), 4, 777);
+    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+        let reopened = EngineBuilder::open_with(&path, backend)
+            .unwrap()
+            .threads(2)
+            .rule(RuleKind::EuclideanEv)
+            .scan_mode(ScanMode::QuantizedFilter)
+            .build()
+            .unwrap();
+        for q in &queries {
+            let exact = reopened
+                .search_spec(&QuerySpec::new(q.clone(), 10).scan_mode(ScanMode::Exact))
+                .unwrap();
+            let got = reopened.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
+            assert_eq!(got.hits, exact.hits, "backend {backend:?}");
+        }
+        // the mixed companion was dropped, the 8-bit one built on first use
+        let codes = reopened.ensure_adaptive_codes().unwrap();
+        assert_eq!(codes.uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS), "{backend:?}");
+        assert!(!codes.is_mapped(), "backend {backend:?}");
+        assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
+
+        // and persisting it again writes the uniform single-byte form
+        let rewritten = temp_store("rewritten");
+        reopened.persist(&rewritten).unwrap();
+        let store = vdstore::persist::open_store(&rewritten, StorageBackend::Heap).unwrap();
+        std::fs::remove_file(&rewritten).unwrap();
+        assert_eq!(store.codes.unwrap().uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS));
+    }
+    std::fs::remove_file(&path).unwrap();
+}

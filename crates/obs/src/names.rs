@@ -42,6 +42,8 @@ pub const ENGINE_KERNEL_SCALAR_SWEEPS: &str = "engine.kernel.scalar.sweeps";
 pub const ENGINE_KERNEL_AVX2_SWEEPS: &str = "engine.kernel.avx2.sweeps";
 /// Counter: quantized sweeps dispatched to the NEON kernel.
 pub const ENGINE_KERNEL_NEON_SWEEPS: &str = "engine.kernel.neon.sweeps";
+/// Counter: quantized code companions built (one per `engine.codes.build` span).
+pub const ENGINE_CODES_BUILDS: &str = "engine.codes.builds";
 
 // --- planner metrics -----------------------------------------------------
 
@@ -116,6 +118,7 @@ pub const ALL: &[&str] = &[
     ENGINE_KERNEL_SCALAR_SWEEPS,
     ENGINE_KERNEL_AVX2_SWEEPS,
     ENGINE_KERNEL_NEON_SWEEPS,
+    ENGINE_CODES_BUILDS,
     PLANNER_FEEDBACK_WARM_SEGMENTS,
     PLANNER_COST_ABS_REL_ERROR,
     STORE_OPEN_COLD_US,

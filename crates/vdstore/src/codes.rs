@@ -201,8 +201,7 @@ impl CodeColumn {
 #[derive(Debug, Clone)]
 pub struct StoreCodes {
     /// `segment_bits[segment]` — bits per code in that segment's windows.
-    /// Uniform stores repeat one width; the adaptive engine mixes 4-bit
-    /// (tight, fast-sweep) and 8-bit (loose, tight-bracket) segments.
+    /// Uniform stores repeat one width; the engine only builds those.
     segment_bits: Vec<u8>,
     rows: usize,
     specs: Vec<SegmentSpec>,
@@ -231,11 +230,10 @@ impl StoreCodes {
         Self::build_mixed(table, specs, stats, &vec![bits; specs.len()])
     }
 
-    /// [`StoreCodes::build`] with one bit width **per segment** — the
-    /// adaptive engine drops observably tight segments to 4 bits (their
-    /// sweeps dominate, their survivors are few) while loose segments keep
-    /// the full 8-bit grid. `segment_bits` must have one entry per spec,
-    /// each in `1..=8`.
+    /// [`StoreCodes::build`] with one bit width **per segment**. The
+    /// engine builds only uniform companions and discards a mixed one found
+    /// in a store footer; this keeps such footers readable and testable.
+    /// `segment_bits` must have one entry per spec, each in `1..=8`.
     pub fn build_mixed(
         table: &DecomposedTable,
         specs: &[SegmentSpec],
