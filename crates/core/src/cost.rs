@@ -257,8 +257,11 @@ impl CostModel {
     pub const DEFAULT_CODE_BITS: u8 = 8;
 
     /// Estimated cost (in exact-cell equivalents) of one search of this
-    /// segment when the quantized first-pass filter runs: the full
-    /// `rows × dims` code sweep at [`CostModel::QUANT_CELL_COST`] per cell,
+    /// segment when the quantized first-pass filter runs: the code sweep at
+    /// [`CostModel::QUANT_CELL_COST`] per cell — `rows × dims` cells cold,
+    /// `rows ×` the observed code columns read per row
+    /// (`filter_cells / filter_rows`) once the segment's feedback is warm,
+    /// because the progressive sweep stops early on most rows —
     /// plus the exact search of [`CostModel::segment_cost`] scaled by the
     /// segment's *observed* filter selectivity (the fraction of swept rows
     /// that survived into the exact phase, floored at `k / rows`). With no
@@ -313,7 +316,13 @@ impl CostModel {
         let warm = feedback.filter(|f| f.is_warm(self.min_warm_searches));
         let p_skip =
             if skipping { warm.map_or(0.0, SegmentFeedbackSnapshot::skip_rate) } else { 0.0 };
-        let filter_cost = rows * dims * Self::quant_cell_cost(kernel) * (1.0 - p_skip);
+        // The sweep is progressive: most rows drop out after a few code
+        // columns. A warm segment has recorded how many it really reads per
+        // row; cold, price the full `dims`.
+        let columns = warm
+            .filter(|f| f.filter_rows > 0)
+            .map_or(dims, |f| (f.filter_cells as f64 / f.filter_rows as f64).min(dims));
+        let filter_cost = rows * columns * Self::quant_cell_cost(kernel) * (1.0 - p_skip);
         let floor = (k as f64 / rows).min(1.0);
         let selectivity = feedback
             .and_then(SegmentFeedbackSnapshot::filter_selectivity)
@@ -482,9 +491,11 @@ mod tests {
             "cold quantized cost is filter sweep + full exact cost, got {cold}"
         );
 
-        // observed 5 % selectivity slashes the exact phase
+        // observed 5 % selectivity slashes the exact phase (every sweep
+        // recorded here ran through all 4 columns)
         let mut fb = warm_feedback(4, 0, 40);
         fb.filter_rows = 4000;
+        fb.filter_cells = 4000 * 4;
         fb.refine_rows = 200;
         assert_eq!(fb.filter_selectivity(), Some(0.05));
         let observed = model.segment_cost_quantized(&stats, Some(&fb), 1, false);
@@ -503,6 +514,36 @@ mod tests {
         let empty = segment_stats(&[vec![0.0, 0.0]]);
         let empty = SegmentStats { live_rows: 0, ..empty };
         assert_eq!(model.segment_cost_quantized(&empty, None, 1, true), 0.0);
+    }
+
+    #[test]
+    fn warm_sweep_is_priced_at_the_observed_columns_per_row() {
+        let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
+        let model = CostModel::default();
+        let full = 100.0 * 4.0 * CostModel::QUANT_CELL_COST;
+        let sweep = |fb: Option<&SegmentFeedbackSnapshot>| {
+            model.segment_cost_quantized_split(&stats, fb, 10, false).0
+        };
+        assert_eq!(sweep(None), full);
+
+        // warm, and the progressive sweep read 1.5 code columns per row
+        let mut fb = warm_feedback(4, 0, 40);
+        fb.filter_rows = 4000;
+        fb.filter_cells = 6000;
+        assert!((sweep(Some(&fb)) - full * 1.5 / 4.0).abs() < 1e-9);
+        // probe cells can push the ratio past `dims`; the price cannot
+        fb.filter_cells = 4000 * 5;
+        assert_eq!(sweep(Some(&fb)), full);
+        // warm from exact traffic only: no sweep recorded, full prior
+        fb.filter_rows = 0;
+        fb.filter_cells = 0;
+        assert_eq!(sweep(Some(&fb)), full);
+        // the same counters on a segment that is not warm yet are ignored
+        let mut cold = warm_feedback(4, 0, 1);
+        cold.filter_rows = 100;
+        cold.filter_cells = 150;
+        assert!(!cold.is_warm(model.min_warm_searches));
+        assert_eq!(sweep(Some(&cold)), full);
     }
 
     #[test]

@@ -494,6 +494,7 @@ mod tests {
             switched_to_list: false,
             segment_skipped: false,
             filter_cells: 0,
+            filter_dims: 0,
             refine_rows: 0,
             filter_bits: 0,
             kernel: None,

@@ -52,9 +52,10 @@
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
 //! * [`compressed`] — BOND on 8-bit-quantized fragments with an exact
 //!   refinement step (Section 7.4, Figure 9 / Table 4),
-//! * [`quantfilter`] — the branch-free quantized first-pass scan kernel the
-//!   execution engine runs before the exact search (LUT sweep over `u8`
-//!   code columns, interval score bounds, approximate codes-only top-k),
+//! * [`quantfilter`] — the quantized first pass the execution engine runs
+//!   before the exact search: BOND in code space (a progressive LUT sweep
+//!   over `u8` code columns that tightens κ and drops candidates block by
+//!   block), full interval score bounds, approximate codes-only top-k,
 //! * [`kernels`] — the runtime-dispatched ISA-pinned implementations of the
 //!   two hot loops (quantized LUT sweep, exact contribution accumulate):
 //!   AVX2 / NEON / portable scalar, selected once per process and
@@ -97,7 +98,7 @@ pub use multifeature::{
 };
 pub use ordering::DimensionOrdering;
 pub use plan::SegmentPlan;
-pub use quantfilter::{ApproxOutcome, QuantFilter, QuantIntervals, QuantScratch};
+pub use quantfilter::{ApproxOutcome, QuantFilter, QuantScratch};
 pub use schedule::BlockSchedule;
 pub use searcher::{
     prune_slack, search_segment, BondParams, BondSearcher, SearchOutcome, SegmentContext,

@@ -1,64 +1,89 @@
-//! The quantized first-pass scan kernel.
+//! The quantized first-pass scan: BOND run in code space.
 //!
 //! Section 7.4 of the paper composes BOND with VA-File-style codes: prune
-//! on small approximations first, touch exact values only for survivors.
-//! This module is that first pass in the shape the execution engine's hot
-//! loop wants it: a word-wise sweep over flat `&[u8]` code fragments with
-//! **no per-row branching** — per dimension the kernel builds two tiny
-//! lookup tables (one entry per quantization level, at most 256) holding
-//! the best and worst contribution any value in that cell can make, then
-//! accumulates both per-row running bounds in 64-cell blocks the
-//! auto-vectorizer can unroll. After all dimensions the row's exact score
-//! is bracketed by `[pes, opt]` (Maximize; the interval flips roles under
-//! Minimize):
+//! on small approximations first, touch exact values only for survivors —
+//! and it prunes *while* it scans, dimension block by dimension block,
+//! exactly like the exact search does. [`filter_segment`] is that first
+//! pass. Per dimension two tiny lookup tables (one entry per quantization
+//! level, at most 256) hold the best and worst contribution any value in
+//! a cell can make; the ISA-pinned sweep kernels ([`crate::kernels`]) add
+//! them onto two per-row running bounds with no per-row branching.
 //!
-//! * the k-th best **pessimistic** bound over live rows is a valid κ for
-//!   the whole query (k rows provably score at least that well), and
-//! * every row whose **optimistic** bound cannot reach κ can be dropped
-//!   before a single exact `f64` is read.
+//! **The progressive sweep.** The candidate set starts as the eligible
+//! bitmap (live ∧ predicate filter). Code columns are swept in the
+//! segment plan's dimension order, eight at a time, and only over the
+//! runs of 64-row bitmap words that still hold a candidate; LUTs are built
+//! per block, so a segment that empties after its first block builds 8
+//! LUTs, not `dims`. After each block every candidate's exact score is
+//! bracketed by `swept bound + best / worst of the unswept dimensions`
+//! (the latter from each grid's `[min, max]`, suffix-summed once per
+//! (query, segment)):
+//!
+//! * the k-th best **pessimistic** bound over the candidates is a valid κ
+//!   for the whole query (k rows provably score at least that well) and
+//!   is published to the shared cell, and
+//! * every candidate whose **optimistic** bound cannot reach κ is cleared
+//!   before another of its code cells — or a single exact `f64` — is read.
+//!
+//! The sweep ends when at most `k` candidates remain (BOND's own
+//! termination: nothing further can be pruned from inside the segment) or
+//! the dimensions run out; what is left goes to the exact search.
+//!
+//! **κ before the far rows.** A bound over 8 of 128 dimensions is loose,
+//! so two things make κ tight early. After a segment's *first* block the
+//! `k` most promising candidates have their pessimistic bound completed
+//! cell by cell over all remaining dimensions (`k × (dims − 8)` lookups) —
+//! a κ as tight as the full sweep would prove for those rows. And the
+//! engine visits a query's segments most-promising-first (tightest
+//! envelope score toward the query), so that probe runs in the query's own
+//! neighbourhood and every later segment starts against its κ — on
+//! clustered data those lose nearly every row at their first block.
 //!
 //! Safety rests on one invariant, property-tested per metric in
 //! `bond-metrics`: `worst_contribution ≤ contribution ≤ best_contribution`
-//! for any value inside the cell. Metrics that do not override
+//! for any value inside the interval. Metrics that do not override
 //! `worst_contribution` keep the vacuous default, which degenerates the
 //! filter to "keep everything" — never to a wrong answer.
 //!
-//! The same interval, collapsed to its midpoint, powers the approximate
-//! scan mode: [`approximate_topk`] ranks live rows by midpoint score and
-//! reports half the interval width as a per-hit error bound.
+//! [`interval_scores_into`] remains the full-interval primitive (all
+//! dimensions, every row); collapsed to its midpoint it powers the
+//! approximate scan mode: [`approximate_topk`] ranks live rows by midpoint
+//! score and reports half the interval width as a per-hit error bound.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, SegmentCodesView, TopKLargest, TopKSmallest};
+use vdstore::{Bitmap, CodeParams, RowId, SegmentCodesView, TopKLargest, TopKSmallest};
 
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, Kernel};
 use crate::searcher::prune_slack;
 
-/// Per-row full-score interval bounds proven from the codes alone.
-#[derive(Debug, Clone)]
-pub struct QuantIntervals {
-    /// Optimistic bound per local row: no exact score can beat it.
-    pub opt: Vec<f64>,
-    /// Pessimistic bound per local row: every exact score is at least
-    /// (Maximize) / at most (Minimize) this good.
-    pub pes: Vec<f64>,
-    /// Number of `(row, dimension)` code cells swept.
-    pub cells: u64,
-}
+/// Code columns [`filter_segment`] sweeps between two pruning steps — on
+/// every kernel: the dimension-blocked AVX2 sweep folds them in one pass
+/// (this is its 8-bit [`kernels::sweep_group`]), the scalar and NEON sweeps
+/// take the same eight columns one at a time.
+const PRUNE_BLOCK: usize = 8;
 
-/// Reusable working memory of the quantized filter: the two per-row bound
-/// accumulators plus the two per-level contribution LUTs.
+/// Rows per candidate-bitmap word — the granularity at which the
+/// progressive sweep skips dead rows.
+const WORD_ROWS: usize = 64;
+
+/// Reusable working memory of the quantized filter: the per-row bound
+/// accumulators, the per-level contribution LUTs and the progressive
+/// sweep's candidate words, remaining-dimension bounds and κ heap.
 ///
-/// Allocated fresh, these four `Vec`s were the filter path's only per-task
+/// Allocated fresh, these were the filter path's only per-task
 /// allocations; hoisting them into a scratch that lives as long as the
 /// worker (the engine keeps one per thread, see [`filter_segment`]) makes
-/// the sweep itself allocation-free once the buffers have grown to the
-/// segment's size — a property the `zero_alloc_filter` integration test
-/// pins with a counting allocator.
+/// the filter allocation-free — beyond the survivor bitmap it returns —
+/// once the buffers have grown to the segment's size, a property the
+/// `filter_zero_alloc` integration test pins with a counting allocator.
 #[derive(Debug, Default)]
 pub struct QuantScratch {
     opt: Vec<f64>,
@@ -67,12 +92,22 @@ pub struct QuantScratch {
     pes_lut: Vec<f64>,
     /// Interleaved `[opt, pes]` accumulator for the dimension-blocked
     /// kernels (see [`kernels::sweep_pairs`]); `opt_lut` doubles as their
-    /// interleaved pair-LUT storage.
+    /// interleaved pair-LUT storage. On the single-column kernels it is
+    /// the staging area a pair LUT is built in before being split.
     inter: Vec<f64>,
     /// Per-level `(lo, hi)` cell bounds of the dimension currently having
     /// its LUT built — input to the metric's batched
     /// `fill_contribution_pairs`.
     bounds: Vec<(f64, f64)>,
+    /// The progressive sweep's candidate set, one bit per row.
+    cand: Vec<u64>,
+    /// `rem_opt[j]` / `rem_pes[j]`: the best / worst total contribution of
+    /// the plan's dimensions `j..` for *any* value inside their grids.
+    rem_opt: Vec<f64>,
+    rem_pes: Vec<f64>,
+    /// The `k` candidates with the best pessimistic bound at the current
+    /// pruning step (weakest on top), in the sweep's goodness space.
+    best: BinaryHeap<Reverse<Scored>>,
 }
 
 impl QuantScratch {
@@ -89,6 +124,68 @@ impl QuantScratch {
     /// The pessimistic bounds of the last [`interval_scores_into`] sweep.
     pub fn pes(&self) -> &[f64] {
         &self.pes
+    }
+
+    /// Builds dimension `d`'s interleaved `[opt, pes]` contribution LUT
+    /// into slot `slot` of `opt_lut` — the layout [`kernels::sweep_pairs`]
+    /// reads.
+    fn build_pair_lut(
+        &mut self,
+        slot: usize,
+        metric: &dyn DecomposableMetric,
+        kernel: Kernel,
+        d: usize,
+        grid: CodeParams,
+        q: f64,
+    ) {
+        let len = grid.levels() as usize * 2;
+        let lut = &mut self.opt_lut[slot * len..(slot + 1) * len];
+        fill_pair_lut(metric, kernel, d, grid, q, &mut self.bounds, lut);
+    }
+
+    /// Builds dimension `d`'s split `opt_lut` / `pes_lut` — the layout the
+    /// single-column [`kernels::sweep`] reads — staging the pairs in
+    /// `inter`.
+    fn build_split_lut(
+        &mut self,
+        metric: &dyn DecomposableMetric,
+        kernel: Kernel,
+        d: usize,
+        grid: CodeParams,
+        q: f64,
+    ) {
+        let levels = grid.levels() as usize;
+        self.opt_lut.resize(levels, 0.0);
+        self.pes_lut.resize(levels, 0.0);
+        self.inter.resize(levels * 2, 0.0);
+        fill_pair_lut(metric, kernel, d, grid, q, &mut self.bounds, &mut self.inter);
+        for (code, pair) in self.inter.chunks_exact(2).enumerate() {
+            self.opt_lut[code] = pair[0];
+            self.pes_lut[code] = pair[1];
+        }
+    }
+}
+
+/// Fills `lut` with the interleaved `[opt, pes]` contribution of every
+/// cell of dimension `d`'s grid. Fused ISA build when the metric exposes a
+/// kernel op and the kernel has one; bit-identical to the portable
+/// two-step build through `bounds`, which stays both the fallback and the
+/// reference.
+fn fill_pair_lut(
+    metric: &dyn DecomposableMetric,
+    kernel: Kernel,
+    d: usize,
+    grid: CodeParams,
+    q: f64,
+    bounds: &mut Vec<(f64, f64)>,
+    lut: &mut [f64],
+) {
+    let fused =
+        metric.kernel_op().is_some_and(|op| kernels::fill_pair_lut(kernel, op, d, grid, q, lut));
+    if !fused {
+        bounds.resize(lut.len() / 2, (0.0, 0.0));
+        grid.fill_cell_bounds(bounds);
+        metric.fill_contribution_pairs(d, bounds, q, lut);
     }
 }
 
@@ -132,19 +229,8 @@ pub fn interval_scores_into(
         scratch.pes.resize(rows, 0.0);
         // one dimension at a time, straight into the bound arrays — the
         // reference pass structure
-        scratch.opt_lut.resize(levels, 0.0);
-        scratch.pes_lut.resize(levels, 0.0);
-        scratch.inter.clear();
-        scratch.inter.resize(levels * 2, 0.0);
         for (d, &q) in query.iter().enumerate() {
-            let grid = codes.params(d);
-            scratch.bounds.resize(levels, (0.0, 0.0));
-            grid.fill_cell_bounds(&mut scratch.bounds);
-            metric.fill_contribution_pairs(d, &scratch.bounds, q, &mut scratch.inter);
-            for (code, pair) in scratch.inter.chunks_exact(2).enumerate() {
-                scratch.opt_lut[code] = pair[0];
-                scratch.pes_lut[code] = pair[1];
-            }
+            scratch.build_split_lut(metric, kernel, d, codes.params(d), q);
             let column = codes.dim_codes(d)?;
             kernels::sweep(
                 kernel,
@@ -163,36 +249,16 @@ pub fn interval_scores_into(
     // None of the output buffers need zeroing: the first block sweeps in
     // `init` mode and every row of `opt`/`pes` is overwritten by the final
     // de-interleave, so stale contents are only ever resized away.
-    if scratch.inter.len() != rows * 2 {
-        scratch.inter.clear();
-        scratch.inter.resize(rows * 2, 0.0);
-    }
-    if scratch.opt.len() != rows {
-        scratch.opt.clear();
-        scratch.opt.resize(rows, 0.0);
-        scratch.pes.clear();
-        scratch.pes.resize(rows, 0.0);
-    }
+    scratch.inter.resize(rows * 2, 0.0);
+    scratch.opt.resize(rows, 0.0);
+    scratch.pes.resize(rows, 0.0);
     scratch.opt_lut.resize(group * levels * 2, 0.0);
     let mut columns: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
     for start in (0..dims).step_by(group) {
         let g = group.min(dims - start);
         for (j, column) in columns.iter_mut().enumerate().take(g) {
             let d = start + j;
-            let q = query[d];
-            let grid = codes.params(d);
-            let lut = &mut scratch.opt_lut[j * levels * 2..(j + 1) * levels * 2];
-            // Fused ISA LUT build when the metric exposes a kernel op —
-            // bit-identical to the portable two-step build below, which
-            // stays both the fallback and the reference.
-            let fused = metric
-                .kernel_op()
-                .is_some_and(|op| kernels::fill_pair_lut(kernel, op, d, grid, q, lut));
-            if !fused {
-                scratch.bounds.resize(levels, (0.0, 0.0));
-                grid.fill_cell_bounds(&mut scratch.bounds);
-                metric.fill_contribution_pairs(d, &scratch.bounds, q, lut);
-            }
+            scratch.build_pair_lut(j, metric, kernel, d, codes.params(d), query[d]);
             *column = codes.dim_codes(d)?;
         }
         kernels::sweep_pairs(
@@ -211,43 +277,37 @@ pub fn interval_scores_into(
     Ok((rows * dims) as u64)
 }
 
-/// Sweeps all code fragments of one segment and returns, for every local
-/// row, the interval `[pes, opt]` bracketing its exact full-dimensional
-/// score under `metric`. Allocates a fresh result; the engine's hot path
-/// goes through [`interval_scores_into`] and a per-thread scratch instead.
-pub fn interval_scores(
-    codes: &SegmentCodesView<'_>,
-    metric: &dyn DecomposableMetric,
-    query: &[f64],
-) -> Result<QuantIntervals> {
-    let mut scratch = QuantScratch::new();
-    let cells = interval_scores_into(codes, metric, query, Kernel::active(), &mut scratch)?;
-    Ok(QuantIntervals { opt: scratch.opt, pes: scratch.pes, cells })
-}
-
 /// The result of the quantized first pass over one segment.
 #[derive(Debug, Clone)]
 pub struct QuantFilter {
-    /// Live rows whose optimistic bound reaches κ — the only rows the
-    /// exact scan needs to touch. Always a superset of the true top k.
+    /// Eligible rows whose optimistic bound still reached κ when the sweep
+    /// ended — the only rows the exact scan needs to touch. Always a
+    /// superset of the segment's share of the true top k.
     pub survivors: Bitmap,
-    /// The κ proven from the codes (the k-th best pessimistic bound,
-    /// tightened with the shared cell when one is given). `None` when the
-    /// segment holds fewer than `k` live rows or the metric's bounds are
-    /// vacuous — the filter then keeps everything.
+    /// The tightest κ the sweep pruned with: proven from the codes (the
+    /// k-th best pessimistic bound, the first block's probe) or adopted
+    /// from the shared cell. `None` when no sweep ran (at most `k` eligible
+    /// rows) or nothing was proven (vacuous metric bounds, no shared κ) —
+    /// the filter then keeps everything.
     pub kappa: Option<f64>,
-    /// Number of `(row, dimension)` code cells swept.
+    /// Number of code cells read: every `(row, dimension)` of the swept
+    /// word runs, plus the first block's probe lookups.
     pub cells: u64,
+    /// Code columns swept before at most `k` candidates remained or the
+    /// dimensions ran out.
+    pub dims: usize,
 }
 
-/// Runs the quantized filter over one segment: sweep codes, prove κ from
-/// the pessimistic bounds, keep every live row whose optimistic bound can
-/// still reach κ. Publishes the proven κ to `shared` (it is a valid bound
-/// for the whole query, so sibling segments benefit immediately).
+/// Runs the quantized filter over one segment as a progressive sweep (see
+/// the module docs): `live` is the initial candidate set, code columns are
+/// swept eight at a time in storage order, and after each block κ is
+/// tightened — through `shared`, so sibling segments benefit immediately —
+/// and every candidate whose optimistic bound misses it is dropped from
+/// the rest of the sweep.
 ///
 /// The sweep runs on the process-wide [`Kernel::active`] flavour and a
 /// per-thread scratch, so steady-state calls allocate nothing beyond the
-/// survivor bitmap and the κ heap.
+/// survivor bitmap.
 pub fn filter_segment(
     codes: &SegmentCodesView<'_>,
     metric: &dyn DecomposableMetric,
@@ -271,66 +331,342 @@ pub fn filter_segment_with_kernel(
     shared: Option<&dyn KappaCell>,
     kernel: Kernel,
 ) -> Result<QuantFilter> {
+    filter_segment_in_order(codes, metric, query, k, live, shared, kernel, None)
+}
+
+/// [`filter_segment_with_kernel`] sweeping the code columns in `order` —
+/// the segment plan's dimension order, which the caller has validated as a
+/// permutation of `0..dims` (`None` is storage order).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn filter_segment_in_order(
+    codes: &SegmentCodesView<'_>,
+    metric: &dyn DecomposableMetric,
+    query: &[f64],
+    k: usize,
+    live: &Bitmap,
+    shared: Option<&dyn KappaCell>,
+    kernel: Kernel,
+    order: Option<&[usize]>,
+) -> Result<QuantFilter> {
     let rows = codes.len();
+    let dims = codes.dims();
+    if query.len() != dims {
+        return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
+    }
     if live.len() != rows {
         return Err(BondError::InvalidParams(format!(
             "live bitmap covers {} rows but the segment's codes cover {rows}",
             live.len()
         )));
     }
-    SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let cells = interval_scores_into(codes, metric, query, kernel, &mut scratch)?;
-        let scratch = &*scratch;
-        let objective = metric.objective();
-        let local = match objective {
-            Objective::Maximize => {
-                let mut heap = TopKLargest::new(k);
-                for row in live.iter() {
-                    heap.push(row, scratch.pes[row as usize]);
-                }
-                heap.kth()
+    if k == 0 {
+        return Err(BondError::InvalidK { k, rows: live.count() });
+    }
+    let sweep = Progressive {
+        codes,
+        metric,
+        query,
+        order,
+        kernel,
+        paired: kernels::sweep_group(kernel, codes.levels()) > 1,
+        sign: match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        },
+    };
+    SCRATCH.with(|cell| sweep.run(k, live, shared, &mut cell.borrow_mut()))
+}
+
+/// One segment's progressive sweep: the per-(query, segment) constants the
+/// block steps share. All comparisons run in *goodness* space — scores and
+/// bounds multiplied by `sign` — where larger is better under either
+/// objective (negation is exact, so nothing is lost to it).
+struct Progressive<'a> {
+    codes: &'a SegmentCodesView<'a>,
+    metric: &'a dyn DecomposableMetric,
+    query: &'a [f64],
+    order: Option<&'a [usize]>,
+    kernel: Kernel,
+    /// Whether the kernel sweeps column blocks into the interleaved
+    /// accumulator ([`kernels::sweep_pairs`]) or single columns into the
+    /// split `opt` / `pes` arrays ([`kernels::sweep`]).
+    paired: bool,
+    /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
+    sign: f64,
+}
+
+impl Progressive<'_> {
+    /// The dimension at position `j` of the sweep order.
+    fn dim_at(&self, j: usize) -> usize {
+        self.order.map_or(j, |order| order[j])
+    }
+
+    fn run(
+        &self,
+        k: usize,
+        live: &Bitmap,
+        shared: Option<&dyn KappaCell>,
+        scratch: &mut QuantScratch,
+    ) -> Result<QuantFilter> {
+        let rows = self.codes.len();
+        let dims = self.codes.dims();
+        let sign = self.sign;
+        self.fill_remaining_bounds(scratch);
+        // Stale accumulator contents never matter: the first block sweeps
+        // in `init` mode, and only rows of swept words are ever read.
+        if self.paired {
+            scratch.inter.resize(rows * 2, 0.0);
+        } else {
+            scratch.opt.resize(rows, 0.0);
+            scratch.pes.resize(rows, 0.0);
+        }
+        scratch.cand.clear();
+        scratch.cand.extend_from_slice(live.words());
+        let mut alive = live.count();
+
+        let mut kappa = f64::NEG_INFINITY;
+        let mut cells = 0u64;
+        let mut swept = 0usize;
+        while swept < dims && alive > k {
+            let first_block = swept == 0;
+            let block = PRUNE_BLOCK.min(dims - swept);
+            cells += self.sweep_block(scratch, swept, block)?;
+            swept += block;
+
+            // Prune with the best κ known — siblings may have tightened
+            // the shared cell meanwhile — and collect the k candidates
+            // with the best pessimistic bound among the keepers. (A row
+            // dropped here could not have raised κ: its pessimistic bound
+            // is below its optimistic one, which already missed κ.)
+            if let Some(current) = shared.and_then(|cell| cell.current()) {
+                kappa = kappa.max(sign * current);
             }
-            Objective::Minimize => {
-                let mut heap = TopKSmallest::new(k);
-                for row in live.iter() {
-                    heap.push(row, scratch.pes[row as usize]);
-                }
-                heap.kth()
+            let rem_opt = scratch.rem_opt[swept];
+            alive = self.prune(scratch, rem_opt, kappa, Some(k));
+            if scratch.best.len() < k {
+                // fewer than k keepers, or vacuous pessimistic bounds
+                continue;
             }
-        };
-        // a vacuous (infinite) pessimistic bound proves nothing: do not
-        // publish it, and keep every live row
-        let local = local.filter(|v| v.is_finite());
-        let kappa = match shared {
-            None => local,
-            Some(cell) => match local {
-                Some(local) => Some(cell.tighten(local)),
-                None => cell.current(),
-            },
-        };
+            let mut proven =
+                scratch.best.peek().map_or(f64::NEG_INFINITY, |weakest| weakest.0.score)
+                    + sign * scratch.rem_pes[swept];
+            if first_block && swept < dims {
+                proven = proven.max(self.probe(scratch, swept)?);
+                cells += (k * (dims - swept)) as u64;
+            }
+            // a vacuous (infinite) pessimistic bound proves nothing: do
+            // not publish it, and keep every candidate
+            if proven.is_finite() && proven > kappa {
+                kappa = match shared {
+                    Some(cell) => sign * cell.tighten(sign * proven),
+                    None => proven,
+                };
+                // Applied at once only where it pays: after the first
+                // block the probe lifts κ from nothing to nearly final and
+                // whole words die, and what is left after the last block is
+                // refined exactly. In between κ gains little per block and
+                // rides along with the next step's pass.
+                if first_block || swept == dims {
+                    alive = self.prune(scratch, rem_opt, kappa, None);
+                }
+            }
+        }
+
         let mut survivors = Bitmap::new(rows);
-        match kappa {
-            None => {
-                for row in live.iter() {
-                    survivors.set(row);
+        for (wi, &word) in scratch.cand.iter().enumerate() {
+            for bit in set_bits(word) {
+                survivors.set((wi * WORD_ROWS + bit) as RowId);
+            }
+        }
+        let kappa = kappa.is_finite().then_some(sign * kappa);
+        Ok(QuantFilter { survivors, kappa, cells, dims: swept })
+    }
+
+    /// Suffix-sums, over the sweep order, the best and worst contribution
+    /// each dimension can make for any value inside its grid — what an
+    /// unswept dimension can still add to a candidate's bounds.
+    fn fill_remaining_bounds(&self, scratch: &mut QuantScratch) {
+        let dims = self.codes.dims();
+        scratch.rem_opt.clear();
+        scratch.rem_opt.resize(dims + 1, 0.0);
+        scratch.rem_pes.clear();
+        scratch.rem_pes.resize(dims + 1, 0.0);
+        for j in (0..dims).rev() {
+            let d = self.dim_at(j);
+            let grid = self.codes.params(d);
+            let q = self.query[d];
+            scratch.rem_opt[j] =
+                scratch.rem_opt[j + 1] + self.metric.best_contribution(d, grid.min, grid.max, q);
+            scratch.rem_pes[j] =
+                scratch.rem_pes[j + 1] + self.metric.worst_contribution(d, grid.min, grid.max, q);
+        }
+    }
+
+    /// Sweeps the `block` code columns at positions `swept..` of the order
+    /// over every run of candidate-holding words, building just their LUTs
+    /// first. Hole rows inside a swept word are over-computed and never
+    /// read. Returns the number of code cells swept.
+    fn sweep_block(&self, scratch: &mut QuantScratch, swept: usize, block: usize) -> Result<u64> {
+        let rows = self.codes.len();
+        let levels = self.codes.levels();
+        let init = swept == 0;
+        let mut columns: [&[u8]; PRUNE_BLOCK] = [&[]; PRUNE_BLOCK];
+        for (j, column) in columns[..block].iter_mut().enumerate() {
+            *column = self.codes.dim_codes(self.dim_at(swept + j))?;
+        }
+        let swept_rows: usize = word_runs(&scratch.cand, rows).map(|run| run.len()).sum();
+        if self.paired {
+            scratch.opt_lut.resize(PRUNE_BLOCK * levels * 2, 0.0);
+            for j in 0..block {
+                let d = self.dim_at(swept + j);
+                scratch.build_pair_lut(
+                    j,
+                    self.metric,
+                    self.kernel,
+                    d,
+                    self.codes.params(d),
+                    self.query[d],
+                );
+            }
+            let mut window: [&[u8]; PRUNE_BLOCK] = [&[]; PRUNE_BLOCK];
+            for run in word_runs(&scratch.cand, rows) {
+                for (slice, column) in window.iter_mut().zip(&columns[..block]) {
+                    *slice = &column[run.clone()];
+                }
+                kernels::sweep_pairs(
+                    self.kernel,
+                    &window[..block],
+                    &scratch.opt_lut,
+                    levels,
+                    &mut scratch.inter[2 * run.start..2 * run.end],
+                    init,
+                );
+            }
+        } else {
+            for (j, column) in columns[..block].iter().enumerate() {
+                let d = self.dim_at(swept + j);
+                scratch.build_split_lut(
+                    self.metric,
+                    self.kernel,
+                    d,
+                    self.codes.params(d),
+                    self.query[d],
+                );
+                for run in word_runs(&scratch.cand, rows) {
+                    if init && j == 0 {
+                        scratch.opt[run.clone()].fill(0.0);
+                        scratch.pes[run.clone()].fill(0.0);
+                    }
+                    kernels::sweep(
+                        self.kernel,
+                        &column[run.clone()],
+                        &scratch.opt_lut,
+                        &scratch.pes_lut,
+                        &mut scratch.opt[run.clone()],
+                        &mut scratch.pes[run.clone()],
+                    );
                 }
             }
-            Some(kappa) => {
-                let slack = prune_slack(kappa);
-                for row in live.iter() {
-                    let opt = scratch.opt[row as usize];
-                    let keep = match objective {
-                        Objective::Maximize => opt >= kappa - slack,
-                        Objective::Minimize => opt <= kappa + slack,
-                    };
-                    if keep {
-                        survivors.set(row);
+        }
+        Ok((swept_rows * block) as u64)
+    }
+
+    /// Clears every candidate whose optimistic bound — swept part plus
+    /// `rem_opt`, the best the unswept dimensions can add — misses `kappa`,
+    /// and returns how many remain. With `collect = Some(k)` the keepers'
+    /// swept pessimistic bounds are offered to `scratch.best`, which ends
+    /// up holding the `k` best of them.
+    fn prune(
+        &self,
+        scratch: &mut QuantScratch,
+        rem_opt: f64,
+        kappa: f64,
+        collect: Option<usize>,
+    ) -> usize {
+        let sign = self.sign;
+        // with no κ yet the threshold is −∞ and nothing compares below it
+        let threshold = kappa - prune_slack(kappa);
+        let QuantScratch { cand, best, inter, opt, pes, .. } = scratch;
+        if collect.is_some() {
+            best.clear();
+        }
+        let mut alive = 0usize;
+        for (wi, word) in cand.iter_mut().enumerate() {
+            for bit in set_bits(*word) {
+                let row = wi * WORD_ROWS + bit;
+                let (opt, pes) = if self.paired {
+                    (inter[2 * row], inter[2 * row + 1])
+                } else {
+                    (opt[row], pes[row])
+                };
+                // (a NaN bound compares false and keeps its row)
+                if sign * (opt + rem_opt) < threshold {
+                    *word &= !(1u64 << bit);
+                    continue;
+                }
+                alive += 1;
+                let Some(k) = collect else { continue };
+                let item = Reverse(Scored { row: row as RowId, score: sign * pes });
+                if best.len() < k {
+                    best.push(item);
+                } else if let Some(mut weakest) = best.peek_mut() {
+                    if item < *weakest {
+                        *weakest = item;
                     }
                 }
             }
         }
-        Ok(QuantFilter { survivors, kappa, cells })
+        alive
+    }
+
+    /// The probe: completes the pessimistic bound of the `k` rows in
+    /// `scratch.best` over the unswept dimensions, one code cell at a
+    /// time, and returns the weakest of the completed bounds — k rows
+    /// provably score at least that well, so it is a valid κ, and nearly
+    /// as tight a one as sweeping those rows to the end would prove.
+    fn probe(&self, scratch: &QuantScratch, swept: usize) -> Result<f64> {
+        let mut kth = f64::INFINITY;
+        for entry in &scratch.best {
+            let Scored { row, score: mut bound } = entry.0;
+            for j in swept..self.codes.dims() {
+                let d = self.dim_at(j);
+                let code = self.codes.dim_codes(d)?[row as usize];
+                let (lo, hi) = self.codes.params(d).cell_bounds(code);
+                bound += self.sign * self.metric.worst_contribution(d, lo, hi, self.query[d]);
+            }
+            kth = kth.min(bound);
+        }
+        Ok(kth)
+    }
+}
+
+/// The set bit positions of one bitmap word, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// The row ranges covered by maximal runs of non-empty candidate words
+/// (the last one clamped to `rows`).
+fn word_runs(cand: &[u64], rows: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut w = 0usize;
+    std::iter::from_fn(move || {
+        while w < cand.len() && cand[w] == 0 {
+            w += 1;
+        }
+        if w == cand.len() {
+            return None;
+        }
+        let first = w;
+        while w < cand.len() && cand[w] != 0 {
+            w += 1;
+        }
+        Some(first * WORD_ROWS..(w * WORD_ROWS).min(rows))
     })
 }
 
@@ -400,19 +736,98 @@ pub fn approximate_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bond_metrics::{HistogramIntersection, SquaredEuclidean, WeightedSquaredEuclidean};
+    use bond_metrics::{
+        HistogramIntersection, SquaredEuclidean, WeightedHistogramIntersection,
+        WeightedSquaredEuclidean,
+    };
+    use std::sync::Mutex;
     use vdstore::{DecomposedTable, SegmentStats, StoreCodes};
+
+    fn codes_for(table: &DecomposedTable, partitions: usize) -> StoreCodes {
+        let specs = table.partition_specs(partitions);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(table).unwrap().stats()).collect();
+        StoreCodes::build(table, &specs, &stats, 8).unwrap()
+    }
 
     fn setup(partitions: usize) -> (DecomposedTable, StoreCodes) {
         let vectors: Vec<Vec<f64>> = (0..24)
             .map(|r| (0..4).map(|d| ((r * 4 + d) as f64 * 0.41).sin().abs()).collect())
             .collect();
         let table = DecomposedTable::from_vectors("qf", &vectors).unwrap();
-        let specs = table.partition_specs(partitions);
-        let stats: Vec<SegmentStats> =
-            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let codes = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+        let codes = codes_for(&table, partitions);
         (table, codes)
+    }
+
+    /// 700 rows x 20 dims around 7 well-separated centres, laid out
+    /// cluster-major or shuffled; every 9th row repeats the row before it
+    /// exactly, so ranks tie — the regime where bounds are tightest and
+    /// ties common (Maneewongvatana & Mount, PAPERS.md).
+    fn clustered(cluster_major: bool) -> DecomposedTable {
+        const ROWS: usize = 700;
+        const DIMS: usize = 20;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(ROWS);
+        for r in 0..ROWS {
+            if r % 9 == 8 {
+                vectors.push(vectors[r - 1].clone());
+                continue;
+            }
+            let cluster = if cluster_major { r * 7 / ROWS } else { (next() * 7.0) as usize % 7 };
+            vectors.push(
+                (0..DIMS)
+                    .map(|d| ((cluster * 31 + d * 17) % 13) as f64 / 13.0 + 0.04 * next())
+                    .collect(),
+            );
+        }
+        DecomposedTable::from_vectors("qf-clustered", &vectors).unwrap()
+    }
+
+    /// A single-threaded κ cell (a `Mutex` only to satisfy `Sync`).
+    struct TestCell(Mutex<Option<f64>>, Objective);
+
+    impl KappaCell for TestCell {
+        fn tighten(&self, local: f64) -> f64 {
+            let mut slot = self.0.lock().unwrap();
+            let tightest = match *slot {
+                Some(shared) if self.1.better(shared, local) => shared,
+                _ => local,
+            };
+            *slot = Some(tightest);
+            tightest
+        }
+
+        fn current(&self) -> Option<f64> {
+            *self.0.lock().unwrap()
+        }
+    }
+
+    /// Exact scores of every row, best first under the metric's objective
+    /// (ties in row order — the engine's deterministic rank).
+    fn ranked(
+        table: &DecomposedTable,
+        rows: Range<usize>,
+        metric: &dyn DecomposableMetric,
+        query: &[f64],
+    ) -> Vec<(u32, f64)> {
+        let start = rows.start;
+        let mut scores: Vec<(u32, f64)> = rows
+            .map(|r| ((r - start) as u32, metric.score(&table.row(r as u32).unwrap(), query)))
+            .collect();
+        scores.sort_by(|a, b| {
+            let by_score = a.1.partial_cmp(&b.1).unwrap();
+            match metric.objective() {
+                Objective::Maximize => by_score.reverse().then(a.0.cmp(&b.0)),
+                Objective::Minimize => by_score.then(a.0.cmp(&b.0)),
+            }
+        });
+        scores
     }
 
     #[test]
@@ -422,17 +837,19 @@ mod tests {
         let weighted = WeightedSquaredEuclidean::new(vec![2.0, 0.5, 1.5, 3.0]).unwrap();
         let metrics: Vec<&dyn DecomposableMetric> =
             vec![&HistogramIntersection, &SquaredEuclidean, &weighted];
+        let mut scratch = QuantScratch::new();
         for metric in metrics {
             for si in 0..codes.n_segments() {
                 let view = codes.segment_view(si).unwrap();
-                let iv = interval_scores(&view, metric, &query).unwrap();
+                interval_scores_into(&view, metric, &query, Kernel::active(), &mut scratch)
+                    .unwrap();
                 let spec = codes.specs()[si];
                 for (local, global) in spec.range().enumerate() {
                     let v = table.row(global as u32).unwrap();
                     let exact = metric.score(&v, &query);
                     let (lo, hi) = match metric.objective() {
-                        Objective::Maximize => (iv.pes[local], iv.opt[local]),
-                        Objective::Minimize => (iv.opt[local], iv.pes[local]),
+                        Objective::Maximize => (scratch.pes()[local], scratch.opt()[local]),
+                        Objective::Minimize => (scratch.opt()[local], scratch.pes()[local]),
                     };
                     assert!(
                         lo <= exact + 1e-9 && exact <= hi + 1e-9,
@@ -450,22 +867,134 @@ mod tests {
         let query: Vec<f64> = table.row(17).unwrap();
         let live = table.live_bitmap();
         let view = codes.segment_view(0).unwrap();
+        let (rows, dims) = (table.rows(), table.dims());
+        let first_block = PRUNE_BLOCK.min(dims);
         for k in [1usize, 3, 10] {
             let filter =
                 filter_segment(&view, &HistogramIntersection, &query, k, &live, None).unwrap();
             assert!(filter.kappa.is_some());
-            assert_eq!(filter.cells, (table.rows() * table.dims()) as u64);
-            // brute-force truth
-            let mut scores: Vec<(u32, f64)> = (0..table.rows() as u32)
-                .map(|r| (r, HistogramIntersection.score(&table.row(r).unwrap(), &query)))
-                .collect();
-            scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            // every row is swept through the first block; after that only
+            // what is still standing
+            assert!(filter.cells >= (rows * first_block) as u64, "cells {}", filter.cells);
+            assert!(filter.cells <= (rows * dims) as u64, "cells {}", filter.cells);
+            assert!(filter.dims >= first_block && filter.dims <= dims);
             let survivors = filter.survivors.to_rows();
-            for &(row, _) in &scores[..k] {
+            for &(row, _) in &ranked(&table, 0..rows, &HistogramIntersection, &query)[..k] {
                 assert!(survivors.contains(&row), "filter lost true top-{k} row {row}");
             }
             assert!(survivors.len() >= k);
         }
+    }
+
+    /// The property the engine's bit-identity rests on: whatever the
+    /// layout, rule, dimension order, kernel or κ the shared cell already
+    /// holds, the survivors contain the brute-force top-k — ties at rank
+    /// k included.
+    #[test]
+    fn survivors_contain_the_brute_force_top_k() {
+        let dims = 20;
+        let weights: Vec<f64> =
+            (0..dims).map(|d| if d % 5 == 0 { 0.0 } else { 0.5 + d as f64 }).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights).unwrap();
+        let metrics: Vec<&dyn DecomposableMetric> =
+            vec![&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+        let reversed: Vec<usize> = (0..dims).rev().collect();
+        let strided: Vec<usize> = (0..dims).map(|j| (j * 7) % dims).collect();
+        let orders: [Option<&[usize]>; 3] = [None, Some(&reversed), Some(&strided)];
+        let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        for cluster_major in [true, false] {
+            let table = clustered(cluster_major);
+            let codes = codes_for(&table, 3);
+            for (mi, metric) in metrics.iter().enumerate() {
+                // a member, a near-duplicate pair, and an off-data query
+                let mut queries: Vec<Vec<f64>> =
+                    [13usize, 7, 8].iter().map(|&r| table.row(r as u32).unwrap()).collect();
+                queries.push((0..dims).map(|d| 0.3 + 0.02 * d as f64).collect());
+                for (qi, query) in queries.iter().enumerate() {
+                    for si in 0..codes.n_segments() {
+                        let view = codes.segment_view(si).unwrap();
+                        let range = codes.specs()[si].range();
+                        let mut live = Bitmap::full(view.len());
+                        for dead in (0..view.len()).step_by(11) {
+                            live.clear(dead as u32);
+                        }
+                        let truth: Vec<(u32, f64)> = ranked(&table, range, *metric, query)
+                            .into_iter()
+                            .filter(|(row, _)| live.get(*row))
+                            .collect();
+                        for k in [1usize, 10, truth.len(), truth.len() + 1] {
+                            let order = orders[(mi + qi + si + k) % orders.len()];
+                            let kernel = kernels[(qi + k) % kernels.len()];
+                            // cold, and against the tightest κ any sibling
+                            // segment could have proven: the true k-th score
+                            let exact_kth = truth.get(k - 1).map(|&(_, score)| score);
+                            for pre in [None, exact_kth] {
+                                let cell = TestCell(Mutex::new(pre), metric.objective());
+                                let filter = filter_segment_in_order(
+                                    &view,
+                                    *metric,
+                                    query,
+                                    k,
+                                    &live,
+                                    Some(&cell),
+                                    kernel,
+                                    order,
+                                )
+                                .unwrap();
+                                let ctx = format!(
+                                    "{} major={cluster_major} q{qi} seg{si} k={k} pre={pre:?}",
+                                    metric.name()
+                                );
+                                for &(row, _) in truth.iter().take(k) {
+                                    assert!(filter.survivors.get(row), "{ctx}: lost row {row}");
+                                }
+                                for row in filter.survivors.iter() {
+                                    assert!(live.get(row), "{ctx}: dead row {row} survived");
+                                }
+                                assert!(
+                                    filter.cells <= (view.len() * dims + k * dims) as u64,
+                                    "{ctx}: {} cells",
+                                    filter.cells
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tight_shared_kappa_ends_the_sweep_after_one_block() {
+        let table = clustered(true);
+        let codes = codes_for(&table, 1);
+        let view = codes.segment_view(0).unwrap();
+        let live = table.live_bitmap();
+        let (rows, dims) = (table.rows(), table.dims());
+        let query = table.row(13).unwrap();
+        let k = 5;
+        let cold = filter_segment(&view, &SquaredEuclidean, &query, k, &live, None).unwrap();
+        assert!(cold.cells < (rows * dims) as u64, "pruning saved no cell: {}", cold.cells);
+        // a κ no row of this segment can reach: everything dies at the
+        // first pruning step and no further LUT or column is touched
+        let cell = TestCell(Mutex::new(Some(-1.0)), Objective::Minimize);
+        let far = filter_segment(&view, &SquaredEuclidean, &query, k, &live, Some(&cell)).unwrap();
+        assert_eq!(far.survivors.count(), 0);
+        assert_eq!(far.dims, PRUNE_BLOCK);
+        assert_eq!(far.cells, (rows * PRUNE_BLOCK) as u64);
+        assert_eq!(far.kappa, Some(-1.0));
+    }
+
+    #[test]
+    fn at_most_k_eligible_rows_skip_the_sweep() {
+        let (table, codes) = setup(1);
+        let view = codes.segment_view(0).unwrap();
+        let live = Bitmap::from_rows(table.rows(), &[2, 9, 20]);
+        let query: Vec<f64> = table.row(9).unwrap();
+        let filter = filter_segment(&view, &SquaredEuclidean, &query, 3, &live, None).unwrap();
+        assert_eq!(filter.survivors, live);
+        assert_eq!((filter.cells, filter.dims, filter.kappa), (0, 0, None));
     }
 
     #[test]
@@ -495,11 +1024,17 @@ mod tests {
         }
         let (table, codes) = setup(1);
         let query: Vec<f64> = table.row(2).unwrap();
-        let live = table.live_bitmap();
+        let mut live = table.live_bitmap();
+        live.clear(5);
         let view = codes.segment_view(0).unwrap();
         let filter = filter_segment(&view, &Opaque, &query, 2, &live, None).unwrap();
         assert!(filter.kappa.is_none(), "an infinite pessimistic bound proves nothing");
-        assert_eq!(filter.survivors.to_rows().len(), table.live_rows());
+        assert_eq!(filter.survivors, live);
+        // not even a κ a sibling proved can drop a row: +∞ reaches anything
+        let cell = TestCell(Mutex::new(Some(1e9)), Objective::Maximize);
+        let filter = filter_segment(&view, &Opaque, &query, 2, &live, Some(&cell)).unwrap();
+        assert_eq!(filter.survivors, live);
+        assert_eq!(cell.current(), Some(1e9), "nothing vacuous was published");
     }
 
     #[test]
@@ -528,9 +1063,14 @@ mod tests {
     fn mismatched_inputs_are_rejected() {
         let (_table, codes) = setup(1);
         let view = codes.segment_view(0).unwrap();
-        assert!(interval_scores(&view, &HistogramIntersection, &[0.5; 2]).is_err());
+        let mut scratch = QuantScratch::new();
+        let hi = HistogramIntersection;
+        assert!(interval_scores_into(&view, &hi, &[0.5; 2], Kernel::Scalar, &mut scratch).is_err());
+        let live = Bitmap::full(view.len());
+        assert!(filter_segment(&view, &hi, &[0.5; 2], 1, &live, None).is_err());
+        assert!(filter_segment(&view, &hi, &[0.1; 4], 0, &live, None).is_err());
         let short = Bitmap::new(3);
-        assert!(filter_segment(&view, &HistogramIntersection, &[0.1; 4], 1, &short, None).is_err());
-        assert!(approximate_topk(&view, &HistogramIntersection, &[0.1; 4], 1, &short).is_err());
+        assert!(filter_segment(&view, &hi, &[0.1; 4], 1, &short, None).is_err());
+        assert!(approximate_topk(&view, &hi, &[0.1; 4], 1, &short).is_err());
     }
 }

@@ -379,12 +379,9 @@ pub fn search_segment(
     } else {
         None
     };
-    let mut scanned_mass: Option<Vec<f64>> =
-        if requirements.needs_scanned_mass { Some(vec![0.0; rows]) } else { None };
 
     // All bookkeeping below is in segment-local row ids; only the final
     // ranking translates back to global ids.
-    let mut partial = vec![0.0f64; rows];
     let mut eligible = segment.live_bitmap();
     if let Some(filter) = ctx.filter {
         if filter.len() != rows {
@@ -405,10 +402,11 @@ pub fn search_segment(
     trace.kernel = Some(kernel.label());
 
     // Quantized first pass (Section 7.4 composed with the engine): sweep
-    // the u8 code companions branch-free, prove a pessimistic κ from their
-    // interval bounds, and hand the exact loop below only the rows whose
-    // optimistic bound can still reach it. The κ proven here is also
-    // published to the shared cell, so sibling segments prune with it.
+    // the u8 code companions progressively in the plan's dimension order,
+    // tightening κ block by block, and hand the exact loop below only the
+    // rows whose optimistic bound can still reach it. The κ proven here
+    // is also published to the shared cell, so sibling segments prune
+    // with it.
     let mut candidates;
     if let Some(codes) = &ctx.codes {
         if codes.len() != rows || codes.dims() != dims {
@@ -418,19 +416,35 @@ pub fn search_segment(
                 codes.dims()
             )));
         }
-        let filter = crate::quantfilter::filter_segment_with_kernel(
-            codes, metric, query, k, &eligible, ctx.kappa, kernel,
+        let filter = crate::quantfilter::filter_segment_in_order(
+            codes,
+            metric,
+            query,
+            k,
+            &eligible,
+            ctx.kappa,
+            kernel,
+            Some(order),
         )?;
         trace.filter_cells = filter.cells;
+        trace.filter_dims = filter.dims;
         trace.filter_bits = codes.bits();
         candidates = CandidateSet::from_bitmap(filter.survivors);
         trace.refine_rows = candidates.len() as u64;
+        if trace.refine_rows == 0 {
+            // the usual outcome once the query's own neighbourhood has
+            // set κ: nothing to refine, so no per-row state is built
+            return Ok(SearchOutcome { hits: Vec::new(), trace });
+        }
         if candidates.maybe_materialize(params.materialize_threshold) {
             trace.switched_to_list = true;
         }
     } else {
         candidates = CandidateSet::from_bitmap(eligible);
     }
+    let mut partial = vec![0.0f64; rows];
+    let mut scanned_mass: Option<Vec<f64>> =
+        if requirements.needs_scanned_mass { Some(vec![0.0; rows]) } else { None };
 
     let mut processed = 0usize;
     let mut attempts = 0usize;

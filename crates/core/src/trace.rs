@@ -41,10 +41,15 @@ pub struct PruneTrace {
     /// column of the segment was touched.
     pub segment_skipped: bool,
     /// Number of `(row, dimension)` code cells the quantized first-pass
-    /// filter swept before the exact search began — cheap `u8` work, kept
-    /// separate from the exact-cell counter `contributions_evaluated`.
-    /// Zero when the search ran without codes.
+    /// filter actually read before the exact search began (swept word runs
+    /// plus the first block's probe) — cheap `u8` work, kept separate from
+    /// the exact-cell counter `contributions_evaluated`. Zero when the
+    /// search ran without codes.
     pub filter_cells: u64,
+    /// Number of code columns the quantized filter's progressive sweep got
+    /// through before at most `k` candidates remained or the dimensions
+    /// ran out. Zero when no code was swept.
+    pub filter_dims: usize,
     /// Number of rows that survived the quantized filter into the exact
     /// search (zero when the search ran without codes; equals the segment's
     /// live rows when the filter could not prune).
@@ -115,6 +120,7 @@ mod tests {
             switched_to_list: true,
             segment_skipped: false,
             filter_cells: 0,
+            filter_dims: 0,
             refine_rows: 0,
             filter_bits: 0,
             kernel: Some("scalar"),

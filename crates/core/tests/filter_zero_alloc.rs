@@ -1,8 +1,11 @@
 //! The quantized filter's steady-state allocation contract: once the
-//! per-thread scratch has grown to the segment's size, a full sweep —
-//! LUT builds included — performs **zero** heap allocations. This is
-//! what makes the filter phase safe to run per segment per query on the
-//! hot path without allocator traffic or lock contention.
+//! per-thread scratch has grown to the segment's size, a full interval
+//! sweep — LUT builds included — performs **zero** heap allocations, and
+//! the progressive filter (`filter_segment`: candidate words,
+//! remaining-dimension bounds and κ heap all live in the scratch) performs
+//! exactly one, the survivor bitmap it returns. This is what makes the
+//! filter phase safe to run per segment per query on the hot path without
+//! allocator traffic or lock contention.
 //!
 //! Verified with a counting `#[global_allocator]`, which is process-wide
 //! state — hence this test's own integration binary, so no other test's
@@ -10,12 +13,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use bond::kernels::Kernel;
-use bond::quantfilter::interval_scores_into;
+use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
 use bond::QuantScratch;
 use bond_metrics::SquaredEuclidean;
-use vdstore::{DecomposedTable, SegmentStats, StoreCodes};
+use vdstore::{Bitmap, DecomposedTable, SegmentSpec, SegmentStats, StoreCodes};
 
 /// Forwards to the system allocator, counting every allocation.
 struct CountingAlloc;
@@ -41,17 +45,42 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn warmed_interval_sweep_allocates_nothing() {
+/// The fewest allocations any of five runs of `window` performed. The
+/// counter is process-wide, so the libtest harness thread can race a stray
+/// allocation into one window — a genuine allocation in the measured code
+/// shows up in *every* repetition, hence the minimum.
+fn min_allocations(mut window: impl FnMut()) -> u64 {
+    (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            window();
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .unwrap()
+}
+
+/// The counter is process-wide: the two tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// 300 rows x 20 dimensions (three pruning blocks, the last one short) in
+/// two segments, and a member query.
+fn fixture() -> (DecomposedTable, Vec<SegmentSpec>, Vec<SegmentStats>, Vec<f64>) {
     let vectors: Vec<Vec<f64>> = (0..300)
-        .map(|r| (0..8).map(|d| ((r * 8 + d) as f64 * 0.29).sin().abs()).collect())
+        .map(|r| (0..20).map(|d| ((r * 20 + d) as f64 * 0.29).sin().abs()).collect())
         .collect();
     let table = DecomposedTable::from_vectors("za", &vectors).unwrap();
     let specs = table.partition_specs(2);
-    let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-    let query: Vec<f64> = table.row(7).unwrap();
-    let metric = SquaredEuclidean;
+    let stats = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+    let query = table.row(7).unwrap();
+    (table, specs, stats, query)
+}
 
+#[test]
+fn warmed_interval_sweep_allocates_nothing() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (table, specs, stats, query) = fixture();
+    let metric = SquaredEuclidean;
     for bits in [4u8, 8] {
         let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
         for kernel in Kernel::ALL.into_iter().filter(|k| k.is_supported()) {
@@ -61,23 +90,46 @@ fn warmed_interval_sweep_allocates_nothing() {
                 let view = codes.segment_view(si).unwrap();
                 interval_scores_into(&view, &metric, &query, kernel, &mut scratch).unwrap();
             }
-            // Steady state: not one allocation across repeated sweeps. The
-            // counter is process-wide, so the libtest harness thread can
-            // race a stray allocation into the window — a genuine leak in
-            // the sweep would show up in *every* repetition, so assert on
-            // the minimum over several windows instead of a single one.
-            let min_allocs = (0..5)
-                .map(|_| {
-                    let before = ALLOCATIONS.load(Ordering::Relaxed);
-                    for si in 0..codes.n_segments() {
-                        let view = codes.segment_view(si).unwrap();
-                        interval_scores_into(&view, &metric, &query, kernel, &mut scratch).unwrap();
-                    }
-                    ALLOCATIONS.load(Ordering::Relaxed) - before
-                })
-                .min()
-                .unwrap();
+            // Steady state: not one allocation across repeated sweeps.
+            let min_allocs = min_allocations(|| {
+                for si in 0..codes.n_segments() {
+                    let view = codes.segment_view(si).unwrap();
+                    interval_scores_into(&view, &metric, &query, kernel, &mut scratch).unwrap();
+                }
+            });
             assert_eq!(min_allocs, 0, "warmed sweep allocated ({} @ {bits} bits)", kernel.label());
+        }
+    }
+}
+
+#[test]
+fn warmed_filter_allocates_only_its_survivor_bitmap() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (table, specs, stats, query) = fixture();
+    let metric = SquaredEuclidean;
+    let lives: Vec<Bitmap> = specs.iter().map(|s| Bitmap::full(s.len())).collect();
+    for bits in [4u8, 8] {
+        let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            // The progressive sweep runs on this thread's scratch: its
+            // first call grows the buffers, after that each call allocates
+            // the bitmap it returns and nothing else.
+            let filter_all = || {
+                for (si, live) in lives.iter().enumerate() {
+                    let view = codes.segment_view(si).unwrap();
+                    let filter =
+                        filter_segment_with_kernel(&view, &metric, &query, 5, live, None, kernel)
+                            .unwrap();
+                    assert!(filter.dims > 8, "the sweep must get past its first block");
+                }
+            };
+            filter_all();
+            assert_eq!(
+                min_allocations(filter_all),
+                codes.n_segments() as u64,
+                "warmed filter allocated beyond its survivor bitmaps ({} @ {bits} bits)",
+                kernel.label()
+            );
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The forced-`BOND_KERNEL` matrix, end to end: for every override value
 //! (including unset, an unsupported flavour and garbage) the process must
 //! latch the kernel `Kernel::select` predicts, and a full search over all
-//! six pruning rules plus the quantized filter must return bit-identical
-//! results regardless of which flavour ran.
+//! six pruning rules plus the quantized filter's progressive sweep must
+//! return bit-identical results — hits, survivors, cells and sweep depth —
+//! regardless of which flavour ran.
 //!
 //! `Kernel::active()` is a process-wide `OnceLock` — the override is read
 //! exactly once, before any search — so each matrix cell has to be its own
@@ -12,14 +13,15 @@
 
 use std::process::Command;
 
-use bond::kernels::Kernel;
+use bond::kernels::{sweep_group, Kernel};
 use bond::quantfilter::filter_segment;
 use bond::{BondParams, BondSearcher};
 use bond_metrics::SquaredEuclidean;
 use vdstore::{Bitmap, DecomposedTable, SegmentStats, StoreCodes};
 
 const ROWS: usize = 150;
-const DIMS: usize = 8;
+/// Three pruning blocks of the progressive code sweep (8 + 8 + 4).
+const DIMS: usize = 20;
 const K: usize = 7;
 
 fn table() -> DecomposedTable {
@@ -70,7 +72,9 @@ fn digest() -> String {
         let view = codes.segment_view(si).unwrap();
         let live = Bitmap::full(view.len());
         let filter = filter_segment(&view, &SquaredEuclidean, &query, K, &live, None).unwrap();
+        assert!(filter.dims > 8, "the progressive sweep must get past its first block");
         fold(filter.cells);
+        fold(filter.dims as u64);
         fold(filter.kappa.map_or(0, f64::to_bits));
         for row in filter.survivors.to_rows() {
             fold(u64::from(row));
@@ -83,7 +87,13 @@ fn digest() -> String {
 fn forced_kernel_matrix_latches_and_answers_identically() {
     if std::env::var("BOND_KERNEL_PROBE").is_ok() {
         // probe mode: report what this process latched and what it answered
-        println!("ACTIVE={} DIGEST={}", Kernel::active().label(), digest());
+        let active = Kernel::active();
+        println!(
+            "ACTIVE={} GROUP={} DIGEST={}",
+            active.label(),
+            sweep_group(active, 256),
+            digest()
+        );
         return;
     }
 
@@ -121,6 +131,12 @@ fn forced_kernel_matrix_latches_and_answers_identically() {
 
         let expected = Kernel::select(forced).label();
         assert_eq!(active, expected, "BOND_KERNEL={forced:?} latched the wrong flavour");
+        // A pruning step comes every 8 plan dimensions on every kernel; the
+        // scalar reference (CI's forced-scalar leg) sweeps those 8 columns
+        // one at a time through the split accumulators, not as one block.
+        if active == "scalar" {
+            assert_eq!(token("GROUP="), "1", "scalar must take the single-column sweep");
+        }
         digests.push((format!("{forced:?}->{active}"), digest));
     }
 

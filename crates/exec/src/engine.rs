@@ -549,11 +549,9 @@ struct ResolvedQuery<'b> {
     /// `planner.cost.abs_rel_error` calibration histogram.
     estimate: f64,
     kappa: Option<SharedKappa>,
-    /// The segment *visit order* for this query (feedback planning only):
-    /// position `p` executes segment `visit_order[p]`. Visiting the most
-    /// promising segment first tightens κ immediately, so every later
-    /// segment faces the sharpest possible skip bound. `None` visits in
-    /// row order.
+    /// The segment *visit order* for this query
+    /// ([`Engine::plan_visit_order`]): position `p` executes segment
+    /// `visit_order[p]`. `None` visits in row order.
     visit_order: Option<Vec<usize>>,
 }
 
@@ -864,20 +862,29 @@ impl Engine {
         params
     }
 
-    /// The segment *visit order* a feedback-planned query uses: segments
-    /// sorted most-promising-first by their optimistic zone-map envelope
-    /// score toward the query, ties broken on the segment index. Visiting
-    /// the query's own neighbourhood first establishes κ before any far
-    /// segment starts, so those segments skip or prune at their first
-    /// attempt. Shared by [`Engine::execute`] and [`Engine::explain`], so
-    /// the rendered order is the executed order by construction.
+    /// The segment *visit order* of a query that shares κ and either plans
+    /// from feedback or filters on codes: segments sorted
+    /// most-promising-first by their optimistic zone-map envelope score
+    /// toward the query, ties broken on the segment index. Visiting the
+    /// query's own neighbourhood first establishes κ before any far segment
+    /// starts, so those segments skip, or lose their rows at the code
+    /// sweep's first block, instead of warming up against an empty bound.
+    /// Any visit order is rank-correct; this one just minimises wasted
+    /// scans. `None` — every other query — visits in row order. Shared by
+    /// [`Engine::execute`] and [`Engine::explain`], so the rendered order
+    /// is the executed order by construction.
     pub(crate) fn plan_visit_order(
         &self,
+        planner: PlannerKind,
+        scan: ScanMode,
         metric: &dyn DecomposableMetric,
         objective: Objective,
         query: &[f64],
-    ) -> Vec<usize> {
+    ) -> Option<Vec<usize>> {
         let inner = &*self.inner;
+        if !(inner.share_kappa && (planner.uses_feedback() || scan == ScanMode::QuantizedFilter)) {
+            return None;
+        }
         let mut order: Vec<usize> = (0..inner.specs.len()).collect();
         let promise: Vec<f64> = inner
             .envelopes
@@ -897,7 +904,7 @@ impl Engine {
                 Objective::Minimize => cmp.then(a.cmp(&b)),
             }
         });
-        order
+        Some(order)
     }
 
     /// Derives the [`SegmentPlan`] segment `si` executes for `query` under
@@ -1347,16 +1354,8 @@ impl Engine {
                 let query_sum =
                     if planner.is_stats_driven() { spec.vector().iter().sum() } else { 0.0 };
                 let kappa = inner.share_kappa.then(|| SharedKappa::new(objective));
-                // Feedback planning also schedules with the cost model:
-                // segments are visited most-promising-first (tightest
-                // optimistic envelope score toward the query), so the
-                // query's own neighbourhood establishes κ before any far
-                // segment starts — which lets those segments skip or prune
-                // at their first attempt instead of warming up against an
-                // empty bound. Any visit order is rank-correct; this one
-                // just minimises wasted scans.
-                let visit_order = (planner.uses_feedback() && inner.share_kappa)
-                    .then(|| self.plan_visit_order(metric.as_ref(), objective, spec.vector()));
+                let visit_order =
+                    self.plan_visit_order(planner, scan, metric.as_ref(), objective, spec.vector());
                 let estimate = self.estimate_cost(spec);
                 Ok(ResolvedQuery {
                     spec,
@@ -1406,7 +1405,7 @@ impl Engine {
             let qi = task / n_segments;
             let pos = task % n_segments;
             let rq = &resolved[qi];
-            // position `pos` of a feedback-planned query executes the
+            // position `pos` of a query with a visit order executes the
             // `pos`-th most promising segment; everyone else visits in row
             // order. The slot keeps the *position* index — the merge
             // permutes outcomes back into segment order.

@@ -78,8 +78,8 @@ pub struct SegmentExplain {
     /// The table rows the segment covers.
     pub rows: Range<usize>,
     /// Position in the query's visit order at which this segment executes
-    /// (feedback planning visits most-promising-first; everyone else in
-    /// row order).
+    /// (feedback planning and code-filtered scans visit
+    /// most-promising-first when κ is shared; everyone else in row order).
     pub visit_position: usize,
     /// The fully derived plan: dimension order plus block schedule.
     pub plan: SegmentPlan,
@@ -261,6 +261,10 @@ pub struct SegmentAnalysis {
     /// Quantized code cells the first-pass filter (or approximate scan)
     /// actually swept; `0` for exact scans.
     pub filter_cells: u64,
+    /// Code columns the filter's progressive sweep got through before at
+    /// most `k` candidates remained or the dimensions ran out; `0` when no
+    /// filter swept.
+    pub filter_dims: usize,
     /// Rows the quantized filter let through to exact refinement; `0` when
     /// no filter ran.
     pub refine_rows: u64,
@@ -353,8 +357,8 @@ impl fmt::Display for QueryAnalysis {
             let depth = seg.prune_depth.map_or_else(|| "never".to_string(), |d| d.to_string());
             let filter = if seg.filter_cells > 0 {
                 format!(
-                    " filter_cells={} refine_rows={} bits={}",
-                    seg.filter_cells, seg.refine_rows, seg.filter_bits
+                    " filter_cells={} filter_dims={} refine_rows={} bits={}",
+                    seg.filter_cells, seg.filter_dims, seg.refine_rows, seg.filter_bits
                 )
             } else {
                 String::new()
@@ -415,11 +419,9 @@ impl Engine {
         let query = spec.vector();
         let query_sum: f64 = query.iter().sum();
         let skipping = planner.is_stats_driven() && self.kappa_shared() && !scan.is_approximate();
-        let visit_order = if planner.uses_feedback() && self.kappa_shared() {
-            self.plan_visit_order(metric.as_ref(), objective, query)
-        } else {
-            (0..self.partitions()).collect()
-        };
+        let visit_order = self
+            .plan_visit_order(planner, scan, metric.as_ref(), objective, query)
+            .unwrap_or_else(|| (0..self.partitions()).collect());
         let mut visit_position = vec![0usize; self.partitions()];
         for (pos, &si) in visit_order.iter().enumerate() {
             visit_position[si] = pos;
@@ -593,6 +595,7 @@ impl QueryOutcome {
                 estimated_cells: rendered.estimated_cells,
                 scanned_cells: run.trace.contributions_evaluated,
                 filter_cells: run.trace.filter_cells,
+                filter_dims: run.trace.filter_dims,
                 refine_rows: run.trace.refine_rows,
                 filter_bits: run.trace.filter_bits,
                 kernel: run.trace.kernel,

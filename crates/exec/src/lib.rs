@@ -77,11 +77,13 @@
 //!   skipping work before a single data page is faulted in, and collections
 //!   larger than RAM stay servable.
 //! * **Quantized first-pass scanning** — [`ScanMode::QuantizedFilter`]
-//!   sweeps per-segment `u8` code columns ([`vdstore::StoreCodes`]) with
-//!   the branch-free [`bond::quantfilter`] kernel before the exact search:
-//!   only rows whose optimistic interval bound beats the query's current κ
-//!   fall through to `f64` refinement, and the answers stay bit-identical
-//!   to [`ScanMode::Exact`]. [`ScanMode::ApproximateQuantized`] answers
+//!   runs BOND on per-segment `u8` code columns ([`vdstore::StoreCodes`],
+//!   [`bond::quantfilter`]) before the exact search — a progressive sweep,
+//!   eight columns at a time in plan order, segments visited
+//!   most-promising-first, κ tightened and candidates dropped after every
+//!   block: only rows whose optimistic interval bound still reaches the
+//!   query's κ fall through to `f64` refinement, and the answers stay
+//!   bit-identical to [`ScanMode::Exact`]. [`ScanMode::ApproximateQuantized`] answers
 //!   from the codes alone and reports a per-hit error bound
 //!   ([`batch::QueryOutcome::error_bounds`]). Codes persist in the store
 //!   footer, so reopened engines filter without re-encoding, and observed

@@ -127,11 +127,22 @@ fn feedback_does_not_change_filter_work() {
     let warm = warmed_engine(1);
     let cold = cold_engine(1);
     for q in sample_queries(warm.table(), 6, 555) {
+        // The progressive sweep follows the plan's dimension order, and a
+        // warm `Feedback` plan reorders dimensions — but only *within* the
+        // sweep's pruning blocks here (all `DIMS` = 8 columns are one
+        // block), so warm and cold engines read the same cells, keep the
+        // same rows, and visit segments in the same order: what feedback
+        // learns still never changes which code companion is swept or how
+        // much of it.
         let on_warm = warm.search_spec(&filter_spec(q.clone())).unwrap();
         let on_cold = cold.search_spec(&filter_spec(q)).unwrap();
         assert!(on_warm.quant_refine_rows() > 0);
         assert_eq!(on_warm.quant_refine_rows(), on_cold.quant_refine_rows());
         assert_eq!(on_warm.quant_filter_cells(), on_cold.quant_filter_cells());
+        for run in on_warm.segments.iter().filter(|run| run.trace.filter_cells > 0) {
+            assert_eq!(run.trace.filter_bits, CostModel::DEFAULT_CODE_BITS);
+            assert_eq!(run.trace.filter_dims, DIMS);
+        }
     }
 }
 

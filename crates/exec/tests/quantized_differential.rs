@@ -1,0 +1,227 @@
+//! A generated differential test of [`ScanMode::QuantizedFilter`] — the
+//! progressive code sweep in front of the exact search — against
+//! [`ScanMode::Exact`] and the sequential reference: hits must be
+//! bit-identical, scores and row ids, across
+//!
+//! * layouts {cluster-major, shuffled, groups of identical rows that tie
+//!   exactly at rank k} — clustered and near-duplicate sets are where the
+//!   code bounds are tightest and ties common,
+//! * all six rules (the weighted ones with zero weights),
+//! * predicate filters {1 row, 0.1 %, 10 %, 90 %, none} and tombstones,
+//! * `k ∈ {1, 10, every eligible row, one more than that}`,
+//! * partitions {1, 3, 8} and planners {Uniform, Adaptive, Feedback},
+//! * the forced scalar kernel and the dispatched one.
+//!
+//! The kernel is latched once per process, so the scalar leg re-executes
+//! this binary with `BOND_KERNEL=scalar` (the `kernel_env_matrix` pattern)
+//! and both legs must also agree on a digest of every answer.
+
+use std::process::Command;
+
+use bond::BondError;
+use bond_datagen::ClusteredConfig;
+use bond_exec::{Engine, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
+use vdstore::{Bitmap, DecomposedTable};
+
+const ROWS: usize = 1600;
+/// Three pruning blocks of the code sweep (8 + 8 + 4).
+const DIMS: usize = 20;
+
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    ClusterMajor,
+    Shuffled,
+    /// Every row is one of four identical copies, so ranks tie exactly —
+    /// at rank 1 for a member query, inside a group at rank 10.
+    Duplicates,
+}
+
+fn table(layout: Layout, tombstones: bool) -> DecomposedTable {
+    let clustered = |cluster_major| {
+        ClusteredConfig { clusters: 8, ..ClusteredConfig::small(ROWS, DIMS, 0.0) }
+            .with_cluster_major(cluster_major)
+            .generate()
+    };
+    let mut table = match layout {
+        Layout::ClusterMajor => clustered(true),
+        Layout::Shuffled => clustered(false),
+        Layout::Duplicates => {
+            let base = clustered(true);
+            let vectors: Vec<Vec<f64>> =
+                (0..ROWS).map(|r| base.row((r - r % 4) as u32).unwrap()).collect();
+            DecomposedTable::from_vectors("duplicates", &vectors).unwrap()
+        }
+    };
+    if tombstones {
+        for row in (0..ROWS).step_by(7) {
+            table.delete(row as u32).unwrap();
+        }
+    }
+    table
+}
+
+/// The six rules; the weighted pair zeroes every fifth dimension.
+fn rules() -> Vec<RuleKind> {
+    let weights: Vec<f64> =
+        (0..DIMS).map(|d| if d % 5 == 0 { 0.0 } else { 0.25 + (d % 4) as f64 }).collect();
+    let mut rules = RuleKind::ALL.to_vec();
+    rules.push(RuleKind::weighted_histogram(weights.clone()).unwrap());
+    rules.push(RuleKind::weighted_euclidean(weights).unwrap());
+    rules
+}
+
+/// The predicate filters: one row, 0.1 %, 10 %, 90 %, none.
+fn filters() -> Vec<Option<Bitmap>> {
+    let every = |step: usize, invert: bool| {
+        let mut filter = Bitmap::new(ROWS);
+        for row in 0..ROWS {
+            if (row % step == 1) != invert {
+                filter.set(row as u32);
+            }
+        }
+        Some(filter)
+    };
+    vec![
+        Some(Bitmap::from_rows(ROWS, &[ROWS as u32 / 2 + 1])),
+        every(1000, false),
+        every(10, false),
+        every(10, true),
+        None,
+    ]
+}
+
+/// FNV-1a over every answered hit.
+struct Digest(u64);
+
+impl Digest {
+    fn fold(&mut self, x: u64) {
+        self.0 ^= x;
+        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+    }
+}
+
+/// Runs the whole matrix under whatever kernel this process latched,
+/// asserting the differential contract case by case; returns the digest of
+/// all filtered answers and how many cases actually swept codes.
+fn run_matrix() -> (u64, usize) {
+    let rules = rules();
+    let filters = filters();
+    let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+    let (mut case, mut swept) = (0usize, 0usize);
+    for layout in [Layout::ClusterMajor, Layout::Shuffled, Layout::Duplicates] {
+        for tombstones in [false, true] {
+            let table = table(layout, tombstones);
+            for partitions in [1usize, 3, 8] {
+                for planner in [PlannerKind::Uniform, PlannerKind::Adaptive, PlannerKind::Feedback]
+                {
+                    let engine = Engine::builder(table.clone())
+                        .partitions(partitions)
+                        .threads(1)
+                        .planner(planner)
+                        .build()
+                        .unwrap();
+                    for rule in &rules {
+                        for filter in &filters {
+                            case += 1;
+                            let ctx = format!(
+                                "case {case}: {layout:?} tombstones={tombstones} \
+                                 partitions={partitions} {planner:?} {} filter={:?}",
+                                rule.name(),
+                                filter.as_ref().map(Bitmap::count)
+                            );
+                            swept +=
+                                check_case(&engine, rule, filter.as_ref(), case, &ctx, &mut digest);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (digest.0, swept)
+}
+
+/// One generated case: a member query and a `k` picked by the case number,
+/// asked exactly and through the code filter in one batch (so a
+/// feedback-planned pair executes the same plans).
+fn check_case(
+    engine: &Engine,
+    rule: &RuleKind,
+    filter: Option<&Bitmap>,
+    case: usize,
+    ctx: &str,
+    digest: &mut Digest,
+) -> usize {
+    let table = engine.table();
+    let eligible = match filter {
+        Some(filter) => filter.intersection_count(&table.live_bitmap()),
+        None => table.live_rows(),
+    };
+    // a member of the collection (its copies tie with it on `Duplicates`)
+    let query = table.row(((case * 37) % ROWS) as u32).unwrap();
+    let k = [1, 10.min(eligible), eligible, eligible + 1][case % 4];
+    let mut exact = QuerySpec::new(query, k).rule(rule.clone()).scan_mode(ScanMode::Exact);
+    if let Some(filter) = filter {
+        exact = exact.filter(filter.clone());
+    }
+    let filtered = exact.clone().scan_mode(ScanMode::QuantizedFilter);
+
+    if eligible == 0 {
+        assert!(matches!(engine.search_spec(&filtered), Err(BondError::InvalidFilter(_))), "{ctx}");
+        return 0;
+    }
+    if k > eligible {
+        for spec in [&exact, &filtered] {
+            assert!(matches!(engine.search_spec(spec), Err(BondError::InvalidK { .. })), "{ctx}");
+        }
+        return 0;
+    }
+    let batch = RequestBatch::from_specs(vec![exact.clone(), filtered]);
+    let outcome = engine.execute(&batch).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let (want, got) = (&outcome.queries[0], &outcome.queries[1]);
+    assert_eq!(got.hits.len(), k, "{ctx}");
+    assert_eq!(got.hits, want.hits, "{ctx}: the code filter changed the answer");
+    if filter.is_none() && engine.planner() == PlannerKind::Uniform {
+        let reference = engine.sequential_reference_spec(&exact).unwrap();
+        assert_eq!(got.hits, reference, "{ctx}: diverged from the sequential reference");
+    }
+    for hit in &got.hits {
+        assert!(table.live_bitmap().get(hit.row), "{ctx}: tombstoned row {}", hit.row);
+        assert!(filter.is_none_or(|f| f.get(hit.row)), "{ctx}: ineligible row {}", hit.row);
+        digest.fold(u64::from(hit.row));
+        digest.fold(hit.score.to_bits());
+    }
+    assert_eq!(want.quant_filter_cells(), 0, "{ctx}");
+    usize::from(got.quant_filter_cells() > 0)
+}
+
+#[test]
+fn quantized_filter_matches_exact_across_the_generated_matrix() {
+    if std::env::var("BOND_DIFFERENTIAL_PROBE").is_ok() {
+        let (digest, swept) = run_matrix();
+        println!("DIGEST={digest:016x} SWEPT={swept}");
+        return;
+    }
+    let (digest, swept) = run_matrix();
+    // (half the `k`s — every eligible row, and one more — leave nothing to
+    // prune, and the one-row filter never reaches `k` rows per segment)
+    assert!(swept >= 400, "only {swept} cases swept any code: the matrix misses the sweep");
+
+    // the same matrix on the portable scalar kernel, in a process of its own
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "quantized_filter_matches_exact_across_the_generated_matrix",
+            "--exact",
+            "--nocapture",
+        ])
+        .env("BOND_DIFFERENTIAL_PROBE", "1")
+        .env("BOND_KERNEL", "scalar")
+        .output()
+        .expect("probe process spawns");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "scalar-kernel leg failed:\n{stdout}");
+    let scalar = stdout
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix("DIGEST="))
+        .unwrap_or_else(|| panic!("scalar-kernel leg printed no digest:\n{stdout}"));
+    assert_eq!(scalar, format!("{digest:016x}"), "the forced scalar kernel changed an answer");
+}

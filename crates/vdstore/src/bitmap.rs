@@ -86,6 +86,14 @@ impl Bitmap {
         self.words[row / WORD_BITS] & (1u64 << (row % WORD_BITS)) != 0
     }
 
+    /// The backing 64-row words, lowest rows first (bit `i % 64` of word
+    /// `i / 64` is row `i`; bits past [`Bitmap::len`] are clear). Word-wise
+    /// consumers — the quantized filter's candidate sweep — start from these
+    /// instead of testing rows one at a time.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
