@@ -59,6 +59,7 @@ use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
 use vdstore::{Bitmap, CodeParams, RowId, SegmentCodesView, TopKLargest, TopKSmallest};
 
+use crate::candidates::WORD_ROWS;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, Kernel};
@@ -69,10 +70,6 @@ use crate::searcher::prune_slack;
 /// (this is its 8-bit [`kernels::sweep_group`]), the scalar and NEON sweeps
 /// take the same eight columns one at a time.
 const PRUNE_BLOCK: usize = 8;
-
-/// Rows per candidate-bitmap word — the granularity at which the
-/// progressive sweep skips dead rows.
-const WORD_ROWS: usize = 64;
 
 /// Reusable working memory of the quantized filter: the per-row bound
 /// accumulators, the per-level contribution LUTs and the progressive

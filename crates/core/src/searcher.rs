@@ -14,6 +14,8 @@
 //! weighted variants) and the [`DecomposableMetric`]; convenience methods
 //! instantiate the combinations the paper evaluates.
 
+use std::cell::Cell;
+
 use bond_metrics::{CandidateState, DecomposableMetric, KernelOp, Objective, PruningRule};
 use bond_metrics::{EqRule, EvRule, HhRule, HistogramIntersection, HqRule, SquaredEuclidean};
 use vdstore::topk::Scored;
@@ -122,6 +124,116 @@ fn gather_accumulate_block(
         }
     }
     Ok(())
+}
+
+/// What one pruning attempt reads: the rule (already prepared for the
+/// remaining dimensions), the per-row state in segment-local indexing, and
+/// the cell κ is shared through.
+struct PruneInputs<'a> {
+    rule: &'a dyn PruningRule,
+    k: usize,
+    partial: &'a [f64],
+    scanned_mass: Option<&'a [f64]>,
+    total_mass: Option<&'a [f64]>,
+    kappa: Option<&'a dyn KappaCell>,
+}
+
+/// Steps 2–4 of Algorithm 2 — bounds, κ, prune — as one unit: returns how
+/// many candidates the attempt removed.
+trait PruneStep {
+    fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize;
+}
+
+/// The pruning step of [`search_segment`], with the scratch it reuses from
+/// one attempt to the next (nothing is allocated per attempt). Bounds live
+/// at the candidates' *slots* ([`CandidateSet::for_each_slot_if`]): while the
+/// set is a bitmap they are computed for the whole segment in one
+/// [`PruningRule::bounds_all`] call — hole rows get garbage that is never
+/// read, as in [`dense_accumulate_block`] — and the prune is a 64-row
+/// keep-mask AND-ed into each candidate word; once it is a list they are
+/// computed per candidate and indexed by list position.
+#[derive(Default)]
+struct WordwisePrune {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Keeps the k best safe bounds of one attempt, sign-folded so that
+    /// larger is better under either objective.
+    best_safe: Option<TopKLargest>,
+}
+
+impl PruneStep for WordwisePrune {
+    fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
+        let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa } = inputs;
+        match candidates.as_list() {
+            None => {
+                self.lower.resize(partial.len(), 0.0);
+                self.upper.resize(partial.len(), 0.0);
+                rule.bounds_all(
+                    partial,
+                    scanned_mass,
+                    total_mass,
+                    &mut self.lower,
+                    &mut self.upper,
+                );
+            }
+            Some(list) => {
+                self.lower.clear();
+                self.upper.clear();
+                for &row in list {
+                    let idx = row as usize;
+                    let (lo, hi) = rule.bounds(&CandidateState {
+                        partial: partial[idx],
+                        scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
+                        total_mass: total_mass.map_or(0.0, |t| t[idx]),
+                    });
+                    self.lower.push(lo);
+                    self.upper.push(hi);
+                }
+            }
+        }
+        // κ_min is the k-th largest lower bound, κ_max the k-th smallest
+        // upper bound: the k-th largest of `sign · safe` either way.
+        let (safe, optimistic, sign) = match rule.objective() {
+            Objective::Maximize => (&self.lower, &self.upper, 1.0),
+            Objective::Minimize => (&self.upper, &self.lower, -1.0),
+        };
+        let best_safe = self.best_safe.get_or_insert_with(|| TopKLargest::new(k));
+        best_safe.clear();
+        // Only the k-th score is read back, so a bound that cannot raise it
+        // (one that merely ties it included) need not enter the heap: past
+        // the first rows nearly every candidate is turned away by this
+        // compare, 64 rows at a time while the set is a bitmap.
+        let kth = Cell::new(None);
+        candidates.for_each_slot_if(
+            |slot| {
+                let cannot_raise = kth.get().is_some_and(|kth| sign * safe[slot] <= kth);
+                !cannot_raise
+            },
+            |slot, row| {
+                best_safe.push(row, sign * safe[slot]);
+                kth.set(best_safe.kth());
+            },
+        );
+        let local_kappa = kth.get().map(|kth| sign * kth);
+        // κ sharing: publish the locally proven bound and adopt the
+        // tightest one any segment of this query has proven so far.
+        let kappa = match kappa {
+            None => local_kappa,
+            Some(cell) => match local_kappa {
+                Some(local) => Some(cell.tighten(local)),
+                None => cell.current(),
+            },
+        };
+        let Some(kappa) = kappa else { return 0 };
+        // Prune what cannot reach κ: `S_max < κ_min − slack` when maximizing,
+        // `S_min > κ_max + slack` when minimizing — one comparison once the
+        // sign is folded in (a NaN bound compares false and keeps its row).
+        let threshold = sign * kappa - prune_slack(kappa);
+        candidates.retain(|slot| {
+            let misses = sign * optimistic[slot] < threshold;
+            !misses
+        })
+    }
 }
 
 /// Tuning knobs of a BOND search.
@@ -328,6 +440,24 @@ pub fn search_segment(
     params: &BondParams,
     ctx: &SegmentContext<'_>,
 ) -> Result<SearchOutcome> {
+    let mut pruner = WordwisePrune::default();
+    search_segment_with(segment, query, metric, rule, k, weights, params, ctx, &mut pruner)
+}
+
+/// [`search_segment`] with the pruning step passed in, so the tests can run
+/// the whole loop over the per-candidate reference step as well.
+#[allow(clippy::too_many_arguments)]
+fn search_segment_with(
+    segment: &Segment<'_>,
+    query: &[f64],
+    metric: &dyn DecomposableMetric,
+    rule: &mut dyn PruningRule,
+    k: usize,
+    weights: Option<&[f64]>,
+    params: &BondParams,
+    ctx: &SegmentContext<'_>,
+    pruner: &mut impl PruneStep,
+) -> Result<SearchOutcome> {
     let dims = segment.table().dims();
     if query.len() != dims {
         return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
@@ -518,64 +648,19 @@ pub fn search_segment(
 
         // Steps 2–4: bounds, κ, prune.
         rule.prepare(query, &order[processed..]);
-        let mut bounds: Vec<(RowId, f64, f64)> = Vec::with_capacity(candidates.len());
-        candidates.for_each(|row| {
-            let idx = row as usize;
-            let state = CandidateState {
-                partial: partial[idx],
-                scanned_mass: scanned_mass.as_ref().map_or(0.0, |m| m[idx]),
-                total_mass: total_mass.map_or(0.0, |t| t[idx]),
-            };
-            let (lo, hi) = rule.bounds(&state);
-            bounds.push((row, lo, hi));
-        });
-        let local_kappa = match objective {
-            Objective::Maximize => {
-                // κ_min: the k-th largest lower bound
-                let mut heap = TopKLargest::new(k);
-                for &(row, lo, _) in &bounds {
-                    heap.push(row, lo);
-                }
-                heap.kth()
-            }
-            Objective::Minimize => {
-                // κ_max: the k-th smallest upper bound
-                let mut heap = TopKSmallest::new(k);
-                for &(row, _, hi) in &bounds {
-                    heap.push(row, hi);
-                }
-                heap.kth()
-            }
-        };
-        // κ sharing: publish the locally proven bound and adopt the
-        // tightest one any segment of this query has proven so far.
-        let kappa = match ctx.kappa {
-            None => local_kappa,
-            Some(cell) => match local_kappa {
-                Some(local) => Some(cell.tighten(local)),
-                None => cell.current(),
-            },
-        };
         attempts += 1;
         trace.pruning_attempts = attempts;
-        let mut pruned_now = 0usize;
-        if let Some(kappa) = kappa {
-            let slack = prune_slack(kappa);
-            let mut doomed: Vec<RowId> = Vec::new();
-            for &(row, lo, hi) in &bounds {
-                let prune = match objective {
-                    Objective::Maximize => hi < kappa - slack,
-                    Objective::Minimize => lo > kappa + slack,
-                };
-                if prune {
-                    doomed.push(row);
-                }
-            }
-            if !doomed.is_empty() {
-                let doomed_set: std::collections::HashSet<RowId> = doomed.iter().copied().collect();
-                pruned_now = candidates.retain(|row| !doomed_set.contains(&row));
-            }
-        }
+        let pruned_now = pruner.prune(
+            &PruneInputs {
+                rule: &*rule,
+                k,
+                partial: &partial,
+                scanned_mass: scanned_mass.as_deref(),
+                total_mass,
+                kappa: ctx.kappa,
+            },
+            &mut candidates,
+        );
         trace.checkpoints.push(TraceCheckpoint {
             dims_processed: processed,
             candidates: candidates.len(),
@@ -663,6 +748,285 @@ fn rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bond_metrics::{
+        WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule, WeightedSquaredEuclidean,
+    };
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    /// The pruning step [`search_segment`] ran before [`WordwisePrune`]: one
+    /// `bounds` call per candidate into a vector of tuples, a fresh κ heap
+    /// per objective, the doomed rows through a `HashSet`. Kept as the
+    /// reference the word-wise step must reproduce decision for decision.
+    struct PerCandidatePrune;
+
+    impl PruneStep for PerCandidatePrune {
+        fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
+            let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa } = inputs;
+            let objective = rule.objective();
+            let mut bounds: Vec<(RowId, f64, f64)> = Vec::with_capacity(candidates.len());
+            candidates.for_each(|row| {
+                let idx = row as usize;
+                let state = CandidateState {
+                    partial: partial[idx],
+                    scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
+                    total_mass: total_mass.map_or(0.0, |t| t[idx]),
+                };
+                let (lo, hi) = rule.bounds(&state);
+                bounds.push((row, lo, hi));
+            });
+            let local_kappa = match objective {
+                Objective::Maximize => {
+                    let mut heap = TopKLargest::new(k);
+                    for &(row, lo, _) in &bounds {
+                        heap.push(row, lo);
+                    }
+                    heap.kth()
+                }
+                Objective::Minimize => {
+                    let mut heap = TopKSmallest::new(k);
+                    for &(row, _, hi) in &bounds {
+                        heap.push(row, hi);
+                    }
+                    heap.kth()
+                }
+            };
+            let kappa = match kappa {
+                None => local_kappa,
+                Some(cell) => match local_kappa {
+                    Some(local) => Some(cell.tighten(local)),
+                    None => cell.current(),
+                },
+            };
+            let Some(kappa) = kappa else { return 0 };
+            let slack = prune_slack(kappa);
+            let doomed: HashSet<RowId> = bounds
+                .iter()
+                .filter(|&&(_, lo, hi)| match objective {
+                    Objective::Maximize => hi < kappa - slack,
+                    Objective::Minimize => lo > kappa + slack,
+                })
+                .map(|&(row, _, _)| row)
+                .collect();
+            match candidates {
+                CandidateSet::Bits(bits) => doomed.iter().for_each(|&row| bits.clear(row)),
+                CandidateSet::List(list) => list.retain(|row| !doomed.contains(row)),
+            }
+            doomed.len()
+        }
+    }
+
+    /// [`WordwisePrune`], counting what it removed from bitmaps and from
+    /// lists — so the comparison can show it covered both phases.
+    struct CountingPrune<'c>(WordwisePrune, &'c Cell<(usize, usize)>);
+
+    impl PruneStep for CountingPrune<'_> {
+        fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
+            let was_bitmap = candidates.is_bitmap();
+            let removed = self.0.prune(inputs, candidates);
+            let (from_bitmaps, from_lists) = self.1.get();
+            self.1.set(if was_bitmap {
+                (from_bitmaps + removed, from_lists)
+            } else {
+                (from_bitmaps, from_lists + removed)
+            });
+            removed
+        }
+    }
+
+    /// A κ cell that pools bounds the way the engine's does and keeps every
+    /// value a search published, in order.
+    struct RecordingCell {
+        objective: Objective,
+        state: Mutex<(Option<f64>, Vec<u64>)>,
+    }
+
+    impl RecordingCell {
+        fn new(objective: Objective) -> Self {
+            RecordingCell { objective, state: Mutex::new((None, Vec::new())) }
+        }
+
+        fn published(&self) -> Vec<u64> {
+            self.state.lock().unwrap().1.clone()
+        }
+    }
+
+    impl KappaCell for RecordingCell {
+        fn tighten(&self, local: f64) -> f64 {
+            let mut state = self.state.lock().unwrap();
+            state.1.push(local.to_bits());
+            let merged = match (state.0, self.objective) {
+                (None, _) => local,
+                (Some(shared), Objective::Maximize) => shared.max(local),
+                (Some(shared), Objective::Minimize) => shared.min(local),
+            };
+            state.0 = Some(merged);
+            merged
+        }
+
+        fn current(&self) -> Option<f64> {
+            self.state.lock().unwrap().0
+        }
+    }
+
+    /// Peaky normalized histograms: a handful of rows resemble the query, so
+    /// the candidate set shrinks step by step instead of all at once.
+    fn generated_table(rows: usize, dims: usize, seed: u64) -> DecomposedTable {
+        let mut state = seed;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let vectors: Vec<Vec<f64>> = (0..rows)
+            .map(|_| {
+                let mut v: Vec<f64> = (0..dims).map(|_| next().powi(4) + 1e-3).collect();
+                let total: f64 = v.iter().sum();
+                v.iter_mut().for_each(|x| *x /= total);
+                v
+            })
+            .collect();
+        DecomposedTable::from_vectors("generated", &vectors).unwrap()
+    }
+
+    /// One query over a table cut into segments that share a κ cell, as
+    /// they do in the engine.
+    struct Case<'a> {
+        segments: &'a [Segment<'a>],
+        query: &'a [f64],
+        metric: &'a dyn DecomposableMetric,
+        new_rule: &'a dyn Fn() -> Box<dyn PruningRule>,
+        /// The segment-local eligibility bitmap for a segment of that length.
+        filter: &'a dyn Fn(usize) -> Option<Bitmap>,
+        k: usize,
+        params: BondParams,
+    }
+
+    impl Case<'_> {
+        /// Searches the segments in order with the given pruning step;
+        /// returns the outcomes and every κ published on the way.
+        fn run<P: PruneStep>(&self, new_pruner: impl Fn() -> P) -> (Vec<SearchOutcome>, Vec<u64>) {
+            let cell = RecordingCell::new(self.metric.objective());
+            let outcomes = self
+                .segments
+                .iter()
+                .map(|segment| {
+                    let filter = (self.filter)(segment.len());
+                    let ctx = SegmentContext {
+                        kappa: Some(&cell),
+                        filter: filter.as_ref(),
+                        ..SegmentContext::default()
+                    };
+                    search_segment_with(
+                        segment,
+                        self.query,
+                        self.metric,
+                        (self.new_rule)().as_mut(),
+                        self.k,
+                        None,
+                        &self.params,
+                        &ctx,
+                        &mut new_pruner(),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            (outcomes, cell.published())
+        }
+    }
+
+    #[test]
+    fn wordwise_step_reproduces_the_per_candidate_step_decision_for_decision() {
+        const DIMS: usize = 12;
+        let weights: Vec<f64> = (0..DIMS).map(|d| [2.0, 0.0, 0.5, 1.0][d % 4]).collect();
+        let weighted_hist = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let weighted_euclid = WeightedSquaredEuclidean::new(weights.clone()).unwrap();
+        type NewRule<'a> = Box<dyn Fn() -> Box<dyn PruningRule> + 'a>;
+        let rules: [(&dyn DecomposableMetric, NewRule<'_>); 6] = [
+            (&HistogramIntersection, Box::new(|| Box::new(HqRule::new()))),
+            (&HistogramIntersection, Box::new(|| Box::new(HhRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EqRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EvRule::new()))),
+            (&weighted_hist, Box::new(|| Box::new(WeightedHqRule::new(weights.clone())))),
+            (&weighted_euclid, Box::new(|| Box::new(WeightedEvRule::new(weights.clone())))),
+        ];
+        let filters: [Box<dyn Fn(usize) -> Option<Bitmap>>; 3] = [
+            Box::new(|_| None),
+            Box::new(|len| Some(Bitmap::from_rows(len, &[len as RowId / 2]))),
+            Box::new(|len| {
+                let tenth: Vec<RowId> = (0..len as RowId).filter(|r| r % 10 == 4).collect();
+                Some(Bitmap::from_rows(len, &tenth))
+            }),
+        ];
+        let schedules = [
+            BlockSchedule::Fixed(1),
+            BlockSchedule::Fixed(8),
+            BlockSchedule::Doubling { first: 1 },
+        ];
+        let mut cases = 0usize;
+        let pruned = Cell::new((0usize, 0usize));
+        for (rows, seed) in [(70usize, 0xB0D5_EED1u64), (257, 0x5EED_CAFE_F00D)] {
+            for tombstones in [false, true] {
+                let mut table = generated_table(rows, DIMS, seed);
+                if tombstones {
+                    for row in (3..rows).step_by(7) {
+                        table.delete(row as RowId).unwrap();
+                    }
+                }
+                let query = table.row(5).unwrap();
+                // the second segment starts inside a 64-row bitmap word
+                let split = rows / 2 + 3;
+                let segments =
+                    [table.segment(0..split).unwrap(), table.segment(split..rows).unwrap()];
+                for (metric, new_rule) in &rules {
+                    for filter in &filters {
+                        for k in [1, 10, rows] {
+                            for schedule in schedules {
+                                for materialize_threshold in [0.05, 0.5] {
+                                    let case = Case {
+                                        segments: &segments,
+                                        query: &query,
+                                        metric: *metric,
+                                        new_rule,
+                                        filter,
+                                        k,
+                                        params: BondParams {
+                                            schedule,
+                                            materialize_threshold,
+                                            ..BondParams::default()
+                                        },
+                                    };
+                                    let (wordwise, wordwise_kappas) = case
+                                        .run(|| CountingPrune(WordwisePrune::default(), &pruned));
+                                    let (reference, reference_kappas) =
+                                        case.run(|| PerCandidatePrune);
+                                    let what = format!(
+                                        "{rows} rows, tombstones {tombstones}, {}, k {k}, \
+                                         {schedule:?}, materialize at {materialize_threshold}",
+                                        new_rule().name()
+                                    );
+                                    // hits, checkpoints, contributions_evaluated, …
+                                    assert_eq!(wordwise, reference, "{what}");
+                                    assert_eq!(wordwise_kappas, reference_kappas, "{what}");
+                                    for (a, b) in wordwise.iter().zip(&reference) {
+                                        let bits = |o: &SearchOutcome| -> Vec<u64> {
+                                            o.hits.iter().map(|h| h.score.to_bits()).collect()
+                                        };
+                                        assert_eq!(bits(a), bits(b), "{what}");
+                                    }
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2);
+        let (from_bitmaps, from_lists) = pruned.get();
+        assert!(from_bitmaps > 1_000 && from_lists > 1_000, "{from_bitmaps} / {from_lists}");
+    }
 
     /// Table 2's collection (h6 kept exactly as printed, mass 0.95).
     fn example_table() -> DecomposedTable {

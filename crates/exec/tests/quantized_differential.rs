@@ -1,15 +1,22 @@
-//! A generated differential test of [`ScanMode::QuantizedFilter`] — the
-//! progressive code sweep in front of the exact search — against
-//! [`ScanMode::Exact`] and the sequential reference: hits must be
-//! bit-identical, scores and row ids, across
+//! Generated differential tests of the engine's scan modes, hits compared
+//! bit for bit — scores and row ids:
+//!
+//! * [`ScanMode::QuantizedFilter`] — the progressive code sweep in front of
+//!   the exact search — against [`ScanMode::Exact`] and the sequential
+//!   reference, across planners {Uniform, Adaptive, Feedback};
+//! * [`ScanMode::Exact`] under the `Uniform` planner against the sequential
+//!   reference and a row-by-row brute force.
+//!
+//! Both run over
 //!
 //! * layouts {cluster-major, shuffled, groups of identical rows that tie
 //!   exactly at rank k} — clustered and near-duplicate sets are where the
 //!   code bounds are tightest and ties common,
 //! * all six rules (the weighted ones with zero weights),
 //! * predicate filters {1 row, 0.1 %, 10 %, 90 %, none} and tombstones,
-//! * `k ∈ {1, 10, every eligible row, one more than that}`,
-//! * partitions {1, 3, 8} and planners {Uniform, Adaptive, Feedback},
+//! * `k ∈ {1, 10, every eligible row}` (and one more than that, which the
+//!   engine must refuse),
+//! * partitions {1, 3, 8},
 //! * the forced scalar kernel and the dispatched one.
 //!
 //! The kernel is latched once per process, so the scalar leg re-executes
@@ -18,6 +25,7 @@
 
 use std::process::Command;
 
+use bond::metrics::Objective;
 use bond::BondError;
 use bond_datagen::ClusteredConfig;
 use bond_exec::{Engine, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
@@ -206,22 +214,148 @@ fn quantized_filter_matches_exact_across_the_generated_matrix() {
     // prune, and the one-row filter never reaches `k` rows per segment)
     assert!(swept >= 400, "only {swept} cases swept any code: the matrix misses the sweep");
 
-    // the same matrix on the portable scalar kernel, in a process of its own
+    let scalar = scalar_leg_digest("quantized_filter_matches_exact_across_the_generated_matrix");
+    assert_eq!(scalar, format!("{digest:016x}"), "the forced scalar kernel changed an answer");
+}
+
+/// Re-runs the named test of this binary in a process of its own with the
+/// portable scalar kernel forced — where `BOND_DIFFERENTIAL_PROBE` makes it
+/// print its digest instead of recursing — and returns that digest.
+fn scalar_leg_digest(test: &str) -> String {
     let out = Command::new(std::env::current_exe().unwrap())
-        .args([
-            "quantized_filter_matches_exact_across_the_generated_matrix",
-            "--exact",
-            "--nocapture",
-        ])
+        .args([test, "--exact", "--nocapture"])
         .env("BOND_DIFFERENTIAL_PROBE", "1")
         .env("BOND_KERNEL", "scalar")
         .output()
         .expect("probe process spawns");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "scalar-kernel leg failed:\n{stdout}");
-    let scalar = stdout
+    stdout
         .split_whitespace()
         .find_map(|t| t.strip_prefix("DIGEST="))
-        .unwrap_or_else(|| panic!("scalar-kernel leg printed no digest:\n{stdout}"));
+        .unwrap_or_else(|| panic!("scalar-kernel leg printed no digest:\n{stdout}"))
+        .to_string()
+}
+
+/// The `Exact` matrix under whatever kernel this process latched; returns
+/// the digest of all answers and how many cases pruned anything.
+fn run_exact_matrix() -> (u64, usize) {
+    let rules = rules();
+    let filters = filters();
+    let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+    let (mut case, mut pruned) = (0usize, 0usize);
+    for layout in [Layout::ClusterMajor, Layout::Shuffled, Layout::Duplicates] {
+        for tombstones in [false, true] {
+            let table = table(layout, tombstones);
+            for partitions in [1usize, 3, 8] {
+                let engine = Engine::builder(table.clone())
+                    .partitions(partitions)
+                    .threads(1)
+                    .planner(PlannerKind::Uniform)
+                    .build()
+                    .unwrap();
+                for rule in &rules {
+                    for filter in &filters {
+                        case += 1;
+                        let ctx = format!(
+                            "case {case}: {layout:?} tombstones={tombstones} \
+                             partitions={partitions} {} filter={:?}",
+                            rule.name(),
+                            filter.as_ref().map(Bitmap::count)
+                        );
+                        pruned += check_exact_case(
+                            &engine,
+                            rule,
+                            filter.as_ref(),
+                            case,
+                            &ctx,
+                            &mut digest,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    (digest.0, pruned)
+}
+
+/// One generated `Exact` case: a member query and a `k` picked by the case
+/// number. Returns whether the search evaluated fewer cells than a scan of
+/// every eligible row would.
+fn check_exact_case(
+    engine: &Engine,
+    rule: &RuleKind,
+    filter: Option<&Bitmap>,
+    case: usize,
+    ctx: &str,
+    digest: &mut Digest,
+) -> usize {
+    let table = engine.table();
+    let is_eligible = |row: u32| filter.is_none_or(|f| f.get(row));
+    let live = table.live_bitmap();
+    let eligible: Vec<u32> = live.iter().filter(|&r| is_eligible(r)).collect();
+    let query = table.row(((case * 37) % ROWS) as u32).unwrap();
+    let k = [1, 10.min(eligible.len()), eligible.len()][case % 3];
+    let mut exact = QuerySpec::new(query.clone(), k).rule(rule.clone()).scan_mode(ScanMode::Exact);
+    if let Some(filter) = filter {
+        exact = exact.filter(filter.clone());
+    }
+    let outcome = engine.search_spec(&exact).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let got = &outcome.hits;
+    assert_eq!(got.len(), k, "{ctx}");
+
+    // The sequential searcher asked for every live row ranks them all
+    // exactly, in the engine's dimension order and `(score, row)` order;
+    // the predicate then keeps the eligible prefix.
+    let everything = QuerySpec::new(query.clone(), table.live_rows()).rule(rule.clone());
+    let ranking = engine.sequential_reference_spec(&everything).unwrap();
+    let want: Vec<_> = ranking.into_iter().filter(|h| is_eligible(h.row)).take(k).collect();
+    assert_eq!(got, &want, "{ctx}: diverged from the filtered sequential ranking");
+    if filter.is_none() {
+        let reference = engine.sequential_reference_spec(&exact).unwrap();
+        assert_eq!(got, &reference, "{ctx}: diverged from the sequential reference");
+    }
+
+    // Brute force, row by row (its sums run in another order, hence the
+    // tolerance): the answer's scores are the k best eligible scores.
+    let metric = rule.make_metric();
+    let score = |row: u32| metric.score(&table.row(row).unwrap(), &query);
+    let best_first = |scores: &mut Vec<f64>| {
+        scores.sort_by(|a, b| a.total_cmp(b));
+        if metric.objective() == Objective::Maximize {
+            scores.reverse();
+        }
+    };
+    let mut brute: Vec<f64> = eligible.iter().map(|&row| score(row)).collect();
+    best_first(&mut brute);
+    let mut answered: Vec<f64> = got.iter().map(|h| score(h.row)).collect();
+    best_first(&mut answered);
+    for (rank, (a, b)) in answered.iter().zip(&brute).enumerate() {
+        assert!((a - b).abs() < 1e-9, "{ctx}: rank {rank} scores {a}, brute force has {b}");
+    }
+    for (i, hit) in got.iter().enumerate() {
+        assert!(live.get(hit.row), "{ctx}: tombstoned row {}", hit.row);
+        assert!(is_eligible(hit.row), "{ctx}: ineligible row {}", hit.row);
+        assert!(got[..i].iter().all(|h| h.row != hit.row), "{ctx}: row {} twice", hit.row);
+        assert!((hit.score - score(hit.row)).abs() < 1e-9, "{ctx}: row {} mis-scored", hit.row);
+        digest.fold(u64::from(hit.row));
+        digest.fold(hit.score.to_bits());
+    }
+    assert_eq!(outcome.quant_filter_cells(), 0, "{ctx}");
+    usize::from(outcome.contributions_evaluated() < (eligible.len() * DIMS) as u64)
+}
+
+#[test]
+fn exact_matches_the_sequential_reference_and_brute_force_across_the_generated_matrix() {
+    let (digest, pruned) = run_exact_matrix();
+    if std::env::var("BOND_DIFFERENTIAL_PROBE").is_ok() {
+        println!("DIGEST={digest:016x} PRUNED={pruned}");
+        return;
+    }
+    // (a third of the `k`s — every eligible row — leave nothing to prune)
+    assert!(pruned >= 150, "only {pruned} cases pruned anything: the matrix misses the step");
+    let scalar = scalar_leg_digest(
+        "exact_matches_the_sequential_reference_and_brute_force_across_the_generated_matrix",
+    );
     assert_eq!(scalar, format!("{digest:016x}"), "the forced scalar kernel changed an answer");
 }

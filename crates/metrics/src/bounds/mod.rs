@@ -81,6 +81,43 @@ pub trait PruningRule: Send + Sync {
     /// consistent with the candidate state.
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64);
 
+    /// [`PruningRule::bounds`] for every row of a segment at once:
+    /// `lower[i]` / `upper[i]` receive exactly the pair `bounds` returns for
+    /// the state `(partial[i], scanned_mass[i], total_mass[i])`, an absent
+    /// mass slice standing for zeros. Rows the caller no longer tracks may
+    /// hold arbitrary values (NaN, ±∞); their outputs are garbage that the
+    /// caller must not read.
+    ///
+    /// This is **one** virtual call per pruning attempt instead of one per
+    /// candidate: inside this provided body `self` is the concrete rule, so
+    /// `bounds` inlines into the loop. Rules need not override it.
+    ///
+    /// # Panics
+    /// Panics if any slice's length differs from `partial`'s.
+    fn bounds_all(
+        &self,
+        partial: &[f64],
+        scanned_mass: Option<&[f64]>,
+        total_mass: Option<&[f64]>,
+        lower: &mut [f64],
+        upper: &mut [f64],
+    ) {
+        let rows = partial.len();
+        assert_eq!(lower.len(), rows, "lower bounds cover a different row count");
+        assert_eq!(upper.len(), rows, "upper bounds cover a different row count");
+        for mass in [scanned_mass, total_mass].into_iter().flatten() {
+            assert_eq!(mass.len(), rows, "mass slice covers a different row count");
+        }
+        for (row, (lo, hi)) in lower.iter_mut().zip(upper.iter_mut()).enumerate() {
+            let state = CandidateState {
+                partial: partial[row],
+                scanned_mass: scanned_mass.map_or(0.0, |m| m[row]),
+                total_mass: total_mass.map_or(0.0, |t| t[row]),
+            };
+            (*lo, *hi) = self.bounds(&state);
+        }
+    }
+
     /// A short name used in experiment reports ("Hq", "Ev", ...).
     fn name(&self) -> &'static str;
 }
@@ -103,6 +140,14 @@ mod tests {
         assert_eq!(c.partial, 0.5);
         assert_eq!(c.scanned_mass, 0.0);
         assert_eq!(c.total_mass, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mass slice covers a different row count")]
+    fn bounds_all_rejects_a_short_mass_slice() {
+        let rule = histogram::HhRule::new();
+        let (mut lower, mut upper) = ([0.0; 3], [0.0; 3]);
+        rule.bounds_all(&[0.1, 0.2, 0.3], Some(&[0.0; 2]), None, &mut lower, &mut upper);
     }
 
     #[test]

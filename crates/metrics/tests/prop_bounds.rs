@@ -58,6 +58,72 @@ fn state_for(v: &[f64], metric: &dyn DecomposableMetric, q: &[f64], m: usize) ->
     }
 }
 
+/// One entry of a per-row state array: usually a plausible score or mass,
+/// sometimes the garbage a row that is no longer a candidate may hold.
+fn state_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..=4.0,
+        0.0f64..=4.0,
+        0.0f64..=4.0,
+        -1e300f64..=1e300,
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+const MAX_ROWS: usize = 150;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn bounds_all_equals_per_candidate_bounds_bit_for_bit(
+        q in unit_vector(),
+        w in weights(),
+        m in split(),
+        partial in proptest::collection::vec(state_value(), 0..=MAX_ROWS),
+        scanned in proptest::collection::vec(state_value(), MAX_ROWS),
+        total in proptest::collection::vec(state_value(), MAX_ROWS),
+        with_scanned in proptest::bool::ANY,
+        with_total in proptest::bool::ANY,
+    ) {
+        let rows = partial.len();
+        let scanned = with_scanned.then(|| &scanned[..rows]);
+        let total = with_total.then(|| &total[..rows]);
+        let (_, remaining) = scanned_remaining(m);
+        let mut rules: Vec<Box<dyn PruningRule>> = vec![
+            Box::new(HqRule::new()),
+            Box::new(HhRule::new()),
+            Box::new(EqRule::new()),
+            Box::new(EvRule::new()),
+            Box::new(WeightedHqRule::new(w.clone())),
+            Box::new(WeightedEvRule::new(w)),
+        ];
+        for rule in &mut rules {
+            rule.prepare(&q, &remaining);
+            // stale outputs of an earlier attempt must be overwritten
+            let mut lower = vec![f64::NAN; rows];
+            let mut upper = vec![f64::NAN; rows];
+            rule.bounds_all(&partial, scanned, total, &mut lower, &mut upper);
+            for row in 0..rows {
+                let (lo, hi) = rule.bounds(&CandidateState {
+                    partial: partial[row],
+                    scanned_mass: scanned.map_or(0.0, |s| s[row]),
+                    total_mass: total.map_or(0.0, |t| t[row]),
+                });
+                // (which NaN comes out of a NaN input is not pinned down)
+                for (all, one) in [(lower[row], lo), (upper[row], hi)] {
+                    prop_assert!(
+                        all.to_bits() == one.to_bits() || (all.is_nan() && one.is_nan()),
+                        "{} row {}: bounds_all {} vs bounds {}", rule.name(), row, all, one
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 

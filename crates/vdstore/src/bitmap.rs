@@ -151,6 +151,24 @@ impl Bitmap {
         }
     }
 
+    /// Word-wise retain: for every 64-row word that still has a set bit,
+    /// `keep_mask(word_index)` returns the rows to keep (bit `b` is row
+    /// `word_index * 64 + b`) and the word is AND-ed with it. Mask bits of
+    /// rows that are clear — or past [`Bitmap::len`] — are ignored, so the
+    /// callback may compute them from garbage; all-clear words are
+    /// skipped. Returns the number of rows cleared.
+    pub fn retain_words(&mut self, mut keep_mask: impl FnMut(usize) -> u64) -> usize {
+        let mut cleared = 0usize;
+        for (index, word) in self.words.iter_mut().enumerate() {
+            if *word != 0 {
+                let kept = *word & keep_mask(index);
+                cleared += (*word ^ kept).count_ones() as usize;
+                *word = kept;
+            }
+        }
+        cleared
+    }
+
     /// Iterates over the set rows in ascending order.
     pub fn iter(&self) -> BitmapIter<'_> {
         BitmapIter { bitmap: self, word_idx: 0, current: self.words.first().copied().unwrap_or(0) }
@@ -159,7 +177,10 @@ impl Bitmap {
     /// Materialises the set rows into a vector (the "switch to positional
     /// joins" moment of Section 6.1).
     pub fn to_rows(&self) -> Vec<RowId> {
-        self.iter().collect()
+        // sized up front: the iterator has no length hint to collect by
+        let mut rows = Vec::with_capacity(self.count());
+        rows.extend(self.iter());
+        rows
     }
 
     /// Extracts the bits of `range` into a new bitmap of length
@@ -346,6 +367,32 @@ mod tests {
         and.and_with(&b);
         assert_eq!(and.count(), a.intersection_count(&b));
         assert_eq!(a.intersection_count(&Bitmap::new(130)), 0);
+    }
+
+    #[test]
+    fn retain_words_masks_whole_words_and_counts_what_it_cleared() {
+        // 130 rows: two full words and a trailing word of two rows; the
+        // middle word is all clear
+        let rows: Vec<RowId> = vec![0, 1, 5, 63, 128, 129];
+        let mut b = Bitmap::from_rows(130, &rows);
+        let before = b.count();
+        let mut visited = Vec::new();
+        // keep odd rows only; the mask is all-ones past the bitmap's length
+        // and over clear rows, both of which must be ignored
+        let cleared = b.retain_words(|index| {
+            visited.push(index);
+            0xAAAA_AAAA_AAAA_AAAA
+        });
+        assert_eq!(visited, vec![0, 2], "the all-clear middle word is skipped");
+        assert_eq!(b.to_rows(), vec![1, 5, 63, 129]);
+        assert_eq!(cleared, before - b.count());
+        assert_eq!(b.words()[2] >> 2, 0, "bits past len stay clear");
+        // an all-ones mask clears nothing, an all-zero mask everything
+        assert_eq!(b.retain_words(|_| u64::MAX), 0);
+        assert_eq!(b.retain_words(|_| 0), 4);
+        assert_eq!(b.count(), 0);
+        // and once every word is clear the callback is never asked
+        assert_eq!(b.retain_words(|_| unreachable!("all-clear words are skipped")), 0);
     }
 
     #[test]

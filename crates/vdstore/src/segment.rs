@@ -135,10 +135,13 @@ impl<'a> Segment<'a> {
 
     /// The live-row bitmap of this segment, in *local* indexing: bit `i` is
     /// set iff table row `start + i` is not tombstoned. This is the initial
-    /// candidate set of a per-segment BOND search. Word-wise, so per-query
-    /// candidate-set setup costs O(rows / 64) like the sequential engine's.
+    /// candidate set of a per-segment BOND search. Word-wise over the
+    /// segment's own window of the tombstones, so it costs O(len / 64)
+    /// however large the table is.
     pub fn live_bitmap(&self) -> Bitmap {
-        self.table.live_bitmap().slice(self.range())
+        let mut live = self.table.tombstones().slice(self.range());
+        live.negate();
+        live
     }
 
     /// Per-row total masses `T(x)` of the segment's rows, in local order —
@@ -418,6 +421,22 @@ mod tests {
         assert_eq!(s.live_rows(), 3);
         let untouched = t.segment(0..4).unwrap();
         assert_eq!(untouched.live_rows(), 4);
+    }
+
+    #[test]
+    fn live_bitmap_of_unaligned_ranges_matches_the_table_bitmap() {
+        // 200 rows so that ranges start and end inside 64-row words
+        let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64]).collect();
+        let mut t = DecomposedTable::from_vectors("wide", &rows).unwrap();
+        for row in [0, 5, 63, 64, 70, 127, 128, 199] {
+            t.delete(row).unwrap();
+        }
+        for range in [0..200, 3..200, 5..70, 63..65, 64..128, 70..199, 130..130] {
+            let s = t.segment(range.clone()).unwrap();
+            let live = s.live_bitmap();
+            assert_eq!(live, t.live_bitmap().slice(range.clone()), "range {range:?}");
+            assert_eq!(live.count(), s.live_rows(), "range {range:?}");
+        }
     }
 
     #[test]

@@ -211,6 +211,11 @@ impl DecomposedTable {
         self.deleted.get(row)
     }
 
+    /// The tombstone bitmap: a set bit marks a deleted row.
+    pub(crate) fn tombstones(&self) -> &Bitmap {
+        &self.deleted
+    }
+
     /// The bitmap of live rows (complement of the tombstones). This is the
     /// bitmap BOND starts its candidate set from, and the one a prior
     /// relational predicate would be intersected into.

@@ -60,12 +60,17 @@ impl TopKLargest {
         let item = std::cmp::Reverse(Scored { row, score });
         if self.heap.len() < self.k {
             self.heap.push(item);
-        } else if let Some(top) = self.heap.peek() {
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            // replace the weakest entry in place: one sift instead of two
             if item < *top {
-                self.heap.pop();
-                self.heap.push(item);
+                *top = item;
             }
         }
+    }
+
+    /// Forgets every retained entry, keeping `k` and the allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
     /// Number of retained entries (≤ k).
@@ -124,10 +129,10 @@ impl TopKSmallest {
         let item = Scored { row, score };
         if self.heap.len() < self.k {
             self.heap.push(item);
-        } else if let Some(top) = self.heap.peek() {
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            // replace the weakest entry in place: one sift instead of two
             if item < *top {
-                self.heap.pop();
-                self.heap.push(item);
+                *top = item;
             }
         }
     }
@@ -219,6 +224,68 @@ mod tests {
             b.push(i as RowId, s);
         }
         assert_eq!(a.into_sorted_vec(), b.into_sorted_vec());
+    }
+
+    /// The eviction `push` used before the in-place `peek_mut` replacement.
+    fn pop_then_push<T: Ord>(heap: &mut BinaryHeap<T>, k: usize, item: T) {
+        if heap.len() < k {
+            heap.push(item);
+        } else if heap.peek().is_some_and(|top| item < *top) {
+            heap.pop();
+            heap.push(item);
+        }
+    }
+
+    #[test]
+    fn in_place_eviction_retains_what_pop_then_push_retained() {
+        // few distinct scores over many rows: duplicate scores everywhere,
+        // so evictions are decided by the row-id tie-break
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for k in [1, 2, 7, 64] {
+            let mut largest = TopKLargest::new(k);
+            let mut smallest = TopKSmallest::new(k);
+            let mut old_largest = BinaryHeap::new();
+            let mut old_smallest = BinaryHeap::new();
+            for _ in 0..500 {
+                let row = (next() % 40) as RowId;
+                let score = (next() % 5) as f64 * 0.25;
+                largest.push(row, score);
+                smallest.push(row, score);
+                pop_then_push(&mut old_largest, k, std::cmp::Reverse(Scored { row, score }));
+                pop_then_push(&mut old_smallest, k, Scored { row, score });
+                assert_eq!(largest.weakest(), old_largest.peek().map(|r| r.0.score));
+                assert_eq!(smallest.weakest(), old_smallest.peek().map(|s| s.score));
+            }
+            assert_eq!(largest.kth(), largest.weakest(), "500 offers fill every k here");
+            assert_eq!(smallest.kth(), smallest.weakest());
+            let mut expected: Vec<Scored> = old_largest.into_iter().map(|r| r.0).collect();
+            expected.sort_by(|a, b| b.cmp(a));
+            assert_eq!(largest.into_sorted_vec(), expected, "k = {k}");
+            let mut expected: Vec<Scored> = old_smallest.into_iter().collect();
+            expected.sort();
+            assert_eq!(smallest.into_sorted_vec(), expected, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn clear_keeps_k() {
+        let mut t = TopKLargest::new(2);
+        for (i, s) in [0.4, 0.9, 0.1].into_iter().enumerate() {
+            t.push(i as RowId, s);
+        }
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.kth(), None);
+        t.push(7, 0.5);
+        t.push(8, 0.25);
+        t.push(9, 0.75);
+        assert_eq!(t.kth(), Some(0.5));
     }
 
     #[test]
