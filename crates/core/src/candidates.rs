@@ -11,9 +11,12 @@
 
 use vdstore::{Bitmap, RowId};
 
+use crate::kernels::{self, Kernel, SurviveTest};
+
 /// Rows per candidate-bitmap word — the granularity at which the word-wise
-/// passes (this module's, the quantized filter's sweep) skip dead rows.
-pub(crate) const WORD_ROWS: usize = 64;
+/// passes (this module's, the quantized filter's sweep) skip dead rows and
+/// one survive mask tests.
+pub(crate) const WORD_ROWS: usize = kernels::MASK_ROWS;
 
 /// The evolving candidate set of a BOND search.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,62 +73,89 @@ impl CandidateSet {
         }
     }
 
-    /// Calls `f(slot, row)`, in ascending order, for the surviving rows
-    /// whose slot passes `pass`.
+    /// Calls `f(slot, row)`, in ascending order, for the candidates whose
+    /// value `sign · values[slot]` is above the bar `f` returned last
+    /// (every candidate until `f` first returns `Some`) — the κ-entry
+    /// test: `f` offers the row to a k-heap and returns the heap's k-th
+    /// score, and a value that merely ties it could not raise it.
     ///
     /// A candidate's *slot* is where per-candidate scratch for it lives: its
-    /// row id while the set is a bitmap (scratch covers the whole segment),
-    /// its position once the set is a list (scratch covers the list only).
+    /// row id while the set is a bitmap (`values` covers the whole
+    /// segment), its position once the set is a list (`values` covers the
+    /// list only).
     ///
-    /// In the bitmap phase `pass` runs 64 rows at a time, before `f` sees
-    /// any row of that word: it is also asked about rows that are not
-    /// candidates (their scratch may be garbage; the answer is ignored),
-    /// and state that `f` updates reaches it up to a word late — fine for
-    /// a filter that only spares `f` work it would itself reject.
-    pub fn for_each_slot_if(&self, pass: impl Fn(usize) -> bool, mut f: impl FnMut(usize, RowId)) {
+    /// In the bitmap phase the test is one [`kernels::survive_mask`] per
+    /// 64-row word, taken before `f` sees any row of it: values of rows
+    /// that are not candidates may be garbage (the answer is ignored), and
+    /// a bar `f` raises reaches the test a word late — fine for a filter
+    /// that only spares `f` work it would itself reject. In the list phase
+    /// the same predicate runs per position, against the latest bar.
+    ///
+    /// # Panics
+    /// Panics if `values` does not cover exactly the set's slots.
+    pub fn for_each_slot_above(
+        &self,
+        kernel: Kernel,
+        values: &[f64],
+        sign: f64,
+        mut f: impl FnMut(usize, RowId) -> Option<f64>,
+    ) {
+        let above = |bar| SurviveTest { sign, add: 0.0, bar, inclusive: true };
+        let mut bar: Option<f64> = None;
         match self {
             CandidateSet::Bits(b) => {
+                assert_eq!(values.len(), b.len(), "values must cover every row of the bitmap");
                 for (index, &word) in b.words().iter().enumerate() {
                     if word == 0 {
                         continue;
                     }
-                    let mut hits = word & word_mask(index, b.len(), &pass);
+                    let mut hits = match bar {
+                        Some(bar) => {
+                            let x = word_values(values, index);
+                            word & kernels::survive_mask(kernel, above(bar), x, 1, 0)
+                        }
+                        None => word,
+                    };
                     while hits != 0 {
                         let row = index * WORD_ROWS + hits.trailing_zeros() as usize;
                         hits &= hits - 1;
-                        f(row, row as RowId);
+                        bar = f(row, row as RowId);
                     }
                 }
             }
             CandidateSet::List(l) => {
-                for (pos, &row) in l.iter().enumerate() {
-                    if pass(pos) {
-                        f(pos, row);
+                assert_eq!(values.len(), l.len(), "values must cover every listed row");
+                for (pos, (&row, &value)) in l.iter().zip(values).enumerate() {
+                    if bar.is_none_or(|bar| above(bar).survives(value)) {
+                        bar = f(pos, row);
                     }
                 }
             }
         }
     }
 
-    /// Retains only the candidates whose slot (see
-    /// [`CandidateSet::for_each_slot_if`]) passes `keep`; returns the
-    /// number of rows removed. In the bitmap phase the test runs 64 rows at
-    /// a time into a keep-mask that is AND-ed into the candidate word, so
-    /// `keep` is also asked about rows that are not candidates and its
-    /// answer for them is ignored.
-    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) -> usize {
+    /// Retains only the candidates whose value `values[slot]` (slots as in
+    /// [`CandidateSet::for_each_slot_above`]) passes `test`; returns the
+    /// number of rows removed. In the bitmap phase each word is AND-ed
+    /// with its [`kernels::survive_mask`], so values of rows that are not
+    /// candidates are tested too and the answer for them is ignored; in
+    /// the list phase the same predicate runs per position.
+    ///
+    /// # Panics
+    /// Panics if `values` does not cover exactly the set's slots.
+    pub fn retain(&mut self, kernel: Kernel, values: &[f64], test: SurviveTest) -> usize {
         match self {
             CandidateSet::Bits(b) => {
-                let rows = b.len();
-                b.retain_words(|index| word_mask(index, rows, &keep))
+                assert_eq!(values.len(), b.len(), "values must cover every row of the bitmap");
+                b.retain_words(|index| {
+                    kernels::survive_mask(kernel, test, word_values(values, index), 1, 0)
+                })
             }
             CandidateSet::List(l) => {
+                assert_eq!(values.len(), l.len(), "values must cover every listed row");
                 let before = l.len();
-                let mut pos = 0;
-                l.retain(|_| {
-                    pos += 1;
-                    keep(pos - 1)
-                });
+                let mut values = values.iter();
+                l.retain(|_| values.next().is_some_and(|&value| test.survives(value)));
                 before - l.len()
             }
         }
@@ -163,16 +193,11 @@ impl CandidateSet {
     }
 }
 
-/// Bit `b` of the result is `test(index * 64 + b)`, for the rows of word
-/// `index` that exist in a `rows`-row bitmap — branch-free, whatever the
-/// word holds.
-fn word_mask(index: usize, rows: usize, test: impl Fn(usize) -> bool) -> u64 {
-    let base = index * WORD_ROWS;
-    let mut mask = 0u64;
-    for bit in 0..(rows - base).min(WORD_ROWS) {
-        mask |= u64::from(test(base + bit)) << bit;
-    }
-    mask
+/// The values of bitmap word `index`'s rows — the last word's may be
+/// fewer than 64.
+fn word_values(values: &[f64], index: usize) -> &[f64] {
+    let start = index * WORD_ROWS;
+    &values[start..(start + WORD_ROWS).min(values.len())]
 }
 
 #[cfg(test)]
@@ -195,18 +220,30 @@ mod tests {
         assert_eq!(c.to_rows(), vec![1, 3, 5]);
     }
 
+    fn kernels() -> Vec<Kernel> {
+        Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect()
+    }
+
+    /// Keeps a value of at least `bar`.
+    fn at_least(bar: f64) -> SurviveTest {
+        SurviveTest { sign: 1.0, add: 0.0, bar, inclusive: false }
+    }
+
     #[test]
     fn retain_in_both_phases() {
-        let mut c = CandidateSet::all(10);
-        let removed = c.retain(|r| r % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(c.to_rows(), vec![0, 2, 4, 6, 8]);
+        for kernel in kernels() {
+            let mut c = CandidateSet::all(10);
+            let even: Vec<f64> = (0..10).map(|r| f64::from(r % 2 == 0)).collect();
+            let removed = c.retain(kernel, &even, at_least(1.0));
+            assert_eq!(removed, 5);
+            assert_eq!(c.to_rows(), vec![0, 2, 4, 6, 8]);
 
-        // list phase: the slot is the position, not the row id
-        let mut l = CandidateSet::List(vec![0, 2, 4, 6, 8]);
-        let removed = l.retain(|pos| pos >= 2);
-        assert_eq!(removed, 2);
-        assert_eq!(l.to_rows(), vec![4, 6, 8]);
+            // list phase: the slot is the position, not the row id
+            let mut l = CandidateSet::List(vec![0, 2, 4, 6, 8]);
+            let removed = l.retain(kernel, &[0.0, 1.0, 2.0, 3.0, 4.0], at_least(2.0));
+            assert_eq!(removed, 2);
+            assert_eq!(l.to_rows(), vec![4, 6, 8]);
+        }
     }
 
     #[test]
@@ -220,52 +257,74 @@ mod tests {
     #[test]
     fn slots_are_rows_in_a_bitmap_and_positions_in_a_list() {
         let rows = vec![2, 70, 129];
-        let mut seen = Vec::new();
-        CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows))
-            .for_each_slot_if(|_| true, |slot, row| seen.push((slot, row)));
-        assert_eq!(seen, vec![(2, 2), (70, 70), (129, 129)]);
-        seen.clear();
-        CandidateSet::List(rows).for_each_slot_if(|_| true, |slot, row| seen.push((slot, row)));
-        assert_eq!(seen, vec![(0, 2), (1, 70), (2, 129)]);
+        for kernel in kernels() {
+            let mut seen = Vec::new();
+            CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows)).for_each_slot_above(
+                kernel,
+                &[0.0; 130],
+                1.0,
+                |slot, row| {
+                    seen.push((slot, row));
+                    None
+                },
+            );
+            assert_eq!(seen, vec![(2, 2), (70, 70), (129, 129)]);
+            seen.clear();
+            CandidateSet::List(rows.clone()).for_each_slot_above(
+                kernel,
+                &[0.0; 3],
+                1.0,
+                |slot, row| {
+                    seen.push((slot, row));
+                    None
+                },
+            );
+            assert_eq!(seen, vec![(0, 2), (1, 70), (2, 129)]);
+        }
     }
 
     #[test]
     fn slot_filter_is_asked_a_word_ahead_in_a_bitmap_and_row_by_row_in_a_list() {
-        // `pass` admits slots above a bar that `f` raises to each slot it
-        // sees: a list filters every later slot out, a bitmap only learns
-        // of the new bar with the next 64-row word
+        // every slot's sign-folded value is its own index and `f` raises
+        // the bar to each slot it sees plus 100: a list filters every later
+        // slot out, a bitmap only learns of the new bar with the next word
         let rows = vec![1, 3, 64, 66, 129];
-        let visit = |set: &CandidateSet| {
-            let bar = std::cell::Cell::new(0usize);
-            let mut seen = Vec::new();
-            set.for_each_slot_if(
-                |slot| {
-                    assert!(slot < 130, "never asked past the last row");
-                    slot >= bar.get()
-                },
-                |slot, row| {
-                    bar.set(slot + 100);
-                    seen.push(row);
-                },
-            );
-            seen
-        };
-        assert_eq!(visit(&CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows))), [1, 3, 129]);
-        assert_eq!(visit(&CandidateSet::List(rows)), [1]);
+        for kernel in kernels() {
+            for sign in [1.0, -1.0] {
+                let visit = |set: &CandidateSet, values: &[f64]| {
+                    let mut seen = Vec::new();
+                    set.for_each_slot_above(kernel, values, sign, |slot, row| {
+                        seen.push(row);
+                        Some(slot as f64 + 100.0)
+                    });
+                    seen
+                };
+                let by_row: Vec<f64> = (0..130).map(|slot| sign * slot as f64).collect();
+                let bitmap = CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows));
+                assert_eq!(visit(&bitmap, &by_row), [1, 3, 129]);
+                let by_position: Vec<f64> = (0..rows.len()).map(|pos| sign * pos as f64).collect();
+                assert_eq!(visit(&CandidateSet::List(rows.clone()), &by_position), [1]);
+                // a value that only ties the bar does not pass
+                let ties = vec![sign * 101.0; 130];
+                let tied = CandidateSet::from_bitmap(Bitmap::from_rows(130, &[1, 64]));
+                assert_eq!(visit(&tied, &ties), [1]);
+            }
+        }
     }
 
     #[test]
     fn bitmap_retain_ignores_answers_for_rows_that_are_not_candidates() {
         // 130 rows, candidates in the first and the trailing partial word;
-        // `keep` says yes to every non-candidate and is never asked about
-        // a slot past the last row
-        let mut c = CandidateSet::from_bitmap(Bitmap::from_rows(130, &[0, 7, 63, 128, 129]));
-        let removed = c.retain(|slot| {
-            assert!(slot < 130);
-            ![7, 129].contains(&slot)
-        });
-        assert_eq!(removed, 2);
-        assert_eq!(c.to_rows(), vec![0, 63, 128]);
+        // every non-candidate fails the test, and NaN keeps its row
+        for kernel in kernels() {
+            let mut c = CandidateSet::from_bitmap(Bitmap::from_rows(130, &[0, 7, 63, 128, 129]));
+            let mut values = vec![-1.0; 130];
+            for (row, value) in [(0, 1.0), (7, -1.0), (63, f64::NAN), (128, 1.0), (129, -1.0)] {
+                values[row] = value;
+            }
+            assert_eq!(c.retain(kernel, &values, at_least(0.0)), 2);
+            assert_eq!(c.to_rows(), vec![0, 63, 128]);
+        }
     }
 
     #[test]
@@ -280,7 +339,8 @@ mod tests {
         // density 1.0: no switch at threshold 0.2
         assert!(!c.maybe_materialize(0.2));
         assert!(c.is_bitmap());
-        c.retain(|r| r < 10);
+        let rows: Vec<f64> = (0..100).map(|r| -f64::from(r)).collect();
+        c.retain(Kernel::Scalar, &rows, at_least(-9.0));
         // density 0.1 <= 0.2: switch
         assert!(c.maybe_materialize(0.2));
         assert!(!c.is_bitmap());

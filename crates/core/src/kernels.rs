@@ -15,6 +15,10 @@
 //!    form, plus the mass companions ([`add_assign`],
 //!    [`add_assign_gather`]) the `Hh` rule needs.
 //!
+//! A third primitive serves the pruning step both BOND loops run between
+//! blocks: the 64-row **survive mask** ([`survive_mask`]), one branch-free
+//! bound test per row of a candidate-bitmap word, AND-ed into the word.
+//!
 //! One flavour is selected per process by [`Kernel::active`] —
 //! `is_x86_feature_detected!("avx2")` on x86-64, NEON on aarch64, the
 //! portable scalar loop everywhere else — and can be forced with the
@@ -279,6 +283,89 @@ pub fn sweep_pairs(
     }
 }
 
+/// Rows one [`survive_mask`] covers: one candidate-bitmap word.
+pub const MASK_ROWS: usize = 64;
+
+/// The bound test of a [`survive_mask`]: a row **survives** unless
+/// `sign · (x + add)` is below `bar` — or at or below it, when `inclusive`.
+/// A NaN compares false either way and keeps its row. Adding `add = 0.0`
+/// changes no comparison (it only turns `−0.0` into `+0.0`), so a plain
+/// `sign · x` test is this one with `add = 0.0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SurviveTest {
+    /// `+1.0` or `−1.0`: folds either objective into larger-is-better.
+    pub sign: f64,
+    /// Added to every value before the sign is applied (the best the
+    /// unswept dimensions can still add, in the code sweep).
+    pub add: f64,
+    /// The value a row must reach.
+    pub bar: f64,
+    /// Whether a row exactly at the bar is dropped too (the κ-entry test:
+    /// a bound that merely ties the k-th cannot raise it).
+    pub inclusive: bool,
+}
+
+impl SurviveTest {
+    /// Whether one value survives — the predicate every [`survive_mask`]
+    /// flavour computes per row, and the per-row loops (thin words, list
+    /// phases) apply directly.
+    #[inline]
+    pub fn survives(self, x: f64) -> bool {
+        let v = self.sign * (x + self.add);
+        let dropped = if self.inclusive { v <= self.bar } else { v < self.bar };
+        !dropped
+    }
+}
+
+/// The survive mask of up to [`MASK_ROWS`] rows: bit `i` is set iff row
+/// `i`'s value `x[i·stride + lane]` passes `test`
+/// ([`SurviveTest::survives`]); bits past the last row are clear. `x`
+/// holds whole rows — a contiguous slice of bounds (`stride` 1) or a
+/// window of the code sweep's interleaved `[opt, pes]` accumulator
+/// (`stride` 2, `lane` 0 for the optimistic, 1 for the pessimistic bound).
+///
+/// Bit-identical on every kernel: each lane performs the reference's one
+/// addition, one multiplication and one ordered compare. AVX2 tests four
+/// rows per instruction; NEON takes the scalar reference.
+///
+/// # Panics
+/// Panics unless `stride` is 1 or 2, `lane < stride`, and `x` holds at
+/// most [`MASK_ROWS`] whole rows.
+pub fn survive_mask(
+    kernel: Kernel,
+    test: SurviveTest,
+    x: &[f64],
+    stride: usize,
+    lane: usize,
+) -> u64 {
+    assert!(
+        matches!(stride, 1 | 2) && lane < stride,
+        "survive_mask: stride 1 or 2, lane inside it"
+    );
+    assert!(
+        x.len().is_multiple_of(stride) && x.len() <= MASK_ROWS * stride,
+        "survive_mask: at most 64 whole rows"
+    );
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if Kernel::Avx2.is_supported() => {
+            // SAFETY: AVX2 availability was just checked, and so were the
+            // stride, the lane and a row count of at most 64 whole rows.
+            unsafe { x86::survive_mask_avx2(test, x, stride, lane) }
+        }
+        _ => survive_mask_scalar(test, x, stride, lane),
+    }
+}
+
+/// The portable survive mask — the bit-identity reference.
+fn survive_mask_scalar(test: SurviveTest, x: &[f64], stride: usize, lane: usize) -> u64 {
+    let mut mask = 0u64;
+    for (i, row) in x.chunks_exact(stride).enumerate() {
+        mask |= u64::from(test.survives(row[lane])) << i;
+    }
+    mask
+}
+
 /// Builds one dimension's interleaved `[opt, pes]` contribution LUT
 /// (`pairs[2*c]` / `pairs[2*c + 1]` for cell `c`) straight from the
 /// quantization grid, fusing cell-edge generation with the bound math of
@@ -456,14 +543,90 @@ fn accumulate_gather_scalar(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_i32gather_pd, _mm256_loadu_pd,
-        _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_m128d,
-        _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm_and_si128,
+        __m128i, __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_cmp_pd, _mm256_i32gather_pd,
+        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_permute4x64_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_setr_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_and_si128,
         _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_pd, _mm_loadu_si128, _mm_set1_epi32,
+        _CMP_LE_OQ, _CMP_LT_OQ,
     };
 
     use bond_metrics::KernelOp;
     use vdstore::{CodeParams, RowId};
+
+    use super::SurviveTest;
+
+    /// The dropped-row bits of four rows: `sign · (v + add)` compared
+    /// against the bar lane-wise with an *ordered* compare, so a NaN lane
+    /// reads "not dropped" exactly as the scalar `<` / `<=` does.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 is available.
+    // SAFETY: pure register arithmetic; only reachable from
+    // `survive_mask_avx2`, which runs with AVX2 established.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dropped_quad(
+        v: __m256d,
+        sign: __m256d,
+        add: __m256d,
+        bar: __m256d,
+        inclusive: bool,
+    ) -> u64 {
+        let s = _mm256_mul_pd(sign, _mm256_add_pd(v, add));
+        let hit = if inclusive {
+            _mm256_cmp_pd::<_CMP_LE_OQ>(s, bar)
+        } else {
+            _mm256_cmp_pd::<_CMP_LT_OQ>(s, bar)
+        };
+        _mm256_movemask_pd(hit) as u64
+    }
+
+    /// The AVX2 survive mask: four rows per compare. With stride 2 two
+    /// loads hold four interleaved rows; `unpacklo`/`unpackhi` pick the
+    /// lane (rows in order 0, 2, 1, 3) and one cross-lane permute restores
+    /// row order. A tail of fewer than four rows goes through the scalar
+    /// predicate.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2, `stride` 1 or 2, `lane < stride` and that
+    /// `x` holds at most 64 whole rows.
+    // SAFETY: dispatched from `survive_mask` only after asserting all of
+    // the above; every load reads rows `i..i + 4` with `i + 4 ≤ rows`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn survive_mask_avx2(
+        test: SurviveTest,
+        x: &[f64],
+        stride: usize,
+        lane: usize,
+    ) -> u64 {
+        let rows = x.len() / stride;
+        let p = x.as_ptr();
+        let sign = _mm256_set1_pd(test.sign);
+        let add = _mm256_set1_pd(test.add);
+        let bar = _mm256_set1_pd(test.bar);
+        let mut dropped = 0u64;
+        let mut i = 0usize;
+        while i + 4 <= rows {
+            let v = if stride == 1 {
+                _mm256_loadu_pd(p.add(i))
+            } else {
+                let a = _mm256_loadu_pd(p.add(2 * i));
+                let b = _mm256_loadu_pd(p.add(2 * i + 4));
+                let picked =
+                    if lane == 0 { _mm256_unpacklo_pd(a, b) } else { _mm256_unpackhi_pd(a, b) };
+                _mm256_permute4x64_pd::<0b11_01_10_00>(picked)
+            };
+            dropped |= dropped_quad(v, sign, add, bar, test.inclusive) << i;
+            i += 4;
+        }
+        let mut mask = if i == 64 { !dropped } else { !dropped & ((1u64 << i) - 1) };
+        while i < rows {
+            mask |= u64::from(test.survives(*p.add(i * stride + lane))) << i;
+            i += 1;
+        }
+        mask
+    }
 
     /// One 4-row sweep step: widen 4 code bytes to 32-bit indices, mask
     /// them into the LUT, gather both `f64` LUT entries and add them onto

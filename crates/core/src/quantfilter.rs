@@ -62,7 +62,7 @@ use vdstore::{Bitmap, CodeParams, RowId, SegmentCodesView, TopKLargest, TopKSmal
 use crate::candidates::WORD_ROWS;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, Kernel, SurviveTest};
 use crate::searcher::prune_slack;
 
 /// Code columns [`filter_segment`] sweeps between two pruning steps — on
@@ -70,6 +70,13 @@ use crate::searcher::prune_slack;
 /// (this is its 8-bit [`kernels::sweep_group`]), the scalar and NEON sweeps
 /// take the same eight columns one at a time.
 const PRUNE_BLOCK: usize = 8;
+
+/// Candidates a bitmap word must hold for a pruning step to test all its
+/// 64 rows with one [`kernels::survive_mask`]; a thinner word tests its set
+/// bits one by one. A per-word choice from what the sweep observes: in
+/// scratch runs the full-word mask lost to the bit loop on words a random
+/// 10 % filter leaves (about six candidates each) and won on dense ones.
+const MASK_MIN_CANDIDATES: u32 = 16;
 
 /// Reusable working memory of the quantized filter: the per-row bound
 /// accumulators, the per-level contribution LUTs and the progressive
@@ -345,6 +352,29 @@ pub(crate) fn filter_segment_in_order(
     kernel: Kernel,
     order: Option<&[usize]>,
 ) -> Result<QuantFilter> {
+    let prune: PruneFn =
+        |sweep, scratch, rem_opt, kappa, collect| sweep.prune(scratch, rem_opt, kappa, collect);
+    filter_segment_by(codes, metric, query, k, live, shared, kernel, order, prune)
+}
+
+/// A pruning step of the progressive sweep, as [`Progressive::prune`]
+/// spells it — a parameter so that the tests can run the sweep over the
+/// per-bit reference step as well.
+type PruneFn = fn(&Progressive<'_>, &mut QuantScratch, f64, f64, Option<usize>) -> usize;
+
+/// [`filter_segment_in_order`] with the pruning step passed in.
+#[allow(clippy::too_many_arguments)]
+fn filter_segment_by(
+    codes: &SegmentCodesView<'_>,
+    metric: &dyn DecomposableMetric,
+    query: &[f64],
+    k: usize,
+    live: &Bitmap,
+    shared: Option<&dyn KappaCell>,
+    kernel: Kernel,
+    order: Option<&[usize]>,
+    prune: PruneFn,
+) -> Result<QuantFilter> {
     let rows = codes.len();
     let dims = codes.dims();
     if query.len() != dims {
@@ -371,7 +401,7 @@ pub(crate) fn filter_segment_in_order(
             Objective::Minimize => -1.0,
         },
     };
-    SCRATCH.with(|cell| sweep.run(k, live, shared, &mut cell.borrow_mut()))
+    SCRATCH.with(|cell| sweep.run(k, live, shared, &mut cell.borrow_mut(), prune))
 }
 
 /// One segment's progressive sweep: the per-(query, segment) constants the
@@ -404,6 +434,7 @@ impl Progressive<'_> {
         live: &Bitmap,
         shared: Option<&dyn KappaCell>,
         scratch: &mut QuantScratch,
+        prune: PruneFn,
     ) -> Result<QuantFilter> {
         let rows = self.codes.len();
         let dims = self.codes.dims();
@@ -439,7 +470,7 @@ impl Progressive<'_> {
                 kappa = kappa.max(sign * current);
             }
             let rem_opt = scratch.rem_opt[swept];
-            alive = self.prune(scratch, rem_opt, kappa, Some(k));
+            alive = prune(self, scratch, rem_opt, kappa, Some(k));
             if scratch.best.len() < k {
                 // fewer than k keepers, or vacuous pessimistic bounds
                 continue;
@@ -464,7 +495,7 @@ impl Progressive<'_> {
                 // refined exactly. In between κ gains little per block and
                 // rides along with the next step's pass.
                 if first_block || swept == dims {
-                    alive = self.prune(scratch, rem_opt, kappa, None);
+                    alive = prune(self, scratch, rem_opt, kappa, None);
                 }
             }
         }
@@ -573,6 +604,15 @@ impl Progressive<'_> {
     /// and returns how many remain. With `collect = Some(k)` the keepers'
     /// swept pessimistic bounds are offered to `scratch.best`, which ends
     /// up holding the `k` best of them.
+    ///
+    /// A word with at least [`MASK_MIN_CANDIDATES`] candidates is AND-ed
+    /// with one [`kernels::survive_mask`] of its 64 rows; a thinner one
+    /// tests its set bits one by one with the same predicate. Only keepers
+    /// whose pessimistic bound is not below the heap's weakest entry *at
+    /// the start of their word* are offered — exact, because the weakest
+    /// only rises while the heap is full, until a NaN bound enters it (NaN
+    /// compares equal to every score, so the heap's order no longer holds)
+    /// and every keeper is offered from then on.
     fn prune(
         &self,
         scratch: &mut QuantScratch,
@@ -581,29 +621,51 @@ impl Progressive<'_> {
         collect: Option<usize>,
     ) -> usize {
         let sign = self.sign;
-        // with no κ yet the threshold is −∞ and nothing compares below it
-        let threshold = kappa - prune_slack(kappa);
+        // with no κ yet the bar is −∞ and nothing compares below it
+        let keep =
+            SurviveTest { sign, add: rem_opt, bar: kappa - prune_slack(kappa), inclusive: false };
         let QuantScratch { cand, best, inter, opt, pes, .. } = scratch;
+        // row `r`'s optimistic bound is `opt[r · stride]` and its
+        // pessimistic one `pes[r · stride + pes_lane]`: lanes 0 and 1 of the
+        // interleaved accumulator, or the split arrays
+        let (opt, pes, stride, pes_lane): (&[f64], &[f64], usize, usize) =
+            if self.paired { (inter, inter, 2, 1) } else { (opt, pes, 1, 0) };
+        let rows = opt.len() / stride;
         if collect.is_some() {
             best.clear();
         }
+        let mut offered_nan = false;
         let mut alive = 0usize;
         for (wi, word) in cand.iter_mut().enumerate() {
-            for bit in set_bits(*word) {
-                let row = wi * WORD_ROWS + bit;
-                let (opt, pes) = if self.paired {
-                    (inter[2 * row], inter[2 * row + 1])
-                } else {
-                    (opt[row], pes[row])
-                };
-                // (a NaN bound compares false and keeps its row)
-                if sign * (opt + rem_opt) < threshold {
-                    *word &= !(1u64 << bit);
-                    continue;
+            if *word == 0 {
+                continue;
+            }
+            let start = wi * WORD_ROWS;
+            let window = start * stride..(start + WORD_ROWS).min(rows) * stride;
+            let dense = word.count_ones() >= MASK_MIN_CANDIDATES;
+            if dense {
+                *word &= kernels::survive_mask(self.kernel, keep, &opt[window.clone()], stride, 0);
+            } else {
+                for bit in set_bits(*word) {
+                    let dropped = !keep.survives(opt[(start + bit) * stride]);
+                    *word &= !(u64::from(dropped) << bit);
                 }
-                alive += 1;
-                let Some(k) = collect else { continue };
-                let item = Reverse(Scored { row: row as RowId, score: sign * pes });
+            }
+            alive += word.count_ones() as usize;
+            let Some(k) = collect else { continue };
+            let mut offer = *word;
+            let bar_holds = best.len() == k && !offered_nan;
+            if let Some(weakest) = best.peek().filter(|_| dense && bar_holds) {
+                let reaches =
+                    SurviveTest { sign, add: 0.0, bar: weakest.0.score, inclusive: false };
+                offer &=
+                    kernels::survive_mask(self.kernel, reaches, &pes[window], stride, pes_lane);
+            }
+            for bit in set_bits(offer) {
+                let row = start + bit;
+                let score = sign * pes[row * stride + pes_lane];
+                offered_nan |= score.is_nan();
+                let item = Reverse(Scored { row: row as RowId, score });
                 if best.len() < k {
                     best.push(item);
                 } else if let Some(mut weakest) = best.peek_mut() {
@@ -737,6 +799,7 @@ mod tests {
         HistogramIntersection, SquaredEuclidean, WeightedHistogramIntersection,
         WeightedSquaredEuclidean,
     };
+    use std::cell::Cell;
     use std::sync::Mutex;
     use vdstore::{DecomposedTable, SegmentStats, StoreCodes};
 
@@ -756,12 +819,11 @@ mod tests {
         (table, codes)
     }
 
-    /// 700 rows x 20 dims around 7 well-separated centres, laid out
+    /// `rows` x 20 dims around 7 well-separated centres, laid out
     /// cluster-major or shuffled; every 9th row repeats the row before it
     /// exactly, so ranks tie — the regime where bounds are tightest and
     /// ties common (Maneewongvatana & Mount, PAPERS.md).
-    fn clustered(cluster_major: bool) -> DecomposedTable {
-        const ROWS: usize = 700;
+    fn clustered(rows: usize, cluster_major: bool) -> DecomposedTable {
         const DIMS: usize = 20;
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = || {
@@ -770,13 +832,13 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(ROWS);
-        for r in 0..ROWS {
+        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(rows);
+        for r in 0..rows {
             if r % 9 == 8 {
                 vectors.push(vectors[r - 1].clone());
                 continue;
             }
-            let cluster = if cluster_major { r * 7 / ROWS } else { (next() * 7.0) as usize % 7 };
+            let cluster = if cluster_major { r * 7 / rows } else { (next() * 7.0) as usize % 7 };
             vectors.push(
                 (0..DIMS)
                     .map(|d| ((cluster * 31 + d * 17) % 13) as f64 / 13.0 + 0.04 * next())
@@ -825,6 +887,280 @@ mod tests {
             }
         });
         scores
+    }
+
+    /// The pruning step the sweep ran before the survive mask: one branchy
+    /// test, one bit clear and one heap offer per candidate bit. Kept as
+    /// the reference [`Progressive::prune`] must reproduce decision for
+    /// decision.
+    fn prune_per_bit(
+        sweep: &Progressive<'_>,
+        scratch: &mut QuantScratch,
+        rem_opt: f64,
+        kappa: f64,
+        collect: Option<usize>,
+    ) -> usize {
+        let sign = sweep.sign;
+        let threshold = kappa - prune_slack(kappa);
+        let QuantScratch { cand, best, inter, opt, pes, .. } = scratch;
+        if collect.is_some() {
+            best.clear();
+        }
+        let mut alive = 0usize;
+        for (wi, word) in cand.iter_mut().enumerate() {
+            for bit in set_bits(*word) {
+                let row = wi * WORD_ROWS + bit;
+                let (opt, pes) = if sweep.paired {
+                    (inter[2 * row], inter[2 * row + 1])
+                } else {
+                    (opt[row], pes[row])
+                };
+                if sign * (opt + rem_opt) < threshold {
+                    *word &= !(1u64 << bit);
+                    continue;
+                }
+                alive += 1;
+                let Some(k) = collect else { continue };
+                let item = Reverse(Scored { row: row as RowId, score: sign * pes });
+                if best.len() < k {
+                    best.push(item);
+                } else if let Some(mut weakest) = best.peek_mut() {
+                    if item < *weakest {
+                        *weakest = item;
+                    }
+                }
+            }
+        }
+        alive
+    }
+
+    thread_local! {
+        /// Dense and thin candidate words [`prune_counting`] was handed.
+        static WORDS_SEEN: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// [`Progressive::prune`], counting the words it tests with one survive
+    /// mask and the words it tests bit by bit.
+    fn prune_counting(
+        sweep: &Progressive<'_>,
+        scratch: &mut QuantScratch,
+        rem_opt: f64,
+        kappa: f64,
+        collect: Option<usize>,
+    ) -> usize {
+        let dense = scratch.cand.iter().filter(|w| w.count_ones() >= MASK_MIN_CANDIDATES).count();
+        let thin = scratch.cand.iter().filter(|&&w| w != 0).count() - dense;
+        WORDS_SEEN.with(|seen| {
+            let (d, t) = seen.get();
+            seen.set((d + dense, t + thin));
+        });
+        sweep.prune(scratch, rem_opt, kappa, collect)
+    }
+
+    /// A heap's entries as comparable bits, weakest first.
+    fn heap_bits(best: &BinaryHeap<Reverse<Scored>>) -> Vec<(RowId, u64)> {
+        let mut entries: Vec<(RowId, u64)> =
+            best.iter().map(|entry| (entry.0.row, entry.0.score.to_bits())).collect();
+        entries.sort_unstable();
+        entries
+    }
+
+    #[test]
+    fn word_mask_step_reproduces_the_per_bit_step_decision_for_decision() {
+        let dims = 20;
+        let weights: Vec<f64> =
+            (0..dims).map(|d| if d % 5 == 0 { 0.0 } else { 0.5 + d as f64 }).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights).unwrap();
+        let metrics: Vec<&dyn DecomposableMetric> =
+            vec![&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+        let mut seed = 0x5EED_0FB1_7000_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        WORDS_SEEN.with(|seen| seen.set((0, 0)));
+        let mut cases = 0usize;
+        // 640 rows in two segments of 320: every segment ends on a word
+        // boundary; 700 rows in three: none does
+        for (rows, partitions, aligned) in [(640usize, 2usize, true), (700, 3, false)] {
+            for cluster_major in [true, false] {
+                let table = clustered(rows, cluster_major);
+                let codes = codes_for(&table, partitions);
+                for (mi, metric) in metrics.iter().enumerate() {
+                    let query = table.row(13 + 50 * mi as u32).unwrap();
+                    for si in 0..codes.n_segments() {
+                        let view = codes.segment_view(si).unwrap();
+                        let len = view.len();
+                        assert_eq!(len % WORD_ROWS == 0, aligned, "{len} rows");
+                        let range = codes.specs()[si].range();
+                        for tombstones in [false, true] {
+                            for filter in ["none", "one row", "10 %", "90 %"] {
+                                let mut live = Bitmap::full(len);
+                                if tombstones {
+                                    for dead in (0..len).step_by(11) {
+                                        live.clear(dead as u32);
+                                    }
+                                }
+                                let share = match filter {
+                                    "none" => 1.0,
+                                    "10 %" => 0.1,
+                                    "90 %" => 0.9,
+                                    _ => 0.0,
+                                };
+                                let mut eligible: Vec<RowId> = (0..len as RowId)
+                                    .filter(|&row| live.get(row) && next() < share)
+                                    .collect();
+                                if filter == "one row" {
+                                    eligible.push(len as RowId / 2);
+                                }
+                                let live = Bitmap::from_rows(len, &eligible);
+                                let truth: Vec<f64> =
+                                    ranked(&table, range.clone(), *metric, &query)
+                                        .into_iter()
+                                        .filter(|(row, _)| live.get(*row))
+                                        .map(|(_, score)| score)
+                                        .collect();
+                                for k in [1, 10, len, len + 1] {
+                                    for pre in [None, truth.get(k - 1).copied()] {
+                                        for kernel in [Kernel::Scalar, Kernel::active()] {
+                                            let run = |prune: PruneFn| {
+                                                let cell =
+                                                    TestCell(Mutex::new(pre), metric.objective());
+                                                let filter = filter_segment_by(
+                                                    &view,
+                                                    *metric,
+                                                    &query,
+                                                    k,
+                                                    &live,
+                                                    Some(&cell),
+                                                    kernel,
+                                                    None,
+                                                    prune,
+                                                )
+                                                .unwrap();
+                                                (filter, cell.current().map(f64::to_bits))
+                                            };
+                                            let (masked, masked_kappa) = run(prune_counting);
+                                            let (reference, reference_kappa) = run(prune_per_bit);
+                                            let ctx = format!(
+                                                "{} major={cluster_major} seg{si}/{len} \
+                                                 tombstones={tombstones} filter={filter} k={k} \
+                                                 pre={pre:?} {}",
+                                                metric.name(),
+                                                kernel.label()
+                                            );
+                                            assert_eq!(
+                                                masked.survivors, reference.survivors,
+                                                "{ctx}"
+                                            );
+                                            assert_eq!(
+                                                masked.kappa.map(f64::to_bits),
+                                                reference.kappa.map(f64::to_bits),
+                                                "{ctx}"
+                                            );
+                                            assert_eq!(
+                                                (masked.cells, masked.dims),
+                                                (reference.cells, reference.dims),
+                                                "{ctx}"
+                                            );
+                                            assert_eq!(masked_kappa, reference_kappa, "{ctx}");
+                                            cases += 1;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 5 * 4 * 2 * 4 * 4 * 2 * 2);
+        let (dense, thin) = WORDS_SEEN.with(Cell::get);
+        assert!(dense > 1_000 && thin > 1_000, "word-mask words {dense}, bit-loop words {thin}");
+    }
+
+    /// The one place the two steps could part: a NaN pessimistic bound
+    /// compares equal to every score, so once one is in the heap its
+    /// weakest entry no longer only rises. Words mixing NaN and ordinary
+    /// bounds, in both accumulator layouts and both objectives, must leave
+    /// the candidate words and the heap exactly as the per-bit step does.
+    #[test]
+    fn word_mask_step_matches_the_per_bit_step_on_nan_pessimistic_bounds() {
+        let (table, codes) = setup(1);
+        let view = codes.segment_view(0).unwrap();
+        let query = table.row(0).unwrap();
+        let mut seed = 0x0A11_C0DE_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let rows = 300usize;
+        for (metric, kernel) in [
+            (&HistogramIntersection as &dyn DecomposableMetric, Kernel::Scalar),
+            (&SquaredEuclidean, Kernel::active()),
+        ] {
+            let sweep = Progressive {
+                codes: &view,
+                metric,
+                query: &query,
+                order: None,
+                kernel,
+                paired: kernels::sweep_group(kernel, view.levels()) > 1,
+                sign: if metric.objective() == Objective::Maximize { 1.0 } else { -1.0 },
+            };
+            for round in 0..40 {
+                let mut bound = || {
+                    let x = next();
+                    if x < 0.08 {
+                        f64::NAN
+                    } else {
+                        (x * 8.0).floor() * 0.25
+                    }
+                };
+                let mut scratch = QuantScratch::new();
+                scratch.opt = (0..rows).map(|_| bound()).collect();
+                scratch.pes = (0..rows).map(|_| bound()).collect();
+                scratch.inter =
+                    scratch.opt.iter().zip(&scratch.pes).flat_map(|(&o, &p)| [o, p]).collect();
+                scratch.cand = (0..rows.div_ceil(WORD_ROWS))
+                    .map(|w| {
+                        let bits = if w % 3 == 0 { u64::MAX } else { (next() * 2e18) as u64 };
+                        if (w + 1) * WORD_ROWS > rows {
+                            bits & ((1u64 << (rows % WORD_ROWS)) - 1)
+                        } else {
+                            bits
+                        }
+                    })
+                    .collect();
+                let kappa = sweep.sign * (0.8 + round as f64 * 0.01);
+                for collect in [None, Some(1), Some(3), Some(17)] {
+                    let mut masked = scratch_clone(&scratch);
+                    let mut reference = scratch_clone(&scratch);
+                    let alive = sweep.prune(&mut masked, 0.25, kappa, collect);
+                    let expected = prune_per_bit(&sweep, &mut reference, 0.25, kappa, collect);
+                    let ctx = format!("{} round {round} collect {collect:?}", metric.name());
+                    assert_eq!(alive, expected, "{ctx}");
+                    assert_eq!(masked.cand, reference.cand, "{ctx}");
+                    assert_eq!(heap_bits(&masked.best), heap_bits(&reference.best), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The parts of a scratch a pruning step reads and writes.
+    fn scratch_clone(scratch: &QuantScratch) -> QuantScratch {
+        QuantScratch {
+            opt: scratch.opt.clone(),
+            pes: scratch.pes.clone(),
+            inter: scratch.inter.clone(),
+            cand: scratch.cand.clone(),
+            ..QuantScratch::default()
+        }
     }
 
     #[test]
@@ -901,7 +1237,7 @@ mod tests {
         let orders: [Option<&[usize]>; 3] = [None, Some(&reversed), Some(&strided)];
         let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
         for cluster_major in [true, false] {
-            let table = clustered(cluster_major);
+            let table = clustered(700, cluster_major);
             let codes = codes_for(&table, 3);
             for (mi, metric) in metrics.iter().enumerate() {
                 // a member, a near-duplicate pair, and an off-data query
@@ -964,7 +1300,7 @@ mod tests {
 
     #[test]
     fn a_tight_shared_kappa_ends_the_sweep_after_one_block() {
-        let table = clustered(true);
+        let table = clustered(700, true);
         let codes = codes_for(&table, 1);
         let view = codes.segment_view(0).unwrap();
         let live = table.live_bitmap();

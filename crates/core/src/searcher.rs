@@ -14,7 +14,7 @@
 //! weighted variants) and the [`DecomposableMetric`]; convenience methods
 //! instantiate the combinations the paper evaluates.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 
 use bond_metrics::{CandidateState, DecomposableMetric, KernelOp, Objective, PruningRule};
 use bond_metrics::{EqRule, EvRule, HhRule, HistogramIntersection, HqRule, SquaredEuclidean};
@@ -26,7 +26,7 @@ use vdstore::{
 use crate::candidates::CandidateSet;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, Kernel, SurviveTest};
 use crate::ordering::DimensionOrdering;
 use crate::plan::SegmentPlan;
 use crate::schedule::BlockSchedule;
@@ -127,11 +127,12 @@ fn gather_accumulate_block(
 }
 
 /// What one pruning attempt reads: the rule (already prepared for the
-/// remaining dimensions), the per-row state in segment-local indexing, and
-/// the cell κ is shared through.
+/// remaining dimensions), the kernel flavour its masks run on, the per-row
+/// state in segment-local indexing, and the cell κ is shared through.
 struct PruneInputs<'a> {
     rule: &'a dyn PruningRule,
     k: usize,
+    kernel: Kernel,
     partial: &'a [f64],
     scanned_mass: Option<&'a [f64]>,
     total_mass: Option<&'a [f64]>,
@@ -145,25 +146,27 @@ trait PruneStep {
 }
 
 /// The pruning step of [`search_segment`], with the scratch it reuses from
-/// one attempt to the next (nothing is allocated per attempt). Bounds live
-/// at the candidates' *slots* ([`CandidateSet::for_each_slot_if`]): while the
+/// one attempt — and one search — to the next. Bounds live at the
+/// candidates' *slots* ([`CandidateSet::for_each_slot_above`]): while the
 /// set is a bitmap they are computed for the whole segment in one
 /// [`PruningRule::bounds_all`] call — hole rows get garbage that is never
-/// read, as in [`dense_accumulate_block`] — and the prune is a 64-row
-/// keep-mask AND-ed into each candidate word; once it is a list they are
-/// computed per candidate and indexed by list position.
+/// read, as in [`dense_accumulate_block`] — and both the κ-entry test and
+/// the prune are one [`kernels::survive_mask`] per 64-row candidate word;
+/// once it is a list they are computed per candidate and indexed by list
+/// position.
 #[derive(Default)]
 struct WordwisePrune {
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// Keeps the k best safe bounds of one attempt, sign-folded so that
-    /// larger is better under either objective.
-    best_safe: Option<TopKLargest>,
+    /// larger is better under either objective; rebuilt when a search
+    /// brings another k.
+    best_safe: Option<(usize, TopKLargest)>,
 }
 
 impl PruneStep for WordwisePrune {
     fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
-        let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa } = inputs;
+        let &PruneInputs { rule, k, kernel, partial, scanned_mass, total_mass, kappa } = inputs;
         match candidates.as_list() {
             None => {
                 self.lower.resize(partial.len(), 0.0);
@@ -197,24 +200,22 @@ impl PruneStep for WordwisePrune {
             Objective::Maximize => (&self.lower, &self.upper, 1.0),
             Objective::Minimize => (&self.upper, &self.lower, -1.0),
         };
-        let best_safe = self.best_safe.get_or_insert_with(|| TopKLargest::new(k));
-        best_safe.clear();
+        let best_safe = match &mut self.best_safe {
+            Some((held, heap)) if *held == k => {
+                heap.clear();
+                heap
+            }
+            slot => &mut slot.insert((k, TopKLargest::new(k))).1,
+        };
         // Only the k-th score is read back, so a bound that cannot raise it
         // (one that merely ties it included) need not enter the heap: past
         // the first rows nearly every candidate is turned away by this
         // compare, 64 rows at a time while the set is a bitmap.
-        let kth = Cell::new(None);
-        candidates.for_each_slot_if(
-            |slot| {
-                let cannot_raise = kth.get().is_some_and(|kth| sign * safe[slot] <= kth);
-                !cannot_raise
-            },
-            |slot, row| {
-                best_safe.push(row, sign * safe[slot]);
-                kth.set(best_safe.kth());
-            },
-        );
-        let local_kappa = kth.get().map(|kth| sign * kth);
+        candidates.for_each_slot_above(kernel, safe, sign, |slot, row| {
+            best_safe.push(row, sign * safe[slot]);
+            best_safe.kth()
+        });
+        let local_kappa = best_safe.kth().map(|kth| sign * kth);
         // κ sharing: publish the locally proven bound and adopt the
         // tightest one any segment of this query has proven so far.
         let kappa = match kappa {
@@ -228,12 +229,45 @@ impl PruneStep for WordwisePrune {
         // Prune what cannot reach κ: `S_max < κ_min − slack` when maximizing,
         // `S_min > κ_max + slack` when minimizing — one comparison once the
         // sign is folded in (a NaN bound compares false and keeps its row).
-        let threshold = sign * kappa - prune_slack(kappa);
-        candidates.retain(|slot| {
-            let misses = sign * optimistic[slot] < threshold;
-            !misses
-        })
+        let bar = sign * kappa - prune_slack(kappa);
+        candidates.retain(kernel, optimistic, SurviveTest { sign, add: 0.0, bar, inclusive: false })
     }
+}
+
+/// The per-row working memory of [`search_segment`]: the eligibility
+/// bitmap's words, the partial scores and the scanned masses. Grown to the
+/// largest segment a thread has searched and reused after that, so a search
+/// allocates nothing that grows with its segment.
+#[derive(Default)]
+struct RowState {
+    eligible: Bitmap,
+    partial: Vec<f64>,
+    mass: Vec<f64>,
+}
+
+/// Sizes `values` to the segment's `rows` and zeroes what the search will
+/// read: every row while the candidates are a bitmap (the dense kernels
+/// stream whole columns), only the listed rows once they are a list.
+fn zero_for(values: &mut Vec<f64>, rows: usize, candidates: &CandidateSet) {
+    match candidates.as_list() {
+        None => {
+            values.clear();
+            values.resize(rows, 0.0);
+        }
+        Some(list) => {
+            values.resize(rows, 0.0);
+            for &row in list {
+                values[row as usize] = 0.0;
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// One search scratch per worker thread, as `quantfilter` keeps one
+    /// for the code sweep: the engine runs each (query, segment) task on
+    /// one worker, and the search is never re-entered on a thread.
+    static SCRATCH: RefCell<(RowState, WordwisePrune)> = RefCell::default();
 }
 
 /// Tuning knobs of a BOND search.
@@ -440,12 +474,15 @@ pub fn search_segment(
     params: &BondParams,
     ctx: &SegmentContext<'_>,
 ) -> Result<SearchOutcome> {
-    let mut pruner = WordwisePrune::default();
-    search_segment_with(segment, query, metric, rule, k, weights, params, ctx, &mut pruner)
+    SCRATCH.with(|cell| {
+        let (state, pruner) = &mut *cell.borrow_mut();
+        search_segment_with(segment, query, metric, rule, k, weights, params, ctx, state, pruner)
+    })
 }
 
-/// [`search_segment`] with the pruning step passed in, so the tests can run
-/// the whole loop over the per-candidate reference step as well.
+/// [`search_segment`] with the row state and pruning step passed in, so the
+/// tests can run the whole loop over the per-candidate reference step as
+/// well.
 #[allow(clippy::too_many_arguments)]
 fn search_segment_with(
     segment: &Segment<'_>,
@@ -456,6 +493,7 @@ fn search_segment_with(
     weights: Option<&[f64]>,
     params: &BondParams,
     ctx: &SegmentContext<'_>,
+    state: &mut RowState,
     pruner: &mut impl PruneStep,
 ) -> Result<SearchOutcome> {
     let dims = segment.table().dims();
@@ -512,7 +550,8 @@ fn search_segment_with(
 
     // All bookkeeping below is in segment-local row ids; only the final
     // ranking translates back to global ids.
-    let mut eligible = segment.live_bitmap();
+    let RowState { eligible, partial, mass } = state;
+    segment.live_bitmap_into(eligible);
     if let Some(filter) = ctx.filter {
         if filter.len() != rows {
             return Err(BondError::InvalidFilter(format!(
@@ -551,7 +590,7 @@ fn search_segment_with(
             metric,
             query,
             k,
-            &eligible,
+            eligible,
             ctx.kappa,
             kernel,
             Some(order),
@@ -570,11 +609,15 @@ fn search_segment_with(
             trace.switched_to_list = true;
         }
     } else {
-        candidates = CandidateSet::from_bitmap(eligible);
+        candidates = CandidateSet::from_bitmap(std::mem::take(eligible));
     }
-    let mut partial = vec![0.0f64; rows];
-    let mut scanned_mass: Option<Vec<f64>> =
-        if requirements.needs_scanned_mass { Some(vec![0.0; rows]) } else { None };
+    zero_for(partial, rows, &candidates);
+    let mut scanned_mass: Option<&mut [f64]> = if requirements.needs_scanned_mass {
+        zero_for(mass, rows, &candidates);
+        Some(mass)
+    } else {
+        None
+    };
 
     let mut processed = 0usize;
     let mut attempts = 0usize;
@@ -606,7 +649,7 @@ fn search_segment_with(
                 dims_block,
                 query,
                 list,
-                &mut partial,
+                partial,
                 scanned_mass.as_deref_mut(),
             )?,
             (Some(op), None) if dense_ok => dense_accumulate_block(
@@ -615,7 +658,7 @@ fn search_segment_with(
                 segment,
                 dims_block,
                 query,
-                &mut partial,
+                partial,
                 scanned_mass.as_deref_mut(),
             )?,
             _ => {
@@ -654,7 +697,8 @@ fn search_segment_with(
             &PruneInputs {
                 rule: &*rule,
                 k,
-                partial: &partial,
+                kernel,
+                partial,
                 scanned_mass: scanned_mass.as_deref(),
                 total_mass,
                 kappa: ctx.kappa,
@@ -688,6 +732,10 @@ fn search_segment_with(
     // Final step: complete the survivors' scores over the unscanned
     // dimensions (cheap: only |C| vectors are touched), then rank.
     let survivors = candidates.to_rows();
+    if let CandidateSet::Bits(bits) = candidates {
+        // hand the words back for the next search on this thread
+        *eligible = bits;
+    }
     if params.refine_survivors && processed < dims {
         match op {
             Some(op) => gather_accumulate_block(
@@ -697,7 +745,7 @@ fn search_segment_with(
                 &order[processed..],
                 query,
                 &survivors,
-                &mut partial,
+                partial,
                 None,
             )?,
             None => {
@@ -714,7 +762,7 @@ fn search_segment_with(
         trace.dims_accessed = dims;
     }
 
-    let hits = rank(segment, &survivors, &partial, objective, k);
+    let hits = rank(segment, &survivors, partial, objective, k);
     Ok(SearchOutcome { hits, trace })
 }
 
@@ -751,6 +799,7 @@ mod tests {
     use bond_metrics::{
         WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule, WeightedSquaredEuclidean,
     };
+    use std::cell::Cell;
     use std::collections::HashSet;
     use std::sync::Mutex;
 
@@ -762,7 +811,7 @@ mod tests {
 
     impl PruneStep for PerCandidatePrune {
         fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
-            let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa } = inputs;
+            let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa, .. } = inputs;
             let objective = rule.objective();
             let mut bounds: Vec<(RowId, f64, f64)> = Vec::with_capacity(candidates.len());
             candidates.for_each(|row| {
@@ -904,9 +953,14 @@ mod tests {
     }
 
     impl Case<'_> {
-        /// Searches the segments in order with the given pruning step;
-        /// returns the outcomes and every κ published on the way.
-        fn run<P: PruneStep>(&self, new_pruner: impl Fn() -> P) -> (Vec<SearchOutcome>, Vec<u64>) {
+        /// Searches the segments in order with the given row state and
+        /// pruning step; returns the outcomes and every κ published on the
+        /// way.
+        fn run(
+            &self,
+            state: &mut RowState,
+            pruner: &mut impl PruneStep,
+        ) -> (Vec<SearchOutcome>, Vec<u64>) {
             let cell = RecordingCell::new(self.metric.objective());
             let outcomes = self
                 .segments
@@ -927,7 +981,8 @@ mod tests {
                         None,
                         &self.params,
                         &ctx,
-                        &mut new_pruner(),
+                        state,
+                        pruner,
                     )
                     .unwrap()
                 })
@@ -966,6 +1021,7 @@ mod tests {
         ];
         let mut cases = 0usize;
         let pruned = Cell::new((0usize, 0usize));
+        let mut reused = (RowState::default(), CountingPrune(WordwisePrune::default(), &pruned));
         for (rows, seed) in [(70usize, 0xB0D5_EED1u64), (257, 0x5EED_CAFE_F00D)] {
             for tombstones in [false, true] {
                 let mut table = generated_table(rows, DIMS, seed);
@@ -997,10 +1053,13 @@ mod tests {
                                             ..BondParams::default()
                                         },
                                     };
-                                    let (wordwise, wordwise_kappas) = case
-                                        .run(|| CountingPrune(WordwisePrune::default(), &pruned));
+                                    // the word-wise side reuses one row state and
+                                    // one step across every case, as a worker
+                                    // thread does: stale rows must not matter
+                                    let (wordwise, wordwise_kappas) =
+                                        case.run(&mut reused.0, &mut reused.1);
                                     let (reference, reference_kappas) =
-                                        case.run(|| PerCandidatePrune);
+                                        case.run(&mut RowState::default(), &mut PerCandidatePrune);
                                     let what = format!(
                                         "{rows} rows, tombstones {tombstones}, {}, k {k}, \
                                          {schedule:?}, materialize at {materialize_threshold}",

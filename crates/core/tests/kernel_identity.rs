@@ -12,12 +12,16 @@
 //!   both get exercised on AVX2 hosts);
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
 //!   `accumulate_gather`, `add_assign`, `add_assign_gather`) across all
-//!   four `KernelOp` shapes those six rules compile down to.
+//!   four `KernelOp` shapes those six rules compile down to;
+//! * the pruning steps' 64-row survive mask (`kernels::survive_mask`) over
+//!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar —
+//!   in both layouts it reads (a contiguous slice, either lane of the
+//!   interleaved `[opt, pes]` accumulator), strict and inclusive.
 //!
 //! Equality is `to_bits()` on every output — not approximate — because
 //! kernel dispatch must never be observable in answers.
 
-use bond::kernels::{self, Kernel};
+use bond::kernels::{self, Kernel, SurviveTest};
 use bond::quantfilter::interval_scores_into;
 use bond::QuantScratch;
 use bond_metrics::{
@@ -69,6 +73,29 @@ fn sweep_digest(
 
 fn bits_of(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The values a bound test can meet at its edges, plus a few ordinary
+/// ones: `bar` itself and its neighbours turn up as often as the rest.
+fn edge_value(bar: f64) -> impl Strategy<Value = f64> {
+    let specials = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 4.0,
+        f64::from_bits(1),
+        f64::MAX,
+    ];
+    prop_oneof![
+        (0usize..specials.len()).prop_map(move |i| specials[i]),
+        Just(bar),
+        Just(-bar),
+        (0u8..2).prop_map(move |up| if up == 1 { bar.next_up() } else { bar.next_down() }),
+        -4.0f64..=4.0,
+    ]
 }
 
 proptest! {
@@ -185,6 +212,60 @@ proptest! {
                 "{} add_assign_gather",
                 kernel.label()
             );
+        }
+    }
+
+    #[test]
+    fn survive_mask_is_bit_identical_across_kernels(
+        (bar, add) in prop_oneof![
+            (-2.0f64..=2.0, -1.0f64..=1.0),
+            Just((0.0, 0.0)),
+            Just((f64::NEG_INFINITY, 0.0)),
+            Just((f64::INFINITY, 0.5)),
+            Just((f64::NAN, 0.0)),
+            Just((1.0, f64::INFINITY)),
+        ],
+        rows in 1usize..=64,
+        seed_values in proptest::collection::vec(0u64..u64::MAX, 128),
+    ) {
+        // 128 values, 64 rows in either layout: half edge values, half
+        // the values whose `x + add` lands on the bar under either sign
+        let mut rng = TestRng::for_test(&format!("{bar:?}/{add:?}/{}", seed_values[0]));
+        let values: Vec<f64> = seed_values
+            .iter()
+            .map(|&s| match s % 4 {
+                0 | 1 => edge_value(bar).generate(&mut rng),
+                2 => bar - add,
+                _ => -bar - add,
+            })
+            .collect();
+        for sign in [1.0, -1.0] {
+            for inclusive in [false, true] {
+                let test = SurviveTest { sign, add, bar, inclusive };
+                for (stride, lane) in [(1usize, 0usize), (2, 0), (2, 1)] {
+                    let x = &values[..rows * stride];
+                    // the predicate, row by row — what every flavour computes
+                    let mut expected = 0u64;
+                    for row in 0..rows {
+                        expected |= u64::from(test.survives(x[row * stride + lane])) << row;
+                    }
+                    let reference = kernels::survive_mask(Kernel::Scalar, test, x, stride, lane);
+                    prop_assert_eq!(reference, expected, "scalar reference vs predicate");
+                    for kernel in supported_kernels() {
+                        let got = kernels::survive_mask(kernel, test, x, stride, lane);
+                        prop_assert_eq!(
+                            got,
+                            reference,
+                            "{} survive mask diverged: {:?}, {} rows, stride {}, lane {}",
+                            kernel.label(),
+                            test,
+                            rows,
+                            stride,
+                            lane
+                        );
+                    }
+                }
+            }
         }
     }
 }

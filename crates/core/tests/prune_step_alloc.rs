@@ -5,26 +5,36 @@
 //! `checkpoints` vector grows with them. (The step used to build a bounds
 //! vector, a κ heap, a doomed list and a `HashSet` on every attempt.)
 //!
+//! Nor does a warmed search allocate anything that grows with its segment:
+//! the eligibility bitmap, partial scores and scanned masses live in a
+//! per-thread scratch — which a one-row filter shows most plainly, since
+//! its search reads next to none of them. (Each used to be a fresh,
+//! zero-filled `rows`-sized buffer per (query, segment).)
+//!
 //! Verified with a counting `#[global_allocator]`, which is process-wide
 //! state — hence this test's own integration binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use bond::{search_segment, BlockSchedule, BondParams, SegmentContext, TraceCheckpoint};
 use bond_metrics::{HhRule, HistogramIntersection, HqRule, PruningRule};
-use vdstore::DecomposedTable;
+use vdstore::{Bitmap, DecomposedTable};
 
-/// Forwards to the system allocator, counting every allocation.
+/// Forwards to the system allocator, counting every allocation and the
+/// bytes it asked for.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic
-// with no allocation of its own, so all of `System`'s contract holds.
+// SAFETY: pure pass-through to `System`; the counters are relaxed atomics
+// with no allocation of their own, so all of `System`'s contract holds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -32,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,18 +50,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The fewest allocations any of five runs of `window` performed (the
-/// libtest harness thread can race a stray allocation into one window; a
-/// genuine allocation in the measured code shows up in every repetition).
-fn min_allocations(mut window: impl FnMut()) -> u64 {
+/// The counters are process-wide: the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The least any of five runs of `window` added to `counter` (the libtest
+/// harness thread can race a stray allocation into one window; a genuine
+/// allocation in the measured code shows up in every repetition).
+fn min_added(counter: &AtomicU64, mut window: impl FnMut()) -> u64 {
     (0..5)
         .map(|_| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = counter.load(Ordering::Relaxed);
             window();
-            ALLOCATIONS.load(Ordering::Relaxed) - before
+            counter.load(Ordering::Relaxed) - before
         })
         .min()
         .unwrap()
+}
+
+fn min_allocations(window: impl FnMut()) -> u64 {
+    min_added(&ALLOCATIONS, window)
 }
 
 /// How often a `checkpoints` vector reallocates while `attempts` entries
@@ -67,6 +85,7 @@ fn checkpoint_growth(attempts: usize) -> u64 {
 
 #[test]
 fn allocations_do_not_grow_with_the_number_of_pruning_attempts() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // 2000 normalized 32-bin histograms around a few shared shapes, so the
     // candidate set shrinks over many blocks and passes from bitmap to list
     let vectors: Vec<Vec<f64>> = (0..2000usize)
@@ -126,5 +145,54 @@ fn allocations_do_not_grow_with_the_number_of_pruning_attempts() {
             "{name}: {attempts_m1} attempts took {allocs_m1} allocations, {attempts_m8} attempts \
              {allocs_m8}; the checkpoints vector accounts for {allowed}"
         );
+    }
+}
+
+#[test]
+fn a_one_row_filter_allocates_no_more_for_a_longer_segment() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let vectors: Vec<Vec<f64>> = (0..64_000usize)
+        .map(|r| (0..8usize).map(|d| ((r * 8 + d) as f64 * 0.37).sin().abs()).collect())
+        .collect();
+    let table = DecomposedTable::from_vectors("sparse", &vectors).unwrap();
+    let sums = table.row_sums();
+    let query = table.row(7).unwrap();
+    let params = BondParams::default();
+
+    let rules: [fn() -> Box<dyn PruningRule>; 2] =
+        [|| Box::new(HqRule::new()), || Box::new(HhRule::new())];
+    for new_rule in rules {
+        let name = new_rule().name();
+        // the bytes a warmed search of the first `rows` rows allocates when
+        // one of them is eligible
+        let bytes = |rows: usize| {
+            let segment = table.segment(0..rows).unwrap();
+            let filter = Bitmap::from_rows(rows, &[rows as u32 / 2]);
+            let ctx = SegmentContext {
+                filter: Some(&filter),
+                row_sums: Some(&sums[..rows]),
+                ..SegmentContext::default()
+            };
+            let mut rule = new_rule();
+            let mut search = || {
+                let outcome = search_segment(
+                    &segment,
+                    &query,
+                    &HistogramIntersection,
+                    rule.as_mut(),
+                    10,
+                    None,
+                    &params,
+                    &ctx,
+                )
+                .unwrap();
+                assert_eq!(outcome.hits.len(), 1, "{name}: the one eligible row is the answer");
+                std::hint::black_box(outcome);
+            };
+            search();
+            min_added(&BYTES, search)
+        };
+        let (short, long) = (bytes(1_000), bytes(64_000));
+        assert_eq!(short, long, "{name}: 1 000 rows took {short} bytes, 64 000 rows {long}");
     }
 }

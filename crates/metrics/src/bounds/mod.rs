@@ -108,18 +108,39 @@ pub trait PruningRule: Send + Sync {
         for mass in [scanned_mass, total_mass].into_iter().flatten() {
             assert_eq!(mass.len(), rows, "mass slice covers a different row count");
         }
-        for (row, (lo, hi)) in lower.iter_mut().zip(upper.iter_mut()).enumerate() {
-            let state = CandidateState {
-                partial: partial[row],
-                scanned_mass: scanned_mass.map_or(0.0, |m| m[row]),
-                total_mass: total_mass.map_or(0.0, |t| t[row]),
-            };
-            (*lo, *hi) = self.bounds(&state);
+        // the two optional slices are matched once, here, so the row loop
+        // tests no `Option` per row
+        let zero = |_: usize| 0.0;
+        match (scanned_mass, total_mass) {
+            (None, None) => fill_bounds(self, partial, zero, zero, lower, upper),
+            (Some(m), None) => fill_bounds(self, partial, |i| m[i], zero, lower, upper),
+            (None, Some(t)) => fill_bounds(self, partial, zero, |i| t[i], lower, upper),
+            (Some(m), Some(t)) => fill_bounds(self, partial, |i| m[i], |i| t[i], lower, upper),
         }
     }
 
     /// A short name used in experiment reports ("Hq", "Ev", ...).
     fn name(&self) -> &'static str;
+}
+
+/// The row loop of [`PruningRule::bounds_all`], monomorphised per rule and
+/// per pair of mass sources.
+fn fill_bounds<R: PruningRule + ?Sized>(
+    rule: &R,
+    partial: &[f64],
+    scanned_mass: impl Fn(usize) -> f64,
+    total_mass: impl Fn(usize) -> f64,
+    lower: &mut [f64],
+    upper: &mut [f64],
+) {
+    for (row, (lo, hi)) in lower.iter_mut().zip(upper.iter_mut()).enumerate() {
+        let state = CandidateState {
+            partial: partial[row],
+            scanned_mass: scanned_mass(row),
+            total_mass: total_mass(row),
+        };
+        (*lo, *hi) = rule.bounds(&state);
+    }
 }
 
 #[cfg(test)]

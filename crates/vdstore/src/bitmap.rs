@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::RowId;
 
-/// A fixed-length bitset over dense row identifiers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A fixed-length bitset over dense row identifiers. The default is the
+/// empty bitmap (no rows, no allocation).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,
@@ -190,9 +191,21 @@ impl Bitmap {
     /// # Panics
     /// Panics if the range exceeds the bitmap's length.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bitmap {
+        let mut out = Bitmap::default();
+        self.slice_into(range, &mut out);
+        out
+    }
+
+    /// [`Bitmap::slice`] into `out`, reusing its storage: once `out` has
+    /// held a slice this long, no allocation.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the bitmap's length.
+    pub fn slice_into(&self, range: std::ops::Range<usize>, out: &mut Bitmap) {
         assert!(range.start <= range.end && range.end <= self.len, "slice out of range");
-        let len = range.end - range.start;
-        let mut out = Bitmap::new(len);
+        out.len = range.end - range.start;
+        out.words.clear();
+        out.words.resize(out.len.div_ceil(WORD_BITS), 0);
         let shift = range.start % WORD_BITS;
         let first_word = range.start / WORD_BITS;
         for (i, w) in out.words.iter_mut().enumerate() {
@@ -205,7 +218,6 @@ impl Bitmap {
             *w = lo | hi;
         }
         out.clear_trailing();
-        out
     }
 
     /// Number of bits set in both `self` and `other` — `(a & b).count()`

@@ -139,9 +139,16 @@ impl<'a> Segment<'a> {
     /// segment's own window of the tombstones, so it costs O(len / 64)
     /// however large the table is.
     pub fn live_bitmap(&self) -> Bitmap {
-        let mut live = self.table.tombstones().slice(self.range());
-        live.negate();
+        let mut live = Bitmap::default();
+        self.live_bitmap_into(&mut live);
         live
+    }
+
+    /// [`Segment::live_bitmap`] into `out`, reusing its storage — what a
+    /// search that keeps per-thread scratch calls.
+    pub fn live_bitmap_into(&self, out: &mut Bitmap) {
+        self.table.tombstones().slice_into(self.range(), out);
+        out.negate();
     }
 
     /// Per-row total masses `T(x)` of the segment's rows, in local order —
