@@ -1,0 +1,518 @@
+//! The one progressive BOND loop both search spaces run (Algorithm 2).
+//!
+//! Per block: sweep the next dimensions over the candidates, bound every
+//! candidate, take κ as the k-th best safe bound, drop what cannot reach
+//! it — until at most `k` candidates remain or the dimensions run out.
+//! §7.4 runs that loop on VA-File-style codes before the exact one. What a
+//! block sweeps and how a candidate is bounded is a [`BoundSource`]'s
+//! business: the code intervals of `quantfilter`, or the exact partial
+//! scores and pruning rule of `searcher`. The rest is written once, here:
+//! the [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
+//! block schedule, κ sharing, and the per-thread [`Scratch`] both spaces
+//! work in.
+//!
+//! All comparisons run in *goodness* space — scores and bounds multiplied
+//! by `sign` (`+1` to maximize, `−1` to minimize) — where larger is better
+//! under either objective. Negation is exact, so nothing is lost to it.
+
+use std::cell::RefCell;
+use std::ops::Range;
+
+use vdstore::TopKLargest;
+
+use crate::candidates::CandidateSet;
+use crate::error::Result;
+use crate::kappa::KappaCell;
+use crate::kernels::{Kernel, SurviveTest};
+use crate::quantfilter::QuantScratch;
+use crate::schedule::BlockSchedule;
+use crate::searcher::{prune_slack, RowState};
+
+/// Every candidate's bounds after a block, at its slot (see
+/// [`CandidateSet::prune`]): the optimistic one at `opt[slot · stride]`,
+/// the pessimistic one at `pes[slot · stride + pes_lane]`.
+pub(crate) struct Bounds<'a> {
+    pub(crate) opt: &'a [f64],
+    pub(crate) pes: &'a [f64],
+    pub(crate) stride: usize,
+    pub(crate) pes_lane: usize,
+    /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
+    pub(crate) sign: f64,
+    /// Added to every optimistic bound before it is tested — the best the
+    /// unswept dimensions can still add.
+    pub(crate) opt_add: f64,
+    /// Added, in goodness space, to the k-th best pessimistic bound before
+    /// it becomes κ — the worst the unswept dimensions can add. `−0.0`
+    /// adds nothing, not even to a `−0.0`.
+    pub(crate) pes_gain: f64,
+}
+
+/// What one search space contributes to the loop: how a block is swept
+/// and how a candidate is bounded afterwards.
+pub(crate) trait BoundSource {
+    /// Whether a step prunes with the κ it carried in — its own earlier κ
+    /// or a sibling's, read from the shared cell — while it collects the κ
+    /// heap, and re-prunes with the fresh κ only after the first and the
+    /// last block. Otherwise a step collects over every candidate and
+    /// prunes with the κ it just proved.
+    const CARRIES_KAPPA: bool;
+
+    /// The number of dimensions the loop can sweep.
+    fn dims(&self) -> usize;
+
+    /// Sweeps the dimensions at positions `block` of the sweep order over
+    /// the candidates.
+    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()>;
+
+    /// Computes the candidates' bounds after `swept` dimensions, if the
+    /// sweep did not leave them in place.
+    fn bound(&mut self, _candidates: &CandidateSet, _swept: usize) {}
+
+    /// The bounds [`BoundSource::bound`] left after `swept` dimensions.
+    fn bounds(&self, swept: usize) -> Bounds<'_>;
+
+    /// After the first block: a κ proven by completing the pessimistic
+    /// bound of the k rows in `best` over the unswept dimensions, or
+    /// `None` when the source runs no probe.
+    fn probe(&mut self, _best: &TopKLargest, _swept: usize) -> Result<Option<f64>> {
+        Ok(None)
+    }
+
+    /// Called after every step with the candidates left and how many it
+    /// removed.
+    fn stepped(&mut self, _candidates: &mut CandidateSet, _swept: usize, _removed: usize) {}
+}
+
+/// One segment's run of the loop: the parameters every step shares.
+pub(crate) struct BondLoop<'a> {
+    pub(crate) k: usize,
+    pub(crate) kernel: Kernel,
+    pub(crate) schedule: BlockSchedule,
+    /// The κ cell shared with the query's other segments.
+    pub(crate) shared: Option<&'a dyn KappaCell>,
+}
+
+/// Where the loop stopped.
+pub(crate) struct Progress {
+    /// Dimensions swept.
+    pub(crate) swept: usize,
+    /// The last κ the loop held, in goodness space (`−∞` for none).
+    pub(crate) kappa: f64,
+}
+
+impl BondLoop<'_> {
+    /// Runs the loop over `candidates` until at most `k` remain or the
+    /// dimensions run out; the first block is swept whatever the count.
+    /// `best` is the κ heap, kept across runs for its allocation.
+    pub(crate) fn run<S: BoundSource>(
+        &self,
+        source: &mut S,
+        candidates: &mut CandidateSet,
+        best: &mut Option<TopKLargest>,
+    ) -> Result<Progress> {
+        let k = self.k;
+        let best = best.get_or_insert_with(|| TopKLargest::new(k));
+        best.reset(k);
+        let dims = source.dims();
+        let mut alive = candidates.len();
+        let mut kappa = f64::NEG_INFINITY;
+        let (mut swept, mut steps) = (0usize, 0usize);
+        loop {
+            let block = self.schedule.next_block(swept, dims, steps);
+            if block == 0 {
+                break;
+            }
+            source.sweep(candidates, swept..swept + block)?;
+            swept += block;
+            if alive <= k {
+                // nothing can be pruned from a set that already is the answer
+                break;
+            }
+            steps += 1;
+            source.bound(candidates, swept);
+            let bounds = source.bounds(swept);
+            let sign = bounds.sign;
+            let current =
+                self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
+            let carried = if S::CARRIES_KAPPA { kappa.max(current) } else { f64::NEG_INFINITY };
+            // Prune with the carried κ and collect the k best pessimistic
+            // bounds of the keepers. (A row dropped here could not have
+            // raised κ: its pessimistic bound is below its optimistic one,
+            // which already missed κ.)
+            let mut removed = self.pass(candidates, carried, &bounds, Some(&mut *best));
+            let mut fresh = best.kth().map(|kth| kth + bounds.pes_gain);
+            if let (Some(proven), 1, true) = (fresh, steps, swept < dims) {
+                if let Some(probed) = source.probe(best, swept)? {
+                    fresh = Some(proven.max(probed));
+                }
+            }
+            // Publish what was proven — a vacuous (infinite) bound proves
+            // nothing — and adopt the tightest κ any segment has proven.
+            kappa = match fresh {
+                Some(proven) if proven.is_finite() && proven > carried => match self.shared {
+                    Some(cell) => sign * cell.tighten(sign * proven),
+                    None => proven,
+                },
+                _ => carried.max(current),
+            };
+            // A source that carries κ applies a fresh one at once only where
+            // it pays: after the first block the probe lifts κ from nothing
+            // to nearly final and whole words die, and what is left after
+            // the last block is refined exactly. In between it rides along
+            // with the next step's pass.
+            if kappa > carried && (!S::CARRIES_KAPPA || steps == 1 || swept == dims) {
+                removed += self.pass(candidates, kappa, &source.bounds(swept), None);
+            }
+            alive -= removed;
+            source.stepped(candidates, swept, removed);
+            if alive <= k {
+                break;
+            }
+        }
+        Ok(Progress { swept, kappa })
+    }
+
+    /// One pruning pass: drops every candidate whose optimistic bound
+    /// misses `kappa` by more than the slack, offering the keepers to
+    /// `best`. With no κ yet (`−∞`) nothing can miss it, and no bound is
+    /// tested. (This crate's tests can put a reference step or a bound
+    /// check in the pass's place.)
+    fn pass(
+        &self,
+        candidates: &mut CandidateSet,
+        kappa: f64,
+        bounds: &Bounds<'_>,
+        best: Option<&mut TopKLargest>,
+    ) -> usize {
+        let keep = (kappa > f64::NEG_INFINITY).then(|| SurviveTest {
+            sign: bounds.sign,
+            add: bounds.opt_add,
+            bar: kappa - prune_slack(kappa),
+        });
+        #[cfg(test)]
+        let best = match tests::seam(candidates, keep, bounds, best) {
+            Ok(removed) => return removed,
+            Err(best) => best,
+        };
+        candidates.prune(self.kernel, keep, bounds, best)
+    }
+}
+
+/// A worker thread's working memory for both spaces: the code sweep's
+/// accumulators and LUTs, the exact search's per-row state, and the κ
+/// heap. Grown to the largest segment the thread has searched and reused
+/// after that, so steady-state searches allocate nothing that grows with
+/// their segment.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) codes: QuantScratch,
+    pub(crate) exact: RowState,
+    pub(crate) best: Option<TopKLargest>,
+}
+
+thread_local! {
+    /// One scratch per worker thread: the engine runs each (query,
+    /// segment) task on one worker, and neither loop is re-entered on a
+    /// thread — a segment's code sweep runs before its exact search.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`Scratch`].
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::cell::Cell;
+    use std::collections::HashSet;
+
+    use bond_metrics::{
+        DecomposableMetric, EqRule, EvRule, HhRule, HistogramIntersection, HqRule, PruningRule,
+        SquaredEuclidean, WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule,
+        WeightedSquaredEuclidean,
+    };
+    use vdstore::{Bitmap, DecomposedTable, RowId, SegmentStats, StoreCodes};
+
+    use crate::candidates::MASK_MIN_CANDIDATES;
+    use crate::quantfilter::filter_segment_in_order;
+    use crate::searcher::{search_segment_with, BondParams, SegmentContext};
+
+    /// What can stand in for the loop's pruning pass.
+    type Seam = Box<
+        dyn FnMut(
+            &mut CandidateSet,
+            Option<SurviveTest>,
+            &Bounds<'_>,
+            Option<&mut TopKLargest>,
+        ) -> usize,
+    >;
+
+    thread_local! {
+        static SEAM: RefCell<Option<Seam>> = RefCell::new(None);
+        static STEP_STATS: Cell<StepStats> = const { Cell::new(StepStats::ZERO) };
+    }
+
+    /// Runs the installed seam in the pass's place, or hands `best` back.
+    pub(crate) fn seam<'b>(
+        candidates: &mut CandidateSet,
+        keep: Option<SurviveTest>,
+        bounds: &Bounds<'_>,
+        best: Option<&'b mut TopKLargest>,
+    ) -> std::result::Result<usize, Option<&'b mut TopKLargest>> {
+        SEAM.with(|seam| match seam.borrow_mut().as_mut() {
+            Some(step) => Ok(step(candidates, keep, bounds, best)),
+            None => Err(best),
+        })
+    }
+
+    /// Runs `f` with every pruning pass on this thread replaced by `seam`.
+    pub(crate) fn with_seam<R>(seam: Seam, f: impl FnOnce() -> R) -> R {
+        let previous = SEAM.with(|slot| slot.borrow_mut().replace(seam));
+        let result = f();
+        SEAM.with(|slot| *slot.borrow_mut() = previous);
+        result
+    }
+
+    /// What [`per_candidate_step`] has seen on this thread.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) struct StepStats {
+        /// Bitmap words the word-wise pass tests with one survive mask.
+        pub(crate) dense_words: usize,
+        /// Bitmap words it tests bit by bit.
+        pub(crate) thin_words: usize,
+        /// Candidates removed from bitmaps and from lists.
+        pub(crate) from_bitmaps: usize,
+        pub(crate) from_lists: usize,
+    }
+
+    impl StepStats {
+        const ZERO: StepStats =
+            StepStats { dense_words: 0, thin_words: 0, from_bitmaps: 0, from_lists: 0 };
+
+        /// Reads and resets this thread's counts.
+        pub(crate) fn take() -> StepStats {
+            STEP_STATS.with(|stats| stats.replace(StepStats::ZERO))
+        }
+    }
+
+    /// Every candidate's slot and row, in slot order.
+    fn slots(set: &CandidateSet) -> Vec<(usize, RowId)> {
+        match set {
+            CandidateSet::Bits(bits) => bits.iter().map(|row| (row as usize, row)).collect(),
+            CandidateSet::List(list) => list.iter().copied().enumerate().collect(),
+        }
+    }
+
+    /// The per-candidate pruning step, shared by both spaces as the
+    /// reference [`CandidateSet::prune`] must reproduce decision for
+    /// decision: one bound test per candidate, every keeper offered to the
+    /// heap in slot order, the doomed rows through a `HashSet`. It also
+    /// counts what it saw in [`StepStats`] — the same words and removals
+    /// the word-wise pass handles, as long as the two agree.
+    pub(crate) fn per_candidate_step(
+        set: &mut CandidateSet,
+        keep: Option<SurviveTest>,
+        bounds: &Bounds<'_>,
+        mut best: Option<&mut TopKLargest>,
+    ) -> usize {
+        let &Bounds { opt, pes, stride, pes_lane, sign, .. } = bounds;
+        if let Some(best) = best.as_deref_mut() {
+            best.clear();
+        }
+        let mut doomed = HashSet::new();
+        for (slot, row) in slots(set) {
+            if keep.is_some_and(|test| !test.survives(opt[slot * stride])) {
+                doomed.insert(row);
+            } else if let Some(best) = best.as_deref_mut() {
+                best.push(row, sign * pes[slot * stride + pes_lane]);
+            }
+        }
+        let mut stats = STEP_STATS.with(Cell::get);
+        match set {
+            CandidateSet::Bits(bits) => {
+                let live = bits.words().iter().filter(|&&word| word != 0);
+                let dense = live.clone().filter(|w| w.count_ones() >= MASK_MIN_CANDIDATES).count();
+                stats.dense_words += dense;
+                stats.thin_words += live.count() - dense;
+                stats.from_bitmaps += doomed.len();
+                doomed.iter().for_each(|&row| bits.clear(row));
+            }
+            CandidateSet::List(list) => {
+                stats.from_lists += doomed.len();
+                list.retain(|row| !doomed.contains(row));
+            }
+        }
+        STEP_STATS.with(|cell| cell.set(stats));
+        doomed.len()
+    }
+
+    /// A seam that checks, at every pruning pass, `pessimistic ≤ exact ≤
+    /// optimistic` in goodness space for every candidate — each bound with
+    /// its unswept part (`opt_add`, `pes_gain`) — and then runs the real
+    /// pass. `exact[row]` is the segment-local row's exact score; `checked`
+    /// counts the candidates checked.
+    fn checking_seam(
+        exact: Vec<f64>,
+        kernel: Kernel,
+        checked: std::rc::Rc<Cell<usize>>,
+        ctx: String,
+    ) -> Seam {
+        Box::new(move |set, keep, bounds, best| {
+            let &Bounds { opt, pes, stride, pes_lane, sign, opt_add, pes_gain } = bounds;
+            for (slot, row) in slots(set) {
+                let score = sign * exact[row as usize];
+                let tol = 1e-9 * score.abs().max(1.0);
+                let pessimistic = sign * pes[slot * stride + pes_lane] + pes_gain;
+                let optimistic = sign * (opt[slot * stride] + opt_add);
+                assert!(
+                    pessimistic <= score + tol && score <= optimistic + tol,
+                    "{ctx}: row {row} scores {score}, bounds [{pessimistic}, {optimistic}]"
+                );
+            }
+            checked.set(checked.get() + set.len());
+            set.prune(kernel, keep, bounds, best)
+        })
+    }
+
+    /// Normalized peaky histograms (values in `[0, 1]`, mass 1 — what Hh
+    /// and Ev assume), around a few shared shapes so bounds prune over
+    /// several steps; every 9th row repeats the one before it.
+    fn histograms(rows: usize, dims: usize) -> DecomposedTable {
+        let mut state = 0x50DD_B0DE_5EEDu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(rows);
+        for r in 0..rows {
+            if r % 9 == 8 {
+                vectors.push(vectors[r - 1].clone());
+                continue;
+            }
+            let shape = r % 5;
+            let mut v: Vec<f64> = (0..dims)
+                .map(|d| (((shape * 7 + d * 3) % 11) as f64 / 11.0).powi(3) + 0.2 * next().powi(4))
+                .collect();
+            let total: f64 = v.iter().sum();
+            v.iter_mut().for_each(|x| *x /= total);
+            vectors.push(v);
+        }
+        DecomposedTable::from_vectors("soundness", &vectors).unwrap()
+    }
+
+    /// The eligible rows of a `len`-row segment under a filter.
+    fn eligible(live: &Bitmap, filter: &str) -> Bitmap {
+        let len = live.len();
+        let rows: Vec<RowId> = match filter {
+            "none" => live.iter().collect(),
+            "1 row" => live.iter().skip(live.count() / 2).take(1).collect(),
+            _ => live.iter().filter(|row| row % 10 == 3).collect(),
+        };
+        Bitmap::from_rows(len, &rows)
+    }
+
+    #[test]
+    fn bounds_hold_at_every_step_in_both_spaces() {
+        const ROWS: usize = 300;
+        const DIMS: usize = 20;
+        let mut table = histograms(ROWS, DIMS);
+        for row in (4..ROWS).step_by(13) {
+            table.delete(row as RowId).unwrap();
+        }
+        let weights: Vec<f64> = (0..DIMS).map(|d| [1.5, 0.0, 0.5, 1.0][d % 4]).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights.clone()).unwrap();
+        let query = table.row(11).unwrap();
+        let specs = table.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+        let codes = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+        let view = codes.segment_view(0).unwrap();
+        let segment = table.segment(0..ROWS).unwrap();
+        let live = table.live_bitmap();
+        type NewRule<'a> = Box<dyn Fn() -> Box<dyn PruningRule> + 'a>;
+        let rules: [(&dyn DecomposableMetric, NewRule<'_>); 6] = [
+            (&HistogramIntersection, Box::new(|| Box::new(HqRule::new()))),
+            (&HistogramIntersection, Box::new(|| Box::new(HhRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EqRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EvRule::new()))),
+            (&whi, Box::new(|| Box::new(WeightedHqRule::new(weights.clone())))),
+            (&wse, Box::new(|| Box::new(WeightedEvRule::new(weights.clone())))),
+        ];
+        let params = BondParams {
+            schedule: BlockSchedule::Fixed(3),
+            materialize_threshold: 0.3,
+            ..BondParams::default()
+        };
+        let checked = std::rc::Rc::new(Cell::new(0usize));
+        let mut scratch = Scratch::default();
+        let mut cases = 0usize;
+        for kernel in [Kernel::Scalar, Kernel::active()] {
+            for filter in ["none", "1 row", "10 %"] {
+                let eligible = eligible(&live, filter);
+                for k in [1, 10, ROWS] {
+                    // the exact source, all six rules
+                    for (metric, new_rule) in &rules {
+                        let exact: Vec<f64> = (0..ROWS)
+                            .map(|r| metric.score(&table.row(r as u32).unwrap(), &query))
+                            .collect();
+                        let mut rule = new_rule();
+                        let ctx =
+                            format!("exact {} {filter} k={k} {}", rule.name(), kernel.label());
+                        let context =
+                            SegmentContext { filter: Some(&eligible), ..SegmentContext::default() };
+                        let seam = checking_seam(exact, kernel, checked.clone(), ctx);
+                        with_seam(seam, || {
+                            search_segment_with(
+                                &segment,
+                                &query,
+                                *metric,
+                                rule.as_mut(),
+                                k,
+                                None,
+                                &params,
+                                &context,
+                                kernel,
+                                &mut scratch,
+                            )
+                            .unwrap()
+                        });
+                        cases += 1;
+                    }
+                    // the code source, all four metrics
+                    let metrics: [&dyn DecomposableMetric; 4] =
+                        [&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+                    for metric in metrics {
+                        let exact: Vec<f64> = (0..ROWS)
+                            .map(|r| metric.score(&table.row(r as u32).unwrap(), &query))
+                            .collect();
+                        let ctx =
+                            format!("codes {} {filter} k={k} {}", metric.name(), kernel.label());
+                        let seam = checking_seam(exact, kernel, checked.clone(), ctx);
+                        with_seam(seam, || {
+                            filter_segment_in_order(
+                                &view,
+                                metric,
+                                &query,
+                                k,
+                                &eligible,
+                                None,
+                                kernel,
+                                None,
+                                &mut scratch,
+                            )
+                            .unwrap()
+                        });
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 3 * 3 * (6 + 4));
+        assert!(checked.get() > 20_000, "only {} candidate bounds checked", checked.get());
+    }
+}

@@ -8,15 +8,29 @@
 //! resulting in much smaller base tables for the subsequent iterations").
 //! [`CandidateSet`] encapsulates both phases behind one interface and
 //! performs the switch automatically.
+//!
+//! It is the candidate set of both spaces BOND runs in — the quantized
+//! code sweep, which stays in the bitmap phase, and the exact search — and
+//! carries the one pruning pass their shared block loop runs between
+//! blocks: drop what cannot reach κ, offer the rest to the κ heap, 64 rows
+//! at a time while the set is a bitmap.
 
-use vdstore::{Bitmap, RowId};
+use vdstore::{Bitmap, RowId, TopKLargest};
 
+use crate::bond_loop::Bounds;
 use crate::kernels::{self, Kernel, SurviveTest};
 
 /// Rows per candidate-bitmap word — the granularity at which the word-wise
-/// passes (this module's, the quantized filter's sweep) skip dead rows and
+/// passes (the pruning pass, the code sweep's word runs) skip dead rows and
 /// one survive mask tests.
 pub(crate) const WORD_ROWS: usize = kernels::MASK_ROWS;
+
+/// Candidates a bitmap word must hold for the pruning pass to test all its
+/// 64 rows with one [`kernels::survive_mask`]; a thinner word tests its set
+/// bits one by one. A per-word choice from what the pass observes: in
+/// measured runs the full-word mask lost to the bit loop on words a random
+/// 10 % filter leaves (about six candidates each) and won on dense ones.
+pub(crate) const MASK_MIN_CANDIDATES: u32 = 16;
 
 /// The evolving candidate set of a BOND search.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,90 +87,88 @@ impl CandidateSet {
         }
     }
 
-    /// Calls `f(slot, row)`, in ascending order, for the candidates whose
-    /// value `sign · values[slot]` is above the bar `f` returned last
-    /// (every candidate until `f` first returns `Some`) — the κ-entry
-    /// test: `f` offers the row to a k-heap and returns the heap's k-th
-    /// score, and a value that merely ties it could not raise it.
+    /// One pruning pass over the candidates' *slots* — a candidate's slot
+    /// is its row id while the set is a bitmap (`bounds` cover the whole
+    /// segment), its position once the set is a list (`bounds` cover the
+    /// list only). Clears every candidate whose optimistic bound fails
+    /// `keep` (`None` keeps all) and, with `best`, empties it and offers it
+    /// every keeper's sign-folded pessimistic bound, in ascending slot
+    /// order. Returns the number of candidates removed.
     ///
-    /// A candidate's *slot* is where per-candidate scratch for it lives: its
-    /// row id while the set is a bitmap (`values` covers the whole
-    /// segment), its position once the set is a list (`values` covers the
-    /// list only).
-    ///
-    /// In the bitmap phase the test is one [`kernels::survive_mask`] per
-    /// 64-row word, taken before `f` sees any row of it: values of rows
-    /// that are not candidates may be garbage (the answer is ignored), and
-    /// a bar `f` raises reaches the test a word late — fine for a filter
-    /// that only spares `f` work it would itself reject. In the list phase
-    /// the same predicate runs per position, against the latest bar.
-    ///
-    /// # Panics
-    /// Panics if `values` does not cover exactly the set's slots.
-    pub fn for_each_slot_above(
-        &self,
+    /// In the bitmap phase a word holding at least [`MASK_MIN_CANDIDATES`]
+    /// candidates is AND-ed with one [`kernels::survive_mask`] of its 64
+    /// rows, so rows that are not candidates are tested too and the answer
+    /// for them ignored; a thinner word tests its set bits one by one with
+    /// the same predicate. Each word offers `best` only the keepers whose
+    /// bound is not below the heap's weakest entry *at the start of the
+    /// word*, one survive mask of its pessimistic bounds — exact, because
+    /// the weakest only rises while the heap is full, until a NaN bound
+    /// enters it (NaN compares equal to every score, so the heap's order
+    /// no longer holds) and every keeper is offered from then on. In the
+    /// list phase every position runs the predicate and every keeper is
+    /// offered.
+    pub(crate) fn prune(
+        &mut self,
         kernel: Kernel,
-        values: &[f64],
-        sign: f64,
-        mut f: impl FnMut(usize, RowId) -> Option<f64>,
-    ) {
-        let above = |bar| SurviveTest { sign, add: 0.0, bar, inclusive: true };
-        let mut bar: Option<f64> = None;
-        match self {
-            CandidateSet::Bits(b) => {
-                assert_eq!(values.len(), b.len(), "values must cover every row of the bitmap");
-                for (index, &word) in b.words().iter().enumerate() {
-                    if word == 0 {
-                        continue;
-                    }
-                    let mut hits = match bar {
-                        Some(bar) => {
-                            let x = word_values(values, index);
-                            word & kernels::survive_mask(kernel, above(bar), x, 1, 0)
-                        }
-                        None => word,
-                    };
-                    while hits != 0 {
-                        let row = index * WORD_ROWS + hits.trailing_zeros() as usize;
-                        hits &= hits - 1;
-                        bar = f(row, row as RowId);
-                    }
-                }
-            }
-            CandidateSet::List(l) => {
-                assert_eq!(values.len(), l.len(), "values must cover every listed row");
-                for (pos, (&row, &value)) in l.iter().zip(values).enumerate() {
-                    if bar.is_none_or(|bar| above(bar).survives(value)) {
-                        bar = f(pos, row);
-                    }
-                }
-            }
+        keep: Option<SurviveTest>,
+        bounds: &Bounds<'_>,
+        mut best: Option<&mut TopKLargest>,
+    ) -> usize {
+        let &Bounds { opt, pes, stride, pes_lane, sign, .. } = bounds;
+        if let Some(best) = best.as_deref_mut() {
+            best.clear();
         }
-    }
-
-    /// Retains only the candidates whose value `values[slot]` (slots as in
-    /// [`CandidateSet::for_each_slot_above`]) passes `test`; returns the
-    /// number of rows removed. In the bitmap phase each word is AND-ed
-    /// with its [`kernels::survive_mask`], so values of rows that are not
-    /// candidates are tested too and the answer for them is ignored; in
-    /// the list phase the same predicate runs per position.
-    ///
-    /// # Panics
-    /// Panics if `values` does not cover exactly the set's slots.
-    pub fn retain(&mut self, kernel: Kernel, values: &[f64], test: SurviveTest) -> usize {
         match self {
-            CandidateSet::Bits(b) => {
-                assert_eq!(values.len(), b.len(), "values must cover every row of the bitmap");
-                b.retain_words(|index| {
-                    kernels::survive_mask(kernel, test, word_values(values, index), 1, 0)
+            CandidateSet::Bits(bits) => {
+                let rows = bits.len();
+                let mut offered_nan = false;
+                bits.retain_words(|index, word| {
+                    let start = index * WORD_ROWS;
+                    let window = start * stride..(start + WORD_ROWS).min(rows) * stride;
+                    let kept = match keep {
+                        None => word,
+                        Some(test) if word.count_ones() >= MASK_MIN_CANDIDATES => {
+                            word & kernels::survive_mask(
+                                kernel,
+                                test,
+                                &opt[window.clone()],
+                                stride,
+                                0,
+                            )
+                        }
+                        Some(test) => set_bits(word)
+                            .filter(|&bit| test.survives(opt[(start + bit) * stride]))
+                            .fold(0, |mask, bit| mask | 1 << bit),
+                    };
+                    let Some(best) = best.as_deref_mut() else { return kept };
+                    let mut offer = kept;
+                    if let Some(weakest) = best.kth().filter(|_| !offered_nan) {
+                        let reaches = SurviveTest { sign, add: 0.0, bar: weakest };
+                        offer &=
+                            kernels::survive_mask(kernel, reaches, &pes[window], stride, pes_lane);
+                    }
+                    for bit in set_bits(offer) {
+                        let row = start + bit;
+                        let score = sign * pes[row * stride + pes_lane];
+                        offered_nan |= score.is_nan();
+                        best.push(row as RowId, score);
+                    }
+                    kept
                 })
             }
-            CandidateSet::List(l) => {
-                assert_eq!(values.len(), l.len(), "values must cover every listed row");
-                let before = l.len();
-                let mut values = values.iter();
-                l.retain(|_| values.next().is_some_and(|&value| test.survives(value)));
-                before - l.len()
+            CandidateSet::List(list) => {
+                let before = list.len();
+                let mut slot = 0;
+                list.retain(|&row| {
+                    let (o, p) = (opt[slot * stride], pes[slot * stride + pes_lane]);
+                    slot += 1;
+                    let kept = keep.is_none_or(|test| test.survives(o));
+                    if let Some(best) = best.as_deref_mut().filter(|_| kept) {
+                        best.push(row, sign * p);
+                    }
+                    kept
+                });
+                before - list.len()
             }
         }
     }
@@ -193,11 +205,15 @@ impl CandidateSet {
     }
 }
 
-/// The values of bitmap word `index`'s rows — the last word's may be
-/// fewer than 64.
-fn word_values(values: &[f64], index: usize) -> &[f64] {
-    let start = index * WORD_ROWS;
-    &values[start..(start + WORD_ROWS).min(values.len())]
+/// The set bit positions of one bitmap word, lowest first.
+pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -225,8 +241,30 @@ mod tests {
     }
 
     /// Keeps a value of at least `bar`.
-    fn at_least(bar: f64) -> SurviveTest {
-        SurviveTest { sign: 1.0, add: 0.0, bar, inclusive: false }
+    fn at_least(bar: f64) -> Option<SurviveTest> {
+        Some(SurviveTest { sign: 1.0, add: 0.0, bar })
+    }
+
+    /// One value per slot, as both the optimistic and the pessimistic
+    /// bound, larger is better.
+    fn slot_bounds(values: &[f64]) -> Bounds<'_> {
+        Bounds {
+            opt: values,
+            pes: values,
+            stride: 1,
+            pes_lane: 0,
+            sign: 1.0,
+            opt_add: 0.0,
+            pes_gain: -0.0,
+        }
+    }
+
+    /// A heap's entries as comparable bits, in row order.
+    fn entries(best: &TopKLargest) -> Vec<(RowId, u64)> {
+        let mut entries: Vec<(RowId, u64)> =
+            best.iter().map(|entry| (entry.row, entry.score.to_bits())).collect();
+        entries.sort_unstable();
+        entries
     }
 
     #[test]
@@ -234,13 +272,14 @@ mod tests {
         for kernel in kernels() {
             let mut c = CandidateSet::all(10);
             let even: Vec<f64> = (0..10).map(|r| f64::from(r % 2 == 0)).collect();
-            let removed = c.retain(kernel, &even, at_least(1.0));
+            let removed = c.prune(kernel, at_least(1.0), &slot_bounds(&even), None);
             assert_eq!(removed, 5);
             assert_eq!(c.to_rows(), vec![0, 2, 4, 6, 8]);
 
             // list phase: the slot is the position, not the row id
             let mut l = CandidateSet::List(vec![0, 2, 4, 6, 8]);
-            let removed = l.retain(kernel, &[0.0, 1.0, 2.0, 3.0, 4.0], at_least(2.0));
+            let values = [0.0, 1.0, 2.0, 3.0, 4.0];
+            let removed = l.prune(kernel, at_least(2.0), &slot_bounds(&values), None);
             assert_eq!(removed, 2);
             assert_eq!(l.to_rows(), vec![4, 6, 8]);
         }
@@ -258,56 +297,65 @@ mod tests {
     fn slots_are_rows_in_a_bitmap_and_positions_in_a_list() {
         let rows = vec![2, 70, 129];
         for kernel in kernels() {
-            let mut seen = Vec::new();
-            CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows)).for_each_slot_above(
-                kernel,
-                &[0.0; 130],
-                1.0,
-                |slot, row| {
-                    seen.push((slot, row));
-                    None
-                },
-            );
-            assert_eq!(seen, vec![(2, 2), (70, 70), (129, 129)]);
-            seen.clear();
-            CandidateSet::List(rows.clone()).for_each_slot_above(
-                kernel,
-                &[0.0; 3],
-                1.0,
-                |slot, row| {
-                    seen.push((slot, row));
-                    None
-                },
-            );
-            assert_eq!(seen, vec![(0, 2), (1, 70), (2, 129)]);
+            let mut best = TopKLargest::new(3);
+            let by_row: Vec<f64> = (0..130).map(f64::from).collect();
+            let mut bitmap = CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows));
+            bitmap.prune(kernel, None, &slot_bounds(&by_row), Some(&mut best));
+            let offered =
+                |pairs: [(RowId, f64); 3]| pairs.map(|(row, s)| (row, s.to_bits())).to_vec();
+            assert_eq!(entries(&best), offered([(2, 2.0), (70, 70.0), (129, 129.0)]));
+            let by_position = [10.0, 20.0, 30.0];
+            let mut list = CandidateSet::List(rows.clone());
+            list.prune(kernel, None, &slot_bounds(&by_position), Some(&mut best));
+            assert_eq!(entries(&best), offered([(2, 10.0), (70, 20.0), (129, 30.0)]));
         }
     }
 
     #[test]
     fn slot_filter_is_asked_a_word_ahead_in_a_bitmap_and_row_by_row_in_a_list() {
-        // every slot's sign-folded value is its own index and `f` raises
-        // the bar to each slot it sees plus 100: a list filters every later
-        // slot out, a bitmap only learns of the new bar with the next word
-        let rows = vec![1, 3, 64, 66, 129];
+        // A bitmap word offers the heap only the keepers that reach its
+        // weakest entry as the word starts, a list offers every keeper.
+        // Either way the heap must end exactly as if every keeper had been
+        // offered in slot order: values that rise inside a word (the bar a
+        // word late), values that tie the bar (a tie with a higher row
+        // replaces the weakest) and NaN (which stops the weakest rising).
+        type Pattern = (&'static str, fn(usize) -> f64);
+        let patterns: [Pattern; 4] = [
+            ("rising", |slot| slot as f64),
+            ("falling", |slot| -(slot as f64)),
+            ("ties", |slot| (slot % 3) as f64),
+            ("nan", |slot| if slot % 29 == 5 { f64::NAN } else { ((slot * 37) % 23) as f64 }),
+        ];
+        // two dense words, then two thin ones
+        let rows: Vec<RowId> =
+            (0..200).filter(|r| r % 7 != 3 && (*r < 128 || r % 5 == 0)).collect();
         for kernel in kernels() {
-            for sign in [1.0, -1.0] {
-                let visit = |set: &CandidateSet, values: &[f64]| {
-                    let mut seen = Vec::new();
-                    set.for_each_slot_above(kernel, values, sign, |slot, row| {
-                        seen.push(row);
-                        Some(slot as f64 + 100.0)
-                    });
-                    seen
-                };
-                let by_row: Vec<f64> = (0..130).map(|slot| sign * slot as f64).collect();
-                let bitmap = CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows));
-                assert_eq!(visit(&bitmap, &by_row), [1, 3, 129]);
-                let by_position: Vec<f64> = (0..rows.len()).map(|pos| sign * pos as f64).collect();
-                assert_eq!(visit(&CandidateSet::List(rows.clone()), &by_position), [1]);
-                // a value that only ties the bar does not pass
-                let ties = vec![sign * 101.0; 130];
-                let tied = CandidateSet::from_bitmap(Bitmap::from_rows(130, &[1, 64]));
-                assert_eq!(visit(&tied, &ties), [1]);
+            for (name, value) in patterns {
+                for k in [1, 3, 17] {
+                    for sign in [1.0, -1.0] {
+                        let by_row: Vec<f64> = (0..200).map(|slot| sign * value(slot)).collect();
+                        let by_position: Vec<f64> =
+                            (0..rows.len()).map(|slot| sign * value(slot)).collect();
+                        for (mut set, values) in [
+                            (CandidateSet::from_bitmap(Bitmap::from_rows(200, &rows)), &by_row),
+                            (CandidateSet::List(rows.clone()), &by_position),
+                        ] {
+                            let bounds = Bounds { sign, ..slot_bounds(values) };
+                            let mut best = TopKLargest::new(k);
+                            set.prune(kernel, None, &bounds, Some(&mut best));
+                            let mut every = TopKLargest::new(k);
+                            let mut position = 0;
+                            set.for_each(|row| {
+                                let slot = if set.is_bitmap() { row as usize } else { position };
+                                position += 1;
+                                every.push(row, sign * values[slot]);
+                            });
+                            let ctx =
+                                format!("{name} k={k} sign={sign} bitmap={}", set.is_bitmap());
+                            assert_eq!(entries(&best), entries(&every), "{ctx}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -315,15 +363,28 @@ mod tests {
     #[test]
     fn bitmap_retain_ignores_answers_for_rows_that_are_not_candidates() {
         // 130 rows, candidates in the first and the trailing partial word;
-        // every non-candidate fails the test, and NaN keeps its row
+        // every non-candidate fails the test, and NaN keeps its row — on a
+        // thin word (bit by bit) and on a dense one (one survive mask)
+        let dense: Vec<RowId> = (64..100).collect();
         for kernel in kernels() {
-            let mut c = CandidateSet::from_bitmap(Bitmap::from_rows(130, &[0, 7, 63, 128, 129]));
-            let mut values = vec![-1.0; 130];
-            for (row, value) in [(0, 1.0), (7, -1.0), (63, f64::NAN), (128, 1.0), (129, -1.0)] {
-                values[row] = value;
+            for extra in [&[][..], &dense[..]] {
+                let mut rows = vec![0, 7, 63, 128, 129];
+                rows.extend_from_slice(extra);
+                let mut c = CandidateSet::from_bitmap(Bitmap::from_rows(130, &rows));
+                let mut values = vec![-1.0; 130];
+                for (row, value) in [(0, 1.0), (7, -1.0), (63, f64::NAN), (128, 1.0), (129, -1.0)] {
+                    values[row] = value;
+                }
+                for &row in extra {
+                    values[row as usize] = if row % 2 == 0 { 1.0 } else { -1.0 };
+                }
+                let removed = c.prune(kernel, at_least(0.0), &slot_bounds(&values), None);
+                assert_eq!(removed, 2 + extra.len() / 2);
+                let mut kept = vec![0, 63];
+                kept.extend(extra.iter().filter(|row| *row % 2 == 0));
+                kept.push(128);
+                assert_eq!(c.to_rows(), kept);
             }
-            assert_eq!(c.retain(kernel, &values, at_least(0.0)), 2);
-            assert_eq!(c.to_rows(), vec![0, 63, 128]);
         }
     }
 
@@ -340,7 +401,7 @@ mod tests {
         assert!(!c.maybe_materialize(0.2));
         assert!(c.is_bitmap());
         let rows: Vec<f64> = (0..100).map(|r| -f64::from(r)).collect();
-        c.retain(Kernel::Scalar, &rows, at_least(-9.0));
+        c.prune(Kernel::Scalar, at_least(-9.0), &slot_bounds(&rows), None);
         // density 0.1 <= 0.2: switch
         assert!(c.maybe_materialize(0.2));
         assert!(!c.is_bitmap());

@@ -15,7 +15,7 @@
 //!    form, plus the mass companions ([`add_assign`],
 //!    [`add_assign_gather`]) the `Hh` rule needs.
 //!
-//! A third primitive serves the pruning step both BOND loops run between
+//! A third primitive serves the pruning step the BOND loop runs between
 //! blocks: the 64-row **survive mask** ([`survive_mask`]), one branch-free
 //! bound test per row of a candidate-bitmap word, AND-ed into the word.
 //!
@@ -287,8 +287,8 @@ pub fn sweep_pairs(
 pub const MASK_ROWS: usize = 64;
 
 /// The bound test of a [`survive_mask`]: a row **survives** unless
-/// `sign · (x + add)` is below `bar` — or at or below it, when `inclusive`.
-/// A NaN compares false either way and keeps its row. Adding `add = 0.0`
+/// `sign · (x + add)` is below `bar`. A NaN compares false and keeps its
+/// row. Adding `add = 0.0`
 /// changes no comparison (it only turns `−0.0` into `+0.0`), so a plain
 /// `sign · x` test is this one with `add = 0.0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -300,9 +300,6 @@ pub struct SurviveTest {
     pub add: f64,
     /// The value a row must reach.
     pub bar: f64,
-    /// Whether a row exactly at the bar is dropped too (the κ-entry test:
-    /// a bound that merely ties the k-th cannot raise it).
-    pub inclusive: bool,
 }
 
 impl SurviveTest {
@@ -311,8 +308,7 @@ impl SurviveTest {
     /// phases) apply directly.
     #[inline]
     pub fn survives(self, x: f64) -> bool {
-        let v = self.sign * (x + self.add);
-        let dropped = if self.inclusive { v <= self.bar } else { v < self.bar };
+        let dropped = self.sign * (x + self.add) < self.bar;
         !dropped
     }
 }
@@ -548,7 +544,7 @@ mod x86 {
         _mm256_permute4x64_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_setr_pd, _mm256_setzero_pd,
         _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_and_si128,
         _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_pd, _mm_loadu_si128, _mm_set1_epi32,
-        _CMP_LE_OQ, _CMP_LT_OQ,
+        _CMP_LT_OQ,
     };
 
     use bond_metrics::KernelOp;
@@ -558,7 +554,7 @@ mod x86 {
 
     /// The dropped-row bits of four rows: `sign · (v + add)` compared
     /// against the bar lane-wise with an *ordered* compare, so a NaN lane
-    /// reads "not dropped" exactly as the scalar `<` / `<=` does.
+    /// reads "not dropped" exactly as the scalar `<` does.
     ///
     /// # Safety
     /// Caller guarantees AVX2 is available.
@@ -566,20 +562,9 @@ mod x86 {
     // `survive_mask_avx2`, which runs with AVX2 established.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dropped_quad(
-        v: __m256d,
-        sign: __m256d,
-        add: __m256d,
-        bar: __m256d,
-        inclusive: bool,
-    ) -> u64 {
+    unsafe fn dropped_quad(v: __m256d, sign: __m256d, add: __m256d, bar: __m256d) -> u64 {
         let s = _mm256_mul_pd(sign, _mm256_add_pd(v, add));
-        let hit = if inclusive {
-            _mm256_cmp_pd::<_CMP_LE_OQ>(s, bar)
-        } else {
-            _mm256_cmp_pd::<_CMP_LT_OQ>(s, bar)
-        };
-        _mm256_movemask_pd(hit) as u64
+        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(s, bar)) as u64
     }
 
     /// The AVX2 survive mask: four rows per compare. With stride 2 two
@@ -617,7 +602,7 @@ mod x86 {
                     if lane == 0 { _mm256_unpacklo_pd(a, b) } else { _mm256_unpackhi_pd(a, b) };
                 _mm256_permute4x64_pd::<0b11_01_10_00>(picked)
             };
-            dropped |= dropped_quad(v, sign, add, bar, test.inclusive) << i;
+            dropped |= dropped_quad(v, sign, add, bar) << i;
             i += 4;
         }
         let mut mask = if i == 64 { !dropped } else { !dropped & ((1u64 << i) - 1) };

@@ -35,8 +35,18 @@
 //!
 //! ## Module map
 //!
-//! * [`searcher`] — the generic branch-and-bound loop (Algorithm 2) with the
-//!   bitmap-then-materialise candidate representation of Section 6.1,
+//! BOND's block loop — sweep a block, bound every candidate, take κ as the
+//! k-th best safe bound, drop what cannot reach it — is written once (the
+//! private `bond_loop` module) and runs in two spaces: over code intervals
+//! ([`quantfilter`]) and over exact partial scores ([`searcher`]). Each
+//! space supplies only its sweep and its bounds.
+//!
+//! * [`searcher`] — BOND search (Algorithm 2) over exact partial scores and
+//!   a [`metrics::PruningRule`]'s bounds; [`search_segment`] runs the code
+//!   sweep first when a segment has codes, then the exact search over its
+//!   survivors,
+//! * [`candidates`] — the bitmap-then-materialise candidate set of Section
+//!   6.1 and the pruning pass over it, 64 rows at a time,
 //! * [`ordering`] — dimension orderings (Section 5.1),
 //! * [`schedule`] — how many dimensions to scan between pruning attempts
 //!   (Section 5.2),
@@ -53,9 +63,9 @@
 //! * [`compressed`] — BOND on 8-bit-quantized fragments with an exact
 //!   refinement step (Section 7.4, Figure 9 / Table 4),
 //! * [`quantfilter`] — the quantized first pass the execution engine runs
-//!   before the exact search: BOND in code space (a progressive LUT sweep
-//!   over `u8` code columns that tightens κ and drops candidates block by
-//!   block), full interval score bounds, approximate codes-only top-k,
+//!   before the exact search: BOND in code space (LUT sweeps over `u8`
+//!   code columns bound every candidate after each block), full interval
+//!   score bounds, approximate codes-only top-k,
 //! * [`kernels`] — the runtime-dispatched ISA-pinned implementations of the
 //!   two hot loops (quantized LUT sweep, exact contribution accumulate):
 //!   AVX2 / NEON / portable scalar, selected once per process and
@@ -67,6 +77,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod bond_loop;
 pub mod candidates;
 pub mod compressed;
 pub mod cost;

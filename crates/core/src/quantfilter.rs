@@ -4,40 +4,41 @@
 //! on small approximations first, touch exact values only for survivors —
 //! and it prunes *while* it scans, dimension block by dimension block,
 //! exactly like the exact search does. [`filter_segment`] is that first
-//! pass. Per dimension two tiny lookup tables (one entry per quantization
-//! level, at most 256) hold the best and worst contribution any value in
-//! a cell can make; the ISA-pinned sweep kernels ([`crate::kernels`]) add
-//! them onto two per-row running bounds with no per-row branching.
+//! pass, and it runs the very loop the exact search runs (the crate's one
+//! progressive block loop, generic over where bounds come from); this
+//! module supplies the **code-interval** bound source. Per dimension two
+//! tiny lookup tables (one entry per quantization level, at most 256) hold
+//! the best and worst contribution any value in a cell can make; the
+//! ISA-pinned sweep kernels ([`crate::kernels`]) add them onto two per-row
+//! running bounds with no per-row branching.
 //!
-//! **The progressive sweep.** The candidate set starts as the eligible
-//! bitmap (live ∧ predicate filter). Code columns are swept in the
+//! **A block.** The candidate set starts as the eligible bitmap (live ∧
+//! predicate filter) and stays a bitmap. Code columns are swept in the
 //! segment plan's dimension order, eight at a time, and only over the
 //! runs of 64-row bitmap words that still hold a candidate; LUTs are built
 //! per block, so a segment that empties after its first block builds 8
 //! LUTs, not `dims`. After each block every candidate's exact score is
 //! bracketed by `swept bound + best / worst of the unswept dimensions`
 //! (the latter from each grid's `[min, max]`, suffix-summed once per
-//! (query, segment)):
-//!
-//! * the k-th best **pessimistic** bound over the candidates is a valid κ
-//!   for the whole query (k rows provably score at least that well) and
-//!   is published to the shared cell, and
-//! * every candidate whose **optimistic** bound cannot reach κ is cleared
-//!   before another of its code cells — or a single exact `f64` — is read.
-//!
-//! The sweep ends when at most `k` candidates remain (BOND's own
-//! termination: nothing further can be pruned from inside the segment) or
-//! the dimensions run out; what is left goes to the exact search.
+//! (query, segment)). The loop then does what it does in exact space: the
+//! k-th best **pessimistic** bound is a κ for the whole query, published
+//! to the shared cell, and every candidate whose **optimistic** bound
+//! cannot reach κ is cleared before another of its code cells — or a
+//! single exact `f64` — is read. It ends at `k` candidates or the last
+//! dimension; what is left goes to the exact search.
 //!
 //! **κ before the far rows.** A bound over 8 of 128 dimensions is loose,
-//! so two things make κ tight early. After a segment's *first* block the
-//! `k` most promising candidates have their pessimistic bound completed
-//! cell by cell over all remaining dimensions (`k × (dims − 8)` lookups) —
-//! a κ as tight as the full sweep would prove for those rows. And the
-//! engine visits a query's segments most-promising-first (tightest
-//! envelope score toward the query), so that probe runs in the query's own
-//! neighbourhood and every later segment starts against its κ — on
-//! clustered data those lose nearly every row at their first block.
+//! and code space differs from exact space in two facts of the source. It
+//! prunes with the κ it carried in (its own, or a sibling segment's) and
+//! applies a fresh one at once only after the first and the last block.
+//! And after the *first* block the `k` most promising candidates have
+//! their pessimistic bound completed cell by cell over all remaining
+//! dimensions (`k × (dims − 8)` lookups) — a κ as tight as the full sweep
+//! would prove for those rows. The engine visits a query's segments
+//! most-promising-first (tightest envelope score toward the query), so
+//! that probe runs in the query's own neighbourhood and every later
+//! segment starts against its κ — on clustered data those lose nearly
+//! every row at their first block.
 //!
 //! Safety rests on one invariant, property-tested per metric in
 //! `bond-metrics`: `worst_contribution ≤ contribution ≤ best_contribution`
@@ -50,20 +51,18 @@
 //! approximate scan mode: [`approximate_topk`] ranks live rows by midpoint
 //! score and reports half the interval width as a per-hit error bound.
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, CodeParams, RowId, SegmentCodesView, TopKLargest, TopKSmallest};
+use vdstore::{Bitmap, CodeParams, SegmentCodesView, TopKLargest, TopKSmallest};
 
-use crate::candidates::WORD_ROWS;
+use crate::bond_loop::{with_scratch, BondLoop, BoundSource, Bounds, Scratch};
+use crate::candidates::{CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel, SurviveTest};
-use crate::searcher::prune_slack;
+use crate::kernels::{self, Kernel};
+use crate::schedule::BlockSchedule;
 
 /// Code columns [`filter_segment`] sweeps between two pruning steps — on
 /// every kernel: the dimension-blocked AVX2 sweep folds them in one pass
@@ -71,16 +70,9 @@ use crate::searcher::prune_slack;
 /// take the same eight columns one at a time.
 const PRUNE_BLOCK: usize = 8;
 
-/// Candidates a bitmap word must hold for a pruning step to test all its
-/// 64 rows with one [`kernels::survive_mask`]; a thinner word tests its set
-/// bits one by one. A per-word choice from what the sweep observes: in
-/// scratch runs the full-word mask lost to the bit loop on words a random
-/// 10 % filter leaves (about six candidates each) and won on dense ones.
-const MASK_MIN_CANDIDATES: u32 = 16;
-
 /// Reusable working memory of the quantized filter: the per-row bound
 /// accumulators, the per-level contribution LUTs and the progressive
-/// sweep's candidate words, remaining-dimension bounds and κ heap.
+/// sweep's remaining-dimension bounds.
 ///
 /// Allocated fresh, these were the filter path's only per-task
 /// allocations; hoisting them into a scratch that lives as long as the
@@ -103,15 +95,10 @@ pub struct QuantScratch {
     /// its LUT built — input to the metric's batched
     /// `fill_contribution_pairs`.
     bounds: Vec<(f64, f64)>,
-    /// The progressive sweep's candidate set, one bit per row.
-    cand: Vec<u64>,
     /// `rem_opt[j]` / `rem_pes[j]`: the best / worst total contribution of
     /// the plan's dimensions `j..` for *any* value inside their grids.
     rem_opt: Vec<f64>,
     rem_pes: Vec<f64>,
-    /// The `k` candidates with the best pessimistic bound at the current
-    /// pruning step (weakest on top), in the sweep's goodness space.
-    best: BinaryHeap<Reverse<Scored>>,
 }
 
 impl QuantScratch {
@@ -128,45 +115,6 @@ impl QuantScratch {
     /// The pessimistic bounds of the last [`interval_scores_into`] sweep.
     pub fn pes(&self) -> &[f64] {
         &self.pes
-    }
-
-    /// Builds dimension `d`'s interleaved `[opt, pes]` contribution LUT
-    /// into slot `slot` of `opt_lut` — the layout [`kernels::sweep_pairs`]
-    /// reads.
-    fn build_pair_lut(
-        &mut self,
-        slot: usize,
-        metric: &dyn DecomposableMetric,
-        kernel: Kernel,
-        d: usize,
-        grid: CodeParams,
-        q: f64,
-    ) {
-        let len = grid.levels() as usize * 2;
-        let lut = &mut self.opt_lut[slot * len..(slot + 1) * len];
-        fill_pair_lut(metric, kernel, d, grid, q, &mut self.bounds, lut);
-    }
-
-    /// Builds dimension `d`'s split `opt_lut` / `pes_lut` — the layout the
-    /// single-column [`kernels::sweep`] reads — staging the pairs in
-    /// `inter`.
-    fn build_split_lut(
-        &mut self,
-        metric: &dyn DecomposableMetric,
-        kernel: Kernel,
-        d: usize,
-        grid: CodeParams,
-        q: f64,
-    ) {
-        let levels = grid.levels() as usize;
-        self.opt_lut.resize(levels, 0.0);
-        self.pes_lut.resize(levels, 0.0);
-        self.inter.resize(levels * 2, 0.0);
-        fill_pair_lut(metric, kernel, d, grid, q, &mut self.bounds, &mut self.inter);
-        for (code, pair) in self.inter.chunks_exact(2).enumerate() {
-            self.opt_lut[code] = pair[0];
-            self.pes_lut[code] = pair[1];
-        }
     }
 }
 
@@ -193,14 +141,6 @@ fn fill_pair_lut(
     }
 }
 
-thread_local! {
-    /// One scratch per worker thread. The engine runs each (query,
-    /// segment) task on one rayon-style worker, so this is exactly the
-    /// "per-task scratch" the filter path wants without threading a
-    /// handle through every call site.
-    static SCRATCH: RefCell<QuantScratch> = RefCell::new(QuantScratch::new());
-}
-
 /// Sweeps all code fragments of one segment into `scratch` using the given
 /// [`Kernel`], leaving the per-row interval `[pes, opt]` bracketing each
 /// exact full-dimensional score in [`QuantScratch::pes`] /
@@ -220,63 +160,22 @@ pub fn interval_scores_into(
         return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
     }
     let rows = codes.len();
-    let levels = codes.levels();
-    let group = kernels::sweep_group(kernel, levels);
-    // The hot sweep: flat bytes in, two multiply-free accumulations out,
-    // no branches on row content — dispatched to the pinned per-ISA
-    // kernel. Bit-identical across kernels by contract: every row adds its
-    // per-dimension contributions in dimension order either way.
-    if group <= 1 {
-        scratch.opt.clear();
-        scratch.opt.resize(rows, 0.0);
-        scratch.pes.clear();
-        scratch.pes.resize(rows, 0.0);
-        // one dimension at a time, straight into the bound arrays — the
-        // reference pass structure
-        for (d, &q) in query.iter().enumerate() {
-            scratch.build_split_lut(metric, kernel, d, codes.params(d), q);
-            let column = codes.dim_codes(d)?;
-            kernels::sweep(
-                kernel,
-                column,
-                &scratch.opt_lut,
-                &scratch.pes_lut,
-                &mut scratch.opt,
-                &mut scratch.pes,
-            );
-        }
-        return Ok((rows * dims) as u64);
-    }
-    // The dimension-blocked kernels: up to `group` code columns fold into
-    // an interleaved `[opt, pes]` accumulator per pass, with each cell's
-    // contribution pair adjacent so the kernel fetches both in one load.
-    // None of the output buffers need zeroing: the first block sweeps in
-    // `init` mode and every row of `opt`/`pes` is overwritten by the final
-    // de-interleave, so stale contents are only ever resized away.
-    scratch.inter.resize(rows * 2, 0.0);
-    scratch.opt.resize(rows, 0.0);
-    scratch.pes.resize(rows, 0.0);
-    scratch.opt_lut.resize(group * levels * 2, 0.0);
-    let mut columns: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
+    let mut source = CodeIntervals::new(codes, metric, query, None, kernel, scratch);
+    // Bit-identical across kernels and block widths by contract: every row
+    // adds its per-dimension contributions in dimension order either way.
+    // The dimension-blocked kernels take as many columns per pass as they
+    // fold at once; the single-column ones take them one by one.
+    let group = kernels::sweep_group(kernel, codes.levels());
     for start in (0..dims).step_by(group) {
-        let g = group.min(dims - start);
-        for (j, column) in columns.iter_mut().enumerate().take(g) {
-            let d = start + j;
-            scratch.build_pair_lut(j, metric, kernel, d, codes.params(d), query[d]);
-            *column = codes.dim_codes(d)?;
-        }
-        kernels::sweep_pairs(
-            kernel,
-            &columns[..g],
-            &scratch.opt_lut,
-            levels,
-            &mut scratch.inter,
-            start == 0,
-        );
+        source.sweep_runs(|| std::iter::once(0..rows), start..dims.min(start + group))?;
     }
-    for (i, pair) in scratch.inter.chunks_exact(2).enumerate() {
-        scratch.opt[i] = pair[0];
-        scratch.pes[i] = pair[1];
+    if source.paired {
+        let QuantScratch { opt, pes, inter, .. } = source.scratch;
+        opt.resize(rows, 0.0);
+        pes.resize(rows, 0.0);
+        for (i, pair) in inter.chunks_exact(2).enumerate() {
+            (opt[i], pes[i]) = (pair[0], pair[1]);
+        }
     }
     Ok((rows * dims) as u64)
 }
@@ -335,12 +234,14 @@ pub fn filter_segment_with_kernel(
     shared: Option<&dyn KappaCell>,
     kernel: Kernel,
 ) -> Result<QuantFilter> {
-    filter_segment_in_order(codes, metric, query, k, live, shared, kernel, None)
+    with_scratch(|scratch| {
+        filter_segment_in_order(codes, metric, query, k, live, shared, kernel, None, scratch)
+    })
 }
 
 /// [`filter_segment_with_kernel`] sweeping the code columns in `order` —
 /// the segment plan's dimension order, which the caller has validated as a
-/// permutation of `0..dims` (`None` is storage order).
+/// permutation of `0..dims` (`None` is storage order) — on `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn filter_segment_in_order(
     codes: &SegmentCodesView<'_>,
@@ -351,29 +252,7 @@ pub(crate) fn filter_segment_in_order(
     shared: Option<&dyn KappaCell>,
     kernel: Kernel,
     order: Option<&[usize]>,
-) -> Result<QuantFilter> {
-    let prune: PruneFn =
-        |sweep, scratch, rem_opt, kappa, collect| sweep.prune(scratch, rem_opt, kappa, collect);
-    filter_segment_by(codes, metric, query, k, live, shared, kernel, order, prune)
-}
-
-/// A pruning step of the progressive sweep, as [`Progressive::prune`]
-/// spells it — a parameter so that the tests can run the sweep over the
-/// per-bit reference step as well.
-type PruneFn = fn(&Progressive<'_>, &mut QuantScratch, f64, f64, Option<usize>) -> usize;
-
-/// [`filter_segment_in_order`] with the pruning step passed in.
-#[allow(clippy::too_many_arguments)]
-fn filter_segment_by(
-    codes: &SegmentCodesView<'_>,
-    metric: &dyn DecomposableMetric,
-    query: &[f64],
-    k: usize,
-    live: &Bitmap,
-    shared: Option<&dyn KappaCell>,
-    kernel: Kernel,
-    order: Option<&[usize]>,
-    prune: PruneFn,
+    scratch: &mut Scratch,
 ) -> Result<QuantFilter> {
     let rows = codes.len();
     let dims = codes.dims();
@@ -389,26 +268,35 @@ fn filter_segment_by(
     if k == 0 {
         return Err(BondError::InvalidK { k, rows: live.count() });
     }
-    let sweep = Progressive {
-        codes,
-        metric,
-        query,
-        order,
-        kernel,
-        paired: kernels::sweep_group(kernel, codes.levels()) > 1,
-        sign: match metric.objective() {
-            Objective::Maximize => 1.0,
-            Objective::Minimize => -1.0,
-        },
+    if live.count() <= k {
+        // nothing to prune: every eligible row is part of the answer
+        return Ok(QuantFilter { survivors: live.clone(), kappa: None, cells: 0, dims: 0 });
+    }
+    // the survivor bitmap, and the only allocation of a warmed call
+    let mut candidates = CandidateSet::from_bitmap(live.clone());
+    let mut source = CodeIntervals::new(codes, metric, query, order, kernel, &mut scratch.codes);
+    source.fill_remaining_bounds();
+    let schedule = BlockSchedule::Fixed(PRUNE_BLOCK);
+    let sign = source.sign;
+    let progress = BondLoop { k, kernel, schedule, shared }.run(
+        &mut source,
+        &mut candidates,
+        &mut scratch.best,
+    )?;
+    let survivors = match candidates {
+        CandidateSet::Bits(bits) => bits,
+        // the code sweep never leaves the bitmap phase
+        CandidateSet::List(list) => Bitmap::from_rows(rows, &list),
     };
-    SCRATCH.with(|cell| sweep.run(k, live, shared, &mut cell.borrow_mut(), prune))
+    let kappa = progress.kappa.is_finite().then_some(sign * progress.kappa);
+    Ok(QuantFilter { survivors, kappa, cells: source.cells, dims: progress.swept })
 }
 
-/// One segment's progressive sweep: the per-(query, segment) constants the
-/// block steps share. All comparisons run in *goodness* space — scores and
-/// bounds multiplied by `sign` — where larger is better under either
-/// objective (negation is exact, so nothing is lost to it).
-struct Progressive<'a> {
+/// The code-interval [`BoundSource`]: per block, the LUT sweep into the
+/// paired or split accumulator bounds each candidate's swept part; the
+/// suffix-summed `rem_opt` / `rem_pes` of the unswept grids bound the
+/// rest.
+struct CodeIntervals<'a> {
     codes: &'a SegmentCodesView<'a>,
     metric: &'a dyn DecomposableMetric,
     query: &'a [f64],
@@ -420,274 +308,162 @@ struct Progressive<'a> {
     paired: bool,
     /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
     sign: f64,
+    scratch: &'a mut QuantScratch,
+    /// Code cells read: swept word runs plus the probe's lookups.
+    cells: u64,
 }
 
-impl Progressive<'_> {
-    /// The dimension at position `j` of the sweep order.
-    fn dim_at(&self, j: usize) -> usize {
-        self.order.map_or(j, |order| order[j])
-    }
-
-    fn run(
-        &self,
-        k: usize,
-        live: &Bitmap,
-        shared: Option<&dyn KappaCell>,
-        scratch: &mut QuantScratch,
-        prune: PruneFn,
-    ) -> Result<QuantFilter> {
-        let rows = self.codes.len();
-        let dims = self.codes.dims();
-        let sign = self.sign;
-        self.fill_remaining_bounds(scratch);
+impl<'a> CodeIntervals<'a> {
+    fn new(
+        codes: &'a SegmentCodesView<'a>,
+        metric: &'a dyn DecomposableMetric,
+        query: &'a [f64],
+        order: Option<&'a [usize]>,
+        kernel: Kernel,
+        scratch: &'a mut QuantScratch,
+    ) -> Self {
+        let paired = kernels::sweep_group(kernel, codes.levels()) > 1;
         // Stale accumulator contents never matter: the first block sweeps
         // in `init` mode, and only rows of swept words are ever read.
-        if self.paired {
+        let rows = codes.len();
+        if paired {
             scratch.inter.resize(rows * 2, 0.0);
         } else {
             scratch.opt.resize(rows, 0.0);
             scratch.pes.resize(rows, 0.0);
         }
-        scratch.cand.clear();
-        scratch.cand.extend_from_slice(live.words());
-        let mut alive = live.count();
+        let sign = match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        CodeIntervals { codes, metric, query, order, kernel, paired, sign, scratch, cells: 0 }
+    }
 
-        let mut kappa = f64::NEG_INFINITY;
-        let mut cells = 0u64;
-        let mut swept = 0usize;
-        while swept < dims && alive > k {
-            let first_block = swept == 0;
-            let block = PRUNE_BLOCK.min(dims - swept);
-            cells += self.sweep_block(scratch, swept, block)?;
-            swept += block;
-
-            // Prune with the best κ known — siblings may have tightened
-            // the shared cell meanwhile — and collect the k candidates
-            // with the best pessimistic bound among the keepers. (A row
-            // dropped here could not have raised κ: its pessimistic bound
-            // is below its optimistic one, which already missed κ.)
-            if let Some(current) = shared.and_then(|cell| cell.current()) {
-                kappa = kappa.max(sign * current);
-            }
-            let rem_opt = scratch.rem_opt[swept];
-            alive = prune(self, scratch, rem_opt, kappa, Some(k));
-            if scratch.best.len() < k {
-                // fewer than k keepers, or vacuous pessimistic bounds
-                continue;
-            }
-            let mut proven =
-                scratch.best.peek().map_or(f64::NEG_INFINITY, |weakest| weakest.0.score)
-                    + sign * scratch.rem_pes[swept];
-            if first_block && swept < dims {
-                proven = proven.max(self.probe(scratch, swept)?);
-                cells += (k * (dims - swept)) as u64;
-            }
-            // a vacuous (infinite) pessimistic bound proves nothing: do
-            // not publish it, and keep every candidate
-            if proven.is_finite() && proven > kappa {
-                kappa = match shared {
-                    Some(cell) => sign * cell.tighten(sign * proven),
-                    None => proven,
-                };
-                // Applied at once only where it pays: after the first
-                // block the probe lifts κ from nothing to nearly final and
-                // whole words die, and what is left after the last block is
-                // refined exactly. In between κ gains little per block and
-                // rides along with the next step's pass.
-                if first_block || swept == dims {
-                    alive = prune(self, scratch, rem_opt, kappa, None);
-                }
-            }
-        }
-
-        let mut survivors = Bitmap::new(rows);
-        for (wi, &word) in scratch.cand.iter().enumerate() {
-            for bit in set_bits(word) {
-                survivors.set((wi * WORD_ROWS + bit) as RowId);
-            }
-        }
-        let kappa = kappa.is_finite().then_some(sign * kappa);
-        Ok(QuantFilter { survivors, kappa, cells, dims: swept })
+    /// The dimension at position `j` of the sweep order.
+    fn dim_at(&self, j: usize) -> usize {
+        self.order.map_or(j, |order| order[j])
     }
 
     /// Suffix-sums, over the sweep order, the best and worst contribution
     /// each dimension can make for any value inside its grid — what an
     /// unswept dimension can still add to a candidate's bounds.
-    fn fill_remaining_bounds(&self, scratch: &mut QuantScratch) {
+    fn fill_remaining_bounds(&mut self) {
         let dims = self.codes.dims();
-        scratch.rem_opt.clear();
-        scratch.rem_opt.resize(dims + 1, 0.0);
-        scratch.rem_pes.clear();
-        scratch.rem_pes.resize(dims + 1, 0.0);
+        let QuantScratch { rem_opt, rem_pes, .. } = &mut *self.scratch;
+        rem_opt.clear();
+        rem_opt.resize(dims + 1, 0.0);
+        rem_pes.clear();
+        rem_pes.resize(dims + 1, 0.0);
         for j in (0..dims).rev() {
-            let d = self.dim_at(j);
-            let grid = self.codes.params(d);
-            let q = self.query[d];
-            scratch.rem_opt[j] =
-                scratch.rem_opt[j + 1] + self.metric.best_contribution(d, grid.min, grid.max, q);
-            scratch.rem_pes[j] =
-                scratch.rem_pes[j + 1] + self.metric.worst_contribution(d, grid.min, grid.max, q);
+            let d = self.order.map_or(j, |order| order[j]);
+            let (grid, q) = (self.codes.params(d), self.query[d]);
+            rem_opt[j] = rem_opt[j + 1] + self.metric.best_contribution(d, grid.min, grid.max, q);
+            rem_pes[j] = rem_pes[j + 1] + self.metric.worst_contribution(d, grid.min, grid.max, q);
         }
     }
 
-    /// Sweeps the `block` code columns at positions `swept..` of the order
-    /// over every run of candidate-holding words, building just their LUTs
-    /// first. Hole rows inside a swept word are over-computed and never
-    /// read. Returns the number of code cells swept.
-    fn sweep_block(&self, scratch: &mut QuantScratch, swept: usize, block: usize) -> Result<u64> {
-        let rows = self.codes.len();
-        let levels = self.codes.levels();
-        let init = swept == 0;
-        let mut columns: [&[u8]; PRUNE_BLOCK] = [&[]; PRUNE_BLOCK];
-        for (j, column) in columns[..block].iter_mut().enumerate() {
-            *column = self.codes.dim_codes(self.dim_at(swept + j))?;
+    /// Sweeps the code columns at positions `block` of the order over the
+    /// row ranges `runs` yields, building just their LUTs first: into the
+    /// interleaved accumulator, all columns per pass, on the
+    /// dimension-blocked kernels ([`kernels::sweep_pairs`]), into the split
+    /// `opt` / `pes` arrays one column at a time on the others
+    /// ([`kernels::sweep`]).
+    fn sweep_runs<I>(&mut self, runs: impl Fn() -> I, block: Range<usize>) -> Result<()>
+    where
+        I: Iterator<Item = Range<usize>>,
+    {
+        let Self { codes, metric, query, kernel, .. } = *self;
+        let levels = codes.levels();
+        let init = block.start == 0;
+        let order = self.order;
+        let dim_at = |j: usize| order.map_or(j, |order| order[j]);
+        let mut columns: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
+        for (column, j) in columns.iter_mut().zip(block.clone()) {
+            *column = codes.dim_codes(dim_at(j))?;
         }
-        let swept_rows: usize = word_runs(&scratch.cand, rows).map(|run| run.len()).sum();
+        let columns = &columns[..block.len()];
+        let QuantScratch { opt, pes, opt_lut, pes_lut, inter, bounds, .. } = &mut *self.scratch;
         if self.paired {
-            scratch.opt_lut.resize(PRUNE_BLOCK * levels * 2, 0.0);
-            for j in 0..block {
-                let d = self.dim_at(swept + j);
-                scratch.build_pair_lut(
-                    j,
-                    self.metric,
-                    self.kernel,
-                    d,
-                    self.codes.params(d),
-                    self.query[d],
-                );
+            let len = levels * 2;
+            opt_lut.resize(columns.len() * len, 0.0);
+            for (lut, j) in opt_lut.chunks_exact_mut(len).zip(block) {
+                let d = dim_at(j);
+                fill_pair_lut(metric, kernel, d, codes.params(d), query[d], bounds, lut);
             }
-            let mut window: [&[u8]; PRUNE_BLOCK] = [&[]; PRUNE_BLOCK];
-            for run in word_runs(&scratch.cand, rows) {
-                for (slice, column) in window.iter_mut().zip(&columns[..block]) {
+            let mut window: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
+            for run in runs() {
+                for (slice, column) in window.iter_mut().zip(columns) {
                     *slice = &column[run.clone()];
                 }
-                kernels::sweep_pairs(
-                    self.kernel,
-                    &window[..block],
-                    &scratch.opt_lut,
-                    levels,
-                    &mut scratch.inter[2 * run.start..2 * run.end],
-                    init,
-                );
+                let acc = &mut inter[2 * run.start..2 * run.end];
+                kernels::sweep_pairs(kernel, &window[..columns.len()], opt_lut, levels, acc, init);
             }
         } else {
-            for (j, column) in columns[..block].iter().enumerate() {
-                let d = self.dim_at(swept + j);
-                scratch.build_split_lut(
-                    self.metric,
-                    self.kernel,
-                    d,
-                    self.codes.params(d),
-                    self.query[d],
-                );
-                for run in word_runs(&scratch.cand, rows) {
-                    if init && j == 0 {
-                        scratch.opt[run.clone()].fill(0.0);
-                        scratch.pes[run.clone()].fill(0.0);
+            for (c, (column, j)) in columns.iter().zip(block).enumerate() {
+                let d = dim_at(j);
+                // the pair LUT is staged in `inter`, then split
+                inter.resize(levels * 2, 0.0);
+                fill_pair_lut(metric, kernel, d, codes.params(d), query[d], bounds, inter);
+                opt_lut.clear();
+                opt_lut.extend(inter.iter().step_by(2));
+                pes_lut.clear();
+                pes_lut.extend(inter.iter().skip(1).step_by(2));
+                for run in runs() {
+                    if init && c == 0 {
+                        opt[run.clone()].fill(0.0);
+                        pes[run.clone()].fill(0.0);
                     }
-                    kernels::sweep(
-                        self.kernel,
-                        &column[run.clone()],
-                        &scratch.opt_lut,
-                        &scratch.pes_lut,
-                        &mut scratch.opt[run.clone()],
-                        &mut scratch.pes[run.clone()],
-                    );
+                    let (opt, pes) = (&mut opt[run.clone()], &mut pes[run.clone()]);
+                    kernels::sweep(kernel, &column[run], opt_lut, pes_lut, opt, pes);
                 }
             }
         }
-        Ok((swept_rows * block) as u64)
+        Ok(())
+    }
+}
+
+impl BoundSource for CodeIntervals<'_> {
+    const CARRIES_KAPPA: bool = true;
+
+    fn dims(&self) -> usize {
+        self.codes.dims()
     }
 
-    /// Clears every candidate whose optimistic bound — swept part plus
-    /// `rem_opt`, the best the unswept dimensions can add — misses `kappa`,
-    /// and returns how many remain. With `collect = Some(k)` the keepers'
-    /// swept pessimistic bounds are offered to `scratch.best`, which ends
-    /// up holding the `k` best of them.
-    ///
-    /// A word with at least [`MASK_MIN_CANDIDATES`] candidates is AND-ed
-    /// with one [`kernels::survive_mask`] of its 64 rows; a thinner one
-    /// tests its set bits one by one with the same predicate. Only keepers
-    /// whose pessimistic bound is not below the heap's weakest entry *at
-    /// the start of their word* are offered — exact, because the weakest
-    /// only rises while the heap is full, until a NaN bound enters it (NaN
-    /// compares equal to every score, so the heap's order no longer holds)
-    /// and every keeper is offered from then on.
-    fn prune(
-        &self,
-        scratch: &mut QuantScratch,
-        rem_opt: f64,
-        kappa: f64,
-        collect: Option<usize>,
-    ) -> usize {
-        let sign = self.sign;
-        // with no κ yet the bar is −∞ and nothing compares below it
-        let keep =
-            SurviveTest { sign, add: rem_opt, bar: kappa - prune_slack(kappa), inclusive: false };
-        let QuantScratch { cand, best, inter, opt, pes, .. } = scratch;
-        // row `r`'s optimistic bound is `opt[r · stride]` and its
-        // pessimistic one `pes[r · stride + pes_lane]`: lanes 0 and 1 of the
-        // interleaved accumulator, or the split arrays
-        let (opt, pes, stride, pes_lane): (&[f64], &[f64], usize, usize) =
-            if self.paired { (inter, inter, 2, 1) } else { (opt, pes, 1, 0) };
-        let rows = opt.len() / stride;
-        if collect.is_some() {
-            best.clear();
-        }
-        let mut offered_nan = false;
-        let mut alive = 0usize;
-        for (wi, word) in cand.iter_mut().enumerate() {
-            if *word == 0 {
-                continue;
-            }
-            let start = wi * WORD_ROWS;
-            let window = start * stride..(start + WORD_ROWS).min(rows) * stride;
-            let dense = word.count_ones() >= MASK_MIN_CANDIDATES;
-            if dense {
-                *word &= kernels::survive_mask(self.kernel, keep, &opt[window.clone()], stride, 0);
-            } else {
-                for bit in set_bits(*word) {
-                    let dropped = !keep.survives(opt[(start + bit) * stride]);
-                    *word &= !(u64::from(dropped) << bit);
-                }
-            }
-            alive += word.count_ones() as usize;
-            let Some(k) = collect else { continue };
-            let mut offer = *word;
-            let bar_holds = best.len() == k && !offered_nan;
-            if let Some(weakest) = best.peek().filter(|_| dense && bar_holds) {
-                let reaches =
-                    SurviveTest { sign, add: 0.0, bar: weakest.0.score, inclusive: false };
-                offer &=
-                    kernels::survive_mask(self.kernel, reaches, &pes[window], stride, pes_lane);
-            }
-            for bit in set_bits(offer) {
-                let row = start + bit;
-                let score = sign * pes[row * stride + pes_lane];
-                offered_nan |= score.is_nan();
-                let item = Reverse(Scored { row: row as RowId, score });
-                if best.len() < k {
-                    best.push(item);
-                } else if let Some(mut weakest) = best.peek_mut() {
-                    if item < *weakest {
-                        *weakest = item;
-                    }
-                }
-            }
-        }
-        alive
+    /// Sweeps the block over every run of candidate-holding words. Hole
+    /// rows inside a swept word are over-computed and never read.
+    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+        let rows = self.codes.len();
+        let words = match candidates {
+            CandidateSet::Bits(bits) => bits.words(),
+            CandidateSet::List(_) => &[],
+        };
+        let swept_rows: usize = word_runs(words, rows).map(|run| run.len()).sum();
+        self.cells += (swept_rows * block.len()) as u64;
+        self.sweep_runs(|| word_runs(words, rows), block)
     }
 
-    /// The probe: completes the pessimistic bound of the `k` rows in
-    /// `scratch.best` over the unswept dimensions, one code cell at a
-    /// time, and returns the weakest of the completed bounds — k rows
-    /// provably score at least that well, so it is a valid κ, and nearly
-    /// as tight a one as sweeping those rows to the end would prove.
-    fn probe(&self, scratch: &QuantScratch, swept: usize) -> Result<f64> {
+    fn bounds(&self, swept: usize) -> Bounds<'_> {
+        let scratch = &*self.scratch;
+        // lanes 0 and 1 of the interleaved accumulator, or the split arrays
+        let (opt, pes, stride, pes_lane) = if self.paired {
+            (&scratch.inter[..], &scratch.inter[..], 2, 1)
+        } else {
+            (&scratch.opt[..], &scratch.pes[..], 1, 0)
+        };
+        let (opt_add, pes_gain) = (scratch.rem_opt[swept], self.sign * scratch.rem_pes[swept]);
+        Bounds { opt, pes, stride, pes_lane, sign: self.sign, opt_add, pes_gain }
+    }
+
+    /// Completes the pessimistic bound of the `k` rows in `best` over the
+    /// unswept dimensions, one code cell at a time, and returns the weakest
+    /// of the completed bounds — k rows provably score at least that well,
+    /// so it is a valid κ, and nearly as tight a one as sweeping those rows
+    /// to the end would prove.
+    fn probe(&mut self, best: &TopKLargest, swept: usize) -> Result<Option<f64>> {
+        let dims = self.codes.dims();
         let mut kth = f64::INFINITY;
-        for entry in &scratch.best {
-            let Scored { row, score: mut bound } = entry.0;
-            for j in swept..self.codes.dims() {
+        for Scored { row, score: mut bound } in best.iter() {
+            for j in swept..dims {
                 let d = self.dim_at(j);
                 let code = self.codes.dim_codes(d)?[row as usize];
                 let (lo, hi) = self.codes.params(d).cell_bounds(code);
@@ -695,19 +471,9 @@ impl Progressive<'_> {
             }
             kth = kth.min(bound);
         }
-        Ok(kth)
+        self.cells += (best.len() * (dims - swept)) as u64;
+        Ok(Some(kth))
     }
-}
-
-/// The set bit positions of one bitmap word, lowest first.
-fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            bit
-        })
-    })
 }
 
 /// The row ranges covered by maximal runs of non-empty candidate words
@@ -760,9 +526,9 @@ pub fn approximate_topk(
             live.len()
         )));
     }
-    SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let cells = interval_scores_into(codes, metric, query, Kernel::active(), &mut scratch)?;
+    with_scratch(|scratch| {
+        let scratch = &mut scratch.codes;
+        let cells = interval_scores_into(codes, metric, query, Kernel::active(), scratch)?;
         let scratch = &*scratch;
         let mid = |row: usize| 0.5 * (scratch.opt[row] + scratch.pes[row]);
         let hits = match metric.objective() {
@@ -799,9 +565,12 @@ mod tests {
         HistogramIntersection, SquaredEuclidean, WeightedHistogramIntersection,
         WeightedSquaredEuclidean,
     };
-    use std::cell::Cell;
     use std::sync::Mutex;
-    use vdstore::{DecomposedTable, SegmentStats, StoreCodes};
+    use vdstore::{DecomposedTable, RowId, SegmentStats, StoreCodes};
+
+    use crate::bond_loop::tests::{per_candidate_step, with_seam, StepStats};
+    use crate::kernels::SurviveTest;
+    use crate::searcher::prune_slack;
 
     fn codes_for(table: &DecomposedTable, partitions: usize) -> StoreCodes {
         let specs = table.partition_specs(partitions);
@@ -889,82 +658,6 @@ mod tests {
         scores
     }
 
-    /// The pruning step the sweep ran before the survive mask: one branchy
-    /// test, one bit clear and one heap offer per candidate bit. Kept as
-    /// the reference [`Progressive::prune`] must reproduce decision for
-    /// decision.
-    fn prune_per_bit(
-        sweep: &Progressive<'_>,
-        scratch: &mut QuantScratch,
-        rem_opt: f64,
-        kappa: f64,
-        collect: Option<usize>,
-    ) -> usize {
-        let sign = sweep.sign;
-        let threshold = kappa - prune_slack(kappa);
-        let QuantScratch { cand, best, inter, opt, pes, .. } = scratch;
-        if collect.is_some() {
-            best.clear();
-        }
-        let mut alive = 0usize;
-        for (wi, word) in cand.iter_mut().enumerate() {
-            for bit in set_bits(*word) {
-                let row = wi * WORD_ROWS + bit;
-                let (opt, pes) = if sweep.paired {
-                    (inter[2 * row], inter[2 * row + 1])
-                } else {
-                    (opt[row], pes[row])
-                };
-                if sign * (opt + rem_opt) < threshold {
-                    *word &= !(1u64 << bit);
-                    continue;
-                }
-                alive += 1;
-                let Some(k) = collect else { continue };
-                let item = Reverse(Scored { row: row as RowId, score: sign * pes });
-                if best.len() < k {
-                    best.push(item);
-                } else if let Some(mut weakest) = best.peek_mut() {
-                    if item < *weakest {
-                        *weakest = item;
-                    }
-                }
-            }
-        }
-        alive
-    }
-
-    thread_local! {
-        /// Dense and thin candidate words [`prune_counting`] was handed.
-        static WORDS_SEEN: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    }
-
-    /// [`Progressive::prune`], counting the words it tests with one survive
-    /// mask and the words it tests bit by bit.
-    fn prune_counting(
-        sweep: &Progressive<'_>,
-        scratch: &mut QuantScratch,
-        rem_opt: f64,
-        kappa: f64,
-        collect: Option<usize>,
-    ) -> usize {
-        let dense = scratch.cand.iter().filter(|w| w.count_ones() >= MASK_MIN_CANDIDATES).count();
-        let thin = scratch.cand.iter().filter(|&&w| w != 0).count() - dense;
-        WORDS_SEEN.with(|seen| {
-            let (d, t) = seen.get();
-            seen.set((d + dense, t + thin));
-        });
-        sweep.prune(scratch, rem_opt, kappa, collect)
-    }
-
-    /// A heap's entries as comparable bits, weakest first.
-    fn heap_bits(best: &BinaryHeap<Reverse<Scored>>) -> Vec<(RowId, u64)> {
-        let mut entries: Vec<(RowId, u64)> =
-            best.iter().map(|entry| (entry.0.row, entry.0.score.to_bits())).collect();
-        entries.sort_unstable();
-        entries
-    }
-
     #[test]
     fn word_mask_step_reproduces_the_per_bit_step_decision_for_decision() {
         let dims = 20;
@@ -981,7 +674,10 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64
         };
-        WORDS_SEEN.with(|seen| seen.set((0, 0)));
+        StepStats::take();
+        // the word-mask side reuses one scratch across every case, as a
+        // worker thread does: stale rows must not matter
+        let mut reused = Scratch::default();
         let mut cases = 0usize;
         // 640 rows in two segments of 320: every segment ends on a word
         // boundary; 700 rows in three: none does
@@ -1026,25 +722,33 @@ mod tests {
                                 for k in [1, 10, len, len + 1] {
                                     for pre in [None, truth.get(k - 1).copied()] {
                                         for kernel in [Kernel::Scalar, Kernel::active()] {
-                                            let run = |prune: PruneFn| {
+                                            let run = |reference: bool, scratch: &mut Scratch| {
                                                 let cell =
                                                     TestCell(Mutex::new(pre), metric.objective());
-                                                let filter = filter_segment_by(
-                                                    &view,
-                                                    *metric,
-                                                    &query,
-                                                    k,
-                                                    &live,
-                                                    Some(&cell),
-                                                    kernel,
-                                                    None,
-                                                    prune,
-                                                )
-                                                .unwrap();
+                                                let mut filter = || {
+                                                    filter_segment_in_order(
+                                                        &view,
+                                                        *metric,
+                                                        &query,
+                                                        k,
+                                                        &live,
+                                                        Some(&cell),
+                                                        kernel,
+                                                        None,
+                                                        scratch,
+                                                    )
+                                                    .unwrap()
+                                                };
+                                                let filter = if reference {
+                                                    with_seam(Box::new(per_candidate_step), filter)
+                                                } else {
+                                                    filter()
+                                                };
                                                 (filter, cell.current().map(f64::to_bits))
                                             };
-                                            let (masked, masked_kappa) = run(prune_counting);
-                                            let (reference, reference_kappa) = run(prune_per_bit);
+                                            let (masked, masked_kappa) = run(false, &mut reused);
+                                            let (reference, reference_kappa) =
+                                                run(true, &mut Scratch::default());
                                             let ctx = format!(
                                                 "{} major={cluster_major} seg{si}/{len} \
                                                  tombstones={tombstones} filter={filter} k={k} \
@@ -1078,8 +782,16 @@ mod tests {
             }
         }
         assert_eq!(cases, 2 * 5 * 4 * 2 * 4 * 4 * 2 * 2);
-        let (dense, thin) = WORDS_SEEN.with(Cell::get);
+        let StepStats { dense_words: dense, thin_words: thin, .. } = StepStats::take();
         assert!(dense > 1_000 && thin > 1_000, "word-mask words {dense}, bit-loop words {thin}");
+    }
+
+    /// A heap's entries as comparable bits, weakest first.
+    fn heap_bits(best: &TopKLargest) -> Vec<(RowId, u64)> {
+        let mut entries: Vec<(RowId, u64)> =
+            best.iter().map(|entry| (entry.row, entry.score.to_bits())).collect();
+        entries.sort_unstable();
+        entries
     }
 
     /// The one place the two steps could part: a NaN pessimistic bound
@@ -1089,9 +801,6 @@ mod tests {
     /// the candidate words and the heap exactly as the per-bit step does.
     #[test]
     fn word_mask_step_matches_the_per_bit_step_on_nan_pessimistic_bounds() {
-        let (table, codes) = setup(1);
-        let view = codes.segment_view(0).unwrap();
-        let query = table.row(0).unwrap();
         let mut seed = 0x0A11_C0DE_u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -1100,19 +809,8 @@ mod tests {
             (seed >> 11) as f64 / (1u64 << 53) as f64
         };
         let rows = 300usize;
-        for (metric, kernel) in [
-            (&HistogramIntersection as &dyn DecomposableMetric, Kernel::Scalar),
-            (&SquaredEuclidean, Kernel::active()),
-        ] {
-            let sweep = Progressive {
-                codes: &view,
-                metric,
-                query: &query,
-                order: None,
-                kernel,
-                paired: kernels::sweep_group(kernel, view.levels()) > 1,
-                sign: if metric.objective() == Objective::Maximize { 1.0 } else { -1.0 },
-            };
+        for (sign, paired, kernel) in [(1.0, false, Kernel::Scalar), (-1.0, true, Kernel::active())]
+        {
             for round in 0..40 {
                 let mut bound = || {
                     let x = next();
@@ -1122,45 +820,52 @@ mod tests {
                         (x * 8.0).floor() * 0.25
                     }
                 };
-                let mut scratch = QuantScratch::new();
-                scratch.opt = (0..rows).map(|_| bound()).collect();
-                scratch.pes = (0..rows).map(|_| bound()).collect();
-                scratch.inter =
-                    scratch.opt.iter().zip(&scratch.pes).flat_map(|(&o, &p)| [o, p]).collect();
-                scratch.cand = (0..rows.div_ceil(WORD_ROWS))
-                    .map(|w| {
+                let opt: Vec<f64> = (0..rows).map(|_| bound()).collect();
+                let pes: Vec<f64> = (0..rows).map(|_| bound()).collect();
+                let inter: Vec<f64> = opt.iter().zip(&pes).flat_map(|(&o, &p)| [o, p]).collect();
+                let bounds = if paired {
+                    Bounds { opt: &inter, pes: &inter, stride: 2, pes_lane: 1, ..plain(&opt, &pes) }
+                } else {
+                    plain(&opt, &pes)
+                };
+                let bounds = Bounds { sign, ..bounds };
+                let candidates: Vec<RowId> = (0..rows.div_ceil(WORD_ROWS))
+                    .flat_map(|w| {
                         let bits = if w % 3 == 0 { u64::MAX } else { (next() * 2e18) as u64 };
-                        if (w + 1) * WORD_ROWS > rows {
-                            bits & ((1u64 << (rows % WORD_ROWS)) - 1)
-                        } else {
-                            bits
-                        }
+                        (0..WORD_ROWS)
+                            .filter(move |bit| bits >> bit & 1 == 1)
+                            .map(move |bit| (w * WORD_ROWS + bit) as RowId)
                     })
+                    .filter(|&row| (row as usize) < rows)
                     .collect();
-                let kappa = sweep.sign * (0.8 + round as f64 * 0.01);
+                let kappa = sign * (0.8 + round as f64 * 0.01);
+                let keep = SurviveTest { sign, add: 0.25, bar: kappa - prune_slack(kappa) };
                 for collect in [None, Some(1), Some(3), Some(17)] {
-                    let mut masked = scratch_clone(&scratch);
-                    let mut reference = scratch_clone(&scratch);
-                    let alive = sweep.prune(&mut masked, 0.25, kappa, collect);
-                    let expected = prune_per_bit(&sweep, &mut reference, 0.25, kappa, collect);
-                    let ctx = format!("{} round {round} collect {collect:?}", metric.name());
-                    assert_eq!(alive, expected, "{ctx}");
-                    assert_eq!(masked.cand, reference.cand, "{ctx}");
-                    assert_eq!(heap_bits(&masked.best), heap_bits(&reference.best), "{ctx}");
+                    let mut masked =
+                        CandidateSet::from_bitmap(Bitmap::from_rows(rows, &candidates));
+                    let mut reference = masked.clone();
+                    let mut heaps = collect.map(|k| (TopKLargest::new(k), TopKLargest::new(k)));
+                    let (masked_best, reference_best) = match &mut heaps {
+                        Some((a, b)) => (Some(a), Some(b)),
+                        None => (None, None),
+                    };
+                    let removed = masked.prune(kernel, Some(keep), &bounds, masked_best);
+                    let expected =
+                        per_candidate_step(&mut reference, Some(keep), &bounds, reference_best);
+                    let ctx = format!("sign {sign} round {round} collect {collect:?}");
+                    assert_eq!(removed, expected, "{ctx}");
+                    assert_eq!(masked, reference, "{ctx}");
+                    if let Some((a, b)) = &heaps {
+                        assert_eq!(heap_bits(a), heap_bits(b), "{ctx}");
+                    }
                 }
             }
         }
     }
 
-    /// The parts of a scratch a pruning step reads and writes.
-    fn scratch_clone(scratch: &QuantScratch) -> QuantScratch {
-        QuantScratch {
-            opt: scratch.opt.clone(),
-            pes: scratch.pes.clone(),
-            inter: scratch.inter.clone(),
-            cand: scratch.cand.clone(),
-            ..QuantScratch::default()
-        }
+    /// Split `opt` / `pes` arrays as the single-column sweep leaves them.
+    fn plain<'a>(opt: &'a [f64], pes: &'a [f64]) -> Bounds<'a> {
+        Bounds { opt, pes, stride: 1, pes_lane: 0, sign: 1.0, opt_add: 0.0, pes_gain: -0.0 }
     }
 
     #[test]
@@ -1273,6 +978,7 @@ mod tests {
                                     Some(&cell),
                                     kernel,
                                     order,
+                                    &mut Scratch::default(),
                                 )
                                 .unwrap();
                                 let ctx = format!(

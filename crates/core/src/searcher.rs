@@ -10,11 +10,19 @@
 //! 5. repeat with a larger `m` until only `k` candidates remain or all
 //!    dimensions have been processed.
 //!
-//! The engine is generic over the [`PruningRule`] (Hq, Hh, Eq, Ev and their
-//! weighted variants) and the [`DecomposableMetric`]; convenience methods
-//! instantiate the combinations the paper evaluates.
+//! The loop itself — steps 3 to 5, the candidate set, the κ heap and κ
+//! sharing — is the crate's one block loop, which the quantized first
+//! pass ([`crate::quantfilter`]) runs too. This module supplies its
+//! **exact-partials** bound source: step 1 accumulates the partial scores
+//! densely, gathered over the row list, or per candidate, and step 2 asks
+//! the [`PruningRule`] (Hq, Hh, Eq, Ev and their weighted variants) for the
+//! bounds of every candidate at once. Each step prunes with the κ it just
+//! proved. [`search_segment`] chains the two spaces — code intervals
+//! first when the segment has codes, then exact partials over the
+//! survivors — and completes and ranks what is left; convenience methods
+//! instantiate the rule / metric combinations the paper evaluates.
 
-use std::cell::RefCell;
+use std::ops::Range;
 
 use bond_metrics::{CandidateState, DecomposableMetric, KernelOp, Objective, PruningRule};
 use bond_metrics::{EqRule, EvRule, HhRule, HistogramIntersection, HqRule, SquaredEuclidean};
@@ -23,10 +31,11 @@ use vdstore::{
     Bitmap, DecomposedTable, RowId, Segment, SegmentCodesView, TopKLargest, TopKSmallest,
 };
 
+use crate::bond_loop::{with_scratch, BondLoop, BoundSource, Bounds, Scratch};
 use crate::candidates::CandidateSet;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel, SurviveTest};
+use crate::kernels::{self, Kernel};
 use crate::ordering::DimensionOrdering;
 use crate::plan::SegmentPlan;
 use crate::schedule::BlockSchedule;
@@ -126,123 +135,17 @@ fn gather_accumulate_block(
     Ok(())
 }
 
-/// What one pruning attempt reads: the rule (already prepared for the
-/// remaining dimensions), the kernel flavour its masks run on, the per-row
-/// state in segment-local indexing, and the cell κ is shared through.
-struct PruneInputs<'a> {
-    rule: &'a dyn PruningRule,
-    k: usize,
-    kernel: Kernel,
-    partial: &'a [f64],
-    scanned_mass: Option<&'a [f64]>,
-    total_mass: Option<&'a [f64]>,
-    kappa: Option<&'a dyn KappaCell>,
-}
-
-/// Steps 2–4 of Algorithm 2 — bounds, κ, prune — as one unit: returns how
-/// many candidates the attempt removed.
-trait PruneStep {
-    fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize;
-}
-
-/// The pruning step of [`search_segment`], with the scratch it reuses from
-/// one attempt — and one search — to the next. Bounds live at the
-/// candidates' *slots* ([`CandidateSet::for_each_slot_above`]): while the
-/// set is a bitmap they are computed for the whole segment in one
-/// [`PruningRule::bounds_all`] call — hole rows get garbage that is never
-/// read, as in [`dense_accumulate_block`] — and both the κ-entry test and
-/// the prune are one [`kernels::survive_mask`] per 64-row candidate word;
-/// once it is a list they are computed per candidate and indexed by list
-/// position.
-#[derive(Default)]
-struct WordwisePrune {
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    /// Keeps the k best safe bounds of one attempt, sign-folded so that
-    /// larger is better under either objective; rebuilt when a search
-    /// brings another k.
-    best_safe: Option<(usize, TopKLargest)>,
-}
-
-impl PruneStep for WordwisePrune {
-    fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
-        let &PruneInputs { rule, k, kernel, partial, scanned_mass, total_mass, kappa } = inputs;
-        match candidates.as_list() {
-            None => {
-                self.lower.resize(partial.len(), 0.0);
-                self.upper.resize(partial.len(), 0.0);
-                rule.bounds_all(
-                    partial,
-                    scanned_mass,
-                    total_mass,
-                    &mut self.lower,
-                    &mut self.upper,
-                );
-            }
-            Some(list) => {
-                self.lower.clear();
-                self.upper.clear();
-                for &row in list {
-                    let idx = row as usize;
-                    let (lo, hi) = rule.bounds(&CandidateState {
-                        partial: partial[idx],
-                        scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
-                        total_mass: total_mass.map_or(0.0, |t| t[idx]),
-                    });
-                    self.lower.push(lo);
-                    self.upper.push(hi);
-                }
-            }
-        }
-        // κ_min is the k-th largest lower bound, κ_max the k-th smallest
-        // upper bound: the k-th largest of `sign · safe` either way.
-        let (safe, optimistic, sign) = match rule.objective() {
-            Objective::Maximize => (&self.lower, &self.upper, 1.0),
-            Objective::Minimize => (&self.upper, &self.lower, -1.0),
-        };
-        let best_safe = match &mut self.best_safe {
-            Some((held, heap)) if *held == k => {
-                heap.clear();
-                heap
-            }
-            slot => &mut slot.insert((k, TopKLargest::new(k))).1,
-        };
-        // Only the k-th score is read back, so a bound that cannot raise it
-        // (one that merely ties it included) need not enter the heap: past
-        // the first rows nearly every candidate is turned away by this
-        // compare, 64 rows at a time while the set is a bitmap.
-        candidates.for_each_slot_above(kernel, safe, sign, |slot, row| {
-            best_safe.push(row, sign * safe[slot]);
-            best_safe.kth()
-        });
-        let local_kappa = best_safe.kth().map(|kth| sign * kth);
-        // κ sharing: publish the locally proven bound and adopt the
-        // tightest one any segment of this query has proven so far.
-        let kappa = match kappa {
-            None => local_kappa,
-            Some(cell) => match local_kappa {
-                Some(local) => Some(cell.tighten(local)),
-                None => cell.current(),
-            },
-        };
-        let Some(kappa) = kappa else { return 0 };
-        // Prune what cannot reach κ: `S_max < κ_min − slack` when maximizing,
-        // `S_min > κ_max + slack` when minimizing — one comparison once the
-        // sign is folded in (a NaN bound compares false and keeps its row).
-        let bar = sign * kappa - prune_slack(kappa);
-        candidates.retain(kernel, optimistic, SurviveTest { sign, add: 0.0, bar, inclusive: false })
-    }
-}
-
 /// The per-row working memory of [`search_segment`]: the eligibility
-/// bitmap's words, the partial scores and the scanned masses. Grown to the
-/// largest segment a thread has searched and reused after that, so a search
+/// bitmap's words, the partial scores, the scanned masses and the bounds
+/// of the last pruning step. Part of the per-thread scratch, so a search
 /// allocates nothing that grows with its segment.
 #[derive(Default)]
-struct RowState {
+pub(crate) struct RowState {
     eligible: Bitmap,
     partial: Vec<f64>,
     mass: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
 }
 
 /// Sizes `values` to the segment's `rows` and zeroes what the search will
@@ -261,13 +164,6 @@ fn zero_for(values: &mut Vec<f64>, rows: usize, candidates: &CandidateSet) {
             }
         }
     }
-}
-
-thread_local! {
-    /// One search scratch per worker thread, as `quantfilter` keeps one
-    /// for the code sweep: the engine runs each (query, segment) task on
-    /// one worker, and the search is never re-entered on a thread.
-    static SCRATCH: RefCell<(RowState, WordwisePrune)> = RefCell::default();
 }
 
 /// Tuning knobs of a BOND search.
@@ -474,17 +370,15 @@ pub fn search_segment(
     params: &BondParams,
     ctx: &SegmentContext<'_>,
 ) -> Result<SearchOutcome> {
-    SCRATCH.with(|cell| {
-        let (state, pruner) = &mut *cell.borrow_mut();
-        search_segment_with(segment, query, metric, rule, k, weights, params, ctx, state, pruner)
+    with_scratch(|scratch| {
+        let kernel = Kernel::active();
+        search_segment_with(segment, query, metric, rule, k, weights, params, ctx, kernel, scratch)
     })
 }
 
-/// [`search_segment`] with the row state and pruning step passed in, so the
-/// tests can run the whole loop over the per-candidate reference step as
-/// well.
+/// [`search_segment`] with the kernel flavour and the scratch passed in.
 #[allow(clippy::too_many_arguments)]
-fn search_segment_with(
+pub(crate) fn search_segment_with(
     segment: &Segment<'_>,
     query: &[f64],
     metric: &dyn DecomposableMetric,
@@ -493,8 +387,8 @@ fn search_segment_with(
     weights: Option<&[f64]>,
     params: &BondParams,
     ctx: &SegmentContext<'_>,
-    state: &mut RowState,
-    pruner: &mut impl PruneStep,
+    kernel: Kernel,
+    scratch: &mut Scratch,
 ) -> Result<SearchOutcome> {
     let dims = segment.table().dims();
     if query.len() != dims {
@@ -527,31 +421,17 @@ fn search_segment_with(
 
     let rows = segment.len();
     let requirements = rule.requirements();
-    let computed_sums;
-    let total_mass: Option<&[f64]> = if requirements.needs_total_mass {
-        match ctx.row_sums {
-            Some(sums) => {
-                if sums.len() != rows {
-                    return Err(BondError::InvalidParams(format!(
-                        "precomputed row sums cover {} rows but the segment has {rows}",
-                        sums.len()
-                    )));
-                }
-                Some(sums)
-            }
-            None => {
-                computed_sums = segment.row_sums();
-                Some(&computed_sums)
-            }
-        }
-    } else {
-        None
-    };
+    if let Some(sums) = ctx.row_sums.filter(|sums| sums.len() != rows) {
+        return Err(BondError::InvalidParams(format!(
+            "precomputed row sums cover {} rows but the segment has {rows}",
+            sums.len()
+        )));
+    }
 
     // All bookkeeping below is in segment-local row ids; only the final
     // ranking translates back to global ids.
-    let RowState { eligible, partial, mass } = state;
-    segment.live_bitmap_into(eligible);
+    let mut eligible = std::mem::take(&mut scratch.exact.eligible);
+    segment.live_bitmap_into(&mut eligible);
     if let Some(filter) = ctx.filter {
         if filter.len() != rows {
             return Err(BondError::InvalidFilter(format!(
@@ -561,87 +441,159 @@ fn search_segment_with(
         }
         eligible.and_with(filter);
     }
-    let mut trace = PruneTrace::default();
-    let objective = metric.objective();
-    // One dispatch decision per process (overridable with BOND_KERNEL);
-    // metrics without a vectorizable contribution shape keep the portable
-    // per-contribution loop regardless of the flavour.
-    let kernel = Kernel::active();
-    let op = metric.kernel_op();
-    trace.kernel = Some(kernel.label());
+    let mut trace = PruneTrace { kernel: Some(kernel.label()), ..PruneTrace::default() };
 
-    // Quantized first pass (Section 7.4 composed with the engine): sweep
-    // the u8 code companions progressively in the plan's dimension order,
-    // tightening κ block by block, and hand the exact loop below only the
-    // rows whose optimistic bound can still reach it. The κ proven here
-    // is also published to the shared cell, so sibling segments prune
-    // with it.
-    let mut candidates;
-    if let Some(codes) = &ctx.codes {
-        if codes.len() != rows || codes.dims() != dims {
-            return Err(BondError::InvalidParams(format!(
-                "segment codes cover {} rows x {} dims, segment has {rows} x {dims}",
-                codes.len(),
-                codes.dims()
-            )));
+    // Quantized first pass (Section 7.4 composed with the engine): the same
+    // loop over code intervals, in the plan's dimension order, hands the
+    // exact loop below only the rows whose optimistic bound can still reach
+    // κ. The κ proven there is also published to the shared cell, so
+    // sibling segments prune with it.
+    let mut candidates = match &ctx.codes {
+        Some(codes) => {
+            if codes.len() != rows || codes.dims() != dims {
+                return Err(BondError::InvalidParams(format!(
+                    "segment codes cover {} rows x {} dims, segment has {rows} x {dims}",
+                    codes.len(),
+                    codes.dims()
+                )));
+            }
+            let filter = crate::quantfilter::filter_segment_in_order(
+                codes,
+                metric,
+                query,
+                k,
+                &eligible,
+                ctx.kappa,
+                kernel,
+                Some(order),
+                scratch,
+            )?;
+            scratch.exact.eligible = eligible;
+            trace.filter_cells = filter.cells;
+            trace.filter_dims = filter.dims;
+            trace.filter_bits = codes.bits();
+            trace.refine_rows = filter.survivors.count() as u64;
+            if trace.refine_rows == 0 {
+                // the usual outcome once the query's own neighbourhood has
+                // set κ: nothing to refine, so no per-row state is built
+                return Ok(SearchOutcome { hits: Vec::new(), trace });
+            }
+            let mut candidates = CandidateSet::from_bitmap(filter.survivors);
+            trace.switched_to_list = candidates.maybe_materialize(params.materialize_threshold);
+            candidates
         }
-        let filter = crate::quantfilter::filter_segment_in_order(
-            codes,
-            metric,
-            query,
-            k,
-            eligible,
-            ctx.kappa,
-            kernel,
-            Some(order),
-        )?;
-        trace.filter_cells = filter.cells;
-        trace.filter_dims = filter.dims;
-        trace.filter_bits = codes.bits();
-        candidates = CandidateSet::from_bitmap(filter.survivors);
-        trace.refine_rows = candidates.len() as u64;
-        if trace.refine_rows == 0 {
-            // the usual outcome once the query's own neighbourhood has
-            // set κ: nothing to refine, so no per-row state is built
-            return Ok(SearchOutcome { hits: Vec::new(), trace });
+        None => CandidateSet::from_bitmap(eligible),
+    };
+    let computed_sums;
+    let total_mass: Option<&[f64]> = match (requirements.needs_total_mass, ctx.row_sums) {
+        (false, _) => None,
+        (true, Some(sums)) => Some(sums),
+        (true, None) => {
+            computed_sums = segment.row_sums();
+            Some(&computed_sums)
         }
-        if candidates.maybe_materialize(params.materialize_threshold) {
-            trace.switched_to_list = true;
-        }
-    } else {
-        candidates = CandidateSet::from_bitmap(std::mem::take(eligible));
-    }
+    };
+    let RowState { eligible, partial, mass, lower, upper } = &mut scratch.exact;
     zero_for(partial, rows, &candidates);
-    let mut scanned_mass: Option<&mut [f64]> = if requirements.needs_scanned_mass {
+    let scanned_mass = if requirements.needs_scanned_mass {
         zero_for(mass, rows, &candidates);
-        Some(mass)
+        Some(&mut mass[..])
     } else {
         None
     };
 
-    let mut processed = 0usize;
-    let mut attempts = 0usize;
-    // Stage tracing: the time from scan start to the first pruning attempt
-    // that actually removed candidates is the segment's *observed* warmup,
-    // recorded as a `segment.warmup` span (detail: dimensions processed)
-    // while the global subscriber is on. Off (the default), beginning the
-    // span is one relaxed atomic load and no clock is read.
-    let mut warmup_span = Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP));
-    loop {
-        let block = plan.schedule.next_block(processed, dims, attempts);
-        if block == 0 {
-            break;
-        }
+    let op = metric.kernel_op();
+    let mut source = ExactPartials {
+        segment,
+        query,
+        metric,
+        rule,
+        order,
+        op,
+        kernel,
+        partial,
+        scanned_mass,
+        total_mass,
+        lower,
+        upper,
+        materialize_threshold: params.materialize_threshold,
+        trace: &mut trace,
+        // Stage tracing: the time from scan start to the first pruning
+        // attempt that actually removed candidates is the segment's
+        // *observed* warmup, recorded as a `segment.warmup` span (detail:
+        // dimensions processed) while the global subscriber is on. Off (the
+        // default), beginning the span is one relaxed atomic load and no
+        // clock is read.
+        warmup: Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP)),
+    };
+    let run = BondLoop { k, kernel, schedule: plan.schedule, shared: ctx.kappa };
+    let processed = run.run(&mut source, &mut candidates, &mut scratch.best)?.swept;
+    // No pruning attempt removed anything: there was no effective warmup
+    // boundary to measure, so the span is discarded rather than recorded.
+    if let Some(span) = source.warmup.take() {
+        span.cancel();
+    }
+    // Final step: complete the survivors' scores over the unscanned
+    // dimensions (cheap: only |C| vectors are touched), then rank.
+    let survivors = CandidateSet::List(candidates.to_rows());
+    if let CandidateSet::Bits(bits) = candidates {
+        // hand the words back for the next search on this thread
+        *eligible = bits;
+    }
+    source.trace.dims_accessed = processed;
+    if params.refine_survivors && processed < dims {
+        source.scanned_mass = None;
+        source.sweep(&survivors, processed..dims)?;
+        source.trace.dims_accessed = dims;
+    }
+    let hits = rank(segment, &survivors, source.partial, metric.objective(), k);
+    Ok(SearchOutcome { hits, trace })
+}
+
+/// The exact-partials [`BoundSource`]: per block, the dense, gathered or
+/// per-candidate accumulate of the partial scores (and scanned masses);
+/// per step, the rule's bounds from them.
+struct ExactPartials<'a, 'r> {
+    segment: &'a Segment<'a>,
+    query: &'a [f64],
+    metric: &'a dyn DecomposableMetric,
+    rule: &'r mut dyn PruningRule,
+    order: &'a [usize],
+    op: Option<KernelOp<'a>>,
+    kernel: Kernel,
+    partial: &'a mut [f64],
+    scanned_mass: Option<&'a mut [f64]>,
+    total_mass: Option<&'a [f64]>,
+    lower: &'a mut Vec<f64>,
+    upper: &'a mut Vec<f64>,
+    materialize_threshold: f64,
+    trace: &'a mut PruneTrace,
+    warmup: Option<bond_obs::Span>,
+}
+
+impl BoundSource for ExactPartials<'_, '_> {
+    const CARRIES_KAPPA: bool = false;
+
+    fn dims(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Accumulates the partial scores over the block — via the ISA-pinned
+    /// kernels when the metric has a vectorizable shape. The dense path
+    /// streams whole columns (over-computing hole rows whose accumulators
+    /// are never read again) and is only worth it while the candidate
+    /// bitmap is dense; the materialised list takes the gathered path;
+    /// everything else keeps the per-candidate loop.
+    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+        let Self {
+            segment, query, metric, order, op, kernel, partial, scanned_mass, trace, ..
+        } = self;
+        let (segment, query, metric, kernel) = (*segment, *query, *metric, *kernel);
         let alive = candidates.len();
-        // Step 1: accumulate the partial scores over this block — via the
-        // ISA-pinned kernels when the metric has a vectorizable shape. The
-        // dense path streams whole columns (over-computing hole rows whose
-        // accumulators are never read again) and is only worth it while
-        // the candidate bitmap is dense; the materialised list takes the
-        // gathered path; everything else keeps the per-candidate loop.
-        let dims_block = &order[processed..processed + block];
+        let rows = partial.len();
+        let dims_block = &order[block.clone()];
         let dense_ok = rows > 0 && alive as f64 / rows as f64 >= DENSE_KERNEL_MIN_DENSITY;
-        match (op, candidates.as_list()) {
+        match (*op, candidates.as_list()) {
             (Some(op), Some(list)) => gather_accumulate_block(
                 kernel,
                 op,
@@ -665,7 +617,7 @@ fn search_segment_with(
                 for &d in dims_block {
                     let values = segment.col_slice(d)?;
                     let q = query[d];
-                    match &mut scanned_mass {
+                    match scanned_mass {
                         Some(mass) => candidates.for_each(|row| {
                             let v = values[row as usize];
                             partial[row as usize] += metric.contribution(d, v, q);
@@ -679,98 +631,78 @@ fn search_segment_with(
                 }
             }
         }
-        trace.contributions_evaluated += (block * alive) as u64;
-        processed += block;
-        trace.dims_accessed = processed;
-
-        if candidates.len() <= k {
-            // Step 5's termination: the candidate set already is the
-            // answer set; no pruning attempt can shrink it further.
-            break;
-        }
-
-        // Steps 2–4: bounds, κ, prune.
-        rule.prepare(query, &order[processed..]);
-        attempts += 1;
-        trace.pruning_attempts = attempts;
-        let pruned_now = pruner.prune(
-            &PruneInputs {
-                rule: &*rule,
-                k,
-                kernel,
-                partial,
-                scanned_mass: scanned_mass.as_deref(),
-                total_mass,
-                kappa: ctx.kappa,
-            },
-            &mut candidates,
-        );
-        trace.checkpoints.push(TraceCheckpoint {
-            dims_processed: processed,
-            candidates: candidates.len(),
-            pruned_now,
-        });
-        if pruned_now > 0 {
-            if let Some(span) = warmup_span.take() {
-                drop(span.detail(processed as u64));
-            }
-        }
-        if candidates.maybe_materialize(params.materialize_threshold) {
-            trace.switched_to_list = true;
-        }
-        if candidates.len() <= k {
-            break;
-        }
+        trace.contributions_evaluated += (block.len() * alive) as u64;
+        Ok(())
     }
 
-    // No pruning attempt removed anything: there was no effective warmup
-    // boundary to measure, so the span is discarded rather than recorded.
-    if let Some(span) = warmup_span {
-        span.cancel();
-    }
-
-    // Final step: complete the survivors' scores over the unscanned
-    // dimensions (cheap: only |C| vectors are touched), then rank.
-    let survivors = candidates.to_rows();
-    if let CandidateSet::Bits(bits) = candidates {
-        // hand the words back for the next search on this thread
-        *eligible = bits;
-    }
-    if params.refine_survivors && processed < dims {
-        match op {
-            Some(op) => gather_accumulate_block(
-                kernel,
-                op,
-                segment,
-                &order[processed..],
-                query,
-                &survivors,
-                partial,
-                None,
-            )?,
+    /// The rule's bounds at the candidates' slots: for the whole segment in
+    /// one [`PruningRule::bounds_all`] call while the set is a bitmap —
+    /// hole rows get garbage that is never read, as in
+    /// [`dense_accumulate_block`] — and per candidate, by list position,
+    /// once it is a list.
+    fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
+        self.rule.prepare(self.query, &self.order[swept..]);
+        let scanned_mass = self.scanned_mass.as_deref();
+        match candidates.as_list() {
             None => {
-                for &d in &order[processed..] {
-                    let values = segment.col_slice(d)?;
-                    let q = query[d];
-                    for &row in &survivors {
-                        partial[row as usize] += metric.contribution(d, values[row as usize], q);
-                    }
+                self.lower.resize(self.partial.len(), 0.0);
+                self.upper.resize(self.partial.len(), 0.0);
+                let (lower, upper) = (&mut self.lower[..], &mut self.upper[..]);
+                self.rule.bounds_all(self.partial, scanned_mass, self.total_mass, lower, upper);
+            }
+            Some(list) => {
+                self.lower.clear();
+                self.upper.clear();
+                for &row in list {
+                    let idx = row as usize;
+                    let (lo, hi) = self.rule.bounds(&CandidateState {
+                        partial: self.partial[idx],
+                        scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
+                        total_mass: self.total_mass.map_or(0.0, |t| t[idx]),
+                    });
+                    self.lower.push(lo);
+                    self.upper.push(hi);
                 }
             }
         }
-        trace.contributions_evaluated += ((dims - processed) * survivors.len()) as u64;
-        trace.dims_accessed = dims;
     }
 
-    let hits = rank(segment, &survivors, partial, objective, k);
-    Ok(SearchOutcome { hits, trace })
+    /// κ_min is the k-th largest lower bound, κ_max the k-th smallest upper
+    /// bound: the k-th largest sign-folded safe bound either way. A row is
+    /// pruned when `S_max < κ_min − slack` (maximizing) or `S_min > κ_max +
+    /// slack` (minimizing) — one comparison once the sign is folded in.
+    fn bounds(&self, _swept: usize) -> Bounds<'_> {
+        let (opt, pes, sign) = match self.rule.objective() {
+            Objective::Maximize => (&self.upper[..], &self.lower[..], 1.0),
+            Objective::Minimize => (&self.lower[..], &self.upper[..], -1.0),
+        };
+        Bounds { opt, pes, stride: 1, pes_lane: 0, sign, opt_add: 0.0, pes_gain: -0.0 }
+    }
+
+    fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
+        self.trace.pruning_attempts += 1;
+        let candidates_left = candidates.len();
+        self.trace.checkpoints.push(TraceCheckpoint {
+            dims_processed: swept,
+            candidates: candidates_left,
+            pruned_now: removed,
+        });
+        if removed > 0 {
+            if let Some(span) = self.warmup.take() {
+                drop(span.detail(swept as u64));
+            }
+        }
+        if candidates.maybe_materialize(self.materialize_threshold) {
+            self.trace.switched_to_list = true;
+        }
+    }
 }
 
 /// Ranks the surviving (segment-local) rows by score under the objective
 /// and returns the k best, best first, with *global* row ids.
 fn rank(
     segment: &Segment<'_>,
-    survivors: &[RowId],
+    survivors: &CandidateSet,
     partial: &[f64],
     objective: Objective,
     k: usize,
@@ -778,16 +710,12 @@ fn rank(
     match objective {
         Objective::Maximize => {
             let mut heap = TopKLargest::new(k);
-            for &row in survivors {
-                heap.push(segment.to_global(row), partial[row as usize]);
-            }
+            survivors.for_each(|row| heap.push(segment.to_global(row), partial[row as usize]));
             heap.into_sorted_vec()
         }
         Objective::Minimize => {
             let mut heap = TopKSmallest::new(k);
-            for &row in survivors {
-                heap.push(segment.to_global(row), partial[row as usize]);
-            }
+            survivors.for_each(|row| heap.push(segment.to_global(row), partial[row as usize]));
             heap.into_sorted_vec()
         }
     }
@@ -799,89 +727,9 @@ mod tests {
     use bond_metrics::{
         WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule, WeightedSquaredEuclidean,
     };
-    use std::cell::Cell;
-    use std::collections::HashSet;
     use std::sync::Mutex;
 
-    /// The pruning step [`search_segment`] ran before [`WordwisePrune`]: one
-    /// `bounds` call per candidate into a vector of tuples, a fresh κ heap
-    /// per objective, the doomed rows through a `HashSet`. Kept as the
-    /// reference the word-wise step must reproduce decision for decision.
-    struct PerCandidatePrune;
-
-    impl PruneStep for PerCandidatePrune {
-        fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
-            let &PruneInputs { rule, k, partial, scanned_mass, total_mass, kappa, .. } = inputs;
-            let objective = rule.objective();
-            let mut bounds: Vec<(RowId, f64, f64)> = Vec::with_capacity(candidates.len());
-            candidates.for_each(|row| {
-                let idx = row as usize;
-                let state = CandidateState {
-                    partial: partial[idx],
-                    scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
-                    total_mass: total_mass.map_or(0.0, |t| t[idx]),
-                };
-                let (lo, hi) = rule.bounds(&state);
-                bounds.push((row, lo, hi));
-            });
-            let local_kappa = match objective {
-                Objective::Maximize => {
-                    let mut heap = TopKLargest::new(k);
-                    for &(row, lo, _) in &bounds {
-                        heap.push(row, lo);
-                    }
-                    heap.kth()
-                }
-                Objective::Minimize => {
-                    let mut heap = TopKSmallest::new(k);
-                    for &(row, _, hi) in &bounds {
-                        heap.push(row, hi);
-                    }
-                    heap.kth()
-                }
-            };
-            let kappa = match kappa {
-                None => local_kappa,
-                Some(cell) => match local_kappa {
-                    Some(local) => Some(cell.tighten(local)),
-                    None => cell.current(),
-                },
-            };
-            let Some(kappa) = kappa else { return 0 };
-            let slack = prune_slack(kappa);
-            let doomed: HashSet<RowId> = bounds
-                .iter()
-                .filter(|&&(_, lo, hi)| match objective {
-                    Objective::Maximize => hi < kappa - slack,
-                    Objective::Minimize => lo > kappa + slack,
-                })
-                .map(|&(row, _, _)| row)
-                .collect();
-            match candidates {
-                CandidateSet::Bits(bits) => doomed.iter().for_each(|&row| bits.clear(row)),
-                CandidateSet::List(list) => list.retain(|row| !doomed.contains(row)),
-            }
-            doomed.len()
-        }
-    }
-
-    /// [`WordwisePrune`], counting what it removed from bitmaps and from
-    /// lists — so the comparison can show it covered both phases.
-    struct CountingPrune<'c>(WordwisePrune, &'c Cell<(usize, usize)>);
-
-    impl PruneStep for CountingPrune<'_> {
-        fn prune(&mut self, inputs: &PruneInputs<'_>, candidates: &mut CandidateSet) -> usize {
-            let was_bitmap = candidates.is_bitmap();
-            let removed = self.0.prune(inputs, candidates);
-            let (from_bitmaps, from_lists) = self.1.get();
-            self.1.set(if was_bitmap {
-                (from_bitmaps + removed, from_lists)
-            } else {
-                (from_bitmaps, from_lists + removed)
-            });
-            removed
-        }
-    }
+    use crate::bond_loop::tests::{per_candidate_step, with_seam, StepStats};
 
     /// A κ cell that pools bounds the way the engine's does and keeps every
     /// value a search published, in order.
@@ -953,14 +801,9 @@ mod tests {
     }
 
     impl Case<'_> {
-        /// Searches the segments in order with the given row state and
-        /// pruning step; returns the outcomes and every κ published on the
-        /// way.
-        fn run(
-            &self,
-            state: &mut RowState,
-            pruner: &mut impl PruneStep,
-        ) -> (Vec<SearchOutcome>, Vec<u64>) {
+        /// Searches the segments in order on the given scratch; returns
+        /// the outcomes and every κ published on the way.
+        fn run(&self, scratch: &mut Scratch) -> (Vec<SearchOutcome>, Vec<u64>) {
             let cell = RecordingCell::new(self.metric.objective());
             let outcomes = self
                 .segments
@@ -981,8 +824,8 @@ mod tests {
                         None,
                         &self.params,
                         &ctx,
-                        state,
-                        pruner,
+                        Kernel::active(),
+                        scratch,
                     )
                     .unwrap()
                 })
@@ -1020,8 +863,8 @@ mod tests {
             BlockSchedule::Doubling { first: 1 },
         ];
         let mut cases = 0usize;
-        let pruned = Cell::new((0usize, 0usize));
-        let mut reused = (RowState::default(), CountingPrune(WordwisePrune::default(), &pruned));
+        StepStats::take();
+        let mut reused = Scratch::default();
         for (rows, seed) in [(70usize, 0xB0D5_EED1u64), (257, 0x5EED_CAFE_F00D)] {
             for tombstones in [false, true] {
                 let mut table = generated_table(rows, DIMS, seed);
@@ -1053,13 +896,14 @@ mod tests {
                                             ..BondParams::default()
                                         },
                                     };
-                                    // the word-wise side reuses one row state and
-                                    // one step across every case, as a worker
-                                    // thread does: stale rows must not matter
-                                    let (wordwise, wordwise_kappas) =
-                                        case.run(&mut reused.0, &mut reused.1);
+                                    // the word-wise side reuses one scratch
+                                    // across every case, as a worker thread
+                                    // does: stale rows must not matter
+                                    let (wordwise, wordwise_kappas) = case.run(&mut reused);
                                     let (reference, reference_kappas) =
-                                        case.run(&mut RowState::default(), &mut PerCandidatePrune);
+                                        with_seam(Box::new(per_candidate_step), || {
+                                            case.run(&mut Scratch::default())
+                                        });
                                     let what = format!(
                                         "{rows} rows, tombstones {tombstones}, {}, k {k}, \
                                          {schedule:?}, materialize at {materialize_threshold}",
@@ -1083,7 +927,7 @@ mod tests {
             }
         }
         assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2);
-        let (from_bitmaps, from_lists) = pruned.get();
+        let StepStats { from_bitmaps, from_lists, .. } = StepStats::take();
         assert!(from_bitmaps > 1_000 && from_lists > 1_000, "{from_bitmaps} / {from_lists}");
     }
 

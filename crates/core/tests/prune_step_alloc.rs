@@ -1,9 +1,10 @@
 //! The exact search's pruning step allocates nothing per attempt: its
-//! bounds arrays and κ heap are grown once and reused, so the number of
-//! allocations of one `search_segment` call does not depend on how many
-//! pruning attempts the block schedule makes — only the trace's
-//! `checkpoints` vector grows with them. (The step used to build a bounds
-//! vector, a κ heap, a doomed list and a `HashSet` on every attempt.)
+//! bounds arrays and κ heap are grown once and reused, and so are the
+//! tables the Ev rules rebuild in `prepare`, so the number of allocations
+//! of one `search_segment` call does not depend on how many pruning
+//! attempts the block schedule makes — only the trace's `checkpoints`
+//! vector grows with them. (The step used to build a bounds vector, a κ
+//! heap, a doomed list and a `HashSet` on every attempt.)
 //!
 //! Nor does a warmed search allocate anything that grows with its segment:
 //! the eligibility bitmap, partial scores and scanned masses live in a
@@ -19,7 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bond::{search_segment, BlockSchedule, BondParams, SegmentContext, TraceCheckpoint};
-use bond_metrics::{HhRule, HistogramIntersection, HqRule, PruningRule};
+use bond_metrics::{
+    DecomposableMetric, EvRule, HhRule, HistogramIntersection, HqRule, PruningRule,
+    SquaredEuclidean, WeightedEvRule, WeightedSquaredEuclidean,
+};
 use vdstore::{Bitmap, DecomposedTable};
 
 /// Forwards to the system allocator, counting every allocation and the
@@ -106,9 +110,17 @@ fn allocations_do_not_grow_with_the_number_of_pruning_attempts() {
     let segment = table.segment(0..table.rows()).unwrap();
     let query = table.row(7).unwrap();
 
-    let rules: [fn() -> Box<dyn PruningRule>; 2] =
-        [|| Box::new(HqRule::new()), || Box::new(HhRule::new())];
-    for new_rule in rules {
+    let weights: Vec<f64> = (0..32).map(|d| [1.0, 0.5, 2.0, 0.0][d % 4]).collect();
+    let wse = WeightedSquaredEuclidean::new(weights.clone()).unwrap();
+    type NewRule<'a> = Box<dyn Fn() -> Box<dyn PruningRule> + 'a>;
+    let rules: [(&dyn DecomposableMetric, NewRule<'_>); 4] = [
+        (&HistogramIntersection, Box::new(|| Box::new(HqRule::new()))),
+        (&HistogramIntersection, Box::new(|| Box::new(HhRule::new()))),
+        (&SquaredEuclidean, Box::new(|| Box::new(EvRule::new()))),
+        (&wse, Box::new(|| Box::new(WeightedEvRule::new(weights.clone())))),
+    ];
+    let sums = table.row_sums();
+    for (metric, new_rule) in &rules {
         let name = new_rule().name();
         let measure = |m: usize| {
             let params = BondParams { schedule: BlockSchedule::Fixed(m), ..BondParams::default() };
@@ -117,12 +129,12 @@ fn allocations_do_not_grow_with_the_number_of_pruning_attempts() {
                 search_segment(
                     &segment,
                     &query,
-                    &HistogramIntersection,
+                    *metric,
                     rule.as_mut(),
                     10,
                     None,
                     &params,
-                    &SegmentContext::default(),
+                    &SegmentContext { row_sums: Some(&sums), ..SegmentContext::default() },
                 )
                 .unwrap()
             };

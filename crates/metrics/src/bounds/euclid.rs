@@ -144,16 +144,21 @@ impl PruningRule for EvRule {
         Requirements { needs_scanned_mass: true, needs_total_mass: true }
     }
 
+    /// Rebuilds the tables in the rule's own buffers, so a step allocates
+    /// nothing once they have grown to the query's dimensionality.
     fn prepare(&mut self, query: &[f64], remaining_dims: &[usize]) {
-        self.sorted_q = remaining_dims.iter().map(|&d| query[d]).collect();
+        self.sorted_q.clear();
+        self.sorted_q.extend(remaining_dims.iter().map(|&d| query[d]));
         self.sorted_q.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
         self.remaining_query_sum = self.sorted_q.iter().sum();
         let r = self.sorted_q.len();
-        self.prefix_q2 = vec![0.0; r + 1];
+        self.prefix_q2.clear();
+        self.prefix_q2.resize(r + 1, 0.0);
         for i in 0..r {
             self.prefix_q2[i + 1] = self.prefix_q2[i] + self.sorted_q[i] * self.sorted_q[i];
         }
-        self.suffix_one_minus_q2 = vec![0.0; r + 1];
+        self.suffix_one_minus_q2.clear();
+        self.suffix_one_minus_q2.resize(r + 1, 0.0);
         for i in (0..r).rev() {
             let d = 1.0 - self.sorted_q[i];
             self.suffix_one_minus_q2[i] = self.suffix_one_minus_q2[i + 1] + d * d;

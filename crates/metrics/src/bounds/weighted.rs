@@ -92,6 +92,9 @@ pub struct WeightedEvRule {
     /// Σ_{remaining} q_i.
     remaining_query_sum: f64,
     remaining: usize,
+    /// The gains of the last `prepare`, sorted descending; reused for
+    /// their allocation.
+    gains: Vec<f64>,
 }
 
 impl WeightedEvRule {
@@ -106,6 +109,7 @@ impl WeightedEvRule {
             sum_inv_weight: 0.0,
             remaining_query_sum: 0.0,
             remaining: 0,
+            gains: Vec::new(),
         }
     }
 
@@ -142,6 +146,8 @@ impl PruningRule for WeightedEvRule {
         Requirements { needs_scanned_mass: true, needs_total_mass: true }
     }
 
+    /// Rebuilds the tables in the rule's own buffers, so a step allocates
+    /// nothing once they have grown to the query's dimensionality.
     fn prepare(&mut self, query: &[f64], remaining_dims: &[usize]) {
         self.remaining = remaining_dims.len();
         self.const_zero_mass = 0.0;
@@ -149,7 +155,8 @@ impl PruningRule for WeightedEvRule {
         self.min_weight_q = f64::INFINITY;
         self.sum_inv_weight = 0.0;
         self.remaining_query_sum = 0.0;
-        let mut gains = Vec::with_capacity(remaining_dims.len());
+        let gains = &mut self.gains;
+        gains.clear();
         for &d in remaining_dims {
             let w = self.weights[d];
             let q = query[d];
@@ -168,7 +175,8 @@ impl PruningRule for WeightedEvRule {
             self.min_weight_q = 0.0;
         }
         gains.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        self.prefix_gain = vec![0.0; gains.len() + 1];
+        self.prefix_gain.clear();
+        self.prefix_gain.resize(gains.len() + 1, 0.0);
         for (i, g) in gains.iter().enumerate() {
             self.prefix_gain[i + 1] = self.prefix_gain[i] + g;
         }

@@ -153,16 +153,16 @@ impl Bitmap {
     }
 
     /// Word-wise retain: for every 64-row word that still has a set bit,
-    /// `keep_mask(word_index)` returns the rows to keep (bit `b` is row
-    /// `word_index * 64 + b`) and the word is AND-ed with it. Mask bits of
-    /// rows that are clear — or past [`Bitmap::len`] — are ignored, so the
-    /// callback may compute them from garbage; all-clear words are
+    /// `keep_mask(word_index, word)` returns the rows to keep (bit `b` is
+    /// row `word_index * 64 + b`) and the word is AND-ed with it. Mask bits
+    /// of rows that are clear — or past [`Bitmap::len`] — are ignored, so
+    /// the callback may compute them from garbage; all-clear words are
     /// skipped. Returns the number of rows cleared.
-    pub fn retain_words(&mut self, mut keep_mask: impl FnMut(usize) -> u64) -> usize {
+    pub fn retain_words(&mut self, mut keep_mask: impl FnMut(usize, u64) -> u64) -> usize {
         let mut cleared = 0usize;
         for (index, word) in self.words.iter_mut().enumerate() {
             if *word != 0 {
-                let kept = *word & keep_mask(index);
+                let kept = *word & keep_mask(index, *word);
                 cleared += (*word ^ kept).count_ones() as usize;
                 *word = kept;
             }
@@ -391,20 +391,21 @@ mod tests {
         let mut visited = Vec::new();
         // keep odd rows only; the mask is all-ones past the bitmap's length
         // and over clear rows, both of which must be ignored
-        let cleared = b.retain_words(|index| {
-            visited.push(index);
+        let cleared = b.retain_words(|index, word| {
+            visited.push((index, word));
             0xAAAA_AAAA_AAAA_AAAA
         });
-        assert_eq!(visited, vec![0, 2], "the all-clear middle word is skipped");
+        let words = vec![(0, (1 << 0) | (1 << 1) | (1 << 5) | (1 << 63)), (2, 0b11)];
+        assert_eq!(visited, words, "the all-clear middle word is skipped");
         assert_eq!(b.to_rows(), vec![1, 5, 63, 129]);
         assert_eq!(cleared, before - b.count());
         assert_eq!(b.words()[2] >> 2, 0, "bits past len stay clear");
         // an all-ones mask clears nothing, an all-zero mask everything
-        assert_eq!(b.retain_words(|_| u64::MAX), 0);
-        assert_eq!(b.retain_words(|_| 0), 4);
+        assert_eq!(b.retain_words(|_, _| u64::MAX), 0);
+        assert_eq!(b.retain_words(|_, _| 0), 4);
         assert_eq!(b.count(), 0);
         // and once every word is clear the callback is never asked
-        assert_eq!(b.retain_words(|_| unreachable!("all-clear words are skipped")), 0);
+        assert_eq!(b.retain_words(|_, _| unreachable!("all-clear words are skipped")), 0);
     }
 
     #[test]

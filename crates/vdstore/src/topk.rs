@@ -73,6 +73,20 @@ impl TopKLargest {
         self.heap.clear();
     }
 
+    /// Forgets every retained entry and collects the `k` largest from now
+    /// on, reusing the allocation (it grows only for a larger `k`).
+    pub fn reset(&mut self, k: usize) {
+        assert!(k > 0, "k must be positive");
+        self.k = k;
+        self.heap.clear();
+        self.heap.reserve(k + 1);
+    }
+
+    /// The retained entries, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = Scored> + '_ {
+        self.heap.iter().map(|entry| entry.0)
+    }
+
     /// Number of retained entries (≤ k).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -286,6 +300,21 @@ mod tests {
         t.push(8, 0.25);
         t.push(9, 0.75);
         assert_eq!(t.kth(), Some(0.5));
+    }
+
+    #[test]
+    fn reset_takes_a_new_k_and_iter_lists_the_entries() {
+        let mut t = TopKLargest::new(2);
+        t.push(1, 0.4);
+        t.reset(3);
+        assert!(t.is_empty());
+        for (i, s) in [0.4, 0.9, 0.1, 0.7].into_iter().enumerate() {
+            t.push(i as RowId, s);
+        }
+        assert_eq!(t.kth(), Some(0.4));
+        let mut rows: Vec<RowId> = t.iter().map(|entry| entry.row).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![0, 1, 3]);
     }
 
     #[test]
