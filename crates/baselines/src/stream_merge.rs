@@ -21,7 +21,7 @@ use std::collections::HashSet;
 
 use bond_metrics::ScoreAggregate;
 use vdstore::topk::Scored;
-use vdstore::{RowId, TopKLargest};
+use vdstore::{descending_nan_last, RowId, TopKLargest};
 
 /// A per-feature ranked stream: entries sorted by descending similarity.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,12 +33,7 @@ impl RankedStream {
     /// Creates a stream from (row, similarity) entries; they are sorted by
     /// descending similarity internally.
     pub fn new(mut entries: Vec<Scored>) -> Self {
-        entries.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.row.cmp(&b.row))
-        });
+        entries.sort_by(|a, b| descending_nan_last(a.score, b.score).then(a.row.cmp(&b.row)));
         RankedStream { entries }
     }
 

@@ -31,7 +31,7 @@ use crate::kernels::Kernel;
 use crate::plan::SegmentPlan;
 use crate::schedule::BlockSchedule;
 use bond_metrics::Objective;
-use vdstore::SegmentStats;
+use vdstore::{descending_nan_last, SegmentStats};
 
 /// Derives per-segment plans and cost estimates from segment statistics and
 /// accumulated execution feedback.
@@ -166,9 +166,7 @@ impl CostModel {
     fn plan_from_keys(keys: &[f64], observed_warmup: Option<usize>) -> SegmentPlan {
         let dims = keys.len();
         let mut order: Vec<usize> = (0..dims).collect();
-        order.sort_by(|&a, &b| {
-            keys[b].partial_cmp(&keys[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| descending_nan_last(keys[a], keys[b]).then(a.cmp(&b)));
 
         let total: f64 = keys.iter().sum();
         let mut warmup = dims;

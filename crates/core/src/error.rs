@@ -40,6 +40,14 @@ pub enum BondError {
         /// The supplied query's dimensionality.
         actual: usize,
     },
+    /// A query coordinate or a rule weight is NaN or infinite: no score,
+    /// bound or dimension order is defined for it.
+    NonFinite {
+        /// What holds the value: `"query"`, `"weight"` or `"feature query"`.
+        what: &'static str,
+        /// The dimension it sits in.
+        dim: usize,
+    },
     /// An eligibility filter is unusable: its bitmap addresses a different
     /// row domain than the table, or it leaves no live row eligible. The
     /// message states which.
@@ -69,6 +77,9 @@ impl fmt::Display for BondError {
                     f,
                     "feature {feature}: query has {actual} dimensions, collection has {expected}"
                 )
+            }
+            BondError::NonFinite { what, dim } => {
+                write!(f, "{what} value in dimension {dim} is not finite")
             }
             BondError::InvalidFilter(msg) => write!(f, "invalid filter: {msg}"),
             BondError::InvalidParams(msg) => write!(f, "invalid parameters: {msg}"),
@@ -121,5 +132,7 @@ mod tests {
         let e = BondError::FeatureDimensionMismatch { feature: 1, expected: 8, actual: 3 };
         assert!(e.to_string().contains("feature 1"));
         assert!(e.to_string().contains('8'));
+        let e = BondError::NonFinite { what: "query", dim: 3 };
+        assert!(e.to_string().contains("query value in dimension 3 is not finite"));
     }
 }

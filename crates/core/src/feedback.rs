@@ -118,7 +118,7 @@ impl SegmentFeedback {
     pub fn record_search(&self, order: &[usize], trace: &PruneTrace, rows: usize) {
         self.searches.fetch_add(1, Ordering::Relaxed);
         self.contributions.fetch_add(trace.contributions_evaluated, Ordering::Relaxed);
-        if trace.filter_cells > 0 {
+        if trace.filter_ran() {
             self.filter_cells.fetch_add(trace.filter_cells, Ordering::Relaxed);
             self.filter_rows.fetch_add(rows as u64, Ordering::Relaxed);
             self.refine_rows.fetch_add(trace.refine_rows, Ordering::Relaxed);
@@ -495,6 +495,7 @@ mod tests {
             segment_skipped: false,
             filter_cells: 0,
             filter_dims: 0,
+            filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,
             kernel: None,

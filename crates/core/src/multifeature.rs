@@ -22,7 +22,7 @@ use bond_metrics::{
     ScoreAggregate, SquaredEuclidean,
 };
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, DecomposedTable, RowId, TopKLargest};
+use vdstore::{descending_nan_last, Bitmap, DecomposedTable, RowId, TopKLargest};
 
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
@@ -287,7 +287,7 @@ impl<'a> MultiFeatureSearcher<'a> {
         global_order.sort_by(|&(fa, da), &(fb, db)| {
             let ka = queries[fa].query[da];
             let kb = queries[fb].query[db];
-            kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
+            descending_nan_last(ka, kb)
         });
         let total_dims = global_order.len();
 

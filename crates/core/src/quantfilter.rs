@@ -28,21 +28,29 @@
 //! dimension; what is left goes to the exact search.
 //!
 //! **κ before the far rows.** A bound over 8 of 128 dimensions is loose,
-//! and code space differs from exact space in two facts of the source. It
-//! prunes with the κ it carried in (its own, or a sibling segment's) and
-//! applies a fresh one at once only after the first and the last block.
-//! And after the *first* block the `k` most promising candidates have
-//! their pessimistic bound completed cell by cell over all remaining
-//! dimensions (`k × (dims − 8)` lookups) — a κ as tight as the full sweep
-//! would prove for those rows. The engine visits a query's segments
-//! most-promising-first (tightest envelope score toward the query), so
-//! that probe runs in the query's own neighbourhood and every later
-//! segment starts against its κ — on clustered data those lose nearly
-//! every row at their first block.
+//! and code space differs from exact space in three facts of the source.
+//! *Before the first block*, a segment that carries a κ in (a sibling
+//! segment's, from the shared cell) tests its row blocks: per 1 024 rows,
+//! [`vdstore::BlockEnvelopes`] hold every dimension's smallest and largest
+//! code, and a block's optimistic bound is the best contribution of each
+//! dimension's code range, summed in the sweep order. A block that cannot
+//! reach κ loses its candidates before a single one of its cells is read.
+//! A segment's own envelope spans every cluster that landed in it, so it
+//! rarely misses κ; its blocks' envelopes span one or two, and on
+//! clustered data most of them do. Then the sweep prunes with the κ it
+//! carried in (its own, or a sibling's) and applies a fresh one at once
+//! only after the first and the last block. And after the *first* block
+//! the `k` most promising candidates have their pessimistic bound
+//! completed cell by cell over all remaining dimensions (`k × (dims − 8)`
+//! lookups) — a κ as tight as the full sweep would prove for those rows.
+//! The engine visits a query's segments most-promising-first (tightest
+//! envelope score toward the query), so that probe runs in the query's own
+//! neighbourhood and every later segment starts against its κ.
 //!
 //! Safety rests on one invariant, property-tested per metric in
 //! `bond-metrics`: `worst_contribution ≤ contribution ≤ best_contribution`
-//! for any value inside the interval. Metrics that do not override
+//! for any value inside the interval — a code cell's, or a block's code
+//! range, which holds every code of the block. Metrics that do not override
 //! `worst_contribution` keep the vacuous default, which degenerates the
 //! filter to "keep everything" — never to a wrong answer.
 //!
@@ -55,14 +63,15 @@ use std::ops::Range;
 
 use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, CodeParams, SegmentCodesView, TopKLargest, TopKSmallest};
+use vdstore::{Bitmap, BlockEnvelopes, CodeParams, SegmentCodesView, TopKLargest, TopKSmallest};
 
 use crate::bond_loop::{with_scratch, BondLoop, BoundSource, Bounds, Scratch};
 use crate::candidates::{CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, Kernel, SurviveTest};
 use crate::schedule::BlockSchedule;
+use crate::searcher::prune_slack;
 
 /// Code columns [`filter_segment`] sweeps between two pruning steps — on
 /// every kernel: the dimension-blocked AVX2 sweep folds them in one pass
@@ -93,12 +102,17 @@ pub struct QuantScratch {
     inter: Vec<f64>,
     /// Per-level `(lo, hi)` cell bounds of the dimension currently having
     /// its LUT built — input to the metric's batched
-    /// `fill_contribution_pairs`.
+    /// `fill_contribution_pairs` — or, in the block envelope test, each
+    /// tested block's code range in one dimension (their pairs then go to
+    /// `opt_lut`).
     bounds: Vec<(f64, f64)>,
     /// `rem_opt[j]` / `rem_pes[j]`: the best / worst total contribution of
     /// the plan's dimensions `j..` for *any* value inside their grids.
     rem_opt: Vec<f64>,
     rem_pes: Vec<f64>,
+    /// `(block, bound so far)` of the row blocks the envelope test has not
+    /// dropped yet.
+    blocks: Vec<(usize, f64)>,
 }
 
 impl QuantScratch {
@@ -199,6 +213,9 @@ pub struct QuantFilter {
     /// Code columns swept before at most `k` candidates remained or the
     /// dimensions ran out.
     pub dims: usize,
+    /// Row blocks whose envelope bound missed the carried κ before the
+    /// first block: their candidates were dropped without reading a cell.
+    pub blocks_skipped: usize,
 }
 
 /// Runs the quantized filter over one segment as a progressive sweep (see
@@ -270,14 +287,27 @@ pub(crate) fn filter_segment_in_order(
     }
     if live.count() <= k {
         // nothing to prune: every eligible row is part of the answer
-        return Ok(QuantFilter { survivors: live.clone(), kappa: None, cells: 0, dims: 0 });
+        return Ok(QuantFilter {
+            survivors: live.clone(),
+            kappa: None,
+            cells: 0,
+            dims: 0,
+            blocks_skipped: 0,
+        });
     }
     // the survivor bitmap, and the only allocation of a warmed call
-    let mut candidates = CandidateSet::from_bitmap(live.clone());
+    let mut survivors = live.clone();
     let mut source = CodeIntervals::new(codes, metric, query, order, kernel, &mut scratch.codes);
     source.fill_remaining_bounds();
-    let schedule = BlockSchedule::Fixed(PRUNE_BLOCK);
     let sign = source.sign;
+    let carried = shared.and_then(|cell| cell.current()).filter(|kappa| kappa.is_finite());
+    let blocks_skipped = carried.map_or(0, |kappa| source.skip_far_blocks(&mut survivors, kappa));
+    if blocks_skipped > 0 && survivors.count() <= k {
+        // what is left is the segment's answer: no sweep can prune it
+        return Ok(QuantFilter { survivors, kappa: carried, cells: 0, dims: 0, blocks_skipped });
+    }
+    let mut candidates = CandidateSet::from_bitmap(survivors);
+    let schedule = BlockSchedule::Fixed(PRUNE_BLOCK);
     let progress = BondLoop { k, kernel, schedule, shared }.run(
         &mut source,
         &mut candidates,
@@ -289,7 +319,7 @@ pub(crate) fn filter_segment_in_order(
         CandidateSet::List(list) => Bitmap::from_rows(rows, &list),
     };
     let kappa = progress.kappa.is_finite().then_some(sign * progress.kappa);
-    Ok(QuantFilter { survivors, kappa, cells: source.cells, dims: progress.swept })
+    Ok(QuantFilter { survivors, kappa, cells: source.cells, dims: progress.swept, blocks_skipped })
 }
 
 /// The code-interval [`BoundSource`]: per block, the LUT sweep into the
@@ -359,6 +389,76 @@ impl<'a> CodeIntervals<'a> {
             let (grid, q) = (self.codes.params(d), self.query[d]);
             rem_opt[j] = rem_opt[j + 1] + self.metric.best_contribution(d, grid.min, grid.max, q);
             rem_pes[j] = rem_pes[j + 1] + self.metric.worst_contribution(d, grid.min, grid.max, q);
+        }
+    }
+
+    /// The zone-map test at block grain, run before the first block with
+    /// the κ the segment carries in (`kappa`, in score space): clears the
+    /// candidates of every row block whose envelope bound cannot reach it
+    /// ([`CodeIntervals::bound_blocks`]) and returns how many blocks it
+    /// cleared. The test is the pruning pass's own predicate, so a NaN bound
+    /// keeps its block. Sound for the reason every code bound is: the best
+    /// contribution over an interval bounds every value inside it, and each
+    /// row's codes lie inside its block's range.
+    fn skip_far_blocks(&mut self, candidates: &mut Bitmap, kappa: f64) -> usize {
+        let envelopes = self.codes.block_envelopes();
+        let words_per_block = envelopes.rows_per_block() / WORD_ROWS;
+        let blocks = &mut self.scratch.blocks;
+        blocks.clear();
+        blocks.extend(
+            (candidates.words().chunks(words_per_block).enumerate())
+                .filter(|(_, words)| words.iter().any(|&word| word != 0))
+                .map(|(b, _)| (b, 0.0)),
+        );
+        let tested = blocks.len();
+        let kappa = self.sign * kappa;
+        self.bound_blocks(
+            envelopes,
+            Some(SurviveTest { sign: self.sign, add: 0.0, bar: kappa - prune_slack(kappa) }),
+        );
+        // the blocks left reach κ, in ascending order like the words
+        let mut reaching = self.scratch.blocks.iter().map(|&(b, _)| b).peekable();
+        candidates.retain_words(|index, _| {
+            let block = index / words_per_block;
+            while reaching.next_if(|&b| b < block).is_some() {}
+            if reaching.peek() == Some(&block) {
+                u64::MAX
+            } else {
+                0
+            }
+        });
+        tested - self.scratch.blocks.len()
+    }
+
+    /// Sums the optimistic bound (score space) of every row block in the
+    /// scratch's `blocks` — `(block, partial sum)` pairs — dimension by
+    /// dimension in the sweep order: the best contribution any value in the
+    /// dimension's code range of that block can make, one batched metric
+    /// call per dimension for all blocks. With `keep`, a block leaves the
+    /// list as soon as its partial sum plus `rem_opt` of the rest fails it;
+    /// the blocks left carry their whole bound.
+    fn bound_blocks(&mut self, envelopes: &BlockEnvelopes, keep: Option<SurviveTest>) {
+        let Self { codes, metric, query, order, .. } = *self;
+        let QuantScratch { opt_lut: pairs, bounds, rem_opt, blocks, .. } = &mut *self.scratch;
+        for j in 0..codes.dims() {
+            if blocks.is_empty() {
+                break;
+            }
+            let d = order.map_or(j, |order| order[j]);
+            let grid = codes.params(d);
+            bounds.clear();
+            bounds.extend(blocks.iter().map(|&(b, _)| {
+                let (min, max) = envelopes.block(b)[d];
+                (grid.cell_bounds(min).0, grid.cell_bounds(max).1)
+            }));
+            pairs.resize(bounds.len() * 2, 0.0);
+            metric.fill_contribution_pairs(d, bounds, query[d], pairs);
+            let keep = keep.map(|test| SurviveTest { add: rem_opt[j + 1], ..test });
+            let mut best = pairs.iter().step_by(2);
+            blocks.retain_mut(|(_, sum)| {
+                *sum += best.next().copied().unwrap_or(0.0);
+                keep.is_none_or(|test| test.survives(*sum))
+            });
         }
     }
 
@@ -569,8 +669,6 @@ mod tests {
     use vdstore::{DecomposedTable, RowId, SegmentStats, StoreCodes};
 
     use crate::bond_loop::tests::{per_candidate_step, with_seam, StepStats};
-    use crate::kernels::SurviveTest;
-    use crate::searcher::prune_slack;
 
     fn codes_for(table: &DecomposedTable, partitions: usize) -> StoreCodes {
         let specs = table.partition_specs(partitions);
@@ -1015,14 +1113,96 @@ mod tests {
         let k = 5;
         let cold = filter_segment(&view, &SquaredEuclidean, &query, k, &live, None).unwrap();
         assert!(cold.cells < (rows * dims) as u64, "pruning saved no cell: {}", cold.cells);
-        // a κ no row of this segment can reach: everything dies at the
-        // first pruning step and no further LUT or column is touched
+        // a κ no row of this segment can reach: the envelope of its one row
+        // block misses it, so every candidate drops before a single cell,
+        // LUT or column is read
         let cell = TestCell(Mutex::new(Some(-1.0)), Objective::Minimize);
         let far = filter_segment(&view, &SquaredEuclidean, &query, k, &live, Some(&cell)).unwrap();
         assert_eq!(far.survivors.count(), 0);
-        assert_eq!(far.dims, PRUNE_BLOCK);
-        assert_eq!(far.cells, (rows * PRUNE_BLOCK) as u64);
+        assert_eq!((far.cells, far.dims, far.blocks_skipped), (0, 0, 1));
         assert_eq!(far.kappa, Some(-1.0));
+    }
+
+    #[test]
+    fn far_row_blocks_drop_before_their_first_cell() {
+        // seven clusters, cluster-major, over three row blocks; the query
+        // sits in the first cluster, inside block 0
+        let table = clustered(3000, true);
+        let codes = codes_for(&table, 1);
+        let view = codes.segment_view(0).unwrap();
+        assert_eq!(view.block_envelopes().blocks(), 3);
+        let live = table.live_bitmap();
+        let query = table.row(13).unwrap();
+        let k = 5;
+        let truth = ranked(&table, 0..table.rows(), &SquaredEuclidean, &query);
+        let cold = filter_segment(&view, &SquaredEuclidean, &query, k, &live, None).unwrap();
+        assert_eq!(cold.blocks_skipped, 0, "no κ carried in, nothing to test a block against");
+        let cell = TestCell(Mutex::new(Some(truth[k - 1].1)), Objective::Minimize);
+        let warm = filter_segment(&view, &SquaredEuclidean, &query, k, &live, Some(&cell)).unwrap();
+        assert_eq!(warm.blocks_skipped, 2, "both far blocks drop");
+        assert!(warm.survivors.iter().all(|row| row < 1024), "a far row survived");
+        assert!(warm.cells < cold.cells, "cells {} vs {} cold", warm.cells, cold.cells);
+        for &(row, _) in &truth[..k] {
+            assert!(warm.survivors.get(row), "lost true top-{k} row {row}");
+        }
+    }
+
+    /// The soundness of the block test: every row's exact score lies
+    /// within its block's envelope bound — and in a one-row segment, whose
+    /// grids are degenerate, the bound *is* the exact score, so a bound
+    /// that dropped a dimension's contribution cannot pass either way.
+    #[test]
+    fn every_row_scores_inside_its_block_envelope_bound() {
+        let dims = 20;
+        let weights: Vec<f64> =
+            (0..dims).map(|d| if d % 5 == 0 { 0.0 } else { 0.5 + d as f64 }).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights).unwrap();
+        let metrics: Vec<&dyn DecomposableMetric> =
+            vec![&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+        let strided: Vec<usize> = (0..dims).map(|j| (j * 7) % dims).collect();
+        let mut checked = 0usize;
+        // two segments of 1 300 rows (a full block and a ragged one each),
+        // then six one-row segments
+        for (table, partitions) in [(clustered(2600, false), 2), (clustered(6, true), 6)] {
+            let codes = codes_for(&table, partitions);
+            let query = table.row(3).unwrap();
+            for metric in &metrics {
+                for si in 0..codes.n_segments() {
+                    let view = codes.segment_view(si).unwrap();
+                    let envelopes = view.block_envelopes();
+                    let mut scratch = QuantScratch::new();
+                    let order = Some(&strided[..]);
+                    let mut source = CodeIntervals::new(
+                        &view,
+                        *metric,
+                        &query,
+                        order,
+                        Kernel::Scalar,
+                        &mut scratch,
+                    );
+                    source.scratch.blocks = (0..envelopes.blocks()).map(|b| (b, 0.0)).collect();
+                    source.bound_blocks(envelopes, None);
+                    let start = codes.specs()[si].start();
+                    let per_block = envelopes.rows_per_block();
+                    for &(b, bound) in &source.scratch.blocks {
+                        for local in b * per_block..((b + 1) * per_block).min(view.len()) {
+                            let row = table.row((start + local) as u32).unwrap();
+                            let exact = metric.score(&row, &query);
+                            let (exact, bound) = (source.sign * exact, source.sign * bound);
+                            let tol = 1e-9 * exact.abs().max(1.0);
+                            let ctx = format!("{} seg{si} block {b} row {local}", metric.name());
+                            assert!(exact <= bound + tol, "{ctx}: scores {exact} past {bound}");
+                            if view.len() == 1 {
+                                assert!(bound <= exact + tol, "{ctx}: bound {bound} ≠ {exact}");
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4 * (2600 + 6));
     }
 
     #[test]

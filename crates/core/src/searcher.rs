@@ -471,6 +471,7 @@ pub(crate) fn search_segment_with(
             scratch.exact.eligible = eligible;
             trace.filter_cells = filter.cells;
             trace.filter_dims = filter.dims;
+            trace.filter_blocks_skipped = filter.blocks_skipped;
             trace.filter_bits = codes.bits();
             trace.refine_rows = filter.survivors.count() as u64;
             if trace.refine_rows == 0 {

@@ -50,6 +50,10 @@ pub struct PruneTrace {
     /// through before at most `k` candidates remained or the dimensions
     /// ran out. Zero when no code was swept.
     pub filter_dims: usize,
+    /// Number of 1 024-row blocks the quantized filter dropped before its
+    /// first block because their code envelope could not reach the κ the
+    /// segment carried in — none of their cells was read.
+    pub filter_blocks_skipped: usize,
     /// Number of rows that survived the quantized filter into the exact
     /// search (zero when the search ran without codes; equals the segment's
     /// live rows when the filter could not prune).
@@ -72,6 +76,12 @@ pub struct PruneTrace {
 }
 
 impl PruneTrace {
+    /// Whether the quantized filter decided anything in this segment: it
+    /// read code cells, or dropped row blocks by their envelopes.
+    pub fn filter_ran(&self) -> bool {
+        self.filter_cells > 0 || self.filter_blocks_skipped > 0
+    }
+
     /// Number of candidates that survived after processing `dims` dimensions
     /// (reading the step function defined by the checkpoints). Before the
     /// first checkpoint the whole collection of `total_rows` survives.
@@ -121,6 +131,7 @@ mod tests {
             segment_skipped: false,
             filter_cells: 0,
             filter_dims: 0,
+            filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,
             kernel: Some("scalar"),

@@ -3,9 +3,10 @@
 //! sweep — LUT builds included — performs **zero** heap allocations, and
 //! the progressive filter (`filter_segment`: candidate words,
 //! remaining-dimension bounds and κ heap all live in the scratch) performs
-//! exactly one, the survivor bitmap it returns. This is what makes the
-//! filter phase safe to run per segment per query on the hot path without
-//! allocator traffic or lock contention.
+//! exactly one, the survivor bitmap it returns — also when a carried κ lets
+//! it drop far row blocks by their envelopes before its first block. This
+//! is what makes the filter phase safe to run per segment per query on the
+//! hot path without allocator traffic or lock contention.
 //!
 //! Verified with a counting `#[global_allocator]`, which is process-wide
 //! state — hence this test's own integration binary, so no other test's
@@ -17,7 +18,7 @@ use std::sync::Mutex;
 
 use bond::kernels::Kernel;
 use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
-use bond::QuantScratch;
+use bond::{KappaCell, QuantScratch};
 use bond_metrics::SquaredEuclidean;
 use vdstore::{Bitmap, DecomposedTable, SegmentSpec, SegmentStats, StoreCodes};
 
@@ -128,6 +129,66 @@ fn warmed_filter_allocates_only_its_survivor_bitmap() {
                 min_allocations(filter_all),
                 codes.n_segments() as u64,
                 "warmed filter allocated beyond its survivor bitmaps ({} @ {bits} bits)",
+                kernel.label()
+            );
+        }
+    }
+}
+
+/// A fixed κ the filter carries in (squared Euclidean: smaller is better).
+struct Carried(f64);
+
+impl KappaCell for Carried {
+    fn tighten(&self, local: f64) -> f64 {
+        local.min(self.0)
+    }
+
+    fn current(&self) -> Option<f64> {
+        Some(self.0)
+    }
+}
+
+#[test]
+fn warmed_filter_that_skips_blocks_allocates_only_its_survivor_bitmap() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // three row blocks, each its own band of values: a query in the first
+    // band is within 0.2 of its block and at least 16 away from the others
+    let vectors: Vec<Vec<f64>> = (0..3000)
+        .map(|r| {
+            (0..20).map(|d| (r / 1024) as f64 + 0.1 * ((r * 20 + d) as f64).sin().abs()).collect()
+        })
+        .collect();
+    let table = DecomposedTable::from_vectors("za-blocks", &vectors).unwrap();
+    let specs = table.partition_specs(1);
+    let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+    let query = table.row(7).unwrap();
+    let live = Bitmap::full(table.rows());
+    let kappa = Carried(1.0);
+    let metric = SquaredEuclidean;
+    for bits in [4u8, 8] {
+        let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
+        let view = codes.segment_view(0).unwrap();
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            let filter = || {
+                let filter = filter_segment_with_kernel(
+                    &view,
+                    &metric,
+                    &query,
+                    5,
+                    &live,
+                    Some(&kappa),
+                    kernel,
+                )
+                .unwrap();
+                assert_eq!(filter.blocks_skipped, 2, "both far blocks drop");
+                assert!(filter.dims > 0, "the near block is swept");
+            };
+            // the first call also builds the segment's envelopes
+            filter();
+            assert_eq!(
+                min_allocations(filter),
+                1,
+                "a filter that skipped blocks allocated beyond its survivor bitmap ({} @ {bits} bits)",
                 kernel.label()
             );
         }

@@ -6,6 +6,7 @@
 //! rank-based Zipf.
 
 use rand::Rng;
+use vdstore::descending_nan_last;
 
 /// Draws a sample from a normal distribution with the given mean and
 /// standard deviation using the Box–Muller transform.
@@ -79,7 +80,7 @@ pub fn weighted_sample_without_replacement<R: Rng + ?Sized>(
             (key, i)
         })
         .collect();
-    keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    keyed.sort_by(|a, b| descending_nan_last(a.0, b.0));
     keyed.into_iter().take(k).map(|(_, i)| i).collect()
 }
 

@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vdstore::descending_nan_last;
 
 use crate::samplers::zipf_probabilities;
 
@@ -73,7 +74,7 @@ pub fn weight_concentration(weights: &[f64], top_fraction: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = weights.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(|&a, &b| descending_nan_last(a, b));
     let top = ((weights.len() as f64 * top_fraction).round() as usize).clamp(1, weights.len());
     let total: f64 = sorted.iter().sum();
     if total <= 0.0 {

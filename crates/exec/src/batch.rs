@@ -580,7 +580,7 @@ impl QueryOutcome {
         let swept: u64 = self
             .segments
             .iter()
-            .filter(|s| s.trace.filter_cells > 0)
+            .filter(|s| s.trace.filter_ran())
             .map(|s| s.rows.len() as u64)
             .sum();
         (swept > 0).then(|| self.quant_refine_rows() as f64 / swept as f64)

@@ -66,8 +66,8 @@ use std::time::Instant;
 use vdstore::persist::{open_store, save_store_with_codes, validate_store_inputs, PersistedStore};
 use vdstore::topk::Scored;
 use vdstore::{
-    Advice, Bitmap, DecomposedTable, Envelope, Segment, SegmentSpec, SegmentStats, StorageBackend,
-    StoreCodes, TopKLargest, TopKSmallest, VdError,
+    ascending_nan_last, descending_nan_last, Advice, Bitmap, DecomposedTable, Envelope, Segment,
+    SegmentSpec, SegmentStats, StorageBackend, StoreCodes, TopKLargest, TopKSmallest, VdError,
 };
 
 /// The pruning-rule names the engine pre-registers per-rule search
@@ -898,11 +898,11 @@ impl Engine {
             })
             .collect();
         order.sort_by(|&a, &b| {
-            let cmp = promise[a].partial_cmp(&promise[b]).unwrap_or(std::cmp::Ordering::Equal);
-            match objective {
-                Objective::Maximize => cmp.reverse().then(a.cmp(&b)),
-                Objective::Minimize => cmp.then(a.cmp(&b)),
-            }
+            let cmp = match objective {
+                Objective::Maximize => descending_nan_last(promise[a], promise[b]),
+                Objective::Minimize => ascending_nan_last(promise[a], promise[b]),
+            };
+            cmp.then(a.cmp(&b))
         });
         Some(order)
     }
@@ -985,6 +985,7 @@ impl Engine {
                         actual: spec.vector().len(),
                     });
                 }
+                finite("query", spec.vector())?;
                 let rule = spec.rule_override().unwrap_or(&self.inner.rule);
                 if let Some(w) = rule.weights() {
                     if w.len() != dims {
@@ -993,6 +994,7 @@ impl Engine {
                             actual: w.len(),
                         });
                     }
+                    finite("weight", w)?;
                 }
                 // Invalid weight *values* (directly constructed variants
                 // bypassing the validating constructors) error here instead
@@ -1049,6 +1051,7 @@ impl Engine {
                     actual: feature.query().len(),
                 });
             }
+            finite("feature query", feature.query())?;
             if feature_rows != rows {
                 return Err(BondError::InvalidParams(format!(
                     "feature {f}'s collection has {feature_rows} rows, the engine's table \
@@ -1892,5 +1895,14 @@ impl Engine {
             &params,
         )?;
         Ok(outcome.hits)
+    }
+}
+
+/// Rejects a NaN or infinite value of a request's `what` vector: no score,
+/// bound or dimension order is defined for it.
+fn finite(what: &'static str, values: &[f64]) -> Result<()> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(dim) => Err(BondError::NonFinite { what, dim }),
+        None => Ok(()),
     }
 }

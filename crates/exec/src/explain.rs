@@ -265,6 +265,9 @@ pub struct SegmentAnalysis {
     /// most `k` candidates remained or the dimensions ran out; `0` when no
     /// filter swept.
     pub filter_dims: usize,
+    /// Row blocks the filter dropped by their code envelopes before its
+    /// first block, without reading a cell of them.
+    pub filter_blocks_skipped: usize,
     /// Rows the quantized filter let through to exact refinement; `0` when
     /// no filter ran.
     pub refine_rows: u64,
@@ -355,10 +358,15 @@ impl fmt::Display for QueryAnalysis {
                 continue;
             }
             let depth = seg.prune_depth.map_or_else(|| "never".to_string(), |d| d.to_string());
-            let filter = if seg.filter_cells > 0 {
+            let filter = if seg.filter_cells > 0 || seg.filter_blocks_skipped > 0 {
                 format!(
-                    " filter_cells={} filter_dims={} refine_rows={} bits={}",
-                    seg.filter_cells, seg.filter_dims, seg.refine_rows, seg.filter_bits
+                    " filter_cells={} filter_dims={} filter_blocks_skipped={} refine_rows={} \
+                     bits={}",
+                    seg.filter_cells,
+                    seg.filter_dims,
+                    seg.filter_blocks_skipped,
+                    seg.refine_rows,
+                    seg.filter_bits
                 )
             } else {
                 String::new()
@@ -596,6 +604,7 @@ impl QueryOutcome {
                 scanned_cells: run.trace.contributions_evaluated,
                 filter_cells: run.trace.filter_cells,
                 filter_dims: run.trace.filter_dims,
+                filter_blocks_skipped: run.trace.filter_blocks_skipped,
                 refine_rows: run.trace.refine_rows,
                 filter_bits: run.trace.filter_bits,
                 kernel: run.trace.kernel,

@@ -63,6 +63,7 @@ use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use vdstore::ascending_nan_last;
 
 /// One queued request: the spec, its estimated cost, how many engine
 /// passes have drained around it, and the channel its answer travels back
@@ -181,7 +182,7 @@ fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<P
                 .then(if a_starved && b_starved {
                     ai.cmp(bi) // … oldest first among them
                 } else {
-                    a.cost.partial_cmp(&b.cost).unwrap_or(std::cmp::Ordering::Equal)
+                    ascending_nan_last(a.cost, b.cost)
                 })
                 .then(ai.cmp(bi))
         });

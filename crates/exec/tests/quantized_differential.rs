@@ -21,7 +21,10 @@
 //!
 //! The kernel is latched once per process, so the scalar leg re-executes
 //! this binary with `BOND_KERNEL=scalar` (the `kernel_env_matrix` pattern)
-//! and both legs must also agree on a digest of every answer.
+//! and both legs must also agree on a digest of every answer. The filtered
+//! leg also counts the row blocks the code sweep dropped by their envelopes
+//! before reading a cell: the count must be positive, and equal on both
+//! legs.
 
 use std::process::Command;
 
@@ -110,12 +113,13 @@ impl Digest {
 
 /// Runs the whole matrix under whatever kernel this process latched,
 /// asserting the differential contract case by case; returns the digest of
-/// all filtered answers and how many cases actually swept codes.
-fn run_matrix() -> (u64, usize) {
+/// all filtered answers, how many cases actually swept codes and how many
+/// row blocks their envelopes dropped.
+fn run_matrix() -> (u64, usize, usize) {
     let rules = rules();
     let filters = filters();
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
-    let (mut case, mut swept) = (0usize, 0usize);
+    let (mut case, mut swept, mut skipped) = (0usize, 0usize, 0usize);
     for layout in [Layout::ClusterMajor, Layout::Shuffled, Layout::Duplicates] {
         for tombstones in [false, true] {
             let table = table(layout, tombstones);
@@ -137,20 +141,23 @@ fn run_matrix() -> (u64, usize) {
                                 rule.name(),
                                 filter.as_ref().map(Bitmap::count)
                             );
-                            swept +=
+                            let (case_swept, case_skipped) =
                                 check_case(&engine, rule, filter.as_ref(), case, &ctx, &mut digest);
+                            swept += case_swept;
+                            skipped += case_skipped;
                         }
                     }
                 }
             }
         }
     }
-    (digest.0, swept)
+    (digest.0, swept, skipped)
 }
 
 /// One generated case: a member query and a `k` picked by the case number,
 /// asked exactly and through the code filter in one batch (so a
-/// feedback-planned pair executes the same plans).
+/// feedback-planned pair executes the same plans). Returns whether the
+/// filter swept any code, and how many row blocks it dropped unread.
 fn check_case(
     engine: &Engine,
     rule: &RuleKind,
@@ -158,7 +165,7 @@ fn check_case(
     case: usize,
     ctx: &str,
     digest: &mut Digest,
-) -> usize {
+) -> (usize, usize) {
     let table = engine.table();
     let eligible = match filter {
         Some(filter) => filter.intersection_count(&table.live_bitmap()),
@@ -175,13 +182,13 @@ fn check_case(
 
     if eligible == 0 {
         assert!(matches!(engine.search_spec(&filtered), Err(BondError::InvalidFilter(_))), "{ctx}");
-        return 0;
+        return (0, 0);
     }
     if k > eligible {
         for spec in [&exact, &filtered] {
             assert!(matches!(engine.search_spec(spec), Err(BondError::InvalidK { .. })), "{ctx}");
         }
-        return 0;
+        return (0, 0);
     }
     let batch = RequestBatch::from_specs(vec![exact.clone(), filtered]);
     let outcome = engine.execute(&batch).unwrap_or_else(|e| panic!("{ctx}: {e}"));
@@ -199,29 +206,47 @@ fn check_case(
         digest.fold(hit.score.to_bits());
     }
     assert_eq!(want.quant_filter_cells(), 0, "{ctx}");
-    usize::from(got.quant_filter_cells() > 0)
+    let skipped = got.segments.iter().map(|s| s.trace.filter_blocks_skipped).sum();
+    (usize::from(got.quant_filter_cells() > 0), skipped)
 }
 
 #[test]
 fn quantized_filter_matches_exact_across_the_generated_matrix() {
     if std::env::var("BOND_DIFFERENTIAL_PROBE").is_ok() {
-        let (digest, swept) = run_matrix();
-        println!("DIGEST={digest:016x} SWEPT={swept}");
+        let (digest, swept, skipped) = run_matrix();
+        println!("DIGEST={digest:016x} SWEPT={swept} SKIPPED={skipped}");
         return;
     }
-    let (digest, swept) = run_matrix();
+    let (digest, swept, skipped) = run_matrix();
     // (half the `k`s — every eligible row, and one more — leave nothing to
     // prune, and the one-row filter never reaches `k` rows per segment)
     assert!(swept >= 400, "only {swept} cases swept any code: the matrix misses the sweep");
+    assert!(skipped > 0, "no row block was dropped by its envelope: the matrix misses the skip");
 
-    let scalar = scalar_leg_digest("quantized_filter_matches_exact_across_the_generated_matrix");
-    assert_eq!(scalar, format!("{digest:016x}"), "the forced scalar kernel changed an answer");
+    let scalar = scalar_leg("quantized_filter_matches_exact_across_the_generated_matrix");
+    assert_eq!(
+        scalar.digest,
+        format!("{digest:016x}"),
+        "the forced scalar kernel changed an answer"
+    );
+    assert_eq!(
+        scalar.skipped.as_deref(),
+        Some(&*skipped.to_string()),
+        "block skips differ by kernel"
+    );
+}
+
+/// What the scalar-kernel leg printed.
+struct ScalarLeg {
+    digest: String,
+    skipped: Option<String>,
 }
 
 /// Re-runs the named test of this binary in a process of its own with the
 /// portable scalar kernel forced — where `BOND_DIFFERENTIAL_PROBE` makes it
-/// print its digest instead of recursing — and returns that digest.
-fn scalar_leg_digest(test: &str) -> String {
+/// print its digest (and block-skip count) instead of recursing — and
+/// returns what it printed.
+fn scalar_leg(test: &str) -> ScalarLeg {
     let out = Command::new(std::env::current_exe().unwrap())
         .args([test, "--exact", "--nocapture"])
         .env("BOND_DIFFERENTIAL_PROBE", "1")
@@ -230,11 +255,12 @@ fn scalar_leg_digest(test: &str) -> String {
         .expect("probe process spawns");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "scalar-kernel leg failed:\n{stdout}");
-    stdout
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("DIGEST="))
-        .unwrap_or_else(|| panic!("scalar-kernel leg printed no digest:\n{stdout}"))
-        .to_string()
+    let field = |name: &str| {
+        stdout.split_whitespace().find_map(|t| t.strip_prefix(name)).map(str::to_string)
+    };
+    let digest = field("DIGEST=")
+        .unwrap_or_else(|| panic!("scalar-kernel leg printed no digest:\n{stdout}"));
+    ScalarLeg { digest, skipped: field("SKIPPED=") }
 }
 
 /// The `Exact` matrix under whatever kernel this process latched; returns
@@ -354,8 +380,12 @@ fn exact_matches_the_sequential_reference_and_brute_force_across_the_generated_m
     }
     // (a third of the `k`s — every eligible row — leave nothing to prune)
     assert!(pruned >= 150, "only {pruned} cases pruned anything: the matrix misses the step");
-    let scalar = scalar_leg_digest(
+    let scalar = scalar_leg(
         "exact_matches_the_sequential_reference_and_brute_force_across_the_generated_matrix",
     );
-    assert_eq!(scalar, format!("{digest:016x}"), "the forced scalar kernel changed an answer");
+    assert_eq!(
+        scalar.digest,
+        format!("{digest:016x}"),
+        "the forced scalar kernel changed an answer"
+    );
 }

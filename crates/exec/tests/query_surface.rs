@@ -13,7 +13,10 @@
 //! * **Bad requests die at admission** — domain-mismatched or empty
 //!   filters ([`BondError::InvalidFilter`]), per-feature dimension
 //!   mismatches ([`BondError::FeatureDimensionMismatch`]) and aggregate
-//!   arity errors are rejected before any segment work starts.
+//!   arity errors are rejected before any segment work starts, and so
+//!   are NaN or infinite query coordinates and rule weights
+//!   ([`BondError::NonFinite`]) — through the engine and through a
+//!   [`Server`] alike.
 //! * **The filter metrics account honestly** — eligible rows are counted
 //!   once per scanned segment, filter-empty segments are skipped and
 //!   counted, and multi-feature scans tick their own counter.
@@ -21,7 +24,7 @@
 use bond::{BondError, FeatureMetricKind, FeatureQuery, MultiFeatureSearcher};
 use bond_exec::{
     AggregateSpec, Engine, FeatureSpec, KnnProgram, MultiFeatureSpec, PlannerKind, QuerySpec,
-    RequestBatch, RuleKind, ScanMode,
+    RequestBatch, RuleKind, ScanMode, Server,
 };
 use bond_metrics::{DecomposableMetric, SquaredEuclidean};
 use bond_obs::names;
@@ -382,6 +385,35 @@ fn bad_filters_and_features_are_rejected_at_admission() {
     ]);
     assert!(engine.execute(&batch).is_err());
     assert_eq!(engine.metrics().counter_value(names::ENGINE_BATCH_COUNT), Some(0));
+}
+
+#[test]
+fn non_finite_queries_and_weights_are_rejected_with_a_typed_error() {
+    let t = table(100, DIMS);
+    let engine = Engine::builder(t.clone()).partitions(2).threads(1).build().unwrap();
+    let server = Server::new(engine.clone());
+    for (dim, bad) in [(0, f64::NAN), (3, f64::INFINITY), (DIMS - 1, f64::NEG_INFINITY)] {
+        let mut query = t.row(5).unwrap();
+        query[dim] = bad;
+        for scan in [ScanMode::Exact, ScanMode::QuantizedFilter] {
+            let spec = QuerySpec::new(query.clone(), 3).scan_mode(scan);
+            let want = BondError::NonFinite { what: "query", dim };
+            assert_eq!(engine.search_spec(&spec).unwrap_err(), want);
+            assert_eq!(server.submit(spec).and_then(|ticket| ticket.wait()).unwrap_err(), want);
+        }
+        // directly constructed weights bypass the validating constructor
+        let mut weights = vec![1.0; DIMS];
+        weights[dim] = bad;
+        let spec = QuerySpec::new(t.row(5).unwrap(), 3).rule(RuleKind::WeightedEuclidean(weights));
+        let want = BondError::NonFinite { what: "weight", dim };
+        assert_eq!(engine.search_spec(&spec).unwrap_err(), want);
+        assert_eq!(server.submit(spec).and_then(|ticket| ticket.wait()).unwrap_err(), want);
+    }
+    assert_eq!(server.queries_rejected(), 9);
+    // the server still answers
+    let fine = server.submit(QuerySpec::new(t.row(5).unwrap(), 3)).unwrap().wait().unwrap();
+    assert_eq!(fine.hits.len(), 3);
+    server.shutdown();
 }
 
 #[test]

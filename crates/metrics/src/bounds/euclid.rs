@@ -6,7 +6,7 @@
 //! smallest upper bound `S_max`, and a candidate is pruned when its lower
 //! bound `S_min` exceeds κ_max.
 
-use crate::bounds::{CandidateState, PruningRule, Requirements};
+use crate::bounds::{descending_nan_last, CandidateState, PruningRule, Requirements};
 use crate::metric::Objective;
 
 /// Criterion **Eq** (Equation 10): bounds that depend only on the query.
@@ -149,7 +149,7 @@ impl PruningRule for EvRule {
     fn prepare(&mut self, query: &[f64], remaining_dims: &[usize]) {
         self.sorted_q.clear();
         self.sorted_q.extend(remaining_dims.iter().map(|&d| query[d]));
-        self.sorted_q.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        self.sorted_q.sort_by(|&a, &b| descending_nan_last(a, b));
         self.remaining_query_sum = self.sorted_q.iter().sum();
         let r = self.sorted_q.len();
         self.prefix_q2.clear();

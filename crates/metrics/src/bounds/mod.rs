@@ -22,6 +22,15 @@ pub mod weighted;
 
 use crate::metric::Objective;
 
+/// Descending order of two values that stays a total order when NaN is
+/// present — what `sort_by` requires, or it may panic: larger values first,
+/// NaN after every number, numbers in their `partial_cmp` order (so `-0.0`
+/// and `0.0` still tie).
+#[inline]
+fn descending_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    b.partial_cmp(&a).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Per-candidate bookkeeping a rule may require from the engine.
 ///
 /// Hq and Eq need nothing beyond the partial score (that is their selling

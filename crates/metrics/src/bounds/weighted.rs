@@ -28,7 +28,7 @@
 //! maximum and pruning stays safe; for uniform weights it coincides with
 //! Lemma 1's bound up to the decoupling of the fractional dimension.
 
-use crate::bounds::{CandidateState, PruningRule, Requirements};
+use crate::bounds::{descending_nan_last, CandidateState, PruningRule, Requirements};
 use crate::metric::Objective;
 
 /// Query-only pruning bound for **weighted histogram intersection**:
@@ -174,7 +174,7 @@ impl PruningRule for WeightedEvRule {
         if remaining_dims.is_empty() {
             self.min_weight_q = 0.0;
         }
-        gains.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        gains.sort_by(|&a, &b| descending_nan_last(a, b));
         self.prefix_gain.clear();
         self.prefix_gain.resize(gains.len() + 1, 0.0);
         for (i, g) in gains.iter().enumerate() {

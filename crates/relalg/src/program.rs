@@ -11,7 +11,7 @@
 
 use vdstore::bat::{Bat, OidBat};
 use vdstore::topk::Scored;
-use vdstore::{DecomposedTable, Result, RowId, TopKLargest, VdError};
+use vdstore::{descending_nan_last, DecomposedTable, Result, RowId, TopKLargest, VdError};
 
 use crate::ops;
 
@@ -64,8 +64,7 @@ impl BondHqProgram {
 
         // Dimension order: decreasing query value.
         let mut order: Vec<usize> = (0..dims).collect();
-        order
-            .sort_by(|&a, &b| query[b].partial_cmp(&query[a]).unwrap_or(std::cmp::Ordering::Equal));
+        order.sort_by(|&a, &b| descending_nan_last(query[a], query[b]));
 
         let mut script = Vec::new();
         let mut candidates_per_step = Vec::new();

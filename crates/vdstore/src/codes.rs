@@ -13,8 +13,17 @@
 //! with one FNV-1a checksum per dimension, and on the mapped backend they
 //! are exposed zero-copy: a `&[u8]` needs no alignment, so a
 //! [`CodeColumn`] can point straight into the file mapping.
+//!
+//! **Zone maps inside the segment.** A segment's envelope spans whatever
+//! landed in it, so on a segment holding several clusters the segment-grain
+//! zone map never fires. Every segment therefore also has
+//! [`BlockEnvelopes`]: per run of 1 024 rows and per dimension, the smallest
+//! and largest code byte. They are derived from the code columns — built
+//! once per segment, the first time a search asks for them, on every
+//! backend alike — and never persisted, so the store format does not carry
+//! them.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::checksum::fnv1a;
 use crate::error::{Result, VdError};
@@ -196,8 +205,59 @@ impl CodeColumn {
     }
 }
 
+/// Rows per block envelope: 16 words of a candidate bitmap.
+const ENVELOPE_ROWS: usize = 1024;
+
+/// One segment's per-block code envelopes: for every run of 1 024 rows
+/// (the last one may be shorter) and every dimension, the smallest and the
+/// largest code byte among the block's rows. Every row's code lies inside
+/// its block's range, so the cell edges of that range bound every value of
+/// the block — tombstoned rows included, which only widens the range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockEnvelopes {
+    dims: usize,
+    /// `ranges[block · dims + dim]`: that dimension's `(min, max)` code.
+    ranges: Vec<(u8, u8)>,
+}
+
+impl BlockEnvelopes {
+    /// Derives the envelopes from one segment's code windows (one slice per
+    /// dimension, all of the segment's length).
+    fn build(windows: &[&[u8]]) -> Self {
+        let dims = windows.len();
+        let blocks = windows.first().map_or(0, |w| w.len().div_ceil(ENVELOPE_ROWS));
+        let mut ranges = vec![(0u8, 0u8); blocks * dims];
+        for (d, window) in windows.iter().enumerate() {
+            for (b, chunk) in window.chunks(ENVELOPE_ROWS).enumerate() {
+                let min = chunk.iter().copied().min().unwrap_or(0);
+                let max = chunk.iter().copied().max().unwrap_or(0);
+                ranges[b * dims + d] = (min, max);
+            }
+        }
+        BlockEnvelopes { dims, ranges }
+    }
+
+    /// Rows per block: block `b` covers the segment-local rows
+    /// `b · rows_per_block ..` (clamped to the segment's length).
+    pub fn rows_per_block(&self) -> usize {
+        ENVELOPE_ROWS
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.ranges.len().checked_div(self.dims).unwrap_or(0)
+    }
+
+    /// Block `b`'s `(min, max)` code byte, indexed by dimension.
+    #[inline]
+    pub fn block(&self, b: usize) -> &[(u8, u8)] {
+        &self.ranges[b * self.dims..(b + 1) * self.dims]
+    }
+}
+
 /// The quantized companion of a partitioned store: per-dimension flat code
-/// fragments plus the per-(segment, dimension) grids that decode them.
+/// fragments plus the per-(segment, dimension) grids that decode them, and
+/// each segment's [`BlockEnvelopes`], derived from the codes on first use.
 #[derive(Debug, Clone)]
 pub struct StoreCodes {
     /// `segment_bits[segment]` — bits per code in that segment's windows.
@@ -213,6 +273,8 @@ pub struct StoreCodes {
     columns: Vec<CodeColumn>,
     /// FNV-1a over each dimension's code bytes.
     checksums: Vec<u64>,
+    /// `envelopes[segment]`, built on first use.
+    envelopes: Vec<OnceLock<BlockEnvelopes>>,
 }
 
 impl StoreCodes {
@@ -305,6 +367,7 @@ impl StoreCodes {
         Ok(StoreCodes {
             segment_bits: segment_bits.to_vec(),
             rows,
+            envelopes: unbuilt(specs.len()),
             specs: specs.to_vec(),
             params,
             columns,
@@ -356,7 +419,8 @@ impl StoreCodes {
                 )));
             }
         }
-        Ok(StoreCodes { segment_bits, rows, specs, params, columns, checksums })
+        let envelopes = unbuilt(specs.len());
+        Ok(StoreCodes { segment_bits, rows, specs, params, columns, checksums, envelopes })
     }
 
     /// The widest per-segment code width — for a uniform store this is
@@ -485,6 +549,23 @@ impl<'a> SegmentCodesView<'a> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// This segment's per-block code envelopes, derived from its code
+    /// windows on the first call (any thread) and shared after that.
+    pub fn block_envelopes(&self) -> &'a BlockEnvelopes {
+        let codes = self.codes;
+        codes.envelopes[self.segment].get_or_init(|| {
+            let window = self.start..self.start + self.len;
+            let windows: Vec<&[u8]> =
+                codes.columns.iter().map(|column| &column.as_slice()[window.clone()]).collect();
+            BlockEnvelopes::build(&windows)
+        })
+    }
+}
+
+/// One unbuilt envelope slot per segment.
+fn unbuilt(segments: usize) -> Vec<OnceLock<BlockEnvelopes>> {
+    (0..segments).map(|_| OnceLock::new()).collect()
 }
 
 #[cfg(test)]

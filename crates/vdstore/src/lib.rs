@@ -58,7 +58,7 @@ pub mod topk;
 
 pub use bat::{Bat, Head};
 pub use bitmap::Bitmap;
-pub use codes::{CodeColumn, CodeParams, SegmentCodesView, StoreCodes};
+pub use codes::{BlockEnvelopes, CodeColumn, CodeParams, SegmentCodesView, StoreCodes};
 pub use column::{Column, ColumnData};
 pub use error::{Result, VdError};
 pub use mmap::{Advice, MappedRegion, StorageBackend};
@@ -68,7 +68,7 @@ pub use rowmatrix::RowMatrix;
 pub use segment::{Envelope, Segment, SegmentSpec, SegmentStats};
 pub use stats::{ColumnStats, DatasetStats};
 pub use table::{DecomposedTable, TableBuilder};
-pub use topk::{TopKLargest, TopKSmallest};
+pub use topk::{ascending_nan_last, descending_nan_last, TopKLargest, TopKSmallest};
 
 /// Row identifier inside a decomposed table.
 ///

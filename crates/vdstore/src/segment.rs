@@ -17,6 +17,7 @@ use crate::bitmap::Bitmap;
 use crate::error::{Result, VdError};
 use crate::stats::ColumnStats;
 use crate::table::DecomposedTable;
+use crate::topk::descending_nan_last;
 use crate::RowId;
 use std::ops::Range;
 
@@ -278,9 +279,7 @@ impl SegmentStats {
     pub fn dims_by_mean_descending(&self) -> Vec<usize> {
         let means = self.mean_per_dim();
         let mut order: Vec<usize> = (0..means.len()).collect();
-        order.sort_by(|&a, &b| {
-            means[b].partial_cmp(&means[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| descending_nan_last(means[a], means[b]).then(a.cmp(&b)));
         order
     }
 }

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::column::Column;
 use crate::table::DecomposedTable;
+use crate::topk::descending_nan_last;
 
 /// Summary statistics of one dimensional fragment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,7 +100,7 @@ impl DatasetStats {
         for r in 0..rows {
             let mut row = table.row(r as u32).expect("row in range");
             sum_of_sums += row.iter().sum::<f64>();
-            row.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+            row.sort_by(|&a, &b| descending_nan_last(a, b));
             for (p, v) in profile.iter_mut().zip(row) {
                 *p += v;
             }

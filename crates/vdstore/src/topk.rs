@@ -12,6 +12,22 @@ use std::collections::BinaryHeap;
 
 use crate::RowId;
 
+/// Ascending order of two values that stays a total order when NaN is
+/// present — what `sort_by` requires, or it may panic: NaN sorts after every
+/// number and ties with NaN, numbers keep their `partial_cmp` order (so
+/// `-0.0` and `0.0` still tie).
+#[inline]
+pub fn ascending_nan_last(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// [`ascending_nan_last`]'s descending twin: larger values first, NaN still
+/// last.
+#[inline]
+pub fn descending_nan_last(a: f64, b: f64) -> Ordering {
+    b.partial_cmp(&a).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// A scored row, ordered by score then row id (for deterministic ties).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scored {
@@ -189,6 +205,46 @@ impl TopKSmallest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 2 000 generated vectors mixing NaN, ±∞, ±0 and ordinary values:
+    /// sorting with either comparator never panics, puts every NaN last
+    /// and leaves the numbers exactly where a NaN-free sort puts them.
+    #[test]
+    fn nan_last_comparators_are_total_orders() {
+        let mut state = 0x00DD_BA11_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        for _ in 0..2000 {
+            let len = (next() % 40) as usize;
+            let values: Vec<f64> = (0..len)
+                .map(|_| match next() % 8 {
+                    pick @ 0..=4 => specials[pick as usize],
+                    _ => (next() % 1000) as f64 / 7.0 - 50.0,
+                })
+                .collect();
+            let numbers: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+            type Pair = (fn(f64, f64) -> Ordering, fn(&f64, &f64) -> Option<Ordering>);
+            let pairs: [Pair; 2] = [
+                (ascending_nan_last, |a, b| a.partial_cmp(b)),
+                (descending_nan_last, |a, b| b.partial_cmp(a)),
+            ];
+            for (cmp, reference) in pairs {
+                let mut sorted = values.clone();
+                sorted.sort_by(|&a, &b| cmp(a, b));
+                let mut want = numbers.clone();
+                want.sort_by(|a, b| reference(a, b).expect("no NaN left"));
+                let (head, tail) = sorted.split_at(numbers.len());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(head), bits(&want), "{values:?}");
+                assert!(tail.iter().all(|v| v.is_nan()), "{values:?}");
+            }
+        }
+    }
 
     #[test]
     fn top_k_largest_keeps_largest() {
