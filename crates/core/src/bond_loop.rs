@@ -3,13 +3,23 @@
 //! Per block: sweep the next dimensions over the candidates, bound every
 //! candidate, take κ as the k-th best safe bound, drop what cannot reach
 //! it — until at most `k` candidates remain or the dimensions run out.
-//! §7.4 runs that loop on VA-File-style codes before the exact one. What a
-//! block sweeps and how a candidate is bounded is a [`BoundSource`]'s
-//! business: the code intervals of `quantfilter`, or the exact partial
-//! scores and pruning rule of `searcher`. The rest is written once, here:
-//! the [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
-//! block schedule, κ sharing, and the per-thread [`Scratch`] both spaces
-//! work in.
+//! §7.4 runs that loop on VA-File-style codes; what is left after it is
+//! refined exactly in bound order (`searcher`); the exact loop runs in
+//! exact mode and after a code filter that proved no κ. What a block
+//! sweeps and how a candidate is bounded is a [`BoundSource`]'s business:
+//! the code intervals of `quantfilter`, or the exact partial scores and
+//! pruning rule of `searcher`. The rest is written once, here: the
+//! [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
+//! block sizes ([`Blocks`]), κ sharing, and the per-thread [`Scratch`]
+//! both spaces work in.
+//!
+//! Block sizes follow Corlay's rule (PAPERS.md) where the loop can observe
+//! it: a pruning step must cost less than the work it removes. The code
+//! source backs off — a step that removed nothing doubles the next block,
+//! one that removed anything resets it — so a segment whose bounds are
+//! still too loose pays `log₂(dims / 8)` steps for them, not `dims / 8`.
+//! The exact source keeps its plan's schedule: the paper's `m`, which the
+//! paper figures reproduce.
 //!
 //! All comparisons run in *goodness* space — scores and bounds multiplied
 //! by `sign` (`+1` to maximize, `−1` to minimize) — where larger is better
@@ -83,11 +93,40 @@ pub(crate) trait BoundSource {
     fn stepped(&mut self, _candidates: &mut CandidateSet, _swept: usize, _removed: usize) {}
 }
 
+/// How the loop sizes its blocks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Blocks {
+    /// The plan's schedule.
+    Planned(BlockSchedule),
+    /// `first` dimensions to start with and after a step that removed a
+    /// candidate; twice the last block after a step that removed none.
+    BackOff { first: usize },
+}
+
+impl Blocks {
+    /// The next block's width — capped at the `dims − swept` dimensions
+    /// left, `0` once there are none — after `steps` pruning steps, the
+    /// last of which swept `last.0` dimensions and removed `last.1`
+    /// candidates.
+    fn next(self, swept: usize, dims: usize, steps: usize, last: Option<(usize, usize)>) -> usize {
+        match self {
+            Blocks::Planned(schedule) => schedule.next_block(swept, dims, steps),
+            Blocks::BackOff { first } => {
+                let wanted = match last {
+                    Some((block, 0)) => block.saturating_mul(2),
+                    _ => first.max(1),
+                };
+                wanted.min(dims.saturating_sub(swept))
+            }
+        }
+    }
+}
+
 /// One segment's run of the loop: the parameters every step shares.
 pub(crate) struct BondLoop<'a> {
     pub(crate) k: usize,
     pub(crate) kernel: Kernel,
-    pub(crate) schedule: BlockSchedule,
+    pub(crate) blocks: Blocks,
     /// The κ cell shared with the query's other segments.
     pub(crate) shared: Option<&'a dyn KappaCell>,
 }
@@ -96,6 +135,8 @@ pub(crate) struct BondLoop<'a> {
 pub(crate) struct Progress {
     /// Dimensions swept.
     pub(crate) swept: usize,
+    /// Pruning steps taken.
+    pub(crate) steps: usize,
     /// The last κ the loop held, in goodness space (`−∞` for none).
     pub(crate) kappa: f64,
 }
@@ -116,9 +157,9 @@ impl BondLoop<'_> {
         let dims = source.dims();
         let mut alive = candidates.len();
         let mut kappa = f64::NEG_INFINITY;
-        let (mut swept, mut steps) = (0usize, 0usize);
+        let (mut swept, mut steps, mut last) = (0usize, 0usize, None);
         loop {
-            let block = self.schedule.next_block(swept, dims, steps);
+            let block = self.blocks.next(swept, dims, steps, last);
             if block == 0 {
                 break;
             }
@@ -168,8 +209,9 @@ impl BondLoop<'_> {
             if alive <= k {
                 break;
             }
+            last = Some((block, removed));
         }
-        Ok(Progress { swept, kappa })
+        Ok(Progress { swept, steps, kappa })
     }
 
     /// One pruning pass: drops every candidate whose optimistic bound
@@ -199,8 +241,9 @@ impl BondLoop<'_> {
 }
 
 /// A worker thread's working memory for both spaces: the code sweep's
-/// accumulators and LUTs, the exact search's per-row state, and the κ
-/// heap. Grown to the largest segment the thread has searched and reused
+/// accumulators and LUTs (and the survivors' bound order the exact refine
+/// reads from them), the exact search's per-row state, and the κ heap.
+/// Grown to the largest segment the thread has searched and reused
 /// after that, so steady-state searches allocate nothing that grows with
 /// their segment.
 #[derive(Default)]
@@ -213,7 +256,7 @@ pub(crate) struct Scratch {
 thread_local! {
     /// One scratch per worker thread: the engine runs each (query,
     /// segment) task on one worker, and neither loop is re-entered on a
-    /// thread — a segment's code sweep runs before its exact search.
+    /// thread — a segment's code sweep runs before its exact refine.
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
@@ -413,6 +456,98 @@ pub(crate) mod tests {
             _ => live.iter().filter(|row| row % 10 == 3).collect(),
         };
         Bitmap::from_rows(len, &rows)
+    }
+
+    /// A source whose bounds keep every candidate, except that after the
+    /// steps ending at the dimensions in `drops_at` one more row gets a
+    /// hopeless optimistic bound; it records every block it sweeps.
+    struct Scripted {
+        dims: usize,
+        drops_at: Vec<usize>,
+        opt: Vec<f64>,
+        pes: Vec<f64>,
+        victim: usize,
+        widths: Vec<usize>,
+    }
+
+    impl Scripted {
+        /// 64 rows; with `k = 1` row 0's pessimistic bound is κ = 1, and
+        /// every other row's optimistic bound 2 reaches it.
+        fn new(dims: usize, drops_at: Vec<usize>) -> Self {
+            let mut pes = vec![0.0; 64];
+            pes[0] = 1.0;
+            Scripted { dims, drops_at, opt: vec![2.0; 64], pes, victim: 1, widths: Vec::new() }
+        }
+    }
+
+    impl BoundSource for Scripted {
+        const CARRIES_KAPPA: bool = false;
+
+        fn dims(&self) -> usize {
+            self.dims
+        }
+
+        fn sweep(&mut self, _: &CandidateSet, block: Range<usize>) -> Result<()> {
+            self.widths.push(block.len());
+            Ok(())
+        }
+
+        fn bound(&mut self, _: &CandidateSet, swept: usize) {
+            if self.drops_at.contains(&swept) {
+                self.opt[self.victim] = -1.0;
+                self.victim += 1;
+            }
+        }
+
+        fn bounds(&self, _: usize) -> Bounds<'_> {
+            Bounds {
+                opt: &self.opt,
+                pes: &self.pes,
+                stride: 1,
+                pes_lane: 0,
+                sign: 1.0,
+                opt_add: 0.0,
+                pes_gain: -0.0,
+            }
+        }
+    }
+
+    /// The blocks `blocks` makes the loop sweep over `dims` dimensions, and
+    /// the steps it counted.
+    fn widths(blocks: Blocks, dims: usize, drops_at: Vec<usize>) -> (Vec<usize>, usize) {
+        let mut source = Scripted::new(dims, drops_at);
+        let run = BondLoop { k: 1, kernel: Kernel::Scalar, blocks, shared: None };
+        let progress = run.run(&mut source, &mut CandidateSet::all(64), &mut None).unwrap();
+        assert_eq!(progress.swept, dims);
+        (source.widths, progress.steps)
+    }
+
+    #[test]
+    fn code_blocks_double_after_a_barren_step_and_reset_after_a_removal() {
+        let back_off = Blocks::BackOff { first: 8 };
+        // nothing removed until the last block: 8, 16, 32, … capped at the
+        // dimensions left, ⌈log2(dims / 8)⌉ + 2 steps at most
+        for (dims, expected) in [
+            (128, vec![8, 16, 32, 64, 8]),
+            (20, vec![8, 12]),
+            (8, vec![8]),
+            (5, vec![5]),
+            (1000, vec![8, 16, 32, 64, 128, 256, 496]),
+        ] {
+            let (seen, steps) = widths(back_off, dims, Vec::new());
+            assert_eq!(seen, expected, "{dims} dims");
+            assert_eq!(steps, seen.len());
+            let most = (dims as f64 / 8.0).log2().ceil().max(0.0) as usize + 2;
+            assert!(steps <= most, "{dims} dims: {steps} steps");
+        }
+        // a step that removes a candidate resets the next block to 8
+        let (seen, _) = widths(back_off, 128, vec![24]);
+        assert_eq!(seen, vec![8, 16, 8, 16, 32, 48]);
+        let (seen, _) = widths(back_off, 128, vec![8, 16, 24]);
+        assert_eq!(seen, vec![8, 8, 8, 8, 16, 32, 48]);
+        // the exact source's plan keeps its fixed m whatever a step removes
+        let (seen, steps) = widths(Blocks::Planned(BlockSchedule::Fixed(8)), 128, Vec::new());
+        assert_eq!((seen, steps), (vec![8; 16], 16));
     }
 
     #[test]

@@ -495,6 +495,7 @@ mod tests {
             segment_skipped: false,
             filter_cells: 0,
             filter_dims: 0,
+            filter_steps: 0,
             filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,

@@ -43,8 +43,8 @@
 //!
 //! * [`searcher`] — BOND search (Algorithm 2) over exact partial scores and
 //!   a [`metrics::PruningRule`]'s bounds; [`search_segment`] runs the code
-//!   sweep first when a segment has codes, then the exact search over its
-//!   survivors,
+//!   sweep first when a segment has codes, then refines its survivors
+//!   exactly, best code bound first,
 //! * [`candidates`] — the bitmap-then-materialise candidate set of Section
 //!   6.1 and the pruning pass over it, 64 rows at a time,
 //! * [`ordering`] — dimension orderings (Section 5.1),

@@ -14,9 +14,10 @@
 //!
 //! **A block.** The candidate set starts as the eligible bitmap (live ∧
 //! predicate filter) and stays a bitmap. Code columns are swept in the
-//! segment plan's dimension order, eight at a time, and only over the
-//! runs of 64-row bitmap words that still hold a candidate; LUTs are built
-//! per block, so a segment that empties after its first block builds 8
+//! segment plan's dimension order, and only over the runs of 64-row bitmap
+//! words that still hold a candidate; LUTs are built per group of
+//! [`kernels::sweep_group`] columns, so they stay L1-sized however wide
+//! the block, and a segment that empties after its first block builds 8
 //! LUTs, not `dims`. After each block every candidate's exact score is
 //! bracketed by `swept bound + best / worst of the unswept dimensions`
 //! (the latter from each grid's `[min, max]`, suffix-summed once per
@@ -25,7 +26,16 @@
 //! to the shared cell, and every candidate whose **optimistic** bound
 //! cannot reach κ is cleared before another of its code cells — or a
 //! single exact `f64` — is read. It ends at `k` candidates or the last
-//! dimension; what is left goes to the exact search.
+//! dimension; what is left goes to the exact refine, best bound first.
+//!
+//! **Block sizes back off.** The first block is eight columns. A step that
+//! removed no candidate doubles the next block (capped at the columns
+//! left); a step that removed any resets it to eight. A step costs a bound
+//! test per candidate word and a κ heap, whatever it removes, so a segment
+//! whose bounds are still too loose to prune — the query's own
+//! neighbourhood early on, a noise row's whole segment — pays a handful of
+//! steps for that, not one per eight columns; once steps remove rows they
+//! come every eight columns again.
 //!
 //! **κ before the far rows.** A bound over 8 of 128 dimensions is loose,
 //! and code space differs from exact space in three facts of the source.
@@ -41,8 +51,9 @@
 //! carried in (its own, or a sibling's) and applies a fresh one at once
 //! only after the first and the last block. And after the *first* block
 //! the `k` most promising candidates have their pessimistic bound
-//! completed cell by cell over all remaining dimensions (`k × (dims − 8)`
-//! lookups) — a κ as tight as the full sweep would prove for those rows.
+//! completed over all remaining dimensions (`k × (dims − 8)` lookups, one
+//! batched metric call per dimension) — a κ as tight as the full sweep
+//! would prove for those rows.
 //! The engine visits a query's segments most-promising-first (tightest
 //! envelope score toward the query), so that probe runs in the query's own
 //! neighbourhood and every later segment starts against its κ.
@@ -63,20 +74,24 @@ use std::ops::Range;
 
 use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, BlockEnvelopes, CodeParams, SegmentCodesView, TopKLargest, TopKSmallest};
+use vdstore::{
+    ascending_nan_last, Bitmap, BlockEnvelopes, CodeParams, RowId, SegmentCodesView, TopKLargest,
+    TopKSmallest,
+};
 
-use crate::bond_loop::{with_scratch, BondLoop, BoundSource, Bounds, Scratch};
+use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Scratch};
 use crate::candidates::{CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, Kernel, SurviveTest};
-use crate::schedule::BlockSchedule;
 use crate::searcher::prune_slack;
 
-/// Code columns [`filter_segment`] sweeps between two pruning steps — on
-/// every kernel: the dimension-blocked AVX2 sweep folds them in one pass
-/// (this is its 8-bit [`kernels::sweep_group`]), the scalar and NEON sweeps
-/// take the same eight columns one at a time.
+/// Code columns [`filter_segment`] sweeps in its first block and after
+/// every step that removed a candidate — on every kernel: the
+/// dimension-blocked AVX2 sweep folds them in one pass (this is its 8-bit
+/// [`kernels::sweep_group`]), the scalar and NEON sweeps take the same
+/// eight columns one at a time. A step that removed nothing doubles the
+/// next block instead (see the module docs).
 const PRUNE_BLOCK: usize = 8;
 
 /// Reusable working memory of the quantized filter: the per-row bound
@@ -103,7 +118,8 @@ pub struct QuantScratch {
     /// Per-level `(lo, hi)` cell bounds of the dimension currently having
     /// its LUT built — input to the metric's batched
     /// `fill_contribution_pairs` — or, in the block envelope test, each
-    /// tested block's code range in one dimension (their pairs then go to
+    /// tested block's code range in one dimension, and in the probe each
+    /// probed row's code cell in one dimension (their pairs then go to
     /// `opt_lut`).
     bounds: Vec<(f64, f64)>,
     /// `rem_opt[j]` / `rem_pes[j]`: the best / worst total contribution of
@@ -113,6 +129,12 @@ pub struct QuantScratch {
     /// `(block, bound so far)` of the row blocks the envelope test has not
     /// dropped yet.
     blocks: Vec<(usize, f64)>,
+    /// `(row, completed pessimistic bound)` of the rows the first block's
+    /// probe completes.
+    probed: Vec<(RowId, f64)>,
+    /// `(row, optimistic bound)` of the survivors, best first
+    /// ([`rank_survivors`]).
+    ranked: Vec<(RowId, f64)>,
 }
 
 impl QuantScratch {
@@ -177,12 +199,7 @@ pub fn interval_scores_into(
     let mut source = CodeIntervals::new(codes, metric, query, None, kernel, scratch);
     // Bit-identical across kernels and block widths by contract: every row
     // adds its per-dimension contributions in dimension order either way.
-    // The dimension-blocked kernels take as many columns per pass as they
-    // fold at once; the single-column ones take them one by one.
-    let group = kernels::sweep_group(kernel, codes.levels());
-    for start in (0..dims).step_by(group) {
-        source.sweep_runs(|| std::iter::once(0..rows), start..dims.min(start + group))?;
-    }
+    source.sweep_runs(|| std::iter::once(0..rows), 0..dims)?;
     if source.paired {
         let QuantScratch { opt, pes, inter, .. } = source.scratch;
         opt.resize(rows, 0.0);
@@ -213,6 +230,9 @@ pub struct QuantFilter {
     /// Code columns swept before at most `k` candidates remained or the
     /// dimensions ran out.
     pub dims: usize,
+    /// Pruning steps the sweep took: one after every block, unless the
+    /// block left at most `k` candidates to begin with.
+    pub steps: usize,
     /// Row blocks whose envelope bound missed the carried κ before the
     /// first block: their candidates were dropped without reading a cell.
     pub blocks_skipped: usize,
@@ -220,10 +240,10 @@ pub struct QuantFilter {
 
 /// Runs the quantized filter over one segment as a progressive sweep (see
 /// the module docs): `live` is the initial candidate set, code columns are
-/// swept eight at a time in storage order, and after each block κ is
-/// tightened — through `shared`, so sibling segments benefit immediately —
-/// and every candidate whose optimistic bound misses it is dropped from
-/// the rest of the sweep.
+/// swept in storage order in blocks of eight (doubling after a step that
+/// removed nothing), and after each block κ is tightened — through
+/// `shared`, so sibling segments benefit immediately — and every candidate
+/// whose optimistic bound misses it is dropped from the rest of the sweep.
 ///
 /// The sweep runs on the process-wide [`Kernel::active`] flavour and a
 /// per-thread scratch, so steady-state calls allocate nothing beyond the
@@ -292,6 +312,7 @@ pub(crate) fn filter_segment_in_order(
             kappa: None,
             cells: 0,
             dims: 0,
+            steps: 0,
             blocks_skipped: 0,
         });
     }
@@ -304,11 +325,18 @@ pub(crate) fn filter_segment_in_order(
     let blocks_skipped = carried.map_or(0, |kappa| source.skip_far_blocks(&mut survivors, kappa));
     if blocks_skipped > 0 && survivors.count() <= k {
         // what is left is the segment's answer: no sweep can prune it
-        return Ok(QuantFilter { survivors, kappa: carried, cells: 0, dims: 0, blocks_skipped });
+        return Ok(QuantFilter {
+            survivors,
+            kappa: carried,
+            cells: 0,
+            dims: 0,
+            steps: 0,
+            blocks_skipped,
+        });
     }
     let mut candidates = CandidateSet::from_bitmap(survivors);
-    let schedule = BlockSchedule::Fixed(PRUNE_BLOCK);
-    let progress = BondLoop { k, kernel, schedule, shared }.run(
+    let blocks = Blocks::BackOff { first: PRUNE_BLOCK };
+    let progress = BondLoop { k, kernel, blocks, shared }.run(
         &mut source,
         &mut candidates,
         &mut scratch.best,
@@ -318,8 +346,52 @@ pub(crate) fn filter_segment_in_order(
         // the code sweep never leaves the bitmap phase
         CandidateSet::List(list) => Bitmap::from_rows(rows, &list),
     };
-    let kappa = progress.kappa.is_finite().then_some(sign * progress.kappa);
-    Ok(QuantFilter { survivors, kappa, cells: source.cells, dims: progress.swept, blocks_skipped })
+    Ok(QuantFilter {
+        survivors,
+        kappa: progress.kappa.is_finite().then_some(sign * progress.kappa),
+        cells: source.cells,
+        dims: progress.swept,
+        steps: progress.steps,
+        blocks_skipped,
+    })
+}
+
+/// The survivors of `filter` with their optimistic bound (score space)
+/// after the sweep: what it accumulated over its `filter.dims` columns
+/// plus the best the unswept ones can add — the value its last pruning
+/// pass tested. Best first: NaN first (it never fails a test), then by
+/// bound, ties by row. `filter` must be the last run on `scratch`, over
+/// `codes` and on `kernel`, and carry a κ (so the sweep's remaining-
+/// dimension bounds are this run's). Allocates nothing once `scratch` has
+/// held as many survivors.
+pub(crate) fn rank_survivors<'s>(
+    codes: &SegmentCodesView<'_>,
+    kernel: Kernel,
+    filter: &QuantFilter,
+    sign: f64,
+    scratch: &'s mut QuantScratch,
+) -> &'s [(RowId, f64)] {
+    let QuantScratch { opt, inter, rem_opt, ranked, .. } = scratch;
+    let (acc, stride) =
+        if paired(kernel, codes.levels()) { (&inter[..], 2) } else { (&opt[..], 1) };
+    let add = rem_opt[filter.dims];
+    ranked.clear();
+    ranked.extend(filter.survivors.iter().map(|row| {
+        // before the first block nothing was accumulated
+        let swept = if filter.dims == 0 { 0.0 } else { acc[row as usize * stride] };
+        (row, swept + add)
+    }));
+    ranked.sort_unstable_by(|a, b| {
+        ascending_nan_last(sign * a.1, sign * b.1).reverse().then(a.0.cmp(&b.0))
+    });
+    ranked
+}
+
+/// Whether `kernel` sweeps `levels`-level codes column blocks at a time
+/// into the interleaved accumulator ([`kernels::sweep_pairs`]) rather than
+/// single columns into the split `opt` / `pes` arrays ([`kernels::sweep`]).
+fn paired(kernel: Kernel, levels: usize) -> bool {
+    kernels::sweep_group(kernel, levels) > 1
 }
 
 /// The code-interval [`BoundSource`]: per block, the LUT sweep into the
@@ -332,9 +404,8 @@ struct CodeIntervals<'a> {
     query: &'a [f64],
     order: Option<&'a [usize]>,
     kernel: Kernel,
-    /// Whether the kernel sweeps column blocks into the interleaved
-    /// accumulator ([`kernels::sweep_pairs`]) or single columns into the
-    /// split `opt` / `pes` arrays ([`kernels::sweep`]).
+    /// Whether the kernel sweeps into the interleaved accumulator (see
+    /// [`paired`]).
     paired: bool,
     /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
     sign: f64,
@@ -352,7 +423,7 @@ impl<'a> CodeIntervals<'a> {
         kernel: Kernel,
         scratch: &'a mut QuantScratch,
     ) -> Self {
-        let paired = kernels::sweep_group(kernel, codes.levels()) > 1;
+        let paired = paired(kernel, codes.levels());
         // Stale accumulator contents never matter: the first block sweeps
         // in `init` mode, and only rows of swept words are ever read.
         let rows = codes.len();
@@ -367,11 +438,6 @@ impl<'a> CodeIntervals<'a> {
             Objective::Minimize => -1.0,
         };
         CodeIntervals { codes, metric, query, order, kernel, paired, sign, scratch, cells: 0 }
-    }
-
-    /// The dimension at position `j` of the sweep order.
-    fn dim_at(&self, j: usize) -> usize {
-        self.order.map_or(j, |order| order[j])
     }
 
     /// Suffix-sums, over the sweep order, the best and worst contribution
@@ -463,12 +529,26 @@ impl<'a> CodeIntervals<'a> {
     }
 
     /// Sweeps the code columns at positions `block` of the order over the
-    /// row ranges `runs` yields, building just their LUTs first: into the
-    /// interleaved accumulator, all columns per pass, on the
-    /// dimension-blocked kernels ([`kernels::sweep_pairs`]), into the split
-    /// `opt` / `pes` arrays one column at a time on the others
-    /// ([`kernels::sweep`]).
+    /// row ranges `runs` yields, as consecutive groups of
+    /// [`kernels::sweep_group`] columns over the same runs, so each group's
+    /// LUTs stay L1-sized however wide the block.
     fn sweep_runs<I>(&mut self, runs: impl Fn() -> I, block: Range<usize>) -> Result<()>
+    where
+        I: Iterator<Item = Range<usize>>,
+    {
+        let group = kernels::sweep_group(self.kernel, self.codes.levels());
+        for start in block.clone().step_by(group) {
+            self.sweep_group(&runs, start..block.end.min(start + group))?;
+        }
+        Ok(())
+    }
+
+    /// Sweeps one group of at most [`kernels::sweep_group`] code columns
+    /// over the runs, building just their LUTs first: into the interleaved
+    /// accumulator, all columns per pass, on the dimension-blocked kernels
+    /// ([`kernels::sweep_pairs`]), into the split `opt` / `pes` arrays one
+    /// column at a time on the others ([`kernels::sweep`]).
+    fn sweep_group<I>(&mut self, runs: impl Fn() -> I, block: Range<usize>) -> Result<()>
     where
         I: Iterator<Item = Range<usize>>,
     {
@@ -555,24 +635,31 @@ impl BoundSource for CodeIntervals<'_> {
     }
 
     /// Completes the pessimistic bound of the `k` rows in `best` over the
-    /// unswept dimensions, one code cell at a time, and returns the weakest
-    /// of the completed bounds — k rows provably score at least that well,
-    /// so it is a valid κ, and nearly as tight a one as sweeping those rows
-    /// to the end would prove.
+    /// unswept dimensions and returns the weakest of the completed bounds —
+    /// k rows provably score at least that well, so it is a valid κ, and
+    /// nearly as tight a one as sweeping those rows to the end would prove.
+    /// Per dimension the rows' cells go through one batched
+    /// `fill_contribution_pairs` call, whose worst lane is by definition
+    /// `worst_contribution` of each cell; each row adds its lanes in the
+    /// sweep order.
     fn probe(&mut self, best: &TopKLargest, swept: usize) -> Result<Option<f64>> {
-        let dims = self.codes.dims();
-        let mut kth = f64::INFINITY;
-        for Scored { row, score: mut bound } in best.iter() {
-            for j in swept..dims {
-                let d = self.dim_at(j);
-                let code = self.codes.dim_codes(d)?[row as usize];
-                let (lo, hi) = self.codes.params(d).cell_bounds(code);
-                bound += self.sign * self.metric.worst_contribution(d, lo, hi, self.query[d]);
+        let Self { codes, metric, query, order, sign, .. } = *self;
+        let QuantScratch { opt_lut: pairs, bounds, probed, .. } = &mut *self.scratch;
+        probed.clear();
+        probed.extend(best.iter().map(|Scored { row, score }| (row, score)));
+        for j in swept..codes.dims() {
+            let d = order.map_or(j, |order| order[j]);
+            let (column, grid) = (codes.dim_codes(d)?, codes.params(d));
+            bounds.clear();
+            bounds.extend(probed.iter().map(|&(row, _)| grid.cell_bounds(column[row as usize])));
+            pairs.resize(bounds.len() * 2, 0.0);
+            metric.fill_contribution_pairs(d, bounds, query[d], pairs);
+            for ((_, bound), pair) in probed.iter_mut().zip(pairs.chunks_exact(2)) {
+                *bound += sign * pair[1];
             }
-            kth = kth.min(bound);
         }
-        self.cells += (best.len() * (dims - swept)) as u64;
-        Ok(Some(kth))
+        self.cells += (probed.len() * (codes.dims() - swept)) as u64;
+        Ok(Some(probed.iter().fold(f64::INFINITY, |kth, &(_, bound)| kth.min(bound))))
     }
 }
 
@@ -1203,6 +1290,130 @@ mod tests {
             }
         }
         assert_eq!(checked, 4 * (2600 + 6));
+    }
+
+    /// A segment no bound can split before its last eight columns: every
+    /// row shares the first 120 of its 128 values (uniform noise per
+    /// column), and only the last eight (uniform noise per row) differ.
+    /// Every step before the last block removes nothing, so the blocks go
+    /// 8, 16, 32, 64, 8 — five steps where a fixed eight would take 16 —
+    /// and the wide blocks, swept as groups of the kernel's width, leave
+    /// every survivor's bounds bit for bit where one full interval sweep
+    /// leaves them.
+    #[test]
+    fn barren_steps_double_the_block_and_the_bounds_stay_bit_identical() {
+        const DIMS: usize = 128;
+        let mut state = 0x0B5E_55ED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let shared: Vec<f64> = (0..DIMS - 8).map(|_| next()).collect();
+        let vectors: Vec<Vec<f64>> = (0..1500)
+            .map(|_| shared.iter().copied().chain((0..8).map(|_| next())).collect())
+            .collect();
+        let table = DecomposedTable::from_vectors("barren", &vectors).unwrap();
+        let query: Vec<f64> = (0..DIMS).map(|_| next()).collect();
+        let live = table.live_bitmap();
+        let specs = table.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+        let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        for bits in [4u8, 8] {
+            let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
+            let view = codes.segment_view(0).unwrap();
+            for metric in [&SquaredEuclidean as &dyn DecomposableMetric, &HistogramIntersection] {
+                for &kernel in &kernels {
+                    let ctx = format!("{} {bits} bits {}", metric.name(), kernel.label());
+                    let mut scratch = Scratch::default();
+                    let filter = filter_segment_in_order(
+                        &view,
+                        metric,
+                        &query,
+                        5,
+                        &live,
+                        None,
+                        kernel,
+                        None,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    assert_eq!((filter.dims, filter.steps), (DIMS, 5), "{ctx}");
+                    assert!(
+                        filter.survivors.count() < table.rows(),
+                        "{ctx}: the last block prunes"
+                    );
+                    let mut full = QuantScratch::new();
+                    interval_scores_into(&view, metric, &query, kernel, &mut full).unwrap();
+                    let codes = &scratch.codes;
+                    for row in filter.survivors.iter().map(|row| row as usize) {
+                        let (opt, pes) = if paired(kernel, view.levels()) {
+                            (codes.inter[2 * row], codes.inter[2 * row + 1])
+                        } else {
+                            (codes.opt[row], codes.pes[row])
+                        };
+                        assert_eq!(opt.to_bits(), full.opt()[row].to_bits(), "{ctx}: row {row}");
+                        assert_eq!(pes.to_bits(), full.pes()[row].to_bits(), "{ctx}: row {row}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The batched probe against its definition: every probed row's
+    /// pessimistic bound completed cell by cell with `worst_contribution`,
+    /// in the sweep order — the κ must be the same bits.
+    #[test]
+    fn the_batched_probe_completes_each_bound_cell_by_cell() {
+        let dims = 20;
+        let weights: Vec<f64> =
+            (0..dims).map(|d| if d % 5 == 0 { 0.0 } else { 0.5 + d as f64 }).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights).unwrap();
+        let metrics: [&dyn DecomposableMetric; 4] =
+            [&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+        let strided: Vec<usize> = (0..dims).map(|j| (j * 7) % dims).collect();
+        let table = clustered(700, false);
+        let codes = codes_for(&table, 1);
+        let view = codes.segment_view(0).unwrap();
+        let query = table.row(13).unwrap();
+        for metric in metrics {
+            for (order, swept) in [(None, 8), (Some(&strided[..]), 8), (Some(&strided[..]), 19)] {
+                for k in [1, 7] {
+                    let mut best = TopKLargest::new(k);
+                    for row in (0..k as RowId).map(|i| 3 + 97 * i) {
+                        best.push(row, 0.25 * f64::from(row % 5));
+                    }
+                    let mut scratch = QuantScratch::new();
+                    let mut source = CodeIntervals::new(
+                        &view,
+                        metric,
+                        &query,
+                        order,
+                        Kernel::Scalar,
+                        &mut scratch,
+                    );
+                    let kappa = source.probe(&best, swept).unwrap().unwrap();
+                    let sign = source.sign;
+                    let want = best
+                        .iter()
+                        .map(|Scored { row, score }| {
+                            (swept..dims).fold(score, |bound, j| {
+                                let d = order.map_or(j, |order| order[j]);
+                                let code = view.dim_codes(d).unwrap()[row as usize];
+                                let (lo, hi) = view.params(d).cell_bounds(code);
+                                bound + sign * metric.worst_contribution(d, lo, hi, query[d])
+                            })
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    let ctx = format!("{} {order:?} swept {swept} k {k}", metric.name());
+                    assert_eq!(kappa.to_bits(), want.to_bits(), "{ctx}");
+                    assert_eq!(source.cells, (k * (dims - swept)) as u64, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,20 @@
 //! densely, gathered over the row list, or per candidate, and step 2 asks
 //! the [`PruningRule`] (Hq, Hh, Eq, Ev and their weighted variants) for the
 //! bounds of every candidate at once. Each step prunes with the κ it just
-//! proved. [`search_segment`] chains the two spaces — code intervals
-//! first when the segment has codes, then exact partials over the
-//! survivors — and completes and ranks what is left; convenience methods
-//! instantiate the rule / metric combinations the paper evaluates.
+//! proved. Convenience methods instantiate the rule / metric combinations
+//! the paper evaluates.
+//!
+//! **§7.4: the code loop, then an ordered refine.** When the segment has
+//! codes, [`search_segment`] runs the loop over code intervals first. Its
+//! survivors leave it with an optimistic bound over *every* dimension, so
+//! the exact finish is a VA-File-style refine rather than a second BOND
+//! loop: survivors are scored exactly, best bound first, until the next
+//! bound cannot reach the k-th exact score found — an exact step after the
+//! code filter measured to avoid only 4–6 % of the refine cells for more
+//! than it cost. Only a filter that proved no κ (vacuous code bounds)
+//! hands its survivors to the exact loop. Either way the scores are the
+//! same per-row sums in plan order, so the answer is bit-identical to a
+//! codeless search.
 
 use std::ops::Range;
 
@@ -31,13 +41,14 @@ use vdstore::{
     Bitmap, DecomposedTable, RowId, Segment, SegmentCodesView, TopKLargest, TopKSmallest,
 };
 
-use crate::bond_loop::{with_scratch, BondLoop, BoundSource, Bounds, Scratch};
+use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Scratch};
 use crate::candidates::CandidateSet;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel};
+use crate::kernels::{self, Kernel, SurviveTest};
 use crate::ordering::DimensionOrdering;
 use crate::plan::SegmentPlan;
+use crate::quantfilter::{rank_survivors, QuantFilter};
 use crate::schedule::BlockSchedule;
 use crate::trace::{PruneTrace, TraceCheckpoint};
 
@@ -335,8 +346,8 @@ pub struct SegmentContext<'k> {
     /// This segment's window of the store's quantized code companions.
     /// When present, a branch-free first pass sweeps the codes, proves a
     /// pessimistic κ and discards every row whose optimistic interval
-    /// bound cannot reach it — only the survivors enter the exact scan
-    /// loop. The answer stays bit-identical to a codeless search.
+    /// bound cannot reach it — only the survivors are read exactly, best
+    /// bound first. The answer stays bit-identical to a codeless search.
     pub codes: Option<SegmentCodesView<'k>>,
     /// Segment-local eligibility bitmap carrying a relational predicate
     /// ("photographs taken in 1992", Section 6.1) into the search. Bit `i`
@@ -444,10 +455,11 @@ pub(crate) fn search_segment_with(
     let mut trace = PruneTrace { kernel: Some(kernel.label()), ..PruneTrace::default() };
 
     // Quantized first pass (Section 7.4 composed with the engine): the same
-    // loop over code intervals, in the plan's dimension order, hands the
-    // exact loop below only the rows whose optimistic bound can still reach
-    // κ. The κ proven there is also published to the shared cell, so
-    // sibling segments prune with it.
+    // loop over code intervals, in the plan's dimension order, leaves only
+    // the rows whose optimistic bound can still reach κ. The κ proven there
+    // is also published to the shared cell, so sibling segments prune with
+    // it. With a κ the survivors are refined in bound order; without one
+    // (vacuous code bounds) the exact loop below takes them.
     let mut candidates = match &ctx.codes {
         Some(codes) => {
             if codes.len() != rows || codes.dims() != dims {
@@ -471,6 +483,7 @@ pub(crate) fn search_segment_with(
             scratch.exact.eligible = eligible;
             trace.filter_cells = filter.cells;
             trace.filter_dims = filter.dims;
+            trace.filter_steps = u32::try_from(filter.steps).unwrap_or(u32::MAX);
             trace.filter_blocks_skipped = filter.blocks_skipped;
             trace.filter_bits = codes.bits();
             trace.refine_rows = filter.survivors.count() as u64;
@@ -478,6 +491,11 @@ pub(crate) fn search_segment_with(
                 // the usual outcome once the query's own neighbourhood has
                 // set κ: nothing to refine, so no per-row state is built
                 return Ok(SearchOutcome { hits: Vec::new(), trace });
+            }
+            if params.refine_survivors && filter.kappa.is_some() {
+                let refine = OrderedRefine { segment, query, metric, order, kernel, k };
+                let hits = refine.run(codes, &filter, ctx.kappa, scratch, &mut trace)?;
+                return Ok(SearchOutcome { hits, trace });
             }
             let mut candidates = CandidateSet::from_bitmap(filter.survivors);
             trace.switched_to_list = candidates.maybe_materialize(params.materialize_threshold);
@@ -527,7 +545,7 @@ pub(crate) fn search_segment_with(
         // clock is read.
         warmup: Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP)),
     };
-    let run = BondLoop { k, kernel, schedule: plan.schedule, shared: ctx.kappa };
+    let run = BondLoop { k, kernel, blocks: Blocks::Planned(plan.schedule), shared: ctx.kappa };
     let processed = run.run(&mut source, &mut candidates, &mut scratch.best)?.swept;
     // No pruning attempt removed anything: there was no effective warmup
     // boundary to measure, so the span is discarded rather than recorded.
@@ -547,8 +565,115 @@ pub(crate) fn search_segment_with(
         source.sweep(&survivors, processed..dims)?;
         source.trace.dims_accessed = dims;
     }
-    let hits = rank(segment, &survivors, source.partial, metric.objective(), k);
+    let rows = survivors.as_list().unwrap_or_default().iter().copied();
+    let hits = rank(segment, rows, source.partial, metric.objective(), k);
     Ok(SearchOutcome { hits, trace })
+}
+
+/// Rows [`OrderedRefine`] scores between two looks at κ once the first
+/// `k` are scored.
+const REFINE_CHUNK: usize = 8;
+
+/// The exact finish after a code filter that proved or carried a κ (see
+/// the module docs).
+struct OrderedRefine<'a> {
+    segment: &'a Segment<'a>,
+    query: &'a [f64],
+    metric: &'a dyn DecomposableMetric,
+    /// The plan's dimension order.
+    order: &'a [usize],
+    kernel: Kernel,
+    k: usize,
+}
+
+impl OrderedRefine<'_> {
+    /// Scores the survivors exactly over every dimension in plan order,
+    /// best optimistic code bound first ([`crate::quantfilter::rank_survivors`]):
+    /// the first `k` at once, then up to [`REFINE_CHUNK`] at a time, and
+    /// stops at the first survivor whose bound fails the pruning pass's own
+    /// test at the k-th exact score so far. Every survivor after it is
+    /// ranked no better, so fails too: its exact score, at most its bound,
+    /// lies below k scored rows, and the k best of the scored rows are the
+    /// k best of all survivors. Each score is the same per-row sum, in the
+    /// same order, as the exact loop's, so the hits are bit-identical to
+    /// refining every survivor. The segment's k-th exact score is then
+    /// published to `shared`, as the exact loop's last step did.
+    fn run(
+        &self,
+        codes: &SegmentCodesView<'_>,
+        filter: &QuantFilter,
+        shared: Option<&dyn KappaCell>,
+        scratch: &mut Scratch,
+        trace: &mut PruneTrace,
+    ) -> Result<Vec<Scored>> {
+        let &OrderedRefine { segment, metric, k, .. } = self;
+        let sign = match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        let Scratch { codes: code_scratch, exact, best } = scratch;
+        let ranked = rank_survivors(codes, self.kernel, filter, sign, code_scratch);
+        let partial = &mut exact.partial;
+        partial.resize(segment.len(), 0.0);
+        let best = best.get_or_insert_with(|| TopKLargest::new(k));
+        best.reset(k);
+        let mut scored = 0;
+        while scored < ranked.len() {
+            let end = match best.kth() {
+                None => k.min(ranked.len()),
+                Some(kappa) => {
+                    let reaches = SurviveTest { sign, add: 0.0, bar: kappa - prune_slack(kappa) };
+                    let next = &ranked[scored..ranked.len().min(scored + REFINE_CHUNK)];
+                    scored + next.iter().take_while(|&&(_, bound)| reaches.survives(bound)).count()
+                }
+            };
+            if end == scored {
+                break;
+            }
+            self.score(&ranked[scored..end], partial)?;
+            for &(row, _) in &ranked[scored..end] {
+                best.push(row, sign * partial[row as usize]);
+            }
+            scored = end;
+        }
+        trace.contributions_evaluated += (scored * self.order.len()) as u64;
+        trace.dims_accessed = self.order.len();
+        if let (Some(cell), Some(kappa)) = (shared, best.kth().filter(|kappa| kappa.is_finite())) {
+            cell.tighten(sign * kappa);
+        }
+        let rows = ranked[..scored].iter().map(|&(row, _)| row);
+        Ok(rank(segment, rows, partial, metric.objective(), k))
+    }
+
+    /// Scores `rows` exactly over every dimension into `partial`: gathered
+    /// kernel accumulates from zero when the metric has a kernel shape, the
+    /// per-candidate loop otherwise — per row the exact loop's sum.
+    fn score(&self, rows: &[(RowId, f64)], partial: &mut [f64]) -> Result<()> {
+        let &OrderedRefine { segment, query, metric, order, kernel, .. } = self;
+        let mut ids = [0 as RowId; GATHER_BLOCK_ROWS];
+        for chunk in rows.chunks(GATHER_BLOCK_ROWS) {
+            let ids = &mut ids[..chunk.len()];
+            for (id, &(row, _)) in ids.iter_mut().zip(chunk) {
+                *id = row;
+                partial[row as usize] = 0.0;
+            }
+            match metric.kernel_op() {
+                Some(op) => {
+                    gather_accumulate_block(kernel, op, segment, order, query, ids, partial, None)?
+                }
+                None => {
+                    for &d in order {
+                        let values = segment.col_slice(d)?;
+                        for &row in ids.iter() {
+                            let v = values[row as usize];
+                            partial[row as usize] += metric.contribution(d, v, query[d]);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The exact-partials [`BoundSource`]: per block, the dense, gathered or
@@ -700,10 +825,11 @@ impl BoundSource for ExactPartials<'_, '_> {
 }
 
 /// Ranks the surviving (segment-local) rows by score under the objective
-/// and returns the k best, best first, with *global* row ids.
+/// and returns the k best, best first, with *global* row ids. Ties go by
+/// row id, so the answer does not depend on the order of `survivors`.
 fn rank(
     segment: &Segment<'_>,
-    survivors: &CandidateSet,
+    survivors: impl Iterator<Item = RowId>,
     partial: &[f64],
     objective: Objective,
     k: usize,
@@ -741,7 +867,12 @@ mod tests {
 
     impl RecordingCell {
         fn new(objective: Objective) -> Self {
-            RecordingCell { objective, state: Mutex::new((None, Vec::new())) }
+            RecordingCell::holding(objective, None)
+        }
+
+        /// A cell that starts out holding `kappa`.
+        fn holding(objective: Objective, kappa: Option<f64>) -> Self {
+            RecordingCell { objective, state: Mutex::new((kappa, Vec::new())) }
         }
 
         fn published(&self) -> Vec<u64> {
@@ -930,6 +1061,155 @@ mod tests {
         assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2);
         let StepStats { from_bitmaps, from_lists, .. } = StepStats::take();
         assert!(from_bitmaps > 1_000 && from_lists > 1_000, "{from_bitmaps} / {from_lists}");
+    }
+
+    /// The bound-ordered refine against refining every survivor of the
+    /// same code filter: the hits must be bit-identical and the exact cells
+    /// no more — over groups of identical rows that tie at rank `k` (and
+    /// across the refine's stop point), `k` up to past the survivors, a
+    /// one-row filter, weighted metrics with zero weights, a κ carried in
+    /// or not, and both kernel flavours.
+    #[test]
+    fn ordered_refine_matches_a_full_refine_of_every_survivor() {
+        const DIMS: usize = 20;
+        let weights: Vec<f64> = (0..DIMS).map(|d| [1.5, 0.0, 0.5, 1.0][d % 4]).collect();
+        let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let wse = WeightedSquaredEuclidean::new(weights.clone()).unwrap();
+        type NewRule<'a> = Box<dyn Fn() -> Box<dyn PruningRule> + 'a>;
+        let rules: [(&dyn DecomposableMetric, NewRule<'_>); 4] = [
+            (&HistogramIntersection, Box::new(|| Box::new(HqRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EvRule::new()))),
+            (&whi, Box::new(|| Box::new(WeightedHqRule::new(weights.clone())))),
+            (&wse, Box::new(|| Box::new(WeightedEvRule::new(weights.clone())))),
+        ];
+        let base = generated_table(300, DIMS, 0x0DDE_12EF);
+        let mut duplicates = DecomposedTable::from_vectors(
+            "duplicates",
+            &(0..1200).map(|r| base.row(r / 4).unwrap()).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for row in (5..1200).step_by(7) {
+            duplicates.delete(row).unwrap();
+        }
+        let kernels = [Kernel::Scalar, Kernel::active()];
+        let mut reused = Scratch::default();
+        let (mut cases, mut ordered, mut stopped) = (0usize, 0usize, 0usize);
+        for table in [generated_table(1200, DIMS, 0x5EED_0FF5), duplicates] {
+            let specs = table.partition_specs(2);
+            let stats: Vec<vdstore::SegmentStats> =
+                specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+            let codes = vdstore::StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+            let query = table.row(41).unwrap();
+            for (metric, new_rule) in &rules {
+                let plan = SegmentPlan::uniform(&BondParams::default(), &query, None, DIMS);
+                let order = &plan.order;
+                for (si, spec) in specs.iter().enumerate() {
+                    let segment = table.segment(spec.range()).unwrap();
+                    let view = codes.segment_view(si).unwrap();
+                    let live = segment.live_bitmap();
+                    let some = |rows: Vec<RowId>| Some(Bitmap::from_rows(segment.len(), &rows));
+                    let filters = [
+                        None,
+                        some(vec![segment.len() as RowId / 2]),
+                        some((0..segment.len() as RowId).filter(|r| r % 10 == 3).collect()),
+                    ];
+                    // every live row's exact score: per row the same sum,
+                    // in plan order, the searcher computes
+                    let exact: Vec<f64> = (0..segment.len())
+                        .map(|row| {
+                            order.iter().fold(0.0, |sum, &d| {
+                                let v = segment.col_slice(d).unwrap()[row];
+                                sum + metric.contribution(d, v, query[d])
+                            })
+                        })
+                        .collect();
+                    for filter in &filters {
+                        let mut eligible = live.clone();
+                        if let Some(filter) = filter {
+                            eligible.and_with(filter);
+                        }
+                        let mut truth: Vec<f64> =
+                            eligible.iter().map(|r| exact[r as usize]).collect();
+                        truth.sort_by(|a, b| a.total_cmp(b));
+                        if metric.objective() == Objective::Maximize {
+                            truth.reverse();
+                        }
+                        let n = eligible.count();
+                        for k in [1, 3, 10, n, n + 5] {
+                            for pre in [None, truth.get(k - 1).copied()] {
+                                for kernel in kernels {
+                                    let ctx = format!(
+                                        "{} seg{si} filter={:?} k={k} pre={pre:?} {}",
+                                        metric.name(),
+                                        filter.as_ref().map(Bitmap::count),
+                                        kernel.label()
+                                    );
+                                    let cell = RecordingCell::holding(metric.objective(), pre);
+                                    let got = search_segment_with(
+                                        &segment,
+                                        &query,
+                                        *metric,
+                                        new_rule().as_mut(),
+                                        k,
+                                        None,
+                                        &BondParams::default(),
+                                        &SegmentContext {
+                                            kappa: Some(&cell),
+                                            plan: Some(&plan),
+                                            codes: Some(view),
+                                            filter: filter.as_ref(),
+                                            ..SegmentContext::default()
+                                        },
+                                        kernel,
+                                        &mut reused,
+                                    )
+                                    .unwrap();
+                                    // the same filter, then every survivor
+                                    let cell = RecordingCell::holding(metric.objective(), pre);
+                                    let survivors = crate::quantfilter::filter_segment_in_order(
+                                        &view,
+                                        *metric,
+                                        &query,
+                                        k,
+                                        &eligible,
+                                        Some(&cell),
+                                        kernel,
+                                        Some(order),
+                                        &mut Scratch::default(),
+                                    )
+                                    .unwrap()
+                                    .survivors;
+                                    let want = rank(
+                                        &segment,
+                                        survivors.iter(),
+                                        &exact,
+                                        metric.objective(),
+                                        k,
+                                    );
+                                    let bits = |hits: &[Scored]| -> Vec<(RowId, u64)> {
+                                        hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
+                                    };
+                                    assert_eq!(bits(&got.hits), bits(&want), "{ctx}");
+                                    let full = (survivors.count() * DIMS) as u64;
+                                    let cells = got.trace.contributions_evaluated;
+                                    assert!(cells <= full, "{ctx}: {cells} cells > {full}");
+                                    assert_eq!(got.trace.refine_rows, survivors.count() as u64);
+                                    // more survivors than k, and no exact step
+                                    ordered += usize::from(
+                                        survivors.count() > k && got.trace.checkpoints.is_empty(),
+                                    );
+                                    stopped += usize::from(cells < full);
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 4 * 2 * 3 * 5 * 2 * 2);
+        assert!(ordered > 150, "only {ordered} of {cases} cases refined in bound order");
+        assert!(stopped > 25, "the refine stopped early in only {stopped} cases");
     }
 
     /// Table 2's collection (h6 kept exactly as printed, mass 0.95).

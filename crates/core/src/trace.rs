@@ -50,6 +50,13 @@ pub struct PruneTrace {
     /// through before at most `k` candidates remained or the dimensions
     /// ran out. Zero when no code was swept.
     pub filter_dims: usize,
+    /// Number of pruning steps the quantized filter's sweep took over those
+    /// columns — fewer than one per eight while steps remove nothing, since
+    /// the blocks then double. Zero when no code was swept. A `u32` (it is
+    /// at most the dimensions) so the trace, which every segment task
+    /// moves, keeps its size: a `usize` here measured about 4 % slower on
+    /// an exact-only served workload that never sets it.
+    pub filter_steps: u32,
     /// Number of 1 024-row blocks the quantized filter dropped before its
     /// first block because their code envelope could not reach the κ the
     /// segment carried in — none of their cells was read.
@@ -131,6 +138,7 @@ mod tests {
             segment_skipped: false,
             filter_cells: 0,
             filter_dims: 0,
+            filter_steps: 0,
             filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,

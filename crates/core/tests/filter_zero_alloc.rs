@@ -4,9 +4,11 @@
 //! the progressive filter (`filter_segment`: candidate words,
 //! remaining-dimension bounds and κ heap all live in the scratch) performs
 //! exactly one, the survivor bitmap it returns — also when a carried κ lets
-//! it drop far row blocks by their envelopes before its first block. This
-//! is what makes the filter phase safe to run per segment per query on the
-//! hot path without allocator traffic or lock contention.
+//! it drop far row blocks by their envelopes before its first block. A
+//! whole quantized segment search — filter, then the bound-ordered exact
+//! refine — adds only what its answer needs. This is what makes the filter
+//! phase safe to run per segment per query on the hot path without
+//! allocator traffic or lock contention.
 //!
 //! Verified with a counting `#[global_allocator]`, which is process-wide
 //! state — hence this test's own integration binary, so no other test's
@@ -18,8 +20,8 @@ use std::sync::Mutex;
 
 use bond::kernels::Kernel;
 use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
-use bond::{KappaCell, QuantScratch};
-use bond_metrics::SquaredEuclidean;
+use bond::{search_segment, BondParams, KappaCell, QuantScratch, SegmentContext, SegmentPlan};
+use bond_metrics::{EvRule, SquaredEuclidean};
 use vdstore::{Bitmap, DecomposedTable, SegmentSpec, SegmentStats, StoreCodes};
 
 /// Forwards to the system allocator, counting every allocation.
@@ -133,6 +135,45 @@ fn warmed_filter_allocates_only_its_survivor_bitmap() {
             );
         }
     }
+}
+
+#[test]
+fn warmed_quantized_search_allocates_only_survivors_and_answer() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (table, specs, stats, query) = fixture();
+    let codes = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+    let params = BondParams::default();
+    let plan = SegmentPlan::uniform(&params, &query, None, table.dims());
+    let segments: Vec<_> = specs.iter().map(|spec| spec.view(&table).unwrap()).collect();
+    let views: Vec<_> = (0..specs.len()).map(|si| codes.segment_view(si).unwrap()).collect();
+    let k = 5;
+    let search_all = || {
+        for (segment, view) in segments.iter().zip(&views) {
+            let ctx =
+                SegmentContext { plan: Some(&plan), codes: Some(*view), ..Default::default() };
+            let outcome = search_segment(
+                segment,
+                &query,
+                &SquaredEuclidean,
+                &mut EvRule::new(),
+                k,
+                None,
+                &params,
+                &ctx,
+            )
+            .unwrap();
+            assert_eq!(outcome.hits.len(), k);
+            assert!(outcome.trace.refine_rows > k as u64, "the refine has survivors to order");
+        }
+    };
+    search_all();
+    // per segment: the code filter's survivor bitmap, the answer's ranking
+    // heap and the answer itself — no per-row state, no exact steps
+    assert_eq!(
+        min_allocations(search_all),
+        3 * specs.len() as u64,
+        "a warmed quantized search allocated beyond its survivors and answer"
+    );
 }
 
 /// A fixed κ the filter carries in (squared Euclidean: smaller is better).

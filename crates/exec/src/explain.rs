@@ -268,6 +268,9 @@ pub struct SegmentAnalysis {
     /// Row blocks the filter dropped by their code envelopes before its
     /// first block, without reading a cell of them.
     pub filter_blocks_skipped: usize,
+    /// Pruning steps the filter's sweep took over its `filter_dims`
+    /// columns; `0` when no filter swept.
+    pub filter_steps: u32,
     /// Rows the quantized filter let through to exact refinement; `0` when
     /// no filter ran.
     pub refine_rows: u64,
@@ -282,7 +285,9 @@ pub struct SegmentAnalysis {
     /// The pruning rule that produced the trace, as stamped by the engine.
     pub rule: Option<&'static str>,
     /// The number of dimensions after which the candidate set first shrank
-    /// to at most `k` — the query's effective prune depth in this segment.
+    /// to at most `k` — the query's effective prune depth in this segment:
+    /// the code sweep's `filter_dims` when the filter ran and left at most
+    /// `k` rows, else the exact loop's first checkpoint at `k` or fewer.
     /// `None` when pruning never got that far (or the segment was skipped).
     pub prune_depth: Option<usize>,
     /// Whether the executed plan equals the rendered one. `None` for a
@@ -360,11 +365,12 @@ impl fmt::Display for QueryAnalysis {
             let depth = seg.prune_depth.map_or_else(|| "never".to_string(), |d| d.to_string());
             let filter = if seg.filter_cells > 0 || seg.filter_blocks_skipped > 0 {
                 format!(
-                    " filter_cells={} filter_dims={} filter_blocks_skipped={} refine_rows={} \
-                     bits={}",
+                    " filter_cells={} filter_dims={} filter_blocks_skipped={} filter_steps={} \
+                     refine_rows={} bits={}",
                     seg.filter_cells,
                     seg.filter_dims,
                     seg.filter_blocks_skipped,
+                    seg.filter_steps,
                     seg.refine_rows,
                     seg.filter_bits
                 )
@@ -605,12 +611,20 @@ impl QueryOutcome {
                 filter_cells: run.trace.filter_cells,
                 filter_dims: run.trace.filter_dims,
                 filter_blocks_skipped: run.trace.filter_blocks_skipped,
+                filter_steps: run.trace.filter_steps,
                 refine_rows: run.trace.refine_rows,
                 filter_bits: run.trace.filter_bits,
                 kernel: run.trace.kernel,
                 skipped: run.trace.segment_skipped,
                 rule: run.trace.rule,
-                prune_depth: run.trace.dims_to_reach(explain.k),
+                // a quantized segment records no exact checkpoints once its
+                // survivors are refined in bound order
+                prune_depth: if run.trace.filter_ran() && run.trace.refine_rows <= explain.k as u64
+                {
+                    Some(run.trace.filter_dims)
+                } else {
+                    run.trace.dims_to_reach(explain.k)
+                },
                 plan_match: run.plan.as_ref().map(|executed| *executed == rendered.plan),
             })
             .collect();

@@ -571,6 +571,7 @@ fn unbuilt(segments: usize) -> Vec<OnceLock<BlockEnvelopes>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
 
     fn sample_table() -> (DecomposedTable, Vec<SegmentSpec>, Vec<SegmentStats>) {
         let vectors: Vec<Vec<f64>> = (0..12)
@@ -692,7 +693,13 @@ mod tests {
         assert!(StoreCodes::build(&table, &specs, &stats[..2], 8).is_err());
         assert!(StoreCodes::build_mixed(&table, &specs, &stats, &[8, 8]).is_err());
         assert!(StoreCodes::build_mixed(&table, &specs, &stats, &[8, 0, 8]).is_err());
-        let bad = DecomposedTable::from_vectors("nan", &[vec![0.1], vec![f64::NAN]]).unwrap();
+        // a checked table refuses the NaN outright; a table a store reader
+        // opened unchecked can still carry one, and the build must refuse it
+        let vectors = [vec![0.1], vec![f64::NAN]];
+        let err = DecomposedTable::from_vectors("nan", &vectors).unwrap_err();
+        assert_eq!(err, VdError::NonFinite { row: 1, dim: 0 });
+        let column = Column::from_values(vectors.iter().map(|v| v[0]).collect());
+        let bad = DecomposedTable::from_columns_unchecked("nan", vec![column]).unwrap();
         let bad_specs = bad.partition_specs(1);
         let bad_stats: Vec<SegmentStats> =
             bad_specs.iter().map(|s| s.view(&bad).unwrap().stats()).collect();

@@ -68,6 +68,14 @@ pub enum VdError {
     InvalidQuantization(String),
     /// Invalid argument with a human-readable description.
     InvalidArgument(String),
+    /// A table was given a NaN or infinite value: no bound on it holds, so
+    /// no search over it can prune soundly.
+    NonFinite {
+        /// The row holding the value.
+        row: u32,
+        /// Its dimension.
+        dim: usize,
+    },
 }
 
 impl fmt::Display for VdError {
@@ -106,6 +114,9 @@ impl fmt::Display for VdError {
             }
             VdError::InvalidQuantization(msg) => write!(f, "invalid quantization: {msg}"),
             VdError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            VdError::NonFinite { row, dim } => {
+                write!(f, "non-finite value at row {row}, dimension {dim}")
+            }
         }
     }
 }

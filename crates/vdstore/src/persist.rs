@@ -140,7 +140,7 @@ pub fn table_from_bytes(bytes: &[u8]) -> Result<DecomposedTable> {
         }
         columns.push(Column::new(cname, values));
     }
-    let mut table = DecomposedTable::from_columns(name, columns)?;
+    let mut table = DecomposedTable::from_columns_unchecked(name, columns)?;
     if buf.remaining() < 4 {
         return Err(VdError::Corrupt("missing tombstone section".into()));
     }
@@ -855,7 +855,7 @@ fn assemble_store(
     for &row in &layout.deleted {
         tombstones.set(row);
     }
-    let table = DecomposedTable::from_parts(layout.name, columns, tombstones)?;
+    let table = DecomposedTable::from_parts_unchecked(layout.name, columns, tombstones)?;
     Ok(PersistedStore {
         table,
         specs: layout.specs,

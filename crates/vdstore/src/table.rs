@@ -31,8 +31,21 @@ impl DecomposedTable {
     /// Builds a table from pre-decomposed columns.
     ///
     /// All columns must have the same length; an empty column set is
-    /// rejected.
+    /// rejected, and so is a NaN or infinite value
+    /// ([`VdError::NonFinite`], the first one dimension by dimension).
     pub fn from_columns(name: impl Into<String>, columns: Vec<Column>) -> Result<Self> {
+        let table = Self::from_columns_unchecked(name, columns)?;
+        table.check_finite()?;
+        Ok(table)
+    }
+
+    /// [`DecomposedTable::from_columns`] without the scan for non-finite
+    /// values — for the store readers, which open what a checked table
+    /// wrote and must not read every value to do it.
+    pub(crate) fn from_columns_unchecked(
+        name: impl Into<String>,
+        columns: Vec<Column>,
+    ) -> Result<Self> {
         let first = columns.first().ok_or(VdError::Empty("column set"))?;
         let rows = first.len();
         for c in &columns {
@@ -44,17 +57,30 @@ impl DecomposedTable {
     }
 
     /// Builds a table from pre-decomposed columns plus an explicit tombstone
-    /// bitmap — the constructor a persisted-store reader uses, where the
-    /// tombstones arrive wholesale from the footer instead of through
+    /// bitmap, where the tombstones arrive wholesale instead of through
     /// per-row [`DecomposedTable::delete`] calls.
     ///
-    /// The bitmap's length must equal the column length.
+    /// The bitmap's length must equal the column length; values are
+    /// checked as [`DecomposedTable::from_columns`] checks them.
     pub fn from_parts(
         name: impl Into<String>,
         columns: Vec<Column>,
         deleted: Bitmap,
     ) -> Result<Self> {
-        let mut table = Self::from_columns(name, columns)?;
+        let table = Self::from_parts_unchecked(name, columns, deleted)?;
+        table.check_finite()?;
+        Ok(table)
+    }
+
+    /// [`DecomposedTable::from_parts`] without the scan for non-finite
+    /// values — the constructor a persisted-store reader uses (see
+    /// [`DecomposedTable::from_columns_unchecked`]).
+    pub(crate) fn from_parts_unchecked(
+        name: impl Into<String>,
+        columns: Vec<Column>,
+        deleted: Bitmap,
+    ) -> Result<Self> {
+        let mut table = Self::from_columns_unchecked(name, columns)?;
         if deleted.len() != table.rows {
             return Err(VdError::LengthMismatch { expected: table.rows, actual: deleted.len() });
         }
@@ -62,9 +88,21 @@ impl DecomposedTable {
         Ok(table)
     }
 
+    /// The first NaN or infinite value, dimension by dimension, as an error.
+    fn check_finite(&self) -> Result<()> {
+        for (dim, column) in self.columns.iter().enumerate() {
+            if let Some(row) = column.values().iter().position(|v| !v.is_finite()) {
+                return Err(VdError::NonFinite { row: row as RowId, dim });
+            }
+        }
+        Ok(())
+    }
+
     /// Builds a table by vertically decomposing row-major vectors.
     ///
-    /// Every vector must have the same dimensionality.
+    /// Every vector must have the same dimensionality, and every value must
+    /// be finite ([`VdError::NonFinite`] names the first one that is not,
+    /// row by row).
     pub fn from_vectors(name: impl Into<String>, vectors: &[Vec<f64>]) -> Result<Self> {
         let first = vectors.first().ok_or(VdError::Empty("vector collection"))?;
         let dims = first.len();
@@ -78,6 +116,9 @@ impl DecomposedTable {
                 return Err(VdError::DimensionMismatch { expected: dims, actual: v.len() });
             }
             for (d, &x) in v.iter().enumerate() {
+                if !x.is_finite() {
+                    return Err(VdError::NonFinite { row: i as RowId, dim: d });
+                }
                 columns[d].push(x);
             }
             debug_assert_eq!(i + 1, columns[0].len());
@@ -174,13 +215,18 @@ impl DecomposedTable {
     /// Appends a vector as a new row and returns its row id.
     ///
     /// Appending is the common update pattern for image collections
-    /// (Section 6.2); each per-dimension fragment grows by one value.
+    /// (Section 6.2); each per-dimension fragment grows by one value. A NaN
+    /// or infinite value is rejected ([`VdError::NonFinite`]) and the table
+    /// left as it was.
     pub fn append(&mut self, vector: &[f64]) -> Result<RowId> {
         if vector.len() != self.columns.len() {
             return Err(VdError::DimensionMismatch {
                 expected: self.columns.len(),
                 actual: vector.len(),
             });
+        }
+        if let Some(dim) = vector.iter().position(|x| !x.is_finite()) {
+            return Err(VdError::NonFinite { row: self.rows as RowId, dim });
         }
         for (c, &x) in self.columns.iter_mut().zip(vector) {
             c.push(x);
@@ -261,7 +307,9 @@ impl DecomposedTable {
         for &d in dims {
             columns.push(self.column(d)?.clone());
         }
-        let mut t = DecomposedTable::from_columns(format!("{}_proj", self.name), columns)?;
+        // the values are this table's, checked (or opened) already
+        let mut t =
+            DecomposedTable::from_columns_unchecked(format!("{}_proj", self.name), columns)?;
         t.deleted = self.deleted.clone();
         Ok(t)
     }
@@ -378,6 +426,43 @@ mod tests {
         assert!(matches!(err, Err(VdError::DimensionMismatch { expected: 2, actual: 1 })));
         assert!(DecomposedTable::from_vectors("empty", &[]).is_err());
         assert!(DecomposedTable::from_vectors("zero-dim", &[vec![]]).is_err());
+    }
+
+    #[test]
+    fn from_vectors_rejects_non_finite_values() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = DecomposedTable::from_vectors("bad", &[vec![0.5, 1.0], vec![2.0, bad]]);
+            assert_eq!(err.unwrap_err(), VdError::NonFinite { row: 1, dim: 1 });
+            // and so does the builder, which decomposes through it
+            let mut b = TableBuilder::new("bad");
+            b.push(vec![bad, 0.0]).unwrap();
+            assert_eq!(b.build().unwrap_err(), VdError::NonFinite { row: 0, dim: 0 });
+        }
+    }
+
+    #[test]
+    fn from_columns_and_from_parts_reject_non_finite_values() {
+        let columns = || {
+            vec![
+                Column::from_values(vec![1.0, 2.0, 3.0]),
+                Column::from_values(vec![0.0, f64::NAN, 1.0]),
+            ]
+        };
+        let err = DecomposedTable::from_columns("bad", columns()).unwrap_err();
+        assert_eq!(err, VdError::NonFinite { row: 1, dim: 1 });
+        let err = DecomposedTable::from_parts("bad", columns(), Bitmap::new(3)).unwrap_err();
+        assert_eq!(err, VdError::NonFinite { row: 1, dim: 1 }, "a tombstone does not excuse it");
+        // the store readers' constructors do not scan the values
+        assert!(DecomposedTable::from_columns_unchecked("opened", columns()).is_ok());
+        assert!(DecomposedTable::from_parts_unchecked("opened", columns(), Bitmap::new(3)).is_ok());
+    }
+
+    #[test]
+    fn append_rejects_non_finite_values_and_leaves_the_table_as_it_was() {
+        let mut t = sample();
+        let err = t.append(&[0.1, f64::INFINITY, 0.3, 0.4]).unwrap_err();
+        assert_eq!(err, VdError::NonFinite { row: 3, dim: 1 });
+        assert_eq!(t, sample());
     }
 
     #[test]
