@@ -4,31 +4,27 @@
 //! small approximation (typically 8 bits per dimension) of every vector is
 //! scanned in a *filter* step that produces a candidate set with safe
 //! score bounds; a *refinement* step then looks up the exact vectors of the
-//! candidates and resolves the true top k. We implement the filter for both
-//! metrics the paper uses:
+//! candidates and resolves the true top k.
 //!
-//! * squared Euclidean distance — per-dimension lower/upper distances from
-//!   the query to the candidate's quantization cell;
-//! * histogram intersection — per-dimension bounds `min(cell_lo, q)` /
-//!   `min(cell_hi, q)`.
-//!
-//! The filter keeps a running k-th best *pessimistic* bound and retains
-//! every vector whose *optimistic* bound beats it, which is precisely the
-//! VA-SSA variant of the original paper.
-//!
-//! The per-cell bounds are *not* implemented here: the filter asks the
-//! metric itself for the best and worst contribution any value inside a
-//! quantization cell can make
-//! ([`DecomposableMetric::best_contribution`] /
-//! [`DecomposableMetric::worst_contribution`]) — the same single bound
-//! implementation the compressed BOND searcher and the execution engine's
-//! quantized first-pass filter build on, so baseline and engine are
-//! guaranteed to agree on what the codes prove.
+//! The approximation is the workspace's one code format: a one-segment
+//! [`StoreCodes`] companion, so every dimension has one grid over its
+//! column's `[min, max]` — the classic VA-File cells. The filter is the
+//! engine's full-interval sweep ([`interval_scores_into`]): per dimension it
+//! asks the metric for the best and worst contribution any value inside a
+//! cell can make ([`DecomposableMetric::best_contribution`] /
+//! [`DecomposableMetric::worst_contribution`]) and adds them onto every
+//! row's optimistic and pessimistic full-score bound, so baseline and
+//! engine agree on what the codes prove. The filter then keeps a k-th best
+//! *pessimistic* bound τ and retains every vector whose *optimistic* bound
+//! reaches it, which is precisely the VA-SSA variant of the original paper.
+//! Unlike BOND it never prunes while it scans: every cell is read.
 
+use bond::quantfilter::interval_scores_into;
+use bond::{BondError, Kernel, QuantScratch};
 use bond_metrics::{DecomposableMetric, HistogramIntersection, Objective, SquaredEuclidean};
 use vdstore::topk::Scored;
 use vdstore::{
-    DecomposedTable, QuantizedTable, Result, RowId, RowMatrix, TopKLargest, TopKSmallest,
+    DecomposedTable, Result, RowId, RowMatrix, StoreCodes, TopKLargest, TopKSmallest, VdError,
 };
 
 /// The result of a complete VA-File search (filter + refinement).
@@ -48,31 +44,40 @@ pub struct VaSearchResult {
 /// A vector-approximation file over a decomposed table.
 #[derive(Debug, Clone)]
 pub struct VaFile {
-    quantized: QuantizedTable,
+    codes: StoreCodes,
 }
 
 impl VaFile {
-    /// Builds the approximation with the given number of bits per dimension
-    /// (the paper and the original VA-File use 8).
+    /// Builds the approximation with `bits` bits per dimension (1 ..= 8;
+    /// the paper and the original VA-File use 8): a one-segment code
+    /// companion of `table`. Fails on an empty table, a width outside
+    /// `1..=8` and non-finite values.
     pub fn build(table: &DecomposedTable, bits: u8) -> Result<Self> {
-        Ok(VaFile { quantized: QuantizedTable::from_table(table, bits)? })
+        if table.rows() == 0 {
+            return Err(VdError::Empty("table"));
+        }
+        let specs = table.partition_specs(1);
+        let stats =
+            specs.iter().map(|spec| Ok(spec.view(table)?.stats())).collect::<Result<Vec<_>>>()?;
+        Ok(VaFile { codes: StoreCodes::build(table, &specs, &stats, bits)? })
     }
 
-    /// The underlying quantized table.
-    pub fn quantized(&self) -> &QuantizedTable {
-        &self.quantized
+    /// The underlying one-segment code companion.
+    pub fn codes(&self) -> &StoreCodes {
+        &self.codes
     }
 
-    /// Approximate size of the approximation file in bytes.
+    /// Approximate size of the approximation file in bytes: one byte per
+    /// code at any width.
     pub fn approx_bytes(&self) -> usize {
-        self.quantized.approx_bytes()
+        self.codes.rows() * self.codes.dims()
     }
 
-    /// Filter step under any decomposable metric: accumulates, per row, the
-    /// optimistic and pessimistic full-score bounds the metric derives from
-    /// each quantization cell, proves the k-th best pessimistic bound τ and
-    /// keeps every row whose optimistic bound can still reach it. Returns
-    /// the candidate rows and the number of code inspections.
+    /// Filter step under any decomposable metric: sweeps every code into
+    /// each row's optimistic and pessimistic full-score bound, proves the
+    /// k-th best pessimistic bound τ and keeps every row whose optimistic
+    /// bound can still reach it. Returns the candidate rows and the number
+    /// of code inspections.
     ///
     /// Metrics that leave the default (vacuous) interval bounds degenerate
     /// the filter to "keep everything" — never to a wrong answer.
@@ -82,21 +87,19 @@ impl VaFile {
         query: &[f64],
         k: usize,
     ) -> (Vec<RowId>, usize) {
-        let rows = self.quantized.rows();
-        let dims = self.quantized.dims();
-        assert_eq!(query.len(), dims, "query dimensionality mismatch");
+        let rows = self.codes.rows();
+        assert_eq!(query.len(), self.codes.dims(), "query dimensionality mismatch");
         assert!(k > 0, "k must be positive");
-        let mut opt = vec![0.0f64; rows];
-        let mut pes = vec![0.0f64; rows];
-        for (d, &q) in query.iter().enumerate() {
-            let col = self.quantized.column(d).expect("dimension in range");
-            for r in 0..rows {
-                let lo = col.cell_lower(r as RowId);
-                let hi = col.cell_upper(r as RowId);
-                opt[r] += metric.best_contribution(d, lo, hi, q);
-                pes[r] += metric.worst_contribution(d, lo, hi, q);
-            }
-        }
+        let mut scratch = QuantScratch::new();
+        let cells = self
+            .codes
+            .segment_view(0)
+            .map_err(BondError::Storage)
+            .and_then(|view| {
+                interval_scores_into(&view, metric, query, Kernel::active(), &mut scratch)
+            })
+            .expect("a one-segment companion of the query's dimensionality");
+        let (opt, pes) = (scratch.opt(), scratch.pes());
         let tau = match metric.objective() {
             Objective::Maximize => {
                 let mut heap = TopKLargest::new(k.min(rows));
@@ -123,7 +126,7 @@ impl VaFile {
                 })
                 .collect(),
         };
-        (candidates, rows * dims)
+        (candidates, cells as usize)
     }
 
     /// Filter step for squared Euclidean distance: returns the candidate
@@ -319,6 +322,6 @@ mod tests {
         assert_eq!(r.filter_dims_touched, 600);
         assert_eq!(r.refine_dims_touched, r.candidates_after_filter * 6);
         assert_eq!(r.hits.len(), 3);
-        assert_eq!(va.quantized().bits(), 8);
+        assert_eq!(va.codes().bits(), 8);
     }
 }

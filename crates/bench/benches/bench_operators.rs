@@ -6,7 +6,7 @@
 use bond_bench::{workloads, ExperimentScale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vdstore::{ops, Bitmap, QuantizedColumn};
+use vdstore::{ops, Bitmap, SegmentStats, StoreCodes};
 
 fn bench_operators(c: &mut Criterion) {
     let table = workloads::corel(ExperimentScale::Small);
@@ -38,7 +38,12 @@ fn bench_operators(c: &mut Criterion) {
         })
     });
     group.bench_function("quantize_column_8bit", |b| {
-        b.iter(|| black_box(QuantizedColumn::from_column(column, 8).unwrap()))
+        // one column, one segment: one global grid, as a VA-File has
+        let one = table.project(&[0]).unwrap();
+        let specs = one.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&one).unwrap().stats()).collect();
+        b.iter(|| black_box(StoreCodes::build(&one, &specs, &stats, 8).unwrap()))
     });
     group.bench_function("accumulate_block", |b| {
         let mut partial = vec![0.0f64; rows];

@@ -137,7 +137,7 @@ fn main() {
     for (mode, scan) in [
         ("exact", None),
         ("quantized_filter", Some(ScanMode::QuantizedFilter)),
-        ("approximate_8bit", Some(ScanMode::ApproximateQuantized { bits: 8 })),
+        ("approximate_8bit", Some(ScanMode::ApproximateQuantized)),
     ] {
         let batch = batch_for(scan);
         // untimed pass collects the work counters and checks the answers

@@ -1,40 +1,30 @@
 //! Criterion bench for Table 4: the filter step on 8-bit approximations —
-//! BOND-Hq on compressed fragments vs. a sequential VA-File scan — plus the
-//! shared exact refinement step.
+//! BOND-Hq as the engine's code sweep vs. a sequential VA-File scan, both
+//! over the VA-File's one-segment code companion — plus the shared exact
+//! refinement step.
 
-use bond::{BlockSchedule, DimensionOrdering};
 use bond_baselines::VaFile;
-use bond_bench::{workloads, ExperimentScale};
+use bond_bench::{hq_on_codes, workloads, ExperimentScale};
 use bond_metrics::{DecomposableMetric, HistogramIntersection};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vdstore::QuantizedTable;
 
 fn bench_table4(c: &mut Criterion) {
     let scale = ExperimentScale::Small;
     let table = workloads::corel(scale);
     let matrix = table.to_row_matrix();
     let queries = workloads::queries(&table, scale);
-    let quantized = QuantizedTable::from_table(&table, 8).unwrap();
     let vafile = VaFile::build(&table, 8).unwrap();
+    let live = table.live_bitmap();
     let k = 10;
 
     let mut group = c.benchmark_group("table4");
-    group.bench_function("bond_hq_compressed_filter", |b| {
+    group.bench_function("bond_hq_code_sweep", |b| {
         let mut i = 0;
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            black_box(
-                bond::compressed_filter_histogram(
-                    &quantized,
-                    q,
-                    k,
-                    BlockSchedule::Fixed(8),
-                    &DimensionOrdering::QueryValueDescending,
-                )
-                .unwrap(),
-            );
+            black_box(hq_on_codes(vafile.codes(), &live, q, k).unwrap());
         })
     });
     group.bench_function("vafile_filter", |b| {
@@ -47,15 +37,8 @@ fn bench_table4(c: &mut Criterion) {
     });
     group.bench_function("refinement_step", |b| {
         // refine a precomputed candidate set (the first query's) with exact values
-        let candidates = bond::compressed_filter_histogram(
-            &quantized,
-            &queries[0],
-            k,
-            BlockSchedule::Fixed(8),
-            &DimensionOrdering::QueryValueDescending,
-        )
-        .unwrap()
-        .candidates;
+        let candidates =
+            hq_on_codes(vafile.codes(), &live, &queries[0], k).unwrap().0.survivors.to_rows();
         b.iter(|| {
             let metric = HistogramIntersection;
             let mut heap = vdstore::TopKLargest::new(k);

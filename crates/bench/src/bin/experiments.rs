@@ -7,8 +7,9 @@
 //!      sec82 ablation_m ablation_bitmap ablation_hh headline checks all
 //! ```
 //!
-//! Output goes to stdout; `EXPERIMENTS.md` records a captured run together
-//! with the comparison against the numbers reported in the paper.
+//! Output goes to stdout, one plain-text table per artifact (see
+//! `bond_bench::report`). Unknown ids print a message to stderr and are
+//! skipped.
 
 use bond_bench::{ablation, figures, multifeature, report, tables, ExperimentScale};
 

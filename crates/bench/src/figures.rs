@@ -6,8 +6,9 @@
 //! can print, plot or assert on them.
 
 use bond::{BlockSchedule, BondParams, BondSearcher, DimensionOrdering, PruneTrace};
+use bond_baselines::VaFile;
 use bond_metrics::{EqRule, HistogramIntersection, SquaredEuclidean};
-use vdstore::{DatasetStats, DecomposedTable, QuantizedTable};
+use vdstore::{DatasetStats, DecomposedTable};
 
 use crate::{workloads, ExperimentScale};
 
@@ -30,8 +31,7 @@ pub struct PruningSeries {
 
 impl PruningSeries {
     /// Average surviving fraction after roughly `fraction` of the dimensions
-    /// have been processed (used by the shape assertions in the tests and in
-    /// EXPERIMENTS.md).
+    /// have been processed (used by the shape assertions in the tests).
     pub fn avg_survivors_at_fraction(&self, fraction: f64) -> f64 {
         if self.dims.is_empty() {
             return self.total_rows as f64;
@@ -226,30 +226,24 @@ pub fn fig8(scale: ExperimentScale) -> Vec<PruningSeries> {
         .collect()
 }
 
-/// Figure 9: Hq pruning on exact vs. 8-bit-quantized fragments.
+/// Figure 9: Hq pruning on exact vs. 8-bit-quantized fragments. The codes
+/// series is the engine's code sweep ([`crate::hq_on_codes`]), whose steps
+/// back off while they remove nothing; it is read every 8 dimensions like
+/// the exact series.
 pub fn fig9(scale: ExperimentScale) -> Vec<PruningSeries> {
     let table = workloads::corel(scale);
     let queries = workloads::queries(&table, scale);
     let params = default_params(8);
     let exact = run_histogram(&table, &queries, 10, &params, false);
-    let quantized = QuantizedTable::from_table(&table, 8).expect("quantization succeeds");
-    let compressed: Vec<PruneTrace> = queries
+    let vafile = VaFile::build(&table, 8).expect("quantization succeeds");
+    let live = table.live_bitmap();
+    let on_codes: Vec<PruneTrace> = queries
         .iter()
-        .map(|q| {
-            bond::compressed_filter_histogram(
-                &quantized,
-                q,
-                10,
-                BlockSchedule::Fixed(8),
-                &DimensionOrdering::QueryValueDescending,
-            )
-            .expect("filter succeeds")
-            .trace
-        })
+        .map(|q| crate::hq_on_codes(vafile.codes(), &live, q, 10).expect("filter succeeds").1)
         .collect();
     vec![
         aggregate_traces("Hq exact", &exact, table.rows(), table.dims(), 8),
-        aggregate_traces("Hq 8-bit codes", &compressed, table.rows(), table.dims(), 8),
+        aggregate_traces("Hq 8-bit codes", &on_codes, table.rows(), table.dims(), 8),
     ]
 }
 

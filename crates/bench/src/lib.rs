@@ -15,9 +15,8 @@
 //! * [`report`] — plain-text rendering used by the `experiments` binary.
 //!
 //! The binary `experiments` dispatches on an experiment id (`fig4`,
-//! `table3`, `all`, …) and a `--scale` flag; see `EXPERIMENTS.md` at the
-//! repository root for the recorded outputs and their comparison against the
-//! paper.
+//! `table3`, `all`, …) and a `--scale` flag and prints every artifact as a
+//! plain-text table.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -28,6 +27,11 @@ pub mod multifeature;
 pub mod report;
 pub mod tables;
 pub mod workloads;
+
+use bond::metrics::HistogramIntersection;
+use bond::quantfilter::filter_segment_with_kernel;
+use bond::{DimensionOrdering, Kernel, PruneTrace, QuantFilter};
+use vdstore::{Bitmap, StoreCodes};
 
 /// How large the generated datasets are.
 ///
@@ -82,6 +86,43 @@ impl ExperimentScale {
             _ => None,
         }
     }
+}
+
+/// BOND-Hq on 8-bit codes (Section 7.4; Figure 9 and Table 4): the
+/// engine's code sweep over a one-segment companion (the VA-File's),
+/// dimensions in the Hq plan's order (decreasing query value), `live` rows
+/// eligible. Returns the filter — its survivors are what the exact refine
+/// reads — and its pruning curve as a trace: one checkpoint per pruning step
+/// (at the back-off's block ends, 8, 16, 32, … while steps remove nothing),
+/// code cells read as the work counter.
+pub fn hq_on_codes(
+    codes: &StoreCodes,
+    live: &Bitmap,
+    query: &[f64],
+    k: usize,
+) -> bond::Result<(QuantFilter, PruneTrace)> {
+    let view = codes.segment_view(0)?;
+    let order = DimensionOrdering::QueryValueDescending.order(query, None, codes.dims());
+    let mut checkpoints = Vec::new();
+    let filter = filter_segment_with_kernel(
+        &view,
+        &HistogramIntersection,
+        query,
+        k,
+        live,
+        None,
+        Kernel::active(),
+        Some(&order),
+        Some(&mut checkpoints),
+    )?;
+    let trace = PruneTrace {
+        checkpoints,
+        contributions_evaluated: filter.cells,
+        dims_accessed: filter.dims,
+        pruning_attempts: filter.steps,
+        ..PruneTrace::default()
+    };
+    Ok((filter, trace))
 }
 
 /// Maps `f` over `items` in parallel using scoped threads (one chunk per

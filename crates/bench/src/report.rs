@@ -1,5 +1,4 @@
-//! Plain-text rendering of experiment results for the `experiments` binary
-//! and EXPERIMENTS.md.
+//! Plain-text rendering of experiment results for the `experiments` binary.
 
 use crate::ablation::AblationPoint;
 use crate::figures::{Fig2, PruningSeries};

@@ -9,7 +9,7 @@ use bond_metrics::{
     CandidateState, DecomposableMetric, HhRule, HistogramIntersection, HqRule, PruningRule,
     SquaredEuclidean,
 };
-use vdstore::{QuantizedTable, RowMatrix};
+use vdstore::RowMatrix;
 
 use crate::{workloads, ExperimentScale};
 
@@ -194,12 +194,12 @@ pub fn table3(scale: ExperimentScale) -> Vec<TimingRow> {
     rows
 }
 
-/// The candidate counts and timings of Table 4: BOND-Hq on 8-bit compressed
-/// fragments vs. a sequential scan of the equivalent VA-File, plus the
-/// shared refinement step.
+/// The candidate counts and timings of Table 4: BOND-Hq on 8-bit codes (the
+/// engine's code sweep) vs. a sequential scan of the VA-File, both over the
+/// VA-File's one-segment code companion, plus the shared refinement step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table4 {
-    /// Timing rows: compressed BOND filter, VA-File filter, refinement.
+    /// Timing rows: BOND's code sweep, VA-File filter, refinement.
     pub rows: Vec<TimingRow>,
     /// Average number of candidates the BOND filter leaves for refinement.
     pub avg_candidates_bond: f64,
@@ -213,8 +213,8 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
     let table = workloads::corel(scale);
     let matrix = table.to_row_matrix();
     let queries = workloads::queries(&table, scale);
-    let quantized = QuantizedTable::from_table(&table, 8).expect("quantization succeeds");
     let vafile = VaFile::build(&table, 8).expect("va-file build succeeds");
+    let live = table.live_bitmap();
     let k = 10;
 
     let mut bond_filter_times = Vec::new();
@@ -225,19 +225,10 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
     for q in &queries {
         let mut filter = None;
         bond_filter_times.push(time_ms(|| {
-            filter = Some(
-                bond::compressed_filter_histogram(
-                    &quantized,
-                    q,
-                    k,
-                    BlockSchedule::Fixed(8),
-                    &DimensionOrdering::QueryValueDescending,
-                )
-                .expect("filter succeeds"),
-            );
+            filter = Some(crate::hq_on_codes(vafile.codes(), &live, q, k));
         }));
-        let filter = filter.expect("filter ran");
-        bond_candidates += filter.candidates.len();
+        let survivors = filter.expect("filter ran").expect("filter succeeds").0.survivors.to_rows();
+        bond_candidates += survivors.len();
 
         let mut va = None;
         va_filter_times.push(time_ms(|| {
@@ -248,7 +239,7 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
         // the refinement step is common to both approaches; time it on the
         // BOND candidate set
         refine_times.push(time_ms(|| {
-            refine_histogram(&matrix, &filter.candidates, q, k);
+            refine_histogram(&matrix, &survivors, q, k);
         }));
     }
     let n = queries.len() as f64;

@@ -638,6 +638,7 @@ pub(crate) mod tests {
                                 None,
                                 kernel,
                                 None,
+                                None,
                                 &mut scratch,
                             )
                             .unwrap()

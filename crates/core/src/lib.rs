@@ -60,12 +60,11 @@
 //!   plans (a-priori or feedback-blended) and per-segment cost estimates,
 //! * [`weighted`] — weighted and subspace k-NN queries (Section 8.1),
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
-//! * [`compressed`] — BOND on 8-bit-quantized fragments with an exact
-//!   refinement step (Section 7.4, Figure 9 / Table 4),
-//! * [`quantfilter`] — the quantized first pass the execution engine runs
-//!   before the exact search: BOND in code space (LUT sweeps over `u8`
-//!   code columns bound every candidate after each block), full interval
-//!   score bounds, approximate codes-only top-k,
+//! * [`quantfilter`] — BOND on 8-bit codes (Section 7.4, Figure 9 /
+//!   Table 4), the quantized first pass the execution engine runs before
+//!   the exact search: LUT sweeps over `u8` code columns bound every
+//!   candidate after each block; also the full interval score bounds the
+//!   VA-File baseline filters with, and approximate codes-only top-k,
 //! * [`kernels`] — the runtime-dispatched ISA-pinned implementations of the
 //!   two hot loops (quantized LUT sweep, exact contribution accumulate):
 //!   AVX2 / NEON / portable scalar, selected once per process and
@@ -79,7 +78,6 @@
 
 mod bond_loop;
 pub mod candidates;
-pub mod compressed;
 pub mod cost;
 pub mod error;
 pub mod feedback;
@@ -95,10 +93,6 @@ pub mod trace;
 pub mod weighted;
 
 pub use candidates::CandidateSet;
-pub use compressed::{
-    compressed_filter, compressed_filter_histogram, search_compressed, search_compressed_histogram,
-    CompressedFilter,
-};
 pub use cost::CostModel;
 pub use error::{BondError, Result};
 pub use feedback::{ExecFeedback, FeedbackSnapshot, SegmentFeedback, SegmentFeedbackSnapshot};

@@ -65,10 +65,16 @@
 //! `worst_contribution` keep the vacuous default, which degenerates the
 //! filter to "keep everything" — never to a wrong answer.
 //!
+//! [`filter_segment_with_kernel`] is the same sweep with everything
+//! explicit — kernel flavour, sweep order, and a sink that receives one
+//! [`TraceCheckpoint`] per pruning step: the pruning curve Figure 9 plots,
+//! with no second filter beside the engine's.
+//!
 //! [`interval_scores_into`] remains the full-interval primitive (all
-//! dimensions, every row); collapsed to its midpoint it powers the
-//! approximate scan mode: [`approximate_topk`] ranks live rows by midpoint
-//! score and reports half the interval width as a per-hit error bound.
+//! dimensions, every row) — the VA-File baseline's filter; collapsed to its
+//! midpoint it powers the approximate scan mode: [`approximate_topk`] ranks
+//! live rows by midpoint score and reports half the interval width as a
+//! per-hit error bound.
 
 use std::ops::Range;
 
@@ -84,7 +90,9 @@ use crate::candidates::{CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, Kernel, SurviveTest};
+use crate::ordering::DimensionOrdering;
 use crate::searcher::prune_slack;
+use crate::trace::TraceCheckpoint;
 
 /// Code columns [`filter_segment`] sweeps in its first block and after
 /// every step that removed a candidate — on every kernel: the
@@ -256,12 +264,26 @@ pub fn filter_segment(
     live: &Bitmap,
     shared: Option<&dyn KappaCell>,
 ) -> Result<QuantFilter> {
-    filter_segment_with_kernel(codes, metric, query, k, live, shared, Kernel::active())
+    with_scratch(|scratch| {
+        let kernel = Kernel::active();
+        filter_segment_in_order(codes, metric, query, k, live, shared, kernel, None, None, scratch)
+    })
 }
 
-/// [`filter_segment`] with an explicit kernel flavour — the entry point
-/// tests and benches use to compare flavours inside one process (the
-/// `BOND_KERNEL` override is latched once and cannot be varied later).
+/// [`filter_segment`] with everything explicit: the kernel flavour (tests
+/// and benches compare flavours inside one process — the `BOND_KERNEL`
+/// override is latched once), the sweep `order` (a permutation of the
+/// segment's dimensions; `None` is storage order) and a `steps` sink, which
+/// receives one [`TraceCheckpoint`] per pruning step — dimensions swept,
+/// candidates left, candidates the step removed. That is the sweep's
+/// pruning curve, taken at the block ends of the back-off (8, 16, 32, …
+/// while steps remove nothing).
+///
+/// # Errors
+///
+/// As [`filter_segment`], plus [`BondError::InvalidParams`] for an `order`
+/// that is not a permutation of `0..dims`.
+#[allow(clippy::too_many_arguments)]
 pub fn filter_segment_with_kernel(
     codes: &SegmentCodesView<'_>,
     metric: &dyn DecomposableMetric,
@@ -270,15 +292,23 @@ pub fn filter_segment_with_kernel(
     live: &Bitmap,
     shared: Option<&dyn KappaCell>,
     kernel: Kernel,
+    order: Option<&[usize]>,
+    steps: Option<&mut Vec<TraceCheckpoint>>,
 ) -> Result<QuantFilter> {
+    if order.is_some_and(|order| !DimensionOrdering::is_valid_permutation(order, codes.dims())) {
+        return Err(BondError::InvalidParams(
+            "dimension ordering is not a permutation of the codes' dimensions".into(),
+        ));
+    }
     with_scratch(|scratch| {
-        filter_segment_in_order(codes, metric, query, k, live, shared, kernel, None, scratch)
+        filter_segment_in_order(
+            codes, metric, query, k, live, shared, kernel, order, steps, scratch,
+        )
     })
 }
 
-/// [`filter_segment_with_kernel`] sweeping the code columns in `order` —
-/// the segment plan's dimension order, which the caller has validated as a
-/// permutation of `0..dims` (`None` is storage order) — on `scratch`.
+/// [`filter_segment_with_kernel`] on `scratch`, with an `order` the caller
+/// has validated (the engine passes the segment plan's).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn filter_segment_in_order(
     codes: &SegmentCodesView<'_>,
@@ -289,6 +319,7 @@ pub(crate) fn filter_segment_in_order(
     shared: Option<&dyn KappaCell>,
     kernel: Kernel,
     order: Option<&[usize]>,
+    steps: Option<&mut Vec<TraceCheckpoint>>,
     scratch: &mut Scratch,
 ) -> Result<QuantFilter> {
     let rows = codes.len();
@@ -319,6 +350,7 @@ pub(crate) fn filter_segment_in_order(
     // the survivor bitmap, and the only allocation of a warmed call
     let mut survivors = live.clone();
     let mut source = CodeIntervals::new(codes, metric, query, order, kernel, &mut scratch.codes);
+    source.steps = steps;
     source.fill_remaining_bounds();
     let sign = source.sign;
     let carried = shared.and_then(|cell| cell.current()).filter(|kappa| kappa.is_finite());
@@ -412,6 +444,8 @@ struct CodeIntervals<'a> {
     scratch: &'a mut QuantScratch,
     /// Code cells read: swept word runs plus the probe's lookups.
     cells: u64,
+    /// Where each pruning step's checkpoint goes, if anywhere.
+    steps: Option<&'a mut Vec<TraceCheckpoint>>,
 }
 
 impl<'a> CodeIntervals<'a> {
@@ -437,7 +471,18 @@ impl<'a> CodeIntervals<'a> {
             Objective::Maximize => 1.0,
             Objective::Minimize => -1.0,
         };
-        CodeIntervals { codes, metric, query, order, kernel, paired, sign, scratch, cells: 0 }
+        CodeIntervals {
+            codes,
+            metric,
+            query,
+            order,
+            kernel,
+            paired,
+            sign,
+            scratch,
+            cells: 0,
+            steps: None,
+        }
     }
 
     /// Suffix-sums, over the sweep order, the best and worst contribution
@@ -660,6 +705,13 @@ impl BoundSource for CodeIntervals<'_> {
         }
         self.cells += (probed.len() * (codes.dims() - swept)) as u64;
         Ok(Some(probed.iter().fold(f64::INFINITY, |kth, &(_, bound)| kth.min(bound))))
+    }
+
+    fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
+        if let Some(steps) = self.steps.as_deref_mut() {
+            let candidates = candidates.len();
+            steps.push(TraceCheckpoint { dims_processed: swept, candidates, pruned_now: removed });
+        }
     }
 }
 
@@ -920,6 +972,7 @@ mod tests {
                                                         Some(&cell),
                                                         kernel,
                                                         None,
+                                                        None,
                                                         scratch,
                                                     )
                                                     .unwrap()
@@ -1163,6 +1216,7 @@ mod tests {
                                     Some(&cell),
                                     kernel,
                                     order,
+                                    None,
                                     &mut Scratch::default(),
                                 )
                                 .unwrap();
@@ -1337,6 +1391,7 @@ mod tests {
                         None,
                         kernel,
                         None,
+                        None,
                         &mut scratch,
                     )
                     .unwrap();
@@ -1414,6 +1469,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The step sink records the sweep's pruning curve and decides nothing:
+    /// one checkpoint per step, candidates never rising, removals adding up,
+    /// the last count the survivors' — and the same filter without it.
+    #[test]
+    fn the_step_sink_records_every_step_and_changes_no_decision() {
+        let table = clustered(3000, false);
+        let codes = codes_for(&table, 1);
+        let view = codes.segment_view(0).unwrap();
+        let mut live = table.live_bitmap();
+        for dead in (0..table.rows()).step_by(7) {
+            live.clear(dead as u32);
+        }
+        let dims = table.dims();
+        let strided: Vec<usize> = (0..dims).map(|j| (j * 7) % dims).collect();
+        let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        let mut curves = 0;
+        for metric in [&SquaredEuclidean as &dyn DecomposableMetric, &HistogramIntersection] {
+            for order in [None, Some(&strided[..])] {
+                for (k, &kernel) in [1, 10, 200].into_iter().zip(kernels.iter().cycle()) {
+                    let query = table.row(13 + k as u32).unwrap();
+                    let run = |steps: Option<&mut Vec<TraceCheckpoint>>| {
+                        filter_segment_with_kernel(
+                            &view, metric, &query, k, &live, None, kernel, order, steps,
+                        )
+                        .unwrap()
+                    };
+                    let plain = run(None);
+                    let mut steps = Vec::new();
+                    let traced = run(Some(&mut steps));
+                    let ctx = format!("{} {order:?} k {k} {}", metric.name(), kernel.label());
+                    assert_eq!(traced.survivors, plain.survivors, "{ctx}");
+                    assert_eq!(traced.kappa.map(f64::to_bits), plain.kappa.map(f64::to_bits));
+                    assert_eq!(
+                        (traced.cells, traced.dims, traced.steps, traced.blocks_skipped),
+                        (plain.cells, plain.dims, plain.steps, plain.blocks_skipped),
+                        "{ctx}"
+                    );
+                    assert_eq!(steps.len(), traced.steps, "{ctx}");
+                    let last = steps.last().unwrap();
+                    assert_eq!(last.candidates, traced.survivors.count(), "{ctx}");
+                    assert_eq!(last.dims_processed, traced.dims, "{ctx}");
+                    assert_eq!(steps[0].dims_processed, PRUNE_BLOCK, "{ctx}");
+                    for pair in steps.windows(2) {
+                        assert!(pair[0].dims_processed < pair[1].dims_processed, "{ctx}");
+                        assert!(pair[0].candidates >= pair[1].candidates, "{ctx}");
+                        assert_eq!(pair[0].candidates - pair[1].candidates, pair[1].pruned_now);
+                    }
+                    let removed: usize = steps.iter().map(|step| step.pruned_now).sum();
+                    assert_eq!(live.count() - removed, last.candidates, "{ctx}");
+                    curves += usize::from(steps.len() > 1);
+                }
+            }
+        }
+        assert!(curves > 0, "no sweep took more than one step");
+        let scrambled = vec![0; dims];
+        let err = filter_segment_with_kernel(
+            &view,
+            &SquaredEuclidean,
+            &table.row(0).unwrap(),
+            5,
+            &live,
+            None,
+            Kernel::Scalar,
+            Some(&scrambled),
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, BondError::InvalidParams(_)), "{err}");
     }
 
     #[test]

@@ -478,6 +478,7 @@ pub(crate) fn search_segment_with(
                 ctx.kappa,
                 kernel,
                 Some(order),
+                None,
                 scratch,
             )?;
             scratch.exact.eligible = eligible;
@@ -1175,6 +1176,7 @@ mod tests {
                                         Some(&cell),
                                         kernel,
                                         Some(order),
+                                        None,
                                         &mut Scratch::default(),
                                     )
                                     .unwrap()

@@ -65,9 +65,9 @@ pub struct PruneTrace {
     /// search (zero when the search ran without codes; equals the segment's
     /// live rows when the filter could not prune).
     pub refine_rows: u64,
-    /// The code bit-width the quantized first pass swept (the engine picks
-    /// it per segment from observed filter selectivity). Zero when the
-    /// search ran without codes.
+    /// The code bit-width the quantized first pass swept: the width of the
+    /// store's one code companion ([`crate::CostModel::DEFAULT_CODE_BITS`]
+    /// for the engine's filter). Zero when the search ran without codes.
     pub filter_bits: u8,
     /// The scan-kernel flavour (`"scalar"`, `"avx2"`, `"neon"`) the
     /// segment's hot loops dispatched to. `None` for traces that predate

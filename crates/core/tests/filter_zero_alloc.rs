@@ -120,9 +120,10 @@ fn warmed_filter_allocates_only_its_survivor_bitmap() {
             let filter_all = || {
                 for (si, live) in lives.iter().enumerate() {
                     let view = codes.segment_view(si).unwrap();
-                    let filter =
-                        filter_segment_with_kernel(&view, &metric, &query, 5, live, None, kernel)
-                            .unwrap();
+                    let filter = filter_segment_with_kernel(
+                        &view, &metric, &query, 5, live, None, kernel, None, None,
+                    )
+                    .unwrap();
                     assert!(filter.dims > 8, "the sweep must get past its first block");
                 }
             };
@@ -219,6 +220,8 @@ fn warmed_filter_that_skips_blocks_allocates_only_its_survivor_bitmap() {
                     &live,
                     Some(&kappa),
                     kernel,
+                    None,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(filter.blocks_skipped, 2, "both far blocks drop");

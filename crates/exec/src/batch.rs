@@ -15,7 +15,7 @@
 
 use crate::planner::PlannerKind;
 use crate::rules::RuleKind;
-use bond::{BondError, CostModel, FeatureMetricKind, PruneTrace, Result, SegmentPlan};
+use bond::{BondError, FeatureMetricKind, PruneTrace, Result, SegmentPlan};
 use bond_metrics::{FuzzyMax, FuzzyMin, ScoreAggregate, WeightedAverage};
 use std::ops::Range;
 use std::sync::Arc;
@@ -73,14 +73,11 @@ pub enum ScanMode {
     /// a superset of the true top-k and the exact phase scores survivors
     /// in the same plan order.
     QuantizedFilter,
-    /// Codes only: scores are interval midpoints, no exact fragment is
-    /// read, and every hit carries a per-hit error bound
-    /// ([`QueryOutcome::error_bounds`]). Recall is workload-dependent;
+    /// Codes only: scores are interval midpoints of the same 8-bit codes,
+    /// no exact fragment is read, and every hit carries a per-hit error
+    /// bound ([`QueryOutcome::error_bounds`]). Recall is workload-dependent;
     /// see the README's quantized-scan section.
-    ApproximateQuantized {
-        /// Bits per code (1 ..= 8); fewer bits scan less and err more.
-        bits: u8,
-    },
+    ApproximateQuantized,
 }
 
 impl ScanMode {
@@ -91,17 +88,7 @@ impl ScanMode {
 
     /// Whether this mode answers from codes alone (no exact refinement).
     pub fn is_approximate(self) -> bool {
-        matches!(self, ScanMode::ApproximateQuantized { .. })
-    }
-
-    /// The code width this mode scans ([`CostModel::DEFAULT_CODE_BITS`] for
-    /// the filter mode, the chosen width for the approximate mode, the
-    /// default — unused — for exact scans).
-    pub fn bits(self) -> u8 {
-        match self {
-            ScanMode::ApproximateQuantized { bits } => bits,
-            _ => CostModel::DEFAULT_CODE_BITS,
-        }
+        matches!(self, ScanMode::ApproximateQuantized)
     }
 
     /// A short lowercase label for logs and reports.
@@ -109,7 +96,7 @@ impl ScanMode {
         match self {
             ScanMode::Exact => "exact",
             ScanMode::QuantizedFilter => "quantized-filter",
-            ScanMode::ApproximateQuantized { .. } => "approximate-quantized",
+            ScanMode::ApproximateQuantized => "approximate-quantized",
         }
     }
 }
@@ -794,14 +781,12 @@ mod tests {
         assert_eq!(ScanMode::default(), ScanMode::Exact);
         assert!(!ScanMode::Exact.uses_codes());
         assert!(ScanMode::QuantizedFilter.uses_codes());
-        assert!(ScanMode::ApproximateQuantized { bits: 6 }.uses_codes());
+        assert!(ScanMode::ApproximateQuantized.uses_codes());
         assert!(!ScanMode::QuantizedFilter.is_approximate());
-        assert!(ScanMode::ApproximateQuantized { bits: 6 }.is_approximate());
-        assert_eq!(ScanMode::ApproximateQuantized { bits: 6 }.bits(), 6);
-        assert_eq!(ScanMode::QuantizedFilter.bits(), 8);
+        assert!(ScanMode::ApproximateQuantized.is_approximate());
         assert_eq!(ScanMode::Exact.label(), "exact");
         assert_eq!(ScanMode::QuantizedFilter.label(), "quantized-filter");
-        assert_eq!(ScanMode::ApproximateQuantized { bits: 4 }.label(), "approximate-quantized");
+        assert_eq!(ScanMode::ApproximateQuantized.label(), "approximate-quantized");
 
         let spec = QuerySpec::new(vec![0.5], 1).scan_mode(ScanMode::QuantizedFilter);
         assert_eq!(spec.scan_mode_override(), Some(ScanMode::QuantizedFilter));

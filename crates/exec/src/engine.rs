@@ -393,13 +393,6 @@ impl EngineBuilder {
             }
         }
         self.rule.validate(dims)?;
-        if let ScanMode::ApproximateQuantized { bits } = self.scan {
-            if bits == 0 || bits > 8 {
-                return Err(BondError::InvalidParams(format!(
-                    "approximate scan bits must be in 1..=8, got {bits}"
-                )));
-            }
-        }
         let mut params = self.params;
         params.refine_survivors = true;
         let (specs, stats) = match self.preloaded {
@@ -442,14 +435,10 @@ impl EngineBuilder {
         }
         // Seed the code cache from the store footer when the persisted
         // codes still describe this engine's partitioning (they do unless
-        // the builder re-partitioned, which clears them anyway). A
-        // mixed-width footer (written by engines that sized codes per
-        // segment) is discarded: the uniform companion is built on first use.
+        // the builder re-partitioned, which clears them anyway).
         let mut codes_cache: BTreeMap<u8, Arc<StoreCodes>> = BTreeMap::new();
-        if let Some(codes) = self.preloaded_codes {
-            if let Some(bits) = codes.uniform_bits().filter(|_| codes.matches_specs(&specs)) {
-                codes_cache.insert(bits, Arc::new(codes));
-            }
+        if let Some(codes) = self.preloaded_codes.filter(|codes| codes.matches_specs(&specs)) {
+            codes_cache.insert(codes.bits(), Arc::new(codes));
         }
         Ok(Engine {
             inner: Arc::new(EngineInner {
@@ -840,7 +829,7 @@ impl Engine {
                 );
                 (filter + refine, Some(filter), Some(refine))
             }
-            ScanMode::ApproximateQuantized { .. } => {
+            ScanMode::ApproximateQuantized => {
                 // codes only: the full sweep, never skipped, nothing exact
                 let filter = stats.live_rows as f64
                     * stats.per_dim.len() as f64
@@ -1000,14 +989,6 @@ impl Engine {
                 // bypassing the validating constructors) error here instead
                 // of panicking in `make_metric` during execution.
                 rule.validate(dims)?;
-                let scan = spec.scan_mode_override().unwrap_or(self.inner.scan);
-                if let ScanMode::ApproximateQuantized { bits } = scan {
-                    if bits == 0 || bits > 8 {
-                        return Err(BondError::InvalidParams(format!(
-                            "approximate scan bits must be in 1..=8, got {bits}"
-                        )));
-                    }
-                }
             }
             QueryKind::MultiFeature(mf) => self.validate_multifeature(spec, mf)?,
         }
@@ -1345,8 +1326,11 @@ impl Engine {
                 let scan = spec.scan_mode_override().unwrap_or(inner.scan);
                 // Quantized scans resolve (and, on the cache's first miss,
                 // build) their code companions up front — workers only read.
-                let codes =
-                    if scan.uses_codes() { Some(self.ensure_codes(scan.bits())?) } else { None };
+                let codes = if scan.uses_codes() {
+                    Some(self.ensure_codes(CostModel::DEFAULT_CODE_BITS)?)
+                } else {
+                    None
+                };
                 let metric = rule.make_metric();
                 let objective = rule.objective();
                 // The uniform plan is segment-independent; derive it once
@@ -1471,7 +1455,7 @@ impl Engine {
                             .collect();
                         let trace = PruneTrace {
                             filter_cells: approx.cells,
-                            filter_bits: rq.scan.bits(),
+                            filter_bits: codes.bits(),
                             kernel: Some(Kernel::active().label()),
                             rule: Some(rq.rule.name()),
                             ..PruneTrace::default()

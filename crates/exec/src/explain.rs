@@ -20,7 +20,7 @@
 use crate::batch::{MultiFeatureSpec, QueryKind, QueryOutcome, QuerySpec, ScanMode};
 use crate::engine::Engine;
 use crate::planner::PlannerKind;
-use bond::{FeatureMetricKind, Kernel, Result, SegmentPlan};
+use bond::{CostModel, FeatureMetricKind, Kernel, Result, SegmentPlan};
 use std::fmt;
 use std::ops::Range;
 
@@ -98,8 +98,8 @@ pub struct SegmentExplain {
     /// this process dispatches to); `None` for exact scans.
     pub filter_cost: Option<f64>,
     /// The code bit-width the quantized sweep of this segment would use:
-    /// [`bond::CostModel::DEFAULT_CODE_BITS`] for filter scans, the
-    /// requested width for approximate scans, `None` for exact scans.
+    /// [`bond::CostModel::DEFAULT_CODE_BITS`] for both code scans, `None`
+    /// for exact scans.
     pub code_bits: Option<u8>,
     /// The exact refine phase's share of `estimated_cells`: the cells the
     /// cost model expects the filter's survivors to need. `Some(0.0)` for
@@ -443,8 +443,8 @@ impl Engine {
         let feedback = self.feedback_snapshot();
         let min_warm = self.cost_model().min_warm_searches;
         let stats = self.segment_stats();
-        // the width of the companion `execute` resolves for this scan mode
-        let code_bits = scan.uses_codes().then(|| scan.bits());
+        // the width of the companion `execute` resolves for a code scan
+        let code_bits = scan.uses_codes().then_some(CostModel::DEFAULT_CODE_BITS);
         let segments = self
             .segment_specs()
             .iter()

@@ -2,8 +2,8 @@
 //! query path: an engine serving quantized-filter traffic on clustered
 //! data — warm feedback, tight per-segment selectivity, the regime that
 //! used to re-encode the store at 4 bits — keeps sweeping the one 8-bit
-//! companion, says so in EXPLAIN/ANALYZE, persists the uniform footer, and
-//! reopens stores that still carry a mixed-width one.
+//! companion, says so in EXPLAIN/ANALYZE, and persists it in the footer,
+//! from which a reopened engine seeds its cache.
 
 use bond::CostModel;
 use bond_datagen::{sample_queries, ClusteredConfig};
@@ -11,8 +11,7 @@ use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, Rul
 use bond_obs::names;
 use std::path::PathBuf;
 use std::sync::Arc;
-use vdstore::persist::save_store_with_codes;
-use vdstore::{StorageBackend, StoreCodes};
+use vdstore::StorageBackend;
 
 const ROWS: usize = 2_000;
 const DIMS: usize = 8;
@@ -63,7 +62,7 @@ fn warmed_engine(threads: usize) -> Engine {
 fn the_companion_is_built_once_and_survives_traffic_and_persist() {
     let engine = warmed_engine(2);
     let before = engine.ensure_adaptive_codes().unwrap();
-    assert_eq!(before.uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS));
+    assert_eq!(before.bits(), CostModel::DEFAULT_CODE_BITS);
     for q in sample_queries(engine.table(), 200, 31) {
         engine.search_spec(&filter_spec(q)).unwrap();
     }
@@ -73,12 +72,12 @@ fn the_companion_is_built_once_and_survives_traffic_and_persist() {
     assert!(Arc::ptr_eq(&before, &engine.ensure_adaptive_codes().unwrap()));
     assert_eq!(engine.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
 
-    // what was written is the uniform companion, and it seeds the reopened
-    // engine's cache: no build there at all
+    // what was written is the companion, and it seeds the reopened engine's
+    // cache: no build there at all
     let reopened = EngineBuilder::open_with(&path, StorageBackend::Heap).unwrap().build().unwrap();
     std::fs::remove_file(&path).unwrap();
     let seeded = reopened.ensure_adaptive_codes().unwrap();
-    assert_eq!(seeded.segment_bits(), before.segment_bits());
+    assert_eq!(seeded.bits(), before.bits());
     assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(0));
 }
 
@@ -144,60 +143,4 @@ fn feedback_does_not_change_filter_work() {
             assert_eq!(run.trace.filter_dims, DIMS);
         }
     }
-}
-
-#[test]
-fn mixed_width_footers_reopen_as_no_codes() {
-    // the store a warmed engine used to persist: per-segment widths behind
-    // the footer's `0` sentinel, learned feedback beside them
-    let engine = warmed_engine(2);
-    let widths: Vec<u8> = (0..PARTITIONS).map(|si| if si % 2 == 0 { 4 } else { 8 }).collect();
-    let mixed = StoreCodes::build_mixed(
-        engine.table(),
-        engine.segment_specs(),
-        engine.segment_stats(),
-        &widths,
-    )
-    .unwrap();
-    let path = temp_store("mixed");
-    save_store_with_codes(
-        engine.table(),
-        engine.segment_specs(),
-        engine.segment_stats(),
-        Some(&engine.feedback_snapshot().to_bytes()),
-        Some(&mixed),
-        &path,
-    )
-    .unwrap();
-
-    let queries = sample_queries(engine.table(), 4, 777);
-    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
-        let reopened = EngineBuilder::open_with(&path, backend)
-            .unwrap()
-            .threads(2)
-            .rule(RuleKind::EuclideanEv)
-            .scan_mode(ScanMode::QuantizedFilter)
-            .build()
-            .unwrap();
-        for q in &queries {
-            let exact = reopened
-                .search_spec(&QuerySpec::new(q.clone(), 10).scan_mode(ScanMode::Exact))
-                .unwrap();
-            let got = reopened.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
-            assert_eq!(got.hits, exact.hits, "backend {backend:?}");
-        }
-        // the mixed companion was dropped, the 8-bit one built on first use
-        let codes = reopened.ensure_adaptive_codes().unwrap();
-        assert_eq!(codes.uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS), "{backend:?}");
-        assert!(!codes.is_mapped(), "backend {backend:?}");
-        assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
-
-        // and persisting it again writes the uniform single-byte form
-        let rewritten = temp_store("rewritten");
-        reopened.persist(&rewritten).unwrap();
-        let store = vdstore::persist::open_store(&rewritten, StorageBackend::Heap).unwrap();
-        std::fs::remove_file(&rewritten).unwrap();
-        assert_eq!(store.codes.unwrap().uniform_bits(), Some(CostModel::DEFAULT_CODE_BITS));
-    }
-    std::fs::remove_file(&path).unwrap();
 }

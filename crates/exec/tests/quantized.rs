@@ -140,9 +140,7 @@ fn approximate_mode_reports_honest_error_bounds() {
         let q = engine.table().row(i).unwrap();
         let k = 10;
         let approx = engine
-            .search_spec(
-                &QuerySpec::new(q.clone(), k).scan_mode(ScanMode::ApproximateQuantized { bits: 8 }),
-            )
+            .search_spec(&QuerySpec::new(q.clone(), k).scan_mode(ScanMode::ApproximateQuantized))
             .unwrap();
         assert_eq!(approx.hits.len(), k);
         let bounds = approx.error_bounds.as_ref().expect("approximate answers carry bounds");
@@ -169,28 +167,6 @@ fn approximate_mode_reports_honest_error_bounds() {
 }
 
 #[test]
-fn coarse_approximate_codes_widen_bounds_but_stay_honest() {
-    let t = table(200, DIMS);
-    let engine = Engine::builder(t).partitions(2).threads(1).build().unwrap();
-    let q = engine.table().row(60).unwrap();
-    let mut last_mean = 0.0f64;
-    for bits in [8u8, 4, 2] {
-        let outcome = engine
-            .search_spec(
-                &QuerySpec::new(q.clone(), 5).scan_mode(ScanMode::ApproximateQuantized { bits }),
-            )
-            .unwrap();
-        let bounds = outcome.error_bounds.unwrap();
-        let mean = bounds.iter().sum::<f64>() / bounds.len() as f64;
-        assert!(
-            mean + 1e-12 >= last_mean,
-            "coarser codes cannot tighten the mean bound: {bits} bits gave {mean} after {last_mean}"
-        );
-        last_mean = mean;
-    }
-}
-
-#[test]
 fn engine_default_scan_mode_applies_and_spec_overrides_win() {
     let t = table(200, DIMS);
     let engine = Engine::builder(t)
@@ -212,21 +188,6 @@ fn engine_default_scan_mode_applies_and_spec_overrides_win() {
     // and the quant metrics were emitted for the filtered run only
     assert!(engine.metrics().counter_value("engine.quant.filter_cells").unwrap() > 0);
     assert!(engine.metrics().counter_value("engine.quant.refine_rows").is_some());
-}
-
-#[test]
-fn invalid_approximate_bit_widths_are_rejected_up_front() {
-    let t = table(50, DIMS);
-    for bits in [0u8, 9, 255] {
-        assert!(matches!(
-            Engine::builder(t.clone()).scan_mode(ScanMode::ApproximateQuantized { bits }).build(),
-            Err(BondError::InvalidParams(_))
-        ));
-        let engine = Engine::builder(t.clone()).partitions(2).threads(1).build().unwrap();
-        let q = engine.table().row(0).unwrap();
-        let spec = QuerySpec::new(q, 1).scan_mode(ScanMode::ApproximateQuantized { bits });
-        assert!(matches!(engine.search_spec(&spec), Err(BondError::InvalidParams(_))));
-    }
 }
 
 #[test]
@@ -365,7 +326,7 @@ fn deleted_rows_never_surface_from_the_code_sweep() {
     let q = t.row(75).unwrap();
     t.delete(75).unwrap();
     let engine = Engine::builder(t).partitions(3).threads(2).build().unwrap();
-    for scan in [ScanMode::QuantizedFilter, ScanMode::ApproximateQuantized { bits: 8 }] {
+    for scan in [ScanMode::QuantizedFilter, ScanMode::ApproximateQuantized] {
         let outcome = engine.search_spec(&QuerySpec::new(q.clone(), 5).scan_mode(scan)).unwrap();
         assert_eq!(outcome.hits.len(), 5);
         assert!(outcome.hits.iter().all(|h| h.row != 75), "{scan:?}");

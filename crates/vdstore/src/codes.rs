@@ -2,12 +2,13 @@
 //!
 //! Section 7.4 of the paper composes BOND with VA-File-style scalar codes:
 //! prune on small approximations, touch exact values only for survivors.
-//! [`crate::quantize::QuantizedColumn`] quantizes a whole column with one
-//! global `[min, max]`; this module builds the engine-facing variant — one
-//! flat `u8` code fragment per dimension, encoded **per segment** with that
-//! segment's tightened `[min, max]` envelope (the same envelopes the
-//! zone-map check already keeps in [`SegmentStats`]). Tighter ranges mean
-//! narrower cells, which means tighter score intervals in the filter pass.
+//! This module is the workspace's one scalar quantization: one flat `u8`
+//! code fragment per dimension, encoded **per segment** with that segment's
+//! tightened `[min, max]` envelope (the same envelopes the zone-map check
+//! already keeps in [`SegmentStats`]), at one code width for the whole
+//! store. Tighter ranges mean narrower cells, which means tighter score
+//! intervals in the filter pass. A one-segment companion has one global
+//! grid per column — the classic VA-File approximation.
 //!
 //! The codes persist inside the `BONDVD02` footer (see [`crate::persist`])
 //! with one FNV-1a checksum per dimension, and on the mapped backend they
@@ -260,9 +261,9 @@ impl BlockEnvelopes {
 /// each segment's [`BlockEnvelopes`], derived from the codes on first use.
 #[derive(Debug, Clone)]
 pub struct StoreCodes {
-    /// `segment_bits[segment]` — bits per code in that segment's windows.
-    /// Uniform stores repeat one width; the engine only builds those.
-    segment_bits: Vec<u8>,
+    /// Bits per code, in every segment (1 ..= 8; a code is one byte at any
+    /// width).
+    bits: u8,
     rows: usize,
     specs: Vec<SegmentSpec>,
     /// `params[segment][dim]` — the grid each code byte of that window was
@@ -282,33 +283,14 @@ impl StoreCodes {
     /// (segment, dimension) tightened to the segment's value envelope from
     /// `stats` (falling back to a fresh scan of the slice for dimensions
     /// with no statistics). Fails on non-finite values and on mismatched
-    /// specs/stats.
+    /// specs/stats and on a bit width outside `1..=8`.
     pub fn build(
         table: &DecomposedTable,
         specs: &[SegmentSpec],
         stats: &[SegmentStats],
         bits: u8,
     ) -> Result<Self> {
-        Self::build_mixed(table, specs, stats, &vec![bits; specs.len()])
-    }
-
-    /// [`StoreCodes::build`] with one bit width **per segment**. The
-    /// engine builds only uniform companions and discards a mixed one found
-    /// in a store footer; this keeps such footers readable and testable.
-    /// `segment_bits` must have one entry per spec, each in `1..=8`.
-    pub fn build_mixed(
-        table: &DecomposedTable,
-        specs: &[SegmentSpec],
-        stats: &[SegmentStats],
-        segment_bits: &[u8],
-    ) -> Result<Self> {
-        if segment_bits.len() != specs.len() {
-            return Err(VdError::LengthMismatch {
-                expected: specs.len(),
-                actual: segment_bits.len(),
-            });
-        }
-        if let Some(&bits) = segment_bits.iter().find(|&&b| b == 0 || b > 8) {
+        if bits == 0 || bits > 8 {
             return Err(VdError::InvalidQuantization(format!(
                 "code bits must be in 1..=8, got {bits}"
             )));
@@ -319,7 +301,7 @@ impl StoreCodes {
         let rows = table.rows();
         let dims = table.dims();
         let mut params: Vec<Vec<CodeParams>> = Vec::with_capacity(specs.len());
-        for ((spec, stat), &bits) in specs.iter().zip(stats).zip(segment_bits) {
+        for (spec, stat) in specs.iter().zip(stats) {
             let mut per_dim = Vec::with_capacity(dims);
             for d in 0..dims {
                 let (min, max) = match &stat.per_dim.get(d).and_then(|s| s.as_ref()) {
@@ -365,7 +347,7 @@ impl StoreCodes {
             columns.push(CodeColumn::from_vec(codes));
         }
         Ok(StoreCodes {
-            segment_bits: segment_bits.to_vec(),
+            bits,
             rows,
             envelopes: unbuilt(specs.len()),
             specs: specs.to_vec(),
@@ -375,28 +357,17 @@ impl StoreCodes {
         })
     }
 
-    /// Reassembles codes parsed from a persisted store. Validates shape
-    /// consistency; checksum verification happens at parse time.
+    /// Reassembles codes parsed from a persisted store, whose reader has
+    /// validated the width and every grid. Validates shape consistency;
+    /// checksum verification happens at parse time.
     pub(crate) fn from_parts(
-        segment_bits: Vec<u8>,
+        bits: u8,
         rows: usize,
         specs: Vec<SegmentSpec>,
         params: Vec<Vec<CodeParams>>,
         columns: Vec<CodeColumn>,
         checksums: Vec<u64>,
     ) -> Result<Self> {
-        if segment_bits.len() != specs.len() {
-            return Err(VdError::Corrupt(format!(
-                "code bit widths cover {} segments, store has {}",
-                segment_bits.len(),
-                specs.len()
-            )));
-        }
-        if let Some(&bits) = segment_bits.iter().find(|&&b| b == 0 || b > 8) {
-            return Err(VdError::InvalidQuantization(format!(
-                "code bits must be in 1..=8, got {bits}"
-            )));
-        }
         if params.len() != specs.len() {
             return Err(VdError::Corrupt(format!(
                 "code params cover {} segments, store has {}",
@@ -420,26 +391,12 @@ impl StoreCodes {
             }
         }
         let envelopes = unbuilt(specs.len());
-        Ok(StoreCodes { segment_bits, rows, specs, params, columns, checksums, envelopes })
+        Ok(StoreCodes { bits, rows, specs, params, columns, checksums, envelopes })
     }
 
-    /// The widest per-segment code width — for a uniform store this is
-    /// *the* bit width; mixed stores report their tightest grid's width
-    /// (use [`StoreCodes::segment_bits`] for the per-segment truth).
+    /// Bits per code, shared by every segment.
     pub fn bits(&self) -> u8 {
-        self.segment_bits.iter().copied().max().unwrap_or(8)
-    }
-
-    /// Bits per code of every segment, in segment order.
-    pub fn segment_bits(&self) -> &[u8] {
-        &self.segment_bits
-    }
-
-    /// The single code width all segments share, when they do share one —
-    /// `None` for adaptively mixed stores.
-    pub fn uniform_bits(&self) -> Option<u8> {
-        let first = *self.segment_bits.first()?;
-        self.segment_bits.iter().all(|&b| b == first).then_some(first)
+        self.bits
     }
 
     /// Number of rows.
@@ -460,6 +417,22 @@ impl StoreCodes {
     /// The segment boundaries the codes were encoded over.
     pub fn specs(&self) -> &[SegmentSpec] {
         &self.specs
+    }
+
+    /// Every segment's grids, in segment order, each indexed by dimension.
+    pub(crate) fn params(&self) -> &[Vec<CodeParams>] {
+        &self.params
+    }
+
+    /// The FNV-1a checksum of every dimension's code bytes, in dimension
+    /// order.
+    pub(crate) fn checksums(&self) -> &[u64] {
+        &self.checksums
+    }
+
+    /// Every dimension's code column, in dimension order.
+    pub(crate) fn columns(&self) -> &[CodeColumn] {
+        &self.columns
     }
 
     /// The FNV-1a checksum of one dimension's code bytes.
@@ -524,15 +497,15 @@ impl<'a> SegmentCodesView<'a> {
         Ok(&all[self.start..self.start + self.len])
     }
 
-    /// Number of quantization levels of this segment's grids.
+    /// Number of quantization levels of the grids.
     #[inline]
     pub fn levels(&self) -> usize {
-        1usize << self.codes.segment_bits[self.segment]
+        1usize << self.codes.bits
     }
 
-    /// Bits per code in this segment.
+    /// Bits per code.
     pub fn bits(&self) -> u8 {
-        self.codes.segment_bits[self.segment]
+        self.codes.bits
     }
 
     /// Number of dimensions.
@@ -597,6 +570,8 @@ mod tests {
         // out-of-range values clamp to edge cells
         assert_eq!(p.encode(-3.0), 0);
         assert_eq!(p.encode(3.0), 15);
+        // more bits, narrower cells
+        assert!(CodeParams::new(0.0, 1.0, 8).unwrap().max_error() < p.max_error());
         // degenerate range: one exact cell
         let flat = CodeParams::new(0.5, 0.5, 8).unwrap();
         assert_eq!(flat.encode(0.7), 0);
@@ -657,42 +632,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_builds_bracket_with_per_segment_widths() {
-        let (table, specs, stats) = sample_table();
-        let codes = StoreCodes::build_mixed(&table, &specs, &stats, &[4, 8, 4]).unwrap();
-        assert_eq!(codes.segment_bits(), &[4, 8, 4]);
-        assert_eq!(codes.bits(), 8, "widest grid");
-        assert_eq!(codes.uniform_bits(), None);
-        for (si, spec) in specs.iter().enumerate() {
-            let view = codes.segment_view(si).unwrap();
-            assert_eq!(view.bits(), [4, 8, 4][si]);
-            assert_eq!(view.levels(), 1usize << [4, 8, 4][si]);
-            for d in 0..3 {
-                let window = view.dim_codes(d).unwrap();
-                let exact = &table.column(d).unwrap().values()[spec.range()];
-                let grid = view.params(d);
-                assert_eq!(grid.bits, [4, 8, 4][si]);
-                for (&code, &v) in window.iter().zip(exact) {
-                    assert!((code as u32) < grid.levels());
-                    let (lo, hi) = grid.cell_bounds(code);
-                    assert!(lo <= v + 1e-12 && v <= hi + 1e-12);
-                }
-            }
-        }
-        // a uniform build is the same thing said twice
-        let uniform = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
-        assert_eq!(uniform.uniform_bits(), Some(8));
-        assert_eq!(uniform.segment_bits(), &[8, 8, 8]);
-    }
-
-    #[test]
     fn build_rejects_bad_inputs() {
         let (table, specs, stats) = sample_table();
         assert!(StoreCodes::build(&table, &specs, &stats, 0).is_err());
         assert!(StoreCodes::build(&table, &specs, &stats, 9).is_err());
         assert!(StoreCodes::build(&table, &specs, &stats[..2], 8).is_err());
-        assert!(StoreCodes::build_mixed(&table, &specs, &stats, &[8, 8]).is_err());
-        assert!(StoreCodes::build_mixed(&table, &specs, &stats, &[8, 0, 8]).is_err());
         // a checked table refuses the NaN outright; a table a store reader
         // opened unchecked can still carry one, and the build must refuse it
         let vectors = [vec![0.1], vec![f64::NAN]];

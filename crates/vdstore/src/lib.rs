@@ -17,12 +17,12 @@
 //!   range select), positional joins/gathers and element-wise maps,
 //! * [`Bitmap`] is the candidate-set representation used in the early BOND
 //!   iterations before the engine switches to materialised candidate lists,
-//! * [`quantize`] provides the 8-bit scalar quantization used both by
-//!   BOND-on-compressed-fragments (Figure 9 / Table 4) and by the VA-File
-//!   baseline,
-//! * [`codes`] builds the per-segment `u8` code companions the execution
-//!   engine's quantized first-pass filter sweeps — persisted in the v2
-//!   footer and exposed zero-copy on the mapped backend,
+//! * [`codes`] builds the per-segment `u8` code companions — the one
+//!   scalar quantization of the workspace: the execution engine's
+//!   quantized first-pass filter sweeps them (persisted in the v2 footer
+//!   and exposed zero-copy on the mapped backend), and the VA-File
+//!   baseline and the Figure 9 / Table 4 experiments build a one-segment
+//!   companion,
 //! * [`stats`] computes the dataset statistics of Figure 2 that motivate the
 //!   dimension-ordering heuristics,
 //! * [`persist`] serialises decomposed tables to a simple binary format
@@ -49,7 +49,6 @@ pub mod error;
 pub mod mmap;
 pub mod ops;
 pub mod persist;
-pub mod quantize;
 pub mod rowmatrix;
 pub mod segment;
 pub mod stats;
@@ -63,7 +62,6 @@ pub use column::{Column, ColumnData};
 pub use error::{Result, VdError};
 pub use mmap::{Advice, MappedRegion, StorageBackend};
 pub use persist::{PersistReport, PersistedStore};
-pub use quantize::{QuantizedColumn, QuantizedTable};
 pub use rowmatrix::RowMatrix;
 pub use segment::{Envelope, Segment, SegmentSpec, SegmentStats};
 pub use stats::{ColumnStats, DatasetStats};

@@ -38,7 +38,7 @@
 //!           codes section (optional — present iff any footer bytes remain
 //!             before the footer checksum; stores written without codes are
 //!             byte-identical to the pre-codes format):
-//!             bits u8 (1..=8)
+//!             bits u8 (1..=8), the width of every segment's codes
 //!             per segment, per dim: code grid min f64, max f64
 //!             per dim: rows bytes of u8 cell codes, segment windows
 //!               encoded with that segment's grid
@@ -46,6 +46,11 @@
 //!           footer checksum u64 (FNV-1a over all preceding footer bytes)
 //! trailer : footer_offset u64, tail magic 8 bytes = b"BONDFT02"
 //! ```
+//!
+//! Older writers could give each segment its own code width: a `bits` byte
+//! of 0 followed by one width byte (1..=8) per segment. The reader still
+//! parses and verifies that form, and opens it without codes — an engine
+//! builds its one-width companion on first use.
 //!
 //! Fragment checksums are verified on heap opens (every fragment is being
 //! decoded anyway) and, for mapped opens, on copy-on-write promotion — the
@@ -329,31 +334,16 @@ fn store_footer(
     buf.put_u32_le(learned.len() as u32);
     buf.put_slice(learned);
     if let Some(codes) = codes {
-        // One byte of uniform width keeps every pre-adaptive store
-        // byte-identical; the 0 sentinel (an invalid width) flags a mixed
-        // store and is followed by one width byte per segment.
-        match codes.uniform_bits() {
-            Some(bits) => buf.put_u8(bits),
-            None => {
-                buf.put_u8(0);
-                for &b in codes.segment_bits() {
-                    buf.put_u8(b);
-                }
-            }
+        buf.put_u8(codes.bits());
+        for grid in codes.params().iter().flatten() {
+            buf.put_f64_le(grid.min);
+            buf.put_f64_le(grid.max);
         }
-        for si in 0..codes.n_segments() {
-            let view = codes.segment_view(si).expect("segment in range");
-            for d in 0..codes.dims() {
-                let grid = view.params(d);
-                buf.put_f64_le(grid.min);
-                buf.put_f64_le(grid.max);
-            }
+        for column in codes.columns() {
+            buf.put_slice(column.as_slice());
         }
-        for d in 0..codes.dims() {
-            buf.put_slice(codes.dim_codes(d).expect("dim in range"));
-        }
-        for d in 0..codes.dims() {
-            buf.put_u64_le(codes.checksum(d).expect("dim in range"));
+        for &checksum in codes.checksums() {
+            buf.put_u64_le(checksum);
         }
     }
     buf
@@ -603,7 +593,7 @@ struct StoreLayout {
 /// grids plus the absolute file offset of each dimension's code bytes (the
 /// mapped backend views them zero-copy at exactly those offsets).
 struct CodesLayout {
-    segment_bits: Vec<u8>,
+    bits: u8,
     params: Vec<Vec<CodeParams>>,
     dim_offsets: Vec<usize>,
     checksums: Vec<u64>,
@@ -763,10 +753,10 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
         if bits > 8 {
             return Err(VdError::Corrupt(format!("code bits {bits} outside 1..=8")));
         }
-        // bits == 0 is the mixed-width sentinel: one width byte per segment
-        // follows. Any non-zero value is the uniform width of every segment
-        // (the only form pre-adaptive stores ever wrote).
-        let segment_bits: Vec<u8> = if bits == 0 {
+        // bits == 0 is the mixed-width sentinel of older writers: one width
+        // byte per segment follows. It is parsed and verified like the
+        // one-width form, then dropped (see the module docs).
+        let widths: Vec<u8> = if bits == 0 {
             let mut widths = Vec::with_capacity(specs.len());
             for _ in 0..specs.len() {
                 let b = read_u8(&mut footer, "per-segment code bits")?;
@@ -782,12 +772,12 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
             vec![bits; specs.len()]
         };
         let mut params = Vec::with_capacity(specs.len());
-        for (spec, &seg_bits) in specs.iter().zip(&segment_bits) {
+        for (spec, &width) in specs.iter().zip(&widths) {
             let mut per_dim = Vec::with_capacity(dims);
             for _ in 0..dims {
                 let min = read_f64(&mut footer, "code grid minimum")?;
                 let max = read_f64(&mut footer, "code grid maximum")?;
-                per_dim.push(CodeParams::new(min, max, seg_bits).map_err(|e| {
+                per_dim.push(CodeParams::new(min, max, width).map_err(|e| {
                     VdError::Corrupt(format!("segment {:?} code grid: {e}", spec.range()))
                 })?);
             }
@@ -815,7 +805,7 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
                 });
             }
         }
-        Some(CodesLayout { segment_bits, params, dim_offsets, checksums: code_checksums })
+        (bits != 0).then_some(CodesLayout { bits, params, dim_offsets, checksums: code_checksums })
     };
     if !footer.is_empty() {
         return Err(VdError::Corrupt(format!("{} trailing bytes in footer", footer.len())));
@@ -842,7 +832,7 @@ fn assemble_store(
 ) -> Result<PersistedStore> {
     let codes = match (layout.codes, code_columns) {
         (Some(c), Some(code_columns)) => Some(StoreCodes::from_parts(
-            c.segment_bits,
+            c.bits,
             layout.rows,
             layout.specs.clone(),
             c.params,
@@ -1418,54 +1408,55 @@ mod tests {
         ));
     }
 
+    /// `bytes` (a store with 8-bit codes over `plain_len`-byte plain
+    /// footers) with its one code-width byte replaced by `widths` and the
+    /// footer checksum re-sealed.
+    fn with_code_widths(bytes: &[u8], plain_len: usize, widths: &[u8]) -> Vec<u8> {
+        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+        // the codes section starts where the plain footer's checksum sat
+        let at = plain_len - TRAILER_LEN - 8;
+        assert_eq!(bytes[at], 8);
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(widths);
+        out.extend_from_slice(&bytes[at + 1..bytes.len() - TRAILER_LEN - 8]);
+        let checksum = fnv1a(&out[footer_offset..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out.extend_from_slice(trailer);
+        out
+    }
+
     #[test]
-    fn mixed_width_codes_round_trip_via_the_sentinel() {
+    fn mixed_width_sentinel_footers_open_without_codes() {
         let t = sample();
         let specs = t.partition_specs(2);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        let mixed = StoreCodes::build_mixed(&t, &specs, &stats, &[4, 8]).unwrap();
+        let codes = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
+        let plain = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
+        assert_eq!(with_code_widths(&bytes, plain.len(), &[8]), bytes.to_vec());
 
-        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&mixed)).unwrap();
-        let back = store_from_bytes(&bytes).unwrap();
-        let back = back.codes.as_ref().unwrap();
-        assert_eq!(back.segment_bits(), &[4, 8]);
-        assert_eq!(back.uniform_bits(), None);
-        for d in 0..t.dims() {
-            assert_eq!(back.dim_codes(d).unwrap(), mixed.dim_codes(d).unwrap());
-            for si in 0..specs.len() {
-                assert_eq!(
-                    back.segment_view(si).unwrap().params(d),
-                    mixed.segment_view(si).unwrap().params(d)
-                );
-            }
-        }
-
-        // a uniform store writes the pre-adaptive single-byte form: the
-        // bytes must not mention the sentinel at all (they are exactly one
-        // uniform-width byte shorter than the equivalent sentinel form)
-        let uniform = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
-        let uniform_bytes =
-            store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&uniform)).unwrap();
-        let sentinel_overhead = specs.len();
-        assert_eq!(uniform_bytes.len() + sentinel_overhead, bytes.len());
-        assert_eq!(
-            store_from_bytes(&uniform_bytes).unwrap().codes.unwrap().segment_bits(),
-            &[8, 8]
-        );
-
-        // both backends reopen the mixed widths from disk
+        // the sentinel and one width per segment: parsed, verified, dropped
+        let mixed = with_code_widths(&bytes, plain.len(), &[0, 4, 8]);
+        let heap = store_from_bytes(&mixed).unwrap();
+        assert!(heap.codes.is_none());
+        assert_eq!(heap.specs, specs);
         let dir = std::env::temp_dir().join("vdstore_store_mixed_codes_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mixed.bondvd");
-        save_store_with_codes(&t, &specs, &stats, None, Some(&mixed), &path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), bytes.to_vec());
-        let heap = open_store(&path, StorageBackend::Heap).unwrap();
-        assert_eq!(heap.codes.as_ref().unwrap().segment_bits(), &[4, 8]);
-        if StorageBackend::mapping_supported() {
-            let mapped = open_store(&path, StorageBackend::Mapped).unwrap();
-            assert_eq!(mapped.codes.as_ref().unwrap().segment_bits(), &[4, 8]);
+        std::fs::write(&path, &mixed).unwrap();
+        for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+            let store = open_store(&path, backend).unwrap();
+            assert!(store.codes.is_none(), "{backend:?}");
+            assert_eq!(store.table.value(2, 1).unwrap(), t.value(2, 1).unwrap());
         }
         std::fs::remove_file(&path).unwrap();
+
+        // a width byte outside 1..=8 is corrupt, in either form
+        for widths in [&[0, 0, 8][..], &[0, 8, 9], &[9]] {
+            let err = store_from_bytes(&with_code_widths(&bytes, plain.len(), widths)).unwrap_err();
+            assert!(matches!(err, VdError::Corrupt(ref m) if m.contains("code bits")), "{err}");
+        }
     }
 
     #[test]

@@ -5,10 +5,22 @@
 
 use proptest::prelude::*;
 use vdstore::{
-    ops, persist, Bitmap, Column, DecomposedTable, QuantizedColumn, TopKLargest, TopKSmallest,
+    ops, persist, Bitmap, CodeParams, DecomposedTable, SegmentStats, StoreCodes, TopKLargest,
+    TopKSmallest, VdError,
 };
 
 const LEN: usize = 200;
+
+/// A one-column table of `values` and its `bits`-bit codes over
+/// `partitions` segments.
+fn one_column_codes(values: &[f64], partitions: usize, bits: u8) -> (DecomposedTable, StoreCodes) {
+    let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+    let table = DecomposedTable::from_vectors("c", &vectors).unwrap();
+    let specs = table.partition_specs(partitions);
+    let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+    let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
+    (table, codes)
+}
 
 fn rows(max: u32) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0..max, 0..(max as usize)).prop_map(|mut v| {
@@ -52,17 +64,22 @@ proptest! {
     #[test]
     fn quantization_brackets_every_value(
         values in proptest::collection::vec(-10.0f64..10.0, 1..120),
-        bits in 1u8..=12,
+        bits in 1u8..=8,
+        partitions in 1usize..=3,
     ) {
-        let column = Column::new("c", values.clone());
-        let q = QuantizedColumn::from_column(&column, bits).unwrap();
-        for (i, &v) in values.iter().enumerate() {
-            let r = i as u32;
-            prop_assert!(q.cell_lower(r) <= v + 1e-9);
-            prop_assert!(q.cell_upper(r) >= v - 1e-9);
-            prop_assert!((q.approximate(r) - v).abs() <= q.max_error() + 1e-9);
-            let (lo, hi) = q.query_cell(v);
-            prop_assert!(lo <= v + 1e-9 && v <= hi + 1e-9);
+        let (table, codes) = one_column_codes(&values, partitions, bits);
+        for (si, spec) in codes.specs().iter().enumerate() {
+            let view = codes.segment_view(si).unwrap();
+            let grid = view.params(0);
+            prop_assert_eq!(grid.bits, bits);
+            let exact = &table.column(0).unwrap().values()[spec.range()];
+            for (&code, &v) in view.dim_codes(0).unwrap().iter().zip(exact) {
+                prop_assert!((code as u32) < grid.levels());
+                prop_assert_eq!(code, grid.encode(v));
+                let (lo, hi) = grid.cell_bounds(code);
+                prop_assert!(lo <= v + 1e-9 && v <= hi + 1e-9, "{} outside [{}, {}]", v, lo, hi);
+                prop_assert!((grid.approximate(code) - v).abs() <= grid.max_error() + 1e-9);
+            }
         }
     }
 
@@ -71,35 +88,52 @@ proptest! {
         values in proptest::collection::vec(-10.0f64..10.0, 1..60),
         at_seed in 0usize..1_000_000_000,
         kind in 0u8..3,
-        bits in 1u8..=16,
+        bits in 1u8..=8,
     ) {
-        let mut values = values;
-        let at = at_seed % values.len();
-        values[at] = match kind {
+        let bad = match kind {
             0 => f64::NAN,
             1 => f64::INFINITY,
             _ => f64::NEG_INFINITY,
         };
-        let column = Column::new("c", values);
-        let err = QuantizedColumn::from_column(&column, bits).unwrap_err();
-        prop_assert!(matches!(err, vdstore::VdError::InvalidQuantization(_)));
+        let err = CodeParams::new(bad, 10.0, bits).unwrap_err();
+        prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
+        let err = CodeParams::new(-10.0, bad, bits).unwrap_err();
+        prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
+
+        // the checked constructors refuse the value outright; a table read
+        // back from bytes is unchecked, and the encoder must refuse it
+        const MARKER: f64 = 1234.5;
+        let mut values = values;
+        let at = at_seed % values.len();
+        values[at] = MARKER;
+        let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+        let table = DecomposedTable::from_vectors("c", &vectors).unwrap();
+        let mut bytes = persist::table_to_bytes(&table).to_vec();
+        let marker = MARKER.to_le_bytes();
+        let pos = bytes.windows(8).position(|w| w == marker).unwrap();
+        bytes[pos..pos + 8].copy_from_slice(&bad.to_le_bytes());
+        let table = persist::table_from_bytes(&bytes).unwrap();
+        prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
+        let specs = table.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+        let err = StoreCodes::build(&table, &specs, &stats, bits).unwrap_err();
+        prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
     }
 
     #[test]
     fn all_equal_columns_quantize_to_exact_single_level_codes(
         value in -10.0f64..10.0,
         len in 1usize..80,
-        bits in 1u8..=12,
+        bits in 1u8..=8,
     ) {
-        let column = Column::new("c", vec![value; len]);
-        let q = QuantizedColumn::from_column(&column, bits).unwrap();
-        prop_assert_eq!(q.max_error(), 0.0);
-        for r in 0..len as u32 {
-            prop_assert_eq!(q.code(r), 0);
-            prop_assert_eq!(q.cell_lower(r), value);
-            prop_assert_eq!(q.cell_upper(r), value);
-            prop_assert_eq!(q.approximate(r), value);
-        }
+        let (_, codes) = one_column_codes(&vec![value; len], 1, bits);
+        let view = codes.segment_view(0).unwrap();
+        let grid = view.params(0);
+        prop_assert_eq!(grid.max_error(), 0.0);
+        prop_assert_eq!(grid.cell_bounds(0), (value, value));
+        prop_assert_eq!(grid.approximate(0), value);
+        prop_assert!(view.dim_codes(0).unwrap().iter().all(|&code| code == 0));
     }
 
     #[test]

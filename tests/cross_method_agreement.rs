@@ -1,14 +1,15 @@
 //! Cross-crate integration test: on a realistic generated workload, every
 //! search method in the repository — BOND with each criterion, BOND on
-//! compressed fragments, the VA-File, the sequential scans and the
-//! relational-algebra plan — must return the same top-k answers.
+//! 8-bit codes (the code sweep, then the exact refine), the VA-File, the
+//! sequential scans and the relational-algebra plan — must return the same
+//! top-k answers.
 
-use bond::{BlockSchedule, BondParams, BondSearcher, DimensionOrdering};
+use bond::SegmentContext;
+use bond::{search_segment, BlockSchedule, BondParams, BondSearcher, DimensionOrdering};
 use bond_baselines::{sequential_scan, sequential_scan_early_abandon, VaFile};
 use bond_datagen::{sample_queries, CorelLikeConfig};
-use bond_metrics::{HistogramIntersection, SquaredEuclidean};
+use bond_metrics::{HistogramIntersection, HqRule, SquaredEuclidean};
 use bond_relalg::BondHqProgram;
-use vdstore::QuantizedTable;
 
 fn sorted_scores(scores: impl IntoIterator<Item = f64>) -> Vec<f64> {
     let mut v: Vec<f64> = scores.into_iter().collect();
@@ -27,8 +28,8 @@ fn assert_scores_match(label: &str, a: &[f64], b: &[f64]) {
 fn all_methods_agree_on_corel_like_workload() {
     let table = CorelLikeConfig::small(1_500, 48).generate();
     let matrix = table.to_row_matrix();
-    let quantized = QuantizedTable::from_table(&table, 8).unwrap();
     let vafile = VaFile::build(&table, 8).unwrap();
+    let segment = table.segment(0..table.rows()).unwrap();
     let searcher = BondSearcher::new(&table);
     let params = BondParams {
         schedule: BlockSchedule::Fixed(8),
@@ -51,8 +52,22 @@ fn all_methods_agree_on_corel_like_workload() {
         let mil = BondHqProgram::new(k, 8).unwrap().execute(&table, &query).unwrap();
         assert_scores_match("MIL", &sorted_scores(mil.hits.iter().map(|h| h.score)), &truth_scores);
 
-        let compressed =
-            bond::search_compressed_histogram(&table, &quantized, &query, k, &params).unwrap();
+        // the VA-File's one-segment codes, swept in the Hq plan's order
+        let codes = vafile.codes().segment_view(0).unwrap();
+        let ctx = SegmentContext { codes: Some(codes), ..SegmentContext::default() };
+        let mut rule = HqRule::new();
+        let compressed = search_segment(
+            &segment,
+            &query,
+            &HistogramIntersection,
+            &mut rule,
+            k,
+            None,
+            &params,
+            &ctx,
+        )
+        .unwrap();
+        assert!(compressed.trace.filter_cells > 0, "the code sweep ran");
         assert_scores_match(
             "compressed",
             &sorted_scores(compressed.hits.iter().map(|h| h.score)),
