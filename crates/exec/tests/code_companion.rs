@@ -3,7 +3,8 @@
 //! data — warm feedback, tight per-segment selectivity, the regime that
 //! used to re-encode the store at 4 bits — keeps sweeping the one 8-bit
 //! companion, says so in EXPLAIN/ANALYZE, and persists it in the footer,
-//! from which a reopened engine seeds its cache.
+//! from which a reopened engine seeds its cache. Stores that still carry
+//! an older writer's mixed-width footer reopen without codes.
 
 use bond::CostModel;
 use bond_datagen::{sample_queries, ClusteredConfig};
@@ -11,6 +12,8 @@ use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, Rul
 use bond_obs::names;
 use std::path::PathBuf;
 use std::sync::Arc;
+use vdstore::checksum::fnv1a;
+use vdstore::persist::{store_to_bytes, store_to_bytes_with_codes};
 use vdstore::StorageBackend;
 
 const ROWS: usize = 2_000;
@@ -143,4 +146,69 @@ fn feedback_does_not_change_filter_work() {
             assert_eq!(run.trace.filter_dims, DIMS);
         }
     }
+}
+
+/// The store an older warmed engine persisted: `engine`'s footer with its
+/// feedback, its 8-bit codes section rewritten to the `0` sentinel plus
+/// one width per segment, and the footer checksum re-sealed.
+fn mixed_width_store_bytes(engine: &Engine, widths: &[u8]) -> Vec<u8> {
+    const TRAILER_LEN: usize = 16;
+    let feedback = engine.feedback_snapshot().to_bytes();
+    let (table, specs, stats) = (engine.table(), engine.segment_specs(), engine.segment_stats());
+    let codes = engine.ensure_adaptive_codes().unwrap();
+    let plain = store_to_bytes(table, specs, stats, Some(&feedback)).unwrap();
+    let bytes =
+        store_to_bytes_with_codes(table, specs, stats, Some(&feedback), Some(&*codes)).unwrap();
+    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+    // the codes section starts where the plain footer's checksum sat
+    let at = plain.len() - TRAILER_LEN - 8;
+    assert_eq!(bytes[at], CostModel::DEFAULT_CODE_BITS);
+    let mut out = bytes[..at].to_vec();
+    out.push(0);
+    out.extend_from_slice(widths);
+    out.extend_from_slice(&bytes[at + 1..bytes.len() - TRAILER_LEN - 8]);
+    let checksum = fnv1a(&out[footer_offset..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(trailer);
+    out
+}
+
+#[test]
+fn mixed_width_footers_reopen_as_no_codes() {
+    let engine = warmed_engine(2);
+    let widths: Vec<u8> = (0..PARTITIONS).map(|si| if si % 2 == 0 { 4 } else { 8 }).collect();
+    let path = temp_store("mixed");
+    std::fs::write(&path, mixed_width_store_bytes(&engine, &widths)).unwrap();
+
+    let queries = sample_queries(engine.table(), 4, 777);
+    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+        let reopened = EngineBuilder::open_with(&path, backend)
+            .unwrap()
+            .threads(2)
+            .rule(RuleKind::EuclideanEv)
+            .scan_mode(ScanMode::QuantizedFilter)
+            .build()
+            .unwrap();
+        for q in &queries {
+            let exact = reopened
+                .search_spec(&QuerySpec::new(q.clone(), 10).scan_mode(ScanMode::Exact))
+                .unwrap();
+            let got = reopened.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
+            assert_eq!(got.hits, exact.hits, "backend {backend:?}");
+        }
+        // the mixed companion was dropped, the 8-bit one built on first use
+        let codes = reopened.ensure_adaptive_codes().unwrap();
+        assert_eq!(codes.bits(), CostModel::DEFAULT_CODE_BITS, "{backend:?}");
+        assert!(!codes.is_mapped(), "backend {backend:?}");
+        assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
+
+        // and persisting it again writes the single-width form
+        let rewritten = temp_store("rewritten");
+        reopened.persist(&rewritten).unwrap();
+        let store = vdstore::persist::open_store(&rewritten, StorageBackend::Heap).unwrap();
+        std::fs::remove_file(&rewritten).unwrap();
+        assert_eq!(store.codes.unwrap().bits(), CostModel::DEFAULT_CODE_BITS);
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -1427,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_width_sentinel_footers_open_without_codes() {
+    fn mixed_width_codes_round_trip_via_the_sentinel() {
         let t = sample();
         let specs = t.partition_specs(2);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
