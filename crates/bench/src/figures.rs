@@ -45,6 +45,17 @@ impl PruningSeries {
         }
         value
     }
+
+    /// Appends the best/avg/worst candidate count over `traces` after `dims`
+    /// dimensions.
+    pub fn push_sample(&mut self, traces: &[PruneTrace], dims: usize) {
+        let counts: Vec<usize> =
+            traces.iter().map(|t| t.candidates_after(dims, self.total_rows)).collect();
+        self.dims.push(dims);
+        self.best.push(counts.iter().copied().min().unwrap_or(self.total_rows));
+        self.worst.push(counts.iter().copied().max().unwrap_or(self.total_rows));
+        self.avg.push(counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64);
+    }
 }
 
 /// Aggregates per-query traces into a best/avg/worst series sampled at every
@@ -56,20 +67,18 @@ pub fn aggregate_traces(
     total_dims: usize,
     step: usize,
 ) -> PruningSeries {
-    let mut dims = Vec::new();
-    let mut best = Vec::new();
-    let mut avg = Vec::new();
-    let mut worst = Vec::new();
-    let mut d = step.max(1);
-    while d <= total_dims {
-        let counts: Vec<usize> = traces.iter().map(|t| t.candidates_after(d, total_rows)).collect();
-        dims.push(d);
-        best.push(counts.iter().copied().min().unwrap_or(total_rows));
-        worst.push(counts.iter().copied().max().unwrap_or(total_rows));
-        avg.push(counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64);
-        d += step.max(1);
+    let mut series = PruningSeries {
+        label: label.to_string(),
+        total_rows,
+        dims: Vec::new(),
+        best: Vec::new(),
+        avg: Vec::new(),
+        worst: Vec::new(),
+    };
+    for d in (step.max(1)..=total_dims).step_by(step.max(1)) {
+        series.push_sample(traces, d);
     }
-    PruningSeries { label: label.to_string(), total_rows, dims, best, avg, worst }
+    series
 }
 
 /// The dataset statistics of Figure 2.
@@ -228,8 +237,11 @@ pub fn fig8(scale: ExperimentScale) -> Vec<PruningSeries> {
 
 /// Figure 9: Hq pruning on exact vs. 8-bit-quantized fragments. The codes
 /// series is the engine's code sweep ([`crate::hq_on_codes`]), whose steps
-/// back off while they remove nothing; it is read every 8 dimensions like
-/// the exact series.
+/// back off while they remove nothing and whose κ is proven only by its
+/// probes, after the first and the last block — so the curve drops there
+/// and the steps in between remove only what the first κ reaches. Both
+/// series are read every 8 dimensions and once more at the last dimension,
+/// where the sweep's last block, and its second probe, end.
 pub fn fig9(scale: ExperimentScale) -> Vec<PruningSeries> {
     let table = workloads::corel(scale);
     let queries = workloads::queries(&table, scale);
@@ -241,10 +253,17 @@ pub fn fig9(scale: ExperimentScale) -> Vec<PruningSeries> {
         .iter()
         .map(|q| crate::hq_on_codes(vafile.codes(), &live, q, 10).expect("filter succeeds").1)
         .collect();
-    vec![
-        aggregate_traces("Hq exact", &exact, table.rows(), table.dims(), 8),
-        aggregate_traces("Hq 8-bit codes", &on_codes, table.rows(), table.dims(), 8),
-    ]
+    let (rows, dims) = (table.rows(), table.dims());
+    let mut series = vec![
+        aggregate_traces("Hq exact", &exact, rows, dims, 8),
+        aggregate_traces("Hq 8-bit codes", &on_codes, rows, dims, 8),
+    ];
+    if dims % 8 != 0 {
+        for (s, traces) in series.iter_mut().zip([&exact, &on_codes]) {
+            s.push_sample(traces, dims);
+        }
+    }
+    series
 }
 
 /// Figure 10: effect of the cluster-center skew θ on Ev over the clustered

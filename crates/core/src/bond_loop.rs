@@ -6,10 +6,13 @@
 //! §7.4 runs that loop on VA-File-style codes; what is left after it is
 //! refined exactly in bound order (`searcher`); the exact loop runs in
 //! exact mode and after a code filter that proved no κ. What a block
-//! sweeps and how a candidate is bounded is a [`BoundSource`]'s business:
-//! the code intervals of `quantfilter`, or the exact partial scores and
-//! pruning rule of `searcher`. The rest is written once, here: the
-//! [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
+//! sweeps, how a candidate is bounded and where κ is proven is a
+//! [`BoundSource`]'s business: the code intervals of `quantfilter`, which
+//! carry only the optimistic bound and prove κ by a probe after the first
+//! and the last block ([`Proof::Probe`]), or the exact partial scores and
+//! pruning rule of `searcher`, which prove κ from the heap of pessimistic
+//! bounds at every step ([`Proof::Heap`]). The rest is written once, here:
+//! the [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
 //! block sizes ([`Blocks`]), κ sharing, and the per-thread [`Scratch`]
 //! both spaces work in.
 //!
@@ -39,33 +42,43 @@ use crate::schedule::BlockSchedule;
 use crate::searcher::{prune_slack, RowState};
 
 /// Every candidate's bounds after a block, at its slot (see
-/// [`CandidateSet::prune`]): the optimistic one at `opt[slot · stride]`,
-/// the pessimistic one at `pes[slot · stride + pes_lane]`.
+/// [`CandidateSet::prune`]).
 pub(crate) struct Bounds<'a> {
+    /// The optimistic bound the pruning pass tests against κ.
     pub(crate) opt: &'a [f64],
-    pub(crate) pes: &'a [f64],
-    pub(crate) stride: usize,
-    pub(crate) pes_lane: usize,
+    /// What the κ heap collects of every keeper: its pessimistic bound
+    /// where the heap proves κ ([`Proof::Heap`]), its optimistic bound
+    /// where a probe does ([`Proof::Probe`]) — the heap then holds the `k`
+    /// rows the probe completes.
+    pub(crate) heap: &'a [f64],
     /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
     pub(crate) sign: f64,
     /// Added to every optimistic bound before it is tested — the best the
     /// unswept dimensions can still add.
     pub(crate) opt_add: f64,
-    /// Added, in goodness space, to the k-th best pessimistic bound before
-    /// it becomes κ — the worst the unswept dimensions can add. `−0.0`
-    /// adds nothing, not even to a `−0.0`.
-    pub(crate) pes_gain: f64,
+}
+
+/// Where a [`BoundSource`] proves κ, and so which steps collect the κ heap
+/// and what they prune with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Proof {
+    /// The heap, at every step: a step collects the `k` best pessimistic
+    /// bounds over every candidate and prunes with the κ they prove.
+    Heap,
+    /// The probe, after the first and after the last block: every step
+    /// prunes with the κ it carried in — its own earlier κ or a sibling's,
+    /// read from the shared cell — and on those two steps the heap
+    /// collects the `k` keepers with the best optimistic bound, the probe
+    /// completes their pessimistic bounds, and the step prunes again with
+    /// the κ that proves.
+    Probe,
 }
 
 /// What one search space contributes to the loop: how a block is swept
 /// and how a candidate is bounded afterwards.
 pub(crate) trait BoundSource {
-    /// Whether a step prunes with the κ it carried in — its own earlier κ
-    /// or a sibling's, read from the shared cell — while it collects the κ
-    /// heap, and re-prunes with the fresh κ only after the first and the
-    /// last block. Otherwise a step collects over every candidate and
-    /// prunes with the κ it just proved.
-    const CARRIES_KAPPA: bool;
+    /// Where this source proves κ.
+    const PROOF: Proof;
 
     /// The number of dimensions the loop can sweep.
     fn dims(&self) -> usize;
@@ -81,10 +94,9 @@ pub(crate) trait BoundSource {
     /// The bounds [`BoundSource::bound`] left after `swept` dimensions.
     fn bounds(&self, swept: usize) -> Bounds<'_>;
 
-    /// After the first block: a κ proven by completing the pessimistic
-    /// bound of the k rows in `best` over the unswept dimensions, or
-    /// `None` when the source runs no probe.
-    fn probe(&mut self, _best: &TopKLargest, _swept: usize) -> Result<Option<f64>> {
+    /// Under [`Proof::Probe`]: a κ proven by completing the pessimistic
+    /// bound of the `k` rows in `best` (`None` when nothing is proven).
+    fn probe(&mut self, _best: &TopKLargest) -> Result<Option<f64>> {
         Ok(None)
     }
 
@@ -175,18 +187,26 @@ impl BondLoop<'_> {
             let sign = bounds.sign;
             let current =
                 self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
-            let carried = if S::CARRIES_KAPPA { kappa.max(current) } else { f64::NEG_INFINITY };
-            // Prune with the carried κ and collect the k best pessimistic
-            // bounds of the keepers. (A row dropped here could not have
-            // raised κ: its pessimistic bound is below its optimistic one,
-            // which already missed κ.)
-            let mut removed = self.pass(candidates, carried, &bounds, Some(&mut *best));
-            let mut fresh = best.kth().map(|kth| kth + bounds.pes_gain);
-            if let (Some(proven), 1, true) = (fresh, steps, swept < dims) {
-                if let Some(probed) = source.probe(best, swept)? {
-                    fresh = Some(proven.max(probed));
-                }
-            }
+            // A probe source proves κ after the first and the last block
+            // only: after the first the probe lifts κ from nothing to nearly
+            // final and whole words die, and what is left after the last is
+            // refined exactly. In between it prunes with what it carried.
+            let (carried, proves) = match S::PROOF {
+                Proof::Heap => (f64::NEG_INFINITY, true),
+                Proof::Probe => (kappa.max(current), steps == 1 || swept == dims),
+            };
+            // Prune with the carried κ and collect the heap over the
+            // keepers. (A row dropped here could not have raised κ: both
+            // its bounds are at most its optimistic one, which already
+            // missed κ.)
+            let mut removed = self.pass(candidates, carried, &bounds, proves.then_some(&mut *best));
+            let fresh = match best.kth().filter(|_| proves) {
+                None => None,
+                Some(kth) => match S::PROOF {
+                    Proof::Heap => Some(kth),
+                    Proof::Probe => source.probe(best)?,
+                },
+            };
             // Publish what was proven — a vacuous (infinite) bound proves
             // nothing — and adopt the tightest κ any segment has proven.
             kappa = match fresh {
@@ -196,12 +216,7 @@ impl BondLoop<'_> {
                 },
                 _ => carried.max(current),
             };
-            // A source that carries κ applies a fresh one at once only where
-            // it pays: after the first block the probe lifts κ from nothing
-            // to nearly final and whole words die, and what is left after
-            // the last block is refined exactly. In between it rides along
-            // with the next step's pass.
-            if kappa > carried && (!S::CARRIES_KAPPA || steps == 1 || swept == dims) {
+            if kappa > carried && proves {
                 removed += self.pass(candidates, kappa, &source.bounds(swept), None);
             }
             alive -= removed;
@@ -241,7 +256,7 @@ impl BondLoop<'_> {
 }
 
 /// A worker thread's working memory for both spaces: the code sweep's
-/// accumulators and LUTs (and the survivors' bound order the exact refine
+/// accumulator and LUTs (and the survivors' bound order the exact refine
 /// reads from them), the exact search's per-row state, and the κ heap.
 /// Grown to the largest segment the thread has searched and reused
 /// after that, so steady-state searches allocate nothing that grows with
@@ -272,9 +287,9 @@ pub(crate) mod tests {
     use std::collections::HashSet;
 
     use bond_metrics::{
-        DecomposableMetric, EqRule, EvRule, HhRule, HistogramIntersection, HqRule, PruningRule,
-        SquaredEuclidean, WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule,
-        WeightedSquaredEuclidean,
+        DecomposableMetric, EqRule, EvRule, HhRule, HistogramIntersection, HqRule, Objective,
+        PruningRule, SquaredEuclidean, WeightedEvRule, WeightedHistogramIntersection,
+        WeightedHqRule, WeightedSquaredEuclidean,
     };
     use vdstore::{Bitmap, DecomposedTable, RowId, SegmentStats, StoreCodes};
 
@@ -360,16 +375,16 @@ pub(crate) mod tests {
         bounds: &Bounds<'_>,
         mut best: Option<&mut TopKLargest>,
     ) -> usize {
-        let &Bounds { opt, pes, stride, pes_lane, sign, .. } = bounds;
+        let &Bounds { opt, heap, sign, .. } = bounds;
         if let Some(best) = best.as_deref_mut() {
             best.clear();
         }
         let mut doomed = HashSet::new();
         for (slot, row) in slots(set) {
-            if keep.is_some_and(|test| !test.survives(opt[slot * stride])) {
+            if keep.is_some_and(|test| !test.survives(opt[slot])) {
                 doomed.insert(row);
             } else if let Some(best) = best.as_deref_mut() {
-                best.push(row, sign * pes[slot * stride + pes_lane]);
+                best.push(row, sign * heap[slot]);
             }
         }
         let mut stats = STEP_STATS.with(Cell::get);
@@ -391,32 +406,56 @@ pub(crate) mod tests {
         doomed.len()
     }
 
-    /// A seam that checks, at every pruning pass, `pessimistic ≤ exact ≤
-    /// optimistic` in goodness space for every candidate — each bound with
-    /// its unswept part (`opt_add`, `pes_gain`) — and then runs the real
-    /// pass. `exact[row]` is the segment-local row's exact score; `checked`
+    /// A seam that checks, at every pruning pass, `exact ≤ optimistic` in
+    /// goodness space for every candidate — the bound with its unswept part
+    /// (`opt_add`) — and under [`Proof::Heap`] also `pessimistic ≤ exact`
+    /// (the heap bound), then runs the real pass.
+    /// `exact[row]` is the segment-local row's exact score; `checked`
     /// counts the candidates checked.
     fn checking_seam(
         exact: Vec<f64>,
+        proof: Proof,
         kernel: Kernel,
         checked: std::rc::Rc<Cell<usize>>,
         ctx: String,
     ) -> Seam {
         Box::new(move |set, keep, bounds, best| {
-            let &Bounds { opt, pes, stride, pes_lane, sign, opt_add, pes_gain } = bounds;
+            let &Bounds { opt, heap, sign, opt_add } = bounds;
             for (slot, row) in slots(set) {
                 let score = sign * exact[row as usize];
                 let tol = 1e-9 * score.abs().max(1.0);
-                let pessimistic = sign * pes[slot * stride + pes_lane] + pes_gain;
-                let optimistic = sign * (opt[slot * stride] + opt_add);
+                let optimistic = sign * (opt[slot] + opt_add);
                 assert!(
-                    pessimistic <= score + tol && score <= optimistic + tol,
-                    "{ctx}: row {row} scores {score}, bounds [{pessimistic}, {optimistic}]"
+                    score <= optimistic + tol,
+                    "{ctx}: row {row} scores {score}, optimistic bound {optimistic}"
                 );
+                if proof == Proof::Heap {
+                    let pessimistic = sign * heap[slot];
+                    assert!(
+                        pessimistic <= score + tol,
+                        "{ctx}: row {row} scores {score}, pessimistic bound {pessimistic}"
+                    );
+                }
             }
             checked.set(checked.get() + set.len());
             set.prune(kernel, keep, bounds, best)
         })
+    }
+
+    /// A κ cell that keeps every κ a segment offers it (score space) and
+    /// shares none: each proof is checked on its own.
+    #[derive(Default)]
+    struct Proofs(std::sync::Mutex<Vec<f64>>);
+
+    impl KappaCell for Proofs {
+        fn tighten(&self, local: f64) -> f64 {
+            self.0.lock().unwrap().push(local);
+            local
+        }
+
+        fn current(&self) -> Option<f64> {
+            None
+        }
     }
 
     /// Normalized peaky histograms (values in `[0, 1]`, mass 1 — what Hh
@@ -481,7 +520,7 @@ pub(crate) mod tests {
     }
 
     impl BoundSource for Scripted {
-        const CARRIES_KAPPA: bool = false;
+        const PROOF: Proof = Proof::Heap;
 
         fn dims(&self) -> usize {
             self.dims
@@ -500,15 +539,7 @@ pub(crate) mod tests {
         }
 
         fn bounds(&self, _: usize) -> Bounds<'_> {
-            Bounds {
-                opt: &self.opt,
-                pes: &self.pes,
-                stride: 1,
-                pes_lane: 0,
-                sign: 1.0,
-                opt_add: 0.0,
-                pes_gain: -0.0,
-            }
+            Bounds { opt: &self.opt, heap: &self.pes, sign: 1.0, opt_add: 0.0 }
         }
     }
 
@@ -550,6 +581,12 @@ pub(crate) mod tests {
         assert_eq!((seen, steps), (vec![8; 16], 16));
     }
 
+    /// Soundness in both spaces, at every pruning pass: every candidate's
+    /// optimistic bound reaches its exact score; in exact space, whose heap
+    /// proves κ, its pessimistic bound does not pass it; in code space,
+    /// which proves κ by its probe, every κ proven is no better than the
+    /// k-th best exact score of the eligible rows. All six rules, all four
+    /// metrics, three filters, three `k`, both kernels.
     #[test]
     fn bounds_hold_at_every_step_in_both_spaces() {
         const ROWS: usize = 300;
@@ -585,7 +622,7 @@ pub(crate) mod tests {
         };
         let checked = std::rc::Rc::new(Cell::new(0usize));
         let mut scratch = Scratch::default();
-        let mut cases = 0usize;
+        let (mut cases, mut proofs) = (0usize, 0usize);
         for kernel in [Kernel::Scalar, Kernel::active()] {
             for filter in ["none", "1 row", "10 %"] {
                 let eligible = eligible(&live, filter);
@@ -600,7 +637,7 @@ pub(crate) mod tests {
                             format!("exact {} {filter} k={k} {}", rule.name(), kernel.label());
                         let context =
                             SegmentContext { filter: Some(&eligible), ..SegmentContext::default() };
-                        let seam = checking_seam(exact, kernel, checked.clone(), ctx);
+                        let seam = checking_seam(exact, Proof::Heap, kernel, checked.clone(), ctx);
                         with_seam(seam, || {
                             search_segment_with(
                                 &segment,
@@ -618,16 +655,32 @@ pub(crate) mod tests {
                         });
                         cases += 1;
                     }
-                    // the code source, all four metrics
+                    // the code source, all four metrics: optimistic bounds at
+                    // every pass, and every κ a probe proves
                     let metrics: [&dyn DecomposableMetric; 4] =
                         [&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
                     for metric in metrics {
                         let exact: Vec<f64> = (0..ROWS)
                             .map(|r| metric.score(&table.row(r as u32).unwrap(), &query))
                             .collect();
+                        let sign = match metric.objective() {
+                            Objective::Maximize => 1.0,
+                            Objective::Minimize => -1.0,
+                        };
+                        let mut eligible_scores: Vec<f64> =
+                            eligible.iter().map(|row| sign * exact[row as usize]).collect();
+                        eligible_scores.sort_by(|a, b| b.total_cmp(a));
+                        let kth = eligible_scores.get(k - 1).copied();
                         let ctx =
                             format!("codes {} {filter} k={k} {}", metric.name(), kernel.label());
-                        let seam = checking_seam(exact, kernel, checked.clone(), ctx);
+                        let seam = checking_seam(
+                            exact,
+                            Proof::Probe,
+                            kernel,
+                            checked.clone(),
+                            ctx.clone(),
+                        );
+                        let cell = Proofs::default();
                         with_seam(seam, || {
                             filter_segment_in_order(
                                 &view,
@@ -635,7 +688,7 @@ pub(crate) mod tests {
                                 &query,
                                 k,
                                 &eligible,
-                                None,
+                                Some(&cell),
                                 kernel,
                                 None,
                                 None,
@@ -643,6 +696,17 @@ pub(crate) mod tests {
                             )
                             .unwrap()
                         });
+                        for kappa in cell.0.into_inner().unwrap() {
+                            let kth =
+                                kth.unwrap_or_else(|| panic!("{ctx}: κ {kappa} from < k rows"));
+                            let tol = 1e-9 * kth.abs().max(1.0);
+                            assert!(
+                                sign * kappa <= kth + tol,
+                                "{ctx}: proved κ {kappa}, the k-th best exact score is {}",
+                                sign * kth
+                            );
+                            proofs += 1;
+                        }
                         cases += 1;
                     }
                 }
@@ -650,5 +714,6 @@ pub(crate) mod tests {
         }
         assert_eq!(cases, 2 * 3 * 3 * (6 + 4));
         assert!(checked.get() > 20_000, "only {} candidate bounds checked", checked.get());
+        assert!(proofs >= 8, "only {proofs} probed κ checked");
     }
 }

@@ -92,21 +92,20 @@ impl CandidateSet {
     /// segment), its position once the set is a list (`bounds` cover the
     /// list only). Clears every candidate whose optimistic bound fails
     /// `keep` (`None` keeps all) and, with `best`, empties it and offers it
-    /// every keeper's sign-folded pessimistic bound, in ascending slot
-    /// order. Returns the number of candidates removed.
+    /// every keeper's sign-folded heap bound ([`Bounds::heap`]), in
+    /// ascending slot order. Returns the number of candidates removed.
     ///
     /// In the bitmap phase a word holding at least [`MASK_MIN_CANDIDATES`]
     /// candidates is AND-ed with one [`kernels::survive_mask`] of its 64
     /// rows, so rows that are not candidates are tested too and the answer
     /// for them ignored; a thinner word tests its set bits one by one with
     /// the same predicate. Each word offers `best` only the keepers whose
-    /// bound is not below the heap's weakest entry *at the start of the
-    /// word*, one survive mask of its pessimistic bounds — exact, because
-    /// the weakest only rises while the heap is full, until a NaN bound
-    /// enters it (NaN compares equal to every score, so the heap's order
-    /// no longer holds) and every keeper is offered from then on. In the
-    /// list phase every position runs the predicate and every keeper is
-    /// offered.
+    /// heap bound is not below the heap's weakest entry *at the start of
+    /// the word*, one survive mask of its heap bounds — exact, because the
+    /// weakest only rises while the heap is full, until a NaN bound enters
+    /// it (NaN compares equal to every score, so the heap's order no longer
+    /// holds) and every keeper is offered from then on. In the list phase
+    /// every position runs the predicate and every keeper is offered.
     pub(crate) fn prune(
         &mut self,
         kernel: Kernel,
@@ -114,7 +113,7 @@ impl CandidateSet {
         bounds: &Bounds<'_>,
         mut best: Option<&mut TopKLargest>,
     ) -> usize {
-        let &Bounds { opt, pes, stride, pes_lane, sign, .. } = bounds;
+        let &Bounds { opt, heap, sign, .. } = bounds;
         if let Some(best) = best.as_deref_mut() {
             best.clear();
         }
@@ -124,32 +123,25 @@ impl CandidateSet {
                 let mut offered_nan = false;
                 bits.retain_words(|index, word| {
                     let start = index * WORD_ROWS;
-                    let window = start * stride..(start + WORD_ROWS).min(rows) * stride;
+                    let window = start..(start + WORD_ROWS).min(rows);
                     let kept = match keep {
                         None => word,
                         Some(test) if word.count_ones() >= MASK_MIN_CANDIDATES => {
-                            word & kernels::survive_mask(
-                                kernel,
-                                test,
-                                &opt[window.clone()],
-                                stride,
-                                0,
-                            )
+                            word & kernels::survive_mask(kernel, test, &opt[window.clone()])
                         }
                         Some(test) => set_bits(word)
-                            .filter(|&bit| test.survives(opt[(start + bit) * stride]))
+                            .filter(|&bit| test.survives(opt[start + bit]))
                             .fold(0, |mask, bit| mask | 1 << bit),
                     };
                     let Some(best) = best.as_deref_mut() else { return kept };
                     let mut offer = kept;
                     if let Some(weakest) = best.kth().filter(|_| !offered_nan) {
                         let reaches = SurviveTest { sign, add: 0.0, bar: weakest };
-                        offer &=
-                            kernels::survive_mask(kernel, reaches, &pes[window], stride, pes_lane);
+                        offer &= kernels::survive_mask(kernel, reaches, &heap[window]);
                     }
                     for bit in set_bits(offer) {
                         let row = start + bit;
-                        let score = sign * pes[row * stride + pes_lane];
+                        let score = sign * heap[row];
                         offered_nan |= score.is_nan();
                         best.push(row as RowId, score);
                     }
@@ -160,11 +152,11 @@ impl CandidateSet {
                 let before = list.len();
                 let mut slot = 0;
                 list.retain(|&row| {
-                    let (o, p) = (opt[slot * stride], pes[slot * stride + pes_lane]);
+                    let (o, h) = (opt[slot], heap[slot]);
                     slot += 1;
                     let kept = keep.is_none_or(|test| test.survives(o));
                     if let Some(best) = best.as_deref_mut().filter(|_| kept) {
-                        best.push(row, sign * p);
+                        best.push(row, sign * h);
                     }
                     kept
                 });
@@ -245,18 +237,10 @@ mod tests {
         Some(SurviveTest { sign: 1.0, add: 0.0, bar })
     }
 
-    /// One value per slot, as both the optimistic and the pessimistic
-    /// bound, larger is better.
+    /// One value per slot, as both the optimistic and the heap bound,
+    /// larger is better.
     fn slot_bounds(values: &[f64]) -> Bounds<'_> {
-        Bounds {
-            opt: values,
-            pes: values,
-            stride: 1,
-            pes_lane: 0,
-            sign: 1.0,
-            opt_add: 0.0,
-            pes_gain: -0.0,
-        }
+        Bounds { opt: values, heap: values, sign: 1.0, opt_add: 0.0 }
     }
 
     /// A heap's entries as comparable bits, in row order.

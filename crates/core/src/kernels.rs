@@ -6,9 +6,11 @@
 //! explicit per-ISA implementations instead of leaving them to the
 //! auto-vectorizer's mood:
 //!
-//! 1. **the quantized sweep** ([`sweep`]): per dimension, accumulate the
-//!    optimistic/pessimistic LUT entries selected by a flat `&[u8]` code
-//!    column into two per-row running bounds, and
+//! 1. **the quantized sweep** ([`sweep_lane`]): per dimension, accumulate
+//!    the LUT entries a flat `&[u8]` code column selects into one per-row
+//!    running bound — the optimistic bound the code filter prunes on, or
+//!    either side of the full interval the VA-File and the approximate scan
+//!    read (one pass per side), and
 //! 2. **the exact accumulate** ([`accumulate`], [`accumulate_gather`]):
 //!    `acc[i] += contribution(dim, value_i, q)` for the warmup/refine
 //!    phases, in dense (contiguous rows) and gathered (explicit row list)
@@ -36,14 +38,13 @@
 //! rounding versus the scalar two-step). The only representable
 //! divergences are NaN inputs and `(−0.0, +0.0)` min-ties, which decoded
 //! table values never produce. This is why the "fast-scan" trick of the
-//! PQ literature appears here as the dimension-blocked [`sweep_pairs`]
-//! over interleaved `[opt, pes]` pair tables rather than a literal
-//! `pshufb` byte shuffle: fast-scan shuffles 8-bit quantized distances,
-//! but BOND's bounds are `f64` and must stay bit-identical to the scalar
-//! sweep, so the fast path keeps full-width lanes and wins by holding the
-//! running bounds in registers across a block of dimensions, fetching each
-//! cell's contribution pair with one 128-bit load, and producing LUT byte
-//! offsets in two ALU operations per cell.
+//! PQ literature appears here as the dimension-blocked sweep
+//! ([`sweep_lane`]) over full-precision LUTs rather than a literal
+//! `pshufb` byte shuffle: fast-scan shuffles 8-bit quantized distances, but
+//! BOND's bounds are `f64` and must stay bit-identical to the scalar sweep,
+//! so the fast path keeps full-width lanes and wins by holding the running
+//! bounds in registers across a block of dimensions, gathering four rows'
+//! entries per instruction.
 
 use std::sync::OnceLock;
 
@@ -56,12 +57,6 @@ use vdstore::{CodeParams, RowId};
 /// kernel is a test/debug override, and the scalar loop is always correct.
 pub const KERNEL_ENV: &str = "BOND_KERNEL";
 
-/// Cells per inner-loop chunk of the scalar sweep: both running bounds
-/// advance through the code column in blocks of this many rows, keeping
-/// the working set in registers/L1 and giving the auto-vectorizer a fixed
-/// trip count.
-pub const BLOCK_CELLS: usize = 64;
-
 /// The instruction-set flavours the scan kernels are pinned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
@@ -70,12 +65,12 @@ pub enum Kernel {
     Scalar,
     /// `core::arch::x86_64` AVX2: the quantized sweep blocks up to
     /// [`MAX_SWEEP_GROUP`] dimensions per pass with the running bounds
-    /// held in ymm registers ([`sweep_pairs`]); the exact kernels run 4
-    /// rows per 256-bit lane group.
+    /// held in ymm registers and gathers four rows' LUT entries per
+    /// instruction; the exact kernels run 4 rows per 256-bit lane group.
     Avx2,
-    /// `core::arch::aarch64` NEON: 2 rows per 128-bit vector; loads and
-    /// arithmetic are vectorized, LUT lookups are lane-gathered (NEON has
-    /// no gather instruction).
+    /// `core::arch::aarch64` NEON: the exact kernels run 2 rows per
+    /// 128-bit vector; the quantized sweep runs the scalar reference (NEON
+    /// has no gather instruction).
     Neon,
 }
 
@@ -158,58 +153,20 @@ impl Kernel {
     }
 }
 
-/// Sweeps one code column into the per-row bound accumulators:
-/// `opt[i] += opt_lut[codes[i]]` and `pes[i] += pes_lut[codes[i]]` for
-/// every row `i`.
-///
-/// The LUT lengths must be equal powers of two (they are `1 << bits` by
-/// construction); the vector paths mask code bytes by `len − 1`, so a
-/// malformed out-of-range code aliases a valid cell instead of reading out
-/// of bounds (the scalar path panics on it, as it always has — valid
-/// `StoreCodes` never produce one either way).
-pub fn sweep(
-    kernel: Kernel,
-    codes: &[u8],
-    opt_lut: &[f64],
-    pes_lut: &[f64],
-    opt: &mut [f64],
-    pes: &mut [f64],
-) {
-    assert_eq!(codes.len(), opt.len(), "sweep: codes and opt accumulator disagree on rows");
-    assert_eq!(codes.len(), pes.len(), "sweep: codes and pes accumulator disagree on rows");
-    assert_eq!(opt_lut.len(), pes_lut.len(), "sweep: LUT lengths differ");
-    assert!(opt_lut.len().is_power_of_two(), "sweep: LUT length must be a power of two");
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if Kernel::Avx2.is_supported() => {
-            // SAFETY: AVX2 availability was just checked; slice lengths
-            // are asserted above and LUT indices are masked to the LUT's
-            // power-of-two length inside the kernel.
-            unsafe { x86::sweep_avx2(codes, opt_lut, pes_lut, opt, pes) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => neon::sweep_neon(codes, opt_lut, pes_lut, opt, pes),
-        _ => sweep_scalar(codes, opt_lut, pes_lut, opt, pes),
-    }
-}
-
 /// Upper bound on [`sweep_group`] across every kernel and level count —
 /// callers size their column/LUT scratch against this.
 pub const MAX_SWEEP_GROUP: usize = 32;
 
-/// How many code columns [`sweep_pairs`] folds into one pass over the
-/// interleaved accumulator on this kernel at this LUT size. The
-/// single-dimension sweep is bound by memory traffic — two LUT loads plus
-/// an accumulator load-modify-store per cell — so the AVX2 path blocks
-/// dimensions together, keeps the running bounds in registers across the
-/// block and fetches each cell's `[opt, pes]` contribution with one
-/// 128-bit load. The block width follows the LUT footprint: at ≤ 16
-/// levels (bits ≤ 4, the fast-scan regime) all 32 pair tables together
-/// are only 8 KiB, so the widest block wins; at 5–8 bits a 32-column
-/// block would be 128 KiB of LUTs, so 8 columns (32 KiB, L1-resident)
-/// measure fastest. The scalar reference keeps the original
-/// one-dimension-at-a-time loop, and NEON keeps its vectorized
-/// single-dimension [`sweep`] (group 1).
+/// How many code columns [`sweep_lane`] folds into one pass over the
+/// accumulator on this kernel at this LUT size. A single-dimension sweep
+/// is bound by memory traffic — a LUT load plus an accumulator
+/// load-modify-store per cell — so the AVX2 path blocks dimensions
+/// together and keeps the running bounds in registers across the block.
+/// The block width follows the LUT footprint: at ≤ 16 levels (bits ≤ 4,
+/// the fast-scan regime) all 32 tables together are only 4 KiB, so the
+/// widest block wins; at 5–8 bits a 32-column block would be 64 KiB of
+/// LUTs, so 8 columns (16 KiB, L1-resident) are swept per pass. The scalar
+/// reference, which NEON runs too, sweeps one column at a time (group 1).
 pub fn sweep_group(kernel: Kernel, levels: usize) -> usize {
     match kernel {
         Kernel::Avx2 => {
@@ -223,62 +180,68 @@ pub fn sweep_group(kernel: Kernel, levels: usize) -> usize {
     }
 }
 
-/// Dimension-blocked sweep over an interleaved accumulator: accumulates up
-/// to [`sweep_group`] code columns in one pass. `pair_luts[j*levels*2 +
-/// 2*c]` holds the optimistic and `… + 1` the pessimistic contribution of
-/// code `c` in column `j`; `inter[2*i]` / `inter[2*i + 1]` are row `i`'s
-/// running optimistic/pessimistic bounds.
+/// One-lane, dimension-blocked sweep: for every row `i` and every column
+/// `j` in order, `acc[i] += luts[j·levels + columns[j][i]]` — the code
+/// filter's optimistic bound, or one side of the VA-File's interval, up to
+/// [`sweep_group`] columns per pass. `luts[j·levels + c]` is code `c`'s
+/// entry in column `j`.
 ///
-/// Per row and side this computes `acc = ((acc + l0[c0]) + l1[c1]) + …` —
-/// one `f64` addition per (row, column), performed in column order —
-/// exactly the addition order of sweeping the columns one at a time with
-/// [`sweep`], so the accumulated values are bit-identical to the scalar
-/// reference; only the pass structure over memory changes.
-///
+/// Per row this computes `acc = ((acc + l0[c0]) + l1[c1]) + …`, one `f64`
+/// addition per (row, column) in column order, whatever the kernel and the
+/// group width, so every kernel is bit-identical to the scalar reference.
 /// With `init` the accumulator's prior contents are ignored: every row
-/// starts from `0.0` (computed as `0.0 + l0[c0]`, the exact FP operation a
-/// zeroed accumulator would perform) and is stored back. Callers sweep the
-/// first dimension block with `init` instead of zeroing `inter` — the
-/// kernel then neither memsets nor loads the accumulator on its first
-/// pass.
-pub fn sweep_pairs(
+/// starts from `0.0` (computed as `0.0 + l0[c0]`, the exact operation a
+/// zeroed accumulator would perform), so callers sweep their first block
+/// with `init` instead of zeroing the accumulator. Code bytes are masked by
+/// `levels − 1` on every kernel, so a malformed code aliases a valid cell.
+/// AVX2 gathers four rows' entries per instruction; the other kernels run
+/// the scalar reference, one column at a time.
+///
+/// # Panics
+/// Panics unless `levels` is a power of two of at most 256, the LUT
+/// storage holds `columns.len() × levels` entries, and every column holds
+/// `acc.len()` codes.
+pub fn sweep_lane(
     kernel: Kernel,
     columns: &[&[u8]],
-    pair_luts: &[f64],
+    luts: &[f64],
     levels: usize,
-    inter: &mut [f64],
+    acc: &mut [f64],
     init: bool,
 ) {
-    assert!(levels.is_power_of_two(), "sweep_pairs: levels must be a power of two");
     assert!(
-        columns.len() * levels * 2 <= pair_luts.len(),
-        "sweep_pairs: LUT storage shorter than columns × levels × 2"
+        levels.is_power_of_two() && levels <= 256,
+        "sweep_lane: levels must be a power of two of at most 256"
+    );
+    assert!(
+        columns.len() * levels <= luts.len(),
+        "sweep_lane: LUT storage shorter than columns × levels"
     );
     for column in columns {
-        assert_eq!(column.len() * 2, inter.len(), "sweep_pairs: column and accumulator disagree");
+        assert_eq!(column.len(), acc.len(), "sweep_lane: column and accumulator disagree");
     }
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if Kernel::Avx2.is_supported() => {
             // SAFETY: AVX2 availability, column/accumulator lengths, LUT
-            // storage size and the power-of-two level count were all just
-            // checked; indices are masked to `levels − 1` inside.
-            unsafe { x86::sweep_pairs_avx2(columns, pair_luts, levels, inter, init) }
+            // storage size and the power-of-two level count of at most 256
+            // were all just checked; indices are masked to `levels − 1`.
+            unsafe { x86::sweep_lane_avx2(columns, luts, levels, acc, init) }
         }
-        _ => {
-            // one column at a time — the reference pass structure
-            if init {
-                inter.fill(0.0);
-            }
-            let m = levels - 1;
-            for (j, column) in columns.iter().enumerate() {
-                let lut = &pair_luts[j * levels * 2..(j + 1) * levels * 2];
-                for (pair, &code) in inter.chunks_exact_mut(2).zip(column.iter()) {
-                    let c = (code as usize & m) * 2;
-                    pair[0] += lut[c];
-                    pair[1] += lut[c + 1];
-                }
-            }
+        _ => sweep_lane_scalar(columns, luts, levels, acc, init),
+    }
+}
+
+/// The portable one-lane sweep — the bit-identity reference: one column at
+/// a time over every row.
+fn sweep_lane_scalar(columns: &[&[u8]], luts: &[f64], levels: usize, acc: &mut [f64], init: bool) {
+    if init {
+        acc.fill(0.0);
+    }
+    let m = levels - 1;
+    for (column, lut) in columns.iter().zip(luts.chunks_exact(levels)) {
+        for (a, &code) in acc.iter_mut().zip(column.iter()) {
+            *a += lut[code as usize & m];
         }
     }
 }
@@ -313,51 +276,34 @@ impl SurviveTest {
     }
 }
 
-/// The survive mask of up to [`MASK_ROWS`] rows: bit `i` is set iff row
-/// `i`'s value `x[i·stride + lane]` passes `test`
-/// ([`SurviveTest::survives`]); bits past the last row are clear. `x`
-/// holds whole rows — a contiguous slice of bounds (`stride` 1) or a
-/// window of the code sweep's interleaved `[opt, pes]` accumulator
-/// (`stride` 2, `lane` 0 for the optimistic, 1 for the pessimistic bound).
+/// The survive mask of up to [`MASK_ROWS`] rows: bit `i` is set iff
+/// `x[i]` passes `test` ([`SurviveTest::survives`]); bits past the last
+/// row are clear. `x` is a contiguous slice of bounds, one per row.
 ///
 /// Bit-identical on every kernel: each lane performs the reference's one
 /// addition, one multiplication and one ordered compare. AVX2 tests four
 /// rows per instruction; NEON takes the scalar reference.
 ///
 /// # Panics
-/// Panics unless `stride` is 1 or 2, `lane < stride`, and `x` holds at
-/// most [`MASK_ROWS`] whole rows.
-pub fn survive_mask(
-    kernel: Kernel,
-    test: SurviveTest,
-    x: &[f64],
-    stride: usize,
-    lane: usize,
-) -> u64 {
-    assert!(
-        matches!(stride, 1 | 2) && lane < stride,
-        "survive_mask: stride 1 or 2, lane inside it"
-    );
-    assert!(
-        x.len().is_multiple_of(stride) && x.len() <= MASK_ROWS * stride,
-        "survive_mask: at most 64 whole rows"
-    );
+/// Panics unless `x` holds at most [`MASK_ROWS`] rows.
+pub fn survive_mask(kernel: Kernel, test: SurviveTest, x: &[f64]) -> u64 {
+    assert!(x.len() <= MASK_ROWS, "survive_mask: at most 64 rows");
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if Kernel::Avx2.is_supported() => {
-            // SAFETY: AVX2 availability was just checked, and so were the
-            // stride, the lane and a row count of at most 64 whole rows.
-            unsafe { x86::survive_mask_avx2(test, x, stride, lane) }
+            // SAFETY: AVX2 availability and a row count of at most 64 were
+            // just checked.
+            unsafe { x86::survive_mask_avx2(test, x) }
         }
-        _ => survive_mask_scalar(test, x, stride, lane),
+        _ => survive_mask_scalar(test, x),
     }
 }
 
 /// The portable survive mask — the bit-identity reference.
-fn survive_mask_scalar(test: SurviveTest, x: &[f64], stride: usize, lane: usize) -> u64 {
+fn survive_mask_scalar(test: SurviveTest, x: &[f64]) -> u64 {
     let mut mask = 0u64;
-    for (i, row) in x.chunks_exact(stride).enumerate() {
-        mask |= u64::from(test.survives(row[lane])) << i;
+    for (i, &value) in x.iter().enumerate() {
+        mask |= u64::from(test.survives(value)) << i;
     }
     mask
 }
@@ -396,6 +342,36 @@ pub fn fill_pair_lut(
             // holds exactly `levels × 2` slots; `levels` is a power of two
             // (≥ 2), so the two-cell vector steps tile it exactly.
             unsafe { x86::fill_pair_lut_avx2(op, dim, grid, query, pairs) }
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Builds one dimension's one-lane optimistic contribution LUT (`best[c]`
+/// for cell `c`): the optimistic lane of [`fill_pair_lut`], and the same
+/// IEEE operations per cell, so the same bits — at half its work, since the
+/// pessimistic lane is not computed. Returns `false` when this kernel has
+/// no fused path or the grid has fewer than four levels (the vector steps
+/// take four cells); the caller then takes the optimistic lane of a pair
+/// LUT.
+pub fn fill_best_lut(
+    kernel: Kernel,
+    op: KernelOp<'_>,
+    dim: usize,
+    grid: CodeParams,
+    query: f64,
+    best: &mut [f64],
+) -> bool {
+    let levels = grid.levels() as usize;
+    assert_eq!(best.len(), levels, "fill_best_lut: LUT storage is not one entry per level");
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if Kernel::Avx2.is_supported() && levels >= 4 => {
+            // SAFETY: AVX2 availability was just checked and the LUT slice
+            // holds exactly `levels` slots; `levels` is a power of two of at
+            // least 4, so the four-cell vector steps tile it exactly.
+            unsafe { x86::fill_best_lut_avx2(op, dim, grid, query, best) }
             true
         }
         _ => false,
@@ -501,20 +477,6 @@ pub fn add_assign_gather(kernel: Kernel, values: &[f64], rows: &[RowId], acc: &m
     }
 }
 
-/// The portable sweep — the bit-identity reference. This is the exact
-/// loop shape the quantized filter has always run: 64-cell blocks, no
-/// per-row branches.
-fn sweep_scalar(codes: &[u8], opt_lut: &[f64], pes_lut: &[f64], opt: &mut [f64], pes: &mut [f64]) {
-    for ((opt_block, pes_block), code_block) in
-        opt.chunks_mut(BLOCK_CELLS).zip(pes.chunks_mut(BLOCK_CELLS)).zip(codes.chunks(BLOCK_CELLS))
-    {
-        for ((o, p), &c) in opt_block.iter_mut().zip(pes_block.iter_mut()).zip(code_block) {
-            *o += opt_lut[c as usize];
-            *p += pes_lut[c as usize];
-        }
-    }
-}
-
 /// The portable dense accumulate — the bit-identity reference.
 fn accumulate_scalar(op: KernelOp<'_>, dim: usize, values: &[f64], query: f64, acc: &mut [f64]) {
     for (a, &v) in acc.iter_mut().zip(values) {
@@ -541,10 +503,9 @@ mod x86 {
     use std::arch::x86_64::{
         __m128i, __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_cmp_pd, _mm256_i32gather_pd,
         _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
-        _mm256_permute4x64_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_setr_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_and_si128,
-        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_pd, _mm_loadu_si128, _mm_set1_epi32,
-        _CMP_LT_OQ,
+        _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm_and_si128, _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_set1_epi8,
+        _mm_srli_si128, _CMP_LT_OQ,
     };
 
     use bond_metrics::KernelOp;
@@ -567,25 +528,16 @@ mod x86 {
         _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(s, bar)) as u64
     }
 
-    /// The AVX2 survive mask: four rows per compare. With stride 2 two
-    /// loads hold four interleaved rows; `unpacklo`/`unpackhi` pick the
-    /// lane (rows in order 0, 2, 1, 3) and one cross-lane permute restores
-    /// row order. A tail of fewer than four rows goes through the scalar
-    /// predicate.
+    /// The AVX2 survive mask: four rows per compare. A tail of fewer than
+    /// four rows goes through the scalar predicate.
     ///
     /// # Safety
-    /// Caller guarantees AVX2, `stride` 1 or 2, `lane < stride` and that
-    /// `x` holds at most 64 whole rows.
+    /// Caller guarantees AVX2 and that `x` holds at most 64 rows.
     // SAFETY: dispatched from `survive_mask` only after asserting all of
     // the above; every load reads rows `i..i + 4` with `i + 4 ≤ rows`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn survive_mask_avx2(
-        test: SurviveTest,
-        x: &[f64],
-        stride: usize,
-        lane: usize,
-    ) -> u64 {
-        let rows = x.len() / stride;
+    pub(super) unsafe fn survive_mask_avx2(test: SurviveTest, x: &[f64]) -> u64 {
+        let rows = x.len();
         let p = x.as_ptr();
         let sign = _mm256_set1_pd(test.sign);
         let add = _mm256_set1_pd(test.add);
@@ -593,262 +545,166 @@ mod x86 {
         let mut dropped = 0u64;
         let mut i = 0usize;
         while i + 4 <= rows {
-            let v = if stride == 1 {
-                _mm256_loadu_pd(p.add(i))
-            } else {
-                let a = _mm256_loadu_pd(p.add(2 * i));
-                let b = _mm256_loadu_pd(p.add(2 * i + 4));
-                let picked =
-                    if lane == 0 { _mm256_unpacklo_pd(a, b) } else { _mm256_unpackhi_pd(a, b) };
-                _mm256_permute4x64_pd::<0b11_01_10_00>(picked)
-            };
+            let v = _mm256_loadu_pd(p.add(i));
             dropped |= dropped_quad(v, sign, add, bar) << i;
             i += 4;
         }
         let mut mask = if i == 64 { !dropped } else { !dropped & ((1u64 << i) - 1) };
         while i < rows {
-            mask |= u64::from(test.survives(*p.add(i * stride + lane))) << i;
+            mask |= u64::from(test.survives(*p.add(i))) << i;
             i += 1;
         }
         mask
     }
 
-    /// One 4-row sweep step: widen 4 code bytes to 32-bit indices, mask
-    /// them into the LUT, gather both `f64` LUT entries and add them onto
-    /// the resident accumulators. Per row this is exactly the scalar
-    /// `opt[i] += opt_lut[c]; pes[i] += pes_lut[c]` — `vaddpd` is
-    /// IEEE-exact per lane, so the result is bit-identical.
+    /// The AVX2 one-lane sweep: the running bounds of 16 rows stay in four
+    /// ymm registers across the whole column block; per column, one 16-byte
+    /// load of codes, masked to `levels − 1` once, widens into four index
+    /// vectors and four `vgatherdpd` fetch the rows' LUT entries. A row
+    /// adds its columns in order, one `vaddpd` lane each — the scalar
+    /// reference's additions, so the result is bit-identical. Rows past the
+    /// last 16 go four at a time, then one at a time.
     ///
     /// # Safety
-    /// Caller guarantees AVX2, `i + 4` rows in bounds of all three slices
-    /// and a `mask` of the LUTs' power-of-two length minus one.
-    // SAFETY: see the function's safety contract; the sole caller
-    // (`sweep_avx2`) establishes it for every step.
-    #[inline]
+    /// Caller guarantees AVX2 is available, every column holds `acc.len()`
+    /// codes, the LUT storage holds `columns.len() × levels` entries and
+    /// `levels` is a power of two of at most 256.
+    // SAFETY: dispatched from `sweep_lane` only after asserting all of the
+    // above; every load reads codes `i..i + 16` (or `i..i + 4`) with the
+    // end at most `acc.len()`, and every gathered index is masked to
+    // `levels − 1` inside its column's table.
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_quad(
-        codes: *const u8,
-        o_lut: *const f64,
-        p_lut: *const f64,
-        opt: *mut f64,
-        pes: *mut f64,
-        mask: __m128i,
-        i: usize,
-    ) {
-        let word = codes.add(i).cast::<u32>().read_unaligned();
-        let idx = _mm_and_si128(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(word as i32)), mask);
-        let og = _mm256_i32gather_pd::<8>(o_lut, idx);
-        let o = _mm256_loadu_pd(opt.add(i));
-        _mm256_storeu_pd(opt.add(i), _mm256_add_pd(o, og));
-        let pg = _mm256_i32gather_pd::<8>(p_lut, idx);
-        let p = _mm256_loadu_pd(pes.add(i));
-        _mm256_storeu_pd(pes.add(i), _mm256_add_pd(p, pg));
-    }
-
-    /// The AVX2 quantized sweep. Two regimes:
-    ///
-    /// * **bits ≤ 4** (LUT ≤ 16 entries, 256 bytes for both LUTs): the
-    ///   fast-scan-inspired path. A literal `pshufb` 16-entry shuffle is
-    ///   off the table — fast-scan shuffles *8-bit quantized distances*,
-    ///   while BOND's bounds are `f64` and contractually bit-identical to
-    ///   scalar — so the low-bit win is taken by keeping the entire LUT
-    ///   pair L1-resident and unrolling 16 rows per iteration so the
-    ///   four gathers per LUT overlap.
-    /// * **bits 5–8**: plain unrolled gather-accumulate, 8 rows per
-    ///   iteration over the 64-cell blocks.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 is available, `codes`, `opt` and `pes` are
-    /// the same length, and the LUTs are equal power-of-two lengths.
-    // SAFETY: dispatched from `sweep` only after `is_supported` and the
-    // length/power-of-two asserts; all pointer arithmetic stays inside the
-    // asserted bounds and LUT indices are masked.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_avx2(
-        codes: &[u8],
-        opt_lut: &[f64],
-        pes_lut: &[f64],
-        opt: &mut [f64],
-        pes: &mut [f64],
-    ) {
-        let n = codes.len();
-        let lut_mask = opt_lut.len() - 1;
-        let mask = _mm_set1_epi32(lut_mask as i32);
-        let cp = codes.as_ptr();
-        let ol = opt_lut.as_ptr();
-        let pl = pes_lut.as_ptr();
-        let op = opt.as_mut_ptr();
-        let pp = pes.as_mut_ptr();
-        let mut i = 0usize;
-        if opt_lut.len() <= 16 {
-            while i + 16 <= n {
-                sweep_quad(cp, ol, pl, op, pp, mask, i);
-                sweep_quad(cp, ol, pl, op, pp, mask, i + 4);
-                sweep_quad(cp, ol, pl, op, pp, mask, i + 8);
-                sweep_quad(cp, ol, pl, op, pp, mask, i + 12);
-                i += 16;
-            }
-        } else {
-            while i + 8 <= n {
-                sweep_quad(cp, ol, pl, op, pp, mask, i);
-                sweep_quad(cp, ol, pl, op, pp, mask, i + 4);
-                i += 8;
-            }
-        }
-        while i + 4 <= n {
-            sweep_quad(cp, ol, pl, op, pp, mask, i);
-            i += 4;
-        }
-        while i < n {
-            let c = (*cp.add(i) as usize) & lut_mask;
-            *op.add(i) += *ol.add(c);
-            *pp.add(i) += *pl.add(c);
-            i += 1;
-        }
-    }
-
-    /// The dimension-blocked AVX2 sweep over the interleaved accumulator:
-    /// up to [`super::MAX_SWEEP_GROUP`] code columns fold into the running
-    /// `[opt, pes]` pairs in a single pass. Four tricks stack up here:
-    ///
-    /// * the per-row bounds stay **in registers** across the whole column
-    ///   block — the single-dimension sweep reloads and restores both
-    ///   accumulator streams per dimension;
-    /// * each cell's `[opt, pes]` LUT pair is one 128-bit load — the
-    ///   split-LUT layout needed two;
-    /// * `vgatherdpd` is microcoded on plenty of AVX2 parts, so indices
-    ///   come from one 8-byte scalar read of the code column and plain
-    ///   loads assemble the vectors;
-    /// * the cell's **byte offset** into its pair table is produced
-    ///   directly as `(word >> (8·k − 4)) & ((levels − 1) << 4)` — the ×16
-    ///   entry scale folds into the mask, so each offset costs one shift
-    ///   and one AND instead of shift + mask + rescale (the extraction
-    ///   arithmetic, not the loads, is this loop's port bottleneck).
-    ///
-    /// The per-row, per-side addition order — column `j` after column
-    /// `j−1`, one `vaddpd` lane each — stays exactly the scalar
-    /// reference's, keeping the result bit-identical.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 is available, every column holds
-    /// `inter.len() / 2` codes, the LUT storage holds
-    /// `columns.len() × levels` interleaved pairs and `levels` is a power
-    /// of two.
-    // SAFETY: dispatched from `sweep_pairs` only after asserting all of
-    // the above; all pointer arithmetic stays inside those bounds and LUT
-    // indices are masked to `levels − 1`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_pairs_avx2(
+    pub(super) unsafe fn sweep_lane_avx2(
         columns: &[&[u8]],
-        pair_luts: &[f64],
+        luts: &[f64],
         levels: usize,
-        inter: &mut [f64],
+        acc: &mut [f64],
         init: bool,
     ) {
-        let n = inter.len() / 2;
-        // byte-offset mask: a pair is 16 bytes, so `code × 16` is produced
-        // in one shift + AND by pre-shifting the level mask
-        let m = (levels - 1) << 4;
-        let lp = pair_luts.as_ptr().cast::<u8>();
-        let ip = inter.as_mut_ptr();
-        // two `[opt, pes]` pairs — one 128-bit load each — fill a ymm;
-        // offsets are byte offsets into this column's pair table
-        let duo = |lut: *const u8, o_lo: usize, o_hi: usize| {
-            // SAFETY: the enclosing function's contract — both byte
-            // offsets are already masked to `(levels − 1) << 4` and `lut`
-            // points at a `levels`-pair table inside the caller-checked
-            // LUT storage, so both 16-byte reads stay inside it.
-            unsafe {
-                _mm256_set_m128d(
-                    _mm_loadu_pd(lut.add(o_hi).cast()),
-                    _mm_loadu_pd(lut.add(o_lo).cast()),
-                )
-            }
-        };
-        let mut i = 0usize;
-        // 16 rows per iteration: eight independent accumulator registers
-        // hide the serial `vaddpd` latency down each column chain, and the
-        // code bytes per column arrive as two scalar 8-byte loads.
-        // `init` skips both the memset a zeroed accumulator would need and
-        // the accumulator loads of the first dimension block: each lane
-        // starts from a register zero and performs the identical
-        // `0.0 + contribution` addition.
+        let n = acc.len();
+        // levels ≤ 256, so the mask fits a byte
+        let m = levels - 1;
+        let mask = _mm_set1_epi8(m as u8 as i8);
+        let lp = luts.as_ptr();
+        let ap = acc.as_mut_ptr();
         let zero = _mm256_setzero_pd();
+        let mut i = 0usize;
         while i + 16 <= n {
-            let (mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7) = if init {
-                (zero, zero, zero, zero, zero, zero, zero, zero)
-            } else {
-                (
-                    _mm256_loadu_pd(ip.add(2 * i)),
-                    _mm256_loadu_pd(ip.add(2 * i + 4)),
-                    _mm256_loadu_pd(ip.add(2 * i + 8)),
-                    _mm256_loadu_pd(ip.add(2 * i + 12)),
-                    _mm256_loadu_pd(ip.add(2 * i + 16)),
-                    _mm256_loadu_pd(ip.add(2 * i + 20)),
-                    _mm256_loadu_pd(ip.add(2 * i + 24)),
-                    _mm256_loadu_pd(ip.add(2 * i + 28)),
-                )
-            };
-            for (j, column) in columns.iter().enumerate() {
-                let lut = lp.add(j * levels * 16);
-                let w = column.as_ptr().add(i).cast::<u64>().read_unaligned() as usize;
-                let v = column.as_ptr().add(i + 8).cast::<u64>().read_unaligned() as usize;
-                a0 = _mm256_add_pd(a0, duo(lut, (w << 4) & m, (w >> 4) & m));
-                a1 = _mm256_add_pd(a1, duo(lut, (w >> 12) & m, (w >> 20) & m));
-                a2 = _mm256_add_pd(a2, duo(lut, (w >> 28) & m, (w >> 36) & m));
-                a3 = _mm256_add_pd(a3, duo(lut, (w >> 44) & m, (w >> 52) & m));
-                a4 = _mm256_add_pd(a4, duo(lut, (v << 4) & m, (v >> 4) & m));
-                a5 = _mm256_add_pd(a5, duo(lut, (v >> 12) & m, (v >> 20) & m));
-                a6 = _mm256_add_pd(a6, duo(lut, (v >> 28) & m, (v >> 36) & m));
-                a7 = _mm256_add_pd(a7, duo(lut, (v >> 44) & m, (v >> 52) & m));
-            }
-            _mm256_storeu_pd(ip.add(2 * i), a0);
-            _mm256_storeu_pd(ip.add(2 * i + 4), a1);
-            _mm256_storeu_pd(ip.add(2 * i + 8), a2);
-            _mm256_storeu_pd(ip.add(2 * i + 12), a3);
-            _mm256_storeu_pd(ip.add(2 * i + 16), a4);
-            _mm256_storeu_pd(ip.add(2 * i + 20), a5);
-            _mm256_storeu_pd(ip.add(2 * i + 24), a6);
-            _mm256_storeu_pd(ip.add(2 * i + 28), a7);
-            i += 16;
-        }
-        while i + 8 <= n {
             let (mut a0, mut a1, mut a2, mut a3) = if init {
                 (zero, zero, zero, zero)
             } else {
                 (
-                    _mm256_loadu_pd(ip.add(2 * i)),
-                    _mm256_loadu_pd(ip.add(2 * i + 4)),
-                    _mm256_loadu_pd(ip.add(2 * i + 8)),
-                    _mm256_loadu_pd(ip.add(2 * i + 12)),
+                    _mm256_loadu_pd(ap.add(i)),
+                    _mm256_loadu_pd(ap.add(i + 4)),
+                    _mm256_loadu_pd(ap.add(i + 8)),
+                    _mm256_loadu_pd(ap.add(i + 12)),
                 )
             };
             for (j, column) in columns.iter().enumerate() {
-                let lut = lp.add(j * levels * 16);
-                let w = column.as_ptr().add(i).cast::<u64>().read_unaligned() as usize;
-                a0 = _mm256_add_pd(a0, duo(lut, (w << 4) & m, (w >> 4) & m));
-                a1 = _mm256_add_pd(a1, duo(lut, (w >> 12) & m, (w >> 20) & m));
-                a2 = _mm256_add_pd(a2, duo(lut, (w >> 28) & m, (w >> 36) & m));
-                a3 = _mm256_add_pd(a3, duo(lut, (w >> 44) & m, (w >> 52) & m));
+                let lut = lp.add(j * levels);
+                let codes = _mm_and_si128(_mm_loadu_si128(column.as_ptr().add(i).cast()), mask);
+                let idx0 = _mm_cvtepu8_epi32(codes);
+                let idx1 = _mm_cvtepu8_epi32(_mm_srli_si128::<4>(codes));
+                let idx2 = _mm_cvtepu8_epi32(_mm_srli_si128::<8>(codes));
+                let idx3 = _mm_cvtepu8_epi32(_mm_srli_si128::<12>(codes));
+                a0 = _mm256_add_pd(a0, _mm256_i32gather_pd::<8>(lut, idx0));
+                a1 = _mm256_add_pd(a1, _mm256_i32gather_pd::<8>(lut, idx1));
+                a2 = _mm256_add_pd(a2, _mm256_i32gather_pd::<8>(lut, idx2));
+                a3 = _mm256_add_pd(a3, _mm256_i32gather_pd::<8>(lut, idx3));
             }
-            _mm256_storeu_pd(ip.add(2 * i), a0);
-            _mm256_storeu_pd(ip.add(2 * i + 4), a1);
-            _mm256_storeu_pd(ip.add(2 * i + 8), a2);
-            _mm256_storeu_pd(ip.add(2 * i + 12), a3);
-            i += 8;
+            _mm256_storeu_pd(ap.add(i), a0);
+            _mm256_storeu_pd(ap.add(i + 4), a1);
+            _mm256_storeu_pd(ap.add(i + 8), a2);
+            _mm256_storeu_pd(ap.add(i + 12), a3);
+            i += 16;
+        }
+        while i + 4 <= n {
+            let mut a = if init { zero } else { _mm256_loadu_pd(ap.add(i)) };
+            for (j, column) in columns.iter().enumerate() {
+                let word = column.as_ptr().add(i).cast::<u32>().read_unaligned();
+                let codes = _mm_and_si128(_mm_cvtsi32_si128(word as i32), mask);
+                a = _mm256_add_pd(
+                    a,
+                    _mm256_i32gather_pd::<8>(lp.add(j * levels), _mm_cvtepu8_epi32(codes)),
+                );
+            }
+            _mm256_storeu_pd(ap.add(i), a);
+            i += 4;
         }
         while i < n {
-            let (mut o, mut p) =
-                if init { (0.0, 0.0) } else { (*ip.add(2 * i), *ip.add(2 * i + 1)) };
+            let mut a = if init { 0.0 } else { *ap.add(i) };
             for (j, column) in columns.iter().enumerate() {
-                let lut = lp.add(j * levels * 16);
-                let off = ((*column.as_ptr().add(i)) as usize) << 4 & m;
-                o += *lut.add(off).cast::<f64>();
-                p += *lut.add(off + 8).cast::<f64>();
+                a += *lp.add(j * levels + (*column.as_ptr().add(i) as usize & m));
             }
-            *ip.add(2 * i) = o;
-            *ip.add(2 * i + 1) = p;
+            *ap.add(i) = a;
             i += 1;
+        }
+    }
+
+    /// Fused one-lane LUT build: the optimistic lane of
+    /// [`fill_pair_lut_avx2`], four cells per vector, with the same edges
+    /// (`min + c·width` clamped to `max`, cell indices in `f64` lanes
+    /// stepped by `+4.0`, exact for every index ≤ 256) and the same bound
+    /// formulas, operation for operation.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 is available and `best.len()` is a
+    /// power-of-two level count of at least 4.
+    // SAFETY: bounds are enforced by the dispatching `fill_best_lut`; all
+    // stores below stay inside `best` because the four-cell steps tile it.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_best_lut_avx2(
+        op: KernelOp<'_>,
+        dim: usize,
+        grid: CodeParams,
+        query: f64,
+        best: &mut [f64],
+    ) {
+        let levels = best.len();
+        let vmin = _mm256_set1_pd(grid.min);
+        let vmax = _mm256_set1_pd(grid.max);
+        let vw = _mm256_set1_pd(grid.cell_width());
+        let vq = _mm256_set1_pd(query);
+        let four = _mm256_set1_pd(4.0);
+        let out = best.as_mut_ptr();
+        match op {
+            KernelOp::Min | KernelOp::WeightedMin(_) => {
+                let scale = match op {
+                    KernelOp::WeightedMin(w) => Some(_mm256_set1_pd(w[dim])),
+                    _ => None,
+                };
+                // a cell's best is at its top edge, index c + 1
+                let mut idx = _mm256_setr_pd(1.0, 2.0, 3.0, 4.0);
+                for c in (0..levels).step_by(4) {
+                    let e = _mm256_min_pd(_mm256_add_pd(vmin, _mm256_mul_pd(idx, vw)), vmax);
+                    let mut v = _mm256_min_pd(e, vq);
+                    if let Some(s) = scale {
+                        v = _mm256_mul_pd(s, v);
+                    }
+                    _mm256_storeu_pd(out.add(c), v);
+                    idx = _mm256_add_pd(idx, four);
+                }
+            }
+            KernelOp::SquaredDiff | KernelOp::WeightedSquaredDiff(_) => {
+                let scale = match op {
+                    KernelOp::WeightedSquaredDiff(w) => Some(_mm256_set1_pd(w[dim])),
+                    _ => None,
+                };
+                let mut ilo = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+                let mut ihi = _mm256_setr_pd(1.0, 2.0, 3.0, 4.0);
+                for c in (0..levels).step_by(4) {
+                    let lo = _mm256_min_pd(_mm256_add_pd(vmin, _mm256_mul_pd(ilo, vw)), vmax);
+                    let hi = _mm256_min_pd(_mm256_add_pd(vmin, _mm256_mul_pd(ihi, vw)), vmax);
+                    let d = _mm256_sub_pd(_mm256_min_pd(_mm256_max_pd(vq, lo), hi), vq);
+                    let v = match scale {
+                        Some(s) => _mm256_mul_pd(_mm256_mul_pd(s, d), d),
+                        None => _mm256_mul_pd(d, d),
+                    };
+                    _mm256_storeu_pd(out.add(c), v);
+                    ilo = _mm256_add_pd(ilo, four);
+                    ihi = _mm256_add_pd(ihi, four);
+                }
+            }
         }
     }
 
@@ -1083,46 +939,11 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use core::arch::aarch64::{
-        float64x2_t, vaddq_f64, vcombine_f64, vdupq_n_f64, vld1_f64, vld1q_f64, vminnmq_f64,
-        vmulq_f64, vst1q_f64, vsubq_f64,
+        float64x2_t, vaddq_f64, vdupq_n_f64, vld1q_f64, vminnmq_f64, vmulq_f64, vst1q_f64,
+        vsubq_f64,
     };
 
     use bond_metrics::KernelOp;
-
-    /// NEON sweep: arithmetic runs two rows per 128-bit vector; the LUT
-    /// lookups are lane-gathered (NEON has no gather instruction).
-    pub(super) fn sweep_neon(
-        codes: &[u8],
-        opt_lut: &[f64],
-        pes_lut: &[f64],
-        opt: &mut [f64],
-        pes: &mut [f64],
-    ) {
-        let n = codes.len();
-        let lut_mask = opt_lut.len() - 1;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let c0 = (codes[i] as usize) & lut_mask;
-            let c1 = (codes[i + 1] as usize) & lut_mask;
-            // SAFETY: NEON is baseline on aarch64; `i + 2 <= n` bounds all
-            // lane loads/stores, and the LUT indices are masked.
-            unsafe {
-                let og = vcombine_f64(vld1_f64(&opt_lut[c0]), vld1_f64(&opt_lut[c1]));
-                let o = vld1q_f64(opt.as_ptr().add(i));
-                vst1q_f64(opt.as_mut_ptr().add(i), vaddq_f64(o, og));
-                let pg = vcombine_f64(vld1_f64(&pes_lut[c0]), vld1_f64(&pes_lut[c1]));
-                let p = vld1q_f64(pes.as_ptr().add(i));
-                vst1q_f64(pes.as_mut_ptr().add(i), vaddq_f64(p, pg));
-            }
-            i += 2;
-        }
-        while i < n {
-            let c = (codes[i] as usize) & lut_mask;
-            opt[i] += opt_lut[c];
-            pes[i] += pes_lut[c];
-            i += 1;
-        }
-    }
 
     /// Two-lane contribution matching [`KernelOp::apply`] op for op.
     /// `vminnmq_f64` is IEEE `minNum` — the same semantics as Rust's
@@ -1244,59 +1065,92 @@ mod tests {
         assert_eq!(Kernel::active(), Kernel::active());
     }
 
+    /// The one-lane sweep on every kernel against its scalar reference:
+    /// both `init` modes, row counts on and off every unroll width, 1- to
+    /// 8-bit codes, and code bytes past the level count, which every kernel
+    /// masks.
     #[test]
     fn sweeps_are_bit_identical_across_kernels() {
         let mut seed = 0x0123_4567_89AB_CDEFu64;
         for bits in [1u32, 2, 4, 6, 8] {
             let levels = 1usize << bits;
-            // deliberately awkward length: exercises unroll + remainder
-            let rows = 203;
-            let codes: Vec<u8> =
-                (0..rows).map(|_| (xorshift(&mut seed) * levels as f64) as u8).collect();
-            let opt_lut: Vec<f64> = (0..levels).map(|_| xorshift(&mut seed) * 2.0 - 1.0).collect();
-            let pes_lut: Vec<f64> = (0..levels).map(|_| xorshift(&mut seed) * 2.0 - 1.0).collect();
-            let init: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
-            let mut opt_ref = init.clone();
-            let mut pes_ref = init.clone();
-            sweep(Kernel::Scalar, &codes, &opt_lut, &pes_lut, &mut opt_ref, &mut pes_ref);
-            for kernel in supported() {
-                let mut opt = init.clone();
-                let mut pes = init.clone();
-                sweep(kernel, &codes, &opt_lut, &pes_lut, &mut opt, &mut pes);
-                for i in 0..rows {
-                    assert_eq!(
-                        opt[i].to_bits(),
-                        opt_ref[i].to_bits(),
-                        "{}: opt diverges at row {i}, bits {bits}",
-                        kernel.label()
-                    );
-                    assert_eq!(
-                        pes[i].to_bits(),
-                        pes_ref[i].to_bits(),
-                        "{}: pes diverges at row {i}, bits {bits}",
-                        kernel.label()
-                    );
+            for rows in [0usize, 3, 4, 7, 16, 21, 203] {
+                let columns: Vec<Vec<u8>> = (0..5)
+                    .map(|_| (0..rows).map(|_| (xorshift(&mut seed) * 256.0) as u8).collect())
+                    .collect();
+                let columns: Vec<&[u8]> = columns.iter().map(Vec::as_slice).collect();
+                let luts: Vec<f64> =
+                    (0..5 * levels).map(|_| xorshift(&mut seed) * 2.0 - 1.0).collect();
+                let start: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
+                for init in [false, true] {
+                    let mut reference = start.clone();
+                    sweep_lane(Kernel::Scalar, &columns, &luts, levels, &mut reference, init);
+                    for kernel in supported() {
+                        let mut acc = start.clone();
+                        sweep_lane(kernel, &columns, &luts, levels, &mut acc, init);
+                        let ctx = format!("{} bits {bits} rows {rows} init {init}", kernel.label());
+                        assert_eq!(bits_of(&acc), bits_of(&reference), "{ctx}");
+                    }
                 }
             }
         }
     }
 
+    /// The fused one-lane LUT build against the optimistic lane of the
+    /// portable pair build, for every kernel op, grids wide and degenerate,
+    /// queries inside, outside and on the grid's edges.
+    #[test]
+    fn fused_best_lut_is_the_optimistic_lane_of_the_pair_lut() {
+        let weights: Vec<f64> = (0..4).map(|d| 0.5 + d as f64).collect();
+        let wh = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let we = WeightedSquaredEuclidean::new(weights).unwrap();
+        let metrics: Vec<&dyn DecomposableMetric> =
+            vec![&HistogramIntersection, &SquaredEuclidean, &wh, &we];
+        let mut fused = 0;
+        for metric in metrics {
+            let op = metric.kernel_op().unwrap();
+            for bits in [1u8, 2, 4, 8] {
+                for (min, max) in [(0.0, 1.0), (-0.3, 0.7), (0.25, 0.25)] {
+                    let grid = CodeParams::new(min, max, bits).unwrap();
+                    let levels = grid.levels() as usize;
+                    for (dim, query) in [(0, 0.4), (1, -2.0), (2, 3.0), (3, min), (3, max)] {
+                        let mut bounds = vec![(0.0, 0.0); levels];
+                        grid.fill_cell_bounds(&mut bounds);
+                        let mut pairs = vec![0.0; levels * 2];
+                        metric.fill_contribution_pairs(dim, &bounds, query, &mut pairs);
+                        let want: Vec<f64> = pairs.iter().copied().step_by(2).collect();
+                        for kernel in supported() {
+                            let mut best = vec![f64::NAN; levels];
+                            if fill_best_lut(kernel, op, dim, grid, query, &mut best) {
+                                let ctx =
+                                    format!("{} {} bits {bits}", kernel.label(), metric.name());
+                                assert_eq!(bits_of(&best), bits_of(&want), "{ctx} q {query}");
+                                fused += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if Kernel::Avx2.is_supported() {
+            assert!(fused > 0, "no fused one-lane build ran");
+        }
+    }
+
+    fn bits_of(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn out_of_range_codes_alias_instead_of_faulting() {
-        // only the vector paths mask; feed them codes beyond the LUT and
-        // check they stay in bounds and deterministic
+        // every kernel masks code bytes by `levels − 1`: codes beyond the
+        // LUT stay in bounds and read the cell they alias
         let codes = vec![255u8; 37];
-        let opt_lut = vec![1.0; 4];
-        let pes_lut = vec![2.0; 4];
+        let luts = [1.0, 2.0, 3.0, 4.0];
         for kernel in supported() {
-            if kernel == Kernel::Scalar {
-                continue; // the scalar path indexes directly and would panic
-            }
-            let mut opt = vec![0.0; 37];
-            let mut pes = vec![0.0; 37];
-            sweep(kernel, &codes, &opt_lut, &pes_lut, &mut opt, &mut pes);
-            assert!(opt.iter().all(|&o| o == 1.0));
-            assert!(pes.iter().all(|&p| p == 2.0));
+            let mut acc = vec![0.0; 37];
+            sweep_lane(kernel, &[&codes], &luts, 4, &mut acc, false);
+            assert!(acc.iter().all(|&a| a == 4.0), "{}", kernel.label());
         }
     }
 

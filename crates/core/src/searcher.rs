@@ -41,7 +41,7 @@ use vdstore::{
     Bitmap, DecomposedTable, RowId, Segment, SegmentCodesView, TopKLargest, TopKSmallest,
 };
 
-use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Scratch};
+use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, Scratch};
 use crate::candidates::CandidateSet;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
@@ -344,10 +344,11 @@ pub struct SegmentContext<'k> {
     /// Derived from `params` when absent — the classic uniform behaviour.
     pub plan: Option<&'k SegmentPlan>,
     /// This segment's window of the store's quantized code companions.
-    /// When present, a branch-free first pass sweeps the codes, proves a
-    /// pessimistic κ and discards every row whose optimistic interval
-    /// bound cannot reach it — only the survivors are read exactly, best
-    /// bound first. The answer stays bit-identical to a codeless search.
+    /// When present, a branch-free first pass sweeps the codes, proves κ
+    /// from the pessimistic bounds of its `k` most promising rows and
+    /// discards every row whose optimistic bound cannot reach it — only the
+    /// survivors are read exactly, best bound first. The answer stays
+    /// bit-identical to a codeless search.
     pub codes: Option<SegmentCodesView<'k>>,
     /// Segment-local eligibility bitmap carrying a relational predicate
     /// ("photographs taken in 1992", Section 6.1) into the search. Bit `i`
@@ -495,7 +496,7 @@ pub(crate) fn search_segment_with(
             }
             if params.refine_survivors && filter.kappa.is_some() {
                 let refine = OrderedRefine { segment, query, metric, order, kernel, k };
-                let hits = refine.run(codes, &filter, ctx.kappa, scratch, &mut trace)?;
+                let hits = refine.run(&filter, ctx.kappa, scratch, &mut trace)?;
                 return Ok(SearchOutcome { hits, trace });
             }
             let mut candidates = CandidateSet::from_bitmap(filter.survivors);
@@ -601,7 +602,6 @@ impl OrderedRefine<'_> {
     /// published to `shared`, as the exact loop's last step did.
     fn run(
         &self,
-        codes: &SegmentCodesView<'_>,
         filter: &QuantFilter,
         shared: Option<&dyn KappaCell>,
         scratch: &mut Scratch,
@@ -613,7 +613,7 @@ impl OrderedRefine<'_> {
             Objective::Minimize => -1.0,
         };
         let Scratch { codes: code_scratch, exact, best } = scratch;
-        let ranked = rank_survivors(codes, self.kernel, filter, sign, code_scratch);
+        let ranked = rank_survivors(filter, sign, code_scratch);
         let partial = &mut exact.partial;
         partial.resize(segment.len(), 0.0);
         let best = best.get_or_insert_with(|| TopKLargest::new(k));
@@ -699,7 +699,7 @@ struct ExactPartials<'a, 'r> {
 }
 
 impl BoundSource for ExactPartials<'_, '_> {
-    const CARRIES_KAPPA: bool = false;
+    const PROOF: Proof = Proof::Heap;
 
     fn dims(&self) -> usize {
         self.order.len()
@@ -803,7 +803,7 @@ impl BoundSource for ExactPartials<'_, '_> {
             Objective::Maximize => (&self.upper[..], &self.lower[..], 1.0),
             Objective::Minimize => (&self.lower[..], &self.upper[..], -1.0),
         };
-        Bounds { opt, pes, stride: 1, pes_lane: 0, sign, opt_add: 0.0, pes_gain: -0.0 }
+        Bounds { opt, heap: pes, sign, opt_add: 0.0 }
     }
 
     fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {

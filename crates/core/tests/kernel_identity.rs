@@ -4,32 +4,32 @@
 //!
 //! Two surfaces are pinned:
 //!
-//! * the quantized sweep (`quantfilter::interval_scores_into`) across all
-//!   four decomposable metrics — which covers all six pruning rules
-//!   (`Hq`/`Hh` share histogram intersection, `Eq`/`Ev` squared
-//!   Euclidean, `WHq`/`WEv` the weighted variants) — at 2-, 4- and 8-bit
-//!   code widths (the ≤ 16-level register-LUT path and the gather path
-//!   both get exercised on AVX2 hosts);
+//! * the quantized sweeps across all four decomposable metrics — which
+//!   covers all six pruning rules (`Hq`/`Hh` share histogram
+//!   intersection, `Eq`/`Ev` squared Euclidean, `WHq`/`WEv` the weighted
+//!   variants) — at 2-, 4- and 8-bit code widths: the one-lane sweep
+//!   (`kernels::sweep_lane`), the two-sided interval sweep built from it
+//!   (`quantfilter::interval_scores_into`, whose optimistic side must equal
+//!   the one-lane sweep over the same LUTs) and the whole code filter
+//!   (`quantfilter::filter_segment_with_kernel`: survivors, κ and counts);
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
 //!   `accumulate_gather`, `add_assign`, `add_assign_gather`) across all
 //!   four `KernelOp` shapes those six rules compile down to;
 //! * the pruning steps' 64-row survive mask (`kernels::survive_mask`) over
-//!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar —
-//!   in both layouts it reads (a contiguous slice, either lane of the
-//!   interleaved `[opt, pes]` accumulator).
+//!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar.
 //!
 //! Equality is `to_bits()` on every output — not approximate — because
 //! kernel dispatch must never be observable in answers.
 
 use bond::kernels::{self, Kernel, SurviveTest};
-use bond::quantfilter::interval_scores_into;
+use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
 use bond::QuantScratch;
 use bond_metrics::{
     DecomposableMetric, HistogramIntersection, KernelOp, SquaredEuclidean,
     WeightedHistogramIntersection, WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
-use vdstore::{DecomposedTable, RowId, SegmentStats, StoreCodes};
+use vdstore::{Bitmap, DecomposedTable, RowId, SegmentCodesView, SegmentStats, StoreCodes};
 
 const DIMS: usize = 6;
 /// Spans two partitions and, within each, more than one 64-cell kernel
@@ -69,6 +69,49 @@ fn sweep_digest(
         digest.extend(scratch.opt().iter().chain(scratch.pes()).map(|v| v.to_bits()));
     }
     digest
+}
+
+/// The one-lane optimistic LUT of every dimension of a segment, built the
+/// portable way (the optimistic lane of the metric's pair build), one
+/// `levels`-entry table per dimension.
+fn best_luts(
+    view: &SegmentCodesView<'_>,
+    metric: &dyn DecomposableMetric,
+    query: &[f64],
+) -> Vec<f64> {
+    let levels = view.levels();
+    let mut bounds = vec![(0.0, 0.0); levels];
+    let mut pairs = vec![0.0; levels * 2];
+    let mut luts = Vec::with_capacity(view.dims() * levels);
+    for (d, &q) in query.iter().enumerate() {
+        view.params(d).fill_cell_bounds(&mut bounds);
+        metric.fill_contribution_pairs(d, &bounds, q, &mut pairs);
+        luts.extend(pairs.iter().step_by(2));
+    }
+    luts
+}
+
+/// The one-lane sweep of every dimension over rows `rows` of a segment,
+/// in groups of the kernel's width, the first group in `init` mode or
+/// onto a zeroed accumulator.
+fn lane_sweep(
+    view: &SegmentCodesView<'_>,
+    luts: &[f64],
+    rows: std::ops::Range<usize>,
+    kernel: Kernel,
+    init: bool,
+) -> Vec<u64> {
+    let levels = view.levels();
+    let group = kernels::sweep_group(kernel, levels);
+    let mut acc = vec![if init { f64::NAN } else { 0.0 }; rows.len()];
+    for start in (0..view.dims()).step_by(group) {
+        let block = start..view.dims().min(start + group);
+        let columns: Vec<&[u8]> =
+            block.clone().map(|d| &view.dim_codes(d).unwrap()[rows.clone()]).collect();
+        let luts = &luts[block.start * levels..block.end * levels];
+        kernels::sweep_lane(kernel, &columns, luts, levels, &mut acc, init && start == 0);
+    }
+    bits_of(&acc)
 }
 
 fn bits_of(values: &[f64]) -> Vec<u64> {
@@ -129,6 +172,65 @@ proptest! {
                     metric.name(),
                     bits
                 );
+            }
+            let mut scratch = QuantScratch::new();
+            for si in 0..codes.n_segments() {
+                let view = codes.segment_view(si).unwrap();
+                let rows = view.len();
+                // the one-lane sweep: over the whole segment it is the
+                // interval sweep's optimistic side; over windows off every
+                // unroll width (16, 4) it is the scalar reference
+                interval_scores_into(&view, metric, &query, Kernel::Scalar, &mut scratch).unwrap();
+                let optimistic = bits_of(scratch.opt());
+                let luts = best_luts(&view, metric, &query);
+                for window in [0..rows, 1..rows, 3..rows - 2, 5..24, 7..10] {
+                    for init in [false, true] {
+                        let want = lane_sweep(&view, &luts, window.clone(), Kernel::Scalar, init);
+                        if window == (0..rows) {
+                            prop_assert_eq!(&want, &optimistic, "one-lane vs interval sweep");
+                        }
+                        for kernel in supported_kernels() {
+                            let got = lane_sweep(&view, &luts, window.clone(), kernel, init);
+                            prop_assert_eq!(
+                                &want,
+                                &got,
+                                "{} one-lane sweep diverged ({} @ {} bits, rows {:?}, init {})",
+                                kernel.label(),
+                                metric.name(),
+                                bits,
+                                window,
+                                init
+                            );
+                        }
+                    }
+                }
+                // the whole code filter: survivors, κ bits and counts
+                let live = Bitmap::full(rows);
+                for k in [1, 5] {
+                    let run = |kernel| {
+                        filter_segment_with_kernel(
+                            &view, metric, &query, k, &live, None, kernel, None, None,
+                        )
+                        .unwrap()
+                    };
+                    let want = run(Kernel::Scalar);
+                    for kernel in supported_kernels() {
+                        let got = run(kernel);
+                        prop_assert_eq!(&got.survivors, &want.survivors, "{}", kernel.label());
+                        prop_assert_eq!(
+                            got.kappa.map(f64::to_bits),
+                            want.kappa.map(f64::to_bits),
+                            "{} κ",
+                            kernel.label()
+                        );
+                        prop_assert_eq!(
+                            (got.cells, got.dims, got.steps),
+                            (want.cells, want.dims, want.steps),
+                            "{} counts",
+                            kernel.label()
+                        );
+                    }
+                }
             }
         }
     }
@@ -228,7 +330,7 @@ proptest! {
         rows in 1usize..=64,
         seed_values in proptest::collection::vec(0u64..u64::MAX, 128),
     ) {
-        // 128 values, 64 rows in either layout: half edge values, half
+        // 128 values, two windows of up to 64 rows: half edge values, half
         // the values whose `x + add` lands on the bar under either sign
         let mut rng = TestRng::for_test(&format!("{bar:?}/{add:?}/{}", seed_values[0]));
         let values: Vec<f64> = seed_values
@@ -240,30 +342,27 @@ proptest! {
             })
             .collect();
         for sign in [1.0, -1.0] {
-            {
-                let test = SurviveTest { sign, add, bar };
-                for (stride, lane) in [(1usize, 0usize), (2, 0), (2, 1)] {
-                    let x = &values[..rows * stride];
-                    // the predicate, row by row — what every flavour computes
-                    let mut expected = 0u64;
-                    for row in 0..rows {
-                        expected |= u64::from(test.survives(x[row * stride + lane])) << row;
-                    }
-                    let reference = kernels::survive_mask(Kernel::Scalar, test, x, stride, lane);
-                    prop_assert_eq!(reference, expected, "scalar reference vs predicate");
-                    for kernel in supported_kernels() {
-                        let got = kernels::survive_mask(kernel, test, x, stride, lane);
-                        prop_assert_eq!(
-                            got,
-                            reference,
-                            "{} survive mask diverged: {:?}, {} rows, stride {}, lane {}",
-                            kernel.label(),
-                            test,
-                            rows,
-                            stride,
-                            lane
-                        );
-                    }
+            let test = SurviveTest { sign, add, bar };
+            for start in [0, 64] {
+                let x = &values[start..start + rows];
+                // the predicate, row by row — what every flavour computes
+                let mut expected = 0u64;
+                for (row, &value) in x.iter().enumerate() {
+                    expected |= u64::from(test.survives(value)) << row;
+                }
+                let reference = kernels::survive_mask(Kernel::Scalar, test, x);
+                prop_assert_eq!(reference, expected, "scalar reference vs predicate");
+                for kernel in supported_kernels() {
+                    let got = kernels::survive_mask(kernel, test, x);
+                    prop_assert_eq!(
+                        got,
+                        reference,
+                        "{} survive mask diverged: {:?}, {} rows from {}",
+                        kernel.label(),
+                        test,
+                        rows,
+                        start
+                    );
                 }
             }
         }
