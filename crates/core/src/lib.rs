@@ -99,7 +99,7 @@ pub use feedback::{ExecFeedback, FeedbackSnapshot, SegmentFeedback, SegmentFeedb
 pub use kappa::KappaCell;
 pub use kernels::Kernel;
 pub use multifeature::{
-    FeatureMetricKind, FeatureQuery, MultiFeatureContext, MultiFeatureOutcome, MultiFeatureSearcher,
+    FeatureMetricKind, FeatureQuery, MultiFeatureContext, MultiFeatureSearcher,
 };
 pub use ordering::DimensionOrdering;
 pub use plan::SegmentPlan;

@@ -21,12 +21,12 @@ use bond_metrics::{
     CandidateState, DecomposableMetric, EvRule, HhRule, HistogramIntersection, PruningRule,
     ScoreAggregate, SquaredEuclidean,
 };
-use vdstore::topk::Scored;
 use vdstore::{descending_nan_last, Bitmap, DecomposedTable, RowId, TopKLargest};
 
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::schedule::BlockSchedule;
+use crate::searcher::SearchOutcome;
 use crate::trace::{PruneTrace, TraceCheckpoint};
 
 /// Which metric a feature collection is searched with.
@@ -46,15 +46,6 @@ pub struct FeatureQuery {
     pub query: Vec<f64>,
     /// The metric used within this collection.
     pub metric: FeatureMetricKind,
-}
-
-/// The outcome of a synchronized multi-feature search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiFeatureOutcome {
-    /// The k best rows by aggregate similarity, best first.
-    pub hits: Vec<Scored>,
-    /// Pruning trace over the combined dimension sequence.
-    pub trace: PruneTrace,
 }
 
 /// Shared context for a (possibly partitioned) synchronized multi-feature
@@ -93,11 +84,29 @@ struct FeatureState<'t> {
     partial: Vec<f64>,
     scanned_mass: Vec<f64>,
     total_mass: &'t [f64],
-    processed: Vec<usize>,
     remaining: Vec<usize>,
 }
 
 impl FeatureState<'_> {
+    /// Adds dimension `d`'s contribution of every `alive` row to its
+    /// partial score and, while the scan still prunes (`track_mass`), the
+    /// row's scanned mass.
+    fn accumulate(&mut self, values: &[f64], d: usize, alive: &[RowId], track_mass: bool) {
+        let q = self.query[d];
+        for &row in alive {
+            let v = values[row as usize];
+            self.partial[row as usize] += match self.kind {
+                FeatureMetricKind::HistogramIntersection => {
+                    HistogramIntersection.contribution(d, v, q)
+                }
+                FeatureMetricKind::Euclidean => SquaredEuclidean.contribution(d, v, q),
+            };
+            if track_mass {
+                self.scanned_mass[row as usize] += v;
+            }
+        }
+    }
+
     fn similarity_bounds(&self, rule: &dyn PruningRule, row: RowId) -> (f64, f64) {
         let idx = row as usize;
         let state = CandidateState {
@@ -164,7 +173,7 @@ impl<'a> MultiFeatureSearcher<'a> {
         aggregate: &dyn ScoreAggregate,
         k: usize,
         schedule: BlockSchedule,
-    ) -> Result<MultiFeatureOutcome> {
+    ) -> Result<SearchOutcome> {
         let rows = self.rows();
         if k == 0 || k > rows {
             return Err(BondError::InvalidK { k, rows });
@@ -191,7 +200,7 @@ impl<'a> MultiFeatureSearcher<'a> {
         schedule: BlockSchedule,
         range: Range<usize>,
         ctx: &MultiFeatureContext<'_>,
-    ) -> Result<MultiFeatureOutcome> {
+    ) -> Result<SearchOutcome> {
         if queries.len() != self.tables.len() {
             return Err(BondError::InvalidParams(format!(
                 "{} feature queries supplied for {} collections",
@@ -261,7 +270,6 @@ impl<'a> MultiFeatureSearcher<'a> {
                         Some(mass) => &mass[f],
                         None => &computed_mass[f],
                     },
-                    processed: Vec::new(),
                     remaining: (0..table.dims()).collect(),
                 }
             })
@@ -296,8 +304,6 @@ impl<'a> MultiFeatureSearcher<'a> {
             None => (range.start as RowId..range.end as RowId).collect(),
         };
         let mut trace = PruneTrace::default();
-        let hist_metric = HistogramIntersection;
-        let euclid_metric = SquaredEuclidean;
 
         let mut processed = 0usize;
         let mut attempts = 0usize;
@@ -307,23 +313,8 @@ impl<'a> MultiFeatureSearcher<'a> {
                 break;
             }
             for &(f, d) in &global_order[processed..processed + block] {
-                let column = self.tables[f].column(d)?;
-                let values = column.values();
-                let state = &mut states[f];
-                let q = state.query[d];
-                for &row in &alive {
-                    let v = values[row as usize];
-                    let contribution = match state.kind {
-                        FeatureMetricKind::HistogramIntersection => {
-                            hist_metric.contribution(d, v, q)
-                        }
-                        FeatureMetricKind::Euclidean => euclid_metric.contribution(d, v, q),
-                    };
-                    state.partial[row as usize] += contribution;
-                    state.scanned_mass[row as usize] += v;
-                }
-                state.processed.push(d);
-                state.remaining.retain(|&r| r != d);
+                states[f].accumulate(self.tables[f].column(d)?.values(), d, &alive, true);
+                states[f].remaining.retain(|&r| r != d);
             }
             trace.contributions_evaluated += (block * alive.len()) as u64;
             processed += block;
@@ -393,20 +384,7 @@ impl<'a> MultiFeatureSearcher<'a> {
         // Complete the survivors' exact per-feature scores.
         if processed < total_dims {
             for &(f, d) in &global_order[processed..] {
-                let column = self.tables[f].column(d)?;
-                let values = column.values();
-                let state = &mut states[f];
-                let q = state.query[d];
-                for &row in &alive {
-                    let v = values[row as usize];
-                    let contribution = match state.kind {
-                        FeatureMetricKind::HistogramIntersection => {
-                            hist_metric.contribution(d, v, q)
-                        }
-                        FeatureMetricKind::Euclidean => euclid_metric.contribution(d, v, q),
-                    };
-                    state.partial[row as usize] += contribution;
-                }
+                states[f].accumulate(self.tables[f].column(d)?.values(), d, &alive, false);
             }
             trace.contributions_evaluated += ((total_dims - processed) * alive.len()) as u64;
             trace.dims_accessed = total_dims;
@@ -425,7 +403,7 @@ impl<'a> MultiFeatureSearcher<'a> {
         if let (Some(cell), Some(kth)) = (ctx.kappa, heap.kth()) {
             cell.tighten(kth);
         }
-        Ok(MultiFeatureOutcome { hits: heap.into_sorted_vec(), trace })
+        Ok(SearchOutcome { hits: heap.into_sorted_vec(), trace })
     }
 }
 

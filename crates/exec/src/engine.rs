@@ -11,10 +11,13 @@
 //! serving system needs (see [`crate::service`]).
 //!
 //! Execution is per-request heterogeneous: a [`RequestBatch`] of
-//! [`QuerySpec`]s may mix `k`s, pruning rules and planners freely. All
-//! `queries × segments` searches still run in one worker-pool pass, each
-//! query gets its own shared-κ cell, and every query's per-segment top-k
-//! heaps merge into its final answer.
+//! [`QuerySpec`]s may mix `k`s, pruning rules, planners, predicate filters
+//! and request kinds freely. Every kind — top-k, filtered top-k,
+//! multi-feature — runs in one engine pass: each spec is validated and
+//! resolved once, all `queries × segments` tasks go through one scheduler
+//! (the module's only spawn site), each query gets its own shared-κ cell,
+//! and every query's per-segment answers go through one merge and one
+//! metrics path.
 //!
 //! *What to scan, in which dimension order, with which block schedule* is a
 //! per-segment [`SegmentPlan`] chosen by the query's effective
@@ -53,10 +56,10 @@ use bond::quantfilter;
 use bond::{
     prune_slack, search_segment, BondError, BondParams, BondSearcher, CostModel, DimensionOrdering,
     ExecFeedback, FeatureQuery, FeedbackSnapshot, KappaCell, Kernel, MultiFeatureContext,
-    MultiFeatureOutcome, MultiFeatureSearcher, PruneTrace, Result, SearchOutcome, SegmentContext,
+    MultiFeatureSearcher, PruneTrace, Result, SearchOutcome, SegmentContext,
     SegmentFeedbackSnapshot, SegmentPlan,
 };
-use bond_metrics::{DecomposableMetric, Objective};
+use bond_metrics::{DecomposableMetric, Objective, ScoreAggregate};
 use bond_obs::{names, Counter, Gauge, Histogram, MetricsRegistry, Span};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -414,21 +417,7 @@ impl EngineBuilder {
             }
         };
         let envelopes: Vec<Option<Envelope>> = stats.iter().map(SegmentStats::envelope).collect();
-        let feedback = match self.preloaded_learned {
-            Some(bytes) => {
-                let snapshot = FeedbackSnapshot::from_bytes(&bytes)?;
-                if snapshot.dims != dims || snapshot.segments.len() != specs.len() {
-                    return Err(BondError::Storage(VdError::Corrupt(format!(
-                        "learned feedback covers {} segments x {} dims, store has {} x {dims}",
-                        snapshot.segments.len(),
-                        snapshot.dims,
-                        specs.len(),
-                    ))));
-                }
-                ExecFeedback::from_snapshot(&snapshot)
-            }
-            None => ExecFeedback::new(specs.len(), dims),
-        };
+        let feedback = initial_feedback(self.preloaded_learned, specs.len(), dims)?;
         let metrics = EngineMetrics::new(self.metrics.unwrap_or_default());
         if let Some(us) = self.open_micros {
             metrics.open_cold_us.record(us);
@@ -460,6 +449,26 @@ impl EngineBuilder {
             }),
         })
     }
+}
+
+/// The feedback store a new engine starts from: the store footer's learned
+/// state, which must cover exactly this engine's `segments` × `dims`, or a
+/// cold store when there is none.
+fn initial_feedback(
+    learned: Option<Vec<u8>>,
+    segments: usize,
+    dims: usize,
+) -> Result<ExecFeedback> {
+    let Some(bytes) = learned else { return Ok(ExecFeedback::new(segments, dims)) };
+    let snapshot = FeedbackSnapshot::from_bytes(&bytes)?;
+    if snapshot.dims != dims || snapshot.segments.len() != segments {
+        return Err(BondError::Storage(VdError::Corrupt(format!(
+            "learned feedback covers {} segments x {} dims, store has {segments} x {dims}",
+            snapshot.segments.len(),
+            snapshot.dims,
+        ))));
+    }
+    Ok(ExecFeedback::from_snapshot(&snapshot))
 }
 
 /// The engine's shared state: everything a worker thread needs, owned.
@@ -513,41 +522,142 @@ pub struct Engine {
     inner: Arc<EngineInner>,
 }
 
-/// Everything `execute` resolves once per query before scheduling: the
-/// effective rule/planner, the metric instance, the uniform plan (when the
-/// query plans uniformly) and the shared κ cell.
-struct ResolvedQuery<'b> {
-    spec: &'b QuerySpec,
-    rule: &'b RuleKind,
-    planner: PlannerKind,
-    /// How this query reads column data (engine default or spec override).
-    scan: ScanMode,
-    /// The quantized code companions quantized scan modes sweep, resolved
-    /// (and built, on the cache's first miss) before any task runs.
-    codes: Option<Arc<StoreCodes>>,
-    metric: Box<dyn DecomposableMetric>,
-    objective: Objective,
-    /// The eligibility bitmap over the table's full row domain, when the
-    /// spec pushed one down; workers slice it per segment.
-    filter: Option<&'b Bitmap>,
+/// How a top-k request executes: [`Engine::resolve_topk`]'s answer, which
+/// [`Engine::execute`] runs and [`Engine::explain`] renders.
+pub(crate) struct TopKQuery<'b> {
+    pub(crate) rule: &'b RuleKind,
+    pub(crate) planner: PlannerKind,
+    pub(crate) scan: ScanMode,
+    pub(crate) metric: Box<dyn DecomposableMetric>,
+    pub(crate) objective: Objective,
+    /// Whether segments may be skipped whole against the shared κ.
+    pub(crate) skipping: bool,
+    /// `T(q)`, for the total-mass half of the zone-map bound.
+    pub(crate) query_sum: f64,
+    /// Position `p` executes segment `visit_order[p]`; `None` visits in
+    /// row order ([`Engine::plan_visit_order`]).
+    pub(crate) visit_order: Option<Vec<usize>>,
+}
+
+/// A top-k request as the engine pass runs it.
+struct TopKRun<'b> {
+    query: TopKQuery<'b>,
+    /// The segment-independent plan, when the query plans uniformly.
     uniform_plan: Option<SegmentPlan>,
-    /// `T(q)` for the total-mass skip bound (adaptive planning only).
-    query_sum: f64,
+    /// The code companions a quantized scan sweeps, resolved (and built,
+    /// on the cache's first miss) before any task runs.
+    codes: Option<Arc<StoreCodes>>,
     /// The cost model's pre-execution work estimate for this request —
     /// compared against the executed work at merge time to feed the
     /// `planner.cost.abs_rel_error` calibration histogram.
     estimate: f64,
+}
+
+/// A multi-feature request as the engine pass runs it.
+struct MultiFeatureRun<'b> {
+    searcher: MultiFeatureSearcher<'b>,
+    queries: Vec<FeatureQuery>,
+    aggregate: Box<dyn ScoreAggregate>,
+    /// Per-feature full-table row sums, computed once per request instead
+    /// of once per segment task.
+    total_mass: Vec<Vec<f64>>,
+}
+
+enum ResolvedKind<'b> {
+    TopK(TopKRun<'b>),
+    MultiFeature(MultiFeatureRun<'b>),
+}
+
+/// Everything `execute` resolves once per request before scheduling.
+struct ResolvedQuery<'b> {
+    spec: &'b QuerySpec,
+    /// The order answers rank in; multi-feature requests maximize their
+    /// combined similarity whatever their component metrics.
+    objective: Objective,
+    /// Per-segment eligible rows (`filter ∧ live`) of a filtered request,
+    /// counted once at validation; tasks read them instead of recounting.
+    eligible: Option<Vec<usize>>,
     kappa: Option<SharedKappa>,
-    /// The segment *visit order* for this query
-    /// ([`Engine::plan_visit_order`]): position `p` executes segment
-    /// `visit_order[p]`. `None` visits in row order.
-    visit_order: Option<Vec<usize>>,
+    kind: ResolvedKind<'b>,
+}
+
+impl<'b> ResolvedQuery<'b> {
+    fn topk(&self) -> Option<&TopKRun<'b>> {
+        match &self.kind {
+            ResolvedKind::TopK(run) => Some(run),
+            ResolvedKind::MultiFeature(_) => None,
+        }
+    }
+
+    /// The pruning rule stamped on this query's traces (`None` for
+    /// multi-feature requests: each feature prunes under its own rule).
+    fn rule_name(&self) -> Option<&'static str> {
+        self.topk().map(|run| run.query.rule.name())
+    }
+
+    fn visit_order(&self) -> Option<&[usize]> {
+        self.topk()?.query.visit_order.as_deref()
+    }
+
+    /// The metric the merge re-verifies hits with: stats-driven plans
+    /// refine in per-segment orders, so their scores are recomputed in one
+    /// fixed order. Approximate scans never re-verify: their scores are
+    /// interval midpoints by contract, and touching exact rows would defeat
+    /// the codes-only promise.
+    fn reverify_metric(&self) -> Option<&dyn DecomposableMetric> {
+        let query = &self.topk()?.query;
+        (query.planner.is_stats_driven() && !query.scan.is_approximate())
+            .then_some(query.metric.as_ref())
+    }
+
+    /// Whether this query's traces, skips and merge misses teach the
+    /// feedback store: unfiltered top-k requests only. A filtered trace
+    /// describes the predicate's subset, not the segment.
+    fn teaches_feedback(&self) -> bool {
+        self.topk().is_some() && self.spec.filter_override().is_none()
+    }
+}
+
+/// One `execute` call's read-only state, shared by every task.
+struct Pass<'b> {
+    resolved: Vec<ResolvedQuery<'b>>,
+    /// The zero-copy segment views, materialised once per call.
+    segments: Vec<Segment<'b>>,
+    /// The `T(x)` table, when any request's rule needs it.
+    row_sums: Option<&'b [f64]>,
+    /// One feedback snapshot per segment, when any request plans from
+    /// feedback.
+    feedback: Option<Vec<SegmentFeedbackSnapshot>>,
+    /// Whether the columns are served by a file mapping — the only case
+    /// where access-pattern advice reaches a kernel.
+    mapped: bool,
+}
+
+/// One `(query, segment)` task's inputs: the pass, the query, and the
+/// segment its visit position resolved to.
+#[derive(Clone, Copy)]
+struct Task<'p> {
+    pass: &'p Pass<'p>,
+    rq: &'p ResolvedQuery<'p>,
+    si: usize,
+    segment: &'p Segment<'p>,
+}
+
+impl Task<'_> {
+    /// The segment's eligible rows as a local bitmap: tombstones ∧ the
+    /// predicate filter.
+    fn eligible_bitmap(&self) -> Bitmap {
+        let mut local = self.segment.live_bitmap();
+        if let Some(filter) = self.rq.spec.filter_override() {
+            local.and_with(&filter.slice(self.segment.range()));
+        }
+        local
+    }
 }
 
 /// What one `(query, segment)` task leaves in its slot: the search outcome
-/// plus the plan it executed (`None` for zone-map skips — no plan was ever
-/// derived — and for approximate codes-only scans, which execute no
-/// dimension plan).
+/// plus the plan it executed (`None` for skips, codes-only scans and
+/// multi-feature scans, which execute no dimension plan).
 #[derive(Debug)]
 struct TaskOutcome {
     outcome: SearchOutcome,
@@ -555,6 +665,20 @@ struct TaskOutcome {
     /// Per-hit absolute error bounds, parallel to the outcome's hits;
     /// `Some` only for approximate codes-only scans.
     error_bounds: Option<Vec<f64>>,
+}
+
+impl TaskOutcome {
+    /// A segment skipped before any of its columns was read.
+    fn skipped(rule: Option<&'static str>) -> TaskOutcome {
+        let trace = PruneTrace { segment_skipped: true, rule, ..PruneTrace::default() };
+        TaskOutcome::from(SearchOutcome { hits: Vec::new(), trace })
+    }
+}
+
+impl From<SearchOutcome> for TaskOutcome {
+    fn from(outcome: SearchOutcome) -> TaskOutcome {
+        TaskOutcome { outcome, plan: None, error_bounds: None }
+    }
 }
 
 impl Engine {
@@ -759,10 +883,8 @@ impl Engine {
     /// survivor fraction (stats-driven planners only — uniform planning
     /// never skips).
     pub fn estimate_cost(&self, spec: &QuerySpec) -> f64 {
-        // Predicate filters discount every segment's estimate by its own
-        // eligible fraction (floored at k/live — the scan must still find k
-        // answers); a domain-mismatched filter prices as unfiltered here and
-        // is rejected by `validate` before execution.
+        // A domain-mismatched filter prices as unfiltered here and is
+        // rejected by `validate` before execution.
         let eligible = spec.filter_override().and_then(|f| self.filter_eligibility(f).ok());
         if let QueryKind::MultiFeature(mf) = spec.kind() {
             // The synchronized scan has no per-segment plan or feedback
@@ -778,33 +900,44 @@ impl Engine {
         }
         let planner = spec.planner_override().unwrap_or(self.inner.planner);
         let scan = spec.scan_mode_override().unwrap_or(self.inner.scan);
-        let skipping =
-            planner.is_stats_driven() && self.inner.share_kappa && !scan.is_approximate();
+        self.topk_estimate(spec.k(), scan, self.skipping(planner, scan), eligible.as_deref())
+    }
+
+    /// The top-k half of [`Engine::estimate_cost`], over per-segment
+    /// eligible counts the caller already holds.
+    fn topk_estimate(
+        &self,
+        k: usize,
+        scan: ScanMode,
+        skipping: bool,
+        eligible: Option<&[usize]>,
+    ) -> f64 {
         (0..self.inner.stats.len())
             .map(|si| {
                 // scalar_snapshot: the cost formula reads only the scalar
                 // counters, so the per-dimension credit vector is not cloned
                 // on this (per-submission) hot path
                 let snapshot = self.inner.feedback.segment(si).scalar_snapshot();
-                let cost = self.segment_estimate(si, scan, Some(&snapshot), spec.k(), skipping).0;
-                match &eligible {
-                    Some(counts) => self.inner.cost.filtered_cost(
-                        cost,
-                        counts[si],
-                        self.inner.stats[si].live_rows,
-                        spec.k(),
-                    ),
-                    None => cost,
-                }
+                let eligible = eligible.map(|counts| counts[si]);
+                self.segment_estimate(si, scan, Some(&snapshot), k, skipping, eligible).0
             })
             .sum()
+    }
+
+    /// Whether a query under `planner` and `scan` may skip whole segments
+    /// against its shared κ.
+    fn skipping(&self, planner: PlannerKind, scan: ScanMode) -> bool {
+        planner.is_stats_driven() && self.inner.share_kappa && !scan.is_approximate()
     }
 
     /// One segment's cost estimate under `scan`, split into phases:
     /// `(total, filter sweep, exact refine)` — the filter/refine parts are
     /// `None` for exact scans. Code cells are priced at
     /// [`CostModel::quant_cell_cost`] of an exact cell for the kernel this
-    /// process dispatches to. Shared by [`Engine::estimate_cost`] and
+    /// process dispatches to. A predicate filter leaving `eligible` rows
+    /// discounts the estimate by the segment's eligible fraction (floored
+    /// at k/live — the scan must still find k answers), proportionally
+    /// across the phases. Shared by [`Engine::estimate_cost`] and
     /// [`Engine::explain`], so the rendered phase split always sums to the
     /// admission estimate.
     pub(crate) fn segment_estimate(
@@ -814,10 +947,11 @@ impl Engine {
         snapshot: Option<&SegmentFeedbackSnapshot>,
         k: usize,
         skipping: bool,
+        eligible: Option<usize>,
     ) -> (f64, Option<f64>, Option<f64>) {
         let inner = &*self.inner;
         let stats = &inner.stats[si];
-        match scan {
+        let (total, filter, refine) = match scan {
             ScanMode::Exact => (inner.cost.segment_cost(stats, snapshot, k, skipping), None, None),
             ScanMode::QuantizedFilter => {
                 let (filter, refine) = inner.cost.segment_cost_quantized_split_with_kernel(
@@ -836,7 +970,11 @@ impl Engine {
                     * CostModel::quant_cell_cost(Kernel::active());
                 (filter, Some(filter), Some(0.0))
             }
-        }
+        };
+        let Some(eligible) = eligible else { return (total, filter, refine) };
+        let discounted = inner.cost.filtered_cost(total, eligible, stats.live_rows, k);
+        let ratio = if total > 0.0 { discounted / total } else { 0.0 };
+        (discounted, filter.map(|c| c * ratio), refine.map(|c| c * ratio))
     }
 
     /// The `BondParams` a query executing under `rule` effectively uses:
@@ -859,10 +997,8 @@ impl Engine {
     /// starts, so those segments skip, or lose their rows at the code
     /// sweep's first block, instead of warming up against an empty bound.
     /// Any visit order is rank-correct; this one just minimises wasted
-    /// scans. `None` — every other query — visits in row order. Shared by
-    /// [`Engine::execute`] and [`Engine::explain`], so the rendered order
-    /// is the executed order by construction.
-    pub(crate) fn plan_visit_order(
+    /// scans. `None` — every other query — visits in row order.
+    fn plan_visit_order(
         &self,
         planner: PlannerKind,
         scan: ScanMode,
@@ -902,7 +1038,8 @@ impl Engine {
     /// plan the executed plan. `snapshot` is the segment's feedback
     /// snapshot for [`PlannerKind::Feedback`] (callers pass the same
     /// per-batch snapshot to every task of a batch; `explain` takes a
-    /// fresh one).
+    /// fresh one); without one, feedback planning derives the a-priori
+    /// plan, exactly as for a cold segment.
     pub(crate) fn derive_segment_plan(
         &self,
         si: usize,
@@ -912,31 +1049,15 @@ impl Engine {
         snapshot: Option<&SegmentFeedbackSnapshot>,
     ) -> SegmentPlan {
         let inner = &*self.inner;
-        match planner {
-            PlannerKind::Uniform => {
-                let params = self.params_for(rule);
-                SegmentPlan::uniform(&params, query, rule.weights(), inner.table.dims())
+        let (stats, weights, objective) = (&inner.stats[si], rule.weights(), rule.objective());
+        match (planner, snapshot) {
+            (PlannerKind::Uniform, _) => {
+                SegmentPlan::uniform(&self.params_for(rule), query, weights, inner.table.dims())
             }
-            PlannerKind::Adaptive => {
-                inner.cost.plan(&inner.stats[si], query, rule.weights(), rule.objective())
+            (PlannerKind::Feedback, Some(snapshot)) => {
+                inner.cost.plan_with_feedback(stats, snapshot, query, weights, objective)
             }
-            PlannerKind::Feedback => {
-                let owned;
-                let snapshot = match snapshot {
-                    Some(s) => s,
-                    None => {
-                        owned = inner.feedback.segment(si).snapshot();
-                        &owned
-                    }
-                };
-                inner.cost.plan_with_feedback(
-                    &inner.stats[si],
-                    snapshot,
-                    query,
-                    rule.weights(),
-                    rule.objective(),
-                )
-            }
+            _ => inner.cost.plan(stats, query, weights, objective),
         }
     }
 
@@ -946,23 +1067,26 @@ impl Engine {
     /// control (e.g. [`crate::service::Server::submit`]) can reject a bad
     /// request immediately instead of poisoning a coalesced batch.
     pub fn validate(&self, spec: &QuerySpec) -> Result<()> {
+        self.admit(spec).map(drop)
+    }
+
+    /// [`Engine::validate`], keeping what it counted: the per-segment
+    /// eligible rows of a filtered request (`None` when unfiltered), which
+    /// resolution hands to the estimate and the tasks.
+    pub(crate) fn admit(&self, spec: &QuerySpec) -> Result<Option<Vec<usize>>> {
         let dims = self.inner.table.dims();
         // A predicate filter must address the table's full row domain and
         // leave at least one live row eligible; `k` is then checked against
         // the *eligible* count, so an over-asking filtered request fails at
         // admission instead of returning a silently short answer.
-        let eligible = match spec.filter_override() {
-            Some(filter) => {
-                let total: usize = self.filter_eligibility(filter)?.iter().sum();
-                if total == 0 {
-                    return Err(BondError::InvalidFilter(
-                        "filter leaves no live row eligible".into(),
-                    ));
-                }
-                total
-            }
+        let counts = spec.filter_override().map(|f| self.filter_eligibility(f)).transpose()?;
+        let eligible = match &counts {
+            Some(counts) => counts.iter().sum(),
             None => self.inner.table.live_rows(),
         };
+        if counts.is_some() && eligible == 0 {
+            return Err(BondError::InvalidFilter("filter leaves no live row eligible".into()));
+        }
         if spec.k() == 0 || spec.k() > eligible {
             return Err(BondError::InvalidK { k: spec.k(), rows: eligible });
         }
@@ -992,7 +1116,7 @@ impl Engine {
             }
             QueryKind::MultiFeature(mf) => self.validate_multifeature(spec, mf)?,
         }
-        Ok(())
+        Ok(counts)
     }
 
     /// The multi-feature half of [`Engine::validate`]: feature arity,
@@ -1045,9 +1169,8 @@ impl Engine {
 
     /// Per-segment eligible-row counts under `filter` — `filter ∧ live`,
     /// segment by segment, without materialising any intersection. The
-    /// shared precondition check of [`Engine::validate`],
-    /// [`Engine::estimate_cost`] and [`Engine::explain`]'s filtered
-    /// rendering.
+    /// shared precondition check of [`Engine::validate`] and
+    /// [`Engine::estimate_cost`].
     ///
     /// # Errors
     ///
@@ -1086,15 +1209,14 @@ impl Engine {
         Ok(outcome.queries.pop().expect("one outcome per query"))
     }
 
-    /// Executes a whole batch: all `queries × segments` searches are
-    /// scheduled on one worker pool, per-query setup (effective rule and
-    /// planner, segment plans, κ cells) is done once, and each query's
-    /// per-segment answers are merged into its own top-`k`. Specs may mix
-    /// `k`s, rules and planners freely — heterogeneity costs nothing
-    /// beyond the per-query setup it always required. Under adaptive
-    /// planning, segments whose zone-map bound cannot reach the query's
-    /// current κ are skipped entirely (their [`SegmentRun::trace`] reports
-    /// `segment_skipped`).
+    /// Executes a whole batch in one engine pass: every spec is validated
+    /// and resolved once, all `queries × segments` tasks run on one worker
+    /// pool, and each query's per-segment answers are merged into its own
+    /// top-`k`. Specs may mix `k`s, rules, planners and request kinds
+    /// freely — heterogeneity costs nothing beyond the per-query setup it
+    /// always required. Under adaptive planning, segments whose zone-map
+    /// bound cannot reach the query's current κ are skipped entirely (their
+    /// [`SegmentRun::trace`] reports `segment_skipped`).
     ///
     /// Every spec is validated before any work starts; the first invalid
     /// spec fails the whole call.
@@ -1103,549 +1225,33 @@ impl Engine {
     /// their eligible rows; multi-feature requests
     /// ([`QuerySpec::multi_feature`]) run one synchronized scan per segment
     /// under the same shared-κ protocol and merge exactly like top-k
-    /// requests. Both kinds coexist freely in one batch.
+    /// requests. All kinds coexist freely in one batch.
     pub fn execute(&self, batch: &RequestBatch) -> Result<BatchOutcome> {
-        for spec in batch.specs() {
-            self.validate(spec)?;
-        }
+        let eligible: Vec<Option<Vec<usize>>> =
+            batch.specs().iter().map(|spec| self.admit(spec)).collect::<Result<_>>()?;
         if batch.is_empty() {
             return Ok(BatchOutcome { queries: Vec::new() });
         }
-        if batch.specs().iter().any(|s| matches!(s.kind(), QueryKind::MultiFeature(_))) {
-            return self.execute_mixed(batch);
-        }
-        self.execute_topk(batch)
-    }
-
-    /// A batch with at least one multi-feature request: the classic top-k
-    /// specs run in one engine pass exactly as a homogeneous batch would,
-    /// each multi-feature spec runs its own synchronized per-segment pass,
-    /// and the answers reassemble in submission order.
-    fn execute_mixed(&self, batch: &RequestBatch) -> Result<BatchOutcome> {
-        let mut slots: Vec<Option<QueryOutcome>> = (0..batch.len()).map(|_| None).collect();
-        let topk: Vec<usize> = batch
-            .specs()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.kind(), QueryKind::TopK))
-            .map(|(i, _)| i)
-            .collect();
-        if !topk.is_empty() {
-            let sub =
-                RequestBatch::from_specs(topk.iter().map(|&i| batch.specs()[i].clone()).collect());
-            let outcome = self.execute_topk(&sub)?;
-            for (&i, out) in topk.iter().zip(outcome.queries) {
-                slots[i] = Some(out);
-            }
-        } else {
-            // the engine-pass counter ticks once per `execute` call; the
-            // top-k subset's pass already counted it when one ran
-            self.inner.metrics.batches.inc();
-        }
-        for (i, spec) in batch.specs().iter().enumerate() {
-            if let QueryKind::MultiFeature(mf) = spec.kind() {
-                slots[i] = Some(self.execute_multifeature(spec, mf)?);
-            }
-        }
-        Ok(BatchOutcome {
-            queries: slots.into_iter().map(|s| s.expect("every slot answered")).collect(),
-        })
-    }
-
-    /// One multi-feature request: a synchronized scan
-    /// ([`MultiFeatureSearcher::search_range`]) per segment on the worker
-    /// pool, all segments pooling their combined-similarity κ through one
-    /// shared cell, per-segment exact answers merged into the global top-k
-    /// under the deterministic `(score, row)` order. Tombstones and the
-    /// spec's predicate filter both enter as the per-segment eligibility
-    /// bitmap.
-    fn execute_multifeature(
-        &self,
-        spec: &QuerySpec,
-        mf: &MultiFeatureSpec,
-    ) -> Result<QueryOutcome> {
-        let inner = &*self.inner;
-        let start = Instant::now();
-        let plan_span = Span::begin(names::SPAN_ENGINE_PLAN).detail(1);
-        let tables: Vec<&DecomposedTable> = mf
-            .features()
-            .iter()
-            .map(|f| f.table().map(|t| t.as_ref()).unwrap_or(&inner.table))
-            .collect();
-        let searcher = MultiFeatureSearcher::new(tables.clone())?;
-        let queries: Vec<FeatureQuery> = mf
-            .features()
-            .iter()
-            .map(|f| FeatureQuery { query: f.query().to_vec(), metric: f.metric() })
-            .collect();
-        let aggregate = mf.aggregate().build()?;
-        let k = spec.k();
-        let schedule = inner.params.schedule;
-        // Per-feature full-table row sums, computed once per query instead
-        // of once per segment worker.
-        let total_mass: Vec<Vec<f64>> = tables.iter().map(|t| t.row_sums()).collect();
-        // The combined similarity is maximized regardless of the component
-        // metrics (Euclidean components are flipped onto the similarity
-        // scale before aggregation), so one Maximize cell serves any mix.
-        let kappa = inner.share_kappa.then(|| SharedKappa::new(Objective::Maximize));
-        let segments: Vec<Segment<'_>> = inner
-            .specs
-            .iter()
-            .map(|s| s.view(&inner.table).expect("specs partition this table"))
-            .collect();
-        let n_segments = segments.len();
-        drop(plan_span);
-
-        let slots: Vec<OnceLock<Result<MultiFeatureOutcome>>> =
-            (0..n_segments).map(|_| OnceLock::new()).collect();
-        let run_task = |si: usize| {
-            let segment = &segments[si];
-            // Eligibility local to the segment: tombstones ∧ predicate.
-            let mut local = segment.live_bitmap();
-            if let Some(filter) = spec.filter_override() {
-                local.and_with(&filter.slice(segment.range()));
-            }
-            let eligible = local.count();
-            if eligible == 0 {
-                if spec.filter_override().is_some() {
-                    inner.metrics.filter_segments_empty.inc();
-                }
-                slots[si]
-                    .set(Ok(MultiFeatureOutcome {
-                        hits: Vec::new(),
-                        trace: PruneTrace { segment_skipped: true, ..PruneTrace::default() },
-                    }))
-                    .expect("each segment is claimed exactly once");
-                return;
-            }
-            if spec.filter_override().is_some() {
-                inner.metrics.filter_eligible_rows.add(eligible as u64);
-            }
-            let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
-            let ctx = MultiFeatureContext {
-                kappa: kappa.as_ref().map(|cell| cell as &dyn KappaCell),
-                total_mass: Some(&total_mass),
-                filter: Some(&local),
-            };
-            let result = searcher.search_range(
-                &queries,
-                aggregate.as_ref(),
-                k,
-                schedule,
-                segment.range(),
-                &ctx,
-            );
-            drop(scan_span);
-            inner.metrics.multifeature_searches.inc();
-            slots[si].set(result).expect("each segment is claimed exactly once");
-        };
-        let workers = inner.threads.min(n_segments);
-        if workers <= 1 {
-            for si in 0..n_segments {
-                run_task(si);
-            }
-        } else {
-            let next_task = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // ordering: relaxed — the atomic RMW alone makes each
-                        // segment index unique; segment *data* is published
-                        // to the workers by `thread::scope`'s spawn
-                        // (happens-before the closure runs), not through
-                        // this counter.
-                        let si = next_task.fetch_add(1, Ordering::Relaxed);
-                        if si >= n_segments {
-                            break;
-                        }
-                        run_task(si);
-                    });
-                }
-            });
-        }
-        let outcomes: Vec<MultiFeatureOutcome> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all segments completed"))
-            .collect::<Result<_>>()?;
-
-        let merge_span = Span::begin(names::SPAN_ENGINE_MERGE).detail(1);
-        // Per-segment hits carry exact combined similarities for global
-        // rows, so the deterministic (score, row) top-k order makes this
-        // merge bit-identical to one full-table synchronized scan.
-        let mut heap = TopKLargest::new(k);
-        let mut runs = Vec::with_capacity(n_segments);
-        for (segment, out) in segments.iter().zip(outcomes) {
-            for hit in &out.hits {
-                heap.push(hit.row, hit.score);
-            }
-            runs.push(SegmentRun { rows: segment.range(), trace: out.trace, plan: None });
-        }
-        let outcome =
-            QueryOutcome { hits: heap.into_sorted_vec(), error_bounds: None, segments: runs };
-        drop(merge_span);
-
-        let m = &inner.metrics;
-        m.queries.inc();
-        m.scanned_cells.record(outcome.contributions_evaluated());
-        let skipped = outcome.segments_skipped() as u64;
-        m.segment_searched.add(n_segments as u64 - skipped);
-        m.segment_skipped.add(skipped);
-        m.latency_us.record(start.elapsed().as_micros() as u64);
-        Ok(outcome)
-    }
-
-    /// The classic top-k engine pass. Every spec must already be validated
-    /// and of [`QueryKind::TopK`].
-    fn execute_topk(&self, batch: &RequestBatch) -> Result<BatchOutcome> {
         let inner = &*self.inner;
         let batch_start = Instant::now();
         let plan_span = Span::begin(names::SPAN_ENGINE_PLAN).detail(batch.len() as u64);
-
-        // Materialise the zero-copy segment views for this call.
-        let segments: Vec<Segment<'_>> = inner
-            .specs
-            .iter()
-            .map(|s| s.view(&inner.table).expect("specs partition this table"))
-            .collect();
-        let n_segments = segments.len();
-        // Whether the columns are served by a file mapping — the only case
-        // where access-pattern advice reaches a kernel.
-        let mapped = inner.table.backend() == StorageBackend::Mapped;
-
-        // Per-query setup, done once and shared by every segment worker:
-        // the effective rule/planner, the metric, the uniform plan and
-        // (optionally) the κ cell. (Adaptive plans are per-(query, segment)
-        // values derived inside the task itself — on the worker pool, and
-        // only for segments the zone-map check does not skip.)
         let resolved: Vec<ResolvedQuery<'_>> = batch
             .specs()
             .iter()
-            .map(|spec| {
-                let rule = spec.rule_override().unwrap_or(&inner.rule);
-                let planner = spec.planner_override().unwrap_or(inner.planner);
-                let scan = spec.scan_mode_override().unwrap_or(inner.scan);
-                // Quantized scans resolve (and, on the cache's first miss,
-                // build) their code companions up front — workers only read.
-                let codes = if scan.uses_codes() {
-                    Some(self.ensure_codes(CostModel::DEFAULT_CODE_BITS)?)
-                } else {
-                    None
-                };
-                let metric = rule.make_metric();
-                let objective = rule.objective();
-                // The uniform plan is segment-independent; derive it once
-                // per query through the same path `explain` renders from.
-                let uniform_plan = (planner == PlannerKind::Uniform).then(|| {
-                    self.derive_segment_plan(0, PlannerKind::Uniform, rule, spec.vector(), None)
-                });
-                let query_sum =
-                    if planner.is_stats_driven() { spec.vector().iter().sum() } else { 0.0 };
-                let kappa = inner.share_kappa.then(|| SharedKappa::new(objective));
-                let visit_order =
-                    self.plan_visit_order(planner, scan, metric.as_ref(), objective, spec.vector());
-                let estimate = self.estimate_cost(spec);
-                Ok(ResolvedQuery {
-                    spec,
-                    rule,
-                    planner,
-                    scan,
-                    codes,
-                    metric,
-                    objective,
-                    filter: spec.filter_override().map(|f| f.as_ref()),
-                    uniform_plan,
-                    query_sum,
-                    estimate,
-                    kappa,
-                    visit_order,
-                })
-            })
+            .zip(eligible)
+            .map(|(spec, eligible)| self.resolve(spec, eligible))
             .collect::<Result<_>>()?;
-
-        // The `T(x)` table, materialised once per engine the first time any
-        // request's rule needs it.
-        let row_sums: Option<&[f64]> = resolved
-            .iter()
-            .any(|rq| rq.rule.needs_total_mass())
-            .then(|| inner.row_sums.get_or_init(|| inner.table.row_sums()).as_slice());
-
-        // Feedback-planned queries read each segment's accumulated
-        // counters; one snapshot per segment per *batch* is enough (the
-        // model tolerates staleness by design — a stale read merely plans
-        // like yesterday) and avoids cloning the per-dimension credit
-        // vector once per (query × segment) task on the worker hot path.
-        let feedback_snapshots: Option<Vec<SegmentFeedbackSnapshot>> = resolved
-            .iter()
-            .any(|rq| rq.planner.uses_feedback())
-            .then(|| (0..n_segments).map(|si| inner.feedback.segment(si).snapshot()).collect());
-        if let Some(snapshots) = &feedback_snapshots {
-            let warm = snapshots.iter().filter(|s| s.is_warm(inner.cost.min_warm_searches)).count();
-            inner.metrics.warm_segments.set(warm as i64);
-        }
+        let pass = self.prepare_pass(resolved);
         drop(plan_span);
 
-        let n_tasks = batch.len() * n_segments;
-        let slots: Vec<OnceLock<Result<TaskOutcome>>> =
-            (0..n_tasks).map(|_| OnceLock::new()).collect();
-
-        let run_task = |task: usize| {
-            let qi = task / n_segments;
-            let pos = task % n_segments;
-            let rq = &resolved[qi];
-            // position `pos` of a query with a visit order executes the
-            // `pos`-th most promising segment; everyone else visits in row
-            // order. The slot keeps the *position* index — the merge
-            // permutes outcomes back into segment order.
-            let si = rq.visit_order.as_ref().map_or(pos, |order| order[pos]);
-            let segment = &segments[si];
-            let query = rq.spec.vector();
-            let k = rq.spec.k();
-            let cell = rq.kappa.as_ref();
-
-            // Predicate filter: this segment's window of the query's
-            // eligibility bitmap. A window that leaves no live row eligible
-            // skips the segment before any bound — or column — is touched.
-            let filter_slice = rq.filter.map(|f| f.slice(segment.range()));
-            let eligible =
-                filter_slice.as_ref().map(|f| f.intersection_count(&segment.live_bitmap()));
-            if eligible == Some(0) {
-                inner.metrics.filter_segments_empty.inc();
-                slots[task]
-                    .set(Ok(TaskOutcome {
-                        outcome: SearchOutcome {
-                            hits: Vec::new(),
-                            trace: PruneTrace {
-                                segment_skipped: true,
-                                rule: Some(rq.rule.name()),
-                                ..PruneTrace::default()
-                            },
-                        },
-                        plan: None,
-                        error_bounds: None,
-                    }))
-                    .expect("each task is claimed exactly once");
-                return;
-            }
-            if let Some(rows) = eligible {
-                inner.metrics.filter_eligible_rows.add(rows as u64);
-            }
-
-            if rq.scan.is_approximate() {
-                // Codes only: one branch-free sweep of the segment's code
-                // columns, midpoint scores, per-hit error bounds. No exact
-                // fragment is read, no κ is published (midpoint scores are
-                // not safe bounds for exact searches), no plan is derived.
-                let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
-                let codes = rq.codes.as_ref().expect("approximate queries carry codes");
-                let start = segment.range().start as u32;
-                let mut live = segment.live_bitmap();
-                if let Some(filter) = &filter_slice {
-                    live.and_with(filter);
-                }
-                let result = codes.segment_view(si).map_err(BondError::Storage).and_then(|view| {
-                    quantfilter::approximate_topk(&view, rq.metric.as_ref(), query, k, &live)
-                });
-                drop(scan_span);
-                slots[task]
-                    .set(result.map(|approx| {
-                        let hits = approx
-                            .hits
-                            .into_iter()
-                            .map(|h| Scored { row: h.row + start, score: h.score })
-                            .collect();
-                        let trace = PruneTrace {
-                            filter_cells: approx.cells,
-                            filter_bits: codes.bits(),
-                            kernel: Some(Kernel::active().label()),
-                            rule: Some(rq.rule.name()),
-                            ..PruneTrace::default()
-                        };
-                        TaskOutcome {
-                            outcome: SearchOutcome { hits, trace },
-                            plan: None,
-                            error_bounds: Some(approx.error_bounds),
-                        }
-                    }))
-                    .expect("each task is claimed exactly once");
-                return;
-            }
-
-            if rq.planner.is_stats_driven() {
-                // The envelope covers the whole segment, so its bound is
-                // conservative (still valid) for any eligible subset —
-                // filtered zone-map skips can never drop an eligible row.
-                if let Some(outcome) = self.try_skip_segment(si, rq) {
-                    // a zone-map skip hit is itself feedback: it raises the
-                    // segment's observed skip rate, cheapening its estimate
-                    // (filtered traces are kept out of the store — see the
-                    // `record_search` gate below)
-                    if rq.filter.is_none() {
-                        inner.feedback.segment(si).record_skip();
-                    }
-                    slots[task]
-                        .set(Ok(TaskOutcome { outcome, plan: None, error_bounds: None }))
-                        .expect("each task is claimed exactly once");
-                    return;
-                }
-            }
-
-            let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
-            let mut rule = rq.rule.make_rule();
-            let plan = match rq.planner {
-                PlannerKind::Uniform => {
-                    rq.uniform_plan.clone().expect("uniform queries carry a plan")
-                }
-                _ => self.derive_segment_plan(
-                    si,
-                    rq.planner,
-                    rq.rule,
-                    query,
-                    feedback_snapshots.as_ref().map(|snapshots| &snapshots[si]),
-                ),
-            };
-            // Mapped backend: hint the kernel about the scan the chosen
-            // plan is about to run — the first block's fragment slices are
-            // certain to be read front to back.
-            if mapped {
-                let first_block = plan.schedule.next_block(0, inner.table.dims(), 0);
-                segment.advise(plan.order.iter().take(first_block).copied(), Advice::Sequential);
-            }
-            // QuantizedFilter: hand the segment's code window to the
-            // searcher, which sweeps it as a first pass and exactly refines
-            // only the surviving rows.
-            let codes_view = match rq.codes.as_ref().map(|codes| codes.segment_view(si)) {
-                Some(Ok(view)) => Some(view),
-                Some(Err(e)) => {
-                    slots[task]
-                        .set(Err(BondError::Storage(e)))
-                        .expect("each task is claimed exactly once");
-                    return;
-                }
-                None => None,
-            };
-            let ctx = SegmentContext {
-                kappa: cell.map(|cell| cell as &dyn KappaCell),
-                row_sums: row_sums.map(|sums| &sums[segment.range()]),
-                plan: Some(&plan),
-                codes: codes_view,
-                filter: filter_slice.as_ref(),
-            };
-            let mut outcome = search_segment(
-                segment,
-                query,
-                rq.metric.as_ref(),
-                rule.as_mut(),
-                k,
-                rq.rule.weights(),
-                &inner.params,
-                &ctx,
-            );
-            if let Ok(outcome) = &mut outcome {
-                // Stamp which pruning rule produced this trace — bound
-                // scales are incomparable across rules, and downstream
-                // consumers (per-rule metrics, ANALYZE) must not mix them.
-                outcome.trace.rule = Some(rq.rule.name());
-                if rq.planner.is_stats_driven() {
-                    // The segment's k-th best *exact* score is a valid κ (k
-                    // witnesses reach it); publishing it arms the zone-map
-                    // skip for segments that have not started yet.
-                    if let Some(cell) = cell {
-                        if outcome.hits.len() >= k {
-                            cell.tighten(outcome.hits[k - 1].score);
-                        }
-                    }
-                }
-                // Fold the executed plan's trace into the feedback store —
-                // every planner teaches the `Feedback` planner, because the
-                // credit is keyed by dimension id, not by policy. Filtered
-                // queries are excluded: their survival and prune-depth
-                // signals describe the predicate's subset, not the segment,
-                // and would poison the unfiltered estimates.
-                if rq.filter.is_none() {
-                    inner.feedback.segment(si).record_search(
-                        &plan.order,
-                        &outcome.trace,
-                        segment.len(),
-                    );
-                }
-            }
-            drop(scan_span);
-            slots[task]
-                .set(outcome.map(|outcome| TaskOutcome {
-                    outcome,
-                    plan: Some(plan),
-                    error_bounds: None,
-                }))
-                .expect("each task is claimed exactly once");
-        };
-
-        let workers = inner.threads.min(n_tasks);
-        if workers <= 1 {
-            for task in 0..n_tasks {
-                run_task(task);
-            }
-        } else {
-            let next_task = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // ordering: relaxed — the atomic RMW alone makes each
-                        // task index unique; task *data* is published to the
-                        // workers by `thread::scope`'s spawn (happens-before
-                        // the closure runs), not through this counter.
-                        let task = next_task.fetch_add(1, Ordering::Relaxed);
-                        if task >= n_tasks {
-                            break;
-                        }
-                        run_task(task);
-                    });
-                }
-            });
-        }
-
+        let n_segments = pass.segments.len();
+        let outcomes = run_tasks(inner.threads, batch.len() * n_segments, |task| {
+            self.run_task(&pass, task / n_segments, task % n_segments)
+        });
         // Surface any task error *before* touching the advice state, so a
         // failed batch cannot leave the table stuck under MADV_RANDOM.
-        let outcomes: Vec<TaskOutcome> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all tasks completed"))
-            .collect::<Result<_>>()?;
-        let mut per_task = outcomes.into_iter();
-
-        // Refinement gathers reconstruct scattered rows across every
-        // fragment — the random-access pattern of the plans' final step.
-        // Advised once per batch (not per query), and reset to the kernel
-        // default afterwards so the hint does not outlive the gathers and
-        // suppress readahead for the next batch's scans.
-        let reverifies = mapped
-            && resolved.iter().any(|rq| rq.planner.is_stats_driven() && !rq.scan.is_approximate());
-        if reverifies {
-            inner.table.advise(Advice::Random);
-        }
-        let merge_span = Span::begin(names::SPAN_ENGINE_MERGE).detail(batch.len() as u64);
-        let mut queries = Vec::with_capacity(batch.len());
-        for rq in &resolved {
-            let mut segment_outcomes: Vec<TaskOutcome> =
-                per_task.by_ref().take(n_segments).collect();
-            if let Some(order) = &rq.visit_order {
-                // positions back to segment (row-range) order
-                let mut by_segment: Vec<Option<TaskOutcome>> =
-                    (0..n_segments).map(|_| None).collect();
-                for (&si, outcome) in order.iter().zip(segment_outcomes) {
-                    by_segment[si] = Some(outcome);
-                }
-                segment_outcomes = by_segment
-                    .into_iter()
-                    .map(|o| o.expect("visit order is a permutation"))
-                    .collect();
-            }
-            let outcome = self.merge_query(rq, &segments, segment_outcomes);
-            self.record_query_metrics(rq, &outcome);
-            queries.push(outcome);
-        }
-        drop(merge_span);
-        if reverifies {
-            inner.table.advise(Advice::Normal);
-        }
+        let outcomes: Vec<TaskOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
+        let queries = self.merge_pass(&pass, outcomes);
         inner.metrics.batches.inc();
         // Every query of a coalesced batch waits for the whole engine pass,
         // so the batch's wall time *is* the latency each submitter observes.
@@ -1656,9 +1262,313 @@ impl Engine {
         Ok(BatchOutcome { queries })
     }
 
+    /// The effective rule, planner and scan of a top-k `spec`, and what
+    /// they imply: metric, objective, skipping and visit order. The one
+    /// resolution [`Engine::execute`] runs and [`Engine::explain`] renders.
+    pub(crate) fn resolve_topk<'b>(&'b self, spec: &'b QuerySpec) -> TopKQuery<'b> {
+        let inner = &*self.inner;
+        let rule = spec.rule_override().unwrap_or(&inner.rule);
+        let planner = spec.planner_override().unwrap_or(inner.planner);
+        let scan = spec.scan_mode_override().unwrap_or(inner.scan);
+        let metric = rule.make_metric();
+        let objective = rule.objective();
+        let visit_order =
+            self.plan_visit_order(planner, scan, metric.as_ref(), objective, spec.vector());
+        TopKQuery {
+            rule,
+            planner,
+            scan,
+            metric,
+            objective,
+            skipping: self.skipping(planner, scan),
+            query_sum: spec.vector().iter().sum(),
+            visit_order,
+        }
+    }
+
+    /// Resolves one validated spec for the engine pass; `eligible` is what
+    /// [`Engine::admit`] counted for it.
+    fn resolve<'b>(
+        &'b self,
+        spec: &'b QuerySpec,
+        eligible: Option<Vec<usize>>,
+    ) -> Result<ResolvedQuery<'b>> {
+        let (objective, kind) = match spec.kind() {
+            QueryKind::TopK => {
+                let query = self.resolve_topk(spec);
+                // Quantized scans resolve (and, on the cache's first miss,
+                // build) their code companions up front — tasks only read.
+                let codes = query.scan.uses_codes();
+                let codes = codes.then(|| self.ensure_adaptive_codes()).transpose()?;
+                // The uniform plan is segment-independent; derive it once
+                // per query through the same path `explain` renders from.
+                let uniform = query.planner == PlannerKind::Uniform;
+                let uniform_plan = uniform.then(|| {
+                    self.derive_segment_plan(0, query.planner, query.rule, spec.vector(), None)
+                });
+                let estimate =
+                    self.topk_estimate(spec.k(), query.scan, query.skipping, eligible.as_deref());
+                let objective = query.objective;
+                (objective, ResolvedKind::TopK(TopKRun { query, uniform_plan, codes, estimate }))
+            }
+            // The combined similarity is maximized regardless of the
+            // component metrics (Euclidean components are flipped onto the
+            // similarity scale before aggregation), so one Maximize cell
+            // serves any mix.
+            QueryKind::MultiFeature(mf) => {
+                (Objective::Maximize, ResolvedKind::MultiFeature(self.resolve_multifeature(mf)?))
+            }
+        };
+        let kappa = self.inner.share_kappa.then(|| SharedKappa::new(objective));
+        Ok(ResolvedQuery { spec, objective, eligible, kappa, kind })
+    }
+
+    fn resolve_multifeature<'b>(&'b self, mf: &'b MultiFeatureSpec) -> Result<MultiFeatureRun<'b>> {
+        let tables: Vec<&DecomposedTable> = mf
+            .features()
+            .iter()
+            .map(|f| f.table().map(|t| t.as_ref()).unwrap_or(&self.inner.table))
+            .collect();
+        let total_mass = tables.iter().map(|t| t.row_sums()).collect();
+        let queries = mf
+            .features()
+            .iter()
+            .map(|f| FeatureQuery { query: f.query().to_vec(), metric: f.metric() })
+            .collect();
+        Ok(MultiFeatureRun {
+            searcher: MultiFeatureSearcher::new(tables)?,
+            queries,
+            aggregate: mf.aggregate().build()?,
+            total_mass,
+        })
+    }
+
+    /// The per-call state every task reads besides its own query: segment
+    /// views, `T(x)` when any rule needs it, and one feedback snapshot per
+    /// segment when any query plans from feedback.
+    fn prepare_pass<'b>(&'b self, resolved: Vec<ResolvedQuery<'b>>) -> Pass<'b> {
+        let inner = &*self.inner;
+        let segments = inner
+            .specs
+            .iter()
+            .map(|s| s.view(&inner.table).expect("specs partition this table"))
+            .collect();
+        let topk = || resolved.iter().filter_map(ResolvedQuery::topk);
+        // The `T(x)` table, materialised once per engine the first time any
+        // request's rule needs it.
+        let row_sums = topk()
+            .any(|run| run.query.rule.needs_total_mass())
+            .then(|| inner.row_sums.get_or_init(|| inner.table.row_sums()).as_slice());
+        // One snapshot per segment per *batch* is enough (the model
+        // tolerates staleness by design — a stale read merely plans like
+        // yesterday) and avoids cloning the per-dimension credit vector
+        // once per (query × segment) task on the worker hot path.
+        let feedback: Option<Vec<SegmentFeedbackSnapshot>> =
+            topk().any(|run| run.query.planner.uses_feedback()).then(|| {
+                (0..inner.specs.len()).map(|si| inner.feedback.segment(si).snapshot()).collect()
+            });
+        if let Some(snapshots) = &feedback {
+            let warm = snapshots.iter().filter(|s| s.is_warm(inner.cost.min_warm_searches)).count();
+            inner.metrics.warm_segments.set(warm as i64);
+        }
+        let mapped = inner.table.backend() == StorageBackend::Mapped;
+        Pass { resolved, segments, row_sums, feedback, mapped }
+    }
+
+    /// One `(query, segment)` task: the query at `qi`, at position `pos` of
+    /// its visit order. Each stage may answer it: the filter window, then
+    /// by request kind the synchronized multi-feature scan, the codes-only
+    /// scan, or the zone-map skip and the segment search.
+    fn run_task(&self, pass: &Pass<'_>, qi: usize, pos: usize) -> Result<TaskOutcome> {
+        let rq = &pass.resolved[qi];
+        // position `pos` of a query with a visit order executes its
+        // `pos`-th most promising segment; everyone else visits in row
+        // order. The merge permutes outcomes back into segment order.
+        let si = rq.visit_order().map_or(pos, |order| order[pos]);
+        let task = Task { pass, rq, si, segment: &pass.segments[si] };
+        // Predicate filter: a window that leaves no live row eligible skips
+        // the segment before any bound — or column — is touched.
+        if let Some(eligible) = &rq.eligible {
+            if eligible[si] == 0 {
+                self.inner.metrics.filter_segments_empty.inc();
+                return Ok(TaskOutcome::skipped(rq.rule_name()));
+            }
+            self.inner.metrics.filter_eligible_rows.add(eligible[si] as u64);
+        }
+        match &rq.kind {
+            ResolvedKind::MultiFeature(run) => self.search_features(&task, run),
+            ResolvedKind::TopK(run) if run.query.scan.is_approximate() => {
+                self.scan_codes_only(&task, run)
+            }
+            ResolvedKind::TopK(run) => match self.try_skip_segment(&task, &run.query) {
+                Some(skipped) => Ok(skipped),
+                None => self.search_one_segment(&task, run),
+            },
+        }
+    }
+
+    /// The multi-feature stage: one synchronized scan
+    /// ([`MultiFeatureSearcher::search_range`]) of the segment, pooling its
+    /// combined-similarity κ with the query's other segments.
+    fn search_features(&self, task: &Task<'_>, run: &MultiFeatureRun<'_>) -> Result<TaskOutcome> {
+        let local = task.eligible_bitmap();
+        if local.count() == 0 {
+            // every row of the segment is deleted
+            return Ok(TaskOutcome::skipped(None));
+        }
+        let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
+        let ctx = MultiFeatureContext {
+            kappa: task.rq.kappa.as_ref().map(|cell| cell as &dyn KappaCell),
+            total_mass: Some(&run.total_mass),
+            filter: Some(&local),
+        };
+        let result = run.searcher.search_range(
+            &run.queries,
+            run.aggregate.as_ref(),
+            task.rq.spec.k(),
+            self.inner.params.schedule,
+            task.segment.range(),
+            &ctx,
+        );
+        drop(scan_span);
+        self.inner.metrics.multifeature_searches.inc();
+        result.map(TaskOutcome::from)
+    }
+
+    /// The approximate stage: one branch-free sweep of the segment's code
+    /// columns, midpoint scores, per-hit error bounds. No exact fragment is
+    /// read, no κ is published (midpoint scores are not safe bounds for
+    /// exact searches), no plan is derived.
+    fn scan_codes_only(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<TaskOutcome> {
+        let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
+        let codes = run.codes.as_ref().expect("approximate queries carry codes");
+        let view = codes.segment_view(task.si).map_err(BondError::Storage)?;
+        let (metric, spec) = (run.query.metric.as_ref(), task.rq.spec);
+        let approx = quantfilter::approximate_topk(
+            &view,
+            metric,
+            spec.vector(),
+            spec.k(),
+            &task.eligible_bitmap(),
+        )?;
+        let start = task.segment.range().start as u32;
+        let hits = approx
+            .hits
+            .into_iter()
+            .map(|h| Scored { row: h.row + start, score: h.score })
+            .collect();
+        let trace = PruneTrace {
+            filter_cells: approx.cells,
+            filter_bits: codes.bits(),
+            kernel: Some(Kernel::active().label()),
+            rule: task.rq.rule_name(),
+            ..PruneTrace::default()
+        };
+        let outcome = SearchOutcome { hits, trace };
+        Ok(TaskOutcome { outcome, plan: None, error_bounds: Some(approx.error_bounds) })
+    }
+
+    /// The search stage: derive (or reuse) the segment's plan and run
+    /// [`search_segment`] on it — exact BOND, or the code sweep plus exact
+    /// refine when the query carries codes.
+    fn search_one_segment(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<TaskOutcome> {
+        let inner = &*self.inner;
+        let Task { pass, rq, si, segment } = *task;
+        let (query, k) = (rq.spec.vector(), rq.spec.k());
+        let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
+        let mut rule = run.query.rule.make_rule();
+        let plan = match &run.uniform_plan {
+            Some(plan) => plan.clone(),
+            None => {
+                let snapshot = pass.feedback.as_ref().map(|snapshots| &snapshots[si]);
+                self.derive_segment_plan(si, run.query.planner, run.query.rule, query, snapshot)
+            }
+        };
+        // Mapped backend: hint the kernel about the scan the chosen plan is
+        // about to run — the first block's fragment slices are certain to
+        // be read front to back.
+        if pass.mapped {
+            let first_block = plan.schedule.next_block(0, inner.table.dims(), 0);
+            segment.advise(plan.order.iter().take(first_block).copied(), Advice::Sequential);
+        }
+        // QuantizedFilter: hand the segment's code window to the searcher,
+        // which sweeps it as a first pass and exactly refines only the
+        // surviving rows.
+        let codes = run.codes.as_ref().map(|codes| codes.segment_view(si)).transpose();
+        let filter = rq.spec.filter_override().map(|f| f.slice(segment.range()));
+        let ctx = SegmentContext {
+            kappa: rq.kappa.as_ref().map(|cell| cell as &dyn KappaCell),
+            row_sums: pass.row_sums.map(|sums| &sums[segment.range()]),
+            plan: Some(&plan),
+            codes: codes.map_err(BondError::Storage)?,
+            filter: filter.as_ref(),
+        };
+        let (metric, weights) = (run.query.metric.as_ref(), run.query.rule.weights());
+        let mut outcome =
+            search_segment(segment, query, metric, rule.as_mut(), k, weights, &inner.params, &ctx)?;
+        // Stamp which pruning rule produced this trace — bound scales are
+        // incomparable across rules, and downstream consumers (per-rule
+        // metrics, ANALYZE) must not mix them.
+        outcome.trace.rule = rq.rule_name();
+        // A stats-driven query publishes the segment's k-th best *exact*
+        // score as κ (k witnesses reach it), arming the zone-map skip for
+        // segments that have not started yet.
+        if let (true, Some(cell)) = (run.query.planner.is_stats_driven(), &rq.kappa) {
+            if outcome.hits.len() >= k {
+                cell.tighten(outcome.hits[k - 1].score);
+            }
+        }
+        // Every planner teaches the `Feedback` planner, because the credit
+        // is keyed by dimension id, not by policy.
+        if rq.teaches_feedback() {
+            inner.feedback.segment(si).record_search(&plan.order, &outcome.trace, segment.len());
+        }
+        Ok(TaskOutcome { outcome, plan: Some(plan), error_bounds: None })
+    }
+
+    /// Merges every query's task outcomes (task order: query-major, visit
+    /// position minor) and records each answered query's metrics.
+    fn merge_pass(&self, pass: &Pass<'_>, outcomes: Vec<TaskOutcome>) -> Vec<QueryOutcome> {
+        let inner = &*self.inner;
+        // Refinement gathers reconstruct scattered rows across every
+        // fragment — the random-access pattern of the plans' final step.
+        // Advised once per batch (not per query), and reset to the kernel
+        // default afterwards so the hint does not outlive the gathers and
+        // suppress readahead for the next batch's scans.
+        let reverifies =
+            pass.mapped && pass.resolved.iter().any(|rq| rq.reverify_metric().is_some());
+        if reverifies {
+            inner.table.advise(Advice::Random);
+        }
+        let merge_span = Span::begin(names::SPAN_ENGINE_MERGE).detail(pass.resolved.len() as u64);
+        let n_segments = pass.segments.len();
+        let mut per_task = outcomes.into_iter();
+        let mut queries = Vec::with_capacity(pass.resolved.len());
+        for rq in &pass.resolved {
+            let mut segment_outcomes: Vec<TaskOutcome> =
+                per_task.by_ref().take(n_segments).collect();
+            if let Some(order) = rq.visit_order() {
+                // positions back to segment (row-range) order
+                let mut by_segment: Vec<(usize, TaskOutcome)> =
+                    order.iter().copied().zip(segment_outcomes).collect();
+                by_segment.sort_unstable_by_key(|&(si, _)| si);
+                segment_outcomes = by_segment.into_iter().map(|(_, outcome)| outcome).collect();
+            }
+            let outcome = self.merge_query(rq, &pass.segments, segment_outcomes);
+            self.record_query_metrics(rq, &outcome);
+            queries.push(outcome);
+        }
+        drop(merge_span);
+        if reverifies {
+            inner.table.advise(Advice::Normal);
+        }
+        queries
+    }
+
     /// Folds one answered query into the engine's metric handles: counts,
-    /// executed work, per-segment search/skip tallies, the per-rule scan
-    /// counters and the cost model's calibration error.
+    /// executed work, per-segment search/skip tallies, and for top-k
+    /// requests the per-rule scan counters and the cost model's
+    /// calibration error.
     fn record_query_metrics(&self, rq: &ResolvedQuery<'_>, outcome: &QueryOutcome) {
         let m = &self.inner.metrics;
         m.queries.inc();
@@ -1669,7 +1579,6 @@ impl Engine {
         // code cells fold in at the same per-kernel discount the cost model
         // prices them with, so a quantized query's recorded work is
         // comparable to (and calibrated against) its admission estimate.
-        // (They were previously dropped from this histogram entirely.)
         m.scanned_cells.record(scanned + (filter_cells as f64 * cell_cost).round() as u64);
         for run in &outcome.segments {
             let trace = &run.trace;
@@ -1683,7 +1592,7 @@ impl Engine {
         let searched = outcome.segments.len() as u64 - skipped;
         m.segment_searched.add(searched);
         m.segment_skipped.add(skipped);
-        if let Some(counter) = m.rule_counter(rq.rule.name()) {
+        if let Some(counter) = rq.rule_name().and_then(|name| m.rule_counter(name)) {
             counter.add(searched);
         }
         if filter_cells > 0 {
@@ -1697,9 +1606,11 @@ impl Engine {
         // keeps a fully-skipped query (zero cells) finite. Executed work is
         // in exact-cell equivalents: swept code cells count at the same
         // per-kernel discount the estimate priced them with.
-        let executed = scanned as f64 + filter_cells as f64 * cell_cost;
-        let error_pct = (rq.estimate - executed).abs() / executed.max(1.0) * 100.0;
-        m.cost_error.record(error_pct.round() as u64);
+        if let Some(run) = rq.topk() {
+            let executed = scanned as f64 + filter_cells as f64 * cell_cost;
+            let error_pct = (run.estimate - executed).abs() / executed.max(1.0) * 100.0;
+            m.cost_error.record(error_pct.round() as u64);
+        }
     }
 
     /// The zone-map check: when the query's κ is already tighter than the
@@ -1708,29 +1619,36 @@ impl Engine {
     /// columns. Two independent per-segment bounds combine (the tighter
     /// wins): the per-dimension value envelope and the row-sum (total-mass)
     /// envelope. The same ε-slack as candidate pruning keeps boundary ties
-    /// safe.
-    fn try_skip_segment(&self, si: usize, rq: &ResolvedQuery<'_>) -> Option<SearchOutcome> {
+    /// safe. The envelope covers the whole segment, so its bound is
+    /// conservative (still valid) for any eligible subset — filtered
+    /// zone-map skips can never drop an eligible row.
+    fn try_skip_segment(&self, task: &Task<'_>, query: &TopKQuery<'_>) -> Option<TaskOutcome> {
+        let Task { rq, si, .. } = *task;
+        if !query.skipping {
+            return None;
+        }
         let kappa = rq.kappa.as_ref()?.get()?;
         let optimistic = self.optimistic_bound(
             si,
-            rq.metric.as_ref(),
-            rq.objective,
+            query.metric.as_ref(),
+            query.objective,
             rq.spec.vector(),
-            rq.query_sum,
+            query.query_sum,
         )?;
         let slack = prune_slack(kappa);
-        let skip = match rq.objective {
+        let skip = match query.objective {
             Objective::Maximize => optimistic < kappa - slack,
             Objective::Minimize => optimistic > kappa + slack,
         };
-        skip.then(|| SearchOutcome {
-            hits: Vec::new(),
-            trace: PruneTrace {
-                segment_skipped: true,
-                rule: Some(rq.rule.name()),
-                ..PruneTrace::default()
-            },
-        })
+        if !skip {
+            return None;
+        }
+        // a zone-map skip hit is itself feedback: it raises the segment's
+        // observed skip rate, cheapening its estimate
+        if rq.teaches_feedback() {
+            self.inner.feedback.segment(si).record_skip();
+        }
+        Some(TaskOutcome::skipped(rq.rule_name()))
     }
 
     /// The tightest optimistic score any vector inside segment `si`'s
@@ -1761,12 +1679,6 @@ impl Engine {
         Some(optimistic)
     }
 
-    /// Whether segments of one query share their κ bound (and thus whether
-    /// stats-driven planning can skip whole segments).
-    pub(crate) fn kappa_shared(&self) -> bool {
-        self.inner.share_kappa
-    }
-
     /// Merges per-segment outcomes (global row ids) into the query's global
     /// top-k.
     ///
@@ -1788,10 +1700,7 @@ impl Engine {
         segments: &[Segment<'_>],
         segment_outcomes: Vec<TaskOutcome>,
     ) -> QueryOutcome {
-        // Approximate scans never re-verify: their scores are interval
-        // midpoints by contract, and touching exact rows here would defeat
-        // the codes-only promise.
-        let reverify = rq.planner.is_stats_driven() && !rq.scan.is_approximate();
+        let (reverify, table) = (rq.reverify_metric(), &self.inner.table);
         let query = rq.spec.vector();
         let k = rq.spec.k();
         let mut runs = Vec::with_capacity(segment_outcomes.len());
@@ -1805,12 +1714,12 @@ impl Engine {
                     }
                 }
                 for hit in &outcome.hits {
-                    let score = if reverify {
-                        let row =
-                            self.inner.table.row(hit.row).expect("hit rows are live table rows");
-                        rq.metric.score(&row, query)
-                    } else {
-                        hit.score
+                    let score = match reverify {
+                        Some(metric) => {
+                            let row = table.row(hit.row).expect("hit rows are live table rows");
+                            metric.score(&row, query)
+                        }
+                        None => hit.score,
                     };
                     heap_push(Scored { row: hit.row, score });
                 }
@@ -1829,17 +1738,16 @@ impl Engine {
                 heap.into_sorted_vec()
             }
         };
-        let error_bounds = rq.scan.is_approximate().then(|| {
+        let approximate = rq.topk().is_some_and(|run| run.query.scan.is_approximate());
+        let error_bounds = approximate.then(|| {
             hits.iter()
                 .map(|h| bound_by_row.get(&h.row).copied().unwrap_or(f64::INFINITY))
                 .collect()
         });
         // Close the feedback loop on the merge: a segment that was scanned
         // (not skipped) yet placed nothing in the final top-k was work the
-        // zone map failed to avoid — a "skip miss". Filtered queries don't
-        // teach it: a miss against a predicate's subset says nothing about
-        // the segment's unfiltered promise.
-        if rq.filter.is_none() {
+        // zone map failed to avoid — a "skip miss".
+        if rq.teaches_feedback() {
             for (si, run) in runs.iter().enumerate() {
                 if !run.trace.segment_skipped
                     && !hits.iter().any(|h| run.rows.contains(&(h.row as usize)))
@@ -1889,4 +1797,35 @@ fn finite(what: &'static str, values: &[f64]) -> Result<()> {
         Some(dim) => Err(BondError::NonFinite { what, dim }),
         None => Ok(()),
     }
+}
+
+/// The engine's one scheduler: runs `task(i)` for every `i < n` on up to
+/// `workers` threads, which claim indices from a shared counter, and
+/// returns the results in index order. One worker runs the tasks inline,
+/// without spawning.
+fn run_tasks<T: Send + Sync>(workers: usize, n: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(task).collect();
+    }
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next_task = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // ordering: relaxed — the atomic RMW alone makes each task
+                // index unique; task *data* is published to the workers by
+                // the scope's spawn (happens-before the closure runs),
+                // not through this counter.
+                let i = next_task.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                // a claimed index is never claimed again, so the slot is
+                // still empty
+                let _ = slots[i].set(task(i));
+            });
+        }
+    });
+    slots.into_iter().map(|slot| slot.into_inner().expect("every task ran")).collect()
 }

@@ -417,25 +417,14 @@ impl Engine {
     /// The same validation errors [`Engine::execute`] would return for
     /// this spec; explaining never touches column data.
     pub fn explain(&self, spec: &QuerySpec) -> Result<QueryExplain> {
-        self.validate(spec)?;
-        let counts = match spec.filter_override() {
-            Some(filter) => Some(self.filter_eligibility(filter)?),
-            None => None,
-        };
+        let counts = self.admit(spec)?;
         if let QueryKind::MultiFeature(mf) = spec.kind() {
             return Ok(self.explain_multifeature(spec, mf, counts));
         }
-        let rule = spec.rule_override().unwrap_or(self.rule());
-        let planner = spec.planner_override().unwrap_or(self.planner());
-        let scan = spec.scan_mode_override().unwrap_or(self.scan_mode());
-        let metric = rule.make_metric();
-        let objective = rule.objective();
+        let rq = self.resolve_topk(spec);
         let query = spec.vector();
-        let query_sum: f64 = query.iter().sum();
-        let skipping = planner.is_stats_driven() && self.kappa_shared() && !scan.is_approximate();
-        let visit_order = self
-            .plan_visit_order(planner, scan, metric.as_ref(), objective, query)
-            .unwrap_or_else(|| (0..self.partitions()).collect());
+        let visit_order =
+            rq.visit_order.clone().unwrap_or_else(|| (0..self.partitions()).collect());
         let mut visit_position = vec![0usize; self.partitions()];
         for (pos, &si) in visit_order.iter().enumerate() {
             visit_position[si] = pos;
@@ -444,47 +433,38 @@ impl Engine {
         let min_warm = self.cost_model().min_warm_searches;
         let stats = self.segment_stats();
         // the width of the companion `execute` resolves for a code scan
-        let code_bits = scan.uses_codes().then_some(CostModel::DEFAULT_CODE_BITS);
+        let code_bits = rq.scan.uses_codes().then_some(CostModel::DEFAULT_CODE_BITS);
         let segments = self
             .segment_specs()
             .iter()
             .enumerate()
             .map(|(si, seg_spec)| {
                 let snapshot = &feedback.segments[si];
-                let plan = self.derive_segment_plan(si, planner, rule, query, Some(snapshot));
-                let provenance = match planner {
+                let plan = self.derive_segment_plan(si, rq.planner, rq.rule, query, Some(snapshot));
+                let provenance = match rq.planner {
                     PlannerKind::Uniform => PlanProvenance::Uniform,
                     PlannerKind::Adaptive => PlanProvenance::Apriori,
-                    PlannerKind::Feedback => {
-                        if snapshot.is_warm(min_warm) {
-                            PlanProvenance::FeedbackWarm
-                        } else {
-                            PlanProvenance::FeedbackCold
-                        }
+                    PlannerKind::Feedback if snapshot.is_warm(min_warm) => {
+                        PlanProvenance::FeedbackWarm
                     }
+                    PlannerKind::Feedback => PlanProvenance::FeedbackCold,
                 };
-                let envelope_bound =
-                    self.optimistic_bound(si, metric.as_ref(), objective, query, query_sum);
-                let (mut estimated_cells, mut filter_cost, mut refine_cost) =
-                    self.segment_estimate(si, scan, Some(snapshot), spec.k(), skipping);
-                let live_rows = stats[si].live_rows;
+                let envelope_bound = self.optimistic_bound(
+                    si,
+                    rq.metric.as_ref(),
+                    rq.objective,
+                    query,
+                    rq.query_sum,
+                );
                 let eligible_rows = counts.as_ref().map(|c| c[si]);
-                if let Some(eligible) = eligible_rows {
-                    // The same per-segment selectivity discount
-                    // `estimate_cost` prices admission with, applied
-                    // proportionally to the phase split.
-                    let discounted = self.cost_model().filtered_cost(
-                        estimated_cells,
-                        eligible,
-                        live_rows,
-                        spec.k(),
-                    );
-                    let ratio =
-                        if estimated_cells > 0.0 { discounted / estimated_cells } else { 0.0 };
-                    estimated_cells = discounted;
-                    filter_cost = filter_cost.map(|c| c * ratio);
-                    refine_cost = refine_cost.map(|c| c * ratio);
-                }
+                let (estimated_cells, filter_cost, refine_cost) = self.segment_estimate(
+                    si,
+                    rq.scan,
+                    Some(snapshot),
+                    spec.k(),
+                    rq.skipping,
+                    eligible_rows,
+                );
                 SegmentExplain {
                     segment: si,
                     rows: seg_spec.range(),
@@ -497,17 +477,17 @@ impl Engine {
                     refine_cost,
                     code_bits,
                     eligible_rows,
-                    live_rows,
+                    live_rows: stats[si].live_rows,
                 }
             })
             .collect();
         Ok(QueryExplain {
             k: spec.k(),
-            rule: rule.name(),
-            planner,
-            scan,
+            rule: rq.rule.name(),
+            planner: rq.planner,
+            scan: rq.scan,
             dims: self.table().dims(),
-            skipping,
+            skipping: rq.skipping,
             kernel: Kernel::active().label(),
             visit_order,
             segments,

@@ -24,9 +24,10 @@
 //!   *not* embarrassingly parallel, it is cooperative branch-and-bound.
 //! * **Heterogeneous batched execution** — a [`RequestBatch`] of
 //!   [`QuerySpec`]s schedules all `queries × segments` work items on one
-//!   worker pool. Every spec carries its own `k` and may override the
-//!   engine's pruning rule and planner, so mixed workloads (navigation
-//!   steps next to weighted re-ranking jobs) execute in a single pass;
+//!   worker pool. Every spec carries its own `k` and kind (top-k,
+//!   filtered, multi-feature) and may override the engine's pruning rule
+//!   and planner, so mixed workloads (navigation steps next to weighted
+//!   re-ranking jobs) execute in a single pass;
 //!   per-query setup (dimension ordering, the Ev rule's `T(x)` table,
 //!   thread spawn) is amortized across the batch, and every query still
 //!   reports per-segment [`bond::PruneTrace`]s.

@@ -463,3 +463,65 @@ fn relational_programs_execute_on_the_engine() {
         engine.search_spec(&QuerySpec::new(query, 2).filter(bitmap_from_mask(&mask))).unwrap();
     assert_eq!(pushed.outcome.hits, direct.hits);
 }
+
+#[test]
+fn mixed_batches_answer_each_spec_as_its_own_search() {
+    let t = table(100, DIMS);
+    let q = t.row(5).unwrap();
+    let q2 = t.row(70).unwrap();
+    let partitions = 4;
+    let multi_feature = |query: &[f64]| {
+        MultiFeatureSpec::new(
+            vec![FeatureSpec::new(query.to_vec(), FeatureMetricKind::HistogramIntersection)],
+            AggregateSpec::FuzzyMin,
+        )
+    };
+    // Rows 0..25 fill the first of four 25-row segments, so that filter
+    // leaves three segments empty; even rows reach every segment.
+    let first_segment = Bitmap::from_rows(100, &(0..25).collect::<Vec<_>>());
+    let even_rows = Bitmap::from_rows(100, &(0..100).step_by(2).collect::<Vec<_>>());
+    let batch = RequestBatch::from_specs(vec![
+        QuerySpec::multi_feature(multi_feature(&q2), 3),
+        QuerySpec::new(q.clone(), 4),
+        QuerySpec::new(q2.clone(), 2).filter(first_segment),
+        QuerySpec::new(q.clone(), 5).scan_mode(ScanMode::QuantizedFilter),
+        QuerySpec::multi_feature(multi_feature(&q), 2).filter(even_rows),
+        QuerySpec::new(q2, 3).rule(RuleKind::EuclideanEv),
+    ]);
+    let mf_specs = 2;
+    for threads in [1, 2] {
+        let engine =
+            Engine::builder(t.clone()).partitions(partitions).threads(threads).build().unwrap();
+        let metrics = engine.metrics();
+        let count = |name: &str| metrics.counter_value(name).unwrap_or(0);
+        let (batches, queries, mf) = (
+            count(names::ENGINE_BATCH_COUNT),
+            count(names::ENGINE_QUERY_COUNT),
+            count(names::ENGINE_MULTIFEATURE_SEARCHES),
+        );
+        let outcome = engine.execute(&batch).unwrap();
+        assert_eq!(count(names::ENGINE_BATCH_COUNT), batches + 1, "threads {threads}");
+        assert_eq!(
+            count(names::ENGINE_QUERY_COUNT),
+            queries + batch.len() as u64,
+            "threads {threads}"
+        );
+        assert_eq!(
+            count(names::ENGINE_MULTIFEATURE_SEARCHES),
+            mf + (partitions * mf_specs) as u64,
+            "threads {threads}"
+        );
+        assert_eq!(outcome.queries.len(), batch.len());
+        for (i, (got, spec)) in outcome.queries.iter().zip(batch.specs()).enumerate() {
+            let alone = engine.search_spec(spec).unwrap();
+            assert_eq!(got.hits, alone.hits, "threads {threads} spec {i}");
+            assert_eq!(
+                got.segments_skipped(),
+                alone.segments_skipped(),
+                "threads {threads} spec {i}"
+            );
+        }
+        assert_eq!(outcome.queries[2].segments_skipped(), 3);
+        assert!(outcome.queries[4].hits.iter().all(|h| h.row % 2 == 0));
+    }
+}

@@ -13,7 +13,9 @@
 //!   `lint-baseline.toml`;
 //! - [`rules::RULE_METRIC`] — metric names live in `bond_obs::names` and
 //!   are documented in the README;
-//! - [`rules::RULE_ERROR`] — public `Result` fns use `BondError`/`VdError`.
+//! - [`rules::RULE_ERROR`] — public `Result` fns use `BondError`/`VdError`;
+//! - [`rules::RULE_LONG_FN`] — functions over [`rules::MAX_FN_LINES`] lines
+//!   in lib code ratchet down against `lint-baseline.toml`.
 //!
 //! Run it as `cargo run -p bond-lint -- check`. See the README's "Static
 //! analysis & invariants" section for rule-by-rule guidance.
@@ -181,14 +183,18 @@ pub fn registry_constants(src: &str) -> Vec<(String, String, usize)> {
     out
 }
 
-/// Computes a fresh baseline from the tree's current panic-path counts.
+/// Computes a fresh baseline from the tree's current panic-path and
+/// long-function counts.
 pub fn compute_baseline(root: &Path, config: &Config) -> io::Result<Baseline> {
     let mut baseline = Baseline::default();
     for rel in collect_files(root, config)? {
         let src = std::fs::read_to_string(root.join(&rel))?;
-        let count = rules::count_panic_sites(&rel, &src);
-        if count > 0 {
-            baseline.panic_paths.insert(rel, count);
+        let (panics, long_fns) = rules::count_ratchet_sites(&rel, &src);
+        if panics > 0 {
+            baseline.panic_paths.insert(rel.clone(), panics);
+        }
+        if long_fns > 0 {
+            baseline.long_fns.insert(rel, long_fns);
         }
     }
     Ok(baseline)

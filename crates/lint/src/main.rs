@@ -49,11 +49,13 @@ fn main() -> ExitCode {
             if let Err(e) = std::fs::write(&path, baseline.render()) {
                 return fail(&format!("writing {}: {e}", path.display()));
             }
-            let total: usize = baseline.panic_paths.values().sum();
+            let panics: usize = baseline.panic_paths.values().sum();
+            let long_fns: usize = baseline.long_fns.values().sum();
             println!(
-                "bond-lint: baseline updated — {total} panic path(s) across {} file(s) frozen \
-                 in {BASELINE_FILE}",
-                baseline.panic_paths.len()
+                "bond-lint: baseline updated — {panics} panic path(s) across {} file(s) and \
+                 {long_fns} long function(s) across {} file(s) frozen in {BASELINE_FILE}",
+                baseline.panic_paths.len(),
+                baseline.long_fns.len()
             );
             ExitCode::SUCCESS
         }

@@ -1,4 +1,4 @@
-//! The five invariant rules bond-lint enforces.
+//! The six invariant rules bond-lint enforces.
 //!
 //! Each rule matches token patterns from [`crate::lexer`] — never raw text
 //! — so comments and string literals can neither trigger nor hide a
@@ -28,6 +28,13 @@ pub const RULE_METRIC: &str = "metric-name-registry";
 /// Public `Result`-returning functions in library crates must use the
 /// workspace error types (`BondError` / `VdError`), not ad-hoc ones.
 pub const RULE_ERROR: &str = "error-type-hygiene";
+/// Library functions longer than [`MAX_FN_LINES`] lines are ratcheted like
+/// panic paths: per-file counts may only go down relative to the baseline.
+pub const RULE_LONG_FN: &str = "long-fn-in-lib";
+
+/// The longest a non-test function may be, from its `fn` line to its
+/// closing brace, before [`RULE_LONG_FN`] counts it.
+pub const MAX_FN_LINES: usize = 80;
 
 /// The memory-ordering variants of `std::sync::atomic::Ordering` (the
 /// `cmp::Ordering` variants differ, so this set alone identifies atomics).
@@ -198,13 +205,20 @@ pub fn mark_test_regions(lexed: &mut LexedSource) {
 }
 
 /// A function item's position: used to let one `// ordering:` comment above
-/// a function justify every atomic access in its body.
+/// a function justify every atomic access in its body, and to measure it.
 #[derive(Debug)]
 struct FnSpan {
     /// Raw token range of the body (open brace ..= close brace).
     body: (usize, usize),
     /// Whether the comment block above the `fn` contains `ordering:`.
     ordering_justified: bool,
+    /// Line and column of the `fn` keyword.
+    at: (usize, usize),
+    /// Lines from the `fn` keyword through the closing brace.
+    lines: usize,
+    /// Whether this is a named, non-test function item (not a `fn(…)`
+    /// pointer type inside another signature).
+    counted: bool,
 }
 
 /// One lexed file prepared for rule matching.
@@ -261,9 +275,14 @@ impl<'a> FileLint<'a> {
                 close += 1;
             }
             let justified = lexed.comment_block_above(fn_line).contains("ordering:");
+            let body = (code[open], code.get(close).copied().unwrap_or(code[open]));
+            let named = code.get(k + 1).is_some_and(|&j| lexed.tokens[j].ident().is_some());
             fns.push(FnSpan {
-                body: (code[open], code.get(close).copied().unwrap_or(code[open])),
+                body,
                 ordering_justified: justified,
+                at: (fn_line, lexed.tokens[i].col),
+                lines: lexed.tokens[body.1].line - fn_line + 1,
+                counted: named && !lexed.tokens[i].in_test,
             });
         }
         FileLint { rel_path, lexed, code, fns }
@@ -384,31 +403,60 @@ impl<'a> FileLint<'a> {
 
     /// Rule 3: ratchets this file's panic-path count against the baseline.
     pub fn check_panic_paths(&self, baseline: &Baseline, out: &mut Vec<Finding>) {
-        let sites = self.panic_sites();
         let allowed = baseline.panic_paths.get(self.rel_path).copied().unwrap_or(0);
+        let what = "panic path(s) (unwrap/expect/panic!/unimplemented!)";
+        self.ratchet(RULE_PANIC, &self.panic_sites(), allowed, what, "handle the error", out);
+    }
+
+    /// Rule 6: the non-test functions of this file longer than
+    /// [`MAX_FN_LINES`] lines (line/col of each `fn`).
+    pub fn long_fn_sites(&self) -> Vec<(usize, usize)> {
+        self.fns.iter().filter(|f| f.counted && f.lines > MAX_FN_LINES).map(|f| f.at).collect()
+    }
+
+    /// Rule 6: ratchets this file's long-function count against the
+    /// baseline.
+    pub fn check_long_fns(&self, baseline: &Baseline, out: &mut Vec<Finding>) {
+        let allowed = baseline.long_fns.get(self.rel_path).copied().unwrap_or(0);
+        let what = format!("function(s) longer than {MAX_FN_LINES} lines");
+        self.ratchet(RULE_LONG_FN, &self.long_fn_sites(), allowed, &what, "split it", out);
+    }
+
+    /// The frozen-count ratchet rules 3 and 6 share: more `sites` than the
+    /// baseline `allowed` is an error anchored at the first site over it;
+    /// fewer is a note asking to lock the gain in.
+    fn ratchet(
+        &self,
+        rule: &'static str,
+        sites: &[(usize, usize)],
+        allowed: usize,
+        what: &str,
+        remedy: &str,
+        out: &mut Vec<Finding>,
+    ) {
+        let path = self.rel_path.to_string();
         if sites.len() > allowed {
-            let (line, col) = sites[allowed.min(sites.len() - 1)];
+            let (line, col) = sites[allowed];
             out.push(Finding {
-                rule: RULE_PANIC,
-                path: self.rel_path.to_string(),
+                rule,
+                path,
                 line,
                 col,
                 message: format!(
-                    "{} panic path(s) (unwrap/expect/panic!/unimplemented!) in library code, \
-                     baseline allows {allowed}; handle the error instead, or lower the count \
-                     elsewhere in this file (the baseline only ratchets down)",
+                    "{} {what} in library code, baseline allows {allowed}; {remedy} instead, \
+                     or lower the count elsewhere in this file (the baseline only ratchets down)",
                     sites.len()
                 ),
                 level: Level::Error,
             });
         } else if sites.len() < allowed {
             out.push(Finding {
-                rule: RULE_PANIC,
-                path: self.rel_path.to_string(),
+                rule,
+                path,
                 line: 1,
                 col: 1,
                 message: format!(
-                    "panic paths improved ({} now, baseline {allowed}); run \
+                    "{what} improved ({} now, baseline {allowed}); run \
                      `cargo run -p bond-lint -- update-baseline` to lock in the gain",
                     sites.len()
                 ),
@@ -610,12 +658,15 @@ pub fn lint_file(rel_path: &str, src: &str, config: &Config, baseline: &Baseline
     file.check_panic_paths(baseline, &mut out);
     file.check_metric_literals(config, &mut out);
     file.check_error_hygiene(config, &mut out);
+    file.check_long_fns(baseline, &mut out);
     out
 }
 
-/// Counts the panic-path sites of one file (for baseline generation).
-pub fn count_panic_sites(rel_path: &str, src: &str) -> usize {
+/// Counts one file's ratcheted sites (for baseline generation): its panic
+/// paths and its long functions.
+pub fn count_ratchet_sites(rel_path: &str, src: &str) -> (usize, usize) {
     let mut lexed = lex(src);
     mark_test_regions(&mut lexed);
-    FileLint::new(rel_path, &lexed).panic_sites().len()
+    let file = FileLint::new(rel_path, &lexed);
+    (file.panic_sites().len(), file.long_fn_sites().len())
 }

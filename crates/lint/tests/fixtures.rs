@@ -7,7 +7,10 @@ use std::path::PathBuf;
 
 use bond_lint::baseline::Baseline;
 use bond_lint::config::Config;
-use bond_lint::rules::{lint_file, RULE_ATOMICS, RULE_ERROR, RULE_METRIC, RULE_PANIC, RULE_UNSAFE};
+use bond_lint::rules::{
+    lint_file, MAX_FN_LINES, RULE_ATOMICS, RULE_ERROR, RULE_LONG_FN, RULE_METRIC, RULE_PANIC,
+    RULE_UNSAFE,
+};
 use bond_lint::{compute_baseline, run_check, Finding, Level};
 
 fn fixture(name: &str) -> String {
@@ -116,6 +119,55 @@ fn panic_paths_ratchet_against_the_baseline() {
     assert_eq!(findings[0].level, Level::Note);
 }
 
+/// A function spanning exactly `lines` lines, `fn` line to closing brace.
+fn function_of(signature: &str, lines: usize) -> String {
+    let body: String = (0..lines - 2).map(|i| format!("    let _x{i} = {i};\n")).collect();
+    format!("{signature} {{\n{body}}}\n")
+}
+
+#[test]
+fn long_functions_ratchet_against_the_baseline() {
+    let config = fixture_config();
+    let path = "fixtures/long_fns.rs";
+    // at the limit, one line over, one line over behind a `fn(…)` pointer
+    // parameter (counted once), and an over-long test function (exempt)
+    let src = [
+        function_of("pub fn at_limit()", MAX_FN_LINES),
+        function_of("pub fn over()", MAX_FN_LINES + 1),
+        function_of("pub fn takes(f: fn(u8) -> u8)", MAX_FN_LINES + 1),
+        format!("#[cfg(test)]\nmod tests {{\n{}}}\n", function_of("fn long_test()", 200)),
+    ]
+    .concat();
+    let over_line = MAX_FN_LINES + 1;
+    let long = |baseline: &Baseline| -> Vec<Finding> {
+        lint_file(path, &src, &config, baseline)
+            .into_iter()
+            .filter(|f| f.rule == RULE_LONG_FN)
+            .collect()
+    };
+
+    // no baseline: anchored at the first over-long function
+    let findings = long(&Baseline::default());
+    assert_eq!(errors(&findings).len(), 1, "{findings:?}");
+    assert_eq!(findings[0].line, over_line);
+    assert!(findings[0].message.starts_with("2 function(s)"), "{findings:?}");
+
+    // baseline 1: the second over-long function is the first over it
+    let mut baseline = Baseline::default();
+    baseline.long_fns.insert(path.to_string(), 1);
+    let findings = long(&baseline);
+    assert_eq!(errors(&findings).len(), 1, "{findings:?}");
+    assert_eq!(findings[0].line, over_line + MAX_FN_LINES + 1);
+
+    // at baseline: clean; above it: a note, never an error
+    baseline.long_fns.insert(path.to_string(), 2);
+    assert!(long(&baseline).is_empty());
+    baseline.long_fns.insert(path.to_string(), 3);
+    let findings = long(&baseline);
+    assert_eq!(findings.len(), 1);
+    assert_eq!(findings[0].level, Level::Note);
+}
+
 #[test]
 fn metric_literals_are_reported_once_per_site() {
     let findings = lint_file(
@@ -189,6 +241,7 @@ fn update_baseline_round_trips_to_a_clean_run() {
     // compute → render → parse → re-check: clean
     let computed = compute_baseline(&root, &config).unwrap();
     assert_eq!(computed.panic_paths, BTreeMap::from([("src/lib.rs".to_string(), 2usize)]));
+    assert!(computed.long_fns.is_empty());
     let reparsed = Baseline::parse(&computed.render()).unwrap();
     assert_eq!(reparsed, computed);
     let findings = run_check(&root, &config, &reparsed).unwrap();
