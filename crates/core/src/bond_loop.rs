@@ -1,20 +1,24 @@
-//! The one progressive BOND loop both search spaces run (Algorithm 2).
+//! The one progressive BOND loop every search runs (Algorithm 2).
 //!
 //! Per block: sweep the next dimensions over the candidates, bound every
 //! candidate, take κ as the k-th best safe bound, drop what cannot reach
 //! it — until at most `k` candidates remain or the dimensions run out.
 //! §7.4 runs that loop on VA-File-style codes; what is left after it is
 //! refined exactly in bound order (`searcher`); the exact loop runs in
-//! exact mode and after a code filter that proved no κ. What a block
+//! exact mode and after a code filter that proved no κ; §8.2 runs it over
+//! the union of several feature collections' dimensions. What a block
 //! sweeps, how a candidate is bounded and where κ is proven is a
-//! [`BoundSource`]'s business: the code intervals of `quantfilter`, which
-//! carry only the optimistic bound and prove κ by a probe after the first
-//! and the last block ([`Proof::Probe`]), or the exact partial scores and
-//! pruning rule of `searcher`, which prove κ from the heap of pessimistic
-//! bounds at every step ([`Proof::Heap`]). The rest is written once, here:
-//! the [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
-//! block sizes ([`Blocks`]), κ sharing, and the per-thread [`Scratch`]
-//! both spaces work in.
+//! [`BoundSource`]'s business, and there are three: the code intervals of
+//! `quantfilter`, which carry only the optimistic bound and prove κ by a
+//! probe after the first and the last block ([`Proof::Probe`]); the exact
+//! partial scores and pruning rule of `searcher`, which prove κ from the
+//! heap of pessimistic bounds at every step ([`Proof::Heap`]); and the
+//! synchronized multi-feature scan of `multifeature`, which drives one
+//! exact-partials source per feature and proves κ from the heap of their
+//! bounds combined through the query's aggregate. The rest is written
+//! once, here: the [`CandidateSet`] and its pruning pass, the sign-folded
+//! κ heap, the block sizes ([`Blocks`]), κ sharing, and the per-thread
+//! [`Scratch`] the single-table searches work in.
 //!
 //! Block sizes follow Corlay's rule (PAPERS.md) where the loop can observe
 //! it: a pruning step must cost less than the work it removes. The code
@@ -31,7 +35,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use vdstore::TopKLargest;
+use vdstore::{Bitmap, TopKLargest};
 
 use crate::candidates::CandidateSet;
 use crate::error::Result;
@@ -257,13 +261,14 @@ impl BondLoop<'_> {
 
 /// A worker thread's working memory for both spaces: the code sweep's
 /// accumulator and LUTs (and the survivors' bound order the exact refine
-/// reads from them), the exact search's per-row state, and the κ heap.
-/// Grown to the largest segment the thread has searched and reused
-/// after that, so steady-state searches allocate nothing that grows with
-/// their segment.
+/// reads from them), the eligibility bitmap's words, the exact search's
+/// per-row state, and the κ heap. Grown to the largest segment the thread
+/// has searched and reused after that, so steady-state searches allocate
+/// nothing that grows with their segment.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) codes: QuantScratch,
+    pub(crate) eligible: Bitmap,
     pub(crate) exact: RowState,
     pub(crate) best: Option<TopKLargest>,
 }

@@ -11,6 +11,14 @@
 //! bounds, combines them through the monotonic aggregate, and prunes on the
 //! combined bounds.
 //!
+//! That is Algorithm 2 over the union, so it runs on the crate's one block
+//! loop: this module supplies its third bound source, next to the code
+//! intervals and the single table's exact partials. Each feature keeps the
+//! single-table source's column state (partial scores, masses and its
+//! rule's bounds) over the searched segment's rows; a global block is one
+//! contiguous range of every feature's own order. A candidate is a row that
+//! is live in every feature collection.
+//!
 //! Every feature collection may use its own metric; Euclidean components are
 //! mapped onto the `[0, 1]` similarity scale with Equation 3 so they can be
 //! aggregated with histogram-intersection components.
@@ -18,16 +26,18 @@
 use std::ops::Range;
 
 use bond_metrics::{
-    CandidateState, DecomposableMetric, EvRule, HhRule, HistogramIntersection, PruningRule,
-    ScoreAggregate, SquaredEuclidean,
+    DecomposableMetric, EvRule, HhRule, HistogramIntersection, PruningRule, ScoreAggregate,
+    SquaredEuclidean,
 };
-use vdstore::{descending_nan_last, Bitmap, DecomposedTable, RowId, TopKLargest};
+use vdstore::{descending_nan_last, Bitmap, DecomposedTable, Segment, TopKLargest};
 
+use crate::bond_loop::{Blocks, BondLoop, BoundSource, Bounds, Proof};
+use crate::candidates::CandidateSet;
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
+use crate::kernels::Kernel;
 use crate::schedule::BlockSchedule;
-use crate::searcher::SearchOutcome;
-use crate::trace::{PruneTrace, TraceCheckpoint};
+use crate::searcher::{BondParams, ExactPartials, RowState, SearchOutcome};
 
 /// Which metric a feature collection is searched with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +47,25 @@ pub enum FeatureMetricKind {
     /// Squared Euclidean distance mapped to a similarity with Equation 3,
     /// pruned with Ev.
     Euclidean,
+}
+
+impl FeatureMetricKind {
+    /// The metric a feature is scored with, and the rule that prunes it.
+    fn searched_with(self) -> (&'static dyn DecomposableMetric, Box<dyn PruningRule>) {
+        match self {
+            Self::HistogramIntersection => (&HistogramIntersection, Box::new(HhRule::new())),
+            Self::Euclidean => (&SquaredEuclidean, Box::new(EvRule::new())),
+        }
+    }
+
+    /// A feature score (or bound) on the `[0, 1]` similarity scale: Euclidean
+    /// distances over `dims` dimensions go through Equation 3.
+    fn similarity(self, score: f64, dims: usize) -> f64 {
+        match self {
+            Self::HistogramIntersection => score,
+            Self::Euclidean => SquaredEuclidean::similarity_from_distance(score, dims),
+        }
+    }
 }
 
 /// One component of a multi-feature query.
@@ -60,13 +89,11 @@ pub struct MultiFeatureContext<'k> {
     /// Shared κ cell over the *combined* similarity (`Objective::Maximize`);
     /// `None` runs the range in isolation.
     pub kappa: Option<&'k dyn KappaCell>,
-    /// Per-feature full-table row sums `T(x)`, outer-indexed by feature.
-    /// Computed on the fly when absent — the engine precomputes them once
-    /// per query so segment workers don't each re-derive them.
-    pub total_mass: Option<&'k [Vec<f64>]>,
     /// Eligibility bitmap local to the searched range (bit `i` = row
-    /// `range.start + i`): carries tombstones and/or a relational predicate.
-    /// `None` scans every row of the range.
+    /// `range.start + i`), e.g. a relational predicate. It is intersected
+    /// with every feature collection's live rows, so a row deleted from any
+    /// of them stays excluded either way. `None` scans every live row of
+    /// the range.
     pub filter: Option<&'k Bitmap>,
 }
 
@@ -75,65 +102,6 @@ pub struct MultiFeatureContext<'k> {
 #[derive(Debug)]
 pub struct MultiFeatureSearcher<'a> {
     tables: Vec<&'a DecomposedTable>,
-}
-
-struct FeatureState<'t> {
-    query: Vec<f64>,
-    kind: FeatureMetricKind,
-    dims: usize,
-    partial: Vec<f64>,
-    scanned_mass: Vec<f64>,
-    total_mass: &'t [f64],
-    remaining: Vec<usize>,
-}
-
-impl FeatureState<'_> {
-    /// Adds dimension `d`'s contribution of every `alive` row to its
-    /// partial score and, while the scan still prunes (`track_mass`), the
-    /// row's scanned mass.
-    fn accumulate(&mut self, values: &[f64], d: usize, alive: &[RowId], track_mass: bool) {
-        let q = self.query[d];
-        for &row in alive {
-            let v = values[row as usize];
-            self.partial[row as usize] += match self.kind {
-                FeatureMetricKind::HistogramIntersection => {
-                    HistogramIntersection.contribution(d, v, q)
-                }
-                FeatureMetricKind::Euclidean => SquaredEuclidean.contribution(d, v, q),
-            };
-            if track_mass {
-                self.scanned_mass[row as usize] += v;
-            }
-        }
-    }
-
-    fn similarity_bounds(&self, rule: &dyn PruningRule, row: RowId) -> (f64, f64) {
-        let idx = row as usize;
-        let state = CandidateState {
-            partial: self.partial[idx],
-            scanned_mass: self.scanned_mass[idx],
-            total_mass: self.total_mass[idx],
-        };
-        let (lo, hi) = rule.bounds(&state);
-        match self.kind {
-            FeatureMetricKind::HistogramIntersection => (lo, hi),
-            FeatureMetricKind::Euclidean => {
-                // distance bounds -> similarity bounds (Equation 3), order flips
-                let sim_hi = SquaredEuclidean::similarity_from_distance(lo, self.dims);
-                let sim_lo = SquaredEuclidean::similarity_from_distance(hi, self.dims);
-                (sim_lo, sim_hi)
-            }
-        }
-    }
-
-    fn exact_similarity(&self, row: RowId) -> f64 {
-        match self.kind {
-            FeatureMetricKind::HistogramIntersection => self.partial[row as usize],
-            FeatureMetricKind::Euclidean => {
-                SquaredEuclidean::similarity_from_distance(self.partial[row as usize], self.dims)
-            }
-        }
-    }
 }
 
 impl<'a> MultiFeatureSearcher<'a> {
@@ -161,12 +129,14 @@ impl<'a> MultiFeatureSearcher<'a> {
     }
 
     /// Runs the synchronized search: the k rows with the largest aggregate
-    /// similarity over all feature components.
+    /// similarity over all feature components. Rows deleted from any
+    /// feature collection are never answers.
     ///
-    /// `block` dimensions are scanned between pruning attempts (across all
-    /// features combined); the global dimension order interleaves features
-    /// by decreasing query value scaled by the aggregate's sensitivity to
-    /// that feature (its weight for a weighted average, 1 otherwise).
+    /// `schedule` sizes the blocks of dimensions scanned between pruning
+    /// attempts (across all features combined); the global dimension order
+    /// interleaves the features' dimensions by decreasing raw query value —
+    /// the single-feature skew heuristic applied to the union, whatever the
+    /// aggregate.
     pub fn search(
         &self,
         queries: &[FeatureQuery],
@@ -201,6 +171,66 @@ impl<'a> MultiFeatureSearcher<'a> {
         range: Range<usize>,
         ctx: &MultiFeatureContext<'_>,
     ) -> Result<SearchOutcome> {
+        self.validate(queries, k, &range, ctx)?;
+        let segments: Vec<Segment<'_>> =
+            self.tables.iter().map(|t| t.segment(range.clone())).collect::<vdstore::Result<_>>()?;
+        // A candidate is live in every feature collection, and eligible.
+        let mut eligible = ctx.filter.cloned().unwrap_or_else(|| Bitmap::full(range.len()));
+        for segment in &segments {
+            eligible.and_with(&segment.live_bitmap());
+        }
+        let mut candidates = CandidateSet::from_bitmap(eligible);
+
+        // Global dimension order: (feature, dim) sorted by decreasing query
+        // value (the per-feature skew heuristic applied to the union).
+        let mut global_order: Vec<(usize, usize)> = queries
+            .iter()
+            .enumerate()
+            .flat_map(|(f, q)| (0..q.query.len()).map(move |d| (f, d)))
+            .collect();
+        global_order.sort_by(|&(fa, da), &(fb, db)| {
+            descending_nan_last(queries[fa].query[da], queries[fb].query[db])
+        });
+
+        let orders: Vec<Vec<usize>> = (0..queries.len())
+            .map(|f| global_order.iter().filter(|&&(g, _)| g == f).map(|&(_, d)| d).collect())
+            .collect();
+        let kernel = Kernel::active();
+        let mut rules: Vec<_> = queries.iter().map(|q| q.metric.searched_with()).collect();
+        let mut states: Vec<RowState> = queries.iter().map(|_| RowState::default()).collect();
+        let threshold = BondParams::default().materialize_threshold;
+        let features = (queries.iter().zip(&segments).zip(&orders))
+            .zip(rules.iter_mut().zip(&mut states))
+            .map(|(((q, segment), order), ((metric, rule), state))| {
+                let (rule, rows) = (rule.as_mut(), &candidates);
+                ExactPartials::new(
+                    segment, &q.query, *metric, rule, order, kernel, state, None, rows, threshold,
+                )
+            })
+            .collect();
+        let mut source = Synchronized {
+            features,
+            kinds: queries.iter().map(|q| q.metric).collect(),
+            owners: global_order.iter().map(|&(f, _)| f).collect(),
+            aggregate,
+            lower: Vec::new(),
+            upper: Vec::new(),
+            component: (vec![0.0; queries.len()], vec![0.0; queries.len()]),
+        };
+        let run = BondLoop { k, kernel, blocks: Blocks::Planned(schedule), shared: ctx.kappa };
+        let swept = run.run(&mut source, &mut candidates, &mut None)?.swept;
+        source.finish(&segments[0], CandidateSet::List(candidates.to_rows()), swept, k, ctx.kappa)
+    }
+
+    /// The checks [`MultiFeatureSearcher::search_range`] makes before it
+    /// reads a column.
+    fn validate(
+        &self,
+        queries: &[FeatureQuery],
+        k: usize,
+        range: &Range<usize>,
+        ctx: &MultiFeatureContext<'_>,
+    ) -> Result<()> {
         if queries.len() != self.tables.len() {
             return Err(BondError::InvalidParams(format!(
                 "{} feature queries supplied for {} collections",
@@ -217,193 +247,137 @@ impl<'a> MultiFeatureSearcher<'a> {
                 "range {range:?} exceeds the {rows}-row collection"
             )));
         }
-        for (f, q) in queries.iter().enumerate() {
-            if q.query.len() != self.tables[f].dims() {
+        for (f, (q, table)) in queries.iter().zip(&self.tables).enumerate() {
+            if q.query.len() != table.dims() {
                 return Err(BondError::FeatureDimensionMismatch {
                     feature: f,
-                    expected: self.tables[f].dims(),
+                    expected: table.dims(),
                     actual: q.query.len(),
                 });
             }
         }
-        if let Some(filter) = ctx.filter {
-            if filter.len() != range.len() {
-                return Err(BondError::InvalidFilter(format!(
-                    "range filter covers {} rows but the range has {}",
-                    filter.len(),
-                    range.len()
-                )));
-            }
+        match ctx.filter {
+            Some(filter) if filter.len() != range.len() => Err(BondError::InvalidFilter(format!(
+                "range filter covers {} rows but the range has {}",
+                filter.len(),
+                range.len()
+            ))),
+            _ => Ok(()),
         }
-        if let Some(mass) = ctx.total_mass {
-            if mass.len() != self.tables.len() {
-                return Err(BondError::InvalidParams(format!(
-                    "{} total-mass vectors supplied for {} collections",
-                    mass.len(),
-                    self.tables.len()
-                )));
-            }
-        }
+    }
+}
 
-        // Per-feature state and rules. Bookkeeping vectors stay indexed by
-        // global row id so the block loop is byte-for-byte the full-table
-        // scan — partial sums accumulate in the same order for any range,
-        // which is what keeps per-segment answers bit-identical to the
-        // sequential searcher's.
-        let computed_mass: Vec<Vec<f64>> = if ctx.total_mass.is_none() {
-            self.tables.iter().map(|t| t.row_sums()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut states: Vec<FeatureState<'_>> = queries
-            .iter()
-            .enumerate()
-            .map(|(f, q)| {
-                let table = self.tables[f];
-                FeatureState {
-                    query: q.query.clone(),
-                    kind: q.metric,
-                    dims: table.dims(),
-                    partial: vec![0.0; rows],
-                    scanned_mass: vec![0.0; rows],
-                    total_mass: match ctx.total_mass {
-                        Some(mass) => &mass[f],
-                        None => &computed_mass[f],
-                    },
-                    remaining: (0..table.dims()).collect(),
-                }
-            })
-            .collect();
-        let mut rules: Vec<Box<dyn PruningRule>> = queries
-            .iter()
-            .map(|q| match q.metric {
-                FeatureMetricKind::HistogramIntersection => {
-                    Box::new(HhRule::new()) as Box<dyn PruningRule>
-                }
-                FeatureMetricKind::Euclidean => Box::new(EvRule::new()) as Box<dyn PruningRule>,
-            })
-            .collect();
+/// The synchronized scan's [`BoundSource`]: every feature's exact partials,
+/// each swept over its share of a global block and bounded per candidate
+/// through the aggregate.
+struct Synchronized<'a> {
+    features: Vec<ExactPartials<'a>>,
+    kinds: Vec<FeatureMetricKind>,
+    /// The feature each position of the global order belongs to.
+    owners: Vec<usize>,
+    aggregate: &'a dyn ScoreAggregate,
+    /// The combined similarity bounds at the candidates' slots.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// One candidate's per-feature lower and upper similarity bounds.
+    component: (Vec<f64>, Vec<f64>),
+}
 
-        // Global dimension order: (feature, dim) sorted by decreasing query
-        // value (the per-feature skew heuristic applied to the union).
-        let mut global_order: Vec<(usize, usize)> = Vec::new();
-        for (f, q) in queries.iter().enumerate() {
-            for d in 0..q.query.len() {
-                global_order.push((f, d));
-            }
+impl Synchronized<'_> {
+    /// How many of feature `f`'s dimensions the first `swept` positions of
+    /// the global order hold.
+    fn cut(&self, f: usize, swept: usize) -> usize {
+        self.owners[..swept].iter().filter(|&&owner| owner == f).count()
+    }
+
+    /// Completes the survivors over the unswept dimensions, ranks their
+    /// exact combined similarities with global ids and publishes the k-th.
+    fn finish(
+        mut self,
+        segment: &Segment<'_>,
+        survivors: CandidateSet,
+        swept: usize,
+        k: usize,
+        shared: Option<&dyn KappaCell>,
+    ) -> Result<SearchOutcome> {
+        for feature in &mut self.features {
+            feature.scanned_mass = None;
         }
-        global_order.sort_by(|&(fa, da), &(fb, db)| {
-            let ka = queries[fa].query[da];
-            let kb = queries[fb].query[db];
-            descending_nan_last(ka, kb)
+        self.sweep(&survivors, swept..self.owners.len())?;
+        let mut best = TopKLargest::new(k);
+        let similarity = &mut self.component.0;
+        survivors.for_each(|row| {
+            for (f, feature) in self.features.iter().enumerate() {
+                let score = feature.partial[row as usize];
+                similarity[f] = self.kinds[f].similarity(score, feature.dims());
+            }
+            best.push(segment.to_global(row), self.aggregate.combine(similarity));
         });
-        let total_dims = global_order.len();
-
-        let mut alive: Vec<RowId> = match ctx.filter {
-            Some(filter) => filter.iter().map(|local| local + range.start as RowId).collect(),
-            None => (range.start as RowId..range.end as RowId).collect(),
-        };
-        let mut trace = PruneTrace::default();
-
-        let mut processed = 0usize;
-        let mut attempts = 0usize;
-        loop {
-            let block = schedule.next_block(processed, total_dims, attempts);
-            if block == 0 {
-                break;
-            }
-            for &(f, d) in &global_order[processed..processed + block] {
-                states[f].accumulate(self.tables[f].column(d)?.values(), d, &alive, true);
-                states[f].remaining.retain(|&r| r != d);
-            }
-            trace.contributions_evaluated += (block * alive.len()) as u64;
-            processed += block;
-            trace.dims_accessed = processed;
-
-            if alive.len() <= k {
-                break;
-            }
-
-            // Prepare per-feature rules with their remaining dimensions.
-            for (f, rule) in rules.iter_mut().enumerate() {
-                rule.prepare(&states[f].query, &states[f].remaining);
-            }
-
-            // Global bounds per candidate.
-            let mut lower = Vec::with_capacity(alive.len());
-            let mut upper = Vec::with_capacity(alive.len());
-            let mut feature_lo = vec![0.0; states.len()];
-            let mut feature_hi = vec![0.0; states.len()];
-            for &row in &alive {
-                for (f, state) in states.iter().enumerate() {
-                    let (lo, hi) = state.similarity_bounds(rules[f].as_ref(), row);
-                    feature_lo[f] = lo;
-                    feature_hi[f] = hi;
-                }
-                let (glo, ghi) = aggregate.combine_bounds(&feature_lo, &feature_hi);
-                lower.push(glo);
-                upper.push(ghi);
-            }
-            let mut heap = TopKLargest::new(k);
-            for (i, &row) in alive.iter().enumerate() {
-                heap.push(row, lower[i]);
-            }
-            attempts += 1;
-            trace.pruning_attempts = attempts;
-            let mut pruned_now = 0usize;
-            // κ is the k-th largest *combined lower bound*: ≥ k rows are
-            // proven to finish at or above it, so it is a globally valid
-            // pruning threshold — which is what makes it safe to pool
-            // through the shared cell with sibling segments.
-            let kappa = match (ctx.kappa, heap.kth()) {
-                (Some(cell), Some(local)) => Some(cell.tighten(local)),
-                (Some(cell), None) => cell.current(),
-                (None, local) => local,
-            };
-            if let Some(kappa) = kappa {
-                let slack = crate::searcher::prune_slack(kappa);
-                let before = alive.len();
-                let mut idx = 0usize;
-                alive.retain(|_| {
-                    let keep = upper[idx] >= kappa - slack;
-                    idx += 1;
-                    keep
-                });
-                pruned_now = before - alive.len();
-            }
-            trace.checkpoints.push(TraceCheckpoint {
-                dims_processed: processed,
-                candidates: alive.len(),
-                pruned_now,
-            });
-            if alive.len() <= k {
-                break;
-            }
-        }
-
-        // Complete the survivors' exact per-feature scores.
-        if processed < total_dims {
-            for &(f, d) in &global_order[processed..] {
-                states[f].accumulate(self.tables[f].column(d)?.values(), d, &alive, false);
-            }
-            trace.contributions_evaluated += ((total_dims - processed) * alive.len()) as u64;
-            trace.dims_accessed = total_dims;
-        }
-
-        let mut heap = TopKLargest::new(k);
-        let mut component = vec![0.0; states.len()];
-        for &row in &alive {
-            for (f, state) in states.iter().enumerate() {
-                component[f] = state.exact_similarity(row);
-            }
-            heap.push(row, aggregate.combine(&component));
-        }
         // An exact k-th best is itself a valid lower-bound κ: publish it so
         // segments that start later prune harder from their first block.
-        if let (Some(cell), Some(kth)) = (ctx.kappa, heap.kth()) {
+        if let (Some(cell), Some(kth)) = (shared, best.kth()) {
             cell.tighten(kth);
         }
-        Ok(SearchOutcome { hits: heap.into_sorted_vec(), trace })
+        let cells = self.features.iter().map(|feature| feature.trace.contributions_evaluated).sum();
+        let mut trace = std::mem::take(&mut self.features[0].trace);
+        trace.contributions_evaluated = cells;
+        trace.dims_accessed = self.owners.len();
+        Ok(SearchOutcome { hits: best.into_sorted_vec(), trace })
+    }
+}
+
+impl BoundSource for Synchronized<'_> {
+    const PROOF: Proof = Proof::Heap;
+
+    fn dims(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// Sweeps each feature's share of the global block: one contiguous
+    /// range of its own order.
+    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+        for f in 0..self.features.len() {
+            let own = self.cut(f, block.start)..self.cut(f, block.end);
+            self.features[f].sweep(candidates, own)?;
+        }
+        Ok(())
+    }
+
+    /// Every feature's rule bounds on the similarity scale — a distance's
+    /// optimistic bound is the upper similarity bound — combined through
+    /// the aggregate at each candidate's slot.
+    fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
+        for f in 0..self.features.len() {
+            let own = self.cut(f, swept);
+            self.features[f].bound(candidates, own);
+        }
+        let Self { features, kinds, aggregate, lower, upper, component: (lo, hi), .. } = self;
+        let bounds: Vec<_> = features.iter().map(|f| (f.bounds(swept), f.dims())).collect();
+        let list = candidates.as_list();
+        let slots = list.map_or(features[0].partial.len(), <[_]>::len);
+        lower.resize(slots, 0.0);
+        upper.resize(slots, 0.0);
+        let mut combine = |slot: usize| {
+            for (f, (bounds, dims)) in bounds.iter().enumerate() {
+                lo[f] = kinds[f].similarity(bounds.heap[slot], *dims);
+                hi[f] = kinds[f].similarity(bounds.opt[slot], *dims);
+            }
+            (lower[slot], upper[slot]) = aggregate.combine_bounds(lo, hi);
+        };
+        match list {
+            None => candidates.for_each(|row| combine(row as usize)),
+            Some(list) => (0..list.len()).for_each(combine),
+        }
+    }
+
+    fn bounds(&self, _swept: usize) -> Bounds<'_> {
+        Bounds { opt: &self.upper, heap: &self.lower, sign: 1.0, opt_add: 0.0 }
+    }
+
+    /// The first feature's source records the scan's steps, and switches
+    /// the candidates to a list at its threshold.
+    fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
+        self.features[0].stepped(candidates, swept, removed);
     }
 }
 
@@ -411,6 +385,9 @@ impl<'a> MultiFeatureSearcher<'a> {
 mod tests {
     use super::*;
     use bond_metrics::{FuzzyMin, WeightedAverage};
+    use vdstore::RowId;
+
+    use crate::searcher::BondSearcher;
 
     fn color_table() -> DecomposedTable {
         DecomposedTable::from_vectors(
@@ -551,7 +528,6 @@ mod tests {
         let full = searcher.search(&queries, &agg, k, BlockSchedule::Fixed(2)).unwrap();
         // split the row space into two ranges sharing one κ cell, merge the
         // exact per-range answers: bit-identical to the full search
-        let mass: Vec<Vec<f64>> = vec![color.row_sums(), texture.row_sums()];
         struct MaxCell(std::sync::Mutex<Option<f64>>);
         impl KappaCell for MaxCell {
             fn tighten(&self, local: f64) -> f64 {
@@ -567,8 +543,7 @@ mod tests {
         let cell = MaxCell(std::sync::Mutex::new(None));
         let mut heap = TopKLargest::new(k);
         for range in [0..3, 3..5] {
-            let ctx =
-                MultiFeatureContext { kappa: Some(&cell), total_mass: Some(&mass), filter: None };
+            let ctx = MultiFeatureContext { kappa: Some(&cell), filter: None };
             let part = searcher
                 .search_range(&queries, &agg, k, BlockSchedule::Fixed(2), range, &ctx)
                 .unwrap();
@@ -635,5 +610,36 @@ mod tests {
         assert!(!outcome.trace.checkpoints.is_empty());
         assert!(outcome.trace.dims_accessed <= 7);
         assert_eq!(outcome.hits.len(), 1);
+    }
+
+    #[test]
+    fn deleted_rows_are_never_answers() {
+        // row 19 scores best under an HI query on dimension 0; then 18, 17, …
+        let vectors: Vec<Vec<f64>> =
+            (0..20).map(|r| vec![r as f64 / 20.0, 1.0 - r as f64 / 20.0]).collect();
+        let mut table = DecomposedTable::from_vectors("ramp", &vectors).unwrap();
+        let other = table.clone();
+        table.delete(19).unwrap();
+        let query = vec![1.0, 0.0];
+        let rows = |hits: &[vdstore::topk::Scored]| hits.iter().map(|h| h.row).collect::<Vec<_>>();
+        let single = BondSearcher::new(&table)
+            .histogram_intersection_hh(&query, 3, &BondParams::default())
+            .unwrap();
+        assert_eq!(rows(&single.hits), vec![18, 17, 16]);
+        let hi = FeatureQuery { query, metric: FeatureMetricKind::HistogramIntersection };
+        // deleted in the only collection, and in either of two
+        for tables in [vec![&table], vec![&table, &other], vec![&other, &table]] {
+            let queries = vec![hi.clone(); tables.len()];
+            let searcher = MultiFeatureSearcher::new(tables).unwrap();
+            let out = searcher.search(&queries, &FuzzyMin, 3, BlockSchedule::Fixed(1)).unwrap();
+            assert_eq!(rows(&out.hits), vec![18, 17, 16]);
+            // and through a range filter that names the deleted row
+            let filter = Bitmap::from_rows(10, &[9, 8]);
+            let ctx = MultiFeatureContext { filter: Some(&filter), ..Default::default() };
+            let out = searcher
+                .search_range(&queries, &FuzzyMin, 3, BlockSchedule::Fixed(1), 10..20, &ctx)
+                .unwrap();
+            assert_eq!(rows(&out.hits), vec![18]);
+        }
     }
 }

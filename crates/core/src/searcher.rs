@@ -17,8 +17,9 @@
 //! densely, gathered over the row list, or per candidate, and step 2 asks
 //! the [`PruningRule`] (Hq, Hh, Eq, Ev and their weighted variants) for the
 //! bounds of every candidate at once. Each step prunes with the κ it just
-//! proved. Convenience methods instantiate the rule / metric combinations
-//! the paper evaluates.
+//! proved. The synchronized multi-feature scan ([`crate::multifeature`])
+//! drives one such source per feature. Convenience methods instantiate the
+//! rule / metric combinations the paper evaluates.
 //!
 //! **§7.4: the code loop, then an ordered refine.** When the segment has
 //! codes, [`search_segment`] runs the loop over code intervals first. Its
@@ -32,6 +33,7 @@
 //! same per-row sums in plan order, so the answer is bit-identical to a
 //! codeless search.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use bond_metrics::{CandidateState, DecomposableMetric, KernelOp, Objective, PruningRule};
@@ -146,13 +148,12 @@ fn gather_accumulate_block(
     Ok(())
 }
 
-/// The per-row working memory of [`search_segment`]: the eligibility
-/// bitmap's words, the partial scores, the scanned masses and the bounds
-/// of the last pruning step. Part of the per-thread scratch, so a search
-/// allocates nothing that grows with its segment.
+/// The per-row working memory of one table's [`ExactPartials`]: the partial
+/// scores, the scanned masses and the bounds of the last pruning step. A
+/// single-table search keeps it in the per-thread scratch, so it allocates
+/// nothing that grows with its segment.
 #[derive(Default)]
 pub(crate) struct RowState {
-    eligible: Bitmap,
     partial: Vec<f64>,
     mass: Vec<f64>,
     lower: Vec<f64>,
@@ -432,7 +433,6 @@ pub(crate) fn search_segment_with(
     let order: &[usize] = &plan.order;
 
     let rows = segment.len();
-    let requirements = rule.requirements();
     if let Some(sums) = ctx.row_sums.filter(|sums| sums.len() != rows) {
         return Err(BondError::InvalidParams(format!(
             "precomputed row sums cover {} rows but the segment has {rows}",
@@ -442,7 +442,7 @@ pub(crate) fn search_segment_with(
 
     // All bookkeeping below is in segment-local row ids; only the final
     // ranking translates back to global ids.
-    let mut eligible = std::mem::take(&mut scratch.exact.eligible);
+    let mut eligible = std::mem::take(&mut scratch.eligible);
     segment.live_bitmap_into(&mut eligible);
     if let Some(filter) = ctx.filter {
         if filter.len() != rows {
@@ -482,7 +482,7 @@ pub(crate) fn search_segment_with(
                 None,
                 scratch,
             )?;
-            scratch.exact.eligible = eligible;
+            scratch.eligible = eligible;
             trace.filter_cells = filter.cells;
             trace.filter_dims = filter.dims;
             trace.filter_steps = u32::try_from(filter.steps).unwrap_or(u32::MAX);
@@ -505,48 +505,25 @@ pub(crate) fn search_segment_with(
         }
         None => CandidateSet::from_bitmap(eligible),
     };
-    let computed_sums;
-    let total_mass: Option<&[f64]> = match (requirements.needs_total_mass, ctx.row_sums) {
-        (false, _) => None,
-        (true, Some(sums)) => Some(sums),
-        (true, None) => {
-            computed_sums = segment.row_sums();
-            Some(&computed_sums)
-        }
-    };
-    let RowState { eligible, partial, mass, lower, upper } = &mut scratch.exact;
-    zero_for(partial, rows, &candidates);
-    let scanned_mass = if requirements.needs_scanned_mass {
-        zero_for(mass, rows, &candidates);
-        Some(&mut mass[..])
-    } else {
-        None
-    };
-
-    let op = metric.kernel_op();
-    let mut source = ExactPartials {
+    let mut source = ExactPartials::new(
         segment,
         query,
         metric,
         rule,
         order,
-        op,
         kernel,
-        partial,
-        scanned_mass,
-        total_mass,
-        lower,
-        upper,
-        materialize_threshold: params.materialize_threshold,
-        trace: &mut trace,
-        // Stage tracing: the time from scan start to the first pruning
-        // attempt that actually removed candidates is the segment's
-        // *observed* warmup, recorded as a `segment.warmup` span (detail:
-        // dimensions processed) while the global subscriber is on. Off (the
-        // default), beginning the span is one relaxed atomic load and no
-        // clock is read.
-        warmup: Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP)),
-    };
+        &mut scratch.exact,
+        ctx.row_sums,
+        &candidates,
+        params.materialize_threshold,
+    );
+    source.trace = trace;
+    // Stage tracing: the time from scan start to the first pruning attempt
+    // that actually removed candidates is the segment's *observed* warmup,
+    // recorded as a `segment.warmup` span (detail: dimensions processed)
+    // while the global subscriber is on. Off (the default), beginning the
+    // span is one relaxed atomic load and no clock is read.
+    source.warmup = Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP));
     let run = BondLoop { k, kernel, blocks: Blocks::Planned(plan.schedule), shared: ctx.kappa };
     let processed = run.run(&mut source, &mut candidates, &mut scratch.best)?.swept;
     // No pruning attempt removed anything: there was no effective warmup
@@ -559,7 +536,7 @@ pub(crate) fn search_segment_with(
     let survivors = CandidateSet::List(candidates.to_rows());
     if let CandidateSet::Bits(bits) = candidates {
         // hand the words back for the next search on this thread
-        *eligible = bits;
+        scratch.eligible = bits;
     }
     source.trace.dims_accessed = processed;
     if params.refine_survivors && processed < dims {
@@ -569,7 +546,7 @@ pub(crate) fn search_segment_with(
     }
     let rows = survivors.as_list().unwrap_or_default().iter().copied();
     let hits = rank(segment, rows, source.partial, metric.objective(), k);
-    Ok(SearchOutcome { hits, trace })
+    Ok(SearchOutcome { hits, trace: source.trace })
 }
 
 /// Rows [`OrderedRefine`] scores between two looks at κ once the first
@@ -612,7 +589,7 @@ impl OrderedRefine<'_> {
             Objective::Maximize => 1.0,
             Objective::Minimize => -1.0,
         };
-        let Scratch { codes: code_scratch, exact, best } = scratch;
+        let Scratch { codes: code_scratch, exact, best, .. } = scratch;
         let ranked = rank_survivors(filter, sign, code_scratch);
         let partial = &mut exact.partial;
         partial.resize(segment.len(), 0.0);
@@ -679,26 +656,77 @@ impl OrderedRefine<'_> {
 
 /// The exact-partials [`BoundSource`]: per block, the dense, gathered or
 /// per-candidate accumulate of the partial scores (and scanned masses);
-/// per step, the rule's bounds from them.
-struct ExactPartials<'a, 'r> {
+/// per step, the rule's bounds from them. A single-table search runs one
+/// over its plan's order; a multi-feature search ([`crate::multifeature`])
+/// drives one per feature, over that feature's share of every block.
+pub(crate) struct ExactPartials<'a> {
     segment: &'a Segment<'a>,
     query: &'a [f64],
     metric: &'a dyn DecomposableMetric,
-    rule: &'r mut dyn PruningRule,
+    rule: &'a mut dyn PruningRule,
     order: &'a [usize],
     op: Option<KernelOp<'a>>,
     kernel: Kernel,
-    partial: &'a mut [f64],
-    scanned_mass: Option<&'a mut [f64]>,
-    total_mass: Option<&'a [f64]>,
+    pub(crate) partial: &'a mut [f64],
+    /// Dropped (`None`) once no step will prune again.
+    pub(crate) scanned_mass: Option<&'a mut [f64]>,
+    total_mass: Option<Cow<'a, [f64]>>,
     lower: &'a mut Vec<f64>,
     upper: &'a mut Vec<f64>,
     materialize_threshold: f64,
-    trace: &'a mut PruneTrace,
+    pub(crate) trace: PruneTrace,
     warmup: Option<bond_obs::Span>,
 }
 
-impl BoundSource for ExactPartials<'_, '_> {
+impl<'a> ExactPartials<'a> {
+    /// The source over `segment`'s rows in `state`, zeroed for
+    /// `candidates`. `T(x)` is `row_sums` when given, the segment's own
+    /// row sums otherwise — and only when the rule's requirements ask.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        segment: &'a Segment<'a>,
+        query: &'a [f64],
+        metric: &'a dyn DecomposableMetric,
+        rule: &'a mut dyn PruningRule,
+        order: &'a [usize],
+        kernel: Kernel,
+        state: &'a mut RowState,
+        row_sums: Option<&'a [f64]>,
+        candidates: &CandidateSet,
+        materialize_threshold: f64,
+    ) -> Self {
+        let requirements = rule.requirements();
+        let total_mass = requirements.needs_total_mass.then(|| match row_sums {
+            Some(sums) => Cow::Borrowed(sums),
+            None => Cow::Owned(segment.row_sums()),
+        });
+        let RowState { partial, mass, lower, upper } = state;
+        zero_for(partial, segment.len(), candidates);
+        let scanned_mass = requirements.needs_scanned_mass.then(|| {
+            zero_for(mass, segment.len(), candidates);
+            &mut mass[..]
+        });
+        ExactPartials {
+            segment,
+            query,
+            metric,
+            rule,
+            order,
+            op: metric.kernel_op(),
+            kernel,
+            partial,
+            scanned_mass,
+            total_mass,
+            lower,
+            upper,
+            materialize_threshold,
+            trace: PruneTrace::default(),
+            warmup: None,
+        }
+    }
+}
+
+impl BoundSource for ExactPartials<'_> {
     const PROOF: Proof = Proof::Heap;
 
     fn dims(&self) -> usize {
@@ -770,12 +798,13 @@ impl BoundSource for ExactPartials<'_, '_> {
     fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
         self.rule.prepare(self.query, &self.order[swept..]);
         let scanned_mass = self.scanned_mass.as_deref();
+        let total_mass = self.total_mass.as_deref();
         match candidates.as_list() {
             None => {
                 self.lower.resize(self.partial.len(), 0.0);
                 self.upper.resize(self.partial.len(), 0.0);
                 let (lower, upper) = (&mut self.lower[..], &mut self.upper[..]);
-                self.rule.bounds_all(self.partial, scanned_mass, self.total_mass, lower, upper);
+                self.rule.bounds_all(self.partial, scanned_mass, total_mass, lower, upper);
             }
             Some(list) => {
                 self.lower.clear();
@@ -785,7 +814,7 @@ impl BoundSource for ExactPartials<'_, '_> {
                     let (lo, hi) = self.rule.bounds(&CandidateState {
                         partial: self.partial[idx],
                         scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
-                        total_mass: self.total_mass.map_or(0.0, |t| t[idx]),
+                        total_mass: total_mass.map_or(0.0, |t| t[idx]),
                     });
                     self.lower.push(lo);
                     self.upper.push(hi);
@@ -807,18 +836,17 @@ impl BoundSource for ExactPartials<'_, '_> {
     }
 
     fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
-        self.trace.pruning_attempts += 1;
-        let candidates_left = candidates.len();
-        self.trace.checkpoints.push(TraceCheckpoint {
-            dims_processed: swept,
-            candidates: candidates_left,
-            pruned_now: removed,
-        });
         if removed > 0 {
             if let Some(span) = self.warmup.take() {
                 drop(span.detail(swept as u64));
             }
         }
+        self.trace.pruning_attempts += 1;
+        self.trace.checkpoints.push(TraceCheckpoint {
+            dims_processed: swept,
+            candidates: candidates.len(),
+            pruned_now: removed,
+        });
         if candidates.maybe_materialize(self.materialize_threshold) {
             self.trace.switched_to_list = true;
         }

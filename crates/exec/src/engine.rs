@@ -558,9 +558,6 @@ struct MultiFeatureRun<'b> {
     searcher: MultiFeatureSearcher<'b>,
     queries: Vec<FeatureQuery>,
     aggregate: Box<dyn ScoreAggregate>,
-    /// Per-feature full-table row sums, computed once per request instead
-    /// of once per segment task.
-    total_mass: Vec<Vec<f64>>,
 }
 
 enum ResolvedKind<'b> {
@@ -1329,7 +1326,6 @@ impl Engine {
             .iter()
             .map(|f| f.table().map(|t| t.as_ref()).unwrap_or(&self.inner.table))
             .collect();
-        let total_mass = tables.iter().map(|t| t.row_sums()).collect();
         let queries = mf
             .features()
             .iter()
@@ -1339,7 +1335,6 @@ impl Engine {
             searcher: MultiFeatureSearcher::new(tables)?,
             queries,
             aggregate: mf.aggregate().build()?,
-            total_mass,
         })
     }
 
@@ -1419,7 +1414,6 @@ impl Engine {
         let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
         let ctx = MultiFeatureContext {
             kappa: task.rq.kappa.as_ref().map(|cell| cell as &dyn KappaCell),
-            total_mass: Some(&run.total_mass),
             filter: Some(&local),
         };
         let result = run.searcher.search_range(

@@ -102,9 +102,13 @@
 //!   [`QuerySpec::multi_feature`] carries a [`MultiFeatureSpec`] (one
 //!   [`FeatureSpec`] per feature plus an [`AggregateSpec`]) through the
 //!   same partitioned engine: every segment runs
-//!   [`bond::MultiFeatureSearcher`]'s synchronized scan, partial-score
-//!   bounds merge under the shared κ protocol, and per-feature dimensions
-//!   are validated up front ([`bond::BondError::FeatureDimensionMismatch`]).
+//!   [`bond::MultiFeatureSearcher`]'s synchronized scan — the crate's one
+//!   BOND loop over the union of the features' dimensions, each feature
+//!   kept by the single-table search's exact-partials code over the
+//!   segment's rows — combined bounds pool under the shared κ protocol, a
+//!   row deleted from any feature collection is never an answer, and
+//!   per-feature dimensions are validated up front
+//!   ([`bond::BondError::FeatureDimensionMismatch`]).
 //! * **Relational programs** — [`KnnProgram`] executes range selects
 //!   through `bond-relalg`'s algebraic operators and pushes the combined
 //!   candidate bitmap down into the k-NN operator as exactly the filter
