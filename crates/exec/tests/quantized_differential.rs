@@ -3,7 +3,8 @@
 //!
 //! * [`ScanMode::QuantizedFilter`] — the progressive code sweep in front of
 //!   the exact search — against [`ScanMode::Exact`] and the sequential
-//!   reference, across planners {Uniform, Adaptive, Feedback};
+//!   reference, across planners {Uniform, Adaptive} and, for `Adaptive`,
+//!   with and without a shared κ;
 //! * [`ScanMode::Exact`] under the `Uniform` planner against the sequential
 //!   reference and a row-by-row brute force.
 //!
@@ -124,12 +125,16 @@ fn run_matrix() -> (u64, usize, usize) {
         for tombstones in [false, true] {
             let table = table(layout, tombstones);
             for partitions in [1usize, 3, 8] {
-                for planner in [PlannerKind::Uniform, PlannerKind::Adaptive, PlannerKind::Feedback]
-                {
+                for (planner, share_kappa) in [
+                    (PlannerKind::Uniform, true),
+                    (PlannerKind::Adaptive, true),
+                    (PlannerKind::Adaptive, false),
+                ] {
                     let engine = Engine::builder(table.clone())
                         .partitions(partitions)
                         .threads(1)
                         .planner(planner)
+                        .share_kappa(share_kappa)
                         .build()
                         .unwrap();
                     for rule in &rules {
@@ -137,7 +142,8 @@ fn run_matrix() -> (u64, usize, usize) {
                             case += 1;
                             let ctx = format!(
                                 "case {case}: {layout:?} tombstones={tombstones} \
-                                 partitions={partitions} {planner:?} {} filter={:?}",
+                                 partitions={partitions} {planner:?} \
+                                 share_kappa={share_kappa} {} filter={:?}",
                                 rule.name(),
                                 filter.as_ref().map(Bitmap::count)
                             );
@@ -155,9 +161,8 @@ fn run_matrix() -> (u64, usize, usize) {
 }
 
 /// One generated case: a member query and a `k` picked by the case number,
-/// asked exactly and through the code filter in one batch (so a
-/// feedback-planned pair executes the same plans). Returns whether the
-/// filter swept any code, and how many row blocks it dropped unread.
+/// asked exactly and through the code filter in one batch. Returns whether
+/// the filter swept any code, and how many row blocks it dropped unread.
 fn check_case(
     engine: &Engine,
     rule: &RuleKind,
