@@ -9,22 +9,18 @@
 //! answers the two questions every layer asks:
 //!
 //! * **What plan should this segment run?** [`CostModel::plan`] is the
-//!   a-priori derivation (the former exec `AdaptivePlanner`, moved here
-//!   verbatim so adaptive planning stays bit-identical);
-//!   [`CostModel::plan_with_feedback`] re-ranks the dimension order toward
-//!   dimensions that *observably pruned* on past queries and shortens the
-//!   warmup toward the observed first-effective-prune depth. Cold segments
-//!   (fewer than [`CostModel::min_warm_searches`] folded searches, or no
-//!   prune signal yet) fall back to the a-priori plan exactly.
+//!   a-priori derivation from the segment's statistics. Plans read no
+//!   feedback: a scan's work is cut by the order it visits segments in,
+//!   not by re-ranking dimensions from past prunes.
 //! * **How expensive is this segment for one query?**
 //!   [`CostModel::segment_cost`] estimates the expected number of
 //!   `(candidate, dimension)` cells a search will touch, discounted by the
-//!   observed zone-map skip rate — the per-spec cost estimate the service
-//!   layer orders and cuts batches by.
+//!   observed warmup depth, survivor fraction and zone-map skip rate once
+//!   the segment has [`CostModel::MIN_WARM_SEARCHES`] observations — the
+//!   per-spec cost estimate the service layer orders and cuts batches by.
 //!
 //! Any valid plan yields rank-correct answers (the engine re-verifies exact
-//! scores at merge time), so feedback can only change *work*, never
-//! results.
+//! scores at merge time).
 
 use crate::feedback::SegmentFeedbackSnapshot;
 use crate::kernels::Kernel;
@@ -33,39 +29,16 @@ use crate::schedule::BlockSchedule;
 use bond_metrics::Objective;
 use vdstore::{descending_nan_last, SegmentStats};
 
-/// Derives per-segment plans and cost estimates from segment statistics and
-/// accumulated execution feedback.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Folded searches a segment needs before its learned signals outrank
-    /// the a-priori statistics (below this, feedback plans equal a-priori
-    /// plans exactly).
-    pub min_warm_searches: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { min_warm_searches: 8 }
-    }
-}
+/// Derives per-segment plans from segment statistics, and cost estimates
+/// from those statistics and accumulated execution feedback.
+#[derive(Debug)]
+pub struct CostModel;
 
 impl CostModel {
-    /// Upper bound on how much weight the learned prune-credit distribution
-    /// gets in the blended ordering keys; the remainder stays with the
-    /// a-priori keys so a distribution shift can still be picked up.
-    const MAX_FEEDBACK_WEIGHT: f64 = 0.25;
-    /// Half-saturation constant of the warm-up ramp: at this many folded
-    /// searches the learned signal carries half its maximum weight.
-    const RAMP_SEARCHES: f64 = 16.0;
-    /// The learned warmup probes *below* the mean observed
-    /// first-effective-prune depth by this factor. Probing early is safe
-    /// for scanned work — an attempt before the true effective depth
-    /// either prunes (strictly fewer scans) or removes nothing (same
-    /// scans, one extra bound evaluation) — and self-corrects: when the
-    /// earlier attempt fires, the observed depth ratchets down toward the
-    /// true earliest effective point; when it never fires, the mean stays
-    /// put and the probe stops shrinking.
-    const WARMUP_PROBE: f64 = 0.5;
+    /// Observations (folded searches plus zone-map skips) a segment needs
+    /// before its observed counters outrank the full-work prior in the
+    /// cost estimates.
+    pub const MIN_WARM_SEARCHES: u64 = 8;
 
     /// The per-dimension a-priori ordering keys for one segment (larger =
     /// scan earlier). For a distance metric the expected per-dimension
@@ -104,66 +77,19 @@ impl CostModel {
     /// total key mass has been scanned. This is exactly what the adaptive
     /// planner has always produced.
     pub fn plan(
-        &self,
         stats: &SegmentStats,
         query: &[f64],
         weights: Option<&[f64]>,
         objective: Objective,
     ) -> SegmentPlan {
         let keys = Self::apriori_keys(stats, query, weights, objective);
-        Self::plan_from_keys(&keys, None)
-    }
-
-    /// The feedback-driven plan for one segment: the a-priori keys are
-    /// blended with the segment's observed per-dimension prune-credit
-    /// distribution (weight ramping up with the number of folded searches),
-    /// and the warmup is capped at the mean observed
-    /// first-effective-prune depth. A pruning attempt placed earlier than
-    /// the a-priori warmup can only reduce scanned work — it either prunes
-    /// (fewer rows scan the remaining dimensions) or leaves the candidate
-    /// set unchanged.
-    ///
-    /// Cold segments — fewer than [`CostModel::min_warm_searches`] folded
-    /// searches, or no prune credit recorded yet — return the a-priori plan
-    /// bit for bit.
-    pub fn plan_with_feedback(
-        &self,
-        stats: &SegmentStats,
-        feedback: &SegmentFeedbackSnapshot,
-        query: &[f64],
-        weights: Option<&[f64]>,
-        objective: Objective,
-    ) -> SegmentPlan {
-        let apriori = Self::apriori_keys(stats, query, weights, objective);
-        let rates = feedback.prune_rates();
-        let usable = feedback.is_warm(self.min_warm_searches)
-            && rates.len() == apriori.len()
-            && rates.iter().any(|&r| r > 0.0);
-        if !usable {
-            return Self::plan_from_keys(&apriori, None);
-        }
-        let w = Self::MAX_FEEDBACK_WEIGHT * feedback.searches as f64
-            / (feedback.searches as f64 + Self::RAMP_SEARCHES);
-        let apriori_total: f64 = apriori.iter().sum();
-        let keys: Vec<f64> = if apriori_total > 0.0 {
-            apriori
-                .iter()
-                .zip(&rates)
-                .map(|(&a, &r)| (1.0 - w) * (a / apriori_total) + w * r)
-                .collect()
-        } else {
-            rates.clone()
-        };
-        let learned_warmup =
-            feedback.mean_warmup().map(|m| ((m * Self::WARMUP_PROBE).round() as usize).max(1));
-        Self::plan_from_keys(&keys, learned_warmup)
+        Self::plan_from_keys(&keys)
     }
 
     /// Builds the plan from final ordering keys: sort by decreasing key
     /// (tie-break on the dimension index), size the warmup to cover half
-    /// the total key mass, and prune every few dimensions afterwards. An
-    /// observed warmup, when given, caps the half-mass warmup.
-    fn plan_from_keys(keys: &[f64], observed_warmup: Option<usize>) -> SegmentPlan {
+    /// the total key mass, and prune every few dimensions afterwards.
+    fn plan_from_keys(keys: &[f64]) -> SegmentPlan {
         let dims = keys.len();
         let mut order: Vec<usize> = (0..dims).collect();
         order.sort_by(|&a, &b| descending_nan_last(keys[a], keys[b]).then(a.cmp(&b)));
@@ -179,9 +105,6 @@ impl CostModel {
                     break;
                 }
             }
-        }
-        if let Some(observed) = observed_warmup {
-            warmup = warmup.min(observed.clamp(1, dims.max(1)));
         }
         // After the warmup, prune every few dimensions: fine-grained enough
         // to cash in a tightening κ, coarse enough to amortize the bound
@@ -202,7 +125,6 @@ impl CostModel {
     /// cannot retire more than that), and, when `skipping` is in effect,
     /// the observed zone-map skip rate discount the estimate.
     pub fn segment_cost(
-        &self,
         stats: &SegmentStats,
         feedback: Option<&SegmentFeedbackSnapshot>,
         k: usize,
@@ -213,7 +135,7 @@ impl CostModel {
         if rows <= 0.0 || dims <= 0.0 {
             return 0.0;
         }
-        let warm = feedback.filter(|f| f.is_warm(self.min_warm_searches));
+        let warm = feedback.filter(|f| f.is_warm(Self::MIN_WARM_SEARCHES));
         let warmup_frac = warm
             .and_then(SegmentFeedbackSnapshot::mean_warmup)
             .map_or(0.5, |w| (w / dims).clamp(0.0, 1.0));
@@ -254,52 +176,25 @@ impl CostModel {
     /// the brackets the exact refine has to resolve.
     pub const DEFAULT_CODE_BITS: u8 = 8;
 
-    /// Estimated cost (in exact-cell equivalents) of one search of this
-    /// segment when the quantized first-pass filter runs: the code sweep at
-    /// [`CostModel::QUANT_CELL_COST`] per cell — `rows × dims` cells cold,
-    /// `rows ×` the observed code columns read per row
-    /// (`filter_cells / filter_rows`) once the segment's feedback is warm,
-    /// because the progressive sweep stops early on most rows —
-    /// plus the exact search of [`CostModel::segment_cost`] scaled by the
-    /// segment's *observed* filter selectivity (the fraction of swept rows
-    /// that survived into the exact phase, floored at `k / rows`). With no
-    /// filtered search folded in yet, the exact phase is priced at full
-    /// weight — the conservative prior; one filtered query is enough to
-    /// start discounting.
+    /// Estimated cost of one search of this segment when the quantized
+    /// first-pass filter runs, as `(filter sweep cost, exact refine cost)`
+    /// in exact-cell equivalents. EXPLAIN renders the phases side by side;
+    /// their sum is the admission estimate.
+    ///
+    /// The sweep is priced at [`CostModel::quant_cell_cost`]`(kernel)` per
+    /// code cell — `rows × dims` cells cold, `rows ×` the observed code
+    /// columns read per row (`filter_cells / filter_rows`) once the
+    /// segment's feedback is warm, because the progressive sweep stops
+    /// early on most rows. The engine passes the kernel the process
+    /// actually dispatched to, so admission estimates track the hardware
+    /// the sweep runs on. The refine is the exact search of
+    /// [`CostModel::segment_cost`] scaled by the segment's *observed*
+    /// filter selectivity (the fraction of swept rows that survived into
+    /// the exact phase, floored at `k / rows`). With no filtered search
+    /// folded in yet, the exact phase is priced at full weight — the
+    /// conservative prior; one filtered query is enough to start
+    /// discounting.
     pub fn segment_cost_quantized(
-        &self,
-        stats: &SegmentStats,
-        feedback: Option<&SegmentFeedbackSnapshot>,
-        k: usize,
-        skipping: bool,
-    ) -> f64 {
-        let (filter, refine) = self.segment_cost_quantized_split(stats, feedback, k, skipping);
-        filter + refine
-    }
-
-    /// The two phases of [`CostModel::segment_cost_quantized`] separately:
-    /// `(filter sweep cost, exact refine cost)`, both in exact-cell
-    /// equivalents. EXPLAIN renders the phases side by side; their sum is
-    /// exactly the admission estimate.
-    pub fn segment_cost_quantized_split(
-        &self,
-        stats: &SegmentStats,
-        feedback: Option<&SegmentFeedbackSnapshot>,
-        k: usize,
-        skipping: bool,
-    ) -> (f64, f64) {
-        self.segment_cost_quantized_split_with_kernel(stats, feedback, k, skipping, Kernel::Scalar)
-    }
-
-    /// [`CostModel::segment_cost_quantized_split`] priced for a specific
-    /// scan kernel: the sweep phase uses
-    /// [`CostModel::quant_cell_cost`]`(kernel)` per code cell instead of the
-    /// scalar [`CostModel::QUANT_CELL_COST`]. The engine passes the kernel
-    /// the process actually dispatched to, so admission estimates track the
-    /// hardware the sweep runs on; with [`Kernel::Scalar`] this is the
-    /// kernel-blind estimate bit for bit.
-    pub fn segment_cost_quantized_split_with_kernel(
-        &self,
         stats: &SegmentStats,
         feedback: Option<&SegmentFeedbackSnapshot>,
         k: usize,
@@ -311,7 +206,7 @@ impl CostModel {
         if rows <= 0.0 || dims <= 0.0 {
             return (0.0, 0.0);
         }
-        let warm = feedback.filter(|f| f.is_warm(self.min_warm_searches));
+        let warm = feedback.filter(|f| f.is_warm(Self::MIN_WARM_SEARCHES));
         let p_skip =
             if skipping { warm.map_or(0.0, SegmentFeedbackSnapshot::skip_rate) } else { 0.0 };
         // The sweep is progressive: most rows drop out after a few code
@@ -326,7 +221,7 @@ impl CostModel {
             .and_then(SegmentFeedbackSnapshot::filter_selectivity)
             .map_or(1.0, |s| s.clamp(0.0, 1.0))
             .max(floor);
-        (filter_cost, selectivity * self.segment_cost(stats, feedback, k, skipping))
+        (filter_cost, selectivity * Self::segment_cost(stats, feedback, k, skipping))
     }
 
     /// Discounts a per-segment cost estimate by a predicate filter's
@@ -336,7 +231,7 @@ impl CostModel {
     /// rows is skipped outright and costs nothing. The selectivity is
     /// floored at `k / live`: a top-k search over a non-empty eligible set
     /// still has to rank at least k rows' worth of work.
-    pub fn filtered_cost(&self, cost: f64, eligible: usize, live_rows: usize, k: usize) -> f64 {
+    pub fn filtered_cost(cost: f64, eligible: usize, live_rows: usize, k: usize) -> f64 {
         if live_rows == 0 || eligible == 0 {
             return 0.0;
         }
@@ -357,133 +252,58 @@ mod tests {
         t.segment(0..t.rows()).unwrap().stats()
     }
 
-    fn warm_feedback(dims: usize, credit_dim: usize, searches: u64) -> SegmentFeedbackSnapshot {
-        let mut prune_credit = vec![0u64; dims];
-        prune_credit[credit_dim] = 100 * FEEDBACK_SCALE;
+    fn warm_feedback(searches: u64) -> SegmentFeedbackSnapshot {
         SegmentFeedbackSnapshot {
             searches,
             warmup_sum: searches, // mean observed warmup = 1 dimension
             warmup_count: searches,
             survival_sum: searches * FEEDBACK_SCALE / 10, // 10 % survive
-            prune_credit,
             ..SegmentFeedbackSnapshot::default()
         }
     }
 
-    #[test]
-    fn cold_feedback_plans_equal_apriori_plans() {
-        let stats = segment_stats(&[vec![0.5, 0.9, 0.0], vec![0.5, 0.85, 1.0]]);
-        let q = [0.5, 0.1, 0.5];
-        let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
-        // cold: too few searches
-        let cold = SegmentFeedbackSnapshot {
-            searches: model.min_warm_searches - 1,
-            prune_credit: vec![FEEDBACK_SCALE; 3],
-            ..SegmentFeedbackSnapshot::default()
-        };
-        assert_eq!(model.plan_with_feedback(&stats, &cold, &q, None, Objective::Minimize), apriori);
-        // warm but creditless: nothing has pruned yet
-        let creditless = SegmentFeedbackSnapshot {
-            searches: 100,
-            prune_credit: vec![0; 3],
-            ..SegmentFeedbackSnapshot::default()
-        };
-        assert_eq!(
-            model.plan_with_feedback(&stats, &creditless, &q, None, Objective::Minimize),
-            apriori
-        );
-    }
-
-    #[test]
-    fn warm_feedback_promotes_the_pruning_dimension() {
-        // dims 1 and 2 have close a-priori keys with dim 1 slightly ahead;
-        // the blend is deliberately conservative (the a-priori keys keep
-        // most of the weight), so observed credit breaks near-ties rather
-        // than overruling a decisive a-priori signal — credit sits
-        // entirely on dim 2 and flips the close call
-        let stats =
-            segment_stats(&[vec![0.5, 0.82, 0.74], vec![0.5, 0.8, 0.75], vec![0.5, 0.78, 0.76]]);
-        let q = [0.5, 0.1, 0.1];
-        let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
-        assert_eq!(apriori.order[0], 1, "a-priori: dim 1 narrowly ahead");
-        let fb = warm_feedback(3, 2, 1000);
-        let learned = model.plan_with_feedback(&stats, &fb, &q, None, Objective::Minimize);
-        assert_eq!(learned.order[0], 2, "the observed pruning dim leads");
-        assert!(learned.is_valid(3));
-    }
-
-    #[test]
-    fn observed_warmup_caps_the_half_mass_warmup() {
-        let stats = segment_stats(&vec![vec![0.25; 4]; 4]);
-        let q = [0.9; 4];
-        let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
-        let BlockSchedule::WarmupThenFixed { warmup: apriori_warmup, .. } = apriori.schedule else {
-            panic!("warmup schedule expected");
-        };
-        assert!(apriori_warmup >= 2, "uniform keys need half the dims");
-        let fb = warm_feedback(4, 0, 64);
-        let learned = model.plan_with_feedback(&stats, &fb, &q, None, Objective::Minimize);
-        let BlockSchedule::WarmupThenFixed { warmup, .. } = learned.schedule else {
-            panic!("warmup schedule expected");
-        };
-        assert_eq!(warmup, 1, "mean observed warmup of 1 caps the plan's warmup");
-    }
-
-    #[test]
-    fn feedback_weight_ramps_with_sample_count() {
-        let stats = segment_stats(&[vec![0.2, 0.8], vec![0.3, 0.7]]);
-        let q = [0.9, 0.1];
-        let model = CostModel::default();
-        // credit on the a-priori-weaker dim; with few samples the a-priori
-        // order wins, with many the learned order takes over
-        let barely = warm_feedback(2, 1, model.min_warm_searches);
-        let soaked = warm_feedback(2, 1, 100_000);
-        let apriori_first = model.plan(&stats, &q, None, Objective::Minimize).order[0];
-        let soaked_first =
-            model.plan_with_feedback(&stats, &soaked, &q, None, Objective::Minimize).order[0];
-        assert_eq!(soaked_first, 1);
-        // the barely-warm plan is a valid permutation either way
-        assert!(model
-            .plan_with_feedback(&stats, &barely, &q, None, Objective::Minimize)
-            .is_valid(2));
-        assert_ne!(apriori_first, soaked_first);
+    /// The quantized estimate's two phases, summed, under the scalar price.
+    fn quantized_total(
+        stats: &SegmentStats,
+        feedback: Option<&SegmentFeedbackSnapshot>,
+        k: usize,
+        skipping: bool,
+    ) -> f64 {
+        let (filter, refine) =
+            CostModel::segment_cost_quantized(stats, feedback, k, skipping, Kernel::Scalar);
+        filter + refine
     }
 
     #[test]
     fn segment_cost_discounts_skips_and_survival() {
         let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
-        let model = CostModel::default();
-        let cold = model.segment_cost(&stats, None, 10, true);
+        let cold = CostModel::segment_cost(&stats, None, 10, true);
         assert!((cold - 100.0 * 4.0).abs() < 1e-9, "cold prior is full work, got {cold}");
 
         // warm: half skipped, 10 % survive, warmup 1 of 4 dims
-        let mut fb = warm_feedback(4, 0, 40);
+        let mut fb = warm_feedback(40);
         fb.skips = 40;
-        let warm = model.segment_cost(&stats, Some(&fb), 10, true);
+        let warm = CostModel::segment_cost(&stats, Some(&fb), 10, true);
         assert!(warm < cold * 0.5, "skip rate alone halves the estimate: {warm} vs {cold}");
-        let no_skip = model.segment_cost(&stats, Some(&fb), 10, false);
+        let no_skip = CostModel::segment_cost(&stats, Some(&fb), 10, false);
         assert!((no_skip - warm * 2.0).abs() < 1e-6, "skipping off removes the discount");
         // larger k floors the survivor fraction: cost is non-decreasing in k
-        let k_small = model.segment_cost(&stats, Some(&fb), 1, true);
-        let k_large = model.segment_cost(&stats, Some(&fb), 100, true);
+        let k_small = CostModel::segment_cost(&stats, Some(&fb), 1, true);
+        let k_large = CostModel::segment_cost(&stats, Some(&fb), 100, true);
         assert!(k_large >= k_small);
         // degenerate segments cost nothing
         let empty = segment_stats(&[vec![0.0, 0.0]]);
         let empty = SegmentStats { live_rows: 0, ..empty };
-        assert_eq!(model.segment_cost(&empty, None, 1, true), 0.0);
+        assert_eq!(CostModel::segment_cost(&empty, None, 1, true), 0.0);
     }
 
     #[test]
     fn quantized_cost_discounts_with_observed_selectivity() {
         let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
-        let model = CostModel::default();
 
         // cold: conservative prior — full exact cost plus the code sweep
-        let cold = model.segment_cost_quantized(&stats, None, 10, true);
-        let exact_cold = model.segment_cost(&stats, None, 10, true);
+        let cold = quantized_total(&stats, None, 10, true);
+        let exact_cold = CostModel::segment_cost(&stats, None, 10, true);
         assert!(
             (cold - (100.0 * 4.0 * CostModel::QUANT_CELL_COST + exact_cold)).abs() < 1e-9,
             "cold quantized cost is filter sweep + full exact cost, got {cold}"
@@ -491,41 +311,40 @@ mod tests {
 
         // observed 5 % selectivity slashes the exact phase (every sweep
         // recorded here ran through all 4 columns)
-        let mut fb = warm_feedback(4, 0, 40);
+        let mut fb = warm_feedback(40);
         fb.filter_rows = 4000;
         fb.filter_cells = 4000 * 4;
         fb.refine_rows = 200;
         assert_eq!(fb.filter_selectivity(), Some(0.05));
-        let observed = model.segment_cost_quantized(&stats, Some(&fb), 1, false);
-        let exact_warm = model.segment_cost(&stats, Some(&fb), 1, false);
+        let observed = quantized_total(&stats, Some(&fb), 1, false);
+        let exact_warm = CostModel::segment_cost(&stats, Some(&fb), 1, false);
         let expected = 100.0 * 4.0 * CostModel::QUANT_CELL_COST + 0.05 * exact_warm;
         assert!((observed - expected).abs() < 1e-9, "got {observed}, expected {expected}");
         assert!(observed < exact_warm, "filtering must look cheaper than scanning exactly");
 
         // selectivity is floored at k / rows: asking for every row cancels
         // the discount entirely
-        let all = model.segment_cost_quantized(&stats, Some(&fb), 100, false);
-        let exact_all = model.segment_cost(&stats, Some(&fb), 100, false);
+        let all = quantized_total(&stats, Some(&fb), 100, false);
+        let exact_all = CostModel::segment_cost(&stats, Some(&fb), 100, false);
         assert!((all - (100.0 * 4.0 * CostModel::QUANT_CELL_COST + exact_all)).abs() < 1e-9);
 
         // degenerate segments still cost nothing
         let empty = segment_stats(&[vec![0.0, 0.0]]);
         let empty = SegmentStats { live_rows: 0, ..empty };
-        assert_eq!(model.segment_cost_quantized(&empty, None, 1, true), 0.0);
+        assert_eq!(quantized_total(&empty, None, 1, true), 0.0);
     }
 
     #[test]
     fn warm_sweep_is_priced_at_the_observed_columns_per_row() {
         let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
-        let model = CostModel::default();
         let full = 100.0 * 4.0 * CostModel::QUANT_CELL_COST;
         let sweep = |fb: Option<&SegmentFeedbackSnapshot>| {
-            model.segment_cost_quantized_split(&stats, fb, 10, false).0
+            CostModel::segment_cost_quantized(&stats, fb, 10, false, Kernel::Scalar).0
         };
         assert_eq!(sweep(None), full);
 
         // warm, and the progressive sweep read 1.5 code columns per row
-        let mut fb = warm_feedback(4, 0, 40);
+        let mut fb = warm_feedback(40);
         fb.filter_rows = 4000;
         fb.filter_cells = 6000;
         assert!((sweep(Some(&fb)) - full * 1.5 / 4.0).abs() < 1e-9);
@@ -537,10 +356,10 @@ mod tests {
         fb.filter_cells = 0;
         assert_eq!(sweep(Some(&fb)), full);
         // the same counters on a segment that is not warm yet are ignored
-        let mut cold = warm_feedback(4, 0, 1);
+        let mut cold = warm_feedback(1);
         cold.filter_rows = 100;
         cold.filter_cells = 150;
-        assert!(!cold.is_warm(model.min_warm_searches));
+        assert!(!cold.is_warm(CostModel::MIN_WARM_SEARCHES));
         assert_eq!(sweep(Some(&cold)), full);
     }
 
@@ -552,32 +371,25 @@ mod tests {
             assert!(c < CostModel::QUANT_CELL_COST, "{simd:?} must be cheaper than scalar");
             assert!(c > 0.0);
         }
-        // the kernel-blind split is the scalar-priced split, bit for bit
-        let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
-        let model = CostModel::default();
-        let blind = model.segment_cost_quantized_split(&stats, None, 10, true);
-        let scalar =
-            model.segment_cost_quantized_split_with_kernel(&stats, None, 10, true, Kernel::Scalar);
-        assert_eq!(blind, scalar);
         // a SIMD kernel discounts the sweep phase only
-        let simd =
-            model.segment_cost_quantized_split_with_kernel(&stats, None, 10, true, Kernel::Avx2);
+        let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
+        let scalar = CostModel::segment_cost_quantized(&stats, None, 10, true, Kernel::Scalar);
+        let simd = CostModel::segment_cost_quantized(&stats, None, 10, true, Kernel::Avx2);
         assert!(simd.0 < scalar.0, "sweep phase gets cheaper under SIMD");
         assert_eq!(simd.1, scalar.1, "refine phase is exact work either way");
     }
 
     #[test]
     fn filtered_cost_scales_with_selectivity() {
-        let model = CostModel::default();
         // a quarter of the rows are eligible: a quarter of the work
-        assert!((model.filtered_cost(400.0, 25, 100, 1) - 100.0).abs() < 1e-12);
+        assert!((CostModel::filtered_cost(400.0, 25, 100, 1) - 100.0).abs() < 1e-12);
         // fully eligible: no discount
-        assert_eq!(model.filtered_cost(400.0, 100, 100, 1), 400.0);
+        assert_eq!(CostModel::filtered_cost(400.0, 100, 100, 1), 400.0);
         // no eligible row: the segment is skipped outright
-        assert_eq!(model.filtered_cost(400.0, 0, 100, 1), 0.0);
-        assert_eq!(model.filtered_cost(400.0, 10, 0, 1), 0.0);
+        assert_eq!(CostModel::filtered_cost(400.0, 0, 100, 1), 0.0);
+        assert_eq!(CostModel::filtered_cost(400.0, 10, 0, 1), 0.0);
         // the k/rows floor: asking for half the segment keeps at least half
         // the estimate even for a 1 %-selective filter
-        assert!((model.filtered_cost(400.0, 1, 100, 50) - 200.0).abs() < 1e-12);
+        assert!((CostModel::filtered_cost(400.0, 1, 100, 50) - 200.0).abs() < 1e-12);
     }
 }

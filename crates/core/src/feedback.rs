@@ -1,29 +1,34 @@
 //! Execution feedback: what past searches learned about each segment.
 //!
-//! Every search already emits a [`PruneTrace`] — which dimensions were
-//! scanned, where pruning first bit, how many candidates survived — and
-//! until now that signal was thrown away after the figures were drawn. On
-//! clustered collections a-priori moments mislead (a segment straddling two
-//! clusters has wide, useless envelopes even though every query prunes it
-//! the same way), so the observed prune behaviour is the better planning
-//! input. [`ExecFeedback`] is the accumulator: one [`SegmentFeedback`] of
+//! Every search already emits a [`PruneTrace`] — where pruning first bit,
+//! how many candidates survived, how many code cells the filter swept.
+//! [`ExecFeedback`] is the accumulator: one [`SegmentFeedback`] of
 //! lock-free atomic counters per segment, folded in from each query's trace
 //! on the worker threads themselves (relaxed ordering — a stale read merely
-//! plans like yesterday, never wrongly), and snapshotted into the plain-data
-//! [`FeedbackSnapshot`] for introspection, cost estimation and persistence
-//! alongside the segment store footer.
+//! prices like yesterday, never wrongly), and snapshotted into the
+//! plain-data [`FeedbackSnapshot`] for introspection, the cost estimates
+//! admission control orders batches by, and persistence alongside the
+//! segment store footer. Plans never read it.
 
 use crate::error::{BondError, Result};
 use crate::trace::PruneTrace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vdstore::VdError;
 
-/// Fixed-point scale for fractional accumulators (prune credit, survival).
+/// Fixed-point scale for fractional accumulators (survival).
 pub const FEEDBACK_SCALE: u64 = 1 << 20;
 
 /// Magic prefix of the serialised [`FeedbackSnapshot`] (the learned-state
 /// payload stored alongside the v2 store footer).
-const FEEDBACK_MAGIC: &[u8; 8] = b"BONDFB01";
+const FEEDBACK_MAGIC: &[u8; 8] = b"BONDFB02";
+
+/// Magic prefix of the earlier payload, which also carried a table
+/// dimensionality and one prune credit per dimension per segment. Still
+/// read: its credits are validated and dropped.
+const FEEDBACK_MAGIC_V1: &[u8; 8] = b"BONDFB01";
+
+/// Persisted counters per segment record.
+const PERSISTED_COUNTERS: usize = 7;
 
 /// Lock-free feedback accumulator for one segment.
 ///
@@ -52,7 +57,7 @@ pub struct SegmentFeedback {
     contributions: AtomicU64,
     /// Total `(row, dimension)` code cells swept by the quantized
     /// first-pass filter. In-memory only: not part of the persisted
-    /// learned-state payload (whose record length is fixed by `BONDFB01`);
+    /// learned-state payload (whose seven-counter records predate it);
     /// selectivity re-learns within a few queries after a cold open.
     filter_cells: AtomicU64,
     /// Total rows the quantized filter swept (the denominator of the
@@ -61,14 +66,10 @@ pub struct SegmentFeedback {
     /// Total rows that survived the quantized filter into the exact
     /// search. In-memory only, like `filter_cells`.
     refine_rows: AtomicU64,
-    /// Per-dimension prune credit: Σ (rows pruned ÷ block length) ×
-    /// [`FEEDBACK_SCALE`] for every scan block the dimension was part of
-    /// when a pruning attempt removed candidates. Indexed by dimension id.
-    prune_credit: Vec<AtomicU64>,
 }
 
 impl SegmentFeedback {
-    fn new(dims: usize) -> Self {
+    fn new() -> Self {
         SegmentFeedback {
             searches: AtomicU64::new(0),
             skips: AtomicU64::new(0),
@@ -80,7 +81,6 @@ impl SegmentFeedback {
             filter_cells: AtomicU64::new(0),
             filter_rows: AtomicU64::new(0),
             refine_rows: AtomicU64::new(0),
-            prune_credit: (0..dims).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -96,26 +96,24 @@ impl SegmentFeedback {
             filter_cells: AtomicU64::new(snap.filter_cells),
             filter_rows: AtomicU64::new(snap.filter_rows),
             refine_rows: AtomicU64::new(snap.refine_rows),
-            prune_credit: snap.prune_credit.iter().map(|&c| AtomicU64::new(c)).collect(),
         }
     }
 
     /// Folds one executed (non-skipped) segment search into the
-    /// accumulator. `order` is the dimension order the search actually
-    /// scanned in (the plan's permutation) and `rows` the segment's row
-    /// count; both come from the caller because a trace alone does not know
-    /// which dimension sat at which scan position.
+    /// accumulator. `dims` is the length of the plan the search scanned
+    /// (the observed warmup of a search that never pruned) and `rows` the
+    /// segment's row count; a trace alone knows neither.
     ///
     /// Callers must not fold predicate-filtered searches: their survival
     /// and prune-depth signals describe the filter's eligible subset, not
-    /// the segment's data distribution, and would poison the per-dimension
-    /// credit used to plan unfiltered queries (the engine gates on
-    /// `filter.is_none()` before calling this).
+    /// the segment's data distribution, and would skew the estimates of
+    /// unfiltered queries (the engine gates on `filter.is_none()` before
+    /// calling this).
     // ordering: relaxed — every counter is an independent monotone
     // accumulator folded by racing workers via atomic RMW (no increment is
-    // lost); readers consume snapshots that tune plans and cost estimates,
-    // never answers, so cross-counter skew from unordered folds is benign.
-    pub fn record_search(&self, order: &[usize], trace: &PruneTrace, rows: usize) {
+    // lost); readers consume snapshots that tune cost estimates, never
+    // answers, so cross-counter skew from unordered folds is benign.
+    pub fn record_search(&self, dims: usize, trace: &PruneTrace, rows: usize) {
         self.searches.fetch_add(1, Ordering::Relaxed);
         self.contributions.fetch_add(trace.contributions_evaluated, Ordering::Relaxed);
         if trace.filter_ran() {
@@ -123,22 +121,13 @@ impl SegmentFeedback {
             self.filter_rows.fetch_add(rows as u64, Ordering::Relaxed);
             self.refine_rows.fetch_add(trace.refine_rows, Ordering::Relaxed);
         }
-        let dims = order.len();
         let mut prev = 0usize;
         let mut first_effective: Option<usize> = None;
         let mut final_candidates = rows;
         for cp in &trace.checkpoints {
             let end = cp.dims_processed.min(dims);
-            if cp.pruned_now > 0 && end > prev {
-                let block = &order[prev..end];
-                let credit =
-                    (cp.pruned_now as u64).saturating_mul(FEEDBACK_SCALE) / block.len() as u64;
-                for &d in block {
-                    self.prune_credit[d].fetch_add(credit, Ordering::Relaxed);
-                }
-                if first_effective.is_none() {
-                    first_effective = Some(end);
-                }
+            if cp.pruned_now > 0 && end > prev && first_effective.is_none() {
+                first_effective = Some(end);
             }
             prev = end;
             final_candidates = cp.candidates;
@@ -167,35 +156,12 @@ impl SegmentFeedback {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A credit-free copy of the scalar counters — everything
-    /// [`crate::cost::CostModel::segment_cost`] consumes, without cloning
-    /// the per-dimension credit vector. The cheap variant for admission
-    /// hot paths that price many requests per second; `prune_credit` is
-    /// left empty, so do not plan from this.
+    /// A plain-data copy of the counters (each counter is read atomically;
+    /// concurrent folds may land between reads, which only staleness-shifts
+    /// the snapshot — acceptable for cost estimates).
     // ordering: relaxed — loads race with in-flight folds; the copy only
     // staleness-shifts cost estimates, and each field alone is a valid
     // (monotone) reading, so no acquire pairing is needed.
-    pub fn scalar_snapshot(&self) -> SegmentFeedbackSnapshot {
-        SegmentFeedbackSnapshot {
-            searches: self.searches.load(Ordering::Relaxed),
-            skips: self.skips.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            warmup_sum: self.warmup_sum.load(Ordering::Relaxed),
-            warmup_count: self.warmup_count.load(Ordering::Relaxed),
-            survival_sum: self.survival_sum.load(Ordering::Relaxed),
-            contributions: self.contributions.load(Ordering::Relaxed),
-            filter_cells: self.filter_cells.load(Ordering::Relaxed),
-            filter_rows: self.filter_rows.load(Ordering::Relaxed),
-            refine_rows: self.refine_rows.load(Ordering::Relaxed),
-            prune_credit: Vec::new(),
-        }
-    }
-
-    /// A plain-data copy of the counters (each counter is read atomically;
-    /// concurrent folds may land between reads, which only staleness-shifts
-    /// the snapshot — acceptable for planning).
-    // ordering: relaxed — same contract as `scalar_snapshot`: planning
-    // input may trail execution by a few folds, never an answer.
     pub fn snapshot(&self) -> SegmentFeedbackSnapshot {
         SegmentFeedbackSnapshot {
             searches: self.searches.load(Ordering::Relaxed),
@@ -208,7 +174,6 @@ impl SegmentFeedback {
             filter_cells: self.filter_cells.load(Ordering::Relaxed),
             filter_rows: self.filter_rows.load(Ordering::Relaxed),
             refine_rows: self.refine_rows.load(Ordering::Relaxed),
-            prune_credit: self.prune_credit.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         }
     }
 }
@@ -237,13 +202,11 @@ pub struct SegmentFeedbackSnapshot {
     pub filter_rows: u64,
     /// Total rows that survived the quantized filter. Not persisted.
     pub refine_rows: u64,
-    /// Per-dimension prune credit (× [`FEEDBACK_SCALE`]), by dimension id.
-    pub prune_credit: Vec<u64>,
 }
 
 impl SegmentFeedbackSnapshot {
-    /// Whether enough observations have been folded in for the learned
-    /// signals to outrank the a-priori statistics. Zone-map skips count:
+    /// Whether enough observations have been folded in for the observed
+    /// counters to outrank the full-work prior. Zone-map skips count:
     /// a segment the envelope check keeps skipping is thoroughly observed
     /// even though it is never scanned.
     pub fn is_warm(&self, min_observations: u64) -> bool {
@@ -280,16 +243,6 @@ impl SegmentFeedbackSnapshot {
     pub fn filter_selectivity(&self) -> Option<f64> {
         (self.filter_rows > 0).then(|| self.refine_rows as f64 / self.filter_rows as f64)
     }
-
-    /// The per-dimension prune-credit distribution, normalised to sum to 1
-    /// (all zeros when nothing has pruned yet).
-    pub fn prune_rates(&self) -> Vec<f64> {
-        let total: u64 = self.prune_credit.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.prune_credit.len()];
-        }
-        self.prune_credit.iter().map(|&c| c as f64 / total as f64).collect()
-    }
 }
 
 /// A plain-data snapshot of a whole engine's feedback store: one entry per
@@ -298,8 +251,6 @@ impl SegmentFeedbackSnapshot {
 /// store footer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedbackSnapshot {
-    /// The table dimensionality the credits are indexed by.
-    pub dims: usize,
     /// Per-segment snapshots, parallel to the engine's segment specs.
     pub segments: Vec<SegmentFeedbackSnapshot>,
 }
@@ -317,12 +268,11 @@ impl FeedbackSnapshot {
 
     /// Serialises the snapshot into the opaque learned-state payload the
     /// store writer embeds in the v2 footer (all integers little-endian:
-    /// magic, dims u32, segments u32, then per segment seven u64 counters
-    /// followed by `dims` u64 prune credits).
+    /// magic `BONDFB02`, segments u32, then per segment seven u64
+    /// counters).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.segments.len() * (56 + self.dims * 8));
+        let mut buf = Vec::with_capacity(12 + self.segments.len() * PERSISTED_COUNTERS * 8);
         buf.extend_from_slice(FEEDBACK_MAGIC);
-        buf.extend_from_slice(&(self.dims as u32).to_le_bytes());
         buf.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
             for v in [
@@ -336,21 +286,21 @@ impl FeedbackSnapshot {
             ] {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
-            for &c in &s.prune_credit {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
         }
         buf
     }
 
     /// Parses a payload produced by [`FeedbackSnapshot::to_bytes`],
-    /// validating structure and counts.
+    /// validating structure and counts. A `BONDFB01` payload — magic,
+    /// dims u32, segments u32, then per segment the seven counters
+    /// followed by `dims` u64 prune credits — is validated the same way
+    /// and its credits are dropped: a store file is outside input.
     ///
     /// # Errors
     ///
     /// [`BondError::Storage`] wrapping [`VdError::Corrupt`] on any
     /// structural violation (bad magic, truncation, trailing bytes,
-    /// allocation-attack counts, credits not matching `dims`).
+    /// allocation-attack counts, a `BONDFB01` payload with zero dims).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
             if buf.len() < n {
@@ -360,21 +310,26 @@ impl FeedbackSnapshot {
             *buf = tail;
             Ok(head)
         }
+        fn take_u32(buf: &mut &[u8], what: &str) -> Result<usize> {
+            Ok(u32::from_le_bytes(take(buf, 4, what)?.try_into().unwrap()) as usize)
+        }
         let corrupt = |msg: &str| BondError::Storage(VdError::Corrupt(msg.into()));
         let mut buf = bytes;
-        if take(&mut buf, 8, "feedback magic")? != FEEDBACK_MAGIC {
-            return Err(corrupt("bad feedback magic"));
-        }
-        let dims =
-            u32::from_le_bytes(take(&mut buf, 4, "feedback dims")?.try_into().unwrap()) as usize;
-        let n_segments =
-            u32::from_le_bytes(take(&mut buf, 4, "feedback segment count")?.try_into().unwrap())
-                as usize;
-        if dims == 0 {
-            return Err(corrupt("feedback payload has zero dimensions"));
-        }
-        let per_segment = 56usize
-            .checked_add(dims.checked_mul(8).ok_or_else(|| corrupt("credit length overflows"))?)
+        // the bytes each record carries after its counters
+        let credit_bytes = match take(&mut buf, 8, "feedback magic")? {
+            magic if magic == FEEDBACK_MAGIC => 0,
+            magic if magic == FEEDBACK_MAGIC_V1 => {
+                let dims = take_u32(&mut buf, "feedback dims")?;
+                if dims == 0 {
+                    return Err(corrupt("feedback payload has zero dimensions"));
+                }
+                dims.checked_mul(8).ok_or_else(|| corrupt("credit length overflows"))?
+            }
+            _ => return Err(corrupt("bad feedback magic")),
+        };
+        let n_segments = take_u32(&mut buf, "feedback segment count")?;
+        let per_segment = (PERSISTED_COUNTERS * 8)
+            .checked_add(credit_bytes)
             .ok_or_else(|| corrupt("segment record length overflows"))?;
         let expected = n_segments
             .checked_mul(per_segment)
@@ -382,35 +337,27 @@ impl FeedbackSnapshot {
         if buf.len() != expected {
             return Err(corrupt("feedback payload length disagrees with its header"));
         }
-        let mut segments = Vec::with_capacity(n_segments);
-        for _ in 0..n_segments {
-            let mut counters = [0u64; 7];
-            for c in &mut counters {
-                *c = u64::from_le_bytes(take(&mut buf, 8, "feedback counter")?.try_into().unwrap());
-            }
-            let mut prune_credit = Vec::with_capacity(dims);
-            for _ in 0..dims {
-                prune_credit.push(u64::from_le_bytes(
-                    take(&mut buf, 8, "prune credit")?.try_into().unwrap(),
-                ));
-            }
-            let [searches, skips, misses, warmup_sum, warmup_count, survival_sum, contributions] =
-                counters;
-            segments.push(SegmentFeedbackSnapshot {
-                searches,
-                skips,
-                misses,
-                warmup_sum,
-                warmup_count,
-                survival_sum,
-                contributions,
-                prune_credit,
-                // the quantized-filter counters are in-memory-only signals;
-                // a reopened store re-learns them within a few queries
-                ..Default::default()
-            });
-        }
-        Ok(FeedbackSnapshot { dims, segments })
+        let segments = buf
+            .chunks_exact(per_segment)
+            .map(|record| {
+                let counter =
+                    |i: usize| u64::from_le_bytes(record[i * 8..][..8].try_into().unwrap());
+                SegmentFeedbackSnapshot {
+                    searches: counter(0),
+                    skips: counter(1),
+                    misses: counter(2),
+                    warmup_sum: counter(3),
+                    warmup_count: counter(4),
+                    survival_sum: counter(5),
+                    contributions: counter(6),
+                    // the quantized-filter counters are in-memory-only
+                    // signals; a reopened store re-learns them within a few
+                    // queries
+                    ..Default::default()
+                }
+            })
+            .collect();
+        Ok(FeedbackSnapshot { segments })
     }
 }
 
@@ -419,31 +366,20 @@ impl FeedbackSnapshot {
 /// batch; folding and reading never block.
 #[derive(Debug)]
 pub struct ExecFeedback {
-    dims: usize,
     segments: Vec<SegmentFeedback>,
 }
 
 impl ExecFeedback {
-    /// An empty store for `n_segments` segments of a `dims`-dimensional
-    /// table.
-    pub fn new(n_segments: usize, dims: usize) -> Self {
-        ExecFeedback {
-            dims,
-            segments: (0..n_segments).map(|_| SegmentFeedback::new(dims)).collect(),
-        }
+    /// An empty store for `n_segments` segments.
+    pub fn new(n_segments: usize) -> Self {
+        ExecFeedback { segments: (0..n_segments).map(|_| SegmentFeedback::new()).collect() }
     }
 
     /// Restores a store from persisted learned state.
     pub fn from_snapshot(snap: &FeedbackSnapshot) -> Self {
         ExecFeedback {
-            dims: snap.dims,
             segments: snap.segments.iter().map(SegmentFeedback::from_snapshot).collect(),
         }
-    }
-
-    /// The table dimensionality the credits are indexed by.
-    pub fn dims(&self) -> usize {
-        self.dims
     }
 
     /// Number of segments tracked.
@@ -466,10 +402,7 @@ impl ExecFeedback {
 
     /// A plain-data snapshot of every segment's counters.
     pub fn snapshot(&self) -> FeedbackSnapshot {
-        FeedbackSnapshot {
-            dims: self.dims,
-            segments: self.segments.iter().map(SegmentFeedback::snapshot).collect(),
-        }
+        FeedbackSnapshot { segments: self.segments.iter().map(SegmentFeedback::snapshot).collect() }
     }
 }
 
@@ -504,41 +437,52 @@ mod tests {
         }
     }
 
+    /// A `BONDFB01` payload as the earlier writer laid it out: magic, dims,
+    /// segments, then per segment seven counters and `dims` prune credits.
+    fn v1_payload(dims: u32, records: &[[u64; 7]]) -> Vec<u8> {
+        let mut buf = FEEDBACK_MAGIC_V1.to_vec();
+        buf.extend_from_slice(&dims.to_le_bytes());
+        buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for (i, counters) in records.iter().enumerate() {
+            for v in counters {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            for d in 0..u64::from(dims) {
+                buf.extend_from_slice(&(i as u64 * 100 + d).to_le_bytes());
+            }
+        }
+        buf
+    }
+
     #[test]
-    fn record_search_attributes_credit_to_the_pruning_block() {
-        let fb = SegmentFeedback::new(4);
-        // order [2,0,3,1]; first block (dims 2,0) prunes 60 rows, second
-        // block (dims 3,1) prunes nothing.
-        fb.record_search(&[2, 0, 3, 1], &trace(vec![(2, 40, 60), (4, 40, 0)]), 100);
+    fn record_search_observes_the_first_effective_prune() {
+        let fb = SegmentFeedback::new();
+        // the first block (2 dims) prunes 60 rows, the second prunes nothing
+        fb.record_search(4, &trace(vec![(2, 40, 60), (4, 40, 0)]), 100);
         let s = fb.snapshot();
         assert_eq!(s.searches, 1);
         assert_eq!(s.contributions, 100);
-        let credit = 60 * FEEDBACK_SCALE / 2;
-        assert_eq!(s.prune_credit, vec![credit, 0, credit, 0]);
         assert_eq!(s.mean_warmup(), Some(2.0));
         // final survival: 40 of 100 rows
         let survival = s.mean_survival().unwrap();
         assert!((survival - 0.4).abs() < 1e-5, "{survival}");
-        let rates = s.prune_rates();
-        assert_eq!(rates, vec![0.5, 0.0, 0.5, 0.0]);
     }
 
     #[test]
     fn ineffective_searches_observe_a_full_scan_warmup() {
-        let fb = SegmentFeedback::new(3);
-        fb.record_search(&[0, 1, 2], &trace(vec![(3, 10, 0)]), 10);
+        let fb = SegmentFeedback::new();
+        fb.record_search(3, &trace(vec![(3, 10, 0)]), 10);
         let s = fb.snapshot();
         assert_eq!(s.mean_warmup(), Some(3.0));
         assert!((s.mean_survival().unwrap() - 1.0).abs() < 1e-5);
-        assert_eq!(s.prune_rates(), vec![0.0; 3]);
     }
 
     #[test]
     fn skips_and_misses_are_counted_separately() {
-        let fb = SegmentFeedback::new(2);
+        let fb = SegmentFeedback::new();
         fb.record_skip();
         fb.record_skip();
-        fb.record_search(&[0, 1], &trace(vec![(2, 1, 9)]), 10);
+        fb.record_search(2, &trace(vec![(2, 1, 9)]), 10);
         fb.record_miss();
         let s = fb.snapshot();
         assert_eq!((s.searches, s.skips, s.misses), (1, 2, 1));
@@ -549,13 +493,13 @@ mod tests {
 
     #[test]
     fn concurrent_folds_are_lock_free_and_lose_nothing() {
-        let fb = ExecFeedback::new(2, 4);
+        let fb = ExecFeedback::new(2);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let fb = &fb;
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        fb.segment(0).record_search(&[0, 1, 2, 3], &trace(vec![(2, 5, 5)]), 10);
+                        fb.segment(0).record_search(4, &trace(vec![(2, 5, 5)]), 10);
                         fb.segment(1).record_skip();
                     }
                 });
@@ -570,64 +514,102 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_bytes() {
-        let fb = ExecFeedback::new(3, 5);
-        fb.segment(0).record_search(&[4, 3, 2, 1, 0], &trace(vec![(2, 3, 7)]), 10);
+        let fb = ExecFeedback::new(3);
+        fb.segment(0).record_search(5, &trace(vec![(2, 3, 7)]), 10);
         fb.segment(1).record_skip();
         fb.segment(2).record_miss();
         let snap = fb.snapshot();
         let bytes = snap.to_bytes();
+        assert_eq!(&bytes[..8], b"BONDFB02");
+        assert_eq!(bytes.len(), 12 + 3 * 7 * 8, "magic, count, seven counters a segment");
         let back = FeedbackSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
         // the restored accumulator keeps counting from where it left off
         let restored = ExecFeedback::from_snapshot(&back);
         restored.segment(1).record_skip();
         assert_eq!(restored.snapshot().segments[1].skips, 2);
-        assert_eq!(restored.dims(), 5);
         assert_eq!(restored.len(), 3);
         assert!(!restored.is_empty());
     }
 
+    /// Every corruption of `bytes` whose segment count sits at
+    /// `count_at`: truncations, a trailing byte, a bad magic and an absurd
+    /// segment count, which cannot drive an oversized allocation.
+    fn assert_corruptions_are_typed(bytes: &[u8], count_at: usize) {
+        let is_corrupt = |b: &[u8]| {
+            matches!(FeedbackSnapshot::from_bytes(b), Err(BondError::Storage(VdError::Corrupt(_))))
+        };
+        assert!(is_corrupt(&[]));
+        for cut in [4, count_at, count_at + 4, count_at + 8, bytes.len() - 1] {
+            assert!(is_corrupt(&bytes[..cut]), "cut {cut}");
+        }
+        let mut trailing = bytes.to_vec();
+        trailing.push(0);
+        assert!(is_corrupt(&trailing));
+        let mut bad_magic = bytes.to_vec();
+        bad_magic[0] = b'X';
+        assert!(is_corrupt(&bad_magic));
+        let mut huge = bytes.to_vec();
+        huge[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(is_corrupt(&huge));
+    }
+
     #[test]
     fn corrupt_payloads_are_typed_errors() {
-        let snap = ExecFeedback::new(2, 3).snapshot();
-        let bytes = snap.to_bytes();
-        assert!(FeedbackSnapshot::from_bytes(&[]).is_err());
-        for cut in [4, 12, 16, bytes.len() - 1] {
-            assert!(FeedbackSnapshot::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        assert_corruptions_are_typed(&ExecFeedback::new(2).snapshot().to_bytes(), 8);
+        let v1 = v1_payload(3, &[[1; 7], [2; 7]]);
+        assert_corruptions_are_typed(&v1, 12);
+        // a v1 header with zero dims, or a dims count the records disagree
+        // with
+        let mut zero_dims = v1.clone();
+        zero_dims[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(FeedbackSnapshot::from_bytes(&zero_dims).is_err());
+        let mut wrong_dims = v1;
+        wrong_dims[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert!(FeedbackSnapshot::from_bytes(&wrong_dims).is_err());
+    }
+
+    #[test]
+    fn v1_payloads_restore_their_counters_and_drop_their_credits() {
+        let records = [[9, 8, 7, 6, 5, 4, 3], [1, 2, 3, 4, 5, 6, 7]];
+        let snap = FeedbackSnapshot::from_bytes(&v1_payload(5, &records)).unwrap();
+        assert_eq!(snap.segments.len(), 2);
+        for (s, r) in snap.segments.iter().zip(&records) {
+            let counters = [
+                s.searches,
+                s.skips,
+                s.misses,
+                s.warmup_sum,
+                s.warmup_count,
+                s.survival_sum,
+                s.contributions,
+            ];
+            assert_eq!(&counters, r);
+            assert_eq!((s.filter_cells, s.filter_rows, s.refine_rows), (0, 0, 0));
         }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(FeedbackSnapshot::from_bytes(&trailing).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(FeedbackSnapshot::from_bytes(&bad_magic).is_err());
-        // an absurd segment count cannot drive an oversized allocation
-        let mut huge = bytes;
-        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            FeedbackSnapshot::from_bytes(&huge),
-            Err(BondError::Storage(VdError::Corrupt(_)))
-        ));
+        // written back, it is the credit-free format
+        let rewritten = snap.to_bytes();
+        assert_eq!(&rewritten[..8], b"BONDFB02");
+        assert_eq!(FeedbackSnapshot::from_bytes(&rewritten).unwrap(), snap);
     }
 
     #[test]
     fn quant_filter_counters_accumulate_in_memory_only() {
-        let fb = SegmentFeedback::new(2);
+        let fb = SegmentFeedback::new();
         let mut t = trace(vec![(2, 4, 6)]);
         t.filter_cells = 20;
         t.refine_rows = 4;
-        fb.record_search(&[0, 1], &t, 10);
+        fb.record_search(2, &t, 10);
         let s = fb.snapshot();
         assert_eq!((s.filter_cells, s.filter_rows, s.refine_rows), (20, 10, 4));
         assert!((s.filter_selectivity().unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(fb.scalar_snapshot().filter_cells, 20);
         // codeless searches leave the counters untouched
-        let codeless = SegmentFeedback::new(2);
-        codeless.record_search(&[0, 1], &trace(vec![(2, 4, 6)]), 10);
+        let codeless = SegmentFeedback::new();
+        codeless.record_search(2, &trace(vec![(2, 4, 6)]), 10);
         assert_eq!(codeless.snapshot().filter_selectivity(), None);
-        // the persisted payload intentionally excludes them (fixed-length
-        // BONDFB01 records) — a byte round trip zeroes them ...
-        let snap = FeedbackSnapshot { dims: 2, segments: vec![s.clone()] };
+        // the persisted payload intentionally excludes them (seven-counter
+        // records) — a byte round trip zeroes them ...
+        let snap = FeedbackSnapshot { segments: vec![s.clone()] };
         let back = FeedbackSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(back.segments[0].filter_cells, 0);
         assert_eq!(back.segments[0].filter_selectivity(), None);
@@ -640,8 +622,8 @@ mod tests {
     fn checkpoints_beyond_the_order_are_clamped() {
         // a malformed trace claiming more processed dims than the order has
         // must not panic or mis-index
-        let fb = SegmentFeedback::new(2);
-        fb.record_search(&[1, 0], &trace(vec![(5, 1, 9)]), 10);
+        let fb = SegmentFeedback::new();
+        fb.record_search(2, &trace(vec![(5, 1, 9)]), 10);
         let s = fb.snapshot();
         assert_eq!(s.searches, 1);
         assert_eq!(s.mean_warmup(), Some(2.0));

@@ -53,11 +53,10 @@
 //! * [`plan`] — [`SegmentPlan`], the resolved per-segment (order, schedule)
 //!   pair that `bond-exec`'s planners vary across partitions,
 //! * [`feedback`] — [`ExecFeedback`], the lock-free per-segment
-//!   accumulators that fold every query's pruning trace into learnable
-//!   signals (prune credit per dimension, observed warmups, skip
-//!   hits/misses, candidate survival),
-//! * [`cost`] — [`CostModel`], the shared decision layer deriving segment
-//!   plans (a-priori or feedback-blended) and per-segment cost estimates,
+//!   accumulators that fold every query's pruning trace into observed
+//!   counters (warmups, skip hits/misses, candidate survival, code cells),
+//! * [`cost`] — [`CostModel`], the shared decision layer deriving a-priori
+//!   segment plans and per-segment cost estimates,
 //! * [`weighted`] — weighted and subspace k-NN queries (Section 8.1),
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
 //! * [`quantfilter`] — BOND on 8-bit codes (Section 7.4, Figure 9 /

@@ -274,7 +274,7 @@ pub enum QueryKind {
 ///
 /// let spec = QuerySpec::new(vec![0.25, 0.75], 10)
 ///     .rule(RuleKind::EuclideanEq)          // override the engine default
-///     .planner(PlannerKind::Feedback)       // per-query planning policy
+///     .planner(PlannerKind::Adaptive)       // per-query planning policy
 ///     .priority(Priority::Interactive);     // admission class at the server
 /// assert_eq!(spec.k(), 10);
 /// ```

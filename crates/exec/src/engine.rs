@@ -29,21 +29,19 @@
 //!   the merged top-k is bit-identical to a sequential [`BondSearcher`]
 //!   search over the whole table.
 //! * [`PlannerKind::Adaptive`] derives each segment's plan from its cached
-//!   [`SegmentStats`] and additionally skips whole segments whose zone-map
-//!   envelope bound provably cannot reach the current κ — without touching
-//!   any of the segment's columns. Per-segment refinement orders then
-//!   differ, so the merge re-verifies exact scores (fixed, natural
-//!   summation order) and breaks ties deterministically on the row id:
-//!   rank-correct rather than bit-identical.
-//! * [`PlannerKind::Feedback`] additionally consults the engine's
-//!   [`ExecFeedback`] store — lock-free per-segment accumulators into
-//!   which *every* executed search folds its pruning trace (and every
-//!   zone-map skip and merge miss is counted) — re-ranking each segment's
-//!   scan order toward dimensions that observably pruned and shrinking
-//!   warmups toward observed first-effective-prune depths. Cold segments
-//!   plan exactly like `Adaptive`; the same merge keeps answers
-//!   rank-correct. [`Engine::persist`] writes the learned state alongside
-//!   the store footer, so a reopened engine starts warm.
+//!   [`SegmentStats`], visits segments most-promising-first by their
+//!   zone-map envelope bound, and skips whole segments whose bound provably
+//!   cannot reach the current κ — without touching any of the segment's
+//!   columns. Per-segment refinement orders then differ, so the merge
+//!   re-verifies exact scores (fixed, natural summation order) and breaks
+//!   ties deterministically on the row id: rank-correct rather than
+//!   bit-identical.
+//!
+//! Every unfiltered top-k search, whatever its planner, folds its pruning
+//! trace into the engine's [`ExecFeedback`] store — lock-free per-segment
+//! counters, plus every zone-map skip and merge miss — which the cost
+//! estimates read back. [`Engine::persist`] writes the counters alongside
+//! the store footer, so a reopened engine's estimates start warm.
 
 use crate::batch::{
     BatchOutcome, MultiFeatureSpec, QueryKind, QueryOutcome, QuerySpec, RequestBatch, ScanMode,
@@ -60,7 +58,7 @@ use bond::{
     SegmentFeedbackSnapshot, SegmentPlan,
 };
 use bond_metrics::{DecomposableMetric, Objective, ScoreAggregate};
-use bond_obs::{names, Counter, Gauge, Histogram, MetricsRegistry, Span};
+use bond_obs::{names, Counter, Histogram, MetricsRegistry, Span};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,9 +103,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) segment_missed: Counter,
     /// `engine.rule.<name>.searches` — executed scans per pruning rule.
     rule_searches: [(&'static str, Counter); RULE_NAMES.len()],
-    /// `planner.feedback.warm_segments` — segments whose feedback store is
-    /// warm enough to plan from, as of the last feedback-planned batch.
-    warm_segments: Gauge,
     /// `planner.cost.abs_rel_error` — |estimated − executed| / executed
     /// work per query, in percent (the cost model's calibration error).
     cost_error: Histogram,
@@ -162,7 +157,6 @@ impl EngineMetrics {
             segment_skipped: registry.counter(names::ENGINE_SEGMENT_SKIPPED),
             segment_missed: registry.counter(names::ENGINE_SEGMENT_MISSED),
             rule_searches,
-            warm_segments: registry.gauge(names::PLANNER_FEEDBACK_WARM_SEGMENTS),
             cost_error: registry.histogram(names::PLANNER_COST_ABS_REL_ERROR),
             open_cold_us: registry.histogram(names::STORE_OPEN_COLD_US),
             persist_us: registry.histogram(names::STORE_PERSIST_US),
@@ -417,7 +411,7 @@ impl EngineBuilder {
             }
         };
         let envelopes: Vec<Option<Envelope>> = stats.iter().map(SegmentStats::envelope).collect();
-        let feedback = initial_feedback(self.preloaded_learned, specs.len(), dims)?;
+        let feedback = initial_feedback(self.preloaded_learned, specs.len())?;
         let metrics = EngineMetrics::new(self.metrics.unwrap_or_default());
         if let Some(us) = self.open_micros {
             metrics.open_cold_us.record(us);
@@ -441,7 +435,6 @@ impl EngineBuilder {
                 share_kappa: self.share_kappa,
                 planner: self.planner,
                 scan: self.scan,
-                cost: CostModel::default(),
                 feedback,
                 row_sums: OnceLock::new(),
                 codes: Mutex::new(codes_cache),
@@ -452,20 +445,15 @@ impl EngineBuilder {
 }
 
 /// The feedback store a new engine starts from: the store footer's learned
-/// state, which must cover exactly this engine's `segments` × `dims`, or a
-/// cold store when there is none.
-fn initial_feedback(
-    learned: Option<Vec<u8>>,
-    segments: usize,
-    dims: usize,
-) -> Result<ExecFeedback> {
-    let Some(bytes) = learned else { return Ok(ExecFeedback::new(segments, dims)) };
+/// state, which must cover exactly this engine's `segments`, or a cold
+/// store when there is none.
+fn initial_feedback(learned: Option<Vec<u8>>, segments: usize) -> Result<ExecFeedback> {
+    let Some(bytes) = learned else { return Ok(ExecFeedback::new(segments)) };
     let snapshot = FeedbackSnapshot::from_bytes(&bytes)?;
-    if snapshot.dims != dims || snapshot.segments.len() != segments {
+    if snapshot.segments.len() != segments {
         return Err(BondError::Storage(VdError::Corrupt(format!(
-            "learned feedback covers {} segments x {} dims, store has {segments} x {dims}",
+            "learned feedback covers {} segments, store has {segments}",
             snapshot.segments.len(),
-            snapshot.dims,
         ))));
     }
     Ok(ExecFeedback::from_snapshot(&snapshot))
@@ -490,13 +478,9 @@ struct EngineInner {
     share_kappa: bool,
     planner: PlannerKind,
     scan: ScanMode,
-    /// The shared cost model: plan derivation for the stats-driven
-    /// planners and per-segment cost estimates for admission control.
-    cost: CostModel,
     /// The engine's feedback store: every query's pruning trace, zone-map
     /// skip and merge miss folds into these lock-free per-segment
-    /// accumulators; the `Feedback` planner and the cost estimates read
-    /// them back.
+    /// accumulators; the cost estimates read them back.
     feedback: ExecFeedback,
     /// Full-table `T(x)`, materialised lazily the first time any request's
     /// rule needs it; workers slice it per segment.
@@ -622,9 +606,6 @@ struct Pass<'b> {
     segments: Vec<Segment<'b>>,
     /// The `T(x)` table, when any request's rule needs it.
     row_sums: Option<&'b [f64]>,
-    /// One feedback snapshot per segment, when any request plans from
-    /// feedback.
-    feedback: Option<Vec<SegmentFeedbackSnapshot>>,
     /// Whether the columns are served by a file mapping — the only case
     /// where access-pattern advice reaches a kernel.
     mapped: bool,
@@ -708,8 +689,8 @@ impl Engine {
     /// segment store at `path`. The file can be reopened — in this or any
     /// other process — with [`EngineBuilder::open`], yielding an engine
     /// that answers bit-identically (uniform planning) without recomputing
-    /// anything and whose `Feedback` planner starts *warm*: everything the
-    /// serving process learned about its segments survives the restart.
+    /// anything and whose cost estimates start *warm*: everything the
+    /// serving process observed about its segments survives the restart.
     ///
     /// The store also carries the engine's 8-bit quantized code companions
     /// (built here if no query has needed them yet), so a reopened engine
@@ -853,18 +834,12 @@ impl Engine {
         &self.inner.stats
     }
 
-    /// The cost model shared by the planners, the feedback folds and the
-    /// admission-control estimates.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.inner.cost
-    }
-
     /// A plain-data snapshot of the engine's accumulated execution
     /// feedback: per segment, how often it was searched / skipped /
-    /// scanned-in-vain, which dimensions actually pruned, the observed
-    /// warmup depths and survivor fractions. This is what
-    /// [`PlannerKind::Feedback`] plans from, what [`Engine::persist`]
-    /// writes alongside the store footer, and the observability hook for
+    /// scanned-in-vain, the observed warmup depths, survivor fractions and
+    /// code-sweep counts. This is what [`Engine::estimate_cost`] prices
+    /// from, what [`Engine::persist`] writes alongside the store footer,
+    /// and the observability hook for
     /// the ROADMAP's re-partitioning advisor (segments that straddle
     /// clusters show high search counts with low skip rates and high
     /// survival).
@@ -911,10 +886,7 @@ impl Engine {
     ) -> f64 {
         (0..self.inner.stats.len())
             .map(|si| {
-                // scalar_snapshot: the cost formula reads only the scalar
-                // counters, so the per-dimension credit vector is not cloned
-                // on this (per-submission) hot path
-                let snapshot = self.inner.feedback.segment(si).scalar_snapshot();
+                let snapshot = self.inner.feedback.segment(si).snapshot();
                 let eligible = eligible.map(|counts| counts[si]);
                 self.segment_estimate(si, scan, Some(&snapshot), k, skipping, eligible).0
             })
@@ -949,9 +921,9 @@ impl Engine {
         let inner = &*self.inner;
         let stats = &inner.stats[si];
         let (total, filter, refine) = match scan {
-            ScanMode::Exact => (inner.cost.segment_cost(stats, snapshot, k, skipping), None, None),
+            ScanMode::Exact => (CostModel::segment_cost(stats, snapshot, k, skipping), None, None),
             ScanMode::QuantizedFilter => {
-                let (filter, refine) = inner.cost.segment_cost_quantized_split_with_kernel(
+                let (filter, refine) = CostModel::segment_cost_quantized(
                     stats,
                     snapshot,
                     k,
@@ -969,7 +941,7 @@ impl Engine {
             }
         };
         let Some(eligible) = eligible else { return (total, filter, refine) };
-        let discounted = inner.cost.filtered_cost(total, eligible, stats.live_rows, k);
+        let discounted = CostModel::filtered_cost(total, eligible, stats.live_rows, k);
         let ratio = if total > 0.0 { discounted / total } else { 0.0 };
         (discounted, filter.map(|c| c * ratio), refine.map(|c| c * ratio))
     }
@@ -987,7 +959,7 @@ impl Engine {
     }
 
     /// The segment *visit order* of a query that shares κ and either plans
-    /// from feedback or filters on codes: segments sorted
+    /// from statistics or filters on codes: segments sorted
     /// most-promising-first by their optimistic zone-map envelope score
     /// toward the query, ties broken on the segment index. Visiting the
     /// query's own neighbourhood first establishes κ before any far segment
@@ -1004,7 +976,8 @@ impl Engine {
         query: &[f64],
     ) -> Option<Vec<usize>> {
         let inner = &*self.inner;
-        if !(inner.share_kappa && (planner.uses_feedback() || scan == ScanMode::QuantizedFilter)) {
+        let promising_first = planner.is_stats_driven() || scan == ScanMode::QuantizedFilter;
+        if !(inner.share_kappa && promising_first) {
             return None;
         }
         let mut order: Vec<usize> = (0..inner.specs.len()).collect();
@@ -1032,29 +1005,23 @@ impl Engine {
     /// Derives the [`SegmentPlan`] segment `si` executes for `query` under
     /// `planner` — the single plan-derivation path shared by the execution
     /// workers and [`Engine::explain`], which is what makes the rendered
-    /// plan the executed plan. `snapshot` is the segment's feedback
-    /// snapshot for [`PlannerKind::Feedback`] (callers pass the same
-    /// per-batch snapshot to every task of a batch; `explain` takes a
-    /// fresh one); without one, feedback planning derives the a-priori
-    /// plan, exactly as for a cold segment.
+    /// plan the executed plan.
     pub(crate) fn derive_segment_plan(
         &self,
         si: usize,
         planner: PlannerKind,
         rule: &RuleKind,
         query: &[f64],
-        snapshot: Option<&SegmentFeedbackSnapshot>,
     ) -> SegmentPlan {
         let inner = &*self.inner;
-        let (stats, weights, objective) = (&inner.stats[si], rule.weights(), rule.objective());
-        match (planner, snapshot) {
-            (PlannerKind::Uniform, _) => {
+        let weights = rule.weights();
+        match planner {
+            PlannerKind::Uniform => {
                 SegmentPlan::uniform(&self.params_for(rule), query, weights, inner.table.dims())
             }
-            (PlannerKind::Feedback, Some(snapshot)) => {
-                inner.cost.plan_with_feedback(stats, snapshot, query, weights, objective)
+            PlannerKind::Adaptive => {
+                CostModel::plan(&inner.stats[si], query, weights, rule.objective())
             }
-            _ => inner.cost.plan(stats, query, weights, objective),
         }
     }
 
@@ -1300,9 +1267,8 @@ impl Engine {
                 // The uniform plan is segment-independent; derive it once
                 // per query through the same path `explain` renders from.
                 let uniform = query.planner == PlannerKind::Uniform;
-                let uniform_plan = uniform.then(|| {
-                    self.derive_segment_plan(0, query.planner, query.rule, spec.vector(), None)
-                });
+                let uniform_plan = uniform
+                    .then(|| self.derive_segment_plan(0, query.planner, query.rule, spec.vector()));
                 let estimate =
                     self.topk_estimate(spec.k(), query.scan, query.skipping, eligible.as_deref());
                 let objective = query.objective;
@@ -1339,8 +1305,7 @@ impl Engine {
     }
 
     /// The per-call state every task reads besides its own query: segment
-    /// views, `T(x)` when any rule needs it, and one feedback snapshot per
-    /// segment when any query plans from feedback.
+    /// views and `T(x)` when any rule needs it.
     fn prepare_pass<'b>(&'b self, resolved: Vec<ResolvedQuery<'b>>) -> Pass<'b> {
         let inner = &*self.inner;
         let segments = inner
@@ -1354,20 +1319,8 @@ impl Engine {
         let row_sums = topk()
             .any(|run| run.query.rule.needs_total_mass())
             .then(|| inner.row_sums.get_or_init(|| inner.table.row_sums()).as_slice());
-        // One snapshot per segment per *batch* is enough (the model
-        // tolerates staleness by design — a stale read merely plans like
-        // yesterday) and avoids cloning the per-dimension credit vector
-        // once per (query × segment) task on the worker hot path.
-        let feedback: Option<Vec<SegmentFeedbackSnapshot>> =
-            topk().any(|run| run.query.planner.uses_feedback()).then(|| {
-                (0..inner.specs.len()).map(|si| inner.feedback.segment(si).snapshot()).collect()
-            });
-        if let Some(snapshots) = &feedback {
-            let warm = snapshots.iter().filter(|s| s.is_warm(inner.cost.min_warm_searches)).count();
-            inner.metrics.warm_segments.set(warm as i64);
-        }
         let mapped = inner.table.backend() == StorageBackend::Mapped;
-        Pass { resolved, segments, row_sums, feedback, mapped }
+        Pass { resolved, segments, row_sums, mapped }
     }
 
     /// One `(query, segment)` task: the query at `qi`, at position `pos` of
@@ -1473,10 +1426,7 @@ impl Engine {
         let mut rule = run.query.rule.make_rule();
         let plan = match &run.uniform_plan {
             Some(plan) => plan.clone(),
-            None => {
-                let snapshot = pass.feedback.as_ref().map(|snapshots| &snapshots[si]);
-                self.derive_segment_plan(si, run.query.planner, run.query.rule, query, snapshot)
-            }
+            None => self.derive_segment_plan(si, run.query.planner, run.query.rule, query),
         };
         // Mapped backend: hint the kernel about the scan the chosen plan is
         // about to run — the first block's fragment slices are certain to
@@ -1512,10 +1462,12 @@ impl Engine {
                 cell.tighten(outcome.hits[k - 1].score);
             }
         }
-        // Every planner teaches the `Feedback` planner, because the credit
-        // is keyed by dimension id, not by policy.
         if rq.teaches_feedback() {
-            inner.feedback.segment(si).record_search(&plan.order, &outcome.trace, segment.len());
+            inner.feedback.segment(si).record_search(
+                plan.order.len(),
+                &outcome.trace,
+                segment.len(),
+            );
         }
         Ok(TaskOutcome { outcome, plan: Some(plan), error_bounds: None })
     }

@@ -5,14 +5,14 @@
 //! derived [`SegmentPlan`] (dimension order and warmup schedule), where in
 //! the visit order the segment runs, its zone-map envelope bound toward
 //! the query, the cost model's cell estimate and the plan's *provenance*
-//! (uniform params, a-priori statistics, or cold/warm feedback).
+//! (uniform params or a-priori statistics).
 //!
 //! [`QueryOutcome::analyze`] answers *"what did the engine actually do?"*
 //! by joining the rendered plan against the executed [`bond::PruneTrace`]s:
 //! cells scanned vs estimated, the depth at which pruning reached the
 //! query's `k`, which segments were skipped, and whether the executed plan
 //! matched the rendered one (it does by construction — both sides call the
-//! same derivation path — unless feedback advanced between the two calls).
+//! same derivation path).
 //!
 //! Both types are plain data with `Display` impls, so they print as
 //! compact reports and remain programmatically inspectable.
@@ -29,28 +29,16 @@ use std::ops::Range;
 pub enum PlanProvenance {
     /// The engine's uniform params — every segment shares one plan.
     Uniform,
-    /// Derived from the segment's a-priori statistics (adaptive planning,
-    /// or feedback planning before any signal accumulated uses the same
-    /// derivation — see [`PlanProvenance::FeedbackCold`]).
+    /// Derived from the segment's a-priori statistics (adaptive planning).
     Apriori,
-    /// Feedback planning on a *cold* segment: too few folded searches, so
-    /// the plan equals the a-priori plan bit for bit.
-    FeedbackCold,
-    /// Feedback planning on a *warm* segment: the dimension order is
-    /// re-ranked by observed prune credit and the warmup shrinks toward
-    /// the observed first-effective-prune depth.
-    FeedbackWarm,
 }
 
 impl PlanProvenance {
-    /// A short lowercase label (`"uniform"`, `"apriori"`,
-    /// `"feedback-cold"`, `"feedback-warm"`).
+    /// A short lowercase label (`"uniform"`, `"apriori"`).
     pub fn label(self) -> &'static str {
         match self {
             PlanProvenance::Uniform => "uniform",
             PlanProvenance::Apriori => "apriori",
-            PlanProvenance::FeedbackCold => "feedback-cold",
-            PlanProvenance::FeedbackWarm => "feedback-warm",
         }
     }
 }
@@ -78,7 +66,7 @@ pub struct SegmentExplain {
     /// The table rows the segment covers.
     pub rows: Range<usize>,
     /// Position in the query's visit order at which this segment executes
-    /// (feedback planning and code-filtered scans visit
+    /// (adaptive planning and code-filtered scans visit
     /// most-promising-first when κ is shared; everyone else in row order).
     pub visit_position: usize,
     /// The fully derived plan: dimension order plus block schedule.
@@ -404,12 +392,10 @@ impl Engine {
     /// without executing it: per segment, the derived [`SegmentPlan`]
     /// (dimension order, warmup schedule), the visit-order position, the
     /// zone-map envelope bound toward the query, the cost model's cell
-    /// estimate and the plan's provenance (uniform / a-priori /
-    /// feedback-cold / feedback-warm).
+    /// estimate and the plan's provenance (uniform / a-priori).
     ///
     /// EXPLAIN and [`Engine::execute`] share the same plan-derivation code
-    /// path, so — unless feedback advances between the two calls — the
-    /// rendered plan is the executed plan, which
+    /// path, so the rendered plan is the executed plan, which
     /// [`QueryOutcome::analyze`] verifies.
     ///
     /// # Errors
@@ -430,7 +416,6 @@ impl Engine {
             visit_position[si] = pos;
         }
         let feedback = self.feedback_snapshot();
-        let min_warm = self.cost_model().min_warm_searches;
         let stats = self.segment_stats();
         // the width of the companion `execute` resolves for a code scan
         let code_bits = rq.scan.uses_codes().then_some(CostModel::DEFAULT_CODE_BITS);
@@ -440,14 +425,10 @@ impl Engine {
             .enumerate()
             .map(|(si, seg_spec)| {
                 let snapshot = &feedback.segments[si];
-                let plan = self.derive_segment_plan(si, rq.planner, rq.rule, query, Some(snapshot));
+                let plan = self.derive_segment_plan(si, rq.planner, rq.rule, query);
                 let provenance = match rq.planner {
                     PlannerKind::Uniform => PlanProvenance::Uniform,
                     PlannerKind::Adaptive => PlanProvenance::Apriori,
-                    PlannerKind::Feedback if snapshot.is_warm(min_warm) => {
-                        PlanProvenance::FeedbackWarm
-                    }
-                    PlannerKind::Feedback => PlanProvenance::FeedbackCold,
                 };
                 let envelope_bound = self.optimistic_bound(
                     si,

@@ -38,24 +38,21 @@
 //! * **Per-segment adaptive plans** — under [`PlannerKind::Adaptive`]
 //!   (engine-wide or per query) every segment gets its own
 //!   [`bond::SegmentPlan`] (dimension order + block schedule) derived from
-//!   its cached statistics, and segments whose zone-map envelope bound
-//!   provably cannot reach the query's current κ are skipped without
-//!   touching their columns. The merge then re-verifies exact scores and
+//!   its cached statistics, segments are visited most-promising-first by
+//!   their zone-map envelope bound, and segments whose bound provably
+//!   cannot reach the query's current κ are skipped without touching
+//!   their columns. The merge then re-verifies exact scores and
 //!   tie-breaks on row ids: rank-correct answers — the sequential
 //!   reference's k-NN set and ranks, up to ties between distinct rows
 //!   whose exact scores differ by less than floating-point summation
 //!   drift.
-//! * **Feedback-driven planning** — the engine owns a lock-free
+//! * **Execution feedback** — the engine owns a lock-free
 //!   [`bond::ExecFeedback`] store into which every query's pruning trace,
-//!   zone-map skip and merge miss folds; [`PlannerKind::Feedback`] plans
-//!   from the shared [`bond::CostModel`], re-ranking each segment's scan
-//!   order toward dimensions that *observably pruned* and shrinking
-//!   warmups toward observed first-effective-prune depths (cold segments
-//!   plan exactly like `Adaptive`). [`Engine::feedback_snapshot`] exposes
-//!   the learned state; [`Engine::persist`] writes it alongside the store
-//!   footer so a reopened engine starts warm; and
-//!   [`Engine::estimate_cost`] turns the same signals into per-request
-//!   cost estimates.
+//!   zone-map skip and merge miss folds; [`Engine::estimate_cost`] turns
+//!   those counters into per-request cost estimates through the shared
+//!   [`bond::CostModel`]. [`Engine::feedback_snapshot`] exposes them;
+//!   [`Engine::persist`] writes them alongside the store footer so a
+//!   reopened engine's estimates start warm.
 //! * **Cost-aware admission control** — [`service::Server`] prices every
 //!   accepted [`QuerySpec`] with the cost model, queues it under its
 //!   [`Priority`] class, drains Interactive → Normal → Batch with the
@@ -184,7 +181,7 @@ pub use bond_obs::MetricsRegistry;
 pub use engine::{Engine, EngineBuilder};
 pub use explain::{PlanProvenance, QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain};
 pub use kappa::SharedKappa;
-pub use planner::{AdaptivePlanner, PlannerKind};
+pub use planner::PlannerKind;
 pub use relational::{KnnProgram, RelationalRun, SelectStep};
 pub use rules::RuleKind;
 pub use service::{Server, ServerBuilder, Ticket};

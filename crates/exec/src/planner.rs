@@ -2,31 +2,18 @@
 //!
 //! The engine's PR 1 behaviour — one global ordering and block schedule for
 //! every partition — is kept as [`PlannerKind::Uniform`] and stays
-//! bit-identical to the sequential searcher. The stats-driven policies
-//! derive a [`SegmentPlan`] per `(query, segment)` pair through the shared
-//! [`bond::CostModel`] (the plan-derivation logic itself lives in
-//! `bond-core` beside the trace and feedback machinery, so the same model
-//! also serves the admission-control cost estimates):
+//! bit-identical to the sequential searcher. [`PlannerKind::Adaptive`]
+//! derives a [`bond::SegmentPlan`] per `(query, segment)` pair through the
+//! shared [`bond::CostModel`] (the derivation lives in `bond-core`, so the
+//! same model also serves the admission-control cost estimates): dimensions
+//! ordered by expected contribution (`(μ−q)² + σ²` for distances,
+//! `min(q, max)` for similarities), warmup sized to half the ordering-key
+//! mass. It also visits segments most-promising-first by their zone-map
+//! envelope bound and skips whole segments whose bound cannot reach κ.
 //!
-//! * [`PlannerKind::Adaptive`] plans a-priori from each segment's cached
-//!   [`SegmentStats`]: dimensions ordered by expected contribution
-//!   (`(μ−q)² + σ²` for distances, `min(q, max)` for similarities), warmup
-//!   sized to half the ordering-key mass, plus κ-aware whole-segment
-//!   skipping against the zone maps.
-//! * [`PlannerKind::Feedback`] starts from the same a-priori keys and folds
-//!   in what past queries *observed*: per-dimension prune credit re-ranks
-//!   the scan order toward dimensions that actually pruned, and the warmup
-//!   shrinks toward the observed first-effective-prune depth. Cold segments
-//!   plan exactly like `Adaptive`; answers stay rank-correct either way
-//!   because the merge re-verifies exact scores.
-//!
-//! Adaptive and feedback plans give up the bit-identical-refinement
-//! guarantee (per-row sums accumulate in different orders per segment); the
-//! engine compensates by re-verifying exact scores at merge time.
-
-use bond::{CostModel, SegmentPlan};
-use bond_metrics::Objective;
-use vdstore::SegmentStats;
+//! Adaptive plans give up the bit-identical-refinement guarantee (per-row
+//! sums accumulate in different orders per segment); the engine
+//! compensates by re-verifying exact scores at merge time.
 
 /// Which planning policy the engine applies to its segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,57 +23,29 @@ pub enum PlannerKind {
     #[default]
     Uniform,
     /// A per-segment plan derived a-priori from the segment's statistics,
-    /// plus κ-aware whole-segment skipping against the segments' zone maps.
+    /// plus cost-model-driven scheduling: segments are visited
+    /// most-promising-first, so the query's own neighbourhood establishes
+    /// κ before any far segment starts, and segments whose zone-map bound
+    /// cannot reach κ are skipped whole.
     Adaptive,
-    /// A per-segment plan derived from the segment's statistics *and* the
-    /// engine's accumulated execution feedback (observed prune credit,
-    /// warmup depths), plus cost-model-driven scheduling: segments are
-    /// visited most-promising-first, so the query's own neighbourhood
-    /// establishes κ before any far segment starts. Falls back to the
-    /// adaptive plan derivation while a segment is cold; also skips
-    /// segments against the zone maps.
-    Feedback,
 }
 
 impl PlannerKind {
     /// Whether this policy derives per-segment plans from statistics — the
-    /// policies that enable zone-map segment skipping and whose merges
-    /// re-verify exact scores (rank-correct rather than bit-identical).
+    /// policy that enables the visit order and zone-map segment skipping,
+    /// and whose merges re-verify exact scores (rank-correct rather than
+    /// bit-identical).
     pub fn is_stats_driven(self) -> bool {
-        matches!(self, PlannerKind::Adaptive | PlannerKind::Feedback)
-    }
-
-    /// Whether this policy consults the engine's feedback store.
-    pub fn uses_feedback(self) -> bool {
-        self == PlannerKind::Feedback
-    }
-}
-
-/// Derives per-segment plans from segment statistics — a thin, stateless
-/// front over [`CostModel::plan`], kept as the engine-facing name of the
-/// a-priori policy (the derivation itself moved to `bond-core` so the
-/// service layer shares it).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptivePlanner;
-
-impl AdaptivePlanner {
-    /// The a-priori plan for one segment; see [`CostModel::plan`].
-    pub fn plan(
-        &self,
-        stats: &SegmentStats,
-        query: &[f64],
-        weights: Option<&[f64]>,
-        objective: Objective,
-    ) -> SegmentPlan {
-        CostModel::default().plan(stats, query, weights, objective)
+        self == PlannerKind::Adaptive
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bond::BlockSchedule;
-    use vdstore::DecomposedTable;
+    use bond::{BlockSchedule, CostModel};
+    use bond_metrics::Objective;
+    use vdstore::{DecomposedTable, SegmentStats};
 
     fn segment_stats(vectors: &[Vec<f64>]) -> SegmentStats {
         let t = DecomposedTable::from_vectors("plan", vectors).unwrap();
@@ -104,7 +63,7 @@ mod tests {
             vec![0.5, 0.9, 1.0],
         ]);
         let q = [0.5, 0.1, 0.5];
-        let plan = AdaptivePlanner.plan(&stats, &q, None, Objective::Minimize);
+        let plan = CostModel::plan(&stats, &q, None, Objective::Minimize);
         assert!(plan.is_valid(3));
         assert_eq!(*plan.order.last().unwrap(), 0, "agreeing dim is deferred");
         assert_eq!(plan.order[0], 1, "disagreeing dim leads");
@@ -116,7 +75,7 @@ mod tests {
         // near zero there — it cannot contribute and goes last.
         let stats = segment_stats(&[vec![0.5, 0.01, 0.3], vec![0.6, 0.02, 0.4]]);
         let q = [0.4, 0.5, 0.1];
-        let plan = AdaptivePlanner.plan(&stats, &q, None, Objective::Maximize);
+        let plan = CostModel::plan(&stats, &q, None, Objective::Maximize);
         assert_eq!(plan.order, vec![0, 2, 1]);
     }
 
@@ -125,7 +84,7 @@ mod tests {
         let stats = segment_stats(&[vec![0.5, 0.5], vec![0.4, 0.6]]);
         let q = [0.0, 0.0];
         // unweighted: both dims have similar expected distance; weight dim 1 up
-        let plan = AdaptivePlanner.plan(&stats, &q, Some(&[1.0, 100.0]), Objective::Minimize);
+        let plan = CostModel::plan(&stats, &q, Some(&[1.0, 100.0]), Objective::Minimize);
         assert_eq!(plan.order[0], 1);
     }
 
@@ -133,7 +92,7 @@ mod tests {
     fn warmup_covers_half_the_key_mass() {
         let stats = segment_stats(&vec![vec![0.9, 0.05, 0.03, 0.02]; 3]);
         let q = [0.9, 0.05, 0.03, 0.02];
-        let plan = AdaptivePlanner.plan(&stats, &q, None, Objective::Maximize);
+        let plan = CostModel::plan(&stats, &q, None, Objective::Maximize);
         // dim 0 alone carries ≥ half the achievable mass
         assert_eq!(plan.schedule, BlockSchedule::WarmupThenFixed { warmup: 1, m: 4 });
     }
@@ -141,7 +100,7 @@ mod tests {
     #[test]
     fn degenerate_zero_mass_still_yields_a_valid_plan() {
         let stats = segment_stats(&[vec![0.0, 0.0], vec![0.0, 0.0]]);
-        let plan = AdaptivePlanner.plan(&stats, &[0.0, 0.0], None, Objective::Maximize);
+        let plan = CostModel::plan(&stats, &[0.0, 0.0], None, Objective::Maximize);
         assert!(plan.is_valid(2));
         // no key mass: the whole scan is one warmup block
         assert_eq!(plan.schedule, BlockSchedule::WarmupThenFixed { warmup: 2, m: 4 });
@@ -156,8 +115,5 @@ mod tests {
     fn stats_driven_classification() {
         assert!(!PlannerKind::Uniform.is_stats_driven());
         assert!(PlannerKind::Adaptive.is_stats_driven());
-        assert!(PlannerKind::Feedback.is_stats_driven());
-        assert!(PlannerKind::Feedback.uses_feedback());
-        assert!(!PlannerKind::Adaptive.uses_feedback());
     }
 }

@@ -547,7 +547,7 @@ mod tests {
         let q = engine.table().row(3).unwrap();
         let spec = QuerySpec::new(q.clone(), 2)
             .rule(RuleKind::EuclideanEv)
-            .planner(PlannerKind::Feedback)
+            .planner(PlannerKind::Adaptive)
             .priority(Priority::Interactive);
         let answer = server.submit(spec.clone()).unwrap().wait().unwrap();
         assert_eq!(answer.hits, engine.search_spec(&spec).unwrap().hits);

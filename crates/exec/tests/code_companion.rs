@@ -37,14 +37,14 @@ fn cold_engine(threads: usize) -> Engine {
     Engine::builder(table)
         .partitions(PARTITIONS)
         .threads(threads)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .rule(RuleKind::EuclideanEv)
         .build()
         .unwrap()
 }
 
 /// [`cold_engine`] after two rounds of quantized-filter traffic: every
-/// segment is past `CostModel::min_warm_searches` with an observed filter
+/// segment is past `CostModel::MIN_WARM_SEARCHES` with an observed filter
 /// selectivity of at most 10 %.
 fn warmed_engine(threads: usize) -> Engine {
     let engine = cold_engine(threads);
@@ -53,9 +53,8 @@ fn warmed_engine(threads: usize) -> Engine {
         let warming = queries.iter().cloned().map(filter_spec).collect();
         engine.execute(&RequestBatch::from_specs(warming)).unwrap();
     }
-    let min_warm = engine.cost_model().min_warm_searches;
     for seg in &engine.feedback_snapshot().segments {
-        assert!(seg.is_warm(min_warm), "precondition: warm feedback");
+        assert!(seg.is_warm(CostModel::MIN_WARM_SEARCHES), "precondition: warm feedback");
         assert!(seg.filter_selectivity().is_some_and(|s| s <= 0.1), "precondition: tight filter");
     }
     engine
@@ -129,13 +128,10 @@ fn feedback_does_not_change_filter_work() {
     let warm = warmed_engine(1);
     let cold = cold_engine(1);
     for q in sample_queries(warm.table(), 6, 555) {
-        // The progressive sweep follows the plan's dimension order, and a
-        // warm `Feedback` plan reorders dimensions — but only *within* the
-        // sweep's pruning blocks here (all `DIMS` = 8 columns are one
-        // block), so warm and cold engines read the same cells, keep the
-        // same rows, and visit segments in the same order: what feedback
-        // learns still never changes which code companion is swept or how
-        // much of it.
+        // Plans and visit orders read no feedback, so warm and cold
+        // engines read the same cells, keep the same rows, and visit
+        // segments in the same order: what the feedback store observes
+        // never changes which code companion is swept or how much of it.
         let on_warm = warm.search_spec(&filter_spec(q.clone())).unwrap();
         let on_cold = cold.search_spec(&filter_spec(q)).unwrap();
         assert!(on_warm.quant_refine_rows() > 0);

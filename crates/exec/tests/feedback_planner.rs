@@ -1,13 +1,12 @@
-//! The feedback planner's contract: learned plans may change *work*, never
-//! *answers*. `PlannerKind::Feedback` must return the sequential
-//! reference's k-NN set and ranks for every rule, any partition count and
-//! any k — both cold (where it falls back to the adaptive derivation) and
-//! after warming on a hundred queries (where orders and warmups have moved
-//! to the learned values). On clustered, cluster-major data — the regime
-//! where a-priori moments mislead — the warmed planner must also do
-//! measurably *less* scanned-row work than the a-priori adaptive planner.
+//! The stats-driven planner and the feedback store: what `Adaptive` plans
+//! and in which order it visits segments may change *work*, never
+//! *answers*; what the feedback store observes changes *estimates* only.
+//! On clustered, cluster-major data `PlannerKind::Adaptive` visits the
+//! query's own neighbourhood first, a mixed-planner batch answers every
+//! spec rank-correctly, and warm cost estimates reflect observed skips.
 
-use bond_datagen::{sample_queries, ClusteredConfig};
+use bond::metrics::{DecomposableMetric, SquaredEuclidean};
+use bond_datagen::{sample_query_rows, ClusteredConfig};
 use bond_exec::{Engine, PlannerKind, QuerySpec, RequestBatch, RuleKind};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -15,8 +14,6 @@ use vdstore::topk::Scored;
 use vdstore::DecomposedTable;
 
 const DIMS: usize = 8;
-const PARTITIONS: [usize; 4] = [1, 2, 3, 7];
-const WARMING_QUERIES: usize = 100;
 
 /// Random normalized histograms, each duplicated once so the merge's
 /// deterministic tie-breaking is exercised on every query.
@@ -41,9 +38,9 @@ fn duplicated_collection() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
 
 /// Same k-NN set *and ranks*; scores equal up to floating-point summation
 /// order.
-fn assert_rank_correct(feedback: &[Scored], reference: &[Scored], context: &str) {
-    assert_eq!(feedback.len(), reference.len(), "{context}: hit counts differ");
-    for (i, (a, r)) in feedback.iter().zip(reference).enumerate() {
+fn assert_rank_correct(hits: &[Scored], reference: &[Scored], context: &str) {
+    assert_eq!(hits.len(), reference.len(), "{context}: hit counts differ");
+    for (i, (a, r)) in hits.iter().zip(reference).enumerate() {
         assert_eq!(a.row, r.row, "{context}: rank {i} row diverges");
         assert!(
             (a.score - r.score).abs() <= 1e-9 * r.score.abs().max(1.0),
@@ -54,71 +51,8 @@ fn assert_rank_correct(feedback: &[Scored], reference: &[Scored], context: &str)
     }
 }
 
-/// Runs `WARMING_QUERIES` feedback-planned queries drawn from the
-/// collection itself, folding their traces into the engine's store.
-fn warm(engine: &Engine, vectors: &[Vec<f64>], k: usize) {
-    let specs: Vec<QuerySpec> = (0..WARMING_QUERIES)
-        .map(|i| {
-            QuerySpec::new(vectors[(i * 13) % vectors.len()].clone(), k)
-                .planner(PlannerKind::Feedback)
-        })
-        .collect();
-    engine.execute(&RequestBatch::from_specs(specs)).expect("warming batch executes");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn feedback_plans_stay_rank_correct_cold_and_warm_for_every_rule(
-        (vectors, qi) in duplicated_collection(),
-    ) {
-        let table = Arc::new(DecomposedTable::from_vectors("feedback", &vectors).unwrap());
-        let query = vectors[qi % vectors.len()].clone();
-        let n = table.rows();
-        for rule in RuleKind::ALL {
-            for partitions in PARTITIONS {
-                let engine = Engine::builder(table.clone())
-                    .partitions(partitions)
-                    .threads(3)
-                    .rule(rule.clone())
-                    .planner(PlannerKind::Feedback)
-                    .build()
-                    .unwrap();
-                prop_assert_eq!(engine.feedback_snapshot().total_searches(), 0);
-                for k in [1, 10.min(n), n] {
-                    // cold: the feedback planner falls back to the
-                    // adaptive derivation and must already be rank-correct
-                    let spec = QuerySpec::new(query.clone(), k);
-                    let cold = engine.search_spec(&spec).unwrap();
-                    let reference = engine.sequential_reference_spec(&spec).unwrap();
-                    let context = format!(
-                        "cold rule {} partitions {partitions} k {k} rows {n}",
-                        rule.name()
-                    );
-                    assert_rank_correct(&cold.hits, &reference, &context);
-                }
-                // warm the store with 100 feedback queries …
-                warm(&engine, &vectors, 5.min(n));
-                prop_assert!(
-                    engine.feedback_snapshot().total_searches()
-                        + engine.feedback_snapshot().total_skips() > 0,
-                    "warming must fold observations into the store"
-                );
-                // … and the learned plans must still be rank-correct
-                for k in [1, 10.min(n), n] {
-                    let spec = QuerySpec::new(query.clone(), k);
-                    let warm_outcome = engine.search_spec(&spec).unwrap();
-                    let reference = engine.sequential_reference_spec(&spec).unwrap();
-                    let context = format!(
-                        "warm rule {} partitions {partitions} k {k} rows {n}",
-                        rule.name()
-                    );
-                    assert_rank_correct(&warm_outcome.hits, &reference, &context);
-                }
-            }
-        }
-    }
 
     #[test]
     fn mixed_planner_batches_answer_each_spec_on_its_own_terms(
@@ -133,11 +67,8 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let planner = match i % 3 {
-                    0 => PlannerKind::Uniform,
-                    1 => PlannerKind::Adaptive,
-                    _ => PlannerKind::Feedback,
-                };
+                let planner =
+                    if i % 2 == 0 { PlannerKind::Uniform } else { PlannerKind::Adaptive };
                 QuerySpec::new(q.clone(), k).planner(planner)
             })
             .collect();
@@ -149,14 +80,15 @@ proptest! {
     }
 }
 
-/// The clustered, cluster-major workload the ISSUE names: contiguous row
-/// segments cover few clusters each, so observed prune behaviour is a
-/// sharper signal than a-priori moments. A feedback engine warmed on 100
-/// queries must scan strictly fewer `(candidate, dimension)` cells than
-/// the a-priori adaptive planner on the same evaluation batch — while
-/// every answer stays rank-correct.
+/// On clustered, cluster-major data each contiguous segment covers a few
+/// clusters, so a segment's zone-map envelope says how near it can be. An
+/// `Adaptive` query visits segments most-promising-first even when it scans
+/// exactly: EXPLAIN renders the visit order sorted by each segment's best
+/// envelope distance to the query (ties on the segment index), which
+/// starts at a segment that can hold the query itself, and every answer
+/// stays rank-correct.
 #[test]
-fn warmed_feedback_beats_adaptive_on_cluster_major_data() {
+fn adaptive_visits_cluster_major_segments_nearest_first() {
     let rows = 8_000;
     let dims = 16;
     let k = 10;
@@ -166,53 +98,49 @@ fn warmed_feedback_beats_adaptive_on_cluster_major_data() {
             .with_cluster_major(true)
             .generate(),
     );
-    let eval_queries = sample_queries(&table, 12, 4321);
-    let eval = RequestBatch::from_queries(eval_queries.clone(), k);
+    let engine = Engine::builder(table.clone())
+        .partitions(partitions)
+        .threads(1)
+        .rule(RuleKind::EuclideanEv)
+        .planner(PlannerKind::Adaptive)
+        .build()
+        .unwrap();
+    let row_order: Vec<usize> = (0..partitions).collect();
+    let query_rows = sample_query_rows(&table, 12, 4321);
+    let eval_queries: Vec<Vec<f64>> = query_rows.iter().map(|&r| table.row(r).unwrap()).collect();
+    let mut reordered = 0;
+    for (&row, q) in query_rows.iter().zip(&eval_queries) {
+        let explain = engine.explain(&QuerySpec::new(q.clone(), k)).unwrap();
+        let promise: Vec<f64> = engine
+            .segment_stats()
+            .iter()
+            .map(|stats| {
+                let (mins, maxs) = stats.envelope().expect("no segment is empty");
+                SquaredEuclidean.envelope_best_score(q, &mins, &maxs)
+            })
+            .collect();
+        let mut nearest_first = row_order.clone();
+        nearest_first.sort_by(|&a, &b| promise[a].total_cmp(&promise[b]).then(a.cmp(&b)));
+        assert_eq!(explain.visit_order, nearest_first, "segments visit nearest-envelope first");
+        // the query's own row is at distance 0, so its segment is among
+        // the leaders and the first visited one can hold the query too
+        let own = engine.segment_specs().iter().position(|s| s.range().contains(&(row as usize)));
+        assert_eq!(promise[own.unwrap()], 0.0);
+        assert_eq!(promise[explain.visit_order[0]], 0.0);
+        reordered += usize::from(explain.visit_order != row_order);
+    }
+    assert!(reordered > 0, "no query left row order: the visit order never applied");
 
-    let build = |planner: PlannerKind| {
-        Engine::builder(table.clone())
-            .partitions(partitions)
-            .threads(1) // deterministic task order isolates plan quality
-            .rule(RuleKind::EuclideanEv)
-            .planner(planner)
-            .build()
-            .unwrap()
-    };
-
-    let adaptive = build(PlannerKind::Adaptive);
-    let adaptive_outcome = adaptive.execute(&eval).unwrap();
-    let adaptive_work: u64 =
-        adaptive_outcome.queries.iter().map(|q| q.contributions_evaluated()).sum();
-
-    let feedback = build(PlannerKind::Feedback);
-    let warming = RequestBatch::from_queries(sample_queries(&table, 100, 99), k);
-    feedback.execute(&warming).unwrap();
-    let snapshot = feedback.feedback_snapshot();
-    assert!(snapshot.total_searches() > 0, "warming folded nothing");
-
-    let feedback_outcome = feedback.execute(&eval).unwrap();
-    let feedback_work: u64 =
-        feedback_outcome.queries.iter().map(|q| q.contributions_evaluated()).sum();
-
-    assert!(
-        feedback_work < adaptive_work,
-        "warmed feedback must scan strictly less than a-priori adaptive: {feedback_work} vs \
-         {adaptive_work}"
-    );
-
-    // work went down; answers did not change
-    for (q, merged) in eval_queries.iter().zip(&feedback_outcome.queries) {
-        let reference = feedback.sequential_reference(q, k).unwrap();
-        assert_eq!(merged.hits.len(), reference.len());
-        for (a, r) in merged.hits.iter().zip(&reference) {
-            assert_eq!(a.row, r.row, "feedback planning changed an answer");
-        }
+    let outcome = engine.execute(&RequestBatch::from_queries(eval_queries.clone(), k)).unwrap();
+    for (q, merged) in eval_queries.iter().zip(&outcome.queries) {
+        let reference = engine.sequential_reference(q, k).unwrap();
+        assert_rank_correct(&merged.hits, &reference, "visit-ordered adaptive search");
     }
 }
 
 /// Warm estimates reflect what was observed: a segment the zone map keeps
 /// skipping prices lower than it did cold, and uniform planning (which
-/// never skips) prices at least as high as feedback planning.
+/// never skips) prices at least as high as adaptive planning.
 #[test]
 fn cost_estimates_learn_from_feedback() {
     let mut vectors = Vec::new();
@@ -227,7 +155,7 @@ fn cost_estimates_learn_from_feedback() {
         .partitions(2)
         .threads(1)
         .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .build()
         .unwrap();
 

@@ -1,8 +1,8 @@
 //! End-to-end observability invariants: EXPLAIN renders exactly the plan
 //! execution runs, ANALYZE's scanned-cell accounting is the summed
 //! [`bond::PruneTrace`] work counters, disabled tracing is bit-invisible
-//! to query results, the warmed feedback planner's cost estimates stay
-//! loosely calibrated, and a warmed run populates the metrics registry.
+//! to query results, warmed cost estimates stay loosely calibrated, and a
+//! warmed run populates the metrics registry.
 
 use std::sync::Arc;
 
@@ -29,8 +29,8 @@ fn table(rows: usize, dims: usize) -> DecomposedTable {
     DecomposedTable::from_vectors("obs", &vectors).unwrap()
 }
 
-/// A cluster-major clustered table where warmed feedback planning skips
-/// whole segments — the same shape `bench_feedback` runs on.
+/// A cluster-major clustered table where adaptive planning skips whole
+/// segments — a smaller copy of the shape `bench_adaptive` runs on.
 fn clustered_table(rows: usize) -> Arc<DecomposedTable> {
     Arc::new(
         ClusteredConfig { clusters: 16, ..ClusteredConfig::small(rows, 16, 0.0) }
@@ -48,7 +48,7 @@ fn clustered_table(rows: usize) -> Arc<DecomposedTable> {
 fn explain_matches_execution_for_every_planner_and_partitioning() {
     let table = Arc::new(table(210, DIMS));
     let queries: Vec<Vec<f64>> = (0u32..3).map(|i| table.row(i * 67).unwrap()).collect();
-    for planner in [PlannerKind::Uniform, PlannerKind::Adaptive, PlannerKind::Feedback] {
+    for planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
         for partitions in PARTITIONS {
             let engine = Engine::builder(table.clone())
                 .partitions(partitions)
@@ -57,20 +57,8 @@ fn explain_matches_execution_for_every_planner_and_partitioning() {
                 .planner(planner)
                 .build()
                 .unwrap();
-            if planner == PlannerKind::Feedback {
-                // exercise the warm derivation path too, not just cold
-                let warming = RequestBatch::from_queries(
-                    (0u32..40)
-                        .map(|i| table.row((i * 11) % table.rows() as u32).unwrap())
-                        .collect(),
-                    5,
-                );
-                engine.execute(&warming).unwrap();
-            }
             for query in &queries {
                 let spec = QuerySpec::new(query.clone(), 5);
-                // explain immediately before executing: the feedback
-                // snapshot both read is the same
                 let explain = engine.explain(&spec).unwrap();
                 let outcome = engine.search_spec(&spec).unwrap();
                 let analysis = outcome.analyze(&explain);
@@ -141,7 +129,7 @@ fn disabled_tracing_is_bit_identical_to_enabled() {
     }
 }
 
-/// On clustered data, a warmed feedback planner's cost estimate must land
+/// On clustered data, an adaptive engine's warmed cost estimate must land
 /// within a loose constant factor of the cells actually scanned, and the
 /// engine must have folded its per-query calibration error into the
 /// `planner.cost.abs_rel_error` histogram.
@@ -152,7 +140,7 @@ fn warmed_cost_estimates_are_loosely_calibrated() {
         .partitions(8)
         .threads(1)
         .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .build()
         .unwrap();
     let warming = RequestBatch::from_queries(sample_queries(&table, 80, 99), 10);
@@ -183,10 +171,9 @@ fn warmed_cost_estimates_are_loosely_calibrated() {
     assert!(errors.count > 0, "no calibration errors recorded");
 }
 
-/// The acceptance check from the issue: after warming a feedback-planned
-/// engine on cluster-major data, the registry reports non-zero
-/// `engine.segment.skipped` and `planner.feedback.warm_segments`, and the
-/// rendered exports carry the numbers.
+/// After warming an adaptive engine's feedback store on cluster-major data,
+/// the registry reports non-zero `engine.segment.skipped` and code-sweep
+/// counters, and the rendered exports carry the numbers.
 #[test]
 fn warmed_feedback_run_populates_the_registry() {
     let table = clustered_table(4_000);
@@ -194,7 +181,7 @@ fn warmed_feedback_run_populates_the_registry() {
         .partitions(8)
         .threads(2)
         .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .build()
         .unwrap();
     let warming = RequestBatch::from_queries(sample_queries(&table, 100, 99), 10);
@@ -214,10 +201,6 @@ fn warmed_feedback_run_populates_the_registry() {
         metrics.counter_value("engine.segment.skipped").unwrap() > 0,
         "warmed clustered run must skip whole segments"
     );
-    assert!(
-        metrics.gauge_value("planner.feedback.warm_segments").unwrap() > 0,
-        "warm-segment gauge never rose"
-    );
     assert!(metrics.counter_value("engine.rule.Ev.searches").unwrap() > 0);
     assert!(
         metrics.counter_value("engine.quant.filter_cells").unwrap() > 0,
@@ -235,6 +218,5 @@ fn warmed_feedback_run_populates_the_registry() {
     assert!(text.contains("engine_quant_filter_cells"), "text export missing filter counter");
     let json = metrics.render_json();
     assert!(json.contains("\"engine.segment.skipped\":"), "json export missing skip counter");
-    assert!(json.contains("\"planner.feedback.warm_segments\":"));
     assert!(json.contains("\"engine.quant.filter_cells\":"));
 }

@@ -350,7 +350,7 @@ fn repartitioning_a_reopened_store_recomputes_consistently() {
 
 /// Learned feedback state persists alongside the store footer: a warmed
 /// engine's snapshot survives the process boundary bit for bit, and the
-/// reopened engine's `Feedback` planner starts warm — while repartitioning
+/// reopened engine's cost estimates start warm — while repartitioning
 /// (which invalidates per-segment learning) starts cold again.
 #[test]
 fn warmed_feedback_state_survives_persist_and_reopen() {
@@ -360,7 +360,7 @@ fn warmed_feedback_state_survives_persist_and_reopen() {
         .partitions(4)
         .threads(2)
         .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .build()
         .unwrap();
 
@@ -377,7 +377,7 @@ fn warmed_feedback_state_survives_persist_and_reopen() {
             .unwrap()
             .threads(2)
             .rule(RuleKind::EuclideanEv)
-            .planner(PlannerKind::Feedback)
+            .planner(PlannerKind::Adaptive)
             .build()
             .unwrap();
         assert_eq!(
@@ -416,7 +416,7 @@ fn corrupt_learned_state_is_a_typed_build_error() {
     // locate the learned payload (it starts with the feedback magic) and
     // flip a byte in it
     let bytes = std::fs::read(&path).unwrap();
-    let magic = b"BONDFB01";
+    let magic = b"BONDFB02";
     let pos = bytes.windows(magic.len()).rposition(|w| w == magic).expect("payload present");
     let mut corrupted = bytes.clone();
     corrupted[pos] = b'X';
@@ -440,6 +440,76 @@ fn corrupt_learned_state_is_a_typed_build_error() {
         .unwrap()
         .build()
         .expect_err("corrupt learned state must fail the build");
+    assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A store whose learned state an earlier writer laid out as `BONDFB01` —
+/// the seven counters of every segment followed by one prune credit per
+/// dimension — reopens with its counters restored and its credits dropped;
+/// a `BONDFB01` payload whose length disagrees with its header fails the
+/// build with a typed error.
+#[test]
+fn v1_learned_state_reopens_with_its_counters_restored() {
+    let t = table(240, DIMS);
+    let path = temp_store("feedback_v1");
+    let engine = Engine::builder(t).partitions(4).threads(1).build().unwrap();
+    let warming: Vec<QuerySpec> =
+        (0..20).map(|i| QuerySpec::new(engine.table().row(i * 11).unwrap(), 5)).collect();
+    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
+    let warmed = engine.feedback_snapshot();
+    assert!(warmed.total_searches() > 0);
+
+    let v1 = |credits_per_segment: usize| {
+        let mut payload = b"BONDFB01".to_vec();
+        payload.extend_from_slice(&(DIMS as u32).to_le_bytes());
+        payload.extend_from_slice(&(warmed.segments.len() as u32).to_le_bytes());
+        for s in &warmed.segments {
+            for v in [
+                s.searches,
+                s.skips,
+                s.misses,
+                s.warmup_sum,
+                s.warmup_count,
+                s.survival_sum,
+                s.contributions,
+            ] {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            for d in 0..credits_per_segment as u64 {
+                payload.extend_from_slice(&(d * 1000).to_le_bytes());
+            }
+        }
+        payload
+    };
+    let save = |payload: &[u8]| {
+        let (table, specs, stats) =
+            (engine.table(), engine.segment_specs(), engine.segment_stats());
+        vdstore::persist::save_store(table, specs, stats, Some(payload), &path).unwrap();
+    };
+
+    save(&v1(DIMS));
+    let reopened = EngineBuilder::open_with(&path, StorageBackend::Heap).unwrap().build().unwrap();
+    let restored = reopened.feedback_snapshot();
+    assert_eq!(restored.segments.len(), warmed.segments.len());
+    for (got, want) in restored.segments.iter().zip(&warmed.segments) {
+        // the in-memory-only code-sweep counters never reached the payload
+        let scalar = bond::SegmentFeedbackSnapshot {
+            filter_cells: 0,
+            filter_rows: 0,
+            refine_rows: 0,
+            ..want.clone()
+        };
+        assert_eq!(*got, scalar);
+    }
+    let q = reopened.table().row(17).unwrap();
+    assert_eq!(reopened.search(&q, 5).unwrap().hits, engine.search(&q, 5).unwrap().hits);
+
+    save(&v1(DIMS - 1));
+    let err = EngineBuilder::open_with(&path, StorageBackend::Heap)
+        .unwrap()
+        .build()
+        .expect_err("a short BONDFB01 record must fail the build");
     assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{err}");
     std::fs::remove_file(&path).unwrap();
 }

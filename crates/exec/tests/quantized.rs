@@ -68,9 +68,9 @@ fn quantized_filter_is_bit_identical_for_every_rule_and_partitioning() {
 }
 
 #[test]
-fn quantized_filter_composes_with_adaptive_and_feedback_planning() {
+fn quantized_filter_composes_with_every_planner_and_feedback() {
     let t = table(360, DIMS);
-    for planner in [PlannerKind::Adaptive, PlannerKind::Feedback] {
+    for planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
         let engine = Engine::builder(t.clone())
             .partitions(4)
             .threads(2)
@@ -110,7 +110,7 @@ fn quantized_filter_composes_with_adaptive_and_feedback_planning() {
 fn observed_selectivity_discounts_the_quantized_cost_estimate() {
     let t = table(300, DIMS);
     let engine =
-        Engine::builder(t).partitions(2).threads(1).planner(PlannerKind::Feedback).build().unwrap();
+        Engine::builder(t).partitions(2).threads(1).planner(PlannerKind::Adaptive).build().unwrap();
     let q = engine.table().row(150).unwrap();
     let spec = QuerySpec::new(q.clone(), 5).scan_mode(ScanMode::QuantizedFilter);
     let cold = engine.estimate_cost(&spec);

@@ -47,8 +47,6 @@ pub const ENGINE_CODES_BUILDS: &str = "engine.codes.builds";
 
 // --- planner metrics -----------------------------------------------------
 
-/// Gauge: segments planned from observed traces last batch.
-pub const PLANNER_FEEDBACK_WARM_SEGMENTS: &str = "planner.feedback.warm_segments";
 /// Histogram: per-query |estimate − scanned| / scanned, in percent.
 pub const PLANNER_COST_ABS_REL_ERROR: &str = "planner.cost.abs_rel_error";
 
@@ -119,7 +117,6 @@ pub const ALL: &[&str] = &[
     ENGINE_KERNEL_AVX2_SWEEPS,
     ENGINE_KERNEL_NEON_SWEEPS,
     ENGINE_CODES_BUILDS,
-    PLANNER_FEEDBACK_WARM_SEGMENTS,
     PLANNER_COST_ABS_REL_ERROR,
     STORE_OPEN_COLD_US,
     STORE_PERSIST_US,

@@ -6,11 +6,11 @@
 //! cargo run --release --example observability
 //! ```
 //!
-//! Builds a clustered, cluster-major collection (the regime where warmed
-//! feedback planning skips whole segments), warms a
-//! `PlannerKind::Feedback` engine, then walks the full observability
-//! surface: `Engine::explain` renders the per-segment plans the cost
-//! model chose *without executing*; `QueryOutcome::analyze` joins that
+//! Builds a clustered, cluster-major collection (the regime where adaptive
+//! planning skips whole segments), warms a `PlannerKind::Adaptive`
+//! engine's feedback store, then walks the full observability surface:
+//! `Engine::explain` renders the per-segment plans and the visit order the
+//! cost model chose *without executing*; `QueryOutcome::analyze` joins that
 //! rendered plan with the executed `PruneTrace` (estimated vs. scanned
 //! cells, prune depth, skip status, plan match); the span ring buffer
 //! shows where the batch's wall time went; and
@@ -37,7 +37,7 @@ fn main() {
         .partitions(8)
         .threads(2)
         .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Feedback)
+        .planner(PlannerKind::Adaptive)
         .build()
         .expect("valid engine configuration");
     println!(
@@ -48,8 +48,8 @@ fn main() {
 
     // 2. Turn the span subscriber on (a single atomic flag; while it is
     //    off — the default — every instrumented stage costs one relaxed
-    //    load) and warm the feedback planner so its plans come from
-    //    observed prune traces rather than a-priori moments.
+    //    load) and warm the feedback store so the cost estimates come from
+    //    observed prune traces rather than the full-work prior.
     span::set_enabled(true);
     let warming = RequestBatch::from_queries(sample_queries(&table, 100, 99), k);
     engine.execute(&warming).expect("warming batch executes");
@@ -59,10 +59,10 @@ fn main() {
         engine.feedback_snapshot().total_searches(),
     );
 
-    // 3. EXPLAIN: render the plan the engine *would* run — visit order,
-    //    per-segment dimension ordering, block schedule, provenance
-    //    (a-priori vs. warm feedback), envelope bound, estimated cells —
-    //    without executing anything.
+    // 3. EXPLAIN: render the plan the engine *would* run — visit order
+    //    (nearest envelope first), per-segment dimension ordering, block
+    //    schedule, provenance, envelope bound, estimated cells — without
+    //    executing anything.
     let spec = QuerySpec::new(sample_queries(&table, 1, 4321).remove(0), k);
     let explain = engine.explain(&spec).expect("explainable query");
     println!("\n{explain}");

@@ -18,9 +18,8 @@ pub use bond_relalg as relalg;
 pub use vdstore;
 
 pub use bond_exec::{
-    AdaptivePlanner, CostModel, Engine, EngineBuilder, FeedbackSnapshot, PlannerKind, Priority,
-    QuerySpec, RequestBatch, RuleKind, ScanMode, SegmentFeedbackSnapshot, Server, ServerBuilder,
-    Ticket,
+    CostModel, Engine, EngineBuilder, FeedbackSnapshot, PlannerKind, Priority, QuerySpec,
+    RequestBatch, RuleKind, ScanMode, SegmentFeedbackSnapshot, Server, ServerBuilder, Ticket,
 };
 
 pub use bond_exec::{
