@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Output goes to stdout, one plain-text table per artifact (see
-//! `bond_bench::report`). Unknown ids print a message to stderr and are
-//! skipped.
+//! `bond_bench::report`). An unknown id prints a message to stderr and
+//! exits with status 2; an experiment that reports an error exits with
+//! status 1.
 
 use bond_bench::{ablation, figures, multifeature, report, tables, ExperimentScale};
 
@@ -123,7 +124,13 @@ fn run(id: &str, scale: ExperimentScale) {
                 &figures::fig11(scale)
             )
         ),
-        "sec82" => print!("{}", report::render_multifeature(&multifeature::sec82(scale))),
+        "sec82" => match multifeature::sec82(scale) {
+            Ok(results) => print!("{}", report::render_multifeature(&results)),
+            Err(e) => {
+                eprintln!("sec82 failed: {e}");
+                std::process::exit(1);
+            }
+        },
         "ablation_m" => print!(
             "{}",
             report::render_ablation("Ablation: block size m", &ablation::ablation_m(scale))
@@ -166,7 +173,7 @@ fn run(id: &str, scale: ExperimentScale) {
         }
         other => {
             eprintln!("unknown experiment id: {other}");
-            return;
+            std::process::exit(2);
         }
     }
     println!("({id} finished in {:.1} s)\n", start.elapsed().as_secs_f64());

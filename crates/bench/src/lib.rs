@@ -8,7 +8,7 @@
 //!   4–11): every function returns the plotted series as plain data;
 //! * [`tables`] — regenerates the worked example (Table 2) and the response
 //!   time tables (Tables 3 and 4);
-//! * [`multifeature`] — the synchronized-search vs. stream-merging
+//! * [`multifeature`] — the synchronized-search vs. engine vs. stream-merging
 //!   experiment of Section 8.2;
 //! * [`ablation`] — ablations of BOND's own design choices (block size `m`,
 //!   bitmap-to-list switch point, Hh bookkeeping);

@@ -119,22 +119,32 @@ pub fn render_table4(table: &Table4) -> String {
 /// Renders the Section 8.2 comparison.
 pub fn render_multifeature(results: &[MultiFeatureComparison]) -> String {
     let mut out = String::new();
+    let flag = |ok: bool| if ok { "yes" } else { "NO" };
     out.push_str("== Section 8.2: synchronized BOND vs. stream merging ==\n");
     out.push_str(&format!(
-        "{:<10} {:>16} {:>16} {:>10} {:>14} {:>8}\n",
-        "aggregate", "synchronized ms", "stream-merge ms", "speedup", "stream depth", "agree"
+        "{:<10} {:>16} {:>10} {:>16} {:>10} {:>14} {:>8} {:>14}\n",
+        "aggregate",
+        "synchronized ms",
+        "engine ms",
+        "stream-merge ms",
+        "speedup",
+        "stream depth",
+        "agree",
+        "engine agrees"
     ));
     for r in results {
         let speedup =
             if r.synchronized_ms > 0.0 { r.stream_merge_ms / r.synchronized_ms } else { f64::NAN };
         out.push_str(&format!(
-            "{:<10} {:>16.3} {:>16.3} {:>9.2}x {:>14} {:>8}\n",
+            "{:<10} {:>16.3} {:>10.3} {:>16.3} {:>9.2}x {:>14} {:>8} {:>14}\n",
             r.aggregate,
             r.synchronized_ms,
+            r.engine_ms,
             r.stream_merge_ms,
             speedup,
             r.optimal_stream_depth,
-            if r.results_agree { "yes" } else { "NO" }
+            flag(r.results_agree),
+            flag(r.engine_agrees)
         ));
     }
     out
@@ -214,10 +224,15 @@ mod tests {
         let text = render_multifeature(&[MultiFeatureComparison {
             aggregate: "average".to_string(),
             synchronized_ms: 1.0,
+            engine_ms: 0.8,
             stream_merge_ms: 1.5,
             optimal_stream_depth: 40,
             results_agree: true,
+            engine_agrees: false,
         }]);
         assert!(text.contains("1.50x"));
+        assert!(text.contains("engine ms") && text.contains("0.800"));
+        let row: Vec<&str> = text.lines().last().unwrap().split_whitespace().collect();
+        assert_eq!(row[row.len() - 2..], ["yes", "NO"]);
     }
 }

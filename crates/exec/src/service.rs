@@ -55,11 +55,13 @@
 //! assert_eq!(answer.hits.len(), 3);
 //! ```
 
-use crate::batch::{QueryOutcome, QuerySpec, RequestBatch};
+use crate::batch::{BatchOutcome, QueryOutcome, QuerySpec, RequestBatch};
 use crate::engine::Engine;
 use bond::{BondError, Result};
 use bond_obs::{names, span, Counter, Gauge, Histogram, MetricsRegistry, Span};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -260,6 +262,16 @@ impl ServerBuilder {
     /// [`BondError::InvalidParams`] when `max_batch` is zero or `max_cost`
     /// is NaN or non-positive.
     pub fn build(self) -> Result<Server> {
+        self.build_with(Engine::execute)
+    }
+
+    /// [`ServerBuilder::build`] with the worker's per-batch execute step
+    /// supplied by the caller — the engine pass in production, a fault
+    /// injector in tests.
+    fn build_with(
+        self,
+        execute: impl FnMut(&Engine, &RequestBatch) -> Result<BatchOutcome> + Send + 'static,
+    ) -> Result<Server> {
         if self.max_batch == 0 {
             return Err(BondError::InvalidParams("max_batch must be non-zero".into()));
         }
@@ -278,7 +290,7 @@ impl ServerBuilder {
             let engine = self.engine.clone();
             let shared = Arc::clone(&shared);
             let (max_batch, max_cost) = (self.max_batch, self.max_cost);
-            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch, max_cost))
+            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch, max_cost, execute))
         };
         Ok(Server { engine: self.engine, shared, worker: Some(worker) })
     }
@@ -432,8 +444,17 @@ impl Drop for Server {
 
 /// The worker: wait for requests, drain a priority-ordered, cost-bounded
 /// batch, execute it as one engine pass, route each answer to its
-/// submitter.
-fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64) {
+/// submitter. A pass that panics fails its own batch with
+/// [`BondError::ServiceUnavailable`] and the worker keeps serving: were the
+/// panic to unwind the worker, every request queued behind it would wait
+/// forever while `submit` kept admitting more.
+fn worker_loop(
+    engine: &Engine,
+    shared: &Shared,
+    max_batch: usize,
+    max_cost: f64,
+    mut execute: impl FnMut(&Engine, &RequestBatch) -> Result<BatchOutcome>,
+) {
     loop {
         let drained: Vec<Pending> = {
             let mut state = shared.state.lock().expect("queue mutex never poisoned");
@@ -464,7 +485,13 @@ fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64
             drained.into_iter().map(|p| (p.spec, p.tx)).unzip();
         let batch = RequestBatch::from_specs(specs);
         let exec_span = Span::begin(names::SPAN_SERVICE_EXECUTE).detail(batch.len() as u64);
-        let result = engine.execute(&batch);
+        let result =
+            catch_unwind(AssertUnwindSafe(|| execute(engine, &batch))).unwrap_or_else(|payload| {
+                Err(BondError::ServiceUnavailable(format!(
+                    "engine pass panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            });
         drop(exec_span);
         // Counters tick *before* each answer is routed, so a submitter that
         // has received its answer always observes itself as served.
@@ -479,7 +506,8 @@ fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64
             }
             Err(e) => {
                 // Specs were validated at admission, so this is an engine-
-                // level failure; report it to every requester in the batch.
+                // level failure (or a caught panic); report it to every
+                // requester in the batch.
                 for tx in txs {
                     shared.metrics.served.inc();
                     let _ = tx.send(Err(e.clone()));
@@ -487,6 +515,15 @@ fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64
             }
         }
     }
+}
+
+/// The text a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -583,6 +620,44 @@ mod tests {
         assert_eq!(server.queries_rejected(), 1, "post-shutdown submissions count as rejected");
         // the pre-shutdown ticket still resolves
         assert_eq!(ticket.wait().unwrap().hits.len(), 1);
+    }
+
+    /// Runs `f` on a helper thread and waits at most 30 s for it, so a hang
+    /// fails the test instead of stalling the suite.
+    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what} did not return within 30 s"))
+    }
+
+    #[test]
+    fn a_panicking_engine_pass_fails_its_batch_and_the_worker_keeps_serving() {
+        let engine = engine();
+        let mut faulted = false;
+        let server = Server::builder(engine.clone())
+            .build_with(move |engine, batch| {
+                if !std::mem::replace(&mut faulted, true) {
+                    panic!("injected engine fault");
+                }
+                engine.execute(batch)
+            })
+            .unwrap();
+        let q = engine.table().row(5).unwrap();
+        let ticket = server.submit(QuerySpec::new(q.clone(), 3)).unwrap();
+        match within("the panicking batch's ticket", move || ticket.wait()) {
+            Err(BondError::ServiceUnavailable(msg)) => {
+                assert!(msg.contains("injected engine fault"), "{msg}")
+            }
+            other => panic!("expected ServiceUnavailable, got {other:?}"),
+        }
+        let ticket = server.submit(QuerySpec::new(q.clone(), 3)).unwrap();
+        let answer = within("a later request", move || ticket.wait()).unwrap();
+        assert_eq!(answer.hits, engine.search(&q, 3).unwrap().hits);
+        assert_eq!(server.queries_served(), 2);
+        within("dropping the server", move || drop(server));
     }
 
     #[test]

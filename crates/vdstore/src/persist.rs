@@ -76,7 +76,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bitmap::Bitmap;
-use crate::checksum::{fnv1a, fnv1a_f64, fnv1a_update, FNV_OFFSET};
+use crate::checksum::{fnv1a, fnv1a_update, FNV_OFFSET};
 use crate::codes::{CodeColumn, CodeParams, StoreCodes};
 use crate::column::{Column, ColumnData};
 use crate::error::{Result, VdError};
@@ -383,25 +383,11 @@ pub fn store_to_bytes_with_codes(
     learned: Option<&[u8]>,
     codes: Option<&StoreCodes>,
 ) -> Result<Bytes> {
-    validate_store_inputs(table, specs, stats)?;
-    if let Some(codes) = codes {
-        validate_codes_inputs(table, specs, codes)?;
-    }
-    let mut buf = store_header(table);
-    let mut checksums = Vec::with_capacity(table.dims());
-    for c in table.columns() {
-        for &v in c.values() {
-            buf.put_f64_le(v);
-        }
-        checksums.push(fnv1a_f64(c.values()));
-    }
-    let footer_offset = buf.len() as u64;
-    let footer = store_footer(table, specs, stats, &checksums, learned, codes);
-    buf.put_slice(&footer);
-    buf.put_u64_le(fnv1a(&footer));
-    buf.put_u64_le(footer_offset);
-    buf.put_slice(TAIL_MAGIC_V2);
-    Ok(buf.freeze())
+    validate_write_inputs(table, specs, stats, codes)?;
+    let mut buf = Vec::with_capacity(4096 + table.rows() * table.dims() * 8);
+    write_v2(&mut buf, table, specs, stats, learned, codes)
+        .map_err(|e| VdError::Io(format!("serialising the store: {e}")))?;
+    Ok(Bytes::from(buf))
 }
 
 /// Writes the v2 store to a file, streaming the data region through a
@@ -434,15 +420,42 @@ pub fn save_store_with_codes(
 ) -> Result<PersistReport> {
     use std::io::Write;
     let started = std::time::Instant::now();
-    validate_store_inputs(table, specs, stats)?;
-    if let Some(codes) = codes {
-        validate_codes_inputs(table, specs, codes)?;
-    }
+    validate_write_inputs(table, specs, stats, codes)?;
     let io_err = |e: std::io::Error| VdError::Io(format!("writing {}: {e}", path.display()));
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut w = std::io::BufWriter::new(file);
+    let bytes_written = write_v2(&mut w, table, specs, stats, learned, codes).map_err(io_err)?;
+    w.flush().map_err(io_err)?;
+    Ok(PersistReport { bytes_written, elapsed_micros: started.elapsed().as_micros() as u64 })
+}
+
+/// Both writers' input checks: the segment layout, and the code companion
+/// when one is written.
+fn validate_write_inputs(
+    table: &DecomposedTable,
+    specs: &[SegmentSpec],
+    stats: &[SegmentStats],
+    codes: Option<&StoreCodes>,
+) -> Result<()> {
+    validate_store_inputs(table, specs, stats)?;
+    codes.map_or(Ok(()), |codes| validate_codes_inputs(table, specs, codes))
+}
+
+/// The one v2 serialiser, over any [`std::io::Write`]: header, the data
+/// region in 8 192-value chunks with each fragment's FNV-1a folded over
+/// its chunks, footer, footer checksum, footer offset and tail magic.
+/// Inputs must already have passed [`validate_write_inputs`]. Returns the
+/// bytes written.
+fn write_v2(
+    w: &mut impl std::io::Write,
+    table: &DecomposedTable,
+    specs: &[SegmentSpec],
+    stats: &[SegmentStats],
+    learned: Option<&[u8]>,
+    codes: Option<&StoreCodes>,
+) -> std::io::Result<u64> {
     let header = store_header(table);
-    w.write_all(&header).map_err(io_err)?;
+    w.write_all(&header)?;
     let mut scratch = Vec::with_capacity(8 * 8192);
     let mut checksums = Vec::with_capacity(table.dims());
     for c in table.columns() {
@@ -453,19 +466,17 @@ pub fn save_store_with_codes(
                 scratch.extend_from_slice(&v.to_le_bytes());
             }
             hash = fnv1a_update(hash, &scratch);
-            w.write_all(&scratch).map_err(io_err)?;
+            w.write_all(&scratch)?;
         }
         checksums.push(hash);
     }
     let footer_offset = (header.len() + table.rows() * table.dims() * 8) as u64;
     let footer = store_footer(table, specs, stats, &checksums, learned, codes);
-    w.write_all(&footer).map_err(io_err)?;
-    w.write_all(&fnv1a(&footer).to_le_bytes()).map_err(io_err)?;
-    w.write_all(&footer_offset.to_le_bytes()).map_err(io_err)?;
-    w.write_all(TAIL_MAGIC_V2).map_err(io_err)?;
-    w.flush().map_err(io_err)?;
-    let bytes_written = footer_offset + footer.len() as u64 + 16 + TAIL_MAGIC_V2.len() as u64;
-    Ok(PersistReport { bytes_written, elapsed_micros: started.elapsed().as_micros() as u64 })
+    w.write_all(&footer)?;
+    w.write_all(&fnv1a(&footer).to_le_bytes())?;
+    w.write_all(&footer_offset.to_le_bytes())?;
+    w.write_all(TAIL_MAGIC_V2)?;
+    Ok(footer_offset + footer.len() as u64 + 8 + TRAILER_LEN as u64)
 }
 
 /// Partitions the table, computes the per-segment statistics, and writes the
