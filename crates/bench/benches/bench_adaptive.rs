@@ -1,5 +1,6 @@
 //! Uniform vs. Adaptive planning on clustered data: batch latency and
-//! zone-map segment skipping.
+//! zone-map segment skipping (both planners run the same dimension plan,
+//! so the adaptive series differs only by its visit order and skips).
 //!
 //! ```text
 //! cargo bench -p bond-bench --bench bench_adaptive
@@ -38,8 +39,8 @@ fn main() {
 
     // Few clusters relative to the partition count: each contiguous segment
     // then covers a handful of clusters, its envelopes are narrow, and the
-    // zone-map check has something to skip — the regime per-segment plans
-    // are built for.
+    // zone-map check has something to skip — the regime adaptive planning
+    // is built for.
     let table = Arc::new(
         ClusteredConfig { clusters: 16, ..ClusteredConfig::small(rows, dims, 0.0) }
             .with_cluster_major(true)
@@ -59,7 +60,7 @@ fn main() {
     {
         let engine = Engine::builder(table.clone())
             .partitions(partitions)
-            .threads(1) // isolate plan quality + skipping from parallel speedup
+            .threads(1) // isolate skipping from parallel speedup
             .rule(RuleKind::EuclideanEv)
             .planner(planner)
             .build()

@@ -1,36 +1,25 @@
-//! The cost model: one place that turns segment knowledge into decisions.
+//! The cost model: segment knowledge turned into work estimates.
 //!
-//! Three layers used to make their own calls from their own inputs — the
-//! exec planner derived dimension orders from a-priori [`SegmentStats`], the
-//! engine's zone-map check consulted envelopes, and the service layer had no
-//! cost notion at all. [`CostModel`] unifies them: it consumes a segment's
-//! statistics *and* (when available) its accumulated
-//! [`SegmentFeedbackSnapshot`] and
-//! answers the two questions every layer asks:
+//! [`CostModel`] consumes a segment's statistics *and* (when available) its
+//! accumulated [`SegmentFeedbackSnapshot`] and answers the question every
+//! layer asks: **how expensive is this segment for one query?**
+//! [`CostModel::segment_cost`] estimates the expected number of
+//! `(candidate, dimension)` cells a search will touch, discounted by the
+//! observed warmup depth, survivor fraction and zone-map skip rate once the
+//! segment has [`CostModel::MIN_WARM_SEARCHES`] observations — the per-spec
+//! cost estimate the service layer orders and cuts batches by, and the
+//! estimate EXPLAIN renders.
 //!
-//! * **What plan should this segment run?** [`CostModel::plan`] is the
-//!   a-priori derivation from the segment's statistics. Plans read no
-//!   feedback: a scan's work is cut by the order it visits segments in,
-//!   not by re-ranking dimensions from past prunes.
-//! * **How expensive is this segment for one query?**
-//!   [`CostModel::segment_cost`] estimates the expected number of
-//!   `(candidate, dimension)` cells a search will touch, discounted by the
-//!   observed warmup depth, survivor fraction and zone-map skip rate once
-//!   the segment has [`CostModel::MIN_WARM_SEARCHES`] observations — the
-//!   per-spec cost estimate the service layer orders and cuts batches by.
-//!
-//! Any valid plan yields rank-correct answers (the engine re-verifies exact
-//! scores at merge time).
+//! The model plans nothing: every segment of a query runs the query's one
+//! plan ([`crate::SegmentPlan::uniform`]), which keeps every exact answer
+//! bit-identical to the sequential searcher.
 
 use crate::feedback::SegmentFeedbackSnapshot;
 use crate::kernels::Kernel;
-use crate::plan::SegmentPlan;
-use crate::schedule::BlockSchedule;
-use bond_metrics::Objective;
-use vdstore::{descending_nan_last, SegmentStats};
+use vdstore::SegmentStats;
 
-/// Derives per-segment plans from segment statistics, and cost estimates
-/// from those statistics and accumulated execution feedback.
+/// Derives cost estimates from segment statistics and accumulated
+/// execution feedback.
 #[derive(Debug)]
 pub struct CostModel;
 
@@ -39,80 +28,6 @@ impl CostModel {
     /// before its observed counters outrank the full-work prior in the
     /// cost estimates.
     pub const MIN_WARM_SEARCHES: u64 = 8;
-
-    /// The per-dimension a-priori ordering keys for one segment (larger =
-    /// scan earlier). For a distance metric the expected per-dimension
-    /// contribution of a segment row is exactly
-    /// `E[(v_d − q_d)²] = (μ_d − q_d)² + σ_d²`; for a similarity metric the
-    /// achievable contribution is capped at `min(q_d, max_d)`. Falls back
-    /// to the query value itself for dimensions with no statistics (empty
-    /// segments never reach the search loop).
-    pub fn apriori_keys(
-        stats: &SegmentStats,
-        query: &[f64],
-        weights: Option<&[f64]>,
-        objective: Objective,
-    ) -> Vec<f64> {
-        query
-            .iter()
-            .enumerate()
-            .map(|(d, &q)| {
-                let w = weights.map_or(1.0, |w| w[d]);
-                let key = match (&stats.per_dim[d], objective) {
-                    (Some(s), Objective::Minimize) => {
-                        let bias = s.mean - q;
-                        bias * bias + s.variance
-                    }
-                    (Some(s), Objective::Maximize) => q.min(s.max),
-                    (None, _) => q,
-                };
-                w * key
-            })
-            .collect()
-    }
-
-    /// The a-priori plan for one segment: dimensions sorted by decreasing
-    /// key (deterministic tie-break on the dimension index), and a warmup
-    /// schedule sized so the first pruning attempt happens once half of the
-    /// total key mass has been scanned. This is exactly what the adaptive
-    /// planner has always produced.
-    pub fn plan(
-        stats: &SegmentStats,
-        query: &[f64],
-        weights: Option<&[f64]>,
-        objective: Objective,
-    ) -> SegmentPlan {
-        let keys = Self::apriori_keys(stats, query, weights, objective);
-        Self::plan_from_keys(&keys)
-    }
-
-    /// Builds the plan from final ordering keys: sort by decreasing key
-    /// (tie-break on the dimension index), size the warmup to cover half
-    /// the total key mass, and prune every few dimensions afterwards.
-    fn plan_from_keys(keys: &[f64]) -> SegmentPlan {
-        let dims = keys.len();
-        let mut order: Vec<usize> = (0..dims).collect();
-        order.sort_by(|&a, &b| descending_nan_last(keys[a], keys[b]).then(a.cmp(&b)));
-
-        let total: f64 = keys.iter().sum();
-        let mut warmup = dims;
-        if total > 0.0 {
-            let mut acc = 0.0;
-            for (i, &d) in order.iter().enumerate() {
-                acc += keys[d];
-                if acc >= total * 0.5 {
-                    warmup = i + 1;
-                    break;
-                }
-            }
-        }
-        // After the warmup, prune every few dimensions: fine-grained enough
-        // to cash in a tightening κ, coarse enough to amortize the bound
-        // computation (a pruning attempt costs about as much as scanning a
-        // dimension; the paper uses m = 8 at 166 dims).
-        let m = (dims / 4).clamp(4, 16);
-        SegmentPlan::new(order, BlockSchedule::WarmupThenFixed { warmup, m })
-    }
 
     /// Estimated `(candidate, dimension)` cells one search of this segment
     /// will evaluate — the unified per-segment cost the service layer sums

@@ -50,13 +50,12 @@
 //! * [`ordering`] — dimension orderings (Section 5.1),
 //! * [`schedule`] — how many dimensions to scan between pruning attempts
 //!   (Section 5.2),
-//! * [`plan`] — [`SegmentPlan`], the resolved per-segment (order, schedule)
-//!   pair that `bond-exec`'s planners vary across partitions,
+//! * [`plan`] — [`SegmentPlan`], the resolved (order, schedule) pair every
+//!   segment of one query runs,
 //! * [`feedback`] — [`ExecFeedback`], the lock-free per-segment
 //!   accumulators that fold every query's pruning trace into observed
 //!   counters (warmups, skip hits/misses, candidate survival, code cells),
-//! * [`cost`] — [`CostModel`], the shared decision layer deriving a-priori
-//!   segment plans and per-segment cost estimates,
+//! * [`cost`] — [`CostModel`], the per-segment cost estimates,
 //! * [`weighted`] — weighted and subspace k-NN queries (Section 8.1),
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
 //! * [`quantfilter`] — BOND on 8-bit codes (Section 7.4, Figure 9 /

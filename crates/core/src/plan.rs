@@ -1,21 +1,12 @@
 //! Per-segment search plans.
 //!
-//! PR 1's engine applied one global [`DimensionOrdering`] and
-//! [`BlockSchedule`] to every partition. Real collections are appended in
-//! batches with drifting distributions, so per-segment statistics diverge —
-//! exactly the regime where the *same* query wants a *different* fragment
-//! order and pruning cadence in different row ranges. A [`SegmentPlan`] is
-//! the value-level answer: the fully resolved "what order, what cadence"
-//! decision for one `(query, segment)` pair, decoupled from engine-wide
-//! configuration. The sequential searcher derives a plan from its
-//! [`BondParams`] (the `Uniform` behaviour); planners in `bond-exec` derive
-//! one per segment from [`vdstore::SegmentStats`].
-//!
-//! Plans are safe to vary per segment because BOND's aggregates are
-//! commutative over dimensions: any permutation yields the same exact
-//! scores up to floating-point summation order. The merge story for that
-//! last caveat (re-verifying exact scores, tie-breaking on row id) lives in
-//! the engine.
+//! A [`SegmentPlan`] is the fully resolved "what order, what cadence"
+//! decision a segment search executes: a dimension permutation and a
+//! [`BlockSchedule`]. The sequential searcher derives it from its
+//! [`BondParams`]; the engine derives the same plan once per query
+//! ([`SegmentPlan::uniform`]) and hands it to every segment. One summation
+//! order for every row is what keeps the merged parallel answer
+//! bit-identical to the sequential one.
 
 use crate::ordering::DimensionOrdering;
 use crate::schedule::BlockSchedule;
@@ -49,11 +40,6 @@ impl SegmentPlan {
         }
     }
 
-    /// An explicit plan from a pre-computed order and schedule.
-    pub fn new(order: Vec<usize>, schedule: BlockSchedule) -> Self {
-        SegmentPlan { order, schedule }
-    }
-
     /// Whether the plan's order is a valid permutation of `0..dims`.
     pub fn is_valid(&self, dims: usize) -> bool {
         DimensionOrdering::is_valid_permutation(&self.order, dims)
@@ -80,10 +66,10 @@ mod tests {
 
     #[test]
     fn validity_checks_the_permutation() {
-        let good = SegmentPlan::new(vec![2, 0, 1], BlockSchedule::SingleBlock);
+        let good = SegmentPlan { order: vec![2, 0, 1], schedule: BlockSchedule::SingleBlock };
         assert!(good.is_valid(3));
         assert!(!good.is_valid(4));
-        let bad = SegmentPlan::new(vec![0, 0, 1], BlockSchedule::SingleBlock);
+        let bad = SegmentPlan { order: vec![0, 0, 1], schedule: BlockSchedule::SingleBlock };
         assert!(!bad.is_valid(3));
     }
 

@@ -586,9 +586,11 @@ impl QueryOutcome {
         self.segments.iter().map(|s| s.trace.pruning_attempts).sum()
     }
 
-    /// Number of segments the engine skipped outright via their zone-map
-    /// envelope bound (adaptive planning only; skipped segments report zero
-    /// contributions and zero dimensions accessed).
+    /// Number of segments the engine answered without a scan: zone-map
+    /// skips (adaptive planning), segments a predicate filter left with no
+    /// eligible row, and multi-feature segments whose rows are all
+    /// deleted. Skipped segments report zero contributions and zero
+    /// dimensions accessed.
     pub fn segments_skipped(&self) -> usize {
         self.segments.iter().filter(|s| s.trace.segment_skipped).count()
     }

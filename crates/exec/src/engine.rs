@@ -19,23 +19,17 @@
 //! and every query's per-segment answers go through one merge and one
 //! metrics path.
 //!
-//! *What to scan, in which dimension order, with which block schedule* is a
-//! per-segment [`SegmentPlan`] chosen by the query's effective
-//! [`PlannerKind`]:
-//!
-//! * [`PlannerKind::Uniform`] gives every segment the same plan (the
-//!   engine's `BondParams`), every segment refines its survivors to exact
-//!   scores in the same dimension order the sequential searcher uses, and
-//!   the merged top-k is bit-identical to a sequential [`BondSearcher`]
-//!   search over the whole table.
-//! * [`PlannerKind::Adaptive`] derives each segment's plan from its cached
-//!   [`SegmentStats`], visits segments most-promising-first by their
-//!   zone-map envelope bound, and skips whole segments whose bound provably
-//!   cannot reach the current κ — without touching any of the segment's
-//!   columns. Per-segment refinement orders then differ, so the merge
-//!   re-verifies exact scores (fixed, natural summation order) and breaks
-//!   ties deterministically on the row id: rank-correct rather than
-//!   bit-identical.
+//! *In which dimension order, with which block schedule* is one
+//! [`SegmentPlan`] per query, derived once from the engine's `BondParams`
+//! and run by every segment: each segment refines its survivors to exact
+//! scores in the dimension order the sequential searcher uses, so the
+//! merged top-k of an exact or code-filtered scan is bit-identical to a
+//! sequential [`BondSearcher`] search over the whole table, whatever the
+//! planner. *Which segments to search, in which order* is the query's
+//! effective [`PlannerKind`]: [`PlannerKind::Adaptive`] visits segments
+//! most-promising-first by their zone-map envelope bound and skips whole
+//! segments whose bound provably cannot reach the current κ — without
+//! touching any of the segment's columns.
 //!
 //! Every unfiltered top-k search, whatever its planner, folds its pruning
 //! trace into the engine's [`ExecFeedback`] store — lock-free per-segment
@@ -81,8 +75,7 @@ const RULE_NAMES: [&str; 6] = ["Hq", "Hh", "Eq", "Ev", "WHq", "WEv"];
 /// a relaxed atomic on one of these, never a registry lock.
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
-    /// The registry the handles live in (per-engine by default; shared
-    /// when [`EngineBuilder::metrics`] injected one).
+    /// The registry the handles live in, one per engine.
     pub(crate) registry: MetricsRegistry,
     /// `engine.batch.count` — executed engine passes.
     batches: Counter,
@@ -210,9 +203,6 @@ pub struct EngineBuilder {
     /// engine's code cache at [`EngineBuilder::build`] so the first
     /// quantized scan does not re-encode the table.
     preloaded_codes: Option<StoreCodes>,
-    /// The metrics registry the engine emits into; fresh per engine when
-    /// not overridden via [`EngineBuilder::metrics`].
-    metrics: Option<MetricsRegistry>,
     /// Wall time of the store open this builder came from, recorded as
     /// `store.open.cold_us` at [`EngineBuilder::build`].
     open_micros: Option<u64>,
@@ -297,11 +287,8 @@ impl EngineBuilder {
     /// [`DimensionOrdering::Explicit`] is replaced by the weighted default
     /// ordering — the same rewrite the sequential weighted entry points
     /// apply (and what keeps [`Engine::sequential_reference`] comparable);
-    /// pass an explicit permutation to pin a specific order. Note that
-    /// under [`PlannerKind::Adaptive`] the ordering and schedule come from
-    /// each segment's statistics instead — the params' ordering/schedule
-    /// (explicit or not) only govern the `Uniform` planner and the
-    /// sequential reference.
+    /// pass an explicit permutation to pin a specific order. Both planners
+    /// run the params' ordering and schedule in every segment.
     #[must_use]
     pub fn params(mut self, params: BondParams) -> Self {
         self.params = params;
@@ -330,12 +317,11 @@ impl EngineBuilder {
         self
     }
 
-    /// How segment plans are chosen by default (default
+    /// How queries move through their segments by default (default
     /// [`PlannerKind::Uniform`]) — a [`QuerySpec::planner`] override
-    /// replaces it per query. [`PlannerKind::Adaptive`] picks each
-    /// segment's dimension order and block schedule from its statistics —
-    /// overriding the params' ordering/schedule — and enables κ-aware
-    /// whole-segment skipping.
+    /// replaces it per query. [`PlannerKind::Adaptive`] visits segments
+    /// most-promising-first and enables κ-aware whole-segment skipping;
+    /// the answers stay bit-identical either way.
     #[must_use]
     pub fn planner(mut self, planner: PlannerKind) -> Self {
         self.planner = planner;
@@ -353,16 +339,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn scan_mode(mut self, scan: ScanMode) -> Self {
         self.scan = scan;
-        self
-    }
-
-    /// The [`MetricsRegistry`] the engine emits into. Defaults to a fresh
-    /// per-engine registry (readable via [`Engine::metrics`]); inject a
-    /// shared one to aggregate several engines — or an engine and its
-    /// serving front-end — into a single scrape endpoint.
-    #[must_use]
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
         self
     }
 
@@ -412,7 +388,7 @@ impl EngineBuilder {
         };
         let envelopes: Vec<Option<Envelope>> = stats.iter().map(SegmentStats::envelope).collect();
         let feedback = initial_feedback(self.preloaded_learned, specs.len())?;
-        let metrics = EngineMetrics::new(self.metrics.unwrap_or_default());
+        let metrics = EngineMetrics::new(MetricsRegistry::default());
         if let Some(us) = self.open_micros {
             metrics.open_cold_us.record(us);
         }
@@ -521,13 +497,13 @@ pub(crate) struct TopKQuery<'b> {
     /// Position `p` executes segment `visit_order[p]`; `None` visits in
     /// row order ([`Engine::plan_visit_order`]).
     pub(crate) visit_order: Option<Vec<usize>>,
+    /// The query's one plan, run by every segment.
+    pub(crate) plan: SegmentPlan,
 }
 
 /// A top-k request as the engine pass runs it.
 struct TopKRun<'b> {
     query: TopKQuery<'b>,
-    /// The segment-independent plan, when the query plans uniformly.
-    uniform_plan: Option<SegmentPlan>,
     /// The code companions a quantized scan sweeps, resolved (and built,
     /// on the cache's first miss) before any task runs.
     codes: Option<Arc<StoreCodes>>,
@@ -578,17 +554,6 @@ impl<'b> ResolvedQuery<'b> {
 
     fn visit_order(&self) -> Option<&[usize]> {
         self.topk()?.query.visit_order.as_deref()
-    }
-
-    /// The metric the merge re-verifies hits with: stats-driven plans
-    /// refine in per-segment orders, so their scores are recomputed in one
-    /// fixed order. Approximate scans never re-verify: their scores are
-    /// interval midpoints by contract, and touching exact rows would defeat
-    /// the codes-only promise.
-    fn reverify_metric(&self) -> Option<&dyn DecomposableMetric> {
-        let query = &self.topk()?.query;
-        (query.planner.is_stats_driven() && !query.scan.is_approximate())
-            .then_some(query.metric.as_ref())
     }
 
     /// Whether this query's traces, skips and merge misses teach the
@@ -679,7 +644,6 @@ impl Engine {
             preloaded: None,
             preloaded_learned: None,
             preloaded_codes: None,
-            metrics: None,
             open_micros: None,
         }
     }
@@ -771,8 +735,9 @@ impl Engine {
     /// here as a counter/gauge/histogram update under a stable dotted
     /// name. Render it with [`MetricsRegistry::render_text`]
     /// (Prometheus exposition text) or [`MetricsRegistry::render_json`]
-    /// (one machine-readable line). Fresh per engine unless
-    /// [`EngineBuilder::metrics`] injected a shared registry.
+    /// (one machine-readable line). One registry per engine; a
+    /// [`crate::service::Server`] registers its own metrics in its
+    /// engine's.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics.registry
     }
@@ -965,8 +930,8 @@ impl Engine {
     /// query's own neighbourhood first establishes κ before any far segment
     /// starts, so those segments skip, or lose their rows at the code
     /// sweep's first block, instead of warming up against an empty bound.
-    /// Any visit order is rank-correct; this one just minimises wasted
-    /// scans. `None` — every other query — visits in row order.
+    /// Any visit order gives the same answer; this one just minimises
+    /// wasted scans. `None` — every other query — visits in row order.
     fn plan_visit_order(
         &self,
         planner: PlannerKind,
@@ -1000,29 +965,6 @@ impl Engine {
             cmp.then(a.cmp(&b))
         });
         Some(order)
-    }
-
-    /// Derives the [`SegmentPlan`] segment `si` executes for `query` under
-    /// `planner` — the single plan-derivation path shared by the execution
-    /// workers and [`Engine::explain`], which is what makes the rendered
-    /// plan the executed plan.
-    pub(crate) fn derive_segment_plan(
-        &self,
-        si: usize,
-        planner: PlannerKind,
-        rule: &RuleKind,
-        query: &[f64],
-    ) -> SegmentPlan {
-        let inner = &*self.inner;
-        let weights = rule.weights();
-        match planner {
-            PlannerKind::Uniform => {
-                SegmentPlan::uniform(&self.params_for(rule), query, weights, inner.table.dims())
-            }
-            PlannerKind::Adaptive => {
-                CostModel::plan(&inner.stats[si], query, weights, rule.objective())
-            }
-        }
     }
 
     /// Checks one request against this engine's table and the spec's
@@ -1095,10 +1037,10 @@ impl Engine {
                     .into(),
             ));
         }
-        if spec.scan_mode_override().is_some_and(|scan| scan != ScanMode::Exact) {
+        if let Some(scan) = spec.scan_mode_override().filter(|&scan| scan != ScanMode::Exact) {
             return Err(BondError::InvalidParams(format!(
                 "multi-feature requests execute exact scans only, got scan mode {}",
-                spec.scan_mode_override().expect("checked above").label()
+                scan.label()
             )));
         }
         if mf.features().is_empty() {
@@ -1212,8 +1154,6 @@ impl Engine {
         let outcomes = run_tasks(inner.threads, batch.len() * n_segments, |task| {
             self.run_task(&pass, task / n_segments, task % n_segments)
         });
-        // Surface any task error *before* touching the advice state, so a
-        // failed batch cannot leave the table stuck under MADV_RANDOM.
         let outcomes: Vec<TaskOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
         let queries = self.merge_pass(&pass, outcomes);
         inner.metrics.batches.inc();
@@ -1227,8 +1167,10 @@ impl Engine {
     }
 
     /// The effective rule, planner and scan of a top-k `spec`, and what
-    /// they imply: metric, objective, skipping and visit order. The one
-    /// resolution [`Engine::execute`] runs and [`Engine::explain`] renders.
+    /// they imply: metric, objective, skipping, visit order and the plan
+    /// every segment runs. The one resolution [`Engine::execute`] runs and
+    /// [`Engine::explain`] renders, which is what makes the rendered plan
+    /// the executed plan.
     pub(crate) fn resolve_topk<'b>(&'b self, spec: &'b QuerySpec) -> TopKQuery<'b> {
         let inner = &*self.inner;
         let rule = spec.rule_override().unwrap_or(&inner.rule);
@@ -1238,6 +1180,12 @@ impl Engine {
         let objective = rule.objective();
         let visit_order =
             self.plan_visit_order(planner, scan, metric.as_ref(), objective, spec.vector());
+        let plan = SegmentPlan::uniform(
+            &self.params_for(rule),
+            spec.vector(),
+            rule.weights(),
+            inner.table.dims(),
+        );
         TopKQuery {
             rule,
             planner,
@@ -1247,6 +1195,7 @@ impl Engine {
             skipping: self.skipping(planner, scan),
             query_sum: spec.vector().iter().sum(),
             visit_order,
+            plan,
         }
     }
 
@@ -1264,15 +1213,10 @@ impl Engine {
                 // build) their code companions up front — tasks only read.
                 let codes = query.scan.uses_codes();
                 let codes = codes.then(|| self.ensure_adaptive_codes()).transpose()?;
-                // The uniform plan is segment-independent; derive it once
-                // per query through the same path `explain` renders from.
-                let uniform = query.planner == PlannerKind::Uniform;
-                let uniform_plan = uniform
-                    .then(|| self.derive_segment_plan(0, query.planner, query.rule, spec.vector()));
                 let estimate =
                     self.topk_estimate(spec.k(), query.scan, query.skipping, eligible.as_deref());
                 let objective = query.objective;
-                (objective, ResolvedKind::TopK(TopKRun { query, uniform_plan, codes, estimate }))
+                (objective, ResolvedKind::TopK(TopKRun { query, codes, estimate }))
             }
             // The combined similarity is maximized regardless of the
             // component metrics (Euclidean components are flipped onto the
@@ -1345,12 +1289,14 @@ impl Engine {
         }
         match &rq.kind {
             ResolvedKind::MultiFeature(run) => self.search_features(&task, run),
-            ResolvedKind::TopK(run) if run.query.scan.is_approximate() => {
-                self.scan_codes_only(&task, run)
-            }
-            ResolvedKind::TopK(run) => match self.try_skip_segment(&task, &run.query) {
-                Some(skipped) => Ok(skipped),
-                None => self.search_one_segment(&task, run),
+            ResolvedKind::TopK(run) => match &run.codes {
+                Some(codes) if run.query.scan.is_approximate() => {
+                    self.scan_codes_only(&task, run, codes)
+                }
+                _ => match self.try_skip_segment(&task, &run.query) {
+                    Some(skipped) => Ok(skipped),
+                    None => self.search_one_segment(&task, run),
+                },
             },
         }
     }
@@ -1386,9 +1332,13 @@ impl Engine {
     /// columns, midpoint scores, per-hit error bounds. No exact fragment is
     /// read, no κ is published (midpoint scores are not safe bounds for
     /// exact searches), no plan is derived.
-    fn scan_codes_only(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<TaskOutcome> {
+    fn scan_codes_only(
+        &self,
+        task: &Task<'_>,
+        run: &TopKRun<'_>,
+        codes: &StoreCodes,
+    ) -> Result<TaskOutcome> {
         let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
-        let codes = run.codes.as_ref().expect("approximate queries carry codes");
         let view = codes.segment_view(task.si).map_err(BondError::Storage)?;
         let (metric, spec) = (run.query.metric.as_ref(), task.rq.spec);
         let approx = quantfilter::approximate_topk(
@@ -1415,20 +1365,17 @@ impl Engine {
         Ok(TaskOutcome { outcome, plan: None, error_bounds: Some(approx.error_bounds) })
     }
 
-    /// The search stage: derive (or reuse) the segment's plan and run
-    /// [`search_segment`] on it — exact BOND, or the code sweep plus exact
-    /// refine when the query carries codes.
+    /// The search stage: run [`search_segment`] on the query's plan —
+    /// exact BOND, or the code sweep plus exact refine when the query
+    /// carries codes.
     fn search_one_segment(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<TaskOutcome> {
         let inner = &*self.inner;
         let Task { pass, rq, si, segment } = *task;
         let (query, k) = (rq.spec.vector(), rq.spec.k());
         let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
         let mut rule = run.query.rule.make_rule();
-        let plan = match &run.uniform_plan {
-            Some(plan) => plan.clone(),
-            None => self.derive_segment_plan(si, run.query.planner, run.query.rule, query),
-        };
-        // Mapped backend: hint the kernel about the scan the chosen plan is
+        let plan = &run.query.plan;
+        // Mapped backend: hint the kernel about the scan the plan is
         // about to run — the first block's fragment slices are certain to
         // be read front to back.
         if pass.mapped {
@@ -1443,7 +1390,7 @@ impl Engine {
         let ctx = SegmentContext {
             kappa: rq.kappa.as_ref().map(|cell| cell as &dyn KappaCell),
             row_sums: pass.row_sums.map(|sums| &sums[segment.range()]),
-            plan: Some(&plan),
+            plan: Some(plan),
             codes: codes.map_err(BondError::Storage)?,
             filter: filter.as_ref(),
         };
@@ -1469,23 +1416,12 @@ impl Engine {
                 segment.len(),
             );
         }
-        Ok(TaskOutcome { outcome, plan: Some(plan), error_bounds: None })
+        Ok(TaskOutcome { outcome, plan: Some(plan.clone()), error_bounds: None })
     }
 
     /// Merges every query's task outcomes (task order: query-major, visit
     /// position minor) and records each answered query's metrics.
     fn merge_pass(&self, pass: &Pass<'_>, outcomes: Vec<TaskOutcome>) -> Vec<QueryOutcome> {
-        let inner = &*self.inner;
-        // Refinement gathers reconstruct scattered rows across every
-        // fragment — the random-access pattern of the plans' final step.
-        // Advised once per batch (not per query), and reset to the kernel
-        // default afterwards so the hint does not outlive the gathers and
-        // suppress readahead for the next batch's scans.
-        let reverifies =
-            pass.mapped && pass.resolved.iter().any(|rq| rq.reverify_metric().is_some());
-        if reverifies {
-            inner.table.advise(Advice::Random);
-        }
         let merge_span = Span::begin(names::SPAN_ENGINE_MERGE).detail(pass.resolved.len() as u64);
         let n_segments = pass.segments.len();
         let mut per_task = outcomes.into_iter();
@@ -1505,9 +1441,6 @@ impl Engine {
             queries.push(outcome);
         }
         drop(merge_span);
-        if reverifies {
-            inner.table.advise(Advice::Normal);
-        }
         queries
     }
 
@@ -1534,10 +1467,10 @@ impl Engine {
                 }
             }
         }
-        let skipped = outcome.segments_skipped() as u64;
-        let searched = outcome.segments.len() as u64 - skipped;
+        // skipped segments were not searched: zone-map skips (counted where
+        // they happen) and segments a filter or tombstones left empty
+        let searched = (outcome.segments.len() - outcome.segments_skipped()) as u64;
         m.segment_searched.add(searched);
-        m.segment_skipped.add(skipped);
         if let Some(counter) = rq.rule_name().and_then(|name| m.rule_counter(name)) {
             counter.add(searched);
         }
@@ -1589,6 +1522,7 @@ impl Engine {
         if !skip {
             return None;
         }
+        self.inner.metrics.segment_skipped.inc();
         // a zone-map skip hit is itself feedback: it raises the segment's
         // observed skip rate, cheapening its estimate
         if rq.teaches_feedback() {
@@ -1628,26 +1562,17 @@ impl Engine {
     /// Merges per-segment outcomes (global row ids) into the query's global
     /// top-k.
     ///
-    /// Under uniform planning every segment refined in the same dimension
-    /// order, so scores are directly comparable and the k best under the
-    /// total `(score, row)` order match the sequential searcher bit for
-    /// bit. Under adaptive planning the refinement orders differ per
-    /// segment, so every candidate hit's exact score is re-verified in one
-    /// fixed (natural) summation order before ranking — that, plus the
-    /// deterministic `RowId` tie-break, makes the merge rank-correct
-    /// irrespective of each segment's plan, up to floating-point
-    /// indistinguishability: two *distinct* rows whose exact scores differ
-    /// by less than summation-order drift (a few ulps) may rank either way
-    /// at a segment's k-cutoff. Exactly equal rows (duplicates) always
-    /// order by row id, in both engines and the sequential reference.
+    /// Every segment refined in the query's one dimension order, so scores
+    /// are directly comparable and the k best under the total
+    /// `(score, row)` order match the sequential searcher bit for bit.
+    /// Exactly equal rows (duplicates) order by row id, in the engine and
+    /// the sequential reference alike.
     fn merge_query(
         &self,
         rq: &ResolvedQuery<'_>,
         segments: &[Segment<'_>],
         segment_outcomes: Vec<TaskOutcome>,
     ) -> QueryOutcome {
-        let (reverify, table) = (rq.reverify_metric(), &self.inner.table);
-        let query = rq.spec.vector();
         let k = rq.spec.k();
         let mut runs = Vec::with_capacity(segment_outcomes.len());
         let mut bound_by_row: HashMap<u32, f64> = HashMap::new();
@@ -1659,15 +1584,8 @@ impl Engine {
                         bound_by_row.insert(hit.row, bound);
                     }
                 }
-                for hit in &outcome.hits {
-                    let score = match reverify {
-                        Some(metric) => {
-                            let row = table.row(hit.row).expect("hit rows are live table rows");
-                            metric.score(&row, query)
-                        }
-                        None => hit.score,
-                    };
-                    heap_push(Scored { row: hit.row, score });
+                for &hit in &outcome.hits {
+                    heap_push(hit);
                 }
                 runs.push(SegmentRun { rows: segment.range(), trace: outcome.trace, plan });
             }
@@ -1709,7 +1627,7 @@ impl Engine {
     /// Convenience: the sequential reference answer for the engine's
     /// default rule and parameters, computed by the classic single-threaded
     /// [`BondSearcher`] (used by tests, benches and doc examples to
-    /// demonstrate equivalence and rank-correctness).
+    /// demonstrate equivalence).
     pub fn sequential_reference(&self, query: &[f64], k: usize) -> Result<Vec<Scored>> {
         self.sequential_reference_spec(&QuerySpec::new(query.to_vec(), k))
     }

@@ -4,8 +4,7 @@
 //! request?"* without executing anything: for every segment it renders the
 //! derived [`SegmentPlan`] (dimension order and warmup schedule), where in
 //! the visit order the segment runs, its zone-map envelope bound toward
-//! the query, the cost model's cell estimate and the plan's *provenance*
-//! (uniform params or a-priori statistics).
+//! the query and the cost model's cell estimate.
 //!
 //! [`QueryOutcome::analyze`] answers *"what did the engine actually do?"*
 //! by joining the rendered plan against the executed [`bond::PruneTrace`]s:
@@ -23,25 +22,6 @@ use crate::planner::PlannerKind;
 use bond::{CostModel, FeatureMetricKind, Kernel, Result, SegmentPlan};
 use std::fmt;
 use std::ops::Range;
-
-/// Where a segment's plan came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanProvenance {
-    /// The engine's uniform params — every segment shares one plan.
-    Uniform,
-    /// Derived from the segment's a-priori statistics (adaptive planning).
-    Apriori,
-}
-
-impl PlanProvenance {
-    /// A short lowercase label (`"uniform"`, `"apriori"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanProvenance::Uniform => "uniform",
-            PlanProvenance::Apriori => "apriori",
-        }
-    }
-}
 
 /// One feature component of a multi-feature plan, as rendered by
 /// [`Engine::explain`].
@@ -71,8 +51,6 @@ pub struct SegmentExplain {
     pub visit_position: usize,
     /// The fully derived plan: dimension order plus block schedule.
     pub plan: SegmentPlan,
-    /// Where the plan came from.
-    pub provenance: PlanProvenance,
     /// The segment's optimistic zone-map bound toward the query — the
     /// score the skip check compares against κ at run time. `None` for a
     /// segment with no envelope.
@@ -212,12 +190,11 @@ impl fmt::Display for QueryExplain {
             let bits = seg.code_bits.map_or_else(String::new, |b| format!(" bits={b}"));
             writeln!(
                 f,
-                "  segment {} rows {}..{} visit#{} [{}] bound={} est={:.0} cells{}{}{}",
+                "  segment {} rows {}..{} visit#{} bound={} est={:.0} cells{}{}{}",
                 seg.segment,
                 seg.rows.start,
                 seg.rows.end,
                 seg.visit_position,
-                seg.provenance.label(),
                 bound,
                 seg.estimated_cells,
                 phases,
@@ -391,10 +368,10 @@ impl Engine {
     /// Renders the execution plan this engine would choose for `spec`,
     /// without executing it: per segment, the derived [`SegmentPlan`]
     /// (dimension order, warmup schedule), the visit-order position, the
-    /// zone-map envelope bound toward the query, the cost model's cell
-    /// estimate and the plan's provenance (uniform / a-priori).
+    /// zone-map envelope bound toward the query and the cost model's cell
+    /// estimate.
     ///
-    /// EXPLAIN and [`Engine::execute`] share the same plan-derivation code
+    /// EXPLAIN and [`Engine::execute`] share the same resolution code
     /// path, so the rendered plan is the executed plan, which
     /// [`QueryOutcome::analyze`] verifies.
     ///
@@ -425,11 +402,6 @@ impl Engine {
             .enumerate()
             .map(|(si, seg_spec)| {
                 let snapshot = &feedback.segments[si];
-                let plan = self.derive_segment_plan(si, rq.planner, rq.rule, query);
-                let provenance = match rq.planner {
-                    PlannerKind::Uniform => PlanProvenance::Uniform,
-                    PlannerKind::Adaptive => PlanProvenance::Apriori,
-                };
                 let envelope_bound = self.optimistic_bound(
                     si,
                     rq.metric.as_ref(),
@@ -450,8 +422,7 @@ impl Engine {
                     segment: si,
                     rows: seg_spec.range(),
                     visit_position: visit_position[si],
-                    plan,
-                    provenance,
+                    plan: rq.plan.clone(),
                     envelope_bound,
                     estimated_cells,
                     filter_cost,
@@ -521,7 +492,6 @@ impl Engine {
                         order: (0..total_dims).collect(),
                         schedule: self.params().schedule,
                     },
-                    provenance: PlanProvenance::Uniform,
                     envelope_bound: None,
                     estimated_cells: (scanned * total_dims) as f64,
                     filter_cost: None,
@@ -625,7 +595,6 @@ mod tests {
         assert!(!explain.skipping, "uniform planning never skips");
         assert!(explain.estimated_cells() > 0.0);
         for seg in &explain.segments {
-            assert_eq!(seg.provenance, PlanProvenance::Uniform);
             assert!(seg.plan.is_valid(8));
             assert!(seg.envelope_bound.is_some());
         }

@@ -31,21 +31,17 @@
 //!   per-query setup (dimension ordering, the Ev rule's `T(x)` table,
 //!   thread spawn) is amortized across the batch, and every query still
 //!   reports per-segment [`bond::PruneTrace`]s.
-//! * **Exactness** — each segment refines its survivors to exact scores in
+//! * **Exactness** — every segment runs the query's one
+//!   [`bond::SegmentPlan`] and refines its survivors to exact scores in
 //!   the *same* dimension order the sequential searcher uses; since the k
 //!   best rows under the total `(score, row id)` order are unique, the
-//!   merged answer is bit-identical to [`bond::BondSearcher`]'s.
-//! * **Per-segment adaptive plans** — under [`PlannerKind::Adaptive`]
-//!   (engine-wide or per query) every segment gets its own
-//!   [`bond::SegmentPlan`] (dimension order + block schedule) derived from
-//!   its cached statistics, segments are visited most-promising-first by
-//!   their zone-map envelope bound, and segments whose bound provably
-//!   cannot reach the query's current κ are skipped without touching
-//!   their columns. The merge then re-verifies exact scores and
-//!   tie-breaks on row ids: rank-correct answers — the sequential
-//!   reference's k-NN set and ranks, up to ties between distinct rows
-//!   whose exact scores differ by less than floating-point summation
-//!   drift.
+//!   merged answer is bit-identical to [`bond::BondSearcher`]'s, whatever
+//!   the planner.
+//! * **Segment skipping** — under [`PlannerKind::Adaptive`] (engine-wide
+//!   or per query) segments are visited most-promising-first by their
+//!   zone-map envelope bound, each finished segment publishes its k-th
+//!   exact score as κ, and segments whose bound provably cannot reach the
+//!   query's current κ are skipped without touching their columns.
 //! * **Execution feedback** — the engine owns a lock-free
 //!   [`bond::ExecFeedback`] store into which every query's pruning trace,
 //!   zone-map skip and merge miss folds; [`Engine::estimate_cost`] turns
@@ -71,7 +67,7 @@
 //!   validated engine whose `SegmentSpec`s, statistics and zone-map
 //!   envelopes come straight from the store's footer. Under
 //!   [`vdstore::StorageBackend::Mapped`] the column fragments are *viewed*
-//!   through a read-only file mapping: adaptive planning and whole-segment
+//!   through a read-only file mapping: planning and whole-segment
 //!   skipping work before a single data page is faulted in, and collections
 //!   larger than RAM stay servable.
 //! * **Quantized first-pass scanning** — [`ScanMode::QuantizedFilter`]
@@ -115,8 +111,7 @@
 //!   [`QuerySpec`]s, a worker coalesces them into engine batches, and
 //!   answers route back through per-request tickets.
 //! * **End-to-end observability** — every engine owns a
-//!   [`bond_obs::MetricsRegistry`] (inject a shared one with
-//!   [`EngineBuilder::metrics`]) into which the engine, planner, store
+//!   [`bond_obs::MetricsRegistry`] into which the engine, planner, store
 //!   and service layers emit counters, gauges and histograms under
 //!   stable dotted names; stage-level [`bond_obs::Span`]s trace
 //!   plan/scan/warmup/merge/persist/queue stages when enabled (a single
@@ -179,7 +174,7 @@ pub use batch::{
 pub use bond::{CostModel, FeedbackSnapshot, SegmentFeedbackSnapshot};
 pub use bond_obs::MetricsRegistry;
 pub use engine::{Engine, EngineBuilder};
-pub use explain::{PlanProvenance, QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain};
+pub use explain::{QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain};
 pub use kappa::SharedKappa;
 pub use planner::PlannerKind;
 pub use relational::{KnnProgram, RelationalRun, SelectStep};

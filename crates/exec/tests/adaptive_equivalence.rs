@@ -1,21 +1,15 @@
-//! The adaptive planner's contract: per-segment stats-driven plans and
-//! κ-aware whole-segment skipping return the *same k-NN set and ranks* as
-//! the sequential reference searcher — for every rule, any partition count,
-//! any k, and under score ties (duplicate vectors), where the deterministic
-//! `RowId` tie-break must agree with the sequential total order. Scores are
-//! re-verified exact values, so they match the reference up to summation
-//! order (≤ a few ulps), not necessarily bit for bit — that relaxation is
-//! exactly what buys per-segment plan freedom. (Distinct rows whose exact
-//! scores differ by *less than an ulp or two* could in principle rank
-//! either way at a segment cutoff; random collections never produce such
-//! pairs, and exact duplicates — which these strategies generate on
-//! purpose — order identically by row id everywhere.)
+//! The adaptive planner's contract: the most-promising-first visit order
+//! and κ-aware whole-segment skipping return *exactly* the sequential
+//! reference searcher's answer — rows and scores, bit for bit — for every
+//! rule, any partition count, any k, and under score ties (duplicate
+//! vectors), where the deterministic `RowId` tie-break must agree with the
+//! sequential total order. Every segment runs the query's one plan, so
+//! every row's score is summed in the sequential order.
 
 use bond::{BondParams, BondSearcher};
 use bond_exec::{Engine, PlannerKind, RequestBatch, RuleKind};
 use proptest::prelude::*;
 use std::sync::Arc;
-use vdstore::topk::Scored;
 use vdstore::DecomposedTable;
 
 const DIMS: usize = 8;
@@ -43,26 +37,11 @@ fn duplicated_collection() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
         })
 }
 
-/// Same k-NN set *and ranks*; scores equal up to floating-point summation
-/// order.
-fn assert_rank_correct(adaptive: &[Scored], reference: &[Scored], context: &str) {
-    assert_eq!(adaptive.len(), reference.len(), "{context}: hit counts differ");
-    for (i, (a, r)) in adaptive.iter().zip(reference).enumerate() {
-        assert_eq!(a.row, r.row, "{context}: rank {i} row diverges");
-        assert!(
-            (a.score - r.score).abs() <= 1e-9 * r.score.abs().max(1.0),
-            "{context}: rank {i} score {} vs reference {}",
-            a.score,
-            r.score
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn adaptive_plans_are_rank_correct_for_every_rule(
+    fn adaptive_answers_are_bit_identical_for_every_rule(
         (vectors, qi) in duplicated_collection(),
     ) {
         let table = Arc::new(DecomposedTable::from_vectors("adaptive", &vectors).unwrap());
@@ -84,7 +63,7 @@ proptest! {
                         "rule {} partitions {partitions} k {k} rows {n}",
                         rule.name()
                     );
-                    assert_rank_correct(&outcome.hits, &reference, &context);
+                    assert_eq!(outcome.hits, reference, "{context}");
                 }
             }
         }
@@ -130,7 +109,7 @@ proptest! {
                 .unwrap();
             let outcome = engine.search(&query, k).unwrap();
             let context = format!("weighted rule {} planner {planner:?}", kind.name());
-            assert_rank_correct(&outcome.hits, &sequential, &context);
+            assert_eq!(outcome.hits, sequential, "{context}");
         }
     }
 
@@ -153,7 +132,7 @@ proptest! {
             .unwrap();
         for (q, merged) in queries.iter().zip(&outcome.queries) {
             let reference = engine.sequential_reference(q, k).unwrap();
-            assert_rank_correct(&merged.hits, &reference, "adaptive batch");
+            assert_eq!(merged.hits, reference, "adaptive batch");
         }
     }
 }
@@ -188,7 +167,7 @@ fn far_segment_is_skipped_without_touching_columns() {
 
     // the answers all come from cluster A and match the reference
     let reference = engine.sequential_reference(&query, 5).unwrap();
-    assert_rank_correct(&outcome.hits, &reference, "two clusters");
+    assert_eq!(outcome.hits, reference, "two clusters");
     assert!(outcome.hits.iter().all(|h| h.row < 50));
 
     // segment 1 (rows 50..100) was skipped outright

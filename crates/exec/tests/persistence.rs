@@ -1,7 +1,7 @@
 //! The persistent segment store's engine-level contract: an engine reopened
 //! from disk — through either storage backend — is indistinguishable from
-//! the engine that persisted it. Uniform planning stays bit-identical,
-//! adaptive planning stays rank-correct, the footer statistics are
+//! the engine that persisted it. Both planners stay bit-identical to the
+//! sequential reference, the footer statistics are
 //! bit-exact copies of the build-time statistics (so zone-map skipping
 //! fires without reading any column data), and malformed files surface
 //! typed errors instead of panics.
@@ -10,7 +10,6 @@ use bond::BondError;
 use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use vdstore::topk::Scored;
 use vdstore::{DecomposedTable, StorageBackend, VdError};
 
 const DIMS: usize = 8;
@@ -32,19 +31,6 @@ fn table(rows: usize, dims: usize) -> DecomposedTable {
         })
         .collect();
     DecomposedTable::from_vectors("persisted", &vectors).unwrap()
-}
-
-fn assert_rank_correct(got: &[Scored], reference: &[Scored], context: &str) {
-    assert_eq!(got.len(), reference.len(), "{context}: hit counts differ");
-    for (i, (a, r)) in got.iter().zip(reference).enumerate() {
-        assert_eq!(a.row, r.row, "{context}: rank {i} row diverges");
-        assert!(
-            (a.score - r.score).abs() <= 1e-9 * r.score.abs().max(1.0),
-            "{context}: rank {i} score {} vs reference {}",
-            a.score,
-            r.score
-        );
-    }
 }
 
 #[test]
@@ -201,8 +187,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Weighted rules (including 0-weight subspace queries) agree across
-    /// the persist/reopen boundary on both backends, rank-correctly under
-    /// adaptive planning and bit-identically under uniform planning.
+    /// the persist/reopen boundary on both backends, bit-identically under
+    /// either planner.
     #[test]
     fn weighted_rule_queries_agree_across_backends(
         vectors in proptest::collection::vec(
@@ -247,15 +233,15 @@ proptest! {
             let adaptive = reopened
                 .search_spec(&QuerySpec::new(query.clone(), k).planner(PlannerKind::Adaptive))
                 .unwrap();
-            assert_rank_correct(&adaptive.hits, &reference, &format!("adaptive {backend:?}"));
+            prop_assert_eq!(&adaptive.hits, &reference, "adaptive {:?}", backend);
         }
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Persist → reopen → search round-trips rank-correctly for all four
+    /// Persist → reopen → search round-trips bit-identically for all four
     /// unweighted rules under adaptive planning, with tombstones persisted.
     #[test]
-    fn adaptive_reopened_engines_are_rank_correct(
+    fn adaptive_reopened_engines_are_bit_identical(
         rows in 30usize..120,
         deleted in proptest::collection::vec(0u32..120, 0..6),
         qi in 0usize..120,
@@ -285,7 +271,7 @@ proptest! {
                 .planner(PlannerKind::Adaptive);
             let reference = original.sequential_reference_spec(&spec).unwrap();
             let got = reopened.search_spec(&spec).unwrap();
-            assert_rank_correct(&got.hits, &reference, rule.name());
+            prop_assert_eq!(&got.hits, &reference, "{}", rule.name());
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -391,10 +377,10 @@ fn warmed_feedback_state_survives_persist_and_reopen() {
         let q = reopened.table().row(17).unwrap();
         let spec = QuerySpec::new(q.clone(), 7);
         assert_eq!(reopened.estimate_cost(&spec), engine.estimate_cost(&spec));
-        // a warmed reopened engine still answers rank-correctly
+        // a warmed reopened engine still answers bit-identically
         let outcome = reopened.search(&q, 7).unwrap();
         let reference = reopened.sequential_reference(&q, 7).unwrap();
-        assert_rank_correct(&outcome.hits, &reference, &format!("warm reopen {backend:?}"));
+        assert_eq!(outcome.hits, reference, "warm reopen {backend:?}");
     }
 
     // repartitioning discards the (now-misaligned) learned state

@@ -200,7 +200,7 @@ fn check_case(
     let (want, got) = (&outcome.queries[0], &outcome.queries[1]);
     assert_eq!(got.hits.len(), k, "{ctx}");
     assert_eq!(got.hits, want.hits, "{ctx}: the code filter changed the answer");
-    if filter.is_none() && engine.planner() == PlannerKind::Uniform {
+    if filter.is_none() {
         let reference = engine.sequential_reference_spec(&exact).unwrap();
         assert_eq!(got.hits, reference, "{ctx}: diverged from the sequential reference");
     }

@@ -21,7 +21,8 @@
 //!   [`Server`] alike.
 //! * **The filter metrics account honestly** — eligible rows are counted
 //!   once per scanned segment, filter-empty segments are skipped and
-//!   counted, and multi-feature scans tick their own counter.
+//!   counted — as filter-empty, not as zone-map skips — and multi-feature
+//!   scans tick their own counter.
 
 use bond::{BondError, FeatureMetricKind, FeatureQuery, MultiFeatureSearcher};
 use bond_exec::{
@@ -443,6 +444,39 @@ fn filter_metrics_account_eligible_rows_and_empty_segments() {
     );
     engine.search_spec(&mf).unwrap();
     assert_eq!(metrics.counter_value(names::ENGINE_MULTIFEATURE_SEARCHES), Some(4));
+}
+
+/// `engine.segment.skipped` counts zone-map skips only. A `Uniform` engine
+/// never skips by zone map, so segments a filter or tombstones leave empty
+/// — answered without a scan, and reported by `segments_skipped()` — must
+/// leave the counter at zero.
+#[test]
+fn empty_segments_are_not_counted_as_zone_map_skips() {
+    let mut t = table(200, DIMS);
+    // the last of four 50-row segments loses every row
+    for row in 150..200 {
+        t.delete(row).unwrap();
+    }
+    let q = t.row(5).unwrap();
+    let engine = Engine::builder(t).partitions(4).threads(1).build().unwrap();
+    let metrics = engine.metrics();
+    let count = |name: &str| metrics.counter_value(name).unwrap_or(0);
+
+    let filtered =
+        QuerySpec::new(q.clone(), 3).filter(Bitmap::from_rows(200, &(0..50).collect::<Vec<_>>()));
+    assert_eq!(engine.search_spec(&filtered).unwrap().segments_skipped(), 3);
+    assert_eq!(count(names::ENGINE_FILTER_SEGMENTS_EMPTY), 3);
+    let mf = QuerySpec::multi_feature(
+        MultiFeatureSpec::new(
+            vec![FeatureSpec::new(q, FeatureMetricKind::HistogramIntersection)],
+            AggregateSpec::FuzzyMin,
+        ),
+        3,
+    );
+    assert_eq!(engine.search_spec(&mf).unwrap().segments_skipped(), 1);
+
+    assert_eq!(count(names::ENGINE_SEGMENT_SEARCHED), 1 + 3);
+    assert_eq!(count(names::ENGINE_SEGMENT_SKIPPED), 0, "no zone-map skip happened");
 }
 
 #[test]

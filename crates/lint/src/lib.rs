@@ -1,7 +1,7 @@
 //! bond-lint: a dependency-free, workspace-aware invariant checker.
 //!
-//! The engine's guarantees — bit-identical parallel answers, rank-correct
-//! merges, never-wrong quantized filtering — rest on invariants the
+//! The engine's guarantees — bit-identical parallel answers under either
+//! planner, never-wrong quantized filtering — rest on invariants the
 //! compiler cannot see: hand-picked atomic orderings, `unsafe` mmap
 //! contracts, conservative bounds. This crate enforces the documentation
 //! and containment of those invariants mechanically:

@@ -78,7 +78,7 @@ pub const SERVICE_QUEUE_WAIT_US: &str = "service.queue.wait_us";
 pub const SPAN_ENGINE_PLAN: &str = "engine.plan";
 /// Span stage: one segment-task scan.
 pub const SPAN_ENGINE_SCAN: &str = "engine.scan";
-/// Span stage: per-batch rank-correct merge.
+/// Span stage: per-batch merge of the segments' answers.
 pub const SPAN_ENGINE_MERGE: &str = "engine.merge";
 /// Span stage: building quantized code columns.
 pub const SPAN_ENGINE_CODES_BUILD: &str = "engine.codes.build";

@@ -309,11 +309,6 @@ impl Column {
         self.data.advise(rows, advice);
     }
 
-    /// Applies an access-pattern hint to the whole fragment.
-    pub fn advise(&self, advice: Advice) {
-        self.data.advise(0..self.data.len(), advice);
-    }
-
     /// Gathers the values of the given rows (a positional join with a
     /// materialised candidate list, cf. step 3 of the MIL program).
     pub fn gather(&self, rows: &[RowId]) -> Vec<f64> {
@@ -524,12 +519,12 @@ mod tests {
         fn advise_on_any_backend_is_a_no_op_for_correctness() {
             let values = [1.0, 2.0, 3.0, 4.0];
             let (c, path) = mapped_column(&values);
-            c.advise(Advice::Sequential);
+            c.advise_rows(0..4, Advice::Sequential);
             c.advise_rows(1..3, Advice::Random);
             c.advise_rows(3..100, Advice::Normal); // clamped
             assert_eq!(c.values(), &values);
             let heap = Column::new("h", values.to_vec());
-            heap.advise(Advice::Random); // heap: no-op
+            heap.advise_rows(0..4, Advice::Random); // heap: no-op
             assert_eq!(heap.values(), &values);
             std::fs::remove_file(&path).unwrap();
         }

@@ -176,16 +176,6 @@ impl DecomposedTable {
         }
     }
 
-    /// Applies an access-pattern hint to every mapped fragment of the
-    /// table (row reconstructions gather at scattered offsets across all
-    /// fragments, so refinement phases hint [`crate::Advice::Random`]
-    /// table-wide). No-op for heap tables and off unix.
-    pub fn advise(&self, advice: crate::Advice) {
-        for c in &self.columns {
-            c.advise(advice);
-        }
-    }
-
     /// Verifies every checksum-guarded mapped fragment against its
     /// persisted checksum (trivially `Ok` for heap tables). Note this
     /// faults in every data page of a mapped store — it is an explicit

@@ -1,6 +1,6 @@
-//! Per-segment adaptive search plans on clustered data: stats-driven
-//! dimension orderings, warmup schedules and κ-aware whole-segment
-//! skipping, compared against the uniform (global-plan) engine.
+//! Adaptive planning on clustered data: most-promising-first segment
+//! visits and κ-aware whole-segment skipping, compared against the uniform
+//! (row-order) engine.
 //!
 //! ```text
 //! cargo run --release --example adaptive_search
@@ -15,8 +15,8 @@ use bond_exec::{Engine, PlannerKind, RequestBatch, RuleKind};
 fn main() {
     // 1. A clustered collection in the cluster-major layout: vectors were
     //    "appended in batches", so contiguous row segments hold different
-    //    clusters and their statistics diverge — the regime per-segment
-    //    planning is built for.
+    //    clusters and their statistics diverge — the regime zone-map
+    //    skipping is built for.
     let table = Arc::new(
         ClusteredConfig { clusters: 12, ..ClusteredConfig::small(30_000, 32, 0.0) }
             .with_cluster_major(true)
@@ -33,12 +33,12 @@ fn main() {
         queries.len(),
     );
 
-    // 2. Two engines over the same table: one global plan vs. one plan per
-    //    segment (plus zone-map segment skipping).
+    // 2. Two engines over the same table: row-order visits vs.
+    //    most-promising-first visits plus zone-map segment skipping.
     let build = |planner: PlannerKind| {
         Engine::builder(table.clone())
             .partitions(partitions)
-            .threads(1) // isolate plan quality from parallel speedup
+            .threads(1) // isolate skipping from parallel speedup
             .rule(RuleKind::EuclideanEv)
             .planner(planner)
             .build()
@@ -47,7 +47,7 @@ fn main() {
     let uniform = build(PlannerKind::Uniform);
     let adaptive = build(PlannerKind::Adaptive);
 
-    // 3. The adaptive planner reads the per-segment statistics the engine
+    // 3. The adaptive planner reads the per-segment zone maps the engine
     //    cached at build time; show how much the segments disagree.
     let stats = adaptive.segment_stats();
     println!("\nper-segment mean of dimension 0 (segments hold different clusters):");
@@ -75,13 +75,12 @@ fn main() {
     let u = run(&uniform, "uniform");
     let a = run(&adaptive, "adaptive");
 
-    // 5. Rank-correctness: the adaptive engine returns the same rows in the
-    //    same order (scores re-verified at merge, ties broken on row id).
+    // 5. Exactness: the adaptive engine returns the same rows with the same
+    //    scores, bit for bit — skipping changes work, never answers.
     for (qu, qa) in u.queries.iter().zip(&a.queries) {
-        let rows = |hits: &[vdstore::topk::Scored]| hits.iter().map(|h| h.row).collect::<Vec<_>>();
-        assert_eq!(rows(&qu.hits), rows(&qa.hits), "same k-NN set and ranks");
+        assert_eq!(qu.hits, qa.hits, "same rows and scores");
     }
-    println!("\nadaptive answers match the uniform engine's, rank for rank");
+    println!("\nadaptive answers match the uniform engine's, bit for bit");
 
     // 6. Where the savings come from: one query's per-segment behaviour.
     let q0 = &a.queries[0];

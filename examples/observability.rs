@@ -25,8 +25,8 @@ use bond_obs::span;
 
 fn main() {
     // 1. A clustered collection in the cluster-major layout: contiguous
-    //    row segments hold different clusters, so per-segment plans
-    //    diverge and the zone map can skip far segments outright.
+    //    row segments hold different clusters, so their zone maps
+    //    diverge and far segments can be skipped outright.
     let table = Arc::new(
         ClusteredConfig { clusters: 16, ..ClusteredConfig::small(20_000, 32, 0.0) }
             .with_cluster_major(true)
@@ -61,7 +61,7 @@ fn main() {
 
     // 3. EXPLAIN: render the plan the engine *would* run — visit order
     //    (nearest envelope first), per-segment dimension ordering, block
-    //    schedule, provenance, envelope bound, estimated cells — without
+    //    schedule, envelope bound, estimated cells — without
     //    executing anything.
     let spec = QuerySpec::new(sample_queries(&table, 1, 4321).remove(0), k);
     let explain = engine.explain(&spec).expect("explainable query");

@@ -16,7 +16,7 @@
 //! all four rules to a sidecar file. `verify` — typically a *separate
 //! process* — cold-opens the store via `EngineBuilder::open`, re-runs the
 //! same queries and exits non-zero on any deviation: bit-identical hits
-//! under uniform planning, rank-identical hits under adaptive planning.
+//! under uniform and adaptive planning alike.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -145,7 +145,7 @@ fn verify(store: &Path) {
         N_QUERIES,
     );
 
-    // adaptive planning on the reopened engine: rank-correct + zone-map
+    // adaptive planning on the reopened engine: bit-identical + zone-map
     // skips driven purely by the footer statistics
     let mut skipped = 0usize;
     for (qi, q) in queries.iter().enumerate() {
@@ -154,23 +154,13 @@ fn verify(store: &Path) {
         let adaptive = engine.search_spec(&spec).expect("adaptive query executes");
         let reference = engine.sequential_reference_spec(&spec).expect("reference executes");
         skipped += adaptive.segments_skipped();
-        if adaptive.hits.len() != reference.len() {
-            eprintln!(
-                "FAIL: adaptive query {qi}: {} hits vs {} in the reference",
-                adaptive.hits.len(),
-                reference.len()
-            );
+        if adaptive.hits != reference {
+            eprintln!("FAIL: adaptive query {qi}: {:?} vs {:?}", adaptive.hits, reference);
             std::process::exit(1);
-        }
-        for (rank, (a, r)) in adaptive.hits.iter().zip(&reference).enumerate() {
-            if a.row != r.row {
-                eprintln!("FAIL: adaptive query {qi} rank {rank}: row {} vs {}", a.row, r.row);
-                std::process::exit(1);
-            }
         }
     }
     println!(
-        "OK: adaptive planning rank-correct on the reopened engine; \
+        "OK: adaptive planning bit-identical on the reopened engine; \
          {skipped} of {} segment searches skipped via persisted zone maps",
         N_QUERIES * PARTITIONS,
     );

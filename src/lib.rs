@@ -23,7 +23,7 @@ pub use bond_exec::{
 };
 
 pub use bond_exec::{
-    MetricsRegistry, PlanProvenance, QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain,
+    MetricsRegistry, QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain,
 };
 
 /// The open query surface (PR 9): predicate-filtered k-NN, multi-feature
