@@ -7,8 +7,8 @@
 //! `(candidate, dimension)` cells a search will touch, discounted by the
 //! observed warmup depth, survivor fraction and zone-map skip rate once the
 //! segment has [`CostModel::MIN_WARM_SEARCHES`] observations — the per-spec
-//! cost estimate the service layer orders and cuts batches by, and the
-//! estimate EXPLAIN renders.
+//! cost estimate EXPLAIN renders and ANALYZE checks against the executed
+//! work.
 //!
 //! The model plans nothing: every segment of a query runs the query's one
 //! plan ([`crate::SegmentPlan::uniform`]), which keeps every exact answer
@@ -30,8 +30,8 @@ impl CostModel {
     pub const MIN_WARM_SEARCHES: u64 = 8;
 
     /// Estimated `(candidate, dimension)` cells one search of this segment
-    /// will evaluate — the unified per-segment cost the service layer sums
-    /// into per-spec estimates.
+    /// will evaluate — the unified per-segment cost the engine sums into
+    /// per-spec estimates.
     ///
     /// Cold (no feedback): every live row scans through the warmup half of
     /// the dimensions and survives into the rest — the conservative
@@ -94,14 +94,14 @@ impl CostModel {
     /// Estimated cost of one search of this segment when the quantized
     /// first-pass filter runs, as `(filter sweep cost, exact refine cost)`
     /// in exact-cell equivalents. EXPLAIN renders the phases side by side;
-    /// their sum is the admission estimate.
+    /// their sum is the segment's estimate.
     ///
     /// The sweep is priced at [`CostModel::quant_cell_cost`]`(kernel)` per
     /// code cell — `rows × dims` cells cold, `rows ×` the observed code
     /// columns read per row (`filter_cells / filter_rows`) once the
     /// segment's feedback is warm, because the progressive sweep stops
     /// early on most rows. The engine passes the kernel the process
-    /// actually dispatched to, so admission estimates track the hardware
+    /// actually dispatched to, so the estimates track the hardware
     /// the sweep runs on. The refine is the exact search of
     /// [`CostModel::segment_cost`] scaled by the segment's *observed*
     /// filter selectivity (the fraction of swept rows that survived into

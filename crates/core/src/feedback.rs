@@ -7,8 +7,8 @@
 //! on the worker threads themselves (relaxed ordering — a stale read merely
 //! prices like yesterday, never wrongly), and snapshotted into the
 //! plain-data [`FeedbackSnapshot`] for introspection, the cost estimates
-//! admission control orders batches by, and persistence alongside the
-//! segment store footer. Plans never read it.
+//! EXPLAIN/ANALYZE render, and persistence alongside the segment store
+//! footer. Plans and the service queue never read it.
 
 use crate::error::{BondError, Result};
 use crate::trace::PruneTrace;

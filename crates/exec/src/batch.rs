@@ -519,11 +519,6 @@ pub struct SegmentRun {
     pub rows: Range<usize>,
     /// The pruning trace of the segment's branch-and-bound search.
     pub trace: PruneTrace,
-    /// The [`SegmentPlan`] the scan actually executed — `None` when the
-    /// segment was skipped outright via its zone-map bound (no plan was
-    /// ever derived). [`QueryOutcome::analyze`] joins this against the
-    /// plan [`crate::Engine::explain`] rendered.
-    pub plan: Option<SegmentPlan>,
 }
 
 /// The answer to one query of a batch.
@@ -539,6 +534,11 @@ pub struct QueryOutcome {
     pub error_bounds: Option<Vec<f64>>,
     /// Per-segment traces, in segment (row-range) order.
     pub segments: Vec<SegmentRun>,
+    /// The query's one [`SegmentPlan`], which every searched segment ran —
+    /// `None` for approximate codes-only and multi-feature scans, which run
+    /// no dimension plan. [`QueryOutcome::analyze`] joins this against the
+    /// plan [`crate::Engine::explain`] rendered.
+    pub plan: Option<SegmentPlan>,
 }
 
 impl QueryOutcome {
@@ -736,7 +736,6 @@ mod tests {
                         refine_rows: 10,
                         ..PruneTrace::default()
                     },
-                    plan: None,
                 },
                 SegmentRun {
                     rows: 50..100,
@@ -747,9 +746,9 @@ mod tests {
                         refine_rows: 15,
                         ..PruneTrace::default()
                     },
-                    plan: None,
                 },
             ],
+            plan: None,
         };
         assert_eq!(outcome.contributions_evaluated(), 160);
         assert_eq!(outcome.pruning_attempts(), 3);
@@ -771,8 +770,8 @@ mod tests {
             segments: vec![SegmentRun {
                 rows: 0..10,
                 trace: PruneTrace { contributions_evaluated: 40, ..PruneTrace::default() },
-                plan: None,
             }],
+            plan: None,
         };
         assert_eq!(outcome.quant_filter_cells(), 0);
         assert_eq!(outcome.quant_filter_selectivity(), None);

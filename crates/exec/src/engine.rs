@@ -598,13 +598,11 @@ impl Task<'_> {
     }
 }
 
-/// What one `(query, segment)` task leaves in its slot: the search outcome
-/// plus the plan it executed (`None` for skips, codes-only scans and
-/// multi-feature scans, which execute no dimension plan).
+/// What one `(query, segment)` task leaves in its slot: the search
+/// outcome, plus error bounds for an approximate codes-only scan.
 #[derive(Debug)]
 struct TaskOutcome {
     outcome: SearchOutcome,
-    plan: Option<SegmentPlan>,
     /// Per-hit absolute error bounds, parallel to the outcome's hits;
     /// `Some` only for approximate codes-only scans.
     error_bounds: Option<Vec<f64>>,
@@ -620,7 +618,7 @@ impl TaskOutcome {
 
 impl From<SearchOutcome> for TaskOutcome {
     fn from(outcome: SearchOutcome) -> TaskOutcome {
-        TaskOutcome { outcome, plan: None, error_bounds: None }
+        TaskOutcome { outcome, error_bounds: None }
     }
 }
 
@@ -813,12 +811,12 @@ impl Engine {
     }
 
     /// Estimated `(candidate, dimension)` evaluations this request will
-    /// cost across all segments — the cost model's per-spec estimate the
-    /// service layer uses for cheap-first batch ordering and deadline-aware
-    /// batch cuts. Cold segments use the conservative full-work prior;
-    /// warm segments discount by their observed skip rate, warmup depth and
-    /// survivor fraction (stats-driven planners only — uniform planning
-    /// never skips).
+    /// cost across all segments — the cost model's per-spec estimate, the
+    /// figure EXPLAIN renders and the `planner.cost.abs_rel_error`
+    /// histogram calibrates. Cold segments use the conservative full-work
+    /// prior; warm segments discount by their observed skip rate, warmup
+    /// depth and survivor fraction (stats-driven planners only — uniform
+    /// planning never skips).
     pub fn estimate_cost(&self, spec: &QuerySpec) -> f64 {
         // A domain-mismatched filter prices as unfiltered here and is
         // rejected by `validate` before execution.
@@ -826,8 +824,7 @@ impl Engine {
         if let QueryKind::MultiFeature(mf) = spec.kind() {
             // The synchronized scan has no per-segment plan or feedback
             // model yet: price the full-scan prior over the union of
-            // feature dimensions — an admission-ordering estimate, not a
-            // calibrated one.
+            // feature dimensions — a rough estimate, not a calibrated one.
             let total_dims: usize = mf.features().iter().map(|f| f.query().len()).sum();
             let rows = match &eligible {
                 Some(counts) => counts.iter().sum::<usize>(),
@@ -873,7 +870,7 @@ impl Engine {
     /// at k/live — the scan must still find k answers), proportionally
     /// across the phases. Shared by [`Engine::estimate_cost`] and
     /// [`Engine::explain`], so the rendered phase split always sums to the
-    /// admission estimate.
+    /// request's estimate.
     pub(crate) fn segment_estimate(
         &self,
         si: usize,
@@ -1362,7 +1359,7 @@ impl Engine {
             ..PruneTrace::default()
         };
         let outcome = SearchOutcome { hits, trace };
-        Ok(TaskOutcome { outcome, plan: None, error_bounds: Some(approx.error_bounds) })
+        Ok(TaskOutcome { outcome, error_bounds: Some(approx.error_bounds) })
     }
 
     /// The search stage: run [`search_segment`] on the query's plan —
@@ -1416,7 +1413,7 @@ impl Engine {
                 segment.len(),
             );
         }
-        Ok(TaskOutcome { outcome, plan: Some(plan.clone()), error_bounds: None })
+        Ok(TaskOutcome::from(outcome))
     }
 
     /// Merges every query's task outcomes (task order: query-major, visit
@@ -1457,7 +1454,7 @@ impl Engine {
         // `engine.query.scanned_cells` is in exact-cell equivalents: swept
         // code cells fold in at the same per-kernel discount the cost model
         // prices them with, so a quantized query's recorded work is
-        // comparable to (and calibrated against) its admission estimate.
+        // comparable to (and calibrated against) its cost estimate.
         m.scanned_cells.record(scanned + (filter_cells as f64 * cell_cost).round() as u64);
         for run in &outcome.segments {
             let trace = &run.trace;
@@ -1578,7 +1575,7 @@ impl Engine {
         let mut bound_by_row: HashMap<u32, f64> = HashMap::new();
         let offer = |heap_push: &mut dyn FnMut(Scored)| {
             for (segment, task) in segments.iter().zip(segment_outcomes) {
-                let TaskOutcome { outcome, plan, error_bounds } = task;
+                let TaskOutcome { outcome, error_bounds } = task;
                 if let Some(bounds) = error_bounds {
                     for (hit, bound) in outcome.hits.iter().zip(bounds) {
                         bound_by_row.insert(hit.row, bound);
@@ -1587,7 +1584,7 @@ impl Engine {
                 for &hit in &outcome.hits {
                     heap_push(hit);
                 }
-                runs.push(SegmentRun { rows: segment.range(), trace: outcome.trace, plan });
+                runs.push(SegmentRun { rows: segment.range(), trace: outcome.trace });
             }
         };
         let hits = match rq.objective {
@@ -1621,7 +1618,8 @@ impl Engine {
                 }
             }
         }
-        QueryOutcome { hits, error_bounds, segments: runs }
+        let plan = rq.topk().filter(|_| !approximate).map(|run| run.query.plan.clone());
+        QueryOutcome { hits, error_bounds, segments: runs, plan }
     }
 
     /// Convenience: the sequential reference answer for the engine's

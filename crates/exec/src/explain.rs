@@ -1,10 +1,10 @@
 //! Query EXPLAIN and ANALYZE: render the plan, then audit the execution.
 //!
 //! [`Engine::explain`] answers *"what would the engine do for this
-//! request?"* without executing anything: for every segment it renders the
-//! derived [`SegmentPlan`] (dimension order and warmup schedule), where in
-//! the visit order the segment runs, its zone-map envelope bound toward
-//! the query and the cost model's cell estimate.
+//! request?"* without executing anything: it renders the query's one
+//! derived [`SegmentPlan`] (dimension order and warmup schedule) and, for
+//! every segment, where in the visit order the segment runs, its zone-map
+//! envelope bound toward the query and the cost model's cell estimate.
 //!
 //! [`QueryOutcome::analyze`] answers *"what did the engine actually do?"*
 //! by joining the rendered plan against the executed [`bond::PruneTrace`]s:
@@ -49,8 +49,6 @@ pub struct SegmentExplain {
     /// (adaptive planning and code-filtered scans visit
     /// most-promising-first when κ is shared; everyone else in row order).
     pub visit_position: usize,
-    /// The fully derived plan: dimension order plus block schedule.
-    pub plan: SegmentPlan,
     /// The segment's optimistic zone-map bound toward the query — the
     /// score the skip check compares against κ at run time. `None` for a
     /// segment with no envelope.
@@ -109,7 +107,10 @@ pub struct QueryExplain {
     /// The segment visit order: position `p` executes
     /// `visit_order[p]`.
     pub visit_order: Vec<usize>,
-    /// Per-segment rendered plans, in segment (row-range) order.
+    /// The query's one fully derived plan, run by every searched segment:
+    /// dimension order plus block schedule.
+    pub plan: SegmentPlan,
+    /// Per-segment renderings, in segment (row-range) order.
     pub segments: Vec<SegmentExplain>,
     /// The feature components of a multi-feature request, in aggregate
     /// order; empty for classic top-k requests.
@@ -123,7 +124,7 @@ pub struct QueryExplain {
 
 impl QueryExplain {
     /// Total estimated `(candidate, dimension)` cells across all segments
-    /// — the same figure [`Engine::estimate_cost`] prices admission with.
+    /// — the same figure [`Engine::estimate_cost`] returns.
     pub fn estimated_cells(&self) -> f64 {
         self.segments.iter().map(|s| s.estimated_cells).sum()
     }
@@ -172,9 +173,8 @@ impl fmt::Display for QueryExplain {
         }
         let order: Vec<String> = self.visit_order.iter().map(|s| s.to_string()).collect();
         writeln!(f, "  visit order: {}", order.join(" -> "))?;
+        writeln!(f, "  plan: {}", plan_summary(&self.plan))?;
         for seg in &self.segments {
-            let head: Vec<String> = seg.plan.order.iter().take(8).map(|d| d.to_string()).collect();
-            let ellipsis = if seg.plan.order.len() > 8 { " …" } else { "" };
             let bound =
                 seg.envelope_bound.map_or_else(|| "none".to_string(), |b| format!("{b:.4}"));
             let phases = match (seg.filter_cost, seg.refine_cost) {
@@ -201,16 +201,17 @@ impl fmt::Display for QueryExplain {
                 bits,
                 eligible,
             )?;
-            writeln!(
-                f,
-                "    schedule {:?}, order {}{}",
-                seg.plan.schedule,
-                head.join(" "),
-                ellipsis
-            )?;
         }
         Ok(())
     }
+}
+
+/// `schedule …, order …`: the plan's block schedule and the head of its
+/// dimension order (the first eight dimensions).
+fn plan_summary(plan: &SegmentPlan) -> String {
+    let head: Vec<String> = plan.order.iter().take(8).map(|d| d.to_string()).collect();
+    let ellipsis = if plan.order.len() > 8 { " …" } else { "" };
+    format!("schedule {:?}, order {}{}", plan.schedule, head.join(" "), ellipsis)
 }
 
 /// One segment's executed scan joined against its rendered plan.
@@ -255,9 +256,6 @@ pub struct SegmentAnalysis {
     /// `k` rows, else the exact loop's first checkpoint at `k` or fewer.
     /// `None` when pruning never got that far (or the segment was skipped).
     pub prune_depth: Option<usize>,
-    /// Whether the executed plan equals the rendered one. `None` for a
-    /// skipped segment (no plan was ever derived).
-    pub plan_match: Option<bool>,
 }
 
 /// The post-execution audit of one request: the rendered plan joined with
@@ -268,6 +266,10 @@ pub struct QueryAnalysis {
     pub k: usize,
     /// The effective pruning rule's name (from the EXPLAIN).
     pub rule: &'static str,
+    /// Whether the executed plan equals the rendered one. `None` for a
+    /// scan that ran no dimension plan (approximate codes-only and
+    /// multi-feature scans).
+    pub plan_match: Option<bool>,
     /// Per-segment audits, in segment (row-range) order.
     pub segments: Vec<SegmentAnalysis>,
 }
@@ -303,10 +305,10 @@ impl QueryAnalysis {
         self.segments.iter().filter(|s| s.skipped).count()
     }
 
-    /// Whether every executed plan matched its rendered plan (skipped
-    /// segments, which executed no plan, do not count against a match).
+    /// Whether the executed plan matched the rendered plan (a scan that
+    /// ran no dimension plan does not count against a match).
     pub fn plans_match(&self) -> bool {
-        self.segments.iter().all(|s| s.plan_match != Some(false))
+        self.plan_match != Some(false)
     }
 }
 
@@ -345,18 +347,13 @@ impl fmt::Display for QueryAnalysis {
             let kernel = seg.kernel.map_or_else(String::new, |k| format!(" kernel={k}"));
             writeln!(
                 f,
-                "  segment {}: scanned {} est {:.0}{} prune_depth@k={} rule={} plan={}{}",
+                "  segment {}: scanned {} est {:.0}{} prune_depth@k={} rule={}{}",
                 seg.segment,
                 seg.scanned_cells,
                 seg.estimated_cells,
                 filter,
                 depth,
                 seg.rule.unwrap_or("?"),
-                match seg.plan_match {
-                    Some(true) => "match",
-                    Some(false) => "DIVERGED",
-                    None => "n/a",
-                },
                 kernel,
             )?;
         }
@@ -366,10 +363,10 @@ impl fmt::Display for QueryAnalysis {
 
 impl Engine {
     /// Renders the execution plan this engine would choose for `spec`,
-    /// without executing it: per segment, the derived [`SegmentPlan`]
-    /// (dimension order, warmup schedule), the visit-order position, the
-    /// zone-map envelope bound toward the query and the cost model's cell
-    /// estimate.
+    /// without executing it: the query's derived [`SegmentPlan`]
+    /// (dimension order, warmup schedule) and, per segment, the visit-order
+    /// position, the zone-map envelope bound toward the query and the cost
+    /// model's cell estimate.
     ///
     /// EXPLAIN and [`Engine::execute`] share the same resolution code
     /// path, so the rendered plan is the executed plan, which
@@ -422,7 +419,6 @@ impl Engine {
                     segment: si,
                     rows: seg_spec.range(),
                     visit_position: visit_position[si],
-                    plan: rq.plan.clone(),
                     envelope_bound,
                     estimated_cells,
                     filter_cost,
@@ -442,6 +438,7 @@ impl Engine {
             skipping: rq.skipping,
             kernel: Kernel::active().label(),
             visit_order,
+            plan: rq.plan,
             segments,
             features: Vec::new(),
             aggregate: None,
@@ -451,7 +448,7 @@ impl Engine {
 
     /// Renders the plan for a multi-feature request: the synchronized scan
     /// visits every segment in row order, interleaving the features'
-    /// dimension blocks, so the per-segment "plan" is the concatenated
+    /// dimension blocks, so the rendered "plan" is the concatenated
     /// dimension space under the engine's block schedule and the estimate
     /// is the full synchronized sweep (discounted by filter selectivity).
     fn explain_multifeature(
@@ -488,10 +485,6 @@ impl Engine {
                     segment: si,
                     rows: seg_spec.range(),
                     visit_position: si,
-                    plan: SegmentPlan {
-                        order: (0..total_dims).collect(),
-                        schedule: self.params().schedule,
-                    },
                     envelope_bound: None,
                     estimated_cells: (scanned * total_dims) as f64,
                     filter_cost: None,
@@ -511,6 +504,10 @@ impl Engine {
             skipping: false,
             kernel: Kernel::active().label(),
             visit_order: (0..self.partitions()).collect(),
+            plan: SegmentPlan {
+                order: (0..total_dims).collect(),
+                schedule: self.params().schedule,
+            },
             segments,
             features,
             aggregate: Some(mf.aggregate().label()),
@@ -521,9 +518,9 @@ impl Engine {
 
 impl QueryOutcome {
     /// Joins this executed outcome against the plan `explain` rendered for
-    /// the same request: per segment, cells scanned vs estimated, the
-    /// prune depth at which the candidate set reached `k`, skip status and
-    /// whether the executed plan matches the rendered one.
+    /// the same request: whether the executed plan matches the rendered
+    /// one and, per segment, cells scanned vs estimated, the prune depth at
+    /// which the candidate set reached `k` and skip status.
     ///
     /// The per-segment `scanned_cells` are exactly the summed
     /// [`bond::PruneTrace`] work counters, so
@@ -556,10 +553,10 @@ impl QueryOutcome {
                 } else {
                     run.trace.dims_to_reach(explain.k)
                 },
-                plan_match: run.plan.as_ref().map(|executed| *executed == rendered.plan),
             })
             .collect();
-        QueryAnalysis { k: explain.k, rule: explain.rule, segments }
+        let plan_match = self.plan.as_ref().map(|executed| *executed == explain.plan);
+        QueryAnalysis { k: explain.k, rule: explain.rule, plan_match, segments }
     }
 }
 
@@ -594,8 +591,8 @@ mod tests {
         assert_eq!(explain.visit_order, vec![0, 1, 2, 3]);
         assert!(!explain.skipping, "uniform planning never skips");
         assert!(explain.estimated_cells() > 0.0);
+        assert!(explain.plan.is_valid(8));
         for seg in &explain.segments {
-            assert!(seg.plan.is_valid(8));
             assert!(seg.envelope_bound.is_some());
         }
         // rendering is purely observational: no feedback accumulated
@@ -603,6 +600,7 @@ mod tests {
         let text = explain.to_string();
         assert!(text.contains("EXPLAIN k=5 rule=Hq"));
         assert!(text.contains("visit order: 0 -> 1 -> 2 -> 3"));
+        assert_eq!(text.matches("\n  plan: schedule ").count(), 1, "one plan line: {text}");
     }
 
     #[test]
@@ -626,7 +624,8 @@ mod tests {
         let analysis = outcome.analyze(&explain);
         assert_eq!(analysis.scanned_cells(), outcome.contributions_evaluated());
         assert_eq!(analysis.segments_skipped(), outcome.segments_skipped());
-        assert!(analysis.plans_match(), "{analysis}");
+        assert_eq!(analysis.plan_match, Some(true), "{analysis}");
+        assert!(analysis.plans_match());
         for (seg, run) in analysis.segments.iter().zip(&outcome.segments) {
             assert_eq!(seg.scanned_cells, run.trace.contributions_evaluated);
             if !seg.skipped {

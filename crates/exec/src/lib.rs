@@ -49,12 +49,11 @@
 //!   [`bond::CostModel`]. [`Engine::feedback_snapshot`] exposes them;
 //!   [`Engine::persist`] writes them alongside the store footer so a
 //!   reopened engine's estimates start warm.
-//! * **Cost-aware admission control** — [`service::Server`] prices every
-//!   accepted [`QuerySpec`] with the cost model, queues it under its
-//!   [`Priority`] class, drains Interactive → Normal → Batch with the
-//!   cheapest estimate first, and cuts each coalesced batch once the
-//!   summed estimates exceed the configured budget
-//!   ([`service::ServerBuilder::max_cost`]). Rejected submissions are
+//! * **Admission control** — [`service::Server`] validates every
+//!   submitted [`QuerySpec`], queues it under its [`Priority`] class and
+//!   drains Interactive → Normal → Batch, first come first served within a
+//!   class, into coalesced batches of at most
+//!   [`service::ServerBuilder::max_batch`]. Rejected submissions are
 //!   counted ([`service::Server::queries_rejected`]).
 //! * **Weighted rules** — [`RuleKind::WeightedHistogram`] /
 //!   [`RuleKind::WeightedEuclidean`] carry per-dimension weights through

@@ -11,25 +11,19 @@
 //! engine pass, and each answer is routed back to the submitter through
 //! the [`Ticket`] it received at admission.
 //!
-//! Admission control happens at the door, and it is cost-aware:
+//! Admission happens at the door, and the queue is first come, first
+//! served within a priority class:
 //!
 //! * [`Server::submit`] validates the spec against the engine
 //!   ([`Engine::validate`]) and rejects invalid requests immediately
 //!   (counted in [`Server::queries_rejected`]), so one bad request can
 //!   never poison a coalesced batch;
-//! * every accepted spec is priced by the engine's feedback-driven cost
-//!   model ([`Engine::estimate_cost`]) and queued under its
-//!   [`crate::batch::Priority`] class;
-//! * the worker admits [`crate::batch::Priority::Interactive`] before `Normal` before
-//!   `Batch`, takes the *cheapest estimated* request first within a class
-//!   (shortest-job-first keeps the coalescing latency of cheap queries from
-//!   being dominated by expensive neighbours), and stops filling the batch
-//!   once the summed estimates exceed [`ServerBuilder::max_cost`] — the
-//!   deadline-aware batch cut: whatever a pass leaves behind is served by
-//!   a later one, so no single pass grows unboundedly long. Aging keeps
-//!   that promise honest: a request passed over [`STARVATION_PASSES`]
-//!   times stops competing on cost and leads the next pass of its class,
-//!   so sustained cheap traffic cannot starve an expensive request.
+//! * every accepted spec is queued under its [`crate::batch::Priority`]
+//!   class;
+//! * the worker admits [`crate::batch::Priority::Interactive`] before
+//!   `Normal` before `Batch`, in arrival order within a class, until the
+//!   pass holds [`ServerBuilder::max_batch`] requests; whatever a pass
+//!   leaves behind leads the next one.
 //!
 //! This is deliberately a *synchronous* queue + condvar design — no async
 //! runtime exists in this dependency-free workspace — but the seam is the
@@ -62,39 +56,19 @@ use bond_obs::{names, span, Counter, Gauge, Histogram, MetricsRegistry, Span};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use vdstore::ascending_nan_last;
 
-/// One queued request: the spec, its estimated cost, how many engine
-/// passes have drained around it, and the channel its answer travels back
-/// on.
+/// One queued request: the spec, when it was admitted, and the channel its
+/// answer travels back on.
+#[derive(Debug)]
 struct Pending {
     spec: QuerySpec,
-    cost: f64,
-    /// Engine passes this request has been passed over by (aging input).
-    waited: u32,
     /// When the request was admitted — the queue-wait clock.
     submitted: Instant,
     tx: mpsc::Sender<Result<QueryOutcome>>,
 }
-
-impl std::fmt::Debug for Pending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pending")
-            .field("k", &self.spec.k())
-            .field("cost", &self.cost)
-            .field("waited", &self.waited)
-            .finish()
-    }
-}
-
-/// After this many passed-over engine passes a request stops competing on
-/// cost: it sorts ahead of every non-starved entry in its class (oldest
-/// first) and, as the first pick of the pass, bypasses the cost budget —
-/// shortest-job-first cannot starve an expensive request forever.
-pub const STARVATION_PASSES: u32 = 4;
 
 /// The server's pre-registered metric handles, living in the fronted
 /// engine's [`MetricsRegistry`] — one registry covers the whole serving
@@ -135,6 +109,22 @@ struct Shared {
     metrics: ServiceMetrics,
 }
 
+impl Shared {
+    /// Locks the queue. No critical section can panic halfway through an
+    /// update (each is a push, a FIFO drain or a flag write), so a poisoned
+    /// lock still guards a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes the queued count; called with the lock held, so the gauge
+    /// moves in the same order as the queue itself.
+    fn publish_depth(&self, state: &QueueState) {
+        let queued: usize = state.pending.iter().map(VecDeque::len).sum();
+        self.metrics.queue_depth.set(queued as i64);
+    }
+}
+
 #[derive(Debug)]
 struct QueueState {
     /// One FIFO per priority class, indexed by [`Priority::index`].
@@ -149,76 +139,14 @@ impl QueueState {
 }
 
 /// Drains up to `max_batch` requests for one engine pass: strict priority
-/// classes first (`Interactive` → `Normal` → `Batch`), the
-/// cheapest estimate first within a class, and a deadline-aware cut — once
-/// the summed estimates of the picked requests would exceed `max_cost`,
-/// the batch closes (the first pick of a pass is always admitted, so an
-/// oversized single request still executes alone rather than starving).
-///
-/// Aging keeps shortest-job-first live: a request passed over
-/// [`STARVATION_PASSES`] times stops competing on cost — it sorts ahead of
-/// its whole class (oldest first) and is admitted even over budget (its
-/// cost still counts toward the budget, so the pass after it stays
-/// bounded). Strict priority between *classes* is deliberate and not aged
-/// away: `Batch` work yields to a sustained `Interactive` stream by
-/// design.
-fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<Pending> {
-    let mut batch: Vec<Pending> = Vec::new();
-    let mut cost_sum = 0.0;
+/// classes first (`Interactive` → `Normal` → `Batch`), arrival order within
+/// a class. Strict priority between classes is deliberate: `Batch` work
+/// yields to a sustained `Interactive` stream by design.
+fn drain_batch(state: &mut QueueState, max_batch: usize) -> Vec<Pending> {
+    let mut batch = Vec::new();
     for queue in &mut state.pending {
-        if queue.is_empty() {
-            continue;
-        }
-        // One O(n log n) sort per class instead of repeated O(n) min-scans
-        // while the submission mutex is held: decorate with the arrival
-        // index, sort starved-then-cheapest, admit the prefix, and return
-        // the rest to the queue in arrival order (so future ties still
-        // break FIFO).
-        let mut entries: Vec<(usize, Pending)> =
-            std::mem::take(queue).into_iter().enumerate().collect();
-        entries.sort_by(|(ai, a), (bi, b)| {
-            let a_starved = a.waited >= STARVATION_PASSES;
-            let b_starved = b.waited >= STARVATION_PASSES;
-            b_starved
-                .cmp(&a_starved) // starved entries first …
-                .then(if a_starved && b_starved {
-                    ai.cmp(bi) // … oldest first among them
-                } else {
-                    ascending_nan_last(a.cost, b.cost)
-                })
-                .then(ai.cmp(bi))
-        });
-        let mut leftover: Vec<(usize, Pending)> = Vec::new();
-        let mut deadline_hit = false;
-        for (arrival, pending) in entries {
-            // A starved entry is admitted regardless of the budget (its
-            // cost still counts toward it): were it merely *exempt from
-            // latching*, a sustained higher-class load could hold the
-            // batch non-empty forever and the entry — sorted first in its
-            // class — would head-of-line-block every cheaper request
-            // behind it without ever being served itself.
-            let starved = pending.waited >= STARVATION_PASSES;
-            // `deadline_hit` is a latch: once a non-starved entry exceeds
-            // the budget, the batch is closed for everything after it
-            deadline_hit |= !starved && !batch.is_empty() && cost_sum + pending.cost > max_cost;
-            if (deadline_hit && !starved) || batch.len() >= max_batch {
-                leftover.push((arrival, pending));
-            } else {
-                cost_sum += pending.cost;
-                batch.push(pending);
-            }
-        }
-        leftover.sort_by_key(|&(arrival, _)| arrival);
-        queue.extend(leftover.into_iter().map(|(_, mut pending)| {
-            pending.waited = pending.waited.saturating_add(1);
-            pending
-        }));
-        if deadline_hit || batch.len() >= max_batch {
-            // the deadline cut also closes lower classes: they must not
-            // jump a deadline the class above them already hit (a full
-            // batch closes them trivially)
-            break;
-        }
+        let take = queue.len().min(max_batch - batch.len());
+        batch.extend(queue.drain(..take));
     }
     batch
 }
@@ -228,7 +156,6 @@ fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<P
 pub struct ServerBuilder {
     engine: Engine,
     max_batch: usize,
-    max_cost: f64,
 }
 
 impl ServerBuilder {
@@ -242,25 +169,11 @@ impl ServerBuilder {
         self
     }
 
-    /// Upper bound on the *summed estimated cost* (expected
-    /// `(candidate, dimension)` evaluations, per [`Engine::estimate_cost`])
-    /// one engine pass admits — the deadline-aware batch cut. Default:
-    /// unbounded. The first request of a pass is always admitted, so a
-    /// single estimate above the bound still executes (alone). Non-finite
-    /// (other than `+∞`), NaN or non-positive values are rejected at
-    /// [`ServerBuilder::build`].
-    #[must_use]
-    pub fn max_cost(mut self, max_cost: f64) -> Self {
-        self.max_cost = max_cost;
-        self
-    }
-
     /// Finishes the build and starts the worker thread.
     ///
     /// # Errors
     ///
-    /// [`BondError::InvalidParams`] when `max_batch` is zero or `max_cost`
-    /// is NaN or non-positive.
+    /// [`BondError::InvalidParams`] when `max_batch` is zero.
     pub fn build(self) -> Result<Server> {
         self.build_with(Engine::execute)
     }
@@ -275,9 +188,14 @@ impl ServerBuilder {
         if self.max_batch == 0 {
             return Err(BondError::InvalidParams("max_batch must be non-zero".into()));
         }
-        if self.max_cost.is_nan() || self.max_cost <= 0.0 {
-            return Err(BondError::InvalidParams("max_cost must be positive".into()));
-        }
+        Ok(self.start(execute))
+    }
+
+    /// Starts the worker over a validated configuration.
+    fn start(
+        self,
+        execute: impl FnMut(&Engine, &RequestBatch) -> Result<BatchOutcome> + Send + 'static,
+    ) -> Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 pending: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -289,16 +207,16 @@ impl ServerBuilder {
         let worker = {
             let engine = self.engine.clone();
             let shared = Arc::clone(&shared);
-            let (max_batch, max_cost) = (self.max_batch, self.max_cost);
-            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch, max_cost, execute))
+            let max_batch = self.max_batch;
+            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch, execute))
         };
-        Ok(Server { engine: self.engine, shared, worker: Some(worker) })
+        Server { engine: self.engine, shared, worker: Some(worker) }
     }
 }
 
 /// A long-lived, thread-safe k-NN server: an `Arc`'d [`Engine`] plus
 /// per-priority submission queues whose worker coalesces concurrent
-/// requests into cost-bounded engine batches.
+/// requests into engine batches of at most [`ServerBuilder::max_batch`].
 ///
 /// `Server` is `Send + Sync`; submit from as many threads as you like.
 /// Dropping the server shuts the worker down after it drains the queues
@@ -332,12 +250,13 @@ impl Ticket {
 impl Server {
     /// A server over `engine` with default settings.
     pub fn new(engine: Engine) -> Server {
-        Server::builder(engine).build().expect("default server configuration is valid")
+        // the default `max_batch` of 64 is valid by construction
+        Server::builder(engine).start(Engine::execute)
     }
 
     /// Starts building a server over `engine`.
     pub fn builder(engine: Engine) -> ServerBuilder {
-        ServerBuilder { engine, max_batch: 64, max_cost: f64::INFINITY }
+        ServerBuilder { engine, max_batch: 64 }
     }
 
     /// The engine this server fronts.
@@ -349,8 +268,7 @@ impl Server {
     /// on. Validation happens here, at admission: an invalid spec is
     /// rejected immediately (and counted in [`Server::queries_rejected`]),
     /// so every accepted ticket eventually resolves. The accepted spec is
-    /// priced by the engine's cost model and queued under its
-    /// [`crate::batch::Priority`] class.
+    /// queued at the back of its [`crate::batch::Priority`] class.
     ///
     /// # Errors
     ///
@@ -362,19 +280,18 @@ impl Server {
             self.shared.metrics.rejected.inc();
             return Err(e);
         }
-        let cost = self.engine.estimate_cost(&spec);
         let (tx, rx) = mpsc::channel();
         {
-            let mut state = self.shared.state.lock().expect("queue mutex never poisoned");
+            let mut state = self.shared.lock();
             if state.shutdown {
                 drop(state);
                 self.shared.metrics.rejected.inc();
                 return Err(BondError::ServiceUnavailable("server is shut down".into()));
             }
             state.pending[spec.priority_override().unwrap_or_default().index()]
-                .push_back(Pending { spec, cost, waited: 0, submitted: Instant::now(), tx });
+                .push_back(Pending { spec, submitted: Instant::now(), tx });
+            self.shared.publish_depth(&state);
         }
-        self.shared.metrics.queue_depth.add(1);
         self.shared.wake.notify_one();
         Ok(Ticket { rx })
     }
@@ -404,31 +321,17 @@ impl Server {
 
     /// The metrics registry covering the whole serving stack — the fronted
     /// engine's registry, which this server's `service.*` metrics also
-    /// live in.
+    /// live in. [`MetricsRegistry::render_text`] and
+    /// [`MetricsRegistry::render_json`] export it.
     pub fn metrics(&self) -> &MetricsRegistry {
         self.engine.metrics()
-    }
-
-    /// The current metrics as Prometheus exposition text — what a
-    /// `/metrics` scrape endpoint would serve.
-    pub fn metrics_text(&self) -> String {
-        self.engine.metrics().render_text()
-    }
-
-    /// The current metrics as one machine-readable JSON line (counters,
-    /// gauges, and histogram `count`/`sum`/`p50`/`p95`/`p99` summaries) —
-    /// the `BENCH_JSON` convention the benches print under.
-    pub fn metrics_json(&self) -> String {
-        self.engine.metrics().render_json()
     }
 
     /// Stops accepting new requests and wakes the worker so it drains what
     /// is already queued and exits. Called automatically on drop; explicit
     /// calls are idempotent.
     pub fn shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("queue mutex never poisoned");
-        state.shutdown = true;
-        drop(state);
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
     }
 }
@@ -442,9 +345,9 @@ impl Drop for Server {
     }
 }
 
-/// The worker: wait for requests, drain a priority-ordered, cost-bounded
-/// batch, execute it as one engine pass, route each answer to its
-/// submitter. A pass that panics fails its own batch with
+/// The worker: wait for requests, drain a priority-ordered batch of at
+/// most `max_batch`, execute it as one engine pass, route each answer to
+/// its submitter. A pass that panics fails its own batch with
 /// [`BondError::ServiceUnavailable`] and the worker keeps serving: were the
 /// panic to unwind the worker, every request queued behind it would wait
 /// forever while `submit` kept admitting more.
@@ -452,23 +355,23 @@ fn worker_loop(
     engine: &Engine,
     shared: &Shared,
     max_batch: usize,
-    max_cost: f64,
     mut execute: impl FnMut(&Engine, &RequestBatch) -> Result<BatchOutcome>,
 ) {
     loop {
         let drained: Vec<Pending> = {
-            let mut state = shared.state.lock().expect("queue mutex never poisoned");
+            let mut state = shared.lock();
             while state.is_empty() && !state.shutdown {
-                state = shared.wake.wait(state).expect("queue mutex never poisoned");
+                state = shared.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
             if state.is_empty() {
                 // shutdown and fully drained
                 return;
             }
-            drain_batch(&mut state, max_batch, max_cost)
+            let drained = drain_batch(&mut state, max_batch);
+            shared.publish_depth(&state);
+            drained
         };
 
-        shared.metrics.queue_depth.add(-(drained.len() as i64));
         for pending in &drained {
             // admission-to-drain wait: recorded per request, plus a
             // `service.queue_wait` span (detail = priority class) when
@@ -548,16 +451,10 @@ mod tests {
         Engine::builder(table).partitions(3).threads(2).build().unwrap()
     }
 
-    fn pending(k: usize, cost: f64) -> Pending {
+    fn pending(k: usize) -> Pending {
         // drain tests never answer, so the receiver end can drop
         let (tx, _rx) = mpsc::channel();
-        Pending {
-            spec: QuerySpec::new(vec![0.5; 6], k),
-            cost,
-            waited: 0,
-            submitted: Instant::now(),
-            tx,
-        }
+        Pending { spec: QuerySpec::new(vec![0.5; 6], k), submitted: Instant::now(), tx }
     }
 
     fn queue_state(classes: [Vec<Pending>; 3]) -> QueueState {
@@ -666,122 +563,38 @@ mod tests {
             Server::builder(engine()).max_batch(0).build(),
             Err(BondError::InvalidParams(_))
         ));
-        assert!(matches!(
-            Server::builder(engine()).max_cost(0.0).build(),
-            Err(BondError::InvalidParams(_))
-        ));
-        assert!(matches!(
-            Server::builder(engine()).max_cost(f64::NAN).build(),
-            Err(BondError::InvalidParams(_))
-        ));
-        assert!(Server::builder(engine()).max_cost(f64::INFINITY).build().is_ok());
+        assert!(Server::builder(engine()).max_batch(1).build().is_ok());
     }
 
     #[test]
-    fn drain_respects_priority_classes_then_cost_within_a_class() {
+    fn drain_respects_priority_classes_then_arrival_within_a_class() {
         let mut state = queue_state([
-            vec![pending(31, 50.0)],
-            vec![pending(10, 9.0), pending(11, 3.0), pending(12, 6.0)],
-            vec![pending(90, 1.0)],
+            vec![pending(31)],
+            vec![pending(10), pending(11), pending(12)],
+            vec![pending(90)],
         ]);
-        let batch = drain_batch(&mut state, 8, f64::INFINITY);
+        let batch = drain_batch(&mut state, 8);
         let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
-        // interactive first (regardless of cost), then normal cheapest
-        // first, then batch work
-        assert_eq!(ks, vec![31, 11, 12, 10, 90]);
-        assert!(state.is_empty());
-    }
-
-    #[test]
-    fn drain_cuts_the_batch_at_max_cost_and_keeps_the_rest_queued() {
-        let mut state = queue_state([
-            vec![],
-            vec![pending(1, 4.0), pending(2, 4.0), pending(3, 4.0)],
-            vec![pending(9, 0.1)],
-        ]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
-        // 4 + 4 fit; the third normal request would exceed 10 and closes
-        // the batch — including for the cheaper Batch-class request behind
-        // it (lower classes must not jump the deadline)
-        assert_eq!(ks, vec![1, 2]);
-        assert_eq!(state.pending[1].len(), 1);
-        assert_eq!(state.pending[2].len(), 1);
-        // the leftover is served by the next pass
-        let next = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(next.len(), 2);
-        assert!(state.is_empty());
-    }
-
-    #[test]
-    fn aged_requests_stop_competing_on_cost() {
-        // an expensive request under sustained cheaper load: every pass
-        // admits two cost-4 picks and the cost-8 request would be passed
-        // over forever under pure shortest-job-first; aging rescues it.
-        let mut state = queue_state([vec![], vec![pending(99, 8.0)], vec![]]);
-        let mut rescued_at = None;
-        for pass in 0..=STARVATION_PASSES {
-            state.pending[1].push_back(pending(1, 4.0));
-            state.pending[1].push_back(pending(2, 4.0));
-            let batch = drain_batch(&mut state, 8, 10.0);
-            if batch.iter().any(|p| p.spec.k() == 99) {
-                assert_eq!(batch[0].spec.k(), 99, "the starved request leads its pass");
-                rescued_at = Some(pass);
-                break;
-            }
-        }
-        assert_eq!(
-            rescued_at,
-            Some(STARVATION_PASSES),
-            "aging must admit the expensive request after exactly {STARVATION_PASSES} passes"
-        );
-    }
-
-    #[test]
-    fn starved_requests_are_admitted_over_budget_without_blocking_their_class() {
-        // a higher-class pick has consumed most of the budget; the starved
-        // normal request must be admitted anyway (not latch the deadline at
-        // itself and head-of-line-block the class), and the cheap request
-        // behind it is served by the very next pass
-        let mut starved = pending(99, 8.0);
-        starved.waited = STARVATION_PASSES;
-        let mut state =
-            queue_state([vec![pending(50, 6.0)], vec![starved, pending(1, 1.0)], vec![]]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
-        assert_eq!(ks, vec![50, 99], "the starved request is admitted over budget");
-        let next = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].spec.k(), 1, "the cheap request is not blocked behind it");
-        assert!(state.is_empty());
-    }
-
-    #[test]
-    fn an_oversized_single_request_still_executes_alone() {
-        let mut state = queue_state([vec![], vec![pending(7, 1e12)], vec![]]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(batch.len(), 1, "the first pick is always admitted");
+        // interactive first, then normal in arrival order, then batch work
+        assert_eq!(ks, vec![31, 10, 11, 12, 90]);
         assert!(state.is_empty());
     }
 
     #[test]
     fn drain_honours_max_batch_across_classes() {
-        let mut state = queue_state([
-            vec![pending(1, 1.0), pending(2, 1.0)],
-            vec![pending(3, 1.0)],
-            vec![pending(4, 1.0)],
-        ]);
-        let batch = drain_batch(&mut state, 3, f64::INFINITY);
+        let mut state =
+            queue_state([vec![pending(1), pending(2)], vec![pending(3)], vec![pending(4)]]);
+        let batch = drain_batch(&mut state, 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(state.pending[2].len(), 1, "the batch-class request waits");
     }
 
     #[test]
-    fn cost_bounded_server_still_answers_everything() {
+    fn batch_bounded_server_still_answers_everything() {
         let engine = engine();
-        // a tiny cost budget forces many small engine passes; every ticket
+        // a two-request cap forces many small engine passes; every ticket
         // must still resolve with the right answer
-        let server = Server::builder(engine.clone()).max_batch(8).max_cost(1.0).build().unwrap();
+        let server = Server::builder(engine.clone()).max_batch(2).build().unwrap();
         let expected: Vec<_> = (0..12)
             .map(|i| {
                 let q = engine.table().row(i * 7).unwrap();
@@ -800,7 +613,7 @@ mod tests {
             }
         });
         assert_eq!(server.queries_served(), 12);
-        assert!(server.batches_executed() >= 2, "the cost cut splits the burst");
+        assert!(server.batches_executed() >= 6, "the batch cap splits the burst");
     }
 
     #[test]
@@ -825,11 +638,44 @@ mod tests {
         assert_eq!(wait.count, 1, "one served request, one queue-wait sample");
         // engine metrics land in the same registry (shared serving stack)
         assert_eq!(registry.counter_value("engine.query.count"), Some(1));
-        let text = server.metrics_text();
+        let text = registry.render_text();
         assert!(text.contains("service_query_served 1"), "{text}");
         assert!(text.contains("engine_query_count 1"), "{text}");
-        let json = server.metrics_json();
+        let json = registry.render_json();
         assert!(json.contains("\"service.query.served\":1"), "{json}");
+    }
+
+    #[test]
+    fn queue_depth_counts_the_requests_waiting_behind_a_running_pass() {
+        let engine = engine();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut first = true;
+        // the first pass blocks inside its execute step until released
+        let server = Server::builder(engine.clone())
+            .build_with(move |engine, batch| {
+                if std::mem::replace(&mut first, false) {
+                    let _ = entered_tx.send(());
+                    let _ = release_rx.recv();
+                }
+                engine.execute(batch)
+            })
+            .unwrap();
+        let depth = || server.metrics().gauge_value("service.queue.depth");
+        let q = engine.table().row(9).unwrap();
+        let running = server.submit(QuerySpec::new(q.clone(), 2)).unwrap();
+        entered_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the worker starts its first pass");
+        let queued: Vec<Ticket> =
+            (0..3).map(|_| server.submit(QuerySpec::new(q.clone(), 2)).unwrap()).collect();
+        assert_eq!(depth(), Some(3), "three requests wait behind the running pass");
+        release_tx.send(()).unwrap();
+        for ticket in std::iter::once(running).chain(queued) {
+            within("a queued request", move || ticket.wait()).unwrap();
+        }
+        assert_eq!(depth(), Some(0), "the queue drained");
+        assert_eq!(server.batches_executed(), 2, "the three waiting requests share one pass");
     }
 
     #[test]

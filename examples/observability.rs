@@ -9,8 +9,8 @@
 //! Builds a clustered, cluster-major collection (the regime where adaptive
 //! planning skips whole segments), warms a `PlannerKind::Adaptive`
 //! engine's feedback store, then walks the full observability surface:
-//! `Engine::explain` renders the per-segment plans and the visit order the
-//! cost model chose *without executing*; `QueryOutcome::analyze` joins that
+//! `Engine::explain` renders the query's plan, the visit order and the
+//! per-segment estimates *without executing*; `QueryOutcome::analyze` joins that
 //! rendered plan with the executed `PruneTrace` (estimated vs. scanned
 //! cells, prune depth, skip status, plan match); the span ring buffer
 //! shows where the batch's wall time went; and
@@ -60,16 +60,16 @@ fn main() {
     );
 
     // 3. EXPLAIN: render the plan the engine *would* run — visit order
-    //    (nearest envelope first), per-segment dimension ordering, block
-    //    schedule, envelope bound, estimated cells — without
-    //    executing anything.
+    //    (nearest envelope first), the query's one dimension ordering and
+    //    block schedule, per-segment envelope bound and estimated cells —
+    //    without executing anything.
     let spec = QuerySpec::new(sample_queries(&table, 1, 4321).remove(0), k);
     let explain = engine.explain(&spec).expect("explainable query");
     println!("\n{explain}");
 
     // 4. Execute the same spec and ANALYZE: join the executed prune
     //    traces against the rendered plan. Scanned cells are exactly the
-    //    summed PruneTrace work counters, and every executed plan must
+    //    summed PruneTrace work counters, and the executed plan must
     //    match the one EXPLAIN rendered.
     let outcome = engine.search_spec(&spec).expect("query executes");
     let analysis = outcome.analyze(&explain);
