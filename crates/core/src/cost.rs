@@ -72,17 +72,32 @@ impl CostModel {
     pub const QUANT_CELL_COST: f64 = 0.125;
 
     /// [`CostModel::QUANT_CELL_COST`] specialised to the scan kernel the
-    /// sweep actually dispatches to. The SIMD flavours process four code
-    /// cells per gather-accumulate step, but the gathers serialise on the
-    /// LUT loads, so the observed speedup is nearer 2× than 4× — a SIMD
-    /// code cell is priced at a sixteenth of an exact cell instead of an
-    /// eighth. The scalar price is exactly `QUANT_CELL_COST`, so all
-    /// existing scalar-priced estimates are unchanged bit for bit.
+    /// sweep actually dispatches to: a SIMD code cell is priced at a
+    /// sixteenth of an exact cell instead of an eighth — the 2× the
+    /// four-row `f64` gathers measured; the 16-bit sweep that replaced them
+    /// is faster again and not repriced. The scalar price is exactly
+    /// `QUANT_CELL_COST`, so all existing scalar-priced estimates are
+    /// unchanged bit for bit.
     pub fn quant_cell_cost(kernel: Kernel) -> f64 {
         match kernel {
             Kernel::Scalar => Self::QUANT_CELL_COST,
             Kernel::Avx2 | Kernel::Neon => Self::QUANT_CELL_COST * 0.5,
         }
+    }
+
+    /// A query's executed work in exact-cell equivalents: the exact cells
+    /// it scanned plus its swept code cells at
+    /// [`CostModel::quant_cell_cost`]`(kernel)` each — the figure both the
+    /// engine's calibration error and ANALYZE's `error=` compare the
+    /// estimate with.
+    pub fn executed_cells(scanned: u64, filter_cells: u64, kernel: Kernel) -> f64 {
+        scanned as f64 + filter_cells as f64 * Self::quant_cell_cost(kernel)
+    }
+
+    /// `|estimated − executed| / executed` in percent, with `executed`
+    /// floored at one cell so a fully skipped query stays finite.
+    pub fn abs_rel_error_pct(estimated: f64, executed: f64) -> f64 {
+        (estimated - executed).abs() / executed.max(1.0) * 100.0
     }
 
     /// Code bit-width of the companion the quantized filter sweeps: the

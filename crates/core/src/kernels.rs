@@ -6,11 +6,12 @@
 //! explicit per-ISA implementations instead of leaving them to the
 //! auto-vectorizer's mood:
 //!
-//! 1. **the quantized sweep** ([`sweep_lane`]): per dimension, accumulate
-//!    the LUT entries a flat `&[u8]` code column selects into one per-row
-//!    running bound — the optimistic bound the code filter prunes on, or
-//!    either side of the full interval the VA-File and the approximate scan
-//!    read (one pass per side), and
+//! 1. **the quantized sweeps**: the code filter's one-sided sweep
+//!    ([`sweep_codes`]) adds, per row, the 16-bit LUT entries a group of
+//!    flat `&[u8]` code columns selects into an exact integer sum and turns
+//!    it into the optimistic bound the filter prunes on; the interval sweep
+//!    the VA-File and the approximate scan read ([`sweep_lane`]) adds
+//!    full-precision `f64` entries, once per side of the interval, and
 //! 2. **the exact accumulate** ([`accumulate`], [`accumulate_gather`]):
 //!    `acc[i] += contribution(dim, value_i, q)` for the warmup/refine
 //!    phases, in dense (contiguous rows) and gathered (explicit row list)
@@ -25,10 +26,11 @@
 //! `is_x86_feature_detected!("avx2")` on x86-64, NEON on aarch64, the
 //! portable scalar loop everywhere else — and can be forced with the
 //! `BOND_KERNEL=scalar|avx2|neon` environment variable for testing. Every
-//! entry point also accepts an explicit [`Kernel`] so tests and benches
-//! can compare flavours inside one process regardless of the environment;
-//! an explicitly requested flavour the host cannot run degrades to scalar
-//! instead of faulting.
+//! entry point also accepts an explicit [`Kernel`] (the code filter's sweep
+//! an explicit [`CodeSweep`]) so tests and benches can compare flavours
+//! inside one process regardless of the environment; an explicitly
+//! requested flavour the host cannot run degrades to scalar instead of
+//! faulting.
 //!
 //! **Bit-identity is the contract.** Each vector path performs, per row,
 //! exactly the floating-point operations of the scalar reference in the
@@ -37,18 +39,29 @@
 //! lane and no FMA contraction is used (fusing `(v−q)·(v−q)` would change
 //! rounding versus the scalar two-step). The only representable
 //! divergences are NaN inputs and `(−0.0, +0.0)` min-ties, which decoded
-//! table values never produce. This is why the "fast-scan" trick of the
-//! PQ literature appears here as the dimension-blocked sweep
-//! ([`sweep_lane`]) over full-precision LUTs rather than a literal
-//! `pshufb` byte shuffle: fast-scan shuffles 8-bit quantized distances, but
-//! BOND's bounds are `f64` and must stay bit-identical to the scalar sweep,
-//! so the fast path keeps full-width lanes and wins by holding the running
-//! bounds in registers across a block of dimensions, gathering four rows'
-//! entries per instruction.
+//! table values never produce.
+//!
+//! **The code filter sweeps integers.** The PQ fast-scan trick (André,
+//! Kermarrec & Le Scouarnec) holds small integer LUTs in registers and
+//! looks them up with byte shuffles instead of memory gathers. The filter
+//! only needs a bound on the optimistic side, not the `f64` sum itself, so
+//! [`quantize_lut`] rounds each group's optimistic LUTs to 16-bit integers
+//! on that side (one scale per group, one offset per column), and
+//! [`sweep_codes`] sums them exactly as `u32` per row and then performs one
+//! fixed sequence of `f64` operations — the same integers and the same
+//! operations on every implementation, so every implementation is still
+//! bit-identical to the scalar reference. With AVX-512 VBMI each column's
+//! entries sit as a low-byte and a high-byte plane in registers and
+//! `vpermi2b` looks up 64 rows at once; without it, `vpgatherdd` fetches
+//! eight rows' entries per instruction. The exact refine still decides
+//! every hit, so a looser bound costs survivors, never answers. 8-bit
+//! entries lose too much (the refine would read ~14× the rows); 16 bits
+//! cost about 2 % more survivors than `f64`. The interval sweep keeps
+//! full-precision LUTs: its bounds are reported as scores and error bounds.
 
 use std::sync::OnceLock;
 
-use bond_metrics::KernelOp;
+use bond_metrics::{KernelOp, Objective};
 use vdstore::{CodeParams, RowId};
 
 /// Environment variable that forces kernel selection
@@ -63,14 +76,16 @@ pub enum Kernel {
     /// The portable scalar loops — the reference every other flavour must
     /// match bit for bit.
     Scalar,
-    /// `core::arch::x86_64` AVX2: the quantized sweep blocks up to
-    /// [`MAX_SWEEP_GROUP`] dimensions per pass with the running bounds
-    /// held in ymm registers and gathers four rows' LUT entries per
-    /// instruction; the exact kernels run 4 rows per 256-bit lane group.
+    /// `core::arch::x86_64` AVX2: the code filter's 16-bit sweep picks
+    /// AVX-512 VBMI byte permutes where the host has them and 32-bit
+    /// gathers elsewhere ([`CodeSweep::of`]); the `f64` interval sweep
+    /// blocks up to [`MAX_SWEEP_GROUP`] dimensions per pass with the
+    /// running bounds held in ymm registers and gathers four rows' LUT
+    /// entries per instruction; the exact kernels run 4 rows per 256-bit
+    /// lane group.
     Avx2,
     /// `core::arch::aarch64` NEON: the exact kernels run 2 rows per
-    /// 128-bit vector; the quantized sweep runs the scalar reference (NEON
-    /// has no gather instruction).
+    /// 128-bit vector; both quantized sweeps run the scalar reference.
     Neon,
 }
 
@@ -162,27 +177,19 @@ pub const MAX_SWEEP_GROUP: usize = 32;
 /// is bound by memory traffic — a LUT load plus an accumulator
 /// load-modify-store per cell — so the AVX2 path blocks dimensions
 /// together and keeps the running bounds in registers across the block.
-/// The block width follows the LUT footprint: at ≤ 16 levels (bits ≤ 4,
-/// the fast-scan regime) all 32 tables together are only 4 KiB, so the
-/// widest block wins; at 5–8 bits a 32-column block would be 64 KiB of
-/// LUTs, so 8 columns (16 KiB, L1-resident) are swept per pass. The scalar
+/// The block width follows the LUT footprint ([`code_group`]). The scalar
 /// reference, which NEON runs too, sweeps one column at a time (group 1).
 pub fn sweep_group(kernel: Kernel, levels: usize) -> usize {
     match kernel {
-        Kernel::Avx2 => {
-            if levels <= 16 {
-                MAX_SWEEP_GROUP
-            } else {
-                8
-            }
-        }
+        Kernel::Avx2 => code_group(levels),
         Kernel::Scalar | Kernel::Neon => 1,
     }
 }
 
-/// One-lane, dimension-blocked sweep: for every row `i` and every column
-/// `j` in order, `acc[i] += luts[j·levels + columns[j][i]]` — the code
-/// filter's optimistic bound, or one side of the VA-File's interval, up to
+/// One-lane, dimension-blocked `f64` sweep: for every row `i` and every
+/// column `j` in order, `acc[i] += luts[j·levels + columns[j][i]]` — one
+/// side of the interval [`crate::quantfilter::interval_scores_into`]
+/// computes for the VA-File and the approximate scan, up to
 /// [`sweep_group`] columns per pass. `luts[j·levels + c]` is code `c`'s
 /// entry in column `j`.
 ///
@@ -243,6 +250,433 @@ fn sweep_lane_scalar(columns: &[&[u8]], luts: &[f64], levels: usize, acc: &mut [
         for (a, &code) in acc.iter_mut().zip(column.iter()) {
             *a += lut[code as usize & m];
         }
+    }
+}
+
+/// Columns one quantized LUT spans in the code filter's sweep
+/// ([`quantize_lut`], [`sweep_codes`]), on every kernel — the group shares
+/// one scale, so the group fixes the quantized bounds, and one group for
+/// every kernel keeps the filter's bounds the same bits on every kernel —
+/// and the AVX2 width of [`sweep_group`]. The width follows the LUT
+/// footprint: at ≤ 16 levels (bits ≤ 4, the fast-scan regime) 32 tables
+/// together are small, so the widest group wins; at 5–8 bits a 32-column
+/// group would be 64 KiB of `f64` LUTs, so 8 columns (16 KiB,
+/// L1-resident) go per group.
+pub fn code_group(levels: usize) -> usize {
+    if levels <= 16 {
+        MAX_SWEEP_GROUP
+    } else {
+        8
+    }
+}
+
+/// Largest quantized LUT entry: entries are `u16`.
+const Q_MAX: f64 = 65_535.0;
+
+/// The implementations of the code filter's quantized sweep
+/// ([`sweep_codes`]) and of the quantizer feeding it ([`quantize_lut`]).
+/// [`CodeSweep::of`] picks one per [`Kernel`]; tests and benches name one
+/// directly to compare it with the scalar reference. An implementation the
+/// host cannot run degrades to scalar instead of faulting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CodeSweep {
+    /// The portable per-row loop — the reference every other
+    /// implementation matches bit for bit. The scalar and NEON kernels run
+    /// it.
+    Scalar,
+    /// AVX2 `vpgatherdd`: eight rows' 16-bit entries per gather, for x86
+    /// hosts without AVX-512 VBMI.
+    Gather,
+    /// AVX-512 VBMI `vpermi2b`: each column's LUT as a low-byte and a
+    /// high-byte plane held in registers, 64 rows per step, no gather.
+    Permute,
+}
+
+impl CodeSweep {
+    /// Every implementation, scalar first.
+    pub const ALL: [CodeSweep; 3] = [CodeSweep::Scalar, CodeSweep::Gather, CodeSweep::Permute];
+
+    /// The implementation `kernel` runs: the `avx2` flavour takes the byte
+    /// permutes where AVX-512 VBMI and BW hold (with the F subset every
+    /// AVX-512 part has) and the 32-bit gathers elsewhere; every other
+    /// flavour takes the scalar reference.
+    pub fn of(kernel: Kernel) -> CodeSweep {
+        match kernel {
+            Kernel::Avx2 if CodeSweep::Permute.is_supported() => CodeSweep::Permute,
+            Kernel::Avx2 if CodeSweep::Gather.is_supported() => CodeSweep::Gather,
+            _ => CodeSweep::Scalar,
+        }
+    }
+
+    /// Whether this implementation can run on the current host.
+    pub fn is_supported(self) -> bool {
+        match self {
+            CodeSweep::Scalar => true,
+            CodeSweep::Gather => Kernel::Avx2.is_supported(),
+            CodeSweep::Permute => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    static VBMI: OnceLock<bool> = OnceLock::new();
+                    // its quantizer and range run the AVX2 kernels
+                    *VBMI.get_or_init(|| {
+                        Kernel::Avx2.is_supported()
+                            && std::arch::is_x86_feature_detected!("avx512f")
+                            && std::arch::is_x86_feature_detected!("avx512bw")
+                            && std::arch::is_x86_feature_detected!("avx512vbmi")
+                    })
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    false
+                }
+            }
+        }
+    }
+
+    /// The implementation's name, for test output.
+    pub fn label(self) -> &'static str {
+        match self {
+            CodeSweep::Scalar => "scalar",
+            CodeSweep::Gather => "gather",
+            CodeSweep::Permute => "permute",
+        }
+    }
+}
+
+/// One group's optimistic `f64` LUTs quantized to 16-bit integers by
+/// [`quantize_lut`]: per column `j` an offset `m_j`, its smallest entry;
+/// one scale `s` for the group; and per cell an integer `q` with
+/// `q·s + m_j` on the optimistic side of the cell's entry. A row's bound
+/// over the group is [`QuantLut::value`] of its integer sum. Lives in the
+/// filter's scratch and is refilled per group, so it allocates only while
+/// it grows.
+#[derive(Debug, Clone, Default)]
+pub struct QuantLut {
+    levels: usize,
+    columns: usize,
+    /// `columns × levels` entries, column-major, plus one slot of padding
+    /// the 32-bit gathers read past the last entry.
+    q: Vec<u16>,
+    /// For [`CodeSweep::Permute`]: per column the entries' low bytes, then
+    /// their high bytes, [`plane_len`] bytes each.
+    planes: Vec<u8>,
+    /// Whether `planes` holds this group's entries.
+    has_planes: bool,
+    scale: f64,
+    offset: f64,
+}
+
+impl QuantLut {
+    /// An empty table; it grows on first use.
+    pub fn new() -> Self {
+        QuantLut::default()
+    }
+
+    /// The quantized entries, `levels` per column, column-major.
+    pub fn entries(&self) -> &[u16] {
+        &self.q[..self.columns * self.levels]
+    }
+
+    /// The group's scale `s`.
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The sum of the columns' offsets, `Σ m_j` in column order from
+    /// `0.0` — `∓∞` for a group that held a non-finite entry.
+    pub fn offset(&self) -> f64 {
+        self.offset
+    }
+
+    /// The bound a row whose entries sum to `n` gets over the group:
+    /// `f64(n)·s + Σ m_j`, the same two operations on every
+    /// implementation.
+    #[inline]
+    pub fn value(&self, n: u32) -> f64 {
+        f64::from(n) * self.scale + self.offset
+    }
+}
+
+/// Bytes one byte plane of a column takes: the 128 bytes two `zmm`
+/// registers hold, or 256 at 256 levels.
+fn plane_len(levels: usize) -> usize {
+    levels.max(128)
+}
+
+/// Quantizes one group's optimistic `f64` LUTs (`luts[j·levels + c]`, at
+/// most [`MAX_SWEEP_GROUP`] columns) into `out`, for the objective the
+/// entries serve:
+///
+/// - column `j`'s offset `m_j` is its smallest entry; the group's scale is
+///   `s = max_j(max_j − m_j) / 65535`, raised by one ulp when `65535·s`
+///   falls short of that span and floored at [`f64::MIN_POSITIVE`];
+/// - an entry `e` becomes `q = ⌊(e − m_j)·(1/s)⌋` under `Minimize` or
+///   `⌈…⌉` under `Maximize`; when `q·s` then lies on the pessimistic side
+///   of `e − m_j` (the reciprocal can round across an integer), `q` steps
+///   once more, and it is clamped to `[0, 65535]`;
+/// - a group holding a non-finite entry, or whose largest bound would
+///   overflow, gets a vacuous bound instead: every `q` is zero, `s` is zero
+///   and the offset is `−∞` under `Minimize`, `+∞` under `Maximize`, so
+///   every row keeps.
+///
+/// A zero span gives `s = 0` and all-zero entries: the bound is exact.
+/// `sweep` picks the implementation, and for [`CodeSweep::Permute`] also
+/// lays the entries out as byte planes; every implementation gives the same
+/// entries, scale and offset.
+///
+/// # Panics
+/// Panics unless `levels` is a power of two of at most 256 and `luts` holds
+/// between one and [`MAX_SWEEP_GROUP`] whole columns.
+pub fn quantize_lut(
+    sweep: CodeSweep,
+    objective: Objective,
+    luts: &[f64],
+    levels: usize,
+    out: &mut QuantLut,
+) {
+    assert!(
+        levels.is_power_of_two() && levels <= 256,
+        "quantize_lut: levels must be a power of two of at most 256"
+    );
+    let columns = luts.len() / levels;
+    assert!(
+        columns * levels == luts.len() && (1..=MAX_SWEEP_GROUP).contains(&columns),
+        "quantize_lut: the LUTs must be 1 to MAX_SWEEP_GROUP whole columns"
+    );
+    let sweep = if sweep.is_supported() { sweep } else { CodeSweep::Scalar };
+    let up = objective == Objective::Maximize;
+    out.levels = levels;
+    out.columns = columns;
+    out.q.resize(columns * levels + 1, 0);
+    out.has_planes = sweep == CodeSweep::Permute;
+    if out.has_planes {
+        out.planes.resize(columns * 2 * plane_len(levels), 0);
+    }
+    let mut offsets = [0.0; MAX_SWEEP_GROUP];
+    let mut span = 0.0f64;
+    let mut finite = true;
+    for (m, lut) in offsets.iter_mut().zip(luts.chunks_exact(levels)) {
+        let (min, max, ok) = column_range(sweep, lut);
+        *m = min;
+        finite &= ok;
+        if max - min > span {
+            span = max - min;
+        }
+    }
+    let offset = offsets[..columns].iter().fold(0.0, |sum, &m| sum + m);
+    let mut scale = span / Q_MAX;
+    if scale * Q_MAX < span {
+        scale = f64::from_bits(scale.to_bits() + 1);
+    }
+    let scale = if span > 0.0 { scale.max(f64::MIN_POSITIVE) } else { 0.0 };
+    let top = (columns as f64 * Q_MAX) * scale + offset;
+    if !finite || !top.is_finite() {
+        out.q.fill(0);
+        out.planes.fill(0);
+        (out.scale, out.offset) = (0.0, if up { f64::INFINITY } else { f64::NEG_INFINITY });
+        return;
+    }
+    (out.scale, out.offset) = (scale, offset);
+    let grid = QuantGrid { scale, inv: if scale > 0.0 { 1.0 / scale } else { 0.0 }, up };
+    let plane = plane_len(levels);
+    for (j, lut) in luts.chunks_exact(levels).enumerate() {
+        let q = &mut out.q[j * levels..(j + 1) * levels];
+        let planes = if out.has_planes {
+            Some(&mut out.planes[j * 2 * plane..(j + 1) * 2 * plane])
+        } else {
+            None
+        };
+        quantize_column(sweep, grid, offsets[j], lut, q, planes);
+    }
+}
+
+/// The per-entry constants of [`quantize_lut`]'s second pass.
+#[derive(Debug, Clone, Copy)]
+struct QuantGrid {
+    scale: f64,
+    /// `1/s`, or `0.0` for a zero scale (every entry then quantizes to 0).
+    inv: f64,
+    /// `Maximize`: round up.
+    up: bool,
+}
+
+impl QuantGrid {
+    /// One entry, `x = e − m` (never negative): the scalar reference of
+    /// every quantizer. `r = x·(1/s)` lies in `[0, 2¹⁷)`, so adding and
+    /// subtracting 2⁵² rounds it to the nearest integer exactly, and one
+    /// compare turns that into its floor or ceiling; the result's `u16` is
+    /// the low bits of `q + 2⁵²`. Plain `f64` arithmetic and compares, so
+    /// the column loop vectorizes on any baseline — `f64::floor` lowers to a
+    /// library call on baseline x86-64, and a saturating `as` conversion
+    /// keeps the loop scalar.
+    #[inline]
+    fn quantize(self, x: f64) -> u16 {
+        let r = x * self.inv;
+        let t = (r + MAGIC) - MAGIC;
+        let q = if self.up {
+            let q = t + if t < r { 1.0 } else { 0.0 };
+            q + if q * self.scale < x { 1.0 } else { 0.0 }
+        } else {
+            let q = t - if t > r { 1.0 } else { 0.0 };
+            q - if q * self.scale > x { 1.0 } else { 0.0 }
+        };
+        let q = if q < Q_MAX { q } else { Q_MAX };
+        (q + MAGIC).to_bits() as u16
+    }
+}
+
+/// 2⁵²: an `f64` at or above it has no fractional bits.
+const MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// One column's smallest and largest entry, and whether all are finite
+/// (`0·e` is NaN exactly for `±∞` and NaN). The range is exact only when
+/// every entry is finite; [`quantize_lut`] discards it otherwise.
+fn column_range(sweep: CodeSweep, lut: &[f64]) -> (f64, f64, bool) {
+    match sweep {
+        #[cfg(target_arch = "x86_64")]
+        CodeSweep::Gather | CodeSweep::Permute if lut.len() >= 8 => {
+            // SAFETY: `quantize_lut` only passes a supported implementation,
+            // and both need AVX2; the eight-entry steps tile a power-of-two
+            // column of at least eight entries.
+            unsafe { x86::column_range_avx2(lut) }
+        }
+        _ => {
+            // four independent lanes of compare-selects: the loop vectorizes
+            let mut lo = [f64::INFINITY; 4];
+            let mut hi = [f64::NEG_INFINITY; 4];
+            let mut bad = [0.0f64; 4];
+            let mut lane = |k: usize, e: f64| {
+                lo[k] = if e < lo[k] { e } else { lo[k] };
+                hi[k] = if e > hi[k] { e } else { hi[k] };
+                bad[k] += 0.0 * e;
+            };
+            let quads = lut.chunks_exact(4);
+            let tail = quads.remainder();
+            for quad in quads {
+                for (k, &e) in quad.iter().enumerate() {
+                    lane(k, e);
+                }
+            }
+            for &e in tail {
+                lane(0, e);
+            }
+            let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
+            let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi, bad.into_iter().sum::<f64>() == 0.0)
+        }
+    }
+}
+
+/// Quantizes one column (offset `m`) into `q`, and into its low/high byte
+/// `planes` when given.
+fn quantize_column(
+    sweep: CodeSweep,
+    grid: QuantGrid,
+    m: f64,
+    lut: &[f64],
+    q: &mut [u16],
+    planes: Option<&mut [u8]>,
+) {
+    match sweep {
+        #[cfg(target_arch = "x86_64")]
+        CodeSweep::Gather | CodeSweep::Permute if lut.len() >= 4 => {
+            // SAFETY: both implementations need AVX2, and are only passed
+            // when supported; the four-entry steps tile a power-of-two
+            // column of at least four entries and `q` is as long as the
+            // column.
+            unsafe { x86::quantize_column_avx2(grid, m, lut, q) }
+        }
+        _ => {
+            for (q, &e) in q.iter_mut().zip(lut) {
+                *q = grid.quantize(e - m);
+            }
+        }
+    }
+    if let Some(planes) = planes {
+        split_planes(q, planes);
+    }
+}
+
+/// Writes `q`'s low bytes to the first half of `planes`, its high bytes to
+/// the second.
+fn split_planes(q: &[u16], planes: &mut [u8]) {
+    let (low, high) = planes.split_at_mut(planes.len() / 2);
+    for ((l, h), &v) in low.iter_mut().zip(high.iter_mut()).zip(q) {
+        [*l, *h] = v.to_le_bytes();
+    }
+}
+
+/// The code filter's one-sided sweep over one group of columns and one
+/// run of rows: per row `i`, `n = Σ_j q_j[columns[j][i] & (levels − 1)]`
+/// as an exact `u32`, then `acc[i] = base + lut.value(n)`, where `base` is
+/// `acc[i]`, or `0.0` with `init`. Every implementation performs exactly
+/// these operations, so each is bit-identical to the scalar reference; a
+/// malformed code aliases a valid cell. `lut` must come from
+/// [`quantize_lut`] for these columns — with `sweep` itself when `sweep` is
+/// [`CodeSweep::Permute`], which reads the byte planes.
+///
+/// # Panics
+/// Panics unless `lut` was quantized for `columns.len()` (at least one)
+/// columns and every column holds `acc.len()` codes.
+pub fn sweep_codes(
+    sweep: CodeSweep,
+    columns: &[&[u8]],
+    lut: &QuantLut,
+    acc: &mut [f64],
+    init: bool,
+) {
+    assert!(
+        !columns.is_empty() && columns.len() == lut.columns,
+        "sweep_codes: the LUT must be quantized for these columns"
+    );
+    for column in columns {
+        assert_eq!(column.len(), acc.len(), "sweep_codes: column and accumulator disagree");
+    }
+    match sweep {
+        #[cfg(target_arch = "x86_64")]
+        CodeSweep::Permute if lut.has_planes && CodeSweep::Permute.is_supported() => {
+            // SAFETY: AVX-512 F/BW/VBMI hold, the planes were laid out
+            // for this group, and every column holds `acc.len()` codes
+            // (asserted above); codes are masked to `levels − 1`.
+            unsafe { x86::sweep_codes_permute(columns, lut, acc, init) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        CodeSweep::Gather | CodeSweep::Permute if CodeSweep::Gather.is_supported() => {
+            // SAFETY: AVX2 holds, the entries carry their padding slot,
+            // and every column holds `acc.len()` codes (asserted above);
+            // codes are masked to `levels − 1`.
+            unsafe { x86::sweep_codes_gather(columns, lut, acc, init) }
+        }
+        _ => sweep_codes_scalar(columns, lut, acc, init, 0),
+    }
+}
+
+/// The portable quantized sweep — the bit-identity reference: per row from
+/// row `from` on, the integer sum over the group's columns, then one bound.
+/// Rows go 256 at a time, column by column into a stack of `u32` sums, so
+/// each column streams like the `f64` sweep does. The vector
+/// implementations finish their tails with it.
+fn sweep_codes_scalar(columns: &[&[u8]], lut: &QuantLut, acc: &mut [f64], init: bool, from: usize) {
+    let levels = lut.levels;
+    let m = levels - 1;
+    let mut sums = [0u32; 256];
+    let mut start = from;
+    while start < acc.len() {
+        let rows = start..acc.len().min(start + sums.len());
+        let sums = &mut sums[..rows.len()];
+        sums.fill(0);
+        for (column, q) in columns.iter().zip(lut.q.chunks_exact(levels)) {
+            // `code & m ≤ m`: a malformed code aliases a valid cell
+            let q = &q[..=m];
+            for (n, &code) in sums.iter_mut().zip(&column[rows.clone()]) {
+                *n += u32::from(q[usize::from(code) & m]);
+            }
+        }
+        for (a, &n) in acc[rows.clone()].iter_mut().zip(sums.iter()) {
+            let base = if init { 0.0 } else { *a };
+            *a = base + lut.value(n);
+        }
+        start = rows.end;
     }
 }
 
@@ -501,17 +935,315 @@ fn accumulate_gather_scalar(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m256d, _mm256_add_pd, _mm256_blend_pd, _mm256_cmp_pd, _mm256_i32gather_pd,
-        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm_and_si128, _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_set1_epi8,
-        _mm_srli_si128, _CMP_LT_OQ,
+        __m128i, __m256d, __m512d, __m512i, _mm256_add_epi32, _mm256_add_pd, _mm256_and_pd,
+        _mm256_and_si256, _mm256_blend_pd, _mm256_castsi256_si128, _mm256_ceil_pd, _mm256_cmp_pd,
+        _mm256_cvtepi32_pd, _mm256_cvtepu8_epi32, _mm256_cvttpd_epi32, _mm256_extracti128_si256,
+        _mm256_floor_pd, _mm256_i32gather_epi32, _mm256_i32gather_pd, _mm256_loadu_pd,
+        _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_epi32,
+        _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_setzero_si256, _mm256_storeu_pd,
+        _mm256_sub_pd, _mm512_add_epi16, _mm512_add_epi32, _mm512_add_pd, _mm512_and_si512,
+        _mm512_castsi512_si256, _mm512_cvtepi32_pd, _mm512_cvtepu16_epi32,
+        _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_mask_blend_epi8,
+        _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi8, _mm512_maskz_loadu_pd, _mm512_movepi8_mask,
+        _mm512_mul_pd, _mm512_permutex2var_epi32, _mm512_permutex2var_epi8, _mm512_set1_epi16,
+        _mm512_set1_epi8, _mm512_set1_pd, _mm512_setr_epi32, _mm512_setzero_pd,
+        _mm512_setzero_si512, _mm512_slli_epi32, _mm512_srli_epi16, _mm_and_si128,
+        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_packus_epi32, _mm_set1_epi8,
+        _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ,
     };
 
     use bond_metrics::KernelOp;
     use vdstore::{CodeParams, RowId};
 
-    use super::SurviveTest;
+    use super::{plane_len, sweep_codes_scalar, QuantGrid, QuantLut, SurviveTest, Q_MAX};
+
+    /// One column's smallest and largest entry and whether every entry is
+    /// finite, eight entries per step in two independent lanes of four:
+    /// `0·e` is `0` for a finite entry and NaN for `±∞` and NaN, so their
+    /// sum is NaN exactly when the reference's is.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and a column length that is a multiple of 8.
+    // SAFETY: dispatched from `column_range` only for AVX2 implementations
+    // and power-of-two columns of at least eight entries.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn column_range_avx2(lut: &[f64]) -> (f64, f64, bool) {
+        let p = lut.as_ptr();
+        let zero = _mm256_setzero_pd();
+        let mut lo = [_mm256_set1_pd(f64::INFINITY); 2];
+        let mut hi = [_mm256_set1_pd(f64::NEG_INFINITY); 2];
+        let mut bad = [zero; 2];
+        for c in (0..lut.len()).step_by(8) {
+            for k in 0..2 {
+                let e = _mm256_loadu_pd(p.add(c + 4 * k));
+                lo[k] = _mm256_min_pd(lo[k], e);
+                hi[k] = _mm256_max_pd(hi[k], e);
+                bad[k] = _mm256_add_pd(bad[k], _mm256_mul_pd(e, zero));
+            }
+        }
+        let (mut l, mut h) = ([0.0; 4], [0.0; 4]);
+        _mm256_storeu_pd(l.as_mut_ptr(), _mm256_min_pd(lo[0], lo[1]));
+        _mm256_storeu_pd(h.as_mut_ptr(), _mm256_max_pd(hi[0], hi[1]));
+        let lo = l.into_iter().fold(f64::INFINITY, f64::min);
+        let hi = h.into_iter().fold(f64::NEG_INFINITY, f64::max);
+        let bad = _mm256_cmp_pd::<_CMP_NEQ_UQ>(_mm256_add_pd(bad[0], bad[1]), zero);
+        (lo, hi, _mm256_movemask_pd(bad) == 0)
+    }
+
+    /// [`QuantGrid::quantize`] over one column ([`quantize_quad`]), eight
+    /// entries per step — four at four levels.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2, a power-of-two column length of at least 4
+    /// and `q.len() == lut.len()`.
+    // SAFETY: dispatched from `quantize_column` only for AVX2
+    // implementations and columns of at least four power-of-two entries, so
+    // the eight-entry steps tile any longer one; `q` is the column's slice
+    // of the entries.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_column_avx2(grid: QuantGrid, m: f64, lut: &[f64], q: &mut [u16]) {
+        let (p, out) = (lut.as_ptr(), q.as_mut_ptr());
+        if lut.len() < 8 {
+            let v = quantize_quad(grid, _mm256_sub_pd(_mm256_loadu_pd(p), _mm256_set1_pd(m)));
+            _mm_storel_epi64(out.cast(), _mm_packus_epi32(v, v));
+            return;
+        }
+        let vm = _mm256_set1_pd(m);
+        for c in (0..lut.len()).step_by(8) {
+            let a = quantize_quad(grid, _mm256_sub_pd(_mm256_loadu_pd(p.add(c)), vm));
+            let b = quantize_quad(grid, _mm256_sub_pd(_mm256_loadu_pd(p.add(c + 4)), vm));
+            _mm_storeu_si128(out.add(c).cast(), _mm_packus_epi32(a, b));
+        }
+    }
+
+    /// [`QuantGrid::quantize`] of four entries, as `i32` lanes: the
+    /// reference's floor or ceiling taken with `vroundpd` (equal to its
+    /// round-and-compare for the ratios it meets), the same steps added as
+    /// masked `1.0`s, and the same clamp.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2.
+    // SAFETY: pure register arithmetic.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_quad(grid: QuantGrid, x: __m256d) -> __m128i {
+        let (inv, s) = (_mm256_set1_pd(grid.inv), _mm256_set1_pd(grid.scale));
+        let one = _mm256_set1_pd(1.0);
+        let r = _mm256_mul_pd(x, inv);
+        let v = if grid.up {
+            let v = _mm256_ceil_pd(r);
+            let short = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_mul_pd(v, s), x);
+            _mm256_add_pd(v, _mm256_and_pd(short, one))
+        } else {
+            let v = _mm256_floor_pd(r);
+            let over = _mm256_cmp_pd::<_CMP_GT_OQ>(_mm256_mul_pd(v, s), x);
+            _mm256_sub_pd(v, _mm256_and_pd(over, one))
+        };
+        _mm256_cvttpd_epi32(_mm256_min_pd(v, _mm256_set1_pd(Q_MAX)))
+    }
+
+    /// Four rows' bounds from their entry sums: `base + (f64(n)·s + offset)`,
+    /// the reference's three operations per row.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and four writable rows at `ap`.
+    // SAFETY: pure register arithmetic plus one four-row load/store the
+    // callers keep inside the accumulator.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_bounds_quad(ap: *mut f64, sums: __m128i, lut: &QuantLut, init: bool) {
+        let t = _mm256_add_pd(
+            _mm256_mul_pd(_mm256_cvtepi32_pd(sums), _mm256_set1_pd(lut.scale)),
+            _mm256_set1_pd(lut.offset),
+        );
+        let base = if init { _mm256_setzero_pd() } else { _mm256_loadu_pd(ap) };
+        _mm256_storeu_pd(ap, _mm256_add_pd(base, t));
+    }
+
+    /// The AVX2 quantized sweep: per sixteen rows and column, one 16-byte
+    /// code load, masked to `levels − 1`, widens into two sets of eight
+    /// indices, and two `vpgatherdd` read their 16-bit entries (as 32-bit
+    /// words at 2-byte strides, the upper half masked off — the padding
+    /// slot keeps the last read inside the table); the sums stay exact
+    /// `u32` lanes across the group. Rows past the last sixteen take the
+    /// scalar reference.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2, `lut` quantized for `columns.len()` columns
+    /// (with its padding slot) and every column holding `acc.len()` codes.
+    // SAFETY: dispatched from `sweep_codes` only after asserting all of the
+    // above; code loads read rows `i..i + 16` with the end at most
+    // `acc.len()`, and every gathered index is masked to `levels − 1`
+    // inside its column's entries.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sweep_codes_gather(
+        columns: &[&[u8]],
+        lut: &QuantLut,
+        acc: &mut [f64],
+        init: bool,
+    ) {
+        let n = acc.len();
+        let levels = lut.levels;
+        let mask = _mm_set1_epi8((levels - 1) as u8 as i8);
+        let low = _mm256_set1_epi32(0xFFFF);
+        let qp = lut.q.as_ptr();
+        let ap = acc.as_mut_ptr();
+        let mut i = 0usize;
+        while i + 16 <= n {
+            let (mut n0, mut n1) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            for (j, column) in columns.iter().enumerate() {
+                let table = qp.add(j * levels).cast::<i32>();
+                let codes = _mm_and_si128(_mm_loadu_si128(column.as_ptr().add(i).cast()), mask);
+                let e0 = _mm256_i32gather_epi32::<2>(table, _mm256_cvtepu8_epi32(codes));
+                let high = _mm_srli_si128::<8>(codes);
+                let e1 = _mm256_i32gather_epi32::<2>(table, _mm256_cvtepu8_epi32(high));
+                n0 = _mm256_add_epi32(n0, _mm256_and_si256(e0, low));
+                n1 = _mm256_add_epi32(n1, _mm256_and_si256(e1, low));
+            }
+            for (r, sums) in [(0, n0), (8, n1)] {
+                store_bounds_quad(ap.add(i + r), _mm256_castsi256_si128(sums), lut, init);
+                let upper = _mm256_extracti128_si256::<1>(sums);
+                store_bounds_quad(ap.add(i + r + 4), upper, lut, init);
+            }
+            i += 16;
+        }
+        sweep_codes_scalar(columns, lut, acc, init, i);
+    }
+
+    /// One byte plane's entries for 64 codes: `vpermi2b` over the plane's
+    /// first 128 bytes, and at 256 levels a second one over the upper 128
+    /// bytes, blended on each code's top bit.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 BW/VBMI and a plane of 128 readable bytes
+    /// at `plane` (256 when `wide`).
+    // SAFETY: register permutes over loads the caller keeps inside one
+    // plane of `plane_len(levels)` bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn plane_lookup(plane: *const u8, codes: __m512i, wide: bool) -> __m512i {
+        let low = _mm512_permutex2var_epi8(
+            _mm512_loadu_si512(plane.cast()),
+            codes,
+            _mm512_loadu_si512(plane.add(64).cast()),
+        );
+        if !wide {
+            return low;
+        }
+        let high = _mm512_permutex2var_epi8(
+            _mm512_loadu_si512(plane.add(128).cast()),
+            codes,
+            _mm512_loadu_si512(plane.add(192).cast()),
+        );
+        _mm512_mask_blend_epi8(_mm512_movepi8_mask(codes), low, high)
+    }
+
+    /// Sixteen rows' bounds from their entry sums, for the rows `live`
+    /// marks: `base + (f64(n)·s + offset)`, the reference's three
+    /// operations per row.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F and that every row `live` marks is
+    /// writable at `ap`.
+    // SAFETY: masked loads and stores touch only the rows `live` marks.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn store_bounds_sixteen(
+        ap: *mut f64,
+        sums: __m512i,
+        live: u16,
+        lut: &QuantLut,
+        init: bool,
+    ) {
+        let (s, off) = (_mm512_set1_pd(lut.scale), _mm512_set1_pd(lut.offset));
+        let halves = [_mm512_castsi512_si256(sums), _mm512_extracti64x4_epi64::<1>(sums)];
+        for (h, half) in halves.into_iter().enumerate() {
+            let k = (live >> (8 * h)) as u8;
+            if k == 0 {
+                continue;
+            }
+            let t: __m512d = _mm512_add_pd(_mm512_mul_pd(_mm512_cvtepi32_pd(half), s), off);
+            let p = ap.add(8 * h);
+            let base = if init { _mm512_setzero_pd() } else { _mm512_maskz_loadu_pd(k, p) };
+            _mm512_mask_storeu_pd(p, k, _mm512_add_pd(base, t));
+        }
+    }
+
+    /// The AVX-512 VBMI quantized sweep: 64 rows per step. Per column, one
+    /// (masked, at the tail) 64-byte code load, masked to `levels − 1`,
+    /// indexes the column's low-byte and high-byte planes with `vpermi2b`
+    /// ([`plane_lookup`]) — no gather. Each plane's bytes add into `u16`
+    /// lanes, even rows and odd rows apart (`& 0xFF`, `>> 8`): 32 columns
+    /// of bytes stay below 2¹⁶. After the group, each row's sum
+    /// `256·high + low` widens to `u32` and goes through the reference's
+    /// three operations.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F/BW/VBMI, `lut` quantized with its
+    /// planes for `columns.len()` columns, and every column holding
+    /// `acc.len()` codes.
+    // SAFETY: dispatched from `sweep_codes` only after asserting all of the
+    // above; code loads are masked to the rows below `acc.len()`, plane
+    // loads stay inside each column's `2 × plane_len` bytes, and bound
+    // stores are masked the same way.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn sweep_codes_permute(
+        columns: &[&[u8]],
+        lut: &QuantLut,
+        acc: &mut [f64],
+        init: bool,
+    ) {
+        let n = acc.len();
+        let levels = lut.levels;
+        let plane = plane_len(levels);
+        let wide = levels > 128;
+        let mask = _mm512_set1_epi8((levels - 1) as u8 as i8);
+        let low = _mm512_set1_epi16(0x00FF);
+        // u32 lanes of the even rows (a) and odd rows (b), interleaved
+        let first = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let second =
+            _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        let pp = lut.planes.as_ptr();
+        let ap = acc.as_mut_ptr();
+        let mut i = 0usize;
+        while i < n {
+            let rows = (n - i).min(64);
+            let live = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
+            // low plane even/odd rows, high plane even/odd rows
+            let mut sums = [_mm512_setzero_si512(); 4];
+            for (j, column) in columns.iter().enumerate() {
+                let loaded = _mm512_maskz_loadu_epi8(live, column.as_ptr().add(i).cast());
+                let codes = _mm512_and_si512(loaded, mask);
+                let table = pp.add(j * 2 * plane);
+                let lo = plane_lookup(table, codes, wide);
+                let hi = plane_lookup(table.add(plane), codes, wide);
+                sums[0] = _mm512_add_epi16(sums[0], _mm512_and_si512(lo, low));
+                sums[1] = _mm512_add_epi16(sums[1], _mm512_srli_epi16::<8>(lo));
+                sums[2] = _mm512_add_epi16(sums[2], _mm512_and_si512(hi, low));
+                sums[3] = _mm512_add_epi16(sums[3], _mm512_srli_epi16::<8>(hi));
+            }
+            for h in 0..2 {
+                let widen = |v: __m512i| {
+                    let half = if h == 0 {
+                        _mm512_castsi512_si256(v)
+                    } else {
+                        _mm512_extracti64x4_epi64::<1>(v)
+                    };
+                    _mm512_cvtepu16_epi32(half)
+                };
+                // rows 32h + 2t and 32h + 2t + 1, t < 16
+                let even = _mm512_add_epi32(widen(sums[0]), _mm512_slli_epi32::<8>(widen(sums[2])));
+                let odd = _mm512_add_epi32(widen(sums[1]), _mm512_slli_epi32::<8>(widen(sums[3])));
+                for (c, order) in [(0, first), (1, second)] {
+                    let row = 32 * h + 16 * c;
+                    let sixteen = _mm512_permutex2var_epi32(even, order, odd);
+                    let marks = (live >> row) as u16;
+                    store_bounds_sixteen(ap.add(i + row), sixteen, marks, lut, init);
+                }
+            }
+            i += 64;
+        }
+    }
 
     /// The dropped-row bits of four rows: `sign · (v + add)` compared
     /// against the bar lane-wise with an *ordered* compare, so a NaN lane
@@ -1030,6 +1762,7 @@ mod tests {
         DecomposableMetric, HistogramIntersection, SquaredEuclidean, WeightedHistogramIntersection,
         WeightedSquaredEuclidean,
     };
+    use proptest::prelude::*;
 
     fn xorshift(seed: &mut u64) -> f64 {
         *seed ^= *seed << 13;
@@ -1151,6 +1884,153 @@ mod tests {
             let mut acc = vec![0.0; 37];
             sweep_lane(kernel, &[&codes], &luts, 4, &mut acc, false);
             assert!(acc.iter().all(|&a| a == 4.0), "{}", kernel.label());
+        }
+    }
+
+    #[test]
+    fn out_of_range_codes_alias_in_the_quantized_sweep_too() {
+        let codes = vec![255u8; 131];
+        let luts = [1.0, 2.0, 3.0, 4.0];
+        for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
+            let mut lut = QuantLut::new();
+            quantize_lut(sweep, Objective::Minimize, &luts, 4, &mut lut);
+            let mut acc = vec![0.0; 131];
+            sweep_codes(sweep, &[&codes], &lut, &mut acc, true);
+            assert!(acc.iter().all(|&a| a == lut.value(65_535)), "{}", sweep.label());
+            assert!((lut.value(65_535) - 4.0).abs() < 1e-12, "{}", sweep.label());
+        }
+    }
+
+    /// One column of adversarial LUT entries for the soundness property.
+    /// Ramps (`c·δ`, what a grid's cell edges give) put `(e − m)/s` on or
+    /// next to integers, where rounding the reciprocal product can land on
+    /// either side and the quantizer's step decides.
+    fn adversarial_column(levels: usize, next: &mut impl FnMut() -> u64) -> Vec<f64> {
+        let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+        let regime = next() % 7;
+        let constant = unit(next()) * 8.0 - 4.0;
+        (0..levels)
+            .map(|c| {
+                let u = unit(next());
+                match regime {
+                    0 => u * 8.0 - 4.0,
+                    1 => -1.0 - u * 1e3,
+                    2 => constant,
+                    3 => u * 2e300 - 1e300,
+                    4 => u * 1e-310,
+                    5 => c as f64 * (constant + 4.5) * 0.01,
+                    _ => {
+                        if next().is_multiple_of(2) {
+                            u * 1e300
+                        } else {
+                            -u * f64::MIN_POSITIVE
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The quantized bound is never on the pessimistic side of the
+        /// `f64` bound (the same LUTs summed in column order) by more than
+        /// `prune_slack` of the group's magnitude — the rounding the `f64`
+        /// sum itself carries. LUTs mix negative entries, zero spans, 1e300
+        /// spans and subnormals, and some hold `±∞` or NaN (the group's
+        /// bound is then vacuous); a finite group's bound lies within three
+        /// grid steps per column of it. Every implementation's quantizer
+        /// gives the scalar quantizer's entries, scale and offset.
+        #[test]
+        fn quantized_bounds_stay_on_the_optimistic_side(
+            seed in 1u64..u64::MAX,
+            width in 1usize..=MAX_SWEEP_GROUP,
+            bits in 0usize..3,
+            special in 0usize..8,
+        ) {
+            let levels = [2usize, 16, 256][bits];
+            let mut state = seed;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut luts: Vec<f64> =
+                (0..width).flat_map(|_| adversarial_column(levels, &mut next)).collect();
+            if let Some(&value) = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].get(special) {
+                let at = next() as usize % luts.len();
+                luts[at] = value;
+            }
+            let finite = luts.iter().all(|e| e.is_finite());
+            let magnitude: f64 = luts
+                .chunks_exact(levels)
+                .map(|column| column.iter().fold(0.0f64, |m, e| m.max(e.abs())))
+                .sum();
+            let slack = crate::searcher::prune_slack(magnitude);
+            let rows = 97;
+            let columns: Vec<Vec<u8>> =
+                (0..width).map(|_| (0..rows).map(|_| next() as u8).collect()).collect();
+            let columns: Vec<&[u8]> = columns.iter().map(Vec::as_slice).collect();
+            for objective in [Objective::Minimize, Objective::Maximize] {
+                let mut reference = QuantLut::new();
+                quantize_lut(CodeSweep::Scalar, objective, &luts, levels, &mut reference);
+                for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
+                    let mut lut = QuantLut::new();
+                    quantize_lut(sweep, objective, &luts, levels, &mut lut);
+                    prop_assert_eq!(lut.entries(), reference.entries(), "{}", sweep.label());
+                    prop_assert_eq!(lut.scale().to_bits(), reference.scale().to_bits());
+                    prop_assert_eq!(lut.offset().to_bits(), reference.offset().to_bits());
+                }
+                let mut bounds = vec![0.0; rows];
+                sweep_codes(CodeSweep::Scalar, &columns, &reference, &mut bounds, true);
+                for (row, &bound) in bounds.iter().enumerate() {
+                    let exact = columns
+                        .iter()
+                        .zip(luts.chunks_exact(levels))
+                        .fold(0.0, |sum, (column, lut)| sum + lut[column[row] as usize % levels]);
+                    let vacuous = if objective == Objective::Minimize {
+                        f64::NEG_INFINITY
+                    } else {
+                        f64::INFINITY
+                    };
+                    if !finite {
+                        prop_assert_eq!(bound, vacuous, "row {}", row);
+                        continue;
+                    }
+                    let pessimistic = match objective {
+                        Objective::Minimize => bound > exact + slack,
+                        Objective::Maximize => bound < exact - slack,
+                    };
+                    prop_assert!(
+                        !pessimistic,
+                        "{:?} row {}: quantized {} vs f64 {} (slack {})",
+                        objective,
+                        row,
+                        bound,
+                        exact,
+                        slack
+                    );
+                    // and no looser than a few grid steps per column: a
+                    // finite group's bound is never vacuous
+                    let gap = match objective {
+                        Objective::Minimize => exact - bound,
+                        Objective::Maximize => bound - exact,
+                    };
+                    let steps = 3.0 * width as f64 * reference.scale();
+                    prop_assert!(
+                        gap <= steps + slack,
+                        "{:?} row {}: quantized {} is {} from f64 {} (allowed {})",
+                        objective,
+                        row,
+                        bound,
+                        gap,
+                        exact,
+                        steps + slack
+                    );
+                }
+            }
         }
     }
 

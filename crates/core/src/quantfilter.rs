@@ -9,18 +9,29 @@
 //! module supplies the **code-interval** bound source. It is one-sided:
 //! pruning needs only each candidate's *optimistic* bound, so per dimension
 //! one tiny lookup table (one entry per quantization level, at most 256)
-//! holds the best contribution any value in a cell can make, and the
-//! ISA-pinned one-lane sweep ([`kernels::sweep_lane`]) adds it onto one
-//! per-row running bound with no per-row branching.
+//! holds the best contribution any value in a cell can make.
+//!
+//! **16-bit LUTs.** The tables are built in `f64`, then each group of
+//! [`kernels::code_group`] columns is quantized once to 16-bit integers
+//! rounded toward the optimistic side ([`kernels::quantize_lut`]: one
+//! offset per column, one scale per group), and the ISA-pinned sweep
+//! ([`kernels::sweep_codes`]) sums a row's entries over the group exactly
+//! and adds the group's bound onto one per-row `f64` running bound, with
+//! no per-row branching — byte permutes held in registers where AVX-512
+//! VBMI is available, no gather. The bound is a little looser than the
+//! `f64` sum (about 2 % more survivors), never tighter, and the same bits
+//! on every kernel; the exact refine decides every hit, so answers do not
+//! move. A group holding a non-finite entry keeps every row.
 //!
 //! **A block.** The candidate set starts as the eligible bitmap (live ∧
 //! predicate filter) and stays a bitmap. Code columns are swept in the
 //! segment plan's dimension order, and only over the runs of 64-row bitmap
-//! words that still hold a candidate; LUTs are built per group of
-//! [`kernels::sweep_group`] columns, so they stay L1-sized however wide
-//! the block, and a segment that empties after its first block builds 8
-//! LUTs, not `dims`. After each block every candidate's exact score is
-//! bounded by `swept bound + the best of the unswept dimensions` (the
+//! words that still hold a candidate; LUTs are built and quantized per
+//! group of [`kernels::code_group`] columns from the block's start, so
+//! they stay L1-sized however wide the block, and a segment that empties
+//! after its first block builds 8 LUTs, not `dims`. After each block every
+//! candidate's exact score is bounded by
+//! `swept bound + the best of the unswept dimensions` (the
 //! latter from each grid's `[min, max]`, suffix-summed once per (query,
 //! segment)), and every candidate whose bound cannot reach κ is cleared
 //! before another of its code cells — or a single exact `f64` — is read.
@@ -95,17 +106,15 @@ use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proo
 use crate::candidates::{CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, Kernel, SurviveTest};
+use crate::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
 use crate::ordering::DimensionOrdering;
 use crate::searcher::prune_slack;
 use crate::trace::TraceCheckpoint;
 
 /// Code columns [`filter_segment`] sweeps in its first block and after
-/// every step that removed a candidate — on every kernel: the
-/// dimension-blocked AVX2 sweep folds them in one pass (this is its 8-bit
-/// [`kernels::sweep_group`]), the scalar and NEON sweeps take the same
-/// eight columns one at a time. A step that removed nothing doubles the
-/// next block instead (see the module docs).
+/// every step that removed a candidate — on every kernel, and one
+/// quantized group at 8 bits ([`kernels::code_group`]). A step that
+/// removed nothing doubles the next block instead (see the module docs).
 const PRUNE_BLOCK: usize = 8;
 
 /// Reusable working memory of the quantized filter and the interval sweep:
@@ -125,11 +134,12 @@ pub struct QuantScratch {
     opt: Vec<f64>,
     /// The pessimistic side of the last [`interval_scores_into`] sweep.
     pes: Vec<f64>,
-    /// One block of [`kernels::sweep_group`] columns' one-lane LUTs — the
-    /// filter's optimistic ones; the interval sweep's optimistic ones, then
-    /// its pessimistic ones — followed by the staging area a pair LUT is
-    /// built in before being split. Also the batched contribution pairs of
-    /// the block envelope test and the probe.
+    /// One group of columns' one-lane `f64` LUTs — the filter's optimistic
+    /// ones before they are quantized ([`kernels::code_group`] columns);
+    /// the interval sweep's optimistic ones, then its pessimistic ones
+    /// ([`kernels::sweep_group`] columns) — followed by the staging area a
+    /// pair LUT is built in before being split. Also the batched
+    /// contribution pairs of the block envelope test and the probe.
     luts: Vec<f64>,
     /// Per-level `(lo, hi)` cell bounds of the dimension currently having
     /// its LUT built — input to the metric's batched
@@ -149,6 +159,9 @@ pub struct QuantScratch {
     /// `(row, optimistic bound)` of the survivors, best first
     /// ([`rank_survivors`]).
     ranked: Vec<(RowId, f64)>,
+    /// The filter's current group of optimistic LUTs, quantized to 16 bits
+    /// ([`kernels::quantize_lut`]).
+    quant: QuantLut,
 }
 
 impl QuantScratch {
@@ -465,7 +478,7 @@ pub(crate) fn rank_survivors<'s>(
     ranked
 }
 
-/// The code-interval [`BoundSource`], one-sided: per block, the one-lane
+/// The code-interval [`BoundSource`], one-sided: per block, the 16-bit
 /// LUT sweep adds each candidate's optimistic contributions onto its
 /// running bound, and the suffix-summed `rem_opt` of the unswept grids
 /// bounds the rest. No pessimistic bound is carried: κ comes from the
@@ -476,6 +489,8 @@ struct CodeIntervals<'a> {
     query: &'a [f64],
     order: Option<&'a [usize]>,
     kernel: Kernel,
+    /// The quantized sweep `kernel` runs.
+    sweep: CodeSweep,
     /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
     sign: f64,
     scratch: &'a mut QuantScratch,
@@ -501,7 +516,19 @@ impl<'a> CodeIntervals<'a> {
             Objective::Maximize => 1.0,
             Objective::Minimize => -1.0,
         };
-        CodeIntervals { codes, metric, query, order, kernel, sign, scratch, cells: 0, steps: None }
+        let sweep = CodeSweep::of(kernel);
+        CodeIntervals {
+            codes,
+            metric,
+            query,
+            order,
+            kernel,
+            sweep,
+            sign,
+            scratch,
+            cells: 0,
+            steps: None,
+        }
     }
 
     /// Suffix-sums, over the sweep order, the best contribution each
@@ -589,11 +616,13 @@ impl<'a> CodeIntervals<'a> {
         }
     }
 
-    /// Sweeps one group of at most [`kernels::sweep_group`] code columns
-    /// over the runs of candidate-holding `words`, building just their
-    /// one-lane LUTs first ([`kernels::sweep_lane`]).
+    /// Sweeps one group of at most [`kernels::code_group`] code columns
+    /// over the runs of candidate-holding `words`: builds just their
+    /// one-lane `f64` LUTs, quantizes them to 16 bits once
+    /// ([`kernels::quantize_lut`]) and sweeps every run with the integer
+    /// entries ([`kernels::sweep_codes`]).
     fn sweep_group(&mut self, words: &[u64], block: Range<usize>) -> Result<()> {
-        let Self { codes, metric, query, kernel, order, .. } = *self;
+        let Self { codes, metric, query, kernel, sweep, order, .. } = *self;
         let levels = codes.levels();
         let init = block.start == 0;
         let dim_at = |j: usize| order.map_or(j, |order| order[j]);
@@ -602,20 +631,21 @@ impl<'a> CodeIntervals<'a> {
             *column = codes.dim_codes(dim_at(j))?;
         }
         let columns = &columns[..block.len()];
-        let QuantScratch { opt, luts, bounds, .. } = &mut *self.scratch;
+        let QuantScratch { opt, luts, bounds, quant, .. } = &mut *self.scratch;
         luts.resize((columns.len() + 2) * levels, 0.0);
         let (best, pairs) = luts.split_at_mut(columns.len() * levels);
         for (lut, j) in best.chunks_exact_mut(levels).zip(block) {
             let d = dim_at(j);
             fill_best_lut(metric, kernel, d, codes.params(d), query[d], bounds, pairs, lut);
         }
+        kernels::quantize_lut(sweep, metric.objective(), best, levels, quant);
         let mut window: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
         for run in word_runs(words, codes.len()) {
             for (slice, column) in window.iter_mut().zip(columns) {
                 *slice = &column[run.clone()];
             }
             let window = &window[..columns.len()];
-            kernels::sweep_lane(kernel, window, best, levels, &mut opt[run], init);
+            kernels::sweep_codes(sweep, window, quant, &mut opt[run], init);
         }
         Ok(())
     }
@@ -629,7 +659,7 @@ impl BoundSource for CodeIntervals<'_> {
     }
 
     /// Sweeps the block over every run of candidate-holding words, as
-    /// consecutive groups of [`kernels::sweep_group`] columns over the same
+    /// consecutive groups of [`kernels::code_group`] columns over the same
     /// runs, so each group's LUTs stay L1-sized however wide the block.
     /// Hole rows inside a swept word are over-computed and never read.
     fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
@@ -640,7 +670,7 @@ impl BoundSource for CodeIntervals<'_> {
         };
         let swept_rows: usize = word_runs(words, rows).map(|run| run.len()).sum();
         self.cells += (swept_rows * block.len()) as u64;
-        let group = kernels::sweep_group(self.kernel, self.codes.levels());
+        let group = kernels::code_group(self.codes.levels());
         for start in block.clone().step_by(group) {
             self.sweep_group(words, start..block.end.min(start + group))?;
         }
@@ -785,7 +815,7 @@ mod tests {
         WeightedSquaredEuclidean,
     };
     use std::sync::Mutex;
-    use vdstore::{DecomposedTable, RowId, SegmentStats, StoreCodes};
+    use vdstore::{DecomposedTable, RowId, SegmentCodesView, SegmentStats, StoreCodes};
 
     use crate::bond_loop::tests::{per_candidate_step, with_seam, StepStats};
 
@@ -1327,10 +1357,13 @@ mod tests {
     /// row shares the first 120 of its 128 values (uniform noise per
     /// column), and only the last eight (uniform noise per row) differ.
     /// Every step before the last block removes nothing, so the blocks go
-    /// 8, 16, 32, 64, 8 — five steps where a fixed eight would take 16 —
-    /// and the wide blocks, swept as groups of the kernel's width by the
-    /// one-lane sweep, leave every survivor's optimistic bound bit for bit
-    /// where one full two-sided interval sweep leaves it.
+    /// 8, 16, 32, 64, 8 — five steps where a fixed eight would take 16. The
+    /// wide blocks are swept as groups of [`kernels::code_group`] columns
+    /// from each block's start, each group quantized once, so every
+    /// survivor's bound is bit for bit where one full quantized sweep over
+    /// the same groups, in plan order, leaves it — and never on the
+    /// pessimistic side of the two-sided `f64` interval sweep's optimistic
+    /// bound by more than `prune_slack`.
     #[test]
     fn barren_steps_double_the_block_and_the_bounds_stay_bit_identical() {
         const DIMS: usize = 128;
@@ -1359,6 +1392,7 @@ mod tests {
                 for &kernel in &kernels {
                     let ctx = format!("{} {bits} bits {}", metric.name(), kernel.label());
                     let mut scratch = Scratch::default();
+                    let mut steps = Vec::new();
                     let filter = filter_segment_in_order(
                         &view,
                         metric,
@@ -1368,24 +1402,67 @@ mod tests {
                         None,
                         kernel,
                         None,
-                        None,
+                        Some(&mut steps),
                         &mut scratch,
                     )
                     .unwrap();
                     assert_eq!((filter.dims, filter.steps), (DIMS, 5), "{ctx}");
+                    let ends: Vec<usize> = steps.iter().map(|s| s.dims_processed).collect();
+                    assert_eq!(ends, [8, 24, 56, 120, 128], "{ctx}: blocks 8/16/32/64/8");
                     assert!(
                         filter.survivors.count() < table.rows(),
                         "{ctx}: the last block prunes"
                     );
+                    let quantized = full_quantized_sweep(&view, metric, &query, kernel, &ends);
                     let mut full = QuantScratch::new();
                     interval_scores_into(&view, metric, &query, kernel, &mut full).unwrap();
                     for row in filter.survivors.iter().map(|row| row as usize) {
                         let opt = scratch.codes.opt[row];
-                        assert_eq!(opt.to_bits(), full.opt()[row].to_bits(), "{ctx}: row {row}");
+                        assert_eq!(opt.to_bits(), quantized[row].to_bits(), "{ctx}: row {row}");
+                        let interval = full.opt()[row];
+                        let pessimistic = match metric.objective() {
+                            Objective::Minimize => opt > interval + prune_slack(interval),
+                            Objective::Maximize => opt < interval - prune_slack(interval),
+                        };
+                        assert!(!pessimistic, "{ctx}: row {row}: {opt} vs interval {interval}");
                     }
                 }
             }
         }
+    }
+
+    /// Every row's quantized optimistic bound over all of the segment's
+    /// dimensions in storage order, swept block by block (blocks ending at
+    /// `ends`) in groups of [`kernels::code_group`] columns from each
+    /// block's start — the groups the filter quantizes.
+    fn full_quantized_sweep(
+        view: &SegmentCodesView<'_>,
+        metric: &dyn DecomposableMetric,
+        query: &[f64],
+        kernel: Kernel,
+        ends: &[usize],
+    ) -> Vec<f64> {
+        let (levels, sweep) = (view.levels(), CodeSweep::of(kernel));
+        let group = kernels::code_group(levels);
+        let (mut bounds, mut pairs) = (Vec::new(), vec![0.0; 2 * levels]);
+        let mut quant = QuantLut::new();
+        let mut acc = vec![f64::NAN; view.len()];
+        let mut from = 0;
+        for &end in ends {
+            for start in (from..end).step_by(group) {
+                let dims = start..end.min(start + group);
+                let mut luts = vec![0.0; dims.len() * levels];
+                for (lut, d) in luts.chunks_exact_mut(levels).zip(dims.clone()) {
+                    let grid = view.params(d);
+                    fill_best_lut(metric, kernel, d, grid, query[d], &mut bounds, &mut pairs, lut);
+                }
+                kernels::quantize_lut(sweep, metric.objective(), &luts, levels, &mut quant);
+                let columns: Vec<&[u8]> = dims.map(|d| view.dim_codes(d).unwrap()).collect();
+                kernels::sweep_codes(sweep, &columns, &quant, &mut acc, start == 0);
+            }
+            from = end;
+        }
+        acc
     }
 
     /// The batched probe against its definition: every probed row's

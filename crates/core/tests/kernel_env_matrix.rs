@@ -131,9 +131,10 @@ fn forced_kernel_matrix_latches_and_answers_identically() {
 
         let expected = Kernel::select(forced).label();
         assert_eq!(active, expected, "BOND_KERNEL={forced:?} latched the wrong flavour");
-        // A pruning step comes every 8 plan dimensions on every kernel; the
-        // scalar reference (CI's forced-scalar leg) sweeps those 8 columns
-        // one at a time through the split accumulators, not as one block.
+        // The f64 interval sweep's scalar reference (CI's forced-scalar
+        // leg) takes one column per pass, not a block; the code filter's
+        // 16-bit sweep quantizes the same groups on every kernel, which is
+        // why its digest cannot tell the legs apart.
         if active == "scalar" {
             assert_eq!(token("GROUP="), "1", "scalar must take the single-column sweep");
         }

@@ -2,16 +2,20 @@
 //! exact same `f64` bit patterns as the portable scalar reference, for
 //! every kernel entry point the hot loops use.
 //!
-//! Two surfaces are pinned:
+//! The surfaces pinned:
 //!
 //! * the quantized sweeps across all four decomposable metrics — which
 //!   covers all six pruning rules (`Hq`/`Hh` share histogram
 //!   intersection, `Eq`/`Ev` squared Euclidean, `WHq`/`WEv` the weighted
-//!   variants) — at 2-, 4- and 8-bit code widths: the one-lane sweep
+//!   variants) — at 2-, 4- and 8-bit code widths: the one-lane `f64` sweep
 //!   (`kernels::sweep_lane`), the two-sided interval sweep built from it
 //!   (`quantfilter::interval_scores_into`, whose optimistic side must equal
 //!   the one-lane sweep over the same LUTs) and the whole code filter
 //!   (`quantfilter::filter_segment_with_kernel`: survivors, κ and counts);
+//! * the code filter's 16-bit sweep (`kernels::sweep_codes`) and its
+//!   quantizer (`kernels::quantize_lut`), each x86 implementation the host
+//!   runs called directly against the scalar reference — the test prints
+//!   one line per implementation it compared;
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
 //!   `accumulate_gather`, `add_assign`, `add_assign_gather`) across all
 //!   four `KernelOp` shapes those six rules compile down to;
@@ -21,11 +25,11 @@
 //! Equality is `to_bits()` on every output — not approximate — because
 //! kernel dispatch must never be observable in answers.
 
-use bond::kernels::{self, Kernel, SurviveTest};
+use bond::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
 use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
 use bond::QuantScratch;
 use bond_metrics::{
-    DecomposableMetric, HistogramIntersection, KernelOp, SquaredEuclidean,
+    DecomposableMetric, HistogramIntersection, KernelOp, Objective, SquaredEuclidean,
     WeightedHistogramIntersection, WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
@@ -116,6 +120,94 @@ fn lane_sweep(
 
 fn bits_of(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The code filter's 16-bit sweep: every x86 implementation the host runs
+/// (`gather`, `permute`), called directly, against the scalar reference —
+/// group widths 1 to 32, 2, 16 and 256 levels, run lengths on and off the
+/// 64-row step, `init` on and off, code bytes past the level count, and
+/// both rounding directions. Every other group's LUTs are ramps (`c·δ`, as
+/// a grid's cell edges give), whose entries quantize onto or next to
+/// integers, where the quantizer's step decides. Each implementation's own
+/// quantizer must give the scalar quantizer's entries, scale and offset;
+/// its sweep must give the scalar sweep's bounds bit for bit. Prints one
+/// line per implementation compared.
+#[test]
+fn code_sweep_implementations_match_the_scalar_reference() {
+    let mut state = 0x5EED_C0DE_0F16_B175u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let sweeps: Vec<CodeSweep> =
+        [CodeSweep::Gather, CodeSweep::Permute].into_iter().filter(|s| s.is_supported()).collect();
+    let mut compared = vec![0usize; sweeps.len()];
+    for levels in [2usize, 16, 256] {
+        for width in 1..=kernels::MAX_SWEEP_GROUP {
+            let delta = (next() % 1000 + 1) as f64 * 1e-3;
+            let luts: Vec<f64> = (0..width * levels)
+                .map(|i| match width % 2 {
+                    0 => (i % levels) as f64 * delta,
+                    _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 3.0 - 0.5,
+                })
+                .collect();
+            for objective in [Objective::Minimize, Objective::Maximize] {
+                let mut reference = QuantLut::new();
+                kernels::quantize_lut(CodeSweep::Scalar, objective, &luts, levels, &mut reference);
+                let quantized: Vec<QuantLut> = sweeps
+                    .iter()
+                    .map(|&sweep| {
+                        let mut lut = QuantLut::new();
+                        kernels::quantize_lut(sweep, objective, &luts, levels, &mut lut);
+                        let ctx =
+                            format!("{} quantizer, {levels} levels, width {width}", sweep.label());
+                        assert_eq!(lut.entries(), reference.entries(), "{ctx}");
+                        assert_eq!(lut.scale().to_bits(), reference.scale().to_bits(), "{ctx}");
+                        assert_eq!(lut.offset().to_bits(), reference.offset().to_bits(), "{ctx}");
+                        lut
+                    })
+                    .collect();
+                for rows in [1usize, 63, 64, 65, 200] {
+                    let columns: Vec<Vec<u8>> =
+                        (0..width).map(|_| (0..rows).map(|_| next() as u8).collect()).collect();
+                    let columns: Vec<&[u8]> = columns.iter().map(Vec::as_slice).collect();
+                    let start: Vec<f64> =
+                        (0..rows).map(|_| (next() % 1000) as f64 - 500.0).collect();
+                    for init in [false, true] {
+                        let mut want = start.clone();
+                        kernels::sweep_codes(
+                            CodeSweep::Scalar,
+                            &columns,
+                            &reference,
+                            &mut want,
+                            init,
+                        );
+                        for ((&sweep, lut), count) in
+                            sweeps.iter().zip(&quantized).zip(&mut compared)
+                        {
+                            let mut got = start.clone();
+                            kernels::sweep_codes(sweep, &columns, lut, &mut got, init);
+                            assert_eq!(
+                                bits_of(&got),
+                                bits_of(&want),
+                                "{} sweep, {levels} levels, width {width}, rows {rows}, init {init}",
+                                sweep.label()
+                            );
+                            *count += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (sweep, count) in sweeps.iter().zip(compared) {
+        println!(
+            "code sweep {}: bit-identical to the scalar reference in {count} sweeps",
+            sweep.label()
+        );
+    }
 }
 
 /// The values a bound test can meet at its edges, plus a few ordinary

@@ -1450,12 +1450,12 @@ impl Engine {
         m.queries.inc();
         let scanned = outcome.contributions_evaluated();
         let filter_cells = outcome.quant_filter_cells();
-        let cell_cost = CostModel::quant_cell_cost(Kernel::active());
         // `engine.query.scanned_cells` is in exact-cell equivalents: swept
         // code cells fold in at the same per-kernel discount the cost model
         // prices them with, so a quantized query's recorded work is
         // comparable to (and calibrated against) its cost estimate.
-        m.scanned_cells.record(scanned + (filter_cells as f64 * cell_cost).round() as u64);
+        let executed = CostModel::executed_cells(scanned, filter_cells, Kernel::active());
+        m.scanned_cells.record(executed.round() as u64);
         for run in &outcome.segments {
             let trace = &run.trace;
             if trace.filter_cells > 0 {
@@ -1478,14 +1478,11 @@ impl Engine {
                 m.quant_filter_selectivity.record((selectivity * 100.0).round() as u64);
             }
         }
-        // |estimated − executed| / executed, in whole percent; `max(1)`
-        // keeps a fully-skipped query (zero cells) finite. Executed work is
-        // in exact-cell equivalents: swept code cells count at the same
-        // per-kernel discount the estimate priced them with.
+        // |estimated − executed| / executed, in whole percent — the figure
+        // ANALYZE prints as `error=`
         if let Some(run) = rq.topk() {
-            let executed = scanned as f64 + filter_cells as f64 * cell_cost;
-            let error_pct = (run.estimate - executed).abs() / executed.max(1.0) * 100.0;
-            m.cost_error.record(error_pct.round() as u64);
+            m.cost_error
+                .record(CostModel::abs_rel_error_pct(run.estimate, executed).round() as u64);
         }
     }
 

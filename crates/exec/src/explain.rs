@@ -292,12 +292,15 @@ impl QueryAnalysis {
         self.segments.iter().map(|s| s.filter_cells).sum()
     }
 
-    /// `|estimated − scanned| / scanned` in percent — the same calibration
+    /// `|estimated − executed| / executed` in percent — the calibration
     /// error the engine folds into its `planner.cost.abs_rel_error`
-    /// histogram (with `scanned` floored at one cell to stay finite).
+    /// histogram. Executed work is [`CostModel::executed_cells`]: the
+    /// scanned exact cells plus the swept code cells at this process's
+    /// per-kernel price, the units the estimate is in.
     pub fn abs_rel_error_pct(&self) -> f64 {
-        let scanned = self.scanned_cells() as f64;
-        (self.estimated_cells() - scanned).abs() / scanned.max(1.0) * 100.0
+        let executed =
+            CostModel::executed_cells(self.scanned_cells(), self.filter_cells(), Kernel::active());
+        CostModel::abs_rel_error_pct(self.estimated_cells(), executed)
     }
 
     /// Number of segments skipped outright.

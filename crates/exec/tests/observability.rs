@@ -171,6 +171,34 @@ fn warmed_cost_estimates_are_loosely_calibrated() {
     assert!(errors.count > 0, "no calibration errors recorded");
 }
 
+/// ANALYZE's `error=` is the figure the engine records: on a fresh
+/// `QuantizedFilter` engine, the one query's sample in the
+/// `planner.cost.abs_rel_error` histogram equals
+/// `abs_rel_error_pct().round()` — swept code cells count in both, at the
+/// same per-kernel price.
+#[test]
+fn analyze_error_is_the_recorded_calibration_error_for_quantized_scans() {
+    let table = clustered_table(4_000);
+    let engine = Engine::builder(table.clone())
+        .partitions(8)
+        .threads(1)
+        .rule(RuleKind::EuclideanEv)
+        .scan_mode(ScanMode::QuantizedFilter)
+        .build()
+        .unwrap();
+    let spec = QuerySpec::new(sample_queries(&table, 1, 4321).remove(0), 10);
+    let explain = engine.explain(&spec).unwrap();
+    let outcome = engine.search_spec(&spec).unwrap();
+    let analysis = outcome.analyze(&explain);
+    assert!(analysis.filter_cells() > 0, "the quantized filter swept no code");
+    let errors = engine
+        .metrics()
+        .histogram_snapshot("planner.cost.abs_rel_error")
+        .expect("calibration histogram registered");
+    assert_eq!(errors.count, 1);
+    assert_eq!(errors.sum, analysis.abs_rel_error_pct().round() as u64, "{analysis}");
+}
+
 /// After warming an adaptive engine's feedback store on cluster-major data,
 /// the registry reports non-zero `engine.segment.skipped` and code-sweep
 /// counters, and the rendered exports carry the numbers.
