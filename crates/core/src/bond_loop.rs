@@ -10,9 +10,10 @@
 //! sweeps, how a candidate is bounded and where κ is proven is a
 //! [`BoundSource`]'s business, and there are three: the code intervals of
 //! `quantfilter`, which carry only the optimistic bound and prove κ by a
-//! probe after the first and the last block ([`Proof::Probe`]); the exact
-//! partial scores and pruning rule of `searcher`, which prove κ from the
-//! heap of pessimistic bounds at every step ([`Proof::Heap`]); and the
+//! probe after the last block, and after the first only where the
+//! segment carried no κ in ([`Proof::Probe`]); the exact partial scores
+//! and pruning rule of `searcher`, which prove κ from the heap of
+//! pessimistic bounds at every step ([`Proof::Heap`]); and the
 //! synchronized multi-feature scan of `multifeature`, which drives one
 //! exact-partials source per feature and proves κ from the heap of their
 //! bounds combined through the query's aggregate. The rest is written
@@ -26,7 +27,12 @@
 //! one that removed anything resets it — so a segment whose bounds are
 //! still too loose pays `log₂(dims / 8)` steps for them, not `dims / 8`.
 //! The exact source keeps its plan's schedule: the paper's `m`, which the
-//! paper figures reproduce.
+//! paper figures reproduce. The probe obeys the same rule, by
+//! measurement rather than per step: after the first block it lifts a
+//! cold segment's κ from nothing, but a κ carried in from a sibling
+//! segment (visited first because it looked more promising) is usually
+//! about as tight as it would prove, so a segment that carried one skips
+//! it (`quantfilter`'s module docs give the numbers).
 //!
 //! All comparisons run in *goodness* space — scores and bounds multiplied
 //! by `sign` (`+1` to maximize, `−1` to minimize) — where larger is better
@@ -69,12 +75,13 @@ pub(crate) enum Proof {
     /// The heap, at every step: a step collects the `k` best pessimistic
     /// bounds over every candidate and prunes with the κ they prove.
     Heap,
-    /// The probe, after the first and after the last block: every step
-    /// prunes with the κ it carried in — its own earlier κ or a sibling's,
-    /// read from the shared cell — and on those two steps the heap
-    /// collects the `k` keepers with the best optimistic bound, the probe
-    /// completes their pessimistic bounds, and the step prunes again with
-    /// the κ that proves.
+    /// The probe, after the last block and — only when the segment carried
+    /// no finite κ in, its own or the shared cell's — after the first:
+    /// every step prunes with the κ it carried in — its own earlier κ or a
+    /// sibling's, read from the shared cell — and on a probing step the
+    /// heap collects the `k` keepers with the best optimistic bound, the
+    /// probe completes their pessimistic bounds, and the step prunes again
+    /// with the κ that proves.
     Probe,
 }
 
@@ -191,13 +198,19 @@ impl BondLoop<'_> {
             let sign = bounds.sign;
             let current =
                 self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
-            // A probe source proves κ after the first and the last block
-            // only: after the first the probe lifts κ from nothing to nearly
-            // final and whole words die, and what is left after the last is
-            // refined exactly. In between it prunes with what it carried.
+            // A probe source proves κ after the first block, if it carried
+            // no κ in, and after the last: after the first the probe lifts
+            // κ from nothing to nearly final and whole words die, and what
+            // is left after the last is refined exactly. A κ carried into
+            // the first step (a sibling's, on the shared cell) is already
+            // about as tight as that probe would prove, so it is skipped.
+            // Every other step prunes with what it carried.
             let (carried, proves) = match S::PROOF {
                 Proof::Heap => (f64::NEG_INFINITY, true),
-                Proof::Probe => (kappa.max(current), steps == 1 || swept == dims),
+                Proof::Probe => {
+                    let carried = kappa.max(current);
+                    (carried, (steps == 1 && !carried.is_finite()) || swept == dims)
+                }
             };
             // Prune with the carried κ and collect the heap over the
             // keepers. (A row dropped here could not have raised κ: both

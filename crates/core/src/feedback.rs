@@ -429,6 +429,7 @@ mod tests {
             filter_cells: 0,
             filter_dims: 0,
             filter_steps: 0,
+            filter_probes: 0,
             filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,

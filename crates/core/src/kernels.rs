@@ -911,6 +911,34 @@ pub fn add_assign_gather(kernel: Kernel, values: &[f64], rows: &[RowId], acc: &m
     }
 }
 
+/// How many dimensions ahead, in sweep order, the scattered-read paths —
+/// the κ probe's code lookups and the gathered exact accumulate — ask for
+/// their rows' cells with [`prefetch`]. Each of those cells sits on its own
+/// cache line in its own column, so without the hint every one is an
+/// exposed miss; six dimensions ahead keeps that many dimensions' worth
+/// of the rows' misses in flight while the current one is computed. On
+/// the benchmark's `scan_large`, 4, 6 and 8 measured the same within run
+/// noise.
+pub(crate) const PREFETCH_DIMS: usize = 6;
+
+/// Asks the cache hierarchy to start loading the line holding
+/// `column[row]`, and returns at once: a hint, which reads nothing into the
+/// program and never faults. The address is formed with `wrapping_add`, so
+/// even a `row` past the end creates no out-of-range pointer (the hint is
+/// then merely wasted). `_mm_prefetch` on x86-64; nothing on other targets.
+#[inline(always)]
+pub(crate) fn prefetch<T>(column: &[T], row: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is baseline on x86-64, and a prefetch neither
+    // dereferences its address nor faults on it, whatever it points to.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(column.as_ptr().wrapping_add(row).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (column, row);
+}
+
 /// The portable dense accumulate — the bit-identity reference.
 fn accumulate_scalar(op: KernelOp<'_>, dim: usize, values: &[f64], query: f64, acc: &mut [f64]) {
     for (a, &v) in acc.iter_mut().zip(values) {

@@ -39,16 +39,27 @@
 //! the exact refine, best bound first.
 //!
 //! **κ from the probe.** κ needs pessimistic bounds for only `k` rows, so
-//! the sweep carries none. After the first block and after the last, the
-//! `k` candidates with the best optimistic bound have their pessimistic
-//! bound computed over every dimension from their code cells (`k × dims`
-//! lookups, one batched metric call per dimension); the weakest of them is
-//! a κ for the whole query, published to the shared cell. After the first
-//! block it lifts κ from nothing to nearly final — the most promising rows
-//! are, on clustered data, the query's neighbours, and their completed
-//! bounds are as tight as a full two-sided sweep would prove for them —
-//! and after the last it tightens κ once more for the exact refine. The
-//! steps in between prune with the κ they carried in.
+//! the sweep carries none. After the last block, and after the first in a
+//! segment that carried no κ in, the `k` candidates with the best
+//! optimistic bound have their pessimistic bound computed over every
+//! dimension from their code cells (`k × dims` lookups, one batched metric
+//! call per dimension); the weakest of them is a κ for the whole query,
+//! published to the shared cell. After a cold segment's first block it
+//! lifts κ from nothing to nearly final — the most promising rows are, on
+//! clustered data, the query's neighbours, and their completed bounds are
+//! as tight as a full two-sided sweep would prove for them. A segment that
+//! carried a sibling's κ in skips that probe: the engine visits segments
+//! most-promising-first, so that κ is usually about as tight, and the
+//! probe would cost more than it saves. On the benchmark's `scan_large`,
+//! skipping 45 of 112 probes over its counted queries left every swept
+//! cell as it was; on `burst_mixed_mmap`, where a far segment is
+//! sometimes visited first and hands on a loose κ, the skip costs about
+//! 20 % more code cells, and its queries still run faster without the
+//! probe. After the last block the probe nearly always tightens κ once
+//! more for the exact refine, so it stays. The steps in between prune
+//! with the κ they carried in. Each probed cell is a scattered read, one
+//! cache line per row and column, so the probe prefetches its rows' cells
+//! six dimensions ahead (`kernels::PREFETCH_DIMS`).
 //!
 //! **Block sizes back off.** The first block is eight columns. A step that
 //! removed no candidate doubles the next block (capped at the columns
@@ -289,15 +300,19 @@ pub struct QuantFilter {
     pub survivors: Bitmap,
     /// The tightest κ the sweep pruned with: proven from the codes by a
     /// probe (the weakest of `k` rows' pessimistic bounds, completed over
-    /// every dimension after the first or the last block) or adopted from
-    /// the shared cell. `None` when no sweep ran (at most `k` eligible
-    /// rows) or nothing was proven (vacuous metric bounds, no shared κ) —
-    /// the filter then keeps everything.
+    /// every dimension after the first block of a segment that carried no
+    /// κ in, or after the last block) or adopted from the shared cell.
+    /// `None` when no sweep ran (at most `k` eligible rows) or nothing was
+    /// proven (vacuous metric bounds, no shared κ) — the filter then keeps
+    /// everything.
     pub kappa: Option<f64>,
     /// Number of code cells read: every `(row, dimension)` of the swept
-    /// word runs, plus the probes' lookups (`k × dims` after the first
-    /// block, and again after the last).
+    /// word runs, plus each probe's `k × dims` lookups (see
+    /// [`QuantFilter::probes`]).
     pub cells: u64,
+    /// Probes the sweep ran: at most two — after the first block when the
+    /// segment carried no finite κ in, and after the last block.
+    pub probes: usize,
     /// Code columns swept before at most `k` candidates remained or the
     /// dimensions ran out.
     pub dims: usize,
@@ -314,8 +329,9 @@ pub struct QuantFilter {
 /// swept in storage order in blocks of eight (doubling after a step that
 /// removed nothing), and after each block every candidate whose
 /// optimistic bound misses κ is dropped from the rest of the sweep. κ is
-/// proven by the probe after the first and the last block and published
-/// through `shared`, so sibling segments benefit immediately.
+/// proven by the probe after the last block — and after the first when
+/// `shared` held no κ — and published through `shared`, so sibling
+/// segments benefit immediately.
 ///
 /// The sweep runs on the process-wide [`Kernel::active`] flavour and a
 /// per-thread scratch, so steady-state calls allocate nothing beyond the
@@ -406,6 +422,7 @@ pub(crate) fn filter_segment_in_order(
             survivors: live.clone(),
             kappa: None,
             cells: 0,
+            probes: 0,
             dims: 0,
             steps: 0,
             blocks_skipped: 0,
@@ -425,6 +442,7 @@ pub(crate) fn filter_segment_in_order(
             survivors,
             kappa: carried,
             cells: 0,
+            probes: 0,
             dims: 0,
             steps: 0,
             blocks_skipped,
@@ -446,6 +464,7 @@ pub(crate) fn filter_segment_in_order(
         survivors,
         kappa: progress.kappa.is_finite().then_some(sign * progress.kappa),
         cells: source.cells,
+        probes: source.probes,
         dims: progress.swept,
         steps: progress.steps,
         blocks_skipped,
@@ -496,6 +515,8 @@ struct CodeIntervals<'a> {
     scratch: &'a mut QuantScratch,
     /// Code cells read: swept word runs plus the probes' lookups.
     cells: u64,
+    /// Probes run.
+    probes: usize,
     /// Where each pruning step's checkpoint goes, if anywhere.
     steps: Option<&'a mut Vec<TraceCheckpoint>>,
 }
@@ -527,6 +548,7 @@ impl<'a> CodeIntervals<'a> {
             sign,
             scratch,
             cells: 0,
+            probes: 0,
             steps: None,
         }
     }
@@ -698,8 +720,23 @@ impl BoundSource for CodeIntervals<'_> {
         let QuantScratch { luts: pairs, bounds, probed, .. } = &mut *self.scratch;
         probed.clear();
         probed.extend(best.iter().map(|Scored { row, .. }| (row, 0.0)));
-        for j in 0..codes.dims() {
-            let d = order.map_or(j, |order| order[j]);
+        let dims = codes.dims();
+        let dim_at = |j: usize| order.map_or(j, |order| order[j]);
+        // each cell is a scattered read: keep the next dimensions' misses
+        // in flight while this one is looked up
+        let ahead = |j: usize, probed: &[(RowId, f64)]| -> Result<()> {
+            if j < dims {
+                let column = codes.dim_codes(dim_at(j))?;
+                for &(row, _) in probed {
+                    kernels::prefetch(column, row as usize);
+                }
+            }
+            Ok(())
+        };
+        (0..kernels::PREFETCH_DIMS).try_for_each(|j| ahead(j, probed))?;
+        for j in 0..dims {
+            ahead(j + kernels::PREFETCH_DIMS, probed)?;
+            let d = dim_at(j);
             let (column, grid) = (codes.dim_codes(d)?, codes.params(d));
             bounds.clear();
             bounds.extend(probed.iter().map(|&(row, _)| grid.cell_bounds(column[row as usize])));
@@ -709,7 +746,8 @@ impl BoundSource for CodeIntervals<'_> {
                 *bound += pair[1];
             }
         }
-        self.cells += (probed.len() * codes.dims()) as u64;
+        self.cells += (probed.len() * dims) as u64;
+        self.probes += 1;
         let weakest = probed
             .iter()
             .map(|&(_, bound)| sign * bound)
@@ -1155,10 +1193,11 @@ mod tests {
                 filter_segment(&view, &HistogramIntersection, &query, k, &live, None).unwrap();
             assert!(filter.kappa.is_some());
             // every row is swept through the first block; after that only
-            // what is still standing, plus the probes after the first and
-            // the last block, k × dims lookups each
+            // what is still standing, plus the probes — a cold segment's
+            // after the first and the last block — k × dims lookups each
             assert!(filter.cells >= (rows * first_block) as u64, "cells {}", filter.cells);
-            let probes = 2 * k * dims;
+            assert!(filter.probes <= 2, "{} probes", filter.probes);
+            let probes = filter.probes * k * dims;
             assert!(filter.cells <= (rows * dims + probes) as u64, "cells {}", filter.cells);
             assert!(filter.dims >= first_block && filter.dims <= dims);
             let survivors = filter.survivors.to_rows();
@@ -1171,8 +1210,10 @@ mod tests {
 
     /// The property the engine's bit-identity rests on: whatever the
     /// layout, rule, dimension order, kernel or κ the shared cell already
-    /// holds, the survivors contain the brute-force top-k — ties at rank
-    /// k included.
+    /// holds — none, the tightest a sibling could prove, or one so loose
+    /// that it prunes nothing and the skipped first probe leaves the sweep
+    /// without a κ of its own until the last block — the survivors contain
+    /// the brute-force top-k, ties at rank k included.
     #[test]
     fn survivors_contain_the_brute_force_top_k() {
         let dims = 20;
@@ -1209,10 +1250,13 @@ mod tests {
                         for k in [1usize, 10, truth.len(), truth.len() + 1] {
                             let order = orders[(mi + qi + si + k) % orders.len()];
                             let kernel = kernels[(qi + k) % kernels.len()];
-                            // cold, and against the tightest κ any sibling
-                            // segment could have proven: the true k-th score
+                            // cold, against the tightest κ any sibling
+                            // segment could have proven (the true k-th
+                            // score) and against a loose one (the
+                            // segment's worst live score)
                             let exact_kth = truth.get(k - 1).map(|&(_, score)| score);
-                            for pre in [None, exact_kth] {
+                            let loosest = truth.last().map(|&(_, score)| score);
+                            for pre in [None, exact_kth, loosest] {
                                 let cell = TestCell(Mutex::new(pre), metric.objective());
                                 let filter = filter_segment_in_order(
                                     &view,
@@ -1237,8 +1281,11 @@ mod tests {
                                 for row in filter.survivors.iter() {
                                     assert!(live.get(row), "{ctx}: dead row {row} survived");
                                 }
+                                let most = if pre.is_some() { 1 } else { 2 };
+                                assert!(filter.probes <= most, "{ctx}: {} probes", filter.probes);
+                                let probed = filter.probes * k * dims;
                                 assert!(
-                                    filter.cells <= (view.len() * dims + 2 * k * dims) as u64,
+                                    filter.cells <= (view.len() * dims + probed) as u64,
                                     "{ctx}: {} cells",
                                     filter.cells
                                 );
@@ -1501,25 +1548,240 @@ mod tests {
                         &mut scratch,
                     );
                     let kappa = source.probe(&best).unwrap().unwrap();
-                    let sign = source.sign;
-                    let want = best
-                        .iter()
-                        .map(|Scored { row, .. }| {
-                            let pessimistic = (0..dims).fold(0.0, |bound, j| {
-                                let d = order.map_or(j, |order| order[j]);
-                                let code = view.dim_codes(d).unwrap()[row as usize];
-                                let (lo, hi) = view.params(d).cell_bounds(code);
-                                bound + metric.worst_contribution(d, lo, hi, query[d])
-                            });
-                            sign * pessimistic
-                        })
-                        .fold(f64::INFINITY, f64::min);
+                    let want = probe_by_definition(&view, metric, &query, order, &best);
                     let ctx = format!("{} {order:?} k {k}", metric.name());
                     assert_eq!(kappa.to_bits(), want.to_bits(), "{ctx}");
                     assert_eq!(source.cells, (k * dims) as u64, "{ctx}");
                 }
             }
         }
+    }
+
+    /// What a probe of `best`'s rows must return: each row's pessimistic
+    /// bound completed cell by cell with `worst_contribution` over every
+    /// dimension, in the sweep order; the weakest of them, in goodness
+    /// space.
+    fn probe_by_definition(
+        view: &SegmentCodesView<'_>,
+        metric: &dyn DecomposableMetric,
+        query: &[f64],
+        order: Option<&[usize]>,
+        best: &TopKLargest,
+    ) -> f64 {
+        let sign = match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        best.iter()
+            .map(|Scored { row, .. }| {
+                let pessimistic = (0..view.dims()).fold(0.0, |bound, j| {
+                    let d = order.map_or(j, |order| order[j]);
+                    let code = view.dim_codes(d).unwrap()[row as usize];
+                    let (lo, hi) = view.params(d).cell_bounds(code);
+                    bound + metric.worst_contribution(d, lo, hi, query[d])
+                });
+                sign * pessimistic
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The probe's lookahead ([`kernels::PREFETCH_DIMS`] dimensions ahead)
+    /// at the edges it must stay inside: one-row segments, fewer
+    /// dimensions than the lookahead, and the last rows of a ragged
+    /// segment (65 rows, so the last word is partial), on every supported
+    /// kernel and in both directions — the κ must be the definition's bits,
+    /// counted as one probe of `rows × dims` lookups.
+    #[test]
+    fn the_probe_looks_ahead_inside_short_and_ragged_segments() {
+        let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        let ahead = kernels::PREFETCH_DIMS;
+        let shapes = [
+            (1, 1, 1),
+            (1, 20, 1),
+            (130, 1, 2),
+            (130, ahead - 1, 2),
+            (130, ahead, 2),
+            (130, 20, 2),
+        ];
+        let mut probes = 0;
+        for (rows, dims, partitions) in shapes {
+            let vectors: Vec<Vec<f64>> = (0..rows)
+                .map(|r| (0..dims).map(|d| ((r * dims + d) as f64 * 0.37).sin().abs()).collect())
+                .collect();
+            let table = DecomposedTable::from_vectors("ragged", &vectors).unwrap();
+            let codes = codes_for(&table, partitions);
+            let query = table.row(0).unwrap();
+            let reversed: Vec<usize> = (0..dims).rev().collect();
+            for si in 0..codes.n_segments() {
+                let view = codes.segment_view(si).unwrap();
+                let len = view.len();
+                for metric in [&HistogramIntersection as &dyn DecomposableMetric, &SquaredEuclidean]
+                {
+                    for order in [None, Some(&reversed[..])] {
+                        for k in [1, 3] {
+                            // the segment's last rows, weakest first
+                            let mut best = TopKLargest::new(k);
+                            for row in len.saturating_sub(k)..len {
+                                best.push(row as RowId, row as f64);
+                            }
+                            let want = probe_by_definition(&view, metric, &query, order, &best);
+                            for &kernel in &kernels {
+                                let ctx = format!(
+                                    "{rows}x{dims} seg{si} {} {order:?} k={k} {}",
+                                    metric.name(),
+                                    kernel.label()
+                                );
+                                let mut scratch = QuantScratch::new();
+                                let mut source = CodeIntervals::new(
+                                    &view,
+                                    metric,
+                                    &query,
+                                    order,
+                                    kernel,
+                                    &mut scratch,
+                                );
+                                let kappa = source.probe(&best).unwrap().unwrap();
+                                assert_eq!(kappa.to_bits(), want.to_bits(), "{ctx}");
+                                let cells = (best.len() * dims) as u64;
+                                assert_eq!((source.cells, source.probes), (cells, 1), "{ctx}");
+                                probes += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(probes, (2 + 4 * 2) * 2 * 2 * 2 * kernels.len());
+    }
+
+    /// A code source that counts, on its own, what the loop asks of the
+    /// [`CodeIntervals`] it wraps: the swept cells (every row of each
+    /// candidate-holding word, the last word clamped to the segment, times
+    /// the block's width) and the probes with the cells they look up.
+    struct Counted<'s, 'a> {
+        inner: &'s mut CodeIntervals<'a>,
+        swept: u64,
+        probes: usize,
+        probed: u64,
+    }
+
+    impl BoundSource for Counted<'_, '_> {
+        const PROOF: Proof = Proof::Probe;
+
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+
+        fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+            let rows = self.inner.codes.len();
+            if let CandidateSet::Bits(bits) = candidates {
+                let words = bits.words().iter().enumerate().filter(|&(_, &word)| word != 0);
+                let swept: usize = words.map(|(w, _)| (rows - w * WORD_ROWS).min(WORD_ROWS)).sum();
+                self.swept += (swept * block.len()) as u64;
+            }
+            self.inner.sweep(candidates, block)
+        }
+
+        fn bounds(&self, swept: usize) -> Bounds<'_> {
+            self.inner.bounds(swept)
+        }
+
+        fn probe(&mut self, best: &TopKLargest) -> Result<Option<f64>> {
+            self.probes += 1;
+            self.probed += (best.len() * self.inner.dims()) as u64;
+            self.inner.probe(best)
+        }
+
+        fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
+            self.inner.stepped(candidates, swept, removed);
+        }
+    }
+
+    /// The probe's schedule and its price: a cold segment probes after its
+    /// first block and after its last; one that carried a κ in — as tight
+    /// as a sibling could prove, or so loose that it prunes nothing — only
+    /// after its last. Every probe looks up `k × dims` code cells, and
+    /// `cells` is exactly the swept word runs plus those lookups: the same
+    /// filter replayed through [`Counted`] must see the same probes and
+    /// add up to the same cells.
+    #[test]
+    fn a_carried_kappa_skips_the_first_probe_and_cells_count_every_probe() {
+        let table = clustered(3000, false);
+        let codes = codes_for(&table, 1);
+        let view = codes.segment_view(0).unwrap();
+        let live = table.live_bitmap();
+        let dims = table.dims();
+        let kernel = Kernel::active();
+        let (mut cold_twice, mut warm_once, mut warm_none) = (0, 0, 0);
+        for metric in [&HistogramIntersection as &dyn DecomposableMetric, &SquaredEuclidean] {
+            for row in [13, 1500] {
+                let query = table.row(row).unwrap();
+                let truth = ranked(&table, 0..table.rows(), metric, &query);
+                for k in [1, 5, 20] {
+                    let tight = Some(truth[k - 1].1);
+                    let loose = truth.last().map(|&(_, score)| score);
+                    for pre in [None, tight, loose] {
+                        let ctx = format!("{} q{row} k={k} pre={pre:?}", metric.name());
+                        let cell = TestCell(Mutex::new(pre), metric.objective());
+                        let filter = filter_segment_in_order(
+                            &view,
+                            metric,
+                            &query,
+                            k,
+                            &live,
+                            Some(&cell),
+                            kernel,
+                            None,
+                            None,
+                            &mut Scratch::default(),
+                        )
+                        .unwrap();
+                        // the replay: the filter's own steps, around the
+                        // counting source
+                        let mut scratch = QuantScratch::new();
+                        let mut inner =
+                            CodeIntervals::new(&view, metric, &query, None, kernel, &mut scratch);
+                        inner.fill_remaining_bounds();
+                        let mut survivors = live.clone();
+                        if let Some(kappa) = pre {
+                            inner.skip_far_blocks(&mut survivors, kappa);
+                        }
+                        let mut source =
+                            Counted { inner: &mut inner, swept: 0, probes: 0, probed: 0 };
+                        let cell = TestCell(Mutex::new(pre), metric.objective());
+                        let blocks = Blocks::BackOff { first: PRUNE_BLOCK };
+                        let progress = BondLoop { k, kernel, blocks, shared: Some(&cell) }
+                            .run(&mut source, &mut CandidateSet::from_bitmap(survivors), &mut None)
+                            .unwrap();
+                        assert_eq!(progress.swept, filter.dims, "{ctx}");
+                        assert_eq!(filter.probes, source.probes, "{ctx}");
+                        assert_eq!(source.probed, (filter.probes * k * dims) as u64, "{ctx}");
+                        assert_eq!(filter.cells, source.swept + source.probed, "{ctx}");
+                        assert_eq!(source.inner.cells, filter.cells, "{ctx}");
+                        match pre {
+                            // the first probe always runs; the last one
+                            // unless the sweep ended at k rows before it
+                            None => {
+                                assert!(
+                                    (1..=2).contains(&filter.probes),
+                                    "{ctx}: {} probes",
+                                    filter.probes
+                                );
+                                cold_twice += usize::from(filter.probes == 2);
+                            }
+                            Some(_) => {
+                                assert!(filter.probes <= 1, "{ctx}: {} probes", filter.probes);
+                                warm_once += usize::from(filter.probes == 1);
+                                warm_none += usize::from(filter.probes == 0);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cold_twice > 0, "no cold segment reached its last block");
+        assert!(warm_once > 0, "no warm segment probed after its last block");
+        assert!(warm_none > 0, "no warm segment ended before its last block");
     }
 
     /// The step sink records the sweep's pruning curve and decides nothing:

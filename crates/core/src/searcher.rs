@@ -105,7 +105,8 @@ fn dense_accumulate_block(
 /// Gathered kernel accumulate over a whole dimension block for an explicit
 /// row list: 64-row blocks are copied into a contiguous accumulator,
 /// advanced through every dimension of the block (per row: same adds, same
-/// order as the scalar loop), then copied back.
+/// order as the scalar loop), then copied back. The block's cells are
+/// prefetched [`kernels::PREFETCH_DIMS`] dimensions ahead.
 #[allow(clippy::too_many_arguments)]
 fn gather_accumulate_block(
     kernel: Kernel,
@@ -129,7 +130,20 @@ fn gather_accumulate_block(
                 mass_acc[i] = mass[row as usize];
             }
         }
-        for &d in dims_block {
+        // each cell is a scattered read: keep the next dimensions' misses
+        // in flight while this one is computed
+        let ahead = |i: usize| -> Result<()> {
+            if let Some(&d) = dims_block.get(i) {
+                let values = segment.col_slice(d)?;
+                for &row in chunk {
+                    kernels::prefetch(values, row as usize);
+                }
+            }
+            Ok(())
+        };
+        (0..kernels::PREFETCH_DIMS).try_for_each(ahead)?;
+        for (i, &d) in dims_block.iter().enumerate() {
+            ahead(i + kernels::PREFETCH_DIMS)?;
             let values = segment.col_slice(d)?;
             kernels::accumulate_gather(kernel, op, d, values, chunk, query[d], &mut acc[..m]);
             if mass.is_some() {
@@ -486,6 +500,7 @@ pub(crate) fn search_segment_with(
             trace.filter_cells = filter.cells;
             trace.filter_dims = filter.dims;
             trace.filter_steps = u32::try_from(filter.steps).unwrap_or(u32::MAX);
+            trace.filter_probes = u32::try_from(filter.probes).unwrap_or(u32::MAX);
             trace.filter_blocks_skipped = filter.blocks_skipped;
             trace.filter_bits = codes.bits();
             trace.refine_rows = filter.survivors.count() as u64;
@@ -1240,6 +1255,117 @@ mod tests {
         assert_eq!(cases, 2 * 4 * 2 * 3 * 5 * 2 * 2);
         assert!(ordered > 150, "only {ordered} of {cases} cases refined in bound order");
         assert!(stopped > 25, "the refine stopped early in only {stopped} cases");
+    }
+
+    /// The gathered accumulate's lookahead ([`kernels::PREFETCH_DIMS`]
+    /// dimensions ahead) at the edges it must stay inside: one-row
+    /// segments, fewer dimensions than the lookahead, and the last rows of
+    /// a ragged segment (65 rows, so the last word is partial), on every
+    /// supported kernel. Each gathered score and mass must be the scalar
+    /// reference's bits (the same adds in plan order), and a search through
+    /// the code filter's probes and the bound-ordered refine must return
+    /// the brute-force ranking, bit for bit.
+    #[test]
+    fn the_refine_looks_ahead_inside_short_and_ragged_segments() {
+        let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        let ahead = kernels::PREFETCH_DIMS;
+        let shapes = [
+            (1, 1, 1),
+            (1, 20, 1),
+            (130, 1, 2),
+            (130, ahead - 1, 2),
+            (130, ahead, 2),
+            (130, 20, 2),
+        ];
+        type NewRule = fn() -> Box<dyn PruningRule>;
+        let rules: [(&dyn DecomposableMetric, NewRule); 2] = [
+            (&HistogramIntersection, || Box::new(HqRule::new())),
+            (&SquaredEuclidean, || Box::new(EvRule::new())),
+        ];
+        let bits = |hits: &[Scored]| -> Vec<(RowId, u64)> {
+            hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
+        };
+        let mut cases = 0;
+        for (rows, dims, partitions) in shapes {
+            let table = generated_table(rows, dims, 0x1EAF_0000 + (rows * 64 + dims) as u64);
+            let specs = table.partition_specs(partitions);
+            let stats: Vec<vdstore::SegmentStats> =
+                specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+            let codes = vdstore::StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+            let query = table.row(0).unwrap();
+            for (metric, new_rule) in rules {
+                let op = metric.kernel_op().expect("a kernel-shaped metric");
+                let plan = SegmentPlan::uniform(&BondParams::default(), &query, None, dims);
+                let order = &plan.order;
+                for (si, spec) in specs.iter().enumerate() {
+                    let segment = table.segment(spec.range()).unwrap();
+                    let len = segment.len();
+                    let column = |d: usize| segment.col_slice(d).unwrap();
+                    let exact: Vec<f64> = (0..len)
+                        .map(|row| {
+                            order
+                                .iter()
+                                .fold(0.0, |sum, &d| sum + op.apply(d, column(d)[row], query[d]))
+                        })
+                        .collect();
+                    let mass: Vec<f64> = (0..len)
+                        .map(|row| order.iter().fold(0.0, |sum, &d| sum + column(d)[row]))
+                        .collect();
+                    // the segment's last rows, and the whole of a short one
+                    let tail: Vec<RowId> =
+                        (len.saturating_sub(3)..len).map(|r| r as RowId).collect();
+                    for &kernel in &kernels {
+                        let ctx =
+                            format!("{rows}x{dims} seg{si} {} {}", metric.name(), kernel.label());
+                        let (mut got, mut got_mass) = (vec![0.0; len], vec![0.0; len]);
+                        gather_accumulate_block(
+                            kernel,
+                            op,
+                            &segment,
+                            order,
+                            &query,
+                            &tail,
+                            &mut got,
+                            Some(&mut got_mass),
+                        )
+                        .unwrap();
+                        for &row in &tail {
+                            let row = row as usize;
+                            assert_eq!(got[row].to_bits(), exact[row].to_bits(), "{ctx} row {row}");
+                            assert_eq!(
+                                got_mass[row].to_bits(),
+                                mass[row].to_bits(),
+                                "{ctx} row {row}"
+                            );
+                        }
+                        for k in [1, 3] {
+                            let outcome = search_segment_with(
+                                &segment,
+                                &query,
+                                metric,
+                                new_rule().as_mut(),
+                                k,
+                                None,
+                                &BondParams::default(),
+                                &SegmentContext {
+                                    plan: Some(&plan),
+                                    codes: Some(codes.segment_view(si).unwrap()),
+                                    ..SegmentContext::default()
+                                },
+                                kernel,
+                                &mut Scratch::default(),
+                            )
+                            .unwrap();
+                            let live = segment.live_bitmap();
+                            let want = rank(&segment, live.iter(), &exact, metric.objective(), k);
+                            assert_eq!(bits(&outcome.hits), bits(&want), "{ctx} k={k}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 10 * 2 * 2 * kernels.len());
     }
 
     /// Table 2's collection (h6 kept exactly as printed, mass 0.95).

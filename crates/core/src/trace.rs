@@ -42,7 +42,7 @@ pub struct PruneTrace {
     pub segment_skipped: bool,
     /// Number of `(row, dimension)` code cells the quantized first-pass
     /// filter actually read before the exact search began (swept word runs
-    /// plus the first block's probe) — cheap `u8` work, kept separate from
+    /// plus its probes' `k × dims` lookups) — cheap `u8` work, kept separate from
     /// the exact-cell counter `contributions_evaluated`. Zero when the
     /// search ran without codes.
     pub filter_cells: u64,
@@ -57,6 +57,11 @@ pub struct PruneTrace {
     /// moves, keeps its size: a `usize` here measured about 4 % slower on
     /// an exact-only served workload that never sets it.
     pub filter_steps: u32,
+    /// Number of κ probes the quantized filter ran: at most two — after its
+    /// first block when the segment carried no κ in, and after its last.
+    /// Zero when no code was swept. A `u32` beside `filter_steps`, so the
+    /// trace keeps its size.
+    pub filter_probes: u32,
     /// Number of 1 024-row blocks the quantized filter dropped before its
     /// first block because their code envelope could not reach the κ the
     /// segment carried in — none of their cells was read.
@@ -139,6 +144,7 @@ mod tests {
             filter_cells: 0,
             filter_dims: 0,
             filter_steps: 0,
+            filter_probes: 0,
             filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,

@@ -237,6 +237,9 @@ pub struct SegmentAnalysis {
     /// Pruning steps the filter's sweep took over its `filter_dims`
     /// columns; `0` when no filter swept.
     pub filter_steps: u32,
+    /// κ probes the filter ran: two at most, and at most one in a segment
+    /// that carried a sibling's κ in; `0` when no filter swept.
+    pub filter_probes: u32,
     /// Rows the quantized filter let through to exact refinement; `0` when
     /// no filter ran.
     pub refine_rows: u64,
@@ -336,11 +339,12 @@ impl fmt::Display for QueryAnalysis {
             let filter = if seg.filter_cells > 0 || seg.filter_blocks_skipped > 0 {
                 format!(
                     " filter_cells={} filter_dims={} filter_blocks_skipped={} filter_steps={} \
-                     refine_rows={} bits={}",
+                     filter_probes={} refine_rows={} bits={}",
                     seg.filter_cells,
                     seg.filter_dims,
                     seg.filter_blocks_skipped,
                     seg.filter_steps,
+                    seg.filter_probes,
                     seg.refine_rows,
                     seg.filter_bits
                 )
@@ -543,6 +547,7 @@ impl QueryOutcome {
                 filter_dims: run.trace.filter_dims,
                 filter_blocks_skipped: run.trace.filter_blocks_skipped,
                 filter_steps: run.trace.filter_steps,
+                filter_probes: run.trace.filter_probes,
                 refine_rows: run.trace.refine_rows,
                 filter_bits: run.trace.filter_bits,
                 kernel: run.trace.kernel,

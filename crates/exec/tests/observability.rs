@@ -1,8 +1,9 @@
 //! End-to-end observability invariants: EXPLAIN renders exactly the plan
 //! execution runs, ANALYZE's scanned-cell accounting is the summed
 //! [`bond::PruneTrace`] work counters, disabled tracing is bit-invisible
-//! to query results, warmed cost estimates stay loosely calibrated, and a
-//! warmed run populates the metrics registry.
+//! to query results, warmed cost estimates stay loosely calibrated, a
+//! segment that carried a κ in probes at most once, and a warmed run
+//! populates the metrics registry.
 
 use std::sync::Arc;
 
@@ -197,6 +198,46 @@ fn analyze_error_is_the_recorded_calibration_error_for_quantized_scans() {
         .expect("calibration histogram registered");
     assert_eq!(errors.count, 1);
     assert_eq!(errors.sum, analysis.abs_rel_error_pct().round() as u64, "{analysis}");
+}
+
+/// A segment probes κ after its first block only when it carried none in.
+/// On a one-thread quantized engine the first segment of the visit order
+/// runs cold and probes at most twice (after its first and its last
+/// block); every later segment carries the κ its predecessors published
+/// into the shared cell, so ANALYZE reports at most one probe for it —
+/// after its last block, which some of them reach.
+#[test]
+fn a_segment_that_carried_a_kappa_probes_at_most_once() {
+    // clusters spread over every segment, so each one's sweep runs on
+    // to its last block
+    let table = Arc::new(
+        ClusteredConfig { clusters: 16, ..ClusteredConfig::small(4_000, 16, 0.0) }
+            .with_seed(7)
+            .generate(),
+    );
+    let engine = Engine::builder(table.clone())
+        .partitions(8)
+        .threads(1)
+        .rule(RuleKind::EuclideanEv)
+        .scan_mode(ScanMode::QuantizedFilter)
+        .build()
+        .unwrap();
+    let mut warm = 0;
+    for query in sample_queries(&table, 4, 99) {
+        let spec = QuerySpec::new(query, 10);
+        let explain = engine.explain(&spec).unwrap();
+        let analysis = engine.search_spec(&spec).unwrap().analyze(&explain);
+        let cold = explain.visit_order[0];
+        for seg in analysis.segments.iter().filter(|seg| seg.segment != cold) {
+            assert!(seg.filter_probes <= 1, "segment {}:\n{analysis}", seg.segment);
+            // it swept to its last block and probed only there
+            warm += usize::from(seg.filter_probes == 1);
+        }
+        let first = analysis.segments[cold].filter_probes;
+        assert!((1..=2).contains(&first), "segment {cold}:\n{analysis}");
+        assert!(analysis.to_string().contains(" filter_probes="), "{analysis}");
+    }
+    assert!(warm > 0, "no segment that carried a κ probed after its last block");
 }
 
 /// After warming an adaptive engine's feedback store on cluster-major data,

@@ -223,7 +223,7 @@ fn explain_renders_filter_and_refine_phases_that_sum_to_the_estimate() {
     assert!(analysis.segments.iter().any(|s| s.filter_cells > 0));
     for (seg, run) in analysis.segments.iter().zip(&outcome.segments) {
         // cells actually read: at most every row through every swept
-        // column, plus the first block's probe
+        // column, plus its probes
         assert_eq!(seg.filter_dims, run.trace.filter_dims);
         assert!(seg.filter_dims <= DIMS);
         assert!(seg.filter_cells <= ((run.rows.len() + 7) * seg.filter_dims) as u64);

@@ -89,9 +89,12 @@ fn main() {
     assert_eq!(qoutcome.hits, outcome.hits, "the quantized filter must stay bit-identical");
     let qanalysis = qoutcome.analyze(&qexplain);
     println!("{qanalysis}");
+    //    A segment probes κ after its last block, and after its first only
+    //    when it carried no sibling's κ in (ANALYZE's `filter_probes=`).
+    let probes: u32 = qanalysis.segments.iter().map(|s| s.filter_probes).sum();
     println!(
-        "quantized filter: {} code cells swept, {} rows refined exactly, selectivity {:.4} \
-         (exact scan touched {} f64 cells)",
+        "quantized filter: {} code cells swept, {probes} κ probes, {} rows refined exactly, \
+         selectivity {:.4} (exact scan touched {} f64 cells)",
         qoutcome.quant_filter_cells(),
         qoutcome.quant_refine_rows(),
         qoutcome.quant_filter_selectivity().unwrap_or(1.0),
