@@ -12,11 +12,12 @@
 //! `quantfilter`, which carry only the optimistic bound and prove κ by a
 //! probe after the last block, and after the first only where the
 //! segment carried no κ in ([`Proof::Probe`]); the exact partial scores
-//! and pruning rule of `searcher`, which prove κ from the heap of
-//! pessimistic bounds at every step ([`Proof::Heap`]); and the
-//! synchronized multi-feature scan of `multifeature`, which drives one
-//! exact-partials source per feature and proves κ from the heap of their
-//! bounds combined through the query's aggregate. The rest is written
+//! and pruning rule of `searcher`, which prove κ at every step from the
+//! heap of pessimistic bounds of the candidates that pass the κ the step
+//! carried in ([`Proof::Heap`]); and the synchronized multi-feature scan
+//! of `multifeature`, which drives one exact-partials source per feature
+//! and proves κ the same way from their bounds combined through the
+//! query's aggregate. The rest is written
 //! once, here: the [`CandidateSet`] and its pruning pass, the sign-folded
 //! κ heap, the block sizes ([`Blocks`]), κ sharing, and the per-thread
 //! [`Scratch`] the single-table searches work in.
@@ -72,8 +73,14 @@ pub(crate) struct Bounds<'a> {
 /// and what they prune with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Proof {
-    /// The heap, at every step: a step collects the `k` best pessimistic
-    /// bounds over every candidate and prunes with the κ they prove.
+    /// The heap, at every step: a step first prunes with the κ it carried
+    /// in — its own earlier κ or a sibling's, read from the shared cell —
+    /// collects the `k` best pessimistic bounds of the keepers only, and
+    /// prunes again when they prove a tighter κ. A row the first pass drops
+    /// has both bounds below the carried κ, so the κ proven is the one a
+    /// heap over every candidate would prove whenever it beats the carried
+    /// one. In the list phase, whose bounds sit at list positions, the
+    /// first pass carries nothing and the heap sees every candidate.
     Heap,
     /// The probe, after the last block and — only when the segment carried
     /// no finite κ in, its own or the shared cell's — after the first:
@@ -198,24 +205,25 @@ impl BondLoop<'_> {
             let sign = bounds.sign;
             let current =
                 self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
-            // A probe source proves κ after the first block, if it carried
-            // no κ in, and after the last: after the first the probe lifts
-            // κ from nothing to nearly final and whole words die, and what
-            // is left after the last is refined exactly. A κ carried into
-            // the first step (a sibling's, on the shared cell) is already
-            // about as tight as that probe would prove, so it is skipped.
-            // Every other step prunes with what it carried.
+            // A heap source proves κ at every step, a probe source after
+            // the first block, if it carried no κ in, and after the last:
+            // after the first the probe lifts κ from nothing to nearly
+            // final and whole words die, and what is left after the last is
+            // refined exactly. A κ carried into the first step (a sibling's,
+            // on the shared cell) is already about as tight as that probe
+            // would prove, so it is skipped. A list's bounds sit at list
+            // positions, which a first pass that removed entries would shift
+            // under the second, so a heap source's list carries nothing in.
+            let carried = kappa.max(current);
             let (carried, proves) = match S::PROOF {
+                Proof::Heap if candidates.is_bitmap() => (carried, true),
                 Proof::Heap => (f64::NEG_INFINITY, true),
-                Proof::Probe => {
-                    let carried = kappa.max(current);
-                    (carried, (steps == 1 && !carried.is_finite()) || swept == dims)
-                }
+                Proof::Probe => (carried, (steps == 1 && !carried.is_finite()) || swept == dims),
             };
             // Prune with the carried κ and collect the heap over the
             // keepers. (A row dropped here could not have raised κ: both
             // its bounds are at most its optimistic one, which already
-            // missed κ.)
+            // missed κ; see `Proof::Heap`.)
             let mut removed = self.pass(candidates, carried, &bounds, proves.then_some(&mut *best));
             let fresh = match best.kth().filter(|_| proves) {
                 None => None,
@@ -316,7 +324,7 @@ pub(crate) mod tests {
     use crate::searcher::{search_segment_with, BondParams, SegmentContext};
 
     /// What can stand in for the loop's pruning pass.
-    type Seam = Box<
+    pub(crate) type Seam = Box<
         dyn FnMut(
             &mut CandidateSet,
             Option<SurviveTest>,

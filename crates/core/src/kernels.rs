@@ -15,8 +15,10 @@
 //! 2. **the exact accumulate** ([`accumulate`], [`accumulate_gather`]):
 //!    `acc[i] += contribution(dim, value_i, q)` for the warmup/refine
 //!    phases, in dense (contiguous rows) and gathered (explicit row list)
-//!    form, plus the mass companions ([`add_assign`],
-//!    [`add_assign_gather`]) the `Hh` rule needs.
+//!    form, and its fused forms ([`accumulate_with_mass`],
+//!    [`accumulate_gather_with_mass`]), which add each cell to the scanned
+//!    mass the `Hh`, `Ev` and `WEv` rules need in the same pass, so a
+//!    column is read (or a cell gathered) once.
 //!
 //! A third primitive serves the pruning step the BOND loop runs between
 //! blocks: the 64-row **survive mask** ([`survive_mask`]), one branch-free
@@ -866,31 +868,60 @@ pub fn accumulate_gather(
     }
 }
 
-/// Dense mass accumulate: `acc[i] += values[i]` (the scanned-mass side
-/// column of the `Hh` rule). A second pass over the same value column the
-/// contribution kernel just streamed — it stays L1/L2-hot.
-pub fn add_assign(kernel: Kernel, values: &[f64], acc: &mut [f64]) {
-    assert_eq!(values.len(), acc.len(), "add_assign: values and accumulator disagree on rows");
+/// Dense exact accumulate with the scanned mass, in one pass over the
+/// column: `acc[i] += op(dim, values[i], query)` and `mass[i] += values[i]`
+/// for every row `i` — the mass `T(x⁻)` the `Hh`, `Ev` and `WEv` rules
+/// bound with. Per row these are [`accumulate`]'s add and the plain mass
+/// add, so both outputs carry their bits. `values`, `acc` and `mass` must
+/// be the same length.
+pub fn accumulate_with_mass(
+    kernel: Kernel,
+    op: KernelOp<'_>,
+    dim: usize,
+    values: &[f64],
+    query: f64,
+    acc: &mut [f64],
+    mass: &mut [f64],
+) {
+    assert_eq!(values.len(), acc.len(), "accumulate_with_mass: values and accumulator disagree");
+    assert_eq!(values.len(), mass.len(), "accumulate_with_mass: values and mass disagree");
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if Kernel::Avx2.is_supported() => {
             // SAFETY: AVX2 availability was just checked; equal slice
             // lengths are asserted above.
-            unsafe { x86::add_assign_avx2(values, acc) }
+            unsafe { x86::accumulate_with_mass_avx2(op, dim, values, query, acc, mass) }
         }
         #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => neon::add_assign_neon(values, acc),
-        _ => {
-            for (a, &v) in acc.iter_mut().zip(values) {
-                *a += v;
+        Kernel::Neon => {
+            neon::accumulate_neon(op, dim, values, query, acc);
+            for (m, &v) in mass.iter_mut().zip(values) {
+                *m += v;
             }
         }
+        _ => accumulate_with_mass_scalar(op, dim, values, query, acc, mass),
     }
 }
 
-/// Gathered mass accumulate: `acc[i] += values[rows[i]]`.
-pub fn add_assign_gather(kernel: Kernel, values: &[f64], rows: &[RowId], acc: &mut [f64]) {
-    assert_eq!(rows.len(), acc.len(), "add_assign_gather: rows and accumulator disagree");
+/// Gathered exact accumulate with the scanned mass, in one gather per
+/// cell: `acc[i] += op(dim, values[rows[i]], query)` and
+/// `mass[i] += values[rows[i]]` for every list position `i` — per position
+/// [`accumulate_gather`]'s add and the plain mass add. `rows`, `acc` and
+/// `mass` must be the same length and every row id must index into
+/// `values`.
+#[allow(clippy::too_many_arguments)]
+pub fn accumulate_gather_with_mass(
+    kernel: Kernel,
+    op: KernelOp<'_>,
+    dim: usize,
+    values: &[f64],
+    rows: &[RowId],
+    query: f64,
+    acc: &mut [f64],
+    mass: &mut [f64],
+) {
+    assert_eq!(rows.len(), acc.len(), "accumulate_gather_with_mass: rows and accumulator disagree");
+    assert_eq!(rows.len(), mass.len(), "accumulate_gather_with_mass: rows and mass disagree");
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2
@@ -900,14 +931,12 @@ pub fn add_assign_gather(kernel: Kernel, values: &[f64], rows: &[RowId], acc: &m
         {
             // SAFETY: AVX2 availability, in-bounds row ids and a column
             // short enough for 32-bit gather indices were all just
-            // checked; rows/acc length equality is asserted above.
-            unsafe { x86::add_assign_gather_avx2(values, rows, acc) }
-        }
-        _ => {
-            for (a, &r) in acc.iter_mut().zip(rows) {
-                *a += values[r as usize];
+            // checked; rows/acc/mass length equality is asserted above.
+            unsafe {
+                x86::accumulate_gather_with_mass_avx2(op, dim, values, rows, query, acc, mass)
             }
         }
+        _ => accumulate_gather_with_mass_scalar(op, dim, values, rows, query, acc, mass),
     }
 }
 
@@ -957,6 +986,38 @@ fn accumulate_gather_scalar(
 ) {
     for (a, &r) in acc.iter_mut().zip(rows) {
         *a += op.apply(dim, values[r as usize], query);
+    }
+}
+
+/// The portable fused dense accumulate — the bit-identity reference.
+fn accumulate_with_mass_scalar(
+    op: KernelOp<'_>,
+    dim: usize,
+    values: &[f64],
+    query: f64,
+    acc: &mut [f64],
+    mass: &mut [f64],
+) {
+    for ((a, m), &v) in acc.iter_mut().zip(mass.iter_mut()).zip(values) {
+        *a += op.apply(dim, v, query);
+        *m += v;
+    }
+}
+
+/// The portable fused gathered accumulate — the bit-identity reference.
+fn accumulate_gather_with_mass_scalar(
+    op: KernelOp<'_>,
+    dim: usize,
+    values: &[f64],
+    rows: &[RowId],
+    query: f64,
+    acc: &mut [f64],
+    mass: &mut [f64],
+) {
+    for ((a, m), &r) in acc.iter_mut().zip(mass.iter_mut()).zip(rows) {
+        let v = values[r as usize];
+        *a += op.apply(dim, v, query);
+        *m += v;
     }
 }
 
@@ -1645,52 +1706,82 @@ mod x86 {
         }
     }
 
-    /// Dense AVX2 mass accumulate: `acc[i] += values[i]`.
+    /// Dense AVX2 accumulate with the scanned mass: 4 contiguous rows per
+    /// iteration, each loaded value added to the mass as well.
     ///
     /// # Safety
-    /// Caller guarantees AVX2 and `values.len() == acc.len()`.
-    // SAFETY: dispatched from `add_assign` only after `is_supported` and
-    // the length assert.
+    /// Caller guarantees AVX2 and `values.len() == acc.len() == mass.len()`.
+    // SAFETY: dispatched from `accumulate_with_mass` only after
+    // `is_supported` and the length asserts; pointer arithmetic stays
+    // inside those bounds.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign_avx2(values: &[f64], acc: &mut [f64]) {
+    pub(super) unsafe fn accumulate_with_mass_avx2(
+        op: KernelOp<'_>,
+        dim: usize,
+        values: &[f64],
+        query: f64,
+        acc: &mut [f64],
+        mass: &mut [f64],
+    ) {
         let n = values.len();
+        let q = _mm256_set1_pd(query);
         let vp = values.as_ptr();
         let ap = acc.as_mut_ptr();
+        let mp = mass.as_mut_ptr();
         let mut i = 0usize;
         while i + 4 <= n {
             let v = _mm256_loadu_pd(vp.add(i));
-            let a = _mm256_loadu_pd(ap.add(i));
-            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(a, v));
+            let c = contribution_quad(op, dim, v, q);
+            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), c));
+            _mm256_storeu_pd(mp.add(i), _mm256_add_pd(_mm256_loadu_pd(mp.add(i)), v));
             i += 4;
         }
         while i < n {
-            *ap.add(i) += *vp.add(i);
+            let v = *vp.add(i);
+            *ap.add(i) += op.apply(dim, v, query);
+            *mp.add(i) += v;
             i += 1;
         }
     }
 
-    /// Gathered AVX2 mass accumulate: `acc[i] += values[rows[i]]`.
+    /// Gathered AVX2 accumulate with the scanned mass: 4 list rows per
+    /// iteration, one `vgatherdpd` per four cells feeding both sums.
     ///
     /// # Safety
-    /// Same contract as [`accumulate_gather_avx2`].
-    // SAFETY: dispatched from `add_assign_gather` only after checking
-    // feature support, row bounds and the 32-bit index limit.
+    /// Same contract as [`accumulate_gather_avx2`], and
+    /// `mass.len() == rows.len()`.
+    // SAFETY: dispatched from `accumulate_gather_with_mass` only after
+    // checking feature support, row bounds, the 32-bit index limit and the
+    // length asserts; pointer arithmetic stays inside those bounds.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign_gather_avx2(values: &[f64], rows: &[RowId], acc: &mut [f64]) {
+    pub(super) unsafe fn accumulate_gather_with_mass_avx2(
+        op: KernelOp<'_>,
+        dim: usize,
+        values: &[f64],
+        rows: &[RowId],
+        query: f64,
+        acc: &mut [f64],
+        mass: &mut [f64],
+    ) {
         let n = rows.len();
+        let q = _mm256_set1_pd(query);
         let vp = values.as_ptr();
         let rp = rows.as_ptr();
         let ap = acc.as_mut_ptr();
+        let mp = mass.as_mut_ptr();
         let mut i = 0usize;
         while i + 4 <= n {
             let idx = _mm_loadu_si128(rp.add(i).cast::<__m128i>());
             let v = _mm256_i32gather_pd::<8>(vp, idx);
-            let a = _mm256_loadu_pd(ap.add(i));
-            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(a, v));
+            let c = contribution_quad(op, dim, v, q);
+            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), c));
+            _mm256_storeu_pd(mp.add(i), _mm256_add_pd(_mm256_loadu_pd(mp.add(i)), v));
             i += 4;
         }
         while i < n {
-            *ap.add(i) += *vp.add(*rp.add(i) as usize);
+            let v = *vp.add(*rp.add(i) as usize);
+            *ap.add(i) += op.apply(dim, v, query);
+            *mp.add(i) += v;
             i += 1;
         }
     }
@@ -1758,26 +1849,6 @@ mod neon {
         }
         while i < n {
             acc[i] += op.apply(dim, values[i], query);
-            i += 1;
-        }
-    }
-
-    /// Dense NEON mass accumulate: `acc[i] += values[i]`.
-    pub(super) fn add_assign_neon(values: &[f64], acc: &mut [f64]) {
-        let n = values.len();
-        let mut i = 0usize;
-        // SAFETY: NEON is baseline on aarch64; the loop bound keeps every
-        // two-lane load/store inside the equal-length slices.
-        unsafe {
-            while i + 2 <= n {
-                let v = vld1q_f64(values.as_ptr().add(i));
-                let a = vld1q_f64(acc.as_ptr().add(i));
-                vst1q_f64(acc.as_mut_ptr().add(i), vaddq_f64(a, v));
-                i += 2;
-            }
-        }
-        while i < n {
-            acc[i] += values[i];
             i += 1;
         }
     }
@@ -2062,6 +2133,10 @@ mod tests {
         }
     }
 
+    /// The plain and the fused exact accumulates, dense and gathered (a
+    /// reversed list with holes), on every supported flavour against the
+    /// scalar reference: the fused score must also carry the plain
+    /// accumulate's bits, and its mass the bits of a plain mass loop.
     #[test]
     fn accumulates_are_bit_identical_across_kernels() {
         let wh =
@@ -2075,6 +2150,9 @@ mod tests {
         let values: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
         let init: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
         let list: Vec<RowId> = (0..rows).filter(|r| r % 3 != 1).map(|r| r as RowId).rev().collect();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let mass_ref: Vec<f64> = init.iter().zip(&values).map(|(m, v)| m + v).collect();
+        let gathered_mass_ref: Vec<f64> = list.iter().map(|&r| 0.25 + values[r as usize]).collect();
         for metric in metrics {
             let op = metric.kernel_op().unwrap();
             for dim in [0usize, 17, 32] {
@@ -2084,45 +2162,25 @@ mod tests {
                 let mut gather_ref = vec![0.5f64; list.len()];
                 accumulate_gather(Kernel::Scalar, op, dim, &values, &list, q, &mut gather_ref);
                 for kernel in supported() {
+                    let ctx = format!("{} ({})", kernel.label(), metric.name());
                     let mut dense = init.clone();
                     accumulate(kernel, op, dim, &values, q, &mut dense);
-                    assert!(
-                        dense.iter().zip(&dense_ref).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{}: dense accumulate diverges ({})",
-                        kernel.label(),
-                        metric.name()
-                    );
+                    assert_eq!(bits(&dense), bits(&dense_ref), "{ctx}: dense accumulate");
                     let mut gathered = vec![0.5f64; list.len()];
                     accumulate_gather(kernel, op, dim, &values, &list, q, &mut gathered);
-                    assert!(
-                        gathered.iter().zip(&gather_ref).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{}: gathered accumulate diverges ({})",
-                        kernel.label(),
-                        metric.name()
-                    );
+                    assert_eq!(bits(&gathered), bits(&gather_ref), "{ctx}: gathered accumulate");
+                    let (mut dense, mut mass) = (init.clone(), init.clone());
+                    accumulate_with_mass(kernel, op, dim, &values, q, &mut dense, &mut mass);
+                    assert_eq!(bits(&dense), bits(&dense_ref), "{ctx}: fused dense score");
+                    assert_eq!(bits(&mass), bits(&mass_ref), "{ctx}: fused dense mass");
+                    let (mut gathered, mut mass) =
+                        (vec![0.5f64; list.len()], vec![0.25; list.len()]);
+                    let (acc, m) = (&mut gathered, &mut mass);
+                    accumulate_gather_with_mass(kernel, op, dim, &values, &list, q, acc, m);
+                    assert_eq!(bits(&gathered), bits(&gather_ref), "{ctx}: fused gathered score");
+                    assert_eq!(bits(&mass), bits(&gathered_mass_ref), "{ctx}: fused gathered mass");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn mass_kernels_are_bit_identical_across_kernels() {
-        let mut seed = 0x0F0F_F0F0_1234_8765u64;
-        let rows = 97;
-        let values: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
-        let init: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
-        let list: Vec<RowId> = (0..rows as RowId).filter(|r| r % 2 == 0).collect();
-        let mut dense_ref = init.clone();
-        add_assign(Kernel::Scalar, &values, &mut dense_ref);
-        let mut gather_ref = vec![0.25f64; list.len()];
-        add_assign_gather(Kernel::Scalar, &values, &list, &mut gather_ref);
-        for kernel in supported() {
-            let mut dense = init.clone();
-            add_assign(kernel, &values, &mut dense);
-            assert!(dense.iter().zip(&dense_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
-            let mut gathered = vec![0.25f64; list.len()];
-            add_assign_gather(kernel, &values, &list, &mut gathered);
-            assert!(gathered.iter().zip(&gather_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

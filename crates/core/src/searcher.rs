@@ -81,8 +81,11 @@ const DENSE_KERNEL_MIN_DENSITY: f64 = 0.25;
 const GATHER_BLOCK_ROWS: usize = 64;
 
 /// Dense kernel accumulate over a whole dimension block: every row of each
-/// column is streamed through the ISA-pinned kernel. Per candidate row the
-/// arithmetic is exactly the scalar loop's, in the same dimension order.
+/// column is streamed through the ISA-pinned kernel once — the fused form
+/// ([`kernels::accumulate_with_mass`]) when the rule bounds with the
+/// scanned mass, so the column is not read a second time for it. Per
+/// candidate row the arithmetic is exactly the scalar loop's, in the same
+/// dimension order.
 fn dense_accumulate_block(
     kernel: Kernel,
     op: KernelOp<'_>,
@@ -94,19 +97,24 @@ fn dense_accumulate_block(
 ) -> Result<()> {
     for &d in dims_block {
         let values = segment.col_slice(d)?;
-        kernels::accumulate(kernel, op, d, values, query[d], partial);
-        if let Some(mass) = mass.as_deref_mut() {
-            kernels::add_assign(kernel, values, mass);
+        match mass.as_deref_mut() {
+            Some(mass) => {
+                kernels::accumulate_with_mass(kernel, op, d, values, query[d], partial, mass)
+            }
+            None => kernels::accumulate(kernel, op, d, values, query[d], partial),
         }
     }
     Ok(())
 }
 
 /// Gathered kernel accumulate over a whole dimension block for an explicit
-/// row list: 64-row blocks are copied into a contiguous accumulator,
-/// advanced through every dimension of the block (per row: same adds, same
-/// order as the scalar loop), then copied back. The block's cells are
-/// prefetched [`kernels::PREFETCH_DIMS`] dimensions ahead.
+/// row list: 64-row blocks are copied into a contiguous accumulator (and
+/// the scanned masses into a second one, when the rule needs them),
+/// advanced through every dimension of the block with one gather per cell
+/// ([`kernels::accumulate_gather_with_mass`] feeds both sums from it; per
+/// row: same adds, same order as the scalar loop), then copied back. The
+/// block's cells are prefetched [`kernels::PREFETCH_DIMS`] dimensions
+/// ahead.
 #[allow(clippy::too_many_arguments)]
 fn gather_accumulate_block(
     kernel: Kernel,
@@ -144,10 +152,19 @@ fn gather_accumulate_block(
         (0..kernels::PREFETCH_DIMS).try_for_each(ahead)?;
         for (i, &d) in dims_block.iter().enumerate() {
             ahead(i + kernels::PREFETCH_DIMS)?;
-            let values = segment.col_slice(d)?;
-            kernels::accumulate_gather(kernel, op, d, values, chunk, query[d], &mut acc[..m]);
-            if mass.is_some() {
-                kernels::add_assign_gather(kernel, values, chunk, &mut mass_acc[..m]);
+            let (values, q, acc) = (segment.col_slice(d)?, query[d], &mut acc[..m]);
+            match mass {
+                Some(_) => kernels::accumulate_gather_with_mass(
+                    kernel,
+                    op,
+                    d,
+                    values,
+                    chunk,
+                    q,
+                    acc,
+                    &mut mass_acc[..m],
+                ),
+                None => kernels::accumulate_gather(kernel, op, d, values, chunk, q, acc),
             }
         }
         for (i, &row) in chunk.iter().enumerate() {
@@ -898,9 +915,11 @@ mod tests {
     use bond_metrics::{
         WeightedEvRule, WeightedHistogramIntersection, WeightedHqRule, WeightedSquaredEuclidean,
     };
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::sync::Mutex;
 
-    use crate::bond_loop::tests::{per_candidate_step, with_seam, StepStats};
+    use crate::bond_loop::tests::{per_candidate_step, with_seam, Seam, StepStats};
 
     /// A κ cell that pools bounds the way the engine's does and keeps every
     /// value a search published, in order.
@@ -980,14 +999,22 @@ mod tests {
         /// Searches the segments in order on the given scratch; returns
         /// the outcomes and every κ published on the way.
         fn run(&self, scratch: &mut Scratch) -> (Vec<SearchOutcome>, Vec<u64>) {
-            let cell = RecordingCell::new(self.metric.objective());
+            self.run_on(&RecordingCell::new(self.metric.objective()), scratch)
+        }
+
+        /// [`Case::run`] with the segments sharing `cell`.
+        fn run_on(
+            &self,
+            cell: &RecordingCell,
+            scratch: &mut Scratch,
+        ) -> (Vec<SearchOutcome>, Vec<u64>) {
             let outcomes = self
                 .segments
                 .iter()
                 .map(|segment| {
                     let filter = (self.filter)(segment.len());
                     let ctx = SegmentContext {
-                        kappa: Some(&cell),
+                        kappa: Some(cell),
                         filter: filter.as_ref(),
                         ..SegmentContext::default()
                     };
@@ -1105,6 +1132,183 @@ mod tests {
         assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2);
         let StepStats { from_bitmaps, from_lists, .. } = StepStats::take();
         assert!(from_bitmaps > 1_000 && from_lists > 1_000, "{from_bitmaps} / {from_lists}");
+    }
+
+    /// The heap step as it ran before the early prune, which every exact
+    /// step carrying a κ in must reproduce: its first pass offers every
+    /// candidate to the heap (`per_candidate_step` with `keep: None`), then
+    /// drops every candidate, read at its own slot, that misses the κ that
+    /// step proved — the better of the heap's k-th bound and the shared
+    /// cell's κ — so the loop's second pass, at that same κ, has nothing
+    /// left to remove.
+    fn heap_over_every_candidate(cell: Rc<RecordingCell>) -> Seam {
+        Box::new(move |set, _, bounds, best| {
+            let Some(best) = best else { return 0 };
+            per_candidate_step(set, None, bounds, Some(&mut *best));
+            let &Bounds { sign, opt_add, .. } = bounds;
+            let shared = cell.current().map_or(f64::NEG_INFINITY, |c| sign * c);
+            let kappa =
+                best.kth().filter(|kth| kth.is_finite()).map_or(shared, |kth| kth.max(shared));
+            let keep = (kappa > f64::NEG_INFINITY).then(|| SurviveTest {
+                sign,
+                add: opt_add,
+                bar: kappa - prune_slack(kappa),
+            });
+            per_candidate_step(set, keep, bounds, None)
+        })
+    }
+
+    /// What [`keepers_only`] saw of the loop's pruning passes.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct PassCounts {
+        /// Candidates a bitmap's first pass dropped with a carried κ.
+        early: usize,
+        /// First and second passes over a row list (whose first pass
+        /// carries no κ, so a finite κ always prunes again).
+        list_first: usize,
+        list_second: usize,
+    }
+
+    /// The loop's own pruning pass, checking after every first pass that
+    /// the κ heap holds only rows it kept, and counting passes in `counts`.
+    fn keepers_only(counts: Rc<Cell<PassCounts>>) -> Seam {
+        Box::new(move |set, keep, bounds, mut best| {
+            let (bitmap, first) = (set.is_bitmap(), best.is_some());
+            let removed = set.prune(Kernel::active(), keep, bounds, best.as_deref_mut());
+            if let Some(best) = best {
+                let kept = set.to_rows();
+                for entry in best.iter() {
+                    assert!(
+                        kept.binary_search(&entry.row).is_ok(),
+                        "row {} was dropped",
+                        entry.row
+                    );
+                }
+            }
+            let mut seen = counts.get();
+            match (bitmap, first) {
+                (true, true) => seen.early += removed,
+                (true, false) => {}
+                (false, true) => seen.list_first += 1,
+                (false, false) => seen.list_second += 1,
+            }
+            counts.set(seen);
+            removed
+        })
+    }
+
+    /// The exact loop's heap steps with a κ carried in — a sibling
+    /// segment's, the segment's own from its last step, or one the shared
+    /// cell holds from the start (the k-th best exact score) — against
+    /// [`heap_over_every_candidate`]: the same hits, bit for bit, the same
+    /// checkpoints and counts, the same κ published. All six rules, two
+    /// filters, `k` 1 and 10, two block schedules.
+    fn early_prune_reproduces_the_heap_over_every_candidate(
+        materialize_threshold: f64,
+    ) -> PassCounts {
+        const DIMS: usize = 12;
+        let weights: Vec<f64> = (0..DIMS).map(|d| [2.0, 0.0, 0.5, 1.0][d % 4]).collect();
+        let weighted_hist = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+        let weighted_euclid = WeightedSquaredEuclidean::new(weights.clone()).unwrap();
+        type NewRule<'a> = Box<dyn Fn() -> Box<dyn PruningRule> + 'a>;
+        let rules: [(&dyn DecomposableMetric, NewRule<'_>); 6] = [
+            (&HistogramIntersection, Box::new(|| Box::new(HqRule::new()))),
+            (&HistogramIntersection, Box::new(|| Box::new(HhRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EqRule::new()))),
+            (&SquaredEuclidean, Box::new(|| Box::new(EvRule::new()))),
+            (&weighted_hist, Box::new(|| Box::new(WeightedHqRule::new(weights.clone())))),
+            (&weighted_euclid, Box::new(|| Box::new(WeightedEvRule::new(weights.clone())))),
+        ];
+        let filters: [Box<dyn Fn(usize) -> Option<Bitmap>>; 2] = [
+            Box::new(|_| None),
+            Box::new(|len| {
+                let tenth: Vec<RowId> = (0..len as RowId).filter(|r| r % 10 == 4).collect();
+                Some(Bitmap::from_rows(len, &tenth))
+            }),
+        ];
+        let counts = Rc::new(Cell::new(PassCounts::default()));
+        let mut cases = 0;
+        for (rows, seed) in [(257usize, 0xE4_12C0_FFEEu64), (1000, 0x0B0D_5EED_1E55)] {
+            let table = generated_table(rows, DIMS, seed);
+            let query = table.row(5).unwrap();
+            let split = rows / 2 + 3;
+            let segments = [table.segment(0..split).unwrap(), table.segment(split..rows).unwrap()];
+            for (metric, new_rule) in &rules {
+                let objective = metric.objective();
+                let mut scores: Vec<f64> = (0..rows)
+                    .map(|r| metric.score(&table.row(r as RowId).unwrap(), &query))
+                    .collect();
+                scores.sort_by(|a, b| a.total_cmp(b));
+                if objective == Objective::Maximize {
+                    scores.reverse();
+                }
+                for filter in &filters {
+                    for k in [1, 10] {
+                        // the k-th best score of the whole table is a valid
+                        // κ only without a filter
+                        let mut held = vec![None];
+                        if filter(rows).is_none() {
+                            held.push(Some(scores[k - 1]));
+                        }
+                        for &pre in &held {
+                            for schedule in [BlockSchedule::Fixed(1), BlockSchedule::Fixed(4)] {
+                                let case = Case {
+                                    segments: &segments,
+                                    query: &query,
+                                    metric: *metric,
+                                    new_rule,
+                                    filter,
+                                    k,
+                                    params: BondParams {
+                                        schedule,
+                                        materialize_threshold,
+                                        ..BondParams::default()
+                                    },
+                                };
+                                let cell = Rc::new(RecordingCell::holding(objective, pre));
+                                let seam = heap_over_every_candidate(cell.clone());
+                                let reference =
+                                    with_seam(seam, || case.run_on(&cell, &mut Scratch::default()));
+                                let cell = Rc::new(RecordingCell::holding(objective, pre));
+                                let early = with_seam(keepers_only(counts.clone()), || {
+                                    case.run_on(&cell, &mut Scratch::default())
+                                });
+                                let what = format!(
+                                    "{rows} rows, {}, k {k}, κ held {pre:?}, {schedule:?}",
+                                    new_rule().name()
+                                );
+                                assert_eq!(early, reference, "{what}");
+                                for (a, b) in early.0.iter().zip(&reference.0) {
+                                    let bits = |o: &SearchOutcome| -> Vec<u64> {
+                                        o.hits.iter().map(|h| h.score.to_bits()).collect()
+                                    };
+                                    assert_eq!(bits(a), bits(b), "{what}");
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 6 * (2 * 2 + 2) * 2);
+        counts.get()
+    }
+
+    #[test]
+    fn bitmap_steps_prune_with_the_carried_kappa_before_the_heap() {
+        // a threshold no density reaches: every step is a bitmap step
+        let counts = early_prune_reproduces_the_heap_over_every_candidate(0.0);
+        assert_eq!((counts.list_first, counts.list_second), (0, 0));
+        assert!(counts.early > 10_000, "the carried κ dropped only {} rows early", counts.early);
+    }
+
+    #[test]
+    fn list_steps_read_their_bounds_at_their_own_positions() {
+        // every density reaches it: every step after the first is a list step
+        let counts = early_prune_reproduces_the_heap_over_every_candidate(1.0);
+        assert!(counts.list_first > 500, "only {} list steps", counts.list_first);
+        assert!(counts.list_second > 500, "only {} second passes over lists", counts.list_second);
     }
 
     /// The bound-ordered refine against refining every survivor of the

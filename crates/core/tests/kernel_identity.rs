@@ -17,8 +17,10 @@
 //!   runs called directly against the scalar reference — the test prints
 //!   one line per implementation it compared;
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
-//!   `accumulate_gather`, `add_assign`, `add_assign_gather`) across all
-//!   four `KernelOp` shapes those six rules compile down to;
+//!   `accumulate_gather`) and its fused score-and-mass forms
+//!   (`accumulate_with_mass`, `accumulate_gather_with_mass`) across all
+//!   four `KernelOp` shapes those six rules compile down to — the test
+//!   prints one line per flavour it compared with the scalar reference;
 //! * the pruning steps' 64-row survive mask (`kernels::survive_mask`) over
 //!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar.
 //!
@@ -210,6 +212,106 @@ fn code_sweep_implementations_match_the_scalar_reference() {
     }
 }
 
+/// The fused exact accumulates (`accumulate_with_mass`,
+/// `accumulate_gather_with_mass`) of every flavour the host runs against
+/// the scalar reference, for every `KernelOp`, at every length from 0 to
+/// 67 — so every ragged tail behind the 4-row and 2-row vector steps — the
+/// gathered form over unsorted row ids with repeats. Both the score bits
+/// and the mass bits must match, the score must also match the plain
+/// accumulate's (what the refine and the rules without mass read) and the
+/// mass a plain loop's. Prints one line per vector flavour compared.
+#[test]
+fn fused_accumulates_match_the_scalar_reference() {
+    let mut state = 0xF05E_D0A5_5C0A_11EDu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let weights: Vec<f64> = (0..DIMS).map(|_| 0.05 + 4.0 * unit()).collect();
+    let ops = [
+        KernelOp::Min,
+        KernelOp::SquaredDiff,
+        KernelOp::WeightedMin(&weights),
+        KernelOp::WeightedSquaredDiff(&weights),
+    ];
+    let kernels = supported_kernels();
+    let mut compared = vec![0usize; kernels.len()];
+    for len in 0..=67usize {
+        let values: Vec<f64> = (0..len).map(|_| 4.0 * unit() - 2.0).collect();
+        let seed: Vec<f64> = (0..len).map(|_| 16.0 * unit() - 8.0).collect();
+        let mass_seed: Vec<f64> = (0..len).map(|_| unit()).collect();
+        // unsorted, with repeats, into a column of `len` rows (any column
+        // for an empty list)
+        let column = len.max(1);
+        let column_values: Vec<f64> = (0..column).map(|_| 4.0 * unit() - 2.0).collect();
+        let rows: Vec<RowId> =
+            (0..len).map(|_| (unit() * column as f64) as RowId % column as RowId).collect();
+        for (o, op) in ops.into_iter().enumerate() {
+            let dim = (len + o) % DIMS;
+            let query = unit();
+            // the scalar references: fused, plain, and the plain mass loop
+            let mut dense = (seed.clone(), mass_seed.clone());
+            kernels::accumulate_with_mass(
+                Kernel::Scalar,
+                op,
+                dim,
+                &values,
+                query,
+                &mut dense.0,
+                &mut dense.1,
+            );
+            let mut plain = seed.clone();
+            kernels::accumulate(Kernel::Scalar, op, dim, &values, query, &mut plain);
+            let mass: Vec<f64> = mass_seed.iter().zip(&values).map(|(m, v)| m + v).collect();
+            let ctx = format!("len {len}, {op:?}");
+            assert_eq!(bits_of(&dense.0), bits_of(&plain), "{ctx}: fused vs plain dense score");
+            assert_eq!(bits_of(&dense.1), bits_of(&mass), "{ctx}: fused dense mass");
+            let mut gathered = (seed.clone(), mass_seed.clone());
+            let (acc, mass) = (&mut gathered.0, &mut gathered.1);
+            kernels::accumulate_gather_with_mass(
+                Kernel::Scalar,
+                op,
+                dim,
+                &column_values,
+                &rows,
+                query,
+                acc,
+                mass,
+            );
+            let mut plain = seed.clone();
+            let v = &column_values;
+            kernels::accumulate_gather(Kernel::Scalar, op, dim, v, &rows, query, &mut plain);
+            let mass: Vec<f64> =
+                mass_seed.iter().zip(&rows).map(|(m, &r)| m + column_values[r as usize]).collect();
+            assert_eq!(bits_of(&gathered.0), bits_of(&plain), "{ctx}: fused vs plain gathered");
+            assert_eq!(bits_of(&gathered.1), bits_of(&mass), "{ctx}: fused gathered mass");
+            for (&kernel, count) in kernels.iter().zip(&mut compared) {
+                let ctx = format!("{} {ctx}", kernel.label());
+                let mut got = (seed.clone(), mass_seed.clone());
+                let (acc, mass) = (&mut got.0, &mut got.1);
+                kernels::accumulate_with_mass(kernel, op, dim, &values, query, acc, mass);
+                assert_eq!(bits_of(&got.0), bits_of(&dense.0), "{ctx}: fused dense score");
+                assert_eq!(bits_of(&got.1), bits_of(&dense.1), "{ctx}: fused dense mass");
+                let mut got = (seed.clone(), mass_seed.clone());
+                let (acc, mass) = (&mut got.0, &mut got.1);
+                kernels::accumulate_gather_with_mass(kernel, op, dim, v, &rows, query, acc, mass);
+                assert_eq!(bits_of(&got.0), bits_of(&gathered.0), "{ctx}: fused gathered score");
+                assert_eq!(bits_of(&got.1), bits_of(&gathered.1), "{ctx}: fused gathered mass");
+                *count += 1;
+            }
+        }
+    }
+    for (kernel, count) in kernels.iter().zip(compared).filter(|(k, _)| **k != Kernel::Scalar) {
+        println!(
+            "exact accumulate+mass {}: bit-identical to the scalar reference in {count} cases",
+            kernel.label()
+        );
+    }
+}
+
 /// The values a bound test can meet at its edges, plus a few ordinary
 /// ones: `bar` itself and its neighbours turn up as often as the rest.
 fn edge_value(bar: f64) -> impl Strategy<Value = f64> {
@@ -389,23 +491,21 @@ proptest! {
             }
         }
 
-        // the Hh rule's scanned-mass side columns
-        let mut dense_ref = vec![0.0; values.len()];
-        kernels::add_assign(Kernel::Scalar, &values, &mut dense_ref);
-        let mut gather_ref = vec![0.0; rows.len()];
-        kernels::add_assign_gather(Kernel::Scalar, &values, &rows, &mut gather_ref);
-        for kernel in supported_kernels() {
-            let mut dense = vec![0.0; values.len()];
-            kernels::add_assign(kernel, &values, &mut dense);
-            prop_assert_eq!(bits_of(&dense_ref), bits_of(&dense), "{} add_assign", kernel.label());
-            let mut gather = vec![0.0; rows.len()];
-            kernels::add_assign_gather(kernel, &values, &rows, &mut gather);
-            prop_assert_eq!(
-                bits_of(&gather_ref),
-                bits_of(&gather),
-                "{} add_assign_gather",
-                kernel.label()
+        // the fused form, over the same unsorted list with repeats: the
+        // score and the scanned mass (Hh, Ev, WEv) in one gather per cell
+        for op in ops {
+            let mut want = (vec![0.5; rows.len()], vec![0.25; rows.len()]);
+            let (acc, mass) = (&mut want.0, &mut want.1);
+            kernels::accumulate_gather_with_mass(
+                Kernel::Scalar, op, dim, &values, &rows, query, acc, mass,
             );
+            for kernel in supported_kernels() {
+                let mut got = (vec![0.5; rows.len()], vec![0.25; rows.len()]);
+                let (acc, mass) = (&mut got.0, &mut got.1);
+                kernels::accumulate_gather_with_mass(kernel, op, dim, &values, &rows, query, acc, mass);
+                prop_assert_eq!(bits_of(&want.0), bits_of(&got.0), "{} fused score {:?}", kernel.label(), op);
+                prop_assert_eq!(bits_of(&want.1), bits_of(&got.1), "{} fused mass {:?}", kernel.label(), op);
+            }
         }
     }
 

@@ -1372,10 +1372,12 @@ impl Engine {
         let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
         let mut rule = run.query.rule.make_rule();
         let plan = &run.query.plan;
-        // Mapped backend: hint the kernel about the scan the plan is
+        // Mapped backend: hint the kernel about the exact scan the plan is
         // about to run — the first block's fragment slices are certain to
-        // be read front to back.
-        if pass.mapped {
+        // be read front to back. A code-filtered task's first block reads
+        // code bytes instead, and only its survivors' cells after that, so
+        // it gets no hint.
+        if pass.mapped && run.codes.is_none() {
             let first_block = plan.schedule.next_block(0, inner.table.dims(), 0);
             segment.advise(plan.order.iter().take(first_block).copied(), Advice::Sequential);
         }
