@@ -2133,27 +2133,36 @@ mod tests {
         }
     }
 
-    /// The plain and the fused exact accumulates, dense and gathered (a
-    /// reversed list with holes), on every supported flavour against the
-    /// scalar reference: the fused score must also carry the plain
-    /// accumulate's bits, and its mass the bits of a plain mass loop.
-    #[test]
-    fn accumulates_are_bit_identical_across_kernels() {
+    /// The exact metrics every flavour implements, weighted ones with
+    /// 33 dims' weights.
+    fn exact_metrics() -> Vec<Box<dyn DecomposableMetric>> {
         let wh =
             WeightedHistogramIntersection::new((0..33).map(|d| d as f64 * 0.25).collect()).unwrap();
         let we =
             WeightedSquaredEuclidean::new((0..33).map(|d| 0.1 + d as f64 * 0.3).collect()).unwrap();
-        let metrics: Vec<&dyn DecomposableMetric> =
-            vec![&HistogramIntersection, &SquaredEuclidean, &wh, &we];
+        vec![
+            Box::new(HistogramIntersection),
+            Box::new(SquaredEuclidean),
+            Box::new(wh),
+            Box::new(we),
+        ]
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The plain exact accumulate, dense and gathered (a reversed list
+    /// with holes), on every supported flavour against the scalar
+    /// reference.
+    #[test]
+    fn accumulates_are_bit_identical_across_kernels() {
         let mut seed = 0xFEED_FACE_0BAD_F00Du64;
         let rows = 131;
         let values: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
         let init: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
         let list: Vec<RowId> = (0..rows).filter(|r| r % 3 != 1).map(|r| r as RowId).rev().collect();
-        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-        let mass_ref: Vec<f64> = init.iter().zip(&values).map(|(m, v)| m + v).collect();
-        let gathered_mass_ref: Vec<f64> = list.iter().map(|&r| 0.25 + values[r as usize]).collect();
-        for metric in metrics {
+        for metric in exact_metrics() {
             let op = metric.kernel_op().unwrap();
             for dim in [0usize, 17, 32] {
                 let q = xorshift(&mut seed);
@@ -2169,6 +2178,34 @@ mod tests {
                     let mut gathered = vec![0.5f64; list.len()];
                     accumulate_gather(kernel, op, dim, &values, &list, q, &mut gathered);
                     assert_eq!(bits(&gathered), bits(&gather_ref), "{ctx}: gathered accumulate");
+                }
+            }
+        }
+    }
+
+    /// The fused accumulates that also carry the scanned mass, dense and
+    /// gathered (every other row), on every supported flavour: the score
+    /// carries the scalar plain accumulate's bits and the mass the bits of
+    /// a plain mass loop.
+    #[test]
+    fn mass_kernels_are_bit_identical_across_kernels() {
+        let mut seed = 0x0F0F_F0F0_1234_8765u64;
+        let rows = 97;
+        let values: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
+        let init: Vec<f64> = (0..rows).map(|_| xorshift(&mut seed)).collect();
+        let list: Vec<RowId> = (0..rows as RowId).filter(|r| r % 2 == 0).collect();
+        let mass_ref: Vec<f64> = init.iter().zip(&values).map(|(m, v)| m + v).collect();
+        let gathered_mass_ref: Vec<f64> = list.iter().map(|&r| 0.25 + values[r as usize]).collect();
+        for metric in exact_metrics() {
+            let op = metric.kernel_op().unwrap();
+            for dim in [0usize, 17, 32] {
+                let q = xorshift(&mut seed);
+                let mut dense_ref = init.clone();
+                accumulate(Kernel::Scalar, op, dim, &values, q, &mut dense_ref);
+                let mut gather_ref = vec![0.5f64; list.len()];
+                accumulate_gather(Kernel::Scalar, op, dim, &values, &list, q, &mut gather_ref);
+                for kernel in supported() {
+                    let ctx = format!("{} ({})", kernel.label(), metric.name());
                     let (mut dense, mut mass) = (init.clone(), init.clone());
                     accumulate_with_mass(kernel, op, dim, &values, q, &mut dense, &mut mass);
                     assert_eq!(bits(&dense), bits(&dense_ref), "{ctx}: fused dense score");
