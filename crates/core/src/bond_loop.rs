@@ -79,8 +79,8 @@ pub(crate) enum Proof {
     /// prunes again when they prove a tighter κ. A row the first pass drops
     /// has both bounds below the carried κ, so the κ proven is the one a
     /// heap over every candidate would prove whenever it beats the carried
-    /// one. In the list phase, whose bounds sit at list positions, the
-    /// first pass carries nothing and the heap sees every candidate.
+    /// one. In the list phase, whose bounds sit at list positions, a second
+    /// pass after a first that removed any rows bounds the keepers again.
     Heap,
     /// The probe, after the last block and — only when the segment carried
     /// no finite κ in, its own or the shared cell's — after the first:
@@ -211,14 +211,11 @@ impl BondLoop<'_> {
             // final and whole words die, and what is left after the last is
             // refined exactly. A κ carried into the first step (a sibling's,
             // on the shared cell) is already about as tight as that probe
-            // would prove, so it is skipped. A list's bounds sit at list
-            // positions, which a first pass that removed entries would shift
-            // under the second, so a heap source's list carries nothing in.
+            // would prove, so it is skipped.
             let carried = kappa.max(current);
-            let (carried, proves) = match S::PROOF {
-                Proof::Heap if candidates.is_bitmap() => (carried, true),
-                Proof::Heap => (f64::NEG_INFINITY, true),
-                Proof::Probe => (carried, (steps == 1 && !carried.is_finite()) || swept == dims),
+            let proves = match S::PROOF {
+                Proof::Heap => true,
+                Proof::Probe => (steps == 1 && !carried.is_finite()) || swept == dims,
             };
             // Prune with the carried κ and collect the heap over the
             // keepers. (A row dropped here could not have raised κ: both
@@ -242,6 +239,11 @@ impl BondLoop<'_> {
                 _ => carried.max(current),
             };
             if kappa > carried && proves {
+                if removed > 0 && !candidates.is_bitmap() {
+                    // a list's bounds sit at list positions, which the
+                    // first pass shifted: bound the keepers again
+                    source.bound(candidates, swept);
+                }
                 removed += self.pass(candidates, kappa, &source.bounds(swept), None);
             }
             alive -= removed;

@@ -15,6 +15,8 @@
 //! blocks: drop what cannot reach κ, offer the rest to the κ heap, 64 rows
 //! at a time while the set is a bitmap.
 
+use std::ops::Range;
+
 use vdstore::{Bitmap, RowId, TopKLargest};
 
 use crate::bond_loop::Bounds;
@@ -205,6 +207,25 @@ pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
             word &= word - 1;
             bit
         })
+    })
+}
+
+/// The row ranges covered by maximal runs of non-empty candidate words
+/// (the last one clamped to `rows`).
+pub(crate) fn word_runs(cand: &[u64], rows: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut w = 0usize;
+    std::iter::from_fn(move || {
+        while w < cand.len() && cand[w] == 0 {
+            w += 1;
+        }
+        if w == cand.len() {
+            return None;
+        }
+        let first = w;
+        while w < cand.len() && cand[w] != 0 {
+            w += 1;
+        }
+        Some(first * WORD_ROWS..(w * WORD_ROWS).min(rows))
     })
 }
 

@@ -12,13 +12,17 @@
 //!    it into the optimistic bound the filter prunes on; the interval sweep
 //!    the VA-File and the approximate scan read ([`sweep_lane`]) adds
 //!    full-precision `f64` entries, once per side of the interval, and
-//! 2. **the exact accumulate** ([`accumulate`], [`accumulate_gather`]):
-//!    `acc[i] += contribution(dim, value_i, q)` for the warmup/refine
-//!    phases, in dense (contiguous rows) and gathered (explicit row list)
-//!    form, and its fused forms ([`accumulate_with_mass`],
-//!    [`accumulate_gather_with_mass`]), which add each cell to the scanned
-//!    mass the `Hh`, `Ev` and `WEv` rules need in the same pass, so a
-//!    column is read (or a cell gathered) once.
+//! 2. **the exact accumulate**: `acc[i] += contribution(dim, value_i, q)`
+//!    for the warmup/refine phases. The exact search's dense form
+//!    ([`accumulate_block`]) sums a whole block of columns over contiguous
+//!    rows, holding each row's score — and the scanned mass the `Hh`, `Ev`
+//!    and `WEv` rules need, when asked — in registers across the block, so
+//!    each cell is read once and each sum stored once; the first block
+//!    starts the sums at zero itself, so nothing is zeroed beforehand. The
+//!    gathered form ([`accumulate_gather`], over an explicit row list)
+//!    goes a column at a time, and its fused form
+//!    ([`accumulate_gather_with_mass`]) adds each gathered cell to the
+//!    mass too. [`accumulate`] is the one-column dense form.
 //!
 //! A third primitive serves the pruning step the BOND loop runs between
 //! blocks: the 64-row **survive mask** ([`survive_mask`]), one branch-free
@@ -83,8 +87,9 @@ pub enum Kernel {
     /// gathers elsewhere ([`CodeSweep::of`]); the `f64` interval sweep
     /// blocks up to [`MAX_SWEEP_GROUP`] dimensions per pass with the
     /// running bounds held in ymm registers and gathers four rows' LUT
-    /// entries per instruction; the exact kernels run 4 rows per 256-bit
-    /// lane group.
+    /// entries per instruction; the exact block accumulate holds 16 rows'
+    /// sums in ymm registers across a block of columns, and the other exact
+    /// kernels run 4 rows per 256-bit lane group.
     Avx2,
     /// `core::arch::aarch64` NEON: the exact kernels run 2 rows per
     /// 128-bit vector; both quantized sweeps run the scalar reference.
@@ -814,8 +819,9 @@ pub fn fill_best_lut(
     }
 }
 
-/// Dense exact accumulate: `acc[i] += op(dim, values[i], query)` for every
-/// row `i`. `values` and `acc` must be the same length.
+/// Dense exact accumulate of one column: `acc[i] += op(dim, values[i],
+/// query)` for every row `i`. `values` and `acc` must be the same length.
+/// The exact search sums whole blocks of columns with [`accumulate_block`].
 pub fn accumulate(
     kernel: Kernel,
     op: KernelOp<'_>,
@@ -868,38 +874,84 @@ pub fn accumulate_gather(
     }
 }
 
-/// Dense exact accumulate with the scanned mass, in one pass over the
-/// column: `acc[i] += op(dim, values[i], query)` and `mass[i] += values[i]`
-/// for every row `i` — the mass `T(x⁻)` the `Hh`, `Ev` and `WEv` rules
-/// bound with. Per row these are [`accumulate`]'s add and the plain mass
-/// add, so both outputs carry their bits. `values`, `acc` and `mass` must
-/// be the same length.
-pub fn accumulate_with_mass(
+/// How many rows ahead of the rows it sums [`accumulate_block`]'s AVX2
+/// body asks for each column's cells with a prefetch. A block streams one
+/// column per dimension at once, more streams than the hardware prefetcher
+/// follows well. In a cycle-counter probe of the benchmark's `serve_small`
+/// exact search (8-column blocks over 2 500-row segments, a 2-vCPU
+/// AVX-512 Xeon VM), 64 rows (eight cache lines) measured best of 32, 64,
+/// 128, 256 and 512, though within run noise of all of them, and took a
+/// block from 10.3–12.3 µs with no prefetch to 8.2–8.9 µs.
+pub const DENSE_PREFETCH_ROWS: usize = 64;
+
+/// Dense exact accumulate over a block of columns: for every row `i` and
+/// every column `j` in order, `acc[i] += op(dims[j], columns[j][i],
+/// queries[j])`, and with `mass`, `mass[i] += columns[j][i]` — the scanned
+/// mass `T(x⁻)` the `Hh`, `Ev` and `WEv` rules bound with. With `init` the
+/// prior contents of `acc` (and `mass`) are ignored: every sum starts from
+/// `+0.0` and is *added* to (`0.0 + c`, the operation a zeroed accumulator
+/// performs, so a `−0.0` first contribution gives `+0.0` as it would
+/// there), which lets the first block a search sweeps replace zeroing its
+/// accumulators.
+///
+/// Per row this is one `f64` addition per (row, column) in column order,
+/// on every kernel, so each is bit-identical to the scalar reference and
+/// to [`accumulate`] called column by column. The AVX2 body holds 16
+/// rows' scores — and their masses — in registers across all the columns,
+/// loads each cell once, stores each sum once and prefetches every column
+/// [`DENSE_PREFETCH_ROWS`] rows ahead; NEON and the scalar reference go a
+/// column at a time.
+///
+/// # Panics
+/// Panics unless `dims`, `columns` and `queries` have the same length and
+/// every column and `mass` hold `acc.len()` rows.
+#[allow(clippy::too_many_arguments)]
+pub fn accumulate_block(
     kernel: Kernel,
     op: KernelOp<'_>,
-    dim: usize,
-    values: &[f64],
-    query: f64,
+    dims: &[usize],
+    columns: &[&[f64]],
+    queries: &[f64],
     acc: &mut [f64],
-    mass: &mut [f64],
+    mass: Option<&mut [f64]>,
+    init: bool,
 ) {
-    assert_eq!(values.len(), acc.len(), "accumulate_with_mass: values and accumulator disagree");
-    assert_eq!(values.len(), mass.len(), "accumulate_with_mass: values and mass disagree");
+    assert!(
+        dims.len() == columns.len() && queries.len() == columns.len(),
+        "accumulate_block: dims, columns and queries disagree"
+    );
+    for column in columns {
+        assert_eq!(column.len(), acc.len(), "accumulate_block: column and accumulator disagree");
+    }
+    if let Some(mass) = mass.as_deref() {
+        assert_eq!(mass.len(), acc.len(), "accumulate_block: mass and accumulator disagree");
+    }
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if Kernel::Avx2.is_supported() => {
-            // SAFETY: AVX2 availability was just checked; equal slice
-            // lengths are asserted above.
-            unsafe { x86::accumulate_with_mass_avx2(op, dim, values, query, acc, mass) }
+            // SAFETY: AVX2 availability was just checked; every slice
+            // length is asserted above.
+            unsafe { x86::accumulate_block_avx2(op, dims, columns, queries, acc, mass, init) }
         }
         #[cfg(target_arch = "aarch64")]
         Kernel::Neon => {
-            neon::accumulate_neon(op, dim, values, query, acc);
-            for (m, &v) in mass.iter_mut().zip(values) {
-                *m += v;
+            let mut mass = mass;
+            if init {
+                acc.fill(0.0);
+                if let Some(mass) = mass.as_deref_mut() {
+                    mass.fill(0.0);
+                }
+            }
+            for ((&dim, column), &query) in dims.iter().zip(columns).zip(queries) {
+                neon::accumulate_neon(op, dim, column, query, acc);
+                if let Some(mass) = mass.as_deref_mut() {
+                    for (m, &v) in mass.iter_mut().zip(column.iter()) {
+                        *m += v;
+                    }
+                }
             }
         }
-        _ => accumulate_with_mass_scalar(op, dim, values, query, acc, mass),
+        _ => accumulate_block_scalar(op, dims, columns, queries, acc, mass, init),
     }
 }
 
@@ -989,7 +1041,36 @@ fn accumulate_gather_scalar(
     }
 }
 
-/// The portable fused dense accumulate — the bit-identity reference.
+/// The portable block accumulate — the bit-identity reference: one column
+/// at a time over every row, score and mass in the same pass.
+fn accumulate_block_scalar(
+    op: KernelOp<'_>,
+    dims: &[usize],
+    columns: &[&[f64]],
+    queries: &[f64],
+    acc: &mut [f64],
+    mut mass: Option<&mut [f64]>,
+    init: bool,
+) {
+    if init {
+        acc.fill(0.0);
+        if let Some(mass) = mass.as_deref_mut() {
+            mass.fill(0.0);
+        }
+    }
+    for ((&dim, column), &query) in dims.iter().zip(columns).zip(queries) {
+        match mass.as_deref_mut() {
+            Some(mass) => accumulate_with_mass_scalar(op, dim, column, query, acc, mass),
+            None => accumulate_scalar(op, dim, column, query, acc),
+        }
+    }
+}
+
+/// One column of [`accumulate_block_scalar`] with the mass. A function of
+/// its own, as [`accumulate_scalar`] is: the same loop written inline in
+/// the block's column loop measured about 45 % slower under
+/// `BOND_KERNEL=scalar` (49 → 71 µs per 8-column block of 2 500 rows on
+/// the benchmark's `serve_small`).
 fn accumulate_with_mass_scalar(
     op: KernelOp<'_>,
     dim: usize,
@@ -1037,14 +1118,18 @@ mod x86 {
         _mm512_mul_pd, _mm512_permutex2var_epi32, _mm512_permutex2var_epi8, _mm512_set1_epi16,
         _mm512_set1_epi8, _mm512_set1_pd, _mm512_setr_epi32, _mm512_setzero_pd,
         _mm512_setzero_si512, _mm512_slli_epi32, _mm512_srli_epi16, _mm_and_si128,
-        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_packus_epi32, _mm_set1_epi8,
-        _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ,
+        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_packus_epi32, _mm_prefetch,
+        _mm_set1_epi8, _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _CMP_GT_OQ, _CMP_LT_OQ,
+        _CMP_NEQ_UQ, _MM_HINT_T0,
     };
+    use std::ptr;
 
     use bond_metrics::KernelOp;
     use vdstore::{CodeParams, RowId};
 
-    use super::{plane_len, sweep_codes_scalar, QuantGrid, QuantLut, SurviveTest, Q_MAX};
+    use super::{
+        plane_len, sweep_codes_scalar, QuantGrid, QuantLut, SurviveTest, DENSE_PREFETCH_ROWS, Q_MAX,
+    };
 
     /// One column's smallest and largest entry and whether every entry is
     /// finite, eight entries per step in two independent lanes of four:
@@ -1636,7 +1721,8 @@ mod x86 {
         }
     }
 
-    /// Dense AVX2 accumulate: 4 contiguous rows per iteration.
+    /// Dense AVX2 accumulate of one column: 4 contiguous rows per
+    /// iteration.
     ///
     /// # Safety
     /// Caller guarantees AVX2 and `values.len() == acc.len()`.
@@ -1706,40 +1792,105 @@ mod x86 {
         }
     }
 
-    /// Dense AVX2 accumulate with the scanned mass: 4 contiguous rows per
-    /// iteration, each loaded value added to the mass as well.
+    /// Dense AVX2 block accumulate: per tile of 16 rows, the scores (and,
+    /// with `mass`, the masses) sit in four `ymm` registers each across
+    /// every column of the block — each cell loaded once, each sum stored
+    /// once, every column prefetched [`DENSE_PREFETCH_ROWS`] rows ahead —
+    /// and the last rows (fewer than 16) go one at a time. With `init` the
+    /// sums start at `+0.0` instead of the stored ones.
     ///
     /// # Safety
-    /// Caller guarantees AVX2 and `values.len() == acc.len() == mass.len()`.
-    // SAFETY: dispatched from `accumulate_with_mass` only after
-    // `is_supported` and the length asserts; pointer arithmetic stays
-    // inside those bounds.
+    /// Caller guarantees AVX2, `dims`, `columns` and `queries` of one
+    /// length, and every column and `mass` of `acc.len()` rows.
+    // SAFETY: dispatched from `accumulate_block` only after `is_supported`
+    // and those asserts.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_with_mass_avx2(
+    pub(super) unsafe fn accumulate_block_avx2(
         op: KernelOp<'_>,
-        dim: usize,
-        values: &[f64],
-        query: f64,
+        dims: &[usize],
+        columns: &[&[f64]],
+        queries: &[f64],
         acc: &mut [f64],
-        mass: &mut [f64],
+        mass: Option<&mut [f64]>,
+        init: bool,
     ) {
-        let n = values.len();
-        let q = _mm256_set1_pd(query);
-        let vp = values.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let mp = mass.as_mut_ptr();
+        match mass {
+            Some(mass) => {
+                block_rows::<true>(op, dims, columns, queries, acc, mass.as_mut_ptr(), init)
+            }
+            None => block_rows::<false>(op, dims, columns, queries, acc, ptr::null_mut(), init),
+        }
+    }
+
+    /// The row loop of [`accumulate_block_avx2`], with the masses at `mp`
+    /// or without them.
+    ///
+    /// # Safety
+    /// As [`accumulate_block_avx2`], and when `MASS`, `acc.len()` masses
+    /// at `mp`.
+    // SAFETY: every load and store covers rows below `acc.len()`, which
+    // every column and (when `MASS`) `mp` hold; `mp` is not touched
+    // otherwise, and a prefetch past the end neither reads nor faults.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_rows<const MASS: bool>(
+        op: KernelOp<'_>,
+        dims: &[usize],
+        columns: &[&[f64]],
+        queries: &[f64],
+        acc: &mut [f64],
+        mp: *mut f64,
+        init: bool,
+    ) {
+        let (ap, n) = (acc.as_mut_ptr(), acc.len());
+        let zero = _mm256_setzero_pd();
         let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(vp.add(i));
-            let c = contribution_quad(op, dim, v, q);
-            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(_mm256_loadu_pd(ap.add(i)), c));
-            _mm256_storeu_pd(mp.add(i), _mm256_add_pd(_mm256_loadu_pd(mp.add(i)), v));
-            i += 4;
+        while i + 16 <= n {
+            let (mut a, mut m) = ([zero; 4], [zero; 4]);
+            if !init {
+                for k in 0..4 {
+                    a[k] = _mm256_loadu_pd(ap.add(i + 4 * k));
+                    if MASS {
+                        m[k] = _mm256_loadu_pd(mp.add(i + 4 * k));
+                    }
+                }
+            }
+            for ((column, &query), &dim) in columns.iter().zip(queries).zip(dims) {
+                let vp = column.as_ptr().add(i);
+                let ahead = vp.wrapping_add(DENSE_PREFETCH_ROWS);
+                _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8).cast());
+                let q = _mm256_set1_pd(query);
+                for k in 0..4 {
+                    let v = _mm256_loadu_pd(vp.add(4 * k));
+                    a[k] = _mm256_add_pd(a[k], contribution_quad(op, dim, v, q));
+                    if MASS {
+                        m[k] = _mm256_add_pd(m[k], v);
+                    }
+                }
+            }
+            for k in 0..4 {
+                _mm256_storeu_pd(ap.add(i + 4 * k), a[k]);
+                if MASS {
+                    _mm256_storeu_pd(mp.add(i + 4 * k), m[k]);
+                }
+            }
+            i += 16;
         }
         while i < n {
-            let v = *vp.add(i);
-            *ap.add(i) += op.apply(dim, v, query);
-            *mp.add(i) += v;
+            let mut a = if init { 0.0 } else { *ap.add(i) };
+            let mut m = if init || !MASS { 0.0 } else { *mp.add(i) };
+            for ((column, &query), &dim) in columns.iter().zip(queries).zip(dims) {
+                let v = *column.as_ptr().add(i);
+                a += op.apply(dim, v, query);
+                if MASS {
+                    m += v;
+                }
+            }
+            *ap.add(i) = a;
+            if MASS {
+                *mp.add(i) = m;
+            }
             i += 1;
         }
     }
@@ -2183,10 +2334,10 @@ mod tests {
         }
     }
 
-    /// The fused accumulates that also carry the scanned mass, dense and
-    /// gathered (every other row), on every supported flavour: the score
-    /// carries the scalar plain accumulate's bits and the mass the bits of
-    /// a plain mass loop.
+    /// The accumulates that also carry the scanned mass, the dense block
+    /// (over one column) and the fused gathered one (every other row), on
+    /// every supported flavour: the score carries the scalar plain
+    /// accumulate's bits and the mass the bits of a plain mass loop.
     #[test]
     fn mass_kernels_are_bit_identical_across_kernels() {
         let mut seed = 0x0F0F_F0F0_1234_8765u64;
@@ -2207,7 +2358,8 @@ mod tests {
                 for kernel in supported() {
                     let ctx = format!("{} ({})", kernel.label(), metric.name());
                     let (mut dense, mut mass) = (init.clone(), init.clone());
-                    accumulate_with_mass(kernel, op, dim, &values, q, &mut dense, &mut mass);
+                    let (dims, columns, m) = ([dim], [&values[..]], Some(&mut mass[..]));
+                    accumulate_block(kernel, op, &dims, &columns, &[q], &mut dense, m, false);
                     assert_eq!(bits(&dense), bits(&dense_ref), "{ctx}: fused dense score");
                     assert_eq!(bits(&mass), bits(&mass_ref), "{ctx}: fused dense mass");
                     let (mut gathered, mut mass) =

@@ -171,6 +171,23 @@ impl<'a> MultiFeatureSearcher<'a> {
         range: Range<usize>,
         ctx: &MultiFeatureContext<'_>,
     ) -> Result<SearchOutcome> {
+        let mut states: Vec<RowState> = queries.iter().map(|_| RowState::default()).collect();
+        self.search_range_in(queries, aggregate, k, schedule, range, ctx, &mut states)
+    }
+
+    /// [`MultiFeatureSearcher::search_range`] over the given per-feature
+    /// row states, one per query, whatever rows they hold.
+    #[allow(clippy::too_many_arguments)]
+    fn search_range_in(
+        &self,
+        queries: &[FeatureQuery],
+        aggregate: &dyn ScoreAggregate,
+        k: usize,
+        schedule: BlockSchedule,
+        range: Range<usize>,
+        ctx: &MultiFeatureContext<'_>,
+        states: &mut [RowState],
+    ) -> Result<SearchOutcome> {
         self.validate(queries, k, &range, ctx)?;
         let segments: Vec<Segment<'_>> =
             self.tables.iter().map(|t| t.segment(range.clone())).collect::<vdstore::Result<_>>()?;
@@ -197,14 +214,13 @@ impl<'a> MultiFeatureSearcher<'a> {
             .collect();
         let kernel = Kernel::active();
         let mut rules: Vec<_> = queries.iter().map(|q| q.metric.searched_with()).collect();
-        let mut states: Vec<RowState> = queries.iter().map(|_| RowState::default()).collect();
         let threshold = BondParams::default().materialize_threshold;
         let features = (queries.iter().zip(&segments).zip(&orders))
-            .zip(rules.iter_mut().zip(&mut states))
+            .zip(rules.iter_mut().zip(states))
             .map(|(((q, segment), order), ((metric, rule), state))| {
-                let (rule, rows) = (rule.as_mut(), &candidates);
+                let rule = rule.as_mut();
                 ExactPartials::new(
-                    segment, &q.query, *metric, rule, order, kernel, state, None, rows, threshold,
+                    segment, &q.query, *metric, rule, order, kernel, state, None, threshold,
                 )
             })
             .collect();
@@ -641,5 +657,57 @@ mod tests {
                 .unwrap();
             assert_eq!(rows(&out.hits), vec![18]);
         }
+    }
+
+    /// A feature that gets no dimension of the first global blocks still
+    /// starts its sums from zero, also over row states that hold another
+    /// search's sums, as a reused scratch would: over such states the
+    /// search returns the hits of fresh states, bit for bit.
+    #[test]
+    fn a_feature_without_a_share_of_the_first_block_starts_from_zero() {
+        let mut state = 0x5EED_F00D_0B0Du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let rows = 150;
+        let mut histogram = |dims: usize| {
+            let v: Vec<f64> = (0..dims).map(|_| 0.5 + unit()).collect();
+            let total: f64 = v.iter().sum();
+            v.into_iter().map(|x| x / total).collect::<Vec<f64>>()
+        };
+        let colors: Vec<Vec<f64>> = (0..rows).map(|_| histogram(8)).collect();
+        let textures: Vec<Vec<f64>> = (0..rows).map(|_| histogram(6)).collect();
+        let color = DecomposedTable::from_vectors("color", &colors).unwrap();
+        let texture = DecomposedTable::from_vectors("texture", &textures).unwrap();
+        let searcher = MultiFeatureSearcher::new(vec![&color, &texture]).unwrap();
+        let features = |color_q: Vec<f64>, texture_q: Vec<f64>| {
+            vec![
+                FeatureQuery { query: color_q, metric: FeatureMetricKind::HistogramIntersection },
+                FeatureQuery { query: texture_q, metric: FeatureMetricKind::Euclidean },
+            ]
+        };
+        // every color value sorts above every texture value: the first four
+        // global blocks of two are color's alone
+        let shrunk = |v: &[f64]| v.iter().map(|x| x * 1e-3).collect::<Vec<f64>>();
+        let queries = features(colors[3].clone(), shrunk(&textures[4]));
+        let texture_top = queries[1].query.iter().fold(0.0f64, |m, &x| m.max(x));
+        assert!(queries[0].query.iter().all(|&x| x > texture_top));
+        // the same rows with texture first leave texture's sums behind
+        let other = features(shrunk(&colors[9]), textures[9].clone());
+        let agg = WeightedAverage::uniform(2).unwrap();
+        let (k, schedule, ctx) = (5, BlockSchedule::Fixed(2), MultiFeatureContext::default());
+        let fresh = searcher.search_range(&queries, &agg, k, schedule, 0..rows, &ctx).unwrap();
+        let mut states = vec![RowState::default(), RowState::default()];
+        searcher.search_range_in(&other, &agg, k, schedule, 0..rows, &ctx, &mut states).unwrap();
+        let reused =
+            searcher.search_range_in(&queries, &agg, k, schedule, 0..rows, &ctx, &mut states);
+        let hits = |outcome: &SearchOutcome| -> Vec<(RowId, u64)> {
+            outcome.hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
+        };
+        assert_eq!(hits(&reused.unwrap()), hits(&fresh));
+        assert_eq!(fresh.hits.len(), k);
     }
 }

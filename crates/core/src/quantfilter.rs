@@ -114,7 +114,7 @@ use vdstore::{
 };
 
 use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, Scratch};
-use crate::candidates::{CandidateSet, WORD_ROWS};
+use crate::candidates::{word_runs, CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
@@ -761,25 +761,6 @@ impl BoundSource for CodeIntervals<'_> {
             steps.push(TraceCheckpoint { dims_processed: swept, candidates, pruned_now: removed });
         }
     }
-}
-
-/// The row ranges covered by maximal runs of non-empty candidate words
-/// (the last one clamped to `rows`).
-fn word_runs(cand: &[u64], rows: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut w = 0usize;
-    std::iter::from_fn(move || {
-        while w < cand.len() && cand[w] == 0 {
-            w += 1;
-        }
-        if w == cand.len() {
-            return None;
-        }
-        let first = w;
-        while w < cand.len() && cand[w] != 0 {
-            w += 1;
-        }
-        Some(first * WORD_ROWS..(w * WORD_ROWS).min(rows))
-    })
 }
 
 /// The approximate (codes-only) answer for one segment.

@@ -44,7 +44,7 @@ use vdstore::{
 };
 
 use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, Scratch};
-use crate::candidates::CandidateSet;
+use crate::candidates::{word_runs, CandidateSet};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
 use crate::kernels::{self, Kernel, SurviveTest};
@@ -71,8 +71,16 @@ pub fn prune_slack(kappa: f64) -> f64 {
 /// bitmap path: they stream *every* row of the column (hole rows'
 /// accumulators receive garbage that is provably never read), so below
 /// this density the over-compute outweighs the lane parallelism and the
-/// branchy per-candidate scalar loop wins.
+/// branchy per-candidate scalar loop wins. With the block held in
+/// registers ([`kernels::accumulate_block`]) 0.10 measured the same on the
+/// benchmark's `serve_small` (cycle-counter probe of the sweep stage) and
+/// 0.05 slower.
 const DENSE_KERNEL_MIN_DENSITY: f64 = 0.25;
+
+/// Most columns one [`kernels::accumulate_block`] call sums: a wider block
+/// is cut into calls of at most this many, which name their columns from a
+/// stack array.
+const DENSE_BLOCK_COLUMNS: usize = 32;
 
 /// Row-block length of the gathered kernel path: partial sums are copied
 /// into a contiguous stack buffer once per block, accumulated across the
@@ -81,11 +89,15 @@ const DENSE_KERNEL_MIN_DENSITY: f64 = 0.25;
 const GATHER_BLOCK_ROWS: usize = 64;
 
 /// Dense kernel accumulate over a whole dimension block: every row of each
-/// column is streamed through the ISA-pinned kernel once — the fused form
-/// ([`kernels::accumulate_with_mass`]) when the rule bounds with the
-/// scanned mass, so the column is not read a second time for it. Per
-/// candidate row the arithmetic is exactly the scalar loop's, in the same
-/// dimension order.
+/// column is streamed through [`kernels::accumulate_block`], which holds
+/// each row's score — and, when the rule bounds with the scanned mass, its
+/// mass — in registers across the block's columns (up to
+/// [`DENSE_BLOCK_COLUMNS`] per call), so every cell is read once and
+/// every sum stored once. With `init` the sums start at zero rather than
+/// at what `partial` (and `mass`) hold: the first block a source sweeps
+/// replaces zeroing them. Per candidate row the arithmetic is exactly the
+/// scalar loop's, in the same dimension order.
+#[allow(clippy::too_many_arguments)]
 fn dense_accumulate_block(
     kernel: Kernel,
     op: KernelOp<'_>,
@@ -94,15 +106,19 @@ fn dense_accumulate_block(
     query: &[f64],
     partial: &mut [f64],
     mut mass: Option<&mut [f64]>,
+    init: bool,
 ) -> Result<()> {
-    for &d in dims_block {
-        let values = segment.col_slice(d)?;
-        match mass.as_deref_mut() {
-            Some(mass) => {
-                kernels::accumulate_with_mass(kernel, op, d, values, query[d], partial, mass)
-            }
-            None => kernels::accumulate(kernel, op, d, values, query[d], partial),
+    let mut columns: [&[f64]; DENSE_BLOCK_COLUMNS] = [&[]; DENSE_BLOCK_COLUMNS];
+    let mut queries = [0.0; DENSE_BLOCK_COLUMNS];
+    for (call, dims) in dims_block.chunks(DENSE_BLOCK_COLUMNS).enumerate() {
+        for ((column, q), &d) in columns.iter_mut().zip(&mut queries).zip(dims) {
+            *column = segment.col_slice(d)?;
+            *q = query[d];
         }
+        let (columns, queries) = (&columns[..dims.len()], &queries[..dims.len()]);
+        let init = init && call == 0;
+        let mass = mass.as_deref_mut();
+        kernels::accumulate_block(kernel, op, dims, columns, queries, partial, mass, init);
     }
     Ok(())
 }
@@ -191,17 +207,16 @@ pub(crate) struct RowState {
     upper: Vec<f64>,
 }
 
-/// Sizes `values` to the segment's `rows` and zeroes what the search will
-/// read: every row while the candidates are a bitmap (the dense kernels
-/// stream whole columns), only the listed rows once they are a list.
-fn zero_for(values: &mut Vec<f64>, rows: usize, candidates: &CandidateSet) {
+/// Zeroes what the search will read of a segment's per-row `values`: every
+/// row while the candidates are a bitmap (the dense kernels stream whole
+/// columns), only the listed rows once they are a list. A source runs it
+/// before it first adds to or bounds from its sums, unless that is a dense
+/// sweep: the dense kernel then starts the sums at zero itself
+/// ([`kernels::accumulate_block`]'s `init`), with no memset.
+fn zero_for(values: &mut [f64], candidates: &CandidateSet) {
     match candidates.as_list() {
-        None => {
-            values.clear();
-            values.resize(rows, 0.0);
-        }
+        None => values.fill(0.0),
         Some(list) => {
-            values.resize(rows, 0.0);
             for &row in list {
                 values[row as usize] = 0.0;
             }
@@ -546,7 +561,6 @@ pub(crate) fn search_segment_with(
         kernel,
         &mut scratch.exact,
         ctx.row_sums,
-        &candidates,
         params.materialize_threshold,
     );
     source.trace = trace;
@@ -571,6 +585,7 @@ pub(crate) fn search_segment_with(
         scratch.eligible = bits;
     }
     source.trace.dims_accessed = processed;
+    source.start_sums(&survivors);
     if params.refine_survivors && processed < dims {
         source.scanned_mass = None;
         source.sweep(&survivors, processed..dims)?;
@@ -706,14 +721,22 @@ pub(crate) struct ExactPartials<'a> {
     lower: &'a mut Vec<f64>,
     upper: &'a mut Vec<f64>,
     materialize_threshold: f64,
+    /// Whether `partial` and the scanned masses still hold whatever the
+    /// state held before (another search's rows): the first non-empty
+    /// dense block starts the sums at zero itself, and any other first
+    /// sweep or bound zeroes them first ([`zero_for`]). Per source, not
+    /// per block position: a multi-feature search's feature can get no
+    /// dimension of the first global block.
+    unset: bool,
     pub(crate) trace: PruneTrace,
     warmup: Option<bond_obs::Span>,
 }
 
 impl<'a> ExactPartials<'a> {
-    /// The source over `segment`'s rows in `state`, zeroed for
-    /// `candidates`. `T(x)` is `row_sums` when given, the segment's own
-    /// row sums otherwise — and only when the rule's requirements ask.
+    /// The source over `segment`'s rows in `state`, sized for the segment
+    /// (zeroed by its first sweep or bound). `T(x)` is `row_sums` when
+    /// given, the segment's own row sums otherwise — and only when the
+    /// rule's requirements ask.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         segment: &'a Segment<'a>,
@@ -724,7 +747,6 @@ impl<'a> ExactPartials<'a> {
         kernel: Kernel,
         state: &'a mut RowState,
         row_sums: Option<&'a [f64]>,
-        candidates: &CandidateSet,
         materialize_threshold: f64,
     ) -> Self {
         let requirements = rule.requirements();
@@ -733,9 +755,9 @@ impl<'a> ExactPartials<'a> {
             None => Cow::Owned(segment.row_sums()),
         });
         let RowState { partial, mass, lower, upper } = state;
-        zero_for(partial, segment.len(), candidates);
+        partial.resize(segment.len(), 0.0);
         let scanned_mass = requirements.needs_scanned_mass.then(|| {
-            zero_for(mass, segment.len(), candidates);
+            mass.resize(segment.len(), 0.0);
             &mut mass[..]
         });
         ExactPartials {
@@ -752,8 +774,19 @@ impl<'a> ExactPartials<'a> {
             lower,
             upper,
             materialize_threshold,
+            unset: true,
             trace: PruneTrace::default(),
             warmup: None,
+        }
+    }
+
+    /// Zeroes the sums for `candidates` if nothing has started them yet.
+    fn start_sums(&mut self, candidates: &CandidateSet) {
+        if std::mem::take(&mut self.unset) {
+            zero_for(self.partial, candidates);
+            if let Some(mass) = self.scanned_mass.as_deref_mut() {
+                zero_for(mass, candidates);
+            }
         }
     }
 }
@@ -770,16 +803,25 @@ impl BoundSource for ExactPartials<'_> {
     /// streams whole columns (over-computing hole rows whose accumulators
     /// are never read again) and is only worth it while the candidate
     /// bitmap is dense; the materialised list takes the gathered path;
-    /// everything else keeps the per-candidate loop.
+    /// everything else keeps the per-candidate loop. The source's first
+    /// non-empty dense block starts the sums at zero; any other path
+    /// zeroes them before its first sweep.
     fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+        let alive = candidates.len();
+        let rows = self.partial.len();
+        let dense = self.op.is_some()
+            && candidates.is_bitmap()
+            && rows > 0
+            && alive as f64 / rows as f64 >= DENSE_KERNEL_MIN_DENSITY;
+        let init = dense && !block.is_empty() && std::mem::take(&mut self.unset);
+        if !dense {
+            self.start_sums(candidates);
+        }
         let Self {
             segment, query, metric, order, op, kernel, partial, scanned_mass, trace, ..
         } = self;
         let (segment, query, metric, kernel) = (*segment, *query, *metric, *kernel);
-        let alive = candidates.len();
-        let rows = partial.len();
         let dims_block = &order[block.clone()];
-        let dense_ok = rows > 0 && alive as f64 / rows as f64 >= DENSE_KERNEL_MIN_DENSITY;
         match (*op, candidates.as_list()) {
             (Some(op), Some(list)) => gather_accumulate_block(
                 kernel,
@@ -791,7 +833,7 @@ impl BoundSource for ExactPartials<'_> {
                 partial,
                 scanned_mass.as_deref_mut(),
             )?,
-            (Some(op), None) if dense_ok => dense_accumulate_block(
+            (Some(op), None) if dense => dense_accumulate_block(
                 kernel,
                 op,
                 segment,
@@ -799,6 +841,7 @@ impl BoundSource for ExactPartials<'_> {
                 query,
                 partial,
                 scanned_mass.as_deref_mut(),
+                init,
             )?,
             _ => {
                 for &d in dims_block {
@@ -822,23 +865,37 @@ impl BoundSource for ExactPartials<'_> {
         Ok(())
     }
 
-    /// The rule's bounds at the candidates' slots: for the whole segment in
-    /// one [`PruningRule::bounds_all`] call while the set is a bitmap —
-    /// hole rows get garbage that is never read, as in
-    /// [`dense_accumulate_block`] — and per candidate, by list position,
+    /// The rule's bounds at the candidates' slots: while the set is a
+    /// bitmap, one [`PruningRule::bounds_all`] call per run of words that
+    /// hold a candidate — hole rows inside those words get garbage that is
+    /// never read, as in [`dense_accumulate_block`], and rows of empty
+    /// words keep whatever they held — and per candidate, by list position,
     /// once it is a list.
     fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
+        self.start_sums(candidates);
         self.rule.prepare(self.query, &self.order[swept..]);
         let scanned_mass = self.scanned_mass.as_deref();
         let total_mass = self.total_mass.as_deref();
-        match candidates.as_list() {
-            None => {
-                self.lower.resize(self.partial.len(), 0.0);
-                self.upper.resize(self.partial.len(), 0.0);
-                let (lower, upper) = (&mut self.lower[..], &mut self.upper[..]);
-                self.rule.bounds_all(self.partial, scanned_mass, total_mass, lower, upper);
+        match candidates {
+            CandidateSet::Bits(bits) => {
+                let rows = self.partial.len();
+                self.lower.resize(rows, 0.0);
+                self.upper.resize(rows, 0.0);
+                for run in word_runs(bits.words(), rows) {
+                    let (lower, upper) =
+                        (&mut self.lower[run.clone()], &mut self.upper[run.clone()]);
+                    let scanned_mass = scanned_mass.map(|mass| &mass[run.clone()]);
+                    let total_mass = total_mass.map(|mass| &mass[run.clone()]);
+                    self.rule.bounds_all(
+                        &self.partial[run],
+                        scanned_mass,
+                        total_mass,
+                        lower,
+                        upper,
+                    );
+                }
             }
-            Some(list) => {
+            CandidateSet::List(list) => {
                 self.lower.clear();
                 self.upper.clear();
                 for &row in list {
@@ -1163,10 +1220,16 @@ mod tests {
     struct PassCounts {
         /// Candidates a bitmap's first pass dropped with a carried κ.
         early: usize,
-        /// First and second passes over a row list (whose first pass
-        /// carries no κ, so a finite κ always prunes again).
+        /// Candidates a row list's first pass dropped with a carried κ.
+        list_early: usize,
+        /// First and second passes over a row list.
         list_first: usize,
         list_second: usize,
+        /// Second passes over a list whose first pass removed rows, so
+        /// read bounds the loop computed again for the keepers.
+        list_rebound: usize,
+        /// Whether the last first pass over a list removed rows.
+        list_shifted: bool,
     }
 
     /// The loop's own pruning pass, checking after every first pass that
@@ -1189,8 +1252,15 @@ mod tests {
             match (bitmap, first) {
                 (true, true) => seen.early += removed,
                 (true, false) => {}
-                (false, true) => seen.list_first += 1,
-                (false, false) => seen.list_second += 1,
+                (false, true) => {
+                    seen.list_first += 1;
+                    seen.list_early += removed;
+                    seen.list_shifted = removed > 0;
+                }
+                (false, false) => {
+                    seen.list_second += 1;
+                    seen.list_rebound += usize::from(seen.list_shifted);
+                }
             }
             counts.set(seen);
             removed
@@ -1202,7 +1272,7 @@ mod tests {
     /// cell holds from the start (the k-th best exact score) — against
     /// [`heap_over_every_candidate`]: the same hits, bit for bit, the same
     /// checkpoints and counts, the same κ published. All six rules, two
-    /// filters, `k` 1 and 10, two block schedules.
+    /// filters, `k` 1 and 10, three block schedules.
     fn early_prune_reproduces_the_heap_over_every_candidate(
         materialize_threshold: f64,
     ) -> PassCounts {
@@ -1251,7 +1321,11 @@ mod tests {
                             held.push(Some(scores[k - 1]));
                         }
                         for &pre in &held {
-                            for schedule in [BlockSchedule::Fixed(1), BlockSchedule::Fixed(4)] {
+                            for schedule in [
+                                BlockSchedule::Fixed(1),
+                                BlockSchedule::Fixed(4),
+                                BlockSchedule::Doubling { first: 1 },
+                            ] {
                                 let case = Case {
                                     segments: &segments,
                                     query: &query,
@@ -1291,7 +1365,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 2 * 6 * (2 * 2 + 2) * 2);
+        assert_eq!(cases, 2 * 6 * (2 * 2 + 2) * 3);
         counts.get()
     }
 
@@ -1301,6 +1375,10 @@ mod tests {
         let counts = early_prune_reproduces_the_heap_over_every_candidate(0.0);
         assert_eq!((counts.list_first, counts.list_second), (0, 0));
         assert!(counts.early > 10_000, "the carried κ dropped only {} rows early", counts.early);
+        // and so do list steps, whose second pass bounds the keepers again
+        let counts = early_prune_reproduces_the_heap_over_every_candidate(1.0);
+        let early = counts.list_early;
+        assert!(early > 1_000, "the carried κ dropped only {early} listed rows early");
     }
 
     #[test]
@@ -1309,6 +1387,8 @@ mod tests {
         let counts = early_prune_reproduces_the_heap_over_every_candidate(1.0);
         assert!(counts.list_first > 500, "only {} list steps", counts.list_first);
         assert!(counts.list_second > 500, "only {} second passes over lists", counts.list_second);
+        let rebound = counts.list_rebound;
+        assert!(rebound > 100, "only {rebound} second passes over lists the first pass shifted");
     }
 
     /// The bound-ordered refine against refining every survivor of the

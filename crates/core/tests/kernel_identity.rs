@@ -17,10 +17,12 @@
 //!   runs called directly against the scalar reference — the test prints
 //!   one line per implementation it compared;
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
-//!   `accumulate_gather`) and its fused score-and-mass forms
-//!   (`accumulate_with_mass`, `accumulate_gather_with_mass`) across all
-//!   four `KernelOp` shapes those six rules compile down to — the test
-//!   prints one line per flavour it compared with the scalar reference;
+//!   `accumulate_gather`), the exact search's dense block accumulate
+//!   (`accumulate_block`, with and without the scanned mass, starting its
+//!   sums at zero or not) and the fused gathered score-and-mass form
+//!   (`accumulate_gather_with_mass`) across all four `KernelOp` shapes
+//!   those six rules compile down to — the tests print one line per
+//!   flavour they compared with the scalar reference;
 //! * the pruning steps' 64-row survive mask (`kernels::survive_mask`) over
 //!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar.
 //!
@@ -212,12 +214,13 @@ fn code_sweep_implementations_match_the_scalar_reference() {
     }
 }
 
-/// The fused exact accumulates (`accumulate_with_mass`,
-/// `accumulate_gather_with_mass`) of every flavour the host runs against
+/// The exact accumulates that carry the scanned mass — the dense block
+/// (`accumulate_block` over one column) and the fused gathered form
+/// (`accumulate_gather_with_mass`) — of every flavour the host runs against
 /// the scalar reference, for every `KernelOp`, at every length from 0 to
-/// 67 — so every ragged tail behind the 4-row and 2-row vector steps — the
-/// gathered form over unsorted row ids with repeats. Both the score bits
-/// and the mass bits must match, the score must also match the plain
+/// 67 — so every ragged tail behind the 16-, 4- and 2-row vector steps —
+/// the gathered form over unsorted row ids with repeats. Both the score
+/// bits and the mass bits must match, the score must also match the plain
 /// accumulate's (what the refine and the rules without mass read) and the
 /// mass a plain loop's. Prints one line per vector flavour compared.
 #[test]
@@ -253,15 +256,18 @@ fn fused_accumulates_match_the_scalar_reference() {
             let dim = (len + o) % DIMS;
             let query = unit();
             // the scalar references: fused, plain, and the plain mass loop
+            let (dims, columns, queries) = ([dim], [&values[..]], [query]);
             let mut dense = (seed.clone(), mass_seed.clone());
-            kernels::accumulate_with_mass(
+            let (acc, mass) = (&mut dense.0, Some(&mut dense.1[..]));
+            kernels::accumulate_block(
                 Kernel::Scalar,
                 op,
-                dim,
-                &values,
-                query,
-                &mut dense.0,
-                &mut dense.1,
+                &dims,
+                &columns,
+                &queries,
+                acc,
+                mass,
+                false,
             );
             let mut plain = seed.clone();
             kernels::accumulate(Kernel::Scalar, op, dim, &values, query, &mut plain);
@@ -291,8 +297,8 @@ fn fused_accumulates_match_the_scalar_reference() {
             for (&kernel, count) in kernels.iter().zip(&mut compared) {
                 let ctx = format!("{} {ctx}", kernel.label());
                 let mut got = (seed.clone(), mass_seed.clone());
-                let (acc, mass) = (&mut got.0, &mut got.1);
-                kernels::accumulate_with_mass(kernel, op, dim, &values, query, acc, mass);
+                let (acc, mass) = (&mut got.0, Some(&mut got.1[..]));
+                kernels::accumulate_block(kernel, op, &dims, &columns, &queries, acc, mass, false);
                 assert_eq!(bits_of(&got.0), bits_of(&dense.0), "{ctx}: fused dense score");
                 assert_eq!(bits_of(&got.1), bits_of(&dense.1), "{ctx}: fused dense mass");
                 let mut got = (seed.clone(), mass_seed.clone());
@@ -307,6 +313,112 @@ fn fused_accumulates_match_the_scalar_reference() {
     for (kernel, count) in kernels.iter().zip(compared).filter(|(k, _)| **k != Kernel::Scalar) {
         println!(
             "exact accumulate+mass {}: bit-identical to the scalar reference in {count} cases",
+            kernel.label()
+        );
+    }
+}
+
+/// The exact search's dense block accumulate (`accumulate_block`) of every
+/// flavour the host runs against the scalar reference: every `KernelOp`,
+/// 0 to 67 rows (every tail behind AVX2's 16-row tiles and NEON's 2-row
+/// steps), blocks of 1 to 9 columns, with the scanned mass and without,
+/// and with `init` — over accumulators holding NaN, which it must ignore,
+/// and first columns whose `Min` contributions are `−0.0`, which must sum
+/// to `+0.0` as on a zeroed accumulator — and without. The scalar
+/// reference itself must equal the one-column `accumulate`, called column
+/// by column from zero or the seed, and a plain mass loop. Score and mass
+/// bits must match. Prints one line per vector flavour compared.
+#[test]
+fn block_accumulates_match_the_scalar_reference() {
+    let mut state = 0xB10C_ACC0_5EED_0042u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let weights: Vec<f64> = (0..DIMS).map(|_| 0.05 + 4.0 * unit()).collect();
+    let ops = [
+        KernelOp::Min,
+        KernelOp::SquaredDiff,
+        KernelOp::WeightedMin(&weights),
+        KernelOp::WeightedSquaredDiff(&weights),
+    ];
+    let kernels = supported_kernels();
+    let mut compared = vec![0usize; kernels.len()];
+    for rows in 0..=67usize {
+        for width in 1..=9usize {
+            let columns: Vec<Vec<f64>> = (0..width)
+                .map(|j| {
+                    let value = |row: usize, u: f64| {
+                        if j == 0 && row % 3 == 1 {
+                            -0.0
+                        } else {
+                            4.0 * u - 2.0
+                        }
+                    };
+                    (0..rows).map(|row| value(row, unit())).collect()
+                })
+                .collect();
+            let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            let dims: Vec<usize> = (0..width).map(|j| (rows + 5 * j) % DIMS).collect();
+            let queries: Vec<f64> = (0..width).map(|_| unit()).collect();
+            let seed: Vec<f64> = (0..rows).map(|_| 16.0 * unit() - 8.0).collect();
+            let mass_seed: Vec<f64> = (0..rows).map(|_| unit()).collect();
+            for (op, init, with_mass) in ops
+                .into_iter()
+                .flat_map(|op| [(op, false), (op, true)])
+                .flat_map(|(op, init)| [(op, init, false), (op, init, true)])
+            {
+                let ctx = format!("{rows} rows, {width} columns, {op:?}, init {init}");
+                let start = |seed: &[f64]| {
+                    if init {
+                        vec![f64::NAN; seed.len()]
+                    } else {
+                        seed.to_vec()
+                    }
+                };
+                // the one-column accumulates and a plain mass loop
+                let mut plain = if init { vec![0.0; rows] } else { seed.clone() };
+                let mut mass = if init { vec![0.0; rows] } else { mass_seed.clone() };
+                for ((&dim, column), &query) in dims.iter().zip(&columns).zip(&queries) {
+                    kernels::accumulate(Kernel::Scalar, op, dim, column, query, &mut plain);
+                    for (m, &v) in mass.iter_mut().zip(column.iter()) {
+                        *m += v;
+                    }
+                }
+                let mut reference = (start(&seed), start(&mass_seed));
+                let (acc, m) = (&mut reference.0, with_mass.then_some(&mut reference.1[..]));
+                kernels::accumulate_block(
+                    Kernel::Scalar,
+                    op,
+                    &dims,
+                    &columns,
+                    &queries,
+                    acc,
+                    m,
+                    init,
+                );
+                assert_eq!(bits_of(&reference.0), bits_of(&plain), "{ctx}: reference score");
+                if with_mass {
+                    assert_eq!(bits_of(&reference.1), bits_of(&mass), "{ctx}: reference mass");
+                }
+                for (&kernel, count) in kernels.iter().zip(&mut compared) {
+                    let mut got = (start(&seed), start(&mass_seed));
+                    let (acc, m) = (&mut got.0, with_mass.then_some(&mut got.1[..]));
+                    kernels::accumulate_block(kernel, op, &dims, &columns, &queries, acc, m, init);
+                    let ctx = format!("{} {ctx}", kernel.label());
+                    assert_eq!(bits_of(&got.0), bits_of(&reference.0), "{ctx}: score");
+                    assert_eq!(bits_of(&got.1), bits_of(&reference.1), "{ctx}: mass");
+                    *count += 1;
+                }
+            }
+        }
+    }
+    for (kernel, count) in kernels.iter().zip(compared).filter(|(k, _)| **k != Kernel::Scalar) {
+        println!(
+            "exact block accumulate {}: bit-identical to the scalar reference in {count} cases",
             kernel.label()
         );
     }
