@@ -10,7 +10,7 @@
 //!    ([`sweep_codes`]) adds, per row, the 16-bit LUT entries a group of
 //!    flat `&[u8]` code columns selects into an exact integer sum and turns
 //!    it into the optimistic bound the filter prunes on; the interval sweep
-//!    the VA-File and the approximate scan read ([`sweep_lane`]) adds
+//!    the VA-File reads ([`sweep_lane`]) adds
 //!    full-precision `f64` entries, once per side of the interval, and
 //! 2. **the exact accumulate**: `acc[i] += contribution(dim, value_i, q)`
 //!    for the warmup/refine phases. The exact search's dense form
@@ -196,7 +196,7 @@ pub fn sweep_group(kernel: Kernel, levels: usize) -> usize {
 /// One-lane, dimension-blocked `f64` sweep: for every row `i` and every
 /// column `j` in order, `acc[i] += luts[j·levels + columns[j][i]]` — one
 /// side of the interval [`crate::quantfilter::interval_scores_into`]
-/// computes for the VA-File and the approximate scan, up to
+/// computes for the VA-File, up to
 /// [`sweep_group`] columns per pass. `luts[j·levels + c]` is code `c`'s
 /// entry in column `j`.
 ///

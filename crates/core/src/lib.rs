@@ -52,17 +52,13 @@
 //!   (Section 5.2),
 //! * [`plan`] — [`SegmentPlan`], the resolved (order, schedule) pair every
 //!   segment of one query runs,
-//! * [`feedback`] — [`ExecFeedback`], the lock-free per-segment
-//!   accumulators that fold every query's pruning trace into observed
-//!   counters (warmups, skip hits/misses, candidate survival, code cells),
-//! * [`cost`] — [`CostModel`], the per-segment cost estimates,
 //! * [`weighted`] — weighted and subspace k-NN queries (Section 8.1),
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
 //! * [`quantfilter`] — BOND on 8-bit codes (Section 7.4, Figure 9 /
 //!   Table 4), the quantized first pass the execution engine runs before
 //!   the exact search: LUT sweeps over `u8` code columns bound every
 //!   candidate after each block; also the full interval score bounds the
-//!   VA-File baseline filters with, and approximate codes-only top-k,
+//!   VA-File baseline filters with,
 //! * [`kernels`] — the runtime-dispatched ISA-pinned implementations of the
 //!   two hot loops (quantized LUT sweep, exact contribution accumulate):
 //!   AVX2 / NEON / portable scalar, selected once per process and
@@ -76,9 +72,7 @@
 
 mod bond_loop;
 pub mod candidates;
-pub mod cost;
 pub mod error;
-pub mod feedback;
 pub mod kappa;
 pub mod kernels;
 pub mod multifeature;
@@ -91,9 +85,7 @@ pub mod trace;
 pub mod weighted;
 
 pub use candidates::CandidateSet;
-pub use cost::CostModel;
 pub use error::{BondError, Result};
-pub use feedback::{ExecFeedback, FeedbackSnapshot, SegmentFeedback, SegmentFeedbackSnapshot};
 pub use kappa::KappaCell;
 pub use kernels::Kernel;
 pub use multifeature::{
@@ -101,7 +93,7 @@ pub use multifeature::{
 };
 pub use ordering::DimensionOrdering;
 pub use plan::SegmentPlan;
-pub use quantfilter::{ApproxOutcome, QuantFilter, QuantScratch};
+pub use quantfilter::{QuantFilter, QuantScratch};
 pub use schedule::BlockSchedule;
 pub use searcher::{
     prune_slack, search_segment, BondParams, BondSearcher, SearchOutcome, SegmentContext,

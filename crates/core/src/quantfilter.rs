@@ -99,10 +99,7 @@
 //!
 //! [`interval_scores_into`] remains the full-interval primitive (all
 //! dimensions, every row, both sides of the interval) — the VA-File
-//! baseline's filter; collapsed to its
-//! midpoint it powers the approximate scan mode: [`approximate_topk`] ranks
-//! live rows by midpoint score and reports half the interval width as a
-//! per-hit error bound.
+//! baseline's filter.
 
 use std::ops::Range;
 
@@ -110,7 +107,6 @@ use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
 use vdstore::{
     ascending_nan_last, Bitmap, BlockEnvelopes, CodeParams, RowId, SegmentCodesView, TopKLargest,
-    TopKSmallest,
 };
 
 use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, Scratch};
@@ -761,69 +757,6 @@ impl BoundSource for CodeIntervals<'_> {
             steps.push(TraceCheckpoint { dims_processed: swept, candidates, pruned_now: removed });
         }
     }
-}
-
-/// The approximate (codes-only) answer for one segment.
-#[derive(Debug, Clone)]
-pub struct ApproxOutcome {
-    /// The k best live rows by midpoint score, best first, with
-    /// segment-local row ids.
-    pub hits: Vec<Scored>,
-    /// Per-hit error bound, parallel to `hits`: half the interval width —
-    /// the exact score differs from the reported one by at most this.
-    pub error_bounds: Vec<f64>,
-    /// Number of `(row, dimension)` code cells swept.
-    pub cells: u64,
-}
-
-/// Answers a top-k query from the codes alone: rows are ranked by the
-/// midpoint of their score interval and each hit carries the bound on how
-/// far its exact score can be. No exact fragment is read at all. Runs on
-/// the process-wide [`Kernel::active`] flavour and the per-thread scratch.
-pub fn approximate_topk(
-    codes: &SegmentCodesView<'_>,
-    metric: &dyn DecomposableMetric,
-    query: &[f64],
-    k: usize,
-    live: &Bitmap,
-) -> Result<ApproxOutcome> {
-    let rows = codes.len();
-    if live.len() != rows {
-        return Err(BondError::InvalidParams(format!(
-            "live bitmap covers {} rows but the segment's codes cover {rows}",
-            live.len()
-        )));
-    }
-    with_scratch(|scratch| {
-        let scratch = &mut scratch.codes;
-        let cells = interval_scores_into(codes, metric, query, Kernel::active(), scratch)?;
-        let scratch = &*scratch;
-        let mid = |row: usize| 0.5 * (scratch.opt[row] + scratch.pes[row]);
-        let hits = match metric.objective() {
-            Objective::Maximize => {
-                let mut heap = TopKLargest::new(k);
-                for row in live.iter() {
-                    heap.push(row, mid(row as usize));
-                }
-                heap.into_sorted_vec()
-            }
-            Objective::Minimize => {
-                let mut heap = TopKSmallest::new(k);
-                for row in live.iter() {
-                    heap.push(row, mid(row as usize));
-                }
-                heap.into_sorted_vec()
-            }
-        };
-        let error_bounds = hits
-            .iter()
-            .map(|h| {
-                let row = h.row as usize;
-                0.5 * (scratch.opt[row] - scratch.pes[row]).abs()
-            })
-            .collect();
-        Ok(ApproxOutcome { hits, error_bounds, cells })
-    })
 }
 
 #[cfg(test)]
@@ -1887,28 +1820,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_hits_carry_honest_error_bounds() {
-        let (table, codes) = setup(2);
-        let query: Vec<f64> = table.row(9).unwrap();
-        for si in 0..codes.n_segments() {
-            let spec = codes.specs()[si];
-            let view = codes.segment_view(si).unwrap();
-            let live = table.live_bitmap().slice(spec.range());
-            let approx = approximate_topk(&view, &SquaredEuclidean, &query, 3, &live).unwrap();
-            assert_eq!(approx.hits.len(), approx.error_bounds.len());
-            for (hit, &err) in approx.hits.iter().zip(&approx.error_bounds) {
-                let global = spec.start() + hit.row as usize;
-                let exact = SquaredEuclidean.score(&table.row(global as u32).unwrap(), &query);
-                assert!(
-                    (hit.score - exact).abs() <= err + 1e-9,
-                    "hit {global}: |{} - {exact}| > {err}",
-                    hit.score
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mismatched_inputs_are_rejected() {
         let (_table, codes) = setup(1);
         let view = codes.segment_view(0).unwrap();
@@ -1920,6 +1831,5 @@ mod tests {
         assert!(filter_segment(&view, &hi, &[0.1; 4], 0, &live, None).is_err());
         let short = Bitmap::new(3);
         assert!(filter_segment(&view, &hi, &[0.1; 4], 1, &short, None).is_err());
-        assert!(approximate_topk(&view, &hi, &[0.1; 4], 1, &short).is_err());
     }
 }

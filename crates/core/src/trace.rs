@@ -71,8 +71,8 @@ pub struct PruneTrace {
     /// live rows when the filter could not prune).
     pub refine_rows: u64,
     /// The code bit-width the quantized first pass swept: the width of the
-    /// store's one code companion ([`crate::CostModel::DEFAULT_CODE_BITS`]
-    /// for the engine's filter). Zero when the search ran without codes.
+    /// store's one code companion ([`vdstore::DEFAULT_CODE_BITS`] for the
+    /// engine's filter). Zero when the search ran without codes.
     pub filter_bits: u8,
     /// The scan-kernel flavour (`"scalar"`, `"avx2"`, `"neon"`) the
     /// segment's hot loops dispatched to. `None` for traces that predate
@@ -80,9 +80,8 @@ pub struct PruneTrace {
     pub kernel: Option<&'static str>,
     /// The name of the pruning rule/metric that produced this trace
     /// (`"Hq"`, `"Ev"`, …), stamped by the execution engine. Bound scales
-    /// are incomparable across rules, so per-rule consumers (feedback
-    /// analysis, per-rule metrics) must not aggregate traces whose tags
-    /// differ. `None` for traces from the sequential entry points, which
+    /// are incomparable across rules, so per-rule consumers (per-rule
+    /// metrics) must not aggregate traces whose tags differ. `None` for traces from the sequential entry points, which
     /// predate tagging.
     pub rule: Option<&'static str>,
 }

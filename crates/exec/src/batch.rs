@@ -52,12 +52,11 @@ impl Priority {
 }
 
 /// How a query's segment scans read column data: exact `f64` fragments
-/// only, a quantized first pass in front of the exact search, or codes
-/// alone.
+/// only, or a quantized first pass in front of the exact search. Either
+/// way the answer is the sequential searcher's, bit for bit.
 ///
-/// The quantized modes run the branch-free scan kernel of
-/// [`bond::quantfilter`] over the store's `u8` code companions before (or
-/// instead of) touching exact fragments. Codes are built lazily per engine
+/// The quantized mode runs the code sweep of [`bond::quantfilter`] over
+/// the store's `u8` code companions before touching exact fragments. Codes are built lazily per engine
 /// and cached; engines opened from a store persisted by
 /// [`crate::Engine::persist`] get their 8-bit codes from the footer for
 /// free.
@@ -73,11 +72,6 @@ pub enum ScanMode {
     /// a superset of the true top-k and the exact phase scores survivors
     /// in the same plan order.
     QuantizedFilter,
-    /// Codes only: scores are interval midpoints of the same 8-bit codes,
-    /// no exact fragment is read, and every hit carries a per-hit error
-    /// bound ([`QueryOutcome::error_bounds`]). Recall is workload-dependent;
-    /// see the README's quantized-scan section.
-    ApproximateQuantized,
 }
 
 impl ScanMode {
@@ -86,17 +80,11 @@ impl ScanMode {
         !matches!(self, ScanMode::Exact)
     }
 
-    /// Whether this mode answers from codes alone (no exact refinement).
-    pub fn is_approximate(self) -> bool {
-        matches!(self, ScanMode::ApproximateQuantized)
-    }
-
     /// A short lowercase label for logs and reports.
     pub fn label(self) -> &'static str {
         match self {
             ScanMode::Exact => "exact",
             ScanMode::QuantizedFilter => "quantized-filter",
-            ScanMode::ApproximateQuantized => "approximate-quantized",
         }
     }
 }
@@ -349,7 +337,7 @@ impl QuerySpec {
     }
 
     /// Overrides the engine's scan mode for this query only (e.g. one
-    /// approximate navigation query inside an otherwise exact batch).
+    /// code-filtered query inside an otherwise exact batch).
     #[must_use]
     pub fn scan_mode(mut self, scan: ScanMode) -> Self {
         self.scan = Some(scan);
@@ -524,19 +512,12 @@ pub struct SegmentRun {
 /// The answer to one query of a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// The k best rows across all segments, best first. Exact scores,
-    /// except under [`ScanMode::ApproximateQuantized`] where they are
-    /// code-interval midpoints (see [`QueryOutcome::error_bounds`]).
+    /// The k best rows across all segments, best first, with exact scores.
     pub hits: Vec<Scored>,
-    /// Per-hit absolute error bounds, parallel to `hits`: `Some` only for
-    /// [`ScanMode::ApproximateQuantized`] answers, where hit `i`'s exact
-    /// score is guaranteed within `error_bounds[i]` of `hits[i].score`.
-    pub error_bounds: Option<Vec<f64>>,
     /// Per-segment traces, in segment (row-range) order.
     pub segments: Vec<SegmentRun>,
     /// The query's one [`SegmentPlan`], which every searched segment ran —
-    /// `None` for approximate codes-only and multi-feature scans, which run
-    /// no dimension plan. [`QueryOutcome::analyze`] joins this against the
+    /// `None` for multi-feature scans, which run no dimension plan. [`QueryOutcome::analyze`] joins this against the
     /// plan [`crate::Engine::explain`] rendered.
     pub plan: Option<SegmentPlan>,
 }
@@ -548,8 +529,8 @@ impl QueryOutcome {
         self.segments.iter().map(|s| s.trace.contributions_evaluated).sum()
     }
 
-    /// Total quantized code cells the first-pass filter (or the
-    /// approximate scan) swept across all segments; `0` for exact scans.
+    /// Total quantized code cells the first-pass filter swept across all
+    /// segments; `0` for exact scans.
     pub fn quant_filter_cells(&self) -> u64 {
         self.segments.iter().map(|s| s.trace.filter_cells).sum()
     }
@@ -561,8 +542,7 @@ impl QueryOutcome {
     }
 
     /// Fraction of filtered rows the quantized first pass let through to
-    /// exact refinement, or `None` when no filter ran. Lower is better —
-    /// it is the lever behind the cost model's quantized estimates.
+    /// exact refinement, or `None` when no filter ran. Lower is better.
     pub fn quant_filter_selectivity(&self) -> Option<f64> {
         let swept: u64 = self
             .segments
@@ -725,7 +705,6 @@ mod tests {
     fn outcome_aggregates_sum_over_segments() {
         let outcome = QueryOutcome {
             hits: vec![],
-            error_bounds: None,
             segments: vec![
                 SegmentRun {
                     rows: 0..50,
@@ -766,7 +745,6 @@ mod tests {
     fn exact_outcomes_report_no_filter_phase() {
         let outcome = QueryOutcome {
             hits: vec![],
-            error_bounds: None,
             segments: vec![SegmentRun {
                 rows: 0..10,
                 trace: PruneTrace { contributions_evaluated: 40, ..PruneTrace::default() },
@@ -782,12 +760,8 @@ mod tests {
         assert_eq!(ScanMode::default(), ScanMode::Exact);
         assert!(!ScanMode::Exact.uses_codes());
         assert!(ScanMode::QuantizedFilter.uses_codes());
-        assert!(ScanMode::ApproximateQuantized.uses_codes());
-        assert!(!ScanMode::QuantizedFilter.is_approximate());
-        assert!(ScanMode::ApproximateQuantized.is_approximate());
         assert_eq!(ScanMode::Exact.label(), "exact");
         assert_eq!(ScanMode::QuantizedFilter.label(), "quantized-filter");
-        assert_eq!(ScanMode::ApproximateQuantized.label(), "approximate-quantized");
 
         let spec = QuerySpec::new(vec![0.5], 1).scan_mode(ScanMode::QuantizedFilter);
         assert_eq!(spec.scan_mode_override(), Some(ScanMode::QuantizedFilter));

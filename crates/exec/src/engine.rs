@@ -31,11 +31,10 @@
 //! segments whose bound provably cannot reach the current κ — without
 //! touching any of the segment's columns.
 //!
-//! Every unfiltered top-k search, whatever its planner, folds its pruning
-//! trace into the engine's [`ExecFeedback`] store — lock-free per-segment
-//! counters, plus every zone-map skip and merge miss — which the cost
-//! estimates read back. [`Engine::persist`] writes the counters alongside
-//! the store footer, so a reopened engine's estimates start warm.
+//! The engine learns nothing from the traffic it serves: the visit order,
+//! the skips and the plan read the request and the segment statistics
+//! alone, so a fresh engine and one that has served a million queries do
+//! the same work for the same request.
 
 use crate::batch::{
     BatchOutcome, MultiFeatureSpec, QueryKind, QueryOutcome, QuerySpec, RequestBatch, ScanMode,
@@ -44,16 +43,14 @@ use crate::batch::{
 use crate::kappa::SharedKappa;
 use crate::planner::PlannerKind;
 use crate::rules::RuleKind;
-use bond::quantfilter;
 use bond::{
-    prune_slack, search_segment, BondError, BondParams, BondSearcher, CostModel, DimensionOrdering,
-    ExecFeedback, FeatureQuery, FeedbackSnapshot, KappaCell, Kernel, MultiFeatureContext,
-    MultiFeatureSearcher, PruneTrace, Result, SearchOutcome, SegmentContext,
-    SegmentFeedbackSnapshot, SegmentPlan,
+    prune_slack, search_segment, BondError, BondParams, BondSearcher, DimensionOrdering,
+    FeatureQuery, KappaCell, MultiFeatureContext, MultiFeatureSearcher, PruneTrace, Result,
+    SearchOutcome, SegmentContext, SegmentPlan,
 };
 use bond_metrics::{DecomposableMetric, Objective, ScoreAggregate};
 use bond_obs::{names, Counter, Histogram, MetricsRegistry, Span};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -62,7 +59,8 @@ use vdstore::persist::{open_store, save_store_with_codes, validate_store_inputs,
 use vdstore::topk::Scored;
 use vdstore::{
     ascending_nan_last, descending_nan_last, Advice, Bitmap, DecomposedTable, Envelope, Segment,
-    SegmentSpec, SegmentStats, StorageBackend, StoreCodes, TopKLargest, TopKSmallest, VdError,
+    SegmentSpec, SegmentStats, StorageBackend, StoreCodes, TopKLargest, TopKSmallest,
+    DEFAULT_CODE_BITS,
 };
 
 /// The pruning-rule names the engine pre-registers per-rule search
@@ -96,9 +94,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) segment_missed: Counter,
     /// `engine.rule.<name>.searches` — executed scans per pruning rule.
     rule_searches: [(&'static str, Counter); RULE_NAMES.len()],
-    /// `planner.cost.abs_rel_error` — |estimated − executed| / executed
-    /// work per query, in percent (the cost model's calibration error).
-    cost_error: Histogram,
     /// `store.open.cold_us` — wall time of the store open this engine was
     /// built from, when it was.
     open_cold_us: Histogram,
@@ -107,7 +102,7 @@ pub(crate) struct EngineMetrics {
     /// `store.persist.bytes` — bytes written by [`Engine::persist`].
     persist_bytes: Counter,
     /// `engine.quant.filter_cells` — quantized `u8` code cells swept by
-    /// first-pass filters and approximate scans.
+    /// first-pass filters.
     quant_filter_cells: Counter,
     /// `engine.quant.refine_rows` — rows that survived a quantized filter
     /// into exact refinement.
@@ -150,7 +145,6 @@ impl EngineMetrics {
             segment_skipped: registry.counter(names::ENGINE_SEGMENT_SKIPPED),
             segment_missed: registry.counter(names::ENGINE_SEGMENT_MISSED),
             rule_searches,
-            cost_error: registry.histogram(names::PLANNER_COST_ABS_REL_ERROR),
             open_cold_us: registry.histogram(names::STORE_OPEN_COLD_US),
             persist_us: registry.histogram(names::STORE_PERSIST_US),
             persist_bytes: registry.counter(names::STORE_PERSIST_BYTES),
@@ -196,9 +190,6 @@ pub struct EngineBuilder {
     /// footer; when present, [`EngineBuilder::build`] uses them verbatim
     /// instead of partitioning and scanning the table.
     preloaded: Option<(Vec<SegmentSpec>, Vec<SegmentStats>)>,
-    /// The opaque learned-state payload from the store's footer, decoded
-    /// into the engine's feedback store at [`EngineBuilder::build`].
-    preloaded_learned: Option<Vec<u8>>,
     /// Quantized code fragments from the store's footer, seeded into the
     /// engine's code cache at [`EngineBuilder::build`] so the first
     /// quantized scan does not re-encode the table.
@@ -240,13 +231,14 @@ impl EngineBuilder {
     }
 
     /// Starts a builder over an already-opened [`PersistedStore`] (e.g. one
-    /// inspected or filtered before serving).
+    /// inspected or filtered before serving). The store's learned-state
+    /// payload, if an older writer left one, is ignored: the engine keeps
+    /// no learned state.
     pub fn from_store(store: PersistedStore) -> EngineBuilder {
-        let PersistedStore { table, specs, stats, learned, codes, open_micros, .. } = store;
+        let PersistedStore { table, specs, stats, codes, open_micros, .. } = store;
         let mut builder = Engine::builder(table);
         builder.partitions = specs.len().max(1);
         builder.preloaded = Some((specs, stats));
-        builder.preloaded_learned = learned;
         builder.preloaded_codes = codes;
         builder.open_micros = (open_micros > 0).then_some(open_micros);
         builder
@@ -255,15 +247,13 @@ impl EngineBuilder {
     /// Number of row-range segments the table is split into. Defaults to
     /// the machine's available parallelism; `0` is rejected at
     /// [`EngineBuilder::build`]. On a builder opened from a persisted store
-    /// this *discards* the store's boundaries, footer statistics and
-    /// learned feedback state: [`EngineBuilder::build`] re-partitions and
-    /// recomputes statistics, scanning every column (faulting in all pages
-    /// of a mapped store), and the feedback store starts cold.
+    /// this *discards* the store's boundaries, footer statistics and codes:
+    /// [`EngineBuilder::build`] re-partitions and recomputes statistics,
+    /// scanning every column (faulting in all pages of a mapped store).
     #[must_use]
     pub fn partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
         self.preloaded = None;
-        self.preloaded_learned = None;
         self.preloaded_codes = None;
         self
     }
@@ -332,10 +322,9 @@ impl EngineBuilder {
     /// [`ScanMode::Exact`]) — a [`QuerySpec::scan_mode`] override replaces
     /// it per query. [`ScanMode::QuantizedFilter`] sweeps the quantized
     /// code companions first and refines only surviving rows exactly
-    /// (bit-identical answers); [`ScanMode::ApproximateQuantized`] answers
-    /// from codes alone with per-hit error bounds. Codes are built lazily
-    /// on first use and cached per bit width; engines opened from a store
-    /// persisted with codes reuse the footer's codes directly.
+    /// (bit-identical answers). Codes are built lazily on first use and
+    /// cached per bit width; engines opened from a store persisted with
+    /// codes reuse the footer's codes directly.
     #[must_use]
     pub fn scan_mode(mut self, scan: ScanMode) -> Self {
         self.scan = scan;
@@ -351,7 +340,9 @@ impl EngineBuilder {
     /// [`BondError::InvalidParams`] when `partitions` or `threads` is zero
     /// or the default rule carries invalid weight values;
     /// [`BondError::WeightDimensionMismatch`] when the default rule's
-    /// weights do not match the table's dimensionality.
+    /// weights do not match the table's dimensionality;
+    /// [`BondError::Storage`] when preloaded boundaries do not tile the
+    /// table.
     pub fn build(self) -> Result<Engine> {
         if self.partitions == 0 {
             return Err(BondError::InvalidParams("partitions must be non-zero".into()));
@@ -379,15 +370,14 @@ impl EngineBuilder {
             }
             None => {
                 let specs = self.table.partition_specs(self.partitions);
-                let stats: Vec<SegmentStats> = specs
+                let stats = specs
                     .iter()
-                    .map(|s| s.view(&self.table).expect("spec in range").stats())
-                    .collect();
+                    .map(|s| Ok(s.view(&self.table).map_err(BondError::Storage)?.stats()))
+                    .collect::<Result<Vec<SegmentStats>>>()?;
                 (specs, stats)
             }
         };
         let envelopes: Vec<Option<Envelope>> = stats.iter().map(SegmentStats::envelope).collect();
-        let feedback = initial_feedback(self.preloaded_learned, specs.len())?;
         let metrics = EngineMetrics::new(MetricsRegistry::default());
         if let Some(us) = self.open_micros {
             metrics.open_cold_us.record(us);
@@ -411,28 +401,12 @@ impl EngineBuilder {
                 share_kappa: self.share_kappa,
                 planner: self.planner,
                 scan: self.scan,
-                feedback,
                 row_sums: OnceLock::new(),
                 codes: Mutex::new(codes_cache),
                 metrics,
             }),
         })
     }
-}
-
-/// The feedback store a new engine starts from: the store footer's learned
-/// state, which must cover exactly this engine's `segments`, or a cold
-/// store when there is none.
-fn initial_feedback(learned: Option<Vec<u8>>, segments: usize) -> Result<ExecFeedback> {
-    let Some(bytes) = learned else { return Ok(ExecFeedback::new(segments)) };
-    let snapshot = FeedbackSnapshot::from_bytes(&bytes)?;
-    if snapshot.segments.len() != segments {
-        return Err(BondError::Storage(VdError::Corrupt(format!(
-            "learned feedback covers {} segments, store has {segments}",
-            snapshot.segments.len(),
-        ))));
-    }
-    Ok(ExecFeedback::from_snapshot(&snapshot))
 }
 
 /// The engine's shared state: everything a worker thread needs, owned.
@@ -454,10 +428,6 @@ struct EngineInner {
     share_kappa: bool,
     planner: PlannerKind,
     scan: ScanMode,
-    /// The engine's feedback store: every query's pruning trace, zone-map
-    /// skip and merge miss folds into these lock-free per-segment
-    /// accumulators; the cost estimates read them back.
-    feedback: ExecFeedback,
     /// Full-table `T(x)`, materialised lazily the first time any request's
     /// rule needs it; workers slice it per segment.
     row_sums: OnceLock<Vec<f64>>,
@@ -507,10 +477,6 @@ struct TopKRun<'b> {
     /// The code companions a quantized scan sweeps, resolved (and built,
     /// on the cache's first miss) before any task runs.
     codes: Option<Arc<StoreCodes>>,
-    /// The cost model's pre-execution work estimate for this request —
-    /// compared against the executed work at merge time to feed the
-    /// `planner.cost.abs_rel_error` calibration histogram.
-    estimate: f64,
 }
 
 /// A multi-feature request as the engine pass runs it.
@@ -555,13 +521,6 @@ impl<'b> ResolvedQuery<'b> {
     fn visit_order(&self) -> Option<&[usize]> {
         self.topk()?.query.visit_order.as_deref()
     }
-
-    /// Whether this query's traces, skips and merge misses teach the
-    /// feedback store: unfiltered top-k requests only. A filtered trace
-    /// describes the predicate's subset, not the segment.
-    fn teaches_feedback(&self) -> bool {
-        self.topk().is_some() && self.spec.filter_override().is_none()
-    }
 }
 
 /// One `execute` call's read-only state, shared by every task.
@@ -598,28 +557,10 @@ impl Task<'_> {
     }
 }
 
-/// What one `(query, segment)` task leaves in its slot: the search
-/// outcome, plus error bounds for an approximate codes-only scan.
-#[derive(Debug)]
-struct TaskOutcome {
-    outcome: SearchOutcome,
-    /// Per-hit absolute error bounds, parallel to the outcome's hits;
-    /// `Some` only for approximate codes-only scans.
-    error_bounds: Option<Vec<f64>>,
-}
-
-impl TaskOutcome {
-    /// A segment skipped before any of its columns was read.
-    fn skipped(rule: Option<&'static str>) -> TaskOutcome {
-        let trace = PruneTrace { segment_skipped: true, rule, ..PruneTrace::default() };
-        TaskOutcome::from(SearchOutcome { hits: Vec::new(), trace })
-    }
-}
-
-impl From<SearchOutcome> for TaskOutcome {
-    fn from(outcome: SearchOutcome) -> TaskOutcome {
-        TaskOutcome { outcome, error_bounds: None }
-    }
+/// The outcome of a segment skipped before any of its columns was read.
+fn skipped(rule: Option<&'static str>) -> SearchOutcome {
+    let trace = PruneTrace { segment_skipped: true, rule, ..PruneTrace::default() };
+    SearchOutcome { hits: Vec::new(), trace }
 }
 
 impl Engine {
@@ -640,39 +581,35 @@ impl Engine {
             planner: PlannerKind::Uniform,
             scan: ScanMode::Exact,
             preloaded: None,
-            preloaded_learned: None,
             preloaded_codes: None,
             open_micros: None,
         }
     }
 
-    /// Persists the engine's table, partition boundaries, cached
-    /// per-segment statistics *and* accumulated feedback state as a v2
-    /// segment store at `path`. The file can be reopened — in this or any
-    /// other process — with [`EngineBuilder::open`], yielding an engine
-    /// that answers bit-identically (uniform planning) without recomputing
-    /// anything and whose cost estimates start *warm*: everything the
-    /// serving process observed about its segments survives the restart.
+    /// Persists the engine's table, partition boundaries and cached
+    /// per-segment statistics as a v2 segment store at `path`. The file can
+    /// be reopened — in this or any other process — with
+    /// [`EngineBuilder::open`], yielding an engine that answers
+    /// bit-identically without recomputing anything. The footer's
+    /// learned-state section is written empty.
     ///
     /// The store also carries the engine's 8-bit quantized code companions
     /// (built here if no query has needed them yet), so a reopened engine
-    /// serves [`ScanMode::QuantizedFilter`] and
-    /// [`ScanMode::ApproximateQuantized`] without re-encoding a single
+    /// serves [`ScanMode::QuantizedFilter`] without re-encoding a single
     /// fragment. Tables whose values cannot be quantized (non-finite
-    /// entries) persist without codes, exactly as before.
+    /// entries) persist without codes.
     ///
     /// # Errors
     ///
     /// [`BondError::Storage`] on I/O failure.
     pub fn persist(&self, path: impl AsRef<Path>) -> Result<()> {
         let span = Span::begin(names::SPAN_STORE_PERSIST);
-        let learned = self.inner.feedback.snapshot().to_bytes();
-        let codes = self.ensure_codes(CostModel::DEFAULT_CODE_BITS).ok();
+        let codes = self.ensure_codes(DEFAULT_CODE_BITS).ok();
         let report = save_store_with_codes(
             &self.inner.table,
             &self.inner.specs,
             &self.inner.stats,
-            Some(&learned),
+            None,
             codes.as_deref(),
             path.as_ref(),
         )
@@ -719,17 +656,17 @@ impl Engine {
     }
 
     /// The code companion [`ScanMode::QuantizedFilter`] sweeps:
-    /// [`Engine::ensure_codes`] at [`CostModel::DEFAULT_CODE_BITS`].
+    /// [`Engine::ensure_codes`] at [`DEFAULT_CODE_BITS`].
     ///
     /// # Errors
     ///
     /// As [`Engine::ensure_codes`].
     pub fn ensure_adaptive_codes(&self) -> Result<Arc<StoreCodes>> {
-        self.ensure_codes(CostModel::DEFAULT_CODE_BITS)
+        self.ensure_codes(DEFAULT_CODE_BITS)
     }
 
     /// The engine's [`MetricsRegistry`]: every executed batch, scan,
-    /// zone-map skip, merge miss, cost estimate and persist call lands
+    /// zone-map skip, merge miss and persist call lands
     /// here as a counter/gauge/histogram update under a stable dotted
     /// name. Render it with [`MetricsRegistry::render_text`]
     /// (Prometheus exposition text) or [`MetricsRegistry::render_json`]
@@ -797,115 +734,36 @@ impl Engine {
         &self.inner.stats
     }
 
-    /// A plain-data snapshot of the engine's accumulated execution
-    /// feedback: per segment, how often it was searched / skipped /
-    /// scanned-in-vain, the observed warmup depths, survivor fractions and
-    /// code-sweep counts. This is what [`Engine::estimate_cost`] prices
-    /// from, what [`Engine::persist`] writes alongside the store footer,
-    /// and the observability hook for
-    /// the ROADMAP's re-partitioning advisor (segments that straddle
-    /// clusters show high search counts with low skip rates and high
-    /// survival).
-    pub fn feedback_snapshot(&self) -> FeedbackSnapshot {
-        self.inner.feedback.snapshot()
-    }
-
-    /// Estimated `(candidate, dimension)` evaluations this request will
-    /// cost across all segments — the cost model's per-spec estimate, the
-    /// figure EXPLAIN renders and the `planner.cost.abs_rel_error`
-    /// histogram calibrates. Cold segments use the conservative full-work
-    /// prior; warm segments discount by their observed skip rate, warmup
-    /// depth and survivor fraction (stats-driven planners only — uniform
-    /// planning never skips).
+    /// A rough work estimate for `spec`, in `(candidate, dimension)` cells:
+    /// every eligible live row through every dimension — plus, for a code
+    /// scan, its code cells at an eighth of an exact cell each — floored at
+    /// `k` rows in a segment the filter leaves non-empty. A pure function
+    /// of the segment statistics, the request's eligibility, `k` and scan
+    /// mode: it learns nothing from traffic, and no plan, skip or queue
+    /// reads it. It is deleted once the benchmark's
+    /// `planner.estimate_cost_us` row, its one caller, is retired (ROADMAP
+    /// item 15).
     pub fn estimate_cost(&self, spec: &QuerySpec) -> f64 {
         // A domain-mismatched filter prices as unfiltered here and is
         // rejected by `validate` before execution.
         let eligible = spec.filter_override().and_then(|f| self.filter_eligibility(f).ok());
-        if let QueryKind::MultiFeature(mf) = spec.kind() {
-            // The synchronized scan has no per-segment plan or feedback
-            // model yet: price the full-scan prior over the union of
-            // feature dimensions — a rough estimate, not a calibrated one.
-            let total_dims: usize = mf.features().iter().map(|f| f.query().len()).sum();
-            let rows = match &eligible {
-                Some(counts) => counts.iter().sum::<usize>(),
-                None => self.inner.table.live_rows(),
-            };
-            return rows as f64 * total_dims as f64;
-        }
-        let planner = spec.planner_override().unwrap_or(self.inner.planner);
-        let scan = spec.scan_mode_override().unwrap_or(self.inner.scan);
-        self.topk_estimate(spec.k(), scan, self.skipping(planner, scan), eligible.as_deref())
-    }
-
-    /// The top-k half of [`Engine::estimate_cost`], over per-segment
-    /// eligible counts the caller already holds.
-    fn topk_estimate(
-        &self,
-        k: usize,
-        scan: ScanMode,
-        skipping: bool,
-        eligible: Option<&[usize]>,
-    ) -> f64 {
-        (0..self.inner.stats.len())
-            .map(|si| {
-                let snapshot = self.inner.feedback.segment(si).snapshot();
-                let eligible = eligible.map(|counts| counts[si]);
-                self.segment_estimate(si, scan, Some(&snapshot), k, skipping, eligible).0
-            })
-            .sum()
-    }
-
-    /// Whether a query under `planner` and `scan` may skip whole segments
-    /// against its shared κ.
-    fn skipping(&self, planner: PlannerKind, scan: ScanMode) -> bool {
-        planner.is_stats_driven() && self.inner.share_kappa && !scan.is_approximate()
-    }
-
-    /// One segment's cost estimate under `scan`, split into phases:
-    /// `(total, filter sweep, exact refine)` — the filter/refine parts are
-    /// `None` for exact scans. Code cells are priced at
-    /// [`CostModel::quant_cell_cost`] of an exact cell for the kernel this
-    /// process dispatches to. A predicate filter leaving `eligible` rows
-    /// discounts the estimate by the segment's eligible fraction (floored
-    /// at k/live — the scan must still find k answers), proportionally
-    /// across the phases. Shared by [`Engine::estimate_cost`] and
-    /// [`Engine::explain`], so the rendered phase split always sums to the
-    /// request's estimate.
-    pub(crate) fn segment_estimate(
-        &self,
-        si: usize,
-        scan: ScanMode,
-        snapshot: Option<&SegmentFeedbackSnapshot>,
-        k: usize,
-        skipping: bool,
-        eligible: Option<usize>,
-    ) -> (f64, Option<f64>, Option<f64>) {
-        let inner = &*self.inner;
-        let stats = &inner.stats[si];
-        let (total, filter, refine) = match scan {
-            ScanMode::Exact => (CostModel::segment_cost(stats, snapshot, k, skipping), None, None),
-            ScanMode::QuantizedFilter => {
-                let (filter, refine) = CostModel::segment_cost_quantized(
-                    stats,
-                    snapshot,
-                    k,
-                    skipping,
-                    Kernel::active(),
-                );
-                (filter + refine, Some(filter), Some(refine))
+        let (dims, cell_cost) = match spec.kind() {
+            QueryKind::MultiFeature(mf) => {
+                (mf.features().iter().map(|f| f.query().len()).sum(), 1.0)
             }
-            ScanMode::ApproximateQuantized => {
-                // codes only: the full sweep, never skipped, nothing exact
-                let filter = stats.live_rows as f64
-                    * stats.per_dim.len() as f64
-                    * CostModel::quant_cell_cost(Kernel::active());
-                (filter, Some(filter), Some(0.0))
+            QueryKind::TopK => {
+                let scan = spec.scan_mode_override().unwrap_or(self.inner.scan);
+                (self.inner.table.dims(), if scan.uses_codes() { 1.125 } else { 1.0 })
             }
         };
-        let Some(eligible) = eligible else { return (total, filter, refine) };
-        let discounted = CostModel::filtered_cost(total, eligible, stats.live_rows, k);
-        let ratio = if total > 0.0 { discounted / total } else { 0.0 };
-        (discounted, filter.map(|c| c * ratio), refine.map(|c| c * ratio))
+        let rows = |si: usize, live: usize| match &eligible {
+            None => live,
+            Some(counts) if counts[si] == 0 => 0,
+            Some(counts) => counts[si].max(spec.k()).min(live),
+        };
+        let stats = &self.inner.stats;
+        stats.iter().enumerate().map(|(si, s)| (rows(si, s.live_rows) * dims) as f64).sum::<f64>()
+            * cell_cost
     }
 
     /// The `BondParams` a query executing under `rule` effectively uses:
@@ -975,7 +833,7 @@ impl Engine {
 
     /// [`Engine::validate`], keeping what it counted: the per-segment
     /// eligible rows of a filtered request (`None` when unfiltered), which
-    /// resolution hands to the estimate and the tasks.
+    /// resolution hands to the tasks and EXPLAIN renders.
     pub(crate) fn admit(&self, spec: &QuerySpec) -> Result<Option<Vec<usize>>> {
         let dims = self.inner.table.dims();
         // A predicate filter must address the table's full row domain and
@@ -1078,7 +936,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`BondError::InvalidFilter`] when the bitmap's domain is not the
-    /// table's full row count.
+    /// table's full row count; [`BondError::Storage`] when a segment's
+    /// boundaries do not fit the table.
     pub(crate) fn filter_eligibility(&self, filter: &Bitmap) -> Result<Vec<usize>> {
         let inner = &*self.inner;
         if filter.len() != inner.table.rows() {
@@ -1088,14 +947,14 @@ impl Engine {
                 inner.table.rows()
             )));
         }
-        Ok(inner
+        inner
             .specs
             .iter()
             .map(|s| {
-                let segment = s.view(&inner.table).expect("specs partition this table");
-                filter.slice(segment.range()).intersection_count(&segment.live_bitmap())
+                let segment = s.view(&inner.table).map_err(BondError::Storage)?;
+                Ok(filter.slice(segment.range()).intersection_count(&segment.live_bitmap()))
             })
-            .collect())
+            .collect()
     }
 
     /// Runs one k-NN query under the engine defaults; equivalent to a
@@ -1109,7 +968,9 @@ impl Engine {
     pub fn search_spec(&self, spec: &QuerySpec) -> Result<QueryOutcome> {
         let batch = RequestBatch::single(spec.clone());
         let mut outcome = self.execute(&batch)?;
-        Ok(outcome.queries.pop().expect("one outcome per query"))
+        outcome.queries.pop().ok_or_else(|| {
+            BondError::ServiceUnavailable("the engine pass answered no query".into())
+        })
     }
 
     /// Executes a whole batch in one engine pass: every spec is validated
@@ -1144,14 +1005,14 @@ impl Engine {
             .zip(eligible)
             .map(|(spec, eligible)| self.resolve(spec, eligible))
             .collect::<Result<_>>()?;
-        let pass = self.prepare_pass(resolved);
+        let pass = self.prepare_pass(resolved)?;
         drop(plan_span);
 
         let n_segments = pass.segments.len();
         let outcomes = run_tasks(inner.threads, batch.len() * n_segments, |task| {
             self.run_task(&pass, task / n_segments, task % n_segments)
         });
-        let outcomes: Vec<TaskOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
+        let outcomes: Vec<SearchOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
         let queries = self.merge_pass(&pass, outcomes);
         inner.metrics.batches.inc();
         // Every query of a coalesced batch waits for the whole engine pass,
@@ -1189,7 +1050,7 @@ impl Engine {
             scan,
             metric,
             objective,
-            skipping: self.skipping(planner, scan),
+            skipping: planner.is_stats_driven() && inner.share_kappa,
             query_sum: spec.vector().iter().sum(),
             visit_order,
             plan,
@@ -1210,10 +1071,8 @@ impl Engine {
                 // build) their code companions up front — tasks only read.
                 let codes = query.scan.uses_codes();
                 let codes = codes.then(|| self.ensure_adaptive_codes()).transpose()?;
-                let estimate =
-                    self.topk_estimate(spec.k(), query.scan, query.skipping, eligible.as_deref());
                 let objective = query.objective;
-                (objective, ResolvedKind::TopK(TopKRun { query, codes, estimate }))
+                (objective, ResolvedKind::TopK(TopKRun { query, codes }))
             }
             // The combined similarity is maximized regardless of the
             // component metrics (Euclidean components are flipped onto the
@@ -1247,13 +1106,13 @@ impl Engine {
 
     /// The per-call state every task reads besides its own query: segment
     /// views and `T(x)` when any rule needs it.
-    fn prepare_pass<'b>(&'b self, resolved: Vec<ResolvedQuery<'b>>) -> Pass<'b> {
+    fn prepare_pass<'b>(&'b self, resolved: Vec<ResolvedQuery<'b>>) -> Result<Pass<'b>> {
         let inner = &*self.inner;
         let segments = inner
             .specs
             .iter()
-            .map(|s| s.view(&inner.table).expect("specs partition this table"))
-            .collect();
+            .map(|s| s.view(&inner.table).map_err(BondError::Storage))
+            .collect::<Result<_>>()?;
         let topk = || resolved.iter().filter_map(ResolvedQuery::topk);
         // The `T(x)` table, materialised once per engine the first time any
         // request's rule needs it.
@@ -1261,14 +1120,14 @@ impl Engine {
             .any(|run| run.query.rule.needs_total_mass())
             .then(|| inner.row_sums.get_or_init(|| inner.table.row_sums()).as_slice());
         let mapped = inner.table.backend() == StorageBackend::Mapped;
-        Pass { resolved, segments, row_sums, mapped }
+        Ok(Pass { resolved, segments, row_sums, mapped })
     }
 
     /// One `(query, segment)` task: the query at `qi`, at position `pos` of
     /// its visit order. Each stage may answer it: the filter window, then
-    /// by request kind the synchronized multi-feature scan, the codes-only
-    /// scan, or the zone-map skip and the segment search.
-    fn run_task(&self, pass: &Pass<'_>, qi: usize, pos: usize) -> Result<TaskOutcome> {
+    /// by request kind the synchronized multi-feature scan, or the zone-map
+    /// skip and the segment search.
+    fn run_task(&self, pass: &Pass<'_>, qi: usize, pos: usize) -> Result<SearchOutcome> {
         let rq = &pass.resolved[qi];
         // position `pos` of a query with a visit order executes its
         // `pos`-th most promising segment; everyone else visits in row
@@ -1280,20 +1139,15 @@ impl Engine {
         if let Some(eligible) = &rq.eligible {
             if eligible[si] == 0 {
                 self.inner.metrics.filter_segments_empty.inc();
-                return Ok(TaskOutcome::skipped(rq.rule_name()));
+                return Ok(skipped(rq.rule_name()));
             }
             self.inner.metrics.filter_eligible_rows.add(eligible[si] as u64);
         }
         match &rq.kind {
             ResolvedKind::MultiFeature(run) => self.search_features(&task, run),
-            ResolvedKind::TopK(run) => match &run.codes {
-                Some(codes) if run.query.scan.is_approximate() => {
-                    self.scan_codes_only(&task, run, codes)
-                }
-                _ => match self.try_skip_segment(&task, &run.query) {
-                    Some(skipped) => Ok(skipped),
-                    None => self.search_one_segment(&task, run),
-                },
+            ResolvedKind::TopK(run) => match self.try_skip_segment(&task, &run.query) {
+                Some(skipped) => Ok(skipped),
+                None => self.search_one_segment(&task, run),
             },
         }
     }
@@ -1301,11 +1155,11 @@ impl Engine {
     /// The multi-feature stage: one synchronized scan
     /// ([`MultiFeatureSearcher::search_range`]) of the segment, pooling its
     /// combined-similarity κ with the query's other segments.
-    fn search_features(&self, task: &Task<'_>, run: &MultiFeatureRun<'_>) -> Result<TaskOutcome> {
+    fn search_features(&self, task: &Task<'_>, run: &MultiFeatureRun<'_>) -> Result<SearchOutcome> {
         let local = task.eligible_bitmap();
         if local.count() == 0 {
             // every row of the segment is deleted
-            return Ok(TaskOutcome::skipped(None));
+            return Ok(skipped(None));
         }
         let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
         let ctx = MultiFeatureContext {
@@ -1322,50 +1176,13 @@ impl Engine {
         );
         drop(scan_span);
         self.inner.metrics.multifeature_searches.inc();
-        result.map(TaskOutcome::from)
-    }
-
-    /// The approximate stage: one branch-free sweep of the segment's code
-    /// columns, midpoint scores, per-hit error bounds. No exact fragment is
-    /// read, no κ is published (midpoint scores are not safe bounds for
-    /// exact searches), no plan is derived.
-    fn scan_codes_only(
-        &self,
-        task: &Task<'_>,
-        run: &TopKRun<'_>,
-        codes: &StoreCodes,
-    ) -> Result<TaskOutcome> {
-        let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(task.si as u64);
-        let view = codes.segment_view(task.si).map_err(BondError::Storage)?;
-        let (metric, spec) = (run.query.metric.as_ref(), task.rq.spec);
-        let approx = quantfilter::approximate_topk(
-            &view,
-            metric,
-            spec.vector(),
-            spec.k(),
-            &task.eligible_bitmap(),
-        )?;
-        let start = task.segment.range().start as u32;
-        let hits = approx
-            .hits
-            .into_iter()
-            .map(|h| Scored { row: h.row + start, score: h.score })
-            .collect();
-        let trace = PruneTrace {
-            filter_cells: approx.cells,
-            filter_bits: codes.bits(),
-            kernel: Some(Kernel::active().label()),
-            rule: task.rq.rule_name(),
-            ..PruneTrace::default()
-        };
-        let outcome = SearchOutcome { hits, trace };
-        Ok(TaskOutcome { outcome, error_bounds: Some(approx.error_bounds) })
+        result
     }
 
     /// The search stage: run [`search_segment`] on the query's plan —
     /// exact BOND, or the code sweep plus exact refine when the query
     /// carries codes.
-    fn search_one_segment(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<TaskOutcome> {
+    fn search_one_segment(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<SearchOutcome> {
         let inner = &*self.inner;
         let Task { pass, rq, si, segment } = *task;
         let (query, k) = (rq.spec.vector(), rq.spec.k());
@@ -1408,29 +1225,22 @@ impl Engine {
                 cell.tighten(outcome.hits[k - 1].score);
             }
         }
-        if rq.teaches_feedback() {
-            inner.feedback.segment(si).record_search(
-                plan.order.len(),
-                &outcome.trace,
-                segment.len(),
-            );
-        }
-        Ok(TaskOutcome::from(outcome))
+        Ok(outcome)
     }
 
     /// Merges every query's task outcomes (task order: query-major, visit
     /// position minor) and records each answered query's metrics.
-    fn merge_pass(&self, pass: &Pass<'_>, outcomes: Vec<TaskOutcome>) -> Vec<QueryOutcome> {
+    fn merge_pass(&self, pass: &Pass<'_>, outcomes: Vec<SearchOutcome>) -> Vec<QueryOutcome> {
         let merge_span = Span::begin(names::SPAN_ENGINE_MERGE).detail(pass.resolved.len() as u64);
         let n_segments = pass.segments.len();
         let mut per_task = outcomes.into_iter();
         let mut queries = Vec::with_capacity(pass.resolved.len());
         for rq in &pass.resolved {
-            let mut segment_outcomes: Vec<TaskOutcome> =
+            let mut segment_outcomes: Vec<SearchOutcome> =
                 per_task.by_ref().take(n_segments).collect();
             if let Some(order) = rq.visit_order() {
                 // positions back to segment (row-range) order
-                let mut by_segment: Vec<(usize, TaskOutcome)> =
+                let mut by_segment: Vec<(usize, SearchOutcome)> =
                     order.iter().copied().zip(segment_outcomes).collect();
                 by_segment.sort_unstable_by_key(|&(si, _)| si);
                 segment_outcomes = by_segment.into_iter().map(|(_, outcome)| outcome).collect();
@@ -1445,19 +1255,12 @@ impl Engine {
 
     /// Folds one answered query into the engine's metric handles: counts,
     /// executed work, per-segment search/skip tallies, and for top-k
-    /// requests the per-rule scan counters and the cost model's
-    /// calibration error.
+    /// requests the per-rule scan counters.
     fn record_query_metrics(&self, rq: &ResolvedQuery<'_>, outcome: &QueryOutcome) {
         let m = &self.inner.metrics;
         m.queries.inc();
-        let scanned = outcome.contributions_evaluated();
         let filter_cells = outcome.quant_filter_cells();
-        // `engine.query.scanned_cells` is in exact-cell equivalents: swept
-        // code cells fold in at the same per-kernel discount the cost model
-        // prices them with, so a quantized query's recorded work is
-        // comparable to (and calibrated against) its cost estimate.
-        let executed = CostModel::executed_cells(scanned, filter_cells, Kernel::active());
-        m.scanned_cells.record(executed.round() as u64);
+        m.scanned_cells.record(outcome.contributions_evaluated());
         for run in &outcome.segments {
             let trace = &run.trace;
             if trace.filter_cells > 0 {
@@ -1480,12 +1283,6 @@ impl Engine {
                 m.quant_filter_selectivity.record((selectivity * 100.0).round() as u64);
             }
         }
-        // |estimated − executed| / executed, in whole percent — the figure
-        // ANALYZE prints as `error=`
-        if let Some(run) = rq.topk() {
-            m.cost_error
-                .record(CostModel::abs_rel_error_pct(run.estimate, executed).round() as u64);
-        }
     }
 
     /// The zone-map check: when the query's κ is already tighter than the
@@ -1497,7 +1294,7 @@ impl Engine {
     /// safe. The envelope covers the whole segment, so its bound is
     /// conservative (still valid) for any eligible subset — filtered
     /// zone-map skips can never drop an eligible row.
-    fn try_skip_segment(&self, task: &Task<'_>, query: &TopKQuery<'_>) -> Option<TaskOutcome> {
+    fn try_skip_segment(&self, task: &Task<'_>, query: &TopKQuery<'_>) -> Option<SearchOutcome> {
         let Task { rq, si, .. } = *task;
         if !query.skipping {
             return None;
@@ -1519,12 +1316,7 @@ impl Engine {
             return None;
         }
         self.inner.metrics.segment_skipped.inc();
-        // a zone-map skip hit is itself feedback: it raises the segment's
-        // observed skip rate, cheapening its estimate
-        if rq.teaches_feedback() {
-            self.inner.feedback.segment(si).record_skip();
-        }
-        Some(TaskOutcome::skipped(rq.rule_name()))
+        Some(skipped(rq.rule_name()))
     }
 
     /// The tightest optimistic score any vector inside segment `si`'s
@@ -1567,19 +1359,12 @@ impl Engine {
         &self,
         rq: &ResolvedQuery<'_>,
         segments: &[Segment<'_>],
-        segment_outcomes: Vec<TaskOutcome>,
+        segment_outcomes: Vec<SearchOutcome>,
     ) -> QueryOutcome {
         let k = rq.spec.k();
         let mut runs = Vec::with_capacity(segment_outcomes.len());
-        let mut bound_by_row: HashMap<u32, f64> = HashMap::new();
         let offer = |heap_push: &mut dyn FnMut(Scored)| {
-            for (segment, task) in segments.iter().zip(segment_outcomes) {
-                let TaskOutcome { outcome, error_bounds } = task;
-                if let Some(bounds) = error_bounds {
-                    for (hit, bound) in outcome.hits.iter().zip(bounds) {
-                        bound_by_row.insert(hit.row, bound);
-                    }
-                }
+            for (segment, outcome) in segments.iter().zip(segment_outcomes) {
                 for &hit in &outcome.hits {
                     heap_push(hit);
                 }
@@ -1598,27 +1383,14 @@ impl Engine {
                 heap.into_sorted_vec()
             }
         };
-        let approximate = rq.topk().is_some_and(|run| run.query.scan.is_approximate());
-        let error_bounds = approximate.then(|| {
-            hits.iter()
-                .map(|h| bound_by_row.get(&h.row).copied().unwrap_or(f64::INFINITY))
-                .collect()
+        // A segment that was scanned (not skipped) yet placed nothing in the
+        // final top-k was work the zone map failed to avoid — a "skip miss".
+        let missed = runs.iter().filter(|run| {
+            !run.trace.segment_skipped && !hits.iter().any(|h| run.rows.contains(&(h.row as usize)))
         });
-        // Close the feedback loop on the merge: a segment that was scanned
-        // (not skipped) yet placed nothing in the final top-k was work the
-        // zone map failed to avoid — a "skip miss".
-        if rq.teaches_feedback() {
-            for (si, run) in runs.iter().enumerate() {
-                if !run.trace.segment_skipped
-                    && !hits.iter().any(|h| run.rows.contains(&(h.row as usize)))
-                {
-                    self.inner.feedback.segment(si).record_miss();
-                    self.inner.metrics.segment_missed.inc();
-                }
-            }
-        }
-        let plan = rq.topk().filter(|_| !approximate).map(|run| run.query.plan.clone());
-        QueryOutcome { hits, error_bounds, segments: runs, plan }
+        self.inner.metrics.segment_missed.add(missed.count() as u64);
+        let plan = rq.topk().map(|run| run.query.plan.clone());
+        QueryOutcome { hits, segments: runs, plan }
     }
 
     /// Convenience: the sequential reference answer for the engine's

@@ -3,15 +3,15 @@
 //! [`Engine::explain`] answers *"what would the engine do for this
 //! request?"* without executing anything: it renders the query's one
 //! derived [`SegmentPlan`] (dimension order and warmup schedule) and, for
-//! every segment, where in the visit order the segment runs, its zone-map
-//! envelope bound toward the query and the cost model's cell estimate.
+//! every segment, where in the visit order the segment runs and its
+//! zone-map envelope bound toward the query.
 //!
 //! [`QueryOutcome::analyze`] answers *"what did the engine actually do?"*
 //! by joining the rendered plan against the executed [`bond::PruneTrace`]s:
-//! cells scanned vs estimated, the depth at which pruning reached the
-//! query's `k`, which segments were skipped, and whether the executed plan
-//! matched the rendered one (it does by construction — both sides call the
-//! same derivation path).
+//! the cells each segment scanned and swept, the depth at which pruning
+//! reached the query's `k`, which segments were skipped, and whether the
+//! executed plan matched the rendered one (it does by construction — both
+//! sides call the same derivation path).
 //!
 //! Both types are plain data with `Display` impls, so they print as
 //! compact reports and remain programmatically inspectable.
@@ -19,7 +19,7 @@
 use crate::batch::{MultiFeatureSpec, QueryKind, QueryOutcome, QuerySpec, ScanMode};
 use crate::engine::Engine;
 use crate::planner::PlannerKind;
-use bond::{CostModel, FeatureMetricKind, Kernel, Result, SegmentPlan};
+use bond::{FeatureMetricKind, Kernel, Result, SegmentPlan};
 use std::fmt;
 use std::ops::Range;
 
@@ -53,22 +53,10 @@ pub struct SegmentExplain {
     /// score the skip check compares against κ at run time. `None` for a
     /// segment with no envelope.
     pub envelope_bound: Option<f64>,
-    /// The cost model's estimate of the `(candidate, dimension)` cells one
-    /// search of this segment will evaluate, in exact-cell equivalents
-    /// (for quantized scans: the filter and refine phases summed).
-    pub estimated_cells: f64,
-    /// The quantized filter sweep's share of `estimated_cells` (code cells
-    /// priced at [`bond::CostModel::quant_cell_cost`] each, for the kernel
-    /// this process dispatches to); `None` for exact scans.
-    pub filter_cost: Option<f64>,
     /// The code bit-width the quantized sweep of this segment would use:
-    /// [`bond::CostModel::DEFAULT_CODE_BITS`] for both code scans, `None`
-    /// for exact scans.
+    /// [`vdstore::DEFAULT_CODE_BITS`] for a code scan, `None` for exact
+    /// scans.
     pub code_bits: Option<u8>,
-    /// The exact refine phase's share of `estimated_cells`: the cells the
-    /// cost model expects the filter's survivors to need. `Some(0.0)` for
-    /// approximate codes-only scans, `None` for exact scans.
-    pub refine_cost: Option<f64>,
     /// Live rows eligible under the request's predicate filter; `None`
     /// when the request carries no filter.
     pub eligible_rows: Option<usize>,
@@ -94,7 +82,7 @@ pub struct QueryExplain {
     pub rule: &'static str,
     /// The effective planning policy.
     pub planner: PlannerKind,
-    /// The effective scan mode (exact, quantized filter, or approximate).
+    /// The effective scan mode (exact or quantized filter).
     pub scan: ScanMode,
     /// The table dimensionality.
     pub dims: usize,
@@ -122,20 +110,11 @@ pub struct QueryExplain {
     pub eligible_rows: Option<usize>,
 }
 
-impl QueryExplain {
-    /// Total estimated `(candidate, dimension)` cells across all segments
-    /// — the same figure [`Engine::estimate_cost`] returns.
-    pub fn estimated_cells(&self) -> f64 {
-        self.segments.iter().map(|s| s.estimated_cells).sum()
-    }
-}
-
 impl fmt::Display for QueryExplain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "EXPLAIN k={} rule={} planner={:?} scan={} dims={} skipping={} kernel={} \
-             est_cells={:.0}",
+            "EXPLAIN k={} rule={} planner={:?} scan={} dims={} skipping={} kernel={}",
             self.k,
             self.rule,
             self.planner,
@@ -143,7 +122,6 @@ impl fmt::Display for QueryExplain {
             self.dims,
             if self.skipping { "on" } else { "off" },
             self.kernel,
-            self.estimated_cells(),
         )?;
         if let Some(eligible) = self.eligible_rows {
             let live: usize = self.segments.iter().map(|s| s.live_rows).sum();
@@ -177,12 +155,6 @@ impl fmt::Display for QueryExplain {
         for seg in &self.segments {
             let bound =
                 seg.envelope_bound.map_or_else(|| "none".to_string(), |b| format!("{b:.4}"));
-            let phases = match (seg.filter_cost, seg.refine_cost) {
-                (Some(filter), Some(refine)) => {
-                    format!(" (filter={filter:.0} + refine={refine:.0})")
-                }
-                _ => String::new(),
-            };
             let eligible = match (seg.eligible_rows, seg.filter_selectivity()) {
                 (Some(rows), Some(sel)) => format!(" eligible={rows} ({:.1}%)", sel * 100.0),
                 _ => String::new(),
@@ -190,14 +162,12 @@ impl fmt::Display for QueryExplain {
             let bits = seg.code_bits.map_or_else(String::new, |b| format!(" bits={b}"));
             writeln!(
                 f,
-                "  segment {} rows {}..{} visit#{} bound={} est={:.0} cells{}{}{}",
+                "  segment {} rows {}..{} visit#{} bound={}{}{}",
                 seg.segment,
                 seg.rows.start,
                 seg.rows.end,
                 seg.visit_position,
                 bound,
-                seg.estimated_cells,
-                phases,
                 bits,
                 eligible,
             )?;
@@ -219,13 +189,11 @@ fn plan_summary(plan: &SegmentPlan) -> String {
 pub struct SegmentAnalysis {
     /// The segment index, in row-range order.
     pub segment: usize,
-    /// The cost model's pre-execution cell estimate (from the EXPLAIN).
-    pub estimated_cells: f64,
     /// The `(candidate, dimension)` cells the scan actually evaluated —
     /// [`bond::PruneTrace::contributions_evaluated`], exactly.
     pub scanned_cells: u64,
-    /// Quantized code cells the first-pass filter (or approximate scan)
-    /// actually swept; `0` for exact scans.
+    /// Quantized code cells the first-pass filter actually swept; `0` for
+    /// exact scans.
     pub filter_cells: u64,
     /// Code columns the filter's progressive sweep got through before at
     /// most `k` candidates remained or the dimensions ran out; `0` when no
@@ -270,19 +238,13 @@ pub struct QueryAnalysis {
     /// The effective pruning rule's name (from the EXPLAIN).
     pub rule: &'static str,
     /// Whether the executed plan equals the rendered one. `None` for a
-    /// scan that ran no dimension plan (approximate codes-only and
-    /// multi-feature scans).
+    /// scan that ran no dimension plan (multi-feature scans).
     pub plan_match: Option<bool>,
     /// Per-segment audits, in segment (row-range) order.
     pub segments: Vec<SegmentAnalysis>,
 }
 
 impl QueryAnalysis {
-    /// Total estimated cells across all segments (from the EXPLAIN).
-    pub fn estimated_cells(&self) -> f64 {
-        self.segments.iter().map(|s| s.estimated_cells).sum()
-    }
-
     /// Total cells actually scanned — matches
     /// [`QueryOutcome::contributions_evaluated`] exactly.
     pub fn scanned_cells(&self) -> u64 {
@@ -293,17 +255,6 @@ impl QueryAnalysis {
     /// [`QueryOutcome::quant_filter_cells`] exactly.
     pub fn filter_cells(&self) -> u64 {
         self.segments.iter().map(|s| s.filter_cells).sum()
-    }
-
-    /// `|estimated − executed| / executed` in percent — the calibration
-    /// error the engine folds into its `planner.cost.abs_rel_error`
-    /// histogram. Executed work is [`CostModel::executed_cells`]: the
-    /// scanned exact cells plus the swept code cells at this process's
-    /// per-kernel price, the units the estimate is in.
-    pub fn abs_rel_error_pct(&self) -> f64 {
-        let executed =
-            CostModel::executed_cells(self.scanned_cells(), self.filter_cells(), Kernel::active());
-        CostModel::abs_rel_error_pct(self.estimated_cells(), executed)
     }
 
     /// Number of segments skipped outright.
@@ -322,12 +273,10 @@ impl fmt::Display for QueryAnalysis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "ANALYZE k={} rule={} estimated={:.0} scanned={} error={:.1}% plans_match={}",
+            "ANALYZE k={} rule={} scanned={} plans_match={}",
             self.k,
             self.rule,
-            self.estimated_cells(),
             self.scanned_cells(),
-            self.abs_rel_error_pct(),
             self.plans_match(),
         )?;
         for seg in &self.segments {
@@ -354,10 +303,9 @@ impl fmt::Display for QueryAnalysis {
             let kernel = seg.kernel.map_or_else(String::new, |k| format!(" kernel={k}"));
             writeln!(
                 f,
-                "  segment {}: scanned {} est {:.0}{} prune_depth@k={} rule={}{}",
+                "  segment {}: scanned {}{} prune_depth@k={} rule={}{}",
                 seg.segment,
                 seg.scanned_cells,
-                seg.estimated_cells,
                 filter,
                 depth,
                 seg.rule.unwrap_or("?"),
@@ -372,8 +320,7 @@ impl Engine {
     /// Renders the execution plan this engine would choose for `spec`,
     /// without executing it: the query's derived [`SegmentPlan`]
     /// (dimension order, warmup schedule) and, per segment, the visit-order
-    /// position, the zone-map envelope bound toward the query and the cost
-    /// model's cell estimate.
+    /// position and the zone-map envelope bound toward the query.
     ///
     /// EXPLAIN and [`Engine::execute`] share the same resolution code
     /// path, so the rendered plan is the executed plan, which
@@ -396,16 +343,14 @@ impl Engine {
         for (pos, &si) in visit_order.iter().enumerate() {
             visit_position[si] = pos;
         }
-        let feedback = self.feedback_snapshot();
         let stats = self.segment_stats();
         // the width of the companion `execute` resolves for a code scan
-        let code_bits = rq.scan.uses_codes().then_some(CostModel::DEFAULT_CODE_BITS);
+        let code_bits = rq.scan.uses_codes().then_some(vdstore::DEFAULT_CODE_BITS);
         let segments = self
             .segment_specs()
             .iter()
             .enumerate()
             .map(|(si, seg_spec)| {
-                let snapshot = &feedback.segments[si];
                 let envelope_bound = self.optimistic_bound(
                     si,
                     rq.metric.as_ref(),
@@ -413,25 +358,13 @@ impl Engine {
                     query,
                     rq.query_sum,
                 );
-                let eligible_rows = counts.as_ref().map(|c| c[si]);
-                let (estimated_cells, filter_cost, refine_cost) = self.segment_estimate(
-                    si,
-                    rq.scan,
-                    Some(snapshot),
-                    spec.k(),
-                    rq.skipping,
-                    eligible_rows,
-                );
                 SegmentExplain {
                     segment: si,
                     rows: seg_spec.range(),
                     visit_position: visit_position[si],
                     envelope_bound,
-                    estimated_cells,
-                    filter_cost,
-                    refine_cost,
                     code_bits,
-                    eligible_rows,
+                    eligible_rows: counts.as_ref().map(|c| c[si]),
                     live_rows: stats[si].live_rows,
                 }
             })
@@ -456,8 +389,7 @@ impl Engine {
     /// Renders the plan for a multi-feature request: the synchronized scan
     /// visits every segment in row order, interleaving the features'
     /// dimension blocks, so the rendered "plan" is the concatenated
-    /// dimension space under the engine's block schedule and the estimate
-    /// is the full synchronized sweep (discounted by filter selectivity).
+    /// dimension space under the engine's block schedule.
     fn explain_multifeature(
         &self,
         spec: &QuerySpec,
@@ -484,22 +416,14 @@ impl Engine {
             .segment_specs()
             .iter()
             .enumerate()
-            .map(|(si, seg_spec)| {
-                let live_rows = stats[si].live_rows;
-                let eligible_rows = counts.as_ref().map(|c| c[si]);
-                let scanned = eligible_rows.unwrap_or(live_rows);
-                SegmentExplain {
-                    segment: si,
-                    rows: seg_spec.range(),
-                    visit_position: si,
-                    envelope_bound: None,
-                    estimated_cells: (scanned * total_dims) as f64,
-                    filter_cost: None,
-                    refine_cost: None,
-                    code_bits: None,
-                    eligible_rows,
-                    live_rows,
-                }
+            .map(|(si, seg_spec)| SegmentExplain {
+                segment: si,
+                rows: seg_spec.range(),
+                visit_position: si,
+                envelope_bound: None,
+                code_bits: None,
+                eligible_rows: counts.as_ref().map(|c| c[si]),
+                live_rows: stats[si].live_rows,
             })
             .collect();
         QueryExplain {
@@ -526,8 +450,8 @@ impl Engine {
 impl QueryOutcome {
     /// Joins this executed outcome against the plan `explain` rendered for
     /// the same request: whether the executed plan matches the rendered
-    /// one and, per segment, cells scanned vs estimated, the prune depth at
-    /// which the candidate set reached `k` and skip status.
+    /// one and, per segment, the cells scanned, the prune depth at which
+    /// the candidate set reached `k` and skip status.
     ///
     /// The per-segment `scanned_cells` are exactly the summed
     /// [`bond::PruneTrace`] work counters, so
@@ -537,11 +461,9 @@ impl QueryOutcome {
         let segments = self
             .segments
             .iter()
-            .zip(&explain.segments)
             .enumerate()
-            .map(|(si, (run, rendered))| SegmentAnalysis {
+            .map(|(si, run)| SegmentAnalysis {
                 segment: si,
-                estimated_cells: rendered.estimated_cells,
                 scanned_cells: run.trace.contributions_evaluated,
                 filter_cells: run.trace.filter_cells,
                 filter_dims: run.trace.filter_dims,
@@ -598,13 +520,12 @@ mod tests {
         assert_eq!(explain.segments.len(), engine.partitions());
         assert_eq!(explain.visit_order, vec![0, 1, 2, 3]);
         assert!(!explain.skipping, "uniform planning never skips");
-        assert!(explain.estimated_cells() > 0.0);
         assert!(explain.plan.is_valid(8));
         for seg in &explain.segments {
             assert!(seg.envelope_bound.is_some());
         }
-        // rendering is purely observational: no feedback accumulated
-        assert_eq!(engine.feedback_snapshot().total_searches(), 0);
+        // rendering is purely observational: nothing was searched
+        assert_eq!(engine.metrics().counter_value(bond_obs::names::ENGINE_QUERY_COUNT), Some(0));
         let text = explain.to_string();
         assert!(text.contains("EXPLAIN k=5 rule=Hq"));
         assert!(text.contains("visit order: 0 -> 1 -> 2 -> 3"));
@@ -651,15 +572,14 @@ mod tests {
         let engine = Engine::builder(table(200, 8)).partitions(4).threads(1).build().unwrap();
         let filter = Arc::new(Bitmap::from_rows(200, (0..50).collect::<Vec<_>>().as_slice()));
         let spec = QuerySpec::new(engine.table().row(17).unwrap(), 5).filter_shared(filter);
-        let unfiltered = engine.explain(&QuerySpec::new(engine.table().row(17).unwrap(), 5));
         let explain = engine.explain(&spec).unwrap();
         assert_eq!(explain.eligible_rows, Some(50));
         // rows 0..50 live entirely in segment 0 of 4 × 50-row segments
         assert_eq!(explain.segments[0].eligible_rows, Some(50));
         assert_eq!(explain.segments[0].filter_selectivity(), Some(1.0));
         assert_eq!(explain.segments[1].eligible_rows, Some(0));
-        assert_eq!(explain.segments[1].estimated_cells, 0.0);
-        assert!(explain.estimated_cells() < unfiltered.unwrap().estimated_cells());
+        // the estimate prices eligible rows only: segment 0's 50 × 8 cells
+        assert_eq!(engine.estimate_cost(&spec), 400.0);
         let text = explain.to_string();
         assert!(text.contains("filter: 50 of 200 live rows eligible (25.0%)"), "{text}");
         assert!(text.contains("eligible=50 (100.0%)"), "{text}");
@@ -688,7 +608,7 @@ mod tests {
         assert_eq!(explain.dims, 12, "concatenated feature dimension space");
         assert_eq!(explain.segments.len(), 3);
         // full synchronized sweep: live rows × total dims per segment
-        assert_eq!(explain.estimated_cells(), (120 * 12) as f64);
+        assert_eq!(engine.estimate_cost(&spec), (120 * 12) as f64);
         let text = explain.to_string();
         assert!(
             text.contains(

@@ -34,21 +34,14 @@
 //! * **Exactness** — every segment runs the query's one
 //!   [`bond::SegmentPlan`] and refines its survivors to exact scores in
 //!   the *same* dimension order the sequential searcher uses; since the k
-//!   best rows under the total `(score, row id)` order are unique, the
-//!   merged answer is bit-identical to [`bond::BondSearcher`]'s, whatever
-//!   the planner.
+//!   best rows under the total `(score, row id)` order are unique, every
+//!   answer equals the sequential searcher's ([`bond::BondSearcher`]) bit
+//!   for bit, whatever the planner and scan mode.
 //! * **Segment skipping** — under [`PlannerKind::Adaptive`] (engine-wide
 //!   or per query) segments are visited most-promising-first by their
 //!   zone-map envelope bound, each finished segment publishes its k-th
 //!   exact score as κ, and segments whose bound provably cannot reach the
 //!   query's current κ are skipped without touching their columns.
-//! * **Execution feedback** — the engine owns a lock-free
-//!   [`bond::ExecFeedback`] store into which every query's pruning trace,
-//!   zone-map skip and merge miss folds; [`Engine::estimate_cost`] turns
-//!   those counters into per-request cost estimates through the shared
-//!   [`bond::CostModel`]. [`Engine::feedback_snapshot`] exposes them;
-//!   [`Engine::persist`] writes them alongside the store footer so a
-//!   reopened engine's estimates start warm.
 //! * **Admission control** — [`service::Server`] validates every
 //!   submitted [`QuerySpec`], queues it under its [`Priority`] class and
 //!   drains Interactive → Normal → Batch, first come first served within a
@@ -76,17 +69,13 @@
 //!   most-promising-first, κ tightened and candidates dropped after every
 //!   block: only rows whose optimistic interval bound still reaches the
 //!   query's κ fall through to `f64` refinement, and the answers stay
-//!   bit-identical to [`ScanMode::Exact`]. [`ScanMode::ApproximateQuantized`] answers
-//!   from the codes alone and reports a per-hit error bound
-//!   ([`batch::QueryOutcome::error_bounds`]). Codes persist in the store
-//!   footer, so reopened engines filter without re-encoding, and observed
-//!   filter selectivity feeds back into the cost model's estimates.
+//!   bit-identical to [`ScanMode::Exact`]. Codes persist in the store
+//!   footer, so reopened engines filter without re-encoding.
 //! * **Predicate-filtered k-NN** — [`QuerySpec::filter`] pushes an
 //!   eligible-row [`vdstore::Bitmap`] into every layer of the search: the
 //!   exact scan, κ seeding, the quantized first pass and the zone-map
 //!   segment-skip bounds all respect the filter; segments with zero
-//!   eligible rows are skipped outright, [`Engine::estimate_cost`]
-//!   discounts by per-segment selectivity, and a filter that empties the
+//!   eligible rows are skipped outright, and a filter that empties the
 //!   table is rejected at admission as
 //!   [`bond::BondError::InvalidFilter`]. Filtered answers are
 //!   bit-identical to a brute-force filter-then-scan.
@@ -170,7 +159,6 @@ pub use batch::{
     AggregateSpec, BatchOutcome, FeatureSpec, MultiFeatureSpec, Priority, QueryKind, QueryOutcome,
     QuerySpec, RequestBatch, ScanMode, SegmentRun,
 };
-pub use bond::{CostModel, FeedbackSnapshot, SegmentFeedbackSnapshot};
 pub use bond_obs::MetricsRegistry;
 pub use engine::{Engine, EngineBuilder};
 pub use explain::{QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain};

@@ -1,12 +1,11 @@
 //! The quantized-filter code companion is built once and never on the
 //! query path: an engine serving quantized-filter traffic on clustered
-//! data — warm feedback, tight per-segment selectivity, the regime that
-//! used to re-encode the store at 4 bits — keeps sweeping the one 8-bit
-//! companion, says so in EXPLAIN/ANALYZE, and persists it in the footer,
-//! from which a reopened engine seeds its cache. Stores that still carry
-//! an older writer's mixed-width footer reopen without codes.
+//! data — tight per-segment selectivity, the regime that used to re-encode
+//! the store at 4 bits — keeps sweeping the one 8-bit companion, says so
+//! in EXPLAIN/ANALYZE, and persists it in the footer, from which a
+//! reopened engine seeds its cache. Stores that still carry an older
+//! writer's mixed-width footer reopen without codes.
 
-use bond::CostModel;
 use bond_datagen::{sample_queries, ClusteredConfig};
 use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
 use bond_obs::names;
@@ -14,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use vdstore::checksum::fnv1a;
 use vdstore::persist::{store_to_bytes, store_to_bytes_with_codes};
-use vdstore::StorageBackend;
+use vdstore::{StorageBackend, DEFAULT_CODE_BITS};
 
 const ROWS: usize = 2_000;
 const DIMS: usize = 8;
@@ -43,19 +42,13 @@ fn cold_engine(threads: usize) -> Engine {
         .unwrap()
 }
 
-/// [`cold_engine`] after two rounds of quantized-filter traffic: every
-/// segment is past `CostModel::MIN_WARM_SEARCHES` with an observed filter
-/// selectivity of at most 10 %.
+/// [`cold_engine`] after two rounds of quantized-filter traffic.
 fn warmed_engine(threads: usize) -> Engine {
     let engine = cold_engine(threads);
     let queries = sample_queries(engine.table(), 12, 97);
     for _ in 0..2 {
         let warming = queries.iter().cloned().map(filter_spec).collect();
         engine.execute(&RequestBatch::from_specs(warming)).unwrap();
-    }
-    for seg in &engine.feedback_snapshot().segments {
-        assert!(seg.is_warm(CostModel::MIN_WARM_SEARCHES), "precondition: warm feedback");
-        assert!(seg.filter_selectivity().is_some_and(|s| s <= 0.1), "precondition: tight filter");
     }
     engine
 }
@@ -64,7 +57,7 @@ fn warmed_engine(threads: usize) -> Engine {
 fn the_companion_is_built_once_and_survives_traffic_and_persist() {
     let engine = warmed_engine(2);
     let before = engine.ensure_adaptive_codes().unwrap();
-    assert_eq!(before.bits(), CostModel::DEFAULT_CODE_BITS);
+    assert_eq!(before.bits(), DEFAULT_CODE_BITS);
     for q in sample_queries(engine.table(), 200, 31) {
         engine.search_spec(&filter_spec(q)).unwrap();
     }
@@ -100,7 +93,7 @@ fn explain_width_is_the_width_analyze_saw_swept() {
     let spec = filter_spec(engine.table().row(42).unwrap());
 
     let explain = engine.explain(&spec).unwrap();
-    assert!(explain.segments.iter().all(|s| s.code_bits == Some(CostModel::DEFAULT_CODE_BITS)));
+    assert!(explain.segments.iter().all(|s| s.code_bits == Some(DEFAULT_CODE_BITS)));
     let rendered = explain.to_string();
     assert!(rendered.contains("kernel="), "{rendered}");
     assert!(rendered.contains(" bits=8"), "{rendered}");
@@ -121,35 +114,13 @@ fn explain_width_is_the_width_analyze_saw_swept() {
     assert!(exact.segments.iter().all(|s| s.code_bits.is_none()));
 }
 
-#[test]
-fn feedback_does_not_change_filter_work() {
-    // one worker: with two, which segment publishes κ first is a race and
-    // survivor counts would not repeat even on one engine
-    let warm = warmed_engine(1);
-    let cold = cold_engine(1);
-    for q in sample_queries(warm.table(), 6, 555) {
-        // Plans and visit orders read no feedback, so warm and cold
-        // engines read the same cells, keep the same rows, and visit
-        // segments in the same order: what the feedback store observes
-        // never changes which code companion is swept or how much of it.
-        let on_warm = warm.search_spec(&filter_spec(q.clone())).unwrap();
-        let on_cold = cold.search_spec(&filter_spec(q)).unwrap();
-        assert!(on_warm.quant_refine_rows() > 0);
-        assert_eq!(on_warm.quant_refine_rows(), on_cold.quant_refine_rows());
-        assert_eq!(on_warm.quant_filter_cells(), on_cold.quant_filter_cells());
-        for run in on_warm.segments.iter().filter(|run| run.trace.filter_cells > 0) {
-            assert_eq!(run.trace.filter_bits, CostModel::DEFAULT_CODE_BITS);
-            assert_eq!(run.trace.filter_dims, DIMS);
-        }
-    }
-}
-
-/// The store an older warmed engine persisted: `engine`'s footer with its
-/// feedback, its 8-bit codes section rewritten to the `0` sentinel plus
+/// The store an older warmed engine persisted: `engine`'s footer with a
+/// learned-state payload (an empty `BONDFB02` record, which the engine
+/// ignores), its 8-bit codes section rewritten to the `0` sentinel plus
 /// one width per segment, and the footer checksum re-sealed.
 fn mixed_width_store_bytes(engine: &Engine, widths: &[u8]) -> Vec<u8> {
     const TRAILER_LEN: usize = 16;
-    let feedback = engine.feedback_snapshot().to_bytes();
+    let feedback = [b"BONDFB02".as_slice(), &0u32.to_le_bytes()].concat();
     let (table, specs, stats) = (engine.table(), engine.segment_specs(), engine.segment_stats());
     let codes = engine.ensure_adaptive_codes().unwrap();
     let plain = store_to_bytes(table, specs, stats, Some(&feedback)).unwrap();
@@ -159,7 +130,7 @@ fn mixed_width_store_bytes(engine: &Engine, widths: &[u8]) -> Vec<u8> {
     let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
     // the codes section starts where the plain footer's checksum sat
     let at = plain.len() - TRAILER_LEN - 8;
-    assert_eq!(bytes[at], CostModel::DEFAULT_CODE_BITS);
+    assert_eq!(bytes[at], DEFAULT_CODE_BITS);
     let mut out = bytes[..at].to_vec();
     out.push(0);
     out.extend_from_slice(widths);
@@ -195,7 +166,7 @@ fn mixed_width_footers_reopen_as_no_codes() {
         }
         // the mixed companion was dropped, the 8-bit one built on first use
         let codes = reopened.ensure_adaptive_codes().unwrap();
-        assert_eq!(codes.bits(), CostModel::DEFAULT_CODE_BITS, "{backend:?}");
+        assert_eq!(codes.bits(), DEFAULT_CODE_BITS, "{backend:?}");
         assert!(!codes.is_mapped(), "backend {backend:?}");
         assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
 
@@ -204,7 +175,7 @@ fn mixed_width_footers_reopen_as_no_codes() {
         reopened.persist(&rewritten).unwrap();
         let store = vdstore::persist::open_store(&rewritten, StorageBackend::Heap).unwrap();
         std::fs::remove_file(&rewritten).unwrap();
-        assert_eq!(store.codes.unwrap().bits(), CostModel::DEFAULT_CODE_BITS);
+        assert_eq!(store.codes.unwrap().bits(), DEFAULT_CODE_BITS);
     }
     std::fs::remove_file(&path).unwrap();
 }

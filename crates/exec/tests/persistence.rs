@@ -7,7 +7,7 @@
 //! typed errors instead of panics.
 
 use bond::BondError;
-use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind};
+use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use vdstore::{DecomposedTable, StorageBackend, VdError};
@@ -334,169 +334,62 @@ fn repartitioning_a_reopened_store_recomputes_consistently() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Learned feedback state persists alongside the store footer: a warmed
-/// engine's snapshot survives the process boundary bit for bit, and the
-/// reopened engine's cost estimates start warm — while repartitioning
-/// (which invalidates per-segment learning) starts cold again.
+/// The engine keeps no learned state: [`Engine::persist`] writes the
+/// footer's learned section empty, and a store whose footer still carries a
+/// payload — a `BONDFB02` or `BONDFB01` record an older writer left, one
+/// covering the wrong segment count, or garbage — opens on either backend
+/// and answers bit-identically to a fresh engine, exact and code-filtered.
 #[test]
-fn warmed_feedback_state_survives_persist_and_reopen() {
-    let t = table(240, DIMS);
-    let path = temp_store("feedback_roundtrip");
-    let engine = Engine::builder(t)
-        .partitions(4)
-        .threads(2)
-        .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Adaptive)
-        .build()
-        .unwrap();
+fn learned_payloads_are_ignored_on_both_backends() {
+    let build = |builder: EngineBuilder| {
+        builder.threads(2).rule(RuleKind::EuclideanEv).planner(PlannerKind::Adaptive).build()
+    };
+    let fresh = build(Engine::builder(table(240, DIMS)).partitions(4)).unwrap();
+    let path = temp_store("learned");
+    fresh.persist(&path).unwrap();
+    let written = vdstore::persist::open_store(&path, StorageBackend::Heap).unwrap();
+    assert_eq!(written.learned, None, "persist writes the learned section empty");
 
-    // warm the store, then persist
-    let warming: Vec<QuerySpec> =
-        (0..60).map(|i| QuerySpec::new(engine.table().row(i * 4).unwrap(), 5)).collect();
-    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
-    let snapshot = engine.feedback_snapshot();
-    assert!(snapshot.total_searches() > 0);
-    engine.persist(&path).unwrap();
-
-    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
-        let reopened = EngineBuilder::open_with(&path, backend)
-            .unwrap()
-            .threads(2)
-            .rule(RuleKind::EuclideanEv)
-            .planner(PlannerKind::Adaptive)
-            .build()
-            .unwrap();
-        assert_eq!(
-            reopened.feedback_snapshot(),
-            snapshot,
-            "learned state is a bit-exact copy under {backend:?}"
-        );
-        // estimates reflect the restored observations (identical inputs →
-        // identical estimates). Compare before searching: executing a
-        // query folds fresh feedback and would shift the estimate.
-        let q = reopened.table().row(17).unwrap();
-        let spec = QuerySpec::new(q.clone(), 7);
-        assert_eq!(reopened.estimate_cost(&spec), engine.estimate_cost(&spec));
-        // a warmed reopened engine still answers bit-identically
-        let outcome = reopened.search(&q, 7).unwrap();
-        let reference = reopened.sequential_reference(&q, 7).unwrap();
-        assert_eq!(outcome.hits, reference, "warm reopen {backend:?}");
-    }
-
-    // repartitioning discards the (now-misaligned) learned state
-    let repartitioned = EngineBuilder::open(&path).unwrap().partitions(7).build().unwrap();
-    assert_eq!(repartitioned.feedback_snapshot().total_searches(), 0);
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// A corrupted learned-state payload is a typed open error, not a panic —
-/// and never silently degrades into a cold engine.
-#[test]
-fn corrupt_learned_state_is_a_typed_build_error() {
-    let t = table(120, DIMS);
-    let path = temp_store("feedback_corrupt");
-    let engine = Engine::builder(t).partitions(3).threads(1).build().unwrap();
-    engine.execute(&RequestBatch::from_queries(vec![engine.table().row(0).unwrap()], 3)).unwrap();
-    engine.persist(&path).unwrap();
-
-    // locate the learned payload (it starts with the feedback magic) and
-    // flip a byte in it
-    let bytes = std::fs::read(&path).unwrap();
-    let magic = b"BONDFB02";
-    let pos = bytes.windows(magic.len()).rposition(|w| w == magic).expect("payload present");
-    let mut corrupted = bytes.clone();
-    corrupted[pos] = b'X';
-    std::fs::write(&path, &corrupted).unwrap();
-
-    // as-is, the *footer checksum* catches the flip at open time
-    let err = EngineBuilder::open_with(&path, StorageBackend::Heap)
-        .expect_err("footer corruption must fail the open");
-    assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{err}");
-
-    // patch the footer checksum to match the corrupted bytes: the open now
-    // succeeds and the *payload decoder's* own validation must catch the
-    // bad magic at build time instead (a corrupt learned state never
-    // silently degrades into a cold engine)
-    let n = corrupted.len();
-    let footer_offset = u64::from_le_bytes(corrupted[n - 16..n - 8].try_into().unwrap()) as usize;
-    let patched = vdstore::checksum::fnv1a(&corrupted[footer_offset..n - 24]);
-    corrupted[n - 24..n - 16].copy_from_slice(&patched.to_le_bytes());
-    std::fs::write(&path, &corrupted).unwrap();
-    let err = EngineBuilder::open_with(&path, StorageBackend::Heap)
-        .unwrap()
-        .build()
-        .expect_err("corrupt learned state must fail the build");
-    assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{err}");
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// A store whose learned state an earlier writer laid out as `BONDFB01` —
-/// the seven counters of every segment followed by one prune credit per
-/// dimension — reopens with its counters restored and its credits dropped;
-/// a `BONDFB01` payload whose length disagrees with its header fails the
-/// build with a typed error.
-#[test]
-fn v1_learned_state_reopens_with_its_counters_restored() {
-    let t = table(240, DIMS);
-    let path = temp_store("feedback_v1");
-    let engine = Engine::builder(t).partitions(4).threads(1).build().unwrap();
-    let warming: Vec<QuerySpec> =
-        (0..20).map(|i| QuerySpec::new(engine.table().row(i * 11).unwrap(), 5)).collect();
-    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
-    let warmed = engine.feedback_snapshot();
-    assert!(warmed.total_searches() > 0);
-
-    let v1 = |credits_per_segment: usize| {
-        let mut payload = b"BONDFB01".to_vec();
-        payload.extend_from_slice(&(DIMS as u32).to_le_bytes());
-        payload.extend_from_slice(&(warmed.segments.len() as u32).to_le_bytes());
-        for s in &warmed.segments {
-            for v in [
-                s.searches,
-                s.skips,
-                s.misses,
-                s.warmup_sum,
-                s.warmup_count,
-                s.survival_sum,
-                s.contributions,
-            ] {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            for d in 0..credits_per_segment as u64 {
-                payload.extend_from_slice(&(d * 1000).to_le_bytes());
+    // seven u64 counters per segment, as the `BONDFB02` writer laid them out
+    let counters = |segments: u32, extra_per_segment: usize| {
+        let mut payload = Vec::new();
+        for si in 0..u64::from(segments) {
+            for v in 0..(7 + extra_per_segment) as u64 {
+                payload.extend_from_slice(&(si * 100 + v + 1).to_le_bytes());
             }
         }
         payload
     };
-    let save = |payload: &[u8]| {
-        let (table, specs, stats) =
-            (engine.table(), engine.segment_specs(), engine.segment_stats());
-        vdstore::persist::save_store(table, specs, stats, Some(payload), &path).unwrap();
-    };
+    let mut fb02 = b"BONDFB02".to_vec();
+    fb02.extend_from_slice(&4u32.to_le_bytes());
+    fb02.extend(counters(4, 0));
+    let mut fb02_misaligned = b"BONDFB02".to_vec();
+    fb02_misaligned.extend_from_slice(&3u32.to_le_bytes());
+    fb02_misaligned.extend(counters(3, 0));
+    let mut fb01 = b"BONDFB01".to_vec();
+    fb01.extend_from_slice(&(DIMS as u32).to_le_bytes());
+    fb01.extend_from_slice(&4u32.to_le_bytes());
+    fb01.extend(counters(4, DIMS));
+    let garbage = b"not a learned-state payload".to_vec();
 
-    save(&v1(DIMS));
-    let reopened = EngineBuilder::open_with(&path, StorageBackend::Heap).unwrap().build().unwrap();
-    let restored = reopened.feedback_snapshot();
-    assert_eq!(restored.segments.len(), warmed.segments.len());
-    for (got, want) in restored.segments.iter().zip(&warmed.segments) {
-        // the in-memory-only code-sweep counters never reached the payload
-        let scalar = bond::SegmentFeedbackSnapshot {
-            filter_cells: 0,
-            filter_rows: 0,
-            refine_rows: 0,
-            ..want.clone()
-        };
-        assert_eq!(*got, scalar);
+    let queries: Vec<QuerySpec> = (0..4)
+        .flat_map(|i| {
+            let spec = QuerySpec::new(fresh.table().row(i * 53).unwrap(), 7);
+            [spec.clone(), spec.scan_mode(ScanMode::QuantizedFilter)]
+        })
+        .collect();
+    let expected = fresh.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+    for payload in [fb02, fb02_misaligned, fb01, garbage] {
+        let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
+        vdstore::persist::save_store(table, specs, stats, Some(&payload), &path).unwrap();
+        for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+            let reopened = build(EngineBuilder::open_with(&path, backend).unwrap()).unwrap();
+            let got = reopened.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+            for (got, want) in got.queries.iter().zip(&expected.queries) {
+                assert_eq!(got.hits, want.hits, "{backend:?}, payload {:?}", &payload[..8]);
+            }
+        }
     }
-    let q = reopened.table().row(17).unwrap();
-    assert_eq!(reopened.search(&q, 5).unwrap().hits, engine.search(&q, 5).unwrap().hits);
-
-    save(&v1(DIMS - 1));
-    let err = EngineBuilder::open_with(&path, StorageBackend::Heap)
-        .unwrap()
-        .build()
-        .expect_err("a short BONDFB01 record must fail the build");
-    assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{err}");
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -1,19 +1,16 @@
-//! The quantized scan modes' engine-level contract:
+//! The quantized scan mode's engine-level contract:
 //!
 //! * [`ScanMode::QuantizedFilter`] is **bit-identical** to
 //!   [`ScanMode::Exact`] — for every rule, any partition count, either
-//!   storage backend, and with cold or warmed feedback state. The code
-//!   sweep may only discard rows whose optimistic interval bound provably
-//!   cannot reach κ, so the exact refinement sees a superset of the true
-//!   top k and produces the very same merged answer.
-//! * [`ScanMode::ApproximateQuantized`] answers from the codes alone and
-//!   every hit's reported error bound honestly brackets its exact score.
+//!   storage backend, and whatever traffic the engine served before. The
+//!   code sweep may only discard rows whose optimistic interval bound
+//!   provably cannot reach κ, so the exact refinement sees a superset of
+//!   the true top k and produces the very same merged answer.
 //! * Codes persisted in the store footer serve a reopened engine without
 //!   re-encoding — zero-copy under the mapped backend.
 
 use bond::BondError;
 use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
-use bond_metrics::{DecomposableMetric, SquaredEuclidean};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use vdstore::{DecomposedTable, StorageBackend};
@@ -60,7 +57,6 @@ fn quantized_filter_is_bit_identical_for_every_rule_and_partitioning() {
                 // the filter phase actually ran and was accounted for
                 assert!(got.quant_filter_cells() > 0, "rule {}", rule.name());
                 assert!(got.quant_filter_selectivity().is_some());
-                assert!(got.error_bounds.is_none(), "filtered answers are exact");
                 assert_eq!(expected.quant_filter_cells(), 0);
             }
         }
@@ -68,7 +64,7 @@ fn quantized_filter_is_bit_identical_for_every_rule_and_partitioning() {
 }
 
 #[test]
-fn quantized_filter_composes_with_every_planner_and_feedback() {
+fn quantized_filter_composes_with_every_planner() {
     let t = table(360, DIMS);
     for planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
         let engine = Engine::builder(t.clone())
@@ -78,7 +74,8 @@ fn quantized_filter_composes_with_every_planner_and_feedback() {
             .rule(RuleKind::EuclideanEv)
             .build()
             .unwrap();
-        // warm the feedback store through the quantized path itself
+        // serve quantized traffic first: what the engine served before
+        // must not change an answer
         let warming: Vec<QuerySpec> = (0..40)
             .map(|i| {
                 QuerySpec::new(engine.table().row(i * 9).unwrap(), 5)
@@ -87,7 +84,7 @@ fn quantized_filter_composes_with_every_planner_and_feedback() {
             .collect();
         engine.execute(&RequestBatch::from_specs(warming)).unwrap();
 
-        // cold or warm, the filtered answer is the exact answer
+        // the filtered answer is the exact answer
         for i in [7u32, 83, 211] {
             let q = engine.table().row(i).unwrap();
             let exact = engine.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
@@ -96,73 +93,6 @@ fn quantized_filter_composes_with_every_planner_and_feedback() {
                 .unwrap();
             assert_eq!(filtered.hits, exact.hits, "planner {planner:?} query {i}");
         }
-
-        // the observed selectivity reached the learned per-segment state
-        let snapshot = engine.feedback_snapshot();
-        assert!(
-            snapshot.segments.iter().any(|s| s.filter_selectivity().is_some()),
-            "planner {planner:?}: quantized runs must feed selectivity back"
-        );
-    }
-}
-
-#[test]
-fn observed_selectivity_discounts_the_quantized_cost_estimate() {
-    let t = table(300, DIMS);
-    let engine =
-        Engine::builder(t).partitions(2).threads(1).planner(PlannerKind::Adaptive).build().unwrap();
-    let q = engine.table().row(150).unwrap();
-    let spec = QuerySpec::new(q.clone(), 5).scan_mode(ScanMode::QuantizedFilter);
-    let cold = engine.estimate_cost(&spec);
-    // cold, the model assumes every row survives: filter + full exact cost
-    assert!(cold > engine.estimate_cost(&QuerySpec::new(q, 5)));
-
-    let warming: Vec<QuerySpec> = (0..40)
-        .map(|i| {
-            QuerySpec::new(engine.table().row(i * 7).unwrap(), 5)
-                .scan_mode(ScanMode::QuantizedFilter)
-        })
-        .collect();
-    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
-    let warm = engine.estimate_cost(&spec);
-    assert!(
-        warm < cold,
-        "observed selectivity must shrink the refine estimate: warm {warm} vs cold {cold}"
-    );
-}
-
-#[test]
-fn approximate_mode_reports_honest_error_bounds() {
-    let t = table(300, DIMS);
-    let engine =
-        Engine::builder(t).partitions(3).threads(2).rule(RuleKind::EuclideanEq).build().unwrap();
-    for i in [3u32, 77, 240] {
-        let q = engine.table().row(i).unwrap();
-        let k = 10;
-        let approx = engine
-            .search_spec(&QuerySpec::new(q.clone(), k).scan_mode(ScanMode::ApproximateQuantized))
-            .unwrap();
-        assert_eq!(approx.hits.len(), k);
-        let bounds = approx.error_bounds.as_ref().expect("approximate answers carry bounds");
-        assert_eq!(bounds.len(), approx.hits.len());
-        for (hit, &err) in approx.hits.iter().zip(bounds) {
-            assert!(err.is_finite() && err >= 0.0);
-            let exact = SquaredEuclidean.score(&engine.table().row(hit.row).unwrap(), &q);
-            assert!(
-                (hit.score - exact).abs() <= err + 1e-9,
-                "row {}: |{} - {exact}| > {err}",
-                hit.row,
-                hit.score
-            );
-        }
-        // codes-only: not a single exact cell was read
-        assert_eq!(approx.contributions_evaluated(), 0);
-        assert!(approx.quant_filter_cells() > 0);
-        // 8-bit codes on this collection recover most of the exact top k
-        let exact_rows: Vec<u32> =
-            engine.search_spec(&QuerySpec::new(q, k)).unwrap().hits.iter().map(|h| h.row).collect();
-        let recalled = approx.hits.iter().filter(|h| exact_rows.contains(&h.row)).count();
-        assert!(recalled * 2 >= k, "recall@{k} collapsed: {recalled}/{k} for query row {i}");
     }
 }
 
@@ -191,30 +121,17 @@ fn engine_default_scan_mode_applies_and_spec_overrides_win() {
 }
 
 #[test]
-fn explain_renders_filter_and_refine_phases_that_sum_to_the_estimate() {
+fn analyze_joins_the_executed_filter_counters() {
     let t = table(240, DIMS);
     let engine = Engine::builder(t).partitions(3).threads(1).build().unwrap();
     let q = engine.table().row(100).unwrap();
     let spec = QuerySpec::new(q, 7).scan_mode(ScanMode::QuantizedFilter);
     let explain = engine.explain(&spec).unwrap();
     assert_eq!(explain.scan, ScanMode::QuantizedFilter);
-    for seg in &explain.segments {
-        let filter = seg.filter_cost.expect("filter phase estimated");
-        let refine = seg.refine_cost.expect("refine phase estimated");
-        assert!(filter > 0.0);
-        assert!(
-            (filter + refine - seg.estimated_cells).abs() <= 1e-9 * seg.estimated_cells.max(1.0),
-            "phases must sum to the total estimate"
-        );
-    }
     let rendered = explain.to_string();
     assert!(rendered.contains("scan=quantized-filter"), "{rendered}");
-    assert!(rendered.contains("filter="), "{rendered}");
-
-    // exact plans carry no phase split
     let exact = engine.explain(&QuerySpec::new(engine.table().row(0).unwrap(), 7)).unwrap();
     assert_eq!(exact.scan, ScanMode::Exact);
-    assert!(exact.segments.iter().all(|s| s.filter_cost.is_none() && s.refine_cost.is_none()));
 
     // ANALYZE joins the executed filter counters against the plan
     let outcome = engine.search_spec(&spec).unwrap();
@@ -319,16 +236,15 @@ proptest! {
     }
 }
 
-/// Tombstoned rows stay invisible through both quantized modes.
+/// Tombstoned rows stay invisible through the quantized filter.
 #[test]
 fn deleted_rows_never_surface_from_the_code_sweep() {
     let mut t = table(150, DIMS);
     let q = t.row(75).unwrap();
     t.delete(75).unwrap();
     let engine = Engine::builder(t).partitions(3).threads(2).build().unwrap();
-    for scan in [ScanMode::QuantizedFilter, ScanMode::ApproximateQuantized] {
-        let outcome = engine.search_spec(&QuerySpec::new(q.clone(), 5).scan_mode(scan)).unwrap();
-        assert_eq!(outcome.hits.len(), 5);
-        assert!(outcome.hits.iter().all(|h| h.row != 75), "{scan:?}");
-    }
+    let outcome =
+        engine.search_spec(&QuerySpec::new(q, 5).scan_mode(ScanMode::QuantizedFilter)).unwrap();
+    assert_eq!(outcome.hits.len(), 5);
+    assert!(outcome.hits.iter().all(|h| h.row != 75));
 }

@@ -14,8 +14,8 @@ pub struct Config {
     pub exclude_crates: Vec<String>,
     /// Path prefixes (workspace-relative, `/` separators) where atomics
     /// are permitted. Everything here holds documented lock-free state:
-    /// κ-sharing, feedback accumulators, metrics counters, span gating,
-    /// and the engine's task-claim counter.
+    /// κ-sharing, metrics counters, span gating, and the engine's
+    /// task-claim counter.
     pub atomics_allowed: Vec<String>,
     /// Files exempt from error-type hygiene. `bond-metrics` is a leaf
     /// crate (its only dependency is the vendored serde shim) and cannot
@@ -37,7 +37,6 @@ impl Config {
         Config {
             exclude_crates: vec!["lint".to_string()],
             atomics_allowed: vec![
-                "crates/core/src/feedback.rs".to_string(),
                 "crates/core/src/kappa.rs".to_string(),
                 "crates/exec/src/kappa.rs".to_string(),
                 "crates/exec/src/engine.rs".to_string(),

@@ -45,11 +45,6 @@ pub const ENGINE_KERNEL_NEON_SWEEPS: &str = "engine.kernel.neon.sweeps";
 /// Counter: quantized code companions built (one per `engine.codes.build` span).
 pub const ENGINE_CODES_BUILDS: &str = "engine.codes.builds";
 
-// --- planner metrics -----------------------------------------------------
-
-/// Histogram: per-query |estimate − scanned| / scanned, in percent.
-pub const PLANNER_COST_ABS_REL_ERROR: &str = "planner.cost.abs_rel_error";
-
 // --- store metrics -------------------------------------------------------
 
 /// Histogram: persistent-store cold-open time (µs).
@@ -117,7 +112,6 @@ pub const ALL: &[&str] = &[
     ENGINE_KERNEL_AVX2_SWEEPS,
     ENGINE_KERNEL_NEON_SWEEPS,
     ENGINE_CODES_BUILDS,
-    PLANNER_COST_ABS_REL_ERROR,
     STORE_OPEN_COLD_US,
     STORE_PERSIST_US,
     STORE_PERSIST_BYTES,

@@ -32,6 +32,12 @@ use crate::mmap::MappedRegion;
 use crate::segment::{SegmentSpec, SegmentStats};
 use crate::table::DecomposedTable;
 
+/// Code bit-width of the companion the engine's quantized filter sweeps:
+/// the full `u8` grid (256 levels) — tightest brackets. Codes occupy a byte
+/// at any width, so a narrower grid saves no traffic and only widens the
+/// brackets the exact refine has to resolve.
+pub const DEFAULT_CODE_BITS: u8 = 8;
+
 /// The scalar-quantization parameters of one (segment, dimension) cell
 /// grid: `2^bits` equi-width cells spanning `[min, max]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,8 +130,8 @@ impl CodeParams {
         }
     }
 
-    /// Midpoint reconstruction of a cell — the representative value the
-    /// approximate scan mode answers from.
+    /// Midpoint reconstruction of a cell — the value a code stands for,
+    /// within [`CodeParams::max_error`].
     #[inline]
     pub fn approximate(&self, code: u8) -> f64 {
         let (lo, hi) = self.cell_bounds(code);

@@ -57,7 +57,9 @@ pub mod topk;
 
 pub use bat::{Bat, Head};
 pub use bitmap::Bitmap;
-pub use codes::{BlockEnvelopes, CodeColumn, CodeParams, SegmentCodesView, StoreCodes};
+pub use codes::{
+    BlockEnvelopes, CodeColumn, CodeParams, SegmentCodesView, StoreCodes, DEFAULT_CODE_BITS,
+};
 pub use column::{Column, ColumnData};
 pub use error::{Result, VdError};
 pub use mmap::{Advice, MappedRegion, StorageBackend};

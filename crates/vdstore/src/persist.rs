@@ -33,8 +33,9 @@
 //!               min f64, max f64, mean f64, variance f64, skewness f64
 //!           per dim: fragment checksum u64 (FNV-1a over the fragment's
 //!             bytes in the data region)
-//!           learned_len u32, learned bytes (opaque learned-state payload,
-//!             e.g. an engine's accumulated plan feedback; 0 = none)
+//!           learned_len u32, learned bytes (opaque learned-state payload;
+//!             the execution engine writes none and ignores one it reads;
+//!             0 = none)
 //!           codes section (optional — present iff any footer bytes remain
 //!             before the footer checksum; stores written without codes are
 //!             byte-identical to the pre-codes format):
@@ -240,8 +241,9 @@ pub struct PersistedStore {
     /// order (verified already for heap opens; carried by the mapped
     /// columns for promotion-time verification).
     pub fragment_checksums: Vec<u64>,
-    /// The opaque learned-state payload persisted alongside the footer
-    /// (e.g. an engine's accumulated plan feedback), when one was written.
+    /// The opaque learned-state payload persisted alongside the footer,
+    /// when one was written (the execution engine writes none and ignores
+    /// one it reads).
     pub learned: Option<Vec<u8>>,
     /// The per-segment quantized code companions from the footer, when the
     /// store was written with them ([`save_store_with_codes`]) — a cold
@@ -352,8 +354,7 @@ fn store_footer(
 /// Serialises a table plus its partition boundaries and cached per-segment
 /// statistics into the v2 store format, in memory, computing each
 /// fragment's FNV-1a checksum as it is written and embedding `learned` (an
-/// opaque learned-state payload, e.g. accumulated plan feedback) in the
-/// footer. For large collections prefer [`save_store`], which streams the
+/// opaque learned-state payload) in the footer. For large collections prefer [`save_store`], which streams the
 /// data region to disk instead of materialising a second copy of every
 /// fragment.
 ///
@@ -482,7 +483,7 @@ fn write_v2(
 /// Partitions the table, computes the per-segment statistics, and writes the
 /// v2 store in one call — the convenience entry point for callers that do
 /// not already hold cached statistics (the execution engine does, and passes
-/// them — plus its learned feedback state — to [`save_store`] directly).
+/// them to [`save_store_with_codes`] directly).
 pub fn write_store(
     table: &DecomposedTable,
     partitions: usize,

@@ -7,12 +7,12 @@
 //! ```
 //!
 //! Builds a clustered, cluster-major collection (the regime where adaptive
-//! planning skips whole segments), warms a `PlannerKind::Adaptive`
-//! engine's feedback store, then walks the full observability surface:
-//! `Engine::explain` renders the query's plan, the visit order and the
-//! per-segment estimates *without executing*; `QueryOutcome::analyze` joins that
-//! rendered plan with the executed `PruneTrace` (estimated vs. scanned
-//! cells, prune depth, skip status, plan match); the span ring buffer
+//! planning skips whole segments) behind a `PlannerKind::Adaptive` engine,
+//! then walks the full observability surface: `Engine::explain` renders
+//! the query's plan, the visit order and the per-segment envelope bounds
+//! *without executing*; `QueryOutcome::analyze` joins that rendered plan
+//! with the executed `PruneTrace` (scanned cells, prune depth, skip
+//! status, plan match); the span ring buffer
 //! shows where the batch's wall time went; and
 //! `MetricsRegistry::render_text` / `render_json` export the counters in
 //! Prometheus-style text and the benches' `BENCH_JSON` convention.
@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use bond_datagen::{sample_queries, ClusteredConfig};
-use bond_exec::{Engine, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
+use bond_exec::{Engine, PlannerKind, QuerySpec, RuleKind, ScanMode};
 use bond_obs::span;
 
 fn main() {
@@ -48,21 +48,13 @@ fn main() {
 
     // 2. Turn the span subscriber on (a single atomic flag; while it is
     //    off — the default — every instrumented stage costs one relaxed
-    //    load) and warm the feedback store so the cost estimates come from
-    //    observed prune traces rather than the full-work prior.
+    //    load).
     span::set_enabled(true);
-    let warming = RequestBatch::from_queries(sample_queries(&table, 100, 99), k);
-    engine.execute(&warming).expect("warming batch executes");
-    println!(
-        "warmed on {} queries: {} searches folded into the feedback store",
-        warming.len(),
-        engine.feedback_snapshot().total_searches(),
-    );
 
     // 3. EXPLAIN: render the plan the engine *would* run — visit order
     //    (nearest envelope first), the query's one dimension ordering and
-    //    block schedule, per-segment envelope bound and estimated cells —
-    //    without executing anything.
+    //    block schedule, per-segment envelope bound — without executing
+    //    anything.
     let spec = QuerySpec::new(sample_queries(&table, 1, 4321).remove(0), k);
     let explain = engine.explain(&spec).expect("explainable query");
     println!("\n{explain}");
@@ -78,10 +70,10 @@ fn main() {
     assert_eq!(analysis.scanned_cells(), outcome.contributions_evaluated());
 
     // 5. The same request through the quantized first pass: EXPLAIN now
-    //    splits every segment's estimate into a filter phase (the u8 code
-    //    sweep) and a refine phase (exact f64 work scaled by the observed
-    //    filter selectivity), ANALYZE joins the executed filter counters,
-    //    and the answer stays bit-identical to the exact scan.
+    //    names the code width every segment sweeps, ANALYZE joins the
+    //    executed filter counters (code cells swept, columns, skipped
+    //    blocks, κ probes, rows refined exactly), and the answer stays
+    //    bit-identical to the exact scan.
     let quantized = spec.clone().scan_mode(ScanMode::QuantizedFilter);
     let qexplain = engine.explain(&quantized).expect("explainable query");
     println!("{qexplain}");

@@ -5,6 +5,10 @@
 //! `examples/` and the cross-crate integration tests under `tests/` have a
 //! single, convenient dependency. Library users should depend on the
 //! individual crates (`bond-core`, `vdstore`, …) directly.
+//!
+//! The contract the crates keep: every answer the engine returns equals the
+//! sequential searcher's bit for bit, whatever the planner, scan mode,
+//! partitioning or kernel.
 
 #![warn(missing_docs)]
 
@@ -18,8 +22,8 @@ pub use bond_relalg as relalg;
 pub use vdstore;
 
 pub use bond_exec::{
-    CostModel, Engine, EngineBuilder, FeedbackSnapshot, PlannerKind, Priority, QuerySpec,
-    RequestBatch, RuleKind, ScanMode, SegmentFeedbackSnapshot, Server, ServerBuilder, Ticket,
+    Engine, EngineBuilder, PlannerKind, Priority, QuerySpec, RequestBatch, RuleKind, ScanMode,
+    Server, ServerBuilder, Ticket,
 };
 
 pub use bond_exec::{
