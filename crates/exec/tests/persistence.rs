@@ -334,62 +334,147 @@ fn repartitioning_a_reopened_store_recomputes_consistently() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The engine keeps no learned state: [`Engine::persist`] writes the
-/// footer's learned section empty, and a store whose footer still carries a
-/// payload — a `BONDFB02` or `BONDFB01` record an older writer left, one
-/// covering the wrong segment count, or garbage — opens on either backend
-/// and answers bit-identically to a fresh engine, exact and code-filtered.
+fn build_adaptive(builder: EngineBuilder) -> Result<Engine, BondError> {
+    builder.threads(2).rule(RuleKind::EuclideanEv).planner(PlannerKind::Adaptive).build()
+}
+
+/// Exact and code-filtered specs over a few of the table's own rows.
+fn mixed_specs(engine: &Engine) -> Vec<QuerySpec> {
+    (0..4)
+        .flat_map(|i| {
+            let spec = QuerySpec::new(engine.table().row(i * 53).unwrap(), 7);
+            [spec.clone(), spec.scan_mode(ScanMode::QuantizedFilter)]
+        })
+        .collect()
+}
+
+/// `segments` records of seven u64 counters plus `extra_per_segment` more,
+/// as the `BONDFB02` (`extra_per_segment == 0`) and `BONDFB01` writers laid
+/// them out.
+fn learned_counters(segments: u32, extra_per_segment: usize) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for si in 0..u64::from(segments) {
+        for v in 0..(7 + extra_per_segment) as u64 {
+            payload.extend_from_slice(&(si * 100 + v + 1).to_le_bytes());
+        }
+    }
+    payload
+}
+
+/// Rewrites `fresh`'s store at `path` with `payload` in the footer's learned
+/// section, then checks that both backends reopen it into an engine that
+/// answers `fresh`'s mixed specs bit-identically.
+fn assert_payload_is_ignored(fresh: &Engine, path: &PathBuf, payload: &[u8]) {
+    let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
+    vdstore::persist::save_store(table, specs, stats, Some(payload), path).unwrap();
+    let queries = mixed_specs(fresh);
+    let expected = fresh.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+        let reopened = build_adaptive(EngineBuilder::open_with(path, backend).unwrap()).unwrap();
+        let got = reopened.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+        for (got, want) in got.queries.iter().zip(&expected.queries) {
+            assert_eq!(got.hits, want.hits, "{backend:?}, payload {:?}", &payload[..8]);
+        }
+    }
+}
+
+/// The engine keeps no learned state: after serving traffic,
+/// [`Engine::persist`] writes the footer's learned section empty, and the
+/// store reopens on either backend with the same cost estimate and the same
+/// answers, exact and code-filtered — and repartitions like a fresh store.
 #[test]
-fn learned_payloads_are_ignored_on_both_backends() {
-    let build = |builder: EngineBuilder| {
-        builder.threads(2).rule(RuleKind::EuclideanEv).planner(PlannerKind::Adaptive).build()
-    };
-    let fresh = build(Engine::builder(table(240, DIMS)).partitions(4)).unwrap();
-    let path = temp_store("learned");
-    fresh.persist(&path).unwrap();
+fn persist_writes_no_learned_state_after_traffic() {
+    let engine = build_adaptive(Engine::builder(table(240, DIMS)).partitions(4)).unwrap();
+    let path = temp_store("no_learned_state");
+    let warming: Vec<QuerySpec> =
+        (0..60).map(|i| QuerySpec::new(engine.table().row(i * 4).unwrap(), 5)).collect();
+    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
+    engine.persist(&path).unwrap();
     let written = vdstore::persist::open_store(&path, StorageBackend::Heap).unwrap();
     assert_eq!(written.learned, None, "persist writes the learned section empty");
 
-    // seven u64 counters per segment, as the `BONDFB02` writer laid them out
-    let counters = |segments: u32, extra_per_segment: usize| {
-        let mut payload = Vec::new();
-        for si in 0..u64::from(segments) {
-            for v in 0..(7 + extra_per_segment) as u64 {
-                payload.extend_from_slice(&(si * 100 + v + 1).to_le_bytes());
-            }
-        }
-        payload
-    };
-    let mut fb02 = b"BONDFB02".to_vec();
-    fb02.extend_from_slice(&4u32.to_le_bytes());
-    fb02.extend(counters(4, 0));
-    let mut fb02_misaligned = b"BONDFB02".to_vec();
-    fb02_misaligned.extend_from_slice(&3u32.to_le_bytes());
-    fb02_misaligned.extend(counters(3, 0));
-    let mut fb01 = b"BONDFB01".to_vec();
-    fb01.extend_from_slice(&(DIMS as u32).to_le_bytes());
-    fb01.extend_from_slice(&4u32.to_le_bytes());
-    fb01.extend(counters(4, DIMS));
-    let garbage = b"not a learned-state payload".to_vec();
-
-    let queries: Vec<QuerySpec> = (0..4)
-        .flat_map(|i| {
-            let spec = QuerySpec::new(fresh.table().row(i * 53).unwrap(), 7);
-            [spec.clone(), spec.scan_mode(ScanMode::QuantizedFilter)]
-        })
-        .collect();
-    let expected = fresh.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
-    for payload in [fb02, fb02_misaligned, fb01, garbage] {
-        let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
-        vdstore::persist::save_store(table, specs, stats, Some(&payload), &path).unwrap();
-        for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
-            let reopened = build(EngineBuilder::open_with(&path, backend).unwrap()).unwrap();
-            let got = reopened.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
-            for (got, want) in got.queries.iter().zip(&expected.queries) {
-                assert_eq!(got.hits, want.hits, "{backend:?}, payload {:?}", &payload[..8]);
-            }
+    let queries = mixed_specs(&engine);
+    let expected = engine.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+        let reopened = build_adaptive(EngineBuilder::open_with(&path, backend).unwrap()).unwrap();
+        let spec = QuerySpec::new(reopened.table().row(17).unwrap(), 7);
+        assert_eq!(reopened.estimate_cost(&spec), engine.estimate_cost(&spec), "{backend:?}");
+        let got = reopened.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
+        for (got, want) in got.queries.iter().zip(&expected.queries) {
+            assert_eq!(got.hits, want.hits, "{backend:?}");
         }
     }
+
+    let repartitioned = build_adaptive(EngineBuilder::open(&path).unwrap().partitions(7)).unwrap();
+    let q = engine.table().row(42).unwrap();
+    assert_eq!(repartitioned.search(&q, 9).unwrap().hits, engine.search(&q, 9).unwrap().hits);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A store whose learned state an earlier writer laid out as `BONDFB01` —
+/// the seven counters of every segment followed by one prune credit per
+/// dimension — opens on either backend and answers bit-identically to a
+/// fresh engine; so does a `BONDFB01` record whose length disagrees with
+/// its header, since the payload is never decoded.
+#[test]
+fn v1_learned_state_is_ignored_on_reopen() {
+    let fresh = build_adaptive(Engine::builder(table(240, DIMS)).partitions(4)).unwrap();
+    let path = temp_store("learned_v1");
+    for credits in [DIMS, DIMS - 1] {
+        let mut fb01 = b"BONDFB01".to_vec();
+        fb01.extend_from_slice(&(DIMS as u32).to_le_bytes());
+        fb01.extend_from_slice(&4u32.to_le_bytes());
+        fb01.extend(learned_counters(4, credits));
+        assert_payload_is_ignored(&fresh, &path, &fb01);
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A bit flip in the footer's learned section is a typed open error on
+/// either backend — the footer checksum covers it. A payload whose bytes
+/// are intact but which the engine cannot use (a `BONDFB02` record covering
+/// the wrong segment count, one whose checksum was patched after a flip, or
+/// garbage) opens and answers bit-identically to a fresh engine.
+#[test]
+fn corrupt_learned_state_is_a_typed_build_error() {
+    let fresh = build_adaptive(Engine::builder(table(240, DIMS)).partitions(4)).unwrap();
+    let path = temp_store("learned_corrupt");
+    let mut fb02 = b"BONDFB02".to_vec();
+    fb02.extend_from_slice(&4u32.to_le_bytes());
+    fb02.extend(learned_counters(4, 0));
+    let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
+    vdstore::persist::save_store(table, specs, stats, Some(&fb02), &path).unwrap();
+
+    // locate the learned payload by its magic and flip a byte in it
+    let bytes = std::fs::read(&path).unwrap();
+    let magic = b"BONDFB02";
+    let pos = bytes.windows(magic.len()).rposition(|w| w == magic).expect("payload present");
+    let mut corrupted = bytes.clone();
+    corrupted[pos] = b'X';
+    std::fs::write(&path, &corrupted).unwrap();
+    for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+        let err = EngineBuilder::open_with(&path, backend)
+            .expect_err("learned-section corruption must fail the open");
+        assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{backend:?}: {err}");
+    }
+
+    // with the footer checksum patched to match, the store is well formed
+    // and the unreadable payload is ignored
+    let n = corrupted.len();
+    let footer_offset = u64::from_le_bytes(corrupted[n - 16..n - 8].try_into().unwrap()) as usize;
+    let patched = vdstore::checksum::fnv1a(&corrupted[footer_offset..n - 24]);
+    corrupted[n - 24..n - 16].copy_from_slice(&patched.to_le_bytes());
+    std::fs::write(&path, &corrupted).unwrap();
+    let reopened = build_adaptive(EngineBuilder::open_with(&path, StorageBackend::Heap).unwrap())
+        .expect("an intact store with an unusable learned payload builds");
+    let q = fresh.table().row(17).unwrap();
+    assert_eq!(reopened.search(&q, 7).unwrap().hits, fresh.search(&q, 7).unwrap().hits);
+
+    let mut fb02_misaligned = b"BONDFB02".to_vec();
+    fb02_misaligned.extend_from_slice(&3u32.to_le_bytes());
+    fb02_misaligned.extend(learned_counters(3, 0));
+    assert_payload_is_ignored(&fresh, &path, &fb02_misaligned);
+    assert_payload_is_ignored(&fresh, &path, b"not a learned-state payload");
     std::fs::remove_file(&path).unwrap();
 }
 
