@@ -820,8 +820,9 @@ pub fn fill_best_lut(
 }
 
 /// Dense exact accumulate of one column: `acc[i] += op(dim, values[i],
-/// query)` for every row `i`. `values` and `acc` must be the same length.
-/// The exact search sums whole blocks of columns with [`accumulate_block`].
+/// query)` for every row `i` — a one-column [`accumulate_block`]. `values`
+/// and `acc` must be the same length. The exact search sums whole blocks of
+/// columns with [`accumulate_block`] directly.
 pub fn accumulate(
     kernel: Kernel,
     op: KernelOp<'_>,
@@ -830,18 +831,7 @@ pub fn accumulate(
     query: f64,
     acc: &mut [f64],
 ) {
-    assert_eq!(values.len(), acc.len(), "accumulate: values and accumulator disagree on rows");
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if Kernel::Avx2.is_supported() => {
-            // SAFETY: AVX2 availability was just checked; equal slice
-            // lengths are asserted above.
-            unsafe { x86::accumulate_avx2(op, dim, values, query, acc) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => neon::accumulate_neon(op, dim, values, query, acc),
-        _ => accumulate_scalar(op, dim, values, query, acc),
-    }
+    accumulate_block(kernel, op, &[dim], &[values], &[query], acc, None, false);
 }
 
 /// Gathered exact accumulate for an explicit candidate list:
@@ -1718,39 +1708,6 @@ mod x86 {
                 let d = _mm256_sub_pd(v, q);
                 _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(w[dim]), d), d)
             }
-        }
-    }
-
-    /// Dense AVX2 accumulate of one column: 4 contiguous rows per
-    /// iteration.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 and `values.len() == acc.len()`.
-    // SAFETY: dispatched from `accumulate` only after `is_supported` and
-    // the length assert; pointer arithmetic stays inside those bounds.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_avx2(
-        op: KernelOp<'_>,
-        dim: usize,
-        values: &[f64],
-        query: f64,
-        acc: &mut [f64],
-    ) {
-        let n = values.len();
-        let q = _mm256_set1_pd(query);
-        let vp = values.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(vp.add(i));
-            let c = contribution_quad(op, dim, v, q);
-            let a = _mm256_loadu_pd(ap.add(i));
-            _mm256_storeu_pd(ap.add(i), _mm256_add_pd(a, c));
-            i += 4;
-        }
-        while i < n {
-            *ap.add(i) += op.apply(dim, *vp.add(i), query);
-            i += 1;
         }
     }
 

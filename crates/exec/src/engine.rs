@@ -58,7 +58,7 @@ use std::time::Instant;
 use vdstore::persist::{open_store, save_store_with_codes, validate_store_inputs, PersistedStore};
 use vdstore::topk::Scored;
 use vdstore::{
-    ascending_nan_last, descending_nan_last, Advice, Bitmap, DecomposedTable, Envelope, Segment,
+    ascending_nan_last, descending_nan_last, Bitmap, DecomposedTable, Envelope, Segment,
     SegmentSpec, SegmentStats, StorageBackend, StoreCodes, TopKLargest, TopKSmallest,
     DEFAULT_CODE_BITS,
 };
@@ -530,9 +530,6 @@ struct Pass<'b> {
     segments: Vec<Segment<'b>>,
     /// The `T(x)` table, when any request's rule needs it.
     row_sums: Option<&'b [f64]>,
-    /// Whether the columns are served by a file mapping — the only case
-    /// where access-pattern advice reaches a kernel.
-    mapped: bool,
 }
 
 /// One `(query, segment)` task's inputs: the pass, the query, and the
@@ -1119,8 +1116,7 @@ impl Engine {
         let row_sums = topk()
             .any(|run| run.query.rule.needs_total_mass())
             .then(|| inner.row_sums.get_or_init(|| inner.table.row_sums()).as_slice());
-        let mapped = inner.table.backend() == StorageBackend::Mapped;
-        Ok(Pass { resolved, segments, row_sums, mapped })
+        Ok(Pass { resolved, segments, row_sums })
     }
 
     /// One `(query, segment)` task: the query at `qi`, at position `pos` of
@@ -1189,15 +1185,6 @@ impl Engine {
         let _scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
         let mut rule = run.query.rule.make_rule();
         let plan = &run.query.plan;
-        // Mapped backend: hint the kernel about the exact scan the plan is
-        // about to run — the first block's fragment slices are certain to
-        // be read front to back. A code-filtered task's first block reads
-        // code bytes instead, and only its survivors' cells after that, so
-        // it gets no hint.
-        if pass.mapped && run.codes.is_none() {
-            let first_block = plan.schedule.next_block(0, inner.table.dims(), 0);
-            segment.advise(plan.order.iter().take(first_block).copied(), Advice::Sequential);
-        }
         // QuantizedFilter: hand the segment's code window to the searcher,
         // which sweeps it as a first pass and exactly refines only the
         // surviving rows.

@@ -3,17 +3,18 @@
 //! data — tight per-segment selectivity, the regime that used to re-encode
 //! the store at 4 bits — keeps sweeping the one 8-bit companion, says so
 //! in EXPLAIN/ANALYZE, and persists it in the footer, from which a
-//! reopened engine seeds its cache. Stores that still carry an older
-//! writer's mixed-width footer reopen without codes.
+//! reopened engine seeds its cache. A footer in an older writer's
+//! mixed-width form fails the open as corrupt.
 
+use bond::BondError;
 use bond_datagen::{sample_queries, ClusteredConfig};
 use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
 use bond_obs::names;
 use std::path::PathBuf;
 use std::sync::Arc;
 use vdstore::checksum::fnv1a;
-use vdstore::persist::{store_to_bytes, store_to_bytes_with_codes};
-use vdstore::{StorageBackend, DEFAULT_CODE_BITS};
+use vdstore::persist::store_to_bytes_with_codes;
+use vdstore::{StorageBackend, VdError, DEFAULT_CODE_BITS};
 
 const ROWS: usize = 2_000;
 const DIMS: usize = 8;
@@ -123,7 +124,7 @@ fn mixed_width_store_bytes(engine: &Engine, widths: &[u8]) -> Vec<u8> {
     let feedback = [b"BONDFB02".as_slice(), &0u32.to_le_bytes()].concat();
     let (table, specs, stats) = (engine.table(), engine.segment_specs(), engine.segment_stats());
     let codes = engine.ensure_adaptive_codes().unwrap();
-    let plain = store_to_bytes(table, specs, stats, Some(&feedback)).unwrap();
+    let plain = store_to_bytes_with_codes(table, specs, stats, Some(&feedback), None).unwrap();
     let bytes =
         store_to_bytes_with_codes(table, specs, stats, Some(&feedback), Some(&*codes)).unwrap();
     let trailer = &bytes[bytes.len() - TRAILER_LEN..];
@@ -148,34 +149,13 @@ fn mixed_width_footers_reopen_as_no_codes() {
     let path = temp_store("mixed");
     std::fs::write(&path, mixed_width_store_bytes(&engine, &widths)).unwrap();
 
-    let queries = sample_queries(engine.table(), 4, 777);
+    // the `0` width sentinel is outside 1..=8: corrupt on either backend,
+    // from the bare store reader and from the engine builder alike
     for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
-        let reopened = EngineBuilder::open_with(&path, backend)
-            .unwrap()
-            .threads(2)
-            .rule(RuleKind::EuclideanEv)
-            .scan_mode(ScanMode::QuantizedFilter)
-            .build()
-            .unwrap();
-        for q in &queries {
-            let exact = reopened
-                .search_spec(&QuerySpec::new(q.clone(), 10).scan_mode(ScanMode::Exact))
-                .unwrap();
-            let got = reopened.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
-            assert_eq!(got.hits, exact.hits, "backend {backend:?}");
-        }
-        // the mixed companion was dropped, the 8-bit one built on first use
-        let codes = reopened.ensure_adaptive_codes().unwrap();
-        assert_eq!(codes.bits(), DEFAULT_CODE_BITS, "{backend:?}");
-        assert!(!codes.is_mapped(), "backend {backend:?}");
-        assert_eq!(reopened.metrics().counter_value(names::ENGINE_CODES_BUILDS), Some(1));
-
-        // and persisting it again writes the single-width form
-        let rewritten = temp_store("rewritten");
-        reopened.persist(&rewritten).unwrap();
-        let store = vdstore::persist::open_store(&rewritten, StorageBackend::Heap).unwrap();
-        std::fs::remove_file(&rewritten).unwrap();
-        assert_eq!(store.codes.unwrap().bits(), DEFAULT_CODE_BITS);
+        let err = vdstore::persist::open_store(&path, backend).unwrap_err();
+        assert!(matches!(err, VdError::Corrupt(ref m) if m.contains("code bits")), "{err}");
+        let err = EngineBuilder::open_with(&path, backend).err().unwrap();
+        assert!(matches!(err, BondError::Storage(VdError::Corrupt(_))), "{backend:?}: {err}");
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -366,7 +366,8 @@ fn learned_counters(segments: u32, extra_per_segment: usize) -> Vec<u8> {
 /// answers `fresh`'s mixed specs bit-identically.
 fn assert_payload_is_ignored(fresh: &Engine, path: &PathBuf, payload: &[u8]) {
     let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
-    vdstore::persist::save_store(table, specs, stats, Some(payload), path).unwrap();
+    vdstore::persist::save_store_with_codes(table, specs, stats, Some(payload), None, path)
+        .unwrap();
     let queries = mixed_specs(fresh);
     let expected = fresh.execute(&RequestBatch::from_specs(queries.clone())).unwrap();
     for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
@@ -443,7 +444,7 @@ fn corrupt_learned_state_is_a_typed_build_error() {
     fb02.extend_from_slice(&4u32.to_le_bytes());
     fb02.extend(learned_counters(4, 0));
     let (table, specs, stats) = (fresh.table(), fresh.segment_specs(), fresh.segment_stats());
-    vdstore::persist::save_store(table, specs, stats, Some(&fb02), &path).unwrap();
+    vdstore::persist::save_store_with_codes(table, specs, stats, Some(&fb02), None, &path).unwrap();
 
     // locate the learned payload by its magic and flip a byte in it
     let bytes = std::fs::read(&path).unwrap();

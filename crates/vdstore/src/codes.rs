@@ -78,11 +78,6 @@ impl CodeParams {
     /// without going through a bounds array.
     #[inline]
     pub fn cell_width(&self) -> f64 {
-        self.width()
-    }
-
-    #[inline]
-    fn width(&self) -> f64 {
         if self.max > self.min {
             (self.max - self.min) / self.levels() as f64
         } else {
@@ -95,7 +90,7 @@ impl CodeParams {
     /// `[min, max]` clamp to the edge cells.
     #[inline]
     pub fn encode(&self, value: f64) -> u8 {
-        let width = self.width();
+        let width = self.cell_width();
         if width == 0.0 {
             return 0;
         }
@@ -107,7 +102,7 @@ impl CodeParams {
     /// of this segment's rows that encoded to `code` lies inside it.
     #[inline]
     pub fn cell_bounds(&self, code: u8) -> (f64, f64) {
-        let width = self.width();
+        let width = self.cell_width();
         let lo = self.min + code as f64 * width;
         let hi = (self.min + (code as u32 + 1) as f64 * width).min(self.max);
         (lo.min(self.max), hi)
@@ -119,7 +114,7 @@ impl CodeParams {
     /// per-level bounds table for every (query, segment, dimension), so
     /// the per-cell division is measurable there.
     pub fn fill_cell_bounds(&self, out: &mut [(f64, f64)]) {
-        let width = self.width();
+        let width = self.cell_width();
         // the cell index converts through `i32`: exact for every level
         // count (≤ 256), and — unlike `usize as f64` — a conversion the
         // auto-vectorizer has a packed instruction for
@@ -128,20 +123,6 @@ impl CodeParams {
             let hi = (self.min + (c as i32 + 1) as f64 * width).min(self.max);
             *slot = (lo.min(self.max), hi);
         }
-    }
-
-    /// Midpoint reconstruction of a cell — the value a code stands for,
-    /// within [`CodeParams::max_error`].
-    #[inline]
-    pub fn approximate(&self, code: u8) -> f64 {
-        let (lo, hi) = self.cell_bounds(code);
-        0.5 * (lo + hi)
-    }
-
-    /// Maximum absolute error of the midpoint reconstruction: half a cell.
-    #[inline]
-    pub fn max_error(&self) -> f64 {
-        0.5 * self.width()
     }
 }
 
@@ -571,18 +552,18 @@ mod tests {
             let code = p.encode(v);
             let (lo, hi) = p.cell_bounds(code);
             assert!(lo <= v + 1e-12 && v <= hi + 1e-12, "bracket broken at {v}");
-            assert!((p.approximate(code) - v).abs() <= p.max_error() + 1e-12);
+            assert!(hi - lo <= p.cell_width() + 1e-12, "cell {code} wider than the grid's");
         }
         // out-of-range values clamp to edge cells
         assert_eq!(p.encode(-3.0), 0);
         assert_eq!(p.encode(3.0), 15);
         // more bits, narrower cells
-        assert!(CodeParams::new(0.0, 1.0, 8).unwrap().max_error() < p.max_error());
+        assert!(CodeParams::new(0.0, 1.0, 8).unwrap().cell_width() < p.cell_width());
         // degenerate range: one exact cell
         let flat = CodeParams::new(0.5, 0.5, 8).unwrap();
         assert_eq!(flat.encode(0.7), 0);
         assert_eq!(flat.cell_bounds(0), (0.5, 0.5));
-        assert_eq!(flat.max_error(), 0.0);
+        assert_eq!(flat.cell_width(), 0.0);
     }
 
     #[test]
@@ -633,7 +614,7 @@ mod tests {
         let global = CodeParams::new(0.0, 2.09, 8).unwrap();
         for si in 0..3 {
             let seg = codes.segment_view(si).unwrap().params(0);
-            assert!(seg.max_error() < global.max_error());
+            assert!(seg.cell_width() < global.cell_width());
         }
     }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checksum::fnv1a;
 use crate::error::{Result, VdError};
-use crate::mmap::{Advice, MappedRegion, StorageBackend};
+use crate::mmap::{MappedRegion, StorageBackend};
 use crate::RowId;
 use std::sync::Arc;
 
@@ -69,19 +69,6 @@ impl ColumnData {
         // Validate once; `as_slice` relies on it.
         region.f64_slice(byte_offset, len)?;
         Ok(ColumnData::Mapped { region, byte_offset, len, checksum })
-    }
-
-    /// Applies an access-pattern hint to the mapped byte range backing this
-    /// data (no-op for heap data): `rows` restricts the hint to a row
-    /// sub-range, clamped to the fragment.
-    fn advise(&self, rows: std::ops::Range<usize>, advice: Advice) {
-        if let ColumnData::Mapped { region, byte_offset, len, .. } = self {
-            let start = rows.start.min(*len);
-            let end = rows.end.min(*len);
-            if start < end {
-                region.advise(byte_offset + start * 8, (end - start) * 8, advice);
-            }
-        }
     }
 
     /// Verifies the fragment's bytes against its persisted checksum, when
@@ -303,12 +290,6 @@ impl Column {
         self.data.verify(&self.name)
     }
 
-    /// Applies an access-pattern hint to the rows of a mapped fragment
-    /// (no-op for heap columns and off unix) — see [`Advice`].
-    pub fn advise_rows(&self, rows: std::ops::Range<usize>, advice: Advice) {
-        self.data.advise(rows, advice);
-    }
-
     /// Gathers the values of the given rows (a positional join with a
     /// materialised candidate list, cf. step 3 of the MIL program).
     pub fn gather(&self, rows: &[RowId]) -> Vec<f64> {
@@ -512,20 +493,6 @@ mod tests {
             assert_eq!(corrupt.backend(), StorageBackend::Mapped);
             assert!(corrupt.verify_checksum().is_err());
             // an unguarded mapping (no checksum) promotes without checks
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn advise_on_any_backend_is_a_no_op_for_correctness() {
-            let values = [1.0, 2.0, 3.0, 4.0];
-            let (c, path) = mapped_column(&values);
-            c.advise_rows(0..4, Advice::Sequential);
-            c.advise_rows(1..3, Advice::Random);
-            c.advise_rows(3..100, Advice::Normal); // clamped
-            assert_eq!(c.values(), &values);
-            let heap = Column::new("h", values.to_vec());
-            heap.advise_rows(0..4, Advice::Random); // heap: no-op
-            assert_eq!(heap.values(), &values);
             std::fs::remove_file(&path).unwrap();
         }
     }

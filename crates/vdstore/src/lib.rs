@@ -19,17 +19,16 @@
 //!   iterations before the engine switches to materialised candidate lists,
 //! * [`codes`] builds the per-segment `u8` code companions — the one
 //!   scalar quantization of the workspace: the execution engine's
-//!   quantized first-pass filter sweeps them (persisted in the v2 footer
+//!   quantized first-pass filter sweeps them (persisted in the store footer
 //!   and exposed zero-copy on the mapped backend), and the VA-File
 //!   baseline and the Figure 9 / Table 4 experiments build a one-segment
 //!   companion,
 //! * [`stats`] computes the dataset statistics of Figure 2 that motivate the
 //!   dimension-ordering heuristics,
-//! * [`persist`] serialises decomposed tables to a simple binary format
-//!   (v1) and, since the persistent segment store (v2), writes the column
-//!   fragments 8-byte aligned with a stats/zone-map footer so a reopened
-//!   store hands its partition boundaries and [`SegmentStats`] to a planner
-//!   before any data page is touched,
+//! * [`persist`] writes the persistent segment store: the column fragments
+//!   8-byte aligned with a stats/zone-map footer, so a reopened store hands
+//!   its partition boundaries and [`SegmentStats`] to a planner before any
+//!   data page is touched,
 //! * [`mmap`] provides the file-backed [`MappedRegion`] a reopened store's
 //!   columns can view zero-copy ([`StorageBackend::Mapped`]), with heap
 //!   decoding ([`StorageBackend::Heap`]) as the portable fallback.
@@ -62,7 +61,7 @@ pub use codes::{
 };
 pub use column::{Column, ColumnData};
 pub use error::{Result, VdError};
-pub use mmap::{Advice, MappedRegion, StorageBackend};
+pub use mmap::{MappedRegion, StorageBackend};
 pub use persist::{PersistReport, PersistedStore};
 pub use rowmatrix::RowMatrix;
 pub use segment::{Envelope, Segment, SegmentSpec, SegmentStats};

@@ -82,36 +82,11 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_SHARED: c_int = 1;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-    pub const MADV_NORMAL: c_int = 0;
-    pub const MADV_RANDOM: c_int = 1;
-    pub const MADV_SEQUENTIAL: c_int = 2;
-}
-
-/// Access-pattern advice for a byte range of a mapped region — the
-/// `madvise` hints a search plan can hand the kernel before touching the
-/// pages it is about to scan (`Sequential`: aggressive readahead for
-/// whole-fragment scans) or gather from (`Random`: no readahead for
-/// scattered candidate refinement).
-///
-/// Purely advisory: a no-op off unix (gated exactly like [`MappedRegion`]),
-/// and a refused hint is silently ignored — wrong advice costs throughput,
-/// never correctness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Advice {
-    /// Reset to the kernel's default readahead behaviour.
-    #[default]
-    Normal,
-    /// The range will be read front to back (uniform fragment scans).
-    Sequential,
-    /// The range will be accessed at scattered offsets (refinement gathers).
-    Random,
 }
 
 /// A read-only, file-backed memory region, unmapped on drop.
@@ -201,48 +176,6 @@ impl MappedRegion {
         }
         // SAFETY: ptr..ptr+len is a live PROT_READ mapping for &self's life.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Applies an access-pattern hint to `len` bytes starting at
-    /// `byte_offset`. The start is rounded *down* to the containing 4 KiB
-    /// boundary (`madvise` requires a page-aligned address; mappings are
-    /// page-aligned and pages are ≥ 4 KiB on every supported unix) and the
-    /// range is clamped to the region. Best-effort by design: out-of-range
-    /// requests, unsupported platforms and kernel refusals are all silent
-    /// no-ops, because advice can never be load-bearing.
-    pub fn advise(&self, byte_offset: usize, len: usize, advice: Advice) {
-        #[cfg(unix)]
-        {
-            // Round down to a 64 KiB boundary: mappings are page-aligned,
-            // and 64 KiB is a multiple of every page size in practical use
-            // (4 K x86, 16 K Apple Silicon, 64 K aarch64 server kernels),
-            // so the resulting address is page-aligned everywhere without
-            // querying sysconf. Advising a few extra leading KiB is free.
-            const ALIGN: usize = 64 * 1024;
-            if self.len == 0 || byte_offset >= self.len || len == 0 {
-                return;
-            }
-            let start = byte_offset & !(ALIGN - 1);
-            let end = byte_offset.saturating_add(len).min(self.len);
-            let advice = match advice {
-                Advice::Normal => sys::MADV_NORMAL,
-                Advice::Sequential => sys::MADV_SEQUENTIAL,
-                Advice::Random => sys::MADV_RANDOM,
-            };
-            // SAFETY: ptr+start..end lies inside a live mapping owned by
-            // &self; madvise does not alias or mutate the mapped contents.
-            unsafe {
-                sys::madvise(
-                    self.ptr.wrapping_add(start) as *mut std::os::raw::c_void,
-                    end - start,
-                    advice,
-                );
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (byte_offset, len, advice);
-        }
     }
 
     /// Views `count` `f64`s starting at `byte_offset` directly in the
@@ -339,25 +272,6 @@ mod tests {
         assert!(matches!(region.f64_slice(0, 5), Err(VdError::Io(_))));
         assert!(matches!(region.f64_slice(4, 1), Err(VdError::Io(_))));
         assert!(matches!(region.f64_slice(usize::MAX, 2), Err(VdError::Io(_))));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    #[test]
-    fn advise_is_a_safe_no_op_for_any_range() {
-        let contents: Vec<u8> = (0..=255).collect();
-        let path = temp_file("advise", &contents);
-        let region = MappedRegion::map_file(&path).unwrap();
-        // every combination is best-effort: in range, crossing the end,
-        // fully out of range, zero length — none may panic or corrupt
-        for advice in [Advice::Normal, Advice::Sequential, Advice::Random] {
-            region.advise(0, 256, advice);
-            region.advise(100, 1_000_000, advice);
-            region.advise(999_999, 10, advice);
-            region.advise(0, 0, advice);
-        }
-        assert_eq!(region.as_bytes(), &contents[..], "advice never changes contents");
-        assert_eq!(Advice::default(), Advice::Normal);
         std::fs::remove_file(&path).unwrap();
     }
 

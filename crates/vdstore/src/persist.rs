@@ -1,21 +1,19 @@
-//! Binary persistence of decomposed tables.
+//! Binary persistence of decomposed tables: the *persistent segment store*
+//! (`BONDVD02`).
 //!
-//! Two formats live here:
+//! A store holds the table's contiguous column fragments, 8-byte aligned
+//! so they can be viewed in-place through a file mapping, plus a
+//! **stats/zone-map footer** carrying the partition boundaries
+//! ([`SegmentSpec`]s) and the per-segment statistics ([`SegmentStats`]:
+//! per-dimension envelopes, row-sum ranges, live-row counts) a search
+//! planner needs *before* any data page is faulted in. A trailer at the
+//! end of the file locates the footer, so a cold open reads header +
+//! footer + trailer only — the fragments stay untouched until a search
+//! scans them. [`store_to_bytes_with_codes`] writes a store in memory,
+//! [`save_store_with_codes`] streams one to a file, and [`open_store`] /
+//! [`store_from_bytes`] read one back.
 //!
-//! * **v1 (`BONDVD01`)** — the original table-only stream: header, columns,
-//!   tombstones. Kept for compatibility ([`table_to_bytes`] /
-//!   [`table_from_bytes`] and the file wrappers).
-//! * **v2 (`BONDVD02`)** — the *persistent segment store*: the same
-//!   contiguous column fragments, 8-byte aligned so they can be viewed
-//!   in-place through a file mapping, plus a **stats/zone-map footer**
-//!   carrying the partition boundaries ([`SegmentSpec`]s) and the
-//!   per-segment statistics ([`SegmentStats`]: per-dimension envelopes,
-//!   row-sum ranges, live-row counts) a search planner needs *before* any
-//!   data page is faulted in. A trailer at the end of the file locates the
-//!   footer, so a cold open reads header + footer + trailer only — the
-//!   fragments stay untouched until a search scans them.
-//!
-//! v2 layout (all integers little-endian):
+//! Layout (all integers little-endian):
 //!
 //! ```text
 //! header  : magic 8 bytes = b"BONDVD02"
@@ -48,11 +46,6 @@
 //! trailer : footer_offset u64, tail magic 8 bytes = b"BONDFT02"
 //! ```
 //!
-//! Older writers could give each segment its own code width: a `bits` byte
-//! of 0 followed by one width byte (1..=8) per segment. The reader still
-//! parses and verifies that form, and opens it without codes — an engine
-//! builds its one-width companion on first use.
-//!
 //! Fragment checksums are verified on heap opens (every fragment is being
 //! decoded anyway) and, for mapped opens, on copy-on-write promotion — the
 //! one moment corrupted mapped bytes would silently become the new heap
@@ -62,7 +55,7 @@
 //! checksum, verified on every open: the footer is read eagerly anyway,
 //! so that check costs nothing extra.
 //!
-//! Note the checksum and learned-state sections extended the v2 footer *in
+//! Note the checksum and learned-state sections extended the footer *in
 //! place* (the magic stays `BONDVD02`): this workspace owns both ends of
 //! the format and regenerates its stores, so no version bump was spent on
 //! the change — but a store written before the extension parses as
@@ -72,7 +65,10 @@
 //! The segments must tile `0..rows` in row order — the invariant the
 //! execution engine's merge relies on — and every structural violation
 //! (bad magic, truncation, trailing bytes, overflowing counts, out-of-range
-//! rows) surfaces as a typed [`VdError`], never a panic.
+//! rows, a code width outside 1..=8) surfaces as a typed [`VdError`], never
+//! a panic. A file with another version's magic (such as the table-only
+//! `BONDVD01` stream of earlier builds) reports
+//! [`VdError::UnsupportedVersion`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -88,140 +84,12 @@ use crate::table::DecomposedTable;
 use crate::RowId;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"BONDVD01";
-const MAGIC_V2: &[u8; 8] = b"BONDVD02";
+const MAGIC: &[u8; 8] = b"BONDVD02";
 const MAGIC_PREFIX: &[u8; 6] = b"BONDVD";
-const TAIL_MAGIC_V2: &[u8; 8] = b"BONDFT02";
+const TAIL_MAGIC: &[u8; 8] = b"BONDFT02";
 const TRAILER_LEN: usize = 16;
 /// Newest store format version this build reads.
 pub const STORE_VERSION: u32 = 2;
-
-/// Serialises a table into a byte buffer (format v1, table only).
-pub fn table_to_bytes(table: &DecomposedTable) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + table.rows() * table.dims() * 8);
-    buf.put_slice(MAGIC);
-    put_string(&mut buf, table.name());
-    buf.put_u32_le(table.dims() as u32);
-    buf.put_u64_le(table.rows() as u64);
-    for c in table.columns() {
-        put_string(&mut buf, c.name());
-        for &v in c.values() {
-            buf.put_f64_le(v);
-        }
-    }
-    // tombstones: store as the list of deleted row ids (usually tiny)
-    let deleted: Vec<u32> = (0..table.rows() as u32).filter(|&r| table.is_deleted(r)).collect();
-    buf.put_u32_le(deleted.len() as u32);
-    for r in deleted {
-        buf.put_u32_le(r);
-    }
-    buf.freeze()
-}
-
-/// Reconstructs a table from a byte buffer produced by [`table_to_bytes`].
-pub fn table_from_bytes(bytes: &[u8]) -> Result<DecomposedTable> {
-    let mut buf = bytes;
-    check_magic(&mut buf, MAGIC, 1)?;
-    let name = get_string(&mut buf)?;
-    if buf.remaining() < 12 {
-        return Err(VdError::Corrupt("truncated header".into()));
-    }
-    let dims = buf.get_u32_le() as usize;
-    let rows = checked_rows(buf.get_u64_le())?;
-    if dims == 0 {
-        return Err(VdError::Corrupt("zero dimensions".into()));
-    }
-    let column_bytes = rows
-        .checked_mul(8)
-        .ok_or_else(|| VdError::Corrupt("column byte length overflows".into()))?;
-    let mut columns = Vec::with_capacity(dims.min(1024));
-    for _ in 0..dims {
-        let cname = get_string(&mut buf)?;
-        if buf.remaining() < column_bytes {
-            return Err(VdError::Corrupt("truncated column data".into()));
-        }
-        let mut values = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            values.push(buf.get_f64_le());
-        }
-        columns.push(Column::new(cname, values));
-    }
-    let mut table = DecomposedTable::from_columns_unchecked(name, columns)?;
-    if buf.remaining() < 4 {
-        return Err(VdError::Corrupt("missing tombstone section".into()));
-    }
-    let n_deleted = buf.get_u32_le() as usize;
-    let tombstone_bytes = n_deleted
-        .checked_mul(4)
-        .ok_or_else(|| VdError::Corrupt("tombstone byte length overflows".into()))?;
-    if buf.remaining() < tombstone_bytes {
-        return Err(VdError::Corrupt("truncated tombstone list".into()));
-    }
-    for _ in 0..n_deleted {
-        let r = buf.get_u32_le();
-        table.delete(r)?;
-    }
-    if buf.remaining() != 0 {
-        return Err(VdError::Corrupt(format!(
-            "{} trailing bytes after the tombstone list",
-            buf.remaining()
-        )));
-    }
-    Ok(table)
-}
-
-/// Writes a table to a file (format v1).
-pub fn save_table(table: &DecomposedTable, path: &Path) -> Result<()> {
-    let bytes = table_to_bytes(table);
-    std::fs::write(path, &bytes)
-        .map_err(|e| VdError::Io(format!("writing {}: {e}", path.display())))
-}
-
-/// Reads a table from a file (format v1).
-pub fn load_table(path: &Path) -> Result<DecomposedTable> {
-    let bytes =
-        std::fs::read(path).map_err(|e| VdError::Io(format!("reading {}: {e}", path.display())))?;
-    table_from_bytes(&bytes)
-}
-
-/// Serialises only the live-row bitmap of a table (useful for persisting the
-/// result of a prior selection predicate to combine with k-NN search).
-pub fn bitmap_to_bytes(bitmap: &Bitmap) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(bitmap.len() as u64);
-    for row in bitmap.iter() {
-        buf.put_u32_le(row);
-    }
-    buf.freeze()
-}
-
-/// Reconstructs a bitmap from [`bitmap_to_bytes`] output.
-pub fn bitmap_from_bytes(bytes: &[u8]) -> Result<Bitmap> {
-    let mut buf = bytes;
-    if buf.remaining() < 8 {
-        return Err(VdError::Corrupt("bitmap buffer too short".into()));
-    }
-    let len = checked_rows(buf.get_u64_le())?;
-    if !buf.remaining().is_multiple_of(4) {
-        return Err(VdError::Corrupt(format!(
-            "{} trailing bytes after the last whole row id",
-            buf.remaining() % 4
-        )));
-    }
-    let mut b = Bitmap::new(len);
-    while buf.remaining() >= 4 {
-        let row = buf.get_u32_le();
-        if (row as usize) >= len {
-            return Err(VdError::Corrupt(format!("bitmap row {row} out of range {len}")));
-        }
-        b.set(row);
-    }
-    Ok(b)
-}
-
-// ---------------------------------------------------------------------------
-// v2: the persistent segment store
-// ---------------------------------------------------------------------------
 
 /// A reopened persistent segment store: the table plus the partition
 /// boundaries and per-segment statistics its footer carried, ready to feed
@@ -258,9 +126,9 @@ pub struct PersistedStore {
     pub open_micros: u64,
 }
 
-/// What one store write cost: returned by [`save_store`] and
-/// [`write_store`] so callers (e.g. an engine's `persist`) can feed their
-/// observability layer without re-statting the file.
+/// What one store write cost: returned by [`save_store_with_codes`] so
+/// callers (e.g. an engine's `persist`) can feed their observability layer
+/// without re-statting the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistReport {
     /// Total bytes written (header + data region + footer + trailer).
@@ -269,11 +137,11 @@ pub struct PersistReport {
     pub elapsed_micros: u64,
 }
 
-/// The v2 header: magic, name, dims, rows, zero-padded to the next 8-byte
+/// The store header: magic, name, dims, rows, zero-padded to the next 8-byte
 /// boundary so the data region (and every fragment in it) stays aligned.
 fn store_header(table: &DecomposedTable) -> BytesMut {
     let mut buf = BytesMut::with_capacity(32 + table.name().len());
-    buf.put_slice(MAGIC_V2);
+    buf.put_slice(MAGIC);
     put_string(&mut buf, table.name());
     buf.put_u32_le(table.dims() as u32);
     buf.put_u64_le(table.rows() as u64);
@@ -283,7 +151,7 @@ fn store_header(table: &DecomposedTable) -> BytesMut {
     buf
 }
 
-/// The v2 footer: column names, tombstones, segment boundaries + stats,
+/// The store footer: column names, tombstones, segment boundaries + stats,
 /// per-fragment checksums and the optional learned-state payload.
 fn store_footer(
     table: &DecomposedTable,
@@ -352,30 +220,20 @@ fn store_footer(
 }
 
 /// Serialises a table plus its partition boundaries and cached per-segment
-/// statistics into the v2 store format, in memory, computing each
-/// fragment's FNV-1a checksum as it is written and embedding `learned` (an
-/// opaque learned-state payload) in the footer. For large collections prefer [`save_store`], which streams the
-/// data region to disk instead of materialising a second copy of every
-/// fragment.
+/// statistics into the store format, in memory, computing each fragment's
+/// FNV-1a checksum as it is written and embedding `learned` (an opaque
+/// learned-state payload) and `codes` (a quantized-code companion, which
+/// must cover exactly this table and these segment boundaries) in the
+/// footer. For large collections prefer [`save_store_with_codes`], which
+/// streams the data region to disk instead of materialising a second copy
+/// of every fragment.
 ///
 /// # Errors
 ///
 /// [`VdError::InvalidArgument`] when `stats` is not parallel to `specs`,
 /// a stats entry covers a different range than its spec, a stats entry's
-/// dimensionality differs from the table's, or the specs do not tile the
-/// table's rows in order.
-pub fn store_to_bytes(
-    table: &DecomposedTable,
-    specs: &[SegmentSpec],
-    stats: &[SegmentStats],
-    learned: Option<&[u8]>,
-) -> Result<Bytes> {
-    store_to_bytes_with_codes(table, specs, stats, learned, None)
-}
-
-/// [`store_to_bytes`] plus an optional quantized-code companion persisted
-/// in the footer's codes section. Writing `None` produces bytes identical
-/// to [`store_to_bytes`]; the codes must cover exactly this table and these
+/// dimensionality differs from the table's, the specs do not tile the
+/// table's rows in order, or `codes` covers another table or other
 /// segment boundaries.
 pub fn store_to_bytes_with_codes(
     table: &DecomposedTable,
@@ -386,31 +244,19 @@ pub fn store_to_bytes_with_codes(
 ) -> Result<Bytes> {
     validate_write_inputs(table, specs, stats, codes)?;
     let mut buf = Vec::with_capacity(4096 + table.rows() * table.dims() * 8);
-    write_v2(&mut buf, table, specs, stats, learned, codes)
+    serialise(&mut buf, table, specs, stats, learned, codes)
         .map_err(|e| VdError::Io(format!("serialising the store: {e}")))?;
     Ok(Bytes::from(buf))
 }
 
-/// Writes the v2 store to a file, streaming the data region through a
+/// Writes the store to a file, streaming the data region through a
 /// buffered writer — peak extra memory is one I/O buffer plus the footer,
 /// not a second copy of the table, so collections near (or beyond, under
 /// [`StorageBackend::Mapped`]) RAM size can still be persisted. Fragment
 /// checksums are folded incrementally over the streamed chunks. Same
-/// validation and byte-exact output as [`store_to_bytes`]. Returns a
-/// [`PersistReport`] with the bytes written and the wall time spent.
-pub fn save_store(
-    table: &DecomposedTable,
-    specs: &[SegmentSpec],
-    stats: &[SegmentStats],
-    learned: Option<&[u8]>,
-    path: &Path,
-) -> Result<PersistReport> {
-    save_store_with_codes(table, specs, stats, learned, None, path)
-}
-
-/// [`save_store`] plus an optional quantized-code companion persisted in
-/// the footer's codes section — same streaming, same byte-exact agreement
-/// with [`store_to_bytes_with_codes`].
+/// validation and byte-exact output as [`store_to_bytes_with_codes`].
+/// Returns a [`PersistReport`] with the bytes written and the wall time
+/// spent.
 pub fn save_store_with_codes(
     table: &DecomposedTable,
     specs: &[SegmentSpec],
@@ -425,7 +271,7 @@ pub fn save_store_with_codes(
     let io_err = |e: std::io::Error| VdError::Io(format!("writing {}: {e}", path.display()));
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut w = std::io::BufWriter::new(file);
-    let bytes_written = write_v2(&mut w, table, specs, stats, learned, codes).map_err(io_err)?;
+    let bytes_written = serialise(&mut w, table, specs, stats, learned, codes).map_err(io_err)?;
     w.flush().map_err(io_err)?;
     Ok(PersistReport { bytes_written, elapsed_micros: started.elapsed().as_micros() as u64 })
 }
@@ -442,12 +288,12 @@ fn validate_write_inputs(
     codes.map_or(Ok(()), |codes| validate_codes_inputs(table, specs, codes))
 }
 
-/// The one v2 serialiser, over any [`std::io::Write`]: header, the data
+/// The one serialiser, over any [`std::io::Write`]: header, the data
 /// region in 8 192-value chunks with each fragment's FNV-1a folded over
 /// its chunks, footer, footer checksum, footer offset and tail magic.
 /// Inputs must already have passed [`validate_write_inputs`]. Returns the
 /// bytes written.
-fn write_v2(
+fn serialise(
     w: &mut impl std::io::Write,
     table: &DecomposedTable,
     specs: &[SegmentSpec],
@@ -476,26 +322,11 @@ fn write_v2(
     w.write_all(&footer)?;
     w.write_all(&fnv1a(&footer).to_le_bytes())?;
     w.write_all(&footer_offset.to_le_bytes())?;
-    w.write_all(TAIL_MAGIC_V2)?;
+    w.write_all(TAIL_MAGIC)?;
     Ok(footer_offset + footer.len() as u64 + 8 + TRAILER_LEN as u64)
 }
 
-/// Partitions the table, computes the per-segment statistics, and writes the
-/// v2 store in one call — the convenience entry point for callers that do
-/// not already hold cached statistics (the execution engine does, and passes
-/// them to [`save_store_with_codes`] directly).
-pub fn write_store(
-    table: &DecomposedTable,
-    partitions: usize,
-    path: &Path,
-) -> Result<PersistReport> {
-    let specs = table.partition_specs(partitions);
-    let stats: Vec<SegmentStats> =
-        specs.iter().map(|s| s.view(table).expect("spec in range").stats()).collect();
-    save_store(table, &specs, &stats, None, path)
-}
-
-/// Reconstructs a store from an in-memory v2 byte buffer (heap columns).
+/// Reconstructs a store from an in-memory byte buffer (heap columns).
 /// Every fragment is checksum-verified as it is decoded.
 pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore> {
     let started = std::time::Instant::now();
@@ -535,7 +366,7 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore> {
     Ok(store)
 }
 
-/// Opens a v2 store file.
+/// Opens a store file.
 ///
 /// With [`StorageBackend::Mapped`] the column fragments are *viewed* through
 /// a read-only file mapping: only the header/footer/trailer pages are read
@@ -586,7 +417,7 @@ pub fn open_store(path: &Path, backend: StorageBackend) -> Result<PersistedStore
     Ok(store)
 }
 
-/// Everything the v2 header, footer and trailer describe — parsed and
+/// Everything the header, footer and trailer describe — parsed and
 /// validated without touching a single byte of the data region.
 struct StoreLayout {
     name: String,
@@ -611,9 +442,69 @@ struct CodesLayout {
     checksums: Vec<u64>,
 }
 
+/// The header and trailer of a store, with its footer located and
+/// checksum-verified but not yet parsed.
+struct Frame<'a> {
+    name: String,
+    dims: usize,
+    rows: usize,
+    data_offset: usize,
+    /// Absolute offset of the footer's first byte.
+    footer_offset: usize,
+    /// The footer bytes, without their trailing checksum.
+    footer: &'a [u8],
+}
+
 fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
+    let frame = read_frame(bytes)?;
+    let (dims, rows) = (frame.dims, frame.rows);
+    let mut footer = frame.footer;
+    let column_names: Vec<String> =
+        (0..dims).map(|_| get_string(&mut footer)).collect::<Result<_>>()?;
+    let deleted = read_tombstones(&mut footer, rows)?;
+    let (specs, stats) = read_segments(&mut footer, &column_names, rows)?;
+    let checksums: Vec<u64> =
+        (0..dims).map(|_| read_u64(&mut footer, "fragment checksum")).collect::<Result<_>>()?;
+    let learned_len = read_u32(&mut footer, "learned-state length")? as usize;
+    let learned = if learned_len == 0 {
+        None
+    } else {
+        if footer.remaining() < learned_len {
+            return Err(VdError::Corrupt("truncated learned-state payload".into()));
+        }
+        let mut payload = vec![0u8; learned_len];
+        footer.copy_to_slice(&mut payload);
+        Some(payload)
+    };
+    // anything left before the footer checksum is the codes section; a
+    // store written without codes ends exactly here
+    let codes = if footer.is_empty() {
+        None
+    } else {
+        Some(read_codes(&mut footer, &frame, &specs, &column_names)?)
+    };
+    if !footer.is_empty() {
+        return Err(VdError::Corrupt(format!("{} trailing bytes in footer", footer.len())));
+    }
+    Ok(StoreLayout {
+        name: frame.name,
+        rows,
+        data_offset: frame.data_offset,
+        column_names,
+        deleted,
+        specs,
+        stats,
+        checksums,
+        learned,
+        codes,
+    })
+}
+
+/// Reads the header, checks the trailer against it, and verifies the
+/// footer checksum.
+fn read_frame(bytes: &[u8]) -> Result<Frame<'_>> {
     let mut buf = bytes;
-    check_magic(&mut buf, MAGIC_V2, STORE_VERSION)?;
+    check_magic(&mut buf, MAGIC, STORE_VERSION)?;
     let name = get_string(&mut buf)?;
     if buf.remaining() < 12 {
         return Err(VdError::Corrupt("truncated store header".into()));
@@ -625,12 +516,10 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
     }
     let header_len = bytes.len() - buf.remaining();
     let data_offset = header_len.div_ceil(8) * 8;
-    let data_len = dims
+    let footer_offset = dims
         .checked_mul(rows)
         .and_then(|n| n.checked_mul(8))
-        .ok_or_else(|| VdError::Corrupt("data region length overflows".into()))?;
-    let footer_offset = data_offset
-        .checked_add(data_len)
+        .and_then(|data_len| data_offset.checked_add(data_len))
         .ok_or_else(|| VdError::Corrupt("footer offset overflows".into()))?;
     let min_len = footer_offset
         .checked_add(TRAILER_LEN)
@@ -640,7 +529,7 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
     }
     let mut trailer = &bytes[bytes.len() - TRAILER_LEN..];
     let trailer_footer_offset = trailer.get_u64_le();
-    if trailer != TAIL_MAGIC_V2.as_slice() {
+    if trailer != TAIL_MAGIC.as_slice() {
         return Err(VdError::Corrupt("bad trailer magic".into()));
     }
     if trailer_footer_offset != footer_offset as u64 {
@@ -653,14 +542,14 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
     if bytes[header_len..data_offset].iter().any(|&b| b != 0) {
         return Err(VdError::Corrupt("non-zero header padding".into()));
     }
-
     let footer_region = &bytes[footer_offset..bytes.len() - TRAILER_LEN];
-    if footer_region.len() < 8 {
-        return Err(VdError::Corrupt("footer shorter than its checksum".into()));
-    }
-    let (footer_bytes, stored) = footer_region.split_at(footer_region.len() - 8);
-    let stored = u64::from_le_bytes(stored.try_into().expect("8-byte split"));
-    let actual = fnv1a(footer_bytes);
+    let checksum_at = footer_region
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| VdError::Corrupt("footer shorter than its checksum".into()))?;
+    let (footer, mut stored) = footer_region.split_at(checksum_at);
+    let stored = read_u64(&mut stored, "footer checksum")?;
+    let actual = fnv1a(footer);
     if actual != stored {
         // the footer drives segment skipping (envelopes) and planning
         // (statistics) without any later cross-check, so unlike the lazily
@@ -670,32 +559,40 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
             "footer checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    let mut footer = footer_bytes;
-    let column_names: Vec<String> =
-        (0..dims).map(|_| get_string(&mut footer)).collect::<Result<_>>()?;
+    Ok(Frame { name, dims, rows, data_offset, footer_offset, footer })
+}
 
-    let n_deleted = read_u32(&mut footer, "tombstone count")? as usize;
+/// Reads the tombstone list: strictly ascending row ids below `rows`.
+fn read_tombstones(footer: &mut &[u8], rows: usize) -> Result<Vec<RowId>> {
+    let n_deleted = read_u32(footer, "tombstone count")? as usize;
     let mut deleted = Vec::with_capacity(n_deleted.min(rows + 1));
-    let mut previous: Option<RowId> = None;
     for _ in 0..n_deleted {
-        let row = read_u32(&mut footer, "tombstone row id")?;
+        let row = read_u32(footer, "tombstone row id")?;
         if row as usize >= rows {
             return Err(VdError::Corrupt(format!("tombstoned row {row} out of range {rows}")));
         }
-        if previous.is_some_and(|p| p >= row) {
+        if deleted.last().is_some_and(|&p| p >= row) {
             return Err(VdError::Corrupt("tombstone row ids not strictly ascending".into()));
         }
-        previous = Some(row);
         deleted.push(row);
     }
+    Ok(deleted)
+}
 
-    let n_segments = read_u32(&mut footer, "segment count")? as usize;
+/// Reads the segment boundaries and their statistics, checking that the
+/// segments tile `0..rows` in row order.
+fn read_segments(
+    footer: &mut &[u8],
+    column_names: &[String],
+    rows: usize,
+) -> Result<(Vec<SegmentSpec>, Vec<SegmentStats>)> {
+    let n_segments = read_u32(footer, "segment count")? as usize;
     let mut specs = Vec::with_capacity(n_segments.min(rows + 1));
     let mut stats = Vec::with_capacity(n_segments.min(rows + 1));
     let mut next_start = 0usize;
     for _ in 0..n_segments {
-        let start = checked_rows(read_u64(&mut footer, "segment start")?)?;
-        let len = checked_rows(read_u64(&mut footer, "segment length")?)?;
+        let start = checked_rows(read_u64(footer, "segment start")?)?;
+        let len = checked_rows(read_u64(footer, "segment length")?)?;
         if start != next_start || len == 0 {
             return Err(VdError::Corrupt(format!(
                 "segments must tile the table in row order: got start {start}, length {len}, \
@@ -705,25 +602,26 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
         next_start = start.checked_add(len).filter(|&end| end <= rows).ok_or_else(|| {
             VdError::Corrupt(format!("segment {start}+{len} exceeds {rows} rows"))
         })?;
-        let live_rows = checked_rows(read_u64(&mut footer, "live-row count")?)?;
+        let live_rows = checked_rows(read_u64(footer, "live-row count")?)?;
         if live_rows > len {
             return Err(VdError::Corrupt(format!(
                 "segment claims {live_rows} live rows in {len} rows"
             )));
         }
-        let row_sum_min = read_f64(&mut footer, "row-sum minimum")?;
-        let row_sum_max = read_f64(&mut footer, "row-sum maximum")?;
-        let row_sum_mean = read_f64(&mut footer, "row-sum mean")?;
-        let per_dim: Vec<Option<ColumnStats>> = (0..dims)
-            .map(|d| match read_u8(&mut footer, "per-dimension stats flag")? {
+        let row_sum_min = read_f64(footer, "row-sum minimum")?;
+        let row_sum_max = read_f64(footer, "row-sum maximum")?;
+        let row_sum_mean = read_f64(footer, "row-sum mean")?;
+        let per_dim: Vec<Option<ColumnStats>> = column_names
+            .iter()
+            .map(|name| match read_u8(footer, "per-dimension stats flag")? {
                 0 => Ok(None),
                 1 => Ok(Some(ColumnStats {
-                    name: column_names[d].clone(),
-                    min: read_f64(&mut footer, "dimension minimum")?,
-                    max: read_f64(&mut footer, "dimension maximum")?,
-                    mean: read_f64(&mut footer, "dimension mean")?,
-                    variance: read_f64(&mut footer, "dimension variance")?,
-                    skewness: read_f64(&mut footer, "dimension skewness")?,
+                    name: name.clone(),
+                    min: read_f64(footer, "dimension minimum")?,
+                    max: read_f64(footer, "dimension maximum")?,
+                    mean: read_f64(footer, "dimension mean")?,
+                    variance: read_f64(footer, "dimension variance")?,
+                    skewness: read_f64(footer, "dimension skewness")?,
                 })),
                 flag => Err(VdError::Corrupt(format!("invalid stats flag {flag}"))),
             })
@@ -743,97 +641,59 @@ fn parse_layout(bytes: &[u8]) -> Result<StoreLayout> {
             "segments cover rows 0..{next_start} of a table with {rows} rows"
         )));
     }
-    let checksums: Vec<u64> =
-        (0..dims).map(|_| read_u64(&mut footer, "fragment checksum")).collect::<Result<_>>()?;
-    let learned_len = read_u32(&mut footer, "learned-state length")? as usize;
-    let learned = if learned_len == 0 {
-        None
-    } else {
-        if footer.remaining() < learned_len {
-            return Err(VdError::Corrupt("truncated learned-state payload".into()));
-        }
-        let mut payload = vec![0u8; learned_len];
-        footer.copy_to_slice(&mut payload);
-        Some(payload)
-    };
-    // anything left before the footer checksum is the codes section; a
-    // pre-codes store ends exactly here and parses as "no codes"
-    let codes = if footer.is_empty() {
-        None
-    } else {
-        let bits = read_u8(&mut footer, "code bits")?;
-        if bits > 8 {
-            return Err(VdError::Corrupt(format!("code bits {bits} outside 1..=8")));
-        }
-        // bits == 0 is the mixed-width sentinel of older writers: one width
-        // byte per segment follows. It is parsed and verified like the
-        // one-width form, then dropped (see the module docs).
-        let widths: Vec<u8> = if bits == 0 {
-            let mut widths = Vec::with_capacity(specs.len());
-            for _ in 0..specs.len() {
-                let b = read_u8(&mut footer, "per-segment code bits")?;
-                if b == 0 || b > 8 {
-                    return Err(VdError::Corrupt(format!(
-                        "per-segment code bits {b} outside 1..=8"
-                    )));
-                }
-                widths.push(b);
-            }
-            widths
-        } else {
-            vec![bits; specs.len()]
-        };
-        let mut params = Vec::with_capacity(specs.len());
-        for (spec, &width) in specs.iter().zip(&widths) {
-            let mut per_dim = Vec::with_capacity(dims);
-            for _ in 0..dims {
-                let min = read_f64(&mut footer, "code grid minimum")?;
-                let max = read_f64(&mut footer, "code grid maximum")?;
-                per_dim.push(CodeParams::new(min, max, width).map_err(|e| {
-                    VdError::Corrupt(format!("segment {:?} code grid: {e}", spec.range()))
-                })?);
-            }
-            params.push(per_dim);
-        }
-        let mut dim_offsets = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            if footer.remaining() < rows {
-                return Err(VdError::Corrupt("truncated code bytes".into()));
-            }
-            let consumed = footer_bytes.len() - footer.remaining();
-            dim_offsets.push(footer_offset + consumed);
-            footer = &footer[rows..];
-        }
-        let code_checksums: Vec<u64> =
-            (0..dims).map(|_| read_u64(&mut footer, "code checksum")).collect::<Result<_>>()?;
-        for (d, &offset) in dim_offsets.iter().enumerate() {
-            let local = offset - footer_offset;
-            let actual = fnv1a(&footer_bytes[local..local + rows]);
-            if actual != code_checksums[d] {
-                return Err(VdError::ChecksumMismatch {
-                    column: format!("{}.codes", column_names[d]),
-                    expected: code_checksums[d],
-                    actual,
-                });
-            }
-        }
-        (bits != 0).then_some(CodesLayout { bits, params, dim_offsets, checksums: code_checksums })
-    };
-    if !footer.is_empty() {
-        return Err(VdError::Corrupt(format!("{} trailing bytes in footer", footer.len())));
+    Ok((specs, stats))
+}
+
+/// Reads the codes section: one code width for every segment, the
+/// per-segment grids, each dimension's code bytes (located, and verified
+/// against their checksums) and those checksums.
+fn read_codes(
+    footer: &mut &[u8],
+    frame: &Frame<'_>,
+    specs: &[SegmentSpec],
+    column_names: &[String],
+) -> Result<CodesLayout> {
+    let (dims, rows) = (frame.dims, frame.rows);
+    let bits = read_u8(footer, "code bits")?;
+    if !(1..=8).contains(&bits) {
+        return Err(VdError::Corrupt(format!("code bits {bits} outside 1..=8")));
     }
-    Ok(StoreLayout {
-        name,
-        rows,
-        data_offset,
-        column_names,
-        deleted,
-        specs,
-        stats,
-        checksums,
-        learned,
-        codes,
-    })
+    let mut params = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let mut per_dim = Vec::with_capacity(dims);
+        for _ in 0..dims {
+            let min = read_f64(footer, "code grid minimum")?;
+            let max = read_f64(footer, "code grid maximum")?;
+            per_dim.push(CodeParams::new(min, max, bits).map_err(|e| {
+                VdError::Corrupt(format!("segment {:?} code grid: {e}", spec.range()))
+            })?);
+        }
+        params.push(per_dim);
+    }
+    let mut codes = Vec::with_capacity(dims);
+    let mut dim_offsets = Vec::with_capacity(dims);
+    for _ in 0..dims {
+        if footer.remaining() < rows {
+            return Err(VdError::Corrupt("truncated code bytes".into()));
+        }
+        let (dim_codes, rest) = footer.split_at(rows);
+        dim_offsets.push(frame.footer_offset + frame.footer.len() - footer.len());
+        codes.push(dim_codes);
+        *footer = rest;
+    }
+    let checksums: Vec<u64> =
+        (0..dims).map(|_| read_u64(footer, "code checksum")).collect::<Result<_>>()?;
+    for ((dim_codes, &expected), name) in codes.iter().zip(&checksums).zip(column_names) {
+        let actual = fnv1a(dim_codes);
+        if actual != expected {
+            return Err(VdError::ChecksumMismatch {
+                column: format!("{name}.codes"),
+                expected,
+                actual,
+            });
+        }
+    }
+    Ok(CodesLayout { bits, params, dim_offsets, checksums })
 }
 
 fn assemble_store(
@@ -1039,107 +899,93 @@ mod tests {
         t
     }
 
-    fn sample_store_bytes(partitions: usize) -> Bytes {
-        let t = sample();
+    fn sample_layout(
+        t: &DecomposedTable,
+        partitions: usize,
+    ) -> (Vec<SegmentSpec>, Vec<SegmentStats>) {
         let specs = t.partition_specs(partitions);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        store_to_bytes(&t, &specs, &stats, None).unwrap()
+        let stats = specs.iter().map(|s| s.view(t).unwrap().stats()).collect();
+        (specs, stats)
     }
 
-    #[test]
-    fn round_trip_preserves_everything() {
+    fn sample_store_bytes(partitions: usize) -> Bytes {
         let t = sample();
-        let bytes = table_to_bytes(&t);
-        let back = table_from_bytes(&bytes).unwrap();
-        assert_eq!(back.name(), "corel_sample");
-        assert_eq!(back.dims(), 2);
-        assert_eq!(back.rows(), 3);
-        assert_eq!(back.row(0).unwrap(), t.row(0).unwrap());
-        assert!(back.is_deleted(1));
-        assert_eq!(back.live_rows(), 2);
-        assert_eq!(back.column(0).unwrap().name(), "dim_0");
+        let (specs, stats) = sample_layout(&t, partitions);
+        store_to_bytes_with_codes(&t, &specs, &stats, None, None).unwrap()
+    }
+
+    /// Streams `t`, partitioned into `partitions` segments, to `path`.
+    fn save_sample(t: &DecomposedTable, partitions: usize, path: &Path) {
+        let (specs, stats) = sample_layout(t, partitions);
+        save_store_with_codes(t, &specs, &stats, None, None, path).unwrap();
+    }
+
+    /// `bytes` with its footer (between `footer_offset` and the footer
+    /// checksum) replaced by `footer` and the footer checksum re-sealed.
+    fn with_footer(bytes: &[u8], footer: &[u8]) -> Vec<u8> {
+        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+        let mut out = bytes[..footer_offset].to_vec();
+        out.extend_from_slice(footer);
+        out.extend_from_slice(&fnv1a(footer).to_le_bytes());
+        out.extend_from_slice(trailer);
+        out
+    }
+
+    /// The footer bytes of `bytes`, without the footer checksum.
+    fn footer_of(bytes: &[u8]) -> &[u8] {
+        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+        &bytes[footer_offset..bytes.len() - TRAILER_LEN - 8]
     }
 
     #[test]
     fn corrupt_inputs_are_rejected() {
-        let t = sample();
-        let bytes = table_to_bytes(&t);
-        assert!(table_from_bytes(&[]).is_err());
-        assert!(table_from_bytes(&bytes[..4]).is_err());
+        let bytes = sample_store_bytes(2);
+        assert!(store_from_bytes(&[]).is_err());
+        assert!(store_from_bytes(&bytes[..4]).is_err());
         let mut bad_magic = bytes.to_vec();
         bad_magic[0] = b'X';
-        assert!(table_from_bytes(&bad_magic).is_err());
+        assert!(matches!(store_from_bytes(&bad_magic), Err(VdError::Corrupt(_))));
         let truncated = &bytes[..bytes.len() - 8];
-        assert!(table_from_bytes(truncated).is_err());
+        assert!(matches!(store_from_bytes(truncated), Err(VdError::Corrupt(_))));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
+        // bytes after a complete codes section, re-sealed so that only the
+        // exact-consumption check can catch them
         let t = sample();
-        let mut padded = table_to_bytes(&t).to_vec();
-        padded.push(0);
-        let err = table_from_bytes(&padded).unwrap_err();
+        let (specs, stats) = sample_layout(&t, 2);
+        let codes = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
+        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
+        let mut footer = footer_of(&bytes).to_vec();
+        footer.push(0);
+        let err = store_from_bytes(&with_footer(&bytes, &footer)).unwrap_err();
         assert!(matches!(err, VdError::Corrupt(ref msg) if msg.contains("trailing")), "{err}");
     }
 
     #[test]
     fn version_mismatch_is_typed() {
-        // a v2 store pushed through the v1 reader reports the version gap
-        let bytes = sample_store_bytes(2);
-        assert_eq!(
-            table_from_bytes(&bytes).unwrap_err(),
-            VdError::UnsupportedVersion { found: 2, supported: 1 }
-        );
-        // and vice versa
-        let v1 = table_to_bytes(&sample());
+        // the table-only stream of earlier builds reports the version gap
+        let mut v1 = b"BONDVD01".to_vec();
+        v1.extend_from_slice(&sample_store_bytes(2)[8..]);
         assert_eq!(
             store_from_bytes(&v1).unwrap_err(),
             VdError::UnsupportedVersion { found: 1, supported: 2 }
         );
         // an unrecognisable version suffix is plain corruption
-        let mut weird = v1.to_vec();
+        let mut weird = v1;
         weird[6] = b'x';
         weird[7] = b'y';
-        assert!(matches!(table_from_bytes(&weird), Err(VdError::Corrupt(_))));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("vdstore_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("table.bondvd");
-        let t = sample();
-        save_table(&t, &path).unwrap();
-        let back = load_table(&path).unwrap();
-        assert_eq!(back.rows(), t.rows());
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(load_table(&path), Err(VdError::Io(_))));
-    }
-
-    #[test]
-    fn bitmap_round_trip() {
-        let b = Bitmap::from_rows(100, &[0, 17, 64, 99]);
-        let bytes = bitmap_to_bytes(&b);
-        let back = bitmap_from_bytes(&bytes).unwrap();
-        assert_eq!(back, b);
-        assert!(bitmap_from_bytes(&[1, 2]).is_err());
-        // trailing partial row ids are rejected, not silently dropped
-        let mut ragged = bytes.to_vec();
-        ragged.extend_from_slice(&[1, 2, 3]);
-        let err = bitmap_from_bytes(&ragged).unwrap_err();
-        assert!(matches!(err, VdError::Corrupt(ref msg) if msg.contains("trailing")), "{err}");
-        // an absurd domain length cannot drive an oversized allocation
-        let mut huge = bytes.to_vec();
-        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(bitmap_from_bytes(&huge), Err(VdError::Corrupt(_))));
+        assert!(matches!(store_from_bytes(&weird), Err(VdError::Corrupt(_))));
     }
 
     #[test]
     fn store_round_trip_preserves_table_specs_and_stats() {
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        let bytes = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let (specs, stats) = sample_layout(&t, 2);
+        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.backend, StorageBackend::Heap);
         assert_eq!(store.table, t);
@@ -1161,17 +1007,16 @@ mod tests {
     #[test]
     fn store_writer_validates_inputs() {
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
+        let (specs, stats) = sample_layout(&t, 2);
         // specs/stats must be parallel
         assert!(matches!(
-            store_to_bytes(&t, &specs, &stats[..1], None),
+            store_to_bytes_with_codes(&t, &specs, &stats[..1], None, None),
             Err(VdError::InvalidArgument(_))
         ));
         // stats must cover the spec's range
         let swapped = vec![stats[1].clone(), stats[0].clone()];
         assert!(matches!(
-            store_to_bytes(&t, &specs, &swapped, None),
+            store_to_bytes_with_codes(&t, &specs, &swapped, None, None),
             Err(VdError::InvalidArgument(_))
         ));
         // specs must tile the table
@@ -1179,7 +1024,7 @@ mod tests {
         let gappy_stats: Vec<SegmentStats> =
             gappy.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         assert!(matches!(
-            store_to_bytes(&t, &gappy, &gappy_stats, None),
+            store_to_bytes_with_codes(&t, &gappy, &gappy_stats, None, None),
             Err(VdError::InvalidArgument(_))
         ));
     }
@@ -1211,11 +1056,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("streamed.bondvd");
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        save_store(&t, &specs, &stats, None, &path).unwrap();
+        let (specs, stats) = sample_layout(&t, 2);
+        let codes = StoreCodes::build(&t, &specs, &stats, 4).unwrap();
+        save_store_with_codes(&t, &specs, &stats, None, Some(&codes), &path).unwrap();
         let streamed = std::fs::read(&path).unwrap();
-        let in_memory = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let in_memory = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
         assert_eq!(streamed, in_memory.to_vec(), "the two writers must never diverge");
         std::fs::remove_file(&path).unwrap();
     }
@@ -1226,7 +1071,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.bondvd");
         let t = sample();
-        write_store(&t, 2, &path).unwrap();
+        save_sample(&t, 2, &path);
 
         let heap = open_store(&path, StorageBackend::Heap).unwrap();
         assert_eq!(heap.backend, StorageBackend::Heap);
@@ -1251,9 +1096,8 @@ mod tests {
     #[test]
     fn fragment_checksums_round_trip_and_catch_data_corruption() {
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        let bytes = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let (specs, stats) = sample_layout(&t, 2);
+        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.fragment_checksums.len(), t.dims());
         for (d, &checksum) in store.fragment_checksums.iter().enumerate() {
@@ -1281,7 +1125,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cow.bondvd");
         let t = sample();
-        write_store(&t, 2, &path).unwrap();
+        save_sample(&t, 2, &path);
 
         // corrupt one byte of the first fragment's data on disk
         {
@@ -1329,10 +1173,9 @@ mod tests {
     #[test]
     fn learned_payload_round_trips_and_is_validated() {
         let t = sample();
-        let specs = t.partition_specs(1);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
+        let (specs, stats) = sample_layout(&t, 1);
         let payload = vec![7u8, 13, 42, 0, 255];
-        let bytes = store_to_bytes(&t, &specs, &stats, Some(&payload)).unwrap();
+        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, Some(&payload), None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.learned.as_deref(), Some(&payload[..]));
 
@@ -1341,7 +1184,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdstore_store_learned_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("learned.bondvd");
-        save_store(&t, &specs, &stats, Some(&payload), &path).unwrap();
+        save_store_with_codes(&t, &specs, &stats, Some(&payload), None, &path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes.to_vec());
         let heap = open_store(&path, StorageBackend::Heap).unwrap();
         assert_eq!(heap.learned.as_deref(), Some(&payload[..]));
@@ -1356,12 +1199,11 @@ mod tests {
     #[test]
     fn codes_round_trip_both_backends_and_checksum_fail_on_corruption() {
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
+        let (specs, stats) = sample_layout(&t, 2);
         let codes = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
 
         // a store written without codes still parses — as "no codes"
-        let plain = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let plain = store_to_bytes_with_codes(&t, &specs, &stats, None, None).unwrap();
         assert!(store_from_bytes(&plain).unwrap().codes.is_none());
 
         let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
@@ -1410,9 +1252,7 @@ mod tests {
         assert!(matches!(err, VdError::Corrupt(ref m) if m.contains("footer checksum")), "{err}");
 
         // the writers reject codes built over different boundaries
-        let other_specs = t.partition_specs(1);
-        let other_stats: Vec<SegmentStats> =
-            other_specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
+        let (other_specs, other_stats) = sample_layout(&t, 1);
         let mismatched = StoreCodes::build(&t, &other_specs, &other_stats, 8).unwrap();
         assert!(matches!(
             store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&mismatched)),
@@ -1420,55 +1260,42 @@ mod tests {
         ));
     }
 
-    /// `bytes` (a store with 8-bit codes over `plain_len`-byte plain
-    /// footers) with its one code-width byte replaced by `widths` and the
-    /// footer checksum re-sealed.
-    fn with_code_widths(bytes: &[u8], plain_len: usize, widths: &[u8]) -> Vec<u8> {
-        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
-        // the codes section starts where the plain footer's checksum sat
-        let at = plain_len - TRAILER_LEN - 8;
-        assert_eq!(bytes[at], 8);
-        let mut out = bytes[..at].to_vec();
-        out.extend_from_slice(widths);
-        out.extend_from_slice(&bytes[at + 1..bytes.len() - TRAILER_LEN - 8]);
-        let checksum = fnv1a(&out[footer_offset..]);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out.extend_from_slice(trailer);
-        out
-    }
-
     #[test]
     fn mixed_width_codes_round_trip_via_the_sentinel() {
+        // the per-segment width form (a `bits` byte of 0, then one width
+        // per segment) is no longer part of the format: like any code width
+        // outside 1..=8 it fails the open, on both backends
         let t = sample();
-        let specs = t.partition_specs(2);
-        let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
+        let (specs, stats) = sample_layout(&t, 2);
         let codes = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
-        let plain = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let plain = store_to_bytes_with_codes(&t, &specs, &stats, None, None).unwrap();
         let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
-        assert_eq!(with_code_widths(&bytes, plain.len(), &[8]), bytes.to_vec());
+        // the codes section starts where the plain footer ends
+        let at = footer_of(&plain).len();
+        let footer = footer_of(&bytes);
+        assert_eq!(footer[at], 8);
+        let with_widths = |widths: &[u8]| {
+            let mut spliced = footer[..at].to_vec();
+            spliced.extend_from_slice(widths);
+            spliced.extend_from_slice(&footer[at + 1..]);
+            with_footer(&bytes, &spliced)
+        };
+        assert_eq!(with_widths(&[8]), bytes.to_vec());
 
-        // the sentinel and one width per segment: parsed, verified, dropped
-        let mixed = with_code_widths(&bytes, plain.len(), &[0, 4, 8]);
-        let heap = store_from_bytes(&mixed).unwrap();
-        assert!(heap.codes.is_none());
-        assert_eq!(heap.specs, specs);
         let dir = std::env::temp_dir().join("vdstore_store_mixed_codes_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mixed.bondvd");
-        std::fs::write(&path, &mixed).unwrap();
-        for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
-            let store = open_store(&path, backend).unwrap();
-            assert!(store.codes.is_none(), "{backend:?}");
-            assert_eq!(store.table.value(2, 1).unwrap(), t.value(2, 1).unwrap());
+        for widths in [&[0, 4, 8][..], &[0, 0, 8], &[0, 8, 9], &[0], &[9]] {
+            let spliced = with_widths(widths);
+            let err = store_from_bytes(&spliced).unwrap_err();
+            assert!(matches!(err, VdError::Corrupt(ref m) if m.contains("code bits")), "{err}");
+            std::fs::write(&path, &spliced).unwrap();
+            for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+                let err = open_store(&path, backend).unwrap_err();
+                assert!(matches!(err, VdError::Corrupt(_)), "{backend:?} {widths:?}: {err}");
+            }
         }
         std::fs::remove_file(&path).unwrap();
-
-        // a width byte outside 1..=8 is corrupt, in either form
-        for widths in [&[0, 0, 8][..], &[0, 8, 9], &[9]] {
-            let err = store_from_bytes(&with_code_widths(&bytes, plain.len(), widths)).unwrap_err();
-            assert!(matches!(err, VdError::Corrupt(ref m) if m.contains("code bits")), "{err}");
-        }
     }
 
     #[test]
@@ -1477,7 +1304,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdstore_store_stats_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stats.bondvd");
-        write_store(&t, 3, &path).unwrap();
+        save_sample(&t, 3, &path);
         let store = open_store(&path, StorageBackend::Heap).unwrap();
         for (spec, stat) in store.specs.iter().zip(&store.stats) {
             let fresh = spec.view(&store.table).unwrap().stats();

@@ -165,18 +165,6 @@ impl<'a> Segment<'a> {
         sums
     }
 
-    /// Applies an access-pattern hint to this segment's slice of the given
-    /// dimensions (a search plan's scan prefix), for mapped tables — a
-    /// no-op for heap columns, off unix, and for out-of-range dims. See
-    /// [`crate::Advice`].
-    pub fn advise(&self, dims: impl IntoIterator<Item = usize>, advice: crate::Advice) {
-        for d in dims {
-            if let Ok(column) = self.table.column(d) {
-                column.advise_rows(self.range(), advice);
-            }
-        }
-    }
-
     /// Per-dimension statistics over *this segment's rows only*, plus the
     /// row-sum envelope a search planner needs. Each fragment is visited
     /// once (the per-row sums accumulate alongside the column moments);

@@ -1,12 +1,13 @@
 //! Property-based tests of the storage substrate: bitmap boolean algebra,
-//! quantization bracketing, top-k heaps against a full sort, and
-//! persistence round-trips. These are the invariants the upper layers
+//! quantization bracketing, top-k heaps against a full sort, store
+//! round-trips, and store parsing of truncated or corrupted bytes. These are the invariants the upper layers
 //! (pruning, VA-File bounds, candidate management) silently rely on.
 
 use proptest::prelude::*;
+use vdstore::checksum::fnv1a;
 use vdstore::{
-    ops, persist, Bitmap, CodeParams, DecomposedTable, SegmentStats, StoreCodes, TopKLargest,
-    TopKSmallest, VdError,
+    ops, persist, Bitmap, CodeParams, DecomposedTable, PersistedStore, SegmentStats,
+    StorageBackend, StoreCodes, TopKLargest, TopKSmallest, VdError,
 };
 
 const LEN: usize = 200;
@@ -20,6 +21,40 @@ fn one_column_codes(values: &[f64], partitions: usize, bits: u8) -> (DecomposedT
     let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
     let codes = StoreCodes::build(&table, &specs, &stats, bits).unwrap();
     (table, codes)
+}
+
+/// `table` and its `bits`-bit codes over `partitions` segments, written to
+/// store bytes.
+fn store_bytes_with_codes(table: &DecomposedTable, partitions: usize, bits: u8) -> Vec<u8> {
+    let specs = table.partition_specs(partitions);
+    let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(table).unwrap().stats()).collect();
+    let codes = StoreCodes::build(table, &specs, &stats, bits).unwrap();
+    persist::store_to_bytes_with_codes(table, &specs, &stats, None, Some(&codes)).unwrap().to_vec()
+}
+
+/// Writes `bytes` to a file of this process named after `test` and opens it
+/// memory-mapped.
+fn open_mapped(test: &str, bytes: &[u8]) -> Result<PersistedStore, VdError> {
+    let path =
+        std::env::temp_dir().join(format!("vdstore_prop_{test}_{}.bondvd", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let opened = persist::open_store(&path, StorageBackend::Mapped);
+    std::fs::remove_file(&path).unwrap();
+    opened
+}
+
+/// A store that opened from damaged bytes must still describe `table`'s
+/// shape: same dimensions and rows, statistics parallel to the segments,
+/// codes (when present) covering the same cells.
+fn assert_consistent(store: &PersistedStore, table: &DecomposedTable) {
+    assert_eq!(store.table.dims(), table.dims());
+    assert_eq!(store.table.rows(), table.rows());
+    assert_eq!(store.specs.len(), store.stats.len());
+    if let Some(codes) = &store.codes {
+        assert_eq!(codes.dims(), table.dims());
+        assert_eq!(codes.rows(), table.rows());
+        assert!(codes.matches_specs(&store.specs));
+    }
 }
 
 fn rows(max: u32) -> impl Strategy<Value = Vec<u32>> {
@@ -78,7 +113,7 @@ proptest! {
                 prop_assert_eq!(code, grid.encode(v));
                 let (lo, hi) = grid.cell_bounds(code);
                 prop_assert!(lo <= v + 1e-9 && v <= hi + 1e-9, "{} outside [{}, {}]", v, lo, hi);
-                prop_assert!((grid.approximate(code) - v).abs() <= grid.max_error() + 1e-9);
+                prop_assert!(hi - lo <= grid.cell_width() + 1e-9);
             }
         }
     }
@@ -101,20 +136,34 @@ proptest! {
         prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
 
         // the checked constructors refuse the value outright; a table read
-        // back from bytes is unchecked, and the encoder must refuse it
+        // back from a store is unchecked, and the encoder must refuse it
         const MARKER: f64 = 1234.5;
         let mut values = values;
         let at = at_seed % values.len();
         values[at] = MARKER;
         let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
         let table = DecomposedTable::from_vectors("c", &vectors).unwrap();
-        let mut bytes = persist::table_to_bytes(&table).to_vec();
-        let marker = MARKER.to_le_bytes();
-        let pos = bytes.windows(8).position(|w| w == marker).unwrap();
-        bytes[pos..pos + 8].copy_from_slice(&bad.to_le_bytes());
-        let table = persist::table_from_bytes(&bytes).unwrap();
-        prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
         let specs = table.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+        let mut bytes =
+            persist::store_to_bytes_with_codes(&table, &specs, &stats, None, None).unwrap().to_vec();
+        // splice the value into the one fragment (the data region precedes
+        // the footer, whose statistics also carry the marker), then re-seal
+        // the fragment checksum and the footer checksum
+        let pos = bytes.windows(8).position(|w| w == MARKER.to_le_bytes()).unwrap();
+        let fragment = pos - at * 8..pos + (values.len() - at) * 8;
+        let old_sum = fnv1a(&bytes[fragment.clone()]);
+        bytes[pos..pos + 8].copy_from_slice(&bad.to_le_bytes());
+        let new_sum = fnv1a(&bytes[fragment.clone()]);
+        let footer = fragment.end..bytes.len() - 24;
+        let sum_at = fragment.end
+            + bytes[footer.clone()].windows(8).position(|w| w == old_sum.to_le_bytes()).unwrap();
+        bytes[sum_at..sum_at + 8].copy_from_slice(&new_sum.to_le_bytes());
+        let footer_sum = fnv1a(&bytes[footer.clone()]);
+        bytes[footer.end..footer.end + 8].copy_from_slice(&footer_sum.to_le_bytes());
+        let table = persist::store_from_bytes(&bytes).unwrap().table;
+        prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
         let stats: Vec<SegmentStats> =
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
         let err = StoreCodes::build(&table, &specs, &stats, bits).unwrap_err();
@@ -130,9 +179,8 @@ proptest! {
         let (_, codes) = one_column_codes(&vec![value; len], 1, bits);
         let view = codes.segment_view(0).unwrap();
         let grid = view.params(0);
-        prop_assert_eq!(grid.max_error(), 0.0);
+        prop_assert_eq!(grid.cell_width(), 0.0);
         prop_assert_eq!(grid.cell_bounds(0), (value, value));
-        prop_assert_eq!(grid.approximate(0), value);
         prop_assert!(view.dim_codes(0).unwrap().iter().all(|&code| code == 0));
     }
 
@@ -179,28 +227,6 @@ proptest! {
     }
 
     #[test]
-    fn table_persistence_round_trips(
-        raw in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 6), 1..40),
-        deleted in proptest::collection::vec(proptest::bool::ANY, 1..40),
-    ) {
-        let mut table = DecomposedTable::from_vectors("t", &raw).unwrap();
-        for (i, &d) in deleted.iter().enumerate().take(raw.len()) {
-            if d {
-                table.delete(i as u32).unwrap();
-            }
-        }
-        let bytes = persist::table_to_bytes(&table);
-        let back = persist::table_from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.rows(), table.rows());
-        prop_assert_eq!(back.dims(), table.dims());
-        prop_assert_eq!(back.live_rows(), table.live_rows());
-        for r in 0..table.rows() as u32 {
-            prop_assert_eq!(back.row(r).unwrap(), table.row(r).unwrap());
-            prop_assert_eq!(back.is_deleted(r), table.is_deleted(r));
-        }
-    }
-
-    #[test]
     fn segment_store_round_trips_with_bit_exact_stats(
         raw in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 5), 1..40),
         deleted in proptest::collection::vec(proptest::bool::ANY, 1..40),
@@ -217,7 +243,9 @@ proptest! {
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
         let learned = vec![0xFEu8; (partitions * 3) % 7];
         let learned = (!learned.is_empty()).then_some(learned);
-        let bytes = persist::store_to_bytes(&table, &specs, &stats, learned.as_deref()).unwrap();
+        let bytes =
+            persist::store_to_bytes_with_codes(&table, &specs, &stats, learned.as_deref(), None)
+                .unwrap();
         let store = persist::store_from_bytes(&bytes).unwrap();
         prop_assert_eq!(store.learned.as_deref(), learned.as_deref());
 
@@ -274,60 +302,41 @@ proptest! {
     fn store_parsing_never_panics_on_truncation(
         raw in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 4), 1..20),
         partitions in 1usize..4,
+        bits in 1u8..=8,
         cut_seed in 0usize..1_000_000_000,
     ) {
         let table = DecomposedTable::from_vectors("trunc", &raw).unwrap();
-        let specs = table.partition_specs(partitions);
-        let stats: Vec<vdstore::SegmentStats> =
-            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap();
-        // every proper prefix must fail with a typed error, never a panic
+        let bytes = store_bytes_with_codes(&table, partitions, bits);
+        // every proper prefix must fail with a typed error, never a panic,
+        // whether parsed from memory or opened through a file mapping
         let cut = cut_seed % bytes.len();
         let err = persist::store_from_bytes(&bytes[..cut]).unwrap_err();
-        prop_assert!(matches!(
-            err,
-            vdstore::VdError::Corrupt(_) | vdstore::VdError::UnsupportedVersion { .. }
-        ));
+        prop_assert!(matches!(err, VdError::Corrupt(_) | VdError::UnsupportedVersion { .. }));
+        prop_assert!(open_mapped("truncation", &bytes[..cut]).is_err());
     }
 
     #[test]
     fn store_parsing_never_panics_on_single_byte_corruption(
         raw in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 3), 1..12),
+        bits in 1u8..=8,
         flip_seed in 0usize..1_000_000_000,
         flip_bits in 1u8..=255,
     ) {
         let table = DecomposedTable::from_vectors("flip", &raw).unwrap();
-        let specs = table.partition_specs(2);
-        let stats: Vec<vdstore::SegmentStats> =
-            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let mut bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap().to_vec();
+        let mut bytes = store_bytes_with_codes(&table, 2, bits);
         let at = flip_seed % bytes.len();
         bytes[at] ^= flip_bits;
         // a flipped byte in the data region is caught by the fragment
-        // checksums and one in the footer by the footer checksum; a flip
+        // checksums (eagerly on the heap, lazily on a mapping) and one in
+        // the footer, codes included, by the footer checksum; a flip
         // landing in a checksum field itself also mismatches — what is
         // forbidden is a panic or a structurally inconsistent success
         if let Ok(store) = persist::store_from_bytes(&bytes) {
-            prop_assert_eq!(store.table.dims(), table.dims());
-            prop_assert_eq!(store.table.rows(), table.rows());
-            prop_assert_eq!(store.specs.len(), store.stats.len());
+            assert_consistent(&store, &table);
         }
-    }
-
-    #[test]
-    fn bitmap_bytes_reject_ragged_tails(
-        domain in 1u32..500,
-        set in proptest::collection::vec(0u32..500, 0..20),
-        junk in proptest::collection::vec(0u8..=255, 1..3),
-    ) {
-        let set: Vec<u32> = set.into_iter().filter(|&r| r < domain).collect();
-        let bitmap = Bitmap::from_rows(domain as usize, &set);
-        let bytes = persist::bitmap_to_bytes(&bitmap);
-        prop_assert_eq!(persist::bitmap_from_bytes(&bytes).unwrap(), bitmap);
-        // appending 1..3 junk bytes always breaks the 4-byte row alignment
-        let mut ragged = bytes.to_vec();
-        ragged.extend_from_slice(&junk);
-        prop_assert!(persist::bitmap_from_bytes(&ragged).is_err());
+        if let Ok(store) = open_mapped("flip", &bytes) {
+            assert_consistent(&store, &table);
+        }
     }
 
     #[test]

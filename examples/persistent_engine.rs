@@ -16,13 +16,16 @@
 //! all four rules to a sidecar file. `verify` — typically a *separate
 //! process* — cold-opens the store via `EngineBuilder::open`, re-runs the
 //! same queries and exits non-zero on any deviation: bit-identical hits
-//! under uniform and adaptive planning alike.
+//! under uniform and adaptive planning alike, and again under
+//! `ScanMode::QuantizedFilter`, which must sweep the codes persisted in
+//! the store's footer without building any.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bond_datagen::{sample_queries, ClusteredConfig};
-use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RuleKind};
+use bond_exec::{Engine, EngineBuilder, PlannerKind, QuerySpec, RuleKind, ScanMode};
+use bond_obs::names;
 use vdstore::{DecomposedTable, StorageBackend};
 
 const ROWS: usize = 20_000;
@@ -52,11 +55,11 @@ fn in_memory_engine(table: DecomposedTable) -> Engine {
 }
 
 /// One expected-answer line: `rule query_index rank row score_bits`.
-fn answer_lines(engine: &Engine, queries: &[Vec<f64>]) -> Vec<String> {
+fn answer_lines(engine: &Engine, queries: &[Vec<f64>], mode: ScanMode) -> Vec<String> {
     let mut lines = Vec::new();
     for rule in rules() {
         for (qi, q) in queries.iter().enumerate() {
-            let spec = QuerySpec::new(q.clone(), K).rule(rule.clone());
+            let spec = QuerySpec::new(q.clone(), K).rule(rule.clone()).scan_mode(mode);
             let outcome = engine.search_spec(&spec).expect("query executes");
             for (rank, hit) in outcome.hits.iter().enumerate() {
                 lines.push(format!(
@@ -95,7 +98,7 @@ fn persist(store: &Path) {
         timer.elapsed().as_secs_f64() * 1000.0,
     );
 
-    let lines = answer_lines(&engine, &queries);
+    let lines = answer_lines(&engine, &queries, ScanMode::Exact);
     std::fs::write(expected_path(store), lines.join("\n") + "\n").expect("expected file writes");
     println!("wrote {} expected answers to {}", lines.len(), expected_path(store).display());
 }
@@ -119,25 +122,9 @@ fn verify(store: &Path) {
     // queries are re-derived deterministically from the reopened table
     let queries = sample_queries(engine.table(), N_QUERIES, QUERY_SEED);
     let expected = std::fs::read_to_string(expected_path(store)).expect("expected file reads");
-    let got = answer_lines(&engine, &queries);
     let expected: Vec<&str> = expected.lines().collect();
-    if expected.len() != got.len() {
-        eprintln!("FAIL: {} expected answers, {} computed", expected.len(), got.len());
-        std::process::exit(1);
-    }
-    let mut mismatches = 0;
-    for (e, g) in expected.iter().zip(&got) {
-        if *e != g.as_str() {
-            if mismatches < 10 {
-                eprintln!("FAIL: expected `{e}`, got `{g}`");
-            }
-            mismatches += 1;
-        }
-    }
-    if mismatches > 0 {
-        eprintln!("FAIL: {mismatches} of {} answers deviate", got.len());
-        std::process::exit(1);
-    }
+    let got = answer_lines(&engine, &queries, ScanMode::Exact);
+    check_answers(&expected, &got);
     println!(
         "OK: {} answers bit-identical across the process boundary ({} rules x {} queries x k={K})",
         got.len(),
@@ -164,6 +151,38 @@ fn verify(store: &Path) {
          {skipped} of {} segment searches skipped via persisted zone maps",
         N_QUERIES * PARTITIONS,
     );
+
+    // the code filter sweeps the codes the footer carried: same answers,
+    // and no companion is built in this process
+    let got = answer_lines(&engine, &queries, ScanMode::QuantizedFilter);
+    check_answers(&expected, &got);
+    let builds = engine.metrics().counter_value(names::ENGINE_CODES_BUILDS).unwrap_or(0);
+    if builds != 0 {
+        eprintln!("FAIL: the reopened engine built {builds} code companions");
+        std::process::exit(1);
+    }
+    println!("OK: code-filtered answers bit-identical from the persisted codes");
+}
+
+/// Exits non-zero unless `got` equals the `expected` answer lines.
+fn check_answers(expected: &[&str], got: &[String]) {
+    if expected.len() != got.len() {
+        eprintln!("FAIL: {} expected answers, {} computed", expected.len(), got.len());
+        std::process::exit(1);
+    }
+    let mut mismatches = 0;
+    for (e, g) in expected.iter().zip(got) {
+        if *e != g.as_str() {
+            if mismatches < 10 {
+                eprintln!("FAIL: expected `{e}`, got `{g}`");
+            }
+            mismatches += 1;
+        }
+    }
+    if mismatches > 0 {
+        eprintln!("FAIL: {mismatches} of {} answers deviate", got.len());
+        std::process::exit(1);
+    }
 }
 
 fn demo() {

@@ -88,7 +88,7 @@ pub use bond_exec::{
     AggregateSpec, FeatureSpec, KnnProgram, MultiFeatureSpec, QueryKind, RelationalRun, SelectStep,
 };
 
-pub use vdstore::{Advice, PersistedStore, StorageBackend};
+pub use vdstore::{PersistedStore, StorageBackend};
 
 /// The unified error enum every layer of the workspace reports through:
 /// storage errors wrap as [`BondError::Storage`], engine/builder validation

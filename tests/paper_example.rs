@@ -76,8 +76,11 @@ fn table2_worked_example_end_to_end() {
 #[test]
 fn persisted_collection_round_trips_through_search() {
     let table = DecomposedTable::from_vectors("table2", &collection()).unwrap();
-    let bytes = vdstore::persist::table_to_bytes(&table);
-    let reloaded = vdstore::persist::table_from_bytes(&bytes).unwrap();
+    let specs = table.partition_specs(1);
+    let stats: Vec<_> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+    let bytes =
+        vdstore::persist::store_to_bytes_with_codes(&table, &specs, &stats, None, None).unwrap();
+    let reloaded = vdstore::persist::store_from_bytes(&bytes).unwrap().table;
     let searcher = BondSearcher::new(&reloaded);
     let outcome = searcher.histogram_intersection_hq(&query(), 3, &BondParams::default()).unwrap();
     assert_eq!(sorted_rows(outcome.hits.iter().map(|h| h.row)), vec![2, 4, 6]);
