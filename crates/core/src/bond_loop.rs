@@ -14,7 +14,10 @@
 //! segment carried no κ in ([`Proof::Probe`]); the exact partial scores
 //! and pruning rule of `searcher`, which prove κ at every step from the
 //! heap of pessimistic bounds of the candidates that pass the κ the step
-//! carried in ([`Proof::Heap`]); and the synchronized multi-feature scan
+//! carried in ([`Proof::Heap`]) — while the candidates are a bitmap the
+//! pass computes both bounds where it reads them ([`Slots::Rule`]): the
+//! rule's closed-form optimistic bound a word at a time, the pessimistic
+//! one only for the keepers; and the synchronized multi-feature scan
 //! of `multifeature`, which drives one exact-partials source per feature
 //! and proves κ the same way from their bounds combined through the
 //! query's aggregate. The rest is written
@@ -44,10 +47,12 @@ use std::ops::Range;
 
 use vdstore::{Bitmap, TopKLargest};
 
-use crate::candidates::CandidateSet;
+use bond_metrics::{CandidateState, OptimisticTail, PruningRule};
+
+use crate::candidates::{set_bits, CandidateSet, WORD_ROWS};
 use crate::error::Result;
 use crate::kappa::KappaCell;
-use crate::kernels::{Kernel, SurviveTest};
+use crate::kernels::{self, Kernel, SurviveTest};
 use crate::quantfilter::QuantScratch;
 use crate::schedule::BlockSchedule;
 use crate::searcher::{prune_slack, RowState};
@@ -55,18 +60,149 @@ use crate::searcher::{prune_slack, RowState};
 /// Every candidate's bounds after a block, at its slot (see
 /// [`CandidateSet::prune`]).
 pub(crate) struct Bounds<'a> {
-    /// The optimistic bound the pruning pass tests against κ.
-    pub(crate) opt: &'a [f64],
-    /// What the κ heap collects of every keeper: its pessimistic bound
-    /// where the heap proves κ ([`Proof::Heap`]), its optimistic bound
-    /// where a probe does ([`Proof::Probe`]) — the heap then holds the `k`
-    /// rows the probe completes.
-    pub(crate) heap: &'a [f64],
+    pub(crate) slots: Slots<'a>,
     /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
     pub(crate) sign: f64,
     /// Added to every optimistic bound before it is tested — the best the
     /// unswept dimensions can still add.
     pub(crate) opt_add: f64,
+}
+
+/// Where [`Bounds`] come from.
+pub(crate) enum Slots<'a> {
+    /// Both bounds stored at every slot.
+    Stored {
+        /// The optimistic bound the pruning pass tests against κ.
+        opt: &'a [f64],
+        /// What the κ heap collects of every keeper: its pessimistic bound
+        /// where the heap proves κ ([`Proof::Heap`]), its optimistic bound
+        /// where a probe does ([`Proof::Probe`]) — the heap then holds the
+        /// `k` rows the probe completes.
+        heap: &'a [f64],
+    },
+    /// A pruning rule's bounds of the rows' partial scores and masses,
+    /// computed where they are read: the optimistic one from the rule's
+    /// closed form, a word at a time ([`kernels::tail_mask`]), the
+    /// pessimistic one only for the keepers the κ heap is offered. Only
+    /// bitmap steps have them, whose slots are rows.
+    Rule(RuleState<'a>),
+}
+
+/// The per-row state a [`PruningRule`] bounds, and the rule.
+pub(crate) struct RuleState<'a> {
+    pub(crate) rule: &'a dyn PruningRule,
+    /// The rule's optimistic bound, under its current constants.
+    pub(crate) tail: OptimisticTail,
+    pub(crate) partial: &'a [f64],
+    /// `T(x⁻)` and `T(x)`, where the rule keeps them (zeros otherwise).
+    pub(crate) scanned_mass: Option<&'a [f64]>,
+    pub(crate) total_mass: Option<&'a [f64]>,
+}
+
+/// Masses of a word whose rule keeps none.
+const NO_MASS: [f64; WORD_ROWS] = [0.0; WORD_ROWS];
+
+impl RuleState<'_> {
+    /// The masses of the rows `window` (at most one word), zeros where
+    /// the rule keeps none.
+    fn masses(&self, window: Range<usize>) -> (&[f64], &[f64]) {
+        let none = &NO_MASS[..window.len()];
+        let scanned = self.scanned_mass.map_or(none, |m| &m[window.clone()]);
+        (scanned, self.total_mass.map_or(none, |t| &t[window]))
+    }
+
+    fn candidate(&self, row: usize) -> CandidateState {
+        CandidateState {
+            partial: self.partial[row],
+            scanned_mass: self.scanned_mass.map_or(0.0, |m| m[row]),
+            total_mass: self.total_mass.map_or(0.0, |t| t[row]),
+        }
+    }
+}
+
+impl Bounds<'_> {
+    /// Both bounds stored at every slot.
+    pub(crate) fn stored<'a>(
+        opt: &'a [f64],
+        heap: &'a [f64],
+        sign: f64,
+        opt_add: f64,
+    ) -> Bounds<'a> {
+        Bounds { slots: Slots::Stored { opt, heap }, sign, opt_add }
+    }
+
+    /// The optimistic bound at `slot`, before `opt_add`.
+    pub(crate) fn opt(&self, slot: usize) -> f64 {
+        match &self.slots {
+            Slots::Stored { opt, .. } => opt[slot],
+            Slots::Rule(state) => state.tail.bound(&state.candidate(slot)),
+        }
+    }
+
+    /// What the κ heap collects of the keeper at `slot` (see
+    /// [`Slots::Stored`]): a rule's pessimistic bound.
+    pub(crate) fn heap(&self, slot: usize) -> f64 {
+        match &self.slots {
+            Slots::Stored { heap, .. } => heap[slot],
+            Slots::Rule(state) => {
+                let (lower, upper) = state.rule.bounds(&state.candidate(slot));
+                if self.sign > 0.0 {
+                    lower
+                } else {
+                    upper
+                }
+            }
+        }
+    }
+
+    /// The heap bounds of the bitmap word over the slots `window`: the
+    /// stored ones, or a rule's pessimistic bounds of the rows set in
+    /// `rows`, computed into `computed` (other entries are garbage).
+    pub(crate) fn heap_word<'b>(
+        &'b self,
+        window: Range<usize>,
+        rows: u64,
+        computed: &'b mut [f64; WORD_ROWS],
+    ) -> &'b [f64] {
+        match &self.slots {
+            Slots::Stored { heap, .. } => &heap[window],
+            Slots::Rule(state) => {
+                let computed = &mut computed[..window.len()];
+                let scanned = state.scanned_mass.map(|m| &m[window.clone()]);
+                let total = state.total_mass.map(|t| &t[window.clone()]);
+                let partial = &state.partial[window];
+                state.rule.pessimistic_word(rows, partial, scanned, total, computed);
+                computed
+            }
+        }
+    }
+
+    /// The rows set in `rows` (bit `i` is the slot `window.start + i`) whose
+    /// optimistic bound passes `test`, one row at a time.
+    pub(crate) fn opt_bits(&self, test: SurviveTest, window: Range<usize>, rows: u64) -> u64 {
+        let start = window.start;
+        match &self.slots {
+            Slots::Stored { opt, .. } => set_bits(rows)
+                .filter(|&bit| test.survives(opt[start + bit]))
+                .fold(0, |mask, bit| mask | 1 << bit),
+            Slots::Rule(state) => {
+                let (scanned, total) = state.masses(window.clone());
+                kernels::tail_bits(state.tail, test, rows, &state.partial[window], scanned, total)
+            }
+        }
+    }
+
+    /// The survive mask of the optimistic bounds at the slots `window`
+    /// (at most one word's).
+    pub(crate) fn opt_mask(&self, kernel: Kernel, test: SurviveTest, window: Range<usize>) -> u64 {
+        match &self.slots {
+            Slots::Stored { opt, .. } => kernels::survive_mask(kernel, test, &opt[window]),
+            Slots::Rule(state) => {
+                let (scanned, total) = state.masses(window.clone());
+                kernels::tail_mask(kernel, state.tail, test, &state.partial[window], scanned, total)
+            }
+        }
+    }
 }
 
 /// Where a [`BoundSource`] proves κ, and so which steps collect the κ heap
@@ -391,6 +527,23 @@ pub(crate) mod tests {
         }
     }
 
+    /// The optimistic bound at `slot`, read the way the stored form stores
+    /// it: a rule's from its `bounds`, not from its closed form, so the
+    /// reference below also checks the closed form the pass tests.
+    fn optimistic(bounds: &Bounds<'_>, slot: usize) -> f64 {
+        match &bounds.slots {
+            Slots::Stored { opt, .. } => opt[slot],
+            Slots::Rule(state) => {
+                let (lower, upper) = state.rule.bounds(&state.candidate(slot));
+                if bounds.sign > 0.0 {
+                    upper
+                } else {
+                    lower
+                }
+            }
+        }
+    }
+
     /// The per-candidate pruning step, shared by both spaces as the
     /// reference [`CandidateSet::prune`] must reproduce decision for
     /// decision: one bound test per candidate, every keeper offered to the
@@ -403,16 +556,16 @@ pub(crate) mod tests {
         bounds: &Bounds<'_>,
         mut best: Option<&mut TopKLargest>,
     ) -> usize {
-        let &Bounds { opt, heap, sign, .. } = bounds;
+        let sign = bounds.sign;
         if let Some(best) = best.as_deref_mut() {
             best.clear();
         }
         let mut doomed = HashSet::new();
         for (slot, row) in slots(set) {
-            if keep.is_some_and(|test| !test.survives(opt[slot])) {
+            if keep.is_some_and(|test| !test.survives(optimistic(bounds, slot))) {
                 doomed.insert(row);
             } else if let Some(best) = best.as_deref_mut() {
-                best.push(row, sign * heap[slot]);
+                best.push(row, sign * bounds.heap(slot));
             }
         }
         let mut stats = STEP_STATS.with(Cell::get);
@@ -448,17 +601,17 @@ pub(crate) mod tests {
         ctx: String,
     ) -> Seam {
         Box::new(move |set, keep, bounds, best| {
-            let &Bounds { opt, heap, sign, opt_add } = bounds;
+            let &Bounds { sign, opt_add, .. } = bounds;
             for (slot, row) in slots(set) {
                 let score = sign * exact[row as usize];
                 let tol = 1e-9 * score.abs().max(1.0);
-                let optimistic = sign * (opt[slot] + opt_add);
+                let optimistic = sign * (optimistic(bounds, slot) + opt_add);
                 assert!(
                     score <= optimistic + tol,
                     "{ctx}: row {row} scores {score}, optimistic bound {optimistic}"
                 );
                 if proof == Proof::Heap {
-                    let pessimistic = sign * heap[slot];
+                    let pessimistic = sign * bounds.heap(slot);
                     assert!(
                         pessimistic <= score + tol,
                         "{ctx}: row {row} scores {score}, pessimistic bound {pessimistic}"
@@ -567,7 +720,7 @@ pub(crate) mod tests {
         }
 
         fn bounds(&self, _: usize) -> Bounds<'_> {
-            Bounds { opt: &self.opt, heap: &self.pes, sign: 1.0, opt_add: 0.0 }
+            Bounds::stored(&self.opt, &self.pes, 1.0, 0.0)
         }
     }
 

@@ -13,13 +13,17 @@
 //! code sweep, which stays in the bitmap phase, and the exact search — and
 //! carries the one pruning pass their shared block loop runs between
 //! blocks: drop what cannot reach κ, offer the rest to the κ heap, 64 rows
-//! at a time while the set is a bitmap.
+//! at a time while the set is a bitmap. The pass reads bounds stored per
+//! slot (the code sweep's, a row list's) or, in the exact search's bitmap
+//! steps, computes them as it goes: the rule's closed-form optimistic bound
+//! of a word's rows straight from their partial scores and masses, and the
+//! pessimistic bound of the keepers only, where the κ heap needs it.
 
 use std::ops::Range;
 
 use vdstore::{Bitmap, RowId, TopKLargest};
 
-use crate::bond_loop::Bounds;
+use crate::bond_loop::{Bounds, Slots};
 use crate::kernels::{self, Kernel, SurviveTest};
 
 /// Rows per candidate-bitmap word — the granularity at which the word-wise
@@ -98,68 +102,62 @@ impl CandidateSet {
     /// ascending slot order. Returns the number of candidates removed.
     ///
     /// In the bitmap phase a word holding at least [`MASK_MIN_CANDIDATES`]
-    /// candidates is AND-ed with one [`kernels::survive_mask`] of its 64
-    /// rows, so rows that are not candidates are tested too and the answer
-    /// for them ignored; a thinner word tests its set bits one by one with
-    /// the same predicate. Each word offers `best` only the keepers whose
-    /// heap bound is not below the heap's weakest entry *at the start of
-    /// the word*, one survive mask of its heap bounds — exact, because the
-    /// weakest only rises while the heap is full, until a NaN bound enters
-    /// it (NaN compares equal to every score, so the heap's order no longer
-    /// holds) and every keeper is offered from then on. In the list phase
-    /// every position runs the predicate and every keeper is offered.
+    /// candidates is AND-ed with one survive mask of its 64 rows
+    /// ([`Bounds::opt_mask`]: of the stored bounds, or of a rule's closed
+    /// form straight from the rows' partial scores and masses), so rows
+    /// that are not candidates are tested too and the answer for them
+    /// ignored; a thinner word tests its set bits one by one with the same
+    /// predicate. Each word offers `best` only the keepers whose heap bound
+    /// is not below the heap's weakest entry *at the start of the word* —
+    /// one survive mask of stored heap bounds, or a rule's pessimistic
+    /// bound computed for each keeper — exact, because the weakest only
+    /// rises while the heap is full, until a NaN bound enters it (NaN
+    /// compares equal to every score, so the heap's order no longer holds)
+    /// and every keeper is offered from then on. In the list phase every
+    /// position runs the predicate and every keeper is offered.
     pub(crate) fn prune(
         &mut self,
         kernel: Kernel,
         keep: Option<SurviveTest>,
         bounds: &Bounds<'_>,
-        mut best: Option<&mut TopKLargest>,
+        best: Option<&mut TopKLargest>,
     ) -> usize {
-        let &Bounds { opt, heap, sign, .. } = bounds;
-        if let Some(best) = best.as_deref_mut() {
+        let mut offers = best.map(|best| {
             best.clear();
-        }
+            Offers { best, sign: bounds.sign, offered_nan: false, computed: [0.0; WORD_ROWS] }
+        });
         match self {
             CandidateSet::Bits(bits) => {
                 let rows = bits.len();
-                let mut offered_nan = false;
                 bits.retain_words(|index, word| {
                     let start = index * WORD_ROWS;
                     let window = start..(start + WORD_ROWS).min(rows);
                     let kept = match keep {
                         None => word,
                         Some(test) if word.count_ones() >= MASK_MIN_CANDIDATES => {
-                            word & kernels::survive_mask(kernel, test, &opt[window.clone()])
+                            word & bounds.opt_mask(kernel, test, window.clone())
                         }
-                        Some(test) => set_bits(word)
-                            .filter(|&bit| test.survives(opt[start + bit]))
-                            .fold(0, |mask, bit| mask | 1 << bit),
+                        Some(test) => bounds.opt_bits(test, window.clone(), word),
                     };
-                    let Some(best) = best.as_deref_mut() else { return kept };
-                    let mut offer = kept;
-                    if let Some(weakest) = best.kth().filter(|_| !offered_nan) {
-                        let reaches = SurviveTest { sign, add: 0.0, bar: weakest };
-                        offer &= kernels::survive_mask(kernel, reaches, &heap[window]);
-                    }
-                    for bit in set_bits(offer) {
-                        let row = start + bit;
-                        let score = sign * heap[row];
-                        offered_nan |= score.is_nan();
-                        best.push(row as RowId, score);
+                    if let Some(offers) = offers.as_mut() {
+                        offers.word(kernel, bounds, window, kept);
                     }
                     kept
                 })
             }
             CandidateSet::List(list) => {
+                debug_assert!(
+                    matches!(bounds.slots, Slots::Stored { .. }),
+                    "list slots are stored"
+                );
                 let before = list.len();
                 let mut slot = 0;
                 list.retain(|&row| {
-                    let (o, h) = (opt[slot], heap[slot]);
-                    slot += 1;
-                    let kept = keep.is_none_or(|test| test.survives(o));
-                    if let Some(best) = best.as_deref_mut().filter(|_| kept) {
-                        best.push(row, sign * h);
+                    let kept = keep.is_none_or(|test| test.survives(bounds.opt(slot)));
+                    if let Some(offers) = offers.as_mut().filter(|_| kept) {
+                        offers.push(row, bounds.heap(slot));
                     }
+                    slot += 1;
                     kept
                 });
                 before - list.len()
@@ -197,6 +195,63 @@ impl CandidateSet {
             CandidateSet::List(l) => l.clone(),
         }
     }
+}
+
+/// The κ heap a pruning pass offers its keepers to.
+struct Offers<'h> {
+    best: &'h mut TopKLargest,
+    sign: f64,
+    /// Whether a NaN bound has been offered: from then on every keeper is.
+    offered_nan: bool,
+    /// A word's computed heap bounds ([`Bounds::heap_word`]).
+    computed: [f64; WORD_ROWS],
+}
+
+impl Offers<'_> {
+    /// Offers one keeper's heap bound, sign-folded.
+    fn push(&mut self, row: RowId, heap: f64) {
+        offer(self.best, self.sign, &mut self.offered_nan, row, heap);
+    }
+
+    /// Offers the keepers `kept` of the bitmap word over the rows `window`
+    /// whose heap bound reaches the heap's weakest entry as the word
+    /// starts (every keeper while the heap is not full, or after a NaN):
+    /// one survive mask of the word's heap bounds — stored, or computed
+    /// for its keepers only ([`Bounds::heap_word`]), where the mask's
+    /// answers for the other rows are ignored — or, for fewer than
+    /// [`MASK_MIN_CANDIDATES`] computed keepers, the same predicate keeper
+    /// by keeper.
+    fn word(&mut self, kernel: Kernel, bounds: &Bounds<'_>, window: Range<usize>, kept: u64) {
+        if kept == 0 {
+            return;
+        }
+        let Offers { best, sign, offered_nan, computed } = self;
+        let start = window.start;
+        let reaches = best.kth().filter(|_| !*offered_nan).map(|weakest| SurviveTest {
+            sign: *sign,
+            add: 0.0,
+            bar: weakest,
+        });
+        let heap = bounds.heap_word(window, kept, computed);
+        let offers = match (&bounds.slots, reaches) {
+            (_, None) => kept,
+            (Slots::Rule(_), Some(test)) if kept.count_ones() < MASK_MIN_CANDIDATES => {
+                set_bits(kept)
+                    .fold(0, |mask, bit| mask | u64::from(test.survives(heap[bit])) << bit)
+            }
+            (_, Some(test)) => kept & kernels::survive_mask(kernel, test, heap),
+        };
+        for bit in set_bits(offers) {
+            offer(best, *sign, offered_nan, (start + bit) as RowId, heap[bit]);
+        }
+    }
+}
+
+/// Offers one keeper's heap bound to `best`, sign-folded, noting a NaN.
+fn offer(best: &mut TopKLargest, sign: f64, offered_nan: &mut bool, row: RowId, heap: f64) {
+    let score = sign * heap;
+    *offered_nan |= score.is_nan();
+    best.push(row, score);
 }
 
 /// The set bit positions of one bitmap word, lowest first.
@@ -261,7 +316,7 @@ mod tests {
     /// One value per slot, as both the optimistic and the heap bound,
     /// larger is better.
     fn slot_bounds(values: &[f64]) -> Bounds<'_> {
-        Bounds { opt: values, heap: values, sign: 1.0, opt_add: 0.0 }
+        Bounds::stored(values, values, 1.0, 0.0)
     }
 
     /// A heap's entries as comparable bits, in row order.
@@ -363,6 +418,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A rule's bounds computed where the pass reads them — the closed
+    /// optimistic form a word at a time, the pessimistic bound per keeper
+    /// — prune and offer exactly what the same bounds stored for every row
+    /// do: the same rows kept, the same heap entries. All six rules, NaN
+    /// and ±∞ among the partial scores and masses, dense and thin words,
+    /// no κ and three bars, three `k`.
+    #[test]
+    fn rule_bounds_prune_and_offer_as_their_stored_bounds_do() {
+        use crate::bond_loop::{RuleState, Slots};
+        use bond_metrics::{
+            EqRule, EvRule, HhRule, HqRule, Objective, PruningRule, WeightedEvRule, WeightedHqRule,
+        };
+
+        const ROWS: usize = 200;
+        let mut state = 0x0FF5_E7B0_D5EE_D048u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = |scale: f64| match next() % 16 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            r => scale * r as f64 / 16.0,
+        };
+        let partial: Vec<f64> = (0..ROWS).map(|_| value(1.0)).collect();
+        let scanned: Vec<f64> = (0..ROWS).map(|_| value(0.5)).collect();
+        let total: Vec<f64> = (0..ROWS).map(|_| value(1.5)).collect();
+        // two dense words, then thin ones
+        let rows: Vec<RowId> = (0..ROWS as RowId).filter(|r| *r < 128 || r % 7 == 2).collect();
+        let query = [0.3, 0.0, 0.5, 0.2, 0.1];
+        let weights = [1.0, 0.0, 2.0, 0.5, 1.5];
+        let rules = || -> [Box<dyn PruningRule>; 6] {
+            [
+                Box::new(HqRule::new()),
+                Box::new(HhRule::new()),
+                Box::new(EqRule::new()),
+                Box::new(EvRule::new()),
+                Box::new(WeightedHqRule::new(weights.to_vec())),
+                Box::new(WeightedEvRule::new(weights.to_vec())),
+            ]
+        };
+        // (which NaN a NaN input yields is not pinned down)
+        let canonical = |entries: Vec<(RowId, u64)>| -> Vec<(RowId, u64)> {
+            let nan = f64::NAN.to_bits();
+            entries
+                .into_iter()
+                .map(|(row, bits)| (row, if f64::from_bits(bits).is_nan() { nan } else { bits }))
+                .collect()
+        };
+        let mut kept_somewhere = 0;
+        for kernel in kernels() {
+            for mut rule in rules() {
+                rule.prepare(&query, &[1, 2, 4]);
+                let rule = rule.as_ref();
+                let (mut lower, mut upper) = (vec![0.0; ROWS], vec![0.0; ROWS]);
+                rule.bounds_all(&partial, Some(&scanned), Some(&total), &mut lower, &mut upper);
+                let (opt, heap, sign) = match rule.objective() {
+                    Objective::Maximize => (&upper, &lower, 1.0),
+                    Objective::Minimize => (&lower, &upper, -1.0),
+                };
+                let stored = Bounds::stored(opt, heap, sign, 0.0);
+                let state = RuleState {
+                    rule,
+                    tail: rule.optimistic_tail(),
+                    partial: &partial,
+                    scanned_mass: Some(&scanned),
+                    total_mass: Some(&total),
+                };
+                let computed = Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 };
+                for bar in [None, Some(0.2), Some(0.6), Some(1.1)] {
+                    let keep = bar.map(|bar| SurviveTest { sign, add: 0.0, bar: sign * bar });
+                    for k in [1, 3, 17] {
+                        let mut outcomes = Vec::new();
+                        for bounds in [&stored, &computed] {
+                            let mut set = CandidateSet::from_bitmap(Bitmap::from_rows(ROWS, &rows));
+                            let mut best = TopKLargest::new(k);
+                            let removed = set.prune(kernel, keep, bounds, Some(&mut best));
+                            outcomes.push((removed, set.to_rows(), canonical(entries(&best))));
+                        }
+                        let ctx = format!("{} {} bar {bar:?} k {k}", kernel.label(), rule.name());
+                        assert_eq!(outcomes[1], outcomes[0], "{ctx}");
+                        kept_somewhere += usize::from(outcomes[0].0 > 0);
+                    }
+                }
+            }
+        }
+        assert!(kept_somewhere > 20, "only {kept_somewhere} passes removed a row");
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!
 //! A third primitive serves the pruning step the BOND loop runs between
 //! blocks: the 64-row **survive mask** ([`survive_mask`]), one branch-free
-//! bound test per row of a candidate-bitmap word, AND-ed into the word.
+//! bound test per row of a candidate-bitmap word, AND-ed into the word —
+//! of stored bounds, or, in the exact search's bitmap steps, of a rule's
+//! closed-form optimistic bound computed in the same registers from the
+//! rows' partial scores and masses ([`tail_mask`]).
 //!
 //! One flavour is selected per process by [`Kernel::active`] —
 //! `is_x86_feature_detected!("avx2")` on x86-64, NEON on aarch64, the
@@ -67,7 +70,7 @@
 
 use std::sync::OnceLock;
 
-use bond_metrics::{KernelOp, Objective};
+use bond_metrics::{CandidateState, KernelOp, Objective, OptimisticTail};
 use vdstore::{CodeParams, RowId};
 
 /// Environment variable that forces kernel selection
@@ -749,6 +752,104 @@ fn survive_mask_scalar(test: SurviveTest, x: &[f64]) -> u64 {
     mask
 }
 
+/// The survive mask of up to [`MASK_ROWS`] rows whose bound is a rule's
+/// closed-form optimistic bound: bit `i` is set iff
+/// `tail.bound(partial[i], scanned[i], total[i])` passes `test`
+/// ([`OptimisticTail::bound`], [`SurviveTest::survives`]); bits past the
+/// last row are clear. The pruning pass of the exact search's bitmap steps
+/// tests a word straight from the partial scores and masses with it, so
+/// no bound is stored.
+///
+/// Bit-identical on every kernel: each lane performs the scalar tail's
+/// operations in its order — `maxNum(T(x) − T(x⁻), 0)`, then the form's
+/// `minNum`, subtraction, multiplication, division and addition — and then
+/// [`survive_mask`]'s test. AVX2 bounds four rows per instruction; NEON
+/// takes the scalar reference.
+///
+/// # Panics
+/// Panics unless `partial` holds at most [`MASK_ROWS`] rows and both mass
+/// slices as many (zeros stand for masses a rule does not keep).
+pub fn tail_mask(
+    kernel: Kernel,
+    tail: OptimisticTail,
+    test: SurviveTest,
+    partial: &[f64],
+    scanned: &[f64],
+    total: &[f64],
+) -> u64 {
+    let rows = partial.len();
+    assert!(rows <= MASK_ROWS, "tail_mask: at most 64 rows");
+    assert!(scanned.len() == rows && total.len() == rows, "tail_mask: a mass per row");
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if Kernel::Avx2.is_supported() => {
+            // SAFETY: AVX2 availability, a row count of at most 64 and
+            // equal slice lengths were just checked.
+            unsafe { x86::tail_mask_avx2(tail, test, partial, scanned, total) }
+        }
+        _ => tail_mask_scalar(tail, test, partial, scanned, total),
+    }
+}
+
+/// The portable tail mask — the bit-identity reference.
+fn tail_mask_scalar(
+    tail: OptimisticTail,
+    test: SurviveTest,
+    partial: &[f64],
+    scanned: &[f64],
+    total: &[f64],
+) -> u64 {
+    let mut mask = 0u64;
+    for (i, ((&partial, &scanned_mass), &total_mass)) in
+        partial.iter().zip(scanned).zip(total).enumerate()
+    {
+        let bound = tail.bound(&CandidateState { partial, scanned_mass, total_mass });
+        mask |= u64::from(test.survives(bound)) << i;
+    }
+    mask
+}
+
+/// [`tail_mask`] for the rows set in `rows` only, one row at a time: the
+/// mask of the set rows whose bound passes `test` — for a word too thin to
+/// pay for a whole-word mask. The form is matched once, not per row, and
+/// each row's bound is [`OptimisticTail::bound`]'s.
+pub fn tail_bits(
+    tail: OptimisticTail,
+    test: SurviveTest,
+    rows: u64,
+    partial: &[f64],
+    scanned: &[f64],
+    total: &[f64],
+) -> u64 {
+    let state = |i: usize| CandidateState {
+        partial: partial[i],
+        scanned_mass: scanned[i],
+        total_mass: total[i],
+    };
+    // one loop per form, the form a constant inside it
+    macro_rules! bits {
+        ($form:expr) => {{
+            let form = $form;
+            let mut mask = 0u64;
+            let mut left = rows;
+            while left != 0 {
+                let i = left.trailing_zeros() as usize;
+                left &= left - 1;
+                mask |= u64::from(test.survives(form.bound(&state(i)))) << i;
+            }
+            mask
+        }};
+    }
+    match tail {
+        OptimisticTail::Partial => bits!(OptimisticTail::Partial),
+        OptimisticTail::AddConst(c) => bits!(OptimisticTail::AddConst(c)),
+        OptimisticTail::AddMassCapped(cap) => bits!(OptimisticTail::AddMassCapped(cap)),
+        OptimisticTail::AddSquaredGap { target, divisor } => {
+            bits!(OptimisticTail::AddSquaredGap { target, divisor })
+        }
+    }
+}
+
 /// Builds one dimension's interleaved `[opt, pes]` contribution LUT
 /// (`pairs[2*c]` / `pairs[2*c + 1]` for cell `c`) straight from the
 /// quantization grid, fusing cell-edge generation with the bound math of
@@ -1097,12 +1198,12 @@ mod x86 {
     use std::arch::x86_64::{
         __m128i, __m256d, __m512d, __m512i, _mm256_add_epi32, _mm256_add_pd, _mm256_and_pd,
         _mm256_and_si256, _mm256_blend_pd, _mm256_castsi256_si128, _mm256_ceil_pd, _mm256_cmp_pd,
-        _mm256_cvtepi32_pd, _mm256_cvtepu8_epi32, _mm256_cvttpd_epi32, _mm256_extracti128_si256,
-        _mm256_floor_pd, _mm256_i32gather_epi32, _mm256_i32gather_pd, _mm256_loadu_pd,
-        _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_epi32,
-        _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_setzero_si256, _mm256_storeu_pd,
-        _mm256_sub_pd, _mm512_add_epi16, _mm512_add_epi32, _mm512_add_pd, _mm512_and_si512,
-        _mm512_castsi512_si256, _mm512_cvtepi32_pd, _mm512_cvtepu16_epi32,
+        _mm256_cvtepi32_pd, _mm256_cvtepu8_epi32, _mm256_cvttpd_epi32, _mm256_div_pd,
+        _mm256_extracti128_si256, _mm256_floor_pd, _mm256_i32gather_epi32, _mm256_i32gather_pd,
+        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_set1_epi32, _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_setzero_si256,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_epi16, _mm512_add_epi32, _mm512_add_pd,
+        _mm512_and_si512, _mm512_castsi512_si256, _mm512_cvtepi32_pd, _mm512_cvtepu16_epi32,
         _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_mask_blend_epi8,
         _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi8, _mm512_maskz_loadu_pd, _mm512_movepi8_mask,
         _mm512_mul_pd, _mm512_permutex2var_epi32, _mm512_permutex2var_epi8, _mm512_set1_epi16,
@@ -1114,7 +1215,7 @@ mod x86 {
     };
     use std::ptr;
 
-    use bond_metrics::KernelOp;
+    use bond_metrics::{CandidateState, KernelOp, OptimisticTail};
     use vdstore::{CodeParams, RowId};
 
     use super::{
@@ -1448,6 +1549,93 @@ mod x86 {
         let mut mask = if i == 64 { !dropped } else { !dropped & ((1u64 << i) - 1) };
         while i < rows {
             mask |= u64::from(test.survives(*p.add(i))) << i;
+            i += 1;
+        }
+        mask
+    }
+
+    /// Four rows' remaining mass `max(T(x) − T(x⁻), 0)`: `vmaxpd` with `0`
+    /// as its second operand is `maxNum` with a non-NaN operand, a NaN
+    /// difference becoming `0`.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and four readable rows at `at` in both slices.
+    // SAFETY: only reachable from `tail_mask_avx2`, which established AVX2
+    // support and keeps `at + 4` within the equal-length slices.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn remaining_quad(scanned: *const f64, total: *const f64, at: usize) -> __m256d {
+        let rem = _mm256_sub_pd(_mm256_loadu_pd(total.add(at)), _mm256_loadu_pd(scanned.add(at)));
+        _mm256_max_pd(rem, _mm256_setzero_pd())
+    }
+
+    /// The AVX2 tail mask: four rows bounded and tested per step, lane by
+    /// lane the scalar [`OptimisticTail::bound`] — `Hh`'s cap is
+    /// `vminpd(cap, rem)`, `minNum` with the non-NaN remaining mass as its
+    /// second operand — then [`SurviveTest::survives`]. One loop per form,
+    /// chosen once per word. A tail of fewer than four rows goes through
+    /// the scalar bound and predicate.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2, at most 64 rows and three slices of equal
+    /// length.
+    // SAFETY: dispatched from `tail_mask` only after asserting all of the
+    // above; every load reads rows `at..at + 4` with `at + 4 ≤ rows`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tail_mask_avx2(
+        tail: OptimisticTail,
+        test: SurviveTest,
+        partial: &[f64],
+        scanned: &[f64],
+        total: &[f64],
+    ) -> u64 {
+        let rows = partial.len();
+        let (p, s, t) = (partial.as_ptr(), scanned.as_ptr(), total.as_ptr());
+        let sign = _mm256_set1_pd(test.sign);
+        let add = _mm256_set1_pd(test.add);
+        let bar = _mm256_set1_pd(test.bar);
+        let mut dropped = 0u64;
+        // every quad of the word through one form's bound
+        macro_rules! quads {
+            ($at:ident => $bound:expr) => {{
+                let mut $at = 0usize;
+                while $at + 4 <= rows {
+                    dropped |= dropped_quad($bound, sign, add, bar) << $at;
+                    $at += 4;
+                }
+            }};
+        }
+        match tail {
+            OptimisticTail::Partial => quads!(at => _mm256_loadu_pd(p.add(at))),
+            OptimisticTail::AddConst(c) => {
+                let c = _mm256_set1_pd(c);
+                quads!(at => _mm256_add_pd(_mm256_loadu_pd(p.add(at)), c))
+            }
+            OptimisticTail::AddMassCapped(cap) => {
+                let cap = _mm256_set1_pd(cap);
+                quads!(at => _mm256_add_pd(
+                    _mm256_loadu_pd(p.add(at)),
+                    _mm256_min_pd(cap, remaining_quad(s, t, at)),
+                ))
+            }
+            OptimisticTail::AddSquaredGap { target, divisor } => {
+                let (target, divisor) = (_mm256_set1_pd(target), _mm256_set1_pd(divisor));
+                quads!(at => {
+                    let gap = _mm256_sub_pd(remaining_quad(s, t, at), target);
+                    let extra = _mm256_div_pd(_mm256_mul_pd(gap, gap), divisor);
+                    _mm256_add_pd(_mm256_loadu_pd(p.add(at)), extra)
+                })
+            }
+        }
+        let mut i = rows & !3;
+        let mut mask = if i == 64 { !dropped } else { !dropped & ((1u64 << i) - 1) };
+        while i < rows {
+            let candidate = CandidateState {
+                partial: partial[i],
+                scanned_mass: scanned[i],
+                total_mass: total[i],
+            };
+            mask |= u64::from(test.survives(tail.bound(&candidate))) << i;
             i += 1;
         }
         mask

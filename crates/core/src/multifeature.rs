@@ -361,11 +361,13 @@ impl BoundSource for Synchronized<'_> {
 
     /// Every feature's rule bounds on the similarity scale — a distance's
     /// optimistic bound is the upper similarity bound — combined through
-    /// the aggregate at each candidate's slot.
+    /// the aggregate at each candidate's slot. The aggregate reads both
+    /// bounds of every feature at every slot, so each feature stores both
+    /// ([`ExactPartials::bound_slots`]) in bitmap steps too.
     fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
         for f in 0..self.features.len() {
             let own = self.cut(f, swept);
-            self.features[f].bound(candidates, own);
+            self.features[f].bound_slots(candidates, own);
         }
         let Self { features, kinds, aggregate, lower, upper, component: (lo, hi), .. } = self;
         let bounds: Vec<_> = features.iter().map(|f| (f.bounds(swept), f.dims())).collect();
@@ -375,8 +377,8 @@ impl BoundSource for Synchronized<'_> {
         upper.resize(slots, 0.0);
         let mut combine = |slot: usize| {
             for (f, (bounds, dims)) in bounds.iter().enumerate() {
-                lo[f] = kinds[f].similarity(bounds.heap[slot], *dims);
-                hi[f] = kinds[f].similarity(bounds.opt[slot], *dims);
+                lo[f] = kinds[f].similarity(bounds.heap(slot), *dims);
+                hi[f] = kinds[f].similarity(bounds.opt(slot), *dims);
             }
             (lower[slot], upper[slot]) = aggregate.combine_bounds(lo, hi);
         };
@@ -387,7 +389,7 @@ impl BoundSource for Synchronized<'_> {
     }
 
     fn bounds(&self, _swept: usize) -> Bounds<'_> {
-        Bounds { opt: &self.upper, heap: &self.lower, sign: 1.0, opt_add: 0.0 }
+        Bounds::stored(&self.upper, &self.lower, 1.0, 0.0)
     }
 
     /// The first feature's source records the scan's steps, and switches

@@ -700,7 +700,7 @@ impl BoundSource for CodeIntervals<'_> {
     fn bounds(&self, swept: usize) -> Bounds<'_> {
         let opt = &self.scratch.opt[..];
         let opt_add = self.scratch.rem_opt[swept];
-        Bounds { opt, heap: opt, sign: self.sign, opt_add }
+        Bounds::stored(opt, opt, self.sign, opt_add)
     }
 
     /// Computes the pessimistic bound of the `k` rows in `best` over every
@@ -1060,7 +1060,7 @@ mod tests {
 
     /// Optimistic and heap bounds, larger is better, nothing unswept.
     fn plain<'a>(opt: &'a [f64], heap: &'a [f64]) -> Bounds<'a> {
-        Bounds { opt, heap, sign: 1.0, opt_add: 0.0 }
+        Bounds::stored(opt, heap, 1.0, 0.0)
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //! sharing — is the crate's one block loop, which the quantized first
 //! pass ([`crate::quantfilter`]) runs too. This module supplies its
 //! **exact-partials** bound source: step 1 accumulates the partial scores
-//! densely, gathered over the row list, or per candidate, and step 2 asks
-//! the [`PruningRule`] (Hq, Hh, Eq, Ev and their weighted variants) for the
-//! bounds of every candidate at once. Each step prunes with the κ it just
-//! proved. The synchronized multi-feature scan ([`crate::multifeature`])
-//! drives one such source per feature. Convenience methods instantiate the
-//! rule / metric combinations the paper evaluates.
+//! densely, gathered over the candidates' rows, or per candidate for a
+//! metric without a kernel shape, and step 2 bounds them with the
+//! [`PruningRule`] (Hq, Hh, Eq, Ev and their weighted variants). While the
+//! candidates are a bitmap, step 2 is the pruning pass's own: it tests the
+//! rule's closed-form optimistic bound ([`PruningRule::optimistic_tail`])
+//! a 64-row word at a time and asks the rule for the pessimistic bound of
+//! the keepers only; a row list's bounds are stored per position first.
+//! Each step prunes with the κ it just proved. The synchronized
+//! multi-feature scan ([`crate::multifeature`]) drives one such source per
+//! feature. Convenience methods instantiate the rule / metric combinations
+//! the paper evaluates.
 //!
 //! **§7.4: the code loop, then an ordered refine.** When the segment has
 //! codes, [`search_segment`] runs the loop over code intervals first. Its
@@ -36,14 +41,18 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use bond_metrics::{CandidateState, DecomposableMetric, KernelOp, Objective, PruningRule};
+use bond_metrics::{
+    CandidateState, DecomposableMetric, KernelOp, Objective, OptimisticTail, PruningRule,
+};
 use bond_metrics::{EqRule, EvRule, HhRule, HistogramIntersection, HqRule, SquaredEuclidean};
 use vdstore::topk::Scored;
 use vdstore::{
     Bitmap, DecomposedTable, RowId, Segment, SegmentCodesView, TopKLargest, TopKSmallest,
 };
 
-use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, Scratch};
+use crate::bond_loop::{
+    with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proof, RuleState, Scratch, Slots,
+};
 use crate::candidates::{word_runs, CandidateSet};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
@@ -196,7 +205,8 @@ fn gather_accumulate_block(
 }
 
 /// The per-row working memory of one table's [`ExactPartials`]: the partial
-/// scores, the scanned masses and the bounds of the last pruning step. A
+/// scores, the scanned masses, the bounds of the last pruning step that
+/// stored them and the rows of a sparse bitmap a block gathers. A
 /// single-table search keeps it in the per-thread scratch, so it allocates
 /// nothing that grows with its segment.
 #[derive(Default)]
@@ -205,6 +215,7 @@ pub(crate) struct RowState {
     mass: Vec<f64>,
     lower: Vec<f64>,
     upper: Vec<f64>,
+    rows: Vec<RowId>,
 }
 
 /// Zeroes what the search will read of a segment's per-row `values`: every
@@ -703,7 +714,9 @@ impl OrderedRefine<'_> {
 
 /// The exact-partials [`BoundSource`]: per block, the dense, gathered or
 /// per-candidate accumulate of the partial scores (and scanned masses);
-/// per step, the rule's bounds from them. A single-table search runs one
+/// per step, the rule's bounds from them — computed by the pruning pass as
+/// it reads them while the candidates are a bitmap ([`Slots::Rule`]),
+/// stored per position once they are a list. A single-table search runs one
 /// over its plan's order; a multi-feature search ([`crate::multifeature`])
 /// drives one per feature, over that feature's share of every block.
 pub(crate) struct ExactPartials<'a> {
@@ -718,8 +731,14 @@ pub(crate) struct ExactPartials<'a> {
     /// Dropped (`None`) once no step will prune again.
     pub(crate) scanned_mass: Option<&'a mut [f64]>,
     total_mass: Option<Cow<'a, [f64]>>,
+    /// The rule's optimistic bound at the last bitmap step, which bounds
+    /// rows where the pruning pass reads them; `None` once a step stored
+    /// both bounds in `lower` and `upper`.
+    tail: Option<OptimisticTail>,
     lower: &'a mut Vec<f64>,
     upper: &'a mut Vec<f64>,
+    /// The candidates of a sparse bitmap, for the gathered accumulate.
+    rows: &'a mut Vec<RowId>,
     materialize_threshold: f64,
     /// Whether `partial` and the scanned masses still hold whatever the
     /// state held before (another search's rows): the first non-empty
@@ -754,7 +773,7 @@ impl<'a> ExactPartials<'a> {
             Some(sums) => Cow::Borrowed(sums),
             None => Cow::Owned(segment.row_sums()),
         });
-        let RowState { partial, mass, lower, upper } = state;
+        let RowState { partial, mass, lower, upper, rows } = state;
         partial.resize(segment.len(), 0.0);
         let scanned_mass = requirements.needs_scanned_mass.then(|| {
             mass.resize(segment.len(), 0.0);
@@ -771,8 +790,10 @@ impl<'a> ExactPartials<'a> {
             partial,
             scanned_mass,
             total_mass,
+            tail: None,
             lower,
             upper,
+            rows,
             materialize_threshold,
             unset: true,
             trace: PruneTrace::default(),
@@ -789,91 +810,20 @@ impl<'a> ExactPartials<'a> {
             }
         }
     }
-}
 
-impl BoundSource for ExactPartials<'_> {
-    const PROOF: Proof = Proof::Heap;
-
-    fn dims(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Accumulates the partial scores over the block — via the ISA-pinned
-    /// kernels when the metric has a vectorizable shape. The dense path
-    /// streams whole columns (over-computing hole rows whose accumulators
-    /// are never read again) and is only worth it while the candidate
-    /// bitmap is dense; the materialised list takes the gathered path;
-    /// everything else keeps the per-candidate loop. The source's first
-    /// non-empty dense block starts the sums at zero; any other path
-    /// zeroes them before its first sweep.
-    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
-        let alive = candidates.len();
-        let rows = self.partial.len();
-        let dense = self.op.is_some()
-            && candidates.is_bitmap()
-            && rows > 0
-            && alive as f64 / rows as f64 >= DENSE_KERNEL_MIN_DENSITY;
-        let init = dense && !block.is_empty() && std::mem::take(&mut self.unset);
-        if !dense {
-            self.start_sums(candidates);
-        }
-        let Self {
-            segment, query, metric, order, op, kernel, partial, scanned_mass, trace, ..
-        } = self;
-        let (segment, query, metric, kernel) = (*segment, *query, *metric, *kernel);
-        let dims_block = &order[block.clone()];
-        match (*op, candidates.as_list()) {
-            (Some(op), Some(list)) => gather_accumulate_block(
-                kernel,
-                op,
-                segment,
-                dims_block,
-                query,
-                list,
-                partial,
-                scanned_mass.as_deref_mut(),
-            )?,
-            (Some(op), None) if dense => dense_accumulate_block(
-                kernel,
-                op,
-                segment,
-                dims_block,
-                query,
-                partial,
-                scanned_mass.as_deref_mut(),
-                init,
-            )?,
-            _ => {
-                for &d in dims_block {
-                    let values = segment.col_slice(d)?;
-                    let q = query[d];
-                    match scanned_mass {
-                        Some(mass) => candidates.for_each(|row| {
-                            let v = values[row as usize];
-                            partial[row as usize] += metric.contribution(d, v, q);
-                            mass[row as usize] += v;
-                        }),
-                        None => candidates.for_each(|row| {
-                            let v = values[row as usize];
-                            partial[row as usize] += metric.contribution(d, v, q);
-                        }),
-                    }
-                }
-            }
-        }
-        trace.contributions_evaluated += (block.len() * alive) as u64;
-        Ok(())
-    }
-
-    /// The rule's bounds at the candidates' slots: while the set is a
-    /// bitmap, one [`PruningRule::bounds_all`] call per run of words that
-    /// hold a candidate — hole rows inside those words get garbage that is
-    /// never read, as in [`dense_accumulate_block`], and rows of empty
-    /// words keep whatever they held — and per candidate, by list position,
-    /// once it is a list.
-    fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
+    /// Both of the rule's bounds stored at the candidates' slots: while
+    /// the set is a bitmap, one [`PruningRule::bounds_all`] call per run of
+    /// words that hold a candidate — hole rows inside those words get
+    /// garbage that is never read, as in [`dense_accumulate_block`], and
+    /// rows of empty words keep whatever they held — and per candidate, by
+    /// list position, once it is a list. A single-table search stores them
+    /// only in the list phase ([`BoundSource::bound`]); a multi-feature
+    /// search, whose aggregate reads both bounds of every feature at every
+    /// slot, in every step.
+    pub(crate) fn bound_slots(&mut self, candidates: &CandidateSet, swept: usize) {
         self.start_sums(candidates);
         self.rule.prepare(self.query, &self.order[swept..]);
+        self.tail = None;
         let scanned_mass = self.scanned_mass.as_deref();
         let total_mass = self.total_mass.as_deref();
         match candidates {
@@ -911,6 +861,102 @@ impl BoundSource for ExactPartials<'_> {
             }
         }
     }
+}
+
+impl BoundSource for ExactPartials<'_> {
+    const PROOF: Proof = Proof::Heap;
+
+    fn dims(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Accumulates the partial scores over the block — via the ISA-pinned
+    /// kernels when the metric has a vectorizable shape. The dense path
+    /// streams whole columns (over-computing hole rows whose accumulators
+    /// are never read again) and is only worth it while the candidate
+    /// bitmap is dense; a sparser bitmap's rows are collected into a list
+    /// and, like the materialised list, take the gathered path; a metric
+    /// without a kernel shape keeps the per-candidate loop. The source's
+    /// first non-empty dense block starts the sums at zero; any other path
+    /// zeroes them before its first sweep.
+    fn sweep(&mut self, candidates: &CandidateSet, block: Range<usize>) -> Result<()> {
+        let alive = candidates.len();
+        let rows = self.partial.len();
+        let dense = self.op.is_some()
+            && candidates.is_bitmap()
+            && rows > 0
+            && alive as f64 / rows as f64 >= DENSE_KERNEL_MIN_DENSITY;
+        let init = dense && !block.is_empty() && std::mem::take(&mut self.unset);
+        if !dense {
+            self.start_sums(candidates);
+        }
+        let Self {
+            segment,
+            query,
+            metric,
+            order,
+            op,
+            kernel,
+            partial,
+            scanned_mass,
+            rows: sparse,
+            trace,
+            ..
+        } = self;
+        let (segment, query, metric, kernel) = (*segment, *query, *metric, *kernel);
+        let dims_block = &order[block.clone()];
+        let mut mass = scanned_mass.as_deref_mut();
+        match (*op, candidates) {
+            (Some(op), CandidateSet::List(list)) => gather_accumulate_block(
+                kernel, op, segment, dims_block, query, list, partial, mass,
+            )?,
+            (Some(op), CandidateSet::Bits(_)) if dense => {
+                dense_accumulate_block(kernel, op, segment, dims_block, query, partial, mass, init)?
+            }
+            (Some(op), CandidateSet::Bits(bits)) => {
+                sparse.clear();
+                sparse.extend(bits.iter());
+                gather_accumulate_block(
+                    kernel, op, segment, dims_block, query, sparse, partial, mass,
+                )?
+            }
+            (None, _) => {
+                for &d in dims_block {
+                    let values = segment.col_slice(d)?;
+                    let q = query[d];
+                    match mass.as_deref_mut() {
+                        Some(mass) => candidates.for_each(|row| {
+                            let v = values[row as usize];
+                            partial[row as usize] += metric.contribution(d, v, q);
+                            mass[row as usize] += v;
+                        }),
+                        None => candidates.for_each(|row| {
+                            let v = values[row as usize];
+                            partial[row as usize] += metric.contribution(d, v, q);
+                        }),
+                    }
+                }
+            }
+        }
+        trace.contributions_evaluated += (block.len() * alive) as u64;
+        Ok(())
+    }
+
+    /// Prepares the rule for the dimensions after `swept`. While the set
+    /// is a bitmap that is all: the pruning pass bounds rows from their
+    /// partial scores and masses where it reads them
+    /// ([`PruningRule::optimistic_tail`] a word at a time, the pessimistic
+    /// bound only for keepers). A list's bounds are stored per position
+    /// ([`ExactPartials::bound_slots`]).
+    fn bound(&mut self, candidates: &CandidateSet, swept: usize) {
+        if candidates.is_bitmap() {
+            self.start_sums(candidates);
+            self.rule.prepare(self.query, &self.order[swept..]);
+            self.tail = Some(self.rule.optimistic_tail());
+        } else {
+            self.bound_slots(candidates, swept);
+        }
+    }
 
     /// κ_min is the k-th largest lower bound, κ_max the k-th smallest upper
     /// bound: the k-th largest sign-folded safe bound either way. A row is
@@ -921,7 +967,15 @@ impl BoundSource for ExactPartials<'_> {
             Objective::Maximize => (&self.upper[..], &self.lower[..], 1.0),
             Objective::Minimize => (&self.lower[..], &self.upper[..], -1.0),
         };
-        Bounds { opt, heap: pes, sign, opt_add: 0.0 }
+        let Some(tail) = self.tail else { return Bounds::stored(opt, pes, sign, 0.0) };
+        let state = RuleState {
+            rule: &*self.rule,
+            tail,
+            partial: self.partial,
+            scanned_mass: self.scanned_mass.as_deref(),
+            total_mass: self.total_mass.as_deref(),
+        };
+        Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 }
     }
 
     fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {

@@ -24,7 +24,11 @@
 //!   those six rules compile down to — the tests print one line per
 //!   flavour they compared with the scalar reference;
 //! * the pruning steps' 64-row survive mask (`kernels::survive_mask`) over
-//!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar.
+//!   adversarial values — NaN, ±0, ±∞, denormals, values equal to the bar;
+//! * the exact pruning pass's word mask (`kernels::tail_mask`), every
+//!   rule's closed-form optimistic bound straight from partial scores and
+//!   masses, over the same kind of values and constants — the test prints
+//!   one line per flavour it compared.
 //!
 //! Equality is `to_bits()` on every output — not approximate — because
 //! kernel dispatch must never be observable in answers.
@@ -33,8 +37,8 @@ use bond::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
 use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
 use bond::QuantScratch;
 use bond_metrics::{
-    DecomposableMetric, HistogramIntersection, KernelOp, Objective, SquaredEuclidean,
-    WeightedHistogramIntersection, WeightedSquaredEuclidean,
+    CandidateState, DecomposableMetric, HistogramIntersection, KernelOp, Objective, OptimisticTail,
+    SquaredEuclidean, WeightedHistogramIntersection, WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
 use vdstore::{Bitmap, DecomposedTable, RowId, SegmentCodesView, SegmentStats, StoreCodes};
@@ -419,6 +423,87 @@ fn block_accumulates_match_the_scalar_reference() {
     for (kernel, count) in kernels.iter().zip(compared).filter(|(k, _)| **k != Kernel::Scalar) {
         println!(
             "exact block accumulate {}: bit-identical to the scalar reference in {count} cases",
+            kernel.label()
+        );
+    }
+}
+
+/// The exact pruning pass's word mask (`kernels::tail_mask`): every
+/// rule's closed-form optimistic bound of up to 64 rows, tested against a
+/// bar, on every flavour against the scalar reference — and the reference
+/// against the row-by-row bound and predicate, and against the thin-word
+/// test of a subset of the rows (`kernels::tail_bits`). Partial scores and masses
+/// take NaN, ±0, ±∞ and values near the bar; masses run above and below
+/// the total; the forms' constants take NaN, ±∞ and zeros too. Prints one
+/// line per vector flavour compared.
+#[test]
+fn tail_masks_match_the_scalar_reference() {
+    let mut state = 0x7A11_3A5C_5EED_0048u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let specials =
+        [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE / 4.0, 1.0];
+    let constants = [0.0, -0.0, 0.25, 1.0, 3.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut tails = vec![OptimisticTail::Partial];
+    for (i, &c) in constants.iter().enumerate() {
+        tails.push(OptimisticTail::AddConst(c));
+        tails.push(OptimisticTail::AddMassCapped(c));
+        let divisor = [3.0, 0.5, f64::INFINITY, 0.0][i % 4];
+        tails.push(OptimisticTail::AddSquaredGap { target: c, divisor });
+    }
+    let kernels = supported_kernels();
+    let mut compared = vec![0usize; kernels.len()];
+    for tail in tails {
+        for rows in 0..=64usize {
+            let bar = (next() % 9) as f64 * 0.5 - 2.0;
+            let mut value = |near: f64| match next() % 8 {
+                0 => specials[(next() % specials.len() as u64) as usize],
+                1 => near,
+                2 => near.next_up(),
+                _ => (next() % 4001) as f64 / 1000.0 - 2.0,
+            };
+            let partial: Vec<f64> = (0..rows).map(|_| value(bar)).collect();
+            let total: Vec<f64> = (0..rows).map(|_| value(1.0)).collect();
+            let scanned: Vec<f64> = total.iter().map(|&t| t + value(0.0) * 0.5).collect();
+            for (sign, add) in [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.5), (-1.0, f64::INFINITY)] {
+                let test = SurviveTest { sign, add, bar };
+                let mut expected = 0u64;
+                for row in 0..rows {
+                    let candidate = CandidateState {
+                        partial: partial[row],
+                        scanned_mass: scanned[row],
+                        total_mass: total[row],
+                    };
+                    expected |= u64::from(test.survives(tail.bound(&candidate))) << row;
+                }
+                let reference =
+                    kernels::tail_mask(Kernel::Scalar, tail, test, &partial, &scanned, &total);
+                assert_eq!(reference, expected, "scalar reference vs bound: {tail:?} {test:?}");
+                // a thin word's rows one at a time: the same answers
+                let valid = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
+                let thin = next() & next() & valid;
+                let bits = kernels::tail_bits(tail, test, thin, &partial, &scanned, &total);
+                assert_eq!(bits, reference & thin, "tail bits vs mask: {tail:?} {test:?}");
+                for (&kernel, count) in kernels.iter().zip(&mut compared) {
+                    let got = kernels::tail_mask(kernel, tail, test, &partial, &scanned, &total);
+                    assert_eq!(
+                        got,
+                        reference,
+                        "{} tail mask diverged: {tail:?} {test:?}, {rows} rows",
+                        kernel.label()
+                    );
+                    *count += 1;
+                }
+            }
+        }
+    }
+    for (kernel, count) in kernels.iter().zip(compared).filter(|(k, _)| **k != Kernel::Scalar) {
+        println!(
+            "pruning-step tail {}: bit-identical to the scalar reference in {count} words",
             kernel.label()
         );
     }

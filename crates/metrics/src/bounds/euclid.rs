@@ -6,7 +6,9 @@
 //! smallest upper bound `S_max`, and a candidate is pruned when its lower
 //! bound `S_min` exceeds κ_max.
 
-use crate::bounds::{descending_nan_last, CandidateState, PruningRule, Requirements};
+use crate::bounds::{
+    descending_nan_last, CandidateState, OptimisticTail, PruningRule, Requirements,
+};
 use crate::metric::Objective;
 
 /// Criterion **Eq** (Equation 10): bounds that depend only on the query.
@@ -54,6 +56,10 @@ impl PruningRule for EqRule {
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
         (candidate.partial, candidate.partial + self.remaining_corner_sum)
+    }
+
+    fn optimistic_tail(&self) -> OptimisticTail {
+        OptimisticTail::Partial
     }
 
     fn name(&self) -> &'static str {
@@ -169,6 +175,17 @@ impl PruningRule for EvRule {
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
         let mass = candidate.remaining_mass();
         (candidate.partial + self.lower_extra(mass), candidate.partial + self.upper_extra(mass))
+    }
+
+    /// The Lemma 2 lower bound: `0.0` added once no dimension remains.
+    fn optimistic_tail(&self) -> OptimisticTail {
+        match self.remaining() {
+            0 => OptimisticTail::AddConst(0.0),
+            r => OptimisticTail::AddSquaredGap {
+                target: self.remaining_query_sum,
+                divisor: r as f64,
+            },
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
 //! Pruning bounds for histogram intersection (Section 4.1).
 
-use crate::bounds::{CandidateState, PruningRule, Requirements};
+use crate::bounds::{CandidateState, OptimisticTail, PruningRule, Requirements};
 use crate::metric::Objective;
 
 /// Criterion **Hq** (Equations 5–6): bounds that depend only on the query.
@@ -45,6 +45,10 @@ impl PruningRule for HqRule {
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
         (candidate.partial, candidate.partial + self.remaining_query_sum)
+    }
+
+    fn optimistic_tail(&self) -> OptimisticTail {
+        OptimisticTail::AddConst(self.remaining_query_sum)
     }
 
     fn name(&self) -> &'static str {
@@ -101,6 +105,10 @@ impl PruningRule for HhRule {
         let upper = candidate.partial + remaining_mass.min(self.remaining_query_sum);
         let lower = candidate.partial + self.remaining_query_min.min(remaining_mass);
         (lower, upper)
+    }
+
+    fn optimistic_tail(&self) -> OptimisticTail {
+        OptimisticTail::AddMassCapped(self.remaining_query_sum)
     }
 
     fn name(&self) -> &'static str {

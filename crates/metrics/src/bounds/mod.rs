@@ -71,6 +71,61 @@ impl CandidateState {
     }
 }
 
+/// The closed form of a rule's *optimistic* bound — the side a pruning pass
+/// tests against κ: the upper bound of a similarity rule, the lower bound
+/// of a distance rule — over a candidate's partial score `p` and its
+/// remaining mass `rem = max(T(x) − T(x⁻), 0)`, with the constants of the
+/// rule's last [`PruningRule::prepare`]. Every rule of this crate has one,
+/// so a pruning pass can evaluate it for many rows at once in vector
+/// registers instead of asking the rule row by row.
+///
+/// [`OptimisticTail::bound`] is its scalar reference: the same IEEE
+/// operations, in the same operand order, as the optimistic side of the
+/// rule's [`PruningRule::bounds`], so the two agree bit for bit (up to
+/// which NaN a NaN input yields).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OptimisticTail {
+    /// `p` — `Eq`.
+    Partial,
+    /// `p + c` — `Hq` and `WHq` (`c` the best the remaining query can
+    /// add), and `Ev` and `WEv` where their mass term is `0.0`.
+    AddConst(f64),
+    /// `p + min(rem, cap)` — `Hh` (`cap = T(q⁺)`).
+    AddMassCapped(f64),
+    /// `p + (rem − target)² / divisor` — `Ev` (`target = T(q⁺)`, the
+    /// remaining dimension count as `divisor`) and `WEv` (`divisor =
+    /// Σ 1/wᵢ` over the remaining dimensions).
+    AddSquaredGap {
+        /// Subtracted from the remaining mass.
+        target: f64,
+        /// Divides the squared gap.
+        divisor: f64,
+    },
+}
+
+impl OptimisticTail {
+    /// Whether the bound reads the candidate's masses; a rule whose tail
+    /// does declares both [`Requirements`].
+    pub fn reads_mass(self) -> bool {
+        matches!(self, OptimisticTail::AddMassCapped(_) | OptimisticTail::AddSquaredGap { .. })
+    }
+
+    /// The optimistic bound of one candidate.
+    #[inline]
+    pub fn bound(self, candidate: &CandidateState) -> f64 {
+        let partial = candidate.partial;
+        match self {
+            OptimisticTail::Partial => partial,
+            OptimisticTail::AddConst(c) => partial + c,
+            OptimisticTail::AddMassCapped(cap) => partial + candidate.remaining_mass().min(cap),
+            OptimisticTail::AddSquaredGap { target, divisor } => {
+                let gap = candidate.remaining_mass() - target;
+                partial + gap * gap / divisor
+            }
+        }
+    }
+}
+
 /// A branch-and-bound pruning rule: bounds on the final score given the
 /// partial state of a candidate.
 pub trait PruningRule: Send + Sync {
@@ -89,6 +144,12 @@ pub trait PruningRule: Send + Sync {
     /// score. Must satisfy `S_min ≤ S(x, q) ≤ S_max` for every vector `x`
     /// consistent with the candidate state.
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64);
+
+    /// The closed form of the optimistic side of [`PruningRule::bounds`]
+    /// under the constants of the last [`PruningRule::prepare`]:
+    /// `tail.bound(c)` equals the upper bound of a maximizing rule, the
+    /// lower bound of a minimizing one, for every candidate state `c`.
+    fn optimistic_tail(&self) -> OptimisticTail;
 
     /// [`PruningRule::bounds`] for every row of a segment at once:
     /// `lower[i]` / `upper[i]` receive exactly the pair `bounds` returns for
@@ -125,6 +186,43 @@ pub trait PruningRule: Send + Sync {
             (Some(m), None) => fill_bounds(self, partial, |i| m[i], zero, lower, upper),
             (None, Some(t)) => fill_bounds(self, partial, zero, |i| t[i], lower, upper),
             (Some(m), Some(t)) => fill_bounds(self, partial, |i| m[i], |i| t[i], lower, upper),
+        }
+    }
+
+    /// The pessimistic side of [`PruningRule::bounds`] — the lower bound of
+    /// a maximizing rule, the upper bound of a minimizing one — for the rows
+    /// of a window of at most 64 whose bit is set in `rows` (bit `i` is row
+    /// `i`): `out[i]` receives exactly that bound of the state
+    /// `(partial[i], scanned_mass[i], total_mass[i])`, an absent mass slice
+    /// standing for zeros; entries of clear bits are left as they are.
+    ///
+    /// Like [`PruningRule::bounds_all`] this is one virtual call for many
+    /// rows, with `bounds` inlined into the loop; a pruning pass asks it
+    /// for the keepers of a bitmap word only. Rules need not override it.
+    ///
+    /// # Panics
+    /// Panics if a set bit indexes past `out` or a given slice.
+    fn pessimistic_word(
+        &self,
+        rows: u64,
+        partial: &[f64],
+        scanned_mass: Option<&[f64]>,
+        total_mass: Option<&[f64]>,
+        out: &mut [f64],
+    ) {
+        let mut bits = rows;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (lower, upper) = self.bounds(&CandidateState {
+                partial: partial[i],
+                scanned_mass: scanned_mass.map_or(0.0, |m| m[i]),
+                total_mass: total_mass.map_or(0.0, |t| t[i]),
+            });
+            out[i] = match self.objective() {
+                Objective::Maximize => lower,
+                Objective::Minimize => upper,
+            };
         }
     }
 

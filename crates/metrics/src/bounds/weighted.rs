@@ -28,7 +28,9 @@
 //! maximum and pruning stays safe; for uniform weights it coincides with
 //! Lemma 1's bound up to the decoupling of the fractional dimension.
 
-use crate::bounds::{descending_nan_last, CandidateState, PruningRule, Requirements};
+use crate::bounds::{
+    descending_nan_last, CandidateState, OptimisticTail, PruningRule, Requirements,
+};
 use crate::metric::Objective;
 
 /// Query-only pruning bound for **weighted histogram intersection**:
@@ -66,6 +68,10 @@ impl PruningRule for WeightedHqRule {
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
         (candidate.partial, candidate.partial + self.remaining_weighted_query_sum)
+    }
+
+    fn optimistic_tail(&self) -> OptimisticTail {
+        OptimisticTail::AddConst(self.remaining_weighted_query_sum)
     }
 
     fn name(&self) -> &'static str {
@@ -128,8 +134,15 @@ impl WeightedEvRule {
         self.const_zero_mass + self.prefix_gain[full] + frac_term
     }
 
+    /// Whether the lower bound adds nothing to the partial score: no
+    /// dimension remains, or a remaining weight is zero (so `Σ 1/wᵢ` is
+    /// infinite and the Cauchy–Schwarz bound vacuous).
+    fn lower_extra_is_zero(&self) -> bool {
+        self.remaining == 0 || !self.sum_inv_weight.is_finite() || self.sum_inv_weight <= 0.0
+    }
+
     fn lower_extra(&self, remaining_mass: f64) -> f64 {
-        if self.remaining == 0 || !self.sum_inv_weight.is_finite() || self.sum_inv_weight <= 0.0 {
+        if self.lower_extra_is_zero() {
             return 0.0;
         }
         let diff = remaining_mass - self.remaining_query_sum;
@@ -186,6 +199,17 @@ impl PruningRule for WeightedEvRule {
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
         let mass = candidate.remaining_mass();
         (candidate.partial + self.lower_extra(mass), candidate.partial + self.upper_extra(mass))
+    }
+
+    /// The Cauchy–Schwarz lower bound: `0.0` added where it is vacuous.
+    fn optimistic_tail(&self) -> OptimisticTail {
+        if self.lower_extra_is_zero() {
+            return OptimisticTail::AddConst(0.0);
+        }
+        OptimisticTail::AddSquaredGap {
+            target: self.remaining_query_sum,
+            divisor: self.sum_inv_weight,
+        }
     }
 
     fn name(&self) -> &'static str {

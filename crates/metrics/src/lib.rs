@@ -34,7 +34,7 @@ pub use bounds::{
     euclid::{EqRule, EvRule},
     histogram::{HhRule, HqRule},
     weighted::{WeightedEvRule, WeightedHqRule},
-    CandidateState, PruningRule, Requirements,
+    CandidateState, OptimisticTail, PruningRule, Requirements,
 };
 pub use metric::{
     DecomposableMetric, HistogramIntersection, KernelOp, Objective, SquaredEuclidean,

@@ -9,7 +9,8 @@
 
 use bond_metrics::{
     CandidateState, DecomposableMetric, EqRule, EvRule, HhRule, HistogramIntersection, HqRule,
-    PruningRule, SquaredEuclidean, WeightedEvRule, WeightedHqRule, WeightedSquaredEuclidean,
+    Objective, PruningRule, SquaredEuclidean, WeightedEvRule, WeightedHqRule,
+    WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
 
@@ -119,6 +120,102 @@ proptest! {
                         "{} row {}: bounds_all {} vs bounds {}", rule.name(), row, all, one
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A query for the tail property: unit-cube values, some exactly zero.
+fn query_with_zeros() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(prop_oneof![Just(0.0f64), 0.0f64..=1.0, 0.0f64..=1.0], DIMS)
+}
+
+/// A mass for the tail property: a plausible one, or one of the values a
+/// stale or broken row can hold.
+fn tail_mass() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..=2.0,
+        0.0f64..=2.0,
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every rule's closed-form optimistic bound equals the optimistic side
+    /// of its `bounds`, and `pessimistic_word` the pessimistic side at the
+    /// rows it is asked for — NaN and ±∞ partial scores, scanned masses above
+    /// and below the total, NaN masses, no dimension left or all of them,
+    /// zero query values, and zero weights (`WEv`'s infinite `Σ 1/wᵢ`).
+    #[test]
+    fn optimistic_tail_equals_the_optimistic_bound_bit_for_bit(
+        q in query_with_zeros(),
+        w in weights(),
+        m in prop_oneof![split(), Just(DIMS), Just(0usize)],
+        partial in proptest::collection::vec(state_value(), 64),
+        scanned in proptest::collection::vec(tail_mass(), 64),
+        total in proptest::collection::vec(tail_mass(), 64),
+        zero_weight in proptest::bool::ANY,
+        keepers in 0u64..u64::MAX,
+    ) {
+        let mut w = w;
+        if zero_weight {
+            w[DIMS - 1] = 0.0;
+        }
+        let (_, remaining) = scanned_remaining(m);
+        let mut rules: Vec<Box<dyn PruningRule>> = vec![
+            Box::new(HqRule::new()),
+            Box::new(HhRule::new()),
+            Box::new(EqRule::new()),
+            Box::new(EvRule::new()),
+            Box::new(WeightedHqRule::new(w.clone())),
+            Box::new(WeightedEvRule::new(w)),
+        ];
+        for rule in &mut rules {
+            rule.prepare(&q, &remaining);
+            // the pessimistic side, for a word's rows chosen by a mask
+            let mut pessimistic = vec![f64::NAN; partial.len()];
+            rule.pessimistic_word(keepers, &partial, Some(&scanned), Some(&total), &mut pessimistic);
+            let tail = rule.optimistic_tail();
+            let requirements = rule.requirements();
+            prop_assert!(
+                !tail.reads_mass()
+                    || (requirements.needs_scanned_mass && requirements.needs_total_mass),
+                "{}: the tail reads masses the rule does not ask for", rule.name()
+            );
+            for row in 0..partial.len() {
+                let candidate = CandidateState {
+                    partial: partial[row],
+                    scanned_mass: scanned[row],
+                    total_mass: total[row],
+                };
+                let (lower, upper) = rule.bounds(&candidate);
+                let optimistic = match rule.objective() {
+                    Objective::Maximize => upper,
+                    Objective::Minimize => lower,
+                };
+                let (got, want) = (pessimistic[row], match rule.objective() {
+                    Objective::Maximize => lower,
+                    Objective::Minimize => upper,
+                });
+                prop_assert!(
+                    keepers >> row & 1 == 0
+                        || got.to_bits() == want.to_bits()
+                        || (got.is_nan() && want.is_nan()),
+                    "{} at {:?}: pessimistic_word {} vs bounds {}", rule.name(), candidate, got, want
+                );
+                let got = tail.bound(&candidate);
+                // (which NaN comes out of a NaN input is not pinned down)
+                prop_assert!(
+                    got.to_bits() == optimistic.to_bits() || (got.is_nan() && optimistic.is_nan()),
+                    "{} {:?} at {:?}: tail {} vs bounds {}",
+                    rule.name(), tail, candidate, got, optimistic
+                );
             }
         }
     }

@@ -47,14 +47,19 @@ pub enum ColumnData {
         /// store carried one; verified before any copy-on-write promotion
         /// so corrupted bytes cannot silently become the heap truth.
         checksum: Option<u64>,
+        /// The dimension the fragment stores, which a non-finite value
+        /// found on promotion is reported at.
+        dim: usize,
     },
 }
 
 impl ColumnData {
-    /// A mapped view of `len` values at `byte_offset` inside `region`,
-    /// optionally guarded by the fragment's persisted `checksum` (verified
+    /// A mapped view of `len` values of dimension `dim` at `byte_offset`
+    /// inside `region`, optionally guarded by the fragment's persisted
+    /// `checksum`. Both the checksum and the values' finiteness are checked
     /// lazily, on copy-on-write promotion — an eager check would fault in
-    /// every data page and defeat the lazy cold open).
+    /// every data page and defeat the lazy cold open — so reads, a search's
+    /// included, see the bytes as stored.
     ///
     /// # Errors
     ///
@@ -65,16 +70,18 @@ impl ColumnData {
         byte_offset: usize,
         len: usize,
         checksum: Option<u64>,
+        dim: usize,
     ) -> Result<Self> {
         // Validate once; `as_slice` relies on it.
         region.f64_slice(byte_offset, len)?;
-        Ok(ColumnData::Mapped { region, byte_offset, len, checksum })
+        Ok(ColumnData::Mapped { region, byte_offset, len, checksum, dim })
     }
 
     /// Verifies the fragment's bytes against its persisted checksum, when
     /// one is carried (heap data and unguarded mappings verify trivially).
     fn verify(&self, name: &str) -> Result<()> {
-        if let ColumnData::Mapped { region, byte_offset, len, checksum: Some(expected) } = self {
+        if let ColumnData::Mapped { region, byte_offset, len, checksum: Some(expected), .. } = self
+        {
             let bytes = &region.as_bytes()[*byte_offset..*byte_offset + *len * 8];
             let actual = fnv1a(bytes);
             if actual != *expected {
@@ -121,13 +128,18 @@ impl ColumnData {
     }
 
     /// Promotes a mapped view to an owned heap vector (copy-on-write),
-    /// verifying the fragment's checksum first when one is carried — the
-    /// moment corrupted mapped bytes would otherwise become the new heap
-    /// truth. Heap data is returned as-is.
+    /// verifying the fragment's checksum first when one is carried and
+    /// that every value is finite — the moment corrupted or non-finite
+    /// mapped bytes would otherwise become the new heap truth. Heap data
+    /// is returned as-is.
     fn promote(&mut self, name: &str) -> Result<&mut Vec<f64>> {
-        if let ColumnData::Mapped { .. } = self {
+        if let ColumnData::Mapped { dim, .. } = *self {
             self.verify(name)?;
-            *self = ColumnData::Heap(self.as_slice().to_vec());
+            let values = self.as_slice();
+            if let Some(row) = values.iter().position(|v| !v.is_finite()) {
+                return Err(VdError::NonFinite { row: row as RowId, dim });
+            }
+            *self = ColumnData::Heap(values.to_vec());
         }
         match self {
             ColumnData::Heap(v) => Ok(v),
@@ -138,9 +150,10 @@ impl ColumnData {
     /// Infallible promotion for the mutation APIs without an error channel.
     ///
     /// # Panics
-    /// Panics when a guarded mapped fragment fails checksum verification.
+    /// Panics when a mapped fragment fails checksum or finiteness
+    /// verification.
     fn make_heap(&mut self, name: &str) -> &mut Vec<f64> {
-        self.promote(name).expect("mapped fragment failed checksum verification on promotion")
+        self.promote(name).expect("mapped fragment failed verification on promotion")
     }
 
     /// Consumes the data, copying mapped views onto the heap.
@@ -244,34 +257,37 @@ impl Column {
     }
 
     /// Mutable access to the underlying value slice. A mapped column is
-    /// promoted to the heap first (copy-on-write, checksum-verified).
+    /// promoted to the heap first (copy-on-write, checksum- and
+    /// finiteness-verified).
     ///
     /// # Panics
-    /// Panics when a checksum-guarded mapped fragment fails verification;
-    /// use [`Column::set`] (or verify via [`Column::verify_checksum`]
-    /// first) for a typed [`VdError::ChecksumMismatch`] instead.
+    /// Panics when a mapped fragment fails verification; use
+    /// [`Column::set`] for a typed [`VdError::ChecksumMismatch`] or
+    /// [`VdError::NonFinite`] instead.
     pub fn values_mut(&mut self) -> &mut [f64] {
         self.data.make_heap(&self.name)
     }
 
     /// Appends a value (a new row) to the column. A mapped column is
-    /// promoted to the heap first (copy-on-write, checksum-verified).
+    /// promoted to the heap first (copy-on-write, checksum- and
+    /// finiteness-verified).
     ///
     /// # Panics
-    /// Panics when a checksum-guarded mapped fragment fails verification
-    /// (see [`Column::values_mut`]).
+    /// Panics when a mapped fragment fails verification (see
+    /// [`Column::values_mut`]).
     pub fn push(&mut self, value: f64) {
         self.data.make_heap(&self.name).push(value);
     }
 
     /// Overwrites the value of an existing row. A mapped column is promoted
-    /// to the heap first (copy-on-write, checksum-verified).
+    /// to the heap first (copy-on-write, checksum- and finiteness-verified).
     ///
     /// # Errors
     ///
     /// [`VdError::RowOutOfBounds`] for a bad row;
     /// [`VdError::ChecksumMismatch`] when a guarded mapped fragment fails
-    /// verification at promotion time.
+    /// verification at promotion time, [`VdError::NonFinite`] when it holds
+    /// a NaN or ±∞.
     pub fn set(&mut self, row: RowId, value: f64) -> Result<()> {
         let rows = self.data.len();
         let heap = self.data.promote(&self.name)?;
@@ -418,7 +434,7 @@ mod tests {
                 }
                 crate::checksum::fnv1a(&bytes)
             };
-            let data = ColumnData::mapped(region, 0, values.len(), Some(checksum)).unwrap();
+            let data = ColumnData::mapped(region, 0, values.len(), Some(checksum), 0).unwrap();
             (Column::from_data("mapped", data), path)
         }
 
@@ -460,9 +476,9 @@ mod tests {
         fn mapped_construction_validates_range() {
             let (c, path) = mapped_column(&[1.0, 2.0]);
             let ColumnData::Mapped { region, .. } = c.data else { panic!("mapped") };
-            assert!(ColumnData::mapped(region.clone(), 0, 3, None).is_err());
-            assert!(ColumnData::mapped(region.clone(), 4, 1, None).is_err());
-            let ok = ColumnData::mapped(region, 8, 1, None).unwrap();
+            assert!(ColumnData::mapped(region.clone(), 0, 3, None, 0).is_err());
+            assert!(ColumnData::mapped(region.clone(), 4, 1, None, 0).is_err());
+            let ok = ColumnData::mapped(region, 8, 1, None, 0).unwrap();
             assert_eq!(ok.as_slice(), &[2.0]);
             std::fs::remove_file(&path).unwrap();
         }
@@ -482,7 +498,7 @@ mod tests {
             let ColumnData::Mapped { region, byte_offset, len, .. } = c.data else {
                 panic!("mapped")
             };
-            let bad = ColumnData::mapped(region, byte_offset, len, Some(0xDEAD)).unwrap();
+            let bad = ColumnData::mapped(region, byte_offset, len, Some(0xDEAD), 0).unwrap();
             let mut corrupt = Column::from_data("dim_x", bad);
             let err = corrupt.set(0, 9.0).unwrap_err();
             assert!(
@@ -492,8 +508,25 @@ mod tests {
             );
             assert_eq!(corrupt.backend(), StorageBackend::Mapped);
             assert!(corrupt.verify_checksum().is_err());
-            // an unguarded mapping (no checksum) promotes without checks
             std::fs::remove_file(&path).unwrap();
+        }
+
+        #[test]
+        fn a_non_finite_value_fails_promotion_with_its_row_and_dimension() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let (c, path) = mapped_column(&[1.0, 2.0, bad, 4.0]);
+                // reads see the bytes as stored
+                assert_eq!(c.values()[2].to_bits(), bad.to_bits());
+                let ColumnData::Mapped { region, byte_offset, len, checksum, .. } = c.data else {
+                    panic!("mapped")
+                };
+                let data = ColumnData::mapped(region, byte_offset, len, checksum, 3).unwrap();
+                let mut column = Column::from_data("dim_3", data);
+                let err = column.set(0, 9.0).unwrap_err();
+                assert_eq!(err, VdError::NonFinite { row: 2, dim: 3 });
+                assert_eq!(column.backend(), StorageBackend::Mapped);
+                std::fs::remove_file(&path).unwrap();
+            }
         }
     }
 }

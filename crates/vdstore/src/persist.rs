@@ -327,7 +327,9 @@ fn serialise(
 }
 
 /// Reconstructs a store from an in-memory byte buffer (heap columns).
-/// Every fragment is checksum-verified as it is decoded.
+/// Every fragment is checksum-verified as it is decoded, and every value
+/// checked to be finite: a NaN or ±∞ is [`VdError::NonFinite`] naming its
+/// row and dimension, as the table's own checked constructors would.
 pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore> {
     let started = std::time::Instant::now();
     let layout = parse_layout(bytes)?;
@@ -349,8 +351,12 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore> {
             }
             let mut window = fragment;
             let mut values = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                values.push(window.get_f64_le());
+            for row in 0..rows {
+                let value = window.get_f64_le();
+                if !value.is_finite() {
+                    return Err(VdError::NonFinite { row: row as RowId, dim: d });
+                }
+                values.push(value);
             }
             Ok(Column::new(name.clone(), values))
         })
@@ -371,9 +377,10 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<PersistedStore> {
 /// With [`StorageBackend::Mapped`] the column fragments are *viewed* through
 /// a read-only file mapping: only the header/footer/trailer pages are read
 /// eagerly, the data pages fault in lazily as searches touch them (which is
-/// also why checksums are *not* verified here — each mapped fragment
-/// carries its expected checksum and verifies on copy-on-write promotion
-/// instead). Where mapping is unsupported (non-unix, big-endian) the call
+/// also why neither checksums nor finiteness are verified here — each
+/// mapped fragment carries its expected checksum and verifies both on
+/// copy-on-write promotion instead, so a mapped search reads the bytes as
+/// stored). Where mapping is unsupported (non-unix, big-endian) the call
 /// transparently falls back to buffered heap reads, which verify every
 /// fragment eagerly — [`PersistedStore::backend`] reports what is actually
 /// in effect.
@@ -393,6 +400,7 @@ pub fn open_store(path: &Path, backend: StorageBackend) -> Result<PersistedStore
                     layout.data_offset + d * rows * 8,
                     rows,
                     Some(layout.checksums[d]),
+                    d,
                 )?;
                 Ok(Column::from_data(name.clone(), data))
             })

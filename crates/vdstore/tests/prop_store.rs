@@ -135,8 +135,9 @@ proptest! {
         let err = CodeParams::new(-10.0, bad, bits).unwrap_err();
         prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
 
-        // the checked constructors refuse the value outright; a table read
-        // back from a store is unchecked, and the encoder must refuse it
+        // the checked constructors refuse the value outright, and so does a
+        // store decoded onto the heap; a mapped store reads its bytes as
+        // stored, and the encoder must refuse them
         const MARKER: f64 = 1234.5;
         let mut values = values;
         let at = at_seed % values.len();
@@ -162,12 +163,16 @@ proptest! {
         bytes[sum_at..sum_at + 8].copy_from_slice(&new_sum.to_le_bytes());
         let footer_sum = fnv1a(&bytes[footer.clone()]);
         bytes[footer.end..footer.end + 8].copy_from_slice(&footer_sum.to_le_bytes());
-        let table = persist::store_from_bytes(&bytes).unwrap().table;
-        prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
-        let stats: Vec<SegmentStats> =
-            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let err = StoreCodes::build(&table, &specs, &stats, bits).unwrap_err();
-        prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
+        let err = persist::store_from_bytes(&bytes).unwrap_err();
+        prop_assert_eq!(err, VdError::NonFinite { row: at as u32, dim: 0 });
+        if StorageBackend::mapping_supported() {
+            let table = open_mapped("non_finite", &bytes).unwrap().table;
+            prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
+            let stats: Vec<SegmentStats> =
+                specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+            let err = StoreCodes::build(&table, &specs, &stats, bits).unwrap_err();
+            prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
+        }
     }
 
     #[test]
