@@ -83,8 +83,9 @@ pub(crate) enum Slots<'a> {
     /// A pruning rule's bounds of the rows' partial scores and masses,
     /// computed where they are read: the optimistic one from the rule's
     /// closed form, a word at a time ([`kernels::tail_mask`]), the
-    /// pessimistic one only for the keepers the κ heap is offered. Only
-    /// bitmap steps have them, whose slots are rows.
+    /// pessimistic one only for the keepers the κ heap is offered — in its
+    /// closed form too where the rule has one. Only bitmap steps have them,
+    /// whose slots are rows.
     Rule(RuleState<'a>),
 }
 
@@ -93,6 +94,8 @@ pub(crate) struct RuleState<'a> {
     pub(crate) rule: &'a dyn PruningRule,
     /// The rule's optimistic bound, under its current constants.
     pub(crate) tail: OptimisticTail,
+    /// Its pessimistic bound, where that has a closed form too.
+    pub(crate) pessimistic: Option<OptimisticTail>,
     pub(crate) partial: &'a [f64],
     /// `T(x⁻)` and `T(x)`, where the rule keeps them (zeros otherwise).
     pub(crate) scanned_mass: Option<&'a [f64]>,
@@ -111,7 +114,27 @@ impl RuleState<'_> {
         (scanned, self.total_mass.map_or(none, |t| &t[window]))
     }
 
-    fn candidate(&self, row: usize) -> CandidateState {
+    /// The rows set in `rows` of the word over `window` whose bound in the
+    /// closed form `tail` passes `test`: one whole-word mask with a
+    /// `kernel` ([`kernels::tail_mask`]; rows not set get answers to
+    /// ignore), one row at a time without ([`kernels::tail_bits`]).
+    pub(crate) fn tail_test(
+        &self,
+        tail: OptimisticTail,
+        test: SurviveTest,
+        window: Range<usize>,
+        rows: u64,
+        kernel: Option<Kernel>,
+    ) -> u64 {
+        let (scanned, total) = self.masses(window.clone());
+        let partial = &self.partial[window];
+        match kernel {
+            Some(kernel) => kernels::tail_mask(kernel, tail, test, partial, scanned, total),
+            None => kernels::tail_bits(tail, test, rows, partial, scanned, total),
+        }
+    }
+
+    pub(crate) fn candidate(&self, row: usize) -> CandidateState {
         CandidateState {
             partial: self.partial[row],
             scanned_mass: self.scanned_mass.map_or(0.0, |m| m[row]),
@@ -185,10 +208,7 @@ impl Bounds<'_> {
             Slots::Stored { opt, .. } => set_bits(rows)
                 .filter(|&bit| test.survives(opt[start + bit]))
                 .fold(0, |mask, bit| mask | 1 << bit),
-            Slots::Rule(state) => {
-                let (scanned, total) = state.masses(window.clone());
-                kernels::tail_bits(state.tail, test, rows, &state.partial[window], scanned, total)
-            }
+            Slots::Rule(state) => state.tail_test(state.tail, test, window, rows, None),
         }
     }
 
@@ -197,10 +217,7 @@ impl Bounds<'_> {
     pub(crate) fn opt_mask(&self, kernel: Kernel, test: SurviveTest, window: Range<usize>) -> u64 {
         match &self.slots {
             Slots::Stored { opt, .. } => kernels::survive_mask(kernel, test, &opt[window]),
-            Slots::Rule(state) => {
-                let (scanned, total) = state.masses(window.clone());
-                kernels::tail_mask(kernel, state.tail, test, &state.partial[window], scanned, total)
-            }
+            Slots::Rule(state) => state.tail_test(state.tail, test, window, u64::MAX, Some(kernel)),
         }
     }
 }

@@ -62,6 +62,10 @@ impl PruningRule for EqRule {
         OptimisticTail::Partial
     }
 
+    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
+        Some(OptimisticTail::AddConst(self.remaining_corner_sum))
+    }
+
     fn name(&self) -> &'static str {
         "Eq"
     }

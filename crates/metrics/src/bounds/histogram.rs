@@ -51,6 +51,10 @@ impl PruningRule for HqRule {
         OptimisticTail::AddConst(self.remaining_query_sum)
     }
 
+    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
+        Some(OptimisticTail::Partial)
+    }
+
     fn name(&self) -> &'static str {
         "Hq"
     }
@@ -109,6 +113,10 @@ impl PruningRule for HhRule {
 
     fn optimistic_tail(&self) -> OptimisticTail {
         OptimisticTail::AddMassCapped(self.remaining_query_sum)
+    }
+
+    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
+        Some(OptimisticTail::AddMassCapped(self.remaining_query_min))
     }
 
     fn name(&self) -> &'static str {

@@ -151,6 +151,16 @@ pub trait PruningRule: Send + Sync {
     /// lower bound of a minimizing one, for every candidate state `c`.
     fn optimistic_tail(&self) -> OptimisticTail;
 
+    /// The pessimistic side of [`PruningRule::bounds`] in the same closed
+    /// forms, where it has one (`Hq`, `Hh`, `Eq`, `WHq`; `Ev` and `WEv`
+    /// look their upper bound up in tables): `tail.bound(c)` then equals
+    /// the lower bound of a maximizing rule, the upper bound of a
+    /// minimizing one. `None` (the default) leaves it to
+    /// [`PruningRule::pessimistic_word`].
+    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
+        None
+    }
+
     /// [`PruningRule::bounds`] for every row of a segment at once:
     /// `lower[i]` / `upper[i]` receive exactly the pair `bounds` returns for
     /// the state `(partial[i], scanned_mass[i], total_mass[i])`, an absent

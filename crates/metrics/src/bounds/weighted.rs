@@ -74,6 +74,10 @@ impl PruningRule for WeightedHqRule {
         OptimisticTail::AddConst(self.remaining_weighted_query_sum)
     }
 
+    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
+        Some(OptimisticTail::Partial)
+    }
+
     fn name(&self) -> &'static str {
         "WHq"
     }

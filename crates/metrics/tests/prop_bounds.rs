@@ -127,7 +127,10 @@ proptest! {
 
 /// A query for the tail property: unit-cube values, some exactly zero.
 fn query_with_zeros() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(prop_oneof![Just(0.0f64), 0.0f64..=1.0, 0.0f64..=1.0], DIMS)
+    proptest::collection::vec(
+        prop_oneof![Just(0.0f64), Just(-0.0), 0.0f64..=1.0, 0.0f64..=1.0],
+        DIMS,
+    )
 }
 
 /// A mass for the tail property: a plausible one, or one of the values a
@@ -209,6 +212,14 @@ proptest! {
                         || (got.is_nan() && want.is_nan()),
                     "{} at {:?}: pessimistic_word {} vs bounds {}", rule.name(), candidate, got, want
                 );
+                if let Some(pessimistic_tail) = rule.pessimistic_tail() {
+                    let got = pessimistic_tail.bound(&candidate);
+                    prop_assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{} {:?} at {:?}: pessimistic tail {} vs bounds {}",
+                        rule.name(), pessimistic_tail, candidate, got, want
+                    );
+                }
                 let got = tail.bound(&candidate);
                 // (which NaN comes out of a NaN input is not pinned down)
                 prop_assert!(
