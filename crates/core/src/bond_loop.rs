@@ -47,7 +47,7 @@ use std::ops::Range;
 
 use vdstore::{Bitmap, TopKLargest};
 
-use bond_metrics::{CandidateState, OptimisticTail, PruningRule};
+use bond_metrics::{OptimisticTail, PruningRule};
 
 use crate::candidates::{set_bits, CandidateSet, WORD_ROWS};
 use crate::error::Result;
@@ -83,9 +83,8 @@ pub(crate) enum Slots<'a> {
     /// A pruning rule's bounds of the rows' partial scores and masses,
     /// computed where they are read: the optimistic one from the rule's
     /// closed form, a word at a time ([`kernels::tail_mask`]), the
-    /// pessimistic one only for the keepers the κ heap is offered — in its
-    /// closed form too where the rule has one. Only bitmap steps have them,
-    /// whose slots are rows.
+    /// pessimistic one only for the keepers the κ heap is offered. Only
+    /// bitmap steps have them, whose slots are rows.
     Rule(RuleState<'a>),
 }
 
@@ -94,8 +93,6 @@ pub(crate) struct RuleState<'a> {
     pub(crate) rule: &'a dyn PruningRule,
     /// The rule's optimistic bound, under its current constants.
     pub(crate) tail: OptimisticTail,
-    /// Its pessimistic bound, where that has a closed form too.
-    pub(crate) pessimistic: Option<OptimisticTail>,
     pub(crate) partial: &'a [f64],
     /// `T(x⁻)` and `T(x)`, where the rule keeps them (zeros otherwise).
     pub(crate) scanned_mass: Option<&'a [f64]>,
@@ -114,28 +111,10 @@ impl RuleState<'_> {
         (scanned, self.total_mass.map_or(none, |t| &t[window]))
     }
 
-    /// The rows set in `rows` of the word over `window` whose bound in the
-    /// closed form `tail` passes `test`: one whole-word mask with a
-    /// `kernel` ([`kernels::tail_mask`]; rows not set get answers to
-    /// ignore), one row at a time without ([`kernels::tail_bits`]).
-    pub(crate) fn tail_test(
-        &self,
-        tail: OptimisticTail,
-        test: SurviveTest,
-        window: Range<usize>,
-        rows: u64,
-        kernel: Option<Kernel>,
-    ) -> u64 {
-        let (scanned, total) = self.masses(window.clone());
-        let partial = &self.partial[window];
-        match kernel {
-            Some(kernel) => kernels::tail_mask(kernel, tail, test, partial, scanned, total),
-            None => kernels::tail_bits(tail, test, rows, partial, scanned, total),
-        }
-    }
-
-    pub(crate) fn candidate(&self, row: usize) -> CandidateState {
-        CandidateState {
+    /// One row's state, for the per-candidate references of the tests.
+    #[cfg(test)]
+    fn candidate(&self, row: usize) -> bond_metrics::CandidateState {
+        bond_metrics::CandidateState {
             partial: self.partial[row],
             scanned_mass: self.scanned_mass.map_or(0.0, |m| m[row]),
             total_mass: self.total_mass.map_or(0.0, |t| t[row]),
@@ -154,27 +133,22 @@ impl Bounds<'_> {
         Bounds { slots: Slots::Stored { opt, heap }, sign, opt_add }
     }
 
-    /// The optimistic bound at `slot`, before `opt_add`.
+    /// The stored optimistic bound at `slot`, before `opt_add`. Only bitmap
+    /// steps compute their bounds ([`Slots::Rule`]), and they read them a
+    /// word at a time; a list step and the synchronized scan store theirs.
     pub(crate) fn opt(&self, slot: usize) -> f64 {
         match &self.slots {
             Slots::Stored { opt, .. } => opt[slot],
-            Slots::Rule(state) => state.tail.bound(&state.candidate(slot)),
+            Slots::Rule(_) => unreachable!("a rule's bounds are read a word at a time"),
         }
     }
 
     /// What the κ heap collects of the keeper at `slot` (see
-    /// [`Slots::Stored`]): a rule's pessimistic bound.
+    /// [`Slots::Stored`]); stored, as for [`Bounds::opt`].
     pub(crate) fn heap(&self, slot: usize) -> f64 {
         match &self.slots {
             Slots::Stored { heap, .. } => heap[slot],
-            Slots::Rule(state) => {
-                let (lower, upper) = state.rule.bounds(&state.candidate(slot));
-                if self.sign > 0.0 {
-                    lower
-                } else {
-                    upper
-                }
-            }
+            Slots::Rule(_) => unreachable!("a rule's bounds are read a word at a time"),
         }
     }
 
@@ -208,7 +182,10 @@ impl Bounds<'_> {
             Slots::Stored { opt, .. } => set_bits(rows)
                 .filter(|&bit| test.survives(opt[start + bit]))
                 .fold(0, |mask, bit| mask | 1 << bit),
-            Slots::Rule(state) => state.tail_test(state.tail, test, window, rows, None),
+            Slots::Rule(state) => {
+                let (scanned, total) = state.masses(window.clone());
+                kernels::tail_bits(state.tail, test, rows, &state.partial[window], scanned, total)
+            }
         }
     }
 
@@ -217,7 +194,10 @@ impl Bounds<'_> {
     pub(crate) fn opt_mask(&self, kernel: Kernel, test: SurviveTest, window: Range<usize>) -> u64 {
         match &self.slots {
             Slots::Stored { opt, .. } => kernels::survive_mask(kernel, test, &opt[window]),
-            Slots::Rule(state) => state.tail_test(state.tail, test, window, u64::MAX, Some(kernel)),
+            Slots::Rule(state) => {
+                let (scanned, total) = state.masses(window.clone());
+                kernels::tail_mask(kernel, state.tail, test, &state.partial[window], scanned, total)
+            }
         }
     }
 }
@@ -544,18 +524,18 @@ pub(crate) mod tests {
         }
     }
 
-    /// The optimistic bound at `slot`, read the way the stored form stores
-    /// it: a rule's from its `bounds`, not from its closed form, so the
-    /// reference below also checks the closed form the pass tests.
-    fn optimistic(bounds: &Bounds<'_>, slot: usize) -> f64 {
+    /// The optimistic and the heap bound at `slot`, read the way the stored
+    /// form stores them: a rule's from its `bounds`, row by row, so the
+    /// reference below also checks the word-wise forms the pass reads.
+    fn slot_bounds(bounds: &Bounds<'_>, slot: usize) -> (f64, f64) {
         match &bounds.slots {
-            Slots::Stored { opt, .. } => opt[slot],
+            Slots::Stored { opt, heap } => (opt[slot], heap[slot]),
             Slots::Rule(state) => {
                 let (lower, upper) = state.rule.bounds(&state.candidate(slot));
                 if bounds.sign > 0.0 {
-                    upper
+                    (upper, lower)
                 } else {
-                    lower
+                    (lower, upper)
                 }
             }
         }
@@ -579,10 +559,11 @@ pub(crate) mod tests {
         }
         let mut doomed = HashSet::new();
         for (slot, row) in slots(set) {
-            if keep.is_some_and(|test| !test.survives(optimistic(bounds, slot))) {
+            let (optimistic, heap) = slot_bounds(bounds, slot);
+            if keep.is_some_and(|test| !test.survives(optimistic)) {
                 doomed.insert(row);
             } else if let Some(best) = best.as_deref_mut() {
-                best.push(row, sign * bounds.heap(slot));
+                best.push(row, sign * heap);
             }
         }
         let mut stats = STEP_STATS.with(Cell::get);
@@ -622,13 +603,14 @@ pub(crate) mod tests {
             for (slot, row) in slots(set) {
                 let score = sign * exact[row as usize];
                 let tol = 1e-9 * score.abs().max(1.0);
-                let optimistic = sign * (optimistic(bounds, slot) + opt_add);
+                let (optimistic, heap) = slot_bounds(bounds, slot);
+                let optimistic = sign * (optimistic + opt_add);
                 assert!(
                     score <= optimistic + tol,
                     "{ctx}: row {row} scores {score}, optimistic bound {optimistic}"
                 );
                 if proof == Proof::Heap {
-                    let pessimistic = sign * bounds.heap(slot);
+                    let pessimistic = sign * heap;
                     assert!(
                         pessimistic <= score + tol,
                         "{ctx}: row {row} scores {score}, pessimistic bound {pessimistic}"

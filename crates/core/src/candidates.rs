@@ -23,7 +23,7 @@ use std::ops::Range;
 
 use vdstore::{Bitmap, RowId, TopKLargest};
 
-use crate::bond_loop::{Bounds, RuleState, Slots};
+use crate::bond_loop::{Bounds, Slots};
 use crate::kernels::{self, Kernel, SurviveTest};
 
 /// Rows per candidate-bitmap word — the granularity at which the word-wise
@@ -109,9 +109,8 @@ impl CandidateSet {
     /// ignored; a thinner word tests its set bits one by one with the same
     /// predicate. Each word offers `best` only the keepers whose heap bound
     /// is not below the heap's weakest entry *at the start of the word* —
-    /// one survive mask of stored heap bounds, of a rule's closed
-    /// pessimistic form, or of its pessimistic bounds computed for the
-    /// keepers — exact, because the weakest only
+    /// one survive mask of stored heap bounds, or a rule's pessimistic
+    /// bound computed for each keeper — exact, because the weakest only
     /// rises while the heap is full, until a NaN bound enters it (NaN
     /// compares equal to every score, so the heap's order no longer holds)
     /// and every keeper is offered from then on. In the list phase every
@@ -147,10 +146,6 @@ impl CandidateSet {
                 })
             }
             CandidateSet::List(list) => {
-                debug_assert!(
-                    matches!(bounds.slots, Slots::Stored { .. }),
-                    "list slots are stored"
-                );
                 let before = list.len();
                 let mut slot = 0;
                 list.retain(|&row| {
@@ -217,13 +212,11 @@ impl Offers<'_> {
     /// Offers the keepers `kept` of the bitmap word over the rows `window`
     /// whose heap bound reaches the heap's weakest entry as the word
     /// starts (every keeper while the heap is not full, or after a NaN):
-    /// one survive mask of the word's heap bounds — stored, a rule's
-    /// closed pessimistic form ([`RuleState::tail_test`]), or computed for
-    /// its keepers only ([`Bounds::heap_word`]), where the mask's answers
-    /// for the other rows are ignored — or, for fewer than
-    /// [`MASK_MIN_CANDIDATES`] keepers of a rule, the same predicate keeper
-    /// by keeper. A closed form is evaluated once more only for the
-    /// keepers offered.
+    /// one survive mask of the word's heap bounds — stored, or computed
+    /// for its keepers only ([`Bounds::heap_word`]), where the mask's
+    /// answers for the other rows are ignored — or, for fewer than
+    /// [`MASK_MIN_CANDIDATES`] computed keepers, the same predicate keeper
+    /// by keeper.
     fn word(&mut self, kernel: Kernel, bounds: &Bounds<'_>, window: Range<usize>, kept: u64) {
         if kept == 0 {
             return;
@@ -235,22 +228,6 @@ impl Offers<'_> {
             add: 0.0,
             bar: weakest,
         });
-        if let Slots::Rule(state @ RuleState { pessimistic: Some(tail), .. }) = &bounds.slots {
-            // a closed form: test it like the optimistic one, bound only
-            // the keepers offered
-            let offers = match reaches {
-                None => kept,
-                Some(test) if kept.count_ones() >= MASK_MIN_CANDIDATES => {
-                    kept & state.tail_test(*tail, test, window, kept, Some(kernel))
-                }
-                Some(test) => state.tail_test(*tail, test, window, kept, None),
-            };
-            for bit in set_bits(offers) {
-                let row = start + bit;
-                offer(best, *sign, offered_nan, row as RowId, tail.bound(&state.candidate(row)));
-            }
-            return;
-        }
         let heap = bounds.heap_word(window, kept, computed);
         let offers = match (&bounds.slots, reaches) {
             (_, None) => kept,
@@ -447,6 +424,7 @@ mod tests {
     /// no κ and three bars, three `k`.
     #[test]
     fn rule_bounds_prune_and_offer_as_their_stored_bounds_do() {
+        use crate::bond_loop::{RuleState, Slots};
         use bond_metrics::{
             EqRule, EvRule, HhRule, HqRule, Objective, PruningRule, WeightedEvRule, WeightedHqRule,
         };
@@ -502,32 +480,26 @@ mod tests {
                     Objective::Minimize => (&lower, &upper, -1.0),
                 };
                 let stored = Bounds::stored(opt, heap, sign, 0.0);
-                // the pessimistic bound in its closed form, where the rule
-                // has one, and from the rule's own call
-                let computed = [rule.pessimistic_tail(), None].map(|pessimistic| {
-                    let state = RuleState {
-                        rule,
-                        tail: rule.optimistic_tail(),
-                        pessimistic,
-                        partial: &partial,
-                        scanned_mass: Some(&scanned),
-                        total_mass: Some(&total),
-                    };
-                    Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 }
-                });
+                let state = RuleState {
+                    rule,
+                    tail: rule.optimistic_tail(),
+                    partial: &partial,
+                    scanned_mass: Some(&scanned),
+                    total_mass: Some(&total),
+                };
+                let computed = Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 };
                 for bar in [None, Some(0.2), Some(0.6), Some(1.1)] {
                     let keep = bar.map(|bar| SurviveTest { sign, add: 0.0, bar: sign * bar });
                     for k in [1, 3, 17] {
                         let mut outcomes = Vec::new();
-                        for bounds in [&stored, &computed[0], &computed[1]] {
+                        for bounds in [&stored, &computed] {
                             let mut set = CandidateSet::from_bitmap(Bitmap::from_rows(ROWS, &rows));
                             let mut best = TopKLargest::new(k);
                             let removed = set.prune(kernel, keep, bounds, Some(&mut best));
                             outcomes.push((removed, set.to_rows(), canonical(entries(&best))));
                         }
                         let ctx = format!("{} {} bar {bar:?} k {k}", kernel.label(), rule.name());
-                        assert_eq!(outcomes[1], outcomes[0], "{ctx}, closed form");
-                        assert_eq!(outcomes[2], outcomes[0], "{ctx}, the rule's call");
+                        assert_eq!(outcomes[1], outcomes[0], "{ctx}");
                         kept_somewhere += usize::from(outcomes[0].0 > 0);
                     }
                 }

@@ -971,7 +971,6 @@ impl BoundSource for ExactPartials<'_> {
         let state = RuleState {
             rule: &*self.rule,
             tail,
-            pessimistic: self.rule.pessimistic_tail(),
             partial: self.partial,
             scanned_mass: self.scanned_mass.as_deref(),
             total_mass: self.total_mass.as_deref(),

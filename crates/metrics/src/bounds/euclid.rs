@@ -55,15 +55,12 @@ impl PruningRule for EqRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        (candidate.partial, candidate.partial + self.remaining_corner_sum)
+        (self.optimistic_tail().bound(candidate), candidate.partial + self.remaining_corner_sum)
     }
 
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
         OptimisticTail::Partial
-    }
-
-    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
-        Some(OptimisticTail::AddConst(self.remaining_corner_sum))
     }
 
     fn name(&self) -> &'static str {
@@ -133,16 +130,6 @@ impl EvRule {
         let d = frac - q_frac;
         zeros + d * d + ones
     }
-
-    /// Lemma 2 lower bound on the *additional* distance.
-    fn lower_extra(&self, remaining_mass: f64) -> f64 {
-        let r = self.remaining();
-        if r == 0 {
-            return 0.0;
-        }
-        let diff = remaining_mass - self.remaining_query_sum;
-        diff * diff / r as f64
-    }
 }
 
 impl PruningRule for EvRule {
@@ -177,11 +164,13 @@ impl PruningRule for EvRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        let mass = candidate.remaining_mass();
-        (candidate.partial + self.lower_extra(mass), candidate.partial + self.upper_extra(mass))
+        let upper = candidate.partial + self.upper_extra(candidate.remaining_mass());
+        (self.optimistic_tail().bound(candidate), upper)
     }
 
-    /// The Lemma 2 lower bound: `0.0` added once no dimension remains.
+    /// The Lemma 2 lower bound, `p + (T(v⁺) − T(q⁺))² / (N − m)`: `0.0`
+    /// added once no dimension remains.
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
         match self.remaining() {
             0 => OptimisticTail::AddConst(0.0),

@@ -44,15 +44,12 @@ impl PruningRule for HqRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        (candidate.partial, candidate.partial + self.remaining_query_sum)
+        (candidate.partial, self.optimistic_tail().bound(candidate))
     }
 
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
         OptimisticTail::AddConst(self.remaining_query_sum)
-    }
-
-    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
-        Some(OptimisticTail::Partial)
     }
 
     fn name(&self) -> &'static str {
@@ -105,18 +102,13 @@ impl PruningRule for HhRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        let remaining_mass = candidate.remaining_mass();
-        let upper = candidate.partial + remaining_mass.min(self.remaining_query_sum);
-        let lower = candidate.partial + self.remaining_query_min.min(remaining_mass);
-        (lower, upper)
+        let lower = candidate.partial + self.remaining_query_min.min(candidate.remaining_mass());
+        (lower, self.optimistic_tail().bound(candidate))
     }
 
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
         OptimisticTail::AddMassCapped(self.remaining_query_sum)
-    }
-
-    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
-        Some(OptimisticTail::AddMassCapped(self.remaining_query_min))
     }
 
     fn name(&self) -> &'static str {

@@ -104,12 +104,6 @@ pub enum OptimisticTail {
 }
 
 impl OptimisticTail {
-    /// Whether the bound reads the candidate's masses; a rule whose tail
-    /// does declares both [`Requirements`].
-    pub fn reads_mass(self) -> bool {
-        matches!(self, OptimisticTail::AddMassCapped(_) | OptimisticTail::AddSquaredGap { .. })
-    }
-
     /// The optimistic bound of one candidate.
     #[inline]
     pub fn bound(self, candidate: &CandidateState) -> f64 {
@@ -150,16 +144,6 @@ pub trait PruningRule: Send + Sync {
     /// `tail.bound(c)` equals the upper bound of a maximizing rule, the
     /// lower bound of a minimizing one, for every candidate state `c`.
     fn optimistic_tail(&self) -> OptimisticTail;
-
-    /// The pessimistic side of [`PruningRule::bounds`] in the same closed
-    /// forms, where it has one (`Hq`, `Hh`, `Eq`, `WHq`; `Ev` and `WEv`
-    /// look their upper bound up in tables): `tail.bound(c)` then equals
-    /// the lower bound of a maximizing rule, the upper bound of a
-    /// minimizing one. `None` (the default) leaves it to
-    /// [`PruningRule::pessimistic_word`].
-    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
-        None
-    }
 
     /// [`PruningRule::bounds`] for every row of a segment at once:
     /// `lower[i]` / `upper[i]` receive exactly the pair `bounds` returns for

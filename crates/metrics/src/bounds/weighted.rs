@@ -67,15 +67,12 @@ impl PruningRule for WeightedHqRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        (candidate.partial, candidate.partial + self.remaining_weighted_query_sum)
+        (candidate.partial, self.optimistic_tail().bound(candidate))
     }
 
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
         OptimisticTail::AddConst(self.remaining_weighted_query_sum)
-    }
-
-    fn pessimistic_tail(&self) -> Option<OptimisticTail> {
-        Some(OptimisticTail::Partial)
     }
 
     fn name(&self) -> &'static str {
@@ -137,21 +134,6 @@ impl WeightedEvRule {
         let frac_term = (self.max_weight * frac * frac - 2.0 * self.min_weight_q * frac).max(0.0);
         self.const_zero_mass + self.prefix_gain[full] + frac_term
     }
-
-    /// Whether the lower bound adds nothing to the partial score: no
-    /// dimension remains, or a remaining weight is zero (so `Σ 1/wᵢ` is
-    /// infinite and the Cauchy–Schwarz bound vacuous).
-    fn lower_extra_is_zero(&self) -> bool {
-        self.remaining == 0 || !self.sum_inv_weight.is_finite() || self.sum_inv_weight <= 0.0
-    }
-
-    fn lower_extra(&self, remaining_mass: f64) -> f64 {
-        if self.lower_extra_is_zero() {
-            return 0.0;
-        }
-        let diff = remaining_mass - self.remaining_query_sum;
-        diff * diff / self.sum_inv_weight
-    }
 }
 
 impl PruningRule for WeightedEvRule {
@@ -201,13 +183,16 @@ impl PruningRule for WeightedEvRule {
 
     #[inline]
     fn bounds(&self, candidate: &CandidateState) -> (f64, f64) {
-        let mass = candidate.remaining_mass();
-        (candidate.partial + self.lower_extra(mass), candidate.partial + self.upper_extra(mass))
+        let upper = candidate.partial + self.upper_extra(candidate.remaining_mass());
+        (self.optimistic_tail().bound(candidate), upper)
     }
 
-    /// The Cauchy–Schwarz lower bound: `0.0` added where it is vacuous.
+    /// The Cauchy–Schwarz lower bound, `p + (T(v⁺) − T(q⁺))² / Σ 1/wᵢ`:
+    /// `0.0` added where it is vacuous — no dimension remains, or a
+    /// remaining weight is zero (so `Σ 1/wᵢ` is infinite).
+    #[inline]
     fn optimistic_tail(&self) -> OptimisticTail {
-        if self.lower_extra_is_zero() {
+        if self.remaining == 0 || !self.sum_inv_weight.is_finite() || self.sum_inv_weight <= 0.0 {
             return OptimisticTail::AddConst(0.0);
         }
         OptimisticTail::AddSquaredGap {

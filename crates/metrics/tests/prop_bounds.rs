@@ -9,7 +9,7 @@
 
 use bond_metrics::{
     CandidateState, DecomposableMetric, EqRule, EvRule, HhRule, HistogramIntersection, HqRule,
-    Objective, PruningRule, SquaredEuclidean, WeightedEvRule, WeightedHqRule,
+    Objective, OptimisticTail, PruningRule, SquaredEuclidean, WeightedEvRule, WeightedHqRule,
     WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
@@ -127,10 +127,7 @@ proptest! {
 
 /// A query for the tail property: unit-cube values, some exactly zero.
 fn query_with_zeros() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(
-        prop_oneof![Just(0.0f64), Just(-0.0), 0.0f64..=1.0, 0.0f64..=1.0],
-        DIMS,
-    )
+    proptest::collection::vec(prop_oneof![Just(0.0f64), 0.0f64..=1.0, 0.0f64..=1.0], DIMS)
 }
 
 /// A mass for the tail property: a plausible one, or one of the values a
@@ -186,9 +183,12 @@ proptest! {
             rule.pessimistic_word(keepers, &partial, Some(&scanned), Some(&total), &mut pessimistic);
             let tail = rule.optimistic_tail();
             let requirements = rule.requirements();
+            let reads_mass = matches!(
+                tail,
+                OptimisticTail::AddMassCapped(_) | OptimisticTail::AddSquaredGap { .. }
+            );
             prop_assert!(
-                !tail.reads_mass()
-                    || (requirements.needs_scanned_mass && requirements.needs_total_mass),
+                !reads_mass || (requirements.needs_scanned_mass && requirements.needs_total_mass),
                 "{}: the tail reads masses the rule does not ask for", rule.name()
             );
             for row in 0..partial.len() {
@@ -212,14 +212,6 @@ proptest! {
                         || (got.is_nan() && want.is_nan()),
                     "{} at {:?}: pessimistic_word {} vs bounds {}", rule.name(), candidate, got, want
                 );
-                if let Some(pessimistic_tail) = rule.pessimistic_tail() {
-                    let got = pessimistic_tail.bound(&candidate);
-                    prop_assert!(
-                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "{} {:?} at {:?}: pessimistic tail {} vs bounds {}",
-                        rule.name(), pessimistic_tail, candidate, got, want
-                    );
-                }
                 let got = tail.bound(&candidate);
                 // (which NaN comes out of a NaN input is not pinned down)
                 prop_assert!(

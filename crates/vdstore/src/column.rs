@@ -279,6 +279,17 @@ impl Column {
         self.data.make_heap(&self.name).push(value);
     }
 
+    /// Promotes a mapped column to the heap (copy-on-write, checksum- and
+    /// finiteness-verified, as [`Column::set`] does); a heap column is left
+    /// as it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`Column::set`]'s promotion.
+    pub(crate) fn make_owned(&mut self) -> Result<()> {
+        self.data.promote(&self.name).map(drop)
+    }
+
     /// Overwrites the value of an existing row. A mapped column is promoted
     /// to the heap first (copy-on-write, checksum- and finiteness-verified).
     ///

@@ -207,7 +207,10 @@ impl DecomposedTable {
     /// Appending is the common update pattern for image collections
     /// (Section 6.2); each per-dimension fragment grows by one value. A NaN
     /// or infinite value is rejected ([`VdError::NonFinite`]) and the table
-    /// left as it was.
+    /// left as it was; so is a mapped table whose fragments fail the
+    /// verification of their copy-on-write promotion
+    /// ([`VdError::ChecksumMismatch`], or [`VdError::NonFinite`] for a NaN
+    /// or ±∞ stored in them).
     pub fn append(&mut self, vector: &[f64]) -> Result<RowId> {
         if vector.len() != self.columns.len() {
             return Err(VdError::DimensionMismatch {
@@ -217,6 +220,11 @@ impl DecomposedTable {
         }
         if let Some(dim) = vector.iter().position(|x| !x.is_finite()) {
             return Err(VdError::NonFinite { row: self.rows as RowId, dim });
+        }
+        // every column reaches the heap before any grows, so a fragment
+        // that fails its promotion leaves every column's length as it was
+        for c in &mut self.columns {
+            c.make_owned()?;
         }
         for (c, &x) in self.columns.iter_mut().zip(vector) {
             c.push(x);

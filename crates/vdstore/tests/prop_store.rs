@@ -137,21 +137,23 @@ proptest! {
 
         // the checked constructors refuse the value outright, and so does a
         // store decoded onto the heap; a mapped store reads its bytes as
-        // stored, and the encoder must refuse them
+        // stored, the encoder must refuse them, and an append must refuse
+        // to promote them before any column grows
         const MARKER: f64 = 1234.5;
         let mut values = values;
         let at = at_seed % values.len();
         values[at] = MARKER;
-        let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+        let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![0.25, v]).collect();
         let table = DecomposedTable::from_vectors("c", &vectors).unwrap();
         let specs = table.partition_specs(1);
         let stats: Vec<SegmentStats> =
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
         let mut bytes =
             persist::store_to_bytes_with_codes(&table, &specs, &stats, None, None).unwrap().to_vec();
-        // splice the value into the one fragment (the data region precedes
-        // the footer, whose statistics also carry the marker), then re-seal
-        // the fragment checksum and the footer checksum
+        // splice the value into the second dimension's fragment (the data
+        // region precedes the footer, whose statistics also carry the
+        // marker), then re-seal the fragment checksum and the footer
+        // checksum
         let pos = bytes.windows(8).position(|w| w == MARKER.to_le_bytes()).unwrap();
         let fragment = pos - at * 8..pos + (values.len() - at) * 8;
         let old_sum = fnv1a(&bytes[fragment.clone()]);
@@ -164,14 +166,20 @@ proptest! {
         let footer_sum = fnv1a(&bytes[footer.clone()]);
         bytes[footer.end..footer.end + 8].copy_from_slice(&footer_sum.to_le_bytes());
         let err = persist::store_from_bytes(&bytes).unwrap_err();
-        prop_assert_eq!(err, VdError::NonFinite { row: at as u32, dim: 0 });
+        prop_assert_eq!(err, VdError::NonFinite { row: at as u32, dim: 1 });
         if StorageBackend::mapping_supported() {
-            let table = open_mapped("non_finite", &bytes).unwrap().table;
-            prop_assert!(!table.value(at as u32, 0).unwrap().is_finite());
+            let mut table = open_mapped("non_finite", &bytes).unwrap().table;
+            prop_assert!(!table.value(at as u32, 1).unwrap().is_finite());
             let stats: Vec<SegmentStats> =
                 specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
             let err = StoreCodes::build(&table, &specs, &stats, bits).unwrap_err();
             prop_assert!(matches!(err, VdError::InvalidQuantization(_)));
+            let err = table.append(&[0.5, 0.5]).unwrap_err();
+            prop_assert_eq!(err, VdError::NonFinite { row: at as u32, dim: 1 });
+            prop_assert_eq!(table.rows(), values.len());
+            for dim in 0..2 {
+                prop_assert_eq!(table.column(dim).unwrap().len(), values.len());
+            }
         }
     }
 
