@@ -9,21 +9,30 @@
 //! the union of several feature collections' dimensions. What a block
 //! sweeps, how a candidate is bounded and where κ is proven is a
 //! [`BoundSource`]'s business, and there are three: the code intervals of
-//! `quantfilter`, which carry only the optimistic bound and prove κ by a
-//! probe after the last block, and after the first only where the
-//! segment carried no κ in ([`Proof::Probe`]); the exact partial scores
-//! and pruning rule of `searcher`, which prove κ at every step from the
-//! heap of pessimistic bounds of the candidates that pass the κ the step
-//! carried in ([`Proof::Heap`]) — while the candidates are a bitmap the
-//! pass computes both bounds where it reads them ([`Slots::Rule`]): the
-//! rule's closed-form optimistic bound a word at a time, the pessimistic
-//! one only for the keepers; and the synchronized multi-feature scan
-//! of `multifeature`, which drives one exact-partials source per feature
-//! and proves κ the same way from their bounds combined through the
-//! query's aggregate. The rest is written
-//! once, here: the [`CandidateSet`] and its pruning pass, the sign-folded
-//! κ heap, the block sizes ([`Blocks`]), κ sharing, and the per-thread
-//! [`Scratch`] the single-table searches work in.
+//! `quantfilter`, which carry only the optimistic bound; the exact partial
+//! scores and pruning rule of `searcher` — while the candidates are a
+//! bitmap the pass computes the bounds where it reads them
+//! ([`Slots::Rule`]): the rule's closed-form optimistic bound a word at a
+//! time, the pessimistic one only for the keepers the heap is offered; and
+//! the synchronized multi-feature scan of `multifeature`, which drives one
+//! exact-partials source per feature and bounds its candidates through the
+//! query's aggregate.
+//!
+//! There are two ways to prove κ ([`Proof`]). The heap proves it at every
+//! step from the `k` best pessimistic bounds of the candidates that pass
+//! the κ the step carried in ([`Proof::Heap`]): the paper's Algorithm 2,
+//! which an isolated exact search and the multi-feature scan run. A probe
+//! proves it by completing `k` rows ([`Proof::Probe`]): after the first
+//! block, only in a segment that carried no finite κ in (its own or the
+//! shared cell's), and for the code source after its last block too;
+//! every other step prunes with the κ it carried in and collects no heap.
+//! The code source completes its `k` most promising rows' pessimistic code
+//! bounds; an exact search that shares κ with its sibling segments
+//! completes the exact scores of its `k` best partial scores, so its κ is
+//! the weakest of `k` real final scores. The rest is written once, here:
+//! the [`CandidateSet`] and its pruning pass, the sign-folded κ heap, the
+//! block sizes ([`Blocks`]), κ sharing, and the per-thread [`Scratch`] the
+//! single-table searches work in.
 //!
 //! Block sizes follow Corlay's rule (PAPERS.md) where the loop can observe
 //! it: a pruning step must cost less than the work it removes. The code
@@ -36,7 +45,11 @@
 //! cold segment's κ from nothing, but a κ carried in from a sibling
 //! segment (visited first because it looked more promising) is usually
 //! about as tight as it would prove, so a segment that carried one skips
-//! it (`quantfilter`'s module docs give the numbers).
+//! it (`quantfilter`'s module docs give the numbers). For the same reason
+//! a shared exact search does not prove κ again at every step: on the
+//! benchmark's `serve_small`, the heap steps of segments that start with a
+//! sibling's κ cost about 40 % of an engine query and prune almost
+//! nothing more.
 //!
 //! All comparisons run in *goodness* space — scores and bounds multiplied
 //! by `sign` (`+1` to maximize, `−1` to minimize) — where larger is better
@@ -75,16 +88,18 @@ pub(crate) enum Slots<'a> {
         /// The optimistic bound the pruning pass tests against κ.
         opt: &'a [f64],
         /// What the κ heap collects of every keeper: its pessimistic bound
-        /// where the heap proves κ ([`Proof::Heap`]), its optimistic bound
-        /// where a probe does ([`Proof::Probe`]) — the heap then holds the
-        /// `k` rows the probe completes.
+        /// where the heap proves κ ([`Proof::Heap`]); where a probe does
+        /// ([`Proof::Probe`]), the code source's optimistic bound or an
+        /// exact search's partial score — the heap then holds the `k` rows
+        /// the probe completes.
         heap: &'a [f64],
     },
     /// A pruning rule's bounds of the rows' partial scores and masses,
     /// computed where they are read: the optimistic one from the rule's
-    /// closed form, a word at a time ([`kernels::tail_mask`]), the
-    /// pessimistic one only for the keepers the κ heap is offered. Only
-    /// bitmap steps have them, whose slots are rows.
+    /// closed form, a word at a time ([`kernels::tail_mask`]), and under
+    /// [`Proof::Heap`] the pessimistic one only for the keepers the κ heap
+    /// is offered (under [`Proof::Probe`] the heap takes the stored partial
+    /// scores). Only bitmap steps have them, whose slots are rows.
     Rule(RuleState<'a>),
 }
 
@@ -97,6 +112,10 @@ pub(crate) struct RuleState<'a> {
     /// `T(x⁻)` and `T(x)`, where the rule keeps them (zeros otherwise).
     pub(crate) scanned_mass: Option<&'a [f64]>,
     pub(crate) total_mass: Option<&'a [f64]>,
+    /// What the κ heap collects of a keeper: its pessimistic bound,
+    /// computed per keeper ([`Proof::Heap`]), or its partial score as
+    /// stored ([`Proof::Probe`], whose probe completes the `k` best).
+    pub(crate) proof: Proof,
 }
 
 /// Masses of a word whose rule keeps none.
@@ -152,9 +171,16 @@ impl Bounds<'_> {
         }
     }
 
+    /// Whether the heap bounds are computed per keeper ([`Bounds::heap_word`])
+    /// rather than stored.
+    pub(crate) fn computes_heap(&self) -> bool {
+        matches!(&self.slots, Slots::Rule(state) if state.proof == Proof::Heap)
+    }
+
     /// The heap bounds of the bitmap word over the slots `window`: the
-    /// stored ones, or a rule's pessimistic bounds of the rows set in
-    /// `rows`, computed into `computed` (other entries are garbage).
+    /// stored ones (a rule's partial scores under [`Proof::Probe`]), or a
+    /// rule's pessimistic bounds of the rows set in `rows`, computed into
+    /// `computed` (other entries are garbage).
     pub(crate) fn heap_word<'b>(
         &'b self,
         window: Range<usize>,
@@ -163,6 +189,7 @@ impl Bounds<'_> {
     ) -> &'b [f64] {
         match &self.slots {
             Slots::Stored { heap, .. } => &heap[window],
+            Slots::Rule(state) if state.proof != Proof::Heap => &state.partial[window],
             Slots::Rule(state) => {
                 let computed = &mut computed[..window.len()];
                 let scanned = state.scanned_mass.map(|m| &m[window.clone()]);
@@ -215,21 +242,26 @@ pub(crate) enum Proof {
     /// one. In the list phase, whose bounds sit at list positions, a second
     /// pass after a first that removed any rows bounds the keepers again.
     Heap,
-    /// The probe, after the last block and — only when the segment carried
-    /// no finite κ in, its own or the shared cell's — after the first:
-    /// every step prunes with the κ it carried in — its own earlier κ or a
-    /// sibling's, read from the shared cell — and on a probing step the
-    /// heap collects the `k` keepers with the best optimistic bound, the
-    /// probe completes their pessimistic bounds, and the step prunes again
-    /// with the κ that proves.
-    Probe,
+    /// The probe, after the first block when the segment carried no finite
+    /// κ in, its own or the shared cell's (it is *cold*), and with
+    /// `after_last` after the last block too: every step prunes with the κ
+    /// it carried in — its own earlier κ or a sibling's, read from the
+    /// shared cell — and on a probing step the heap collects the `k`
+    /// keepers with the best heap bound (the code source's optimistic
+    /// bound, an exact search's partial score), the probe completes them,
+    /// and the step prunes again with the κ that proves. No other step
+    /// collects the heap or makes a second pass.
+    Probe {
+        /// Whether the last block's step probes too.
+        after_last: bool,
+    },
 }
 
 /// What one search space contributes to the loop: how a block is swept
 /// and how a candidate is bounded afterwards.
 pub(crate) trait BoundSource {
     /// Where this source proves κ.
-    const PROOF: Proof;
+    fn proof(&self) -> Proof;
 
     /// The number of dimensions the loop can sweep.
     fn dims(&self) -> usize;
@@ -245,9 +277,9 @@ pub(crate) trait BoundSource {
     /// The bounds [`BoundSource::bound`] left after `swept` dimensions.
     fn bounds(&self, swept: usize) -> Bounds<'_>;
 
-    /// Under [`Proof::Probe`]: a κ proven by completing the pessimistic
-    /// bound of the `k` rows in `best` (`None` when nothing is proven).
-    fn probe(&mut self, _best: &TopKLargest) -> Result<Option<f64>> {
+    /// Under [`Proof::Probe`]: a κ proven by completing the `k` rows in
+    /// `best` after `swept` dimensions (`None` when nothing is proven).
+    fn probe(&mut self, _best: &TopKLargest, _swept: usize) -> Result<Option<f64>> {
         Ok(None)
     }
 
@@ -334,51 +366,8 @@ impl BondLoop<'_> {
             }
             steps += 1;
             source.bound(candidates, swept);
-            let bounds = source.bounds(swept);
-            let sign = bounds.sign;
-            let current =
-                self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
-            // A heap source proves κ at every step, a probe source after
-            // the first block, if it carried no κ in, and after the last:
-            // after the first the probe lifts κ from nothing to nearly
-            // final and whole words die, and what is left after the last is
-            // refined exactly. A κ carried into the first step (a sibling's,
-            // on the shared cell) is already about as tight as that probe
-            // would prove, so it is skipped.
-            let carried = kappa.max(current);
-            let proves = match S::PROOF {
-                Proof::Heap => true,
-                Proof::Probe => (steps == 1 && !carried.is_finite()) || swept == dims,
-            };
-            // Prune with the carried κ and collect the heap over the
-            // keepers. (A row dropped here could not have raised κ: both
-            // its bounds are at most its optimistic one, which already
-            // missed κ; see `Proof::Heap`.)
-            let mut removed = self.pass(candidates, carried, &bounds, proves.then_some(&mut *best));
-            let fresh = match best.kth().filter(|_| proves) {
-                None => None,
-                Some(kth) => match S::PROOF {
-                    Proof::Heap => Some(kth),
-                    Proof::Probe => source.probe(best)?,
-                },
-            };
-            // Publish what was proven — a vacuous (infinite) bound proves
-            // nothing — and adopt the tightest κ any segment has proven.
-            kappa = match fresh {
-                Some(proven) if proven.is_finite() && proven > carried => match self.shared {
-                    Some(cell) => sign * cell.tighten(sign * proven),
-                    None => proven,
-                },
-                _ => carried.max(current),
-            };
-            if kappa > carried && proves {
-                if removed > 0 && !candidates.is_bitmap() {
-                    // a list's bounds sit at list positions, which the
-                    // first pass shifted: bound the keepers again
-                    source.bound(candidates, swept);
-                }
-                removed += self.pass(candidates, kappa, &source.bounds(swept), None);
-            }
+            let (removed, held) = self.step(source, candidates, best, kappa, (steps, swept))?;
+            kappa = held;
             alive -= removed;
             source.stepped(candidates, swept, removed);
             if alive <= k {
@@ -387,6 +376,68 @@ impl BondLoop<'_> {
             last = Some((block, removed));
         }
         Ok(Progress { swept, steps, kappa })
+    }
+
+    /// The `steps`-th pruning step, after `swept` dimensions, with the κ
+    /// the segment held (`kappa`, goodness space): returns the candidates
+    /// it removed and the κ it holds after.
+    fn step<S: BoundSource>(
+        &self,
+        source: &mut S,
+        candidates: &mut CandidateSet,
+        best: &mut TopKLargest,
+        kappa: f64,
+        (steps, swept): (usize, usize),
+    ) -> Result<(usize, f64)> {
+        let bounds = source.bounds(swept);
+        let sign = bounds.sign;
+        let current =
+            self.shared.and_then(|cell| cell.current()).map_or(f64::NEG_INFINITY, |c| sign * c);
+        // A heap source proves κ at every step, a probe source after the
+        // first block if it carried no κ in and, with `after_last`, after
+        // the last: after the first the probe lifts κ from nothing to
+        // nearly final and whole words die, and what is left after the
+        // code source's last block is refined exactly. A κ carried into the
+        // first step (a sibling's, on the shared cell) is already about as
+        // tight as that probe would prove, so it is skipped.
+        let carried = kappa.max(current);
+        let proof = source.proof();
+        let proves = match proof {
+            Proof::Heap => true,
+            Proof::Probe { after_last } => {
+                (steps == 1 && !carried.is_finite()) || (after_last && swept == source.dims())
+            }
+        };
+        // Prune with the carried κ and collect the heap over the keepers.
+        // (A row dropped here could not have raised κ: both its bounds are
+        // at most its optimistic one, which already missed κ; see
+        // `Proof::Heap`.)
+        let mut removed = self.pass(candidates, carried, &bounds, proves.then_some(&mut *best));
+        let fresh = match best.kth().filter(|_| proves) {
+            None => return Ok((removed, carried)),
+            Some(kth) => match proof {
+                Proof::Heap => Some(kth),
+                Proof::Probe { .. } => source.probe(best, swept)?,
+            },
+        };
+        // Publish what was proven — a vacuous (infinite) bound proves
+        // nothing — and adopt the tightest κ any segment has proven.
+        let kappa = match fresh {
+            Some(proven) if proven.is_finite() && proven > carried => match self.shared {
+                Some(cell) => sign * cell.tighten(sign * proven),
+                None => proven,
+            },
+            _ => carried.max(current),
+        };
+        if kappa > carried {
+            if removed > 0 && !candidates.is_bitmap() {
+                // a list's bounds sit at list positions, which the first
+                // pass shifted: bound the keepers again
+                source.bound(candidates, swept);
+            }
+            removed += self.pass(candidates, kappa, &source.bounds(swept), None);
+        }
+        Ok((removed, kappa))
     }
 
     /// One pruning pass: drops every candidate whose optimistic bound
@@ -526,16 +577,19 @@ pub(crate) mod tests {
 
     /// The optimistic and the heap bound at `slot`, read the way the stored
     /// form stores them: a rule's from its `bounds`, row by row, so the
-    /// reference below also checks the word-wise forms the pass reads.
+    /// reference below also checks the word-wise forms the pass reads —
+    /// the heap's the pessimistic bound under [`Proof::Heap`], the partial
+    /// score under [`Proof::Probe`].
     fn slot_bounds(bounds: &Bounds<'_>, slot: usize) -> (f64, f64) {
         match &bounds.slots {
             Slots::Stored { opt, heap } => (opt[slot], heap[slot]),
             Slots::Rule(state) => {
                 let (lower, upper) = state.rule.bounds(&state.candidate(slot));
-                if bounds.sign > 0.0 {
-                    (upper, lower)
-                } else {
-                    (lower, upper)
+                let (opt, pessimistic) =
+                    if bounds.sign > 0.0 { (upper, lower) } else { (lower, upper) };
+                match state.proof {
+                    Proof::Heap => (opt, pessimistic),
+                    Proof::Probe { .. } => (opt, state.partial[slot]),
                 }
             }
         }
@@ -700,7 +754,9 @@ pub(crate) mod tests {
     }
 
     impl BoundSource for Scripted {
-        const PROOF: Proof = Proof::Heap;
+        fn proof(&self) -> Proof {
+            Proof::Heap
+        }
 
         fn dims(&self) -> usize {
             self.dims
@@ -761,12 +817,46 @@ pub(crate) mod tests {
         assert_eq!((seen, steps), (vec![8; 16], 16));
     }
 
+    /// The k-th best sign-folded exact score of the eligible rows, if
+    /// there are `k`, and the sign.
+    fn kth_best(
+        metric: &dyn DecomposableMetric,
+        exact: &[f64],
+        eligible: &Bitmap,
+        k: usize,
+    ) -> (Option<f64>, f64) {
+        let sign = match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        let mut scores: Vec<f64> = eligible.iter().map(|row| sign * exact[row as usize]).collect();
+        scores.sort_by(|a, b| b.total_cmp(a));
+        (scores.get(k - 1).copied(), sign)
+    }
+
+    /// Checks that every κ `cell` recorded (score space) is no better than
+    /// the k-th best exact score `kth` (sign-folded); returns how many.
+    fn check_proofs(cell: Proofs, kth: Option<f64>, sign: f64, ctx: &str) -> usize {
+        let proofs = cell.0.into_inner().unwrap();
+        for &kappa in &proofs {
+            let kth = kth.unwrap_or_else(|| panic!("{ctx}: κ {kappa} from < k rows"));
+            let tol = 1e-9 * kth.abs().max(1.0);
+            assert!(
+                sign * kappa <= kth + tol,
+                "{ctx}: proved κ {kappa}, the k-th best exact score is {}",
+                sign * kth
+            );
+        }
+        proofs.len()
+    }
+
     /// Soundness in both spaces, at every pruning pass: every candidate's
     /// optimistic bound reaches its exact score; in exact space, whose heap
-    /// proves κ, its pessimistic bound does not pass it; in code space,
-    /// which proves κ by its probe, every κ proven is no better than the
-    /// k-th best exact score of the eligible rows. All six rules, all four
-    /// metrics, three filters, three `k`, both kernels.
+    /// proves κ in an isolated search, its pessimistic bound does not pass
+    /// it; in code space, which proves κ by its probe, and in an exact
+    /// search that shares κ, which does too, every κ proven is no better
+    /// than the k-th best exact score of the eligible rows. All six rules,
+    /// all four metrics, three filters, three `k`, both kernels.
     #[test]
     fn bounds_hold_at_every_step_in_both_spaces() {
         const ROWS: usize = 300;
@@ -802,38 +892,60 @@ pub(crate) mod tests {
         };
         let checked = std::rc::Rc::new(Cell::new(0usize));
         let mut scratch = Scratch::default();
-        let (mut cases, mut proofs) = (0usize, 0usize);
+        let (mut cases, mut proofs, mut exact_proofs) = (0usize, 0usize, 0usize);
         for kernel in [Kernel::Scalar, Kernel::active()] {
             for filter in ["none", "1 row", "10 %"] {
                 let eligible = eligible(&live, filter);
                 for k in [1, 10, ROWS] {
-                    // the exact source, all six rules
+                    // the exact source, all six rules, isolated (the heap)
+                    // and sharing κ (the probe, its proofs recorded)
                     for (metric, new_rule) in &rules {
                         let exact: Vec<f64> = (0..ROWS)
                             .map(|r| metric.score(&table.row(r as u32).unwrap(), &query))
                             .collect();
-                        let mut rule = new_rule();
-                        let ctx =
-                            format!("exact {} {filter} k={k} {}", rule.name(), kernel.label());
-                        let context =
-                            SegmentContext { filter: Some(&eligible), ..SegmentContext::default() };
-                        let seam = checking_seam(exact, Proof::Heap, kernel, checked.clone(), ctx);
-                        with_seam(seam, || {
-                            search_segment_with(
-                                &segment,
-                                &query,
-                                *metric,
-                                rule.as_mut(),
-                                k,
-                                None,
-                                &params,
-                                &context,
-                                kernel,
-                                &mut scratch,
-                            )
-                            .unwrap()
-                        });
-                        cases += 1;
+                        let (kth, sign) = kth_best(*metric, &exact, &eligible, k);
+                        let cell = Proofs::default();
+                        for shared in [false, true] {
+                            let mut rule = new_rule();
+                            let ctx = format!(
+                                "exact {} {filter} k={k} {} shared={shared}",
+                                rule.name(),
+                                kernel.label()
+                            );
+                            let context = SegmentContext {
+                                kappa: shared.then_some(&cell as &dyn KappaCell),
+                                filter: Some(&eligible),
+                                ..SegmentContext::default()
+                            };
+                            let proof = if shared {
+                                Proof::Probe { after_last: false }
+                            } else {
+                                Proof::Heap
+                            };
+                            let seam =
+                                checking_seam(exact.clone(), proof, kernel, checked.clone(), ctx);
+                            let outcome = with_seam(seam, || {
+                                search_segment_with(
+                                    &segment,
+                                    &query,
+                                    *metric,
+                                    rule.as_mut(),
+                                    k,
+                                    None,
+                                    &params,
+                                    &context,
+                                    kernel,
+                                    &mut scratch,
+                                )
+                                .unwrap()
+                            });
+                            exact_proofs += outcome.trace.exact_probes as usize;
+                            assert!(outcome.trace.exact_probes <= u32::from(shared));
+                            cases += 1;
+                        }
+                        let ctx = format!("exact {filter} k={k} {}", kernel.label());
+                        // the probes' κ and the finished segment's k-th
+                        check_proofs(cell, kth, sign, &ctx);
                     }
                     // the code source, all four metrics: optimistic bounds at
                     // every pass, and every κ a probe proves
@@ -843,19 +955,12 @@ pub(crate) mod tests {
                         let exact: Vec<f64> = (0..ROWS)
                             .map(|r| metric.score(&table.row(r as u32).unwrap(), &query))
                             .collect();
-                        let sign = match metric.objective() {
-                            Objective::Maximize => 1.0,
-                            Objective::Minimize => -1.0,
-                        };
-                        let mut eligible_scores: Vec<f64> =
-                            eligible.iter().map(|row| sign * exact[row as usize]).collect();
-                        eligible_scores.sort_by(|a, b| b.total_cmp(a));
-                        let kth = eligible_scores.get(k - 1).copied();
+                        let (kth, sign) = kth_best(metric, &exact, &eligible, k);
                         let ctx =
                             format!("codes {} {filter} k={k} {}", metric.name(), kernel.label());
                         let seam = checking_seam(
                             exact,
-                            Proof::Probe,
+                            Proof::Probe { after_last: true },
                             kernel,
                             checked.clone(),
                             ctx.clone(),
@@ -876,24 +981,16 @@ pub(crate) mod tests {
                             )
                             .unwrap()
                         });
-                        for kappa in cell.0.into_inner().unwrap() {
-                            let kth =
-                                kth.unwrap_or_else(|| panic!("{ctx}: κ {kappa} from < k rows"));
-                            let tol = 1e-9 * kth.abs().max(1.0);
-                            assert!(
-                                sign * kappa <= kth + tol,
-                                "{ctx}: proved κ {kappa}, the k-th best exact score is {}",
-                                sign * kth
-                            );
-                            proofs += 1;
-                        }
+                        proofs += check_proofs(cell, kth, sign, &ctx);
                         cases += 1;
                     }
                 }
             }
         }
-        assert_eq!(cases, 2 * 3 * 3 * (6 + 4));
+        println!("exact κ probe: {exact_proofs} proofs no better than the k-th best exact score");
+        assert_eq!(cases, 2 * 3 * 3 * (6 * 2 + 4));
         assert!(checked.get() > 20_000, "only {} candidate bounds checked", checked.get());
         assert!(proofs >= 8, "only {proofs} probed κ checked");
+        assert!(exact_proofs >= 8, "only {exact_proofs} exact probes checked");
     }
 }

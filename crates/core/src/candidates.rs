@@ -23,7 +23,7 @@ use std::ops::Range;
 
 use vdstore::{Bitmap, RowId, TopKLargest};
 
-use crate::bond_loop::{Bounds, Slots};
+use crate::bond_loop::Bounds;
 use crate::kernels::{self, Kernel, SurviveTest};
 
 /// Rows per candidate-bitmap word — the granularity at which the word-wise
@@ -212,9 +212,10 @@ impl Offers<'_> {
     /// Offers the keepers `kept` of the bitmap word over the rows `window`
     /// whose heap bound reaches the heap's weakest entry as the word
     /// starts (every keeper while the heap is not full, or after a NaN):
-    /// one survive mask of the word's heap bounds — stored, or computed
-    /// for its keepers only ([`Bounds::heap_word`]), where the mask's
-    /// answers for the other rows are ignored — or, for fewer than
+    /// one survive mask of the word's heap bounds — stored (a rule's
+    /// partial scores too, under [`crate::bond_loop::Proof::Probe`]), or
+    /// computed for its keepers only ([`Bounds::heap_word`]), where the
+    /// mask's answers for the other rows are ignored — or, for fewer than
     /// [`MASK_MIN_CANDIDATES`] computed keepers, the same predicate keeper
     /// by keeper.
     fn word(&mut self, kernel: Kernel, bounds: &Bounds<'_>, window: Range<usize>, kept: u64) {
@@ -228,14 +229,13 @@ impl Offers<'_> {
             add: 0.0,
             bar: weakest,
         });
+        let computes = bounds.computes_heap();
         let heap = bounds.heap_word(window, kept, computed);
-        let offers = match (&bounds.slots, reaches) {
-            (_, None) => kept,
-            (Slots::Rule(_), Some(test)) if kept.count_ones() < MASK_MIN_CANDIDATES => {
-                set_bits(kept)
-                    .fold(0, |mask, bit| mask | u64::from(test.survives(heap[bit])) << bit)
-            }
-            (_, Some(test)) => kept & kernels::survive_mask(kernel, test, heap),
+        let offers = match reaches {
+            None => kept,
+            Some(test) if computes && kept.count_ones() < MASK_MIN_CANDIDATES => set_bits(kept)
+                .fold(0, |mask, bit| mask | u64::from(test.survives(heap[bit])) << bit),
+            Some(test) => kept & kernels::survive_mask(kernel, test, heap),
         };
         for bit in set_bits(offers) {
             offer(best, *sign, offered_nan, (start + bit) as RowId, heap[bit]);
@@ -417,14 +417,15 @@ mod tests {
     }
 
     /// A rule's bounds computed where the pass reads them — the closed
-    /// optimistic form a word at a time, the pessimistic bound per keeper
-    /// — prune and offer exactly what the same bounds stored for every row
-    /// do: the same rows kept, the same heap entries. All six rules, NaN
-    /// and ±∞ among the partial scores and masses, dense and thin words,
-    /// no κ and three bars, three `k`.
+    /// optimistic form a word at a time, and the pessimistic bound per
+    /// keeper or, under the probe proof, the partial score — prune and
+    /// offer exactly what the same bounds stored for every row do: the
+    /// same rows kept, the same heap entries. All six rules, both proofs,
+    /// NaN and ±∞ among the partial scores and masses, dense and thin
+    /// words, no κ and three bars, three `k`.
     #[test]
     fn rule_bounds_prune_and_offer_as_their_stored_bounds_do() {
-        use crate::bond_loop::{RuleState, Slots};
+        use crate::bond_loop::{Proof, RuleState, Slots};
         use bond_metrics::{
             EqRule, EvRule, HhRule, HqRule, Objective, PruningRule, WeightedEvRule, WeightedHqRule,
         };
@@ -479,28 +480,45 @@ mod tests {
                     Objective::Maximize => (&upper, &lower, 1.0),
                     Objective::Minimize => (&lower, &upper, -1.0),
                 };
-                let stored = Bounds::stored(opt, heap, sign, 0.0);
-                let state = RuleState {
-                    rule,
-                    tail: rule.optimistic_tail(),
-                    partial: &partial,
-                    scanned_mass: Some(&scanned),
-                    total_mass: Some(&total),
+                let computed = |proof| {
+                    let state = RuleState {
+                        rule,
+                        tail: rule.optimistic_tail(),
+                        partial: &partial,
+                        scanned_mass: Some(&scanned),
+                        total_mass: Some(&total),
+                        proof,
+                    };
+                    Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 }
                 };
-                let computed = Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 };
-                for bar in [None, Some(0.2), Some(0.6), Some(1.1)] {
-                    let keep = bar.map(|bar| SurviveTest { sign, add: 0.0, bar: sign * bar });
-                    for k in [1, 3, 17] {
-                        let mut outcomes = Vec::new();
-                        for bounds in [&stored, &computed] {
-                            let mut set = CandidateSet::from_bitmap(Bitmap::from_rows(ROWS, &rows));
-                            let mut best = TopKLargest::new(k);
-                            let removed = set.prune(kernel, keep, bounds, Some(&mut best));
-                            outcomes.push((removed, set.to_rows(), canonical(entries(&best))));
+                let proofs = [
+                    (Bounds::stored(opt, heap, sign, 0.0), computed(Proof::Heap)),
+                    (
+                        Bounds::stored(opt, &partial, sign, 0.0),
+                        computed(Proof::Probe { after_last: false }),
+                    ),
+                ];
+                for (stored, computed) in &proofs {
+                    for bar in [None, Some(0.2), Some(0.6), Some(1.1)] {
+                        let keep = bar.map(|bar| SurviveTest { sign, add: 0.0, bar: sign * bar });
+                        for k in [1, 3, 17] {
+                            let mut outcomes = Vec::new();
+                            for bounds in [stored, computed] {
+                                let rows = Bitmap::from_rows(ROWS, &rows);
+                                let mut set = CandidateSet::from_bitmap(rows);
+                                let mut best = TopKLargest::new(k);
+                                let removed = set.prune(kernel, keep, bounds, Some(&mut best));
+                                outcomes.push((removed, set.to_rows(), canonical(entries(&best))));
+                            }
+                            let ctx = format!(
+                                "{} {} bar {bar:?} k {k} heap computed {}",
+                                kernel.label(),
+                                rule.name(),
+                                computed.computes_heap()
+                            );
+                            assert_eq!(outcomes[1], outcomes[0], "{ctx}");
+                            kept_somewhere += usize::from(outcomes[0].0 > 0);
                         }
-                        let ctx = format!("{} {} bar {bar:?} k {k}", kernel.label(), rule.name());
-                        assert_eq!(outcomes[1], outcomes[0], "{ctx}");
-                        kept_somewhere += usize::from(outcomes[0].0 > 0);
                     }
                 }
             }

@@ -343,7 +343,9 @@ impl Synchronized<'_> {
 }
 
 impl BoundSource for Synchronized<'_> {
-    const PROOF: Proof = Proof::Heap;
+    fn proof(&self) -> Proof {
+        Proof::Heap
+    }
 
     fn dims(&self) -> usize {
         self.owners.len()

@@ -59,7 +59,11 @@
 //! more for the exact refine, so it stays. The steps in between prune
 //! with the κ they carried in. Each probed cell is a scattered read, one
 //! cache line per row and column, so the probe prefetches its rows' cells
-//! six dimensions ahead (`kernels::PREFETCH_DIMS`).
+//! six dimensions ahead (`kernels::PREFETCH_DIMS`). An exact search that
+//! shares κ follows the same rule after its first block (`searcher`'s
+//! module docs), completing exact scores rather than code bounds; it has
+//! no after-last probe, since it publishes its k-th exact score when it
+//! finishes.
 //!
 //! **Block sizes back off.** The first block is eight columns. A step that
 //! removed no candidate doubles the next block (capped at the columns
@@ -670,7 +674,11 @@ impl<'a> CodeIntervals<'a> {
 }
 
 impl BoundSource for CodeIntervals<'_> {
-    const PROOF: Proof = Proof::Probe;
+    /// The probe, after the last block too: what is left then goes to the
+    /// exact refine, which stops at the κ it reads.
+    fn proof(&self) -> Proof {
+        Proof::Probe { after_last: true }
+    }
 
     fn dims(&self) -> usize {
         self.codes.dims()
@@ -711,7 +719,7 @@ impl BoundSource for CodeIntervals<'_> {
     /// call, whose worst lane is by definition `worst_contribution` of each
     /// cell; each row adds its lanes in the sweep order. A NaN bound proves
     /// nothing.
-    fn probe(&mut self, best: &TopKLargest) -> Result<Option<f64>> {
+    fn probe(&mut self, best: &TopKLargest, _swept: usize) -> Result<Option<f64>> {
         let Self { codes, metric, query, order, sign, .. } = *self;
         let QuantScratch { luts: pairs, bounds, probed, .. } = &mut *self.scratch;
         probed.clear();
@@ -1461,7 +1469,7 @@ mod tests {
                         Kernel::Scalar,
                         &mut scratch,
                     );
-                    let kappa = source.probe(&best).unwrap().unwrap();
+                    let kappa = source.probe(&best, 0).unwrap().unwrap();
                     let want = probe_by_definition(&view, metric, &query, order, &best);
                     let ctx = format!("{} {order:?} k {k}", metric.name());
                     assert_eq!(kappa.to_bits(), want.to_bits(), "{ctx}");
@@ -1554,7 +1562,7 @@ mod tests {
                                     kernel,
                                     &mut scratch,
                                 );
-                                let kappa = source.probe(&best).unwrap().unwrap();
+                                let kappa = source.probe(&best, 0).unwrap().unwrap();
                                 assert_eq!(kappa.to_bits(), want.to_bits(), "{ctx}");
                                 let cells = (best.len() * dims) as u64;
                                 assert_eq!((source.cells, source.probes), (cells, 1), "{ctx}");
@@ -1580,7 +1588,9 @@ mod tests {
     }
 
     impl BoundSource for Counted<'_, '_> {
-        const PROOF: Proof = Proof::Probe;
+        fn proof(&self) -> Proof {
+            self.inner.proof()
+        }
 
         fn dims(&self) -> usize {
             self.inner.dims()
@@ -1600,10 +1610,10 @@ mod tests {
             self.inner.bounds(swept)
         }
 
-        fn probe(&mut self, best: &TopKLargest) -> Result<Option<f64>> {
+        fn probe(&mut self, best: &TopKLargest, swept: usize) -> Result<Option<f64>> {
             self.probes += 1;
             self.probed += (best.len() * self.inner.dims()) as u64;
-            self.inner.probe(best)
+            self.inner.probe(best, swept)
         }
 
         fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {

@@ -21,10 +21,25 @@
 //! rule's closed-form optimistic bound ([`PruningRule::optimistic_tail`])
 //! a 64-row word at a time and asks the rule for the pessimistic bound of
 //! the keepers only; a row list's bounds are stored per position first.
-//! Each step prunes with the κ it just proved. The synchronized
-//! multi-feature scan ([`crate::multifeature`]) drives one such source per
-//! feature. Convenience methods instantiate the rule / metric combinations
-//! the paper evaluates.
+//! The synchronized multi-feature scan ([`crate::multifeature`]) drives
+//! one such source per feature. Convenience methods instantiate the rule /
+//! metric combinations the paper evaluates.
+//!
+//! **Where κ is proven.** An isolated search ([`BondSearcher`], or a
+//! segment with no shared κ cell) runs step 3 as the paper does: every
+//! step collects the `k` best pessimistic bounds of the candidates that
+//! pass the κ it carried in, and prunes again when they prove a tighter
+//! κ. A segment that shares κ with its siblings proves it by a probe, as
+//! the code filter does: a segment that carries no finite κ into its
+//! first step offers the κ heap every candidate's partial score after its
+//! first block, completes the exact scores of the `k` best over the
+//! unswept dimensions — each the very sum its rank reads — and prunes with
+//! the weakest; every other step prunes with the κ it carried in, its own
+//! or a sibling's, and proves nothing. A sibling's κ is usually as tight
+//! as a heap step would prove, so the heap steps cost more than they
+//! removed (about 40 % of a `serve_small` engine query). Every segment
+//! that shares κ publishes its k-th exact score when it finishes
+//! ([`search_segment`]), whichever finish ranked it.
 //!
 //! **§7.4: the code loop, then an ordered refine.** When the segment has
 //! codes, [`search_segment`] runs the loop over code intervals first. Its
@@ -39,7 +54,7 @@
 //! codeless search.
 
 use std::borrow::Cow;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use bond_metrics::{
     CandidateState, DecomposableMetric, KernelOp, Objective, OptimisticTail, PruningRule,
@@ -135,11 +150,8 @@ fn dense_accumulate_block(
 /// Gathered kernel accumulate over a whole dimension block for an explicit
 /// row list: 64-row blocks are copied into a contiguous accumulator (and
 /// the scanned masses into a second one, when the rule needs them),
-/// advanced through every dimension of the block with one gather per cell
-/// ([`kernels::accumulate_gather_with_mass`] feeds both sums from it; per
-/// row: same adds, same order as the scalar loop), then copied back. The
-/// block's cells are prefetched [`kernels::PREFETCH_DIMS`] dimensions
-/// ahead.
+/// advanced through every dimension of the block ([`gather_rows`]), then
+/// copied back.
 #[allow(clippy::too_many_arguments)]
 fn gather_accumulate_block(
     kernel: Kernel,
@@ -163,35 +175,8 @@ fn gather_accumulate_block(
                 mass_acc[i] = mass[row as usize];
             }
         }
-        // each cell is a scattered read: keep the next dimensions' misses
-        // in flight while this one is computed
-        let ahead = |i: usize| -> Result<()> {
-            if let Some(&d) = dims_block.get(i) {
-                let values = segment.col_slice(d)?;
-                for &row in chunk {
-                    kernels::prefetch(values, row as usize);
-                }
-            }
-            Ok(())
-        };
-        (0..kernels::PREFETCH_DIMS).try_for_each(ahead)?;
-        for (i, &d) in dims_block.iter().enumerate() {
-            ahead(i + kernels::PREFETCH_DIMS)?;
-            let (values, q, acc) = (segment.col_slice(d)?, query[d], &mut acc[..m]);
-            match mass {
-                Some(_) => kernels::accumulate_gather_with_mass(
-                    kernel,
-                    op,
-                    d,
-                    values,
-                    chunk,
-                    q,
-                    acc,
-                    &mut mass_acc[..m],
-                ),
-                None => kernels::accumulate_gather(kernel, op, d, values, chunk, q, acc),
-            }
-        }
+        let chunk_mass = mass.is_some().then_some(&mut mass_acc[..m]);
+        gather_rows(kernel, op, segment, dims_block, query, chunk, &mut acc[..m], chunk_mass)?;
         for (i, &row) in chunk.iter().enumerate() {
             partial[row as usize] = acc[i];
         }
@@ -199,6 +184,47 @@ fn gather_accumulate_block(
             for (i, &row) in chunk.iter().enumerate() {
                 mass[row as usize] = mass_acc[i];
             }
+        }
+    }
+    Ok(())
+}
+
+/// Advances the contiguous sums `acc` (and `mass`) of the rows `chunk`
+/// through every dimension of `dims_block`, one gather per cell
+/// ([`kernels::accumulate_gather_with_mass`] feeds both sums from it; per
+/// row: same adds, same order as the scalar loop). The block's cells are
+/// prefetched [`kernels::PREFETCH_DIMS`] dimensions ahead.
+#[allow(clippy::too_many_arguments)]
+fn gather_rows(
+    kernel: Kernel,
+    op: KernelOp<'_>,
+    segment: &Segment<'_>,
+    dims_block: &[usize],
+    query: &[f64],
+    chunk: &[RowId],
+    acc: &mut [f64],
+    mut mass: Option<&mut [f64]>,
+) -> Result<()> {
+    // each cell is a scattered read: keep the next dimensions' misses in
+    // flight while this one is computed
+    let ahead = |i: usize| -> Result<()> {
+        if let Some(&d) = dims_block.get(i) {
+            let values = segment.col_slice(d)?;
+            for &row in chunk {
+                kernels::prefetch(values, row as usize);
+            }
+        }
+        Ok(())
+    };
+    (0..kernels::PREFETCH_DIMS).try_for_each(ahead)?;
+    for (i, &d) in dims_block.iter().enumerate() {
+        ahead(i + kernels::PREFETCH_DIMS)?;
+        let (values, q) = (segment.col_slice(d)?, query[d]);
+        match mass.as_deref_mut() {
+            Some(mass) => {
+                kernels::accumulate_gather_with_mass(kernel, op, d, values, chunk, q, acc, mass)
+            }
+            None => kernels::accumulate_gather(kernel, op, d, values, chunk, q, acc),
         }
     }
     Ok(())
@@ -422,8 +448,11 @@ pub struct SegmentContext<'k> {
 /// This is [`BondSearcher::search_with_rule`] generalised along two axes:
 /// the scan covers only `segment`'s rows, and an externally supplied
 /// [`KappaCell`] may tighten κ with bounds proven by other segments of the
-/// same query. Returned [`Scored::row`] ids are *global* table row ids, and
-/// with [`BondParams::refine_survivors`] enabled the scores are exact — so
+/// same query. With a cell the segment proves κ by a probe rather than the
+/// heap (see the module docs), and publishes to it what the probe proves
+/// and, when it finds `k` hits with exact scores, the k-th. Returned
+/// [`Scored::row`] ids are *global* table row ids, and with
+/// [`BondParams::refine_survivors`] enabled the scores are exact — so
 /// per-segment outcomes merge into the global top-k by score alone.
 ///
 /// Unlike the full-table entry point, `k` may exceed the segment's row
@@ -447,6 +476,12 @@ pub fn search_segment(
 }
 
 /// [`search_segment`] with the kernel flavour and the scratch passed in.
+///
+/// This is where a segment that shares κ publishes its answer's: when it
+/// found `k` hits whose scores are exact (every dimension read), the k-th
+/// — `k` rows score that well — goes to the shared cell, whichever finish
+/// ranked them (the exact loop's or [`OrderedRefine`]'s), so segments that
+/// start later prune harder from their first block.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_segment_with(
     segment: &Segment<'_>,
@@ -461,19 +496,7 @@ pub(crate) fn search_segment_with(
     scratch: &mut Scratch,
 ) -> Result<SearchOutcome> {
     let dims = segment.table().dims();
-    if query.len() != dims {
-        return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
-    }
-    if k == 0 {
-        return Err(BondError::InvalidK { k, rows: segment.live_rows() });
-    }
-    if metric.objective() != rule.objective() {
-        return Err(BondError::InvalidParams(format!(
-            "metric {} maximizes/minimizes differently than rule {}",
-            metric.name(),
-            rule.name()
-        )));
-    }
+    check_segment_search(segment, query, metric, &*rule, k, ctx)?;
     let derived_plan;
     let plan: &SegmentPlan = match ctx.plan {
         Some(plan) => plan,
@@ -487,124 +510,206 @@ pub(crate) fn search_segment_with(
             "dimension ordering is not a permutation of the table's dimensions".into(),
         ));
     }
-    let order: &[usize] = &plan.order;
+    let search = SegmentSearch { segment, query, metric, k, params, ctx, plan, kernel };
+    let outcome = search.run(rule, scratch)?;
+    let exact = outcome.trace.dims_accessed == dims;
+    let kth = outcome.hits.get(k - 1).map(|hit| hit.score).filter(|kth| exact && kth.is_finite());
+    if let (Some(cell), Some(kth)) = (ctx.kappa, kth) {
+        cell.tighten(kth);
+    }
+    Ok(outcome)
+}
 
-    let rows = segment.len();
+/// The checks [`search_segment_with`] makes before it reads a row.
+fn check_segment_search(
+    segment: &Segment<'_>,
+    query: &[f64],
+    metric: &dyn DecomposableMetric,
+    rule: &dyn PruningRule,
+    k: usize,
+    ctx: &SegmentContext<'_>,
+) -> Result<()> {
+    let (rows, dims) = (segment.len(), segment.table().dims());
+    if query.len() != dims {
+        return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
+    }
+    if k == 0 {
+        return Err(BondError::InvalidK { k, rows: segment.live_rows() });
+    }
+    if metric.objective() != rule.objective() {
+        return Err(BondError::InvalidParams(format!(
+            "metric {} maximizes/minimizes differently than rule {}",
+            metric.name(),
+            rule.name()
+        )));
+    }
     if let Some(sums) = ctx.row_sums.filter(|sums| sums.len() != rows) {
         return Err(BondError::InvalidParams(format!(
             "precomputed row sums cover {} rows but the segment has {rows}",
             sums.len()
         )));
     }
-
-    // All bookkeeping below is in segment-local row ids; only the final
-    // ranking translates back to global ids.
-    let mut eligible = std::mem::take(&mut scratch.eligible);
-    segment.live_bitmap_into(&mut eligible);
-    if let Some(filter) = ctx.filter {
-        if filter.len() != rows {
-            return Err(BondError::InvalidFilter(format!(
-                "segment filter covers {} rows but the segment has {rows}",
-                filter.len()
-            )));
+    if let Some(filter) = ctx.filter.filter(|filter| filter.len() != rows) {
+        return Err(BondError::InvalidFilter(format!(
+            "segment filter covers {} rows but the segment has {rows}",
+            filter.len()
+        )));
+    }
+    match &ctx.codes {
+        Some(codes) if codes.len() != rows || codes.dims() != dims => {
+            Err(BondError::InvalidParams(format!(
+                "segment codes cover {} rows x {} dims, segment has {rows} x {dims}",
+                codes.len(),
+                codes.dims()
+            )))
         }
-        eligible.and_with(filter);
+        _ => Ok(()),
     }
-    let mut trace = PruneTrace { kernel: Some(kernel.label()), ..PruneTrace::default() };
+}
 
-    // Quantized first pass (Section 7.4 composed with the engine): the same
-    // loop over code intervals, in the plan's dimension order, leaves only
-    // the rows whose optimistic bound can still reach κ. The κ proven there
-    // is also published to the shared cell, so sibling segments prune with
-    // it. With a κ the survivors are refined in bound order; without one
-    // (vacuous code bounds) the exact loop below takes them.
-    let mut candidates = match &ctx.codes {
-        Some(codes) => {
-            if codes.len() != rows || codes.dims() != dims {
-                return Err(BondError::InvalidParams(format!(
-                    "segment codes cover {} rows x {} dims, segment has {rows} x {dims}",
-                    codes.len(),
-                    codes.dims()
-                )));
-            }
-            let filter = crate::quantfilter::filter_segment_in_order(
-                codes,
-                metric,
-                query,
-                k,
-                &eligible,
-                ctx.kappa,
-                kernel,
-                Some(order),
-                None,
-                scratch,
-            )?;
-            scratch.eligible = eligible;
-            trace.filter_cells = filter.cells;
-            trace.filter_dims = filter.dims;
-            trace.filter_steps = u32::try_from(filter.steps).unwrap_or(u32::MAX);
-            trace.filter_probes = u32::try_from(filter.probes).unwrap_or(u32::MAX);
-            trace.filter_blocks_skipped = filter.blocks_skipped;
-            trace.filter_bits = codes.bits();
-            trace.refine_rows = filter.survivors.count() as u64;
-            if trace.refine_rows == 0 {
-                // the usual outcome once the query's own neighbourhood has
-                // set κ: nothing to refine, so no per-row state is built
-                return Ok(SearchOutcome { hits: Vec::new(), trace });
-            }
-            if params.refine_survivors && filter.kappa.is_some() {
-                let refine = OrderedRefine { segment, query, metric, order, kernel, k };
-                let hits = refine.run(&filter, ctx.kappa, scratch, &mut trace)?;
-                return Ok(SearchOutcome { hits, trace });
-            }
-            let mut candidates = CandidateSet::from_bitmap(filter.survivors);
-            trace.switched_to_list = candidates.maybe_materialize(params.materialize_threshold);
-            candidates
+/// One segment's search, its inputs checked and its plan settled.
+struct SegmentSearch<'a> {
+    segment: &'a Segment<'a>,
+    query: &'a [f64],
+    metric: &'a dyn DecomposableMetric,
+    k: usize,
+    params: &'a BondParams,
+    ctx: &'a SegmentContext<'a>,
+    plan: &'a SegmentPlan,
+    kernel: Kernel,
+}
+
+impl SegmentSearch<'_> {
+    /// Searches the eligible rows (live, and passing the filter): the code
+    /// filter first where the segment has codes, the exact loop where that
+    /// did not answer. All bookkeeping is in segment-local row ids; only
+    /// the ranking translates back to global ids.
+    fn run(&self, rule: &mut dyn PruningRule, scratch: &mut Scratch) -> Result<SearchOutcome> {
+        let mut eligible = std::mem::take(&mut scratch.eligible);
+        self.segment.live_bitmap_into(&mut eligible);
+        if let Some(filter) = self.ctx.filter {
+            eligible.and_with(filter);
         }
-        None => CandidateSet::from_bitmap(eligible),
-    };
-    let mut source = ExactPartials::new(
-        segment,
-        query,
-        metric,
-        rule,
-        order,
-        kernel,
-        &mut scratch.exact,
-        ctx.row_sums,
-        params.materialize_threshold,
-    );
-    source.trace = trace;
-    // Stage tracing: the time from scan start to the first pruning attempt
-    // that actually removed candidates is the segment's *observed* warmup,
-    // recorded as a `segment.warmup` span (detail: dimensions processed)
-    // while the global subscriber is on. Off (the default), beginning the
-    // span is one relaxed atomic load and no clock is read.
-    source.warmup = Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP));
-    let run = BondLoop { k, kernel, blocks: Blocks::Planned(plan.schedule), shared: ctx.kappa };
-    let processed = run.run(&mut source, &mut candidates, &mut scratch.best)?.swept;
-    // No pruning attempt removed anything: there was no effective warmup
-    // boundary to measure, so the span is discarded rather than recorded.
-    if let Some(span) = source.warmup.take() {
-        span.cancel();
+        let mut trace = PruneTrace { kernel: Some(self.kernel.label()), ..PruneTrace::default() };
+        let candidates = match &self.ctx.codes {
+            Some(codes) => match self.filter_codes(codes, eligible, &mut trace, scratch)? {
+                ControlFlow::Break(hits) => return Ok(SearchOutcome { hits, trace }),
+                ControlFlow::Continue(candidates) => candidates,
+            },
+            None => CandidateSet::from_bitmap(eligible),
+        };
+        self.exact_loop(rule, candidates, trace, scratch)
     }
-    // Final step: complete the survivors' scores over the unscanned
-    // dimensions (cheap: only |C| vectors are touched), then rank.
-    let survivors = CandidateSet::List(candidates.to_rows());
-    if let CandidateSet::Bits(bits) = candidates {
-        // hand the words back for the next search on this thread
-        scratch.eligible = bits;
+
+    /// The quantized first pass (Section 7.4 composed with the engine): the
+    /// same loop over code intervals, in the plan's dimension order, leaves
+    /// only the rows whose optimistic bound can still reach κ. The κ proven
+    /// there is also published to the shared cell, so sibling segments
+    /// prune with it. With a κ the survivors are refined in bound order,
+    /// and the hits break out; without one (vacuous code bounds) they go on
+    /// to the exact loop.
+    fn filter_codes(
+        &self,
+        codes: &SegmentCodesView<'_>,
+        eligible: Bitmap,
+        trace: &mut PruneTrace,
+        scratch: &mut Scratch,
+    ) -> Result<ControlFlow<Vec<Scored>, CandidateSet>> {
+        let &SegmentSearch { segment, query, metric, k, params, ctx, plan, kernel } = self;
+        let order = &plan.order[..];
+        let filter = crate::quantfilter::filter_segment_in_order(
+            codes,
+            metric,
+            query,
+            k,
+            &eligible,
+            ctx.kappa,
+            kernel,
+            Some(order),
+            None,
+            scratch,
+        )?;
+        scratch.eligible = eligible;
+        trace.filter_cells = filter.cells;
+        trace.filter_dims = filter.dims;
+        trace.filter_steps = u32::try_from(filter.steps).unwrap_or(u32::MAX);
+        trace.filter_probes = u32::try_from(filter.probes).unwrap_or(u32::MAX);
+        trace.filter_blocks_skipped = filter.blocks_skipped;
+        trace.filter_bits = codes.bits();
+        trace.refine_rows = filter.survivors.count() as u64;
+        if trace.refine_rows == 0 {
+            // the usual outcome once the query's own neighbourhood has set
+            // κ: nothing to refine, so no per-row state is built
+            return Ok(ControlFlow::Break(Vec::new()));
+        }
+        if params.refine_survivors && filter.kappa.is_some() {
+            let refine = OrderedRefine { segment, query, metric, order, kernel, k };
+            return refine.run(&filter, scratch, trace).map(ControlFlow::Break);
+        }
+        let mut candidates = CandidateSet::from_bitmap(filter.survivors);
+        trace.switched_to_list = candidates.maybe_materialize(params.materialize_threshold);
+        Ok(ControlFlow::Continue(candidates))
     }
-    source.trace.dims_accessed = processed;
-    source.start_sums(&survivors);
-    if params.refine_survivors && processed < dims {
-        source.scanned_mass = None;
-        source.sweep(&survivors, processed..dims)?;
-        source.trace.dims_accessed = dims;
+
+    /// The exact loop over `candidates`, then the survivors' scores
+    /// completed over the unswept dimensions (cheap: only |C| vectors are
+    /// touched) and ranked. A search that shares κ proves it by the probe
+    /// ([`Proof::Probe`]), an isolated one by the heap at every step.
+    fn exact_loop(
+        &self,
+        rule: &mut dyn PruningRule,
+        mut candidates: CandidateSet,
+        trace: PruneTrace,
+        scratch: &mut Scratch,
+    ) -> Result<SearchOutcome> {
+        let &SegmentSearch { segment, query, metric, k, params, ctx, plan, kernel } = self;
+        let mut source = ExactPartials::new(
+            segment,
+            query,
+            metric,
+            rule,
+            &plan.order,
+            kernel,
+            &mut scratch.exact,
+            ctx.row_sums,
+            params.materialize_threshold,
+        );
+        source.trace = trace;
+        if ctx.kappa.is_some() {
+            source.proof = Proof::Probe { after_last: false };
+        }
+        // Stage tracing: the time from scan start to the first pruning
+        // attempt that actually removed candidates is the segment's
+        // *observed* warmup, recorded as a `segment.warmup` span (detail:
+        // dimensions processed) while the global subscriber is on. Off (the
+        // default), beginning the span is one relaxed atomic load and no
+        // clock is read.
+        source.warmup = Some(bond_obs::Span::begin(bond_obs::names::SPAN_SEGMENT_WARMUP));
+        let run = BondLoop { k, kernel, blocks: Blocks::Planned(plan.schedule), shared: ctx.kappa };
+        let processed = run.run(&mut source, &mut candidates, &mut scratch.best)?.swept;
+        // No pruning attempt removed anything: there was no effective
+        // warmup boundary to measure, so the span is discarded rather than
+        // recorded.
+        if let Some(span) = source.warmup.take() {
+            span.cancel();
+        }
+        let survivors = CandidateSet::List(candidates.to_rows());
+        if let CandidateSet::Bits(bits) = candidates {
+            // hand the words back for the next search on this thread
+            scratch.eligible = bits;
+        }
+        let dims = plan.order.len();
+        source.trace.dims_accessed = processed;
+        source.start_sums(&survivors);
+        if params.refine_survivors && processed < dims {
+            source.scanned_mass = None;
+            source.sweep(&survivors, processed..dims)?;
+            source.trace.dims_accessed = dims;
+        }
+        let rows = survivors.as_list().unwrap_or_default().iter().copied();
+        let hits = rank(segment, rows, source.partial, metric.objective(), k);
+        Ok(SearchOutcome { hits, trace: source.trace })
     }
-    let rows = survivors.as_list().unwrap_or_default().iter().copied();
-    let hits = rank(segment, rows, source.partial, metric.objective(), k);
-    Ok(SearchOutcome { hits, trace: source.trace })
 }
 
 /// Rows [`OrderedRefine`] scores between two looks at κ once the first
@@ -633,12 +738,11 @@ impl OrderedRefine<'_> {
     /// lies below k scored rows, and the k best of the scored rows are the
     /// k best of all survivors. Each score is the same per-row sum, in the
     /// same order, as the exact loop's, so the hits are bit-identical to
-    /// refining every survivor. The segment's k-th exact score is then
-    /// published to `shared`, as the exact loop's last step did.
+    /// refining every survivor. ([`search_segment_with`] publishes their
+    /// k-th.)
     fn run(
         &self,
         filter: &QuantFilter,
-        shared: Option<&dyn KappaCell>,
         scratch: &mut Scratch,
         trace: &mut PruneTrace,
     ) -> Result<Vec<Scored>> {
@@ -674,9 +778,6 @@ impl OrderedRefine<'_> {
         }
         trace.contributions_evaluated += (scored * self.order.len()) as u64;
         trace.dims_accessed = self.order.len();
-        if let (Some(cell), Some(kappa)) = (shared, best.kth().filter(|kappa| kappa.is_finite())) {
-            cell.tighten(sign * kappa);
-        }
         let rows = ranked[..scored].iter().map(|&(row, _)| row);
         Ok(rank(segment, rows, partial, metric.objective(), k))
     }
@@ -718,7 +819,9 @@ impl OrderedRefine<'_> {
 /// it reads them while the candidates are a bitmap ([`Slots::Rule`]),
 /// stored per position once they are a list. A single-table search runs one
 /// over its plan's order; a multi-feature search ([`crate::multifeature`])
-/// drives one per feature, over that feature's share of every block.
+/// drives one per feature, over that feature's share of every block. It
+/// proves κ by the heap, unless a single-table search shares κ with its
+/// sibling segments: then by the probe ([`ExactPartials::proof`]).
 pub(crate) struct ExactPartials<'a> {
     segment: &'a Segment<'a>,
     query: &'a [f64],
@@ -749,6 +852,11 @@ pub(crate) struct ExactPartials<'a> {
     unset: bool,
     pub(crate) trace: PruneTrace,
     warmup: Option<bond_obs::Span>,
+    /// Where κ is proven: [`Proof::Heap`] (the paper's Algorithm 2, and
+    /// what [`ExactPartials::new`] sets) or, for a search that shares κ,
+    /// `Proof::Probe` — a cold segment's first step offers the heap every
+    /// candidate's partial score and the probe completes the `k` best.
+    pub(crate) proof: Proof,
 }
 
 impl<'a> ExactPartials<'a> {
@@ -798,6 +906,7 @@ impl<'a> ExactPartials<'a> {
             unset: true,
             trace: PruneTrace::default(),
             warmup: None,
+            proof: Proof::Heap,
         }
     }
 
@@ -817,9 +926,11 @@ impl<'a> ExactPartials<'a> {
     /// garbage that is never read, as in [`dense_accumulate_block`], and
     /// rows of empty words keep whatever they held — and per candidate, by
     /// list position, once it is a list. A single-table search stores them
-    /// only in the list phase ([`BoundSource::bound`]); a multi-feature
-    /// search, whose aggregate reads both bounds of every feature at every
-    /// slot, in every step.
+    /// only in the list phase ([`BoundSource::bound`]), where under
+    /// [`Proof::Probe`] the partial score takes the pessimistic bound's
+    /// place, as what the κ heap collects; a multi-feature search, whose
+    /// aggregate reads both bounds of every feature at every slot, in every
+    /// step.
     pub(crate) fn bound_slots(&mut self, candidates: &CandidateSet, swept: usize) {
         self.start_sums(candidates);
         self.rule.prepare(self.query, &self.order[swept..]);
@@ -848,13 +959,21 @@ impl<'a> ExactPartials<'a> {
             CandidateSet::List(list) => {
                 self.lower.clear();
                 self.upper.clear();
+                let (probe, maximize) =
+                    (self.proof != Proof::Heap, self.rule.objective() == Objective::Maximize);
                 for &row in list {
                     let idx = row as usize;
-                    let (lo, hi) = self.rule.bounds(&CandidateState {
-                        partial: self.partial[idx],
+                    let partial = self.partial[idx];
+                    let (mut lo, mut hi) = self.rule.bounds(&CandidateState {
+                        partial,
                         scanned_mass: scanned_mass.map_or(0.0, |m| m[idx]),
                         total_mass: total_mass.map_or(0.0, |t| t[idx]),
                     });
+                    match (probe, maximize) {
+                        (true, true) => lo = partial,
+                        (true, false) => hi = partial,
+                        (false, _) => {}
+                    }
                     self.lower.push(lo);
                     self.upper.push(hi);
                 }
@@ -864,7 +983,12 @@ impl<'a> ExactPartials<'a> {
 }
 
 impl BoundSource for ExactPartials<'_> {
-    const PROOF: Proof = Proof::Heap;
+    /// Never after the last block: the segment's rank then reads every
+    /// survivor's exact score, and its k-th is published
+    /// ([`search_segment_with`]).
+    fn proof(&self) -> Proof {
+        self.proof
+    }
 
     fn dims(&self) -> usize {
         self.order.len()
@@ -974,8 +1098,58 @@ impl BoundSource for ExactPartials<'_> {
             partial: self.partial,
             scanned_mass: self.scanned_mass.as_deref(),
             total_mass: self.total_mass.as_deref(),
+            proof: self.proof,
         };
         Bounds { slots: Slots::Rule(state), sign, opt_add: 0.0 }
+    }
+
+    /// Completes the exact scores of the `k` rows in `best` — the best
+    /// partial scores of a cold step — over the dimensions after `swept`:
+    /// each row's partial score is copied into a scratch accumulator (never
+    /// back into the partial scores, which later steps bound) and summed on
+    /// in plan order, gathered and prefetched as the row-list sweep is, or
+    /// per candidate for a metric without a kernel shape. Each is so the
+    /// very sum the segment's rank reads for that row, and the weakest is
+    /// a κ for the whole query: `k` rows score that well. A NaN score
+    /// proves nothing. The probe's cells count as evaluated.
+    fn probe(&mut self, best: &TopKLargest, swept: usize) -> Result<Option<f64>> {
+        let Self { segment, query, metric, order, op, kernel, .. } = *self;
+        let rest = &order[swept..];
+        let sign = match metric.objective() {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        let (mut ids, mut acc) = ([0 as RowId; GATHER_BLOCK_ROWS], [0.0f64; GATHER_BLOCK_ROWS]);
+        let (mut weakest, mut nan) = (f64::INFINITY, false);
+        let mut rows = best.iter().map(|entry| entry.row);
+        loop {
+            let m = ids.iter_mut().zip(rows.by_ref()).map(|(id, row)| *id = row).count();
+            if m == 0 {
+                break;
+            }
+            let (ids, acc) = (&ids[..m], &mut acc[..m]);
+            for (sum, &row) in acc.iter_mut().zip(ids) {
+                *sum = self.partial[row as usize];
+            }
+            match op {
+                Some(op) => gather_rows(kernel, op, segment, rest, query, ids, acc, None)?,
+                None => {
+                    for &d in rest {
+                        let values = segment.col_slice(d)?;
+                        for (sum, &row) in acc.iter_mut().zip(ids) {
+                            *sum += metric.contribution(d, values[row as usize], query[d]);
+                        }
+                    }
+                }
+            }
+            for &score in acc.iter() {
+                nan |= score.is_nan();
+                weakest = weakest.min(sign * score);
+            }
+        }
+        self.trace.contributions_evaluated += (best.len() * rest.len()) as u64;
+        self.trace.exact_probes += 1;
+        Ok((!nan).then_some(weakest))
     }
 
     fn stepped(&mut self, candidates: &mut CandidateSet, swept: usize, removed: usize) {
@@ -1107,16 +1281,19 @@ mod tests {
     }
 
     impl Case<'_> {
-        /// Searches the segments in order on the given scratch; returns
-        /// the outcomes and every κ published on the way.
-        fn run(&self, scratch: &mut Scratch) -> (Vec<SearchOutcome>, Vec<u64>) {
-            self.run_on(&RecordingCell::new(self.metric.objective()), scratch)
+        /// Searches the segments in order on the given scratch, sharing a
+        /// fresh κ cell or (not `shared`) each on its own; returns the
+        /// outcomes and every κ published on the way.
+        fn run(&self, shared: bool, scratch: &mut Scratch) -> (Vec<SearchOutcome>, Vec<u64>) {
+            let cell = RecordingCell::new(self.metric.objective());
+            self.run_on(shared.then_some(&cell), scratch)
         }
 
-        /// [`Case::run`] with the segments sharing `cell`.
+        /// [`Case::run`] with the segments sharing `cell`, or isolated
+        /// (`None`: nothing is published).
         fn run_on(
             &self,
-            cell: &RecordingCell,
+            cell: Option<&RecordingCell>,
             scratch: &mut Scratch,
         ) -> (Vec<SearchOutcome>, Vec<u64>) {
             let outcomes = self
@@ -1125,7 +1302,7 @@ mod tests {
                 .map(|segment| {
                     let filter = (self.filter)(segment.len());
                     let ctx = SegmentContext {
-                        kappa: Some(cell),
+                        kappa: cell.map(|cell| cell as &dyn KappaCell),
                         filter: filter.as_ref(),
                         ..SegmentContext::default()
                     };
@@ -1144,7 +1321,7 @@ mod tests {
                     .unwrap()
                 })
                 .collect();
-            (outcomes, cell.published())
+            (outcomes, cell.map_or_else(Vec::new, RecordingCell::published))
         }
     }
 
@@ -1196,7 +1373,9 @@ mod tests {
                     for filter in &filters {
                         for k in [1, 10, rows] {
                             for schedule in schedules {
-                                for materialize_threshold in [0.05, 0.5] {
+                                for (materialize_threshold, shared) in
+                                    [(0.05, false), (0.05, true), (0.5, false), (0.5, true)]
+                                {
                                     let case = Case {
                                         segments: &segments,
                                         query: &query,
@@ -1213,14 +1392,15 @@ mod tests {
                                     // the word-wise side reuses one scratch
                                     // across every case, as a worker thread
                                     // does: stale rows must not matter
-                                    let (wordwise, wordwise_kappas) = case.run(&mut reused);
+                                    let (wordwise, wordwise_kappas) = case.run(shared, &mut reused);
                                     let (reference, reference_kappas) =
                                         with_seam(Box::new(per_candidate_step), || {
-                                            case.run(&mut Scratch::default())
+                                            case.run(shared, &mut Scratch::default())
                                         });
                                     let what = format!(
                                         "{rows} rows, tombstones {tombstones}, {}, k {k}, \
-                                         {schedule:?}, materialize at {materialize_threshold}",
+                                         {schedule:?}, materialize at {materialize_threshold}, \
+                                         shared {shared}",
                                         new_rule().name()
                                     );
                                     // hits, checkpoints, contributions_evaluated, …
@@ -1240,18 +1420,18 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2);
+        assert_eq!(cases, 2 * 2 * 6 * 3 * 3 * 3 * 2 * 2);
         let StepStats { from_bitmaps, from_lists, .. } = StepStats::take();
         assert!(from_bitmaps > 1_000 && from_lists > 1_000, "{from_bitmaps} / {from_lists}");
     }
 
     /// The heap step as it ran before the early prune, which every exact
-    /// step carrying a κ in must reproduce: its first pass offers every
-    /// candidate to the heap (`per_candidate_step` with `keep: None`), then
-    /// drops every candidate, read at its own slot, that misses the κ that
-    /// step proved — the better of the heap's k-th bound and the shared
-    /// cell's κ — so the loop's second pass, at that same κ, has nothing
-    /// left to remove.
+    /// step of an isolated search carrying a κ in must reproduce: its first
+    /// pass offers every candidate to the heap (`per_candidate_step` with
+    /// `keep: None`), then drops every candidate, read at its own slot,
+    /// that misses the κ that step proved — the better of the heap's k-th
+    /// bound and the shared cell's κ — so the loop's second pass, at that
+    /// same κ, has nothing left to remove.
     fn heap_over_every_candidate(cell: Rc<RecordingCell>) -> Seam {
         Box::new(move |set, _, bounds, best| {
             let Some(best) = best else { return 0 };
@@ -1284,13 +1464,20 @@ mod tests {
         list_rebound: usize,
         /// Whether the last first pass over a list removed rows.
         list_shifted: bool,
+        /// In searches that share κ: passes that offered the κ heap (a
+        /// cold segment's first step, with no κ to prune with) …
+        probing: usize,
+        /// … and candidates the passes that offered none dropped.
+        heapless: usize,
     }
 
     /// The loop's own pruning pass, checking after every first pass that
-    /// the κ heap holds only rows it kept, and counting passes in `counts`.
-    fn keepers_only(counts: Rc<Cell<PassCounts>>) -> Seam {
+    /// the κ heap holds only rows it kept, and counting passes in `counts`
+    /// — a heap step's (isolated) or a probe step's (`shared`).
+    fn keepers_only(counts: Rc<Cell<PassCounts>>, shared: bool) -> Seam {
         Box::new(move |set, keep, bounds, mut best| {
             let (bitmap, first) = (set.is_bitmap(), best.is_some());
+            assert!(!(shared && first && keep.is_some()), "a probing pass pruned");
             let removed = set.prune(Kernel::active(), keep, bounds, best.as_deref_mut());
             if let Some(best) = best {
                 let kept = set.to_rows();
@@ -1303,15 +1490,17 @@ mod tests {
                 }
             }
             let mut seen = counts.get();
-            match (bitmap, first) {
-                (true, true) => seen.early += removed,
-                (true, false) => {}
-                (false, true) => {
+            match (shared, bitmap, first) {
+                (true, _, true) => seen.probing += 1,
+                (true, _, false) => seen.heapless += removed,
+                (false, true, true) => seen.early += removed,
+                (false, true, false) => {}
+                (false, false, true) => {
                     seen.list_first += 1;
                     seen.list_early += removed;
                     seen.list_shifted = removed > 0;
                 }
-                (false, false) => {
+                (false, false, false) => {
                     seen.list_second += 1;
                     seen.list_rebound += usize::from(seen.list_shifted);
                 }
@@ -1321,12 +1510,16 @@ mod tests {
         })
     }
 
-    /// The exact loop's heap steps with a κ carried in — a sibling
-    /// segment's, the segment's own from its last step, or one the shared
-    /// cell holds from the start (the k-th best exact score) — against
-    /// [`heap_over_every_candidate`]: the same hits, bit for bit, the same
-    /// checkpoints and counts, the same κ published. All six rules, two
-    /// filters, `k` 1 and 10, three block schedules.
+    /// The exact loop's steps with a κ carried in — a sibling segment's,
+    /// the segment's own from its last step, or one the shared cell holds
+    /// from the start (the k-th best exact score) — against a reference
+    /// pass: the same hits, bit for bit, the same checkpoints and counts,
+    /// the same κ published. An isolated search (its own κ only) proves κ
+    /// by the heap, against [`heap_over_every_candidate`]; a search that
+    /// shares κ proves it by the probe, against [`per_candidate_step`],
+    /// which then offers the partial scores at the probing step and
+    /// collects no heap at any other. All six rules, two filters, `k` 1, 3
+    /// and 10, three block schedules.
     fn early_prune_reproduces_the_heap_over_every_candidate(
         materialize_threshold: f64,
     ) -> PassCounts {
@@ -1367,14 +1560,15 @@ mod tests {
                     scores.reverse();
                 }
                 for filter in &filters {
-                    for k in [1, 10] {
-                        // the k-th best score of the whole table is a valid
-                        // κ only without a filter
-                        let mut held = vec![None];
+                    for k in [1, 3, 10] {
+                        // isolated, then sharing a cell — one that holds the
+                        // k-th best score of the whole table too, a valid κ
+                        // only without a filter
+                        let mut runs = vec![(false, None), (true, None)];
                         if filter(rows).is_none() {
-                            held.push(Some(scores[k - 1]));
+                            runs.push((true, Some(scores[k - 1])));
                         }
-                        for &pre in &held {
+                        for &(shared, pre) in &runs {
                             for schedule in [
                                 BlockSchedule::Fixed(1),
                                 BlockSchedule::Fixed(4),
@@ -1393,16 +1587,21 @@ mod tests {
                                         ..BondParams::default()
                                     },
                                 };
-                                let cell = Rc::new(RecordingCell::holding(objective, pre));
-                                let seam = heap_over_every_candidate(cell.clone());
-                                let reference =
-                                    with_seam(seam, || case.run_on(&cell, &mut Scratch::default()));
-                                let cell = Rc::new(RecordingCell::holding(objective, pre));
-                                let early = with_seam(keepers_only(counts.clone()), || {
-                                    case.run_on(&cell, &mut Scratch::default())
-                                });
+                                let run = |seam: Option<Seam>| {
+                                    let cell = Rc::new(RecordingCell::holding(objective, pre));
+                                    let seam = seam
+                                        .unwrap_or_else(|| heap_over_every_candidate(cell.clone()));
+                                    with_seam(seam, || {
+                                        let cell = shared.then_some(&*cell);
+                                        case.run_on(cell, &mut Scratch::default())
+                                    })
+                                };
+                                let probing = || Box::new(per_candidate_step) as Seam;
+                                let reference = run(shared.then(probing));
+                                let early = run(Some(keepers_only(counts.clone(), shared)));
                                 let what = format!(
-                                    "{rows} rows, {}, k {k}, κ held {pre:?}, {schedule:?}",
+                                    "{rows} rows, {}, k {k}, shared {shared}, κ held {pre:?}, \
+                                     {schedule:?}",
                                     new_rule().name()
                                 );
                                 assert_eq!(early, reference, "{what}");
@@ -1419,7 +1618,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 2 * 6 * (2 * 2 + 2) * 3);
+        assert_eq!(cases, 2 * 6 * (3 * 2 * 2 + 3) * 3);
         counts.get()
     }
 
@@ -1429,6 +1628,11 @@ mod tests {
         let counts = early_prune_reproduces_the_heap_over_every_candidate(0.0);
         assert_eq!((counts.list_first, counts.list_second), (0, 0));
         assert!(counts.early > 10_000, "the carried κ dropped only {} rows early", counts.early);
+        // a search that shares κ probes at most once per segment and
+        // otherwise only prunes with the κ it carried in
+        assert!(counts.probing > 100, "only {} probing steps", counts.probing);
+        let heapless = counts.heapless;
+        assert!(heapless > 10_000, "steps without a heap dropped only {heapless} rows");
         // and so do list steps, whose second pass bounds the keepers again
         let counts = early_prune_reproduces_the_heap_over_every_candidate(1.0);
         let early = counts.list_early;

@@ -62,6 +62,12 @@ pub struct PruneTrace {
     /// Zero when no code was swept. A `u32` beside `filter_steps`, so the
     /// trace keeps its size.
     pub filter_probes: u32,
+    /// Number of κ probes the exact loop ran: one in a segment that shares
+    /// κ and carried none into its first step (it completes the exact
+    /// scores of `k` rows), none elsewhere — an isolated search proves κ
+    /// by the heap at every step. A `u32` beside `filter_probes`, so the
+    /// trace keeps its size.
+    pub exact_probes: u32,
     /// Number of 1 024-row blocks the quantized filter dropped before its
     /// first block because their code envelope could not reach the κ the
     /// segment carried in — none of their cells was read.
@@ -144,6 +150,7 @@ mod tests {
             filter_dims: 0,
             filter_steps: 0,
             filter_probes: 0,
+            exact_probes: 0,
             filter_blocks_skipped: 0,
             refine_rows: 0,
             filter_bits: 0,
@@ -168,6 +175,14 @@ mod tests {
         assert_eq!(t.dims_to_reach(600), Some(8));
         assert_eq!(t.dims_to_reach(100), Some(16));
         assert_eq!(t.dims_to_reach(5), None);
+    }
+
+    /// Every segment task moves a trace: its counters share the padding
+    /// of the 8-byte fields rather than grow it.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_trace_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<PruneTrace>(), 128);
     }
 
     #[test]

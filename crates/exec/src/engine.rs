@@ -1177,7 +1177,8 @@ impl Engine {
 
     /// The search stage: run [`search_segment`] on the query's plan —
     /// exact BOND, or the code sweep plus exact refine when the query
-    /// carries codes.
+    /// carries codes — which publishes the segment's k-th exact score to
+    /// the query's κ cell.
     fn search_one_segment(&self, task: &Task<'_>, run: &TopKRun<'_>) -> Result<SearchOutcome> {
         let inner = &*self.inner;
         let Task { pass, rq, si, segment } = *task;
@@ -1204,14 +1205,6 @@ impl Engine {
         // incomparable across rules, and downstream consumers (per-rule
         // metrics, ANALYZE) must not mix them.
         outcome.trace.rule = rq.rule_name();
-        // A stats-driven query publishes the segment's k-th best *exact*
-        // score as κ (k witnesses reach it), arming the zone-map skip for
-        // segments that have not started yet.
-        if let (true, Some(cell)) = (run.query.planner.is_stats_driven(), &rq.kappa) {
-            if outcome.hits.len() >= k {
-                cell.tighten(outcome.hits[k - 1].score);
-            }
-        }
         Ok(outcome)
     }
 

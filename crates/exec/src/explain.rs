@@ -208,6 +208,10 @@ pub struct SegmentAnalysis {
     /// κ probes the filter ran: two at most, and at most one in a segment
     /// that carried a sibling's κ in; `0` when no filter swept.
     pub filter_probes: u32,
+    /// κ probes the exact loop ran ([`bond::PruneTrace::exact_probes`]):
+    /// one in a segment that shares κ and carried none into its first
+    /// step, zero in every other.
+    pub exact_probes: u32,
     /// Rows the quantized filter let through to exact refinement; `0` when
     /// no filter ran.
     pub refine_rows: u64,
@@ -298,7 +302,7 @@ impl fmt::Display for QueryAnalysis {
                     seg.filter_bits
                 )
             } else {
-                String::new()
+                format!(" probes={}", seg.exact_probes)
             };
             let kernel = seg.kernel.map_or_else(String::new, |k| format!(" kernel={k}"));
             writeln!(
@@ -470,6 +474,7 @@ impl QueryOutcome {
                 filter_blocks_skipped: run.trace.filter_blocks_skipped,
                 filter_steps: run.trace.filter_steps,
                 filter_probes: run.trace.filter_probes,
+                exact_probes: run.trace.exact_probes,
                 refine_rows: run.trace.refine_rows,
                 filter_bits: run.trace.filter_bits,
                 kernel: run.trace.kernel,

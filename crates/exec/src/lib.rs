@@ -17,11 +17,13 @@
 //!   scannable units, exactly like the independent searchers of
 //!   parallel-ensemble k-NN designs.
 //! * **Parallel BOND with κ sharing** — every segment runs the unmodified
-//!   pruning rules, but publishes its κ (the k-th best safe bound) into one
-//!   atomic [`SharedKappa`] cell per query. A tight bound found in one
-//!   segment immediately prunes candidates in all others, recovering most
-//!   of the pruning power a single full-table search has — the split is
-//!   *not* embarrassingly parallel, it is cooperative branch-and-bound.
+//!   pruning rules, but publishes its κ into one atomic [`SharedKappa`]
+//!   cell per query: the κ a segment that started with none proves by
+//!   completing `k` rows after its first block, and every finished
+//!   segment's k-th exact score. A tight bound found in one segment
+//!   immediately prunes candidates in all others, recovering most of the
+//!   pruning power a single full-table search has — the split is *not*
+//!   embarrassingly parallel, it is cooperative branch-and-bound.
 //! * **Heterogeneous batched execution** — a [`RequestBatch`] of
 //!   [`QuerySpec`]s schedules all `queries × segments` work items on one
 //!   worker pool. Every spec carries its own `k` and kind (top-k,
@@ -39,9 +41,9 @@
 //!   for bit, whatever the planner and scan mode.
 //! * **Segment skipping** — under [`PlannerKind::Adaptive`] (engine-wide
 //!   or per query) segments are visited most-promising-first by their
-//!   zone-map envelope bound, each finished segment publishes its k-th
-//!   exact score as κ, and segments whose bound provably cannot reach the
-//!   query's current κ are skipped without touching their columns.
+//!   zone-map envelope bound, and segments whose bound provably cannot
+//!   reach the query's current κ are skipped without touching their
+//!   columns.
 //! * **Admission control** — [`service::Server`] validates every
 //!   submitted [`QuerySpec`], queues it under its [`Priority`] class and
 //!   drains Interactive → Normal → Batch, first come first served within a

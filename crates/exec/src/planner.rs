@@ -7,8 +7,9 @@
 //! [`PlannerKind::Uniform`] visits them in row order (a code-filtered scan
 //! that shares κ visits most-promising-first under either policy), while
 //! [`PlannerKind::Adaptive`] visits them most-promising-first by their
-//! zone-map envelope bound, publishes each finished segment's k-th exact
-//! score as κ, and skips whole segments whose bound cannot reach κ.
+//! zone-map envelope bound and skips whole segments whose bound cannot
+//! reach κ — which every finished segment of a query that shares κ
+//! publishes as its k-th exact score, under either policy.
 
 /// Which planning policy the engine applies to a query's segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,9 +19,8 @@ pub enum PlannerKind {
     Uniform,
     /// Cost-model-driven scheduling from segment statistics: segments are
     /// visited most-promising-first, so the query's own neighbourhood
-    /// establishes κ before any far segment starts; each finished segment
-    /// publishes its k-th exact score as κ; and segments whose zone-map
-    /// bound cannot reach κ are skipped whole.
+    /// establishes κ before any far segment starts, and segments whose
+    /// zone-map bound cannot reach κ are skipped whole.
     Adaptive,
 }
 

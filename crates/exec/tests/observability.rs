@@ -1,8 +1,8 @@
 //! End-to-end observability invariants: EXPLAIN renders exactly the plan
 //! execution runs, ANALYZE's scanned-cell accounting is the summed
 //! [`bond::PruneTrace`] work counters, disabled tracing is bit-invisible
-//! to query results, a segment that carried a κ in probes at most once,
-//! and a warmed run populates the metrics registry.
+//! to query results, a segment that carried a κ in probes at most once —
+//! an exact one never — and a warmed run populates the metrics registry.
 
 use std::sync::Arc;
 
@@ -167,6 +167,47 @@ fn a_segment_that_carried_a_kappa_probes_at_most_once() {
         assert!(analysis.to_string().contains(" filter_probes="), "{analysis}");
     }
     assert!(warm > 0, "no segment that carried a κ probed after its last block");
+}
+
+/// An exact search that shares κ proves it by a probe only in a cold
+/// segment. On a one-thread exact engine the first segment of the visit
+/// order carries no κ into its first step and probes once; it publishes
+/// what that proves and its k-th exact score, so every later segment
+/// carries a κ in and ANALYZE reports `probes=0` for it.
+#[test]
+fn only_a_cold_exact_segment_probes() {
+    let table = Arc::new(
+        ClusteredConfig { clusters: 16, ..ClusteredConfig::small(4_000, 16, 0.0) }
+            .with_seed(7)
+            .generate(),
+    );
+    for planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
+        let engine = Engine::builder(table.clone())
+            .partitions(8)
+            .threads(1)
+            .rule(RuleKind::EuclideanEv)
+            .planner(planner)
+            .build()
+            .unwrap();
+        for query in sample_queries(&table, 4, 99) {
+            let spec = QuerySpec::new(query, 10);
+            let explain = engine.explain(&spec).unwrap();
+            let analysis = engine.search_spec(&spec).unwrap().analyze(&explain);
+            let cold = explain.visit_order[0];
+            for seg in analysis.segments.iter().filter(|seg| !seg.skipped) {
+                let want = u32::from(seg.segment == cold);
+                assert_eq!(
+                    seg.exact_probes, want,
+                    "{planner:?} segment {}:\n{analysis}",
+                    seg.segment
+                );
+            }
+            let line = format!("  segment {cold}: ");
+            let cold_line =
+                analysis.to_string().lines().find(|l| l.starts_with(&line)).map(str::to_owned);
+            assert!(cold_line.is_some_and(|l| l.contains(" probes=1 ")), "{analysis}");
+        }
+    }
 }
 
 /// After a warming batch on an adaptive engine over cluster-major data,

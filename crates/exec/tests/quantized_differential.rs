@@ -6,7 +6,9 @@
 //!   reference, across planners {Uniform, Adaptive} and, for `Adaptive`,
 //!   with and without a shared κ;
 //! * [`ScanMode::Exact`] under the `Uniform` planner against the sequential
-//!   reference and a row-by-row brute force.
+//!   reference and a row-by-row brute force, with a shared κ (each search
+//!   proves it by a probe) and without (by the heap at every step), the two
+//!   bit for bit.
 //!
 //! Both run over
 //!
@@ -33,6 +35,7 @@ use bond::metrics::Objective;
 use bond::BondError;
 use bond_datagen::ClusteredConfig;
 use bond_exec::{Engine, PlannerKind, QuerySpec, RequestBatch, RuleKind, ScanMode};
+use vdstore::topk::Scored;
 use vdstore::{Bitmap, DecomposedTable};
 
 const ROWS: usize = 1600;
@@ -268,8 +271,10 @@ fn scalar_leg(test: &str) -> ScalarLeg {
     ScalarLeg { digest, skipped: field("SKIPPED=") }
 }
 
-/// The `Exact` matrix under whatever kernel this process latched; returns
-/// the digest of all answers and how many cases pruned anything.
+/// The `Exact` matrix under whatever kernel this process latched, each
+/// case asked of an engine whose segments share κ — the digest's and the
+/// pruning count's — and of one whose segments search on their own;
+/// returns the digest of all answers and how many cases pruned anything.
 fn run_exact_matrix() -> (u64, usize) {
     let rules = rules();
     let filters = filters();
@@ -279,12 +284,15 @@ fn run_exact_matrix() -> (u64, usize) {
         for tombstones in [false, true] {
             let table = table(layout, tombstones);
             for partitions in [1usize, 3, 8] {
-                let engine = Engine::builder(table.clone())
-                    .partitions(partitions)
-                    .threads(1)
-                    .planner(PlannerKind::Uniform)
-                    .build()
-                    .unwrap();
+                let engines = [true, false].map(|share_kappa| {
+                    Engine::builder(table.clone())
+                        .partitions(partitions)
+                        .threads(1)
+                        .planner(PlannerKind::Uniform)
+                        .share_kappa(share_kappa)
+                        .build()
+                        .unwrap()
+                });
                 for rule in &rules {
                     for filter in &filters {
                         case += 1;
@@ -295,7 +303,7 @@ fn run_exact_matrix() -> (u64, usize) {
                             filter.as_ref().map(Bitmap::count)
                         );
                         pruned += check_exact_case(
-                            &engine,
+                            &engines,
                             rule,
                             filter.as_ref(),
                             case,
@@ -311,10 +319,11 @@ fn run_exact_matrix() -> (u64, usize) {
 }
 
 /// One generated `Exact` case: a member query and a `k` picked by the case
-/// number. Returns whether the search evaluated fewer cells than a scan of
-/// every eligible row would.
+/// number, asked of the κ-sharing engine and the isolated one, whose
+/// answers must be the same bits. Returns whether the sharing search
+/// evaluated fewer cells than a scan of every eligible row would.
 fn check_exact_case(
-    engine: &Engine,
+    [engine, isolated]: &[Engine; 2],
     rule: &RuleKind,
     filter: Option<&Bitmap>,
     case: usize,
@@ -334,6 +343,11 @@ fn check_exact_case(
     let outcome = engine.search_spec(&exact).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let got = &outcome.hits;
     assert_eq!(got.len(), k, "{ctx}");
+    let alone = isolated.search_spec(&exact).unwrap_or_else(|e| panic!("{ctx}: {e}")).hits;
+    let bits = |hits: &[Scored]| -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.row, h.score.to_bits())).collect()
+    };
+    assert_eq!(bits(got), bits(&alone), "{ctx}: sharing κ changed the answer");
 
     // The sequential searcher asked for every live row ranks them all
     // exactly, in the engine's dimension order and `(score, row)` order;
@@ -344,7 +358,7 @@ fn check_exact_case(
     assert_eq!(got, &want, "{ctx}: diverged from the filtered sequential ranking");
     if filter.is_none() {
         let reference = engine.sequential_reference_spec(&exact).unwrap();
-        assert_eq!(got, &reference, "{ctx}: diverged from the sequential reference");
+        assert_eq!(bits(got), bits(&reference), "{ctx}: diverged from the sequential reference");
     }
 
     // Brute force, row by row (its sums run in another order, hence the

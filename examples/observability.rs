@@ -68,6 +68,17 @@ fn main() {
     println!("{analysis}");
     assert!(analysis.plans_match(), "executed plan diverged from rendered plan");
     assert_eq!(analysis.scanned_cells(), outcome.contributions_evaluated());
+    //    The exact loop proves κ by a probe only in a segment that carried
+    //    none into its first step (ANALYZE's `probes=`): the first one
+    //    visited, and on two threads perhaps the one beside it.
+    let probes: Vec<u32> = analysis.segments.iter().map(|s| s.exact_probes).collect();
+    assert!(probes.iter().all(|&p| p <= 1), "a segment probed twice:\n{analysis}");
+    assert_eq!(probes[explain.visit_order[0]], 1, "the first segment ran cold:\n{analysis}");
+    println!(
+        "exact loop: {} κ probes over {} segments searched",
+        probes.iter().sum::<u32>(),
+        analysis.segments.len() - analysis.segments_skipped()
+    );
 
     // 5. The same request through the quantized first pass: EXPLAIN now
     //    names the code width every segment sweeps, ANALYZE joins the
