@@ -62,8 +62,17 @@
 //! bit-identical to the scalar reference. With AVX-512 VBMI each column's
 //! entries sit as a low-byte and a high-byte plane in registers and
 //! `vpermi2b` looks up 64 rows at once; without it, `vpgatherdd` fetches
-//! eight rows' entries per instruction. The exact refine still decides
-//! every hit, so a looser bound costs survivors, never answers. 8-bit
+//! eight rows' entries per instruction. Each group costs one pass per
+//! column before its sweep: [`fill_best_lut`] builds a column's `f64` LUT
+//! and takes its range (smallest, largest, all finite) in the same
+//! registers, and [`quantize_lut`] takes the scale from those ranges and
+//! writes each column's 16-bit entries — and, for the byte permutes, both
+//! byte planes — in one loop. Where the permutes run, AVX-512 F/BW hold, so
+//! the build and the quantizer go eight `f64` lanes wide there; AVX2 hosts
+//! go four. The sweeps ask for every column's codes
+//! [`SWEEP_PREFETCH_ROWS`] rows ahead of the rows they sum. The exact
+//! refine still decides every hit, so a looser bound costs survivors,
+//! never answers. 8-bit
 //! entries lose too much (the refine would read ~14× the rows); 16 bits
 //! cost about 2 % more survivors than `f64`. The interval sweep keeps
 //! full-precision LUTs: its bounds are reported as scores and error bounds.
@@ -327,7 +336,7 @@ impl CodeSweep {
                 #[cfg(target_arch = "x86_64")]
                 {
                     static VBMI: OnceLock<bool> = OnceLock::new();
-                    // its quantizer and range run the AVX2 kernels
+                    // a table without planes falls back to the AVX2 gather
                     *VBMI.get_or_init(|| {
                         Kernel::Avx2.is_supported()
                             && std::arch::is_x86_feature_detected!("avx512f")
@@ -387,6 +396,16 @@ impl QuantLut {
         &self.q[..self.columns * self.levels]
     }
 
+    /// Column `j`'s byte planes — its entries' low bytes and high bytes,
+    /// `levels` each — when the table was quantized for
+    /// [`CodeSweep::Permute`], `None` otherwise.
+    pub fn planes(&self, j: usize) -> Option<(&[u8], &[u8])> {
+        let plane = plane_len(self.levels);
+        let column = self.planes.get(j * 2 * plane..(j + 1) * 2 * plane)?;
+        let (low, high) = column.split_at(plane);
+        self.has_planes.then(|| (&low[..self.levels], &high[..self.levels]))
+    }
+
     /// The group's scale `s`.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -413,9 +432,51 @@ fn plane_len(levels: usize) -> usize {
     levels.max(128)
 }
 
+/// One LUT column's smallest and largest entry, and whether every entry is
+/// finite: what [`quantize_lut`] needs of a column besides its entries.
+/// [`fill_best_lut`] takes it in registers while it writes the column, so
+/// no pass reads a column only to range it. `min` and `max` are exact only
+/// when `finite` holds; the quantizer ignores them otherwise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LutRange {
+    /// The smallest entry.
+    pub min: f64,
+    /// The largest entry.
+    pub max: f64,
+    /// Whether no entry is `±∞` or NaN.
+    pub finite: bool,
+}
+
+impl LutRange {
+    /// The range of no entries.
+    pub const EMPTY: LutRange =
+        LutRange { min: f64::INFINITY, max: f64::NEG_INFINITY, finite: true };
+
+    /// This range with entry `e` taken in.
+    #[inline]
+    pub fn with(self, e: f64) -> LutRange {
+        LutRange {
+            min: if e < self.min { e } else { self.min },
+            max: if e > self.max { e } else { self.max },
+            finite: self.finite & e.is_finite(),
+        }
+    }
+
+    /// The range of both ranges' entries.
+    #[inline]
+    fn merge(self, other: LutRange) -> LutRange {
+        LutRange {
+            min: if other.min < self.min { other.min } else { self.min },
+            max: if other.max > self.max { other.max } else { self.max },
+            finite: self.finite & other.finite,
+        }
+    }
+}
+
 /// Quantizes one group's optimistic `f64` LUTs (`luts[j·levels + c]`, at
-/// most [`MAX_SWEEP_GROUP`] columns) into `out`, for the objective the
-/// entries serve:
+/// most [`MAX_SWEEP_GROUP`] columns, with `ranges[j]` column `j`'s range as
+/// [`fill_best_lut`] returns it) into `out`, for the objective the entries
+/// serve:
 ///
 /// - column `j`'s offset `m_j` is its smallest entry; the group's scale is
 ///   `s = max_j(max_j − m_j) / 65535`, raised by one ulp when `65535·s`
@@ -430,17 +491,22 @@ fn plane_len(levels: usize) -> usize {
 ///   every row keeps.
 ///
 /// A zero span gives `s = 0` and all-zero entries: the bound is exact.
-/// `sweep` picks the implementation, and for [`CodeSweep::Permute`] also
-/// lays the entries out as byte planes; every implementation gives the same
-/// entries, scale and offset.
+/// The ranges give the scale before any entry is read, so each column is
+/// read once: `sweep` picks the implementation — eight `f64` lanes for
+/// [`CodeSweep::Permute`], which also writes the byte planes in the same
+/// loop, four for [`CodeSweep::Gather`] — and every implementation gives
+/// the same entries, scale and offset.
 ///
 /// # Panics
-/// Panics unless `levels` is a power of two of at most 256 and `luts` holds
-/// between one and [`MAX_SWEEP_GROUP`] whole columns.
+/// Panics unless `levels` is a power of two of at most 256, `luts` holds
+/// between one and [`MAX_SWEEP_GROUP`] whole columns and `ranges` one
+/// range per column. Ranges that are not the columns' own give a bound
+/// that may not be optimistic (debug builds check them).
 pub fn quantize_lut(
     sweep: CodeSweep,
     objective: Objective,
     luts: &[f64],
+    ranges: &[LutRange],
     levels: usize,
     out: &mut QuantLut,
 ) {
@@ -453,6 +519,15 @@ pub fn quantize_lut(
         columns * levels == luts.len() && (1..=MAX_SWEEP_GROUP).contains(&columns),
         "quantize_lut: the LUTs must be 1 to MAX_SWEEP_GROUP whole columns"
     );
+    assert_eq!(ranges.len(), columns, "quantize_lut: one range per column");
+    debug_assert!(
+        luts.chunks_exact(levels).zip(ranges).all(|(lut, range)| {
+            let own = lut.iter().fold(LutRange::EMPTY, |r, &e| r.with(e));
+            own.finite == range.finite
+                && (!own.finite || (own.min == range.min && own.max == range.max))
+        }),
+        "quantize_lut: a range is not its column's"
+    );
     let sweep = if sweep.is_supported() { sweep } else { CodeSweep::Scalar };
     let up = objective == Objective::Maximize;
     out.levels = levels;
@@ -462,18 +537,15 @@ pub fn quantize_lut(
     if out.has_planes {
         out.planes.resize(columns * 2 * plane_len(levels), 0);
     }
-    let mut offsets = [0.0; MAX_SWEEP_GROUP];
     let mut span = 0.0f64;
     let mut finite = true;
-    for (m, lut) in offsets.iter_mut().zip(luts.chunks_exact(levels)) {
-        let (min, max, ok) = column_range(sweep, lut);
-        *m = min;
-        finite &= ok;
-        if max - min > span {
-            span = max - min;
+    for range in ranges {
+        finite &= range.finite;
+        if range.max - range.min > span {
+            span = range.max - range.min;
         }
     }
-    let offset = offsets[..columns].iter().fold(0.0, |sum, &m| sum + m);
+    let offset = ranges.iter().fold(0.0, |sum, range| sum + range.min);
     let mut scale = span / Q_MAX;
     if scale * Q_MAX < span {
         scale = f64::from_bits(scale.to_bits() + 1);
@@ -488,19 +560,49 @@ pub fn quantize_lut(
     }
     (out.scale, out.offset) = (scale, offset);
     let grid = QuantGrid { scale, inv: if scale > 0.0 { 1.0 / scale } else { 0.0 }, up };
-    let plane = plane_len(levels);
-    for (j, lut) in luts.chunks_exact(levels).enumerate() {
+    let plane = 2 * plane_len(levels);
+    for ((j, lut), range) in luts.chunks_exact(levels).enumerate().zip(ranges) {
         let q = &mut out.q[j * levels..(j + 1) * levels];
-        let planes = if out.has_planes {
-            Some(&mut out.planes[j * 2 * plane..(j + 1) * 2 * plane])
-        } else {
-            None
-        };
-        quantize_column(sweep, grid, offsets[j], lut, q, planes);
+        let planes = out.planes.get_mut(j * plane..(j + 1) * plane).filter(|_| out.has_planes);
+        quantize_column(sweep, grid, range.min, lut, q, planes);
     }
 }
 
-/// The per-entry constants of [`quantize_lut`]'s second pass.
+/// Quantizes one column (offset `m`) into `q` — and for
+/// [`CodeSweep::Permute`], which passes the column's byte `planes`, into
+/// those in the same loop. `sweep` must be supported.
+fn quantize_column(
+    sweep: CodeSweep,
+    grid: QuantGrid,
+    m: f64,
+    lut: &[f64],
+    q: &mut [u16],
+    planes: Option<&mut [u8]>,
+) {
+    match (sweep, planes) {
+        #[cfg(target_arch = "x86_64")]
+        (CodeSweep::Permute, Some(planes)) => {
+            // SAFETY: `sweep` is supported, so AVX-512 F/BW hold; `q` is as
+            // long as the column and `planes` holds its two planes of
+            // `plane_len(levels) ≥ levels` bytes.
+            unsafe { x86::quantize_column_avx512(grid, m, lut, q, planes) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        (CodeSweep::Gather, _) if lut.len() >= 4 => {
+            // SAFETY: `sweep` is supported, so AVX2 holds; the four-entry
+            // steps tile a power-of-two column of at least four entries and
+            // `q` is as long as the column.
+            unsafe { x86::quantize_column_avx2(grid, m, lut, q) }
+        }
+        _ => {
+            for (q, &e) in q.iter_mut().zip(lut) {
+                *q = grid.quantize(e - m);
+            }
+        }
+    }
+}
+
+/// The per-entry constants of [`quantize_lut`]'s pass.
 #[derive(Debug, Clone, Copy)]
 struct QuantGrid {
     scale: f64,
@@ -538,83 +640,18 @@ impl QuantGrid {
 /// 2⁵²: an `f64` at or above it has no fractional bits.
 const MAGIC: f64 = 4_503_599_627_370_496.0;
 
-/// One column's smallest and largest entry, and whether all are finite
-/// (`0·e` is NaN exactly for `±∞` and NaN). The range is exact only when
-/// every entry is finite; [`quantize_lut`] discards it otherwise.
-fn column_range(sweep: CodeSweep, lut: &[f64]) -> (f64, f64, bool) {
-    match sweep {
-        #[cfg(target_arch = "x86_64")]
-        CodeSweep::Gather | CodeSweep::Permute if lut.len() >= 8 => {
-            // SAFETY: `quantize_lut` only passes a supported implementation,
-            // and both need AVX2; the eight-entry steps tile a power-of-two
-            // column of at least eight entries.
-            unsafe { x86::column_range_avx2(lut) }
-        }
-        _ => {
-            // four independent lanes of compare-selects: the loop vectorizes
-            let mut lo = [f64::INFINITY; 4];
-            let mut hi = [f64::NEG_INFINITY; 4];
-            let mut bad = [0.0f64; 4];
-            let mut lane = |k: usize, e: f64| {
-                lo[k] = if e < lo[k] { e } else { lo[k] };
-                hi[k] = if e > hi[k] { e } else { hi[k] };
-                bad[k] += 0.0 * e;
-            };
-            let quads = lut.chunks_exact(4);
-            let tail = quads.remainder();
-            for quad in quads {
-                for (k, &e) in quad.iter().enumerate() {
-                    lane(k, e);
-                }
-            }
-            for &e in tail {
-                lane(0, e);
-            }
-            let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
-            let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
-            (lo, hi, bad.into_iter().sum::<f64>() == 0.0)
-        }
-    }
-}
-
-/// Quantizes one column (offset `m`) into `q`, and into its low/high byte
-/// `planes` when given.
-fn quantize_column(
-    sweep: CodeSweep,
-    grid: QuantGrid,
-    m: f64,
-    lut: &[f64],
-    q: &mut [u16],
-    planes: Option<&mut [u8]>,
-) {
-    match sweep {
-        #[cfg(target_arch = "x86_64")]
-        CodeSweep::Gather | CodeSweep::Permute if lut.len() >= 4 => {
-            // SAFETY: both implementations need AVX2, and are only passed
-            // when supported; the four-entry steps tile a power-of-two
-            // column of at least four entries and `q` is as long as the
-            // column.
-            unsafe { x86::quantize_column_avx2(grid, m, lut, q) }
-        }
-        _ => {
-            for (q, &e) in q.iter_mut().zip(lut) {
-                *q = grid.quantize(e - m);
-            }
-        }
-    }
-    if let Some(planes) = planes {
-        split_planes(q, planes);
-    }
-}
-
-/// Writes `q`'s low bytes to the first half of `planes`, its high bytes to
-/// the second.
-fn split_planes(q: &[u16], planes: &mut [u8]) {
-    let (low, high) = planes.split_at_mut(planes.len() / 2);
-    for ((l, h), &v) in low.iter_mut().zip(high.iter_mut()).zip(q) {
-        [*l, *h] = v.to_le_bytes();
-    }
-}
+/// How many rows ahead of the rows it sums each vector implementation of
+/// [`sweep_codes`] asks for every column's codes with a prefetch hint: one
+/// cache line per column per 64 rows. A group streams eight code columns
+/// (32 at ≤ 16 levels) at once, and the swept runs skip the words pruning
+/// emptied, more streams and more breaks than the hardware prefetcher
+/// follows well. In an in-process sweep over the benchmark's `scan_large`
+/// collection (600 member queries, distances alternated every 200 queries
+/// over 40 rounds, a 2-vCPU AVX-512 Xeon VM), the permute sweep's engine
+/// query took 405–421 µs with no prefetch, 363–371 µs at 128 rows,
+/// 361–367 µs at 256, 368–381 µs at 512 and 392–405 µs at 1 024; the
+/// gather sweep 487 µs with none and 432–437 µs at 128 and 256.
+pub const SWEEP_PREFETCH_ROWS: usize = 256;
 
 /// The code filter's one-sided sweep over one group of columns and one
 /// run of rows: per row `i`, `n = Σ_j q_j[columns[j][i] & (levels − 1)]`
@@ -891,33 +928,88 @@ pub fn fill_pair_lut(
 }
 
 /// Builds one dimension's one-lane optimistic contribution LUT (`best[c]`
-/// for cell `c`): the optimistic lane of [`fill_pair_lut`], and the same
-/// IEEE operations per cell, so the same bits — at half its work, since the
-/// pessimistic lane is not computed. Returns `false` when this kernel has
-/// no fused path or the grid has fewer than four levels (the vector steps
-/// take four cells); the caller then takes the optimistic lane of a pair
-/// LUT.
+/// for cell `c`) for the quantized sweep `sweep` and returns its range, taken
+/// in registers as the entries are written, so the quantizer
+/// ([`quantize_lut`]) reads each entry once and no pass reads the column
+/// only to range it. The entries are the optimistic lane of
+/// [`fill_pair_lut`], by the same IEEE operations per cell (edge
+/// `min + c·width` clamped to `max`, then the op's best-contribution
+/// formula), so the same bits as the metric's portable pair build — at half
+/// its work, since the pessimistic lane is not computed. Every `KernelOp`
+/// has a body per implementation: eight `f64` lanes for
+/// [`CodeSweep::Permute`] (AVX-512 F holds wherever it runs), four for
+/// [`CodeSweep::Gather`] at four levels or more, and the portable loop
+/// otherwise.
 pub fn fill_best_lut(
-    kernel: Kernel,
+    sweep: CodeSweep,
     op: KernelOp<'_>,
     dim: usize,
     grid: CodeParams,
     query: f64,
     best: &mut [f64],
-) -> bool {
+) -> LutRange {
     let levels = grid.levels() as usize;
     assert_eq!(best.len(), levels, "fill_best_lut: LUT storage is not one entry per level");
-    match kernel {
+    match sweep {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if Kernel::Avx2.is_supported() && levels >= 4 => {
+        CodeSweep::Permute if CodeSweep::Permute.is_supported() => {
+            // SAFETY: AVX-512 F holds with the permute sweep, and the LUT
+            // slice holds exactly `levels` slots; the eight-cell steps are
+            // masked to the cells below `levels`.
+            unsafe { x86::fill_best_lut_avx512(op, dim, grid, query, best) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        CodeSweep::Gather | CodeSweep::Permute if Kernel::Avx2.is_supported() && levels >= 4 => {
             // SAFETY: AVX2 availability was just checked and the LUT slice
             // holds exactly `levels` slots; `levels` is a power of two of at
             // least 4, so the four-cell vector steps tile it exactly.
             unsafe { x86::fill_best_lut_avx2(op, dim, grid, query, best) }
-            true
         }
-        _ => false,
+        _ => fill_best_lut_scalar(op, dim, grid, query, best),
     }
+}
+
+/// The portable one-lane LUT build, [`fill_best_lut`]'s reference body: the
+/// vector bodies' operations per cell, with their `vminpd`/`vmaxpd` written
+/// as the compare-selects those perform (the first operand only when it is
+/// strictly smaller, or larger). The range goes in four independent lanes,
+/// so its compares do not form one chain.
+fn fill_best_lut_scalar(
+    op: KernelOp<'_>,
+    dim: usize,
+    grid: CodeParams,
+    q: f64,
+    best: &mut [f64],
+) -> LutRange {
+    let min = |a: f64, b: f64| if a < b { a } else { b };
+    let max = |a: f64, b: f64| if a > b { a } else { b };
+    let width = grid.cell_width();
+    let edge = |c: usize| min(grid.min + c as f64 * width, grid.max);
+    let gap = |c: usize| min(max(q, edge(c)), edge(c + 1)) - q;
+    match op {
+        KernelOp::Min => fill_lanes(best, |c| min(edge(c + 1), q)),
+        KernelOp::WeightedMin(w) => {
+            let w = w[dim];
+            fill_lanes(best, |c| w * min(edge(c + 1), q))
+        }
+        KernelOp::SquaredDiff => fill_lanes(best, |c| gap(c) * gap(c)),
+        KernelOp::WeightedSquaredDiff(w) => {
+            let w = w[dim];
+            fill_lanes(best, |c| w * gap(c) * gap(c))
+        }
+    }
+}
+
+/// Writes `best[c] = cell(c)` for every cell and returns the entries'
+/// range, taken in four independent lanes.
+#[inline(always)]
+fn fill_lanes(best: &mut [f64], cell: impl Fn(usize) -> f64) -> LutRange {
+    let mut lanes = [LutRange::EMPTY; 4];
+    for (c, e) in best.iter_mut().enumerate() {
+        *e = cell(c);
+        lanes[c % 4] = lanes[c % 4].with(*e);
+    }
+    lanes.into_iter().fold(LutRange::EMPTY, LutRange::merge)
 }
 
 /// Dense exact accumulate of one column: `acc[i] += op(dim, values[i],
@@ -1196,22 +1288,27 @@ fn accumulate_gather_with_mass_scalar(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m256d, __m512d, __m512i, _mm256_add_epi32, _mm256_add_pd, _mm256_and_pd,
-        _mm256_and_si256, _mm256_blend_pd, _mm256_castsi256_si128, _mm256_ceil_pd, _mm256_cmp_pd,
-        _mm256_cvtepi32_pd, _mm256_cvtepu8_epi32, _mm256_cvttpd_epi32, _mm256_div_pd,
-        _mm256_extracti128_si256, _mm256_floor_pd, _mm256_i32gather_epi32, _mm256_i32gather_pd,
-        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd, _mm256_mul_pd,
-        _mm256_set1_epi32, _mm256_set1_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_setzero_si256,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_epi16, _mm512_add_epi32, _mm512_add_pd,
-        _mm512_and_si512, _mm512_castsi512_si256, _mm512_cvtepi32_pd, _mm512_cvtepu16_epi32,
-        _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_mask_blend_epi8,
-        _mm512_mask_storeu_pd, _mm512_maskz_loadu_epi8, _mm512_maskz_loadu_pd, _mm512_movepi8_mask,
-        _mm512_mul_pd, _mm512_permutex2var_epi32, _mm512_permutex2var_epi8, _mm512_set1_epi16,
-        _mm512_set1_epi8, _mm512_set1_pd, _mm512_setr_epi32, _mm512_setzero_pd,
-        _mm512_setzero_si512, _mm512_slli_epi32, _mm512_srli_epi16, _mm_and_si128,
+        __m128i, __m256d, __m256i, __m512d, __m512i, _mm256_add_epi32, _mm256_add_pd,
+        _mm256_and_pd, _mm256_and_si256, _mm256_blend_pd, _mm256_castsi256_si128, _mm256_ceil_pd,
+        _mm256_cmp_pd, _mm256_cvtepi32_pd, _mm256_cvtepu8_epi32, _mm256_cvttpd_epi32,
+        _mm256_div_pd, _mm256_extracti128_si256, _mm256_floor_pd, _mm256_i32gather_epi32,
+        _mm256_i32gather_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movemask_pd,
+        _mm256_mul_pd, _mm256_or_pd, _mm256_set1_epi32, _mm256_set1_pd, _mm256_setr_pd,
+        _mm256_setzero_pd, _mm256_setzero_si256, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_epi16,
+        _mm512_add_epi32, _mm512_add_pd, _mm512_and_si512, _mm512_castsi256_si512,
+        _mm512_castsi512_si256, _mm512_cmp_pd_mask, _mm512_cvtepi32_pd, _mm512_cvtepu16_epi32,
+        _mm512_cvttpd_epi32, _mm512_extracti64x4_epi64, _mm512_inserti64x4, _mm512_loadu_si512,
+        _mm512_mask_add_pd, _mm512_mask_blend_epi8, _mm512_mask_cmp_pd_mask,
+        _mm512_mask_cvtepi32_storeu_epi16, _mm512_mask_cvtepi32_storeu_epi8, _mm512_mask_max_pd,
+        _mm512_mask_min_pd, _mm512_mask_storeu_pd, _mm512_mask_sub_pd, _mm512_maskz_loadu_epi8,
+        _mm512_maskz_loadu_pd, _mm512_max_pd, _mm512_min_pd, _mm512_movepi8_mask, _mm512_mul_pd,
+        _mm512_permutex2var_epi32, _mm512_permutex2var_epi8, _mm512_reduce_max_pd,
+        _mm512_reduce_min_pd, _mm512_roundscale_pd, _mm512_set1_epi16, _mm512_set1_epi8,
+        _mm512_set1_pd, _mm512_setr_epi32, _mm512_setr_pd, _mm512_setzero_pd, _mm512_setzero_si512,
+        _mm512_slli_epi32, _mm512_srli_epi16, _mm512_srli_epi32, _mm512_sub_pd, _mm_and_si128,
         _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_packus_epi32, _mm_prefetch,
         _mm_set1_epi8, _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _CMP_GT_OQ, _CMP_LT_OQ,
-        _CMP_NEQ_UQ, _MM_HINT_T0,
+        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEG_INF, _MM_FROUND_TO_POS_INF, _MM_HINT_T0,
     };
     use std::ptr;
 
@@ -1219,41 +1316,9 @@ mod x86 {
     use vdstore::{CodeParams, RowId};
 
     use super::{
-        plane_len, sweep_codes_scalar, QuantGrid, QuantLut, SurviveTest, DENSE_PREFETCH_ROWS, Q_MAX,
+        plane_len, prefetch, sweep_codes_scalar, LutRange, QuantGrid, QuantLut, SurviveTest,
+        DENSE_PREFETCH_ROWS, Q_MAX, SWEEP_PREFETCH_ROWS,
     };
-
-    /// One column's smallest and largest entry and whether every entry is
-    /// finite, eight entries per step in two independent lanes of four:
-    /// `0·e` is `0` for a finite entry and NaN for `±∞` and NaN, so their
-    /// sum is NaN exactly when the reference's is.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 and a column length that is a multiple of 8.
-    // SAFETY: dispatched from `column_range` only for AVX2 implementations
-    // and power-of-two columns of at least eight entries.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn column_range_avx2(lut: &[f64]) -> (f64, f64, bool) {
-        let p = lut.as_ptr();
-        let zero = _mm256_setzero_pd();
-        let mut lo = [_mm256_set1_pd(f64::INFINITY); 2];
-        let mut hi = [_mm256_set1_pd(f64::NEG_INFINITY); 2];
-        let mut bad = [zero; 2];
-        for c in (0..lut.len()).step_by(8) {
-            for k in 0..2 {
-                let e = _mm256_loadu_pd(p.add(c + 4 * k));
-                lo[k] = _mm256_min_pd(lo[k], e);
-                hi[k] = _mm256_max_pd(hi[k], e);
-                bad[k] = _mm256_add_pd(bad[k], _mm256_mul_pd(e, zero));
-            }
-        }
-        let (mut l, mut h) = ([0.0; 4], [0.0; 4]);
-        _mm256_storeu_pd(l.as_mut_ptr(), _mm256_min_pd(lo[0], lo[1]));
-        _mm256_storeu_pd(h.as_mut_ptr(), _mm256_max_pd(hi[0], hi[1]));
-        let lo = l.into_iter().fold(f64::INFINITY, f64::min);
-        let hi = h.into_iter().fold(f64::NEG_INFINITY, f64::max);
-        let bad = _mm256_cmp_pd::<_CMP_NEQ_UQ>(_mm256_add_pd(bad[0], bad[1]), zero);
-        (lo, hi, _mm256_movemask_pd(bad) == 0)
-    }
 
     /// [`QuantGrid::quantize`] over one column ([`quantize_quad`]), eight
     /// entries per step — four at four levels.
@@ -1261,8 +1326,8 @@ mod x86 {
     /// # Safety
     /// Caller guarantees AVX2, a power-of-two column length of at least 4
     /// and `q.len() == lut.len()`.
-    // SAFETY: dispatched from `quantize_column` only for AVX2
-    // implementations and columns of at least four power-of-two entries, so
+    // SAFETY: dispatched from `quantize_lut` only for the gather sweep on
+    // AVX2 hosts and columns of at least four power-of-two entries, so
     // the eight-entry steps tile any longer one; `q` is the column's slice
     // of the entries.
     #[target_feature(enable = "avx2")]
@@ -1307,6 +1372,71 @@ mod x86 {
         _mm256_cvttpd_epi32(_mm256_min_pd(v, _mm256_set1_pd(Q_MAX)))
     }
 
+    /// [`QuantGrid::quantize`] over one column with eight `f64` lanes
+    /// ([`quantize_eight`]), sixteen entries per step, each step's entries
+    /// stored as `u16`s and, in the same step, as their low bytes and high
+    /// bytes into the column's two planes. Steps past the column's end are
+    /// masked: nothing beyond `levels` entries is read or written.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F, `q.len() == lut.len()` and `planes`
+    /// holding two planes of at least `lut.len()` bytes each.
+    // SAFETY: dispatched from `quantize_lut` only for the permute sweep,
+    // which runs only where AVX-512 F/BW hold; every load and store is
+    // masked to the entries below `lut.len()`, and the second half's
+    // address, when the column has fewer than nine entries, is formed with
+    // `wrapping_add` under an all-zero mask, which reads nothing.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn quantize_column_avx512(
+        grid: QuantGrid,
+        m: f64,
+        lut: &[f64],
+        q: &mut [u16],
+        planes: &mut [u8],
+    ) {
+        let levels = lut.len();
+        let (p, out) = (lut.as_ptr(), q.as_mut_ptr());
+        let (low, high) = planes.split_at_mut(planes.len() / 2);
+        let (low, high) = (low.as_mut_ptr(), high.as_mut_ptr());
+        let vm = _mm512_set1_pd(m);
+        for c in (0..levels).step_by(16) {
+            let live = if levels - c >= 16 { u16::MAX } else { (1u16 << (levels - c)) - 1 };
+            let a = _mm512_maskz_loadu_pd(live as u8, p.add(c));
+            let b = _mm512_maskz_loadu_pd((live >> 8) as u8, p.wrapping_add(c + 8));
+            let a = quantize_eight(grid, _mm512_sub_pd(a, vm));
+            let b = quantize_eight(grid, _mm512_sub_pd(b, vm));
+            let n = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(a), b);
+            _mm512_mask_cvtepi32_storeu_epi16(out.add(c).cast(), live, n);
+            _mm512_mask_cvtepi32_storeu_epi8(low.add(c).cast(), live, n);
+            _mm512_mask_cvtepi32_storeu_epi8(high.add(c).cast(), live, _mm512_srli_epi32::<8>(n));
+        }
+    }
+
+    /// [`QuantGrid::quantize`] of eight entries, as `i32` lanes:
+    /// [`quantize_quad`]'s steps on eight lanes, the masked `1.0` a masked
+    /// add.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F.
+    // SAFETY: pure register arithmetic.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn quantize_eight(grid: QuantGrid, x: __m512d) -> __m256i {
+        let (inv, s) = (_mm512_set1_pd(grid.inv), _mm512_set1_pd(grid.scale));
+        let one = _mm512_set1_pd(1.0);
+        let r = _mm512_mul_pd(x, inv);
+        let v = if grid.up {
+            let v = _mm512_roundscale_pd::<{ _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC }>(r);
+            let short = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_mul_pd(v, s), x);
+            _mm512_mask_add_pd(v, short, v, one)
+        } else {
+            let v = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(r);
+            let over = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(_mm512_mul_pd(v, s), x);
+            _mm512_mask_sub_pd(v, over, v, one)
+        };
+        _mm512_cvttpd_epi32(_mm512_min_pd(v, _mm512_set1_pd(Q_MAX)))
+    }
+
     /// Four rows' bounds from their entry sums: `base + (f64(n)·s + offset)`,
     /// the reference's three operations per row.
     ///
@@ -1330,8 +1460,9 @@ mod x86 {
     /// indices, and two `vpgatherdd` read their 16-bit entries (as 32-bit
     /// words at 2-byte strides, the upper half masked off — the padding
     /// slot keeps the last read inside the table); the sums stay exact
-    /// `u32` lanes across the group. Rows past the last sixteen take the
-    /// scalar reference.
+    /// `u32` lanes across the group. Every 64 rows each column's codes
+    /// [`SWEEP_PREFETCH_ROWS`] rows ahead are prefetched. Rows past the
+    /// last sixteen take the scalar reference.
     ///
     /// # Safety
     /// Caller guarantees AVX2, `lut` quantized for `columns.len()` columns
@@ -1339,7 +1470,9 @@ mod x86 {
     // SAFETY: dispatched from `sweep_codes` only after asserting all of the
     // above; code loads read rows `i..i + 16` with the end at most
     // `acc.len()`, and every gathered index is masked to `levels − 1`
-    // inside its column's entries.
+    // inside its column's entries. The prefetch address, past the column
+    // near its end, is formed with `wrapping_add` inside `prefetch` and
+    // never dereferenced.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sweep_codes_gather(
         columns: &[&[u8]],
@@ -1356,7 +1489,11 @@ mod x86 {
         let mut i = 0usize;
         while i + 16 <= n {
             let (mut n0, mut n1) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            let fetch = i.is_multiple_of(64);
             for (j, column) in columns.iter().enumerate() {
+                if fetch {
+                    prefetch(column, i + SWEEP_PREFETCH_ROWS);
+                }
                 let table = qp.add(j * levels).cast::<i32>();
                 let codes = _mm_and_si128(_mm_loadu_si128(column.as_ptr().add(i).cast()), mask);
                 let e0 = _mm256_i32gather_epi32::<2>(table, _mm256_cvtepu8_epi32(codes));
@@ -1441,7 +1578,8 @@ mod x86 {
     /// lanes, even rows and odd rows apart (`& 0xFF`, `>> 8`): 32 columns
     /// of bytes stay below 2¹⁶. After the group, each row's sum
     /// `256·high + low` widens to `u32` and goes through the reference's
-    /// three operations.
+    /// three operations. Each step prefetches every column's codes
+    /// [`SWEEP_PREFETCH_ROWS`] rows ahead.
     ///
     /// # Safety
     /// Caller guarantees AVX-512 F/BW/VBMI, `lut` quantized with its
@@ -1450,7 +1588,9 @@ mod x86 {
     // SAFETY: dispatched from `sweep_codes` only after asserting all of the
     // above; code loads are masked to the rows below `acc.len()`, plane
     // loads stay inside each column's `2 × plane_len` bytes, and bound
-    // stores are masked the same way.
+    // stores are masked the same way. The prefetch address, past the
+    // column near its end, is formed with `wrapping_add` inside `prefetch`
+    // and never dereferenced.
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     pub(super) unsafe fn sweep_codes_permute(
         columns: &[&[u8]],
@@ -1477,6 +1617,7 @@ mod x86 {
             // low plane even/odd rows, high plane even/odd rows
             let mut sums = [_mm512_setzero_si512(); 4];
             for (j, column) in columns.iter().enumerate() {
+                prefetch(column, i + SWEEP_PREFETCH_ROWS);
                 let loaded = _mm512_maskz_loadu_epi8(live, column.as_ptr().add(i).cast());
                 let codes = _mm512_and_si512(loaded, mask);
                 let table = pp.add(j * 2 * plane);
@@ -1729,7 +1870,8 @@ mod x86 {
     /// [`fill_pair_lut_avx2`], four cells per vector, with the same edges
     /// (`min + c·width` clamped to `max`, cell indices in `f64` lanes
     /// stepped by `+4.0`, exact for every index ≤ 256) and the same bound
-    /// formulas, operation for operation.
+    /// formulas, operation for operation. Each vector also goes into the
+    /// column's range ([`range_quad`]) before the next is built.
     ///
     /// # Safety
     /// Caller guarantees AVX2 is available and `best.len()` is a
@@ -1743,7 +1885,7 @@ mod x86 {
         grid: CodeParams,
         query: f64,
         best: &mut [f64],
-    ) {
+    ) -> LutRange {
         let levels = best.len();
         let vmin = _mm256_set1_pd(grid.min);
         let vmax = _mm256_set1_pd(grid.max);
@@ -1751,6 +1893,8 @@ mod x86 {
         let vq = _mm256_set1_pd(query);
         let four = _mm256_set1_pd(4.0);
         let out = best.as_mut_ptr();
+        let mut range =
+            [_mm256_set1_pd(f64::INFINITY), _mm256_set1_pd(f64::NEG_INFINITY), _mm256_setzero_pd()];
         match op {
             KernelOp::Min | KernelOp::WeightedMin(_) => {
                 let scale = match op {
@@ -1766,6 +1910,7 @@ mod x86 {
                         v = _mm256_mul_pd(s, v);
                     }
                     _mm256_storeu_pd(out.add(c), v);
+                    range_quad(&mut range, v);
                     idx = _mm256_add_pd(idx, four);
                 }
             }
@@ -1785,11 +1930,116 @@ mod x86 {
                         None => _mm256_mul_pd(d, d),
                     };
                     _mm256_storeu_pd(out.add(c), v);
+                    range_quad(&mut range, v);
                     ilo = _mm256_add_pd(ilo, four);
                     ihi = _mm256_add_pd(ihi, four);
                 }
             }
         }
+        let (mut lo, mut hi) = ([0.0; 4], [0.0; 4]);
+        _mm256_storeu_pd(lo.as_mut_ptr(), range[0]);
+        _mm256_storeu_pd(hi.as_mut_ptr(), range[1]);
+        let nan = _mm256_movemask_pd(range[2]) != 0;
+        let lanes = lo.into_iter().zip(hi);
+        let range = lanes.fold(LutRange::EMPTY, |r, (lo, hi)| r.with(lo).with(hi));
+        LutRange { finite: range.finite && !nan, ..range }
+    }
+
+    /// Takes four entries into a column's range lanes `[min, max, nan]`:
+    /// `nan` marks every lane that has met a NaN. Without one, the lanes'
+    /// min and max are exact, and finite exactly when every entry is; with
+    /// one they may have lost it, but the column is then not finite anyway.
+    /// The NaN test is one compare and one OR, not two more FP operations:
+    /// the build is bound by its FP ports.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2.
+    // SAFETY: pure register arithmetic.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn range_quad(range: &mut [__m256d; 3], v: __m256d) {
+        range[0] = _mm256_min_pd(range[0], v);
+        range[1] = _mm256_max_pd(range[1], v);
+        range[2] = _mm256_or_pd(range[2], _mm256_cmp_pd::<_CMP_UNORD_Q>(v, v));
+    }
+
+    /// [`fill_best_lut_avx2`] on eight `f64` lanes: the same edges (cell
+    /// indices stepped by `+8.0`), the same formulas, and the same range
+    /// lanes (the NaN marks in a mask register), with every step masked to
+    /// the cells below `levels` — so two and four levels take one masked
+    /// step.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512 F and `best.len()` is a power-of-two level
+    /// count.
+    // SAFETY: bounds are enforced by the dispatching `fill_best_lut`; every
+    // store is masked to the cells below `best.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn fill_best_lut_avx512(
+        op: KernelOp<'_>,
+        dim: usize,
+        grid: CodeParams,
+        query: f64,
+        best: &mut [f64],
+    ) -> LutRange {
+        let levels = best.len();
+        let live: u8 = if levels >= 8 { u8::MAX } else { (1u8 << levels) - 1 };
+        let vmin = _mm512_set1_pd(grid.min);
+        let vmax = _mm512_set1_pd(grid.max);
+        let vw = _mm512_set1_pd(grid.cell_width());
+        let vq = _mm512_set1_pd(query);
+        let eight = _mm512_set1_pd(8.0);
+        let out = best.as_mut_ptr();
+        let (mut least, mut most) =
+            (_mm512_set1_pd(f64::INFINITY), _mm512_set1_pd(f64::NEG_INFINITY));
+        let mut nan = 0u8;
+        match op {
+            KernelOp::Min | KernelOp::WeightedMin(_) => {
+                let scale = match op {
+                    KernelOp::WeightedMin(w) => Some(_mm512_set1_pd(w[dim])),
+                    _ => None,
+                };
+                let mut idx = _mm512_setr_pd(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0);
+                for c in (0..levels).step_by(8) {
+                    let e = _mm512_min_pd(_mm512_add_pd(vmin, _mm512_mul_pd(idx, vw)), vmax);
+                    let mut v = _mm512_min_pd(e, vq);
+                    if let Some(s) = scale {
+                        v = _mm512_mul_pd(s, v);
+                    }
+                    _mm512_mask_storeu_pd(out.add(c), live, v);
+                    least = _mm512_mask_min_pd(least, live, least, v);
+                    most = _mm512_mask_max_pd(most, live, most, v);
+                    nan |= _mm512_mask_cmp_pd_mask::<_CMP_UNORD_Q>(live, v, v);
+                    idx = _mm512_add_pd(idx, eight);
+                }
+            }
+            KernelOp::SquaredDiff | KernelOp::WeightedSquaredDiff(_) => {
+                let scale = match op {
+                    KernelOp::WeightedSquaredDiff(w) => Some(_mm512_set1_pd(w[dim])),
+                    _ => None,
+                };
+                let mut ilo = _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+                let mut ihi = _mm512_setr_pd(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0);
+                for c in (0..levels).step_by(8) {
+                    let lo = _mm512_min_pd(_mm512_add_pd(vmin, _mm512_mul_pd(ilo, vw)), vmax);
+                    let hi = _mm512_min_pd(_mm512_add_pd(vmin, _mm512_mul_pd(ihi, vw)), vmax);
+                    let d = _mm512_sub_pd(_mm512_min_pd(_mm512_max_pd(vq, lo), hi), vq);
+                    let v = match scale {
+                        Some(s) => _mm512_mul_pd(_mm512_mul_pd(s, d), d),
+                        None => _mm512_mul_pd(d, d),
+                    };
+                    _mm512_mask_storeu_pd(out.add(c), live, v);
+                    least = _mm512_mask_min_pd(least, live, least, v);
+                    most = _mm512_mask_max_pd(most, live, most, v);
+                    nan |= _mm512_mask_cmp_pd_mask::<_CMP_UNORD_Q>(live, v, v);
+                    ilo = _mm512_add_pd(ilo, eight);
+                    ihi = _mm512_add_pd(ihi, eight);
+                }
+            }
+        }
+        let range =
+            LutRange::EMPTY.with(_mm512_reduce_min_pd(least)).with(_mm512_reduce_max_pd(most));
+        LutRange { finite: range.finite && nan == 0, ..range }
     }
 
     /// Fused LUT build: generates each cell's `[lo, hi]` edges in
@@ -2224,9 +2474,11 @@ mod tests {
         }
     }
 
-    /// The fused one-lane LUT build against the optimistic lane of the
-    /// portable pair build, for every kernel op, grids wide and degenerate,
-    /// queries inside, outside and on the grid's edges.
+    /// The one-lane LUT build of every implementation the host runs against
+    /// the optimistic lane of the portable pair build, and the range it
+    /// returns against a plain pass over that lane, for every kernel op,
+    /// grids wide and degenerate, queries inside, outside and on the grid's
+    /// edges.
     #[test]
     fn fused_best_lut_is_the_optimistic_lane_of_the_pair_lut() {
         let weights: Vec<f64> = (0..4).map(|d| 0.5 + d as f64).collect();
@@ -2247,22 +2499,69 @@ mod tests {
                         let mut pairs = vec![0.0; levels * 2];
                         metric.fill_contribution_pairs(dim, &bounds, query, &mut pairs);
                         let want: Vec<f64> = pairs.iter().copied().step_by(2).collect();
-                        for kernel in supported() {
+                        let range = ranges(&want, levels)[0];
+                        for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
                             let mut best = vec![f64::NAN; levels];
-                            if fill_best_lut(kernel, op, dim, grid, query, &mut best) {
-                                let ctx =
-                                    format!("{} {} bits {bits}", kernel.label(), metric.name());
-                                assert_eq!(bits_of(&best), bits_of(&want), "{ctx} q {query}");
-                                fused += 1;
-                            }
+                            let got = fill_best_lut(sweep, op, dim, grid, query, &mut best);
+                            let ctx = format!("{} {} bits {bits}", sweep.label(), metric.name());
+                            assert_eq!(bits_of(&best), bits_of(&want), "{ctx} q {query}");
+                            assert_eq!(got, range, "{ctx} q {query}");
+                            fused += 1;
                         }
                     }
                 }
             }
         }
-        if Kernel::Avx2.is_supported() {
-            assert!(fused > 0, "no fused one-lane build ran");
+        assert!(fused > 0, "no one-lane build ran");
+    }
+
+    /// Non-finite entries: NaN and infinite queries, queries so far off
+    /// the grid that `d²` overflows, and an infinite weight. Every
+    /// implementation writes the portable body's entries bit for bit, and
+    /// its range is finite exactly when every entry is — with the plain
+    /// pass's smallest and largest entry when it is.
+    #[test]
+    fn one_lane_builds_range_non_finite_entries() {
+        let weights = [0.0, 2.0, f64::INFINITY, 1.0];
+        let ops = [
+            KernelOp::Min,
+            KernelOp::SquaredDiff,
+            KernelOp::WeightedMin(&weights),
+            KernelOp::WeightedSquaredDiff(&weights),
+        ];
+        let queries = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200, 0.5];
+        let mut checked = 0;
+        for op in ops {
+            for bits in [1u8, 2, 4, 8] {
+                let grid = CodeParams::new(-0.5, 1.5, bits).unwrap();
+                let levels = grid.levels() as usize;
+                for (dim, query) in (0..4).flat_map(|d| queries.map(|q| (d, q))) {
+                    let mut want = vec![0.0; levels];
+                    fill_best_lut(CodeSweep::Scalar, op, dim, grid, query, &mut want);
+                    let plain = ranges(&want, levels)[0];
+                    for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
+                        let mut best = vec![0.0; levels];
+                        let range = fill_best_lut(sweep, op, dim, grid, query, &mut best);
+                        let ctx =
+                            format!("{} {op:?} bits {bits} dim {dim} q {query}", sweep.label());
+                        assert_eq!(bits_of(&best), bits_of(&want), "{ctx}");
+                        assert_eq!(range.finite, plain.finite, "{ctx}");
+                        if plain.finite {
+                            assert_eq!((range.min, range.max), (plain.min, plain.max), "{ctx}");
+                        }
+                        checked += usize::from(!plain.finite);
+                    }
+                }
+            }
         }
+        assert!(checked > 0, "no non-finite column built");
+    }
+
+    /// Each column's range, taken by a plain pass — what the one-lane
+    /// builds return as they write the column.
+    fn ranges(luts: &[f64], levels: usize) -> Vec<LutRange> {
+        let range = |lut: &[f64]| lut.iter().fold(LutRange::EMPTY, |r, &e| r.with(e));
+        luts.chunks_exact(levels).map(range).collect()
     }
 
     fn bits_of(values: &[f64]) -> Vec<u64> {
@@ -2288,7 +2587,7 @@ mod tests {
         let luts = [1.0, 2.0, 3.0, 4.0];
         for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
             let mut lut = QuantLut::new();
-            quantize_lut(sweep, Objective::Minimize, &luts, 4, &mut lut);
+            quantize_lut(sweep, Objective::Minimize, &luts, &ranges(&luts, 4), 4, &mut lut);
             let mut acc = vec![0.0; 131];
             sweep_codes(sweep, &[&codes], &lut, &mut acc, true);
             assert!(acc.iter().all(|&a| a == lut.value(65_535)), "{}", sweep.label());
@@ -2368,12 +2667,13 @@ mod tests {
             let columns: Vec<Vec<u8>> =
                 (0..width).map(|_| (0..rows).map(|_| next() as u8).collect()).collect();
             let columns: Vec<&[u8]> = columns.iter().map(Vec::as_slice).collect();
+            let ranges = ranges(&luts, levels);
             for objective in [Objective::Minimize, Objective::Maximize] {
                 let mut reference = QuantLut::new();
-                quantize_lut(CodeSweep::Scalar, objective, &luts, levels, &mut reference);
+                quantize_lut(CodeSweep::Scalar, objective, &luts, &ranges, levels, &mut reference);
                 for sweep in CodeSweep::ALL.into_iter().filter(|s| s.is_supported()) {
                     let mut lut = QuantLut::new();
-                    quantize_lut(sweep, objective, &luts, levels, &mut lut);
+                    quantize_lut(sweep, objective, &luts, &ranges, levels, &mut lut);
                     prop_assert_eq!(lut.entries(), reference.entries(), "{}", sweep.label());
                     prop_assert_eq!(lut.scale().to_bits(), reference.scale().to_bits());
                     prop_assert_eq!(lut.offset().to_bits(), reference.offset().to_bits());

@@ -11,17 +11,22 @@
 //! one tiny lookup table (one entry per quantization level, at most 256)
 //! holds the best contribution any value in a cell can make.
 //!
-//! **16-bit LUTs.** The tables are built in `f64`, then each group of
+//! **16-bit LUTs.** The tables are built in `f64`, each column's range
+//! taken as it is written ([`kernels::fill_best_lut`]), then each group of
 //! [`kernels::code_group`] columns is quantized once to 16-bit integers
 //! rounded toward the optimistic side ([`kernels::quantize_lut`]: one
-//! offset per column, one scale per group), and the ISA-pinned sweep
+//! offset per column, one scale per group, both read off the ranges, so
+//! the quantizer reads each entry once and writes the permute sweep's byte
+//! planes in the same loop), and the ISA-pinned sweep
 //! ([`kernels::sweep_codes`]) sums a row's entries over the group exactly
 //! and adds the group's bound onto one per-row `f64` running bound, with
 //! no per-row branching — byte permutes held in registers where AVX-512
-//! VBMI is available, no gather. The bound is a little looser than the
-//! `f64` sum (about 2 % more survivors), never tighter, and the same bits
-//! on every kernel; the exact refine decides every hit, so answers do not
-//! move. A group holding a non-finite entry keeps every row.
+//! VBMI is available, no gather — prefetching each code column a fixed
+//! distance ahead ([`kernels::SWEEP_PREFETCH_ROWS`]). The bound is a little
+//! looser than the `f64` sum (about 2 % more survivors), never tighter,
+//! and the same bits on every kernel; the exact refine decides every hit,
+//! so answers do not move. A group holding a non-finite entry keeps every
+//! row.
 //!
 //! **A block.** The candidate set starts as the eligible bitmap (live ∧
 //! predicate filter) and stays a bitmap. Code columns are swept in the
@@ -29,7 +34,8 @@
 //! words that still hold a candidate; LUTs are built and quantized per
 //! group of [`kernels::code_group`] columns from the block's start, so
 //! they stay L1-sized however wide the block, and a segment that empties
-//! after its first block builds 8 LUTs, not `dims`. After each block every
+//! after its first block builds one group of 8 LUTs, not `dims / 8`
+//! ([`QuantFilter::groups`] counts them). After each block every
 //! candidate's exact score is bounded by
 //! `swept bound + the best of the unswept dimensions` (the
 //! latter from each grid's `[min, max]`, suffix-summed once per (query,
@@ -117,7 +123,7 @@ use crate::bond_loop::{with_scratch, Blocks, BondLoop, BoundSource, Bounds, Proo
 use crate::candidates::{word_runs, CandidateSet, WORD_ROWS};
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
-use crate::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
+use crate::kernels::{self, CodeSweep, Kernel, LutRange, QuantLut, SurviveTest};
 use crate::ordering::DimensionOrdering;
 use crate::searcher::prune_slack;
 use crate::trace::TraceCheckpoint;
@@ -216,28 +222,33 @@ fn fill_pair_lut(
 }
 
 /// Fills `lut` with the optimistic contribution of every cell of dimension
-/// `d`'s grid — the optimistic lane of [`fill_pair_lut`], bit for bit: the
-/// fused one-lane ISA build where there is one, else a pair LUT staged in
-/// `pairs` (`2 × lut.len()` slots) and split.
+/// `d`'s grid — the optimistic lane of [`fill_pair_lut`], bit for bit — and
+/// returns the entries' range, taken as they are written: the one-lane
+/// build of `sweep` ([`kernels::fill_best_lut`]) when the metric has a
+/// kernel op, else a pair LUT staged in `pairs` (`2 × lut.len()` slots)
+/// and split.
 #[allow(clippy::too_many_arguments)]
 fn fill_best_lut(
     metric: &dyn DecomposableMetric,
     kernel: Kernel,
+    sweep: CodeSweep,
     d: usize,
     grid: CodeParams,
     q: f64,
     bounds: &mut Vec<(f64, f64)>,
     pairs: &mut [f64],
     lut: &mut [f64],
-) {
-    let fused =
-        metric.kernel_op().is_some_and(|op| kernels::fill_best_lut(kernel, op, d, grid, q, lut));
-    if !fused {
-        fill_pair_lut(metric, kernel, d, grid, q, bounds, pairs);
-        for (best, pair) in lut.iter_mut().zip(pairs.chunks_exact(2)) {
-            *best = pair[0];
-        }
+) -> LutRange {
+    if let Some(op) = metric.kernel_op() {
+        return kernels::fill_best_lut(sweep, op, d, grid, q, lut);
     }
+    fill_pair_lut(metric, kernel, d, grid, q, bounds, pairs);
+    let mut range = LutRange::EMPTY;
+    for (best, pair) in lut.iter_mut().zip(pairs.chunks_exact(2)) {
+        *best = pair[0];
+        range = range.with(pair[0]);
+    }
+    range
 }
 
 /// Sweeps all code fragments of one segment into `scratch` using the given
@@ -313,6 +324,11 @@ pub struct QuantFilter {
     /// Probes the sweep ran: at most two — after the first block when the
     /// segment carried no finite κ in, and after the last block.
     pub probes: usize,
+    /// LUT groups the sweep built and quantized: one per group of
+    /// [`kernels::code_group`] columns from each block's start (the probe
+    /// builds none), so a segment that empties after its first block
+    /// builds one.
+    pub groups: usize,
     /// Code columns swept before at most `k` candidates remained or the
     /// dimensions ran out.
     pub dims: usize,
@@ -322,6 +338,15 @@ pub struct QuantFilter {
     /// Row blocks whose envelope bound missed the carried κ before the
     /// first block: their candidates were dropped without reading a cell.
     pub blocks_skipped: usize,
+}
+
+impl QuantFilter {
+    /// The result of a call that swept nothing: `survivors` are what it
+    /// keeps.
+    fn unswept(survivors: Bitmap, kappa: Option<f64>, blocks_skipped: usize) -> QuantFilter {
+        let (cells, probes, groups, dims, steps) = (0, 0, 0, 0, 0);
+        QuantFilter { survivors, kappa, cells, probes, groups, dims, steps, blocks_skipped }
+    }
 }
 
 /// Runs the quantized filter over one segment as a progressive sweep (see
@@ -418,15 +443,7 @@ pub(crate) fn filter_segment_in_order(
     }
     if live.count() <= k {
         // nothing to prune: every eligible row is part of the answer
-        return Ok(QuantFilter {
-            survivors: live.clone(),
-            kappa: None,
-            cells: 0,
-            probes: 0,
-            dims: 0,
-            steps: 0,
-            blocks_skipped: 0,
-        });
+        return Ok(QuantFilter::unswept(live.clone(), None, 0));
     }
     // the survivor bitmap, and the only allocation of a warmed call
     let mut survivors = live.clone();
@@ -438,15 +455,7 @@ pub(crate) fn filter_segment_in_order(
     let blocks_skipped = carried.map_or(0, |kappa| source.skip_far_blocks(&mut survivors, kappa));
     if blocks_skipped > 0 && survivors.count() <= k {
         // what is left is the segment's answer: no sweep can prune it
-        return Ok(QuantFilter {
-            survivors,
-            kappa: carried,
-            cells: 0,
-            probes: 0,
-            dims: 0,
-            steps: 0,
-            blocks_skipped,
-        });
+        return Ok(QuantFilter::unswept(survivors, carried, blocks_skipped));
     }
     let mut candidates = CandidateSet::from_bitmap(survivors);
     let blocks = Blocks::BackOff { first: PRUNE_BLOCK };
@@ -465,6 +474,7 @@ pub(crate) fn filter_segment_in_order(
         kappa: progress.kappa.is_finite().then_some(sign * progress.kappa),
         cells: source.cells,
         probes: source.probes,
+        groups: source.groups,
         dims: progress.swept,
         steps: progress.steps,
         blocks_skipped,
@@ -475,14 +485,16 @@ pub(crate) fn filter_segment_in_order(
 /// after the sweep: what it accumulated over its `filter.dims` columns
 /// plus the best the unswept ones can add — the value its last pruning
 /// pass tested. Best first: NaN first (it never fails a test), then by
-/// bound, ties by row. `filter` must be the last run on `scratch` and
-/// carry a κ (so the sweep's remaining-dimension bounds are this run's).
-/// Allocates nothing once `scratch` has held as many survivors.
+/// bound, ties by row — ranked lazily ([`Ranked::prefix`]), since the
+/// refine reads the order only from the front and only until a bound
+/// fails. `filter` must be the last run on `scratch` and carry a κ (so the
+/// sweep's remaining-dimension bounds are this run's). Allocates nothing
+/// once `scratch` has held as many survivors.
 pub(crate) fn rank_survivors<'s>(
     filter: &QuantFilter,
     sign: f64,
     scratch: &'s mut QuantScratch,
-) -> &'s [(RowId, f64)] {
+) -> Ranked<'s> {
     let QuantScratch { opt, rem_opt, ranked, .. } = scratch;
     let add = rem_opt[filter.dims];
     ranked.clear();
@@ -491,10 +503,49 @@ pub(crate) fn rank_survivors<'s>(
         let swept = if filter.dims == 0 { 0.0 } else { opt[row as usize] };
         (row, swept + add)
     }));
-    ranked.sort_unstable_by(|a, b| {
-        ascending_nan_last(sign * a.1, sign * b.1).reverse().then(a.0.cmp(&b.0))
-    });
-    ranked
+    Ranked { rows: ranked, sorted: 0, sign }
+}
+
+/// `(row, bound)` pairs in [`rank_survivors`]' order, sorted only as far
+/// as they are read.
+pub(crate) struct Ranked<'s> {
+    rows: &'s mut [(RowId, f64)],
+    /// `rows[..sorted]` are the best `sorted` rows, in order.
+    sorted: usize,
+    /// `+1.0` under `Maximize`, `−1.0` under `Minimize`.
+    sign: f64,
+}
+
+impl Ranked<'_> {
+    /// How many rows there are.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The best `n` rows (every row, if there are fewer), best first: the
+    /// prefix a full sort gives, since the order is total (rows are
+    /// distinct). A call that reaches past the sorted prefix selects the
+    /// next rows out of the unsorted rest and sorts only those — at least
+    /// as many as are already sorted, so reading every row costs a few
+    /// passes more than one full sort, and reading `k` rows and a chunk or
+    /// two costs a pass over the rest and a sort of what was read.
+    pub(crate) fn prefix(&mut self, n: usize) -> &[(RowId, f64)] {
+        let n = n.min(self.rows.len());
+        if n > self.sorted {
+            let sign = self.sign;
+            let order = |a: &(RowId, f64), b: &(RowId, f64)| {
+                ascending_nan_last(sign * a.1, sign * b.1).reverse().then(a.0.cmp(&b.0))
+            };
+            let end = n.max(2 * self.sorted).min(self.rows.len());
+            let (rest, take) = (&mut self.rows[self.sorted..], end - self.sorted);
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, order);
+            }
+            rest[..take].sort_unstable_by(order);
+            self.sorted = end;
+        }
+        &self.rows[..n]
+    }
 }
 
 /// The code-interval [`BoundSource`], one-sided: per block, the 16-bit
@@ -517,6 +568,8 @@ struct CodeIntervals<'a> {
     cells: u64,
     /// Probes run.
     probes: usize,
+    /// LUT groups built and quantized.
+    groups: usize,
     /// Where each pruning step's checkpoint goes, if anywhere.
     steps: Option<&'a mut Vec<TraceCheckpoint>>,
 }
@@ -549,6 +602,7 @@ impl<'a> CodeIntervals<'a> {
             scratch,
             cells: 0,
             probes: 0,
+            groups: 0,
             steps: None,
         }
     }
@@ -656,11 +710,15 @@ impl<'a> CodeIntervals<'a> {
         let QuantScratch { opt, luts, bounds, quant, .. } = &mut *self.scratch;
         luts.resize((columns.len() + 2) * levels, 0.0);
         let (best, pairs) = luts.split_at_mut(columns.len() * levels);
-        for (lut, j) in best.chunks_exact_mut(levels).zip(block) {
+        let mut ranges = [LutRange::EMPTY; kernels::MAX_SWEEP_GROUP];
+        for ((lut, range), j) in best.chunks_exact_mut(levels).zip(&mut ranges).zip(block) {
             let d = dim_at(j);
-            fill_best_lut(metric, kernel, d, codes.params(d), query[d], bounds, pairs, lut);
+            let grid = codes.params(d);
+            *range = fill_best_lut(metric, kernel, sweep, d, grid, query[d], bounds, pairs, lut);
         }
-        kernels::quantize_lut(sweep, metric.objective(), best, levels, quant);
+        let ranges = &ranges[..columns.len()];
+        kernels::quantize_lut(sweep, metric.objective(), best, ranges, levels, quant);
+        self.groups += 1;
         let mut window: [&[u8]; kernels::MAX_SWEEP_GROUP] = [&[]; kernels::MAX_SWEEP_GROUP];
         for run in word_runs(words, codes.len()) {
             for (slice, column) in window.iter_mut().zip(columns) {
@@ -1400,6 +1458,98 @@ mod tests {
         }
     }
 
+    /// The lazy ranking against one full sort: whatever prefixes the
+    /// refine reads — `k` rows then chunks, one row at a time, all at once
+    /// — each is the full sort's prefix bit for bit, in both objectives,
+    /// over bounds with many ties (broken by row), NaN and `±0`.
+    #[test]
+    fn lazy_ranking_reads_the_full_sort_prefix_by_prefix() {
+        let mut state = 0x5E1E_C7ED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let values = [f64::NAN, -0.0, 0.0, 1.5, -2.25, 7.0, 1e300, -1e-300];
+        for sign in [1.0, -1.0] {
+            for n in [0usize, 1, 7, 64, 188, 430] {
+                let mut rows: Vec<(RowId, f64)> =
+                    (0..n).map(|i| (i as RowId * 3, values[next() as usize % 8])).collect();
+                for i in (1..n).rev() {
+                    rows.swap(i, next() as usize % (i + 1));
+                }
+                let mut full = rows.clone();
+                full.sort_by(|a, b| {
+                    ascending_nan_last(sign * a.1, sign * b.1).reverse().then(a.0.cmp(&b.0))
+                });
+                let bits = |r: &[(RowId, f64)]| -> Vec<(RowId, u64)> {
+                    r.iter().map(|&(row, b)| (row, b.to_bits())).collect()
+                };
+                for (first, step) in [(10, 8), (50, 8), (1, 1), (3, 200), (n + 1, 1)] {
+                    let mut data = rows.clone();
+                    let mut ranked = Ranked { rows: &mut data, sorted: 0, sign };
+                    assert_eq!(ranked.len(), n);
+                    let mut read = first;
+                    loop {
+                        let want = &full[..read.min(n)];
+                        assert_eq!(bits(ranked.prefix(read)), bits(want), "n {n} read {read}");
+                        if read >= n {
+                            break;
+                        }
+                        read += step;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The module docs' claim: a segment that empties after its first
+    /// block builds one LUT group, not `dims / 8`. The query is one of the
+    /// rows, and every other row is uniform noise, far from it in the first
+    /// eight dimensions already, so the probe after the first block proves
+    /// a κ only that row reaches, and the sweep stops there.
+    #[test]
+    fn a_segment_that_empties_after_its_first_block_builds_one_group() {
+        const DIMS: usize = 64;
+        let mut state = 0x0E5_0A11_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let vectors: Vec<Vec<f64>> =
+            (0..1000).map(|_| (0..DIMS).map(|_| next()).collect()).collect();
+        let table = DecomposedTable::from_vectors("one-group", &vectors).unwrap();
+        let specs = table.partition_specs(1);
+        let stats: Vec<SegmentStats> =
+            specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+        let codes = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+        let view = codes.segment_view(0).unwrap();
+        let live = table.live_bitmap();
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            let mut scratch = Scratch::default();
+            let filter = filter_segment_in_order(
+                &view,
+                &SquaredEuclidean,
+                &vectors[17],
+                1,
+                &live,
+                None,
+                kernel,
+                None,
+                None,
+                &mut scratch,
+            )
+            .unwrap();
+            let ctx = kernel.label();
+            assert_eq!(filter.survivors.iter().collect::<Vec<_>>(), [17], "{ctx}");
+            assert_eq!((filter.dims, filter.steps, filter.probes), (8, 1, 1), "{ctx}");
+            assert_eq!(filter.groups, 1, "{ctx}: one group, not {}", DIMS / 8);
+        }
+    }
+
     /// Every row's quantized optimistic bound over all of the segment's
     /// dimensions in storage order, swept block by block (blocks ending at
     /// `ends`) in groups of [`kernels::code_group`] columns from each
@@ -1421,11 +1571,21 @@ mod tests {
             for start in (from..end).step_by(group) {
                 let dims = start..end.min(start + group);
                 let mut luts = vec![0.0; dims.len() * levels];
+                let mut ranges = Vec::new();
                 for (lut, d) in luts.chunks_exact_mut(levels).zip(dims.clone()) {
-                    let grid = view.params(d);
-                    fill_best_lut(metric, kernel, d, grid, query[d], &mut bounds, &mut pairs, lut);
+                    let (grid, q) = (view.params(d), query[d]);
+                    let (bounds, pairs) = (&mut bounds, &mut pairs);
+                    ranges
+                        .push(fill_best_lut(metric, kernel, sweep, d, grid, q, bounds, pairs, lut));
                 }
-                kernels::quantize_lut(sweep, metric.objective(), &luts, levels, &mut quant);
+                kernels::quantize_lut(
+                    sweep,
+                    metric.objective(),
+                    &luts,
+                    &ranges,
+                    levels,
+                    &mut quant,
+                );
                 let columns: Vec<&[u8]> = dims.map(|d| view.dim_codes(d).unwrap()).collect();
                 kernels::sweep_codes(sweep, &columns, &quant, &mut acc, start == 0);
             }

@@ -752,7 +752,7 @@ impl OrderedRefine<'_> {
             Objective::Minimize => -1.0,
         };
         let Scratch { codes: code_scratch, exact, best, .. } = scratch;
-        let ranked = rank_survivors(filter, sign, code_scratch);
+        let mut ranked = rank_survivors(filter, sign, code_scratch);
         let partial = &mut exact.partial;
         partial.resize(segment.len(), 0.0);
         let best = best.get_or_insert_with(|| TopKLargest::new(k));
@@ -763,22 +763,23 @@ impl OrderedRefine<'_> {
                 None => k.min(ranked.len()),
                 Some(kappa) => {
                     let reaches = SurviveTest { sign, add: 0.0, bar: kappa - prune_slack(kappa) };
-                    let next = &ranked[scored..ranked.len().min(scored + REFINE_CHUNK)];
+                    let next = &ranked.prefix(scored + REFINE_CHUNK)[scored..];
                     scored + next.iter().take_while(|&&(_, bound)| reaches.survives(bound)).count()
                 }
             };
             if end == scored {
                 break;
             }
-            self.score(&ranked[scored..end], partial)?;
-            for &(row, _) in &ranked[scored..end] {
+            let next = &ranked.prefix(end)[scored..];
+            self.score(next, partial)?;
+            for &(row, _) in next {
                 best.push(row, sign * partial[row as usize]);
             }
             scored = end;
         }
         trace.contributions_evaluated += (scored * self.order.len()) as u64;
         trace.dims_accessed = self.order.len();
-        let rows = ranked[..scored].iter().map(|&(row, _)| row);
+        let rows = ranked.prefix(scored).iter().map(|&(row, _)| row);
         Ok(rank(segment, rows, partial, metric.objective(), k))
     }
 

@@ -14,8 +14,13 @@
 //!   (`quantfilter::filter_segment_with_kernel`: survivors, κ and counts);
 //! * the code filter's 16-bit sweep (`kernels::sweep_codes`) and its
 //!   quantizer (`kernels::quantize_lut`), each x86 implementation the host
-//!   runs called directly against the scalar reference — the test prints
-//!   one line per implementation it compared;
+//!   runs called directly against the scalar reference, over runs that end
+//!   at their columns' last row (so the sweeps' prefetch addresses run past
+//!   the column); a group's one-pass LUT build (`kernels::fill_best_lut`
+//!   with the range it takes, then the quantizer) of every implementation
+//!   against the two-step scalar reference; the whole filter over tables
+//!   whose segments end on and off the 64-row step — the tests print one
+//!   line per implementation they compared;
 //! * the exact refine/warmup accumulate (`kernels::accumulate`,
 //!   `accumulate_gather`), the exact search's dense block accumulate
 //!   (`accumulate_block`, with and without the scanned mass, starting its
@@ -33,7 +38,7 @@
 //! Equality is `to_bits()` on every output — not approximate — because
 //! kernel dispatch must never be observable in answers.
 
-use bond::kernels::{self, CodeSweep, Kernel, QuantLut, SurviveTest};
+use bond::kernels::{self, CodeSweep, Kernel, LutRange, QuantLut, SurviveTest};
 use bond::quantfilter::{filter_segment_with_kernel, interval_scores_into};
 use bond::QuantScratch;
 use bond_metrics::{
@@ -41,7 +46,9 @@ use bond_metrics::{
     SquaredEuclidean, WeightedHistogramIntersection, WeightedSquaredEuclidean,
 };
 use proptest::prelude::*;
-use vdstore::{Bitmap, DecomposedTable, RowId, SegmentCodesView, SegmentStats, StoreCodes};
+use vdstore::{
+    Bitmap, CodeParams, DecomposedTable, RowId, SegmentCodesView, SegmentStats, StoreCodes,
+};
 
 const DIMS: usize = 6;
 /// Spans two partitions and, within each, more than one 64-cell kernel
@@ -130,11 +137,37 @@ fn bits_of(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Each column's range, taken by a plain pass over its entries.
+fn ranges_of(luts: &[f64], levels: usize) -> Vec<LutRange> {
+    let range = |lut: &[f64]| lut.iter().fold(LutRange::EMPTY, |r, &e| r.with(e));
+    luts.chunks_exact(levels).map(range).collect()
+}
+
+/// `(rows, from)`: columns of `rows` codes, swept from row `from` to their
+/// last row — whole columns on and off the 64-row step, and runs that
+/// start mid-column.
+const RUNS: [(usize, usize); 11] = [
+    (1, 0),
+    (63, 0),
+    (64, 0),
+    (65, 0),
+    (200, 0),
+    (511, 0),
+    (513, 0),
+    (65, 1),
+    (200, 100),
+    (511, 300),
+    (513, 256),
+];
+
 /// The code filter's 16-bit sweep: every x86 implementation the host runs
 /// (`gather`, `permute`), called directly, against the scalar reference —
 /// group widths 1 to 32, 2, 16 and 256 levels, run lengths on and off the
 /// 64-row step, `init` on and off, code bytes past the level count, and
-/// both rounding directions. Every other group's LUTs are ramps (`c·δ`, as
+/// both rounding directions. Every run ends at its columns' last row, so
+/// each implementation's prefetch address runs past the column (by
+/// `kernels::SWEEP_PREFETCH_ROWS` rows), and a second run starts mid-column
+/// and ends there too. Every other group's LUTs are ramps (`c·δ`, as
 /// a grid's cell edges give), whose entries quantize onto or next to
 /// integers, where the quantizer's step decides. Each implementation's own
 /// quantizer must give the scalar quantizer's entries, scale and offset;
@@ -161,14 +194,16 @@ fn code_sweep_implementations_match_the_scalar_reference() {
                     _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 3.0 - 0.5,
                 })
                 .collect();
+            let ranges = ranges_of(&luts, levels);
             for objective in [Objective::Minimize, Objective::Maximize] {
                 let mut reference = QuantLut::new();
-                kernels::quantize_lut(CodeSweep::Scalar, objective, &luts, levels, &mut reference);
+                let scalar = CodeSweep::Scalar;
+                kernels::quantize_lut(scalar, objective, &luts, &ranges, levels, &mut reference);
                 let quantized: Vec<QuantLut> = sweeps
                     .iter()
                     .map(|&sweep| {
                         let mut lut = QuantLut::new();
-                        kernels::quantize_lut(sweep, objective, &luts, levels, &mut lut);
+                        kernels::quantize_lut(sweep, objective, &luts, &ranges, levels, &mut lut);
                         let ctx =
                             format!("{} quantizer, {levels} levels, width {width}", sweep.label());
                         assert_eq!(lut.entries(), reference.entries(), "{ctx}");
@@ -177,10 +212,12 @@ fn code_sweep_implementations_match_the_scalar_reference() {
                         lut
                     })
                     .collect();
-                for rows in [1usize, 63, 64, 65, 200] {
+                for (rows, from) in RUNS {
                     let columns: Vec<Vec<u8>> =
                         (0..width).map(|_| (0..rows).map(|_| next() as u8).collect()).collect();
-                    let columns: Vec<&[u8]> = columns.iter().map(Vec::as_slice).collect();
+                    // a run from row `from` to the columns' last row
+                    let columns: Vec<&[u8]> = columns.iter().map(|c| &c[from..]).collect();
+                    let rows = rows - from;
                     let start: Vec<f64> =
                         (0..rows).map(|_| (next() % 1000) as f64 - 500.0).collect();
                     for init in [false, true] {
@@ -215,6 +252,189 @@ fn code_sweep_implementations_match_the_scalar_reference() {
             "code sweep {}: bit-identical to the scalar reference in {count} sweeps",
             sweep.label()
         );
+    }
+}
+
+/// The whole code filter over tables of 1, 63, 64, 65, 511 and 513 rows in
+/// one and in two segments: every segment's swept runs end at its code
+/// columns' last row — the last segment's at the table's — so every sweep
+/// implementation's prefetch address runs past the column. Each supported
+/// kernel's survivors, κ bits and counts must equal the scalar kernel's.
+#[test]
+fn filters_whose_runs_end_at_the_last_row_match_the_scalar_kernel() {
+    let mut state = 0x7A11_0F5E_6A11_0F5Eu64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for rows in [1usize, 63, 64, 65, 511, 513] {
+        let vectors: Vec<Vec<f64>> = (0..rows).map(|_| (0..16).map(|_| unit()).collect()).collect();
+        let query: Vec<f64> = (0..16).map(|_| unit()).collect();
+        let table = DecomposedTable::from_vectors("tail", &vectors).unwrap();
+        for parts in [1, 2] {
+            let specs = table.partition_specs(parts);
+            let stats: Vec<SegmentStats> =
+                specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
+            let codes = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
+            for si in 0..codes.n_segments() {
+                let view = codes.segment_view(si).unwrap();
+                let live = Bitmap::full(view.len());
+                for metric in [&SquaredEuclidean as &dyn DecomposableMetric, &HistogramIntersection]
+                {
+                    let run = |kernel| {
+                        filter_segment_with_kernel(
+                            &view, metric, &query, 1, &live, None, kernel, None, None,
+                        )
+                        .unwrap()
+                    };
+                    let want = run(Kernel::Scalar);
+                    for kernel in supported_kernels() {
+                        let got = run(kernel);
+                        let ctx = format!("{} {rows} rows segment {si}/{parts}", kernel.label());
+                        assert_eq!(got.survivors, want.survivors, "{ctx}");
+                        assert_eq!(got.kappa.map(f64::to_bits), want.kappa.map(f64::to_bits));
+                        assert_eq!(
+                            (got.cells, got.dims, got.steps, got.groups),
+                            (want.cells, want.dims, want.steps, want.groups),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One group's 16-bit LUTs built the one-pass way — each column's one-lane
+/// `f64` LUT and its range from `kernels::fill_best_lut`, then
+/// `kernels::quantize_lut` from those ranges — by every implementation the
+/// host runs (`scalar` too), against the two-step scalar reference: the
+/// metric's portable pair build, a plain pass for each column's range, and
+/// the scalar quantizer. The `f64` entries, the ranges, the 16-bit entries,
+/// the scale, the offset and, for `permute`, both byte planes must match
+/// bit for bit, for all four `KernelOp`s, both objectives, 2, 4, 16 and
+/// 256 levels and group widths 1 to 8, over adversarial grids: `min ==
+/// max`, queries below and above the grid, a query on a cell edge, and a
+/// zero weight. Prints one line per implementation compared.
+#[test]
+fn code_lut_builds_match_the_two_step_reference() {
+    let mut state = 0x1B0_0D5E_ED0F_1A7Bu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let weights: Vec<f64> = (0..8).map(|d| if d == 3 { 0.0 } else { 0.25 + d as f64 }).collect();
+    let whi = WeightedHistogramIntersection::new(weights.clone()).unwrap();
+    let wse = WeightedSquaredEuclidean::new(weights).unwrap();
+    let metrics: [&dyn DecomposableMetric; 4] =
+        [&HistogramIntersection, &SquaredEuclidean, &whi, &wse];
+    let sweeps: Vec<CodeSweep> = CodeSweep::ALL.into_iter().filter(|s| s.is_supported()).collect();
+    let mut compared = vec![0usize; sweeps.len()];
+    for metric in metrics {
+        for bits in [1u8, 2, 4, 8] {
+            let levels = 1usize << bits;
+            for width in 1..=8usize {
+                // column `d`'s grid and query: mixed within every group
+                let grids: Vec<(CodeParams, f64)> = (0..width)
+                    .map(|d| {
+                        let min = 2.0 * unit() - 1.0;
+                        let max = if (d + width) % 5 == 0 { min } else { min + 0.1 + 3.0 * unit() };
+                        let grid = CodeParams::new(min, max, bits).unwrap();
+                        let query = match (d + bits as usize) % 4 {
+                            0 => min + (max - min) * unit(),
+                            1 => min - 1.0 - unit(),
+                            2 => max + 1.0 + unit(),
+                            _ => min + (levels / 2) as f64 * grid.cell_width(),
+                        };
+                        (grid, query)
+                    })
+                    .collect();
+                let want = pair_lane_luts(metric, &grids, levels);
+                let want_ranges = ranges_of(&want, levels);
+                for objective in [Objective::Minimize, Objective::Maximize] {
+                    let mut reference = QuantLut::new();
+                    let (luts, ranges, scalar) = (&want, &want_ranges, CodeSweep::Scalar);
+                    kernels::quantize_lut(scalar, objective, luts, ranges, levels, &mut reference);
+                    for (&sweep, count) in sweeps.iter().zip(&mut compared) {
+                        let ctx = format!(
+                            "{} {} {levels} levels width {width} {objective:?}",
+                            sweep.label(),
+                            metric.name()
+                        );
+                        let op = metric.kernel_op().unwrap();
+                        let mut luts = vec![f64::NAN; width * levels];
+                        let ranges: Vec<LutRange> = (luts.chunks_exact_mut(levels).zip(&grids))
+                            .enumerate()
+                            .map(|(d, (lut, &(grid, q)))| {
+                                kernels::fill_best_lut(sweep, op, d, grid, q, lut)
+                            })
+                            .collect();
+                        assert_eq!(bits_of(&luts), bits_of(&want), "{ctx}: f64 entries");
+                        assert_eq!(ranges, want_ranges, "{ctx}: ranges");
+                        let mut got = QuantLut::new();
+                        kernels::quantize_lut(sweep, objective, &luts, &ranges, levels, &mut got);
+                        assert_same_quantization(&got, &reference, levels, sweep, &ctx);
+                        *count += 1;
+                    }
+                }
+            }
+        }
+    }
+    for (sweep, count) in sweeps.iter().zip(compared) {
+        println!(
+            "code LUT build {}: bit-identical to the scalar reference in {count} groups",
+            sweep.label()
+        );
+    }
+}
+
+/// The two-step reference's `f64` LUTs: the optimistic lane of the
+/// metric's portable pair build, column `d` over `grids[d]`.
+fn pair_lane_luts(
+    metric: &dyn DecomposableMetric,
+    grids: &[(CodeParams, f64)],
+    levels: usize,
+) -> Vec<f64> {
+    let mut luts = vec![0.0; grids.len() * levels];
+    let mut bounds = vec![(0.0, 0.0); levels];
+    let mut pairs = vec![0.0; 2 * levels];
+    for (d, (lut, &(grid, query))) in luts.chunks_exact_mut(levels).zip(grids).enumerate() {
+        grid.fill_cell_bounds(&mut bounds);
+        metric.fill_contribution_pairs(d, &bounds, query, &mut pairs);
+        for (e, pair) in lut.iter_mut().zip(pairs.chunks_exact(2)) {
+            *e = pair[0];
+        }
+    }
+    luts
+}
+
+/// `got` holds `want`'s entries, scale and offset bit for bit, and, when
+/// quantized for `permute`, each column's entries split into its low-byte
+/// and high-byte planes.
+fn assert_same_quantization(
+    got: &QuantLut,
+    want: &QuantLut,
+    levels: usize,
+    sweep: CodeSweep,
+    ctx: &str,
+) {
+    assert_eq!(got.entries(), want.entries(), "{ctx}: entries");
+    assert_eq!(got.scale().to_bits(), want.scale().to_bits(), "{ctx}: scale");
+    assert_eq!(got.offset().to_bits(), want.offset().to_bits(), "{ctx}: offset");
+    for (j, column) in want.entries().chunks_exact(levels).enumerate() {
+        match got.planes(j) {
+            Some((low, high)) => {
+                let low_bytes: Vec<u8> = column.iter().map(|&q| q as u8).collect();
+                let high_bytes: Vec<u8> = column.iter().map(|&q| (q >> 8) as u8).collect();
+                assert_eq!((low, high), (&low_bytes[..], &high_bytes[..]), "{ctx}: planes");
+            }
+            None => assert_ne!(sweep, CodeSweep::Permute, "{ctx}: no planes"),
+        }
     }
 }
 
@@ -615,8 +835,8 @@ proptest! {
                             kernel.label()
                         );
                         prop_assert_eq!(
-                            (got.cells, got.dims, got.steps),
-                            (want.cells, want.dims, want.steps),
+                            (got.cells, got.dims, got.steps, got.groups),
+                            (want.cells, want.dims, want.steps, want.groups),
                             "{} counts",
                             kernel.label()
                         );
